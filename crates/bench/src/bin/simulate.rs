@@ -14,6 +14,7 @@ use simany::core::{CoreId, MemoryTracer};
 use simany::kernels::protocols::{protocol_by_name, ProtocolKernel, ProtocolMetrics};
 use simany::kernels::{kernel_by_name, DwarfKernel, KernelResult, Scale};
 use simany::prelude::*;
+use simany::stats::json::Json;
 use simany::stats::{LatencyDist, ResilienceReport};
 use simany_serve::Scenario;
 
@@ -29,10 +30,8 @@ struct Args {
     drift: Option<u64>,
     topology_file: Option<String>,
     trace: bool,
-    fast_path: bool,
     sanitize: bool,
     threads: u32,
-    shard_phase_b: bool,
     checkpoint_every: Option<u64>,
     checkpoint_file: String,
     resume: Option<String>,
@@ -49,7 +48,6 @@ struct Args {
     churn_cores: u32,
     churn_every: Option<u64>,
     profile_picks: bool,
-    compact_ready: bool,
 }
 
 impl Default for Args {
@@ -66,10 +64,8 @@ impl Default for Args {
             drift: None,
             topology_file: None,
             trace: false,
-            fast_path: true,
             sanitize: false,
             threads: 1,
-            shard_phase_b: true,
             checkpoint_every: None,
             checkpoint_file: "simany.checkpoint".into(),
             resume: None,
@@ -86,7 +82,6 @@ impl Default for Args {
             churn_cores: 0,
             churn_every: None,
             profile_picks: false,
-            compact_ready: false,
         }
     }
 }
@@ -110,19 +105,12 @@ options:
   --drift T           drift bound / slack window in cycles (default 100)
   --topology FILE     adjacency-matrix config file (overrides --machine)
   --trace             collect and print an event timeline
-  --fast-path on|off  drift-headroom fast path (default on; bit-exact)
   --sanitize on|off   online invariant sanitizer (default off; observation-only)
   --threads N         host worker tiles for parallel execution (default 1 =
                       sequential engine; deterministic per fixed N + seed)
-  --shard-phase-b on|off
-                      destination-sharded phase-B replay in parallel mode
-                      (default on; bit-identical either way)
   --json FILE         also write wall-clock + counters as JSON to FILE
   --profile-picks     time the pick loop's phases (floor / pop / overhead /
                       action); observation-only, adds two clock reads per pick
-  --compact-ready     periodically drop stale lazy-deletion entries from the
-                      ready heap; deterministic per (seed, threads) but picks
-                      a DIFFERENT (equally valid) schedule than the default
 
 checkpoint / resume (see crates/core/src/checkpoint.rs for the model):
   --checkpoint-every T  write a verification checkpoint every T virtual cycles
@@ -175,16 +163,6 @@ fn parse_args() -> Args {
             "--drift" => args.drift = Some(val().parse().expect("--drift")),
             "--topology" => args.topology_file = Some(val()),
             "--trace" => args.trace = true,
-            "--fast-path" => {
-                args.fast_path = match val().as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => {
-                        eprintln!("--fast-path must be on or off, got '{other}'\n{USAGE}");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--sanitize" => {
                 args.sanitize = match val().as_str() {
                     "on" => true,
@@ -196,16 +174,6 @@ fn parse_args() -> Args {
                 }
             }
             "--threads" => args.threads = val().parse().expect("--threads"),
-            "--shard-phase-b" => {
-                args.shard_phase_b = match val().as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => {
-                        eprintln!("--shard-phase-b must be on or off, got '{other}'\n{USAGE}");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--checkpoint-every" => {
                 args.checkpoint_every = Some(val().parse().expect("--checkpoint-every"))
             }
@@ -217,7 +185,6 @@ fn parse_args() -> Args {
             }
             "--json" => args.json = Some(val()),
             "--profile-picks" => args.profile_picks = true,
-            "--compact-ready" => args.compact_ready = true,
             "--link-fail-prob" => args.link_fail_prob = val().parse().expect("--link-fail-prob"),
             "--repair-after" => args.repair_after = Some(val().parse().expect("--repair-after")),
             "--drop-prob" => args.drop_prob = val().parse().expect("--drop-prob"),
@@ -258,7 +225,6 @@ fn build_scenario(args: &Args) -> Scenario {
         sync: args.sync.clone(),
         drift: args.drift,
         threads: args.threads,
-        shard_phase_b: args.shard_phase_b,
         priority: 0,
         faults: simany_serve::FaultKnobs {
             link_fail_prob: args.link_fail_prob,
@@ -304,10 +270,8 @@ fn build_spec(args: &Args, scenario: &Scenario) -> ProgramSpec {
     }
     spec.engine = spec
         .engine
-        .with_fast_path(args.fast_path)
         .with_sanitize(args.sanitize)
-        .with_profile_picks(args.profile_picks)
-        .with_compact_ready(args.compact_ready);
+        .with_profile_picks(args.profile_picks);
     if let Some(every) = args.checkpoint_every {
         spec.engine = spec
             .engine
@@ -322,8 +286,7 @@ fn build_spec(args: &Args, scenario: &Scenario) -> ProgramSpec {
     spec
 }
 
-/// Hand-rolled JSON dump of the run's wall clock and counters (kept
-/// dependency-free on purpose).
+/// JSON dump of the run's wall clock and counters, one key per line.
 fn write_json(
     path: &str,
     args: &Args,
@@ -333,78 +296,83 @@ fn write_json(
     resilience: Option<&ResilienceReport>,
 ) {
     let s = &r.out.stats;
-    let peak_rss = simany_bench::peak_rss_bytes();
-    let cores_per_sec = f64::from(n_cores) / s.wall.as_secs_f64().max(1e-9);
-    let run_cores_per_sec = f64::from(n_cores) / (s.run_ns.max(1) as f64 / 1e9);
-    let tiles_claimed = s
-        .tiles_claimed
-        .iter()
-        .map(|n| n.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    let resilience_json = resilience.map_or(String::new(), |rep| {
-        format!(",\n  \"resilience\": {}", rep.to_json())
-    });
-    let json = format!(
-        "{{\n  \"kernel\": \"{}\",\n  \"cores\": {},\n  \"machine\": \"{}\",\n  \"arch\": \"{}\",\n  \"scale\": {},\n  \"seed\": {},\n  \"config_digest\": \"{:016x}\",\n  \"fast_path\": {},\n  \"threads\": {},\n  \"wall_ns\": {},\n  \"build_ns\": {},\n  \"run_ns\": {},\n  \"peak_rss_bytes\": {peak_rss},\n  \"cores_per_sec\": {cores_per_sec:.0},\n  \"run_cores_per_sec\": {run_cores_per_sec:.0},\n  \"final_vtime_cycles\": {},\n  \"verified\": {},\n  \"work_items\": {},\n  \"tasks_started\": {},\n  \"scheduler_picks\": {},\n  \"sync_stalls\": {},\n  \"messages\": {},\n  \"bytes\": {},\n  \"late_messages\": {},\n  \"on_time_messages\": {},\n  \"fast_path_advances\": {},\n  \"full_sync_checks\": {},\n  \"publish_sweeps\": {},\n  \"floor_recomputes\": {},\n  \"floor_key_updates\": {},\n  \"ready_stale_skipped\": {},\n  \"ready_compactions\": {},\n  \"ready_compacted\": {},\n  \"prof_floor_ns\": {},\n  \"prof_pop_ns\": {},\n  \"prof_overhead_ns\": {},\n  \"prof_action_ns\": {},\n  \"msgs_dropped\": {},\n  \"msg_retries\": {},\n  \"reroutes\": {},\n  \"link_faults\": {},\n  \"core_failures\": {},\n  \"net_dropped\": {},\n  \"net_corrupted\": {},\n  \"net_delayed\": {},\n  \"net_rerouted\": {},\n  \"net_unreachable\": {},\n  \"sanitizer_checks\": {},\n  \"sanitizer_violations\": {},\n  \"checkpoints_written\": {},\n  \"checkpoint_verifications\": {},\n  \"parallel_epochs\": {},\n  \"epoch_grants\": {},\n  \"phase_a_wall_ns\": {},\n  \"phase_b_wall_ns\": {},\n  \"serial_tail_ns\": {},\n  \"frame_spins\": {},\n  \"frame_parks\": {},\n  \"sharded_replays\": {},\n  \"tiles_claimed\": [{tiles_claimed}]{resilience_json}\n}}\n",
-        args.kernel,
-        args.cores,
-        args.machine,
-        args.arch,
-        args.scale,
-        args.seed,
-        digest,
-        args.fast_path,
-        args.threads,
-        s.wall.as_nanos(),
-        s.build_ns,
-        s.run_ns,
-        r.cycles(),
-        r.verified,
-        r.work_items,
-        s.activities_started,
-        s.scheduler_picks,
-        s.stall_events,
-        s.net.messages,
-        s.net.bytes,
-        s.late_messages,
-        s.on_time_messages,
-        s.fast_path_advances,
-        s.full_sync_checks,
-        s.publish_sweeps,
-        s.floor_recomputes,
-        s.floor_key_updates,
-        s.ready_stale_skipped,
-        s.ready_compactions,
-        s.ready_compacted,
-        s.prof_floor_ns,
-        s.prof_pop_ns,
-        s.prof_overhead_ns,
-        s.prof_action_ns,
-        s.msgs_dropped,
-        s.msg_retries,
-        s.reroutes,
-        s.link_faults,
-        s.core_failures,
-        s.net.dropped,
-        s.net.corrupted,
-        s.net.delayed,
-        s.net.rerouted,
-        s.net.unreachable,
-        s.sanitizer_checks,
-        s.sanitizer_violations,
-        s.checkpoints_written,
-        s.checkpoint_verifications,
-        s.parallel_epochs,
-        s.epoch_grants,
-        s.phase_a_wall_ns,
-        s.phase_b_wall_ns,
-        s.serial_tail_ns,
-        s.frame_spins,
-        s.frame_parks,
-        s.sharded_replays,
+    let text = |x: &str| Json::Str(x.to_string());
+    let per_sec = |ns: u64| Json::Num((f64::from(n_cores) / (ns.max(1) as f64 / 1e9)).round());
+    let mut fields: Vec<(&str, Json)> = vec![
+        ("kernel", text(&args.kernel)),
+        ("cores", Json::U64(u64::from(args.cores))),
+        ("machine", text(&args.machine)),
+        ("arch", text(&args.arch)),
+        ("scale", Json::Num(args.scale)),
+        ("seed", Json::U64(args.seed)),
+        ("config_digest", Json::Str(format!("{digest:016x}"))),
+        ("threads", Json::U64(u64::from(args.threads))),
+        ("wall_ns", Json::U64(s.wall.as_nanos() as u64)),
+        ("build_ns", Json::U64(s.build_ns)),
+        ("run_ns", Json::U64(s.run_ns)),
+        ("peak_rss_bytes", Json::U64(simany_bench::peak_rss_bytes())),
+        ("cores_per_sec", per_sec(s.wall.as_nanos() as u64)),
+        ("run_cores_per_sec", per_sec(s.run_ns)),
+        ("final_vtime_cycles", Json::U64(r.cycles())),
+        ("verified", Json::Bool(r.verified)),
+        ("work_items", Json::U64(r.work_items)),
+        ("tasks_started", Json::U64(s.activities_started)),
+        ("scheduler_picks", Json::U64(s.scheduler_picks)),
+        ("sync_stalls", Json::U64(s.stall_events)),
+        ("messages", Json::U64(s.net.messages)),
+        ("bytes", Json::U64(s.net.bytes)),
+        ("late_messages", Json::U64(s.late_messages)),
+        ("on_time_messages", Json::U64(s.on_time_messages)),
+        ("fast_path_advances", Json::U64(s.fast_path_advances)),
+        ("full_sync_checks", Json::U64(s.full_sync_checks)),
+        ("publish_sweeps", Json::U64(s.publish_sweeps)),
+        ("floor_recomputes", Json::U64(s.floor_recomputes)),
+        ("floor_key_updates", Json::U64(s.floor_key_updates)),
+        ("ready_stale_skipped", Json::U64(s.ready_stale_skipped)),
+        ("prof_floor_ns", Json::U64(s.prof_floor_ns)),
+        ("prof_pop_ns", Json::U64(s.prof_pop_ns)),
+        ("prof_overhead_ns", Json::U64(s.prof_overhead_ns)),
+        ("prof_action_ns", Json::U64(s.prof_action_ns)),
+        ("msgs_dropped", Json::U64(s.msgs_dropped)),
+        ("msg_retries", Json::U64(s.msg_retries)),
+        ("reroutes", Json::U64(s.reroutes)),
+        ("link_faults", Json::U64(s.link_faults)),
+        ("core_failures", Json::U64(s.core_failures)),
+        ("net_dropped", Json::U64(s.net.dropped)),
+        ("net_corrupted", Json::U64(s.net.corrupted)),
+        ("net_delayed", Json::U64(s.net.delayed)),
+        ("net_rerouted", Json::U64(s.net.rerouted)),
+        ("net_unreachable", Json::U64(s.net.unreachable)),
+        ("sanitizer_checks", Json::U64(s.sanitizer_checks)),
+        ("sanitizer_violations", Json::U64(s.sanitizer_violations)),
+        ("checkpoints_written", Json::U64(s.checkpoints_written)),
+        (
+            "checkpoint_verifications",
+            Json::U64(s.checkpoint_verifications),
+        ),
+        ("parallel_epochs", Json::U64(s.parallel_epochs)),
+        ("epoch_grants", Json::U64(s.epoch_grants)),
+        ("phase_a_wall_ns", Json::U64(s.phase_a_wall_ns)),
+        ("phase_b_wall_ns", Json::U64(s.phase_b_wall_ns)),
+        ("serial_tail_ns", Json::U64(s.serial_tail_ns)),
+        ("frame_spins", Json::U64(s.frame_spins)),
+        ("frame_parks", Json::U64(s.frame_parks)),
+        ("sharded_replays", Json::U64(s.sharded_replays)),
+        (
+            "tiles_claimed",
+            Json::Arr(s.tiles_claimed.iter().map(|&n| Json::U64(n)).collect()),
+        ),
+    ];
+    if let Some(rep) = resilience {
+        fields.push(("resilience", rep.to_json()));
+    }
+    let doc = Json::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
     );
-    std::fs::write(path, json).unwrap_or_else(|e| {
+    std::fs::write(path, doc.dump_lines()).unwrap_or_else(|e| {
         eprintln!("cannot write {path}: {e}");
         std::process::exit(1);
     });
@@ -535,10 +503,10 @@ fn main() {
     );
     println!("core utilization  : {:.2}", r.out.stats.utilization());
     let s = &r.out.stats;
-    if s.ready_stale_skipped > 0 || s.ready_compactions > 0 {
+    if s.ready_stale_skipped > 0 {
         println!(
-            "ready hygiene     : {} stale pops skipped, {} compactions ({} entries dropped)",
-            s.ready_stale_skipped, s.ready_compactions, s.ready_compacted
+            "ready hygiene     : {} stale pops skipped",
+            s.ready_stale_skipped
         );
     }
     if s.prof_floor_ns + s.prof_pop_ns + s.prof_overhead_ns + s.prof_action_ns > 0 {

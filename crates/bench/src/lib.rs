@@ -660,859 +660,6 @@ pub fn ablation_annotation_granularity(opts: &Options) -> String {
     )
 }
 
-/// One configuration of the fast-path benchmark: the spatial-sync hot loop
-/// itself, isolated. One activity per core of an `n`-core mesh executes
-/// `reps` small timing annotations (heterogeneous step sizes keep a real
-/// drift pattern flowing), with no messages or runtime protocol to dilute
-/// the per-annotation engine cost.
-fn fastpath_hot_loop(
-    n: u32,
-    reps: u64,
-    t_cycles: u64,
-    fast_path: bool,
-    sanitize: bool,
-    seed: u64,
-) -> simany::core::SimStats {
-    use simany::core::{simulate, CoreId, EngineConfig, Envelope, ExecCtx, Ops, RuntimeHooks};
-
-    struct NoHooks;
-    impl RuntimeHooks for NoHooks {
-        fn on_message(&self, _: &mut Ops<'_>, _: Envelope) {}
-        fn on_idle(&self, _: &mut Ops<'_>, _: CoreId) {}
-        fn on_activity_end(&self, _: &mut Ops<'_>, _: CoreId, _: Box<dyn std::any::Any + Send>) {}
-    }
-
-    let config = EngineConfig::default()
-        .with_drift_cycles(t_cycles)
-        .with_seed(seed)
-        .with_fast_path(fast_path)
-        .with_sanitize(sanitize);
-    simulate(
-        simany::topology::mesh_2d(n),
-        config,
-        std::sync::Arc::new(NoHooks),
-        |ops| {
-            for c in 0..n {
-                let step = 3 + u64::from(c % 5);
-                ops.start_activity(
-                    CoreId(c),
-                    "hot-loop",
-                    Box::new(()),
-                    Box::new(move |ctx: &mut ExecCtx| {
-                        for _ in 0..reps {
-                            ctx.advance_cycles(step);
-                        }
-                    }),
-                );
-            }
-        },
-    )
-    .expect("fast-path benchmark run failed")
-}
-
-/// PR 1 acceptance benchmark: wall-clock win of the drift-headroom fast
-/// path on an annotation-dense 256-core mesh under spatial synchronization,
-/// dumped to `BENCH_PR1.json` in the current directory. Also runs a full
-/// kernel at the same machine size as a secondary (protocol-diluted) point.
-pub fn fastpath_benchmark(opts: &Options) -> String {
-    use simany::core::SyncPolicy;
-
-    let n = 256u32;
-    let reps = 20_000u64;
-    // Wide enough that a granted core runs hundreds of annotations before
-    // its next stall: the bench then measures per-annotation engine cost,
-    // not condvar handoffs (which are identical with the fast path on or
-    // off — the stall sequence is bit-exact).
-    let t_cycles = 5_000u64;
-
-    // Best-of-instances wall times (the standard noise-robust estimator
-    // for a deterministic computation), alternating run order so warm-up
-    // bias cannot favor either configuration.
-    let mut best_on: Option<std::time::Duration> = None;
-    let mut best_off: Option<std::time::Duration> = None;
-    let mut stats_on = None;
-    let mut stats_off = None;
-    for i in 0..opts.instances.max(1) {
-        let first_on = i % 2 == 0;
-        let s_a = fastpath_hot_loop(n, reps, t_cycles, first_on, false, opts.seed);
-        let s_b = fastpath_hot_loop(n, reps, t_cycles, !first_on, false, opts.seed);
-        let (s_on, s_off) = if first_on { (s_a, s_b) } else { (s_b, s_a) };
-        assert_eq!(
-            s_on.final_vtime, s_off.final_vtime,
-            "fast path changed the simulated outcome"
-        );
-        if best_on.is_none_or(|b| s_on.wall < b) {
-            best_on = Some(s_on.wall);
-            stats_on = Some(s_on);
-        }
-        if best_off.is_none_or(|b| s_off.wall < b) {
-            best_off = Some(s_off.wall);
-            stats_off = Some(s_off);
-        }
-    }
-    let s_on = stats_on.expect("at least one instance");
-    let s_off = stats_off.expect("at least one instance");
-    let speedup = s_off.wall.as_secs_f64() / s_on.wall.as_secs_f64().max(1e-9);
-    let fast_ratio = s_on.fast_path_advances as f64
-        / (s_on.fast_path_advances + s_on.full_sync_checks).max(1) as f64;
-
-    // Secondary point: a real kernel on the same machine (runtime protocol
-    // and messages dilute the per-annotation win).
-    let kernel = simany::kernels::kernel_by_name("Quicksort").expect("kernel");
-    let kernel_run = |fast_path: bool| {
-        let mut spec = presets::uniform_mesh_sm(n);
-        spec.engine.sync = SyncPolicy::Spatial {
-            t: simany::core::VDuration::from_cycles(t_cycles),
-        };
-        spec.engine = spec.engine.with_seed(opts.seed).with_fast_path(fast_path);
-        kernel
-            .run_sim(spec, opts.scale, opts.seed)
-            .expect("kernel run failed")
-    };
-    let mut k_on = kernel_run(true);
-    let mut k_off = kernel_run(false);
-    for i in 1..opts.instances.max(1) {
-        let first_on = i % 2 == 1;
-        let a = kernel_run(first_on);
-        let b = kernel_run(!first_on);
-        let (on, off) = if first_on { (a, b) } else { (b, a) };
-        if on.out.stats.wall < k_on.out.stats.wall {
-            k_on = on;
-        }
-        if off.out.stats.wall < k_off.out.stats.wall {
-            k_off = off;
-        }
-    }
-    assert_eq!(
-        k_on.cycles(),
-        k_off.cycles(),
-        "fast path changed kernel outcome"
-    );
-    let k_speedup =
-        k_off.out.stats.wall.as_secs_f64() / k_on.out.stats.wall.as_secs_f64().max(1e-9);
-    let k_ratio = k_on.out.stats.fast_path_advances as f64
-        / (k_on.out.stats.fast_path_advances + k_on.out.stats.full_sync_checks).max(1) as f64;
-
-    let json = format!(
-        "{{\n  \"bench\": \"fastpath_hot_loop\",\n  \"cores\": {n},\n  \"drift_t_cycles\": {t_cycles},\n  \"annotations\": {},\n  \"wall_ns_fast_on\": {},\n  \"wall_ns_fast_off\": {},\n  \"wall_speedup\": {speedup:.3},\n  \"fast_path_advances\": {},\n  \"full_sync_checks\": {},\n  \"fast_ratio\": {fast_ratio:.4},\n  \"publish_sweeps_fast_on\": {},\n  \"publish_sweeps_fast_off\": {},\n  \"floor_recomputes\": {},\n  \"final_vtime_cycles\": {},\n  \"kernel\": {{\n    \"name\": \"Quicksort\",\n    \"scale\": {},\n    \"wall_speedup\": {k_speedup:.3},\n    \"fast_ratio\": {k_ratio:.4},\n    \"final_vtime_cycles\": {}\n  }}\n}}\n",
-        u64::from(n) * reps,
-        s_on.wall.as_nanos(),
-        s_off.wall.as_nanos(),
-        s_on.fast_path_advances,
-        s_on.full_sync_checks,
-        s_on.publish_sweeps,
-        s_off.publish_sweeps,
-        s_on.floor_recomputes,
-        s_on.final_vtime.cycles(),
-        opts.scale.0,
-        k_on.cycles(),
-    );
-    std::fs::write("BENCH_PR1.json", &json).expect("cannot write BENCH_PR1.json");
-
-    let mut t = Table::new(&[
-        "bench",
-        "wall fast on",
-        "wall fast off",
-        "speedup",
-        "fast ratio",
-    ]);
-    t.row(vec![
-        format!("hot loop {n} cores × {reps} annotations"),
-        format!("{:?}", s_on.wall),
-        format!("{:?}", s_off.wall),
-        f2(speedup),
-        f2(fast_ratio),
-    ]);
-    t.row(vec![
-        format!("Quicksort {n} cores, scale {}", opts.scale.0),
-        format!("{:?}", k_on.out.stats.wall),
-        format!("{:?}", k_off.out.stats.wall),
-        f2(k_speedup),
-        f2(k_ratio),
-    ]);
-    format!(
-        "### Fast-path benchmark (PR 1) — results written to BENCH_PR1.json\n\n\
-         publish sweeps with fast path on/off: {} / {} (flat sweeps while \
-         the clock advances inside headroom = no allocation in the hot \
-         path)\n\n{}",
-        s_on.publish_sweeps,
-        s_off.publish_sweeps,
-        t.to_markdown()
-    )
-}
-
-/// PR 2 acceptance benchmark: resilience under a seeded fault plan. Runs
-/// Quicksort on a 256-core mesh, clean and with a `FaultPlan::sample`d
-/// plan (link failures with repair, message drops, core failures), runs
-/// the faulty configuration twice to prove determinism, and dumps wall
-/// time plus the drop/retry/reroute counters to `BENCH_PR2.json`.
-pub fn faults_benchmark(opts: &Options) -> String {
-    use simany::fault::{FaultConfig, FaultPlan};
-    use simany::prelude::{VDuration, VirtualTime};
-
-    let n = 256u32;
-    let cfg = FaultConfig {
-        link_fail_prob: 0.15,
-        repair_after: Some(VDuration::from_cycles(40_000)),
-        drop_prob: 0.01,
-        core_fail_prob: 0.03,
-        horizon: VirtualTime::from_cycles(100_000),
-        ..FaultConfig::default()
-    };
-    let kernel = simany::kernels::kernel_by_name("Quicksort").expect("kernel");
-    let run = |faulty: bool| {
-        let mut spec = presets::uniform_mesh_sm(n);
-        spec.engine = spec.engine.with_seed(opts.seed);
-        if faulty {
-            let plan = FaultPlan::sample(&spec.topo, &cfg, opts.seed);
-            spec.engine = spec.engine.with_fault_plan(std::sync::Arc::new(plan));
-        }
-        kernel
-            .run_sim(spec, opts.scale, opts.seed)
-            .expect("faults benchmark run failed")
-    };
-
-    let clean = run(false);
-    let r1 = run(true);
-    let r2 = run(true);
-    assert_eq!(
-        r1.cycles(),
-        r2.cycles(),
-        "same seed + same fault plan must reproduce the same virtual time"
-    );
-    assert_eq!(
-        (
-            r1.out.stats.msgs_dropped,
-            r1.out.stats.msg_retries,
-            r1.out.stats.reroutes,
-            r1.out.stats.net.messages,
-        ),
-        (
-            r2.out.stats.msgs_dropped,
-            r2.out.stats.msg_retries,
-            r2.out.stats.reroutes,
-            r2.out.stats.net.messages,
-        ),
-        "same seed + same fault plan must reproduce the same counters"
-    );
-    assert!(r1.verified, "workload must still verify under faults");
-
-    let s = &r1.out.stats;
-    let json = format!(
-        "{{\n  \"bench\": \"faults_quicksort\",\n  \"cores\": {n},\n  \"scale\": {},\n  \"seed\": {},\n  \"wall_ns_faulty\": {},\n  \"wall_ns_clean\": {},\n  \"final_vtime_faulty\": {},\n  \"final_vtime_clean\": {},\n  \"verified\": {},\n  \"msgs_dropped\": {},\n  \"msg_retries\": {},\n  \"reroutes\": {},\n  \"link_faults\": {},\n  \"core_failures\": {},\n  \"partitions_observed\": {},\n  \"send_retries\": {},\n  \"send_failures\": {},\n  \"fault_local_runs\": {},\n  \"messages\": {}\n}}\n",
-        opts.scale.0,
-        opts.seed,
-        s.wall.as_nanos(),
-        clean.out.stats.wall.as_nanos(),
-        r1.cycles(),
-        clean.cycles(),
-        r1.verified,
-        s.msgs_dropped,
-        s.msg_retries,
-        s.reroutes,
-        s.link_faults,
-        s.core_failures,
-        s.partitions_observed,
-        r1.out.rt.send_retries,
-        r1.out.rt.send_failures,
-        r1.out.rt.fault_local_runs,
-        s.net.messages,
-    );
-    std::fs::write("BENCH_PR2.json", &json).expect("cannot write BENCH_PR2.json");
-
-    let mut t = Table::new(&[
-        "config",
-        "virtual time",
-        "wall",
-        "drops",
-        "retries",
-        "reroutes",
-    ]);
-    t.row(vec![
-        "clean".into(),
-        clean.cycles().to_string(),
-        format!("{:?}", clean.out.stats.wall),
-        "0".into(),
-        "0".into(),
-        "0".into(),
-    ]);
-    t.row(vec![
-        "faulty (seeded plan)".into(),
-        r1.cycles().to_string(),
-        format!("{:?}", s.wall),
-        s.msgs_dropped.to_string(),
-        s.msg_retries.to_string(),
-        s.reroutes.to_string(),
-    ]);
-    format!(
-        "### Fault-injection benchmark (PR 2) — results written to BENCH_PR2.json\n\n\
-         Quicksort, {n}-core mesh, seeded fault plan ({} link faults, {} core \
-         failures, {} partitions observed); two faulty runs were bit-identical.\n\n{}",
-        s.link_faults,
-        s.core_failures,
-        s.partitions_observed,
-        t.to_markdown()
-    )
-}
-
-/// PR 9 acceptance benchmark: the protocol workload pack under graded
-/// fault intensities. Runs each protocol (gossip, DHT lookup, quorum) on
-/// a 64-core mesh clean, under a partition-then-heal, under partition
-/// plus sampled message drops, and under drops plus crash-stop churn.
-/// Every faulty configuration runs twice and must be bit-identical
-/// (virtual time, deliveries, message counts, every latency sample);
-/// per-point resilience metrics are dumped to `BENCH_PR9.json`.
-pub fn protocols_benchmark(opts: &Options) -> String {
-    use simany::fault::{FaultConfig, FaultPlan};
-    use simany::kernels::protocols::all_protocols;
-    use simany::prelude::{VDuration, VirtualTime};
-    use simany::stats::{LatencyDist, ResilienceReport};
-
-    let n = 64u32;
-    // Protocol horizons are rounds x period, so the benchmark needs
-    // scale >= 1 for recovery to fit after the 30k-cycle heal.
-    let scale = Scale(opts.scale.0.max(1.0));
-    let horizon = VirtualTime::from_cycles(100_000);
-    let partitioned = FaultConfig {
-        partition_at: Some(VirtualTime::from_cycles(5_000)),
-        partition_heal: Some(VirtualTime::from_cycles(30_000)),
-        horizon,
-        ..FaultConfig::default()
-    };
-    let intensities: Vec<(&str, Option<FaultConfig>)> = vec![
-        ("clean", None),
-        ("partition", Some(partitioned.clone())),
-        (
-            "partition+drop",
-            Some(FaultConfig {
-                drop_prob: 0.05,
-                ..partitioned
-            }),
-        ),
-        (
-            "drop+churn",
-            Some(FaultConfig {
-                drop_prob: 0.15,
-                churn_cores: 4,
-                churn_every: VDuration::from_cycles(8_000),
-                horizon,
-                ..FaultConfig::default()
-            }),
-        ),
-    ];
-
-    let run = |protocol: &dyn simany::kernels::protocols::ProtocolKernel,
-               cfg: Option<&FaultConfig>| {
-        let mut spec = presets::uniform_mesh_sm(n);
-        spec.engine = spec.engine.with_seed(opts.seed);
-        if let Some(cfg) = cfg {
-            let plan = FaultPlan::sample(&spec.topo, cfg, opts.seed);
-            spec.engine = spec.engine.with_fault_plan(std::sync::Arc::new(plan));
-        }
-        protocol
-            .run_sim(spec, scale, opts.seed)
-            .expect("protocol benchmark run failed")
-    };
-
-    let mut reports: Vec<(String, String, ResilienceReport, u64)> = Vec::new();
-    for protocol in all_protocols() {
-        for (label, cfg) in &intensities {
-            let o = run(protocol.as_ref(), cfg.as_ref());
-            if cfg.is_some() {
-                let o2 = run(protocol.as_ref(), cfg.as_ref());
-                assert_eq!(
-                    (o.cycles(), o.metrics.delivered, o.metrics.payload_msgs),
-                    (o2.cycles(), o2.metrics.delivered, o2.metrics.payload_msgs),
-                    "{} under '{label}' must be bit-identical across runs",
-                    protocol.name()
-                );
-                assert_eq!(
-                    o.metrics.latencies,
-                    o2.metrics.latencies,
-                    "{} under '{label}' must reproduce every latency sample",
-                    protocol.name()
-                );
-            }
-            assert!(
-                o.verified,
-                "{} failed its safety checks under '{label}'",
-                protocol.name()
-            );
-            let m = &o.metrics;
-            reports.push((
-                protocol.name().to_string(),
-                (*label).to_string(),
-                ResilienceReport {
-                    protocol: protocol.name().to_string(),
-                    expected: m.expected,
-                    delivered: m.delivered,
-                    payload_msgs: m.payload_msgs,
-                    reissues: m.reissues,
-                    degraded: m.degraded,
-                    leader_changes: m.leader_changes,
-                    latency: LatencyDist::from_samples(&m.latencies),
-                },
-                o.cycles(),
-            ));
-        }
-    }
-
-    let points = reports
-        .iter()
-        .map(|(_, label, rep, cycles)| {
-            format!(
-                "    {{\n      \"intensity\": \"{label}\",\n      \
-                 \"final_vtime\": {cycles},\n      \"report\": {}\n    }}",
-                rep.to_json()
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"bench\": \"protocols\",\n  \"cores\": {n},\n  \"scale\": {},\n  \
-         \"seed\": {},\n  \"points\": [\n{points}\n  ]\n}}\n",
-        scale.0, opts.seed,
-    );
-    std::fs::write("BENCH_PR9.json", &json).expect("cannot write BENCH_PR9.json");
-
-    let mut t = Table::new(&[
-        "protocol",
-        "intensity",
-        "coverage",
-        "msgs/delivery",
-        "reissues",
-        "degraded",
-        "latency p99",
-    ]);
-    for (name, label, rep, _) in &reports {
-        t.row(vec![
-            name.clone(),
-            label.clone(),
-            format!("{:.4}", rep.coverage()),
-            f2(rep.msgs_per_delivery()),
-            rep.reissues.to_string(),
-            rep.degraded.to_string(),
-            rep.latency.p99.to_string(),
-        ]);
-    }
-    format!(
-        "### Protocol resilience benchmark (PR 9) — results written to BENCH_PR9.json\n\n\
-         Three protocols on a {n}-core mesh under {} fault intensities; every \
-         faulty point ran twice bit-identically and passed its safety checks.\n\n{}",
-        intensities.len(),
-        t.to_markdown()
-    )
-}
-
-/// PR 4 acceptance benchmark: wall-time overhead of the online invariant
-/// sanitizer, on the same annotation-dense hot loop as the fast-path
-/// benchmark (worst case for any per-decision checking: there is no
-/// runtime protocol to hide behind) and on a real kernel. The sanitized
-/// and plain runs must be bit-identical in virtual time and the sanitizer
-/// must report zero violations; results are dumped to `BENCH_PR4.json`.
-pub fn sanitizer_benchmark(opts: &Options) -> String {
-    let n = 256u32;
-    let reps = 20_000u64;
-    let t_cycles = 5_000u64;
-
-    // Best-of-instances wall times, alternating run order (same estimator
-    // as the fast-path benchmark).
-    let mut best_on: Option<std::time::Duration> = None;
-    let mut best_off: Option<std::time::Duration> = None;
-    let mut stats_on = None;
-    let mut stats_off = None;
-    for i in 0..opts.instances.max(1) {
-        let first_on = i % 2 == 0;
-        let s_a = fastpath_hot_loop(n, reps, t_cycles, true, first_on, opts.seed);
-        let s_b = fastpath_hot_loop(n, reps, t_cycles, true, !first_on, opts.seed);
-        let (s_on, s_off) = if first_on { (s_a, s_b) } else { (s_b, s_a) };
-        assert_eq!(
-            s_on.final_vtime, s_off.final_vtime,
-            "sanitizer changed the simulated outcome"
-        );
-        assert_eq!(s_on.sanitizer_violations, 0, "sanitizer found violations");
-        assert!(s_on.sanitizer_checks > 0, "sanitizer ran no checks");
-        if best_on.is_none_or(|b| s_on.wall < b) {
-            best_on = Some(s_on.wall);
-            stats_on = Some(s_on);
-        }
-        if best_off.is_none_or(|b| s_off.wall < b) {
-            best_off = Some(s_off.wall);
-            stats_off = Some(s_off);
-        }
-    }
-    let s_on = stats_on.expect("at least one instance");
-    let s_off = stats_off.expect("at least one instance");
-    let overhead = s_on.wall.as_secs_f64() / s_off.wall.as_secs_f64().max(1e-9) - 1.0;
-
-    // Secondary point: a real kernel (protocol and messages dominate, so
-    // the relative overhead should be smaller still).
-    let kernel = simany::kernels::kernel_by_name("Quicksort").expect("kernel");
-    let kernel_run = |sanitize: bool| {
-        let mut spec = presets::uniform_mesh_sm(n);
-        spec.engine = spec.engine.with_seed(opts.seed).with_sanitize(sanitize);
-        kernel
-            .run_sim(spec, opts.scale, opts.seed)
-            .expect("kernel run failed")
-    };
-    let mut k_on = kernel_run(true);
-    let mut k_off = kernel_run(false);
-    for i in 1..opts.instances.max(1) {
-        let first_on = i % 2 == 1;
-        let a = kernel_run(first_on);
-        let b = kernel_run(!first_on);
-        let (on, off) = if first_on { (a, b) } else { (b, a) };
-        if on.out.stats.wall < k_on.out.stats.wall {
-            k_on = on;
-        }
-        if off.out.stats.wall < k_off.out.stats.wall {
-            k_off = off;
-        }
-    }
-    assert_eq!(
-        k_on.cycles(),
-        k_off.cycles(),
-        "sanitizer changed kernel outcome"
-    );
-    assert_eq!(k_on.out.stats.sanitizer_violations, 0);
-    let k_overhead =
-        k_on.out.stats.wall.as_secs_f64() / k_off.out.stats.wall.as_secs_f64().max(1e-9) - 1.0;
-
-    let json = format!(
-        "{{\n  \"bench\": \"sanitizer_overhead\",\n  \"cores\": {n},\n  \"drift_t_cycles\": {t_cycles},\n  \"annotations\": {},\n  \"wall_ns_sanitize_on\": {},\n  \"wall_ns_sanitize_off\": {},\n  \"overhead\": {overhead:.4},\n  \"sanitizer_checks\": {},\n  \"sanitizer_violations\": {},\n  \"max_global_drift_cycles\": {},\n  \"final_vtime_cycles\": {},\n  \"kernel\": {{\n    \"name\": \"Quicksort\",\n    \"scale\": {},\n    \"wall_ns_sanitize_on\": {},\n    \"wall_ns_sanitize_off\": {},\n    \"overhead\": {k_overhead:.4},\n    \"sanitizer_checks\": {},\n    \"final_vtime_cycles\": {}\n  }}\n}}\n",
-        u64::from(n) * reps,
-        s_on.wall.as_nanos(),
-        s_off.wall.as_nanos(),
-        s_on.sanitizer_checks,
-        s_on.sanitizer_violations,
-        s_on.max_global_drift.cycles(),
-        s_on.final_vtime.cycles(),
-        opts.scale.0,
-        k_on.out.stats.wall.as_nanos(),
-        k_off.out.stats.wall.as_nanos(),
-        k_on.out.stats.sanitizer_checks,
-        k_on.cycles(),
-    );
-    std::fs::write("BENCH_PR4.json", &json).expect("cannot write BENCH_PR4.json");
-
-    let mut t = Table::new(&[
-        "bench",
-        "wall sanitize on",
-        "wall sanitize off",
-        "overhead",
-        "checks",
-    ]);
-    t.row(vec![
-        format!("hot loop {n} cores × {reps} annotations"),
-        format!("{:?}", s_on.wall),
-        format!("{:?}", s_off.wall),
-        pct_signed(overhead),
-        s_on.sanitizer_checks.to_string(),
-    ]);
-    t.row(vec![
-        format!("Quicksort {n} cores, scale {}", opts.scale.0),
-        format!("{:?}", k_on.out.stats.wall),
-        format!("{:?}", k_off.out.stats.wall),
-        pct_signed(k_overhead),
-        k_on.out.stats.sanitizer_checks.to_string(),
-    ]);
-    format!(
-        "### Sanitizer benchmark (PR 4) — results written to BENCH_PR4.json\n\n\
-         {} invariant checks, {} violations; max observed global drift {} \
-         cycles (bound: diameter × T).\n\n{}",
-        s_on.sanitizer_checks,
-        s_on.sanitizer_violations,
-        s_on.max_global_drift.cycles(),
-        t.to_markdown()
-    )
-}
-
-/// One configuration of the host-scaling benchmark: a grant-dense workload
-/// on a large mesh. Every core runs `tasks_per_core` short activities of
-/// `reps` annotations each (replenished through the idle hook), under
-/// spatial sync with a window generous enough that checks pass confined —
-/// the regime the epoch coordinator targets, where condvar handoffs
-/// between the scheduler and task workers dominate wall time.
-fn scaling_run(
-    n: u32,
-    tasks_per_core: u32,
-    reps: u64,
-    t_cycles: u64,
-    threads: u32,
-    seed: u64,
-) -> simany::core::SimStats {
-    use simany::core::{simulate, CoreId, EngineConfig, Envelope, ExecCtx, Ops, RuntimeHooks};
-
-    struct Refill {
-        reps: u64,
-    }
-    impl Refill {
-        fn launch(&self, ops: &mut Ops<'_>, c: CoreId) {
-            let reps = self.reps;
-            let step = 3 + u64::from(c.0 % 5);
-            ops.start_activity(
-                c,
-                "scaling",
-                Box::new(()),
-                Box::new(move |ctx: &mut ExecCtx| {
-                    for _ in 0..reps {
-                        ctx.advance_cycles(step);
-                    }
-                }),
-            );
-        }
-    }
-    impl RuntimeHooks for Refill {
-        fn on_message(&self, _: &mut Ops<'_>, _: Envelope) {}
-        fn on_idle(&self, ops: &mut Ops<'_>, c: CoreId) {
-            ops.queue_hint_sub(c, 1);
-            self.launch(ops, c);
-        }
-        fn on_activity_end(&self, _: &mut Ops<'_>, _: CoreId, _: Box<dyn std::any::Any + Send>) {}
-    }
-
-    let config = EngineConfig::default()
-        .with_drift_cycles(t_cycles)
-        .with_seed(seed)
-        .with_threads(threads);
-    simulate(
-        simany::topology::mesh_2d(n),
-        config,
-        std::sync::Arc::new(Refill { reps }),
-        move |ops| {
-            for c in 0..n {
-                ops.queue_hint_add(CoreId(c), tasks_per_core - 1);
-            }
-            for c in 0..n {
-                Refill { reps }.launch(ops, CoreId(c));
-            }
-        },
-    )
-    .expect("scaling benchmark run failed")
-}
-
-/// PR 6 acceptance benchmark: wall-clock scaling of parallel host
-/// execution with the host thread count, on a 1024-core mesh, under the
-/// lock-free frame coordinator. Results are dumped to `BENCH_PR6.json`.
-/// The virtual outcome must be identical at every thread count (the
-/// workload is message-free, so even the policy-level latitude of
-/// parallel mode cannot show), which doubles as an end-to-end
-/// determinism check.
-///
-/// Each entry records whether the point was *undersubscribed* — more
-/// simulator threads than host CPUs — because speedups measured in that
-/// regime say nothing about the coordinator (PR 5's numbers were taken
-/// on a 1-CPU host, which is why this PR re-records them with the flag).
-pub fn scaling_benchmark(opts: &Options) -> String {
-    let n = 1024u32;
-    let tasks_per_core = 8u32;
-    let reps = 48u64;
-    let t_cycles = 20_000u64;
-    let host_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
-
-    let threads_axis = [1u32, 2, 4, 8];
-    let mut best: Vec<Option<simany::core::SimStats>> = vec![None; threads_axis.len()];
-    for _ in 0..opts.instances.max(1) {
-        for (i, &th) in threads_axis.iter().enumerate() {
-            let s = scaling_run(n, tasks_per_core, reps, t_cycles, th, opts.seed);
-            if best[i].as_ref().is_none_or(|b| s.wall < b.wall) {
-                best[i] = Some(s);
-            }
-        }
-    }
-    let best: Vec<simany::core::SimStats> = best.into_iter().map(|s| s.unwrap()).collect();
-    for s in &best[1..] {
-        assert_eq!(
-            s.final_vtime, best[0].final_vtime,
-            "thread count changed the simulated outcome"
-        );
-    }
-    let base = best[0].wall.as_secs_f64();
-
-    let mut entries = String::new();
-    let mut t = Table::new(&[
-        "threads",
-        "wall",
-        "speedup vs 1",
-        "epochs",
-        "epoch grants",
-        "picks",
-    ]);
-    for (i, s) in best.iter().enumerate() {
-        let th = threads_axis[i];
-        let speedup = base / s.wall.as_secs_f64().max(1e-9);
-        entries.push_str(&format!(
-            "    {{\n      \"threads\": {th},\n      \"undersubscribed\": {},\n      \
-             \"wall_ns\": {},\n      \
-             \"speedup_vs_1\": {speedup:.3},\n      \"parallel_epochs\": {},\n      \
-             \"epoch_grants\": {},\n      \"scheduler_picks\": {},\n      \
-             \"stall_events\": {},\n      \"phase_a_wall_ns\": {},\n      \
-             \"phase_b_wall_ns\": {},\n      \"serial_tail_ns\": {},\n      \
-             \"frame_spins\": {},\n      \"frame_parks\": {},\n      \
-             \"sharded_replays\": {},\n      \"final_vtime_cycles\": {}\n    }}{}\n",
-            th as usize > host_cpus,
-            s.wall.as_nanos(),
-            s.parallel_epochs,
-            s.epoch_grants,
-            s.scheduler_picks,
-            s.stall_events,
-            s.phase_a_wall_ns,
-            s.phase_b_wall_ns,
-            s.serial_tail_ns,
-            s.frame_spins,
-            s.frame_parks,
-            s.sharded_replays,
-            s.final_vtime.cycles(),
-            if i + 1 < best.len() { "," } else { "" },
-        ));
-        t.row(vec![
-            th.to_string(),
-            format!("{:?}", s.wall),
-            format!("{speedup:.2}x"),
-            s.parallel_epochs.to_string(),
-            s.epoch_grants.to_string(),
-            s.scheduler_picks.to_string(),
-        ]);
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"host_scaling\",\n  \"cores\": {n},\n  \
-         \"tasks_per_core\": {tasks_per_core},\n  \"annotations_per_task\": {reps},\n  \
-         \"drift_t_cycles\": {t_cycles},\n  \"host_cpus\": {host_cpus},\n  \
-         \"instances\": {},\n  \"results\": [\n{entries}  ]\n}}\n",
-        opts.instances.max(1),
-    );
-    std::fs::write("BENCH_PR6.json", &json).expect("cannot write BENCH_PR6.json");
-
-    let s8 = &best[threads_axis.len() - 1];
-    format!(
-        "### Host-scaling benchmark (PR 6) — results written to BENCH_PR6.json\n\n\
-         {n}-core mesh, {tasks_per_core} × {reps}-annotation tasks per core, \
-         host has {host_cpus} CPU(s){}. 8 threads vs 1: {:.2}x.\n\n{}",
-        if 8 > host_cpus {
-            " — the wider points are undersubscribed; treat their speedups as noise"
-        } else {
-            ""
-        },
-        base / s8.wall.as_secs_f64().max(1e-9),
-        t.to_markdown()
-    )
-}
-
-/// PR 7 benchmark: run the EXPERIMENTS.md drift sweep (Figs. 10 & 11)
-/// through the `simany-serve` sweep service — the committed
-/// `examples/sweeps/drift.toml` spec — over a pool of `simulate` worker
-/// processes with checkpoint-based preemption enabled. Records sweep
-/// throughput (scenarios/hour), the dedup hit rate (the spec's baseline
-/// block duplicates the drift block's T = 100 points on purpose) and the
-/// preempt/resume counts to `BENCH_PR7.json`, plus a kernel × T
-/// virtual-time table assembled from the streamed per-scenario results.
-///
-/// Needs the `simulate` binary next to `repro` (`cargo build --release
-/// -p simany-bench` builds both), so it is not part of `repro all`.
-pub fn sweep_benchmark(opts: &Options) -> String {
-    use simany_serve::{ServeConfig, Service};
-
-    let spec_path = [
-        "examples/sweeps/drift.toml",
-        "../examples/sweeps/drift.toml",
-    ]
-    .iter()
-    .find(|p| std::path::Path::new(p).is_file())
-    .expect("examples/sweeps/drift.toml not found; run from the repo root")
-    .to_string();
-    let out_dir = std::env::temp_dir().join(format!("simany-sweep-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&out_dir);
-    let workers = std::thread::available_parallelism().map_or(2, |p| p.get().min(4));
-
-    let cfg = ServeConfig {
-        spec_path,
-        out_dir: out_dir.clone(),
-        workers,
-        checkpoint_every: Some(10_000),
-        preempt_after: Some(2),
-        max_resumes: 3,
-        ..ServeConfig::default()
-    };
-    let mut svc = Service::new(cfg).expect("sweep service setup failed");
-    let shutdown = std::sync::atomic::AtomicBool::new(false);
-    let summary = svc.run(&shutdown).expect("sweep service run failed");
-    assert_eq!(summary.failed, 0, "sweep scenarios failed");
-    assert!(!summary.interrupted, "sweep was interrupted");
-    assert_eq!(
-        summary.scenarios,
-        summary.completed + summary.dedup_hits as usize,
-        "every scenario must map to a completed job"
-    );
-
-    // Assemble the kernel × T virtual-time table from the per-scenario
-    // stream (label shape: `drift/kernel=K,drift=T`).
-    let records = simany_serve::read_results(&out_dir.join("results.jsonl"))
-        .expect("results.jsonl unreadable");
-    let drifts = [50u64, 100, 500, 1000];
-    let mut vt: std::collections::BTreeMap<String, std::collections::BTreeMap<u64, f64>> =
-        std::collections::BTreeMap::new();
-    for r in &records {
-        let Some(label) = r.get("label").and_then(|v| v.as_str()) else {
-            continue;
-        };
-        let Some(rest) = label.strip_prefix("drift/kernel=") else {
-            continue;
-        };
-        let Some((kernel, drift)) = rest.split_once(",drift=") else {
-            continue;
-        };
-        if let (Ok(t), Some(cycles)) = (
-            drift.parse::<u64>(),
-            r.get("final_vtime_cycles").and_then(|v| v.as_f64()),
-        ) {
-            vt.entry(kernel.to_string()).or_default().insert(t, cycles);
-        }
-    }
-    let mut table = Table::new(&["kernel", "T=50", "T=100", "T=500", "T=1000"]);
-    for (kernel, by_t) in &vt {
-        let mut row = vec![kernel.clone()];
-        for t in drifts {
-            row.push(by_t.get(&t).map_or("-".into(), |c| format!("{c:.0}")));
-        }
-        table.row(row);
-    }
-
-    let per_hour = summary.scenarios as f64 / (summary.wall_secs / 3600.0).max(1e-9);
-    let hit_rate = summary.dedup_hits as f64 / summary.scenarios.max(1) as f64;
-    let json = format!(
-        "{{\n  \"bench\": \"sweep_service\",\n  \"spec\": \"examples/sweeps/drift.toml\",\n  \
-         \"workers\": {workers},\n  \"scenarios\": {},\n  \"unique_jobs\": {},\n  \
-         \"dedup_hits\": {},\n  \"dedup_hit_rate\": {hit_rate:.4},\n  \"completed\": {},\n  \
-         \"failed\": {},\n  \"preempts\": {},\n  \"resumes\": {},\n  \
-         \"wall_secs\": {:.3},\n  \"scenarios_per_hour\": {per_hour:.1}\n}}\n",
-        summary.scenarios,
-        summary.unique_jobs,
-        summary.dedup_hits,
-        summary.completed,
-        summary.failed,
-        summary.preempts,
-        summary.resumes,
-        summary.wall_secs,
-    );
-    std::fs::write("BENCH_PR7.json", &json).expect("cannot write BENCH_PR7.json");
-    let _ = opts; // sweep shape is fixed by the committed spec file
-    let _ = std::fs::remove_dir_all(&out_dir);
-
-    format!(
-        "### Sweep-service benchmark (PR 7) — results written to BENCH_PR7.json\n\n\
-         {} scenarios / {} unique jobs on {workers} workers: {:.1}s wall \
-         ({per_hour:.0} scenarios/hour), dedup hit rate {:.1}%, {} preemptions / {} resumes.\n\n\
-         Final virtual time (cycles) by kernel and drift bound T:\n\n{}",
-        summary.scenarios,
-        summary.unique_jobs,
-        summary.wall_secs,
-        hit_rate * 100.0,
-        summary.preempts,
-        summary.resumes,
-        table.to_markdown()
-    )
-}
-
 /// Peak resident set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`), or 0 where the proc filesystem is unavailable
 /// (non-Linux hosts). Monotonic over the process lifetime: after several
@@ -1534,233 +681,6 @@ pub fn peak_rss_bytes() -> u64 {
         }
     }
     0
-}
-
-/// One point of the memory-scale benchmark: a hierarchical chiplet mesh
-/// where every core runs exactly one small message-free task, staggered
-/// through `queue_hint` so activities materialize lazily instead of
-/// allocating a million boxed closures up front. Returns the stats plus
-/// the process peak RSS (bytes) observed right after the run.
-fn scale_run(
-    chips: u32,
-    chip_side: u32,
-    seed: u64,
-    profile: bool,
-) -> (simany::core::SimStats, u64) {
-    use simany::core::{CoreId, EngineConfig, Envelope, ExecCtx, Ops, RuntimeHooks};
-
-    struct OneShot;
-    impl RuntimeHooks for OneShot {
-        fn on_message(&self, _: &mut Ops<'_>, _: Envelope) {}
-        fn on_idle(&self, ops: &mut Ops<'_>, c: CoreId) {
-            ops.queue_hint_sub(c, 1);
-            let step = 3 + u64::from(c.0 % 5);
-            ops.start_activity(
-                c,
-                "scale",
-                Box::new(()),
-                Box::new(move |ctx: &mut ExecCtx| {
-                    for _ in 0..16 {
-                        ctx.advance_cycles(step);
-                    }
-                }),
-            );
-        }
-        fn on_activity_end(&self, _: &mut Ops<'_>, _: CoreId, _: Box<dyn std::any::Any + Send>) {}
-    }
-
-    let topo = simany::topology::chiplet_mesh(
-        chips,
-        chips,
-        chip_side,
-        chip_side,
-        simany::topology::ChipletParams::default(),
-    );
-    let n = topo.n_cores();
-    let config = EngineConfig::default()
-        .with_drift_cycles(10_000)
-        .with_seed(seed)
-        .with_profile_picks(profile);
-    let stats = simany::core::simulate(topo, config, std::sync::Arc::new(OneShot), move |ops| {
-        for c in 0..n {
-            ops.queue_hint_add(CoreId(c), 1);
-        }
-    })
-    .expect("scale benchmark run failed");
-    (stats, peak_rss_bytes())
-}
-
-/// One measured point of the scale benchmark, with the PR 10 build/run
-/// phase split and the pick-loop profile breakdown.
-struct ScalePoint {
-    chips: u32,
-    cores: u32,
-    stats: simany::core::SimStats,
-    rss: u64,
-}
-
-impl ScalePoint {
-    fn measure(chips: u32, side: u32, seed: u64) -> Self {
-        let n = chips * chips * side * side;
-        let (stats, rss) = scale_run(chips, side, seed, true);
-        assert_eq!(
-            stats.busy.n_cores,
-            u64::from(n),
-            "busy summary lost cores at n={n}"
-        );
-        assert_eq!(stats.busy.active, u64::from(n), "a core never ran its task");
-        Self {
-            chips,
-            cores: n,
-            stats,
-            rss,
-        }
-    }
-
-    /// Throughput over the run phase only — topology/core-state setup
-    /// (`build_ns`) is excluded, so points of different sizes compare the
-    /// per-event cost rather than allocator behaviour.
-    fn run_cores_per_sec(&self) -> f64 {
-        f64::from(self.cores) / (self.stats.run_ns.max(1) as f64 / 1e9)
-    }
-
-    fn wall_cores_per_sec(&self) -> f64 {
-        f64::from(self.cores) / self.stats.wall.as_secs_f64().max(1e-9)
-    }
-}
-
-/// Scale benchmark (PR 8, re-run under the PR 10 pick-loop work): one
-/// small task on *every* core of hierarchical chiplet meshes up to a
-/// million cores (16×16 chiplets of 64×64), sequentially. Each point now
-/// records the build/run wall split and the pick-loop phase profile
-/// (`profile_picks`), so the JSON shows *where* per-event time goes as
-/// the core count grows. Results are dumped to `BENCH_PR10.json`.
-///
-/// Points run in ascending size, so each point's peak RSS is dominated by
-/// its own footprint; the number is still process-cumulative (`VmHWM`),
-/// which the JSON notes. Ignores `--max-cores` — the axis *is* the
-/// experiment.
-pub fn scale_benchmark(opts: &Options) -> String {
-    // (chips per side, cores per chiplet side): 4×4, 8×8, 16×16 chiplets
-    // of 64×64 cores = 65_536, 262_144, 1_048_576 cores.
-    let points = [(4u32, 64u32), (8, 64), (16, 64)];
-
-    let measured: Vec<ScalePoint> = points
-        .iter()
-        .map(|&(chips, side)| ScalePoint::measure(chips, side, opts.seed))
-        .collect();
-
-    let mut entries = String::new();
-    let mut t = Table::new(&[
-        "cores",
-        "chiplets",
-        "build",
-        "run",
-        "run cores/sec",
-        "peak RSS",
-        "bytes/core",
-        "stale skips",
-    ]);
-    for (i, p) in measured.iter().enumerate() {
-        let s = &p.stats;
-        let n = p.cores;
-        let bytes_per_core = p.rss as f64 / f64::from(n);
-        entries.push_str(&format!(
-            "    {{\n      \"cores\": {n},\n      \"chiplets\": {},\n      \
-             \"wall_ns\": {},\n      \"build_ns\": {},\n      \"run_ns\": {},\n      \
-             \"cores_per_sec\": {:.0},\n      \"run_cores_per_sec\": {:.0},\n      \
-             \"peak_rss_bytes\": {},\n      \"rss_bytes_per_core\": {bytes_per_core:.1},\n      \
-             \"scheduler_picks\": {},\n      \"peak_live_activities\": {},\n      \
-             \"fast_path_advances\": {},\n      \"ready_stale_skipped\": {},\n      \
-             \"prof_floor_ns\": {},\n      \"prof_pop_ns\": {},\n      \
-             \"prof_overhead_ns\": {},\n      \"prof_action_ns\": {},\n      \
-             \"final_vtime_cycles\": {}\n    }}{}\n",
-            p.chips * p.chips,
-            s.wall.as_nanos(),
-            s.build_ns,
-            s.run_ns,
-            p.wall_cores_per_sec(),
-            p.run_cores_per_sec(),
-            p.rss,
-            s.scheduler_picks,
-            s.peak_live_activities,
-            s.fast_path_advances,
-            s.ready_stale_skipped,
-            s.prof_floor_ns,
-            s.prof_pop_ns,
-            s.prof_overhead_ns,
-            s.prof_action_ns,
-            s.final_vtime.cycles(),
-            if i + 1 < measured.len() { "," } else { "" },
-        ));
-        t.row(vec![
-            n.to_string(),
-            format!("{0}x{0}", p.chips),
-            format!("{:.3}s", s.build_ns as f64 / 1e9),
-            format!("{:.3}s", s.run_ns as f64 / 1e9),
-            format!("{:.0}", p.run_cores_per_sec()),
-            format!("{:.1} MB", p.rss as f64 / (1024.0 * 1024.0)),
-            format!("{bytes_per_core:.0}"),
-            s.ready_stale_skipped.to_string(),
-        ]);
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"memory_scale\",\n  \
-         \"note\": \"peak_rss_bytes is process-cumulative (VmHWM); points run ascending; \
-         run_cores_per_sec excludes build_ns (topology + core-state setup)\",\n  \
-         \"task_annotations_per_core\": 16,\n  \"threads\": 1,\n  \"seed\": {},\n  \
-         \"results\": [\n{entries}  ]\n}}\n",
-        opts.seed,
-    );
-    std::fs::write("BENCH_PR10.json", &json).expect("cannot write BENCH_PR10.json");
-
-    let first = measured.first().expect("no scale points ran");
-    let last = measured.last().expect("no scale points ran");
-    let ratio = first.run_cores_per_sec() / last.run_cores_per_sec().max(1e-9);
-    format!(
-        "### Memory-scale benchmark (PR 10) — results written to BENCH_PR10.json\n\n\
-         One task on every core of hierarchical chiplet meshes; largest point \
-         {} cores at {:.0} run-phase cores/sec, peak RSS {:.1} MB \
-         ({:.0} bytes/core, process-cumulative). Run-phase throughput at \
-         {} cores is {ratio:.2}x slower than at {} cores.\n\n{}",
-        last.cores,
-        last.run_cores_per_sec(),
-        last.rss as f64 / (1024.0 * 1024.0),
-        last.rss as f64 / f64::from(last.cores),
-        last.cores,
-        first.cores,
-        t.to_markdown()
-    )
-}
-
-/// CI guard against O(cores) regressions on the per-event path: runs the
-/// 65k- and 262k-core chiplet points and fails (panics, so `repro` exits
-/// nonzero) if the larger point's *run-phase* throughput drops below 60%
-/// of the smaller's. The build phase is excluded on purpose — setup cost
-/// grows with the core count by nature; the per-event cost must not.
-pub fn scale_regression_check(opts: &Options) -> String {
-    let small = ScalePoint::measure(4, 64, opts.seed);
-    let large = ScalePoint::measure(8, 64, opts.seed);
-    let (s, l) = (small.run_cores_per_sec(), large.run_cores_per_sec());
-    let ratio = l / s.max(1e-9);
-    let verdict = format!(
-        "### Scale-regression check\n\n\
-         | cores | build | run | run cores/sec |\n|---|---|---|---|\n\
-         | {} | {:.3}s | {:.3}s | {s:.0} |\n| {} | {:.3}s | {:.3}s | {l:.0} |\n\n\
-         262k/65k run-phase throughput ratio: {ratio:.2} (floor 0.60)\n",
-        small.cores,
-        small.stats.build_ns as f64 / 1e9,
-        small.stats.run_ns as f64 / 1e9,
-        large.cores,
-        large.stats.build_ns as f64 / 1e9,
-        large.stats.run_ns as f64 / 1e9,
-    );
-    assert!(
-        ratio >= 0.60,
-        "scale regression: 262k-core run-phase throughput ({l:.0} cores/sec) fell below \
-         60% of the 65k-core point's ({s:.0} cores/sec); ratio {ratio:.2}\n{verdict}"
-    );
-    verdict
 }
 
 #[cfg(test)]

@@ -31,12 +31,12 @@ fn lcg(state: &mut u64) -> u64 {
 /// pyramid's repair path — not just the strict-decrease fast path — gets
 /// exercised.
 fn updates(n: usize, rounds: usize) -> Vec<(usize, VirtualTime)> {
-    let mut state: u64 = 0x5EED_0F10_0D ^ n as u64;
+    let mut state: u64 = 0x5E_ED0F_100D ^ n as u64;
     (0..rounds * UPDATES)
         .map(|_| {
             let i = (lcg(&mut state) as usize) % n;
             let r = lcg(&mut state);
-            let key = if r % 16 == 0 {
+            let key = if r.is_multiple_of(16) {
                 VirtualTime::MAX
             } else {
                 VirtualTime(r >> 20)

@@ -111,10 +111,10 @@ impl Checkpoint {
     }
 }
 
-/// Per-run checkpoint/resume bookkeeping, shared by the sequential and
-/// parallel scheduler loops. Both loops call [`CheckpointDriver::observe`]
-/// once per scheduler-time instant (quiescence: deferred publishes are
-/// flushed at every token yield), which performs, in order:
+/// Per-run checkpoint/resume bookkeeping. The pick front-end shared by
+/// both scheduler loops calls [`CheckpointDriver::observe`] once per
+/// scheduler-time instant (quiescence: deferred publishes are flushed at
+/// every token yield), which performs, in order:
 ///
 /// 1. **resume verification** — the first instant whose `max_vtime`
 ///    reaches the resume watermark compares pick count and state digest
@@ -272,14 +272,11 @@ pub fn config_digest(config: &crate::EngineConfig) -> u64 {
     d.u64(config.resume_cost.ticks());
     d.u64(config.max_live_activities as u64);
     d.u64(config.parallelism_sample_every);
-    d.u64(u64::from(config.fast_path));
-    // Ready-heap compaction perturbs pick order, so a resume must replay
-    // under the same setting. Folded only when on, so default-off digests
-    // match checkpoints written before the knob existed. (`profile_picks`
-    // is observation-only and deliberately excluded.)
-    if config.compact_ready {
-        d.str("compact_ready");
-    }
+    // Where the retired `fast_path` toggle (always on) used to fold: the
+    // constant keeps every digest, serve dedup key and on-disk checkpoint
+    // written before its removal valid. (`profile_picks` is observation-
+    // only and deliberately excluded.)
+    d.u64(1);
     // Parallel host execution is its own deterministic trajectory per
     // thread count, so checkpoints resume only under a matching `threads`.
     // Folded only when parallel so sequential digests match pre-parallel

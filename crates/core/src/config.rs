@@ -100,34 +100,18 @@ pub struct EngineConfig {
     /// cores verifying these conditions to keep all cores of current
     /// multi-core host machines busy."
     pub parallelism_sample_every: u64,
-    /// Profile the sequential pick loop: accumulate wall time per loop
-    /// phase (floor maintenance, ready-queue pops, scheduler overhead,
-    /// action execution) into [`crate::SimStats`]'s `prof_*_ns` fields.
+    /// Profile the pick loop (either engine — the front-end is shared):
+    /// accumulate wall time per loop phase (floor maintenance, ready-queue
+    /// pops, scheduler overhead, action execution) into
+    /// [`crate::SimStats`]'s `prof_*_ns` fields.
     /// Observation only — never affects the schedule — but it puts two
     /// clock reads on every pick, so it is off by default and meant for
     /// ranking per-event costs at scale, not for production runs.
     pub profile_picks: bool,
-    /// Opt-in stale-entry compaction of the lowest-vtime ready heap (see
-    /// `ReadyQueue::maybe_compact`): when lazy-deleted garbage dominates
-    /// the heap, drop the entries of unqueued cores and re-heapify.
-    /// Deterministic for a fixed `(seed, threads)` and identical across
-    /// `threads <= 1`, but it *perturbs the pick order* relative to a
-    /// non-compacting run (a dropped garbage entry can no longer trigger
-    /// an early revalidation), so it is off by default: enable it for
-    /// long-running duplicate-heavy workloads where heap growth matters
-    /// more than schedule continuity with prior releases.
-    pub compact_ready: bool,
     /// Optional fault plan (link failures, message drops/delays/corruption,
     /// core failures). `None` — and an empty plan — are bit-identical to a
     /// perfect machine. Shared with the network model via `Arc`.
     pub fault: Option<std::sync::Arc<simany_fault::FaultPlan>>,
-    /// Enable the drift-headroom fast path for spatial synchronization:
-    /// timing annotations that stay within the cached `local_floor + T`
-    /// bound (and have no due messages) skip the publish sweep and policy
-    /// check entirely. Bit-exact with the full path; only active under
-    /// [`PickPolicy::LowestVtime`], whose ready-queue order is independent
-    /// of insertion order. Disable to measure the fast-path win.
-    pub fast_path: bool,
     /// Enable the online invariant sanitizer: every slow-path
     /// synchronization decision, publish sweep and message delivery is
     /// re-validated against an independent recomputation of the paper's
@@ -180,16 +164,11 @@ pub struct EngineConfig {
     /// schedule differently (each is its own deterministic trajectory, so
     /// checkpoints only resume under the same thread count).
     pub threads: u32,
-    /// Parallel mode: shard the epoch's phase B by destination tile —
-    /// deferred boundary-clock publishes and routed message deliveries are
-    /// bucketed per destination tile during the serial walk and applied by
-    /// the workers in a parallel replay frame. Bit-exact with the serial
-    /// replay (the walk precomputes every scheduler-visible effect in
-    /// serial order; only commuting per-core field writes are parallel), so
-    /// this is an optimization toggle like [`Self::fast_path`]: disable to
-    /// measure the sharding win. Automatically off while the sanitizer is
-    /// on (its delivery hooks are serial-only) and under `threads <= 1`.
-    pub shard_phase_b: bool,
+    /// Unit-test override: never take the drift-headroom fast path, so
+    /// `sync`'s fast-vs-full equality test can run one program both ways.
+    /// Not a knob — the field does not exist outside this crate's tests.
+    #[cfg(test)]
+    pub(crate) full_sync_only: bool,
 }
 
 impl std::fmt::Debug for EngineConfig {
@@ -207,8 +186,6 @@ impl std::fmt::Debug for EngineConfig {
             .field("fault", &self.fault.as_ref().map(|_| "..."))
             .field("parallelism_sample_every", &self.parallelism_sample_every)
             .field("profile_picks", &self.profile_picks)
-            .field("compact_ready", &self.compact_ready)
-            .field("fast_path", &self.fast_path)
             .field("sanitize", &self.sanitize)
             .field("watchdog_picks", &self.watchdog_picks)
             .field("checkpoint_every", &self.checkpoint_every)
@@ -216,7 +193,6 @@ impl std::fmt::Debug for EngineConfig {
             .field("resume_from", &self.resume_from)
             .field("preempt_after_checkpoints", &self.preempt_after_checkpoints)
             .field("threads", &self.threads)
-            .field("shard_phase_b", &self.shard_phase_b)
             .finish()
     }
 }
@@ -237,8 +213,6 @@ impl Default for EngineConfig {
             fault: None,
             parallelism_sample_every: 0,
             profile_picks: false,
-            compact_ready: false,
-            fast_path: true,
             sanitize: false,
             watchdog_picks: Some(10_000_000),
             checkpoint_every: None,
@@ -246,7 +220,8 @@ impl Default for EngineConfig {
             resume_from: None,
             preempt_after_checkpoints: None,
             threads: 1,
-            shard_phase_b: true,
+            #[cfg(test)]
+            full_sync_only: false,
         }
     }
 }
@@ -266,23 +241,9 @@ impl EngineConfig {
         self
     }
 
-    /// Enable or disable the drift-headroom fast path (see
-    /// [`Self::fast_path`]).
-    pub fn with_fast_path(mut self, on: bool) -> Self {
-        self.fast_path = on;
-        self
-    }
-
     /// Enable pick-loop phase profiling (see [`Self::profile_picks`]).
     pub fn with_profile_picks(mut self, on: bool) -> Self {
         self.profile_picks = on;
-        self
-    }
-
-    /// Enable stale-entry ready-heap compaction (see
-    /// [`Self::compact_ready`]).
-    pub fn with_compact_ready(mut self, on: bool) -> Self {
-        self.compact_ready = on;
         self
     }
 
@@ -334,13 +295,6 @@ impl EngineConfig {
     /// Set the host worker parallelism (see [`Self::threads`]).
     pub fn with_threads(mut self, threads: u32) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Enable or disable destination-tile sharding of the epoch's phase B
-    /// (see [`Self::shard_phase_b`]).
-    pub fn with_shard_phase_b(mut self, on: bool) -> Self {
-        self.shard_phase_b = on;
         self
     }
 

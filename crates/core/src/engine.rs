@@ -21,6 +21,19 @@
 //! hold the token concurrently, the simulation stays sequential and
 //! deterministic.
 //!
+//! ## One pick front-end, two grants
+//!
+//! Everything that happens between two grants — checkpoint observation,
+//! floor wakes, pop-and-revalidate, the quiet/deadlock check, the pick
+//! count, watchdog, sanitizer cadence and parallelism sample, then message
+//! processing, idle hooks and the requeue — lives once, in [`PickLoop`],
+//! and is the order every digest, checkpoint and golden timing depends on.
+//! The two scheduler loops are thin drivers around it that differ only in
+//! what a *grant* is: `run_sequential` hands the run token to the activity
+//! and waits for it back; [`crate::parallel::run_scheduler`] stashes the
+//! activity into the current epoch's batch (or defers it) and runs the
+//! batch when the front-end reports the ready queue drained.
+//!
 //! ## Parallel host execution
 //!
 //! With [`EngineConfig::threads`] ` > 1` the topology is partitioned into
@@ -994,11 +1007,13 @@ pub fn simulate(
         // cost masquerades as per-event cost.
         let build = start_wall.elapsed();
         let run_start = std::time::Instant::now();
-        sim = if shared.config.threads > 1 {
-            crate::parallel::run_scheduler(&shared, sim, &mut handles, cfg_digest, resume_target)
+        let mut picks = PickLoop::new(&shared.config, &sim, cfg_digest, resume_target);
+        if shared.config.threads > 1 {
+            sim = crate::parallel::run_scheduler(&shared, sim, &mut handles, &mut picks);
         } else {
-            run_sequential(&shared, sim, &mut handles, cfg_digest, resume_target)
-        };
+            run_sequential(&shared, &mut sim, &mut handles, &mut picks);
+        }
+        picks.finish(&mut sim, &shared);
         sim.stats.build_ns = build.as_nanos() as u64;
         sim.stats.run_ns = run_start.elapsed().as_nanos() as u64;
 
@@ -1024,10 +1039,8 @@ pub fn simulate(
         return Err(f.into_error());
     }
     let mut stats = std::mem::take(&mut sim.stats);
-    // Hot-structure hygiene counters live on the structures themselves;
-    // harvest them into the stats now that the run is over.
-    stats.ready_compactions = sim.ready.compactions();
-    stats.ready_compacted = sim.ready.compaction_dropped();
+    // The floor structure counts its own key updates; harvest them now
+    // that the run is over.
     if let Some(g) = &sim.gfloor {
         stats.floor_key_updates = g.updates();
     }
@@ -1074,194 +1087,228 @@ pub fn simulate(
     Ok(stats)
 }
 
-/// Pick-loop phase profiling: fold the time since `mark` into `acc` and
-/// restart the lap. A no-op (no clock read) unless
-/// [`EngineConfig::profile_picks`] is on.
-#[inline]
-fn lap(profiling: bool, mark: &mut std::time::Instant, acc: &mut u64) {
-    if profiling {
-        let now = std::time::Instant::now();
-        *acc += now.duration_since(*mark).as_nanos() as u64;
-        *mark = now;
+/// What one trip through the pick front-end produced.
+pub(crate) enum Picked {
+    /// A validated ready core, already counted as a scheduler pick; the
+    /// caller hands it to [`PickLoop::dispatch`].
+    Core(CoreId),
+    /// Nothing left to pop, but the caller holds claimed work (`held > 0`)
+    /// that must run before the machine can be judged quiet or deadlocked.
+    Drained,
+    /// The run is over: normal completion, or `sim.failure` is set
+    /// (deadlock, watchdog, checkpoint mismatch, preemption, task panic).
+    Stop,
+}
+
+/// The per-pick front-end shared by both scheduler loops: everything that
+/// happens between two grants, in the one order every digest, checkpoint
+/// and golden timing depends on. The sequential loop and the epoch
+/// coordinator differ only in what a *grant* means (the closure passed to
+/// [`PickLoop::dispatch`]) and in how many cores they hold out of the
+/// ready queue between picks (`held`).
+///
+/// All bookkeeping here observes the machine at scheduler-time quiescence
+/// (deferred publishes are flushed at every token yield), so `max_vtime`,
+/// pick counts and state digests are well-defined at these points.
+pub(crate) struct PickLoop {
+    ckpt: crate::checkpoint::CheckpointDriver,
+    cfg_digest: u64,
+    /// Stall watchdog: the last `max_vtime` seen to rise, and the pick it
+    /// rose at.
+    wd_last_vtime: VirtualTime,
+    wd_last_pick: u64,
+    /// `profile_picks`, and the phase-profile lap mark it gates.
+    profiling: bool,
+    mark: std::time::Instant,
+}
+
+impl PickLoop {
+    fn new(
+        config: &EngineConfig,
+        sim: &Sim,
+        cfg_digest: u64,
+        resume_target: Option<crate::checkpoint::Checkpoint>,
+    ) -> Self {
+        PickLoop {
+            ckpt: crate::checkpoint::CheckpointDriver::new(config, resume_target),
+            cfg_digest,
+            wd_last_vtime: sim.max_vtime,
+            wd_last_pick: 0,
+            profiling: config.profile_picks,
+            mark: std::time::Instant::now(),
+        }
+    }
+
+    /// Fold the time since the last lap into `acc` and restart the lap. A
+    /// no-op (no clock read) unless `profile_picks` is on.
+    #[inline]
+    fn lap(&mut self, acc: &mut u64) {
+        if self.profiling {
+            let now = std::time::Instant::now();
+            *acc += now.duration_since(self.mark).as_nanos() as u64;
+            self.mark = now;
+        }
+    }
+
+    /// Machine-wide sanitizer scan, if the sanitizer is installed.
+    fn sanitizer_scan(sim: &mut Sim, shared: &Shared) {
+        if sim.sanitizer.is_some() {
+            crate::sanitizer::scan(sim, shared);
+        }
+    }
+
+    /// Advance to the next pick. `held` is the number of cores the caller
+    /// has claimed or deferred since its last launch — held out of the
+    /// ready queue but carrying runnable work (always 0 sequentially).
+    pub(crate) fn next(&mut self, sim: &mut Sim, shared: &Shared, held: usize) -> Picked {
+        if self.profiling {
+            self.mark = std::time::Instant::now();
+        }
+        if sim.failure.is_some() || !self.ckpt.observe(sim, shared, self.cfg_digest) {
+            return Picked::Stop;
+        }
+        if sim.floor_dirty {
+            sim.floor_dirty = false;
+            sync::floor_moved(sim, shared);
+        }
+        self.lap(&mut sim.stats.prof_floor_ns);
+        // Pop a valid ready core, skipping stale entries.
+        let mut picked = None;
+        while let Some(c) = sim.ready.pop() {
+            sim.cores.in_ready[c.index()] = false;
+            if is_ready(sim, c) {
+                picked = Some(c);
+                break;
+            }
+            sim.stats.ready_stale_skipped += 1;
+        }
+        self.lap(&mut sim.stats.prof_pop_ns);
+        let Some(c) = picked else {
+            if held > 0 {
+                return Picked::Drained;
+            }
+            // O(1) quiet check: no live activity, no message in any inbox
+            // shard, no queued work anywhere.
+            let quiet = sim.live_activities == 0
+                && sim.cores.inboxes.total_messages() == 0
+                && sim.total_queue_hint == 0;
+            if !quiet {
+                sim.failure = Some(Failure::Deadlock(deadlock_report(sim)));
+            }
+            return Picked::Stop;
+        };
+        sim.stats.scheduler_picks += 1;
+        // Stall watchdog: abort (with a diagnostic snapshot) instead of
+        // spinning forever when picks stop moving virtual time — classic
+        // deadlocks never get here (the quiet-state check above catches
+        // them); this guards against livelock.
+        if sim.max_vtime > self.wd_last_vtime {
+            self.wd_last_vtime = sim.max_vtime;
+            self.wd_last_pick = sim.stats.scheduler_picks;
+        } else if let Some(budget) = shared.config.watchdog_picks {
+            if sim.stats.scheduler_picks - self.wd_last_pick >= budget {
+                sim.failure = Some(Failure::Stalled {
+                    at: sim.max_vtime,
+                    picks: budget,
+                    report: diagnostic_snapshot(sim),
+                });
+                return Picked::Stop;
+            }
+        }
+        if sim
+            .stats
+            .scheduler_picks
+            .is_multiple_of(crate::sanitizer::SCAN_EVERY_PICKS)
+        {
+            Self::sanitizer_scan(sim, shared);
+        }
+        let sample_every = shared.config.parallelism_sample_every;
+        if sample_every != 0 && sim.stats.scheduler_picks.is_multiple_of(sample_every) {
+            // Available host parallelism, O(1): distinct cores with queued
+            // ready-work, plus the just-picked core, plus the cores held
+            // by the caller. (An O(cores) `is_ready` sweep differs only on
+            // stale-queued cores, which are transient, and does not scale
+            // to mega-core machines at any useful sample rate.)
+            let avail = sim.ready.live_len() + 1 + held;
+            sim.stats.parallelism_samples.push(avail as u32);
+        }
+        self.lap(&mut sim.stats.prof_overhead_ns);
+        Picked::Core(c)
+    }
+
+    /// Act on picked core `c`. `grant(sim, c, aid)` hands a grantable
+    /// activity on; it returns `true` if the activity ran to its next
+    /// yield (so `c` is re-evaluated for the ready queue right away) and
+    /// `false` if the caller now holds `c` out of the queue until it has
+    /// run the activity itself.
+    pub(crate) fn dispatch(
+        &mut self,
+        sim: &mut parking_lot::MutexGuard<'_, Sim>,
+        shared: &Shared,
+        c: CoreId,
+        mut grant: impl FnMut(&mut parking_lot::MutexGuard<'_, Sim>, CoreId, ActivityId) -> bool,
+    ) {
+        let mut requeue = true;
+        match decide(sim, c) {
+            Action::Message => process_message(sim, shared, c),
+            Action::Grant(aid) => requeue = grant(sim, c, aid),
+            Action::ResumeParked => {
+                let aid = sim.cores.res_pop_front(c.index()).unwrap();
+                make_current(sim, shared, aid);
+                // Grant immediately if still allowed (it may have become
+                // stalled by the resume-cost advance).
+                if sim.act(aid).grantable() {
+                    requeue = grant(sim, c, aid);
+                }
+            }
+            Action::Idle => {
+                let before_hint = sim.cores.queue_hint[c.index()];
+                {
+                    let mut ops = Ops::new(sim, shared);
+                    shared.hooks.on_idle(&mut ops, c);
+                }
+                assert!(
+                    sim.cores.queue_hint[c.index()] < before_hint
+                        || sim.cores.current[c.index()].is_some(),
+                    "on_idle made no progress (runtime bug)"
+                );
+            }
+            Action::Nothing => {}
+        }
+        if requeue && is_ready(sim, c) {
+            push_ready(sim, c);
+        }
+        self.lap(&mut sim.stats.prof_action_ns);
+    }
+
+    /// End of a run that did not fail: the final machine-wide scan over
+    /// the quiescent end state, and the resume-watermark check.
+    fn finish(mut self, sim: &mut Sim, shared: &Shared) {
+        if sim.failure.is_none() {
+            Self::sanitizer_scan(sim, shared);
+            self.ckpt.finish(sim);
+        }
     }
 }
 
-/// The sequential scheduler loop (`threads <= 1`): pick one ready core at
-/// a time and process it to completion before the next pick. Returns the
-/// guard so `simulate` can run the common teardown.
-fn run_sequential<'a>(
+/// The sequential scheduler loop (`threads <= 1`): a grant hands the run
+/// token to the activity and waits for it to come back, so every pick is
+/// processed to completion before the next.
+fn run_sequential(
     shared: &Arc<Shared>,
-    mut sim: parking_lot::MutexGuard<'a, Sim>,
+    sim: &mut parking_lot::MutexGuard<'_, Sim>,
     handles: &mut Vec<std::thread::JoinHandle<()>>,
-    cfg_digest: u64,
-    resume_target: Option<crate::checkpoint::Checkpoint>,
-) -> parking_lot::MutexGuard<'a, Sim> {
-    {
-        // Policies whose stall conditions depend on machine-wide state
-        // (the global floor, or an arbitrary referee core) get a full
-        // stalled-recheck whenever that state may have changed. Spatial
-        // synchronization needs no such sweep: its wake conditions are
-        // purely local and handled by neighbor publishes.
-        let global_policy = matches!(
-            shared.config.sync,
-            SyncPolicy::BoundedSlack { .. }
-                | SyncPolicy::Conservative
-                | SyncPolicy::RandomReferee { .. }
-        );
-        // BoundedSlack/Conservative stall conditions are pure threshold
-        // checks against the floor, so a floor move wakes exactly the
-        // cores whose registered threshold it crossed. RandomReferee's
-        // recheck sequence consumes the engine RNG, so it keeps the
-        // historical full sweep (any change to which cores get rechecked
-        // would change the deterministic schedule).
-        let referee_policy = matches!(shared.config.sync, SyncPolicy::RandomReferee { .. });
-        let profiling = shared.config.profile_picks;
-
-        // Checkpoint/resume and watchdog bookkeeping. All of it observes
-        // the machine at scheduler-time quiescence only (deferred publishes
-        // are flushed at every token yield), so `max_vtime`, pick counts
-        // and state digests are well-defined at these points.
-        let mut ckpt = crate::checkpoint::CheckpointDriver::new(&shared.config, resume_target);
-        let mut wd_last_vtime = sim.max_vtime;
-        let mut wd_last_pick: u64 = 0;
-        let mut mark = std::time::Instant::now();
-
-        loop {
-            if profiling {
-                mark = std::time::Instant::now();
+    picks: &mut PickLoop,
+) {
+    while let Picked::Core(c) = picks.next(sim, shared, 0) {
+        picks.dispatch(sim, shared, c, |sim, _, aid| {
+            grant(sim, shared, handles, aid);
+            while sim.token != Token::Scheduler {
+                shared.sched_cv.wait(sim);
             }
-            if sim.failure.is_some() {
-                break;
-            }
-            if !ckpt.observe(&mut sim, shared.as_ref(), cfg_digest) {
-                break;
-            }
-            if global_policy && sim.floor_dirty {
-                sim.floor_dirty = false;
-                if referee_policy {
-                    sync::recheck_all_stalled(&mut sim, shared);
-                } else {
-                    sync::wake_stalled_by_floor(&mut sim, shared);
-                }
-            }
-            lap(profiling, &mut mark, &mut sim.stats.prof_floor_ns);
-            // Pop a valid ready core (skipping stale entries); opt-in
-            // compaction first, when lazy-deleted garbage dominates the
-            // heap (schedule-perturbing — see `EngineConfig::compact_ready`).
-            if shared.config.compact_ready {
-                let s = &mut *sim;
-                s.ready.maybe_compact(&s.cores.in_ready);
-            }
-            let mut picked = None;
-            while let Some(c) = sim.ready.pop() {
-                sim.cores.in_ready[c.index()] = false;
-                if is_ready(&sim, c) {
-                    picked = Some(c);
-                    break;
-                }
-                sim.stats.ready_stale_skipped += 1;
-            }
-            lap(profiling, &mut mark, &mut sim.stats.prof_pop_ns);
-            let Some(c) = picked else {
-                // O(1) quiet check: no live activity, no message in any
-                // inbox shard, no queued work anywhere.
-                let quiet = sim.live_activities == 0
-                    && sim.cores.inboxes.total_messages() == 0
-                    && sim.total_queue_hint == 0;
-                if quiet {
-                    break; // normal completion
-                }
-                sim.failure = Some(Failure::Deadlock(deadlock_report(&sim)));
-                break;
-            };
-            sim.stats.scheduler_picks += 1;
-            // Stall watchdog: abort (with a diagnostic snapshot) instead of
-            // spinning forever when picks stop moving virtual time —
-            // classic deadlocks never get here (the quiet-state check above
-            // catches them); this guards against livelock.
-            if sim.max_vtime > wd_last_vtime {
-                wd_last_vtime = sim.max_vtime;
-                wd_last_pick = sim.stats.scheduler_picks;
-            } else if let Some(budget) = shared.config.watchdog_picks {
-                if sim.stats.scheduler_picks - wd_last_pick >= budget {
-                    sim.failure = Some(Failure::Stalled {
-                        at: sim.max_vtime,
-                        picks: budget,
-                        report: diagnostic_snapshot(&sim),
-                    });
-                    break;
-                }
-            }
-            if sim.sanitizer.is_some()
-                && sim
-                    .stats
-                    .scheduler_picks
-                    .is_multiple_of(crate::sanitizer::SCAN_EVERY_PICKS)
-            {
-                crate::sanitizer::scan(&mut sim, shared);
-            }
-            let sample_every = shared.config.parallelism_sample_every;
-            if sample_every != 0 && sim.stats.scheduler_picks.is_multiple_of(sample_every) {
-                // Available host parallelism, O(1): distinct cores with
-                // queued ready-work plus the just-picked core. (The
-                // historical O(cores) `is_ready` sweep and this queue-
-                // derived count differ only on stale-queued cores, which
-                // are transient; the sweep does not scale to mega-core
-                // machines at any useful sample rate.)
-                let avail = sim.ready.live_len() as u32 + 1;
-                sim.stats.parallelism_samples.push(avail);
-            }
-            lap(profiling, &mut mark, &mut sim.stats.prof_overhead_ns);
-
-            match decide(&sim, c) {
-                Action::Message => process_message(&mut sim, shared, c),
-                Action::Grant(aid) => {
-                    grant(&mut sim, shared, handles, aid);
-                    while sim.token != Token::Scheduler {
-                        shared.sched_cv.wait(&mut sim);
-                    }
-                }
-                Action::ResumeParked => {
-                    let aid = sim.cores.res_pop_front(c.index()).unwrap();
-                    make_current(&mut sim, shared, aid);
-                    // Grant immediately if still allowed (it may have become
-                    // stalled by the resume-cost advance).
-                    if sim.act(aid).grantable() {
-                        grant(&mut sim, shared, handles, aid);
-                        while sim.token != Token::Scheduler {
-                            shared.sched_cv.wait(&mut sim);
-                        }
-                    }
-                }
-                Action::Idle => {
-                    let before_hint = sim.cores.queue_hint[c.index()];
-                    {
-                        let mut ops = Ops::new(&mut sim, shared);
-                        shared.hooks.on_idle(&mut ops, c);
-                    }
-                    assert!(
-                        sim.cores.queue_hint[c.index()] < before_hint
-                            || sim.cores.current[c.index()].is_some(),
-                        "on_idle made no progress (runtime bug)"
-                    );
-                }
-                Action::Nothing => {}
-            }
-            if is_ready(&sim, c) {
-                push_ready(&mut sim, c);
-            }
-            lap(profiling, &mut mark, &mut sim.stats.prof_action_ns);
-        }
-
-        if sim.failure.is_none() {
-            if sim.sanitizer.is_some() {
-                // Final machine-wide scan over the quiescent end state.
-                crate::sanitizer::scan(&mut sim, shared);
-            }
-            ckpt.finish(&mut sim);
-        }
+            true
+        });
     }
-    sim
 }
 
 /// Resolve the worker thread slot for `aid`, binding it to one (reusing a

@@ -5,12 +5,13 @@
 //! an *epoch* cycle that alternates a serial phase with a confined
 //! concurrent phase:
 //!
-//! 1. **Collect** (serial): run the exact sequential per-pick bookkeeping
-//!    (checkpoints, watchdog, sanitizer, message processing, idle
-//!    transitions), but instead of granting each runnable activity
-//!    exclusively, *stash* it into a batch of up to `MEMBERS_PER_TILE`
-//!    activities per tile. All of a tile's members execute from a single
-//!    worker thread's queue, so their effects keep a deterministic order;
+//! 1. **Collect** (serial): drive the pick front-end shared with the
+//!    sequential loop ([`crate::engine::PickLoop`]: checkpoints, watchdog,
+//!    sanitizer, message processing, idle transitions), with a grant that,
+//!    instead of running each runnable activity exclusively, *stashes* it
+//!    into a batch of up to `MEMBERS_PER_TILE` activities per tile. All of
+//!    a tile's members execute from a single worker thread's queue, so
+//!    their effects keep a deterministic order;
 //!    an activity whose earlier run still pins a worker thread claims its
 //!    tile exclusively. Extra grantable activities on full tiles are
 //!    deferred to the next epoch.
@@ -46,7 +47,8 @@
 //!    neighbor floor caches, depositing routed envelopes into inboxes —
 //!    is bucketed by destination tile during the serial walk and applied
 //!    by the workers in a parallel *replay frame* (serially below a size
-//!    threshold; bit-identical either way, see `shard_phase_b`).
+//!    threshold, and on the plain serial walk whenever the sanitizer is on
+//!    or there is a single tile; bit-identical every way).
 //!
 //! ## Determinism
 //!
@@ -64,7 +66,7 @@
 //! [`crate::stats::SimStats`] are explicitly excluded). Fixed
 //! `--threads N` + seed therefore reproduces bit-identically, and
 //! `threads <= 1` never constructs a partition at all — it runs the
-//! unmodified sequential engine.
+//! sequential grant.
 //!
 //! ## Why this is faster
 //!
@@ -83,8 +85,8 @@
 use crate::activity::{ActivityId, ActivityState};
 use crate::config::SyncPolicy;
 use crate::engine::{
-    decide, deliver, diagnostic_snapshot, is_ready, make_current, process_message, push_ready,
-    spawn_frame_worker, Action, EpochPending, Failure, Shared, Sim, Token,
+    deliver, is_ready, push_ready, spawn_frame_worker, EpochPending, Failure, PickLoop, Picked,
+    Shared, Sim, Token,
 };
 use crate::frame::{FrameKind, FrameSync, FreshJob};
 use crate::sync;
@@ -238,27 +240,17 @@ fn try_shard_publishes(
     true
 }
 
-/// The parallel scheduler loop. Mirrors the sequential loop's observable
-/// bookkeeping; see the module docs for the epoch protocol. Takes and
-/// returns the simulation guard so `simulate` runs the common teardown.
+/// The parallel scheduler loop: the shared pick front-end with an epoch
+/// grant (see the module docs for the epoch protocol). Takes and returns
+/// the simulation guard — phase A releases the lock — so `simulate` runs
+/// the common teardown.
 pub(crate) fn run_scheduler<'a>(
     shared: &'a Arc<Shared>,
     mut sim: MutexGuard<'a, Sim>,
     handles: &mut Vec<std::thread::JoinHandle<()>>,
-    cfg_digest: u64,
-    resume_target: Option<crate::checkpoint::Checkpoint>,
+    picks: &mut PickLoop,
 ) -> MutexGuard<'a, Sim> {
     let n_tiles = shared.partition.as_ref().map_or(1, |p| p.n_tiles());
-    let global_policy = matches!(
-        shared.config.sync,
-        SyncPolicy::BoundedSlack { .. }
-            | SyncPolicy::Conservative
-            | SyncPolicy::RandomReferee { .. }
-    );
-
-    let mut ckpt = crate::checkpoint::CheckpointDriver::new(&shared.config, resume_target);
-    let mut wd_last_vtime = sim.max_vtime;
-    let mut wd_last_pick: u64 = 0;
 
     let mut batch: Vec<ActivityId> = Vec::new();
     let mut deferred: Vec<CoreId> = Vec::new();
@@ -278,145 +270,23 @@ pub(crate) fn run_scheduler<'a>(
 
     'run: loop {
         // ------------------------------------------------------ collect
+        // Stashed and deferred cores stay out of the ready queue until the
+        // epoch's serial phase re-pushes them (the grant returns `false`):
+        // re-queuing a core whose activity is already claimed would either
+        // re-defer it forever or reorder its messages around the pending
+        // grant. A deferral implies a non-empty batch, so `Drained` always
+        // has something to launch.
         loop {
-            if sim.failure.is_some() {
-                break 'run;
-            }
-            if !ckpt.observe(&mut sim, shared.as_ref(), cfg_digest) {
-                break 'run;
-            }
-            if global_policy && sim.floor_dirty {
-                sim.floor_dirty = false;
-                // Mirrors the sequential loop: threshold-bucketed wakes
-                // for the pure floor policies, the RNG-order-preserving
-                // full sweep for RandomReferee.
-                if matches!(shared.config.sync, SyncPolicy::RandomReferee { .. }) {
-                    sync::recheck_all_stalled(&mut sim, shared);
-                } else {
-                    sync::wake_stalled_by_floor(&mut sim, shared);
-                }
-            }
-            // Pop a valid ready core (skipping stale entries); opt-in
-            // compaction first, when lazy-deleted garbage dominates the
-            // heap (schedule-perturbing — see `EngineConfig::compact_ready`).
-            if shared.config.compact_ready {
-                let s = &mut *sim;
-                s.ready.maybe_compact(&s.cores.in_ready);
-            }
-            let mut picked = None;
-            while let Some(c) = sim.ready.pop() {
-                sim.cores.in_ready[c.index()] = false;
-                if is_ready(&sim, c) {
-                    picked = Some(c);
-                    break;
-                }
-                sim.stats.ready_stale_skipped += 1;
-            }
-            let Some(c) = picked else {
-                if !batch.is_empty() {
-                    break; // launch what we have
-                }
-                let quiet = sim.live_activities == 0
-                    && sim.cores.inboxes.total_messages() == 0
-                    && sim.total_queue_hint == 0;
-                if quiet {
-                    break 'run; // normal completion
-                }
-                sim.failure = Some(Failure::Deadlock(crate::engine::deadlock_report(&sim)));
-                break 'run;
-            };
-            sim.stats.scheduler_picks += 1;
-            if sim.max_vtime > wd_last_vtime {
-                wd_last_vtime = sim.max_vtime;
-                wd_last_pick = sim.stats.scheduler_picks;
-            } else if let Some(budget) = shared.config.watchdog_picks {
-                if sim.stats.scheduler_picks - wd_last_pick >= budget {
-                    sim.failure = Some(Failure::Stalled {
-                        at: sim.max_vtime,
-                        picks: budget,
-                        report: diagnostic_snapshot(&sim),
-                    });
-                    break 'run;
-                }
-            }
-            if sim.sanitizer.is_some()
-                && sim
-                    .stats
-                    .scheduler_picks
-                    .is_multiple_of(crate::sanitizer::SCAN_EVERY_PICKS)
-            {
-                crate::sanitizer::scan(&mut sim, shared);
-            }
-            let sample_every = shared.config.parallelism_sample_every;
-            if sample_every != 0 && sim.stats.scheduler_picks.is_multiple_of(sample_every) {
-                // Available host parallelism, O(1): distinct cores with
-                // queued ready-work, plus the just-picked core, plus the
-                // cores already claimed or deferred this epoch (those are
-                // held out of the queue until the serial phase but carry
-                // runnable work). Replaces the historical O(cores)
-                // `is_ready` sweep, which does not scale to mega-core
-                // machines at any useful sample rate.
-                let avail = sim.ready.live_len() + 1 + batch.len() + deferred.len();
-                sim.stats.parallelism_samples.push(avail as u32);
-            }
-
-            // Stashed and deferred cores stay out of the ready queue until
-            // the epoch's serial phase re-pushes them: re-queuing a core
-            // whose activity is already claimed would either re-defer it
-            // forever or reorder its messages around the pending grant.
-            let mut skip_repush = false;
-            match decide(&sim, c) {
-                Action::Message => process_message(&mut sim, shared, c),
-                Action::Grant(aid) => {
+            match picks.next(&mut sim, shared, batch.len() + deferred.len()) {
+                Picked::Core(c) => picks.dispatch(&mut sim, shared, c, |sim, c, aid| {
                     let t = shared.tile_of(c);
-                    if !try_stash(
-                        &mut sim,
-                        &mut batch,
-                        &mut tile_solo,
-                        &mut tile_fresh,
-                        t,
-                        aid,
-                    ) {
+                    if !try_stash(sim, &mut batch, &mut tile_solo, &mut tile_fresh, t, aid) {
                         deferred.push(c);
                     }
-                    skip_repush = true;
-                }
-                Action::ResumeParked => {
-                    let aid = sim.cores.res_pop_front(c.index()).unwrap();
-                    make_current(&mut sim, shared, aid);
-                    // Claim it if still allowed (it may have become stalled
-                    // by the resume-cost advance).
-                    if sim.act(aid).grantable() {
-                        let t = shared.tile_of(c);
-                        if !try_stash(
-                            &mut sim,
-                            &mut batch,
-                            &mut tile_solo,
-                            &mut tile_fresh,
-                            t,
-                            aid,
-                        ) {
-                            deferred.push(c);
-                        }
-                        skip_repush = true;
-                    }
-                }
-                Action::Idle => {
-                    let before_hint = sim.cores.queue_hint[c.index()];
-                    {
-                        let mut ops = crate::ops::Ops::new(&mut sim, shared);
-                        shared.hooks.on_idle(&mut ops, c);
-                    }
-                    assert!(
-                        sim.cores.queue_hint[c.index()] < before_hint
-                            || sim.cores.current[c.index()].is_some(),
-                        "on_idle made no progress (runtime bug)"
-                    );
-                }
-                Action::Nothing => {}
-            }
-            if !skip_repush && is_ready(&sim, c) {
-                push_ready(&mut sim, c);
+                    false
+                }),
+                Picked::Drained => break, // launch what we have
+                Picked::Stop => break 'run,
             }
             if batch.len() == n_tiles * MEMBERS_PER_TILE {
                 break; // full house: every tile is at capacity
@@ -518,7 +388,7 @@ pub(crate) fn run_scheduler<'a>(
         //    idle neighbors), the commuting per-core writes are bucketed
         //    for the replay frame instead; anything else falls back to the
         //    serial walk for the whole epoch.
-        let shard = shared.config.shard_phase_b && sim.sanitizer.is_none() && n_tiles > 1;
+        let shard = sim.sanitizer.is_none() && n_tiles > 1;
         let publishes_sharded = shard
             && matches!(shared.config.sync, SyncPolicy::Spatial { .. })
             && try_shard_publishes(&mut sim, shared, fs, &batch);
@@ -728,12 +598,5 @@ pub(crate) fn run_scheduler<'a>(
     sim.stats.phase_a_wall_ns = phase_a_ns;
     sim.stats.phase_b_wall_ns = phase_b_ns;
     sim.stats.serial_tail_ns = serial_tail_ns;
-    if sim.failure.is_none() {
-        if sim.sanitizer.is_some() {
-            // Final machine-wide scan over the quiescent end state.
-            crate::sanitizer::scan(&mut sim, shared);
-        }
-        ckpt.finish(&mut sim);
-    }
     sim
 }

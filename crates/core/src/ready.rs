@@ -18,14 +18,6 @@ use std::collections::VecDeque;
 /// minimum), so this is a pure locality change.
 const D: usize = 8;
 
-/// Compaction floor: never compact heaps smaller than this (the rebuild
-/// would cost more than the staleness).
-const COMPACT_MIN: usize = 64;
-
-/// Compaction trigger: compact when at least 1 in `COMPACT_RATIO` entries
-/// belongs to an unqueued core. (2 = garbage majority.)
-const COMPACT_RATIO: usize = 2;
-
 /// Implicit `D`-ary min-heap of `(time, tie-break rank, core id)` with
 /// per-core entry accounting.
 ///
@@ -33,11 +25,8 @@ const COMPACT_RATIO: usize = 2;
 /// more than once (a message delivery re-pushes a queued core at a raised
 /// priority, and the earlier entries stay — see `engine::deliver`). Those
 /// extra entries are not inert: when one surfaces, the engine re-validates
-/// the core and may pick it at that entry's priority. Compaction therefore
-/// only ever drops entries of cores that are *not queued* (`in_ready`
-/// false) — entries that can only fire in the narrow window after the core
-/// is re-queued, which the engine's pop-revalidation already treats as
-/// opportunistic.
+/// the core and may pick it at that entry's priority, so entries are only
+/// ever removed by popping them.
 pub struct VtimeHeap {
     /// The entry array, heap-ordered by `(time, rank, core)`.
     heap: Vec<(VirtualTime, u32, u32)>,
@@ -48,13 +37,6 @@ pub struct VtimeHeap {
     qcount: Vec<u32>,
     /// Number of distinct cores with at least one entry.
     live: usize,
-    /// `maybe_compact` calls since the last garbage scan (amortization
-    /// counter: the O(len) scan runs at most once per len/2 calls).
-    since_check: u64,
-    /// Entries dropped by compaction over the queue's lifetime.
-    dropped: u64,
-    /// Compaction passes run.
-    compactions: u64,
 }
 
 impl VtimeHeap {
@@ -64,9 +46,6 @@ impl VtimeHeap {
             ranks: None,
             qcount: Vec::new(),
             live: 0,
-            since_check: 0,
-            dropped: 0,
-            compactions: 0,
         }
     }
 
@@ -144,36 +123,6 @@ impl VtimeHeap {
                 i = m;
             } else {
                 break;
-            }
-        }
-    }
-
-    /// Drop the entries of cores for which `keep(core)` is false and
-    /// re-heapify. The retained entry multiset pops in the same relative
-    /// order as before (pop order is a pure function of the key multiset),
-    /// and the trigger below depends only on deterministic queue state, so
-    /// compaction can never perturb a run's schedule beyond the dropped
-    /// entries themselves.
-    fn compact(&mut self, keep: impl Fn(u32) -> bool) {
-        let before = self.heap.len();
-        self.heap.retain(|&(_, _, c)| keep(c));
-        self.dropped += (before - self.heap.len()) as u64;
-        self.compactions += 1;
-        // Recount per-core entries.
-        for q in &mut self.qcount {
-            *q = 0;
-        }
-        self.live = 0;
-        for i in 0..self.heap.len() {
-            let c = self.heap[i].2;
-            self.count_push(c);
-        }
-        // Floyd heapify: sift down every internal node, deepest first.
-        let len = self.heap.len();
-        if len > 1 {
-            let last_parent = (len - 2) / D;
-            for i in (0..=last_parent).rev() {
-                self.sift_down(i);
             }
         }
     }
@@ -289,63 +238,6 @@ impl ReadyQueue {
             ReadyQueue::Random(v, _) => v.len(),
         }
     }
-
-    /// Entries dropped by stale-entry compaction so far.
-    pub fn compaction_dropped(&self) -> u64 {
-        match self {
-            ReadyQueue::LowestVtime(h) => h.dropped,
-            _ => 0,
-        }
-    }
-
-    /// Compaction passes run so far.
-    pub fn compactions(&self) -> u64 {
-        match self {
-            ReadyQueue::LowestVtime(h) => h.compactions,
-            _ => 0,
-        }
-    }
-
-    /// Stale-fraction-triggered compaction: when most entries belong to
-    /// cores that are no longer queued (`in_ready` false), drop those
-    /// entries and re-heapify. Entries of queued cores — including
-    /// raised-priority duplicates — are always retained, because the
-    /// engine's pop-revalidation can legitimately act on them. The
-    /// trigger — entry count ≥ [`COMPACT_MIN`], a garbage scan at most
-    /// once per `len/2` calls (amortized O(1)), and garbage ≥ `1 /
-    /// COMPACT_RATIO` of the entries — is a deterministic function of
-    /// queue state and call count, so a fixed (seed, threads) run
-    /// compacts at exactly the same picks every time.
-    ///
-    /// **Compaction perturbs the schedule.** A garbage entry of an
-    /// unqueued core is not inert: if the core becomes ready again at a
-    /// *worse* priority, the old entry pops first and the engine
-    /// legitimately acts on it early. Dropping such entries therefore
-    /// selects a different (equally valid, still deterministic)
-    /// interleaving. That is why the engine only calls this under the
-    /// opt-in [`crate::EngineConfig::compact_ready`] — runs that must be
-    /// schedule-identical to prior releases keep it off.
-    pub fn maybe_compact(&mut self, in_ready: &[bool]) -> bool {
-        let ReadyQueue::LowestVtime(h) = self else {
-            return false;
-        };
-        h.since_check += 1;
-        if h.heap.len() < COMPACT_MIN || h.since_check < (h.heap.len() / 2) as u64 {
-            return false;
-        }
-        // Amortized garbage scan: O(len) once per len/2 calls.
-        h.since_check = 0;
-        let garbage = h
-            .heap
-            .iter()
-            .filter(|&&(_, _, c)| !in_ready[c as usize])
-            .count();
-        if garbage * COMPACT_RATIO < h.heap.len() {
-            return false;
-        }
-        h.compact(|c| in_ready[c as usize]);
-        true
-    }
 }
 
 #[cfg(test)]
@@ -460,60 +352,6 @@ mod tests {
         assert_eq!(q.pop(), Some(CoreId(2)));
         assert_eq!(q.live_len(), 0);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn compaction_drops_only_unqueued_cores() {
-        let mut q = ReadyQueue::new(PickPolicy::LowestVtime, 0);
-        let n = 256u32;
-        let mut in_ready = vec![false; n as usize];
-        for c in 0..n {
-            q.push(CoreId(c), t(u64::from(c)));
-        }
-        // Half the cores "leave" the queue logically (popped elsewhere in
-        // a real run); mark only even cores still queued.
-        for c in 0..n {
-            in_ready[c as usize] = c % 2 == 0;
-        }
-        // The garbage scan is amortized: it needs up to len/2 calls
-        // before it runs, then the garbage-majority heap compacts.
-        let compacted = (0..=n).any(|_| q.maybe_compact(&in_ready));
-        assert!(compacted, "garbage-dominated heap compacts");
-        assert_eq!(q.len(), 128);
-        assert_eq!(q.live_len(), 128);
-        assert_eq!(q.compaction_dropped(), 128);
-        assert_eq!(q.compactions(), 1);
-        // Survivors still pop in exact key order.
-        let mut prev = None;
-        while let Some(c) = q.pop() {
-            assert_eq!(c.0 % 2, 0, "only queued cores survive");
-            if let Some(p) = prev {
-                assert!(c.0 > p, "pop order preserved after compaction");
-            }
-            prev = Some(c.0);
-        }
-    }
-
-    #[test]
-    fn compaction_trigger_respects_floor_and_ratio() {
-        let mut q = ReadyQueue::new(PickPolicy::LowestVtime, 0);
-        let in_ready = vec![false; 64];
-        for c in 0..32u32 {
-            q.push(CoreId(c), t(u64::from(c)));
-        }
-        for _ in 0..1000 {
-            assert!(!q.maybe_compact(&in_ready), "below the size floor");
-        }
-        assert_eq!(q.len(), 32);
-        let mut q = ReadyQueue::new(PickPolicy::LowestVtime, 0);
-        let in_ready = vec![true; 256];
-        for c in 0..256u32 {
-            q.push(CoreId(c), t(u64::from(c)));
-        }
-        for _ in 0..1000 {
-            assert!(!q.maybe_compact(&in_ready), "all-live heap never compacts");
-        }
-        assert_eq!(q.len(), 256);
     }
 
     #[test]

@@ -100,20 +100,15 @@ pub struct SimStats {
     /// Ready-queue entries popped and discarded because their core was no
     /// longer runnable (lazy-deletion garbage of the pick heap).
     pub ready_stale_skipped: u64,
-    /// Times the ready queue compacted its lazy-deletion garbage (see
-    /// `ReadyQueue::maybe_compact`).
-    pub ready_compactions: u64,
-    /// Total garbage entries dropped by ready-queue compactions.
-    pub ready_compacted: u64,
     /// Key updates applied to the incremental global-floor structure
     /// (zero under policies that do not allocate it).
     pub floor_key_updates: u64,
     /// Pick-loop phase profile (populated only when
-    /// [`crate::EngineConfig::profile_picks`] is on; sequential engine
-    /// only): nanoseconds spent in floor maintenance / stall wakes.
+    /// [`crate::EngineConfig::profile_picks`] is on): nanoseconds spent in
+    /// floor maintenance / stall wakes.
     pub prof_floor_ns: u64,
     /// Profile: nanoseconds popping ready-queue entries (incl. stale
-    /// skips and compactions).
+    /// skips).
     pub prof_pop_ns: u64,
     /// Profile: nanoseconds of scheduler bookkeeping (checkpoint observe,
     /// watchdog, sanitizer cadence, parallelism sampling).

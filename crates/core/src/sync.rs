@@ -268,9 +268,29 @@ pub(crate) fn recheck_stall(sim: &mut Sim, shared: &Shared, c: CoreId) {
     }
 }
 
-/// Re-check every stalled activity in the machine (used by the global
-/// policies when the global floor may have moved).
-pub(crate) fn recheck_all_stalled(sim: &mut Sim, shared: &Shared) {
+/// The global floor may have moved (`Sim::floor_dirty` was set): re-examine
+/// the stalled cores of the policies whose stall condition is machine-wide.
+/// Spatial synchronization needs nothing here — its wake conditions are
+/// purely local and handled by neighbor publishes.
+///
+/// BoundedSlack/Conservative stall conditions are pure threshold checks
+/// against the floor, so a floor move wakes exactly the cores whose
+/// registered threshold it crossed. RandomReferee's recheck sequence
+/// consumes the engine RNG, so it keeps the full core-order sweep: any
+/// change to which cores get rechecked would change the deterministic
+/// schedule (and its `sync_ok` is O(cores) anyway).
+pub(crate) fn floor_moved(sim: &mut Sim, shared: &Shared) {
+    match shared.config.sync {
+        SyncPolicy::BoundedSlack { .. } | SyncPolicy::Conservative => {
+            wake_stalled_by_floor(sim, shared)
+        }
+        SyncPolicy::RandomReferee { .. } => recheck_all_stalled(sim, shared),
+        SyncPolicy::Spatial { .. } | SyncPolicy::Unbounded => {}
+    }
+}
+
+/// Re-check every stalled activity in the machine, in core-id order.
+fn recheck_all_stalled(sim: &mut Sim, shared: &Shared) {
     for i in 0..sim.cores.len() {
         recheck_stall(sim, shared, CoreId(i as u32));
     }
@@ -374,7 +394,7 @@ fn register_floor_wake(sim: &mut Sim, c: CoreId, threshold: VirtualTime) {
 /// (its clock is frozen while stalled), so popped entries never need
 /// reinsertion here; a recheck that fails again re-registers itself from
 /// `sync_ok`.
-pub(crate) fn wake_stalled_by_floor(sim: &mut Sim, shared: &Shared) {
+fn wake_stalled_by_floor(sim: &mut Sim, shared: &Shared) {
     if sim.stall_wakes.is_empty() {
         return;
     }
@@ -406,7 +426,11 @@ pub(crate) fn wake_stalled_by_floor(sim: &mut Sim, shared: &Shared) {
 /// lowest-vtime heap is insensitive to it, so the other pick policies keep
 /// the always-full path.
 fn fast_path_eligible(shared: &Shared) -> bool {
-    shared.config.fast_path && shared.config.pick == PickPolicy::LowestVtime
+    #[cfg(test)]
+    if shared.config.full_sync_only {
+        return false;
+    }
+    shared.config.pick == PickPolicy::LowestVtime
 }
 
 /// Does the synchronization policy allow core `c` to execute task code
@@ -590,5 +614,113 @@ pub(crate) fn sync_ok_frozen(sim: &mut Sim, shared: &Shared, c: CoreId) -> bool 
         // part of the deterministic serial schedule: never confined.
         SyncPolicy::RandomReferee { .. } => false,
         SyncPolicy::Unbounded => true,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{
+        simulate, CoreId, EngineConfig, Envelope, ExecCtx, Ops, Payload, RuntimeHooks, SimStats,
+        SyncPolicy, VDuration,
+    };
+    use std::sync::Arc;
+
+    /// Hooks whose message handler advances the receiving core, so arrivals
+    /// move clocks (and therefore floors) under the annotating activities.
+    struct AdvanceOnMessage;
+    impl RuntimeHooks for AdvanceOnMessage {
+        fn on_message(&self, ops: &mut Ops<'_>, env: Envelope) {
+            ops.advance_core(env.dst, 4);
+        }
+        fn on_idle(&self, _: &mut Ops<'_>, _: CoreId) {}
+        fn on_activity_end(&self, _: &mut Ops<'_>, _: CoreId, _: Box<dyn std::any::Any + Send>) {}
+    }
+
+    /// Annotation-dense program: one activity per core of a 16-core mesh
+    /// runs 200 small annotations (step sizes differ per core, so a real
+    /// drift pattern flows) and messages the antipodal core every 16th.
+    fn run(sync: SyncPolicy, threads: u32, full_sync_only: bool) -> SimStats {
+        let n = 16u32;
+        let mut config = EngineConfig::default().with_seed(11).with_threads(threads);
+        config.sync = sync;
+        config.full_sync_only = full_sync_only;
+        simulate(
+            simany_topology::mesh_2d(n),
+            config,
+            Arc::new(AdvanceOnMessage),
+            move |ops| {
+                for c in 0..n {
+                    let step = 3 + u64::from(c % 5);
+                    ops.start_activity(
+                        CoreId(c),
+                        "dense",
+                        Box::new(()),
+                        Box::new(move |ctx: &mut ExecCtx| {
+                            for k in 0..200 {
+                                ctx.advance_cycles(step);
+                                if k % 16 == 15 {
+                                    ctx.send(CoreId((c + n / 2) % n), 32, Payload::none());
+                                }
+                            }
+                        }),
+                    );
+                }
+            },
+        )
+        .expect("simulation failed")
+    }
+
+    /// Everything a schedule divergence would show up in. The fast path's
+    /// own counters (`fast_path_advances`, `full_sync_checks`,
+    /// `publish_sweeps`, `floor_recomputes`) are what it exists to change,
+    /// and `max_neighbor_drift` is sampled only at the checks it skips.
+    fn fingerprint(s: &SimStats) -> [u64; 9] {
+        [
+            s.final_vtime.ticks(),
+            s.scheduler_picks,
+            s.stall_events,
+            s.activity_resumes,
+            s.late_messages,
+            s.on_time_messages,
+            s.late_by_total.ticks(),
+            s.net.messages,
+            s.parallel_epochs,
+        ]
+    }
+
+    /// The drift-headroom fast path is an optimization, not a semantic
+    /// change: the same program with it forced off reaches the same
+    /// schedule under every policy, on both engines.
+    #[test]
+    fn fast_path_is_bit_exact_with_the_full_path() {
+        let w = VDuration::from_cycles(100);
+        let policies = [
+            SyncPolicy::Spatial { t: w },
+            SyncPolicy::BoundedSlack { window: w },
+            SyncPolicy::RandomReferee { slack: w },
+            SyncPolicy::Conservative,
+            SyncPolicy::Unbounded,
+        ];
+        for policy in policies {
+            for threads in [1, 4] {
+                let fast = run(policy, threads, false);
+                let full = run(policy, threads, true);
+                assert_eq!(
+                    fingerprint(&fast),
+                    fingerprint(&full),
+                    "{policy:?}, threads={threads}: fast path changed the schedule"
+                );
+                assert_eq!(full.fast_path_advances, 0, "fast path fired while off");
+                if matches!(policy, SyncPolicy::Spatial { .. }) {
+                    assert!(fast.fast_path_advances > 0, "fast path never fired");
+                    assert!(
+                        fast.publish_sweeps < full.publish_sweeps,
+                        "deferral did not reduce publish sweeps ({} vs {})",
+                        fast.publish_sweeps,
+                        full.publish_sweeps
+                    );
+                }
+            }
+        }
     }
 }

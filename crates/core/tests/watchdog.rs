@@ -26,7 +26,8 @@ impl RuntimeHooks for PingSelfForever {
 
 fn livelocked_run(config: EngineConfig) -> Result<simany_core::SimStats, SimError> {
     simulate(mesh_2d(2), config, Arc::new(PingSelfForever), |ops| {
-        ops.send_at(
+        // No fault plan here, so the send cannot be dropped.
+        let _ = ops.send_at(
             CoreId(0),
             CoreId(0),
             0,

@@ -39,12 +39,14 @@
 //! ```
 
 pub mod journal;
-pub mod json;
 pub mod queue;
 pub mod scenario;
 pub mod service;
 pub mod spec;
 pub mod worker;
+
+/// The workspace's JSON reader/writer (lives in `simany-stats`).
+pub use simany::stats::json;
 
 pub use scenario::{FaultKnobs, Scenario};
 pub use service::{read_results, ServeConfig, Service, Summary};

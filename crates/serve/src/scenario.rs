@@ -100,9 +100,6 @@ pub struct Scenario {
     pub drift: Option<u64>,
     /// Host worker threads (1 = sequential engine).
     pub threads: u32,
-    /// Destination-sharded phase-B replay in parallel mode (bit-identical
-    /// either way; an axis so sweeps can measure its wall-clock effect).
-    pub shard_phase_b: bool,
     /// Scheduling priority: higher runs earlier; ties resolve FIFO.
     pub priority: i64,
     /// Fault-injection knobs.
@@ -123,7 +120,6 @@ impl Default for Scenario {
             sync: "spatial".into(),
             drift: None,
             threads: 1,
-            shard_phase_b: true,
             priority: 0,
             faults: FaultKnobs::default(),
         }
@@ -193,11 +189,7 @@ impl Scenario {
         if self.drift.is_some() || self.sync != "spatial" {
             spec.engine.sync = sync_policy(&self.sync, self.drift)?;
         }
-        spec.engine = spec
-            .engine
-            .with_seed(self.seed)
-            .with_threads(self.threads)
-            .with_shard_phase_b(self.shard_phase_b);
+        spec.engine = spec.engine.with_seed(self.seed).with_threads(self.threads);
         if self.faults.any() {
             let plan = FaultPlan::sample(&spec.topo, &self.faults.to_config(), self.seed);
             spec.engine = spec.engine.with_fault_plan(std::sync::Arc::new(plan));
@@ -226,12 +218,6 @@ impl Scenario {
         h = fold_u64(h, self.cores as u64);
         h = fold_u64(h, self.scale.to_bits());
         h = fold_u64(h, self.seed);
-        // The engine digest deliberately ignores `shard_phase_b` (it is
-        // bit-identical), but a sweep axing it wants distinct points, so
-        // fold the non-default value here.
-        if !self.shard_phase_b {
-            h = fold_str(h, "shard_phase_b=off");
-        }
         // The engine digest folds only the fault plan's *shape* (epoch
         // count, fault classes); two partitions at different instants — or
         // different churn schedules — would collide. Fold the scripted
@@ -291,9 +277,6 @@ impl Scenario {
             "--threads".into(),
             self.threads.to_string(),
         ];
-        if !self.shard_phase_b {
-            args.extend(["--shard-phase-b".into(), "off".into()]);
-        }
         if self.machine == "clustered" || self.machine == "chiplet" {
             args.extend(["--clusters".into(), self.clusters.to_string()]);
         }
@@ -377,6 +360,7 @@ pub fn sibling_binary(name: &str) -> Option<std::path::PathBuf> {
 }
 
 #[cfg(test)]
+#[allow(clippy::field_reassign_with_default)]
 mod tests {
     use super::*;
 
@@ -397,22 +381,6 @@ mod tests {
         let mut e = Scenario::default();
         e.drift = Some(500);
         assert_ne!(a.digest().unwrap(), e.digest().unwrap());
-    }
-
-    #[test]
-    fn shard_phase_b_axis_is_distinct_and_args_roundtrip() {
-        let mut off = Scenario::default();
-        off.shard_phase_b = false;
-        // The engine digest ignores the knob (bit-identical outcome), so
-        // the scenario digest must fold it to keep sweep points distinct.
-        assert_ne!(off.digest().unwrap(), Scenario::default().digest().unwrap());
-        let args = off.to_simulate_args();
-        assert!(args.windows(2).any(|w| w == ["--shard-phase-b", "off"]));
-        assert!(!Scenario::default()
-            .to_simulate_args()
-            .iter()
-            .any(|a| a == "--shard-phase-b"));
-        assert!(!off.build_spec().unwrap().engine.shard_phase_b);
     }
 
     #[test]

@@ -41,7 +41,6 @@ const AXES: &[&str] = &[
     "sync",
     "drift",
     "threads",
-    "shard_phase_b",
     "link_fail_prob",
     "repair_after",
     "drop_prob",
@@ -154,8 +153,10 @@ fn expand(tree: &Json) -> Result<Vec<Scenario>, String> {
         // rightmost axis fastest.
         let mut index = vec![0usize; axis_values.len()];
         loop {
-            let mut s = Scenario::default();
-            s.priority = priority;
+            let mut s = Scenario {
+                priority,
+                ..Scenario::default()
+            };
             let mut label_parts = Vec::new();
             for (slot, (axis, values)) in index.iter().zip(&axis_values) {
                 let value = &values[*slot];
@@ -227,10 +228,6 @@ fn apply_axis(s: &mut Scenario, axis: &str, v: &Json) -> Result<(), String> {
         v.as_f64()
             .ok_or_else(|| format!("axis '{axis}' wants a number, got {v:?}"))
     };
-    let want_bool = |v: &Json| {
-        v.as_bool()
-            .ok_or_else(|| format!("axis '{axis}' wants true or false, got {v:?}"))
-    };
     match axis {
         "kernel" => s.kernel = want_str(v)?,
         "machine" => s.machine = want_str(v)?,
@@ -239,7 +236,6 @@ fn apply_axis(s: &mut Scenario, axis: &str, v: &Json) -> Result<(), String> {
         "clusters" => s.clusters = want_u64(v)? as u32,
         "cores" => s.cores = want_u64(v)? as u32,
         "threads" => s.threads = want_u64(v)? as u32,
-        "shard_phase_b" => s.shard_phase_b = want_bool(v)?,
         "seed" => s.seed = want_u64(v)?,
         "drift" => s.drift = Some(want_u64(v)?),
         "repair_after" => s.faults.repair_after = Some(want_u64(v)?),
@@ -460,16 +456,6 @@ kernel = "quicksort"
     }
 
     #[test]
-    fn shard_phase_b_axis_expands() {
-        let spec = "[[sweep]]\nname = \"scal\"\nthreads = [1, 4]\nshard_phase_b = [true, false]\n";
-        let scenarios = parse_spec(spec).unwrap();
-        assert_eq!(scenarios.len(), 4);
-        assert_eq!(scenarios[0].label, "scal/threads=1,shard_phase_b=true");
-        assert!(scenarios[0].shard_phase_b && !scenarios[1].shard_phase_b);
-        assert!(parse_spec("[[sweep]]\nshard_phase_b = [7]\n").is_err());
-    }
-
-    #[test]
     fn scripted_fault_axes_expand() {
         let spec = "[[sweep]]\nname = \"part\"\nkernel = \"gossip\"\n\
                     partition_at = [5000, 10000]\npartition_heal = 30000\n\
@@ -488,6 +474,10 @@ kernel = "quicksort"
         assert!(parse_spec("[[sweep]]\ndrfit = [50]\n").is_err());
         assert!(parse_spec("[defaults]\ncoers = 64\n[[sweep]]\ndrift = [50]\n").is_err());
         assert!(parse_spec("[wat]\n").is_err());
+        // A retired axis is an unknown key like any other.
+        let err =
+            parse_spec("[[sweep]]\nthreads = [1, 4]\nshard_phase_b = [true, false]\n").unwrap_err();
+        assert!(err.contains("unknown key 'shard_phase_b'"), "{err}");
     }
 
     #[test]

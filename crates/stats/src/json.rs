@@ -1,9 +1,11 @@
 //! A minimal JSON reader/writer, kept dependency-free like the rest of the
 //! workspace (see DESIGN.md §"Dependency policy"). It covers exactly what
-//! the sweep service needs: parsing sweep specs, reading the result files
-//! `simulate --json` writes, and replaying `results.jsonl` records. Not a
-//! general-purpose implementation — no `\uXXXX` surrogate pairs, numbers
-//! are `f64`-backed (every counter we exchange fits in 2^53).
+//! the workspace exchanges: sweep specs, the result files `simulate --json`
+//! writes (and the sweep service reads back), resilience reports and
+//! `results.jsonl` records. Not a general-purpose implementation — no
+//! `\uXXXX` surrogate pairs, and parsed numbers are `f64`-backed (every
+//! counter we read back fits in 2^53; writers use [`Json::U64`] for the
+//! values that may not, such as seeds).
 
 use std::fmt::Write as _;
 
@@ -16,6 +18,9 @@ pub enum Json {
     Bool(bool),
     /// Any number (f64-backed).
     Num(f64),
+    /// An unsigned integer written digit-exact. Writer-side only: the
+    /// parser yields [`Json::Num`] for every number.
+    U64(u64),
     /// A string.
     Str(String),
     /// An array.
@@ -60,6 +65,7 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(x) => Some(*x),
+            Json::U64(n) => Some(*n as f64),
             _ => None,
         }
     }
@@ -67,6 +73,9 @@ impl Json {
     /// Numeric payload as an unsigned integer (rejects negatives and
     /// fractions).
     pub fn as_u64(&self) -> Option<u64> {
+        if let Json::U64(n) = self {
+            return Some(*n);
+        }
         let x = self.as_f64()?;
         (x >= 0.0 && x.fract() == 0.0 && x <= 2f64.powi(53)).then_some(x as u64)
     }
@@ -97,6 +106,24 @@ impl Json {
         out
     }
 
+    /// Serialize an object with one top-level `"key": value` per line
+    /// (nested values compact), so two dumps can be compared with line
+    /// tools such as `diff` and `grep`. Anything but an object dumps
+    /// compact.
+    pub fn dump_lines(&self) -> String {
+        let Json::Obj(fields) = self else {
+            return self.dump();
+        };
+        let mut out = String::from("{\n");
+        for (i, (k, v)) in fields.iter().enumerate() {
+            let _ = write!(out, "  \"{}\": ", escape(k));
+            v.dump_into(&mut out);
+            out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
+        }
+        out.push_str("}\n");
+        out
+    }
+
     fn dump_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
@@ -109,6 +136,9 @@ impl Json {
                 } else {
                     let _ = write!(out, "{x}");
                 }
+            }
+            Json::U64(n) => {
+                let _ = write!(out, "{n}");
             }
             Json::Str(s) => {
                 let _ = write!(out, "\"{}\"", escape(s));
@@ -371,6 +401,32 @@ mod tests {
         let s = "a\"b\\c\nd";
         let wrapped = format!("\"{}\"", escape(s));
         assert_eq!(Json::parse(&wrapped).unwrap().as_str(), Some(s));
+    }
+
+    #[test]
+    fn u64_dumps_digit_exact_and_lines_parse_back() {
+        // 2^53 + 1 is the first integer an f64 cannot hold.
+        let big = (1u64 << 53) + 1;
+        let doc = Json::Obj(vec![
+            ("seed".into(), Json::U64(big)),
+            ("name".into(), Json::Str("a\"b".into())),
+            (
+                "nested".into(),
+                Json::Obj(vec![("x".into(), Json::Num(1.5))]),
+            ),
+        ]);
+        let text = doc.dump_lines();
+        assert_eq!(
+            text,
+            "{\n  \"seed\": 9007199254740993,\n  \"name\": \"a\\\"b\",\n  \"nested\": {\"x\":1.5}\n}\n"
+        );
+        assert_eq!(doc.get("seed").unwrap().as_u64(), Some(big));
+        let back = Json::parse(&text).unwrap();
+        assert_eq!(back.get("name").unwrap().as_str(), Some("a\"b"));
+        assert_eq!(
+            back.get("nested").unwrap().get("x").unwrap().as_f64(),
+            Some(1.5)
+        );
     }
 
     #[test]

@@ -15,7 +15,11 @@
 //!   coefficient" ([`power_law_fit`]).
 //! * Plain-text/Markdown table rendering for experiment reports
 //!   ([`Table`]).
+//! * The workspace's one JSON reader/writer ([`json`]).
 
+pub mod json;
+
+use json::Json;
 use std::fmt::Write as _;
 
 /// One benchmark's speedups across a sweep of core counts.
@@ -325,13 +329,24 @@ impl LatencyDist {
         )
     }
 
-    /// Render as a JSON object fragment.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"mean\":{:.1},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
-            self.count, self.mean, self.p50, self.p90, self.p99, self.max
-        )
+    /// Render as a JSON object (`mean` rounded to one decimal).
+    pub fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("count".into(), Json::U64(self.count)),
+            ("mean".into(), Json::Num(round_to(self.mean, 1))),
+            ("p50".into(), Json::U64(self.p50)),
+            ("p90".into(), Json::U64(self.p90)),
+            ("p99".into(), Json::U64(self.p99)),
+            ("max".into(), Json::U64(self.max)),
+        ])
     }
+}
+
+/// `x` rounded to `decimals` places, for JSON fields that used to be
+/// written with a fixed-precision format.
+fn round_to(x: f64, decimals: i32) -> f64 {
+    let k = 10f64.powi(decimals);
+    (x * k).round() / k
 }
 
 /// Per-protocol resilience report: the metrics the resilience testbed
@@ -376,23 +391,24 @@ impl ResilienceReport {
         }
     }
 
-    /// Render as a JSON object fragment (hand-rolled; no serde in tree).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"protocol\":\"{}\",\"expected\":{},\"delivered\":{},\"coverage\":{:.4},\
-             \"payload_msgs\":{},\"msgs_per_delivery\":{:.2},\"reissues\":{},\
-             \"degraded\":{},\"leader_changes\":{},\"latency\":{}}}",
-            self.protocol,
-            self.expected,
-            self.delivered,
-            self.coverage(),
-            self.payload_msgs,
-            self.msgs_per_delivery(),
-            self.reissues,
-            self.degraded,
-            self.leader_changes,
-            self.latency.to_json()
-        )
+    /// Render as a JSON object (`coverage` rounded to four decimals,
+    /// `msgs_per_delivery` to two).
+    pub fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("protocol".into(), Json::Str(self.protocol.clone())),
+            ("expected".into(), Json::U64(self.expected)),
+            ("delivered".into(), Json::U64(self.delivered)),
+            ("coverage".into(), Json::Num(round_to(self.coverage(), 4))),
+            ("payload_msgs".into(), Json::U64(self.payload_msgs)),
+            (
+                "msgs_per_delivery".into(),
+                Json::Num(round_to(self.msgs_per_delivery(), 2)),
+            ),
+            ("reissues".into(), Json::U64(self.reissues)),
+            ("degraded".into(), Json::U64(self.degraded)),
+            ("leader_changes".into(), Json::U64(self.leader_changes)),
+            ("latency".into(), self.latency.to_json()),
+        ])
     }
 
     /// One row for the standard resilience table (see [`Self::table`]).
@@ -578,7 +594,7 @@ mod tests {
         };
         assert!((r.coverage() - 60.0 / 64.0).abs() < 1e-9);
         assert!((r.msgs_per_delivery() - 5.0).abs() < 1e-9);
-        let json = r.to_json();
+        let json = r.to_json().dump();
         assert!(json.contains("\"protocol\":\"Gossip\""));
         assert!(json.contains("\"coverage\":0.9375"));
         assert!(json.contains("\"p99\":300"));

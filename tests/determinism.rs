@@ -1,8 +1,10 @@
 //! Determinism regression tests: the engine must be a pure function of
 //! (program, configuration, seed). Two runs of the same seeded workload
 //! must agree on every observable counter, for every synchronization
-//! policy — and the drift-headroom fast path must be bit-exact with the
-//! always-full synchronization path.
+//! policy. (The drift-headroom fast path's equality with the always-full
+//! path is pinned by a unit test inside `simany-core`, next to the
+//! test-only override it needs, and by `golden_timings.rs`, whose values
+//! predate the fast path.)
 
 use simany::core::{EngineConfig, SimStats, SyncPolicy, VDuration};
 use simany::kernels::{kernel_by_name, Scale};
@@ -49,10 +51,6 @@ fn run_with(policy: SyncPolicy, tweak: impl FnOnce(&mut EngineConfig)) -> (Finge
     (Fingerprint::of(&stats), stats)
 }
 
-fn run(policy: SyncPolicy, fast_path: bool) -> Fingerprint {
-    run_with(policy, |cfg| cfg.fast_path = fast_path).0
-}
-
 fn all_policies() -> Vec<(&'static str, SyncPolicy)> {
     vec![
         (
@@ -82,63 +80,25 @@ fn all_policies() -> Vec<(&'static str, SyncPolicy)> {
 #[test]
 fn repeated_runs_are_identical_per_policy() {
     for (name, policy) in all_policies() {
-        let a = run(policy, true);
-        let b = run(policy, true);
+        let (a, _) = run_with(policy, |_| {});
+        let (b, _) = run_with(policy, |_| {});
         assert_eq!(a, b, "policy {name}: two identical runs diverged");
     }
 }
 
-/// The fast path is an optimization, not a semantic change: disabling it
-/// must not alter any observable counter, under every policy.
+/// The fast path actually fires on an annotation-dense spatial workload.
 #[test]
-fn fast_path_is_bit_exact() {
-    for (name, policy) in all_policies() {
-        let on = run(policy, true);
-        let off = run(policy, false);
-        assert_eq!(
-            on, off,
-            "policy {name}: fast path changed observable behavior"
-        );
-    }
-}
-
-/// The fast path actually fires on an annotation-dense spatial workload,
-/// and while it fires the publish machinery stays quiet: deferred
-/// annotations do no sweep work at all.
-#[test]
-fn fast_path_fires_and_skips_sweeps() {
+fn fast_path_fires() {
     let mut spec = presets::uniform_mesh_sm(16);
     spec.engine.sync = SyncPolicy::Spatial {
         t: VDuration::from_cycles(1000),
     };
     let kernel = kernel_by_name("Quicksort").unwrap();
-
-    spec.engine.fast_path = true;
-    let on = kernel.run_sim(spec.clone(), Scale(0.1), 42).unwrap();
-    spec.engine.fast_path = false;
-    let off = kernel.run_sim(spec, Scale(0.1), 42).unwrap();
-
-    let s_on = &on.out.stats;
-    let s_off = &off.out.stats;
+    let on = kernel.run_sim(spec, Scale(0.1), 42).unwrap();
     assert!(
-        s_on.fast_path_advances > 0,
+        on.out.stats.fast_path_advances > 0,
         "fast path never fired on an annotation-dense workload"
     );
-    assert_eq!(
-        s_off.fast_path_advances, 0,
-        "fast path fired while disabled"
-    );
-    // Every annotation the fast path absorbed is a publish that never ran:
-    // with a generous drift window the full path publishes (sweeps) on
-    // nearly every annotation, the fast path on almost none.
-    assert!(
-        s_on.publish_sweeps < s_off.publish_sweeps,
-        "deferral did not reduce publish sweeps ({} vs {})",
-        s_on.publish_sweeps,
-        s_off.publish_sweeps
-    );
-    // And the result is still the same.
-    assert_eq!(Fingerprint::of(s_on), Fingerprint::of(s_off));
 }
 
 /// The sanitizer is observation-only: enabling it changes no observable

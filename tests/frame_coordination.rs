@@ -9,7 +9,10 @@
 //! synchronization policy, plus a property test that phase-B sharding —
 //! the destination-bucketed parallel replay of publishes and deliveries —
 //! is transparent: delivery order, and therefore every observable
-//! counter, is independent of worker interleaving.
+//! counter, is independent of worker interleaving. The serial phase-B walk
+//! it is compared against is the one a sanitized run takes (the
+//! sanitizer's delivery hooks are serial-only, and it observes without
+//! changing anything).
 
 use proptest::prelude::*;
 use simany::core::{
@@ -57,8 +60,9 @@ impl Fingerprint {
     }
 }
 
-fn all_policies() -> Vec<(&'static str, SyncPolicy)> {
-    let w = VDuration::from_cycles(100);
+/// Every policy, windowed ones at `window` cycles.
+fn policies(window: u64) -> Vec<(&'static str, SyncPolicy)> {
+    let w = VDuration::from_cycles(window);
     vec![
         ("spatial", SyncPolicy::Spatial { t: w }),
         ("bounded_slack", SyncPolicy::BoundedSlack { window: w }),
@@ -127,7 +131,7 @@ fn run_plans(topo: Topology, config: EngineConfig, plans: Vec<Vec<(u64, u32, boo
 /// epoch machinery must actually engage.
 #[test]
 fn threads_exceed_tiles_is_deterministic() {
-    for (name, policy) in all_policies() {
+    for (name, policy) in policies(100) {
         let (a, stats) = run_kernel(4, policy, |cfg| cfg.threads = 8);
         let (b, _) = run_kernel(4, policy, |cfg| cfg.threads = 8);
         assert_eq!(a, b, "policy {name}: threads>tiles runs diverged");
@@ -144,7 +148,7 @@ fn threads_exceed_tiles_is_deterministic() {
 /// spawn-to-cover path mid-run.
 #[test]
 fn wide_tiles_thin_pool_is_deterministic() {
-    for (name, policy) in all_policies() {
+    for (name, policy) in policies(100) {
         let (a, stats) = run_kernel(64, policy, |cfg| cfg.threads = 2);
         let (b, _) = run_kernel(64, policy, |cfg| cfg.threads = 2);
         assert_eq!(a, b, "policy {name}: wide-tile runs diverged");
@@ -160,7 +164,7 @@ fn wide_tiles_thin_pool_is_deterministic() {
 /// entry to race on.
 #[test]
 fn single_giant_tile_is_deterministic() {
-    for (name, policy) in all_policies() {
+    for (name, policy) in policies(100) {
         let (a, _) = run_kernel(1, policy, |cfg| cfg.threads = 4);
         let (b, _) = run_kernel(1, policy, |cfg| cfg.threads = 4);
         assert_eq!(a, b, "policy {name}: single-tile runs diverged");
@@ -180,14 +184,17 @@ fn single_giant_tile_is_deterministic() {
     }
 }
 
-/// Cross-tile park/wake storm: a tight drift window plus dense cross-tile
-/// message traffic parks activities mid-epoch (pinning their workers) and
-/// wakes them from other tiles' publishes. Repeated runs must be
-/// bit-identical per policy, and the storm must actually stall something.
+/// Cross-tile park/wake storm: dense cross-tile message traffic under a
+/// tight drift window (10 cycles: activities park mid-epoch, pinning their
+/// workers, and are woken by other tiles' publishes) and a looser one (100
+/// cycles: epochs grow large enough for phase B to replay as a parallel
+/// frame). Repeated runs must be bit-identical per policy, the sharded
+/// replay must match the serial walk, and the storm must actually stall
+/// something and shard something.
 #[test]
 fn cross_tile_park_wake_storm_is_deterministic() {
     // Every core hammers its antipodal core on a 16-core mesh — all
-    // traffic crosses the 4-tile partition — under a 10-cycle window.
+    // traffic crosses the 4-tile partition.
     let plans: Vec<Vec<(u64, u32, bool)>> = (0..16u32)
         .map(|c| {
             (0..24)
@@ -195,57 +202,44 @@ fn cross_tile_park_wake_storm_is_deterministic() {
                 .collect()
         })
         .collect();
-    let w = VDuration::from_cycles(10);
-    let policies = vec![
-        ("spatial", SyncPolicy::Spatial { t: w }),
-        ("bounded_slack", SyncPolicy::BoundedSlack { window: w }),
-        ("random_referee", SyncPolicy::RandomReferee { slack: w }),
-        ("conservative", SyncPolicy::Conservative),
-        ("unbounded", SyncPolicy::Unbounded),
-    ];
     let mut any_stalled = false;
-    for (name, policy) in policies {
-        let mut config = EngineConfig::default().with_seed(7).with_threads(4);
-        config.sync = policy;
-        let a = run_plans(mesh_2d(16), config.clone(), plans.clone());
-        let b = run_plans(mesh_2d(16), config, plans.clone());
-        assert_eq!(
-            Fingerprint::of(&a),
-            Fingerprint::of(&b),
-            "policy {name}: park/wake storm runs diverged"
-        );
-        assert!(a.parallel_epochs > 0, "policy {name}: storm ran no epochs");
-        any_stalled |= a.stall_events > 0;
+    for window in [10, 100] {
+        for (name, policy) in policies(window) {
+            let mut config = EngineConfig::default().with_seed(7).with_threads(4);
+            config.sync = policy;
+            let a = run_plans(mesh_2d(16), config.clone(), plans.clone());
+            let b = run_plans(mesh_2d(16), config.clone(), plans.clone());
+            assert_eq!(
+                Fingerprint::of(&a),
+                Fingerprint::of(&b),
+                "policy {name}, window {window}: park/wake storm runs diverged"
+            );
+            assert!(a.parallel_epochs > 0, "policy {name}: storm ran no epochs");
+            // A sanitized run replays phase B on the serial walk;
+            // everything but the count of sharded replays must match.
+            let serial = run_plans(mesh_2d(16), config.with_sanitize(true), plans.clone());
+            assert_eq!(
+                Fingerprint {
+                    sharded_replays: 0,
+                    ..Fingerprint::of(&a)
+                },
+                Fingerprint::of(&serial),
+                "policy {name}, window {window}: sharded and serial phase B diverged"
+            );
+            assert_eq!(serial.sanitizer_violations, 0, "policy {name}: sanitizer");
+            any_stalled |= a.stall_events > 0;
+            // Without this the sharded-vs-serial comparisons here and in
+            // `determinism.rs::parallel_sanitizer_is_quiet` could pass
+            // vacuously.
+            if window == 100 && name == "spatial" {
+                assert!(
+                    a.sharded_replays > 0,
+                    "storm never launched a sharded replay"
+                );
+            }
+        }
     }
     assert!(any_stalled, "storm never stalled under any policy");
-}
-
-/// Phase-B sharding is an optimization, not a semantic change: with the
-/// destination-sharded replay disabled, every observable counter must be
-/// identical (`sharded_replays` aside, which counts the optimization
-/// itself firing).
-#[test]
-fn phase_b_sharding_is_bit_exact_on_kernels() {
-    for (name, policy) in all_policies() {
-        let (on, stats) = run_kernel(16, policy, |cfg| cfg.threads = 4);
-        let (off, off_stats) = run_kernel(16, policy, |cfg| {
-            cfg.threads = 4;
-            cfg.shard_phase_b = false;
-        });
-        assert_eq!(
-            Fingerprint {
-                sharded_replays: 0,
-                ..on
-            },
-            off,
-            "policy {name}: disabling phase-B sharding changed behavior"
-        );
-        assert_eq!(
-            off_stats.sharded_replays, 0,
-            "policy {name}: sharding fired while disabled"
-        );
-        let _ = stats;
-    }
 }
 
 proptest! {
@@ -254,9 +248,10 @@ proptest! {
     /// Phase-B delivery order is independent of worker interleaving:
     /// across random topologies, thread counts, policies and message
     /// plans, the sharded replay (destination-bucketed, replayed with a
-    /// stable (source-tile, sequence) order) and the serial walk produce
-    /// bit-identical outcomes — and so do repeated sharded runs, whose
-    /// worker schedules genuinely differ between runs.
+    /// stable (source-tile, sequence) order) and the serial walk (taken by
+    /// a sanitized run) produce bit-identical outcomes — and so do
+    /// repeated sharded runs, whose worker schedules genuinely differ
+    /// between runs.
     #[test]
     fn phase_b_order_is_interleaving_independent(
         n in 4u32..14,
@@ -283,11 +278,7 @@ proptest! {
         config.sync = policy;
         let sharded_a = run_plans(topo.clone(), config.clone(), plans.clone());
         let sharded_b = run_plans(topo.clone(), config.clone(), plans.clone());
-        let serial = run_plans(
-            topo,
-            config.with_shard_phase_b(false),
-            plans,
-        );
+        let serial = run_plans(topo, config.with_sanitize(true), plans);
 
         let fa = Fingerprint::of(&sharded_a);
         let fb = Fingerprint::of(&sharded_b);

@@ -11,8 +11,6 @@
 use simany::core::{
     CoreId, EngineConfig, Envelope, ExecCtx, Ops, RuntimeHooks, SimStats, SyncPolicy, VDuration,
 };
-use simany::kernels::{kernel_by_name, Scale};
-use simany::presets;
 
 /// Same one-task-per-core workload as the scale benchmark: every core gets
 /// one queue hint and materializes one small activity lazily.
@@ -154,33 +152,4 @@ fn chiplet_bit_identity_262k() {
             "{name}: repeated 262k-core runs diverged"
         );
     }
-}
-
-/// Ready-heap compaction is opt-in because dropping stale entries changes
-/// which (equally valid) schedule gets picked — but for a fixed
-/// (seed, threads) it must still be perfectly repeatable.
-#[test]
-fn compact_ready_is_deterministic() {
-    let run = || {
-        let mut spec = presets::uniform_mesh_sm(64);
-        spec.engine = spec.engine.with_compact_ready(true);
-        let kernel = kernel_by_name("Connected Components").unwrap();
-        let res = kernel
-            .run_sim(spec, Scale(0.2), 42)
-            .expect("simulation failed");
-        assert!(res.verified, "kernel output verification failed");
-        res.out.stats
-    };
-    let a = run();
-    let b = run();
-    assert_eq!(
-        fingerprint(&a),
-        fingerprint(&b),
-        "compacted runs diverged for a fixed seed"
-    );
-    assert_eq!(
-        (a.ready_compactions, a.ready_compacted),
-        (b.ready_compactions, b.ready_compacted),
-        "compaction fired differently across identical runs"
-    );
 }
