@@ -317,7 +317,14 @@ fn write_json(
         ("verified", Json::Bool(r.verified)),
         ("work_items", Json::U64(r.work_items)),
         ("tasks_started", Json::U64(s.activities_started)),
+        (
+            "peak_live_activities",
+            Json::U64(s.peak_live_activities as u64),
+        ),
         ("scheduler_picks", Json::U64(s.scheduler_picks)),
+        ("activity_resumes", Json::U64(s.activity_resumes)),
+        ("host_handoffs", Json::U64(s.host_handoffs)),
+        ("host_threads", Json::U64(s.host_threads)),
         ("sync_stalls", Json::U64(s.stall_events)),
         ("messages", Json::U64(s.net.messages)),
         ("bytes", Json::U64(s.net.bytes)),
@@ -333,6 +340,7 @@ fn write_json(
         ("prof_pop_ns", Json::U64(s.prof_pop_ns)),
         ("prof_overhead_ns", Json::U64(s.prof_overhead_ns)),
         ("prof_action_ns", Json::U64(s.prof_action_ns)),
+        ("prof_handoff_ns", Json::U64(s.prof_handoff_ns)),
         ("msgs_dropped", Json::U64(s.msgs_dropped)),
         ("msg_retries", Json::U64(s.msg_retries)),
         ("reroutes", Json::U64(s.reroutes)),
@@ -511,11 +519,14 @@ fn main() {
     }
     if s.prof_floor_ns + s.prof_pop_ns + s.prof_overhead_ns + s.prof_action_ns > 0 {
         println!(
-            "pick-loop profile : floor {:.1}ms / pop {:.1}ms / overhead {:.1}ms / action {:.1}ms",
+            "pick-loop profile : floor {:.1}ms / pop {:.1}ms / overhead {:.1}ms / action {:.1}ms \
+             (of which {:.1}ms in {} host hand-offs)",
             s.prof_floor_ns as f64 / 1e6,
             s.prof_pop_ns as f64 / 1e6,
             s.prof_overhead_ns as f64 / 1e6,
-            s.prof_action_ns as f64 / 1e6
+            s.prof_action_ns as f64 / 1e6,
+            s.prof_handoff_ns as f64 / 1e6,
+            s.host_handoffs
         );
     }
     if args.threads > 1 {

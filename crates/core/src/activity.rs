@@ -1,9 +1,11 @@
 //! Activities: the engine-level representation of running tasks.
 //!
-//! The code running on a given core is simulated by dedicated (pooled) OS
-//! threads — the Rust equivalent of the paper's per-core userland threads
-//! (§III, *Implementation Efficiency*). An *activity* is one task body: a
-//! closure executing natively between interaction points. A core hosts at
+//! An *activity* is one task body: a closure executing natively between
+//! interaction points, called inline by whichever host thread is driving
+//! the pick loop when it is first granted (see the `engine` module docs).
+//! Only an activity that suspends mid-closure keeps a pooled OS thread —
+//! its stack — until the closure returns: the Rust stand-in for the paper's
+//! per-core userland contexts (§III, *Implementation Efficiency*). A core hosts at
 //! most one *current* activity (the one that runs when the core is
 //! scheduled) plus any number of blocked or woken-but-waiting activities
 //! (e.g. tasks suspended in `join`, whose "execution context is saved until
@@ -36,7 +38,8 @@ pub type ActivityMeta = Box<dyn Any + Send>;
 #[derive(Debug)]
 pub enum ActivityState {
     /// Created; its closure has not started executing yet. It is its core's
-    /// current activity and will be bound to a worker at first grant.
+    /// current activity; the thread that runs its first grant becomes its
+    /// host.
     Pending,
     /// Holds the run token and is executing user code right now.
     Granted,
@@ -71,9 +74,11 @@ pub struct Activity {
     pub core: simany_topology::CoreId,
     /// Lifecycle state.
     pub state: ActivityState,
-    /// The not-yet-started closure (taken by the worker at first grant).
+    /// The not-yet-started closure (taken by its host at first grant).
     pub job: Option<TaskFn>,
-    /// Worker thread slot bound to this activity (None until first grant).
+    /// Host thread slot (index into `Sim::worker_cvs`) whose stack carries
+    /// this activity's closure: where a grant must be delivered. `None`
+    /// until first grant (sequential engine) or first park (epoch member).
     pub worker: Option<usize>,
     /// Value deposited by `wake`, consumed when the activity resumes.
     pub wake_value: Option<Box<dyn Any + Send>>,

@@ -85,8 +85,12 @@ pub struct EngineConfig {
     /// cycles). Charged when a woken (e.g. joining) activity regains its
     /// core.
     pub resume_cost: VDuration,
-    /// Stack size for task worker threads. Task bodies are real recursive
-    /// Rust code, so this must accommodate the deepest kernel recursion.
+    /// Stack size of every engine thread that can host a task body: the
+    /// sequential engine's pool (driver 0 included — `simulate`'s caller
+    /// never runs task code) and the frame workers. Task bodies are real
+    /// recursive Rust code, and a body that stalls or blocks runs the pick
+    /// loop and the runtime's message handlers nested on top of itself, so
+    /// this must accommodate the deepest kernel recursion plus one driver.
     pub worker_stack_bytes: usize,
     /// Abort the simulation if total live activities ever exceeds this
     /// (guards against runaway task explosions in buggy programs).

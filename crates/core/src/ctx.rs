@@ -56,7 +56,8 @@ pub struct ExecCtx {
     core: CoreId,
     my_cv: Arc<Condvar>,
     /// Frame-worker slot hosting this body (`None` on the sequential
-    /// engine's pool). An epoch member that parks pins this slot.
+    /// engine's pool, which is how [`Self::suspend`] tells the two engines
+    /// apart). An epoch member that parks pins this slot.
     worker: Option<usize>,
     /// Set at the first epoch park: this activity's native stack now pins
     /// its host thread until the closure returns, and its completion must
@@ -442,8 +443,7 @@ impl ExecCtx {
                 push_ready(&mut sim, core);
             }
         }
-        self.yield_token(&mut sim);
-        self.wait_for_grant(&mut sim);
+        self.suspend(&mut sim);
         // We are current again (make_current charged the context switch and
         // applied the wake time). Apply the synchronization policy before
         // resuming user code.
@@ -529,16 +529,31 @@ impl ExecCtx {
                 stalled = true;
             }
             sim.act_mut(self.aid).state = ActivityState::Stalled;
-            self.yield_token(sim);
-            self.wait_for_grant(sim);
+            self.suspend(sim);
         }
     }
 
-    /// Return the run token to the scheduler.
-    fn yield_token(&self, sim: &mut MutexGuard<'_, Sim>) {
+    /// Give up the run token at a stall or a block (the activity's state
+    /// already says which) and return once it has been granted again.
+    ///
+    /// Sequentially the grant ends here and this thread takes the scheduler
+    /// role itself, nested on the closure's stack: if the next grant is
+    /// this very activity no host thread switches at all, otherwise the
+    /// driver has passed the token on and this thread parks. Under the
+    /// epoch coordinator the token goes back to the coordinator thread.
+    fn suspend(&self, sim: &mut MutexGuard<'_, Sim>) {
         debug_assert_eq!(sim.token, Token::Act(self.aid));
-        sim.token = Token::Scheduler;
-        self.shared.sched_cv.notify_one();
+        if self.worker.is_some() {
+            sim.token = Token::Scheduler;
+            self.shared.sched_cv.notify_one();
+        } else {
+            crate::engine::end_grant(sim, self.core);
+            let host = crate::engine::Host::Suspended(self.aid);
+            if crate::engine::drive(&self.shared, sim, host).is_some() {
+                return;
+            }
+        }
+        self.wait_for_grant(sim);
     }
 
     /// If this activity is running confined inside an epoch, park it with
@@ -604,6 +619,7 @@ impl ExecCtx {
                 Token::Scheduler => false,
             };
             if token_ok && matches!(sim.act(self.aid).state, ActivityState::Granted) {
+                crate::engine::note_handoff_wake(sim);
                 return;
             }
             self.my_cv.wait(sim);

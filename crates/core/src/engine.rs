@@ -1,25 +1,53 @@
-//! The simulation engine: shared state, the scheduler loop and the worker
-//! threads that execute task code natively.
+//! The simulation engine: shared state, the pick loop and the host threads
+//! that drive it and execute task code natively.
 //!
 //! ## Run-token protocol
 //!
 //! Exactly one thread executes simulation work at any instant, mirroring
 //! the paper's single-process, non-preemptive userland scheduling (§III).
 //! All simulator state lives in one mutex; a *run token* designates who may
-//! proceed — the scheduler or exactly one activity. Handoffs:
-//!
-//! * scheduler → activity: the scheduler sets the token, notifies the
-//!   activity's worker condvar and waits on its own condvar until the token
-//!   comes back;
-//! * activity → scheduler: at a stall, a block or task completion, the
-//!   activity returns the token and waits on its worker condvar until
-//!   re-granted.
+//! proceed — a driver running the pick loop, or exactly one activity.
 //!
 //! Between `ExecCtx` calls task code runs natively without holding the
 //! mutex — that is the "sequential pieces of code are executed natively for
 //! maximal speed" of the paper — but since no other simulation thread can
 //! hold the token concurrently, the simulation stays sequential and
 //! deterministic.
+//!
+//! ## The itinerant scheduler (`threads <= 1`)
+//!
+//! The scheduler is a role, not a thread: whichever host thread holds the
+//! token and has nothing to run calls [`drive`], the loop over
+//! [`PickLoop::next`] and [`PickLoop::dispatch`]. What happens to a granted
+//! activity depends on who is driving and where the activity lives:
+//!
+//! * a *free* thread (top of [`worker_main`], no closure on its stack) that
+//!   picks a never-started activity takes its closure and calls it inline,
+//!   lock released, accounts its end and keeps driving — a task that runs
+//!   to completion costs no host context switch at all;
+//! * an activity that must give up the token inside its closure (a stall
+//!   or a block, see `ExecCtx::suspend`) drives *nested* on its own stack.
+//!   If the next grant is itself, `drive` simply returns. If it is an
+//!   activity suspended on another thread, that thread's condvar is
+//!   signalled once and this one parks in `wait_for_grant`. If it is a
+//!   never-started activity, the token goes to a pooled free thread
+//!   (spawned on demand): a thread hosting a suspended closure never runs
+//!   a second closure on top of it, so host stacks nest at most two deep —
+//!   a closure and one driver — and a suspended activity can always be
+//!   resumed by unwinding nothing but that driver.
+//!
+//! A hand-off is therefore one condvar signal per grant that changes host
+//! thread ([`SimStats::host_handoffs`]), and none otherwise. The order of
+//! picks, every `Ops` call and every counter are those of a dedicated
+//! scheduler thread — only *which host thread* executes them differs — so
+//! digests, golden timings and checkpoints do not depend on it.
+//!
+//! The grant ends where the activity yields: [`end_grant`] re-evaluates the
+//! activity's core for the ready queue (what `dispatch` does itself after
+//! a message or an idle hook) and closes the pick's action lap, then the
+//! yielding thread drives on. `simulate` spawns driver 0 — so task code
+//! always runs on a `worker_stack_bytes` stack — and waits on `sched_cv`
+//! for the driver that sees the run end.
 //!
 //! ## One pick front-end, two grants
 //!
@@ -28,11 +56,11 @@
 //! count, watchdog, sanitizer cadence and parallelism sample, then message
 //! processing, idle hooks and the requeue — lives once, in [`PickLoop`],
 //! and is the order every digest, checkpoint and golden timing depends on.
-//! The two scheduler loops are thin drivers around it that differ only in
-//! what a *grant* is: `run_sequential` hands the run token to the activity
-//! and waits for it back; [`crate::parallel::run_scheduler`] stashes the
-//! activity into the current epoch's batch (or defers it) and runs the
-//! batch when the front-end reports the ready queue drained.
+//! Its two callers differ only in what a *grant* is: [`drive`] hands the
+//! run token to the activity as described above;
+//! [`crate::parallel::run_scheduler`] stashes the activity into the current
+//! epoch's batch (or defers it) and runs the batch when the front-end
+//! reports the ready queue drained.
 //!
 //! ## Parallel host execution
 //!
@@ -74,7 +102,13 @@ use std::sync::Arc;
 /// Who currently holds the run token.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum Token {
+    /// Whoever is performing the scheduler role: under the sequential
+    /// engine the host thread inside [`drive`] (any pool thread, or an
+    /// activity's own thread driving nested), under the parallel engine
+    /// the epoch coordinator.
     Scheduler,
+    /// This activity, exclusively: its closure is executing, or is about
+    /// to on the thread the grant woke.
     Act(ActivityId),
     /// Parallel mode: an epoch is in flight — every activity of the
     /// current batch (at most one per tile) holds a share of the token and
@@ -95,6 +129,9 @@ pub(crate) fn trace(shared: &Shared, make: impl FnOnce() -> TraceEvent) {
 /// Immutable run-wide context shared by the scheduler and all workers.
 pub(crate) struct Shared {
     pub(crate) sim: Mutex<Sim>,
+    /// Wakes the caller of `simulate` when a driver sees the run end
+    /// (`Sim::finished`), and the epoch coordinator when an exclusively
+    /// re-granted activity returns the token.
     pub(crate) sched_cv: Condvar,
     pub(crate) hooks: Arc<dyn RuntimeHooks>,
     pub(crate) config: EngineConfig,
@@ -166,9 +203,28 @@ pub(crate) struct Sim {
     pub(crate) token: Token,
     pub(crate) ready: ReadyQueue,
     pub(crate) stats: SimStats,
+    /// One condvar per host thread (pool and frame workers alike), indexed
+    /// by the slot an activity records in `Activity::worker`.
     pub(crate) worker_cvs: Vec<Arc<Condvar>>,
-    pub(crate) worker_assigned: Vec<Option<ActivityId>>,
+    /// Every thread spawned for this run; `simulate` joins them all.
+    pub(crate) worker_handles: Vec<std::thread::JoinHandle<()>>,
+    /// Sequential engine: parked pool threads with no closure on their
+    /// stack, ready to be handed a never-started activity.
     pub(crate) free_workers: Vec<usize>,
+    /// Sequential engine: the pick front-end's state, reachable by whoever
+    /// drives next. `None` only while a driver is inside [`drive`] (or the
+    /// epoch coordinator has taken it for the whole run).
+    pub(crate) picks: Option<Box<PickLoop>>,
+    /// Sequential engine: a driver saw the run end; `simulate` may tear
+    /// down.
+    pub(crate) finished: bool,
+    /// A pool thread died of a panic that was not a task's (engine or
+    /// runtime-hook code under a driver); `simulate` re-raises it on the
+    /// caller's thread once every worker is joined.
+    pub(crate) driver_panic: Option<Box<dyn std::any::Any + Send>>,
+    /// `profile_picks`: when the pending hand-off signalled its target;
+    /// the woken thread folds the latency into `prof_handoff_ns`.
+    pub(crate) handoff_mark: Option<std::time::Instant>,
     pub(crate) shutdown: bool,
     pub(crate) failure: Option<Failure>,
     pub(crate) live_activities: usize,
@@ -208,8 +264,8 @@ pub(crate) struct Sim {
     /// [`EngineConfig::sanitize`] is on (see [`crate::sanitizer`]).
     pub(crate) sanitizer: Option<Box<crate::sanitizer::SanitizerState>>,
     /// Parallel mode: frame worker threads spawned so far (frame workers
-    /// are dedicated to epochs and never touch the sequential
-    /// assignment/free-list machinery above).
+    /// are dedicated to epochs and never enter the sequential pool's free
+    /// list above).
     pub(crate) frame_workers: usize,
     /// Parallel mode: frame workers currently pinned by a parked activity
     /// (the activity's native stack lives on the worker's thread until its
@@ -949,8 +1005,12 @@ pub fn simulate(
         ready,
         stats: SimStats::default(),
         worker_cvs: Vec::new(),
-        worker_assigned: Vec::new(),
+        worker_handles: Vec::new(),
         free_workers: Vec::new(),
+        picks: None,
+        finished: false,
+        driver_panic: None,
+        handoff_mark: None,
         shutdown: false,
         failure: None,
         live_activities: 0,
@@ -990,8 +1050,7 @@ pub fn simulate(
         frame,
     });
 
-    let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    {
+    let handles = {
         let mut sim = shared.sim.lock();
         if shared.config.sanitize {
             crate::sanitizer::install(&mut sim, &shared);
@@ -1007,18 +1066,37 @@ pub fn simulate(
         // cost masquerades as per-event cost.
         let build = start_wall.elapsed();
         let run_start = std::time::Instant::now();
-        let mut picks = PickLoop::new(&shared.config, &sim, cfg_digest, resume_target);
-        if shared.config.threads > 1 {
-            sim = crate::parallel::run_scheduler(&shared, sim, &mut handles, &mut picks);
+        let mut picks = Box::new(PickLoop::new(
+            &shared.config,
+            &sim,
+            cfg_digest,
+            resume_target,
+        ));
+        let picks = if shared.config.threads > 1 {
+            sim = crate::parallel::run_scheduler(&shared, sim, &mut picks);
+            Some(picks)
         } else {
-            run_sequential(&shared, &mut sim, &mut handles, &mut picks);
+            // Driver 0 is a pool thread like any other, so task bodies
+            // always run on a `worker_stack_bytes` stack; this thread only
+            // waits for whichever driver sees the run end.
+            sim.picks = Some(picks);
+            spawn_worker(&mut sim, &shared, true);
+            while !sim.finished {
+                shared.sched_cv.wait(&mut sim);
+            }
+            // `None` only if a driver died mid-pick (re-raised below).
+            sim.picks.take()
+        };
+        if let Some(picks) = picks {
+            picks.finish(&mut sim, &shared);
         }
-        picks.finish(&mut sim, &shared);
         sim.stats.build_ns = build.as_nanos() as u64;
         sim.stats.run_ns = run_start.elapsed().as_nanos() as u64;
 
-        // Teardown: release every parked worker, and every frame worker
-        // spinning or parked at the frame gate.
+        // Teardown: release every parked worker — pool threads waiting for
+        // a hand-off, activities suspended in `wait_for_grant` (they unwind
+        // with `ShutdownSignal`) — and every frame worker spinning or
+        // parked at the frame gate.
         sim.shutdown = true;
         for cv in &sim.worker_cvs {
             cv.notify_one();
@@ -1026,7 +1104,8 @@ pub fn simulate(
         if let Some(fs) = &shared.frame {
             fs.request_shutdown();
         }
-    }
+        std::mem::take(&mut sim.worker_handles)
+    };
     for h in handles {
         let _ = h.join();
     }
@@ -1035,6 +1114,10 @@ pub fn simulate(
     // insisting on sole ownership of the `Arc` (a panicking teardown path
     // must not be able to turn into a second panic here).
     let mut sim = shared.sim.lock();
+    if let Some(payload) = sim.driver_panic.take() {
+        drop(sim);
+        std::panic::resume_unwind(payload);
+    }
     if let Some(f) = sim.failure.take() {
         return Err(f.into_error());
     }
@@ -1100,12 +1183,12 @@ pub(crate) enum Picked {
     Stop,
 }
 
-/// The per-pick front-end shared by both scheduler loops: everything that
-/// happens between two grants, in the one order every digest, checkpoint
-/// and golden timing depends on. The sequential loop and the epoch
-/// coordinator differ only in what a *grant* means (the closure passed to
-/// [`PickLoop::dispatch`]) and in how many cores they hold out of the
-/// ready queue between picks (`held`).
+/// The per-pick front-end shared by [`drive`] and the epoch coordinator:
+/// everything that happens between two grants, in the one order every
+/// digest, checkpoint and golden timing depends on. The two differ only in
+/// what a *grant* means (the closure passed to [`PickLoop::dispatch`]) and
+/// in how many cores they hold out of the ready queue between picks
+/// (`held`).
 ///
 /// All bookkeeping here observes the machine at scheduler-time quiescence
 /// (deferred publishes are flushed at every token yield), so `max_vtime`,
@@ -1236,29 +1319,33 @@ impl PickLoop {
         Picked::Core(c)
     }
 
-    /// Act on picked core `c`. `grant(sim, c, aid)` hands a grantable
-    /// activity on; it returns `true` if the activity ran to its next
-    /// yield (so `c` is re-evaluated for the ready queue right away) and
-    /// `false` if the caller now holds `c` out of the queue until it has
-    /// run the activity itself.
+    /// Act on picked core `c`. `grant(sim, c, aid)` takes a grantable
+    /// activity on; whoever takes it also re-evaluates `c` for the ready
+    /// queue once the activity has run ([`end_grant`] sequentially, the
+    /// epoch's requeue step in parallel), so only the other actions
+    /// requeue here.
     pub(crate) fn dispatch(
         &mut self,
-        sim: &mut parking_lot::MutexGuard<'_, Sim>,
+        sim: &mut Sim,
         shared: &Shared,
         c: CoreId,
-        mut grant: impl FnMut(&mut parking_lot::MutexGuard<'_, Sim>, CoreId, ActivityId) -> bool,
+        mut grant: impl FnMut(&mut Sim, CoreId, ActivityId),
     ) {
         let mut requeue = true;
         match decide(sim, c) {
             Action::Message => process_message(sim, shared, c),
-            Action::Grant(aid) => requeue = grant(sim, c, aid),
+            Action::Grant(aid) => {
+                grant(sim, c, aid);
+                requeue = false;
+            }
             Action::ResumeParked => {
                 let aid = sim.cores.res_pop_front(c.index()).unwrap();
                 make_current(sim, shared, aid);
                 // Grant immediately if still allowed (it may have become
                 // stalled by the resume-cost advance).
                 if sim.act(aid).grantable() {
-                    requeue = grant(sim, c, aid);
+                    grant(sim, c, aid);
+                    requeue = false;
                 }
             }
             Action::Idle => {
@@ -1291,79 +1378,128 @@ impl PickLoop {
     }
 }
 
-/// The sequential scheduler loop (`threads <= 1`): a grant hands the run
-/// token to the activity and waits for it to come back, so every pick is
-/// processed to completion before the next.
-fn run_sequential(
-    shared: &Arc<Shared>,
-    sim: &mut parking_lot::MutexGuard<'_, Sim>,
-    handles: &mut Vec<std::thread::JoinHandle<()>>,
-    picks: &mut PickLoop,
-) {
-    while let Picked::Core(c) = picks.next(sim, shared, 0) {
+/// Who is calling [`drive`].
+#[derive(Clone, Copy)]
+pub(crate) enum Host {
+    /// Pool thread `.0` at the top of [`worker_main`]: no closure on its
+    /// stack, so it may run a never-started activity inline.
+    Free(usize),
+    /// The thread hosting this activity, inside its closure at a stall or
+    /// a block.
+    Suspended(ActivityId),
+}
+
+/// Perform the scheduler role (`threads <= 1`) until the token has to
+/// leave the calling thread's hands: pick, dispatch, and route each grant
+/// by where the granted activity lives (see the module docs).
+///
+/// Returns `Some(aid)` when the caller itself must now run `aid` — a
+/// `Suspended` host was granted again and returns into its closure, a
+/// `Free` host picked a never-started activity and runs it inline. Returns
+/// `None` when the token went to another thread, or the run is over and
+/// the caller of `simulate` has been woken; either way the calling thread
+/// parks (`wait_for_grant`, or the pool wait in [`worker_main`]).
+pub(crate) fn drive(shared: &Arc<Shared>, sim: &mut Sim, host: Host) -> Option<ActivityId> {
+    debug_assert_eq!(sim.token, Token::Scheduler);
+    let mut picks = sim.picks.take().expect("two drivers at once");
+    let mine = loop {
+        let Picked::Core(c) = picks.next(sim, shared, 0) else {
+            sim.finished = true;
+            shared.sched_cv.notify_one();
+            break None;
+        };
+        let mut granted = None;
         picks.dispatch(sim, shared, c, |sim, _, aid| {
-            grant(sim, shared, handles, aid);
-            while sim.token != Token::Scheduler {
-                shared.sched_cv.wait(sim);
-            }
-            true
+            sim.act_mut(aid).state = ActivityState::Granted;
+            sim.token = Token::Act(aid);
+            sim.stats.activity_resumes += 1;
+            granted = Some(aid);
         });
-    }
-}
-
-/// Resolve the worker thread slot for `aid`, binding it to one (reusing a
-/// free slot or spawning) if it has never run.
-pub(crate) fn assign_worker(
-    sim: &mut Sim,
-    shared: &Arc<Shared>,
-    handles: &mut Vec<std::thread::JoinHandle<()>>,
-    aid: ActivityId,
-) -> usize {
-    match sim.act(aid).worker {
-        Some(w) => w,
-        None => {
-            let w = match sim.free_workers.pop() {
-                Some(w) => w,
-                None => spawn_worker(sim, shared, handles),
-            };
-            sim.worker_assigned[w] = Some(aid);
-            sim.act_mut(aid).worker = Some(w);
-            w
+        let Some(aid) = granted else { continue };
+        let target = match (sim.act(aid).worker, host) {
+            (Some(_), Host::Suspended(me)) if me == aid => break Some(aid),
+            (Some(w), _) => w,
+            (None, Host::Free(idx)) => {
+                sim.act_mut(aid).worker = Some(idx);
+                break Some(aid);
+            }
+            // A closure is suspended on this stack: the fresh activity
+            // needs a thread of its own.
+            (None, Host::Suspended(_)) => {
+                let w = match sim.free_workers.pop() {
+                    Some(w) => w,
+                    None => spawn_worker(sim, shared, false),
+                };
+                sim.act_mut(aid).worker = Some(w);
+                w
+            }
+        };
+        sim.stats.host_handoffs += 1;
+        if shared.config.profile_picks {
+            sim.handoff_mark = Some(std::time::Instant::now());
         }
+        sim.worker_cvs[target].notify_one();
+        break None;
+    };
+    sim.picks = Some(picks);
+    if let (None, Host::Free(idx)) = (mine, host) {
+        sim.free_workers.push(idx);
+    }
+    mine
+}
+
+/// The end of a grant: the activity that held the token has stalled,
+/// blocked, finished or panicked. Re-evaluate its core for the ready queue
+/// — what [`PickLoop::dispatch`] does after every other action — close the
+/// pick's action lap, and put the token back in the scheduler's hands: the
+/// calling thread drives next.
+pub(crate) fn end_grant(sim: &mut Sim, core: CoreId) {
+    if is_ready(sim, core) {
+        push_ready(sim, core);
+    }
+    let picks = sim
+        .picks
+        .as_mut()
+        .expect("a grant ends with no driver active");
+    picks.lap(&mut sim.stats.prof_action_ns);
+    sim.token = Token::Scheduler;
+}
+
+/// `profile_picks`: a thread woken by a hand-off folds the signal-to-wake
+/// latency into `prof_handoff_ns` (a share of the pick's action lap).
+pub(crate) fn note_handoff_wake(sim: &mut Sim) {
+    if let Some(mark) = sim.handoff_mark.take() {
+        sim.stats.prof_handoff_ns += mark.elapsed().as_nanos() as u64;
     }
 }
 
-/// Hand the run token to `aid`, binding it to a worker thread first if it
-/// has never run.
-fn grant(
-    sim: &mut Sim,
-    shared: &Arc<Shared>,
-    handles: &mut Vec<std::thread::JoinHandle<()>>,
-    aid: ActivityId,
-) {
-    let worker = assign_worker(sim, shared, handles, aid);
-    sim.act_mut(aid).state = ActivityState::Granted;
-    sim.token = Token::Act(aid);
-    sim.stats.activity_resumes += 1;
-    sim.worker_cvs[worker].notify_one();
-}
-
-fn spawn_worker(
-    sim: &mut Sim,
-    shared: &Arc<Shared>,
-    handles: &mut Vec<std::thread::JoinHandle<()>>,
-) -> usize {
+/// Spawn a pool thread for the sequential engine. `driving` starts it in
+/// the scheduler role (driver 0); otherwise it parks until a nested driver
+/// hands it a never-started activity.
+fn spawn_worker(sim: &mut Sim, shared: &Arc<Shared>, driving: bool) -> usize {
     let idx = sim.worker_cvs.len();
     let cv = Arc::new(Condvar::new());
     sim.worker_cvs.push(cv.clone());
-    sim.worker_assigned.push(None);
+    sim.stats.host_threads += 1;
     let shared2 = Arc::clone(shared);
     let handle = std::thread::Builder::new()
         .name(format!("simany-worker-{idx}"))
         .stack_size(shared.config.worker_stack_bytes)
-        .spawn(move || worker_main(shared2, idx, cv))
+        .spawn(move || {
+            let run = AssertUnwindSafe(|| worker_main(&shared2, idx, &cv, driving));
+            if let Err(payload) = catch_unwind(run) {
+                // Not a task panic (those are caught around the task body):
+                // engine or hook code died while driving. No driver is left
+                // to see the run end, so end it here and let `simulate`
+                // re-raise on its caller's thread.
+                let mut sim = shared2.sim.lock();
+                sim.driver_panic.get_or_insert(payload);
+                sim.finished = true;
+                shared2.sched_cv.notify_one();
+            }
+        })
         .expect("failed to spawn worker thread");
-    handles.push(handle);
+    sim.worker_handles.push(handle);
     idx
 }
 
@@ -1394,74 +1530,91 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "<non-string panic payload>".to_string())
 }
 
-fn worker_main(shared: Arc<Shared>, idx: usize, cv: Arc<Condvar>) {
+/// A pool thread of the sequential engine: drive while it holds the token,
+/// run what it is granted inline, park in the free list otherwise.
+/// (Parallel epochs never use this pool: frame workers — see
+/// `frame_worker_main` — run batch members.)
+fn worker_main(shared: &Arc<Shared>, idx: usize, cv: &Arc<Condvar>, mut driving: bool) {
+    let mut sim = shared.sim.lock();
     loop {
-        // Wait for an assignment with an exclusive grant naming this
-        // activity in the token. (Parallel epochs never use this pool:
-        // frame workers — see `frame_worker_main` — run batch members.)
-        let (aid, core, name, job) = {
-            let mut sim = shared.sim.lock();
-            loop {
-                if sim.shutdown {
-                    return;
+        let aid = if driving {
+            match drive(shared, &mut sim, Host::Free(idx)) {
+                Some(aid) => aid,
+                None => {
+                    driving = false;
+                    continue;
                 }
-                if let Some(aid) = sim.worker_assigned[idx] {
-                    let token_ok = matches!(sim.token, Token::Act(a) if a == aid);
-                    if token_ok && matches!(sim.act(aid).state, ActivityState::Granted) {
-                        break;
-                    }
-                }
-                cv.wait(&mut sim);
             }
-            let aid = sim.worker_assigned[idx].unwrap();
-            let job = sim.act_mut(aid).job.take().expect("granted without job");
-            (aid, sim.act(aid).core, sim.act(aid).name, job)
+        } else {
+            if sim.shutdown {
+                return;
+            }
+            match sim.token {
+                Token::Act(a) if sim.act(a).worker == Some(idx) => {
+                    note_handoff_wake(&mut sim);
+                    a
+                }
+                _ => {
+                    cv.wait(&mut sim);
+                    continue;
+                }
+            }
         };
-
-        let mut ctx = crate::ctx::ExecCtx::new(Arc::clone(&shared), aid, core, cv.clone(), None);
-        let result = catch_unwind(AssertUnwindSafe(|| job(&mut ctx)));
-
-        let mut sim = shared.sim.lock();
-        // The body may have ended on a run of lock-free confined
-        // advances; land them before anything reads this core's clock.
-        ctx.flush_confined(&mut sim);
-        match result {
-            Ok(()) => finish_activity(&mut sim, &shared, aid),
-            Err(payload) => {
-                if payload.downcast_ref::<ShutdownSignal>().is_none() && sim.failure.is_none() {
-                    let msg = panic_message(payload.as_ref());
-                    sim.failure = Some(Failure::TaskPanic {
-                        core,
-                        at: sim.cores.vtime[core.index()],
-                        name,
-                        msg,
-                    });
-                }
-            }
-        }
-        sim.worker_assigned[idx] = None;
-        sim.free_workers.push(idx);
-        sim.token = Token::Scheduler;
-        shared.sched_cv.notify_one();
-        if sim.shutdown {
+        if !run_inline(shared, &mut sim, cv, aid) {
             return;
         }
+        driving = true;
     }
 }
 
+/// Run never-started activity `aid` on the calling free thread — closure
+/// called inline with the lock released — and account its end. Returns
+/// `false` if teardown unwound the closure and the thread must exit.
+fn run_inline(
+    shared: &Arc<Shared>,
+    sim: &mut parking_lot::MutexGuard<'_, Sim>,
+    cv: &Arc<Condvar>,
+    aid: ActivityId,
+) -> bool {
+    let act = sim.act_mut(aid);
+    let job = act.job.take().expect("granted without job");
+    let (core, name) = (act.core, act.name);
+    let mut ctx = crate::ctx::ExecCtx::new(Arc::clone(shared), aid, core, cv.clone(), None);
+    let result =
+        parking_lot::MutexGuard::unlocked(sim, || catch_unwind(AssertUnwindSafe(|| job(&mut ctx))));
+    match result {
+        Ok(()) => finish_activity(sim, shared, aid),
+        Err(payload) => {
+            if payload.downcast_ref::<ShutdownSignal>().is_some() {
+                return false;
+            }
+            if sim.picks.is_none() {
+                // The body did not panic; a driver nested inside it did,
+                // mid-pick. That is an engine failure, not the task's.
+                std::panic::resume_unwind(payload);
+            }
+            if sim.failure.is_none() {
+                sim.failure = Some(Failure::TaskPanic {
+                    core,
+                    at: sim.cores.vtime[core.index()],
+                    name,
+                    msg: panic_message(payload.as_ref()),
+                });
+            }
+        }
+    }
+    end_grant(sim, core);
+    true
+}
+
 /// Spawn one frame worker (parallel mode). Frame workers take their work
-/// from the lock-free frame coordinator, not from `worker_assigned`; they
+/// from the lock-free frame coordinator, never from a hand-off; they
 /// still own a condvar slot in `worker_cvs` so a parked (pinned) activity
 /// can be re-granted the token through the ordinary wake path.
-pub(crate) fn spawn_frame_worker(
-    sim: &mut Sim,
-    shared: &Arc<Shared>,
-    handles: &mut Vec<std::thread::JoinHandle<()>>,
-) {
+pub(crate) fn spawn_frame_worker(sim: &mut Sim, shared: &Arc<Shared>) {
     let idx = sim.worker_cvs.len();
     let cv = Arc::new(Condvar::new());
     sim.worker_cvs.push(cv.clone());
-    sim.worker_assigned.push(None);
     sim.frame_workers += 1;
     let shared2 = Arc::clone(shared);
     let handle = std::thread::Builder::new()
@@ -1469,7 +1622,7 @@ pub(crate) fn spawn_frame_worker(
         .stack_size(shared.config.worker_stack_bytes)
         .spawn(move || frame_worker_main(shared2, idx, cv))
         .expect("failed to spawn frame worker thread");
-    handles.push(handle);
+    sim.worker_handles.push(handle);
 }
 
 /// How one claimed execution tile ended.
@@ -1578,7 +1731,7 @@ fn run_exec_tile(
                     }
                 }
                 Token::Act(a) if a == aid => {
-                    // Exclusive completion, exactly like `worker_main`.
+                    // Exclusive completion, exactly like `run_inline`.
                     match result {
                         Ok(()) => finish_activity(&mut sim, shared, aid),
                         Err(payload) => {

@@ -70,15 +70,18 @@
 //!
 //! ## Why this is faster
 //!
-//! A sequential grant costs two condvar handoffs (scheduler → worker,
-//! worker → scheduler). An epoch of `B` confined grants costs one frame
-//! launch (one atomic store + one `notify_all`, and none at all for
-//! workers inside their spin budget) plus one coordinator wakeup —
-//! handoff cost amortizes over the whole batch — and confined annotations
-//! inside the frozen drift headroom skip the simulation lock entirely;
-//! with the lane outbox, so do confined sends. Grants that do need the
-//! serial phase (failed checks, compound `Ops`) cost the same handoffs as
-//! a sequential grant, no more. On multi-CPU hosts phase A overlaps the
+//! A sequential grant costs at most one condvar handoff, and none when the
+//! activity runs to completion or is resumed by its own nested driver (see
+//! the `engine` module docs), so the epoch machinery no longer wins on
+//! handoffs saved: an epoch of `B` confined grants costs one frame launch
+//! (one atomic store + one `notify_all`, and none at all for workers
+//! inside their spin budget) plus one coordinator wakeup, and every grant
+//! that needs the serial phase (failed checks, compound `Ops`) costs two
+//! handoffs — coordinator → worker → coordinator — where the sequential
+//! engine pays one. What an epoch buys is overlap and lock avoidance:
+//! confined annotations inside the frozen drift headroom skip the
+//! simulation lock entirely; with the lane outbox, so do confined sends.
+//! On multi-CPU hosts phase A overlaps the
 //! native task bodies, and the destination-sharded replay overlaps the
 //! inbox/publish writes that used to serialize phase B.
 
@@ -247,7 +250,6 @@ fn try_shard_publishes(
 pub(crate) fn run_scheduler<'a>(
     shared: &'a Arc<Shared>,
     mut sim: MutexGuard<'a, Sim>,
-    handles: &mut Vec<std::thread::JoinHandle<()>>,
     picks: &mut PickLoop,
 ) -> MutexGuard<'a, Sim> {
     let n_tiles = shared.partition.as_ref().map_or(1, |p| p.n_tiles());
@@ -271,7 +273,8 @@ pub(crate) fn run_scheduler<'a>(
     'run: loop {
         // ------------------------------------------------------ collect
         // Stashed and deferred cores stay out of the ready queue until the
-        // epoch's serial phase re-pushes them (the grant returns `false`):
+        // epoch's serial phase re-pushes them (`dispatch` never requeues a
+        // granted core):
         // re-queuing a core whose activity is already claimed would either
         // re-defer it forever or reorder its messages around the pending
         // grant. A deferral implies a non-empty batch, so `Drained` always
@@ -283,7 +286,6 @@ pub(crate) fn run_scheduler<'a>(
                     if !try_stash(sim, &mut batch, &mut tile_solo, &mut tile_fresh, t, aid) {
                         deferred.push(c);
                     }
-                    false
                 }),
                 Picked::Drained => break, // launch what we have
                 Picked::Stop => break 'run,
@@ -333,7 +335,7 @@ pub(crate) fn run_scheduler<'a>(
         // other tile's claimant parks mid-frame (parking pins the thread
         // for the activity's lifetime, taking it out of the claim pool).
         while sim.frame_workers - sim.pinned_workers < claimable.len() {
-            spawn_frame_worker(&mut sim, shared, handles);
+            spawn_frame_worker(&mut sim, shared);
         }
         sim.token = Token::Epoch;
         let ta = Instant::now();
@@ -497,7 +499,7 @@ pub(crate) fn run_scheduler<'a>(
             unsafe { fs.set_replay_ptrs(ptrs) };
             if replay_tiles.len() >= 2 && replay_work >= REPLAY_FRAME_MIN_WORK {
                 if sim.frame_workers == sim.pinned_workers {
-                    spawn_frame_worker(&mut sim, shared, handles);
+                    spawn_frame_worker(&mut sim, shared);
                 }
                 sim.stats.sharded_replays += 1;
                 fs.launch(replay_tiles.len(), &replay_tiles, FrameKind::Replay);

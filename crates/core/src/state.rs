@@ -181,7 +181,11 @@ impl Cores {
             birth_min: vec![VirtualTime::MAX; n],
             birth_slots: Vec::new(),
             birth_free: Vec::new(),
-            predictors: (0..n).map(|_| None).collect(),
+            // `vec!` of an all-zero element is one zeroed allocation whose
+            // pages stay untouched until a predictor materializes (8 MB at
+            // a million cores); a `collect` of `None`s is only that when
+            // the optimizer happens to fold its fill loop.
+            predictors: vec![None; n],
             pred_accuracy,
             pred_depth,
             pred_seed,

@@ -70,6 +70,18 @@ pub struct SimStats {
     pub activities_started: u64,
     /// Number of simulated context switches (token handoffs to activities).
     pub activity_resumes: u64,
+    /// Sequential engine: grants delivered by waking a *different* host
+    /// thread — one condvar signal and one host context switch each. A
+    /// grant the driving thread takes itself (a never-started activity run
+    /// inline, a suspended activity resumed by its own nested driver) is
+    /// not one. Deterministic: a function of the pick sequence alone. Zero
+    /// under the epoch coordinator, whose re-grants are not counted here.
+    pub host_handoffs: u64,
+    /// Sequential engine: pool threads ever spawned (driver 0 plus one per
+    /// never-started activity a nested driver found no free thread for).
+    /// Deterministic like [`Self::host_handoffs`]; zero under the epoch
+    /// coordinator.
+    pub host_threads: u64,
     /// Times a core stalled due to the synchronization policy.
     pub stall_events: u64,
     /// Messages processed after their virtual arrival time had already
@@ -116,6 +128,10 @@ pub struct SimStats {
     /// Profile: nanoseconds executing the picked action (message
     /// processing, activity grants and task code, idle hooks, requeue).
     pub prof_action_ns: u64,
+    /// Profile: the part of [`Self::prof_action_ns`] spent between a
+    /// hand-off's condvar signal and the target thread waking with the
+    /// lock (sequential engine; zero when no grant changes host thread).
+    pub prof_handoff_ns: u64,
     /// Largest observed instantaneous neighbor drift (ticks), for checking
     /// the spatial-synchronization bound.
     pub max_neighbor_drift: VDuration,

@@ -182,6 +182,17 @@ fn conservative_policy_interleaves_exactly() {
     );
     assert_eq!(stats.final_vtime, VirtualTime::from_cycles(500));
     assert!(stats.stall_events > 0);
+    // Two suspending activities need two host threads, and every grant
+    // costs at most one switch between them (a dedicated scheduler thread
+    // would cost two).
+    assert_eq!(stats.host_threads, 2);
+    assert!(stats.host_handoffs > 0);
+    assert!(
+        stats.host_handoffs <= stats.activity_resumes,
+        "{} hand-offs for {} grants",
+        stats.host_handoffs,
+        stats.activity_resumes
+    );
 }
 
 #[test]
@@ -354,6 +365,56 @@ fn block_and_wake_across_cores() {
     let resumed = VirtualTime(resumed_at.load(Ordering::SeqCst));
     assert_eq!(resumed, VirtualTime::from_cycles(517));
     assert_eq!(stats.final_vtime, VirtualTime::from_cycles(517));
+    assert!(
+        stats.host_handoffs <= stats.activity_resumes,
+        "{} hand-offs for {} grants",
+        stats.host_handoffs,
+        stats.activity_resumes
+    );
+}
+
+#[test]
+fn stall_cleared_by_a_message_resumes_on_the_same_thread() {
+    // Core 0 records a birth, mails its discard order to core 1 and runs
+    // past birth + T: it stalls with nobody else to run. Its own nested
+    // driver processes the message (the handler discards the birth, which
+    // rechecks the stall) and then picks core 0 again — the activity
+    // continues on the thread it never left.
+    struct LandHooks;
+    impl RuntimeHooks for LandHooks {
+        fn on_message(&self, ops: &mut Ops<'_>, mut env: Envelope) {
+            let (core, id) = env.payload.take::<(CoreId, simany_core::BirthId)>();
+            ops.discard_birth(core, id);
+        }
+        fn on_idle(&self, _: &mut Ops<'_>, _: CoreId) {}
+        fn on_activity_end(&self, _: &mut Ops<'_>, _: CoreId, _: Box<dyn std::any::Any + Send>) {}
+    }
+    let stats = simulate(
+        pair(),
+        EngineConfig::default().with_drift_cycles(100),
+        Arc::new(LandHooks),
+        |ops| {
+            ops.start_activity(
+                CoreId(0),
+                "parent",
+                Box::new(()),
+                Box::new(|ctx: &mut ExecCtx| {
+                    ctx.advance_cycles(10);
+                    let born = ctx.now();
+                    let id = ctx.with_ops(|ops| ops.record_birth(CoreId(0), born));
+                    ctx.send(CoreId(1), 8, Payload::new((CoreId(0), id)));
+                    ctx.advance_cycles(500);
+                }),
+            );
+        },
+    )
+    .unwrap();
+    assert_eq!(stats.final_vtime, VirtualTime::from_cycles(510));
+    assert_eq!(stats.stall_events, 1);
+    assert_eq!(stats.net.messages, 1);
+    // First grant plus the resume after the stall: neither changed thread.
+    assert_eq!(stats.activity_resumes, 2);
+    assert_eq!((stats.host_handoffs, stats.host_threads), (0, 1));
 }
 
 #[test]
@@ -383,23 +444,76 @@ fn deadlock_is_detected_and_reported() {
 }
 
 #[test]
-fn task_panic_is_reported() {
+fn deadlock_under_a_nested_driver_tears_down() {
+    // "first" runs inline on driver 0 and blocks; its nested driver finds
+    // "second" never started and hands it to a second thread, then parks.
+    // "second" blocks too, and *its* nested driver is the one that finds
+    // the machine stuck. `simulate` must come back with both host stacks
+    // unwound: one parked in `wait_for_grant`, one under the driver that
+    // ended the run.
     let err = simulate(
-        Topology::new(1),
+        pair(),
+        EngineConfig::default(),
+        Arc::new(TestHooks),
+        |ops| {
+            for (core, name) in [(0, "first"), (1, "second")] {
+                ops.start_activity(
+                    CoreId(core),
+                    name,
+                    Box::new(()),
+                    Box::new(|ctx: &mut ExecCtx| {
+                        let _ = ctx.block("never-woken");
+                    }),
+                );
+            }
+        },
+    )
+    .unwrap_err();
+    let simany_core::SimError::Deadlock(report) = err else {
+        panic!("expected a deadlock, got: {err}");
+    };
+    for name in ["first", "second"] {
+        assert!(
+            report.contains(&format!("({name}) on never-woken")),
+            "{name} should have started and blocked: {report}"
+        );
+    }
+}
+
+#[test]
+fn task_panic_is_reported() {
+    // The body runs inline on the driving thread; the panic must still be
+    // caught there and attributed to the task, not to the driver.
+    let err = simulate(
+        pair(),
         EngineConfig::default(),
         Arc::new(TestHooks),
         |ops| {
             ops.start_activity(
-                CoreId(0),
+                CoreId(1),
                 "boom",
                 Box::new(()),
-                Box::new(|_ctx: &mut ExecCtx| panic!("kaboom-12345")),
+                Box::new(|ctx: &mut ExecCtx| {
+                    ctx.advance_cycles(7);
+                    panic!("kaboom-12345")
+                }),
             );
         },
     )
     .unwrap_err();
-    let msg = format!("{err}");
-    assert!(msg.contains("kaboom-12345"), "unexpected error: {msg}");
+    match err {
+        simany_core::SimError::TaskPanic {
+            core,
+            at,
+            name,
+            message,
+        } => {
+            assert_eq!((core, name), (CoreId(1), "boom"));
+            assert_eq!(at, VirtualTime::from_cycles(7));
+            assert!(message.contains("kaboom-12345"), "{message}");
+        }
+        other => panic!("expected a task panic, got: {other}"),
+    }
 }
 
 #[test]
@@ -546,6 +660,9 @@ fn queue_hint_drives_on_idle() {
     assert_eq!(stats.activities_started, 5);
     // Tasks ran sequentially on the single core.
     assert_eq!(stats.final_vtime, VirtualTime::from_cycles(50));
+    // Run-to-completion tasks are called inline by the one driving thread.
+    assert_eq!(stats.activity_resumes, 5);
+    assert_eq!((stats.host_handoffs, stats.host_threads), (0, 1));
 }
 
 #[test]

@@ -60,6 +60,49 @@ fn watchdog_catches_livelock_as_typed_error() {
     }
 }
 
+/// The watchdog can fire inside a *nested* driver: "a" runs inline on
+/// driver 0 and blocks, its nested driver hands never-started "b" to a
+/// second thread and parks, "b" blocks, and b's nested driver spins on the
+/// self-pinging core until the budget runs out. `simulate` must return the
+/// typed error with both stacks unwound — one parked in `wait_for_grant`,
+/// one under the driver that ended the run — never hang.
+#[test]
+fn watchdog_fires_under_a_nested_driver() {
+    use simany_core::ExecCtx;
+    let config = EngineConfig::default().with_watchdog_picks(Some(2_000));
+    let err = simulate(mesh_2d(4), config, Arc::new(PingSelfForever), |ops| {
+        // Equal-time picks go in core order, so the two blockers start
+        // before the pinging core (the highest id) monopolises the queue.
+        for (core, name) in [(0, "a"), (1, "b")] {
+            ops.start_activity(
+                CoreId(core),
+                name,
+                Box::new(()),
+                Box::new(|ctx: &mut ExecCtx| {
+                    let _ = ctx.block("forever");
+                }),
+            );
+        }
+        let _ = ops.send_at(
+            CoreId(3),
+            CoreId(3),
+            0,
+            simany_core::VirtualTime::ZERO,
+            Payload::none(),
+        );
+    })
+    .expect_err("livelocked run must not complete");
+    let SimError::Stalled { report, .. } = err else {
+        panic!("expected Stalled, got: {err}");
+    };
+    for name in ["a", "b"] {
+        assert!(
+            report.contains(&format!("({name}) on forever")),
+            "{name} should have started and blocked: {report}"
+        );
+    }
+}
+
 #[test]
 fn watchdog_message_is_actionable() {
     let err = livelocked_run(EngineConfig::default().with_watchdog_picks(Some(5_000)))

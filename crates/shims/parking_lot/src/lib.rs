@@ -7,7 +7,9 @@
 //! * no lock poisoning — a panic while holding the lock (the engine's
 //!   `ShutdownSignal` unwind path) must not wedge every later `lock()`;
 //! * `Condvar::wait` takes `&mut MutexGuard` instead of consuming the
-//!   guard.
+//!   guard;
+//! * `MutexGuard::unlocked` releases the lock around a closure and takes it
+//!   back afterwards, also when the closure unwinds.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
@@ -19,6 +21,7 @@ pub struct Mutex<T: ?Sized> {
 
 /// RAII guard returned by [`Mutex::lock`].
 pub struct MutexGuard<'a, T: ?Sized> {
+    mutex: &'a Mutex<T>,
     inner: std::sync::MutexGuard<'a, T>,
 }
 
@@ -43,8 +46,13 @@ impl<T: ?Sized> Mutex<T> {
     /// `std::sync::Mutex`, a panic in a previous holder is ignored.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
-            inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
+            mutex: self,
+            inner: self.lock_std(),
         }
+    }
+
+    fn lock_std(&self) -> std::sync::MutexGuard<'_, T> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Mutable access without locking (requires exclusive ownership).
@@ -62,6 +70,35 @@ impl<T: Default> Default for Mutex<T> {
 impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for Mutex<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.inner.fmt(f)
+    }
+}
+
+impl<'a, T: ?Sized> MutexGuard<'a, T> {
+    /// Temporarily unlock the mutex to execute `f`, then lock it again
+    /// before returning. The lock is also re-taken if `f` unwinds, so the
+    /// guard stays valid for whoever catches the panic.
+    pub fn unlocked<F, U>(s: &mut Self, f: F) -> U
+    where
+        F: FnOnce() -> U,
+    {
+        struct Relock<'g, 'a, T: ?Sized>(&'g mut MutexGuard<'a, T>);
+        impl<T: ?Sized> Drop for Relock<'_, '_, T> {
+            fn drop(&mut self) {
+                // SAFETY: `inner` was moved out and dropped below, so the
+                // slot holds no live guard; writing the re-acquired one
+                // without dropping the stale bits is exactly right.
+                // `lock_std` cannot panic (poisoning is mapped away), so
+                // the slot is always refilled before `s` is usable again.
+                unsafe { std::ptr::write(&mut self.0.inner, self.0.mutex.lock_std()) }
+            }
+        }
+        // SAFETY: the std guard is moved out of its slot and dropped (which
+        // unlocks); `Relock` — armed before `f` can run — refills the slot
+        // on both the return and the unwind path, and the exclusive borrow
+        // of `s` keeps anyone from observing it in between.
+        unsafe { drop(std::ptr::read(&s.inner)) };
+        let _relock = Relock(s);
+        f()
     }
 }
 
@@ -150,6 +187,39 @@ mod tests {
         .join();
         *m.lock() = 7; // must not panic
         assert_eq!(*m.lock(), 7);
+    }
+
+    #[test]
+    fn unlocked_releases_and_relocks() {
+        let m = Arc::new(Mutex::new(0u32));
+        let mut g = m.lock();
+        let m2 = Arc::clone(&m);
+        // The other thread can only take the lock while `g` is unlocked.
+        let r = MutexGuard::unlocked(&mut g, move || {
+            std::thread::spawn(move || {
+                *m2.lock() += 1;
+            })
+            .join()
+            .unwrap();
+            7
+        });
+        assert_eq!((r, *g), (7, 1));
+        assert!(m.inner.try_lock().is_err(), "locked again on return");
+    }
+
+    #[test]
+    fn unlocked_relocks_when_the_closure_unwinds() {
+        let m = Mutex::new(1u32);
+        let mut g = m.lock();
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            MutexGuard::unlocked(&mut g, || panic!("inside unlocked"))
+        }));
+        assert!(r.is_err());
+        // The guard is valid and holds the lock: use it, drop it, re-lock.
+        assert!(m.inner.try_lock().is_err(), "locked again after the unwind");
+        *g += 1;
+        drop(g);
+        assert_eq!(*m.lock(), 2);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub struct RoutingTable {
 }
 
 impl RoutingTable {
-    /// Build the table with one Dijkstra pass per destination, following
+    /// Build the table with one shortest-route pass per destination, following
     /// reverse links (link latencies are symmetric per construction in the
     /// builders; for asymmetric topologies the route is minimal w.r.t. the
     /// forward direction because we relax over incoming links).
@@ -41,8 +41,9 @@ impl RoutingTable {
         for (i, l) in topo.links().iter().enumerate() {
             rev[l.dst.index()].push((l.src, LinkId(i as u32)));
         }
+        let uniform = uniform_latency(topo);
         for dst in topo.cores() {
-            let (nh, d, h) = dijkstra_to(topo, &rev, dst);
+            let (nh, d, h) = routes_to(topo, &rev, dst, uniform);
             next_hop.push(nh);
             dist.push(d);
             hops.push(h);
@@ -78,8 +79,9 @@ impl RoutingTable {
             }
         }
         let mut partitioned = false;
+        let uniform = uniform_latency(topo);
         for dst in topo.cores() {
-            let (nh, d, h) = dijkstra_to(topo, &rev, dst);
+            let (nh, d, h) = routes_to(topo, &rev, dst, uniform);
             partitioned |= d.contains(&u64::MAX);
             next_hop.push(nh);
             dist.push(d);
@@ -162,7 +164,7 @@ impl RoutingTable {
 /// per ordered pair) stops being viable — a 4096-core machine would already
 /// need ~270 MB — and routing switches to [`LazyRoutes`], which computes
 /// per-destination rows on demand. Both modes answer every query
-/// identically (same Dijkstra, same tie-breaking), so the threshold cannot
+/// identically (same sweep, same tie-breaking), so the threshold cannot
 /// affect simulation results.
 pub const DENSE_ROUTING_MAX: u32 = 2048;
 
@@ -182,7 +184,7 @@ struct RouteRow {
 
 /// On-demand routing for topologies too large for the dense all-pairs
 /// table: per-destination rows are computed with the *same* reverse-links
-/// Dijkstra (and the same deterministic tie-breaking) as
+/// sweep (and the same deterministic tie-breaking) as
 /// [`RoutingTable::build`], then kept in a small MRU cache. Query results
 /// are bit-identical to the dense table's.
 #[derive(Debug)]
@@ -191,6 +193,8 @@ pub struct LazyRoutes {
     /// Reverse adjacency: incoming `(pred, link)` pairs per core, shared by
     /// every row computation.
     rev: Vec<Vec<(CoreId, LinkId)>>,
+    /// [`uniform_latency`] of the topology, computed once.
+    uniform: Option<u64>,
     cache: std::sync::Mutex<RowCache>,
 }
 
@@ -203,7 +207,7 @@ struct RowCache {
 
 impl LazyRoutes {
     /// Prepare lazy routing for `topo` (builds only the reverse adjacency;
-    /// no Dijkstra runs until a route is first queried).
+    /// no row is computed until a route is first queried).
     pub fn new(topo: &Topology) -> Self {
         assert!(topo.is_connected(), "cannot route a disconnected topology");
         let n = topo.n_cores();
@@ -214,6 +218,7 @@ impl LazyRoutes {
         LazyRoutes {
             n,
             rev,
+            uniform: uniform_latency(topo),
             cache: std::sync::Mutex::new(RowCache::default()),
         }
     }
@@ -223,7 +228,7 @@ impl LazyRoutes {
         if let Some(row) = cache.rows.get(&dst.0) {
             return std::sync::Arc::clone(row);
         }
-        let (next, dist, hops) = dijkstra_to(topo, &self.rev, dst);
+        let (next, dist, hops) = routes_to(topo, &self.rev, dst, self.uniform);
         let row = std::sync::Arc::new(RouteRow { next, dist, hops });
         if cache.order.len() >= ROW_CACHE_CAP {
             if let Some(evict) = cache.order.pop_front() {
@@ -346,9 +351,71 @@ impl<'a> RoutesView<'a> {
     }
 }
 
-/// Dijkstra from every core *to* `dst` over incoming links. Returns, per
-/// source core: the outgoing link toward `dst`, the distance in ticks, and
-/// the hop count. Ties broken by (hops, next-hop link id) for determinism.
+/// The latency (in ticks) every link of `topo` has, if they all have the
+/// same one — the uniform meshes, tori and rings; `None` for clustered or
+/// chiplet machines, and for a topology without links.
+fn uniform_latency(topo: &Topology) -> Option<u64> {
+    let (first, rest) = topo.links().split_first()?;
+    let w = first.latency.ticks();
+    rest.iter().all(|l| l.latency.ticks() == w).then_some(w)
+}
+
+/// Routes from every core *to* `dst` over the incoming links in `rev`.
+/// Returns, per source core: the outgoing link toward `dst`, the distance
+/// in ticks, and the hop count. Ties broken by (hops, next-hop link id) for
+/// determinism. `uniform` is [`uniform_latency`] of `topo`: with one
+/// latency everywhere distance is hops times it, and a breadth-first sweep
+/// gives the table Dijkstra would, without a heap.
+fn routes_to(
+    topo: &Topology,
+    rev: &[Vec<(CoreId, LinkId)>],
+    dst: CoreId,
+    uniform: Option<u64>,
+) -> (Vec<u32>, Vec<u64>, Vec<u32>) {
+    match uniform {
+        Some(w) => bfs_to(topo.n_cores() as usize, rev, dst, w),
+        None => dijkstra_to(topo, rev, dst),
+    }
+}
+
+/// [`routes_to`] when every link has latency `w` ticks. A core first
+/// reached from level `h` is at `h + 1` hops; among its links into level
+/// `h` — all seen before level `h + 1` is expanded — the lowest id wins,
+/// which is exactly Dijkstra's (distance, hops, link id) order.
+fn bfs_to(
+    n: usize,
+    rev: &[Vec<(CoreId, LinkId)>],
+    dst: CoreId,
+    w: u64,
+) -> (Vec<u32>, Vec<u64>, Vec<u32>) {
+    let mut dist = vec![u64::MAX; n];
+    let mut hops = vec![u32::MAX; n];
+    let mut next = vec![u32::MAX; n];
+    dist[dst.index()] = 0;
+    hops[dst.index()] = 0;
+    let mut queue = Vec::with_capacity(n);
+    queue.push(dst);
+    let mut head = 0;
+    while let Some(&c) = queue.get(head) {
+        head += 1;
+        let nh = hops[c.index()] + 1;
+        for &(pred, link) in &rev[c.index()] {
+            let p = pred.index();
+            if hops[p] == u32::MAX {
+                hops[p] = nh;
+                dist[p] = u64::from(nh) * w;
+                next[p] = link.0;
+                queue.push(pred);
+            } else if hops[p] == nh && link.0 < next[p] {
+                next[p] = link.0;
+            }
+        }
+    }
+    (next, dist, hops)
+}
+
+/// [`routes_to`] for arbitrary link latencies: Dijkstra over
+/// (distance, hops), settling ties on the lowest next-hop link id.
 fn dijkstra_to(
     topo: &Topology,
     rev: &[Vec<(CoreId, LinkId)>],
@@ -393,6 +460,59 @@ fn dijkstra_to(
 mod tests {
     use super::*;
     use crate::builders::{clustered_mesh, mesh_2d, ring, ClusterParams};
+
+    /// The breadth-first sweep must be Dijkstra's table entry for entry:
+    /// next-hop links (the tie-break), distances and hop counts, with and
+    /// without dead links (a residual graph may be disconnected).
+    #[test]
+    fn uniform_latency_sweep_matches_dijkstra() {
+        use crate::builders::{mesh_3d, torus_2d};
+        for topo in [
+            mesh_2d(1),
+            mesh_2d(2),
+            mesh_2d(12),
+            mesh_2d(64),
+            ring(7),
+            mesh_3d(27),
+            torus_2d(16),
+        ] {
+            let w = uniform_latency(&topo);
+            assert_eq!(w.is_some(), topo.n_links() > 0, "builders use one latency");
+            let n_links = topo.n_links() as usize;
+            // No dead links; every third link dead; a cut isolating core 0.
+            let cut: Vec<bool> = topo
+                .links()
+                .iter()
+                .map(|l| l.src.0 == 0 || l.dst.0 == 0)
+                .collect();
+            let masks = [
+                vec![false; n_links],
+                (0..n_links).map(|i| i % 3 == 0).collect(),
+                cut,
+            ];
+            for dead in masks {
+                let mut rev: Vec<Vec<(CoreId, LinkId)>> = vec![Vec::new(); topo.n_cores() as usize];
+                for (i, l) in topo.links().iter().enumerate() {
+                    if !dead[i] {
+                        rev[l.dst.index()].push((l.src, LinkId(i as u32)));
+                    }
+                }
+                for dst in topo.cores() {
+                    assert_eq!(
+                        routes_to(&topo, &rev, dst, w),
+                        dijkstra_to(&topo, &rev, dst),
+                        "{} cores, to {dst}",
+                        topo.n_cores()
+                    );
+                }
+            }
+        }
+        // Two latencies: not uniform, Dijkstra it is.
+        assert_eq!(
+            uniform_latency(&clustered_mesh(16, ClusterParams::paper(4))),
+            None
+        );
+    }
 
     #[test]
     fn mesh_routes_are_minimal() {

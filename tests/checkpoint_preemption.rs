@@ -135,6 +135,94 @@ fn single_checkpoint_budget_still_makes_progress() {
     assert_eq!(base, resumed);
 }
 
+/// Preemption must tear down every kind of suspended host stack the
+/// sequential engine can produce, and the run must still resume verified.
+///
+/// "a" runs inline on driver 0 and blocks; its nested driver hands
+/// never-started "b" to a second thread and parks; "b" blocks, and its
+/// nested driver hands "c" to a third. "c" computes across the first
+/// checkpoint boundary, mails itself a wake order and blocks — so the
+/// driver that observes the boundary, writes the checkpoint and records the
+/// preemption is nested under c's closure, with "a" and "b" parked on pool
+/// threads in `wait_for_grant`. `simulate` must return `Preempted` (exit
+/// 15), not hang; a fresh engine resuming from the file then verifies at
+/// the watermark, lets "c" wake the other two and ends exactly like a run
+/// that was never interrupted.
+#[test]
+fn preemption_under_a_nested_driver_tears_down_and_resumes_verified() {
+    use simany::core::{
+        simulate, ActivityId, CoreId, EngineConfig, Envelope, ExecCtx, Ops, Payload, RuntimeHooks,
+    };
+    use std::sync::Arc;
+
+    struct WakeHooks;
+    impl RuntimeHooks for WakeHooks {
+        fn on_message(&self, ops: &mut Ops<'_>, mut env: Envelope) {
+            let aid = env.payload.take::<ActivityId>();
+            let at = ops.now(env.dst);
+            ops.wake(aid, Box::new(()), at);
+        }
+        fn on_idle(&self, _: &mut Ops<'_>, _: CoreId) {}
+        fn on_activity_end(&self, _: &mut Ops<'_>, _: CoreId, _: Box<dyn std::any::Any + Send>) {}
+    }
+
+    let path = ckpt_path("nested");
+    let run = |config: EngineConfig| {
+        simulate(
+            simany::topology::mesh_2d(4),
+            config.with_checkpoint(VDuration::from_cycles(2_000), &path),
+            Arc::new(WakeHooks),
+            |ops| {
+                let sleeper = |ctx: &mut ExecCtx| {
+                    let _ = ctx.block("until-c-is-done");
+                    ctx.advance_cycles(100);
+                };
+                let a = ops.start_activity(CoreId(0), "a", Box::new(()), Box::new(sleeper));
+                let b = ops.start_activity(CoreId(1), "b", Box::new(()), Box::new(sleeper));
+                ops.start_activity(
+                    CoreId(2),
+                    "c",
+                    Box::new(()),
+                    Box::new(move |ctx: &mut ExecCtx| {
+                        ctx.advance_cycles(3_000);
+                        ctx.send(CoreId(2), 8, Payload::new(ctx.id()));
+                        let _ = ctx.block("own-wake-order");
+                        ctx.advance_cycles(3_000);
+                        ctx.send(CoreId(0), 8, Payload::new(a));
+                        ctx.send(CoreId(1), 8, Payload::new(b));
+                    }),
+                );
+            },
+        )
+    };
+
+    let base = run(EngineConfig::default()).expect("uninterrupted run failed");
+    // Three suspending activities, three host threads, at most one switch
+    // per grant.
+    assert_eq!(base.host_threads, 3);
+    assert!(base.host_handoffs <= base.activity_resumes);
+
+    let err = run(EngineConfig::default().with_preempt_after_checkpoints(Some(1)))
+        .expect_err("the first slice must be preempted");
+    assert_eq!(err.exit_code(), 15, "{err}");
+    let SimError::Preempted { at, checkpoints: 1 } = err else {
+        panic!("expected preemption after one checkpoint, got {err}");
+    };
+    assert_eq!(
+        at.cycles(),
+        3_000,
+        "c was suspended when the boundary was seen"
+    );
+
+    let resumed = run(EngineConfig::default().with_resume(&path)).expect("resume failed");
+    assert_eq!(resumed.checkpoint_verifications, 1, "checkpoint verified");
+    assert_eq!(Fingerprint::of(&base), Fingerprint::of(&resumed));
+    assert_eq!(
+        (base.host_handoffs, base.host_threads),
+        (resumed.host_handoffs, resumed.host_threads)
+    );
+}
+
 /// Preemption without checkpointing configured is a config error, caught
 /// before anything runs.
 #[test]
