@@ -2,7 +2,7 @@
 //! sequential pick loop vs the per-tile epoch collection loop of the
 //! parallel coordinator (PR 5). The workload is pure timing annotations —
 //! no messages, no spawn protocol — so the measured time is dominated by
-//! grant bookkeeping: ready-queue pops, sync checks, token handoffs and
+//! grant bookkeeping: ready-queue pops, sync checks, context switches and
 //! (for `threads > 1`) epoch collect/flush phases.
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -110,7 +110,8 @@ options:
                       sequential engine; deterministic per fixed N + seed)
   --json FILE         also write wall-clock + counters as JSON to FILE
   --profile-picks     time the pick loop's phases (floor / pop / overhead /
-                      action); observation-only, adds two clock reads per pick
+                      action) and sync::publish; observation-only, adds four
+                      or five clock reads per pick and two per publish
 
 checkpoint / resume (see crates/core/src/checkpoint.rs for the model):
   --checkpoint-every T  write a verification checkpoint every T virtual cycles
@@ -121,7 +122,8 @@ checkpoint / resume (see crates/core/src/checkpoint.rs for the model):
                         (external preemption; resume later with --resume)
 
 exit codes: 0 success, 2 usage, 10 stalled, 11 checkpoint mismatch,
-12 checkpoint error, 13 task panic, 14 deadlock, 15 preempted.
+12 checkpoint error, 13 task panic, 14 deadlock, 15 preempted,
+16 host resources (a task stack or worker thread the host refused).
 
 fault injection (sampled deterministically from --seed; all default off):
   --link-fail-prob F  probability each physical link pair fails
@@ -323,8 +325,9 @@ fn write_json(
         ),
         ("scheduler_picks", Json::U64(s.scheduler_picks)),
         ("activity_resumes", Json::U64(s.activity_resumes)),
-        ("host_handoffs", Json::U64(s.host_handoffs)),
-        ("host_threads", Json::U64(s.host_threads)),
+        ("ctx_switches", Json::U64(s.ctx_switches)),
+        ("peak_stacks", Json::U64(s.peak_stacks as u64)),
+        ("os_threads", Json::U64(s.os_threads)),
         ("sync_stalls", Json::U64(s.stall_events)),
         ("messages", Json::U64(s.net.messages)),
         ("bytes", Json::U64(s.net.bytes)),
@@ -333,6 +336,7 @@ fn write_json(
         ("fast_path_advances", Json::U64(s.fast_path_advances)),
         ("full_sync_checks", Json::U64(s.full_sync_checks)),
         ("publish_sweeps", Json::U64(s.publish_sweeps)),
+        ("shadow_evals", Json::U64(s.shadow_evals)),
         ("floor_recomputes", Json::U64(s.floor_recomputes)),
         ("floor_key_updates", Json::U64(s.floor_key_updates)),
         ("ready_stale_skipped", Json::U64(s.ready_stale_skipped)),
@@ -340,7 +344,7 @@ fn write_json(
         ("prof_pop_ns", Json::U64(s.prof_pop_ns)),
         ("prof_overhead_ns", Json::U64(s.prof_overhead_ns)),
         ("prof_action_ns", Json::U64(s.prof_action_ns)),
-        ("prof_handoff_ns", Json::U64(s.prof_handoff_ns)),
+        ("prof_publish_ns", Json::U64(s.prof_publish_ns)),
         ("msgs_dropped", Json::U64(s.msgs_dropped)),
         ("msg_retries", Json::U64(s.msg_retries)),
         ("reroutes", Json::U64(s.reroutes)),
@@ -520,13 +524,14 @@ fn main() {
     if s.prof_floor_ns + s.prof_pop_ns + s.prof_overhead_ns + s.prof_action_ns > 0 {
         println!(
             "pick-loop profile : floor {:.1}ms / pop {:.1}ms / overhead {:.1}ms / action {:.1}ms \
-             (of which {:.1}ms in {} host hand-offs)",
+             (of which {:.1}ms in publish: {} shadow evaluations over {} sweeps)",
             s.prof_floor_ns as f64 / 1e6,
             s.prof_pop_ns as f64 / 1e6,
             s.prof_overhead_ns as f64 / 1e6,
             s.prof_action_ns as f64 / 1e6,
-            s.prof_handoff_ns as f64 / 1e6,
-            s.host_handoffs
+            s.prof_publish_ns as f64 / 1e6,
+            s.shadow_evals,
+            s.publish_sweeps
         );
     }
     if args.threads > 1 {

@@ -1,11 +1,10 @@
 //! Activities: the engine-level representation of running tasks.
 //!
 //! An *activity* is one task body: a closure executing natively between
-//! interaction points, called inline by whichever host thread is driving
-//! the pick loop when it is first granted (see the `engine` module docs).
-//! Only an activity that suspends mid-closure keeps a pooled OS thread —
-//! its stack — until the closure returns: the Rust stand-in for the paper's
-//! per-core userland contexts (§III, *Implementation Efficiency*). A core hosts at
+//! interaction points on a pooled userland context — a stack of its own,
+//! from first grant until the closure returns (see `crate::coro` and the
+//! `engine` module docs): the paper's per-core userland contexts (§III,
+//! *Implementation Efficiency*). A core hosts at
 //! most one *current* activity (the one that runs when the core is
 //! scheduled) plus any number of blocked or woken-but-waiting activities
 //! (e.g. tasks suspended in `join`, whose "execution context is saved until
@@ -38,8 +37,7 @@ pub type ActivityMeta = Box<dyn Any + Send>;
 #[derive(Debug)]
 pub enum ActivityState {
     /// Created; its closure has not started executing yet. It is its core's
-    /// current activity; the thread that runs its first grant becomes its
-    /// host.
+    /// current activity; its first grant gives it a stack.
     Pending,
     /// Holds the run token and is executing user code right now.
     Granted,
@@ -74,11 +72,13 @@ pub struct Activity {
     pub core: simany_topology::CoreId,
     /// Lifecycle state.
     pub state: ActivityState,
-    /// The not-yet-started closure (taken by its host at first grant).
+    /// The not-yet-started closure (taken at first grant).
     pub job: Option<TaskFn>,
-    /// Host thread slot (index into `Sim::worker_cvs`) whose stack carries
-    /// this activity's closure: where a grant must be delivered. `None`
-    /// until first grant (sequential engine) or first park (epoch member).
+    /// Whose stack carries this activity's running closure, i.e. where a
+    /// grant must be delivered: under the sequential engine the slot of its
+    /// context in the run's `coro::Pool`, from first grant; for an epoch
+    /// member the frame worker (index into `Sim::worker_cvs`) it pinned at
+    /// its first park. `None` before that.
     pub worker: Option<usize>,
     /// Value deposited by `wake`, consumed when the activity resumes.
     pub wake_value: Option<Box<dyn Any + Send>>,

@@ -85,12 +85,14 @@ pub struct EngineConfig {
     /// cycles). Charged when a woken (e.g. joining) activity regains its
     /// core.
     pub resume_cost: VDuration,
-    /// Stack size of every engine thread that can host a task body: the
-    /// sequential engine's pool (driver 0 included — `simulate`'s caller
-    /// never runs task code) and the frame workers. Task bodies are real
-    /// recursive Rust code, and a body that stalls or blocks runs the pick
-    /// loop and the runtime's message handlers nested on top of itself, so
-    /// this must accommodate the deepest kernel recursion plus one driver.
+    /// Size of every stack a task body can run on: the sequential engine's
+    /// pooled userland contexts (`mmap`ed, plus one guard page each;
+    /// resident only as deep as a body reaches) and the frame workers'
+    /// threads. Task bodies are real recursive Rust code, and the runtime's
+    /// message handlers run on top of a body at its annotation boundaries,
+    /// so this must accommodate the deepest kernel recursion plus one
+    /// handler. A size the host refuses to map ends the run with
+    /// [`crate::SimError::HostResources`].
     pub worker_stack_bytes: usize,
     /// Abort the simulation if total live activities ever exceeds this
     /// (guards against runaway task explosions in buggy programs).
@@ -106,11 +108,12 @@ pub struct EngineConfig {
     pub parallelism_sample_every: u64,
     /// Profile the pick loop (either engine — the front-end is shared):
     /// accumulate wall time per loop phase (floor maintenance, ready-queue
-    /// pops, scheduler overhead, action execution) into
-    /// [`crate::SimStats`]'s `prof_*_ns` fields.
-    /// Observation only — never affects the schedule — but it puts two
-    /// clock reads on every pick, so it is off by default and meant for
-    /// ranking per-event costs at scale, not for production runs.
+    /// pops, scheduler overhead, action execution) and inside
+    /// `sync::publish` into [`crate::SimStats`]'s `prof_*_ns` fields.
+    /// Observation only — never affects the schedule — but it puts four or
+    /// five clock reads on every pick and two on every publish, so it is
+    /// off by default and meant for ranking per-event costs at scale, not
+    /// for production runs.
     pub profile_picks: bool,
     /// Optional fault plan (link failures, message drops/delays/corruption,
     /// core failures). `None` — and an empty plan — are bit-identical to a

@@ -4,10 +4,13 @@
 //! interactions. Each `ExecCtx` method briefly acquires the simulation
 //! lock, performs the interaction (advance the clock, send a message,
 //! block...), applies the synchronization policy and returns — possibly
-//! after parking the calling worker thread while the core is stalled or
-//! blocked. All waiting happens here; runtime hooks never block.
+//! after giving the CPU away while the core is stalled or blocked: by a
+//! switch to the driver under the sequential engine, by parking the frame
+//! worker thread under the epoch coordinator. All waiting happens here;
+//! runtime hooks never block.
 
 use crate::activity::{ActivityId, ActivityState};
+use crate::coro::Context;
 use crate::engine::{is_ready, push_ready, Shared, ShutdownSignal, Sim, Token};
 use crate::ops::Ops;
 use crate::sync;
@@ -49,16 +52,23 @@ struct Confined {
     pending: Cell<u64>,
 }
 
+/// Whose stack a body runs on, which is how it gives the CPU away.
+enum Host {
+    /// Sequential engine: the pooled userland context `drive` started this
+    /// body on. The pointer is the `&Context` the body's closure received;
+    /// the context outlives the body (the pool frees it after the run).
+    Context(*const Context),
+    /// Epoch member: frame worker `slot`'s thread, parked on `cv`. An
+    /// epoch member that parks pins the slot.
+    FrameWorker { slot: usize, cv: Arc<Condvar> },
+}
+
 /// Per-activity execution context handed to task bodies.
 pub struct ExecCtx {
     shared: Arc<Shared>,
     aid: ActivityId,
     core: CoreId,
-    my_cv: Arc<Condvar>,
-    /// Frame-worker slot hosting this body (`None` on the sequential
-    /// engine's pool, which is how [`Self::suspend`] tells the two engines
-    /// apart). An epoch member that parks pins this slot.
-    worker: Option<usize>,
+    host: Host,
     /// Set at the first epoch park: this activity's native stack now pins
     /// its host thread until the closure returns, and its completion must
     /// go through the locked (token-routed) path.
@@ -67,19 +77,38 @@ pub struct ExecCtx {
 }
 
 impl ExecCtx {
-    pub(crate) fn new(
+    /// For the body `drive` is starting on `me`.
+    ///
+    /// # Safety
+    /// Must be called by the body running on `me`, which must keep the
+    /// result to itself (task code borrows it as `&mut`): [`Self::suspend`]
+    /// switches away from `me` on the strength of this.
+    pub(crate) unsafe fn on_context(
         shared: Arc<Shared>,
         aid: ActivityId,
         core: CoreId,
-        my_cv: Arc<Condvar>,
-        worker: Option<usize>,
+        me: &Context,
     ) -> Self {
+        Self::new(shared, aid, core, Host::Context(me))
+    }
+
+    /// For an epoch member running on frame worker `slot`'s thread.
+    pub(crate) fn on_frame_worker(
+        shared: Arc<Shared>,
+        aid: ActivityId,
+        core: CoreId,
+        slot: usize,
+        cv: Arc<Condvar>,
+    ) -> Self {
+        Self::new(shared, aid, core, Host::FrameWorker { slot, cv })
+    }
+
+    fn new(shared: Arc<Shared>, aid: ActivityId, core: CoreId, host: Host) -> Self {
         ExecCtx {
             shared,
             aid,
             core,
-            my_cv,
-            worker,
+            host,
             pinned: Cell::new(false),
             confined: Confined {
                 active: Cell::new(false),
@@ -536,24 +565,33 @@ impl ExecCtx {
     /// Give up the run token at a stall or a block (the activity's state
     /// already says which) and return once it has been granted again.
     ///
-    /// Sequentially the grant ends here and this thread takes the scheduler
-    /// role itself, nested on the closure's stack: if the next grant is
-    /// this very activity no host thread switches at all, otherwise the
-    /// driver has passed the token on and this thread parks. Under the
-    /// epoch coordinator the token goes back to the coordinator thread.
+    /// Sequentially this is a switch to the driver with the lock released
+    /// (the driver re-locks, ends the grant and picks on; see the `engine`
+    /// module docs) and the next grant switches back here. Under the epoch
+    /// coordinator the token goes back to the coordinator thread and this
+    /// one parks.
     fn suspend(&self, sim: &mut MutexGuard<'_, Sim>) {
         debug_assert_eq!(sim.token, Token::Act(self.aid));
-        if self.worker.is_some() {
-            sim.token = Token::Scheduler;
-            self.shared.sched_cv.notify_one();
-        } else {
-            crate::engine::end_grant(sim, self.core);
-            let host = crate::engine::Host::Suspended(self.aid);
-            if crate::engine::drive(&self.shared, sim, host).is_some() {
-                return;
+        match &self.host {
+            Host::Context(me) => {
+                // SAFETY: `on_context`'s contract — an `ExecCtx` with this
+                // host is made by, and stays with, the body running on
+                // `me` — so the caller is that body, and `me` is alive
+                // (see `Host::Context`).
+                MutexGuard::unlocked(sim, || unsafe { (**me).suspend() });
+                if sim.shutdown {
+                    // Teardown resumed this body to unwind it: through user
+                    // code, up to the context's trampoline.
+                    std::panic::panic_any(ShutdownSignal);
+                }
+                debug_assert_eq!(sim.token, Token::Act(self.aid));
+            }
+            Host::FrameWorker { cv, .. } => {
+                sim.token = Token::Scheduler;
+                self.shared.sched_cv.notify_one();
+                self.wait_for_grant(sim, cv);
             }
         }
-        self.wait_for_grant(sim);
     }
 
     /// If this activity is running confined inside an epoch, park it with
@@ -580,9 +618,11 @@ impl ExecCtx {
         // The first park pins this activity to its host thread: its native
         // stack lives there until the closure returns, so later grants
         // re-enter through the thread's condvar slot.
+        let Host::FrameWorker { slot, cv } = &self.host else {
+            unreachable!("epoch member without a frame worker");
+        };
         if sim.act(self.aid).worker.is_none() {
-            let w = self.worker.expect("epoch member without a frame worker");
-            sim.act_mut(self.aid).worker = Some(w);
+            sim.act_mut(self.aid).worker = Some(*slot);
             sim.pinned_workers += 1;
             self.pinned.set(true);
         }
@@ -600,13 +640,14 @@ impl ExecCtx {
         // before `wait_for_grant` releases the simulation lock below — the
         // re-grant itself happens under it.
         fs.retire(1 + stranded);
-        self.wait_for_grant(sim);
+        self.wait_for_grant(sim, cv);
     }
 
-    /// Park until the scheduler grants the token back to this activity —
+    /// Epoch members only: park this frame worker's thread on its condvar
+    /// until the coordinator grants the token back to this activity —
     /// exclusively (`Token::Act`), or as part of an epoch batch
     /// (`Token::Epoch` with this activity flipped to `Granted`).
-    fn wait_for_grant(&self, sim: &mut MutexGuard<'_, Sim>) {
+    fn wait_for_grant(&self, sim: &mut MutexGuard<'_, Sim>, cv: &Condvar) {
         loop {
             if sim.shutdown {
                 // Unwind through user code; the worker loop recognizes the
@@ -619,10 +660,9 @@ impl ExecCtx {
                 Token::Scheduler => false,
             };
             if token_ok && matches!(sim.act(self.aid).state, ActivityState::Granted) {
-                crate::engine::note_handoff_wake(sim);
                 return;
             }
-            self.my_cv.wait(sim);
+            cv.wait(sim);
         }
     }
 }

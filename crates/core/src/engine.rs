@@ -1,53 +1,58 @@
-//! The simulation engine: shared state, the pick loop and the host threads
-//! that drive it and execute task code natively.
+//! The simulation engine: shared state, the pick loop, the flat driver
+//! that runs it and the userland contexts task code executes on.
 //!
 //! ## Run-token protocol
 //!
-//! Exactly one thread executes simulation work at any instant, mirroring
+//! Exactly one party executes simulation work at any instant, mirroring
 //! the paper's single-process, non-preemptive userland scheduling (§III).
 //! All simulator state lives in one mutex; a *run token* designates who may
-//! proceed — a driver running the pick loop, or exactly one activity.
+//! proceed — the driver running the pick loop, or exactly one activity.
 //!
 //! Between `ExecCtx` calls task code runs natively without holding the
 //! mutex — that is the "sequential pieces of code are executed natively for
-//! maximal speed" of the paper — but since no other simulation thread can
-//! hold the token concurrently, the simulation stays sequential and
-//! deterministic.
+//! maximal speed" of the paper — but since nobody else can hold the token
+//! concurrently, the simulation stays sequential and deterministic.
 //!
-//! ## The itinerant scheduler (`threads <= 1`)
+//! ## One flat driver, bodies on userland contexts (`threads <= 1`)
 //!
-//! The scheduler is a role, not a thread: whichever host thread holds the
-//! token and has nothing to run calls [`drive`], the loop over
-//! [`PickLoop::next`] and [`PickLoop::dispatch`]. What happens to a granted
-//! activity depends on who is driving and where the activity lives:
+//! The sequential engine is one host thread — the one that called
+//! [`simulate`] — running [`drive`]: `next → dispatch → resume(body)`, a
+//! loop with no nesting. Every task body runs on a pooled stack of its own
+//! ([`crate::coro`]): a first grant takes the activity's closure and
+//! *starts* it on the most recently freed context, a later grant *resumes*
+//! the context where the body left it. The body gives the token back by
+//! returning, or — mid-closure, at a stall or a block — by switching to the
+//! driver (`ExecCtx::suspend`). Either way `start`/`resume` returns in
+//! `drive`, which ends the grant: it accounts a finished or panicked body,
+//! re-evaluates the activity's core for the ready queue (what `dispatch`
+//! does itself after a message or an idle hook), closes the pick's action
+//! lap and picks again. A grant therefore costs two register swaps
+//! ([`SimStats::ctx_switches`]) and no system call; a run of tasks that
+//! never suspend reuses one stack ([`SimStats::peak_stacks`] = 1).
 //!
-//! * a *free* thread (top of [`worker_main`], no closure on its stack) that
-//!   picks a never-started activity takes its closure and calls it inline,
-//!   lock released, accounts its end and keeps driving — a task that runs
-//!   to completion costs no host context switch at all;
-//! * an activity that must give up the token inside its closure (a stall
-//!   or a block, see `ExecCtx::suspend`) drives *nested* on its own stack.
-//!   If the next grant is itself, `drive` simply returns. If it is an
-//!   activity suspended on another thread, that thread's condvar is
-//!   signalled once and this one parks in `wait_for_grant`. If it is a
-//!   never-started activity, the token goes to a pooled free thread
-//!   (spawned on demand): a thread hosting a suspended closure never runs
-//!   a second closure on top of it, so host stacks nest at most two deep —
-//!   a closure and one driver — and a suspended activity can always be
-//!   resumed by unwinding nothing but that driver.
+//! **Lock protocol around a switch.** Each side owns a guard of the
+//! simulation mutex on its own stack, and only the running side holds the
+//! lock: the driver wraps `start`/`resume` in `MutexGuard::unlocked`, the
+//! body wraps its switch back the same way, so every switch happens with
+//! the mutex free and each side re-locks when it continues. Task code in
+//! between takes the lock per `ExecCtx` call exactly as it does on a frame
+//! worker's thread — the two engines share that code.
 //!
-//! A hand-off is therefore one condvar signal per grant that changes host
-//! thread ([`SimStats::host_handoffs`]), and none otherwise. The order of
-//! picks, every `Ops` call and every counter are those of a dedicated
-//! scheduler thread — only *which host thread* executes them differs — so
-//! digests, golden timings and checkpoints do not depend on it.
+//! **Nothing unwinds across a switch.** A body runs under `catch_unwind`
+//! in the context's outermost frame, so a task panic comes back to `drive`
+//! as a value and is recorded as [`SimError::TaskPanic`]; a panic of the
+//! engine or a hook under the driver simply propagates up `simulate`'s own
+//! stack to its caller. When a run ends early (deadlock, watchdog,
+//! preemption, task panic) [`unwind_suspended`] resumes each suspended body
+//! once with `Sim::shutdown` set: it raises [`ShutdownSignal`] where it was
+//! parked, its locals drop on its own stack, and the trampoline hands the
+//! context back. Every stack is unmapped when the pool drops, before
+//! `simulate` returns.
 //!
-//! The grant ends where the activity yields: [`end_grant`] re-evaluates the
-//! activity's core for the ready queue (what `dispatch` does itself after
-//! a message or an idle hook) and closes the pick's action lap, then the
-//! yielding thread drives on. `simulate` spawns driver 0 — so task code
-//! always runs on a `worker_stack_bytes` stack — and waits on `sched_cv`
-//! for the driver that sees the run end.
+//! The order of picks, every `Ops` call and every counter a digest covers
+//! are those of a dedicated scheduler thread handing a token to per-task
+//! threads — only *where the registers live* differs — so digests, golden
+//! timings and checkpoints do not depend on the mechanism.
 //!
 //! ## One pick front-end, two grants
 //!
@@ -56,8 +61,8 @@
 //! count, watchdog, sanitizer cadence and parallelism sample, then message
 //! processing, idle hooks and the requeue — lives once, in [`PickLoop`],
 //! and is the order every digest, checkpoint and golden timing depends on.
-//! Its two callers differ only in what a *grant* is: [`drive`] hands the
-//! run token to the activity as described above;
+//! Its two callers differ only in what a *grant* is: [`drive`] switches to
+//! the activity's context as described above;
 //! [`crate::parallel::run_scheduler`] stashes the activity into the current
 //! epoch's batch (or defers it) and runs the batch when the front-end
 //! reports the ready queue drained.
@@ -78,11 +83,12 @@
 //! synchronization checks) is deposited into per-tile lanes and replayed
 //! in deterministic tile order once the batch quiesces — commuting
 //! per-core effects in a parallel replay frame, the rest on a serial
-//! tail. `threads <= 1` never enters any of these paths and is
-//! bit-identical to the sequential engine described above.
+//! tail. Epoch members run on the frame workers' own thread stacks and
+//! park on condvars; `threads <= 1` never enters any of these paths.
 
 use crate::activity::{Activity, ActivityId, ActivityMeta, ActivityState, TaskFn};
 use crate::config::{EngineConfig, SyncPolicy};
+use crate::coro::{Outcome, Pool};
 use crate::hooks::RuntimeHooks;
 use crate::ops::Ops;
 use crate::ready::ReadyQueue;
@@ -90,7 +96,7 @@ use crate::state::Cores;
 use crate::stats::SimStats;
 use crate::sync;
 use crate::trace::TraceEvent;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use simany_net::{Envelope, InboxPool, NetworkModel};
 use simany_time::{VirtualTime, Xoshiro256StarStar};
 use simany_topology::{CoreId, Topology};
@@ -102,13 +108,12 @@ use std::sync::Arc;
 /// Who currently holds the run token.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum Token {
-    /// Whoever is performing the scheduler role: under the sequential
-    /// engine the host thread inside [`drive`] (any pool thread, or an
-    /// activity's own thread driving nested), under the parallel engine
-    /// the epoch coordinator.
+    /// The scheduler: [`drive`] under the sequential engine, the epoch
+    /// coordinator under the parallel one.
     Scheduler,
     /// This activity, exclusively: its closure is executing, or is about
-    /// to on the thread the grant woke.
+    /// to — on the context the driver is switching to, or on the frame
+    /// worker thread the coordinator's re-grant woke.
     Act(ActivityId),
     /// Parallel mode: an epoch is in flight — every activity of the
     /// current batch (at most one per tile) holds a share of the token and
@@ -116,7 +121,8 @@ pub(crate) enum Token {
     Epoch,
 }
 
-/// Panic payload used to unwind parked activities at simulation teardown.
+/// Panic payload used to unwind suspended activities at simulation
+/// teardown.
 pub(crate) struct ShutdownSignal;
 
 /// Record a trace event if a tracer is installed.
@@ -129,9 +135,8 @@ pub(crate) fn trace(shared: &Shared, make: impl FnOnce() -> TraceEvent) {
 /// Immutable run-wide context shared by the scheduler and all workers.
 pub(crate) struct Shared {
     pub(crate) sim: Mutex<Sim>,
-    /// Wakes the caller of `simulate` when a driver sees the run end
-    /// (`Sim::finished`), and the epoch coordinator when an exclusively
-    /// re-granted activity returns the token.
+    /// Wakes the epoch coordinator when an exclusively re-granted activity
+    /// returns the token (unused by the sequential engine).
     pub(crate) sched_cv: Condvar,
     pub(crate) hooks: Arc<dyn RuntimeHooks>,
     pub(crate) config: EngineConfig,
@@ -203,28 +208,14 @@ pub(crate) struct Sim {
     pub(crate) token: Token,
     pub(crate) ready: ReadyQueue,
     pub(crate) stats: SimStats,
-    /// One condvar per host thread (pool and frame workers alike), indexed
-    /// by the slot an activity records in `Activity::worker`.
+    /// Parallel mode: one condvar per frame worker, indexed by the slot a
+    /// parked epoch member records in `Activity::worker`.
     pub(crate) worker_cvs: Vec<Arc<Condvar>>,
-    /// Every thread spawned for this run; `simulate` joins them all.
+    /// Parallel mode: every frame worker spawned for this run; `simulate`
+    /// joins them all.
     pub(crate) worker_handles: Vec<std::thread::JoinHandle<()>>,
-    /// Sequential engine: parked pool threads with no closure on their
-    /// stack, ready to be handed a never-started activity.
-    pub(crate) free_workers: Vec<usize>,
-    /// Sequential engine: the pick front-end's state, reachable by whoever
-    /// drives next. `None` only while a driver is inside [`drive`] (or the
-    /// epoch coordinator has taken it for the whole run).
-    pub(crate) picks: Option<Box<PickLoop>>,
-    /// Sequential engine: a driver saw the run end; `simulate` may tear
-    /// down.
-    pub(crate) finished: bool,
-    /// A pool thread died of a panic that was not a task's (engine or
-    /// runtime-hook code under a driver); `simulate` re-raises it on the
-    /// caller's thread once every worker is joined.
-    pub(crate) driver_panic: Option<Box<dyn std::any::Any + Send>>,
-    /// `profile_picks`: when the pending hand-off signalled its target;
-    /// the woken thread folds the latency into `prof_handoff_ns`.
-    pub(crate) handoff_mark: Option<std::time::Instant>,
+    /// Teardown has begun: a suspended or parked activity that wakes up
+    /// raises [`ShutdownSignal`] instead of continuing.
     pub(crate) shutdown: bool,
     pub(crate) failure: Option<Failure>,
     pub(crate) live_activities: usize,
@@ -264,8 +255,7 @@ pub(crate) struct Sim {
     /// [`EngineConfig::sanitize`] is on (see [`crate::sanitizer`]).
     pub(crate) sanitizer: Option<Box<crate::sanitizer::SanitizerState>>,
     /// Parallel mode: frame worker threads spawned so far (frame workers
-    /// are dedicated to epochs and never enter the sequential pool's free
-    /// list above).
+    /// are the only host threads the engine ever spawns).
     pub(crate) frame_workers: usize,
     /// Parallel mode: frame workers currently pinned by a parked activity
     /// (the activity's native stack lives on the worker's thread until its
@@ -419,6 +409,16 @@ pub enum SimError {
         /// Fresh-ground checkpoints written before stopping (the budget).
         checkpoints: u64,
     },
+    /// The host refused a resource the run needs: the mapping for a task
+    /// body's stack (see [`crate::EngineConfig::worker_stack_bytes`]) or a
+    /// frame worker thread. Nothing is wrong with the simulated program;
+    /// the same run can succeed with a smaller stack or on a roomier host.
+    HostResources {
+        /// What the engine was trying to do.
+        what: &'static str,
+        /// The host's error number for the refusal.
+        errno: i32,
+    },
 }
 
 impl SimError {
@@ -435,6 +435,7 @@ impl SimError {
             SimError::TaskPanic { .. } => 13,
             SimError::Deadlock(_) => 14,
             SimError::Preempted { .. } => 15,
+            SimError::HostResources { .. } => 16,
         }
     }
 }
@@ -458,6 +459,11 @@ impl fmt::Display for SimError {
             SimError::Preempted { at, checkpoints } => write!(
                 f,
                 "preempted at {at} after {checkpoints} checkpoint(s); resume from the checkpoint file to continue"
+            ),
+            SimError::HostResources { what, errno } => write!(
+                f,
+                "host resources exhausted: cannot {what}: {}",
+                std::io::Error::from_raw_os_error(*errno)
             ),
         }
     }
@@ -487,6 +493,10 @@ pub(crate) enum Failure {
         at: VirtualTime,
         checkpoints: u64,
     },
+    HostResources {
+        what: &'static str,
+        errno: i32,
+    },
 }
 
 impl Failure {
@@ -508,6 +518,7 @@ impl Failure {
             Failure::Checkpoint(m) => SimError::Checkpoint(m),
             Failure::CheckpointMismatch(m) => SimError::CheckpointMismatch(m),
             Failure::Preempted { at, checkpoints } => SimError::Preempted { at, checkpoints },
+            Failure::HostResources { what, errno } => SimError::HostResources { what, errno },
         }
     }
 }
@@ -688,8 +699,8 @@ pub(crate) fn wake_impl(
     push_ready(sim, c);
 }
 
-/// Bookkeeping when an activity's closure returns (worker thread, under the
-/// simulation lock).
+/// Bookkeeping when an activity's closure returns (under the simulation
+/// lock).
 pub(crate) fn finish_activity(sim: &mut Sim, shared: &Shared, aid: ActivityId) {
     let mut act = sim.acts.remove(&aid.0).expect("finishing unknown activity");
     let c = act.core;
@@ -904,8 +915,8 @@ fn append_core_dump(sim: &Sim, s: &mut String) {
 /// * `setup` — runs once before the first scheduler pick, with full [`Ops`]
 ///   access; typically starts the root task on core 0.
 ///
-/// Returns run statistics, or an error if the program deadlocked or a task
-/// panicked.
+/// Returns run statistics, or an error if the program deadlocked, a task
+/// panicked or the host ran out of a resource the run needs.
 pub fn simulate(
     topo: Topology,
     config: EngineConfig,
@@ -1006,11 +1017,6 @@ pub fn simulate(
         stats: SimStats::default(),
         worker_cvs: Vec::new(),
         worker_handles: Vec::new(),
-        free_workers: Vec::new(),
-        picks: None,
-        finished: false,
-        driver_panic: None,
-        handoff_mark: None,
         shutdown: false,
         failure: None,
         live_activities: 0,
@@ -1050,6 +1056,9 @@ pub fn simulate(
         frame,
     });
 
+    // Sequential engine: where task bodies' registers live. Dropped — every
+    // stack unmapped — on every way out of this function.
+    let mut pool = Pool::new(shared.config.worker_stack_bytes);
     let handles = {
         let mut sim = shared.sim.lock();
         if shared.config.sanitize {
@@ -1066,38 +1075,23 @@ pub fn simulate(
         // cost masquerades as per-event cost.
         let build = start_wall.elapsed();
         let run_start = std::time::Instant::now();
-        let mut picks = Box::new(PickLoop::new(
-            &shared.config,
-            &sim,
-            cfg_digest,
-            resume_target,
-        ));
-        let picks = if shared.config.threads > 1 {
+        let mut picks = PickLoop::new(&shared.config, &sim, cfg_digest, resume_target);
+        if shared.config.threads > 1 {
             sim = crate::parallel::run_scheduler(&shared, sim, &mut picks);
-            Some(picks)
         } else {
-            // Driver 0 is a pool thread like any other, so task bodies
-            // always run on a `worker_stack_bytes` stack; this thread only
-            // waits for whichever driver sees the run end.
-            sim.picks = Some(picks);
-            spawn_worker(&mut sim, &shared, true);
-            while !sim.finished {
-                shared.sched_cv.wait(&mut sim);
-            }
-            // `None` only if a driver died mid-pick (re-raised below).
-            sim.picks.take()
-        };
-        if let Some(picks) = picks {
-            picks.finish(&mut sim, &shared);
+            drive(&shared, &mut sim, &mut picks, &mut pool);
         }
+        picks.finish(&mut sim, &shared);
         sim.stats.build_ns = build.as_nanos() as u64;
         sim.stats.run_ns = run_start.elapsed().as_nanos() as u64;
+        sim.stats.peak_stacks = pool.peak();
+        sim.stats.os_threads = os_threads();
 
-        // Teardown: release every parked worker — pool threads waiting for
-        // a hand-off, activities suspended in `wait_for_grant` (they unwind
-        // with `ShutdownSignal`) — and every frame worker spinning or
-        // parked at the frame gate.
+        // Teardown: unwind every body still suspended on a context, and
+        // release every frame worker — parked at the frame gate, or pinned
+        // by an activity parked in `wait_for_grant` (it unwinds too).
         sim.shutdown = true;
+        unwind_suspended(&mut sim, &pool);
         for cv in &sim.worker_cvs {
             cv.notify_one();
         }
@@ -1114,10 +1108,6 @@ pub fn simulate(
     // insisting on sole ownership of the `Arc` (a panicking teardown path
     // must not be able to turn into a second panic here).
     let mut sim = shared.sim.lock();
-    if let Some(payload) = sim.driver_panic.take() {
-        drop(sim);
-        std::panic::resume_unwind(payload);
-    }
     if let Some(f) = sim.failure.take() {
         return Err(f.into_error());
     }
@@ -1321,8 +1311,8 @@ impl PickLoop {
 
     /// Act on picked core `c`. `grant(sim, c, aid)` takes a grantable
     /// activity on; whoever takes it also re-evaluates `c` for the ready
-    /// queue once the activity has run ([`end_grant`] sequentially, the
-    /// epoch's requeue step in parallel), so only the other actions
+    /// queue once the activity has run (the end of the grant in [`drive`],
+    /// the epoch's requeue step in parallel), so only the other actions
     /// requeue here.
     pub(crate) fn dispatch(
         &mut self,
@@ -1378,36 +1368,19 @@ impl PickLoop {
     }
 }
 
-/// Who is calling [`drive`].
-#[derive(Clone, Copy)]
-pub(crate) enum Host {
-    /// Pool thread `.0` at the top of [`worker_main`]: no closure on its
-    /// stack, so it may run a never-started activity inline.
-    Free(usize),
-    /// The thread hosting this activity, inside its closure at a stall or
-    /// a block.
-    Suspended(ActivityId),
-}
-
-/// Perform the scheduler role (`threads <= 1`) until the token has to
-/// leave the calling thread's hands: pick, dispatch, and route each grant
-/// by where the granted activity lives (see the module docs).
-///
-/// Returns `Some(aid)` when the caller itself must now run `aid` — a
-/// `Suspended` host was granted again and returns into its closure, a
-/// `Free` host picked a never-started activity and runs it inline. Returns
-/// `None` when the token went to another thread, or the run is over and
-/// the caller of `simulate` has been woken; either way the calling thread
-/// parks (`wait_for_grant`, or the pool wait in [`worker_main`]).
-pub(crate) fn drive(shared: &Arc<Shared>, sim: &mut Sim, host: Host) -> Option<ActivityId> {
+/// The sequential engine (`threads <= 1`): pick, dispatch, and run each
+/// granted activity on its context until it hands the token back — by
+/// returning, panicking or suspending — then end the grant and pick again
+/// (see the module docs). Returns when the run is over: `sim.failure` says
+/// how.
+fn drive(
+    shared: &Arc<Shared>,
+    sim: &mut MutexGuard<'_, Sim>,
+    picks: &mut PickLoop,
+    pool: &mut Pool,
+) {
     debug_assert_eq!(sim.token, Token::Scheduler);
-    let mut picks = sim.picks.take().expect("two drivers at once");
-    let mine = loop {
-        let Picked::Core(c) = picks.next(sim, shared, 0) else {
-            sim.finished = true;
-            shared.sched_cv.notify_one();
-            break None;
-        };
+    while let Picked::Core(c) = picks.next(sim, shared, 0) {
         let mut granted = None;
         picks.dispatch(sim, shared, c, |sim, _, aid| {
             sim.act_mut(aid).state = ActivityState::Granted;
@@ -1416,98 +1389,107 @@ pub(crate) fn drive(shared: &Arc<Shared>, sim: &mut Sim, host: Host) -> Option<A
             granted = Some(aid);
         });
         let Some(aid) = granted else { continue };
-        let target = match (sim.act(aid).worker, host) {
-            (Some(_), Host::Suspended(me)) if me == aid => break Some(aid),
-            (Some(w), _) => w,
-            (None, Host::Free(idx)) => {
-                sim.act_mut(aid).worker = Some(idx);
-                break Some(aid);
-            }
-            // A closure is suspended on this stack: the fresh activity
-            // needs a thread of its own.
-            (None, Host::Suspended(_)) => {
-                let w = match sim.free_workers.pop() {
-                    Some(w) => w,
-                    None => spawn_worker(sim, shared, false),
-                };
-                sim.act_mut(aid).worker = Some(w);
-                w
-            }
+        let act = sim.act_mut(aid);
+        let (core, name) = (act.core, act.name);
+        // `Some` on a first grant; `None` once the closure is running —
+        // suspended mid-call on its context by an earlier grant.
+        let job = act.job.take();
+        let slot = match act.worker {
+            Some(slot) => slot,
+            None => match pool.acquire() {
+                Ok(slot) => {
+                    act.worker = Some(slot);
+                    slot
+                }
+                Err(errno) => {
+                    sim.failure = Some(Failure::HostResources {
+                        what: "map a task stack",
+                        errno,
+                    });
+                    sim.token = Token::Scheduler;
+                    continue; // `next` stops the run
+                }
+            },
         };
-        sim.stats.host_handoffs += 1;
-        if shared.config.profile_picks {
-            sim.handoff_mark = Some(std::time::Instant::now());
-        }
-        sim.worker_cvs[target].notify_one();
-        break None;
-    };
-    sim.picks = Some(picks);
-    if let (None, Host::Free(idx)) = (mine, host) {
-        sim.free_workers.push(idx);
-    }
-    mine
-}
-
-/// The end of a grant: the activity that held the token has stalled,
-/// blocked, finished or panicked. Re-evaluate its core for the ready queue
-/// — what [`PickLoop::dispatch`] does after every other action — close the
-/// pick's action lap, and put the token back in the scheduler's hands: the
-/// calling thread drives next.
-pub(crate) fn end_grant(sim: &mut Sim, core: CoreId) {
-    if is_ready(sim, core) {
-        push_ready(sim, core);
-    }
-    let picks = sim
-        .picks
-        .as_mut()
-        .expect("a grant ends with no driver active");
-    picks.lap(&mut sim.stats.prof_action_ns);
-    sim.token = Token::Scheduler;
-}
-
-/// `profile_picks`: a thread woken by a hand-off folds the signal-to-wake
-/// latency into `prof_handoff_ns` (a share of the pick's action lap).
-pub(crate) fn note_handoff_wake(sim: &mut Sim) {
-    if let Some(mark) = sim.handoff_mark.take() {
-        sim.stats.prof_handoff_ns += mark.elapsed().as_nanos() as u64;
-    }
-}
-
-/// Spawn a pool thread for the sequential engine. `driving` starts it in
-/// the scheduler role (driver 0); otherwise it parks until a nested driver
-/// hands it a never-started activity.
-fn spawn_worker(sim: &mut Sim, shared: &Arc<Shared>, driving: bool) -> usize {
-    let idx = sim.worker_cvs.len();
-    let cv = Arc::new(Condvar::new());
-    sim.worker_cvs.push(cv.clone());
-    sim.stats.host_threads += 1;
-    let shared2 = Arc::clone(shared);
-    let handle = std::thread::Builder::new()
-        .name(format!("simany-worker-{idx}"))
-        .stack_size(shared.config.worker_stack_bytes)
-        .spawn(move || {
-            let run = AssertUnwindSafe(|| worker_main(&shared2, idx, &cv, driving));
-            if let Err(payload) = catch_unwind(run) {
-                // Not a task panic (those are caught around the task body):
-                // engine or hook code died while driving. No driver is left
-                // to see the run end, so end it here and let `simulate`
-                // re-raise on its caller's thread.
-                let mut sim = shared2.sim.lock();
-                sim.driver_panic.get_or_insert(payload);
-                sim.finished = true;
-                shared2.sched_cv.notify_one();
+        let ctx = pool.get(slot);
+        sim.stats.ctx_switches += 2; // to the body, and back
+        let outcome = match job {
+            Some(job) => {
+                let shared = Arc::clone(shared);
+                MutexGuard::unlocked(sim, || {
+                    ctx.start(move |me| {
+                        // SAFETY: this closure is the body running on `me`,
+                        // and only lends the `ExecCtx` to the task's code.
+                        let mut ctx =
+                            unsafe { crate::ctx::ExecCtx::on_context(shared, aid, core, me) };
+                        job(&mut ctx)
+                    })
+                })
             }
+            None => MutexGuard::unlocked(sim, || ctx.resume()),
+        };
+        match outcome {
+            Outcome::Suspended => {}
+            Outcome::Returned => {
+                pool.release(slot);
+                finish_activity(sim, shared, aid);
+            }
+            Outcome::Panicked(payload) => {
+                pool.release(slot);
+                sim.act_mut(aid).worker = None;
+                if sim.failure.is_none() {
+                    sim.failure = Some(Failure::TaskPanic {
+                        core,
+                        at: sim.cores.vtime[core.index()],
+                        name,
+                        msg: panic_message(payload.as_ref()),
+                    });
+                }
+            }
+        }
+        // The end of the grant: re-evaluate the activity's core for the
+        // ready queue — what `dispatch` does after every other action —
+        // and close the pick's action lap.
+        if is_ready(sim, core) {
+            push_ready(sim, core);
+        }
+        picks.lap(&mut sim.stats.prof_action_ns);
+        sim.token = Token::Scheduler;
+    }
+}
+
+/// Teardown of the sequential engine: resume, once, every body still
+/// suspended on a context. `Sim::shutdown` is set, so it raises
+/// [`ShutdownSignal`] where it was parked, drops its locals while unwinding
+/// its own stack and leaves the context idle. (A body that swallows the
+/// signal and suspends again is abandoned with its stack.)
+fn unwind_suspended(sim: &mut MutexGuard<'_, Sim>, pool: &Pool) {
+    debug_assert!(sim.shutdown);
+    for slot in 0..pool.peak() {
+        let ctx = pool.get(slot);
+        if ctx.is_suspended() {
+            let _ = MutexGuard::unlocked(sim, || ctx.resume());
+        }
+    }
+}
+
+/// Host threads of this process right now (`Threads:` in
+/// `/proc/self/status`); 0 where there is no procfs to ask.
+fn os_threads() -> u64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let line = status.lines().find_map(|l| l.strip_prefix("Threads:"))?;
+            line.trim().parse().ok()
         })
-        .expect("failed to spawn worker thread");
-    sim.worker_handles.push(handle);
-    idx
+        .unwrap_or(0)
 }
 
 /// Keep the default panic hook from printing a message-and-backtrace for
 /// every [`ShutdownSignal`] unwind: those are the engine's own cancellation
-/// mechanism (stall watchdog, preemption, early failure), caught and
-/// handled by the worker loops, and with external preemption they are
-/// routine rather than exceptional. Real panics still reach the previous
+/// mechanism (stall watchdog, preemption, early failure), caught at the
+/// context trampoline or the frame worker loop, and with external
+/// preemption they are routine rather than exceptional. Real panics still reach the previous
 /// hook untouched.
 fn silence_shutdown_panics() {
     static ONCE: std::sync::Once = std::sync::Once::new();
@@ -1530,99 +1512,35 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "<non-string panic payload>".to_string())
 }
 
-/// A pool thread of the sequential engine: drive while it holds the token,
-/// run what it is granted inline, park in the free list otherwise.
-/// (Parallel epochs never use this pool: frame workers — see
-/// `frame_worker_main` — run batch members.)
-fn worker_main(shared: &Arc<Shared>, idx: usize, cv: &Arc<Condvar>, mut driving: bool) {
-    let mut sim = shared.sim.lock();
-    loop {
-        let aid = if driving {
-            match drive(shared, &mut sim, Host::Free(idx)) {
-                Some(aid) => aid,
-                None => {
-                    driving = false;
-                    continue;
-                }
-            }
-        } else {
-            if sim.shutdown {
-                return;
-            }
-            match sim.token {
-                Token::Act(a) if sim.act(a).worker == Some(idx) => {
-                    note_handoff_wake(&mut sim);
-                    a
-                }
-                _ => {
-                    cv.wait(&mut sim);
-                    continue;
-                }
-            }
-        };
-        if !run_inline(shared, &mut sim, cv, aid) {
-            return;
-        }
-        driving = true;
-    }
-}
-
-/// Run never-started activity `aid` on the calling free thread — closure
-/// called inline with the lock released — and account its end. Returns
-/// `false` if teardown unwound the closure and the thread must exit.
-fn run_inline(
-    shared: &Arc<Shared>,
-    sim: &mut parking_lot::MutexGuard<'_, Sim>,
-    cv: &Arc<Condvar>,
-    aid: ActivityId,
-) -> bool {
-    let act = sim.act_mut(aid);
-    let job = act.job.take().expect("granted without job");
-    let (core, name) = (act.core, act.name);
-    let mut ctx = crate::ctx::ExecCtx::new(Arc::clone(shared), aid, core, cv.clone(), None);
-    let result =
-        parking_lot::MutexGuard::unlocked(sim, || catch_unwind(AssertUnwindSafe(|| job(&mut ctx))));
-    match result {
-        Ok(()) => finish_activity(sim, shared, aid),
-        Err(payload) => {
-            if payload.downcast_ref::<ShutdownSignal>().is_some() {
-                return false;
-            }
-            if sim.picks.is_none() {
-                // The body did not panic; a driver nested inside it did,
-                // mid-pick. That is an engine failure, not the task's.
-                std::panic::resume_unwind(payload);
-            }
-            if sim.failure.is_none() {
-                sim.failure = Some(Failure::TaskPanic {
-                    core,
-                    at: sim.cores.vtime[core.index()],
-                    name,
-                    msg: panic_message(payload.as_ref()),
-                });
-            }
-        }
-    }
-    end_grant(sim, core);
-    true
-}
-
 /// Spawn one frame worker (parallel mode). Frame workers take their work
-/// from the lock-free frame coordinator, never from a hand-off; they
-/// still own a condvar slot in `worker_cvs` so a parked (pinned) activity
-/// can be re-granted the token through the ordinary wake path.
-pub(crate) fn spawn_frame_worker(sim: &mut Sim, shared: &Arc<Shared>) {
+/// from the lock-free frame coordinator; each owns a condvar slot in
+/// `worker_cvs` so an activity parked on its stack can be re-granted the
+/// token. Returns `false`, with `sim.failure` set, if the host refuses the
+/// thread: the caller must stop the run.
+#[must_use]
+pub(crate) fn spawn_frame_worker(sim: &mut Sim, shared: &Arc<Shared>) -> bool {
     let idx = sim.worker_cvs.len();
     let cv = Arc::new(Condvar::new());
-    sim.worker_cvs.push(cv.clone());
-    sim.frame_workers += 1;
-    let shared2 = Arc::clone(shared);
-    let handle = std::thread::Builder::new()
+    let (shared2, cv2) = (Arc::clone(shared), cv.clone());
+    let spawned = std::thread::Builder::new()
         .name(format!("simany-frame-{idx}"))
         .stack_size(shared.config.worker_stack_bytes)
-        .spawn(move || frame_worker_main(shared2, idx, cv))
-        .expect("failed to spawn frame worker thread");
-    sim.worker_handles.push(handle);
+        .spawn(move || frame_worker_main(shared2, idx, cv2));
+    match spawned {
+        Ok(handle) => {
+            sim.worker_cvs.push(cv);
+            sim.frame_workers += 1;
+            sim.worker_handles.push(handle);
+            true
+        }
+        Err(e) => {
+            sim.failure.get_or_insert(Failure::HostResources {
+                what: "spawn a frame worker thread",
+                errno: e.raw_os_error().unwrap_or(0),
+            });
+            false
+        }
+    }
 }
 
 /// How one claimed execution tile ended.
@@ -1692,7 +1610,7 @@ fn run_exec_tile(
         let (aid, core, name) = (fj.aid, fj.core, fj.name);
         let job = fj.job;
         let mut ctx =
-            crate::ctx::ExecCtx::new(Arc::clone(shared), aid, core, cv.clone(), Some(idx));
+            crate::ctx::ExecCtx::on_frame_worker(Arc::clone(shared), aid, core, idx, cv.clone());
         let result = catch_unwind(AssertUnwindSafe(|| job(&mut ctx)));
         if let Err(payload) = &result {
             if payload.downcast_ref::<ShutdownSignal>().is_some() {
@@ -1731,7 +1649,8 @@ fn run_exec_tile(
                     }
                 }
                 Token::Act(a) if a == aid => {
-                    // Exclusive completion, exactly like `run_inline`.
+                    // Exclusive completion, exactly like the end of a grant
+                    // in `drive`.
                     match result {
                         Ok(()) => finish_activity(&mut sim, shared, aid),
                         Err(payload) => {

@@ -14,9 +14,10 @@
 //! The simulator runs a *program* — a set of dynamically created tasks
 //! written as ordinary Rust closures — on `n` simulated cores. Exactly one
 //! simulated entity executes at any instant (the paper runs in "a single
-//! system process and uses non-preemptive userland scheduling"); here a run
-//! token is handed between the scheduler and pooled worker threads under a
-//! single mutex, which keeps the simulation deterministic and data-race
+//! system process and uses non-preemptive userland scheduling"); here too:
+//! every task body runs on a pooled userland stack of its own (`coro`),
+//! and one driver on the calling thread switches to a body and back under
+//! a run token, which keeps the simulation deterministic and data-race
 //! free while letting task bodies be ordinary (even recursive) native code.
 //!
 //! Between interaction points task code runs natively at host speed;
@@ -41,6 +42,7 @@
 pub mod activity;
 pub mod checkpoint;
 pub mod config;
+pub(crate) mod coro;
 pub mod ctx;
 pub mod engine;
 pub mod floor;

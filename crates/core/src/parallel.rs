@@ -70,15 +70,15 @@
 //!
 //! ## Why this is faster
 //!
-//! A sequential grant costs at most one condvar handoff, and none when the
-//! activity runs to completion or is resumed by its own nested driver (see
-//! the `engine` module docs), so the epoch machinery no longer wins on
-//! handoffs saved: an epoch of `B` confined grants costs one frame launch
-//! (one atomic store + one `notify_all`, and none at all for workers
+//! A sequential grant costs two register swaps on one thread and no system
+//! call (see the `engine` module docs), so the epoch machinery cannot win
+//! on hand-offs saved: an epoch of `B` confined grants costs one frame
+//! launch (one atomic store + one `notify_all`, and none at all for workers
 //! inside their spin budget) plus one coordinator wakeup, and every grant
 //! that needs the serial phase (failed checks, compound `Ops`) costs two
-//! handoffs — coordinator → worker → coordinator — where the sequential
-//! engine pays one. What an epoch buys is overlap and lock avoidance:
+//! condvar hand-offs — coordinator → worker → coordinator — where the
+//! sequential engine pays tens of nanoseconds. What an epoch buys is
+//! overlap and lock avoidance:
 //! confined annotations inside the frozen drift headroom skip the
 //! simulation lock entirely; with the lane outbox, so do confined sends.
 //! On multi-CPU hosts phase A overlaps the
@@ -335,7 +335,9 @@ pub(crate) fn run_scheduler<'a>(
         // other tile's claimant parks mid-frame (parking pins the thread
         // for the activity's lifetime, taking it out of the claim pool).
         while sim.frame_workers - sim.pinned_workers < claimable.len() {
-            spawn_frame_worker(&mut sim, shared);
+            if !spawn_frame_worker(&mut sim, shared) {
+                break 'run; // `sim.failure` says why
+            }
         }
         sim.token = Token::Epoch;
         let ta = Instant::now();
@@ -497,10 +499,12 @@ pub(crate) fn run_scheduler<'a>(
             // simulation guard for the whole replay, so the columns cannot
             // move or be touched by anyone but the replay claimants.
             unsafe { fs.set_replay_ptrs(ptrs) };
-            if replay_tiles.len() >= 2 && replay_work >= REPLAY_FRAME_MIN_WORK {
-                if sim.frame_workers == sim.pinned_workers {
-                    spawn_frame_worker(&mut sim, shared);
-                }
+            // (A refused worker thread fails the run; this epoch's buckets
+            // still land, serially, so the state it stops in is whole.)
+            if replay_tiles.len() >= 2
+                && replay_work >= REPLAY_FRAME_MIN_WORK
+                && (sim.frame_workers > sim.pinned_workers || spawn_frame_worker(&mut sim, shared))
+            {
                 sim.stats.sharded_replays += 1;
                 fs.launch(replay_tiles.len(), &replay_tiles, FrameKind::Replay);
                 // Replay workers write through the raw column pointers and

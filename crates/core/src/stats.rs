@@ -70,18 +70,22 @@ pub struct SimStats {
     pub activities_started: u64,
     /// Number of simulated context switches (token handoffs to activities).
     pub activity_resumes: u64,
-    /// Sequential engine: grants delivered by waking a *different* host
-    /// thread — one condvar signal and one host context switch each. A
-    /// grant the driving thread takes itself (a never-started activity run
-    /// inline, a suspended activity resumed by its own nested driver) is
-    /// not one. Deterministic: a function of the pick sequence alone. Zero
-    /// under the epoch coordinator, whose re-grants are not counted here.
-    pub host_handoffs: u64,
-    /// Sequential engine: pool threads ever spawned (driver 0 plus one per
-    /// never-started activity a nested driver found no free thread for).
-    /// Deterministic like [`Self::host_handoffs`]; zero under the epoch
-    /// coordinator.
-    pub host_threads: u64,
+    /// Sequential engine: switches between the driver and a task body's
+    /// userland context — two per grant, to the body and back (see
+    /// `crate::coro`). Deterministic: a function of the pick sequence
+    /// alone. Zero under the epoch coordinator, whose members run on frame
+    /// worker threads. Not part of any state digest.
+    pub ctx_switches: u64,
+    /// Sequential engine: context stacks ever mapped — the high-water mark
+    /// of task bodies alive at once (started and not yet returned). 1 when
+    /// no body ever suspends. Deterministic and undigested like
+    /// [`Self::ctx_switches`]; zero under the epoch coordinator.
+    pub peak_stacks: usize,
+    /// Host threads of the process when the pick loop ended (`Threads:` of
+    /// `/proc/self/status`; 0 without procfs): 1 under the sequential
+    /// engine in a single-threaded embedder, 1 + frame workers under the
+    /// epoch coordinator. A host observation, not a simulation result.
+    pub os_threads: u64,
     /// Times a core stalled due to the synchronization policy.
     pub stall_events: u64,
     /// Messages processed after their virtual arrival time had already
@@ -128,10 +132,10 @@ pub struct SimStats {
     /// Profile: nanoseconds executing the picked action (message
     /// processing, activity grants and task code, idle hooks, requeue).
     pub prof_action_ns: u64,
-    /// Profile: the part of [`Self::prof_action_ns`] spent between a
-    /// hand-off's condvar signal and the target thread waking with the
-    /// lock (sequential engine; zero when no grant changes host thread).
-    pub prof_handoff_ns: u64,
+    /// Profile: nanoseconds inside `sync::publish` (shadow relaxation and
+    /// stall rechecks included) — a share of whichever lap the publish ran
+    /// under, mostly [`Self::prof_action_ns`].
+    pub prof_publish_ns: u64,
     /// Largest observed instantaneous neighbor drift (ticks), for checking
     /// the spatial-synchronization bound.
     pub max_neighbor_drift: VDuration,
@@ -150,6 +154,10 @@ pub struct SimStats {
     /// its headroom — the observable proof that fast-path annotations do no
     /// sweep work (and no heap allocation).
     pub publish_sweeps: u64,
+    /// Shadow virtual times evaluated by `sync::publish` (the idle-region
+    /// relaxation): `shadow_evals / publish_sweeps` is how far a publish
+    /// ripples. Counted always; deterministic; not part of any digest.
+    pub shadow_evals: u64,
     /// Times the cached neighbor-floor minimum had to be recomputed from
     /// scratch (a neighbor that may have been the minimum rose).
     pub floor_recomputes: u64,

@@ -88,6 +88,14 @@ fn note_published_change(
 /// Call after any change to `c`'s clock or idle status. Triggers stall
 /// re-checks on every core whose published value changed.
 pub(crate) fn publish(sim: &mut Sim, shared: &Shared, c: CoreId) {
+    let start = shared.config.profile_picks.then(std::time::Instant::now);
+    publish_unprofiled(sim, shared, c);
+    if let Some(start) = start {
+        sim.stats.prof_publish_ns += start.elapsed().as_nanos() as u64;
+    }
+}
+
+fn publish_unprofiled(sim: &mut Sim, shared: &Shared, c: CoreId) {
     sim.cores.publish_pending[c.index()] = false;
     if sim.cores.vtime[c.index()] > sim.max_vtime {
         sim.max_vtime = sim.cores.vtime[c.index()];
@@ -240,7 +248,8 @@ fn register_waiter(sim: &mut Sim, c: CoreId, target: CoreId) {
 /// binding entry of a stall check — and without the cap the min-plus
 /// relaxation has no fixed point in regions with no working core (idle
 /// cores would push each other's shadows up forever).
-fn shadow_value(sim: &Sim, shared: &Shared, i: CoreId, t: VDuration) -> VirtualTime {
+fn shadow_value(sim: &mut Sim, shared: &Shared, i: CoreId, t: VDuration) -> VirtualTime {
+    sim.stats.shadow_evals += 1;
     let min_neigh = shared
         .topo
         .neighbors(i)

@@ -182,17 +182,11 @@ fn conservative_policy_interleaves_exactly() {
     );
     assert_eq!(stats.final_vtime, VirtualTime::from_cycles(500));
     assert!(stats.stall_events > 0);
-    // Two suspending activities need two host threads, and every grant
-    // costs at most one switch between them (a dedicated scheduler thread
-    // would cost two).
-    assert_eq!(stats.host_threads, 2);
-    assert!(stats.host_handoffs > 0);
-    assert!(
-        stats.host_handoffs <= stats.activity_resumes,
-        "{} hand-offs for {} grants",
-        stats.host_handoffs,
-        stats.activity_resumes
-    );
+    // Two bodies suspended at once need two stacks, and every grant is
+    // one switch to its body and one back.
+    assert_eq!(stats.peak_stacks, 2);
+    assert!(stats.activity_resumes > 2, "the bodies did suspend");
+    assert_eq!(stats.ctx_switches, 2 * stats.activity_resumes);
 }
 
 #[test]
@@ -365,21 +359,18 @@ fn block_and_wake_across_cores() {
     let resumed = VirtualTime(resumed_at.load(Ordering::SeqCst));
     assert_eq!(resumed, VirtualTime::from_cycles(517));
     assert_eq!(stats.final_vtime, VirtualTime::from_cycles(517));
-    assert!(
-        stats.host_handoffs <= stats.activity_resumes,
-        "{} hand-offs for {} grants",
-        stats.host_handoffs,
-        stats.activity_resumes
-    );
+    // The waiter is suspended while the sender runs: two stacks.
+    assert_eq!(stats.ctx_switches, 2 * stats.activity_resumes);
+    assert_eq!(stats.peak_stacks, 2);
 }
 
 #[test]
-fn stall_cleared_by_a_message_resumes_on_the_same_thread() {
+fn stall_cleared_by_a_message_resumes_the_suspended_body() {
     // Core 0 records a birth, mails its discard order to core 1 and runs
-    // past birth + T: it stalls with nobody else to run. Its own nested
-    // driver processes the message (the handler discards the birth, which
+    // past birth + T: it stalls with nobody else to run. The driver
+    // processes the message (the handler discards the birth, which
     // rechecks the stall) and then picks core 0 again — the activity
-    // continues on the thread it never left.
+    // continues where it suspended, on the one stack the run ever needs.
     struct LandHooks;
     impl RuntimeHooks for LandHooks {
         fn on_message(&self, ops: &mut Ops<'_>, mut env: Envelope) {
@@ -412,9 +403,9 @@ fn stall_cleared_by_a_message_resumes_on_the_same_thread() {
     assert_eq!(stats.final_vtime, VirtualTime::from_cycles(510));
     assert_eq!(stats.stall_events, 1);
     assert_eq!(stats.net.messages, 1);
-    // First grant plus the resume after the stall: neither changed thread.
+    // First grant plus the resume after the stall.
     assert_eq!(stats.activity_resumes, 2);
-    assert_eq!((stats.host_handoffs, stats.host_threads), (0, 1));
+    assert_eq!((stats.ctx_switches, stats.peak_stacks), (4, 1));
 }
 
 #[test]
@@ -443,25 +434,36 @@ fn deadlock_is_detected_and_reported() {
     );
 }
 
+/// Counts its drops: held by a task body across a `block`, it proves the
+/// body's stack was unwound — not just unmapped — when a run ends early.
+struct DropCounter(Arc<AtomicU64>);
+
+impl Drop for DropCounter {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
 #[test]
-fn deadlock_under_a_nested_driver_tears_down() {
-    // "first" runs inline on driver 0 and blocks; its nested driver finds
-    // "second" never started and hands it to a second thread, then parks.
-    // "second" blocks too, and *its* nested driver is the one that finds
-    // the machine stuck. `simulate` must come back with both host stacks
-    // unwound: one parked in `wait_for_grant`, one under the driver that
-    // ended the run.
+fn deadlock_unwinds_every_suspended_body() {
+    // "first" blocks, then "second" does, then the driver finds the machine
+    // stuck with both bodies suspended mid-closure on their own stacks.
+    // `simulate` must come back with both unwound: each raises the shutdown
+    // signal where it is parked and drops its locals.
+    let drops = Arc::new(AtomicU64::new(0));
     let err = simulate(
         pair(),
         EngineConfig::default(),
         Arc::new(TestHooks),
         |ops| {
             for (core, name) in [(0, "first"), (1, "second")] {
+                let guard = DropCounter(drops.clone());
                 ops.start_activity(
                     CoreId(core),
                     name,
                     Box::new(()),
-                    Box::new(|ctx: &mut ExecCtx| {
+                    Box::new(move |ctx: &mut ExecCtx| {
+                        let _held = guard;
                         let _ = ctx.block("never-woken");
                     }),
                 );
@@ -469,6 +471,7 @@ fn deadlock_under_a_nested_driver_tears_down() {
         },
     )
     .unwrap_err();
+    assert_eq!(err.exit_code(), 14);
     let simany_core::SimError::Deadlock(report) = err else {
         panic!("expected a deadlock, got: {err}");
     };
@@ -478,12 +481,80 @@ fn deadlock_under_a_nested_driver_tears_down() {
             "{name} should have started and blocked: {report}"
         );
     }
+    assert_eq!(drops.load(Ordering::SeqCst), 2, "both bodies unwound");
+}
+
+#[test]
+fn task_panic_unwinds_the_bodies_it_leaves_suspended() {
+    // "sleeper" blocks holding a guard; "boom" then panics holding another.
+    // The panicking body unwinds at once (caught at its trampoline), the
+    // suspended one at teardown.
+    let drops = Arc::new(AtomicU64::new(0));
+    let (g0, g1) = (DropCounter(drops.clone()), DropCounter(drops.clone()));
+    let err = simulate(
+        pair(),
+        EngineConfig::default(),
+        Arc::new(TestHooks),
+        |ops| {
+            ops.start_activity(
+                CoreId(0),
+                "sleeper",
+                Box::new(()),
+                Box::new(move |ctx: &mut ExecCtx| {
+                    let _held = g0;
+                    let _ = ctx.block("never-woken");
+                }),
+            );
+            ops.start_activity(
+                CoreId(1),
+                "boom",
+                Box::new(()),
+                Box::new(move |ctx: &mut ExecCtx| {
+                    let _held = g1;
+                    ctx.advance_cycles(3);
+                    panic!("kaboom-after-a-block")
+                }),
+            );
+        },
+    )
+    .unwrap_err();
+    assert_eq!(err.exit_code(), 13);
+    match err {
+        simany_core::SimError::TaskPanic { name, message, .. } => {
+            assert_eq!(name, "boom");
+            assert!(message.contains("kaboom-after-a-block"), "{message}");
+        }
+        other => panic!("expected a task panic, got: {other}"),
+    }
+    assert_eq!(drops.load(Ordering::SeqCst), 2, "both bodies unwound");
+}
+
+#[test]
+fn a_refused_stack_mapping_is_a_typed_error() {
+    // No host maps a 2^60-byte stack. The run must end with the typed
+    // error (exit 16) on the first grant — not panic, not abort.
+    let mut config = EngineConfig::default();
+    config.worker_stack_bytes = 1 << 60;
+    let err = simulate(pair(), config, Arc::new(TestHooks), |ops| {
+        ops.start_activity(
+            CoreId(0),
+            "never-runs",
+            Box::new(()),
+            Box::new(|_: &mut ExecCtx| unreachable!("there is no stack to run on")),
+        );
+    })
+    .unwrap_err();
+    assert_eq!(err.exit_code(), 16, "{err}");
+    let simany_core::SimError::HostResources { what, errno } = err else {
+        panic!("expected a host-resource error, got: {err}");
+    };
+    assert_eq!((what, errno), ("map a task stack", 12), "ENOMEM");
 }
 
 #[test]
 fn task_panic_is_reported() {
-    // The body runs inline on the driving thread; the panic must still be
-    // caught there and attributed to the task, not to the driver.
+    // The panic is caught at the trampoline of the body's own stack and
+    // handed to the driver as a value, attributed to the task.
     let err = simulate(
         pair(),
         EngineConfig::default(),
@@ -660,9 +731,9 @@ fn queue_hint_drives_on_idle() {
     assert_eq!(stats.activities_started, 5);
     // Tasks ran sequentially on the single core.
     assert_eq!(stats.final_vtime, VirtualTime::from_cycles(50));
-    // Run-to-completion tasks are called inline by the one driving thread.
+    // Run-to-completion tasks take turns on one stack.
     assert_eq!(stats.activity_resumes, 5);
-    assert_eq!((stats.host_handoffs, stats.host_threads), (0, 1));
+    assert_eq!((stats.ctx_switches, stats.peak_stacks), (10, 1));
 }
 
 #[test]

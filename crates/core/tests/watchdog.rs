@@ -60,25 +60,33 @@ fn watchdog_catches_livelock_as_typed_error() {
     }
 }
 
-/// The watchdog can fire inside a *nested* driver: "a" runs inline on
-/// driver 0 and blocks, its nested driver hands never-started "b" to a
-/// second thread and parks, "b" blocks, and b's nested driver spins on the
-/// self-pinging core until the budget runs out. `simulate` must return the
-/// typed error with both stacks unwound — one parked in `wait_for_grant`,
-/// one under the driver that ended the run — never hang.
+/// The watchdog can fire with bodies suspended: "a" blocks, "b" blocks, and
+/// the driver spins on the self-pinging core until the budget runs out.
+/// `simulate` must return the typed error with both bodies unwound on
+/// their own stacks — each holds a guard that counts its drop — never hang.
 #[test]
-fn watchdog_fires_under_a_nested_driver() {
+fn watchdog_unwinds_every_suspended_body() {
     use simany_core::ExecCtx;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    struct DropCounter(Arc<AtomicU64>);
+    impl Drop for DropCounter {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+    let drops = Arc::new(AtomicU64::new(0));
     let config = EngineConfig::default().with_watchdog_picks(Some(2_000));
     let err = simulate(mesh_2d(4), config, Arc::new(PingSelfForever), |ops| {
         // Equal-time picks go in core order, so the two blockers start
         // before the pinging core (the highest id) monopolises the queue.
         for (core, name) in [(0, "a"), (1, "b")] {
+            let guard = DropCounter(drops.clone());
             ops.start_activity(
                 CoreId(core),
                 name,
                 Box::new(()),
-                Box::new(|ctx: &mut ExecCtx| {
+                Box::new(move |ctx: &mut ExecCtx| {
+                    let _held = guard;
                     let _ = ctx.block("forever");
                 }),
             );
@@ -92,6 +100,7 @@ fn watchdog_fires_under_a_nested_driver() {
         );
     })
     .expect_err("livelocked run must not complete");
+    assert_eq!(err.exit_code(), 10);
     let SimError::Stalled { report, .. } = err else {
         panic!("expected Stalled, got: {err}");
     };
@@ -101,6 +110,7 @@ fn watchdog_fires_under_a_nested_driver() {
             "{name} should have started and blocked: {report}"
         );
     }
+    assert_eq!(drops.load(Ordering::SeqCst), 2, "both bodies unwound");
 }
 
 #[test]

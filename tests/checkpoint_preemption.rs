@@ -135,24 +135,23 @@ fn single_checkpoint_budget_still_makes_progress() {
     assert_eq!(base, resumed);
 }
 
-/// Preemption must tear down every kind of suspended host stack the
-/// sequential engine can produce, and the run must still resume verified.
+/// Preemption must unwind every suspended body, and the run must still
+/// resume verified.
 ///
-/// "a" runs inline on driver 0 and blocks; its nested driver hands
-/// never-started "b" to a second thread and parks; "b" blocks, and its
-/// nested driver hands "c" to a third. "c" computes across the first
-/// checkpoint boundary, mails itself a wake order and blocks — so the
-/// driver that observes the boundary, writes the checkpoint and records the
-/// preemption is nested under c's closure, with "a" and "b" parked on pool
-/// threads in `wait_for_grant`. `simulate` must return `Preempted` (exit
-/// 15), not hang; a fresh engine resuming from the file then verifies at
-/// the watermark, lets "c" wake the other two and ends exactly like a run
-/// that was never interrupted.
+/// "a" and "b" block; "c" computes across the first checkpoint boundary,
+/// mails itself a wake order and blocks — so when the driver observes the
+/// boundary, writes the checkpoint and records the preemption, all three
+/// bodies are suspended mid-closure on their own stacks, each holding a
+/// guard that counts its drop. `simulate` must return `Preempted` (exit 15)
+/// with all three unwound, not hang; a fresh engine resuming from the file
+/// then verifies at the watermark, lets "c" wake the other two and ends
+/// exactly like a run that was never interrupted.
 #[test]
-fn preemption_under_a_nested_driver_tears_down_and_resumes_verified() {
+fn preemption_unwinds_every_suspended_body_and_resumes_verified() {
     use simany::core::{
         simulate, ActivityId, CoreId, EngineConfig, Envelope, ExecCtx, Ops, Payload, RuntimeHooks,
     };
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     struct WakeHooks;
@@ -166,6 +165,14 @@ fn preemption_under_a_nested_driver_tears_down_and_resumes_verified() {
         fn on_activity_end(&self, _: &mut Ops<'_>, _: CoreId, _: Box<dyn std::any::Any + Send>) {}
     }
 
+    struct DropCounter(Arc<AtomicU64>);
+    impl Drop for DropCounter {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+    let drops = Arc::new(AtomicU64::new(0));
+
     let path = ckpt_path("nested");
     let run = |config: EngineConfig| {
         simulate(
@@ -173,17 +180,23 @@ fn preemption_under_a_nested_driver_tears_down_and_resumes_verified() {
             config.with_checkpoint(VDuration::from_cycles(2_000), &path),
             Arc::new(WakeHooks),
             |ops| {
-                let sleeper = |ctx: &mut ExecCtx| {
-                    let _ = ctx.block("until-c-is-done");
-                    ctx.advance_cycles(100);
+                let sleeper = || {
+                    let guard = DropCounter(drops.clone());
+                    move |ctx: &mut ExecCtx| {
+                        let _held = guard;
+                        let _ = ctx.block("until-c-is-done");
+                        ctx.advance_cycles(100);
+                    }
                 };
-                let a = ops.start_activity(CoreId(0), "a", Box::new(()), Box::new(sleeper));
-                let b = ops.start_activity(CoreId(1), "b", Box::new(()), Box::new(sleeper));
+                let a = ops.start_activity(CoreId(0), "a", Box::new(()), Box::new(sleeper()));
+                let b = ops.start_activity(CoreId(1), "b", Box::new(()), Box::new(sleeper()));
+                let guard = DropCounter(drops.clone());
                 ops.start_activity(
                     CoreId(2),
                     "c",
                     Box::new(()),
                     Box::new(move |ctx: &mut ExecCtx| {
+                        let _held = guard;
                         ctx.advance_cycles(3_000);
                         ctx.send(CoreId(2), 8, Payload::new(ctx.id()));
                         let _ = ctx.block("own-wake-order");
@@ -197,14 +210,23 @@ fn preemption_under_a_nested_driver_tears_down_and_resumes_verified() {
     };
 
     let base = run(EngineConfig::default()).expect("uninterrupted run failed");
-    // Three suspending activities, three host threads, at most one switch
-    // per grant.
-    assert_eq!(base.host_threads, 3);
-    assert!(base.host_handoffs <= base.activity_resumes);
+    // Three bodies suspended at once: three stacks, two switches a grant.
+    assert_eq!(base.peak_stacks, 3);
+    assert_eq!(base.ctx_switches, 2 * base.activity_resumes);
+    assert_eq!(
+        drops.swap(0, Ordering::SeqCst),
+        3,
+        "bodies ran to their end"
+    );
 
     let err = run(EngineConfig::default().with_preempt_after_checkpoints(Some(1)))
         .expect_err("the first slice must be preempted");
     assert_eq!(err.exit_code(), 15, "{err}");
+    assert_eq!(
+        drops.swap(0, Ordering::SeqCst),
+        3,
+        "all three suspended bodies unwound"
+    );
     let SimError::Preempted { at, checkpoints: 1 } = err else {
         panic!("expected preemption after one checkpoint, got {err}");
     };
@@ -218,8 +240,8 @@ fn preemption_under_a_nested_driver_tears_down_and_resumes_verified() {
     assert_eq!(resumed.checkpoint_verifications, 1, "checkpoint verified");
     assert_eq!(Fingerprint::of(&base), Fingerprint::of(&resumed));
     assert_eq!(
-        (base.host_handoffs, base.host_threads),
-        (resumed.host_handoffs, resumed.host_threads)
+        (base.ctx_switches, base.peak_stacks),
+        (resumed.ctx_switches, resumed.peak_stacks)
     );
 }
 

@@ -106,9 +106,10 @@ fn chiplet_bit_identity_4k() {
 /// 64×64), both policies, two runs each.
 ///
 /// The window is sized above the longest task (16×7 = 112 cycles) on
-/// purpose: a core that stalls *mid-activity* parks its worker thread, so
-/// a stall-heavy window at this scale would hold ~262k OS threads alive at
-/// once and exhaust memory. Mid-activity stalling is covered at 4k above;
+/// purpose: a core that stalls *mid-activity* keeps its body's stack, so a
+/// stall-heavy window at this scale would hold ~262k mapped stacks at once
+/// — past the host's mapping limit (`SimError::HostResources`).
+/// Mid-activity stalling is covered at 4k above;
 /// this point covers floor-key maintenance and pick-order identity at
 /// scale. Expensive, so ignored by default; run with
 /// `cargo test --release --test scale_identity -- --ignored`.
