@@ -140,6 +140,36 @@ scripted faults (deterministic, layered on top of the sampled plan):
   --churn-every T     interval between churn failures (default 10000 cycles)
 ";
 
+/// Exit with the usage code over a flag value that does not parse or is
+/// out of range.
+fn bad_value(flag: &str, raw: &str) -> ! {
+    eprintln!("bad value for {flag}: '{raw}'");
+    std::process::exit(2);
+}
+
+/// The value of numeric flag `flag`.
+fn num<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
+    raw.parse().unwrap_or_else(|_| bad_value(flag, raw))
+}
+
+/// The value of a probability flag: a number in [0, 1].
+fn prob(flag: &str, raw: &str) -> f64 {
+    let p: f64 = num(flag, raw);
+    if !(0.0..=1.0).contains(&p) {
+        bad_value(flag, raw);
+    }
+    p
+}
+
+/// The value of `--scale`: a finite number above zero.
+fn scale(flag: &str, raw: &str) -> f64 {
+    let f: f64 = num(flag, raw);
+    if !(f.is_finite() && f > 0.0) {
+        bad_value(flag, raw);
+    }
+    f
+}
+
 fn parse_args() -> Args {
     let mut args = Args::default();
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -155,14 +185,14 @@ fn parse_args() -> Args {
         };
         match a.as_str() {
             "--kernel" => args.kernel = val(),
-            "--cores" => args.cores = val().parse().expect("--cores"),
+            "--cores" => args.cores = num(a, &val()),
             "--machine" => args.machine = val(),
             "--arch" => args.arch = val(),
-            "--clusters" => args.clusters = val().parse().expect("--clusters"),
-            "--scale" => args.scale = val().parse().expect("--scale"),
-            "--seed" => args.seed = val().parse().expect("--seed"),
+            "--clusters" => args.clusters = num(a, &val()),
+            "--scale" => args.scale = scale(a, &val()),
+            "--seed" => args.seed = num(a, &val()),
             "--sync" => args.sync = val(),
-            "--drift" => args.drift = Some(val().parse().expect("--drift")),
+            "--drift" => args.drift = Some(num(a, &val())),
             "--topology" => args.topology_file = Some(val()),
             "--trace" => args.trace = true,
             "--sanitize" => {
@@ -175,30 +205,23 @@ fn parse_args() -> Args {
                     }
                 }
             }
-            "--threads" => args.threads = val().parse().expect("--threads"),
-            "--checkpoint-every" => {
-                args.checkpoint_every = Some(val().parse().expect("--checkpoint-every"))
-            }
+            "--threads" => args.threads = num(a, &val()),
+            "--checkpoint-every" => args.checkpoint_every = Some(num(a, &val())),
             "--checkpoint-file" => args.checkpoint_file = val(),
             "--resume" => args.resume = Some(val()),
-            "--preempt-after-checkpoints" => {
-                args.preempt_after_checkpoints =
-                    Some(val().parse().expect("--preempt-after-checkpoints"))
-            }
+            "--preempt-after-checkpoints" => args.preempt_after_checkpoints = Some(num(a, &val())),
             "--json" => args.json = Some(val()),
             "--profile-picks" => args.profile_picks = true,
-            "--link-fail-prob" => args.link_fail_prob = val().parse().expect("--link-fail-prob"),
-            "--repair-after" => args.repair_after = Some(val().parse().expect("--repair-after")),
-            "--drop-prob" => args.drop_prob = val().parse().expect("--drop-prob"),
-            "--corrupt-prob" => args.corrupt_prob = val().parse().expect("--corrupt-prob"),
-            "--core-fail-prob" => args.core_fail_prob = val().parse().expect("--core-fail-prob"),
-            "--fault-horizon" => args.fault_horizon = Some(val().parse().expect("--fault-horizon")),
-            "--partition-at" => args.partition_at = Some(val().parse().expect("--partition-at")),
-            "--partition-heal" => {
-                args.partition_heal = Some(val().parse().expect("--partition-heal"))
-            }
-            "--churn-cores" => args.churn_cores = val().parse().expect("--churn-cores"),
-            "--churn-every" => args.churn_every = Some(val().parse().expect("--churn-every")),
+            "--link-fail-prob" => args.link_fail_prob = prob(a, &val()),
+            "--repair-after" => args.repair_after = Some(num(a, &val())),
+            "--drop-prob" => args.drop_prob = prob(a, &val()),
+            "--corrupt-prob" => args.corrupt_prob = prob(a, &val()),
+            "--core-fail-prob" => args.core_fail_prob = prob(a, &val()),
+            "--fault-horizon" => args.fault_horizon = Some(num(a, &val())),
+            "--partition-at" => args.partition_at = Some(num(a, &val())),
+            "--partition-heal" => args.partition_heal = Some(num(a, &val())),
+            "--churn-cores" => args.churn_cores = num(a, &val()),
+            "--churn-every" => args.churn_every = Some(num(a, &val())),
             "-h" | "--help" => {
                 print!("{USAGE}");
                 std::process::exit(0);

@@ -48,9 +48,10 @@ pub enum ActivityState {
     /// Parallel mode only: the activity hit an interaction it could not
     /// complete confined to its own core during an epoch (a failed or
     /// undecidable frozen synchronization check, a due message, or a
-    /// compound `Ops` operation) and parked until the coordinator's
-    /// serial phase re-grants it the run token exclusively. Still the
-    /// core's current activity; not grantable by the scheduler.
+    /// compound `Ops` operation) and switched back to the frame worker
+    /// that was running it; the coordinator's serial phase re-grants it
+    /// the run token exclusively. Still the core's current activity; not
+    /// grantable by the scheduler.
     Parked,
     /// Ready to continue (drift cleared, or just made current after a
     /// wake); waiting for the scheduler to grant the token.
@@ -74,12 +75,10 @@ pub struct Activity {
     pub state: ActivityState,
     /// The not-yet-started closure (taken at first grant).
     pub job: Option<TaskFn>,
-    /// Whose stack carries this activity's running closure, i.e. where a
-    /// grant must be delivered: under the sequential engine the slot of its
-    /// context in the run's `coro::Pool`, from first grant; for an epoch
-    /// member the frame worker (index into `Sim::worker_cvs`) it pinned at
-    /// its first park. `None` before that.
-    pub worker: Option<usize>,
+    /// The slot, in the run's `coro::Pool`, of the context this activity's
+    /// closure runs on — where a grant must switch to. Set when the
+    /// activity is first granted, `None` before.
+    pub context: Option<usize>,
     /// Value deposited by `wake`, consumed when the activity resumes.
     pub wake_value: Option<Box<dyn Any + Send>>,
     /// Virtual time at which the wake became available; the resuming core's

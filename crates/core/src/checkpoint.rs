@@ -32,7 +32,6 @@
 use crate::engine::{Failure, Shared, Sim};
 use crate::hooks::RuntimeHooks;
 use simany_time::{VDuration, VirtualTime};
-use std::io::Write as _;
 use std::path::Path;
 
 /// Format magic of version 1.
@@ -57,20 +56,22 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Serialize to `path`, replacing any previous checkpoint atomically
-    /// (write to `path.tmp`, then rename).
+    /// (write to `path.tmp`, then rename). The file is handed to the OS,
+    /// not forced to the device: a reader after this process was preempted,
+    /// killed or crashed sees the old checkpoint or the new one, which is
+    /// the failure model of the sweep journal too, and a device flush per
+    /// waypoint would put the host's storage latency inside the pick loop.
     pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
         let tmp = path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            writeln!(f, "{MAGIC_V1}")?;
-            writeln!(f, "config {:016x}", self.config_digest)?;
-            writeln!(f, "watermark {}", self.watermark.ticks())?;
-            writeln!(f, "picks {}", self.picks)?;
-            writeln!(f, "state {:016x}", self.state_digest)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        let text = format!(
+            "{MAGIC_V1}\nconfig {:016x}\nwatermark {}\npicks {}\nstate {:016x}\n",
+            self.config_digest,
+            self.watermark.ticks(),
+            self.picks,
+            self.state_digest
+        );
+        std::fs::write(&tmp, text)?;
+        std::fs::rename(&tmp, path)
     }
 
     /// Load and validate a checkpoint file.

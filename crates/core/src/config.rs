@@ -85,13 +85,13 @@ pub struct EngineConfig {
     /// cycles). Charged when a woken (e.g. joining) activity regains its
     /// core.
     pub resume_cost: VDuration,
-    /// Size of every stack a task body can run on: the sequential engine's
-    /// pooled userland contexts (`mmap`ed, plus one guard page each;
-    /// resident only as deep as a body reaches) and the frame workers'
-    /// threads. Task bodies are real recursive Rust code, and the runtime's
-    /// message handlers run on top of a body at its annotation boundaries,
-    /// so this must accommodate the deepest kernel recursion plus one
-    /// handler. A size the host refuses to map ends the run with
+    /// Size of every stack a task body can run on: the pooled userland
+    /// contexts (`mmap`ed, plus one guard page each; resident only as deep
+    /// as a body reaches). Task bodies are real recursive Rust code, and
+    /// the runtime's message handlers run on top of a body at its
+    /// annotation boundaries, so this must accommodate the deepest kernel
+    /// recursion plus one handler. A size the host refuses to map ends the
+    /// run with
     /// [`crate::SimError::HostResources`].
     pub worker_stack_bytes: usize,
     /// Abort the simulation if total live activities ever exceeds this

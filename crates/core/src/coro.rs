@@ -2,19 +2,30 @@
 //!
 //! The paper schedules its per-core threads in userland (§III); this is
 //! that mechanism. A [`Context`] is an `mmap`ed stack plus two saved stack
-//! pointers. The sequential engine's driver runs a task body *on* a context
-//! ([`Context::start`]), the body gives the CPU back in the middle of a
-//! call chain ([`Context::suspend`]) and the driver later continues it
+//! pointers. A *driver* — whoever holds the body's grant: the sequential
+//! loop, a frame worker, the epoch coordinator — runs a task body *on* a
+//! context ([`Context::start`]), the body gives the CPU back in the middle
+//! of a call chain ([`Context::suspend`]) and a driver later continues it
 //! exactly there ([`Context::resume`]) — each a [`arch::switch`]: push the
 //! callee-saved registers, exchange the stack pointer, pop, return. No
-//! system call, no second host thread, nothing the host scheduler sees.
+//! system call, nothing the host scheduler sees.
 //!
-//! Two properties the engine relies on:
+//! Three properties the engine relies on:
 //!
 //! * **Nothing unwinds across a switch.** The body runs under
 //!   `catch_unwind` in [`trampoline`], the outermost frame of its stack; a
 //!   panic is handed to the driver as a value ([`Outcome::Panicked`]). A
 //!   context's stack is a separate unwinding universe that ends there.
+//! * **One resumer at a time, on any thread.** A suspended body is plain
+//!   memory — a stack and a saved stack pointer — so the thread that
+//!   resumes it need not be the one it suspended on. What must hold is
+//!   that exactly one party drives a context at any instant and that each
+//!   hand-over is a happens-before edge: the engine passes a context from
+//!   driver to driver through `Mutex<Sim>` or through a frame's
+//!   release/acquire pair (`crate::frame`). The price is one rule for
+//!   everything on a body's path to [`Context::suspend`]: hold no
+//!   thread-local (a reference into one, or a guard tied to the thread)
+//!   across it — after the switch "this thread" may be another one.
 //! * **A context never outlives its pool.** [`Pool`] owns every stack and
 //!   unmaps them when dropped; freed contexts are reused most recently
 //!   freed first, so a run of run-to-completion tasks touches one stack.
@@ -54,7 +65,8 @@ mod arch {
     ///
     /// # Safety
     /// `to` must be a stack pointer stored by an earlier `switch` or
-    /// [`start`] on this thread whose stack is still mapped and has not
+    /// [`start`] — on this thread, or on another whose store
+    /// happens-before this call — whose stack is still mapped and has not
     /// been continued since; `save` must be valid for a write.
     #[unsafe(naked)]
     pub(super) unsafe extern "C" fn switch(save: *mut *mut u8, to: *mut u8) {
@@ -125,7 +137,8 @@ mod arch {
     ///
     /// # Safety
     /// `to` must be a stack pointer stored by an earlier `switch` or
-    /// [`start`] on this thread whose stack is still mapped and has not
+    /// [`start`] — on this thread, or on another whose store
+    /// happens-before this call — whose stack is still mapped and has not
     /// been continued since; `save` must be valid for a write.
     #[unsafe(naked)]
     pub(super) unsafe extern "C" fn switch(save: *mut *mut u8, to: *mut u8) {
@@ -327,8 +340,10 @@ enum State {
 /// body, or the driver that started or resumed it — is not running.
 ///
 /// All fields are private and `Cell`s: both sides reach the context
-/// through `&Context` on one thread (the raw pointer and the cells make it
-/// neither `Send` nor `Sync`), so no `&mut` ever has to span a switch.
+/// through `&Context`, so no `&mut` ever has to span a switch. The raw
+/// pointers and the cells make it neither `Send` nor `Sync`: a driver on
+/// another thread gets at it through a raw pointer, on the strength of the
+/// hand-over rule in the module docs.
 pub(crate) struct Context {
     stack: Stack,
     /// Valid while `Suspended`.
@@ -419,8 +434,10 @@ impl Context {
         );
         self.state.set(State::Running);
         // SAFETY: `Suspended` means `body_sp` was stored by the body's
-        // `suspend` on this thread (a context cannot change threads) and
-        // nothing has continued it since; the stack is still mapped.
+        // `suspend` and nothing has continued it since; if that was on
+        // another thread, the hand-over that made the caller this
+        // context's one driver ordered the store before this load (module
+        // docs). The stack is still mapped.
         unsafe { arch::switch(self.driver_sp.as_ptr(), self.body_sp.get()) };
         self.came_back()
     }
@@ -656,6 +673,103 @@ mod tests {
         assert_eq!(sum, s + p);
         assert_eq!(addr % 16, 0, "over-aligned local at {addr:#x}");
         assert_eq!(mine, (0..999).map(|k| 0.25 * f64::from(k)).sum::<f64>());
+    }
+
+    /// Carries a pool from the thread that started a body to the one that
+    /// continues it.
+    struct Handoff(Pool);
+    // SAFETY: the tests below move it through `JoinHandle::join` and
+    // `thread::spawn`, each a happens-before edge, and the sending thread
+    // is gone by then — one driver at a time, which is the module's rule.
+    unsafe impl Send for Handoff {}
+    impl Handoff {
+        /// (A method, so that a closure captures the whole `Handoff`.)
+        fn into_pool(self) -> Pool {
+            self.0
+        }
+    }
+
+    /// Start a body on a thread of its own and return it suspended, with
+    /// that thread's id.
+    fn started_elsewhere(
+        body: impl FnOnce(&Context) + Send + 'static,
+    ) -> (Handoff, std::thread::ThreadId) {
+        std::thread::spawn(move || {
+            let mut pool = Pool::new(STACK);
+            let slot = pool.acquire().unwrap();
+            assert!(matches!(pool.get(slot).start(body), Outcome::Suspended));
+            (Handoff(pool), std::thread::current().id())
+        })
+        .join()
+        .unwrap()
+    }
+
+    /// A body started on thread A and suspended there runs to completion
+    /// on thread B: its locals — some in callee-saved registers in an
+    /// optimized build — survive, and what it asks the thread about after
+    /// the switch is answered by B.
+    #[test]
+    fn a_suspended_body_resumes_on_another_thread() {
+        use std::sync::Mutex;
+        const SEED: [u64; 6] = [3, 1, 4, 1, 5, 9];
+        let seen = std::sync::Arc::new(Mutex::new(None));
+        let out = seen.clone();
+        let (handoff, thread_a) = started_elsewhere(move |me| {
+            let before = std::thread::current().id();
+            let mut v = SEED;
+            churn(&mut v, 1);
+            // SAFETY: this closure is the body running on `me`.
+            unsafe { me.suspend() };
+            churn(&mut v, 2);
+            *out.lock().unwrap() = Some((before, std::thread::current().id(), v));
+        });
+        let thread_b = std::thread::spawn(move || {
+            let pool = handoff.into_pool();
+            assert!(matches!(pool.get(0).resume(), Outcome::Returned));
+            std::thread::current().id()
+        })
+        .join()
+        .unwrap();
+        let mut v = SEED;
+        churn(&mut v, 1);
+        churn(&mut v, 2);
+        assert_ne!(thread_a, thread_b);
+        assert_eq!(*seen.lock().unwrap(), Some((thread_a, thread_b, v)));
+    }
+
+    /// A panic raised after such a migration unwinds the body's stack on
+    /// the resuming thread and still ends at the trampoline.
+    #[test]
+    fn a_panic_after_migration_is_caught_at_the_trampoline() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        struct SetOnDrop(std::sync::Arc<AtomicBool>);
+        impl Drop for SetOnDrop {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let dropped = std::sync::Arc::new(AtomicBool::new(false));
+        let guard = SetOnDrop(dropped.clone());
+        let (handoff, _) = started_elsewhere(move |me| {
+            let _guard = guard;
+            // SAFETY: this closure is the body running on `me`.
+            unsafe { me.suspend() };
+            std::panic::panic_any(4242u32);
+        });
+        assert!(!dropped.load(Ordering::SeqCst));
+        let payload = std::thread::spawn(move || {
+            let pool = handoff.into_pool();
+            let Outcome::Panicked(payload) = pool.get(0).resume() else {
+                panic!("expected the panic to come back as a value");
+            };
+            // The resuming thread is not left "panicking" by it.
+            assert!(!std::thread::panicking());
+            payload
+        })
+        .join()
+        .unwrap();
+        assert_eq!(payload.downcast_ref::<u32>(), Some(&4242));
+        assert!(dropped.load(Ordering::SeqCst));
     }
 
     #[test]

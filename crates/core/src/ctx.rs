@@ -4,17 +4,16 @@
 //! interactions. Each `ExecCtx` method briefly acquires the simulation
 //! lock, performs the interaction (advance the clock, send a message,
 //! block...), applies the synchronization policy and returns — possibly
-//! after giving the CPU away while the core is stalled or blocked: by a
-//! switch to the driver under the sequential engine, by parking the frame
-//! worker thread under the epoch coordinator. All waiting happens here;
-//! runtime hooks never block.
+//! after giving the CPU away while the core is stalled, blocked or parked:
+//! a switch from the body's context back to whoever granted it (see
+//! [`crate::coro`]). All waiting happens here; runtime hooks never block.
 
 use crate::activity::{ActivityId, ActivityState};
 use crate::coro::Context;
 use crate::engine::{is_ready, push_ready, Shared, ShutdownSignal, Sim, Token};
 use crate::ops::Ops;
 use crate::sync;
-use parking_lot::{Condvar, MutexGuard};
+use parking_lot::MutexGuard;
 use simany_net::Payload;
 use simany_time::{BlockCost, CoreSpeed, VDuration, VirtualTime};
 use simany_topology::CoreId;
@@ -52,32 +51,20 @@ struct Confined {
     pending: Cell<u64>,
 }
 
-/// Whose stack a body runs on, which is how it gives the CPU away.
-enum Host {
-    /// Sequential engine: the pooled userland context `drive` started this
-    /// body on. The pointer is the `&Context` the body's closure received;
-    /// the context outlives the body (the pool frees it after the run).
-    Context(*const Context),
-    /// Epoch member: frame worker `slot`'s thread, parked on `cv`. An
-    /// epoch member that parks pins the slot.
-    FrameWorker { slot: usize, cv: Arc<Condvar> },
-}
-
 /// Per-activity execution context handed to task bodies.
 pub struct ExecCtx {
     shared: Arc<Shared>,
     aid: ActivityId,
     core: CoreId,
-    host: Host,
-    /// Set at the first epoch park: this activity's native stack now pins
-    /// its host thread until the closure returns, and its completion must
-    /// go through the locked (token-routed) path.
-    pinned: Cell<bool>,
+    /// The pooled userland context this body runs on: the `&Context` its
+    /// closure received. The context outlives the body (the pool frees it
+    /// after the run).
+    me: *const Context,
     confined: Confined,
 }
 
 impl ExecCtx {
-    /// For the body `drive` is starting on `me`.
+    /// For the body being started on `me`.
     ///
     /// # Safety
     /// Must be called by the body running on `me`, which must keep the
@@ -89,27 +76,11 @@ impl ExecCtx {
         core: CoreId,
         me: &Context,
     ) -> Self {
-        Self::new(shared, aid, core, Host::Context(me))
-    }
-
-    /// For an epoch member running on frame worker `slot`'s thread.
-    pub(crate) fn on_frame_worker(
-        shared: Arc<Shared>,
-        aid: ActivityId,
-        core: CoreId,
-        slot: usize,
-        cv: Arc<Condvar>,
-    ) -> Self {
-        Self::new(shared, aid, core, Host::FrameWorker { slot, cv })
-    }
-
-    fn new(shared: Arc<Shared>, aid: ActivityId, core: CoreId, host: Host) -> Self {
         ExecCtx {
             shared,
             aid,
             core,
-            host,
-            pinned: Cell::new(false),
+            me,
             confined: Confined {
                 active: Cell::new(false),
                 vtime: Cell::new(VirtualTime::ZERO),
@@ -162,37 +133,9 @@ impl ExecCtx {
         true
     }
 
-    /// Fold batched lock-free advances back into `Sim`. Every locked entry
-    /// point calls this first (while the cache is armed nothing else may
-    /// read this core's clock), and the worker loop calls it when the task
-    /// body returns, so the epoch coordinator always sees flushed clocks.
-    pub(crate) fn flush_confined(&self, sim: &mut MutexGuard<'_, Sim>) {
-        if !self.confined.active.get() {
-            return;
-        }
-        self.confined.active.set(false);
-        let n = self.confined.pending.replace(0);
-        if n == 0 {
-            return;
-        }
-        let d = self.confined.accum.replace(VDuration::ZERO);
-        sim.cores.advance(self.core.index(), d);
-        sim.cores.publish_pending[self.core.index()] = true;
-        sim.count_fast_path_n(&self.shared, self.core, n);
-    }
-
-    /// Whether this body parked inside an epoch at least once (and so pins
-    /// its host thread; see [`Self::park_epoch`]).
-    pub(crate) fn epoch_pinned(&self) -> bool {
-        self.pinned.get()
-    }
-
-    /// Disarm the confined cache and take its batched advance without the
-    /// simulation lock: `Some((delta, annotation count))` if anything was
-    /// batched. Used by the lock-free completion path of a frame worker —
-    /// the coordinator lands the delta (exactly as [`Self::flush_confined`]
-    /// would) at the start of phase B, before anything reads the clock.
-    pub(crate) fn take_confined_flush(&self) -> Option<(VDuration, u64)> {
+    /// Disarm the confined cache and take its batched advance: `Some((delta,
+    /// annotation count))` if anything was batched.
+    fn take_confined(&self) -> Option<(VDuration, u64)> {
         if !self.confined.active.get() {
             return None;
         }
@@ -202,6 +145,38 @@ impl ExecCtx {
             return None;
         }
         Some((self.confined.accum.replace(VDuration::ZERO), n))
+    }
+
+    /// Fold batched lock-free advances back into `Sim`. Every locked entry
+    /// point calls this first (while the cache is armed nothing else may
+    /// read this core's clock).
+    fn flush_confined(&self, sim: &mut MutexGuard<'_, Sim>) {
+        if let Some((d, n)) = self.take_confined() {
+            sim.cores.advance(self.core.index(), d);
+            sim.cores.publish_pending[self.core.index()] = true;
+            sim.count_fast_path_n(&self.shared, self.core, n);
+        }
+    }
+
+    /// The task body returned: leave what the confined cache still holds
+    /// in this tile's lane, without the simulation lock. The coordinator
+    /// lands it (exactly as [`Self::flush_confined`] would) at the start of
+    /// phase B, before anything reads the clock. The cache only arms under
+    /// an epoch grant, so this does nothing at the end of an exclusive one.
+    pub(crate) fn body_returned(&self) {
+        if let Some((d, n)) = self.take_confined() {
+            self.lane().flushes.push((self.core, d, n));
+        }
+    }
+
+    /// This core's tile lane, for a body running under an epoch grant.
+    #[allow(clippy::mut_from_ref)]
+    fn lane(&self) -> &mut crate::frame::LaneState {
+        let fs = self.shared.frame.as_ref().expect("epoch without frames");
+        // SAFETY: an epoch member runs on the thread that claimed its tile
+        // for this frame, the lane's one owner until it retires the tile
+        // (callers hold `Token::Epoch`, or the confined cache it arms).
+        unsafe { fs.lane_mut(self.shared.tile_of(self.core)) }
     }
 
     /// The core this task runs on.
@@ -347,8 +322,7 @@ impl ExecCtx {
             // the serial replay recomputes it from scratch. Drop it so the
             // coordinator's flush-time sanitizer check stays meaningful.
             sim.cores.headroom_limit[self.core.index()] = None;
-            self.park_epoch(sim, crate::engine::EpochPending::Resume(self.aid));
-            debug_assert_eq!(sim.token, Token::Act(self.aid));
+            self.park_epoch(sim);
         }
         sync::publish(sim, &self.shared, self.core);
         crate::engine::drain_due_messages(sim, &self.shared, self.core);
@@ -359,15 +333,11 @@ impl ExecCtx {
     pub fn send(&mut self, dst: CoreId, size_bytes: u32, payload: Payload) {
         if self.confined.active.get() {
             // Lock-free epoch path: the confined cache only arms under
-            // `Token::Epoch`, where this thread is its tile's sole
-            // executor, so the tile lane can take the message without the
-            // simulation lock. The stamp is the confined clock — exactly
-            // what the locked path would read after flushing the cache.
-            let fs = self.shared.frame.as_ref().expect("confined without frames");
-            // SAFETY: sole executor of this tile for the current frame
-            // (fresh-tile claimant or pinned solo host).
-            let lane = unsafe { fs.lane_mut(self.shared.tile_of(self.core)) };
-            lane.outbox.push(crate::engine::OutMsg {
+            // `Token::Epoch`, so the tile lane can take the message without
+            // the simulation lock. The stamp is the confined clock —
+            // exactly what the locked path would read after flushing the
+            // cache.
+            self.lane().outbox.push(crate::engine::OutMsg {
                 src: self.core,
                 dst,
                 size_bytes,
@@ -386,15 +356,7 @@ impl ExecCtx {
             // in tile order once the epoch quiesces, preserving
             // per-sender FIFO (the lane keeps program order and `sent`
             // stamps are monotone per sender).
-            // SAFETY: sole executor of this tile for the current frame.
-            let lane = unsafe {
-                self.shared
-                    .frame
-                    .as_ref()
-                    .expect("epoch without frames")
-                    .lane_mut(self.shared.tile_of(self.core))
-            };
-            lane.outbox.push(crate::engine::OutMsg {
+            self.lane().outbox.push(crate::engine::OutMsg {
                 src: self.core,
                 dst,
                 size_bytes,
@@ -534,7 +496,7 @@ impl ExecCtx {
                     self.arm_confined(sim);
                     return;
                 }
-                self.park_epoch(sim, crate::engine::EpochPending::Resume(self.aid));
+                self.park_epoch(sim);
                 continue;
             }
             // The policy check reads published values, and a stall yields
@@ -562,107 +524,45 @@ impl ExecCtx {
         }
     }
 
-    /// Give up the run token at a stall or a block (the activity's state
-    /// already says which) and return once it has been granted again.
-    ///
-    /// Sequentially this is a switch to the driver with the lock released
-    /// (the driver re-locks, ends the grant and picks on; see the `engine`
-    /// module docs) and the next grant switches back here. Under the epoch
-    /// coordinator the token goes back to the coordinator thread and this
-    /// one parks.
-    fn suspend(&self, sim: &mut MutexGuard<'_, Sim>) {
-        debug_assert_eq!(sim.token, Token::Act(self.aid));
-        match &self.host {
-            Host::Context(me) => {
-                // SAFETY: `on_context`'s contract — an `ExecCtx` with this
-                // host is made by, and stays with, the body running on
-                // `me` — so the caller is that body, and `me` is alive
-                // (see `Host::Context`).
-                MutexGuard::unlocked(sim, || unsafe { (**me).suspend() });
-                if sim.shutdown {
-                    // Teardown resumed this body to unwind it: through user
-                    // code, up to the context's trampoline.
-                    std::panic::panic_any(ShutdownSignal);
-                }
-                debug_assert_eq!(sim.token, Token::Act(self.aid));
-            }
-            Host::FrameWorker { cv, .. } => {
-                sim.token = Token::Scheduler;
-                self.shared.sched_cv.notify_one();
-                self.wait_for_grant(sim, cv);
-            }
-        }
-    }
-
-    /// If this activity is running confined inside an epoch, park it with
-    /// an [`EpochPending::Resume`] entry and wait until the coordinator's
-    /// serial phase re-grants it the run token exclusively. No-op under an
-    /// exclusive grant. Interactions that need full simulator access
-    /// (compound `Ops`, blocking) call this first so their existing
-    /// sequential bodies run unchanged.
+    /// If this activity is running confined inside an epoch, park it and
+    /// wait until the coordinator's serial phase re-grants it the run token
+    /// exclusively. No-op under an exclusive grant. Interactions that need
+    /// full simulator access (compound `Ops`, blocking) call this first so
+    /// their existing sequential bodies run unchanged.
     fn exclusive_for_ops(&self, sim: &mut MutexGuard<'_, Sim>) {
         if sim.token == Token::Epoch {
-            self.park_epoch(sim, crate::engine::EpochPending::Resume(self.aid));
-            debug_assert_eq!(sim.token, Token::Act(self.aid));
+            self.park_epoch(sim);
         }
     }
 
-    /// Leave the running epoch: record `p` in this tile's lane for the
-    /// coordinator's serial phase, flip this activity to `Parked` (so an
-    /// epoch-wide token does not wake it spuriously), retire it from the
-    /// frame, and wait to be re-granted.
-    fn park_epoch(&self, sim: &mut MutexGuard<'_, Sim>, p: crate::engine::EpochPending) {
+    /// Leave the running epoch: flip this activity to `Parked` and hand
+    /// the CPU back to the frame worker, which records the park in the
+    /// tile's lane and retires the member once this context is at rest
+    /// (`engine::run_exec_tile`). Returns under the exclusive re-grant of
+    /// the coordinator's serial phase.
+    fn park_epoch(&self, sim: &mut MutexGuard<'_, Sim>) {
         debug_assert_eq!(sim.token, Token::Epoch);
-        let fs = self.shared.frame.as_ref().expect("epoch without frames");
-        let tile = self.shared.tile_of(self.core);
-        // The first park pins this activity to its host thread: its native
-        // stack lives there until the closure returns, so later grants
-        // re-enter through the thread's condvar slot.
-        let Host::FrameWorker { slot, cv } = &self.host else {
-            unreachable!("epoch member without a frame worker");
-        };
-        if sim.act(self.aid).worker.is_none() {
-            sim.act_mut(self.aid).worker = Some(*slot);
-            sim.pinned_workers += 1;
-            self.pinned.set(true);
-        }
         sim.act_mut(self.aid).state = ActivityState::Parked;
-        // SAFETY: sole executor of this tile for the current frame.
-        let lane = unsafe { fs.lane_mut(tile) };
-        // Members queued behind this one cannot run this epoch — this
-        // activity pins the thread until its body returns — so strand
-        // them; the coordinator reverts them to `Pending` at phase B.
-        let stranded = lane.queue.len();
-        lane.spilled.extend(lane.queue.drain(..));
-        lane.pending.push(p);
-        // Retire this member plus the stranded ones. The coordinator may
-        // reach phase B immediately, but it cannot re-grant this activity
-        // before `wait_for_grant` releases the simulation lock below — the
-        // re-grant itself happens under it.
-        fs.retire(1 + stranded);
-        self.wait_for_grant(sim, cv);
+        self.suspend(sim);
+        debug_assert_eq!(sim.token, Token::Act(self.aid));
     }
 
-    /// Epoch members only: park this frame worker's thread on its condvar
-    /// until the coordinator grants the token back to this activity —
-    /// exclusively (`Token::Act`), or as part of an epoch batch
-    /// (`Token::Epoch` with this activity flipped to `Granted`).
-    fn wait_for_grant(&self, sim: &mut MutexGuard<'_, Sim>, cv: &Condvar) {
-        loop {
-            if sim.shutdown {
-                // Unwind through user code; the worker loop recognizes the
-                // signal and exits quietly.
-                std::panic::panic_any(ShutdownSignal);
-            }
-            let token_ok = match sim.token {
-                Token::Act(a) => a == self.aid,
-                Token::Epoch => true,
-                Token::Scheduler => false,
-            };
-            if token_ok && matches!(sim.act(self.aid).state, ActivityState::Granted) {
-                return;
-            }
-            cv.wait(sim);
+    /// Give the CPU away at a stall, a block or a park (the activity's
+    /// state already says which): switch to whoever granted this body, with
+    /// the lock released (the granter re-locks if it needs to; see the
+    /// `engine` module docs), and return when the next grant — exclusive,
+    /// or as a member of an epoch — switches back here, on whichever thread
+    /// holds that grant.
+    fn suspend(&self, sim: &mut MutexGuard<'_, Sim>) {
+        // SAFETY: `on_context`'s contract — an `ExecCtx` is made by, and
+        // stays with, the body running on `me` — so the caller is that
+        // body, and `me` is alive (see the field).
+        MutexGuard::unlocked(sim, || unsafe { (*self.me).suspend() });
+        if sim.shutdown {
+            // Teardown resumed this body to unwind it: through user code,
+            // up to the context's trampoline.
+            std::panic::panic_any(ShutdownSignal);
         }
+        debug_assert!(matches!(sim.act(self.aid).state, ActivityState::Granted));
     }
 }

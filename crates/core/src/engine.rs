@@ -13,41 +13,50 @@
 //! maximal speed" of the paper — but since nobody else can hold the token
 //! concurrently, the simulation stays sequential and deterministic.
 //!
-//! ## One flat driver, bodies on userland contexts (`threads <= 1`)
+//! ## Bodies on userland contexts, one way to grant them
 //!
-//! The sequential engine is one host thread — the one that called
-//! [`simulate`] — running [`drive`]: `next → dispatch → resume(body)`, a
-//! loop with no nesting. Every task body runs on a pooled stack of its own
-//! ([`crate::coro`]): a first grant takes the activity's closure and
-//! *starts* it on the most recently freed context, a later grant *resumes*
-//! the context where the body left it. The body gives the token back by
-//! returning, or — mid-closure, at a stall or a block — by switching to the
-//! driver (`ExecCtx::suspend`). Either way `start`/`resume` returns in
-//! `drive`, which ends the grant: it accounts a finished or panicked body,
-//! re-evaluates the activity's core for the ready queue (what `dispatch`
-//! does itself after a message or an idle hook), closes the pick's action
-//! lap and picks again. A grant therefore costs two register swaps
-//! ([`SimStats::ctx_switches`]) and no system call; a run of tasks that
-//! never suspend reuses one stack ([`SimStats::peak_stacks`] = 1).
+//! Every task body runs on a pooled stack of its own ([`crate::coro`]): a
+//! first grant takes the activity's closure and *starts* it on a context,
+//! a later grant *resumes* the context where the body left it —
+//! [`run_body`], the one place either happens. The body gives the CPU back
+//! by returning, or — mid-closure, at a stall, a block or an epoch park —
+//! by switching to whoever granted it (`ExecCtx::suspend`). Either way
+//! `start`/`resume` returns in the granter, on the granter's thread; the
+//! next grant may come from another thread (the hand-over rule is in the
+//! `coro` module docs). A grant therefore costs two register swaps
+//! ([`SimStats::ctx_switches`]) and no system call.
+//!
+//! An *exclusive* grant ([`grant`]: `Token::Act`) is the sequential
+//! engine's only kind and the epoch coordinator's serial-phase kind: run
+//! the body, then account a finished or panicked one under the lock.
 //!
 //! **Lock protocol around a switch.** Each side owns a guard of the
 //! simulation mutex on its own stack, and only the running side holds the
-//! lock: the driver wraps `start`/`resume` in `MutexGuard::unlocked`, the
+//! lock: [`grant`] wraps `start`/`resume` in `MutexGuard::unlocked`, the
 //! body wraps its switch back the same way, so every switch happens with
 //! the mutex free and each side re-locks when it continues. Task code in
-//! between takes the lock per `ExecCtx` call exactly as it does on a frame
-//! worker's thread — the two engines share that code.
+//! between takes the lock per `ExecCtx` call. (A frame worker grants
+//! without holding the lock at all, so only the body's half applies.)
 //!
 //! **Nothing unwinds across a switch.** A body runs under `catch_unwind`
-//! in the context's outermost frame, so a task panic comes back to `drive`
-//! as a value and is recorded as [`SimError::TaskPanic`]; a panic of the
-//! engine or a hook under the driver simply propagates up `simulate`'s own
-//! stack to its caller. When a run ends early (deadlock, watchdog,
-//! preemption, task panic) [`unwind_suspended`] resumes each suspended body
-//! once with `Sim::shutdown` set: it raises [`ShutdownSignal`] where it was
-//! parked, its locals drop on its own stack, and the trampoline hands the
-//! context back. Every stack is unmapped when the pool drops, before
-//! `simulate` returns.
+//! in the context's outermost frame, so a task panic comes back to the
+//! granter as a value and is recorded as [`SimError::TaskPanic`]; a panic
+//! of the engine or a hook under the driver simply propagates up
+//! `simulate`'s own stack to its caller. When a run ends early (deadlock,
+//! watchdog, preemption, task panic) [`unwind_suspended`] resumes each
+//! suspended body once with `Sim::shutdown` set: it raises
+//! [`ShutdownSignal`] where it was parked, its locals drop on its own
+//! stack, and the trampoline hands the context back. Every stack is
+//! unmapped when the pool drops, before `simulate` returns.
+//!
+//! ## The sequential engine (`threads <= 1`)
+//!
+//! One host thread — the one that called [`simulate`] — running [`drive`]:
+//! `next → dispatch → grant`, a loop with no nesting. After the grant it
+//! re-evaluates the activity's core for the ready queue (what `dispatch`
+//! does itself after a message or an idle hook), closes the pick's action
+//! lap and picks again. A run of tasks that never suspend reuses one stack
+//! ([`SimStats::peak_stacks`] = 1).
 //!
 //! The order of picks, every `Ops` call and every counter a digest covers
 //! are those of a dedicated scheduler thread handing a token to per-task
@@ -61,34 +70,36 @@
 //! count, watchdog, sanitizer cadence and parallelism sample, then message
 //! processing, idle hooks and the requeue — lives once, in [`PickLoop`],
 //! and is the order every digest, checkpoint and golden timing depends on.
-//! Its two callers differ only in what a *grant* is: [`drive`] switches to
-//! the activity's context as described above;
-//! [`crate::parallel::run_scheduler`] stashes the activity into the current
-//! epoch's batch (or defers it) and runs the batch when the front-end
-//! reports the ready queue drained.
+//! Its two callers differ only in what a pick's *grant* is: [`drive`]
+//! grants exclusively, at once; [`crate::parallel::run_scheduler`] stashes
+//! the activity into the current epoch's batch (or defers it) and runs the
+//! batch when the front-end reports the ready queue drained.
 //!
 //! ## Parallel host execution
 //!
 //! With [`EngineConfig::threads`] ` > 1` the topology is partitioned into
 //! contiguous tiles and the token protocol gains a third state,
 //! [`Token::Epoch`]: the coordinator (see [`crate::parallel`]) grants a
-//! *batch* of activities — at most one per tile — that execute user code
-//! concurrently, each confined to mutating its own core. Workers are
-//! coordinated lock-free through frames (see [`crate::frame`]): the
-//! coordinator publishes each epoch as a frame, workers spin/park on an
-//! atomic frame counter and claim tiles off an atomic cursor, and a
-//! countdown of outstanding members signals quiescence — the simulation
-//! mutex is not held while the batch executes. Everything that crosses
-//! core boundaries (message routing, compound `Ops`, failed
+//! *batch* of activities — at most one queue of them per tile — that
+//! execute user code concurrently, each confined to mutating its own core.
+//! A fixed pool of frame workers, spawned before the run, is coordinated
+//! lock-free through frames (see [`crate::frame`]): the coordinator
+//! publishes each epoch as a frame, workers spin/park on an atomic frame
+//! counter and claim tiles off an atomic cursor, and a countdown of
+//! outstanding members signals quiescence — the simulation mutex is not
+//! held while the batch executes. A worker runs each member of a claimed
+//! tile through [`run_body`]; a member that needs the serial phase parks,
+//! which is a switch back to the worker's claim loop. Everything that
+//! crosses core boundaries (message routing, compound `Ops`, failed
 //! synchronization checks) is deposited into per-tile lanes and replayed
 //! in deterministic tile order once the batch quiesces — commuting
 //! per-core effects in a parallel replay frame, the rest on a serial
-//! tail. Epoch members run on the frame workers' own thread stacks and
-//! park on condvars; `threads <= 1` never enters any of these paths.
+//! tail, where a parked member is granted exclusively by the coordinator
+//! thread itself. `threads <= 1` never enters any of these paths.
 
 use crate::activity::{Activity, ActivityId, ActivityMeta, ActivityState, TaskFn};
 use crate::config::{EngineConfig, SyncPolicy};
-use crate::coro::{Outcome, Pool};
+use crate::coro::{Context, Outcome, Pool};
 use crate::hooks::RuntimeHooks;
 use crate::ops::Ops;
 use crate::ready::ReadyQueue;
@@ -96,13 +107,12 @@ use crate::state::Cores;
 use crate::stats::SimStats;
 use crate::sync;
 use crate::trace::TraceEvent;
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 use simany_net::{Envelope, InboxPool, NetworkModel};
 use simany_time::{VirtualTime, Xoshiro256StarStar};
 use simany_topology::{CoreId, Topology};
 use std::collections::HashMap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Who currently holds the run token.
@@ -112,8 +122,7 @@ pub(crate) enum Token {
     /// coordinator under the parallel one.
     Scheduler,
     /// This activity, exclusively: its closure is executing, or is about
-    /// to — on the context the driver is switching to, or on the frame
-    /// worker thread the coordinator's re-grant woke.
+    /// to, on the context [`grant`] is switching to.
     Act(ActivityId),
     /// Parallel mode: an epoch is in flight — every activity of the
     /// current batch (at most one per tile) holds a share of the token and
@@ -135,9 +144,6 @@ pub(crate) fn trace(shared: &Shared, make: impl FnOnce() -> TraceEvent) {
 /// Immutable run-wide context shared by the scheduler and all workers.
 pub(crate) struct Shared {
     pub(crate) sim: Mutex<Sim>,
-    /// Wakes the epoch coordinator when an exclusively re-granted activity
-    /// returns the token (unused by the sequential engine).
-    pub(crate) sched_cv: Condvar,
     pub(crate) hooks: Arc<dyn RuntimeHooks>,
     pub(crate) config: EngineConfig,
     pub(crate) topo: Topology,
@@ -208,14 +214,8 @@ pub(crate) struct Sim {
     pub(crate) token: Token,
     pub(crate) ready: ReadyQueue,
     pub(crate) stats: SimStats,
-    /// Parallel mode: one condvar per frame worker, indexed by the slot a
-    /// parked epoch member records in `Activity::worker`.
-    pub(crate) worker_cvs: Vec<Arc<Condvar>>,
-    /// Parallel mode: every frame worker spawned for this run; `simulate`
-    /// joins them all.
-    pub(crate) worker_handles: Vec<std::thread::JoinHandle<()>>,
-    /// Teardown has begun: a suspended or parked activity that wakes up
-    /// raises [`ShutdownSignal`] instead of continuing.
+    /// Teardown has begun: a suspended body that is resumed raises
+    /// [`ShutdownSignal`] instead of continuing.
     pub(crate) shutdown: bool,
     pub(crate) failure: Option<Failure>,
     pub(crate) live_activities: usize,
@@ -254,15 +254,6 @@ pub(crate) struct Sim {
     /// Online invariant sanitizer state; `Some` iff
     /// [`EngineConfig::sanitize`] is on (see [`crate::sanitizer`]).
     pub(crate) sanitizer: Option<Box<crate::sanitizer::SanitizerState>>,
-    /// Parallel mode: frame worker threads spawned so far (frame workers
-    /// are the only host threads the engine ever spawns).
-    pub(crate) frame_workers: usize,
-    /// Parallel mode: frame workers currently pinned by a parked activity
-    /// (the activity's native stack lives on the worker's thread until its
-    /// closure returns, so the worker cannot claim tiles meanwhile). The
-    /// coordinator keeps `frame_workers - pinned_workers` at least the
-    /// claimable-tile count of every frame it launches.
-    pub(crate) pinned_workers: usize,
     /// Parallel mode: per-tile shards of the synchronization hot-path
     /// counters (empty — length 0 — under the sequential engine). Merged
     /// into `stats` in tile order at teardown.
@@ -636,7 +627,7 @@ pub(crate) fn start_activity_impl(
             core,
             state: ActivityState::Pending,
             job: Some(job),
-            worker: None,
+            context: None,
             wake_value: None,
             wake_time: None,
             charge_resume: false,
@@ -700,9 +691,10 @@ pub(crate) fn wake_impl(
 }
 
 /// Bookkeeping when an activity's closure returns (under the simulation
-/// lock).
-pub(crate) fn finish_activity(sim: &mut Sim, shared: &Shared, aid: ActivityId) {
+/// lock): its context goes back to the pool, its core is freed.
+pub(crate) fn finish_activity(sim: &mut Sim, shared: &Shared, pool: &mut Pool, aid: ActivityId) {
     let mut act = sim.acts.remove(&aid.0).expect("finishing unknown activity");
+    pool.release(act.context.expect("finished without ever running"));
     let c = act.core;
     // The end-of-task hooks below observe published values; make any
     // fast-path deferred publish visible first.
@@ -1015,8 +1007,6 @@ pub fn simulate(
         token: Token::Scheduler,
         ready,
         stats: SimStats::default(),
-        worker_cvs: Vec::new(),
-        worker_handles: Vec::new(),
         shutdown: false,
         failure: None,
         live_activities: 0,
@@ -1032,8 +1022,6 @@ pub fn simulate(
         stamp_cur: 0,
         core_fail_announced: vec![false; n as usize],
         sanitizer: None,
-        frame_workers: 0,
-        pinned_workers: 0,
         tile_stats: vec![crate::stats::TileStats::default(); n_tiles],
         scratch_ready: Vec::new(),
         // All cores start idle with empty birth ledgers: every key is MAX,
@@ -1048,7 +1036,6 @@ pub fn simulate(
     let frame = (n_tiles > 0).then(|| crate::frame::FrameSync::new(n_tiles, config.threads));
     let shared = Arc::new(Shared {
         sim: Mutex::new(sim),
-        sched_cv: Condvar::new(),
         hooks,
         config,
         topo,
@@ -1056,10 +1043,13 @@ pub fn simulate(
         frame,
     });
 
-    // Sequential engine: where task bodies' registers live. Dropped — every
-    // stack unmapped — on every way out of this function.
+    // The frame workers: a fixed pool, so a thread the host refuses ends
+    // the run here, before it starts.
+    let workers = spawn_frame_workers(&shared, n_tiles.min(shared.config.threads as usize))?;
+    // Where task bodies' registers live. Dropped — every stack unmapped —
+    // on every way out of this function, after the workers are gone.
     let mut pool = Pool::new(shared.config.worker_stack_bytes);
-    let handles = {
+    {
         let mut sim = shared.sim.lock();
         if shared.config.sanitize {
             crate::sanitizer::install(&mut sim, &shared);
@@ -1077,7 +1067,7 @@ pub fn simulate(
         let run_start = std::time::Instant::now();
         let mut picks = PickLoop::new(&shared.config, &sim, cfg_digest, resume_target);
         if shared.config.threads > 1 {
-            sim = crate::parallel::run_scheduler(&shared, sim, &mut picks);
+            sim = crate::parallel::run_scheduler(&shared, sim, &mut picks, &mut pool);
         } else {
             drive(&shared, &mut sim, &mut picks, &mut pool);
         }
@@ -1087,22 +1077,11 @@ pub fn simulate(
         sim.stats.peak_stacks = pool.peak();
         sim.stats.os_threads = os_threads();
 
-        // Teardown: unwind every body still suspended on a context, and
-        // release every frame worker — parked at the frame gate, or pinned
-        // by an activity parked in `wait_for_grant` (it unwinds too).
+        // Teardown: unwind every body still suspended on a context.
         sim.shutdown = true;
         unwind_suspended(&mut sim, &pool);
-        for cv in &sim.worker_cvs {
-            cv.notify_one();
-        }
-        if let Some(fs) = &shared.frame {
-            fs.request_shutdown();
-        }
-        std::mem::take(&mut sim.worker_handles)
-    };
-    for h in handles {
-        let _ = h.join();
     }
+    stop_frame_workers(&shared, workers);
 
     // All workers have exited; harvest the result under the lock instead of
     // insisting on sole ownership of the `Arc` (a panicking teardown path
@@ -1368,11 +1347,10 @@ impl PickLoop {
     }
 }
 
-/// The sequential engine (`threads <= 1`): pick, dispatch, and run each
-/// granted activity on its context until it hands the token back — by
-/// returning, panicking or suspending — then end the grant and pick again
-/// (see the module docs). Returns when the run is over: `sim.failure` says
-/// how.
+/// The sequential engine (`threads <= 1`): pick, dispatch, grant, and —
+/// once the activity has handed the token back by returning, panicking or
+/// suspending — pick again (see the module docs). Returns when the run is
+/// over: `sim.failure` says how.
 fn drive(
     shared: &Arc<Shared>,
     sim: &mut MutexGuard<'_, Sim>,
@@ -1384,85 +1362,107 @@ fn drive(
         let mut granted = None;
         picks.dispatch(sim, shared, c, |sim, _, aid| {
             sim.act_mut(aid).state = ActivityState::Granted;
-            sim.token = Token::Act(aid);
             sim.stats.activity_resumes += 1;
             granted = Some(aid);
         });
         let Some(aid) = granted else { continue };
-        let act = sim.act_mut(aid);
-        let (core, name) = (act.core, act.name);
-        // `Some` on a first grant; `None` once the closure is running —
-        // suspended mid-call on its context by an earlier grant.
-        let job = act.job.take();
-        let slot = match act.worker {
-            Some(slot) => slot,
-            None => match pool.acquire() {
-                Ok(slot) => {
-                    act.worker = Some(slot);
-                    slot
-                }
-                Err(errno) => {
-                    sim.failure = Some(Failure::HostResources {
-                        what: "map a task stack",
-                        errno,
-                    });
-                    sim.token = Token::Scheduler;
-                    continue; // `next` stops the run
-                }
-            },
-        };
-        let ctx = pool.get(slot);
-        sim.stats.ctx_switches += 2; // to the body, and back
-        let outcome = match job {
-            Some(job) => {
-                let shared = Arc::clone(shared);
-                MutexGuard::unlocked(sim, || {
-                    ctx.start(move |me| {
-                        // SAFETY: this closure is the body running on `me`,
-                        // and only lends the `ExecCtx` to the task's code.
-                        let mut ctx =
-                            unsafe { crate::ctx::ExecCtx::on_context(shared, aid, core, me) };
-                        job(&mut ctx)
-                    })
-                })
-            }
-            None => MutexGuard::unlocked(sim, || ctx.resume()),
-        };
-        match outcome {
-            Outcome::Suspended => {}
-            Outcome::Returned => {
-                pool.release(slot);
-                finish_activity(sim, shared, aid);
-            }
-            Outcome::Panicked(payload) => {
-                pool.release(slot);
-                sim.act_mut(aid).worker = None;
-                if sim.failure.is_none() {
-                    sim.failure = Some(Failure::TaskPanic {
-                        core,
-                        at: sim.cores.vtime[core.index()],
-                        name,
-                        msg: panic_message(payload.as_ref()),
-                    });
-                }
-            }
-        }
-        // The end of the grant: re-evaluate the activity's core for the
+        grant(shared, sim, pool, aid);
+        // The end of the pick: re-evaluate the activity's core for the
         // ready queue — what `dispatch` does after every other action —
-        // and close the pick's action lap.
-        if is_ready(sim, core) {
-            push_ready(sim, core);
+        // and close the action lap.
+        if is_ready(sim, c) {
+            push_ready(sim, c);
         }
         picks.lap(&mut sim.stats.prof_action_ns);
-        sim.token = Token::Scheduler;
     }
 }
 
-/// Teardown of the sequential engine: resume, once, every body still
-/// suspended on a context. `Sim::shutdown` is set, so it raises
-/// [`ShutdownSignal`] where it was parked, drops its locals while unwinding
-/// its own stack and leaves the context idle. (A body that swallows the
-/// signal and suspends again is abandoned with its stack.)
+/// The slot of `act`'s context in `pool`, acquired now if this is its
+/// first grant. `Err`, if the host refuses the stack, is the failure the
+/// caller must stop the run with.
+pub(crate) fn context_of(act: &mut Activity, pool: &mut Pool) -> Result<usize, Failure> {
+    if let Some(slot) = act.context {
+        return Ok(slot);
+    }
+    let slot = pool.acquire().map_err(|errno| Failure::HostResources {
+        what: "map a task stack",
+        errno,
+    })?;
+    act.context = Some(slot);
+    Ok(slot)
+}
+
+/// Run activity `aid`'s body on `ctx` until it gives the CPU back: start
+/// `job` there (a first grant) or resume what an earlier grant left
+/// suspended. The caller holds the grant — nobody else drives `ctx` — and
+/// not the simulation lock.
+fn run_body(
+    shared: &Arc<Shared>,
+    ctx: &Context,
+    aid: ActivityId,
+    core: CoreId,
+    job: Option<TaskFn>,
+) -> Outcome {
+    let Some(job) = job else {
+        return ctx.resume();
+    };
+    let shared = Arc::clone(shared);
+    ctx.start(move |me| {
+        // SAFETY: this closure is the body running on `me`, and only lends
+        // the `ExecCtx` to the task's code.
+        let mut ctx = unsafe { crate::ctx::ExecCtx::on_context(shared, aid, core, me) };
+        job(&mut ctx);
+        ctx.body_returned();
+    })
+}
+
+/// One exclusive grant, start to finish: `aid` (already `Granted`) holds
+/// the run token alone and runs on the calling thread until it returns,
+/// panics or suspends; a body that ended is accounted for. Requeueing its
+/// core is the caller's business — `drive` does it per pick, the epoch
+/// coordinator per batch.
+pub(crate) fn grant(
+    shared: &Arc<Shared>,
+    sim: &mut MutexGuard<'_, Sim>,
+    pool: &mut Pool,
+    aid: ActivityId,
+) {
+    let act = sim.act_mut(aid);
+    debug_assert!(matches!(act.state, ActivityState::Granted));
+    let slot = match context_of(act, pool) {
+        Ok(slot) => slot,
+        Err(failure) => {
+            sim.failure.get_or_insert(failure);
+            return; // `PickLoop::next` stops the run
+        }
+    };
+    // `job`: `Some` on a first grant; `None` once the closure is running —
+    // suspended mid-call on its context by an earlier grant.
+    let (core, name, job) = (act.core, act.name, act.job.take());
+    sim.token = Token::Act(aid);
+    sim.stats.ctx_switches += 2; // to the body, and back
+    let ctx = pool.get(slot);
+    match MutexGuard::unlocked(sim, || run_body(shared, ctx, aid, core, job)) {
+        Outcome::Suspended => {}
+        Outcome::Returned => finish_activity(sim, shared, pool, aid),
+        Outcome::Panicked(payload) => {
+            let at = sim.cores.vtime[core.index()];
+            sim.failure.get_or_insert(Failure::TaskPanic {
+                core,
+                at,
+                name,
+                msg: panic_message(payload.as_ref()),
+            });
+        }
+    }
+    sim.token = Token::Scheduler;
+}
+
+/// Teardown: resume, once, every body still suspended on a context —
+/// stalled, blocked or parked by an epoch. `Sim::shutdown` is set, so it
+/// raises [`ShutdownSignal`] where it was suspended, drops its locals while
+/// unwinding its own stack and leaves the context idle. (A body that
+/// swallows the signal and suspends again is abandoned with its stack.)
 fn unwind_suspended(sim: &mut MutexGuard<'_, Sim>, pool: &Pool) {
     debug_assert!(sim.shutdown);
     for slot in 0..pool.peak() {
@@ -1488,8 +1488,8 @@ fn os_threads() -> u64 {
 /// Keep the default panic hook from printing a message-and-backtrace for
 /// every [`ShutdownSignal`] unwind: those are the engine's own cancellation
 /// mechanism (stall watchdog, preemption, early failure), caught at the
-/// context trampoline or the frame worker loop, and with external
-/// preemption they are routine rather than exceptional. Real panics still reach the previous
+/// context trampoline, and with external preemption they are routine
+/// rather than exceptional. Real panics still reach the previous
 /// hook untouched.
 fn silence_shutdown_panics() {
     static ONCE: std::sync::Once = std::sync::Once::new();
@@ -1512,65 +1512,58 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "<non-string panic payload>".to_string())
 }
 
-/// Spawn one frame worker (parallel mode). Frame workers take their work
-/// from the lock-free frame coordinator; each owns a condvar slot in
-/// `worker_cvs` so an activity parked on its stack can be re-granted the
-/// token. Returns `false`, with `sim.failure` set, if the host refuses the
-/// thread: the caller must stop the run.
-#[must_use]
-pub(crate) fn spawn_frame_worker(sim: &mut Sim, shared: &Arc<Shared>) -> bool {
-    let idx = sim.worker_cvs.len();
-    let cv = Arc::new(Condvar::new());
-    let (shared2, cv2) = (Arc::clone(shared), cv.clone());
-    let spawned = std::thread::Builder::new()
-        .name(format!("simany-frame-{idx}"))
-        .stack_size(shared.config.worker_stack_bytes)
-        .spawn(move || frame_worker_main(shared2, idx, cv2));
-    match spawned {
-        Ok(handle) => {
-            sim.worker_cvs.push(cv);
-            sim.frame_workers += 1;
-            sim.worker_handles.push(handle);
-            true
-        }
-        Err(e) => {
-            sim.failure.get_or_insert(Failure::HostResources {
-                what: "spawn a frame worker thread",
-                errno: e.raw_os_error().unwrap_or(0),
-            });
-            false
+/// Spawn the run's `n` frame workers (0 under the sequential engine).
+/// They take all their work from the lock-free frame coordinator and wait
+/// at its gate in between. If the host refuses a thread, those already
+/// spawned are stopped and the run does not start.
+fn spawn_frame_workers(
+    shared: &Arc<Shared>,
+    n: usize,
+) -> Result<Vec<std::thread::JoinHandle<()>>, SimError> {
+    let mut workers = Vec::with_capacity(n);
+    for idx in 0..n {
+        let shared2 = Arc::clone(shared);
+        let spawned = std::thread::Builder::new()
+            .name(format!("simany-frame-{idx}"))
+            .spawn(move || frame_worker_main(shared2, idx));
+        match spawned {
+            Ok(handle) => workers.push(handle),
+            Err(e) => {
+                stop_frame_workers(shared, workers);
+                return Err(SimError::HostResources {
+                    what: "spawn a frame worker thread",
+                    errno: e.raw_os_error().unwrap_or(0),
+                });
+            }
         }
     }
+    Ok(workers)
 }
 
-/// How one claimed execution tile ended.
-#[derive(PartialEq, Eq)]
-enum TileRun {
-    /// The tile's lane is drained (or stranded behind a park/panic); the
-    /// worker may claim another tile.
-    Done,
-    /// Teardown: the worker thread must exit.
-    Exit,
+/// Release the frame workers from the gate and join them.
+fn stop_frame_workers(shared: &Shared, workers: Vec<std::thread::JoinHandle<()>>) {
+    if let Some(fs) = &shared.frame {
+        fs.request_shutdown();
+    }
+    for h in workers {
+        let _ = h.join();
+    }
 }
 
 /// A frame worker's main loop: wait for the frame counter to advance,
 /// then claim tiles off the cursor until the frame is exhausted. Holds no
 /// lock between claims; the simulation mutex is only taken inside task
-/// bodies (at their interaction points) and at member completion.
-fn frame_worker_main(shared: Arc<Shared>, idx: usize, cv: Arc<Condvar>) {
+/// bodies, at their interaction points.
+fn frame_worker_main(shared: Arc<Shared>, idx: usize) {
     let fs = shared.frame.as_ref().expect("frame worker without frames");
     let (mut claimed, mut spins, mut parks) = (0u64, 0u64, 0u64);
     let mut last_frame = 0u64;
-    'outer: while let Some(f) = fs.wait_frame(last_frame, &mut spins, &mut parks) {
+    while let Some(f) = fs.wait_frame(last_frame, &mut spins, &mut parks) {
         last_frame = f;
         while let Some(tile) = fs.claim() {
             claimed += 1;
             match fs.kind() {
-                crate::frame::FrameKind::Exec => {
-                    if run_exec_tile(&shared, fs, tile, idx, &cv) == TileRun::Exit {
-                        break 'outer;
-                    }
-                }
+                crate::frame::FrameKind::Exec => run_exec_tile(&shared, fs, tile),
                 crate::frame::FrameKind::Replay => {
                     // SAFETY: the coordinator published this tile in a
                     // replay frame: the cores base pointer is set, tiles
@@ -1585,122 +1578,44 @@ fn frame_worker_main(shared: Arc<Shared>, idx: usize, cv: Arc<Condvar>) {
     fs.fold_worker_stats(idx, claimed, spins, parks);
 }
 
-/// Run the fresh members of one claimed execution tile, in lane order.
+/// Run the members of one claimed execution tile, in lane order: an epoch
+/// grant each, confined under `Token::Epoch`, with no lock on this side.
 ///
-/// Unpinned completions (the common case) are lock-free: the finish (or
-/// panic) is deposited into the tile's lane and the member retired without
-/// touching the simulation mutex. A member that *parked* inside its body
-/// pins this thread (its native stack lives here); when its closure
-/// finally returns the activity holds the token exclusively or is an
-/// epoch solo, and completion goes through the locked path.
-fn run_exec_tile(
-    shared: &Arc<Shared>,
-    fs: &crate::frame::FrameSync,
-    tile: usize,
-    idx: usize,
-    cv: &Arc<Condvar>,
-) -> TileRun {
-    loop {
-        // SAFETY: this worker claimed `tile` in the current execution
-        // frame, making it the lane's sole owner until it retires the
-        // tile's members.
-        let Some(fj) = (unsafe { fs.lane_mut(tile) }).queue.pop_front() else {
-            return TileRun::Done;
+/// However a member hands the CPU back, the outcome goes into the tile's
+/// lane for the coordinator's serial phase. A member that parked or
+/// panicked strands the ones queued behind it — they are spilled back to
+/// the coordinator. The tile's members retire together, after this
+/// worker's last look at the lane: the coordinator may refill it the
+/// moment the frame's countdown reaches zero.
+fn run_exec_tile(shared: &Arc<Shared>, fs: &crate::frame::FrameSync, tile: usize) {
+    let mut retiring = 0;
+    // SAFETY (every `lane_mut` below): this worker claimed `tile` in the
+    // current execution frame, making it the lane's sole owner until the
+    // `retire` at the end. No borrow is held while a body runs: a confined
+    // body uses the lane too, from this thread.
+    while let Some(m) = unsafe { fs.lane_mut(tile) }.queue.pop_front() {
+        retiring += 1;
+        // SAFETY: the entry lends this claimant the member's context; the
+        // pool it points into outlives every frame worker, and the
+        // frame's launch ordered its last switch before this one.
+        let outcome = run_body(shared, unsafe { &*m.ctx }, m.aid, m.core, m.job);
+        let entry = match outcome {
+            Outcome::Returned => EpochPending::Finish(m.aid),
+            // The only way out of a confined body mid-closure is
+            // `ExecCtx::park_epoch`; the context is at rest now.
+            Outcome::Suspended => EpochPending::Resume(m.aid),
+            Outcome::Panicked(payload) => EpochPending::Panic {
+                core: m.core,
+                name: m.name,
+                msg: panic_message(payload.as_ref()),
+            },
         };
-        let (aid, core, name) = (fj.aid, fj.core, fj.name);
-        let job = fj.job;
-        let mut ctx =
-            crate::ctx::ExecCtx::on_frame_worker(Arc::clone(shared), aid, core, idx, cv.clone());
-        let result = catch_unwind(AssertUnwindSafe(|| job(&mut ctx)));
-        if let Err(payload) = &result {
-            if payload.downcast_ref::<ShutdownSignal>().is_some() {
-                return TileRun::Exit;
-            }
-        }
-        if ctx.epoch_pinned() {
-            // The member parked at least once: this thread hosted its
-            // stack and the activity was re-granted through the condvar
-            // path. Completion must route by the token it holds NOW.
-            let mut sim = shared.sim.lock();
-            ctx.flush_confined(&mut sim);
-            match sim.token {
-                Token::Epoch => {
-                    // Re-granted as an epoch solo and ran to completion
-                    // confined: deposit the completion in the lane of its
-                    // own (solo) tile and retire the member.
-                    let t = shared.tile_of(core);
-                    // SAFETY: a solo's host thread is the tile's sole
-                    // executor this frame (solos have no fresh lane
-                    // claimant — their tile was not in the claimable set).
-                    let lane = unsafe { fs.lane_mut(t) };
-                    match result {
-                        Ok(()) => lane.pending.push(EpochPending::Finish(aid)),
-                        Err(payload) => {
-                            let msg = panic_message(payload.as_ref());
-                            lane.pending.push(EpochPending::Panic { core, name, msg });
-                        }
-                    }
-                    sim.pinned_workers -= 1;
-                    let shutdown = sim.shutdown;
-                    drop(sim);
-                    fs.retire(1);
-                    if shutdown {
-                        return TileRun::Exit;
-                    }
-                }
-                Token::Act(a) if a == aid => {
-                    // Exclusive completion, exactly like the end of a grant
-                    // in `drive`.
-                    match result {
-                        Ok(()) => finish_activity(&mut sim, shared, aid),
-                        Err(payload) => {
-                            if sim.failure.is_none() {
-                                let msg = panic_message(payload.as_ref());
-                                sim.failure = Some(Failure::TaskPanic {
-                                    core,
-                                    at: sim.cores.vtime[core.index()],
-                                    name,
-                                    msg,
-                                });
-                            }
-                        }
-                    }
-                    sim.pinned_workers -= 1;
-                    sim.token = Token::Scheduler;
-                    shared.sched_cv.notify_one();
-                    if sim.shutdown {
-                        return TileRun::Exit;
-                    }
-                }
-                _ => unreachable!("pinned activity completed without holding the token"),
-            }
-            // A park stranded any members queued behind this one (they
-            // were spilled by `park_epoch`), so the tile is done either
-            // way.
-            return TileRun::Done;
-        }
-        // Never pinned: the body ran start-to-finish confined under
-        // `Token::Epoch`. Lock-free completion into the lane.
-        // SAFETY: still the sole claimant of `tile`.
         let lane = unsafe { fs.lane_mut(tile) };
-        match result {
-            Ok(()) => {
-                if let Some((d, n)) = ctx.take_confined_flush() {
-                    lane.flushes.push((core, d, n));
-                }
-                lane.pending.push(EpochPending::Finish(aid));
-                fs.retire(1);
-            }
-            Err(payload) => {
-                let msg = panic_message(payload.as_ref());
-                lane.pending.push(EpochPending::Panic { core, name, msg });
-                // A panicking member strands the rest of the lane: spill
-                // them back to the coordinator and retire them all.
-                let stranded = lane.queue.len();
-                lane.spilled.extend(lane.queue.drain(..));
-                fs.retire(1 + stranded);
-                return TileRun::Done;
-            }
+        if !matches!(entry, EpochPending::Finish(_)) {
+            retiring += lane.queue.len();
+            lane.spilled.extend(lane.queue.drain(..));
         }
+        lane.pending.push(entry);
     }
+    fs.retire(retiring);
 }

@@ -32,11 +32,15 @@
 //!   `outstanding`), the RMWs form a release sequence, and the
 //!   coordinator's `Acquire` read of zero synchronizes with all of them.
 //! * **During an execution frame** each tile's lane has exactly one
-//!   accessor: the worker that claimed it off the cursor (fresh tiles), or
-//!   the already-pinned thread hosting the tile's solo member — the
-//!   collector guarantees a tile is never both. The claim's `AcqRel`
-//!   `fetch_add` reads (a successor of) the coordinator's `Release` cursor
-//!   store, so the lane contents published at launch are visible.
+//!   accessor: the worker that claimed it off the cursor — for itself and
+//!   for the member bodies it runs, which execute on that worker's thread
+//!   (each on its own [`crate::coro`] context, which the lane entry lends
+//!   the claimant along with the lane). The claim's `AcqRel` `fetch_add`
+//!   reads (a successor of) the coordinator's `Release` cursor store, so
+//!   the lane contents published at launch are visible. The claimant's
+//!   ownership ends with the `retire` that takes the tile's last member
+//!   off `outstanding`: it retires a tile once, after its last look at
+//!   the lane.
 //! * **During a replay frame** the claimant of destination tile `t` owns
 //!   lane `t` *and* tile `t`'s slices of the struct-of-arrays core state,
 //!   reached through raw column base pointers ([`ReplayPtrs`], published
@@ -50,6 +54,7 @@
 //! fingerprint or CI diff includes.
 
 use crate::activity::{ActivityId, TaskFn};
+use crate::coro::Context;
 use crate::engine::{EpochPending, OutMsg};
 use parking_lot::{Condvar, Mutex};
 use simany_net::{Envelope, InboxLanes};
@@ -81,29 +86,35 @@ fn unpack(v: u64) -> (u64, u64) {
 /// What workers do with a claimed tile this frame.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum FrameKind {
-    /// Run the tile's queued fresh members ([`LaneState::queue`]).
+    /// Run the tile's queued members ([`LaneState::queue`]).
     Exec,
     /// Apply the tile's buffered phase-B effects ([`replay_lane`]).
     Replay,
 }
 
-/// A never-run epoch member, extracted (with its closure) by the collector
-/// so workers can start it without touching `Mutex<Sim>`.
-pub(crate) struct FreshJob {
+/// An epoch member, extracted by the collector so that the tile's claimant
+/// can run it without touching `Mutex<Sim>`.
+pub(crate) struct Member {
     pub(crate) aid: ActivityId,
     pub(crate) core: CoreId,
     pub(crate) name: &'static str,
-    pub(crate) job: TaskFn,
+    /// The member's context in the run's pool, lent to the claimant for
+    /// the frame (the pool outlives every frame worker).
+    pub(crate) ctx: *const Context,
+    /// Its closure, if it has never run; `None` for a body suspended on
+    /// `ctx` by an earlier grant.
+    pub(crate) job: Option<TaskFn>,
 }
 
 /// Per-tile scratch, owned per the handoff discipline in the module docs.
 #[derive(Default)]
 pub(crate) struct LaneState {
-    /// Fresh members to execute this frame, in deterministic stash order.
-    pub(crate) queue: VecDeque<FreshJob>,
+    /// Members to execute this frame, in deterministic stash order: up to
+    /// `MEMBERS_PER_TILE` never-run ones, or one suspended body.
+    pub(crate) queue: VecDeque<Member>,
     /// Members stranded by a park or panic ahead of them in `queue`; the
     /// coordinator reverts them to `Pending` for a later epoch.
-    pub(crate) spilled: Vec<FreshJob>,
+    pub(crate) spilled: Vec<Member>,
     /// Serial-phase work in tile execution order (finishes, parks, panics).
     pub(crate) pending: Vec<EpochPending>,
     /// Messages sent by this tile's members, in program order.
@@ -176,9 +187,10 @@ pub(crate) struct FrameSync {
     worker_stats: Mutex<Vec<(usize, u64, u64, u64)>>,
 }
 
-// SAFETY: the `UnsafeCell` fields follow the single-owner-per-frame
-// handoff discipline documented in the module docs; everything else is
-// atomics and locks.
+// SAFETY: the `UnsafeCell` fields — and the contexts the lane entries
+// point to — follow the single-owner-per-frame handoff discipline
+// documented in the module docs, which is the one-driver-at-a-time rule of
+// `crate::coro`; everything else is atomics and locks.
 unsafe impl Send for FrameSync {}
 unsafe impl Sync for FrameSync {}
 
@@ -220,22 +232,18 @@ impl FrameSync {
     /// # Safety
     /// The caller must be the lane's current owner per the handoff
     /// discipline: the coordinator between frames, the tile's unique
-    /// claimant (or pinned solo host) during one.
+    /// claimant during one.
     #[allow(clippy::mut_from_ref)]
     pub(crate) unsafe fn lane_mut(&self, t: usize) -> &mut LaneState {
         &mut *self.lanes[t].0.get()
     }
 
-    /// Publish a frame: `members` pieces of work, of which the tiles in
-    /// `claimable` are claimed off the cursor (the rest are solo members
-    /// the coordinator wakes through their own condvars). Lane contents
-    /// must be fully written before the call.
+    /// Publish a frame: `members` pieces of work spread over the tiles in
+    /// `claimable`, which workers claim off the cursor. Lane contents must
+    /// be fully written before the call.
     pub(crate) fn launch(&self, members: usize, claimable: &[u32], kind: FrameKind) {
-        debug_assert!(claimable.len() <= self.claimable.len());
+        debug_assert!(!claimable.is_empty() && claimable.len() <= self.claimable.len());
         self.outstanding.store(members, Ordering::Relaxed);
-        if claimable.is_empty() {
-            return; // solo-only frame: nothing for the claim loop
-        }
         // SAFETY: no frame is in flight, so no worker reads `kind`.
         unsafe { *self.kind.get() = kind };
         for (slot, &t) in self.claimable.iter().zip(claimable) {
@@ -433,17 +441,6 @@ mod tests {
         fs.launch(1, &[0], FrameKind::Replay);
         assert_eq!(fs.claim(), Some(0));
         assert_eq!(fs.kind(), FrameKind::Replay);
-        assert_eq!(fs.claim(), None);
-        fs.retire(1);
-        fs.wait_quiescent();
-    }
-
-    #[test]
-    fn solo_only_frame_skips_the_gate() {
-        let fs = FrameSync::new(2, 2);
-        let before = fs.frame.load(Ordering::Relaxed);
-        fs.launch(1, &[], FrameKind::Exec);
-        assert_eq!(fs.frame.load(Ordering::Relaxed), before);
         assert_eq!(fs.claim(), None);
         fs.retire(1);
         fs.wait_quiescent();

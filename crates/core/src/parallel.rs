@@ -10,18 +10,19 @@
 //!    sanitizer, message processing, idle transitions), with a grant that,
 //!    instead of running each runnable activity exclusively, *stashes* it
 //!    into a batch of up to `MEMBERS_PER_TILE` activities per tile. All of
-//!    a tile's members execute from a single worker thread's queue, so
-//!    their effects keep a deterministic order;
-//!    an activity whose earlier run still pins a worker thread claims its
-//!    tile exclusively. Extra grantable activities on full tiles are
-//!    deferred to the next epoch.
+//!    a tile's members execute from a single worker's queue, so their
+//!    effects keep a deterministic order; an activity suspended by an
+//!    earlier grant claims its tile alone. Extra grantable activities on
+//!    full tiles are deferred to the next epoch.
 //! 2. **Phase A** (concurrent, lock-free coordination): publish the batch
 //!    as an *execution frame* ([`crate::frame::FrameSync`]): the
-//!    coordinator fills each fresh tile's lane with its queued members,
-//!    bumps an atomic frame counter and **releases the simulation lock**.
-//!    Frame workers spin/park on the counter and claim tiles off an
-//!    atomic cursor — no condvar wake per tile, no `Mutex<Sim>` on the
-//!    coordination path. Each activity runs its task code natively,
+//!    coordinator fills each tile's lane with its queued members, bumps an
+//!    atomic frame counter and **releases the simulation lock**. Frame
+//!    workers — a fixed pool of `min(threads, tiles)` — spin/park on the
+//!    counter and claim tiles off an atomic cursor — no condvar wake per
+//!    tile, no `Mutex<Sim>` on the coordination path. A worker starts or
+//!    resumes each member on the member's own context
+//!    ([`crate::engine::run_body`]). Each activity runs its task code natively,
 //!    *confined* to mutating its own core: publishes are deferred, sends
 //!    are pushed into the tile's lane outbox (lock-free while the
 //!    confined cache is armed), synchronization checks run
@@ -30,19 +31,20 @@
 //!    the frozen drift headroom advance the clock without taking the
 //!    simulation lock at all (see `Confined` in [`crate::ctx`]).
 //!    Completions deposit into the lane and retire from an atomic
-//!    countdown — also lock-free. Anything needing shared state parks
-//!    with an [`EpochPending`] entry (pinning its host thread); a parked
-//!    member's queued successors are spilled into the lane and revert to
-//!    `Pending` at phase B. The countdown reaching zero wakes the
-//!    coordinator.
+//!    countdown — also lock-free. Anything needing shared state *parks*:
+//!    the body switches back to its worker, which leaves an
+//!    [`EpochPending`] entry and goes on claiming; a parked member's
+//!    queued successors are spilled into the lane and revert to `Pending`
+//!    at phase B. The countdown reaching zero wakes the coordinator.
 //! 3. **Phase B**: once every member has parked or finished, replay the
 //!    cross-core effects in deterministic tile order. The *scheduler-
 //!    visible* part stays serial: landing batched confined advances,
 //!    routing buffered messages through the shared network model (with
 //!    every ready-queue decision precomputed against the frozen clocks),
 //!    and the serial tail — park resolution (parked activities re-granted
-//!    the token *exclusively*, one at a time, replaying the authoritative
-//!    sequential logic), finishes and panics in tile order. The *per-core
+//!    the token *exclusively*, one at a time, by the sequential engine's
+//!    own [`crate::engine::grant`] on the coordinator thread, replaying the
+//!    authoritative sequential logic), finishes and panics in tile order. The *per-core
 //!    commuting* part — writing published boundary clocks, invalidating
 //!    neighbor floor caches, depositing routed envelopes into inboxes —
 //!    is bucketed by destination tile during the serial walk and applied
@@ -62,7 +64,7 @@
 //! observable. Worker *identities* are the only racy quantity (which
 //! worker wins a claim is a host race), and they are never observable: no
 //! statistic a digest covers, trace, or simulation outcome depends on
-//! which OS thread hosts an activity (the spin/park/claim diagnostics in
+//! which OS thread runs an activity (the spin/park/claim diagnostics in
 //! [`crate::stats::SimStats`] are explicitly excluded). Fixed
 //! `--threads N` + seed therefore reproduces bit-identically, and
 //! `threads <= 1` never constructs a partition at all — it runs the
@@ -74,11 +76,10 @@
 //! call (see the `engine` module docs), so the epoch machinery cannot win
 //! on hand-offs saved: an epoch of `B` confined grants costs one frame
 //! launch (one atomic store + one `notify_all`, and none at all for workers
-//! inside their spin budget) plus one coordinator wakeup, and every grant
-//! that needs the serial phase (failed checks, compound `Ops`) costs two
-//! condvar hand-offs — coordinator → worker → coordinator — where the
-//! sequential engine pays tens of nanoseconds. What an epoch buys is
-//! overlap and lock avoidance:
+//! inside their spin budget) plus one coordinator wakeup; a member that
+//! needs the serial phase (failed checks, compound `Ops`) costs two more
+//! register swaps, on the coordinator — what the sequential engine pays
+//! for the same grant. What an epoch buys is overlap and lock avoidance:
 //! confined annotations inside the frozen drift headroom skip the
 //! simulation lock entirely; with the lane outbox, so do confined sends.
 //! On multi-CPU hosts phase A overlaps the
@@ -87,11 +88,12 @@
 
 use crate::activity::{ActivityId, ActivityState};
 use crate::config::SyncPolicy;
+use crate::coro::Pool;
 use crate::engine::{
-    deliver, is_ready, push_ready, spawn_frame_worker, EpochPending, Failure, PickLoop, Picked,
-    Shared, Sim, Token,
+    context_of, deliver, finish_activity, grant, is_ready, push_ready, EpochPending, Failure,
+    PickLoop, Picked, Shared, Sim, Token,
 };
-use crate::frame::{FrameKind, FrameSync, FreshJob};
+use crate::frame::{FrameKind, FrameSync, Member};
 use crate::sync;
 use parking_lot::MutexGuard;
 use simany_time::VirtualTime;
@@ -99,9 +101,9 @@ use simany_topology::CoreId;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Most members one tile contributes to one epoch. A tile's fresh members
-/// all run from a single worker's queue (one condvar wakeup for the lot),
-/// so deeper queues amortize the scheduler round trips further; the cap
+/// Most members one tile contributes to one epoch. A tile's members all
+/// run from a single worker's queue (one claim for the lot), so deeper
+/// queues amortize the scheduler round trips further; the cap
 /// bounds how much work one epoch defers ahead of the serial phase's
 /// checkpoint/sanitizer/watchdog bookkeeping.
 const MEMBERS_PER_TILE: usize = 8;
@@ -125,36 +127,25 @@ fn stash_grant(sim: &mut Sim, batch: &mut Vec<ActivityId>, aid: ActivityId) {
 }
 
 /// Try to claim `aid` for the running batch on tile `t`; returns false if
-/// the tile cannot take it this epoch (the caller defers it). All of a
-/// tile's members must execute on ONE worker thread so their buffered
-/// cross-tile effects keep a deterministic order: fresh (never-run)
-/// activities are queued together, while an already-pinned activity — one
-/// whose earlier run still owns a worker thread's stack — must run on that
-/// thread and therefore claims the tile exclusively.
+/// the tile cannot take it this epoch (the caller defers it). A tile takes
+/// up to `MEMBERS_PER_TILE` never-run activities, or one that an earlier
+/// grant left suspended — that one claims the tile alone.
 fn try_stash(
     sim: &mut Sim,
     batch: &mut Vec<ActivityId>,
-    tile_solo: &mut [Option<ActivityId>],
-    tile_fresh: &mut [Vec<ActivityId>],
-    t: usize,
+    members: &mut Vec<ActivityId>,
     aid: ActivityId,
 ) -> bool {
-    if tile_solo[t].is_some() {
-        return false;
+    let suspended = |a: ActivityId| sim.act(a).job.is_none();
+    let fits = match members.first() {
+        None => true,
+        Some(&first) => !suspended(first) && !suspended(aid) && members.len() < MEMBERS_PER_TILE,
+    };
+    if fits {
+        members.push(aid);
+        stash_grant(sim, batch, aid);
     }
-    if sim.act(aid).worker.is_some() {
-        if !tile_fresh[t].is_empty() {
-            return false;
-        }
-        tile_solo[t] = Some(aid);
-    } else {
-        if tile_fresh[t].len() >= MEMBERS_PER_TILE {
-            return false;
-        }
-        tile_fresh[t].push(aid);
-    }
-    stash_grant(sim, batch, aid);
-    true
+    fits
 }
 
 /// Attempt to run the epoch's deferred boundary-clock publications as
@@ -251,13 +242,13 @@ pub(crate) fn run_scheduler<'a>(
     shared: &'a Arc<Shared>,
     mut sim: MutexGuard<'a, Sim>,
     picks: &mut PickLoop,
+    pool: &mut Pool,
 ) -> MutexGuard<'a, Sim> {
     let n_tiles = shared.partition.as_ref().map_or(1, |p| p.n_tiles());
 
     let mut batch: Vec<ActivityId> = Vec::new();
     let mut deferred: Vec<CoreId> = Vec::new();
-    let mut tile_solo: Vec<Option<ActivityId>> = vec![None; n_tiles];
-    let mut tile_fresh: Vec<Vec<ActivityId>> = vec![Vec::new(); n_tiles];
+    let mut tile_members: Vec<Vec<ActivityId>> = vec![Vec::new(); n_tiles];
     // Frame-protocol scratch: the claimable-tile list handed to the frame,
     // the replay-tile list for phase B, and the per-destination pending
     // earliest-arrival minimum used to precompute ready-queue decisions
@@ -282,8 +273,7 @@ pub(crate) fn run_scheduler<'a>(
         loop {
             match picks.next(&mut sim, shared, batch.len() + deferred.len()) {
                 Picked::Core(c) => picks.dispatch(&mut sim, shared, c, |sim, c, aid| {
-                    let t = shared.tile_of(c);
-                    if !try_stash(sim, &mut batch, &mut tile_solo, &mut tile_fresh, t, aid) {
+                    if !try_stash(sim, &mut batch, &mut tile_members[shared.tile_of(c)], aid) {
                         deferred.push(c);
                     }
                 }),
@@ -300,15 +290,15 @@ pub(crate) fn run_scheduler<'a>(
         // construction and the lane fill order is deterministic (it is not
         // observable either way, but determinism-by-construction is
         // cheaper to audit than determinism-by-argument). The sort is
-        // stable, so a tile's fresh members keep their stash order — the
-        // order their claimant executes them in.
+        // stable, so a tile's members keep their stash order — the order
+        // their claimant executes them in.
         batch.sort_by_key(|&aid| shared.tile_of(sim.act(aid).core));
         sim.stats.parallel_epochs += 1;
         sim.stats.epoch_grants += batch.len() as u64;
         let fs = shared.frame.as_ref().expect("parallel mode without frames");
         claimable.clear();
-        for (t, fresh) in tile_fresh.iter().enumerate() {
-            if fresh.is_empty() {
+        for (t, members) in tile_members.iter().enumerate() {
+            if members.is_empty() {
                 continue;
             }
             // SAFETY: no frame is in flight (the previous one quiesced
@@ -316,39 +306,28 @@ pub(crate) fn run_scheduler<'a>(
             // coordinator is the only lane accessor.
             let lane = unsafe { fs.lane_mut(t) };
             debug_assert!(lane.queue.is_empty() && lane.spilled.is_empty());
-            for &aid in fresh {
+            for &aid in members {
                 let act = sim.act_mut(aid);
-                // Fresh members are `Pending` by construction: any activity
-                // that ran before either finished or parked (which pinned a
-                // worker, making it a solo), so its closure is still here.
-                let job = act.job.take().expect("fresh epoch member without a job");
-                lane.queue.push_back(FreshJob {
+                let slot = match context_of(act, pool) {
+                    Ok(slot) => slot,
+                    Err(failure) => {
+                        sim.failure.get_or_insert(failure);
+                        break 'run;
+                    }
+                };
+                lane.queue.push_back(Member {
                     aid,
                     core: act.core,
                     name: act.name,
-                    job,
+                    ctx: pool.get(slot),
+                    job: act.job.take(),
                 });
             }
             claimable.push(t as u32);
         }
-        // Every claimable tile must find an unpinned worker even if every
-        // other tile's claimant parks mid-frame (parking pins the thread
-        // for the activity's lifetime, taking it out of the claim pool).
-        while sim.frame_workers - sim.pinned_workers < claimable.len() {
-            if !spawn_frame_worker(&mut sim, shared) {
-                break 'run; // `sim.failure` says why
-            }
-        }
         sim.token = Token::Epoch;
         let ta = Instant::now();
         fs.launch(batch.len(), &claimable, FrameKind::Exec);
-        // Solo members (pinned by an earlier park) re-enter through their
-        // own thread's condvar under the epoch-wide token, not through a
-        // frame claim: their stacks are already parked in `wait_for_grant`.
-        for aid in tile_solo.iter().take(n_tiles).filter_map(|s| *s) {
-            let w = sim.act(aid).worker.expect("pinned solo without a worker");
-            sim.worker_cvs[w].notify_one();
-        }
         // The whole point: the coordinator drops the simulation lock for
         // the duration of phase A. Workers coordinate through the frame's
         // atomics alone and only take the lock at interaction points.
@@ -365,8 +344,9 @@ pub(crate) fn run_scheduler<'a>(
         //    locked interaction (bit-exact: no phase-A reader observes
         //    another core's raw clock, so landing the flush here instead
         //    of at member completion is unobservable), and members
-        //    stranded behind a park — they revert to `Pending` and simply
-        //    get picked again.
+        //    stranded behind a park — they revert to `Pending` (keeping
+        //    the context they never ran on) and simply get picked again.
+        let mut ran = batch.len() as u64;
         for t in 0..n_tiles {
             // SAFETY: the frame quiesced; the coordinator is the only lane
             // accessor until the next launch.
@@ -376,14 +356,17 @@ pub(crate) fn run_scheduler<'a>(
                 sim.cores.publish_pending[c.index()] = true;
                 sim.count_fast_path_n(shared, c, n);
             }
-            for fj in lane.spilled.drain(..) {
-                let act = sim.act_mut(fj.aid);
-                debug_assert!(matches!(act.state, ActivityState::Granted));
+            for m in lane.spilled.drain(..) {
+                let act = sim.act_mut(m.aid);
+                debug_assert!(matches!(act.state, ActivityState::Granted) && m.job.is_some());
                 act.state = ActivityState::Pending;
-                act.job = Some(fj.job);
+                act.job = m.job;
                 sim.stats.activity_resumes -= 1;
+                ran -= 1;
             }
         }
+        // Each member that ran cost a switch to its body and one back.
+        sim.stats.ctx_switches += 2 * ran;
         // 1. Boundary-clock publication: flush the deferred publishes of
         //    every batch core, in tile order. This is the one point where
         //    an epoch's clock advances become visible to other tiles.
@@ -499,12 +482,7 @@ pub(crate) fn run_scheduler<'a>(
             // simulation guard for the whole replay, so the columns cannot
             // move or be touched by anyone but the replay claimants.
             unsafe { fs.set_replay_ptrs(ptrs) };
-            // (A refused worker thread fails the run; this epoch's buckets
-            // still land, serially, so the state it stops in is whole.)
-            if replay_tiles.len() >= 2
-                && replay_work >= REPLAY_FRAME_MIN_WORK
-                && (sim.frame_workers > sim.pinned_workers || spawn_frame_worker(&mut sim, shared))
-            {
+            if replay_tiles.len() >= 2 && replay_work >= REPLAY_FRAME_MIN_WORK {
                 sim.stats.sharded_replays += 1;
                 fs.launch(replay_tiles.len(), &replay_tiles, FrameKind::Replay);
                 // Replay workers write through the raw column pointers and
@@ -539,25 +517,18 @@ pub(crate) fn run_scheduler<'a>(
                             // Leave it parked; teardown unwinds it.
                             continue;
                         }
-                        // Re-grant exclusively: the activity replays the
-                        // authoritative sequential logic it could not run
-                        // confined (publish + drain + policy check with
-                        // its stall bookkeeping, or the compound
-                        // operation) and runs under the ordinary token
-                        // protocol until it yields — by stalling,
-                        // blocking or finishing.
+                        // Re-grant exclusively, here on the coordinator:
+                        // the activity replays the authoritative
+                        // sequential logic it could not run confined
+                        // (publish + drain + policy check with its stall
+                        // bookkeeping, or the compound operation) and
+                        // runs under the ordinary token protocol until it
+                        // yields — by stalling, blocking or finishing.
                         debug_assert!(matches!(sim.act(aid).state, ActivityState::Parked));
                         sim.act_mut(aid).state = ActivityState::Granted;
-                        sim.token = Token::Act(aid);
-                        let w = sim.act(aid).worker.expect("parked activity has a worker");
-                        sim.worker_cvs[w].notify_one();
-                        while sim.token != Token::Scheduler {
-                            shared.sched_cv.wait(&mut sim);
-                        }
+                        grant(shared, &mut sim, pool, aid);
                     }
-                    EpochPending::Finish(aid) => {
-                        crate::engine::finish_activity(&mut sim, shared, aid);
-                    }
+                    EpochPending::Finish(aid) => finish_activity(&mut sim, shared, pool, aid),
                     EpochPending::Panic { core, name, msg } => {
                         if sim.failure.is_none() {
                             sim.failure = Some(Failure::TaskPanic {
@@ -595,9 +566,8 @@ pub(crate) fn run_scheduler<'a>(
         }
         deferred.clear();
         batch.clear();
-        tile_solo.fill(None);
-        for f in &mut tile_fresh {
-            f.clear();
+        for members in &mut tile_members {
+            members.clear();
         }
     }
 

@@ -70,21 +70,24 @@ pub struct SimStats {
     pub activities_started: u64,
     /// Number of simulated context switches (token handoffs to activities).
     pub activity_resumes: u64,
-    /// Sequential engine: switches between the driver and a task body's
-    /// userland context — two per grant, to the body and back (see
-    /// `crate::coro`). Deterministic: a function of the pick sequence
-    /// alone. Zero under the epoch coordinator, whose members run on frame
-    /// worker threads. Not part of any state digest.
+    /// Switches between a granter and a task body's userland context — two
+    /// per start or resume of a body, to it and back (see `crate::coro`):
+    /// `2 * activity_resumes` under the sequential engine; under the epoch
+    /// coordinator the serial phase's exclusive re-grants count as well.
+    /// Deterministic: a function of the pick sequence alone. Not part of
+    /// any state digest.
     pub ctx_switches: u64,
-    /// Sequential engine: context stacks ever mapped — the high-water mark
-    /// of task bodies alive at once (started and not yet returned). 1 when
-    /// no body ever suspends. Deterministic and undigested like
-    /// [`Self::ctx_switches`]; zero under the epoch coordinator.
+    /// Context stacks ever mapped — the high-water mark of activities
+    /// holding one at once (granted a first time and not yet returned). 1
+    /// when the sequential engine never sees a body suspend; an epoch
+    /// hands every member of its batch a stack before any of them runs.
+    /// Deterministic and undigested like [`Self::ctx_switches`].
     pub peak_stacks: usize,
     /// Host threads of the process when the pick loop ended (`Threads:` of
     /// `/proc/self/status`; 0 without procfs): 1 under the sequential
-    /// engine in a single-threaded embedder, 1 + frame workers under the
-    /// epoch coordinator. A host observation, not a simulation result.
+    /// engine in a single-threaded embedder, 1 + `min(threads, tiles)`
+    /// frame workers under the epoch coordinator, however many bodies are
+    /// suspended. A host observation, not a simulation result.
     pub os_threads: u64,
     /// Times a core stalled due to the synchronization policy.
     pub stall_events: u64,

@@ -53,7 +53,7 @@ options:
                          (default: run to completion)
   --max-resumes N        preempt/resume rounds per job before it runs to
                          completion (default 8)
-  --poll-ms T            scheduler polling interval (default 5)
+  --poll-ms T            scheduler polling interval (default 1)
 
 exit codes: 0 sweep complete, 3 interrupted by signal (re-run the same
 command to resume), 1 runtime error, 2 usage error.

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use crate::journal::{self, Journal};
-use crate::json::{escape, Json};
+use crate::json::Json;
 use crate::queue::Queue;
 use crate::scenario::sibling_binary;
 use crate::spec;
@@ -52,7 +52,10 @@ pub struct ServeConfig {
     pub preempt_after: Option<u64>,
     /// Cap on preempt/resume rounds per job before it runs to completion.
     pub max_resumes: u64,
-    /// Polling sleep between scheduler iterations.
+    /// Polling sleep between scheduler iterations: how long a worker's
+    /// exit can go unnoticed. Short, because a sweep of short jobs waits
+    /// half of it per launch and the wait is a timer phase, different on
+    /// every run; a poll is one `waitpid` per running worker.
     pub poll_ms: u64,
 }
 
@@ -66,7 +69,7 @@ impl Default for ServeConfig {
             checkpoint_every: Some(5_000),
             preempt_after: None,
             max_resumes: 8,
-            poll_ms: 5,
+            poll_ms: 1,
         }
     }
 }
@@ -344,11 +347,11 @@ impl Service {
             if self.recorded.contains(&s.label) {
                 continue;
             }
-            let mut line = format!(
-                "{{\"label\": \"{}\", \"digest\": \"{digest_hex}\", \"status\": \"{}\"",
-                escape(&s.label),
-                escape(status)
-            );
+            let mut record = vec![
+                ("label".to_string(), Json::Str(s.label.clone())),
+                ("digest".to_string(), Json::Str(digest_hex.clone())),
+                ("status".to_string(), Json::Str(status.to_string())),
+            ];
             if let Some(run) = &run_json {
                 for key in [
                     "kernel",
@@ -365,30 +368,23 @@ impl Service {
                     "checkpoints_written",
                     "checkpoint_verifications",
                 ] {
-                    if let Some(v) = run.get(key) {
-                        match v {
-                            Json::Num(x) => line.push_str(&format!(", \"{key}\": {x}")),
-                            Json::Str(s) => {
-                                line.push_str(&format!(", \"{key}\": \"{}\"", escape(s)))
-                            }
-                            Json::Bool(b) => line.push_str(&format!(", \"{key}\": {b}")),
-                            _ => {}
-                        }
+                    if let Some(v @ (Json::Num(_) | Json::Str(_) | Json::Bool(_))) = run.get(key) {
+                        record.push((key.to_string(), v.clone()));
                     }
                 }
                 // Protocol runs carry a nested resilience report
                 // (coverage, msgs/delivery, latency distribution) —
                 // copied verbatim so sweep results keep the whole story.
                 if let Some(rep) = run.get("resilience") {
-                    line.push_str(&format!(", \"resilience\": {}", rep.dump()));
+                    record.push(("resilience".to_string(), rep.clone()));
                 }
                 if let Some(d) = s.drift {
-                    line.push_str(&format!(", \"drift\": {d}"));
+                    record.push(("drift".to_string(), Json::U64(d)));
                 }
-                line.push_str(&format!(", \"sync\": \"{}\"", escape(&s.sync)));
+                record.push(("sync".to_string(), Json::Str(s.sync.clone())));
             }
-            line.push('}');
-            writeln!(file, "{line}").map_err(|e| format!("results write failed: {e}"))?;
+            writeln!(file, "{}", Json::Obj(record).dump())
+                .map_err(|e| format!("results write failed: {e}"))?;
             self.recorded.insert(s.label.clone());
         }
         file.flush()
@@ -403,21 +399,26 @@ impl Service {
         } else {
             0.0
         };
-        let summary_json = format!(
-            "{{\n  \"scenarios\": {},\n  \"unique_jobs\": {},\n  \"dedup_hits\": {},\n  \
-             \"completed\": {},\n  \"failed\": {},\n  \"preempts\": {},\n  \"resumes\": {},\n  \
-             \"wall_secs\": {:.3},\n  \"scenarios_per_hour\": {:.1},\n  \"interrupted\": {}\n}}\n",
-            s.scenarios,
-            s.unique_jobs,
-            s.dedup_hits,
-            s.completed,
-            s.failed,
-            s.preempts,
-            s.resumes,
-            s.wall_secs,
-            per_hour,
-            s.interrupted,
-        );
+        let count = |n: usize| Json::U64(n as u64);
+        let summary_json = Json::Obj(Vec::from(
+            [
+                ("scenarios", count(s.scenarios)),
+                ("unique_jobs", count(s.unique_jobs)),
+                ("dedup_hits", Json::U64(s.dedup_hits)),
+                ("completed", count(s.completed)),
+                ("failed", count(s.failed)),
+                ("preempts", Json::U64(s.preempts)),
+                ("resumes", Json::U64(s.resumes)),
+                ("wall_secs", Json::Num((s.wall_secs * 1e3).round() / 1e3)),
+                (
+                    "scenarios_per_hour",
+                    Json::Num((per_hour * 10.0).round() / 10.0),
+                ),
+                ("interrupted", Json::Bool(s.interrupted)),
+            ]
+            .map(|(k, v)| (k.to_string(), v)),
+        ))
+        .dump_lines();
         std::fs::write(self.cfg.out_dir.join("summary.json"), summary_json)
             .map_err(|e| format!("cannot write summary.json: {e}"))?;
 

@@ -199,3 +199,38 @@ fn shutdown_and_restart_loses_no_work_and_duplicates_nothing() {
         vec!["drift/drift=100", "drift/drift=50", "dup"]
     );
 }
+
+/// `results.jsonl` is written with the JSON module, so a label that needs
+/// escaping reads back as itself (and `summary.json` parses).
+#[test]
+fn a_label_with_a_quote_and_a_backslash_round_trips() {
+    let Some(sim) = simulate_bin() else {
+        eprintln!("skipping: simulate binary not built");
+        return;
+    };
+    const LABEL: &str = r#"we"ird\name"#;
+    let dir = temp_dir("escape");
+    let mut cfg = config(&dir, sim);
+    let spec_path = dir.join("spec.json");
+    std::fs::write(
+        &spec_path,
+        r#"{"defaults": {"kernel": "quicksort", "cores": 16, "scale": 0.1},
+            "sweep": [{"name": "we\"ird\\name", "seed": 42}]}"#,
+    )
+    .unwrap();
+    cfg.spec_path = spec_path.to_string_lossy().into_owned();
+    let summary = Service::new(cfg)
+        .unwrap()
+        .run(&AtomicBool::new(false))
+        .unwrap();
+    assert_eq!((summary.completed, summary.failed), (1, 0));
+    assert_eq!(labels(&dir), vec![LABEL]);
+
+    let text = std::fs::read_to_string(dir.join("out/summary.json")).unwrap();
+    let parsed = simany_serve::json::Json::parse(&text).unwrap();
+    assert_eq!(parsed.get("scenarios").and_then(|v| v.as_u64()), Some(1));
+    assert_eq!(
+        parsed.get("interrupted").and_then(|v| v.as_bool()),
+        Some(false)
+    );
+}
