@@ -360,6 +360,7 @@ fn write_json(
         ("full_sync_checks", Json::U64(s.full_sync_checks)),
         ("publish_sweeps", Json::U64(s.publish_sweeps)),
         ("shadow_evals", Json::U64(s.shadow_evals)),
+        ("shadow_uncaps", Json::U64(s.shadow_uncaps)),
         ("floor_recomputes", Json::U64(s.floor_recomputes)),
         ("floor_key_updates", Json::U64(s.floor_key_updates)),
         ("ready_stale_skipped", Json::U64(s.ready_stale_skipped)),
@@ -547,14 +548,17 @@ fn main() {
     if s.prof_floor_ns + s.prof_pop_ns + s.prof_overhead_ns + s.prof_action_ns > 0 {
         println!(
             "pick-loop profile : floor {:.1}ms / pop {:.1}ms / overhead {:.1}ms / action {:.1}ms \
-             (of which {:.1}ms in publish: {} shadow evaluations over {} sweeps)",
+             (of which {:.1}ms in publish: {} shadow evaluations over {} sweeps \
+             ({:.1} per sweep), {} uncaps)",
             s.prof_floor_ns as f64 / 1e6,
             s.prof_pop_ns as f64 / 1e6,
             s.prof_overhead_ns as f64 / 1e6,
             s.prof_action_ns as f64 / 1e6,
             s.prof_publish_ns as f64 / 1e6,
             s.shadow_evals,
-            s.publish_sweeps
+            s.publish_sweeps,
+            s.shadow_evals as f64 / s.publish_sweeps.max(1) as f64,
+            s.shadow_uncaps
         );
     }
     if args.threads > 1 {

@@ -17,7 +17,7 @@
 //! The on-disk format is a small versioned text file:
 //!
 //! ```text
-//! simany-checkpoint v1
+//! simany-checkpoint v2
 //! config <16-hex config digest>
 //! watermark <ticks>
 //! picks <scheduler picks>
@@ -30,12 +30,14 @@
 //! time the watermark crosses a `checkpoint_every` boundary.
 
 use crate::engine::{Failure, Shared, Sim};
-use crate::hooks::RuntimeHooks;
 use simany_time::{VDuration, VirtualTime};
 use std::path::Path;
 
-/// Format magic of version 1.
-const MAGIC_V1: &str = "simany-checkpoint v1";
+/// Format magic of version 2. Version 1 digested each idle core's stored
+/// shadow word (which could predate a rise of the shadow cap) and four
+/// host-work counters; a v1 file cannot verify against this digest and is
+/// refused as an unsupported format.
+const MAGIC_V2: &str = "simany-checkpoint v2";
 
 /// One verification waypoint (see the module docs for semantics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +66,7 @@ impl Checkpoint {
     pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
         let tmp = path.with_extension("tmp");
         let text = format!(
-            "{MAGIC_V1}\nconfig {:016x}\nwatermark {}\npicks {}\nstate {:016x}\n",
+            "{MAGIC_V2}\nconfig {:016x}\nwatermark {}\npicks {}\nstate {:016x}\n",
             self.config_digest,
             self.watermark.ticks(),
             self.picks,
@@ -80,9 +82,9 @@ impl Checkpoint {
             .map_err(|e| format!("cannot read checkpoint {}: {e}", path.display()))?;
         let mut lines = text.lines();
         let magic = lines.next().unwrap_or_default();
-        if magic != MAGIC_V1 {
+        if magic != MAGIC_V2 {
             return Err(format!(
-                "unsupported checkpoint format {magic:?} in {} (expected {MAGIC_V1:?})",
+                "unsupported checkpoint format {magic:?} in {} (expected {MAGIC_V2:?})",
                 path.display()
             ));
         }
@@ -160,7 +162,7 @@ impl CheckpointDriver {
         {
             let cp = self.pending_resume.take().unwrap();
             sim.stats.checkpoint_verifications += 1;
-            let digest = state_digest(sim, shared.hooks.as_ref());
+            let digest = state_digest(sim, shared);
             if sim.stats.scheduler_picks != cp.picks || digest != cp.state_digest {
                 sim.failure = Some(Failure::CheckpointMismatch(format!(
                     "replay diverged at watermark {}: picks {} (checkpoint {}), \
@@ -181,7 +183,7 @@ impl CheckpointDriver {
                 config_digest: cfg_digest,
                 watermark: sim.max_vtime,
                 picks: sim.stats.scheduler_picks,
-                state_digest: state_digest(sim, shared.hooks.as_ref()),
+                state_digest: state_digest(sim, shared),
             };
             let path = shared.config.checkpoint_path.as_ref().unwrap();
             match cp.write_to(path) {
@@ -302,22 +304,27 @@ pub fn config_digest(config: &crate::EngineConfig) -> u64 {
 }
 
 /// Order-independent digest of all mutable machine state at a
-/// scheduler-time instant: per-core clocks and queues, activity/birth
-/// counters, behavioral statistics, the network model and whatever the
-/// runtime exposes via [`RuntimeHooks::state_digest`]. Wall-clock and
-/// observation-only counters (sanitizer, checkpoint bookkeeping) are
-/// excluded so sanitized and plain runs digest identically.
-pub(crate) fn state_digest(sim: &Sim, hooks: &dyn RuntimeHooks) -> u64 {
+/// scheduler-time instant: per-core clocks, exposed values and queues,
+/// activity/birth counters, behavioral statistics, the network model and
+/// whatever the runtime exposes via [`RuntimeHooks::state_digest`].
+/// Wall-clock and observation-only counters are excluded — the sanitizer's
+/// and the checkpoint bookkeeping's, so sanitized and plain runs digest
+/// identically, and the host-work counters of the synchronization hot path
+/// (`fast_path_advances`, `full_sync_checks`, `publish_sweeps`,
+/// `floor_recomputes`, `shadow_evals`, `shadow_uncaps`), which say how the
+/// engine got to a state, not what the state is.
+///
+/// [`RuntimeHooks::state_digest`]: crate::RuntimeHooks::state_digest
+pub(crate) fn state_digest(sim: &Sim, shared: &Shared) -> u64 {
     let mut d = Digest::new();
     d.u64(sim.cores.len() as u64);
     for i in 0..sim.cores.len() {
-        // Field order is part of the on-disk contract: it must match the
-        // pre-SoA per-core digest exactly. Arena slot indices never enter
-        // the digest — only lengths, times and ids — so pooled storage and
-        // slot reuse are invisible here.
+        // Field order is part of the on-disk contract. Arena slot indices
+        // never enter the digest — only lengths, times and ids — so pooled
+        // storage and slot reuse are invisible here.
         let c = simany_topology::CoreId(i as u32);
         d.u64(sim.cores.vtime[i].ticks());
-        d.u64(sim.cores.published[i].ticks());
+        d.u64(crate::sync::exposed(sim, shared, i).ticks());
         d.u64(sim.cores.busy[i].ticks());
         d.u64(u64::from(sim.cores.lock_depth[i]));
         d.u64(u64::from(sim.cores.queue_hint[i]));
@@ -337,20 +344,15 @@ pub(crate) fn state_digest(sim: &Sim, hooks: &dyn RuntimeHooks) -> u64 {
     d.u64(sim.next_birth);
     d.u64(sim.max_vtime.ticks());
     let s = &sim.stats;
-    // Hot-path counters are sharded per tile in parallel mode and only
-    // merged at teardown; digest the machine-wide totals so sequential and
-    // parallel digests mean the same thing (for `threads <= 1` the shard
-    // vector is empty and the totals are the plain counters).
-    let mut fast_path_advances = s.fast_path_advances;
-    let mut full_sync_checks = s.full_sync_checks;
-    let mut floor_recomputes = s.floor_recomputes;
-    let mut max_neighbor_drift = s.max_neighbor_drift;
-    for shard in &sim.tile_stats {
-        fast_path_advances += shard.fast_path_advances;
-        full_sync_checks += shard.full_sync_checks;
-        floor_recomputes += shard.floor_recomputes;
-        max_neighbor_drift = max_neighbor_drift.max(shard.max_neighbor_drift);
-    }
+    // The drift bound is sharded per tile in parallel mode and only merged
+    // at teardown; digest the machine-wide maximum so sequential and
+    // parallel digests mean the same thing.
+    let max_neighbor_drift = sim
+        .tile_stats
+        .iter()
+        .fold(s.max_neighbor_drift, |m, shard| {
+            m.max(shard.max_neighbor_drift)
+        });
     for x in [
         s.activities_started,
         s.activity_resumes,
@@ -358,10 +360,6 @@ pub(crate) fn state_digest(sim: &Sim, hooks: &dyn RuntimeHooks) -> u64 {
         s.late_messages,
         s.on_time_messages,
         s.late_by_total.ticks(),
-        fast_path_advances,
-        full_sync_checks,
-        s.publish_sweeps,
-        floor_recomputes,
         s.msg_retries,
         s.core_failures,
         s.link_faults,
@@ -373,7 +371,7 @@ pub(crate) fn state_digest(sim: &Sim, hooks: &dyn RuntimeHooks) -> u64 {
         d.u64(x);
     }
     d.u64(sim.net.state_digest());
-    d.u64(hooks.state_digest());
+    d.u64(shared.hooks.state_digest());
     d.finish()
 }
 
@@ -404,6 +402,25 @@ mod tests {
         std::fs::write(&path, "not a checkpoint\n").unwrap();
         let err = Checkpoint::load(&path).unwrap_err();
         assert!(err.contains("unsupported checkpoint format"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_version_1_file() {
+        // A v1 state digest covered stored shadow words and host-work
+        // counters; it cannot verify here, so the file is refused up front
+        // with the same typed error as any unknown format.
+        let dir = std::env::temp_dir().join("simany-checkpoint-v1");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cp.txt");
+        std::fs::write(
+            &path,
+            "simany-checkpoint v1\nconfig 0000000000000001\nwatermark 10\npicks 3\n\
+             state 0000000000000002\n",
+        )
+        .unwrap();
+        let err = Checkpoint::load(&path).unwrap_err();
+        assert!(err.contains("unsupported checkpoint format"), "{err}");
+        assert!(err.contains("simany-checkpoint v2"), "{err}");
     }
 
     #[test]

@@ -176,6 +176,12 @@ pub struct EngineConfig {
     /// Not a knob — the field does not exist outside this crate's tests.
     #[cfg(test)]
     pub(crate) full_sync_only: bool,
+    /// Unit-test fault: lose the first uncap registration made under a key
+    /// beyond the front (`sync::UncapIndex`), so the sanitizer's
+    /// `shadow-fixpoint` test has a stale capped core to find. Not a knob
+    /// either.
+    #[cfg(test)]
+    pub(crate) drop_uncap_registration: bool,
 }
 
 impl std::fmt::Debug for EngineConfig {
@@ -229,6 +235,8 @@ impl Default for EngineConfig {
             threads: 1,
             #[cfg(test)]
             full_sync_only: false,
+            #[cfg(test)]
+            drop_uncap_registration: false,
         }
     }
 }

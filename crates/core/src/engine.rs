@@ -225,28 +225,38 @@ pub(crate) struct Sim {
     /// instead of an O(cores) sweep per empty pick.
     pub(crate) total_queue_hint: u64,
     pub(crate) floor_dirty: bool,
-    /// Largest clock any core has reached (monotone). Bounds shadow-time
-    /// propagation: shadows above `max_vtime + T` cannot influence any
-    /// stall decision, so relaxation stops there instead of diverging in
-    /// fully idle regions.
+    /// Largest clock any core has reached (monotone): the front. Bounds
+    /// shadow-time propagation: shadows above `max_vtime + T` cannot
+    /// influence any stall decision, so the relaxation caps them there
+    /// instead of diverging in fully idle regions. A capped shadow is
+    /// stored as a marker that resolves against this field at every read
+    /// (`sync::exposed`), so raising it rewrites no published word; only
+    /// `sync::publish` and the sharded epoch publishes raise it, and both
+    /// consult `uncap` when they do.
     pub(crate) max_vtime: VirtualTime,
+    /// Capped idle cores by the key the front must overtake before they
+    /// need re-evaluation (spatial policy only; see [`sync::UncapIndex`]).
+    pub(crate) uncap: sync::UncapIndex,
     pub(crate) rng: Xoshiro256StarStar,
     /// Per core: waiter set — cores stalled on this one (spatial: blocked
     /// neighbors registered on their argmin laggard; random-referee: cores
     /// watching this referee). A rising publish rechecks only these.
     pub(crate) waiters: Vec<Vec<u32>>,
-    /// Scratch for `sync::publish` relaxation: `(core, published before the
-    /// sweep)` for every core whose value changed. Reused across calls so
-    /// the steady state allocates nothing.
+    /// Scratch for `sync::publish` relaxation: `(core, exposed value before
+    /// the sweep)` for every core whose value changed. Reused across calls
+    /// so the steady state allocates nothing.
     pub(crate) scratch_changed: Vec<(CoreId, VirtualTime)>,
-    /// Scratch worklist for the shadow relaxation.
+    /// Scratch worklist for the shadow relaxation (first in, first out).
     pub(crate) scratch_work: Vec<CoreId>,
     /// Scratch for draining one waiter set without holding a borrow on it.
     pub(crate) scratch_waiters: Vec<u32>,
     /// Visit stamps (epoch per core) used to dedup scratch traversals
-    /// without clearing a bitmap each sweep.
+    /// without clearing a bitmap each sweep. The two low bits are marks of
+    /// the traversal the rest of the word names (a publish sweep's
+    /// "in `changed`" and "on the worklist").
     pub(crate) stamp: Vec<u64>,
-    /// Current stamp epoch; incremented at the start of each traversal.
+    /// Current stamp epoch, a multiple of four; bumped at the start of each
+    /// traversal.
     pub(crate) stamp_cur: u64,
     /// Per core: whether its fault-plan failure has been announced
     /// (CoreFailed trace emitted, counter bumped).
@@ -830,7 +840,7 @@ pub(crate) fn decide(sim: &Sim, c: CoreId) -> Action {
     }
 }
 
-pub(crate) fn deadlock_report(sim: &Sim) -> String {
+pub(crate) fn deadlock_report(sim: &Sim, shared: &Shared) -> String {
     use std::fmt::Write as _;
     let mut s = String::from("no runnable core but work remains;");
     let _ = write!(s, " live_activities={}", sim.live_activities);
@@ -842,7 +852,7 @@ pub(crate) fn deadlock_report(sim: &Sim) -> String {
         sim.ready.live_len(),
         sim.ready.len()
     );
-    append_core_dump(sim, &mut s);
+    append_core_dump(sim, shared, &mut s);
     s
 }
 
@@ -850,7 +860,7 @@ pub(crate) fn deadlock_report(sim: &Sim) -> String {
 /// `deadlock_report` shows, plus shadow times and waiter sets (a livelock,
 /// unlike a deadlock, has cores that *look* runnable — the useful signal is
 /// who is stalled on whom and which messages are in flight).
-pub(crate) fn diagnostic_snapshot(sim: &Sim) -> String {
+pub(crate) fn diagnostic_snapshot(sim: &Sim, shared: &Shared) -> String {
     use std::fmt::Write as _;
     let mut s = format!(
         "max_vtime={} live_activities={} picks={} ready_queued={}/{}",
@@ -860,7 +870,7 @@ pub(crate) fn diagnostic_snapshot(sim: &Sim) -> String {
         sim.ready.live_len(),
         sim.ready.len()
     );
-    append_core_dump(sim, &mut s);
+    append_core_dump(sim, shared, &mut s);
     for (idx, ws) in sim.waiters.iter().enumerate() {
         if !ws.is_empty() {
             let _ = write!(s, "\n  waiters-on-core{idx}: {ws:?}");
@@ -871,7 +881,7 @@ pub(crate) fn diagnostic_snapshot(sim: &Sim) -> String {
 
 /// Shared body of `deadlock_report` and `diagnostic_snapshot`: one line per
 /// core with any interesting state, then every blocked activity.
-fn append_core_dump(sim: &Sim, s: &mut String) {
+fn append_core_dump(sim: &Sim, shared: &Shared, s: &mut String) {
     use std::fmt::Write as _;
     for idx in 0..sim.cores.len() {
         if sim.cores.resident[idx] > 0
@@ -880,7 +890,11 @@ fn append_core_dump(sim: &Sim, s: &mut String) {
             || sim.cores.lock_depth[idx] > 0
             || sim.cores.waiting_on[idx].is_some()
         {
-            let _ = write!(s, "\n  core{idx}: {}", sim.cores.debug_line(idx));
+            let _ = write!(
+                s,
+                "\n  core{idx}: {}",
+                sim.cores.debug_line(idx, sync::exposed(sim, shared, idx))
+            );
             if let Some(a) = sim.cores.current[idx] {
                 let act = sim.act(a);
                 let _ = write!(s, " current={:?}({}) {:?}", act.id, act.name, act.state);
@@ -1013,6 +1027,7 @@ pub fn simulate(
         total_queue_hint: 0,
         floor_dirty: false,
         max_vtime: VirtualTime::ZERO,
+        uncap: sync::UncapIndex::new(&config),
         rng: Xoshiro256StarStar::stream(config.seed, 0x5EED),
         waiters: vec![Vec::new(); n as usize],
         scratch_changed: Vec::new(),
@@ -1058,6 +1073,7 @@ pub fn simulate(
             let mut ops = Ops::new(&mut sim, &shared);
             setup(&mut ops);
         }
+        sync::settle(&mut sim, &shared);
 
         // Everything up to here — topology, routing, partition, core
         // arrays, workload setup — is construction; the pick loop is the
@@ -1245,7 +1261,7 @@ impl PickLoop {
                 && sim.cores.inboxes.total_messages() == 0
                 && sim.total_queue_hint == 0;
             if !quiet {
-                sim.failure = Some(Failure::Deadlock(deadlock_report(sim)));
+                sim.failure = Some(Failure::Deadlock(deadlock_report(sim, shared)));
             }
             return Picked::Stop;
         };
@@ -1262,7 +1278,7 @@ impl PickLoop {
                 sim.failure = Some(Failure::Stalled {
                     at: sim.max_vtime,
                     picks: budget,
-                    report: diagnostic_snapshot(sim),
+                    report: diagnostic_snapshot(sim, shared),
                 });
                 return Picked::Stop;
             }

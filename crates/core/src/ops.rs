@@ -53,7 +53,7 @@ impl<'a> Ops<'a> {
     /// Published (neighbor-visible) time of `core` — its clock while
     /// working, its shadow time while idle.
     pub fn published(&self, core: CoreId) -> VirtualTime {
-        self.sim.cores.published[core.index()]
+        sync::exposed(self.sim, self.shared, core.index())
     }
 
     /// Topological neighbors of `core`.

@@ -157,10 +157,11 @@ fn try_stash(
 /// Under the spatial policy, `publish` on a non-idle core whose clock only
 /// *rose*, with no idle neighbors (the shadow-relaxation worklist starts
 /// empty) and no registered waiters (`take_waiters` is a no-op), reduces
-/// to exactly: clear `publish_pending`, fold the clock into `max_vtime`,
-/// count a sweep, mark the floor dirty, store the new published value,
+/// to exactly: clear `publish_pending`, fold the clock into `max_vtime`
+/// (which, as long as no uncap registration falls due, changes no stored
+/// word), count a sweep, mark the floor dirty, store the new published value,
 /// and conditionally invalidate each neighbor's cached floor minimum
-/// (the rising arm of `note_published_change`). The first four are
+/// (the rising arm of `note_neighbor_change`). The first four are
 /// scheduler bookkeeping — committed here, serially, in batch order,
 /// because checkpoints and the watchdog read `max_vtime` before the next
 /// epoch. The last two touch only the written core's state, so they are
@@ -178,6 +179,7 @@ fn try_shard_publishes(
     // and nothing a gated publish does can change another member's
     // idleness, waiter set or published value, so checking against the
     // pre-publish state is exact.
+    let mut front = sim.max_vtime;
     for &aid in batch {
         let Some(act) = sim.acts.get(&aid.0) else {
             continue;
@@ -198,6 +200,12 @@ fn try_shard_publishes(
         {
             return false;
         }
+        front = front.max(sim.cores.vtime[i]);
+    }
+    // A front that overtakes a capped shadow's key starts a relaxation
+    // somewhere else in the machine: not the reduced shape either.
+    if sim.uncap.due(front) {
+        return false;
     }
     // Pass 2: commit, in batch order.
     for &aid in batch {

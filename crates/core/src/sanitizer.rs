@@ -106,13 +106,20 @@ fn report(sim: &mut Sim, shared: &Shared, ev: TraceEvent) {
     }
 }
 
-/// The spatial floor of `c` recomputed from scratch — neighbor published
-/// minimum and birth ledger, bypassing `floor_nb`/`headroom_limit` caches.
-fn fresh_local_floor(sim: &Sim, shared: &Shared, c: CoreId) -> VirtualTime {
+/// The minimum over `c`'s neighbors' exposed values, recomputed from
+/// scratch (`MAX` without neighbors).
+fn fresh_neighbor_floor(sim: &Sim, shared: &Shared, c: CoreId) -> VirtualTime {
     let mut m = VirtualTime::MAX;
     for &(n, _) in shared.topo.neighbors(c) {
-        m = m.min(sim.cores.published[n.index()]);
+        m = m.min(crate::sync::exposed(sim, shared, n.index()));
     }
+    m
+}
+
+/// The spatial floor of `c` recomputed from scratch — neighbor exposed
+/// minimum and birth ledger, bypassing `floor_nb`/`headroom_limit` caches.
+fn fresh_local_floor(sim: &Sim, shared: &Shared, c: CoreId) -> VirtualTime {
+    let mut m = fresh_neighbor_floor(sim, shared, c);
     if let Some(b) = sim.cores.min_birth(c.index()) {
         m = m.min(b);
     }
@@ -228,12 +235,12 @@ pub(crate) fn note_clock(sim: &mut Sim, shared: &Shared, c: CoreId) {
 /// Called from `sync::publish` when a top-level published value drops on a
 /// working core (an idle core waking to its older frozen clock): record how
 /// far below the then-current global floor the clock lands, since each such
-/// regression can widen the instantaneous spread by its amount.
-pub(crate) fn note_floor_regression(sim: &mut Sim, new_clock: VirtualTime) {
-    let floor = crate::sync::global_floor(sim);
-    if floor == VirtualTime::MAX {
-        return;
-    }
+/// regression can widen the instantaneous spread by its amount. The waking
+/// core already counts as working, and what it exposed until now — `old`,
+/// resolved by the caller because its stored word may be a capped marker —
+/// is its term of that floor.
+pub(crate) fn note_floor_regression(sim: &mut Sim, old: VirtualTime, new_clock: VirtualTime) {
+    let floor = crate::sync::global_floor(sim).min(old);
     let reg = floor.saturating_since(new_clock);
     if !reg.is_zero() {
         let s = sim.sanitizer.as_mut().expect("sanitizer installed");
@@ -319,7 +326,7 @@ pub(crate) fn scan(sim: &mut Sim, shared: &Shared) {
         sim.stats.sanitizer_checks += 1;
         let (vtime, published, pending, idle) = (
             sim.cores.vtime[i],
-            sim.cores.published[i],
+            crate::sync::exposed(sim, shared, i),
             sim.cores.publish_pending[i],
             sim.cores.is_idle(i),
         );
@@ -337,25 +344,26 @@ pub(crate) fn scan(sim: &mut Sim, shared: &Shared) {
                 },
             );
         }
+        // Only the spatial checks below read it.
+        let fresh_nb = match spatial_t {
+            Some(_) => fresh_neighbor_floor(sim, shared, c),
+            None => VirtualTime::MAX,
+        };
         match spatial_t {
             Some(t) if idle => {
-                // Shadow relaxation: an idle core's exposed value sits
-                // between its frozen clock and `min(neighbors) + t`. (The
-                // max-vtime cap only lowers the relaxed value, so the
-                // uncapped expression is a valid upper bound even when the
-                // stored value predates a cap rise.)
-                let min_neigh = shared
-                    .topo
-                    .neighbors(c)
-                    .iter()
-                    .map(|&(n, _)| sim.cores.published[n.index()])
-                    .min();
-                let upper = match min_neigh {
-                    Some(m) => vtime.max(m + t),
-                    None => vtime,
+                // Shadow relaxation is at its fixed point at every scan:
+                // an idle core exposes its frozen clock maxed with
+                // `min(neighbors) + t`, that term capped at the front plus
+                // `t`. The cap is implicit in the stored words, so no
+                // shadow can predate a rise of the front; an inequality
+                // here means the uncap index lost a core.
+                let expect = if fresh_nb == VirtualTime::MAX {
+                    vtime
+                } else {
+                    vtime.max((fresh_nb + t).min(crate::sync::shadow_cap(sim, t)))
                 };
-                if published < vtime || published > upper {
-                    let detail = format!("idle shadow {published} outside [{vtime}, {upper}]");
+                if published != expect {
+                    let detail = format!("idle shadow {published}, relaxation gives {expect}");
                     report(
                         sim,
                         shared,
@@ -363,7 +371,7 @@ pub(crate) fn scan(sim: &mut Sim, shared: &Shared) {
                             t: vtime,
                             core: c,
                             peer: None,
-                            invariant: "shadow-range",
+                            invariant: "shadow-fixpoint",
                             detail,
                         },
                     );
@@ -392,13 +400,9 @@ pub(crate) fn scan(sim: &mut Sim, shared: &Shared) {
         if let Some(t) = spatial_t {
             let (nb_valid, nb_cached, headroom) = (
                 sim.cores.floor_nb_valid[i],
-                sim.cores.floor_nb[i],
+                crate::sync::exposed_word(sim, shared, sim.cores.floor_nb[i]),
                 sim.cores.headroom_limit[i],
             );
-            let mut fresh_nb = VirtualTime::MAX;
-            for &(n, _) in shared.topo.neighbors(c) {
-                fresh_nb = fresh_nb.min(sim.cores.published[n.index()]);
-            }
             if nb_valid && nb_cached != fresh_nb {
                 let detail = format!("cached neighbor floor {nb_cached}, fresh {fresh_nb}");
                 report(
@@ -493,5 +497,79 @@ pub(crate) fn scan(sim: &mut Sim, shared: &Shared) {
                 detail,
             },
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{
+        simulate, CoreId, EngineConfig, Envelope, ExecCtx, MemoryTracer, Ops, RuntimeHooks,
+        SyncPolicy, TraceEvent, VDuration,
+    };
+    use std::sync::Arc;
+
+    struct NoHooks;
+    impl RuntimeHooks for NoHooks {
+        fn on_message(&self, _: &mut Ops<'_>, _: Envelope) {}
+        fn on_idle(&self, _: &mut Ops<'_>, _: CoreId) {}
+        fn on_activity_end(&self, _: &mut Ops<'_>, _: CoreId, _: Box<dyn std::any::Any + Send>) {}
+    }
+
+    /// A 16-core ring, `T = 100`: a laggard parked at clock 0 on core 8
+    /// holds a shadow gradient (100, 200, 300 on the cores 1, 2, 3 hops
+    /// away) while a runner on core 0 takes the front to 201 and then 402.
+    /// At 201 the two cores 4 hops from the laggard are capped under key
+    /// 300 — the first registrations beyond the front — and at 402 the
+    /// front overtakes them: each must turn concrete (400). The runner then
+    /// scans. Returns the violated invariants.
+    fn ring_scan(drop_uncap_registration: bool) -> Vec<&'static str> {
+        let tracer = MemoryTracer::new();
+        let mut config = EngineConfig::default().with_sanitize(true);
+        config.tracer = Some(tracer.clone());
+        config.sync = SyncPolicy::Spatial {
+            t: VDuration::from_cycles(100),
+        };
+        config.drop_uncap_registration = drop_uncap_registration;
+        simulate(
+            simany_topology::ring(16),
+            config,
+            Arc::new(NoHooks),
+            |ops| {
+                ops.start_activity(
+                    CoreId(0),
+                    "runner",
+                    Box::new(()),
+                    Box::new(|ctx: &mut ExecCtx| {
+                        ctx.advance_cycles(201);
+                        ctx.advance_cycles(201);
+                        ctx.with_ops(|ops| super::scan(ops.sim, ops.shared));
+                    }),
+                );
+                ops.start_activity(
+                    CoreId(8),
+                    "laggard",
+                    Box::new(()),
+                    Box::new(|_: &mut ExecCtx| {}),
+                );
+            },
+        )
+        .expect("simulation failed");
+        tracer
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::SanitizerViolation { invariant, .. } => Some(invariant),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The test that fails if the uncap index loses a core: a capped shadow
+    /// the front overtook without re-evaluating it still resolves to the
+    /// cap, and the scan's equality says so.
+    #[test]
+    fn a_lost_uncap_registration_breaks_the_shadow_fixpoint() {
+        assert_eq!(ring_scan(false), Vec::<&str>::new());
+        assert_eq!(ring_scan(true), ["shadow-fixpoint"]);
     }
 }

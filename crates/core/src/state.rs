@@ -54,11 +54,19 @@ pub struct Cores {
     /// working, its *shadow virtual time* while idle (paper §II.A
     /// *Non-connected sets of active cores*). Not monotone: it drops when
     /// an idle core (exposing a high shadow value) starts working again at
-    /// its older frozen clock — `sync::note_published_change` handles the
+    /// its older frozen clock — `sync::note_neighbor_change` handles the
     /// cache/waiter invalidation such a drop requires.
+    ///
+    /// These are raw words, read through `sync::exposed` only: an idle
+    /// core whose shadow is the cap `max_vtime + T` holds a *capped* word
+    /// (bit 62 set — above any reachable tick count, so it sorts after
+    /// every concrete word — with the value of its lowest concrete
+    /// neighbor as payload) that resolves against the current front, so a
+    /// rise of the front rewrites nothing here.
     pub published: Vec<VirtualTime>,
-    /// Cached minimum over each core's neighbors' published times (the
-    /// neighbor part of the spatial floor; births are always re-read).
+    /// Cached minimum over each core's neighbors' published words, capped
+    /// ones folded to `sync::CAPPED` (the neighbor part of the spatial
+    /// floor; births are always re-read).
     pub floor_nb: Vec<VirtualTime>,
     /// False when `floor_nb` must be recomputed (a neighbor that may have
     /// been the minimum rose).
@@ -373,13 +381,14 @@ impl Cores {
     }
 
     /// One-line diagnostic summary of core `i` (deadlock reports, watchdog
-    /// snapshots).
-    pub(crate) fn debug_line(&self, i: usize) -> String {
+    /// snapshots). `exposed` is the core's resolved published value
+    /// (`sync::exposed`).
+    pub(crate) fn debug_line(&self, i: usize, exposed: VirtualTime) -> String {
         let c = simany_topology::CoreId(i as u32);
         let mut s = format!(
             "vtime={} published={} inbox={} queued={} lock_depth={}",
             self.vtime[i],
-            self.published[i],
+            exposed,
             self.inboxes.len(c),
             self.queue_hint[i],
             self.lock_depth[i]

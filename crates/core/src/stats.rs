@@ -152,15 +152,25 @@ pub struct SimStats {
     /// Timing annotations that went through the full synchronization path
     /// (publish + message drain + policy check).
     pub full_sync_checks: u64,
-    /// Publish calls that actually changed a published value and ran the
-    /// propagation/recheck sweep. Stays flat while a core advances within
-    /// its headroom — the observable proof that fast-path annotations do no
-    /// sweep work (and no heap allocation).
+    /// Publish calls that changed what some core exposes — the publishing
+    /// core's own value, or a capped shadow the risen front uncapped — and
+    /// ran the propagation/recheck sweep. Stays flat while a core advances
+    /// within its headroom — the observable proof that fast-path
+    /// annotations do no sweep work (and no heap allocation). Host work,
+    /// not simulated state: not part of any digest.
     pub publish_sweeps: u64,
     /// Shadow virtual times evaluated by `sync::publish` (the idle-region
     /// relaxation): `shadow_evals / publish_sweeps` is how far a publish
-    /// ripples. Counted always; deterministic; not part of any digest.
+    /// ripples. It does not grow with the idle sea: a shadow at the cap
+    /// `max_vtime + T` is stored as a marker and never re-evaluated for a
+    /// rise of the front alone. Counted always; deterministic; not part of
+    /// any digest.
     pub shadow_evals: u64,
+    /// Uncap registrations the front overtook: capped idle cores
+    /// re-evaluated because `max_vtime` passed their lowest concrete
+    /// neighbor (each is also one of the `shadow_evals`). Counted always;
+    /// deterministic; not part of any digest.
+    pub shadow_uncaps: u64,
     /// Times the cached neighbor-floor minimum had to be recomputed from
     /// scratch (a neighbor that may have been the minimum rose).
     pub floor_recomputes: u64,

@@ -20,7 +20,7 @@
 //! ## Hot-path structure
 //!
 //! The per-annotation cost is dominated by `publish` (shadow relaxation +
-//! stall rechecks) and the floor computation in `sync_ok`. Three mechanisms
+//! stall rechecks) and the floor computation in `sync_ok`. Four mechanisms
 //! keep the common case O(1) — see `DESIGN.md`, *Hot path & fast-path
 //! invariants*, for the full determinism argument:
 //!
@@ -31,18 +31,197 @@
 //!   and every token yield or state read flushes first.
 //! * **Incremental floors** (`Cores::floor_nb`): the neighbor minimum
 //!   is maintained at publish time and only recomputed when a neighbor that
-//!   may have been the minimum rose.
+//!   may have been the minimum rose. Idle cores use it too: a shadow is
+//!   re-evaluated only when its neighbor minimum may have moved, and from
+//!   the cached minimum.
 //! * **Waiter sets** (`Sim::waiters`): a stalled core registers on its
 //!   argmin blocking neighbor (or its random referee); a rising publish
 //!   rechecks only its registered waiters instead of every neighbor.
 //!   Published *drops* (idle cores waking to an older working clock) are
 //!   rare and sweep all stalled neighbors to re-derive registrations.
+//! * **Implicit shadow cap** (the [`CAPPED`] words of `Cores::published`,
+//!   [`UncapIndex`]): an idle core whose shadow is the cap `max_vtime + T`
+//!   stores a marker, not the value, so a rise of `max_vtime` rewrites
+//!   nothing. The only cores a rise revisits are the capped ones whose
+//!   lowest concrete neighbor the front has just overtaken, found through
+//!   a lazy min-heap keyed by that neighbor's value.
 
 use crate::activity::ActivityState;
 use crate::config::{PickPolicy, SyncPolicy};
 use crate::engine::{push_ready, Shared, Sim};
 use simany_time::{VDuration, VirtualTime};
 use simany_topology::CoreId;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+// --- published words ------------------------------------------------------
+//
+// A word of `Cores::published` is either *concrete* — a working core's
+// clock or an idle core's shadow below the cap, top two bits clear — or
+// *capped*: `CAP_TAG | key`, an idle core whose shadow is the cap itself.
+// The tag sits above any reachable tick count, so a plain `min` over raw
+// words yields the lowest concrete neighbor when there is one and a capped
+// word otherwise. `VirtualTime::MAX` (top two bits set) stays the "no
+// neighbor at all" sentinel.
+
+/// Tag bit of a capped word.
+const CAP_TAG: u64 = 1 << 62;
+
+/// Key payload of a capped word with no live [`UncapIndex`] registration:
+/// every neighbor is capped too, or the registration was just consumed.
+const NO_KEY: u64 = CAP_TAG - 1;
+
+/// The canonical capped word: what the floor caches and change
+/// notifications see for every capped core, whatever its key.
+pub(crate) const CAPPED: VirtualTime = VirtualTime(CAP_TAG | NO_KEY);
+
+#[inline]
+fn is_capped(w: VirtualTime) -> bool {
+    w.0 >> 62 == 1
+}
+
+/// The capped word registered under `key`, the value of the core's lowest
+/// concrete neighbor when it was stored.
+#[inline]
+fn capped_under(key: VirtualTime) -> VirtualTime {
+    debug_assert!(key.0 < NO_KEY, "clock {key} reached the cap tag");
+    VirtualTime(CAP_TAG | key.0)
+}
+
+#[inline]
+fn key_of(w: VirtualTime) -> VirtualTime {
+    VirtualTime(w.0 & NO_KEY)
+}
+
+#[inline]
+fn canonical(w: VirtualTime) -> VirtualTime {
+    if is_capped(w) {
+        CAPPED
+    } else {
+        w
+    }
+}
+
+/// The shadow cap: no idle core exposes more than the front plus `t`.
+#[inline]
+pub(crate) fn shadow_cap(sim: &Sim, t: VDuration) -> VirtualTime {
+    sim.max_vtime + t
+}
+
+/// The value a published word stands for: the word itself when concrete,
+/// the cap when capped. Every read of a neighbor-visible time resolves
+/// through here, which is what makes a rise of `max_vtime` free.
+#[inline]
+fn resolve(sim: &Sim, w: VirtualTime, t: VDuration) -> VirtualTime {
+    if is_capped(w) {
+        shadow_cap(sim, t)
+    } else {
+        w
+    }
+}
+
+/// [`resolve`] for callers outside the spatial hot path. Global policies
+/// never store a capped word.
+pub(crate) fn exposed_word(sim: &Sim, shared: &Shared, w: VirtualTime) -> VirtualTime {
+    match shared.config.sync {
+        SyncPolicy::Spatial { t } => resolve(sim, w, t),
+        _ => w,
+    }
+}
+
+/// The time core `i` exposes to its neighbors: its clock while working,
+/// its shadow time while idle.
+pub(crate) fn exposed(sim: &Sim, shared: &Shared, i: usize) -> VirtualTime {
+    exposed_word(sim, shared, sim.cores.published[i])
+}
+
+/// Capped idle cores by the key the front must overtake before their
+/// shadow stops being the cap: core `i` capped under `key` (the value of
+/// its lowest concrete neighbor) must be re-evaluated once
+/// `max_vtime > key`, because `key + T` then binds instead.
+///
+/// Lazy, like `Sim::stall_wakes`: an entry is live iff the core's word
+/// still reads `capped_under(key)`; anything else is skipped when popped,
+/// and the re-evaluation a live entry triggers is authoritative. A word's
+/// key is only ever lowered in place, so an entry fires no later than it
+/// must and an early one just re-registers.
+pub(crate) struct UncapIndex {
+    /// Min-heap of `(key, core)`: the registrations the front has come
+    /// near enough to sort.
+    heap: BinaryHeap<Reverse<(VirtualTime, u32)>>,
+    /// Registrations made since the front last overtook one, unsorted,
+    /// their keys left in the cores' words. A neighbor of the front runner
+    /// registers at the front itself and is overtaken by the very next
+    /// rise, so on a busy machine this is a handful of entries moved to
+    /// the heap at every rise; on a machine whose front never gets there
+    /// (a million idle cores capped under `v + T` with `T` far beyond the
+    /// run's length) they cost four bytes each and are never sorted.
+    pending: Vec<u32>,
+    /// Lower bound of the keys in `pending` (`MAX` when empty).
+    pending_min: VirtualTime,
+    /// Unit-test hook: lose the next registration under a key beyond the
+    /// front, for the sanitizer test that must notice.
+    #[cfg(test)]
+    drop_next_beyond_front: bool,
+}
+
+impl UncapIndex {
+    #[cfg_attr(not(test), allow(unused_variables))]
+    pub(crate) fn new(config: &crate::EngineConfig) -> Self {
+        UncapIndex {
+            heap: BinaryHeap::new(),
+            pending: Vec::new(),
+            pending_min: VirtualTime::MAX,
+            #[cfg(test)]
+            drop_next_beyond_front: config.drop_uncap_registration,
+        }
+    }
+
+    /// Would a front at `front` overtake a registered key?
+    pub(crate) fn due(&self, front: VirtualTime) -> bool {
+        self.pending_min < front || self.heap.peek().is_some_and(|&Reverse((k, _))| k < front)
+    }
+}
+
+/// Register idle core `i`, whose word was just set to `capped_under(key)`.
+fn register_uncap(sim: &mut Sim, i: CoreId, key: VirtualTime) {
+    debug_assert!(key >= sim.max_vtime);
+    #[cfg(test)]
+    if key > sim.max_vtime && std::mem::take(&mut sim.uncap.drop_next_beyond_front) {
+        return;
+    }
+    sim.uncap.pending.push(i.0);
+    sim.uncap.pending_min = sim.uncap.pending_min.min(key);
+}
+
+/// `max_vtime` just rose: queue every capped core whose registered key the
+/// front overtook. A consumed registration leaves the word without a key,
+/// so the re-evaluation registers afresh if the core stays capped.
+fn queue_overtaken(sim: &mut Sim, work: &mut Vec<CoreId>, epoch: u64) {
+    let front = sim.max_vtime;
+    if sim.uncap.pending_min < front {
+        let mut pending = std::mem::take(&mut sim.uncap.pending);
+        for i in pending.drain(..) {
+            let w = sim.cores.published[i as usize];
+            if is_capped(w) && w != CAPPED {
+                sim.uncap.heap.push(Reverse((key_of(w), i)));
+            }
+        }
+        sim.uncap.pending = pending;
+        sim.uncap.pending_min = VirtualTime::MAX;
+    }
+    while let Some(&Reverse((key, i))) = sim.uncap.heap.peek() {
+        if key >= front {
+            break;
+        }
+        sim.uncap.heap.pop();
+        if sim.cores.published[i as usize] == capped_under(key) {
+            sim.cores.published[i as usize] = CAPPED;
+            sim.stats.shadow_uncaps += 1;
+            enqueue(sim, work, CoreId(i), epoch);
+        }
+    }
+}
 
 /// Run core `c`'s deferred publish, if any. Call before any code that can
 /// observe published values or before the run token leaves `c`'s activity.
@@ -57,31 +236,64 @@ pub(crate) fn flush_deferred(sim: &mut Sim, shared: &Shared, c: CoreId) {
     }
 }
 
-/// Maintain neighbor floor caches and headroom bounds after core `x`'s
-/// published value changed `old -> new`. Called at every individual
-/// assignment (including intermediate relaxation steps) so the caches are
-/// exact.
-fn note_published_change(
+/// Maintain core `n`'s cached neighbor minimum and headroom bound after a
+/// neighbor's canonical word changed `old -> new`. Called at every
+/// individual assignment (including intermediate relaxation steps) so the
+/// caches are exact. `dropped` says whether the *exposed* value fell: a
+/// capped core turning concrete lowers the word but, when a rise of the
+/// front caused it, raises the value.
+///
+/// Returns whether `n`'s neighbor minimum may have moved — `false` only
+/// when a valid cache proves it did not, which is also the proof that an
+/// idle `n`'s shadow cannot have.
+#[inline(always)]
+fn note_neighbor_change(
     sim: &mut Sim,
-    shared: &Shared,
-    x: CoreId,
+    n: usize,
     old: VirtualTime,
     new: VirtualTime,
-) {
-    for &(m, _) in shared.topo.neighbors(x) {
-        let i = m.index();
-        if new < old {
-            // A drop can only lower the minimum: the cache stays valid, but
-            // any cached headroom may now overshoot the true floor.
-            if sim.cores.floor_nb_valid[i] && new < sim.cores.floor_nb[i] {
-                sim.cores.floor_nb[i] = new;
-            }
-            sim.cores.headroom_limit[i] = None;
-        } else if sim.cores.floor_nb_valid[i] && sim.cores.floor_nb[i] == old {
-            // x may have been the (possibly tied) minimum; recompute lazily.
-            sim.cores.floor_nb_valid[i] = false;
-        }
+    dropped: bool,
+) -> bool {
+    if dropped {
+        // Any cached headroom may now overshoot the true floor.
+        sim.cores.headroom_limit[n] = None;
     }
+    if !sim.cores.floor_nb_valid[n] {
+        return true;
+    }
+    if new < old {
+        // A lower word can only lower the minimum: the cache stays valid.
+        let lower = new < sim.cores.floor_nb[n];
+        if lower {
+            sim.cores.floor_nb[n] = new;
+        }
+        lower
+    } else {
+        // The riser may have been the (possibly tied) minimum; recompute
+        // lazily.
+        let held = sim.cores.floor_nb[n] == old;
+        if held {
+            sim.cores.floor_nb_valid[n] = false;
+        }
+        held
+    }
+}
+
+/// The minimum over `c`'s neighbors' canonical words (`MAX` without
+/// neighbors), from the incrementally maintained cache; recomputed only
+/// when a neighbor that may have been the minimum rose.
+#[inline(always)]
+fn neighbor_min(sim: &mut Sim, shared: &Shared, c: CoreId) -> VirtualTime {
+    if !sim.cores.floor_nb_valid[c.index()] {
+        sim.count_floor_recompute(shared, c);
+        let mut m = VirtualTime::MAX;
+        for &(n, _) in shared.topo.neighbors(c) {
+            m = m.min(sim.cores.published[n.index()]);
+        }
+        sim.cores.floor_nb[c.index()] = canonical(m);
+        sim.cores.floor_nb_valid[c.index()] = true;
+    }
+    sim.cores.floor_nb[c.index()]
 }
 
 /// Recompute and propagate the value core `c` exposes to its neighbors.
@@ -89,25 +301,22 @@ fn note_published_change(
 /// re-checks on every core whose published value changed.
 pub(crate) fn publish(sim: &mut Sim, shared: &Shared, c: CoreId) {
     let start = shared.config.profile_picks.then(std::time::Instant::now);
-    publish_unprofiled(sim, shared, c);
+    sim.cores.publish_pending[c.index()] = false;
+    match shared.config.sync {
+        SyncPolicy::Spatial { t } => publish_spatial(sim, shared, c, t),
+        _ => publish_global(sim, shared, c),
+    }
     if let Some(start) = start {
         sim.stats.prof_publish_ns += start.elapsed().as_nanos() as u64;
     }
 }
 
-fn publish_unprofiled(sim: &mut Sim, shared: &Shared, c: CoreId) {
-    sim.cores.publish_pending[c.index()] = false;
-    if sim.cores.vtime[c.index()] > sim.max_vtime {
-        sim.max_vtime = sim.cores.vtime[c.index()];
+/// Global policies expose clocks only: no shadows, no relaxation.
+fn publish_global(sim: &mut Sim, shared: &Shared, c: CoreId) {
+    let newval = sim.cores.vtime[c.index()];
+    if newval > sim.max_vtime {
+        sim.max_vtime = newval;
     }
-    let spatial_t = match shared.config.sync {
-        SyncPolicy::Spatial { t } => Some(t),
-        _ => None,
-    };
-    let newval = match spatial_t {
-        Some(t) if sim.cores.is_idle(c.index()) => shadow_value(sim, shared, c, t),
-        _ => sim.cores.vtime[c.index()],
-    };
     let oldval = sim.cores.published[c.index()];
     if sim.sanitizer.is_some() {
         // Every slow-path clock change passes through here before the run
@@ -116,7 +325,7 @@ fn publish_unprofiled(sim: &mut Sim, shared: &Shared, c: CoreId) {
         // covers every state the periodic scan can observe.
         crate::sanitizer::note_clock(sim, shared, c);
         if newval < oldval && !sim.cores.is_idle(c.index()) {
-            crate::sanitizer::note_floor_regression(sim, newval);
+            crate::sanitizer::note_floor_regression(sim, oldval, newval);
         }
     }
     if newval == oldval {
@@ -125,78 +334,286 @@ fn publish_unprofiled(sim: &mut Sim, shared: &Shared, c: CoreId) {
     sim.stats.publish_sweeps += 1;
     sim.cores.published[c.index()] = newval;
     sim.floor_dirty = true;
-    // Global policies never run the shadow relaxation below, so this is
-    // the only published-value change the incremental floor must see.
+    // The only published-value change the incremental floor must see.
     note_floor_key(sim, c.index());
-    note_published_change(sim, shared, c, oldval, newval);
-
-    let Some(t) = spatial_t else {
-        // Global policies: no shadow relaxation. Recheck c's neighbors and
-        // every core watching c (its referee waiters) — the exact pre-
-        // fast-path sequence, because RandomReferee rechecks consume the
-        // engine RNG and are part of the deterministic schedule.
-        for &(n, _) in shared.topo.neighbors(c) {
-            recheck_stall(sim, shared, n);
-        }
-        take_waiters(sim, shared, c);
-        return;
-    };
-
-    // Relax shadow values through idle regions until fixed point. The
-    // shadow function is monotone in its inputs, so a worklist relaxation
-    // converges; waves are short in practice (idle cores adjacent to
-    // activity frontiers). Scratch buffers + visit stamps: no allocation
-    // once the high-water capacity is reached.
-    let mut changed = std::mem::take(&mut sim.scratch_changed);
-    let mut work = std::mem::take(&mut sim.scratch_work);
-    debug_assert!(changed.is_empty() && work.is_empty());
-    sim.stamp_cur += 1;
-    let stamp = sim.stamp_cur;
-    sim.stamp[c.index()] = stamp;
-    changed.push((c, oldval));
     for &(n, _) in shared.topo.neighbors(c) {
-        if sim.cores.is_idle(n.index()) {
-            work.push(n);
+        note_neighbor_change(sim, n.index(), oldval, newval, newval < oldval);
+    }
+    // Recheck c's neighbors and every core watching c (its referee
+    // waiters) — the exact pre-fast-path sequence, because RandomReferee
+    // rechecks consume the engine RNG and are part of the deterministic
+    // schedule.
+    for &(n, _) in shared.topo.neighbors(c) {
+        recheck_stall(sim, shared, n);
+    }
+    take_waiters(sim, shared, c);
+}
+
+/// Start a scratch traversal: the returned epoch has its two low bits
+/// clear, so a `Sim::stamp` word carries the epoch it was last touched in
+/// plus two per-traversal marks.
+fn next_epoch(sim: &mut Sim) -> u64 {
+    sim.stamp_cur += 4;
+    sim.stamp_cur
+}
+
+/// `Sim::stamp` mark: the core is in this sweep's `changed` list.
+const IN_CHANGED: u64 = 1;
+/// `Sim::stamp` mark: the core is waiting in this sweep's worklist.
+const QUEUED: u64 = 2;
+
+/// Set `mark` on core `i`'s stamp for the traversal `epoch`; false if it
+/// was set already.
+#[inline(always)]
+fn mark(sim: &mut Sim, i: CoreId, epoch: u64, mark: u64) -> bool {
+    let s = &mut sim.stamp[i.index()];
+    if *s & !3 != epoch {
+        *s = epoch;
+    }
+    let fresh = *s & mark == 0;
+    *s |= mark;
+    fresh
+}
+
+/// Put idle core `i` on the relaxation worklist unless it is waiting there
+/// already.
+#[inline(always)]
+fn enqueue(sim: &mut Sim, work: &mut Vec<CoreId>, i: CoreId, epoch: u64) {
+    if mark(sim, i, epoch, QUEUED) {
+        work.push(i);
+    }
+}
+
+/// Scratch state of one `publish_spatial` sweep.
+struct Sweep {
+    t: VDuration,
+    /// What a capped word stood for before this publish raised the front.
+    old_cap: VirtualTime,
+    epoch: u64,
+    /// First-in-first-out worklist of idle cores to re-evaluate (read at a
+    /// cursor, cleared after the sweep), each queued at most once at a
+    /// time. Breadth-first order settles a region in one pass where a
+    /// stack makes two idle neighbors count each other up to the cap `T`
+    /// at a time.
+    work: Vec<CoreId>,
+    /// `(core, exposed value before the sweep)` of every core whose
+    /// canonical word changed.
+    changed: Vec<(CoreId, VirtualTime)>,
+}
+
+/// Spatial publish: store `c`'s new word, relax the shadows of the idle
+/// region around every changed core to the fixed point, then recheck the
+/// stalls the net changes can affect.
+fn publish_spatial(sim: &mut Sim, shared: &Shared, c: CoreId, t: VDuration) {
+    let i = c.index();
+    let old_cap = shadow_cap(sim, t);
+    let rose = sim.cores.vtime[i] > sim.max_vtime;
+    if rose {
+        sim.max_vtime = sim.cores.vtime[i];
+    }
+    let idle = sim.cores.is_idle(i);
+    let new = if idle {
+        shadow_word(sim, shared, c, t)
+    } else {
+        sim.cores.vtime[i]
+    };
+    let old = sim.cores.published[i];
+    if sim.sanitizer.is_some() {
+        // Every slow-path clock change passes through here before the run
+        // token can return to the scheduler, so measuring overshoot (and
+        // floor regressions on idle-to-working drops) at publish instants
+        // covers every state the periodic scan can observe.
+        crate::sanitizer::note_clock(sim, shared, c);
+        let old = if is_capped(old) { old_cap } else { old };
+        if !idle && new < old {
+            crate::sanitizer::note_floor_regression(sim, old, new);
         }
     }
-    while let Some(i) = work.pop() {
-        let v = shadow_value(sim, shared, i, t);
-        let old = sim.cores.published[i.index()];
-        if v != old {
-            sim.cores.published[i.index()] = v;
-            note_published_change(sim, shared, i, old, v);
-            if sim.stamp[i.index()] != stamp {
-                sim.stamp[i.index()] = stamp;
-                changed.push((i, old));
+    if new == old && !(rose && sim.uncap.due(sim.max_vtime)) {
+        return;
+    }
+    let mut sw = Sweep {
+        t,
+        old_cap,
+        epoch: next_epoch(sim),
+        work: std::mem::take(&mut sim.scratch_work),
+        changed: std::mem::take(&mut sim.scratch_changed),
+    };
+    debug_assert!(sw.changed.is_empty() && sw.work.is_empty());
+    if store_word(sim, shared, &mut sw, c, new) {
+        sim.floor_dirty = true;
+    }
+    if rose {
+        queue_overtaken(sim, &mut sw.work, sw.epoch);
+    }
+    if !sw.changed.is_empty() || !sw.work.is_empty() {
+        sim.stats.publish_sweeps += 1;
+        relax(sim, shared, &mut sw);
+
+        // Stall re-checks, post-fixpoint, on exposed values. A net rise of
+        // x can only unstall a core registered on x (any stalled core is
+        // registered on its argmin blocker, and a non-argmin rise cannot
+        // lift the minimum). A net drop invalidates registrations, so it
+        // sweeps all of x's neighbors — each failed recheck re-registers
+        // on the now-current argmin. A capped core the front uncapped rose
+        // (old cap <= key + T) although its word fell.
+        for &(x, old) in &sw.changed {
+            let fin = resolve(sim, sim.cores.published[x.index()], t);
+            if fin == old {
+                continue;
             }
-            for &(n, _) in shared.topo.neighbors(i) {
+            if fin < old {
+                for &(n, _) in shared.topo.neighbors(x) {
+                    recheck_stall(sim, shared, n);
+                }
+            }
+            take_waiters(sim, shared, x);
+        }
+        sw.changed.clear();
+    }
+    sim.scratch_work = sw.work;
+    sim.scratch_changed = sw.changed;
+}
+
+/// Re-evaluate the cores on the worklist, and whatever their changes queue
+/// in turn, until nothing changes. The shadow function is monotone in its
+/// inputs and `T > 0` makes its fixed point unique, so any worklist order
+/// converges to the same words.
+///
+/// This loop and the helpers it calls are forced inline: it is the hottest
+/// code of a spatial run, and out of line the worklist and the `changed`
+/// list live in memory across every call (measured: +7 % on the run phase
+/// of a million-core machine).
+#[inline(always)]
+fn relax(sim: &mut Sim, shared: &Shared, sw: &mut Sweep) {
+    let mut head = 0;
+    while head < sw.work.len() {
+        let x = sw.work[head];
+        head += 1;
+        sim.stamp[x.index()] &= !QUEUED;
+        let w = shadow_word(sim, shared, x, sw.t);
+        store_word(sim, shared, sw, x, w);
+    }
+    sw.work.clear();
+}
+
+/// Bring a freshly set-up spatial machine to its shadow fixed point, once,
+/// between the workload's setup closure and the first pick. Published words
+/// start at zero, which is already right for every core the setup put to
+/// work at clock zero — making a million cores busy publishes nothing — and
+/// wrong for every core it left idle: those expose the cap, or less beside
+/// a working neighbor. Nothing has run a synchronization check yet, so no
+/// floor is cached and no core is stalled: the words are all there is to
+/// fix.
+pub(crate) fn settle(sim: &mut Sim, shared: &Shared) {
+    let SyncPolicy::Spatial { t } = shared.config.sync else {
+        return;
+    };
+    // Whatever the setup closure's own publishes cached predates the words
+    // written below.
+    sim.cores.floor_nb_valid.fill(false);
+    let (mut idle, mut busy) = (0usize, 0usize);
+    for i in 0..sim.cores.len() {
+        if !sim.cores.is_idle(i) {
+            busy += 1;
+        } else if !shared.topo.neighbors(CoreId(i as u32)).is_empty() {
+            sim.cores.published[i] = CAPPED;
+            idle += 1;
+        }
+    }
+    if idle == 0 || busy == 0 {
+        // Nothing exposes a shadow, or every shadow is the cap.
+        return;
+    }
+    let mut sw = Sweep {
+        t,
+        old_cap: shadow_cap(sim, t),
+        epoch: next_epoch(sim),
+        work: Vec::new(),
+        changed: Vec::new(),
+    };
+    for i in 0..sim.cores.len() {
+        if !sim.cores.is_idle(i) {
+            for &(n, _) in shared.topo.neighbors(CoreId(i as u32)) {
                 if sim.cores.is_idle(n.index()) {
-                    work.push(n);
+                    enqueue(sim, &mut sw.work, n, sw.epoch);
                 }
             }
         }
     }
-    sim.scratch_work = work;
+    relax(sim, shared, &mut sw);
+}
 
-    // Stall re-checks, post-fixpoint. A net rise of x can only unstall a
-    // core registered on x (any stalled core is registered on its argmin
-    // blocker, and a non-argmin rise cannot lift the minimum). A net drop
-    // invalidates registrations, so it sweeps all of x's neighbors — each
-    // failed recheck re-registers on the now-current argmin.
-    for &(x, old) in &changed {
-        let fin = sim.cores.published[x.index()];
-        if fin == old {
-            continue;
-        }
-        if fin < old {
-            for &(n, _) in shared.topo.neighbors(x) {
-                recheck_stall(sim, shared, n);
-            }
-        }
-        take_waiters(sim, shared, x);
+/// The word idle core `i` should hold: its own last clock maxed with the
+/// minimum of its neighbors' exposed times plus `t`, the `min + t` term
+/// capped at the front plus `t`.
+///
+/// No core's clock exceeds `max_vtime`, so an exposed value at or above it
+/// can never be the binding entry of a stall check — and without the cap
+/// the min-plus relaxation has no fixed point in regions with no working
+/// core (idle cores would push each other's shadows up forever). The cap
+/// binds exactly when no neighbor is concrete below the front, and such a
+/// core stores [`capped_under`] its lowest concrete neighbor instead of a
+/// value.
+#[inline(always)]
+fn shadow_word(sim: &mut Sim, shared: &Shared, i: CoreId, t: VDuration) -> VirtualTime {
+    sim.stats.shadow_evals += 1;
+    let m = neighbor_min(sim, shared, i);
+    if m < sim.max_vtime {
+        return sim.cores.vtime[i.index()].max(m + t);
     }
-    changed.clear();
-    sim.scratch_changed = changed;
+    if m == VirtualTime::MAX {
+        return sim.cores.vtime[i.index()];
+    }
+    // Capped. A core that is capped already keeps the key it is registered
+    // under unless its lowest concrete neighbor is now lower still.
+    let old = sim.cores.published[i.index()];
+    let new = if m == CAPPED { CAPPED } else { capped_under(m) };
+    if is_capped(old) && old <= new {
+        old
+    } else {
+        new
+    }
+}
+
+/// Give core `x` the word `new`, with everything a changed word owes:
+/// the uncap registration, the neighbors' caches, the `changed` record and
+/// a re-evaluation of `x`'s idle neighbors. Returns whether the canonical
+/// word — what neighbors can see — changed.
+#[inline(always)]
+fn store_word(sim: &mut Sim, shared: &Shared, sw: &mut Sweep, x: CoreId, new: VirtualTime) -> bool {
+    let old = sim.cores.published[x.index()];
+    if new == old {
+        return false;
+    }
+    let (old_c, new_c) = (canonical(old), canonical(new));
+    if new_c == old_c {
+        // Nothing a neighbor can see: a capped core under a lower key.
+        debug_assert!(new < old);
+        sim.cores.published[x.index()] = new;
+        register_uncap(sim, x, key_of(new));
+        return false;
+    }
+    sim.cores.published[x.index()] = new;
+    if is_capped(new) && new != CAPPED {
+        register_uncap(sim, x, key_of(new));
+    }
+    let old_exposed = if is_capped(old) { sw.old_cap } else { old };
+    let dropped = resolve(sim, new, sw.t) < old_exposed;
+    if mark(sim, x, sw.epoch, IN_CHANGED) {
+        sw.changed.push((x, old_exposed));
+    }
+    for &(n, _) in shared.topo.neighbors(x) {
+        // An idle neighbor's shadow is a function of its neighbor minimum
+        // (its own clock and the front aside): re-evaluate it only if that
+        // moved.
+        if note_neighbor_change(sim, n.index(), old_c, new_c, dropped)
+            && sim.cores.is_idle(n.index())
+        {
+            enqueue(sim, &mut sw.work, n, sw.epoch);
+        }
+    }
+    true
 }
 
 /// Empty core `x`'s waiter set and recheck every member. Duplicate entries
@@ -209,8 +626,7 @@ fn take_waiters(sim: &mut Sim, shared: &Shared, x: CoreId) {
     }
     let mut list = std::mem::take(&mut sim.scratch_waiters);
     std::mem::swap(&mut list, &mut sim.waiters[x.index()]);
-    sim.stamp_cur += 1;
-    let stamp = sim.stamp_cur;
+    let stamp = next_epoch(sim);
     for &wid in &list {
         let w = CoreId(wid);
         if sim.stamp[w.index()] == stamp {
@@ -239,29 +655,6 @@ fn register_waiter(sim: &mut Sim, c: CoreId, target: CoreId) {
     sim.cores.waiting_on[c.index()] = Some(target);
     sim.waiters[target.index()].push(c.0);
 }
-
-/// The shadow virtual time of idle core `i`: its own last clock maxed with
-/// the minimum of its neighbors' published times plus `t`.
-///
-/// The `min + t` term is capped at `max_vtime + t`: no core's clock exceeds
-/// `max_vtime`, so a published value at or above it can never be the
-/// binding entry of a stall check — and without the cap the min-plus
-/// relaxation has no fixed point in regions with no working core (idle
-/// cores would push each other's shadows up forever).
-fn shadow_value(sim: &mut Sim, shared: &Shared, i: CoreId, t: VDuration) -> VirtualTime {
-    sim.stats.shadow_evals += 1;
-    let min_neigh = shared
-        .topo
-        .neighbors(i)
-        .iter()
-        .map(|&(n, _)| sim.cores.published[n.index()])
-        .min();
-    match min_neigh {
-        Some(m) => sim.cores.vtime[i.index()].max((m + t).min(sim.max_vtime + t)),
-        None => sim.cores.vtime[i.index()],
-    }
-}
-
 /// If `c`'s current activity is stalled and the synchronization condition
 /// now holds, make it resumable and requeue the core.
 pub(crate) fn recheck_stall(sim: &mut Sim, shared: &Shared, c: CoreId) {
@@ -310,17 +703,14 @@ fn recheck_all_stalled(sim: &mut Sim, shared: &Shared) {
 /// the birth times of `c`'s in-flight spawned tasks as if they were
 /// neighbors. The neighbor minimum comes from the incrementally maintained
 /// cache; it is recomputed only when invalidated by a rising publish.
-pub(crate) fn local_floor(sim: &mut Sim, shared: &Shared, c: CoreId) -> VirtualTime {
-    if !sim.cores.floor_nb_valid[c.index()] {
-        sim.count_floor_recompute(shared, c);
-        let mut m = VirtualTime::MAX;
-        for &(n, _) in shared.topo.neighbors(c) {
-            m = m.min(sim.cores.published[n.index()]);
-        }
-        sim.cores.floor_nb[c.index()] = m;
-        sim.cores.floor_nb_valid[c.index()] = true;
-    }
-    let mut floor = sim.cores.floor_nb[c.index()];
+///
+/// The cache holds canonical words, so a neighborhood of capped shadows
+/// caches [`CAPPED`] and resolves to the cap at every read: the floor (and
+/// the headroom `sync_ok` derives from it) follows the front without a
+/// recomputation.
+pub(crate) fn local_floor(sim: &mut Sim, shared: &Shared, c: CoreId, t: VDuration) -> VirtualTime {
+    let nb = neighbor_min(sim, shared, c);
+    let mut floor = resolve(sim, nb, t);
     if let Some(b) = sim.cores.min_birth(c.index()) {
         floor = floor.min(b);
     }
@@ -457,7 +847,7 @@ pub(crate) fn sync_ok(sim: &mut Sim, shared: &Shared, c: CoreId) -> bool {
     let vtime = sim.cores.vtime[c.index()];
     match shared.config.sync {
         SyncPolicy::Spatial { t } => {
-            let floor = local_floor(sim, shared, c);
+            let floor = local_floor(sim, shared, c, t);
             if sim.sanitizer.is_some() {
                 // Re-derive the floor from scratch: the decision below must
                 // not rest on a corrupted incremental cache.
@@ -592,7 +982,7 @@ pub(crate) fn sync_ok_frozen(sim: &mut Sim, shared: &Shared, c: CoreId) -> bool 
             // serial check would do. (Sanitizer floor verification and
             // waiter registration stay on the serial path; a failing core
             // parks and replays the authoritative check there.)
-            let floor = local_floor(sim, shared, c);
+            let floor = local_floor(sim, shared, c, t);
             if floor == VirtualTime::MAX {
                 if fast_path_eligible(shared) {
                     sim.cores.headroom_limit[c.index()] = Some(VirtualTime::MAX);
@@ -682,8 +1072,10 @@ mod tests {
     /// Everything a schedule divergence would show up in. The fast path's
     /// own counters (`fast_path_advances`, `full_sync_checks`,
     /// `publish_sweeps`, `floor_recomputes`) are what it exists to change,
-    /// and `max_neighbor_drift` is sampled only at the checks it skips.
-    fn fingerprint(s: &SimStats) -> [u64; 9] {
+    /// and `max_neighbor_drift` is sampled only at the checks it skips — so
+    /// the one statistic derived from floors joins only when the fast path
+    /// is off on both sides.
+    fn fingerprint(s: &SimStats, with_drift: bool) -> [u64; 10] {
         [
             s.final_vtime.ticks(),
             s.scheduler_picks,
@@ -694,6 +1086,11 @@ mod tests {
             s.late_by_total.ticks(),
             s.net.messages,
             s.parallel_epochs,
+            if with_drift {
+                s.max_neighbor_drift.ticks()
+            } else {
+                0
+            },
         ]
     }
 
@@ -715,12 +1112,22 @@ mod tests {
                 let fast = run(policy, threads, false);
                 let full = run(policy, threads, true);
                 assert_eq!(
-                    fingerprint(&fast),
-                    fingerprint(&full),
+                    fingerprint(&fast, false),
+                    fingerprint(&full, false),
                     "{policy:?}, threads={threads}: fast path changed the schedule"
                 );
                 assert_eq!(full.fast_path_advances, 0, "fast path fired while off");
                 if matches!(policy, SyncPolicy::Spatial { .. }) {
+                    // With the fast path off every annotation samples the
+                    // drift, so its maximum is a function of the floors
+                    // alone. Pinned from the engine that stored every
+                    // capped shadow (PR 15): resolving the cap at read
+                    // time must give the same floors.
+                    let golden: [u64; 10] = match threads {
+                        1 => [2896, 238, 107, 123, 120, 72, 7244, 192, 0, 284],
+                        _ => [3152, 349, 90, 106, 116, 76, 8772, 192, 28, 302],
+                    };
+                    assert_eq!(fingerprint(&full, true), golden, "threads={threads}");
                     assert!(fast.fast_path_advances > 0, "fast path never fired");
                     assert!(
                         fast.publish_sweeps < full.publish_sweeps,
@@ -731,5 +1138,57 @@ mod tests {
                 }
             }
         }
+    }
+    /// One activity on the corner core of an otherwise idle mesh, every
+    /// annotation a full publish that raises the front.
+    fn lone_runner(cores: u32, t: VDuration) -> SimStats {
+        let mut config = EngineConfig::default().with_seed(3);
+        config.sync = SyncPolicy::Spatial { t };
+        simulate(
+            simany_topology::mesh_2d(cores),
+            config,
+            Arc::new(AdvanceOnMessage),
+            move |ops| {
+                ops.start_activity(
+                    CoreId(0),
+                    "runner",
+                    Box::new(()),
+                    Box::new(move |ctx: &mut ExecCtx| {
+                        for _ in 0..1000 {
+                            // Past the `floor + T` headroom of an
+                            // all-capped neighborhood: never deferred.
+                            ctx.advance_cycles(2 * t.cycles() + 1);
+                        }
+                    }),
+                );
+            },
+        )
+        .expect("simulation failed")
+    }
+
+    /// A rise of the front costs the same whether 255 or 4,095 idle cores
+    /// sit behind the runner: their shadows are the cap, the cap is not
+    /// stored, and only the runner's own neighbors are re-evaluated. (With
+    /// the cap stored, every rise rewrote the whole sea.)
+    #[test]
+    fn the_cost_of_a_rise_does_not_depend_on_the_idle_sea() {
+        let t = VDuration::from_cycles(100);
+        let small = lone_runner(256, t);
+        let large = lone_runner(4096, t);
+        for s in [&small, &large] {
+            assert!(s.publish_sweeps >= 1000, "{} sweeps", s.publish_sweeps);
+            assert!(
+                s.shadow_evals < 20 * s.publish_sweeps,
+                "{} evaluations over {} sweeps",
+                s.shadow_evals,
+                s.publish_sweeps
+            );
+        }
+        assert!(
+            large.shadow_evals < 2 * small.shadow_evals,
+            "evaluations grew with the idle sea: {} on 256 cores, {} on 4096",
+            small.shadow_evals,
+            large.shadow_evals
+        );
     }
 }
