@@ -100,8 +100,8 @@ options:
                       --machine chiplet (default 4)
   --scale F           workload scale (default 0.5)
   --seed N            workload seed
-  --sync POLICY       spatial | bounded-slack | random-referee |
-                      conservative | unbounded (default spatial)
+  --sync POLICY       spatial | bounded-slack | conservative | unbounded
+                      (default spatial)
   --drift T           drift bound / slack window in cycles (default 100)
   --topology FILE     adjacency-matrix config file (overrides --machine)
   --trace             collect and print an event timeline

@@ -483,12 +483,6 @@ pub fn ablation_sync_policies(opts: &Options) -> String {
                 window: VDuration::from_cycles(100),
             },
         ),
-        (
-            "RandomReferee 100 (LaxP2P-like)",
-            SyncPolicy::RandomReferee {
-                slack: VDuration::from_cycles(100),
-            },
-        ),
         ("Conservative (exact order)", SyncPolicy::Conservative),
         ("Unbounded (free run)", SyncPolicy::Unbounded),
     ];

@@ -1,5 +1,5 @@
-//! `simulate` rejects a malformed flag value with one line on stderr and the
-//! usage exit code, never with a panic.
+//! `simulate` rejects a malformed flag value or an unknown name with one
+//! line on stderr and the usage exit code, never with a panic.
 
 use std::process::Command;
 
@@ -27,4 +27,24 @@ fn a_malformed_number_is_a_usage_error_not_a_panic() {
         );
         assert!(out.stdout.is_empty(), "{flag} {value}: ran anyway");
     }
+}
+
+/// `random-referee` was a policy once; it gets the same refusal as any
+/// other unknown name, listing the policies that remain.
+#[test]
+fn a_retired_sync_policy_is_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_simulate"))
+        .args(["--sync", "random-referee"])
+        .output()
+        .expect("simulate did not start");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    // The refusal, then the usage text.
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr).lines().next(),
+        Some(
+            "unknown sync policy 'random-referee' \
+             (expected spatial | bounded-slack | conservative | unbounded)"
+        )
+    );
+    assert!(out.stdout.is_empty(), "ran anyway");
 }

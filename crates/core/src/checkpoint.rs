@@ -259,7 +259,7 @@ impl Digest {
     }
 }
 
-/// Digest of everything that determines the run's trajectory: sync/pick
+/// Digest of everything that determines the run's trajectory: sync
 /// policy, seed, cost model, speeds, network parameters, runtime cost
 /// knobs and the fault plan shape. Deliberately excludes observation-only
 /// configuration (tracer, sanitize, watchdog, checkpoint/resume paths):
@@ -267,7 +267,8 @@ impl Digest {
 pub fn config_digest(config: &crate::EngineConfig) -> u64 {
     let mut d = Digest::new();
     d.str(&format!("{:?}", config.sync));
-    d.str(&format!("{:?}", config.pick));
+    // Where the retired pick policy (always lowest-vtime) used to fold.
+    d.str("LowestVtime");
     d.u64(config.seed);
     d.str(&format!("{:?}", config.cost_model));
     d.str(&format!("{:?}", config.speeds));
@@ -392,6 +393,19 @@ mod tests {
         };
         cp.write_to(&path).unwrap();
         assert_eq!(Checkpoint::load(&path).unwrap(), cp);
+    }
+
+    /// Checkpoints, serve dedup keys and ledger `sim_digest`s written
+    /// before the pick policy was retired must stay valid: the digests of
+    /// the default configuration as PR 16 computed them.
+    #[test]
+    fn default_config_digest_is_unchanged_since_pr16() {
+        let config = crate::EngineConfig::default();
+        assert_eq!(config_digest(&config), 0xe367_8dc7_d756_71c4);
+        assert_eq!(
+            config_digest(&config.with_threads(4)),
+            0x0b25_d475_bb34_f2a6
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Engine configuration: synchronization policy, scheduling policy, core
-//! speeds and run-time cost knobs.
+//! Engine configuration: synchronization policy, core speeds and run-time
+//! cost knobs.
 
 use simany_net::NetworkParams;
 use simany_time::{CoreSpeed, CostModel, VDuration};
@@ -25,13 +25,6 @@ pub enum SyncPolicy {
         /// Global window size.
         window: VDuration,
     },
-    /// Random-referee scheme in the spirit of Graphite's LaxP2P: each core
-    /// periodically checks itself against a randomly chosen other core and
-    /// stalls while it is more than `slack` ahead of that referee.
-    RandomReferee {
-        /// Allowed lead over the chosen referee.
-        slack: VDuration,
-    },
     /// Conservative global order: only the core(s) holding the minimum
     /// virtual time may advance. Exact event ordering; this is what the
     /// cycle-level reference simulator uses.
@@ -50,29 +43,13 @@ impl SyncPolicy {
     }
 }
 
-/// How the scheduler chooses among ready cores.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PickPolicy {
-    /// Pick the ready core with the lowest published virtual time
-    /// (default: closest to a conservative discrete-event order, and the
-    /// choice that makes the deadlock-avoidance argument of paper §II.B
-    /// immediate).
-    LowestVtime,
-    /// Round-robin over ready cores.
-    RoundRobin,
-    /// Uniformly random among ready cores (seeded, deterministic).
-    Random,
-}
-
 /// Full engine configuration.
 #[derive(Clone)]
 pub struct EngineConfig {
     /// Synchronization policy (default: spatial, `T = 100` cycles).
     pub sync: SyncPolicy,
-    /// Scheduler pick policy.
-    pub pick: PickPolicy,
-    /// Master seed: branch predictors, scheduler randomness and any
-    /// runtime-level randomness all derive from it.
+    /// Master seed: branch predictors and any runtime-level randomness
+    /// derive from it.
     pub seed: u64,
     /// Instruction-class cost model shared by all cores.
     pub cost_model: CostModel,
@@ -188,7 +165,6 @@ impl std::fmt::Debug for EngineConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineConfig")
             .field("sync", &self.sync)
-            .field("pick", &self.pick)
             .field("seed", &self.seed)
             .field("speeds", &self.speeds)
             .field("net", &self.net)
@@ -214,7 +190,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             sync: SyncPolicy::paper_default(),
-            pick: PickPolicy::LowestVtime,
             seed: 0x51_3A_17,
             cost_model: CostModel::default(),
             speeds: None,
@@ -357,7 +332,6 @@ mod tests {
             }
         );
         assert_eq!(c.resume_cost, VDuration::from_cycles(15));
-        assert_eq!(c.pick, PickPolicy::LowestVtime);
     }
 
     #[test]

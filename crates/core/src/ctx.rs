@@ -255,18 +255,6 @@ impl ExecCtx {
         self.after_advance(&mut sim);
     }
 
-    /// Advance by an exact duration (no speed scaling), then apply the
-    /// synchronization policy.
-    pub fn advance_raw(&mut self, d: VDuration) {
-        if self.confined.active.get() && self.try_confined_advance(d) {
-            return;
-        }
-        let mut sim = self.shared.sim.lock();
-        self.flush_confined(&mut sim);
-        sim.cores.advance(self.core.index(), d);
-        self.after_advance(&mut sim);
-    }
-
     /// Post-annotation synchronization: the drift-headroom fast path when
     /// the new clock stays inside the cached bound and no message is due,
     /// the full publish + drain + policy check otherwise.
@@ -466,14 +454,6 @@ impl ExecCtx {
         if *depth == 0 {
             self.maybe_stall(&mut sim);
         }
-    }
-
-    /// Explicit synchronization point: stall here if the policy requires it
-    /// (useful inside long native computations).
-    pub fn check_sync(&mut self) {
-        let mut sim = self.shared.sim.lock();
-        self.flush_confined(&mut sim);
-        self.maybe_stall(&mut sim);
     }
 
     /// Stall while the synchronization policy forbids this core to run.

@@ -109,7 +109,7 @@ use crate::sync;
 use crate::trace::TraceEvent;
 use parking_lot::{Mutex, MutexGuard};
 use simany_net::{Envelope, InboxPool, NetworkModel};
-use simany_time::{VirtualTime, Xoshiro256StarStar};
+use simany_time::VirtualTime;
 use simany_topology::{CoreId, Topology};
 use std::collections::HashMap;
 use std::fmt;
@@ -237,10 +237,9 @@ pub(crate) struct Sim {
     /// Capped idle cores by the key the front must overtake before they
     /// need re-evaluation (spatial policy only; see [`sync::UncapIndex`]).
     pub(crate) uncap: sync::UncapIndex,
-    pub(crate) rng: Xoshiro256StarStar,
-    /// Per core: waiter set — cores stalled on this one (spatial: blocked
-    /// neighbors registered on their argmin laggard; random-referee: cores
-    /// watching this referee). A rising publish rechecks only these.
+    /// Per core: waiter set — blocked neighbors registered on this core as
+    /// their argmin laggard (spatial policy only). A rising publish
+    /// rechecks only these.
     pub(crate) waiters: Vec<Vec<u32>>,
     /// Scratch for `sync::publish` relaxation: `(core, exposed value before
     /// the sweep)` for every core whose value changed. Reused across calls
@@ -268,8 +267,8 @@ pub(crate) struct Sim {
     /// counters (empty — length 0 — under the sequential engine). Merged
     /// into `stats` in tile order at teardown.
     pub(crate) tile_stats: Vec<crate::stats::TileStats>,
-    /// Scratch for the random-referee candidate sweep in `sync_ok`;
-    /// reused across picks so the steady state allocates nothing.
+    /// Scratch for the wake set of `sync::wake_stalled_by_floor`; reused
+    /// across picks so the steady state allocates nothing.
     pub(crate) scratch_ready: Vec<u32>,
     /// Incrementally-maintained global floor (tournament tree over per-core
     /// floor keys). `Some` iff the policy queries the global floor on the
@@ -998,7 +997,7 @@ pub fn simulate(
             "fault plan compiled against a different topology"
         );
     }
-    let mut ready = ReadyQueue::new(config.pick, config.seed);
+    let mut ready = ReadyQueue::new();
     if let Some(part) = &partition {
         // Equal-time cores would otherwise pop in core-id order — a whole
         // contiguous tile before the next one — making the epoch collector
@@ -1028,7 +1027,6 @@ pub fn simulate(
         floor_dirty: false,
         max_vtime: VirtualTime::ZERO,
         uncap: sync::UncapIndex::new(&config),
-        rng: Xoshiro256StarStar::stream(config.seed, 0x5EED),
         waiters: vec![Vec::new(); n as usize],
         scratch_changed: Vec::new(),
         scratch_work: Vec::new(),

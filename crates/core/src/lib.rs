@@ -27,10 +27,9 @@
 //! ## Synchronization policies
 //!
 //! [`SyncPolicy::Spatial`] is the paper's contribution; the crate also
-//! implements the schemes the paper compares against (global bounded slack
-//! à la SlackSim, random-referee à la Graphite's LaxP2P, conservative
-//! global order, and free-running) so that the accuracy/speed trade-off can
-//! be measured within one code base.
+//! implements schemes the paper compares against (global bounded slack à
+//! la SlackSim, conservative global order, and free-running) so that the
+//! accuracy/speed trade-off can be measured within one code base.
 //!
 //! ## Layering
 //!
@@ -59,7 +58,7 @@ pub mod trace;
 
 pub use activity::{ActivityId, ActivityMeta};
 pub use checkpoint::{config_digest, Checkpoint};
-pub use config::{EngineConfig, PickPolicy, SyncPolicy};
+pub use config::{EngineConfig, SyncPolicy};
 pub use ctx::ExecCtx;
 pub use engine::{simulate, SimError, SimResult};
 pub use hooks::RuntimeHooks;

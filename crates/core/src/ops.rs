@@ -9,7 +9,7 @@ use crate::state::BirthId;
 use crate::sync;
 use crate::trace::TraceEvent;
 use simany_net::Payload;
-use simany_time::{BlockCost, CoreSpeed, CostModel, VDuration, VirtualTime};
+use simany_time::{CoreSpeed, CostModel, VDuration, VirtualTime};
 use simany_topology::CoreId;
 
 /// Outcome of an [`Ops::send`]/[`Ops::send_at`] on a possibly-faulty
@@ -110,21 +110,6 @@ impl<'a> Ops<'a> {
     pub fn advance_core_to(&mut self, core: CoreId, t: VirtualTime) {
         self.sim.cores.advance_to(core.index(), t);
         sync::publish(self.sim, self.shared, core);
-    }
-
-    /// Charge `core` for a block annotation: instruction-class costs plus
-    /// probabilistic branch-prediction penalties, speed-scaled.
-    pub fn charge_block(&mut self, core: CoreId, block: &BlockCost) {
-        let mut cycles = self.shared.config.cost_model.block_cycles(block);
-        let branches = block.cond_branch_count();
-        if branches > 0 {
-            cycles += self
-                .sim
-                .cores
-                .predictor(core.index())
-                .predict_many(branches);
-        }
-        self.advance_core(core, cycles);
     }
 
     /// Send a message from `src` (stamped with `src`'s current clock) to
@@ -356,10 +341,5 @@ impl<'a> Ops<'a> {
     /// placement heuristics).
     pub fn path_latency(&self, src: CoreId, dst: CoreId) -> VDuration {
         self.sim.net.routing().path_latency(src, dst)
-    }
-
-    /// Mutable access to the run statistics (runtime-layer counters).
-    pub fn stats_mut(&mut self) -> &mut crate::stats::SimStats {
-        &mut self.sim.stats
     }
 }

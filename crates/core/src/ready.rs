@@ -1,15 +1,15 @@
 //! The scheduler's ready queue.
 //!
 //! Holds the cores that currently have work the scheduler could perform
-//! (a message to process, a grantable activity, or queued tasks). Three
-//! interchangeable pick policies; all deterministic for a fixed seed.
+//! (a message to process, a grantable activity, or queued tasks), ordered
+//! by lowest published virtual time: closest to a conservative
+//! discrete-event order, and the choice that makes the deadlock-avoidance
+//! argument of paper §II.B immediate.
 
-use crate::config::PickPolicy;
-use simany_time::{VirtualTime, Xoshiro256StarStar};
+use simany_time::VirtualTime;
 use simany_topology::CoreId;
-use std::collections::VecDeque;
 
-/// Heap arity for [`VtimeHeap`]. A binary heap over a million entries is
+/// Heap arity for [`ReadyQueue`]. A binary heap over a million entries is
 /// ~20 levels of pointer-chasing through a multi-megabyte array — every
 /// level a cache miss on the pop's sift-down. With 8 children per node the
 /// tree is 2.5x shallower and each level's candidate set is two adjacent
@@ -18,8 +18,8 @@ use std::collections::VecDeque;
 /// minimum), so this is a pure locality change.
 const D: usize = 8;
 
-/// Implicit `D`-ary min-heap of `(time, tie-break rank, core id)` with
-/// per-core entry accounting.
+/// Implicit `D`-ary min-heap of `(published time at push, tie-break rank,
+/// core id)` with per-core entry accounting.
 ///
 /// The heap orders *entries*, not cores: a core can legitimately appear
 /// more than once (a message delivery re-pushes a queued core at a raised
@@ -27,11 +27,17 @@ const D: usize = 8;
 /// extra entries are not inert: when one surfaces, the engine re-validates
 /// the core and may pick it at that entry's priority, so entries are only
 /// ever removed by popping them.
-pub struct VtimeHeap {
+///
+/// Entries may also be stale (a core's published time moves after
+/// insertion; a core may stop being ready). Callers must guard with the
+/// per-core `in_ready` flag and re-validate on pop; the queue itself only
+/// orders.
+#[derive(Default)]
+pub struct ReadyQueue {
     /// The entry array, heap-ordered by `(time, rank, core)`.
     heap: Vec<(VirtualTime, u32, u32)>,
     /// Optional tie-break rank per core (see
-    /// [`ReadyQueue::set_tiebreak_ranks`]); `None` = core id.
+    /// [`Self::set_tiebreak_ranks`]); `None` = core id.
     ranks: Option<Vec<u32>>,
     /// Entries currently in `heap` per core (lazily grown).
     qcount: Vec<u32>,
@@ -39,14 +45,24 @@ pub struct VtimeHeap {
     live: usize,
 }
 
-impl VtimeHeap {
-    fn new() -> Self {
-        VtimeHeap {
-            heap: Vec::new(),
-            ranks: None,
-            qcount: Vec::new(),
-            live: 0,
-        }
+impl ReadyQueue {
+    /// Create an empty queue.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Install a custom equal-time tie-break order: `ranks[core]` replaces
+    /// the core id as the secondary heap key. Parallel mode passes
+    /// tile-interleaved ranks so the epoch collector finds one core per
+    /// tile in O(tiles) pops even when a whole vtime wavefront is tied —
+    /// with contiguous tiles and id tie-breaks it would pop an entire
+    /// tile before seeing the next one.
+    pub fn set_tiebreak_ranks(&mut self, ranks: Vec<u32>) {
+        debug_assert!(
+            self.heap.is_empty(),
+            "tie-break ranks installed after pushes"
+        );
+        self.ranks = Some(ranks);
     }
 
     fn rank_of(&self, core: u32) -> u32 {
@@ -73,14 +89,24 @@ impl VtimeHeap {
         }
     }
 
-    fn push(&mut self, core: u32, at: VirtualTime) {
-        let entry = (at, self.rank_of(core), core);
-        self.count_push(core);
+    /// Insert a core with its current published time as priority.
+    ///
+    /// Pop order over distinct `(time, rank, id)` keys is a pure function
+    /// of the key *set* — insertion order cannot leak into it. The parallel
+    /// engine's sharded phase B leans on this: it replays deliveries
+    /// bucketed by destination tile, and although the ready pushes
+    /// themselves happen on the serial walk in a fixed (source tile, outbox
+    /// index) order, the insensitivity means the bucketing could not
+    /// perturb scheduling even if that order changed.
+    pub fn push(&mut self, core: CoreId, published: VirtualTime) {
+        let entry = (published, self.rank_of(core.0), core.0);
+        self.count_push(core.0);
         self.heap.push(entry);
         self.sift_up(self.heap.len() - 1);
     }
 
-    fn pop(&mut self) -> Option<u32> {
+    /// Remove and return the core of the lowest entry.
+    pub fn pop(&mut self) -> Option<CoreId> {
         if self.heap.is_empty() {
             return None;
         }
@@ -89,7 +115,28 @@ impl VtimeHeap {
         let (_, _, core) = self.heap.pop().expect("non-empty heap");
         self.sift_down(0);
         self.count_pop(core);
-        Some(core)
+        Some(CoreId(core))
+    }
+
+    /// True iff no entries remain.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Raw number of *entries*, including stale duplicates — a core
+    /// re-pushed at a raised priority contributes several. Diagnostics
+    /// that want "how many cores are queued" should use
+    /// [`Self::live_len`]; this raw count only bounds memory.
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Number of *distinct cores* with at least one queued entry — the
+    /// honest "ready cores" figure for deadlock/diagnostic reports, which
+    /// [`Self::len`] over-reports whenever raised-priority duplicates are
+    /// in flight. O(1): maintained incrementally.
+    pub fn live_len(&self) -> usize {
+        self.live
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -128,121 +175,10 @@ impl VtimeHeap {
     }
 }
 
-/// Ready queue with pluggable pick policy.
-///
-/// Entries may be stale (a core's published time moves after insertion; a
-/// core may stop being ready). Callers must guard with the per-core
-/// `in_ready` flag and re-validate on pop; the queue itself only orders.
-pub enum ReadyQueue {
-    /// Lazy min-heap on (published time at push, tie-break key, core id).
-    /// The tie-break key defaults to the core id; parallel mode installs a
-    /// tile-interleaved rank (see [`ReadyQueue::set_tiebreak_ranks`]) so
-    /// that equal-time cores pop alternating tiles instead of sweeping one
-    /// contiguous tile end to end.
-    LowestVtime(VtimeHeap),
-    /// FIFO rotation.
-    RoundRobin(VecDeque<CoreId>),
-    /// Seeded random pick.
-    Random(Vec<CoreId>, Xoshiro256StarStar),
-}
-
-impl ReadyQueue {
-    /// Create a queue for the given policy.
-    pub fn new(policy: PickPolicy, seed: u64) -> Self {
-        match policy {
-            PickPolicy::LowestVtime => ReadyQueue::LowestVtime(VtimeHeap::new()),
-            PickPolicy::RoundRobin => ReadyQueue::RoundRobin(VecDeque::new()),
-            PickPolicy::Random => {
-                ReadyQueue::Random(Vec::new(), Xoshiro256StarStar::stream(seed, 0xEAD7))
-            }
-        }
-    }
-
-    /// Install a custom equal-time tie-break order: `ranks[core]` replaces
-    /// the core id as the secondary heap key. Parallel mode passes
-    /// tile-interleaved ranks so the epoch collector finds one core per
-    /// tile in O(tiles) pops even when a whole vtime wavefront is tied —
-    /// with contiguous tiles and id tie-breaks it would pop an entire
-    /// tile before seeing the next one. No-op for other pick policies.
-    pub fn set_tiebreak_ranks(&mut self, ranks: Vec<u32>) {
-        if let ReadyQueue::LowestVtime(h) = self {
-            debug_assert!(h.heap.is_empty(), "tie-break ranks installed after pushes");
-            h.ranks = Some(ranks);
-        }
-    }
-
-    /// Insert a core with its current published time as priority.
-    ///
-    /// For `LowestVtime`, pop order over distinct `(time, rank, id)` keys
-    /// is a pure function of the key *set* — insertion order cannot leak
-    /// into it. The parallel engine's sharded phase B leans on this: it
-    /// replays deliveries bucketed by destination tile, and although the
-    /// ready pushes themselves happen on the serial walk in a fixed
-    /// (source tile, outbox index) order, the insensitivity means the
-    /// bucketing could not perturb scheduling even if that order changed.
-    /// `RoundRobin` is FIFO by definition (push order *is* the contract),
-    /// and `Random` draws from the seeded stream in pop order, so both
-    /// stay deterministic under the same fixed push sequence.
-    pub fn push(&mut self, core: CoreId, published: VirtualTime) {
-        match self {
-            ReadyQueue::LowestVtime(h) => h.push(core.0, published),
-            ReadyQueue::RoundRobin(q) => q.push_back(core),
-            ReadyQueue::Random(v, _) => v.push(core),
-        }
-    }
-
-    /// Remove and return the next core per the policy.
-    pub fn pop(&mut self) -> Option<CoreId> {
-        match self {
-            ReadyQueue::LowestVtime(h) => h.pop().map(CoreId),
-            ReadyQueue::RoundRobin(q) => q.pop_front(),
-            ReadyQueue::Random(v, rng) => {
-                if v.is_empty() {
-                    None
-                } else {
-                    let i = rng.next_index(v.len());
-                    Some(v.swap_remove(i))
-                }
-            }
-        }
-    }
-
-    /// True iff no entries remain.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Raw number of *entries*, including stale duplicates — a core
-    /// re-pushed at a raised priority contributes several. Diagnostics
-    /// that want "how many cores are queued" should use
-    /// [`Self::live_len`]; this raw count only bounds memory.
-    pub fn len(&self) -> usize {
-        match self {
-            ReadyQueue::LowestVtime(h) => h.heap.len(),
-            ReadyQueue::RoundRobin(q) => q.len(),
-            ReadyQueue::Random(v, _) => v.len(),
-        }
-    }
-
-    /// Number of *distinct cores* with at least one queued entry — the
-    /// honest "ready cores" figure for deadlock/diagnostic reports, which
-    /// [`Self::len`] over-reports whenever raised-priority duplicates are
-    /// in flight. O(1): maintained incrementally.
-    pub fn live_len(&self) -> usize {
-        match self {
-            ReadyQueue::LowestVtime(h) => h.live,
-            // The other policies get a duplicate only via the same
-            // delivery raise; they are niche enough that the raw length
-            // stands in (a VecDeque scan would be O(n)).
-            ReadyQueue::RoundRobin(q) => q.len(),
-            ReadyQueue::Random(v, _) => v.len(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simany_time::Xoshiro256StarStar;
 
     fn t(c: u64) -> VirtualTime {
         VirtualTime::from_cycles(c)
@@ -250,7 +186,7 @@ mod tests {
 
     #[test]
     fn lowest_vtime_orders_by_time() {
-        let mut q = ReadyQueue::new(PickPolicy::LowestVtime, 0);
+        let mut q = ReadyQueue::new();
         q.push(CoreId(0), t(30));
         q.push(CoreId(1), t(10));
         q.push(CoreId(2), t(20));
@@ -262,7 +198,7 @@ mod tests {
 
     #[test]
     fn lowest_vtime_ties_break_by_core_id() {
-        let mut q = ReadyQueue::new(PickPolicy::LowestVtime, 0);
+        let mut q = ReadyQueue::new();
         q.push(CoreId(5), t(10));
         q.push(CoreId(3), t(10));
         assert_eq!(q.pop(), Some(CoreId(3)));
@@ -275,7 +211,7 @@ mod tests {
         // arity — this is what makes the 8-ary layout a pure locality
         // change relative to the old binary heap.
         let mut rng = Xoshiro256StarStar::stream(99, 1);
-        let mut q = ReadyQueue::new(PickPolicy::LowestVtime, 0);
+        let mut q = ReadyQueue::new();
         let mut keys: Vec<(u64, u32)> = Vec::new();
         for c in 0..500u32 {
             let at = rng.next_index(10_000) as u64;
@@ -293,7 +229,7 @@ mod tests {
 
     #[test]
     fn tiebreak_ranks_interleave_ties() {
-        let mut q = ReadyQueue::new(PickPolicy::LowestVtime, 0);
+        let mut q = ReadyQueue::new();
         // Two "tiles" {0,1} and {2,3}: ranks 0,2,1,3 alternate them.
         q.set_tiebreak_ranks(vec![0, 2, 1, 3]);
         for c in 0..4 {
@@ -316,7 +252,7 @@ mod tests {
         // the same distinct (time, rank, id) entries pops identically.
         let entries: Vec<(u32, u64)> = (0..12u32).map(|c| (c, 7 + u64::from(c * c % 13))).collect();
         let pop_all = |order: &[usize]| {
-            let mut q = ReadyQueue::new(PickPolicy::LowestVtime, 0);
+            let mut q = ReadyQueue::new();
             q.set_tiebreak_ranks((0..12u32).rev().collect());
             for &i in order {
                 let (c, at) = entries[i];
@@ -338,7 +274,7 @@ mod tests {
 
     #[test]
     fn live_len_counts_distinct_cores() {
-        let mut q = ReadyQueue::new(PickPolicy::LowestVtime, 0);
+        let mut q = ReadyQueue::new();
         q.push(CoreId(1), t(10));
         q.push(CoreId(2), t(20));
         // Priority raise: same core queued again at an earlier time.
@@ -355,34 +291,8 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_fifo() {
-        let mut q = ReadyQueue::new(PickPolicy::RoundRobin, 0);
-        q.push(CoreId(2), t(99));
-        q.push(CoreId(1), t(1));
-        assert_eq!(q.pop(), Some(CoreId(2)));
-        assert_eq!(q.pop(), Some(CoreId(1)));
-    }
-
-    #[test]
-    fn random_is_deterministic_per_seed() {
-        let run = |seed| {
-            let mut q = ReadyQueue::new(PickPolicy::Random, seed);
-            for i in 0..10 {
-                q.push(CoreId(i), t(0));
-            }
-            let mut order = Vec::new();
-            while let Some(c) = q.pop() {
-                order.push(c.0);
-            }
-            order
-        };
-        assert_eq!(run(1), run(1));
-        assert_ne!(run(1), run(2));
-    }
-
-    #[test]
     fn len_and_empty() {
-        let mut q = ReadyQueue::new(PickPolicy::RoundRobin, 0);
+        let mut q = ReadyQueue::new();
         assert!(q.is_empty());
         q.push(CoreId(0), t(0));
         assert_eq!(q.len(), 1);

@@ -133,7 +133,7 @@ fn policy_slack(shared: &Shared) -> Option<VDuration> {
         SyncPolicy::Spatial { t } => Some(t),
         SyncPolicy::BoundedSlack { window } => Some(window),
         SyncPolicy::Conservative => Some(VDuration::ZERO),
-        SyncPolicy::RandomReferee { .. } | SyncPolicy::Unbounded => None,
+        SyncPolicy::Unbounded => None,
     }
 }
 
@@ -240,7 +240,7 @@ pub(crate) fn note_clock(sim: &mut Sim, shared: &Shared, c: CoreId) {
 /// resolved by the caller because its stored word may be a capped marker —
 /// is its term of that floor.
 pub(crate) fn note_floor_regression(sim: &mut Sim, old: VirtualTime, new_clock: VirtualTime) {
-    let floor = crate::sync::global_floor(sim).min(old);
+    let floor = crate::sync::global_floor_naive(sim).min(old);
     let reg = floor.saturating_since(new_clock);
     if !reg.is_zero() {
         let s = sim.sanitizer.as_mut().expect("sanitizer installed");
@@ -457,7 +457,7 @@ pub(crate) fn scan(sim: &mut Sim, shared: &Shared) {
         s.max_overshoot,
         s.regression_slack,
     );
-    let floor = crate::sync::global_floor(sim);
+    let floor = crate::sync::global_floor_naive(sim);
     let cur_max = (0..sim.cores.len())
         .filter(|&i| !sim.cores.is_idle(i))
         .map(|i| sim.cores.vtime[i])

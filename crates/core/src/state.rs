@@ -106,12 +106,10 @@ pub struct Cores {
     /// synchronization policy never stalls the core (the lock waiver of
     /// paper §II.B, *Locks and critical sections*).
     pub lock_depth: Vec<u32>,
-    /// Random-referee policy: the core currently used as referee, if any.
-    pub referee: Vec<Option<simany_topology::CoreId>>,
     /// The core whose waiter set each core most recently registered in
-    /// (spatial: the argmin blocking neighbor; random-referee: the
-    /// referee). Cleared when the entry is taken; stale list entries whose
-    /// flag moved on are skipped or re-validated at take time.
+    /// (its argmin blocking neighbor; spatial policy only). Cleared when
+    /// the entry is taken; stale list entries whose flag moved on are
+    /// re-validated at take time.
     pub waiting_on: Vec<Option<simany_topology::CoreId>>,
     // --- pooled variable-size state -----------------------------------
     /// Incoming messages not yet processed, in a shared slot arena (one
@@ -178,7 +176,6 @@ impl Cores {
             resident: vec![0; n],
             queue_hint: vec![0; n],
             lock_depth: vec![0; n],
-            referee: vec![None; n],
             waiting_on: vec![None; n],
             inboxes,
             res_head: vec![NIL; n],

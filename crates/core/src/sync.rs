@@ -35,8 +35,8 @@
 //!   re-evaluated only when its neighbor minimum may have moved, and from
 //!   the cached minimum.
 //! * **Waiter sets** (`Sim::waiters`): a stalled core registers on its
-//!   argmin blocking neighbor (or its random referee); a rising publish
-//!   rechecks only its registered waiters instead of every neighbor.
+//!   argmin blocking neighbor; a rising publish rechecks only its
+//!   registered waiters instead of every neighbor.
 //!   Published *drops* (idle cores waking to an older working clock) are
 //!   rare and sweep all stalled neighbors to re-derive registrations.
 //! * **Implicit shadow cap** (the [`CAPPED`] words of `Cores::published`,
@@ -47,7 +47,7 @@
 //!   a lazy min-heap keyed by that neighbor's value.
 
 use crate::activity::ActivityState;
-use crate::config::{PickPolicy, SyncPolicy};
+use crate::config::SyncPolicy;
 use crate::engine::{push_ready, Shared, Sim};
 use simany_time::{VDuration, VirtualTime};
 use simany_topology::CoreId;
@@ -339,14 +339,15 @@ fn publish_global(sim: &mut Sim, shared: &Shared, c: CoreId) {
     for &(n, _) in shared.topo.neighbors(c) {
         note_neighbor_change(sim, n.index(), oldval, newval, newval < oldval);
     }
-    // Recheck c's neighbors and every core watching c (its referee
-    // waiters) — the exact pre-fast-path sequence, because RandomReferee
-    // rechecks consume the engine RNG and are part of the deterministic
-    // schedule.
+    // Global policies wake by floor threshold (`wake_stalled_by_floor`, at
+    // the next pick), so rechecking topological neighbors looks redundant.
+    // It is not: it runs while the floor this publish produced is current,
+    // and the floor can drop again before the next pick. A stalled neighbor
+    // that floor frees resumes here; the threshold wake alone would leave
+    // it stalled (`golden_global_policy_schedules` pins the difference).
     for &(n, _) in shared.topo.neighbors(c) {
         recheck_stall(sim, shared, n);
     }
-    take_waiters(sim, shared, c);
 }
 
 /// Start a scratch traversal: the returned epoch has its two low bits
@@ -616,10 +617,10 @@ fn store_word(sim: &mut Sim, shared: &Shared, sw: &mut Sweep, x: CoreId, new: Vi
     true
 }
 
-/// Empty core `x`'s waiter set and recheck every member. Duplicate entries
-/// (a core that re-registered on `x` while a stale entry remained) are
-/// skipped within one take via visit stamps, preserving the one-recheck-
-/// per-member behavior of the old `contains`-deduplicated watcher lists.
+/// Empty core `x`'s waiter set and recheck every member (spatial only: no
+/// other policy registers waiters). Duplicate entries (a core that
+/// re-registered on `x` while a stale entry remained) are skipped within
+/// one take via visit stamps.
 fn take_waiters(sim: &mut Sim, shared: &Shared, x: CoreId) {
     if sim.waiters[x.index()].is_empty() {
         return;
@@ -636,9 +637,10 @@ fn take_waiters(sim: &mut Sim, shared: &Shared, x: CoreId) {
         if sim.cores.waiting_on[w.index()] == Some(x) {
             sim.cores.waiting_on[w.index()] = None;
         }
-        // Recheck stale entries too: under RandomReferee the old watcher
-        // lists rechecked every taken entry regardless of the core's
-        // current referee, and that recheck sequence drives the RNG.
+        // Stale entries (the core has since registered elsewhere) are
+        // rechecked too: `recheck_stall` is authoritative, so the extra
+        // check cannot wake a core wrongly, and the floor-cache refresh it
+        // does is part of the `floor_recomputes` count.
         recheck_stall(sim, shared, w);
     }
     list.clear();
@@ -677,24 +679,13 @@ pub(crate) fn recheck_stall(sim: &mut Sim, shared: &Shared, c: CoreId) {
 ///
 /// BoundedSlack/Conservative stall conditions are pure threshold checks
 /// against the floor, so a floor move wakes exactly the cores whose
-/// registered threshold it crossed. RandomReferee's recheck sequence
-/// consumes the engine RNG, so it keeps the full core-order sweep: any
-/// change to which cores get rechecked would change the deterministic
-/// schedule (and its `sync_ok` is O(cores) anyway).
+/// registered threshold it crossed.
 pub(crate) fn floor_moved(sim: &mut Sim, shared: &Shared) {
     match shared.config.sync {
         SyncPolicy::BoundedSlack { .. } | SyncPolicy::Conservative => {
             wake_stalled_by_floor(sim, shared)
         }
-        SyncPolicy::RandomReferee { .. } => recheck_all_stalled(sim, shared),
         SyncPolicy::Spatial { .. } | SyncPolicy::Unbounded => {}
-    }
-}
-
-/// Re-check every stalled activity in the machine, in core-id order.
-fn recheck_all_stalled(sim: &mut Sim, shared: &Shared) {
-    for i in 0..sim.cores.len() {
-        recheck_stall(sim, shared, CoreId(i as u32));
     }
 }
 
@@ -722,26 +713,26 @@ pub(crate) fn local_floor(sim: &mut Sim, shared: &Shared, c: CoreId, t: VDuratio
 /// Conservative policies.
 ///
 /// Served from the incrementally-maintained tournament tree
-/// ([`crate::floor::GlobalFloor`]) when the policy allocates one — an
-/// O(1) root read instead of an O(cores) sweep — and cross-checked
-/// against the sweep in debug builds on every query.
+/// ([`crate::floor::GlobalFloor`]) both policies allocate — an O(1) root
+/// read instead of an O(cores) sweep — and cross-checked against the sweep
+/// in debug builds on every query.
 pub(crate) fn global_floor(sim: &Sim) -> VirtualTime {
-    if let Some(g) = &sim.gfloor {
-        let floor = g.floor();
-        debug_assert_eq!(
-            floor,
-            global_floor_naive(sim),
-            "incremental global floor diverged from the naive sweep"
-        );
-        return floor;
-    }
-    global_floor_naive(sim)
+    let floor = sim
+        .gfloor
+        .as_ref()
+        .expect("global policies allocate the floor tree")
+        .floor();
+    debug_assert_eq!(
+        floor,
+        global_floor_naive(sim),
+        "incremental global floor diverged from the naive sweep"
+    );
+    floor
 }
 
-/// The historical O(cores) global-floor sweep: oracle for the debug
-/// cross-check above, the microbench baseline, and the fallback when no
-/// incremental structure is allocated (RandomReferee's candidate sweep is
-/// already O(cores), so it keeps the plain scan).
+/// The O(cores) global-floor sweep: oracle for the debug cross-check above
+/// and the sanitizer's from-scratch floor (which also runs under the
+/// policies that keep no tree). No scheduling decision reads it.
 pub(crate) fn global_floor_naive(sim: &Sim) -> VirtualTime {
     let mut floor = VirtualTime::MAX;
     for i in 0..sim.cores.len() {
@@ -786,13 +777,11 @@ fn register_floor_wake(sim: &mut Sim, c: CoreId, threshold: VirtualTime) {
 }
 
 /// Wake exactly the stalled cores whose floor-threshold the (possibly
-/// risen) global floor has crossed, in core-id order — the same wake set,
-/// in the same order, as the historical all-core sweep
-/// ([`recheck_all_stalled`]), without touching the cores still below
-/// their bound. Thresholds only ever rise for a given stalled activity
-/// (its clock is frozen while stalled), so popped entries never need
-/// reinsertion here; a recheck that fails again re-registers itself from
-/// `sync_ok`.
+/// risen) global floor has crossed, in core-id order, without touching
+/// the cores still below their bound. Thresholds only ever rise for a
+/// given stalled activity (its clock is frozen while stalled), so popped
+/// entries never need reinsertion here; a recheck that fails again
+/// re-registers itself from `sync_ok`.
 fn wake_stalled_by_floor(sim: &mut Sim, shared: &Shared) {
     if sim.stall_wakes.is_empty() {
         return;
@@ -807,8 +796,8 @@ fn wake_stalled_by_floor(sim: &mut Sim, shared: &Shared) {
         sim.stall_wakes.pop();
         woken.push(c);
     }
-    // Core-id order matches the old 0..n sweep; dedup collapses stale
-    // duplicate registrations to the one recheck the sweep would do.
+    // Core-id order is the pinned wake order; dedup collapses stale
+    // duplicate registrations to one recheck.
     woken.sort_unstable();
     woken.dedup();
     let mut idx = 0;
@@ -820,23 +809,24 @@ fn wake_stalled_by_floor(sim: &mut Sim, shared: &Shared) {
     sim.scratch_ready = woken;
 }
 
-/// Is the fast path allowed under this configuration? Ready-queue insertion
-/// order changes when unstalls are deferred to a flush point; only the
-/// lowest-vtime heap is insensitive to it, so the other pick policies keep
-/// the always-full path.
+/// Is the drift-headroom fast path on? Always, outside the unit test that
+/// runs one program both ways. (Deferring unstalls to a flush point changes
+/// ready-queue insertion order, which the lowest-vtime heap is insensitive
+/// to.)
+#[cfg_attr(not(test), allow(unused_variables))]
 fn fast_path_eligible(shared: &Shared) -> bool {
     #[cfg(test)]
     if shared.config.full_sync_only {
         return false;
     }
-    shared.config.pick == PickPolicy::LowestVtime
+    true
 }
 
 /// Does the synchronization policy allow core `c` to execute task code
 /// right now?
 ///
-/// Also maintains the max-drift statistic, the headroom cache, the waiter
-/// registrations and the random-referee state.
+/// Also maintains the max-drift statistic, the headroom cache and the
+/// waiter registrations.
 pub(crate) fn sync_ok(sim: &mut Sim, shared: &Shared, c: CoreId) -> bool {
     // Lock waiver: a core holding a lock or inside a critical section is
     // temporarily exempt so it can release its resources (paper §II.B).
@@ -911,42 +901,6 @@ pub(crate) fn sync_ok(sim: &mut Sim, shared: &Shared, c: CoreId) -> bool {
                 false
             }
         }
-        SyncPolicy::RandomReferee { slack } => loop {
-            match sim.cores.referee[c.index()] {
-                None => {
-                    // Choose a random *working* core other than c. The
-                    // candidate sweep reuses one scratch buffer across
-                    // checks instead of allocating per pick.
-                    let mut candidates = std::mem::take(&mut sim.scratch_ready);
-                    candidates.clear();
-                    candidates.extend(
-                        (0..sim.cores.len() as u32)
-                            .filter(|&i| i != c.0 && !sim.cores.is_idle(i as usize)),
-                    );
-                    if candidates.is_empty() {
-                        sim.scratch_ready = candidates;
-                        return true;
-                    }
-                    let pick = candidates[sim.rng.next_index(candidates.len())];
-                    sim.scratch_ready = candidates;
-                    sim.cores.referee[c.index()] = Some(CoreId(pick));
-                }
-                Some(r) => {
-                    if sim.cores.is_idle(r.index()) {
-                        // Referee retired; pick another next iteration.
-                        sim.cores.referee[c.index()] = None;
-                        continue;
-                    }
-                    if vtime.saturating_since(sim.cores.published[r.index()]) <= slack {
-                        sim.cores.referee[c.index()] = None;
-                        return true;
-                    }
-                    // Still too far ahead: watch the referee for changes.
-                    register_waiter(sim, c, r);
-                    return false;
-                }
-            }
-        },
         SyncPolicy::Unbounded => true,
     }
 }
@@ -955,10 +909,9 @@ pub(crate) fn sync_ok(sim: &mut Sim, shared: &Shared, c: CoreId) -> bool {
 /// values, for activities running confined inside an epoch (parallel
 /// mode). During an epoch nothing publishes, so published values, floor
 /// caches, birth ledgers and the global floor are all stable: the check
-/// reads them without registering waiters, bumping machine-wide stall
-/// statistics or touching the shared RNG. Returning `false` is always
-/// safe — the activity parks and the coordinator's serial phase replays
-/// the authoritative [`sync_ok`].
+/// reads them without registering waiters or bumping machine-wide stall
+/// statistics. Returning `false` is always safe — the activity parks and
+/// the coordinator's serial phase replays the authoritative [`sync_ok`].
 ///
 /// Mutations are confined to `c`'s own state and its tile's counter
 /// shard: the headroom cache (same values the serial check would write,
@@ -1009,9 +962,6 @@ pub(crate) fn sync_ok_frozen(sim: &mut Sim, shared: &Shared, c: CoreId) -> bool 
             let floor = global_floor(sim);
             floor == VirtualTime::MAX || vtime <= floor
         }
-        // Referee selection and rechecks consume the engine RNG, which is
-        // part of the deterministic serial schedule: never confined.
-        SyncPolicy::RandomReferee { .. } => false,
         SyncPolicy::Unbounded => true,
     }
 }
@@ -1103,7 +1053,6 @@ mod tests {
         let policies = [
             SyncPolicy::Spatial { t: w },
             SyncPolicy::BoundedSlack { window: w },
-            SyncPolicy::RandomReferee { slack: w },
             SyncPolicy::Conservative,
             SyncPolicy::Unbounded,
         ];

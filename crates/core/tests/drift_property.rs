@@ -98,7 +98,7 @@ proptest! {
         n in 4u32..12,
         use_ring in any::<bool>(),
         threads in 2u32..5,
-        which_policy in 0usize..5,
+        which_policy in 0usize..4,
         seed in 0u64..1000,
         plans in prop::collection::vec(
             prop::collection::vec((1u64..40, 0u32..12, any::<bool>()), 1..20), 2..12),
@@ -108,7 +108,6 @@ proptest! {
         let policy = [
             SyncPolicy::Spatial { t: slack },
             SyncPolicy::BoundedSlack { window: slack },
-            SyncPolicy::RandomReferee { slack },
             SyncPolicy::Conservative,
             SyncPolicy::Unbounded,
         ][which_policy];
@@ -201,7 +200,7 @@ proptest! {
     fn sanitizer_is_quiet_across_policies(
         n in 2u32..10,
         use_ring in any::<bool>(),
-        which_policy in 0usize..5,
+        which_policy in 0usize..4,
         seed in 0u64..1000,
         plans in prop::collection::vec(
             prop::collection::vec(1u64..40, 0..30), 2..10),
@@ -211,7 +210,6 @@ proptest! {
         let policy = [
             SyncPolicy::Spatial { t: slack },
             SyncPolicy::BoundedSlack { window: slack },
-            SyncPolicy::RandomReferee { slack },
             SyncPolicy::Conservative,
             SyncPolicy::Unbounded,
         ][which_policy];

@@ -5,8 +5,8 @@
 //! blocking/waking, message timing, failure paths and determinism.
 
 use simany_core::{
-    simulate, BlockCost, CoreId, EngineConfig, Envelope, ExecCtx, Ops, Payload, PickPolicy,
-    RuntimeHooks, SyncPolicy, VDuration, VirtualTime,
+    simulate, BlockCost, CoreId, EngineConfig, Envelope, ExecCtx, Ops, Payload, RuntimeHooks,
+    SyncPolicy, VDuration, VirtualTime,
 };
 use simany_topology::{mesh_2d, ring, Topology};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -219,37 +219,6 @@ fn bounded_slack_policy_runs_to_completion() {
     );
     assert_eq!(stats.final_vtime, VirtualTime::from_cycles(2000));
     assert!(stats.stall_events > 0);
-}
-
-#[test]
-fn random_referee_policy_runs_to_completion() {
-    let mut config = EngineConfig::default();
-    config.sync = SyncPolicy::RandomReferee {
-        slack: VDuration::from_cycles(50),
-    };
-    let stats = run_with(
-        ring(4),
-        config,
-        vec![
-            (
-                0,
-                Box::new(|ctx: &mut ExecCtx| {
-                    for _ in 0..200 {
-                        ctx.advance_cycles(20);
-                    }
-                }),
-            ),
-            (
-                1,
-                Box::new(|ctx: &mut ExecCtx| {
-                    for _ in 0..200 {
-                        ctx.advance_cycles(5);
-                    }
-                }),
-            ),
-        ],
-    );
-    assert_eq!(stats.final_vtime, VirtualTime::from_cycles(4000));
 }
 
 #[test]
@@ -646,37 +615,6 @@ fn deterministic_across_runs_and_pick_policies_vary() {
     // A different seed changes branch outcomes and hence the exact clock.
     let c = run_with(pair(), EngineConfig::default().with_seed(12), build_tasks());
     assert_ne!(a.final_vtime, c.final_vtime);
-}
-
-#[test]
-fn round_robin_and_random_picks_complete() {
-    for pick in [PickPolicy::RoundRobin, PickPolicy::Random] {
-        let mut config = EngineConfig::default();
-        config.pick = pick;
-        let stats = run_with(
-            ring(4),
-            config,
-            vec![
-                (
-                    0,
-                    Box::new(|ctx: &mut ExecCtx| {
-                        for _ in 0..50 {
-                            ctx.advance_cycles(10);
-                        }
-                    }),
-                ),
-                (
-                    2,
-                    Box::new(|ctx: &mut ExecCtx| {
-                        for _ in 0..50 {
-                            ctx.advance_cycles(10);
-                        }
-                    }),
-                ),
-            ],
-        );
-        assert_eq!(stats.final_vtime, VirtualTime::from_cycles(500));
-    }
 }
 
 #[test]

@@ -29,7 +29,7 @@
 //! Fig. 5/6 methodology.
 
 use parking_lot::Mutex;
-use simany_core::{EngineConfig, Ops, PickPolicy, SyncPolicy};
+use simany_core::{EngineConfig, Ops, SyncPolicy};
 use simany_mem::{AccessResult, Addr, DirectoryTiming, SetAssocCache};
 use simany_runtime::{DetailedTiming, ProgramSpec, RuntimeParams};
 use simany_time::{BlockCost, InstrClass, TwoBitPredictor, VDuration, Xoshiro256StarStar};
@@ -290,7 +290,6 @@ pub fn cycle_level_spec_with(topo: Topology, seed: u64, config: CycleLevelConfig
     let timing = std::sync::Arc::new(CycleLevelTiming::new(n, seed, config));
     let mut engine = EngineConfig::default().with_seed(seed);
     engine.sync = SyncPolicy::Conservative;
-    engine.pick = PickPolicy::LowestVtime;
     let mut runtime = RuntimeParams::shared_memory();
     runtime.detailed = Some(timing);
     ProgramSpec {

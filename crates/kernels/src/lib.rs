@@ -45,11 +45,6 @@ use std::time::Duration;
 pub struct Scale(pub f64);
 
 impl Scale {
-    /// Default (CI-friendly) workload size.
-    pub fn default_size() -> Self {
-        Scale(1.0)
-    }
-
     /// The paper's workload size.
     pub fn paper() -> Self {
         Scale(10.0)

@@ -213,11 +213,6 @@ impl DirectoryTiming {
     pub fn stats(&self) -> (u64, u64) {
         (self.invalidations, self.fetches_from_owner)
     }
-
-    /// Number of lines ever touched.
-    pub fn touched_lines(&self) -> usize {
-        self.lines.len()
-    }
 }
 
 /// Alias kept short in signatures above.

@@ -9,8 +9,8 @@
 //! Two implementations share that contract:
 //!
 //! * [`Inbox`] — the classic standalone per-core queue (a binary heap).
-//!   Kept for small ad-hoc uses and as the baseline in the inbox
-//!   microbenchmark.
+//!   Kept for small ad-hoc uses and as the pop-order oracle of the
+//!   pool's unit test.
 //! * [`InboxPool`] — one pooled arena serving *every* core of a machine:
 //!   per-core state is just a head slot index and a count (8 bytes), and
 //!   message slots live in shared, freelist-recycled shard arenas. An idle

@@ -176,11 +176,6 @@ impl NetworkModel {
         }
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
-        self.fault.as_ref().map(|f| &f.plan)
-    }
-
     /// The underlying topology.
     pub fn topology(&self) -> &Topology {
         &self.topo

@@ -380,12 +380,6 @@ impl<'a> TaskCtx<'a> {
         })
     }
 
-    /// Pop the next mailbox message without blocking.
-    pub fn try_recv(&mut self) -> Option<crate::state::AppMsg> {
-        let me = self.core();
-        self.rt.st.lock().cores[me.index()].mailbox.pop_front()
-    }
-
     /// Wait for an application message until `deadline` (an absolute
     /// virtual time). Returns the message, or `None` once this core's clock
     /// reaches the deadline with an empty mailbox.

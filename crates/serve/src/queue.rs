@@ -117,11 +117,6 @@ impl Queue {
         self.jobs.len()
     }
 
-    /// Look up a job index by digest.
-    pub fn job_by_digest(&self, digest: u64) -> Option<usize> {
-        self.by_digest.get(&digest).copied()
-    }
-
     /// Pop the next ready job index, honoring priority-then-FIFO order.
     /// Stale heap entries (from priority raises or re-enqueues) are
     /// skipped via the `taken` filter supplied by the caller.

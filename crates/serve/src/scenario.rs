@@ -93,7 +93,7 @@ pub struct Scenario {
     /// Master seed.
     pub seed: u64,
     /// Synchronization policy name: `spatial` | `bounded-slack` |
-    /// `random-referee` | `conservative` | `unbounded`.
+    /// `conservative` | `unbounded`.
     pub sync: String,
     /// Drift bound / slack window `T` in cycles (policy-dependent;
     /// `None` keeps the preset default).
@@ -133,13 +133,12 @@ pub fn sync_policy(name: &str, drift: Option<u64>) -> Result<SyncPolicy, String>
     Ok(match name {
         "spatial" => SyncPolicy::Spatial { t: window },
         "bounded-slack" => SyncPolicy::BoundedSlack { window },
-        "random-referee" => SyncPolicy::RandomReferee { slack: window },
         "conservative" => SyncPolicy::Conservative,
         "unbounded" => SyncPolicy::Unbounded,
         other => {
             return Err(format!(
                 "unknown sync policy '{other}' (expected spatial | bounded-slack | \
-                 random-referee | conservative | unbounded)"
+                 conservative | unbounded)"
             ))
         }
     })

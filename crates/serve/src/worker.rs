@@ -25,6 +25,9 @@ pub enum ExitClass {
     TaskPanic,
     /// Exit 14: deadlock detected.
     Deadlock,
+    /// Exit 16: the host refused a resource the run needs (a stack
+    /// mapping, a worker thread).
+    HostResources,
     /// Exit 2: the worker rejected its own command line — a service bug.
     Usage,
     /// Killed by a signal or an unrecognized code.
@@ -42,6 +45,7 @@ impl ExitClass {
             ExitClass::CheckpointError => "checkpoint-error".into(),
             ExitClass::TaskPanic => "task-panic".into(),
             ExitClass::Deadlock => "deadlock".into(),
+            ExitClass::HostResources => "host-resources".into(),
             ExitClass::Usage => "usage-error".into(),
             ExitClass::Other(code) => format!("exit-{code}"),
         }
@@ -60,6 +64,7 @@ pub fn classify_exit(code: Option<i32>) -> ExitClass {
         Some(13) => ExitClass::TaskPanic,
         Some(14) => ExitClass::Deadlock,
         Some(15) => ExitClass::Preempted,
+        Some(16) => ExitClass::HostResources,
         Some(other) => ExitClass::Other(other),
         None => ExitClass::Other(-1),
     }
@@ -149,6 +154,7 @@ mod tests {
         assert_eq!(classify_exit(Some(10)), ExitClass::Stalled);
         assert_eq!(classify_exit(Some(11)), ExitClass::CheckpointMismatch);
         assert_eq!(classify_exit(Some(13)), ExitClass::TaskPanic);
+        assert_eq!(classify_exit(Some(16)).status(), "host-resources");
         assert_eq!(classify_exit(None), ExitClass::Other(-1));
         assert_eq!(classify_exit(Some(77)).status(), "exit-77");
     }

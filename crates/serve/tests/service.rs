@@ -234,3 +234,31 @@ fn a_label_with_a_quote_and_a_backslash_round_trips() {
         Some(false)
     );
 }
+
+/// A policy name the engine no longer has (`random-referee`, retired) is
+/// refused while the queue is built: the usage error names the remaining
+/// policies, and neither the output directory nor a worker exists yet.
+#[test]
+fn a_retired_sync_policy_is_refused_at_queue_build_time() {
+    let dir = temp_dir("retired-sync");
+    let mut cfg = config(&dir, dir.join("no-such-simulate"));
+    let spec_path = dir.join("retired.toml");
+    std::fs::write(
+        &spec_path,
+        "[defaults]\nkernel = \"quicksort\"\ncores = 16\n\n\
+         [[sweep]]\nname = \"old\"\nsync = \"random-referee\"\n",
+    )
+    .unwrap();
+    cfg.spec_path = spec_path.to_string_lossy().into_owned();
+    let Err(err) = Service::new(cfg) else {
+        panic!("a spec naming a retired policy was accepted");
+    };
+    assert!(
+        err.ends_with(
+            "unknown sync policy 'random-referee' \
+             (expected spatial | bounded-slack | conservative | unbounded)"
+        ),
+        "{err}"
+    );
+    assert!(!dir.join("out").exists(), "refused after set-up had begun");
+}

@@ -81,12 +81,6 @@ impl Xoshiro256StarStar {
         result
     }
 
-    /// Next 32-bit output (upper bits of the 64-bit output).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `[0, bound)`. `bound` must be non-zero.
     ///
     /// Uses Lemire's multiply-shift rejection method for an unbiased result.

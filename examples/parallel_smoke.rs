@@ -17,12 +17,6 @@ fn main() {
                     window: VDuration::from_cycles(100),
                 },
             ),
-            (
-                "referee",
-                SyncPolicy::RandomReferee {
-                    slack: VDuration::from_cycles(100),
-                },
-            ),
             ("conservative", SyncPolicy::Conservative),
             ("unbounded", SyncPolicy::Unbounded),
         ] {

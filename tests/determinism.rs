@@ -65,12 +65,6 @@ fn all_policies() -> Vec<(&'static str, SyncPolicy)> {
                 window: VDuration::from_cycles(100),
             },
         ),
-        (
-            "random_referee",
-            SyncPolicy::RandomReferee {
-                slack: VDuration::from_cycles(100),
-            },
-        ),
         ("conservative", SyncPolicy::Conservative),
         ("unbounded", SyncPolicy::Unbounded),
     ]

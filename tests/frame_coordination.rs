@@ -66,7 +66,6 @@ fn policies(window: u64) -> Vec<(&'static str, SyncPolicy)> {
     vec![
         ("spatial", SyncPolicy::Spatial { t: w }),
         ("bounded_slack", SyncPolicy::BoundedSlack { window: w }),
-        ("random_referee", SyncPolicy::RandomReferee { slack: w }),
         ("conservative", SyncPolicy::Conservative),
         ("unbounded", SyncPolicy::Unbounded),
     ]
@@ -257,7 +256,7 @@ proptest! {
         n in 4u32..14,
         use_ring in any::<bool>(),
         threads in 2u32..6,
-        which_policy in 0usize..5,
+        which_policy in 0usize..4,
         seed in 0u64..1000,
         plans in prop::collection::vec(
             prop::collection::vec((1u64..30, 0u32..14, any::<bool>()), 1..16), 2..14),
@@ -267,7 +266,6 @@ proptest! {
         let policy = [
             SyncPolicy::Spatial { t: w },
             SyncPolicy::BoundedSlack { window: w },
-            SyncPolicy::RandomReferee { slack: w },
             SyncPolicy::Conservative,
             SyncPolicy::Unbounded,
         ][which_policy];
