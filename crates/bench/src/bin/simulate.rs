@@ -102,7 +102,8 @@ options:
   --seed N            workload seed
   --sync POLICY       spatial | bounded-slack | conservative | unbounded
                       (default spatial)
-  --drift T           drift bound / slack window in cycles (default 100)
+  --drift T           drift bound / slack window in cycles (default 100;
+                      at least 1 under spatial sync)
   --topology FILE     adjacency-matrix config file (overrides --machine)
   --trace             collect and print an event timeline
   --sanitize on|off   online invariant sanitizer (default off; observation-only)
@@ -393,7 +394,6 @@ fn write_json(
         ("serial_tail_ns", Json::U64(s.serial_tail_ns)),
         ("frame_spins", Json::U64(s.frame_spins)),
         ("frame_parks", Json::U64(s.frame_parks)),
-        ("sharded_replays", Json::U64(s.sharded_replays)),
         (
             "tiles_claimed",
             Json::Arr(s.tiles_claimed.iter().map(|&n| Json::U64(n)).collect()),
@@ -567,11 +567,10 @@ fn main() {
             s.parallel_epochs, s.epoch_grants, args.threads
         );
         println!(
-            "frame phases      : A {:.1}ms / B {:.1}ms (serial tail {:.1}ms), {} sharded replays",
+            "frame phases      : A {:.1}ms / B {:.1}ms (serial tail {:.1}ms)",
             s.phase_a_wall_ns as f64 / 1e6,
             s.phase_b_wall_ns as f64 / 1e6,
-            s.serial_tail_ns as f64 / 1e6,
-            s.sharded_replays
+            s.serial_tail_ns as f64 / 1e6
         );
         println!(
             "frame waits       : {} spins / {} parks; tiles per worker {:?}",

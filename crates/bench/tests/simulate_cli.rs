@@ -48,3 +48,26 @@ fn a_retired_sync_policy_is_a_usage_error() {
     );
     assert!(out.stdout.is_empty(), "ran anyway");
 }
+
+/// A zero drift window would deadlock spatial sync, so it is refused up
+/// front; bounded slack runs in lock-step at zero and still accepts it.
+#[test]
+fn zero_drift_is_refused_only_under_spatial_sync() {
+    let run = |sync: &str| {
+        Command::new(env!("CARGO_BIN_EXE_simulate"))
+            .args(["--kernel", "quicksort", "--cores", "16", "--scale", "0.1"])
+            .args(["--drift", "0", "--sync", sync])
+            .output()
+            .expect("simulate did not start")
+    };
+    let out = run("spatial");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    // The refusal, then the usage text.
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr).lines().next(),
+        Some("bad value for --drift: '0' (spatial sync needs T >= 1)")
+    );
+    assert!(out.stdout.is_empty(), "ran anyway");
+    let out = run("bounded-slack");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+}

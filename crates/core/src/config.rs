@@ -144,9 +144,13 @@ pub struct EngineConfig {
     /// concurrently (see `engine` module docs, *Parallel host execution*).
     /// `0` and `1` both select the sequential engine, which the parallel
     /// mode with `threads = 1` is bit-identical to. For a fixed value,
-    /// runs are bit-identical across repetitions; different values may
-    /// schedule differently (each is its own deterministic trajectory, so
-    /// checkpoints only resume under the same thread count).
+    /// runs are bit-identical across repetitions as long as task bodies
+    /// share no native state; different values may schedule differently
+    /// (each is its own deterministic trajectory, so checkpoints only
+    /// resume under the same thread count). Bodies that share host memory
+    /// — Dijkstra's distance array behind one `Mutex` — race on it while
+    /// an epoch runs them concurrently, so at `threads >= 2` their outcome
+    /// can depend on host interleaving.
     pub threads: u32,
     /// Unit-test override: never take the drift-headroom fast path, so
     /// `sync`'s fast-vs-full equality test can run one program both ways.

@@ -91,11 +91,10 @@
 //! tile through [`run_body`]; a member that needs the serial phase parks,
 //! which is a switch back to the worker's claim loop. Everything that
 //! crosses core boundaries (message routing, compound `Ops`, failed
-//! synchronization checks) is deposited into per-tile lanes and replayed
-//! in deterministic tile order once the batch quiesces — commuting
-//! per-core effects in a parallel replay frame, the rest on a serial
-//! tail, where a parked member is granted exclusively by the coordinator
-//! thread itself. `threads <= 1` never enters any of these paths.
+//! synchronization checks) is deposited into per-tile lanes and applied
+//! by the coordinator in one serial walk, in deterministic tile order,
+//! once the batch quiesces; a parked member is granted exclusively by the
+//! coordinator thread itself. `threads <= 1` never enters any of these paths.
 
 use crate::activity::{Activity, ActivityId, ActivityMeta, ActivityState, TaskFn};
 use crate::config::{EngineConfig, SyncPolicy};
@@ -231,8 +230,7 @@ pub(crate) struct Sim {
     /// instead of diverging in fully idle regions. A capped shadow is
     /// stored as a marker that resolves against this field at every read
     /// (`sync::exposed`), so raising it rewrites no published word; only
-    /// `sync::publish` and the sharded epoch publishes raise it, and both
-    /// consult `uncap` when they do.
+    /// `sync::publish` raises it, and it consults `uncap` when it does.
     pub(crate) max_vtime: VirtualTime,
     /// Capped idle cores by the key the front must overtake before they
     /// need re-evaluation (spatial policy only; see [`sync::UncapIndex`]).
@@ -971,21 +969,10 @@ pub fn simulate(
     let partition = (config.threads > 1)
         .then(|| simany_topology::partition_bfs(&topo, config.threads as usize));
     let n_tiles = partition.as_ref().map_or(0, |p| p.n_tiles());
-    // One inbox-pool shard per tile so the parallel replay lanes push into
-    // disjoint shards; shard assignment is invisible to message order.
-    let inboxes = match &partition {
-        Some(part) if part.n_tiles() > 1 => {
-            let shard_of = (0..n)
-                .map(|i| part.tile_of(CoreId(i)) as u32)
-                .collect::<Vec<u32>>();
-            InboxPool::with_shards(shard_of)
-        }
-        _ => InboxPool::new(n),
-    };
     let speeds = (0..n).map(|i| config.speed_of(i)).collect();
     let cores = Cores::new(
         speeds,
-        inboxes,
+        InboxPool::new(n),
         config.cost_model.branch_accuracy,
         config.cost_model.pipeline_depth,
         config.seed,
@@ -1576,23 +1563,13 @@ fn frame_worker_main(shared: Arc<Shared>, idx: usize) {
         last_frame = f;
         while let Some(tile) = fs.claim() {
             claimed += 1;
-            match fs.kind() {
-                crate::frame::FrameKind::Exec => run_exec_tile(&shared, fs, tile),
-                crate::frame::FrameKind::Replay => {
-                    // SAFETY: the coordinator published this tile in a
-                    // replay frame: the cores base pointer is set, tiles
-                    // are pairwise disjoint, and the claim guarantees sole
-                    // ownership of this tile's lane and core states.
-                    unsafe { crate::frame::replay_lane(fs, tile) };
-                    fs.retire(1);
-                }
-            }
+            run_exec_tile(&shared, fs, tile);
         }
     }
     fs.fold_worker_stats(idx, claimed, spins, parks);
 }
 
-/// Run the members of one claimed execution tile, in lane order: an epoch
+/// Run the members of one claimed tile, in lane order: an epoch
 /// grant each, confined under `Token::Epoch`, with no lock on this side.
 ///
 /// However a member hands the CPU back, the outcome goes into the tile's
@@ -1604,7 +1581,7 @@ fn frame_worker_main(shared: Arc<Shared>, idx: usize) {
 fn run_exec_tile(shared: &Arc<Shared>, fs: &crate::frame::FrameSync, tile: usize) {
     let mut retiring = 0;
     // SAFETY (every `lane_mut` below): this worker claimed `tile` in the
-    // current execution frame, making it the lane's sole owner until the
+    // current frame, making it the lane's sole owner until the
     // `retire` at the end. No borrow is held while a body runs: a confined
     // body uses the lane too, from this thread.
     while let Some(m) = unsafe { fs.lane_mut(tile) }.queue.pop_front() {

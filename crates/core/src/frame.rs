@@ -31,23 +31,16 @@
 //!   sequenced before its `retire` (an `AcqRel` read-modify-write on
 //!   `outstanding`), the RMWs form a release sequence, and the
 //!   coordinator's `Acquire` read of zero synchronizes with all of them.
-//! * **During an execution frame** each tile's lane has exactly one
-//!   accessor: the worker that claimed it off the cursor — for itself and
-//!   for the member bodies it runs, which execute on that worker's thread
-//!   (each on its own [`crate::coro`] context, which the lane entry lends
-//!   the claimant along with the lane). The claim's `AcqRel` `fetch_add`
+//! * **During a frame** each tile's lane has exactly one accessor: the
+//!   worker that claimed it off the cursor — for itself and for the member
+//!   bodies it runs, which execute on that worker's thread (each on its
+//!   own [`crate::coro`] context, which the lane entry lends the claimant
+//!   along with the lane). The claim's `AcqRel` `fetch_add`
 //!   reads (a successor of) the coordinator's `Release` cursor store, so
 //!   the lane contents published at launch are visible. The claimant's
 //!   ownership ends with the `retire` that takes the tile's last member
 //!   off `outstanding`: it retires a tile once, after its last look at
 //!   the lane.
-//! * **During a replay frame** the claimant of destination tile `t` owns
-//!   lane `t` *and* tile `t`'s slices of the struct-of-arrays core state,
-//!   reached through raw column base pointers ([`ReplayPtrs`], published
-//!   via [`FrameSync::set_replay_ptrs`]) plus the tile's inbox shard
-//!   ([`simany_net::InboxLanes`]) — disjoint index sets per tile,
-//!   `split_at_mut`-style. The coordinator keeps holding the simulation
-//!   guard but touches no core state until the frame retires.
 //!
 //! Worker *identities* (who claimed which tile, who spun vs parked) are
 //! racy and are only ever folded into diagnostics counters that no digest,
@@ -57,8 +50,7 @@ use crate::activity::{ActivityId, TaskFn};
 use crate::coro::Context;
 use crate::engine::{EpochPending, OutMsg};
 use parking_lot::{Condvar, Mutex};
-use simany_net::{Envelope, InboxLanes};
-use simany_time::{VDuration, VirtualTime};
+use simany_time::VDuration;
 use simany_topology::CoreId;
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
@@ -81,15 +73,6 @@ fn pack(frame: u64, idx: u64) -> u64 {
 #[inline]
 fn unpack(v: u64) -> (u64, u64) {
     (v >> IDX_BITS, v & IDX_MASK)
-}
-
-/// What workers do with a claimed tile this frame.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum FrameKind {
-    /// Run the tile's queued members ([`LaneState::queue`]).
-    Exec,
-    /// Apply the tile's buffered phase-B effects ([`replay_lane`]).
-    Replay,
 }
 
 /// An epoch member, extracted by the collector so that the tile's claimant
@@ -122,34 +105,9 @@ pub(crate) struct LaneState {
     /// End-of-body confined-advance flushes `(core, delta, annotations)`
     /// recorded lock-free; the coordinator lands them at phase B start.
     pub(crate) flushes: Vec<(CoreId, VDuration, u64)>,
-    /// Replay frame: routed envelopes destined for this tile's cores.
-    pub(crate) deliveries: Vec<Envelope>,
-    /// Replay frame: `(core, new published value)` boundary-clock writes
-    /// for this tile's own member cores.
-    pub(crate) pub_cores: Vec<(CoreId, VirtualTime)>,
-    /// Replay frame: `(core, old published value)` neighbor-floor cache
-    /// invalidations targeting this tile's cores.
-    pub(crate) inval_events: Vec<(CoreId, VirtualTime)>,
 }
 
 struct Lane(UnsafeCell<LaneState>);
-
-/// Raw column base pointers into the struct-of-arrays core state, plus the
-/// pooled inbox shard handles, published for the duration of one replay
-/// frame. A claimant of tile `t` dereferences these only at indices owned
-/// by tile `t` (and pushes only into tile `t`'s inbox shard), so distinct
-/// claimants touch disjoint memory.
-#[derive(Clone, Copy)]
-pub(crate) struct ReplayPtrs {
-    /// `Cores::published` column base.
-    pub(crate) published: *mut VirtualTime,
-    /// `Cores::floor_nb` column base.
-    pub(crate) floor_nb: *mut VirtualTime,
-    /// `Cores::floor_nb_valid` column base.
-    pub(crate) floor_nb_valid: *mut bool,
-    /// Sharded handles into the pooled inbox arena.
-    pub(crate) inboxes: InboxLanes,
-}
 
 /// The lock-free frame coordinator (one per parallel simulation).
 pub(crate) struct FrameSync {
@@ -162,18 +120,10 @@ pub(crate) struct FrameSync {
     /// Un-retired members of the in-flight frame.
     outstanding: AtomicUsize,
     shutdown: AtomicBool,
-    /// What a claimed tile means this frame; written only between frames,
-    /// read only after a valid claim.
-    kind: UnsafeCell<FrameKind>,
     /// Fixed-capacity claimable-tile slots (capacity = tile count), so a
     /// stale reader can never observe a reallocation.
     claimable: Box<[AtomicU32]>,
     lanes: Box<[Lane]>,
-    /// Column base pointers into `Sim::cores`, `Some` only while a replay
-    /// frame is in flight (the coordinator holds the simulation guard for
-    /// its whole duration). Written only between frames, like `kind`, and
-    /// published to claimants by the launch/claim release/acquire pair.
-    replay: UnsafeCell<Option<ReplayPtrs>>,
     /// Spin iterations before parking (0 when the host has fewer CPUs
     /// than worker threads — spinning there only steals cycles from the
     /// thread being waited on).
@@ -212,12 +162,10 @@ impl FrameSync {
             claim_info: AtomicU64::new(0),
             outstanding: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
-            kind: UnsafeCell::new(FrameKind::Exec),
             claimable: (0..n_tiles).map(|_| AtomicU32::new(0)).collect(),
             lanes: (0..n_tiles)
                 .map(|_| Lane(UnsafeCell::new(LaneState::default())))
                 .collect(),
-            replay: UnsafeCell::new(None),
             spin_budget,
             gate: Mutex::new(()),
             gate_cv: Condvar::new(),
@@ -241,11 +189,9 @@ impl FrameSync {
     /// Publish a frame: `members` pieces of work spread over the tiles in
     /// `claimable`, which workers claim off the cursor. Lane contents must
     /// be fully written before the call.
-    pub(crate) fn launch(&self, members: usize, claimable: &[u32], kind: FrameKind) {
+    pub(crate) fn launch(&self, members: usize, claimable: &[u32]) {
         debug_assert!(!claimable.is_empty() && claimable.len() <= self.claimable.len());
         self.outstanding.store(members, Ordering::Relaxed);
-        // SAFETY: no frame is in flight, so no worker reads `kind`.
-        unsafe { *self.kind.get() = kind };
         for (slot, &t) in self.claimable.iter().zip(claimable) {
             slot.store(t, Ordering::Relaxed);
         }
@@ -278,13 +224,6 @@ impl FrameSync {
             return None;
         }
         Some(self.claimable[i as usize].load(Ordering::Relaxed) as usize)
-    }
-
-    /// The in-flight frame's kind. Only meaningful after a valid claim.
-    pub(crate) fn kind(&self) -> FrameKind {
-        // SAFETY: `kind` is written only between frames; a valid claim
-        // proves a frame is in flight and pins the value.
-        unsafe { *self.kind.get() }
     }
 
     /// Retire `n` pieces of frame work; the last retirement wakes the
@@ -349,25 +288,6 @@ impl FrameSync {
         self.gate_cv.notify_all();
     }
 
-    /// Publish the core-state column pointers for a replay frame.
-    ///
-    /// # Safety
-    /// Must be called between frames (no frame in flight), and the
-    /// pointers must stay valid until [`Self::clear_replay_ptrs`] — the
-    /// coordinator guarantees this by holding the simulation guard for the
-    /// replay frame's whole duration.
-    pub(crate) unsafe fn set_replay_ptrs(&self, p: ReplayPtrs) {
-        *self.replay.get() = Some(p);
-    }
-
-    /// Clear the replay pointers after [`Self::wait_quiescent`].
-    ///
-    /// # Safety
-    /// Must be called between frames (no frame in flight).
-    pub(crate) unsafe fn clear_replay_ptrs(&self) {
-        *self.replay.get() = None;
-    }
-
     /// Fold a worker's lifetime counters; called once at thread exit.
     pub(crate) fn fold_worker_stats(&self, idx: usize, claimed: u64, spins: u64, parks: u64) {
         self.worker_stats.lock().push((idx, claimed, spins, parks));
@@ -377,40 +297,6 @@ impl FrameSync {
     pub(crate) fn take_worker_stats(&self) -> Vec<(usize, u64, u64, u64)> {
         std::mem::take(&mut *self.worker_stats.lock())
     }
-}
-
-/// Apply destination tile `t`'s buffered phase-B effects: boundary-clock
-/// publishes, neighbor-floor cache invalidations, and inbox deliveries.
-/// All three touch disjoint state columns, every referenced core belongs
-/// to tile `t`, and the deliveries land in tile `t`'s own inbox shard, so
-/// concurrent replay of distinct tiles commutes with — and is
-/// bit-identical to — the serial tile-order application.
-///
-/// # Safety
-/// The caller owns lane `t` and tile `t`'s cores: either a replay-frame
-/// claimant (the coordinator holds the simulation guard and touches no
-/// core state until the frame retires), or the coordinator itself applying
-/// lanes serially. [`FrameSync::set_replay_ptrs`] must have been called
-/// with live column pointers, and when tiles replay concurrently the inbox
-/// pool must be sharded by tile.
-pub(crate) unsafe fn replay_lane(fs: &FrameSync, t: usize) {
-    let p = (*fs.replay.get()).expect("replay pointers not published");
-    let lane = fs.lane_mut(t);
-    for &(c, v) in &lane.pub_cores {
-        *p.published.add(c.index()) = v;
-    }
-    for &(m, old) in &lane.inval_events {
-        let i = m.index();
-        if *p.floor_nb_valid.add(i) && *p.floor_nb.add(i) == old {
-            *p.floor_nb_valid.add(i) = false;
-        }
-    }
-    for env in lane.deliveries.drain(..) {
-        let dst = env.dst;
-        p.inboxes.push(dst, env);
-    }
-    lane.pub_cores.clear();
-    lane.inval_events.clear();
 }
 
 #[cfg(test)]
@@ -429,7 +315,7 @@ mod tests {
         let fs = FrameSync::new(4, 2);
         // No frame launched: claims fail.
         assert_eq!(fs.claim(), None);
-        fs.launch(2, &[1, 3], FrameKind::Exec);
+        fs.launch(2, &[1, 3]);
         assert_eq!(fs.claim(), Some(1));
         assert_eq!(fs.claim(), Some(3));
         assert_eq!(fs.claim(), None);
@@ -438,9 +324,8 @@ mod tests {
         fs.wait_quiescent();
         // Next frame invalidates leftover indices even though the cursor
         // overran: the tag differs.
-        fs.launch(1, &[0], FrameKind::Replay);
+        fs.launch(1, &[0]);
         assert_eq!(fs.claim(), Some(0));
-        assert_eq!(fs.kind(), FrameKind::Replay);
         assert_eq!(fs.claim(), None);
         fs.retire(1);
         fs.wait_quiescent();

@@ -15,7 +15,7 @@
 //!    earlier grant claims its tile alone. Extra grantable activities on
 //!    full tiles are deferred to the next epoch.
 //! 2. **Phase A** (concurrent, lock-free coordination): publish the batch
-//!    as an *execution frame* ([`crate::frame::FrameSync`]): the
+//!    as a *frame* ([`crate::frame::FrameSync`]): the
 //!    coordinator fills each tile's lane with its queued members, bumps an
 //!    atomic frame counter and **releases the simulation lock**. Frame
 //!    workers — a fixed pool of `min(threads, tiles)` — spin/park on the
@@ -36,41 +36,34 @@
 //!    [`EpochPending`] entry and goes on claiming; a parked member's
 //!    queued successors are spilled into the lane and revert to `Pending`
 //!    at phase B. The countdown reaching zero wakes the coordinator.
-//! 3. **Phase B**: once every member has parked or finished, replay the
-//!    cross-core effects in deterministic tile order. The *scheduler-
-//!    visible* part stays serial: landing batched confined advances,
-//!    routing buffered messages through the shared network model (with
-//!    every ready-queue decision precomputed against the frozen clocks),
-//!    and the serial tail — park resolution (parked activities re-granted
-//!    the token *exclusively*, one at a time, by the sequential engine's
-//!    own [`crate::engine::grant`] on the coordinator thread, replaying the
-//!    authoritative sequential logic), finishes and panics in tile order. The *per-core
-//!    commuting* part — writing published boundary clocks, invalidating
-//!    neighbor floor caches, depositing routed envelopes into inboxes —
-//!    is bucketed by destination tile during the serial walk and applied
-//!    by the workers in a parallel *replay frame* (serially below a size
-//!    threshold, and on the plain serial walk whenever the sanitizer is on
-//!    or there is a single tile; bit-identical every way).
+//! 3. **Phase B** (serial, on the coordinator): once every member has
+//!    parked or finished, apply the cross-core effects in tile order, in
+//!    one walk: land the batched confined advances, flush every batch
+//!    core's deferred publish ([`crate::sync::flush_deferred`]), route each
+//!    lane's buffered sends through the shared network model and
+//!    [`crate::engine::deliver`] them, then run the serial tail — park
+//!    resolution (parked activities re-granted the token *exclusively*,
+//!    one at a time, by the sequential engine's own
+//!    [`crate::engine::grant`], replaying the authoritative sequential
+//!    logic), finishes and panics — and requeue the batch.
 //!
 //! ## Determinism
 //!
 //! Everything that can influence another core serializes through phase B
 //! in tile order. Within a tile, order is a single claimant's execution
-//! order over a deterministically collected lane queue, so the replay
-//! order is a pure function of the batch — not of thread scheduling. The
-//! sharded replay applies only pairwise-commuting per-core writes, with
-//! per-destination order fixed by the serial walk (source-tile order,
-//! then outbox sequence), so worker interleaving cannot reorder anything
-//! observable. Worker *identities* are the only racy quantity (which
-//! worker wins a claim is a host race), and they are never observable: no
-//! statistic a digest covers, trace, or simulation outcome depends on
-//! which OS thread runs an activity (the spin/park/claim diagnostics in
-//! [`crate::stats::SimStats`] are explicitly excluded). Fixed
-//! `--threads N` + seed therefore reproduces bit-identically, and
-//! `threads <= 1` never constructs a partition at all — it runs the
-//! sequential grant.
+//! order over a deterministically collected lane queue, so phase B's walk
+//! is a pure function of the batch — not of thread scheduling. Worker
+//! *identities* are the only racy quantity (which worker wins a claim is a
+//! host race), and they are never observable: no statistic a digest
+//! covers, trace, or simulation outcome depends on which OS thread runs an
+//! activity (the spin/park/claim diagnostics in [`crate::stats::SimStats`]
+//! are explicitly excluded). Fixed `--threads N` + seed therefore
+//! reproduces bit-identically as long as task bodies share no native state
+//! (bodies that do, like Dijkstra's shared distance array, race on it in
+//! phase A; see DESIGN.md §5). `threads <= 1` never constructs a partition
+//! at all — it runs the sequential grant.
 //!
-//! ## Why this is faster
+//! ## What an epoch buys
 //!
 //! A sequential grant costs two register swaps on one thread and no system
 //! call (see the `engine` module docs), so the epoch machinery cannot win
@@ -82,21 +75,20 @@
 //! for the same grant. What an epoch buys is overlap and lock avoidance:
 //! confined annotations inside the frozen drift headroom skip the
 //! simulation lock entirely; with the lane outbox, so do confined sends.
-//! On multi-CPU hosts phase A overlaps the
-//! native task bodies, and the destination-sharded replay overlaps the
-//! inbox/publish writes that used to serialize phase B.
+//! On multi-CPU hosts phase A overlaps the native task bodies; phase B is
+//! the sequential engine's own publish and delivery code. Whether that
+//! pays on a given host is a measurement, not a given: EXPERIMENTS.md
+//! records where it does not.
 
 use crate::activity::{ActivityId, ActivityState};
-use crate::config::SyncPolicy;
 use crate::coro::Pool;
 use crate::engine::{
     context_of, deliver, finish_activity, grant, is_ready, push_ready, EpochPending, Failure,
     PickLoop, Picked, Shared, Sim, Token,
 };
-use crate::frame::{FrameKind, FrameSync, Member};
+use crate::frame::Member;
 use crate::sync;
 use parking_lot::MutexGuard;
-use simany_time::VirtualTime;
 use simany_topology::CoreId;
 use std::sync::Arc;
 use std::time::Instant;
@@ -107,15 +99,6 @@ use std::time::Instant;
 /// bounds how much work one epoch defers ahead of the serial phase's
 /// checkpoint/sanitizer/watchdog bookkeeping.
 const MEMBERS_PER_TILE: usize = 8;
-
-/// Minimum bucketed phase-B work (published-clock writes + floor-cache
-/// invalidations + inbox deposits) before the replay runs as a parallel
-/// frame; below it the coordinator applies the buckets serially through
-/// the same code. Purely a latency trade (a frame launch costs a release
-/// store plus worker wakeups), never a semantic one: the threshold reads
-/// only the epoch's bucketed work, so the decision is deterministic, and
-/// the applied writes are identical either way.
-const REPLAY_FRAME_MIN_WORK: usize = 32;
 
 /// Stash `aid` into the running batch: mark it granted *now* so the
 /// collection loop cannot pick it (or its core) again before the epoch
@@ -148,100 +131,6 @@ fn try_stash(
     fits
 }
 
-/// Attempt to run the epoch's deferred boundary-clock publications as
-/// bucketed replay-frame writes instead of serial [`sync::publish`] calls.
-/// Returns `false` (having mutated nothing) if any member falls outside
-/// the reduced shape; the caller then takes the serial walk for the whole
-/// epoch.
-///
-/// Under the spatial policy, `publish` on a non-idle core whose clock only
-/// *rose*, with no idle neighbors (the shadow-relaxation worklist starts
-/// empty) and no registered waiters (`take_waiters` is a no-op), reduces
-/// to exactly: clear `publish_pending`, fold the clock into `max_vtime`
-/// (which, as long as no uncap registration falls due, changes no stored
-/// word), count a sweep, mark the floor dirty, store the new published value,
-/// and conditionally invalidate each neighbor's cached floor minimum
-/// (the rising arm of `note_neighbor_change`). The first four are
-/// scheduler bookkeeping — committed here, serially, in batch order,
-/// because checkpoints and the watchdog read `max_vtime` before the next
-/// epoch. The last two touch only the written core's state, so they are
-/// bucketed by that core's tile for the replay frame. Per-target bucket
-/// order is append order = batch order = the serial publish order, so the
-/// replayed invalidation conditionals read exactly the state their serial
-/// counterparts would have.
-fn try_shard_publishes(
-    sim: &mut Sim,
-    shared: &Shared,
-    fs: &FrameSync,
-    batch: &[ActivityId],
-) -> bool {
-    // Pass 1: the gate, read-only. Batch members sit on distinct cores,
-    // and nothing a gated publish does can change another member's
-    // idleness, waiter set or published value, so checking against the
-    // pre-publish state is exact.
-    let mut front = sim.max_vtime;
-    for &aid in batch {
-        let Some(act) = sim.acts.get(&aid.0) else {
-            continue;
-        };
-        let c = act.core;
-        let i = c.index();
-        if !sim.cores.publish_pending[i] {
-            continue;
-        }
-        if sim.cores.is_idle(i)
-            || sim.cores.vtime[i] < sim.cores.published[i]
-            || !sim.waiters[i].is_empty()
-            || shared
-                .topo
-                .neighbors(c)
-                .iter()
-                .any(|&(m, _)| sim.cores.is_idle(m.index()))
-        {
-            return false;
-        }
-        front = front.max(sim.cores.vtime[i]);
-    }
-    // A front that overtakes a capped shadow's key starts a relaxation
-    // somewhere else in the machine: not the reduced shape either.
-    if sim.uncap.due(front) {
-        return false;
-    }
-    // Pass 2: commit, in batch order.
-    for &aid in batch {
-        let Some(act) = sim.acts.get(&aid.0) else {
-            continue;
-        };
-        let c = act.core;
-        let i = c.index();
-        if !sim.cores.publish_pending[i] {
-            continue;
-        }
-        sim.cores.publish_pending[i] = false;
-        let newval = sim.cores.vtime[i];
-        let oldval = sim.cores.published[i];
-        if newval > sim.max_vtime {
-            sim.max_vtime = newval;
-        }
-        if newval == oldval {
-            continue; // serial publish returns before the sweep, too
-        }
-        sim.stats.publish_sweeps += 1;
-        sim.floor_dirty = true;
-        // SAFETY: no frame in flight between phase A's quiescence and the
-        // replay launch; the coordinator is the sole lane accessor.
-        unsafe { fs.lane_mut(shared.tile_of(c)) }
-            .pub_cores
-            .push((c, newval));
-        for &(m, _) in shared.topo.neighbors(c) {
-            unsafe { fs.lane_mut(shared.tile_of(m)) }
-                .inval_events
-                .push((m, oldval));
-        }
-    }
-    true
-}
-
 /// The parallel scheduler loop: the shared pick front-end with an epoch
 /// grant (see the module docs for the epoch protocol). Takes and returns
 /// the simulation guard — phase A releases the lock — so `simulate` runs
@@ -257,14 +146,8 @@ pub(crate) fn run_scheduler<'a>(
     let mut batch: Vec<ActivityId> = Vec::new();
     let mut deferred: Vec<CoreId> = Vec::new();
     let mut tile_members: Vec<Vec<ActivityId>> = vec![Vec::new(); n_tiles];
-    // Frame-protocol scratch: the claimable-tile list handed to the frame,
-    // the replay-tile list for phase B, and the per-destination pending
-    // earliest-arrival minimum used to precompute ready-queue decisions
-    // while inbox pushes are still bucketed (MAX = "nothing pending").
+    // The claimable-tile list handed to each frame.
     let mut claimable: Vec<u32> = Vec::new();
-    let mut replay_tiles: Vec<u32> = Vec::new();
-    let mut pend_min: Vec<VirtualTime> = vec![VirtualTime::MAX; sim.cores.len()];
-    let mut pend_touched: Vec<CoreId> = Vec::new();
     let mut phase_a_ns: u64 = 0;
     let mut phase_b_ns: u64 = 0;
     let mut serial_tail_ns: u64 = 0;
@@ -294,7 +177,7 @@ pub(crate) fn run_scheduler<'a>(
         }
 
         // ------------------------------------------------------ phase A
-        // Members sorted by tile: phase B replays in tile order by
+        // Members sorted by tile: phase B walks them in tile order by
         // construction and the lane fill order is deterministic (it is not
         // observable either way, but determinism-by-construction is
         // cheaper to audit than determinism-by-argument). The sort is
@@ -335,7 +218,7 @@ pub(crate) fn run_scheduler<'a>(
         }
         sim.token = Token::Epoch;
         let ta = Instant::now();
-        fs.launch(batch.len(), &claimable, FrameKind::Exec);
+        fs.launch(batch.len(), &claimable);
         // The whole point: the coordinator drops the simulation lock for
         // the duration of phase A. Workers coordinate through the frame's
         // atomics alone and only take the lock at interaction points.
@@ -378,136 +261,27 @@ pub(crate) fn run_scheduler<'a>(
         // 1. Boundary-clock publication: flush the deferred publishes of
         //    every batch core, in tile order. This is the one point where
         //    an epoch's clock advances become visible to other tiles.
-        //    Under the spatial policy, when every pending member fits the
-        //    reduced publish shape (non-idle, clock rose, no waiters, no
-        //    idle neighbors), the commuting per-core writes are bucketed
-        //    for the replay frame instead; anything else falls back to the
-        //    serial walk for the whole epoch.
-        let shard = sim.sanitizer.is_none() && n_tiles > 1;
-        let publishes_sharded = shard
-            && matches!(shared.config.sync, SyncPolicy::Spatial { .. })
-            && try_shard_publishes(&mut sim, shared, fs, &batch);
-        if !publishes_sharded {
-            for &aid in &batch {
-                if let Some(act) = sim.acts.get(&aid.0) {
-                    let c = act.core;
-                    sync::flush_deferred(&mut sim, shared, c);
-                }
+        for &aid in &batch {
+            if let Some(act) = sim.acts.get(&aid.0) {
+                let c = act.core;
+                sync::flush_deferred(&mut sim, shared, c);
             }
         }
         // 2. Cross-tile messages: route the buffered sends through the
-        //    shared network model, tile by tile (within a tile the lane
-        //    preserves the sending activity's program order, so per-sender
-        //    FIFO holds). Routing is inherently serial — it consumes the
-        //    global send sequence and link occupancy — but when sharding,
-        //    the inbox deposits are bucketed by destination tile for the
-        //    replay frame, and every ready-queue decision `deliver` would
-        //    have made is precomputed here against the frozen clocks: a
-        //    per-destination pending-arrival minimum stands in for the
-        //    not-yet-deposited envelopes.
+        //    shared network model and deliver them, tile by tile (within a
+        //    tile the lane preserves the sending activity's program order,
+        //    so per-sender FIFO holds). Routing consumes the global send
+        //    sequence and link occupancy, so the order is the schedule.
         for t in 0..n_tiles {
-            // SAFETY: frame quiescent; sole accessor. The outbox is
-            // detached so bucketing into a destination lane (possibly this
-            // very tile) never aliases the vector being drained.
-            let mut outbox = std::mem::take(&mut (unsafe { fs.lane_mut(t) }).outbox);
-            for m in outbox.drain(..) {
-                let env = sim.net.send(m.src, m.dst, m.size_bytes, m.sent, m.payload);
-                if !shard {
-                    deliver(&mut sim, shared, env);
-                    continue;
-                }
-                crate::engine::trace(shared, || crate::trace::TraceEvent::Send {
-                    t: env.sent,
-                    src: env.src,
-                    dst: env.dst,
-                    bytes: env.size_bytes,
-                });
-                let dst = env.dst;
-                let arrival = env.arrival;
-                let vtime = sim.cores.vtime[dst.index()];
-                let pend = pend_min[dst.index()];
-                if pend == VirtualTime::MAX {
-                    pend_touched.push(dst);
-                }
-                // What `earliest_arrival` would return after the push,
-                // were the bucketed envelopes already deposited.
-                let eff = sim
-                    .cores
-                    .inboxes
-                    .earliest_arrival(dst)
-                    .map_or(pend, |a| a.min(pend))
-                    .min(arrival);
-                let prio = eff.min(vtime);
-                if sim.cores.in_ready[dst.index()] {
-                    // Possible priority raise: re-push with the (possibly
-                    // earlier) next-event time, exactly like `deliver`.
-                    if arrival < vtime {
-                        sim.ready.push(dst, prio);
-                    }
-                } else {
-                    sim.cores.in_ready[dst.index()] = true;
-                    sim.ready.push(dst, prio);
-                }
-                pend_min[dst.index()] = eff;
-                // SAFETY: frame quiescent; sole accessor (see above).
-                (unsafe { fs.lane_mut(shared.tile_of(dst)) })
-                    .deliveries
-                    .push(env);
-            }
-            unsafe { fs.lane_mut(t) }.outbox = outbox; // keep the capacity
-        }
-        for c in pend_touched.drain(..) {
-            pend_min[c.index()] = VirtualTime::MAX;
-        }
-        // 3. Apply the bucketed per-core writes: published clocks, floor-
-        //    cache invalidations, inbox deposits. The classes touch
-        //    pairwise-disjoint state columns and are bucketed by the
-        //    written core's tile, so tiles replay independently — as a
-        //    parallel frame when there is enough work to pay for the
-        //    launch, serially through the same code otherwise. The
-        //    threshold reads only the epoch's bucketed work, so the choice
-        //    (and the `sharded_replays` counter) is deterministic; the
-        //    applied state is bit-identical either way.
-        replay_tiles.clear();
-        let mut replay_work = 0usize;
-        for t in 0..n_tiles {
-            // SAFETY: frame quiescent; sole accessor.
+            // SAFETY: frame quiescent; the coordinator is the only lane
+            // accessor until the next launch.
             let lane = unsafe { fs.lane_mut(t) };
-            let w = lane.pub_cores.len() + lane.inval_events.len() + lane.deliveries.len();
-            if w > 0 {
-                replay_work += w;
-                replay_tiles.push(t as u32);
+            for m in lane.outbox.drain(..) {
+                let env = sim.net.send(m.src, m.dst, m.size_bytes, m.sent, m.payload);
+                deliver(&mut sim, shared, env);
             }
         }
-        if !replay_tiles.is_empty() {
-            let ptrs = crate::frame::ReplayPtrs {
-                published: sim.cores.published.as_mut_ptr(),
-                floor_nb: sim.cores.floor_nb.as_mut_ptr(),
-                floor_nb_valid: sim.cores.floor_nb_valid.as_mut_ptr(),
-                inboxes: sim.cores.inboxes.lanes(),
-            };
-            // SAFETY: no frame is in flight, and the coordinator holds the
-            // simulation guard for the whole replay, so the columns cannot
-            // move or be touched by anyone but the replay claimants.
-            unsafe { fs.set_replay_ptrs(ptrs) };
-            if replay_tiles.len() >= 2 && replay_work >= REPLAY_FRAME_MIN_WORK {
-                sim.stats.sharded_replays += 1;
-                fs.launch(replay_tiles.len(), &replay_tiles, FrameKind::Replay);
-                // Replay workers write through the raw column pointers and
-                // never take the simulation lock, so the coordinator keeps
-                // holding it across the wait.
-                fs.wait_quiescent();
-            } else {
-                for &t in &replay_tiles {
-                    // SAFETY: serial fallback — the coordinator is the
-                    // sole accessor of every lane and of `sim.cores`.
-                    unsafe { crate::frame::replay_lane(fs, t as usize) };
-                }
-            }
-            // SAFETY: the frame quiesced; no claimant can still read them.
-            unsafe { fs.clear_replay_ptrs() };
-        }
-        // 4. The serial tail: pending entries drained in tile order. A
+        // 3. The serial tail: pending entries drained in tile order. A
         //    tile can contribute several entries (its members' completions
         //    and at most one park, after which the rest of its queue
         //    spilled); they were pushed by the tile's single claimant in
@@ -554,7 +328,7 @@ pub(crate) fn run_scheduler<'a>(
         serial_tail_ns += tt.elapsed().as_nanos() as u64;
         phase_b_ns += tb.elapsed().as_nanos() as u64;
 
-        // 5. Requeue: batch cores first (tile order — including members
+        // 4. Requeue: batch cores first (tile order — including members
         //    spilled from a parked worker's queue, which reverted to
         //    `Pending` and simply get picked again), then the grants
         //    deferred during collection (pick order).

@@ -93,11 +93,10 @@ impl ReadyQueue {
     ///
     /// Pop order over distinct `(time, rank, id)` keys is a pure function
     /// of the key *set* — insertion order cannot leak into it. The parallel
-    /// engine's sharded phase B leans on this: it replays deliveries
-    /// bucketed by destination tile, and although the ready pushes
-    /// themselves happen on the serial walk in a fixed (source tile, outbox
-    /// index) order, the insensitivity means the bucketing could not
-    /// perturb scheduling even if that order changed.
+    /// engine leans on this: its phase B pushes in its own walk order
+    /// (deliveries by source tile and outbox index, then the batch requeue
+    /// in tile order), so the schedule depends on which entries that walk
+    /// queues, not on the order it queues them in.
     pub fn push(&mut self, core: CoreId, published: VirtualTime) {
         let entry = (published, self.rank_of(core.0), core.0);
         self.count_push(core.0);
@@ -248,8 +247,9 @@ mod tests {
 
     #[test]
     fn pop_order_is_insertion_order_insensitive_for_distinct_keys() {
-        // The sharded phase-B contract (see `push`): any permutation of
-        // the same distinct (time, rank, id) entries pops identically.
+        // The contract the parallel engine's phase B relies on (see
+        // `push`): any permutation of the same distinct (time, rank, id)
+        // entries pops identically.
         let entries: Vec<(u32, u64)> = (0..12u32).map(|c| (c, 7 + u64::from(c * c % 13))).collect();
         let pop_all = |order: &[usize]| {
             let mut q = ReadyQueue::new();

@@ -112,9 +112,7 @@ pub struct Cores {
     /// re-validated at take time.
     pub waiting_on: Vec<Option<simany_topology::CoreId>>,
     // --- pooled variable-size state -----------------------------------
-    /// Incoming messages not yet processed, in a shared slot arena (one
-    /// shard per host tile under parallel execution, so phase-B replay
-    /// lanes push into disjoint shards).
+    /// Incoming messages not yet processed, in one shared slot arena.
     pub inboxes: InboxPool,
     /// Head slot of each core's resumable FIFO (`NIL` when empty).
     res_head: Vec<u32>,

@@ -219,18 +219,16 @@ pub struct SimStats {
     /// concurrency the partition actually exposed.
     pub epoch_grants: u64,
     /// Parallel mode: wall-clock nanoseconds the coordinator spent inside
-    /// phase A — from launching an execution frame to quiescence, with the
+    /// phase A — from launching a frame to quiescence, with the
     /// simulation lock released. Host-timing diagnostic: varies run to run
     /// and is excluded from every determinism fingerprint and digest.
     pub phase_a_wall_ns: u64,
     /// Parallel mode: wall-clock nanoseconds spent in phase B (deferred
-    /// flush restore, publish, routing/delivery, replay, and the serial
-    /// tail). Host-timing diagnostic like [`Self::phase_a_wall_ns`].
+    /// flush restore, publish, routing/delivery, and the serial tail). Host-timing diagnostic like [`Self::phase_a_wall_ns`].
     pub phase_b_wall_ns: u64,
-    /// Parallel mode: wall-clock nanoseconds of phase B's irreducibly
-    /// serial tail (park resolution, finishes, panics — the part sharding
-    /// cannot touch). Subset of [`Self::phase_b_wall_ns`]; host-timing
-    /// diagnostic.
+    /// Parallel mode: wall-clock nanoseconds of phase B's tail (park
+    /// resolution, finishes, panics — everything after delivery). Subset
+    /// of [`Self::phase_b_wall_ns`]; host-timing diagnostic.
     pub serial_tail_ns: u64,
     /// Parallel mode: frame-counter polls workers answered by spinning
     /// (the frame advanced within the spin budget). Scheduling-dependent
@@ -240,11 +238,6 @@ pub struct SimStats {
     /// frame gate. Scheduling-dependent diagnostic like
     /// [`Self::frame_spins`].
     pub frame_parks: u64,
-    /// Parallel mode: epochs whose phase-B replay (publishes, floor-cache
-    /// invalidations, deliveries) ran as a parallel frame instead of the
-    /// serial fallback. Deterministic: the launch predicate depends only on
-    /// the epoch's bucketed work, never on host timing.
-    pub sharded_replays: u64,
     /// Parallel mode: tiles claimed by each frame worker over the run,
     /// indexed by worker spawn order. Which worker wins a claim is a host
     /// scheduling race, so the *distribution* is nondeterministic (the sum

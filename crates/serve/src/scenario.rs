@@ -127,10 +127,16 @@ impl Default for Scenario {
 }
 
 /// Map a sync-policy name + window to a [`SyncPolicy`]. `drift` falls back
-/// to the paper default `T = 100` for windowed policies.
+/// to the paper default `T = 100` for windowed policies. A zero window is
+/// refused under spatial sync, where no stalled core could ever be the
+/// first to move (the run would end in a deadlock); bounded slack runs in
+/// lock-step at zero and accepts it.
 pub fn sync_policy(name: &str, drift: Option<u64>) -> Result<SyncPolicy, String> {
     let window = VDuration::from_cycles(drift.unwrap_or(100));
     Ok(match name {
+        "spatial" if window.is_zero() => {
+            return Err("bad value for --drift: '0' (spatial sync needs T >= 1)".into())
+        }
         "spatial" => SyncPolicy::Spatial { t: window },
         "bounded-slack" => SyncPolicy::BoundedSlack { window },
         "conservative" => SyncPolicy::Conservative,

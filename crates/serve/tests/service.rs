@@ -235,24 +235,31 @@ fn a_label_with_a_quote_and_a_backslash_round_trips() {
     );
 }
 
-/// A policy name the engine no longer has (`random-referee`, retired) is
-/// refused while the queue is built: the usage error names the remaining
-/// policies, and neither the output directory nor a worker exists yet.
-#[test]
-fn a_retired_sync_policy_is_refused_at_queue_build_time() {
-    let dir = temp_dir("retired-sync");
+/// Build a service over `spec`, which must be refused while the queue is
+/// built — before the output directory or any worker exists. Returns the
+/// refusal.
+fn refused_at_queue_build_time(tag: &str, spec: &str) -> String {
+    let dir = temp_dir(tag);
     let mut cfg = config(&dir, dir.join("no-such-simulate"));
-    let spec_path = dir.join("retired.toml");
-    std::fs::write(
-        &spec_path,
-        "[defaults]\nkernel = \"quicksort\"\ncores = 16\n\n\
-         [[sweep]]\nname = \"old\"\nsync = \"random-referee\"\n",
-    )
-    .unwrap();
+    let spec_path = dir.join("refused.toml");
+    std::fs::write(&spec_path, spec).unwrap();
     cfg.spec_path = spec_path.to_string_lossy().into_owned();
     let Err(err) = Service::new(cfg) else {
-        panic!("a spec naming a retired policy was accepted");
+        panic!("spec was accepted:\n{spec}");
     };
+    assert!(!dir.join("out").exists(), "refused after set-up had begun");
+    err
+}
+
+/// A policy name the engine no longer has (`random-referee`, retired) is
+/// refused: the usage error names the remaining policies.
+#[test]
+fn a_retired_sync_policy_is_refused_at_queue_build_time() {
+    let err = refused_at_queue_build_time(
+        "retired-sync",
+        "[defaults]\nkernel = \"quicksort\"\ncores = 16\n\n\
+         [[sweep]]\nname = \"old\"\nsync = \"random-referee\"\n",
+    );
     assert!(
         err.ends_with(
             "unknown sync policy 'random-referee' \
@@ -260,5 +267,19 @@ fn a_retired_sync_policy_is_refused_at_queue_build_time() {
         ),
         "{err}"
     );
-    assert!(!dir.join("out").exists(), "refused after set-up had begun");
+}
+
+/// A spatial scenario with a zero drift window would end in a deadlock, so
+/// it is refused.
+#[test]
+fn a_zero_spatial_drift_is_refused_at_queue_build_time() {
+    let err = refused_at_queue_build_time(
+        "zero-drift",
+        "[defaults]\nkernel = \"quicksort\"\ncores = 16\n\n\
+         [[sweep]]\nname = \"tight\"\nsync = \"spatial\"\ndrift = [0, 100]\n",
+    );
+    assert!(
+        err.ends_with("bad value for --drift: '0' (spatial sync needs T >= 1)"),
+        "{err}"
+    );
 }

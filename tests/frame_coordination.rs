@@ -6,13 +6,11 @@
 //! tiles, tiles far wider than the worker pool, a single tile holding the
 //! whole machine, and park/wake storms that pin workers mid-epoch. Each
 //! shape is exercised as a repeated-run bit-identity test per
-//! synchronization policy, plus a property test that phase-B sharding —
-//! the destination-bucketed parallel replay of publishes and deliveries —
-//! is transparent: delivery order, and therefore every observable
-//! counter, is independent of worker interleaving. The serial phase-B walk
-//! it is compared against is the one a sanitized run takes (the
-//! sanitizer's delivery hooks are serial-only, and it observes without
-//! changing anything).
+//! synchronization policy, plus a property test that phase B's delivery
+//! order, and therefore every observable counter, is independent of worker
+//! interleaving. Each run is also compared against a sanitized run: the
+//! sanitizer observes phase B without changing anything, so the two must
+//! agree.
 
 use proptest::prelude::*;
 use simany::core::{
@@ -21,7 +19,7 @@ use simany::core::{
 };
 use simany::kernels::{kernel_by_name, Scale};
 use simany::presets;
-use simany::topology::{mesh_2d, ring, Topology};
+use simany::topology::{mesh_2d, partition_bfs, ring, Topology};
 use std::sync::Arc;
 
 /// The counters a behavioral divergence would show up in. (Wall-clock
@@ -39,7 +37,6 @@ struct Fingerprint {
     net_bytes: u64,
     parallel_epochs: u64,
     epoch_grants: u64,
-    sharded_replays: u64,
 }
 
 impl Fingerprint {
@@ -55,7 +52,6 @@ impl Fingerprint {
             net_bytes: stats.net.bytes,
             parallel_epochs: stats.parallel_epochs,
             epoch_grants: stats.epoch_grants,
-            sharded_replays: stats.sharded_replays,
         }
     }
 }
@@ -97,7 +93,7 @@ impl RuntimeHooks for NoHooks {
 }
 
 /// Raw-engine run: each core's plan is (advance, destination, send?) —
-/// cross-tile destinations exercise the outbox/replay machinery.
+/// cross-tile destinations exercise the lane outbox and phase-B routing.
 fn run_plans(topo: Topology, config: EngineConfig, plans: Vec<Vec<(u64, u32, bool)>>) -> SimStats {
     let n = topo.n_cores();
     simulate(topo, config, Arc::new(NoHooks), move |ops| {
@@ -174,7 +170,6 @@ fn single_giant_tile_is_deterministic() {
             Fingerprint {
                 parallel_epochs: a.parallel_epochs,
                 epoch_grants: a.epoch_grants,
-                sharded_replays: a.sharded_replays,
                 ..seq
             },
             a,
@@ -186,10 +181,9 @@ fn single_giant_tile_is_deterministic() {
 /// Cross-tile park/wake storm: dense cross-tile message traffic under a
 /// tight drift window (10 cycles: activities park mid-epoch, pinning their
 /// workers, and are woken by other tiles' publishes) and a looser one (100
-/// cycles: epochs grow large enough for phase B to replay as a parallel
-/// frame). Repeated runs must be bit-identical per policy, the sharded
-/// replay must match the serial walk, and the storm must actually stall
-/// something and shard something.
+/// cycles: larger epochs). Repeated runs must be bit-identical per policy,
+/// a sanitized run must match, every send must cross tiles and reach the
+/// network, and the storm must actually stall something.
 #[test]
 fn cross_tile_park_wake_storm_is_deterministic() {
     // Every core hammers its antipodal core on a 16-core mesh — all
@@ -201,6 +195,19 @@ fn cross_tile_park_wake_storm_is_deterministic() {
                 .collect()
         })
         .collect();
+    // Every planned send crosses the 4-tile partition. Sends issued under
+    // an epoch only reach the network, and their receivers, through phase
+    // B's routing walk, so a run that routes and delivers all of them has
+    // exercised it.
+    let part = partition_bfs(&mesh_2d(16), 4);
+    let mut cross_tile = 0u64;
+    for (c, plan) in plans.iter().enumerate() {
+        for &(_, dst, send) in plan {
+            let src = CoreId(c as u32);
+            cross_tile += u64::from(send && part.tile_of(src) != part.tile_of(CoreId(dst)));
+        }
+    }
+    assert_eq!(cross_tile, 16 * 12, "storm plan must be all cross-tile");
     let mut any_stalled = false;
     for window in [10, 100] {
         for (name, policy) in policies(window) {
@@ -214,28 +221,26 @@ fn cross_tile_park_wake_storm_is_deterministic() {
                 "policy {name}, window {window}: park/wake storm runs diverged"
             );
             assert!(a.parallel_epochs > 0, "policy {name}: storm ran no epochs");
-            // A sanitized run replays phase B on the serial walk;
-            // everything but the count of sharded replays must match.
-            let serial = run_plans(mesh_2d(16), config.with_sanitize(true), plans.clone());
+            // The sanitizer only observes: a sanitized run must match.
+            let sanitized = run_plans(mesh_2d(16), config.with_sanitize(true), plans.clone());
             assert_eq!(
-                Fingerprint {
-                    sharded_replays: 0,
-                    ..Fingerprint::of(&a)
-                },
-                Fingerprint::of(&serial),
-                "policy {name}, window {window}: sharded and serial phase B diverged"
+                Fingerprint::of(&a),
+                Fingerprint::of(&sanitized),
+                "policy {name}, window {window}: plain and sanitized runs diverged"
             );
-            assert_eq!(serial.sanitizer_violations, 0, "policy {name}: sanitizer");
-            any_stalled |= a.stall_events > 0;
-            // Without this the sharded-vs-serial comparisons here and in
+            assert_eq!(
+                sanitized.sanitizer_violations, 0,
+                "policy {name}: sanitizer"
+            );
+            // Without this the comparisons here and in
             // `determinism.rs::parallel_sanitizer_is_quiet` could pass
-            // vacuously.
-            if window == 100 && name == "spatial" {
-                assert!(
-                    a.sharded_replays > 0,
-                    "storm never launched a sharded replay"
-                );
-            }
+            // without phase B ever routing a cross-tile message.
+            assert_eq!(
+                (a.net.messages, a.late_messages + a.on_time_messages),
+                (cross_tile, cross_tile),
+                "policy {name}, window {window}: storm lost cross-tile messages"
+            );
+            any_stalled |= a.stall_events > 0;
         }
     }
     assert!(any_stalled, "storm never stalled under any policy");
@@ -246,11 +251,8 @@ proptest! {
 
     /// Phase-B delivery order is independent of worker interleaving:
     /// across random topologies, thread counts, policies and message
-    /// plans, the sharded replay (destination-bucketed, replayed with a
-    /// stable (source-tile, sequence) order) and the serial walk (taken by
-    /// a sanitized run) produce bit-identical outcomes — and so do
-    /// repeated sharded runs, whose worker schedules genuinely differ
-    /// between runs.
+    /// plans, repeated runs — whose worker schedules genuinely differ —
+    /// and a sanitized run produce bit-identical outcomes.
     #[test]
     fn phase_b_order_is_interleaving_independent(
         n in 4u32..14,
@@ -274,17 +276,16 @@ proptest! {
 
         let mut config = EngineConfig::default().with_seed(seed).with_threads(threads);
         config.sync = policy;
-        let sharded_a = run_plans(topo.clone(), config.clone(), plans.clone());
-        let sharded_b = run_plans(topo.clone(), config.clone(), plans.clone());
-        let serial = run_plans(topo, config.with_sanitize(true), plans);
+        let a = run_plans(topo.clone(), config.clone(), plans.clone());
+        let b = run_plans(topo.clone(), config.clone(), plans.clone());
+        let sanitized = run_plans(topo, config.with_sanitize(true), plans);
 
-        let fa = Fingerprint::of(&sharded_a);
-        let fb = Fingerprint::of(&sharded_b);
-        prop_assert_eq!(&fa, &fb, "repeated sharded runs diverged");
+        let fa = Fingerprint::of(&a);
+        prop_assert_eq!(&fa, &Fingerprint::of(&b), "repeated runs diverged");
         prop_assert_eq!(
-            Fingerprint { sharded_replays: 0, ..fa },
-            Fingerprint::of(&serial),
-            "sharded and serial phase B diverged"
+            fa,
+            Fingerprint::of(&sanitized),
+            "plain and sanitized runs diverged"
         );
     }
 }
