@@ -612,15 +612,18 @@ fn main() {
         );
     }
     if let Some(rep) = &resilience {
+        let ratio = |x: Option<f64>, decimals: usize| {
+            x.map_or_else(|| "n/a".to_string(), |v| format!("{v:.decimals$}"))
+        };
         println!(
-            "coverage          : {:.4} ({} / {} delivered)",
-            rep.coverage(),
+            "coverage          : {} ({} / {} delivered)",
+            ratio(rep.coverage(), 4),
             rep.delivered,
             rep.expected
         );
         println!(
-            "msgs/delivery     : {:.2} ({} payload msgs, {} re-issues, {} degraded)",
-            rep.msgs_per_delivery(),
+            "msgs/delivery     : {} ({} payload msgs, {} re-issues, {} degraded)",
+            ratio(rep.msgs_per_delivery(), 2),
             rep.payload_msgs,
             rep.reissues,
             rep.degraded

@@ -145,7 +145,8 @@ pub(crate) struct Shared {
     pub(crate) sim: Mutex<Sim>,
     pub(crate) hooks: Arc<dyn RuntimeHooks>,
     pub(crate) config: EngineConfig,
-    pub(crate) topo: Topology,
+    /// The interconnect; the network model holds the same allocation.
+    pub(crate) topo: Arc<Topology>,
     /// Tile partition of the topology; `Some` iff `config.threads > 1`.
     pub(crate) partition: Option<simany_topology::Partition>,
     /// Lock-free frame coordinator for parallel epochs; `Some` iff
@@ -964,6 +965,7 @@ pub fn simulate(
         None => None,
     };
     let start_wall = std::time::Instant::now();
+    let topo = Arc::new(topo);
     // Parallel host execution: partition the topology into contiguous
     // tiles, one concurrent activity per tile (see `crate::parallel`).
     let partition = (config.threads > 1)
@@ -1000,7 +1002,12 @@ pub fn simulate(
     }
     let sim = Sim {
         cores,
-        net: NetworkModel::with_faults(topo.clone(), config.net, config.fault.clone(), config.seed),
+        net: NetworkModel::with_faults(
+            Arc::clone(&topo),
+            config.net,
+            config.fault.clone(),
+            config.seed,
+        ),
         acts: HashMap::new(),
         next_act: 0,
         next_birth: 0,

@@ -181,7 +181,7 @@ mod tests {
             .unwrap();
         assert!(o.verified);
         assert_eq!(o.metrics.delivered, 16, "healthy mesh must reach everyone");
-        assert!((o.metrics.coverage() - 1.0).abs() < 1e-9);
+        assert_eq!(o.metrics.coverage(), Some(1.0));
         assert_eq!(o.metrics.latencies.len(), 16);
     }
 

@@ -57,22 +57,16 @@ pub struct ProtocolMetrics {
 }
 
 impl ProtocolMetrics {
-    /// Delivery coverage in `[0, 1]`; 1.0 when nothing was expected.
-    pub fn coverage(&self) -> f64 {
-        if self.expected == 0 {
-            1.0
-        } else {
-            self.delivered as f64 / self.expected as f64
-        }
+    /// Delivery coverage in `[0, 1]`; `None` when nothing was expected
+    /// (e.g. a quorum that never elected a leader proposed nothing).
+    pub fn coverage(&self) -> Option<f64> {
+        (self.expected > 0).then(|| self.delivered as f64 / self.expected as f64)
     }
 
-    /// Messages spent per delivered payload (the cost of resilience).
-    pub fn msgs_per_delivery(&self) -> f64 {
-        if self.delivered == 0 {
-            self.payload_msgs as f64
-        } else {
-            self.payload_msgs as f64 / self.delivered as f64
-        }
+    /// Messages spent per delivered payload (the cost of resilience);
+    /// `None` when nothing was delivered.
+    pub fn msgs_per_delivery(&self) -> Option<f64> {
+        (self.delivered > 0).then(|| self.payload_msgs as f64 / self.delivered as f64)
     }
 }
 
@@ -154,15 +148,21 @@ mod tests {
     #[test]
     fn metrics_ratios_are_safe() {
         let m = ProtocolMetrics::default();
-        assert!((m.coverage() - 1.0).abs() < 1e-9);
-        assert_eq!(m.msgs_per_delivery(), 0.0);
+        assert_eq!(m.coverage(), None);
+        assert_eq!(m.msgs_per_delivery(), None);
+        // Messages spent, nothing delivered: no ratio, not the raw count.
+        let m = ProtocolMetrics {
+            payload_msgs: 6066,
+            ..Default::default()
+        };
+        assert_eq!(m.msgs_per_delivery(), None);
         let m = ProtocolMetrics {
             expected: 10,
             delivered: 8,
             payload_msgs: 40,
             ..Default::default()
         };
-        assert!((m.coverage() - 0.8).abs() < 1e-9);
-        assert!((m.msgs_per_delivery() - 5.0).abs() < 1e-9);
+        assert!((m.coverage().unwrap() - 0.8).abs() < 1e-9);
+        assert!((m.msgs_per_delivery().unwrap() - 5.0).abs() < 1e-9);
     }
 }

@@ -347,7 +347,7 @@ mod tests {
         assert!(o.verified, "at most one leader per term");
         assert!(o.metrics.degraded >= 1, "someone must win an election");
         assert!(o.metrics.delivered > 0, "the leader must commit commands");
-        assert!(o.metrics.coverage() > 0.5);
+        assert!(o.metrics.coverage().is_some_and(|c| c > 0.5));
         assert!(o.metrics.leader_changes >= 1);
     }
 

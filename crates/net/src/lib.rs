@@ -118,10 +118,11 @@ struct FaultState {
 
 /// The complete network model: topology + routing + per-link traffic +
 /// parameters. Owned by the simulator engine; every message send flows
-/// through [`NetworkModel::send`].
+/// through [`NetworkModel::send`]. The topology is shared, not copied: the
+/// engine holds the same allocation.
 #[derive(Debug)]
 pub struct NetworkModel {
-    topo: Topology,
+    topo: Arc<Topology>,
     routes: Routes,
     traffic: LinkTraffic,
     params: NetworkParams,
@@ -131,8 +132,9 @@ pub struct NetworkModel {
 }
 
 impl NetworkModel {
-    /// Build the model (computes routing tables).
-    pub fn new(topo: Topology, params: NetworkParams) -> Self {
+    /// Build the model (computes routing tables). `topo` is a `Topology`
+    /// or an `Arc` of one to share.
+    pub fn new(topo: impl Into<Arc<Topology>>, params: NetworkParams) -> Self {
         Self::with_faults(topo, params, None, 0)
     }
 
@@ -141,11 +143,12 @@ impl NetworkModel {
     /// empty plan) behavior is bit-identical to [`NetworkModel::new`] —
     /// the stream is never drawn from.
     pub fn with_faults(
-        topo: Topology,
+        topo: impl Into<Arc<Topology>>,
         params: NetworkParams,
         plan: Option<Arc<FaultPlan>>,
         seed: u64,
     ) -> Self {
+        let topo = topo.into();
         if let Some(p) = &plan {
             assert_eq!(
                 p.n_links(),
@@ -712,6 +715,14 @@ mod tests {
         let a = m.send(CoreId(0), CoreId(1), 8, VirtualTime::ZERO, payload());
         let b = m.send(CoreId(2), CoreId(3), 8, VirtualTime::ZERO, payload());
         assert!(b.seq > a.seq);
+    }
+
+    #[test]
+    fn shared_topology_is_not_copied() {
+        let topo = Arc::new(mesh_2d(16));
+        let net = NetworkModel::new(Arc::clone(&topo), NetworkParams::default());
+        assert!(std::ptr::eq(net.topology(), &*topo));
+        assert_eq!(Arc::strong_count(&topo), 2);
     }
 
     use simany_fault::FaultPlanBuilder;

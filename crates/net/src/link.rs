@@ -39,20 +39,24 @@ pub struct NetStats {
 }
 
 /// Occupancy state of every directed link.
+///
+/// Both columns hold raw ticks: `vec![0u64; n]` is a zeroed allocation the
+/// host backs lazily, page by page, as links first carry traffic, where a
+/// `vec!` of a newtype writes every element up front.
 #[derive(Clone, Debug)]
 pub struct LinkTraffic {
-    /// Virtual time at which each link becomes free.
-    next_free: Vec<VirtualTime>,
-    /// Cumulative busy time per link (for utilization reporting).
-    busy: Vec<VDuration>,
+    /// Virtual time (ticks) at which each link becomes free.
+    next_free: Vec<u64>,
+    /// Cumulative busy time (ticks) per link (for utilization reporting).
+    busy: Vec<u64>,
 }
 
 impl LinkTraffic {
     /// Fresh state for `n_links` directed links.
     pub fn new(n_links: u32) -> Self {
         LinkTraffic {
-            next_free: vec![VirtualTime::ZERO; n_links as usize],
-            busy: vec![VDuration::ZERO; n_links as usize],
+            next_free: vec![0; n_links as usize],
+            busy: vec![0; n_links as usize],
         }
     }
 
@@ -69,27 +73,26 @@ impl LinkTraffic {
         propagation: VDuration,
         stats: &mut NetStats,
     ) -> VirtualTime {
-        let free = self.next_free[link.index()];
-        let start = ready.max(free);
+        let start = ready.max(self.next_free(link));
         let waited = start.saturating_since(ready);
         if !waited.is_zero() {
             stats.contention_wait += waited;
             stats.contended_hops += 1;
         }
         let end_of_tx = start + serialization;
-        self.next_free[link.index()] = end_of_tx;
-        self.busy[link.index()] += serialization;
+        self.next_free[link.index()] = end_of_tx.ticks();
+        self.busy[link.index()] += serialization.ticks();
         end_of_tx + propagation
     }
 
     /// Virtual time at which `link` becomes free.
     pub fn next_free(&self, link: LinkId) -> VirtualTime {
-        self.next_free[link.index()]
+        VirtualTime(self.next_free[link.index()])
     }
 
     /// Cumulative busy (transmitting) time of `link`.
     pub fn busy_time(&self, link: LinkId) -> VDuration {
-        self.busy[link.index()]
+        VDuration(self.busy[link.index()])
     }
 
     /// Utilization of `link` relative to a horizon (reporting helper).
@@ -101,7 +104,7 @@ impl LinkTraffic {
         if horizon.ticks() == 0 {
             0.0
         } else {
-            (self.busy[link.index()].ticks() as f64 / horizon.ticks() as f64).min(1.0)
+            (self.busy[link.index()] as f64 / horizon.ticks() as f64).min(1.0)
         }
     }
 }

@@ -373,36 +373,31 @@ pub struct ResilienceReport {
 }
 
 impl ResilienceReport {
-    /// Delivery coverage in [0, 1]; 1.0 when nothing was expected.
-    pub fn coverage(&self) -> f64 {
-        if self.expected == 0 {
-            1.0
-        } else {
-            self.delivered as f64 / self.expected as f64
-        }
+    /// Delivery coverage in [0, 1]; `None` when nothing was expected.
+    pub fn coverage(&self) -> Option<f64> {
+        (self.expected > 0).then(|| self.delivered as f64 / self.expected as f64)
     }
 
-    /// Messages spent per delivered payload (cost of resilience).
-    pub fn msgs_per_delivery(&self) -> f64 {
-        if self.delivered == 0 {
-            self.payload_msgs as f64
-        } else {
-            self.payload_msgs as f64 / self.delivered as f64
-        }
+    /// Messages spent per delivered payload (cost of resilience); `None`
+    /// when nothing was delivered.
+    pub fn msgs_per_delivery(&self) -> Option<f64> {
+        (self.delivered > 0).then(|| self.payload_msgs as f64 / self.delivered as f64)
     }
 
     /// Render as a JSON object (`coverage` rounded to four decimals,
-    /// `msgs_per_delivery` to two).
+    /// `msgs_per_delivery` to two; `null` where undefined).
     pub fn to_json(&self) -> Json {
+        let ratio =
+            |x: Option<f64>, decimals| x.map_or(Json::Null, |v| Json::Num(round_to(v, decimals)));
         Json::Obj(vec![
             ("protocol".into(), Json::Str(self.protocol.clone())),
             ("expected".into(), Json::U64(self.expected)),
             ("delivered".into(), Json::U64(self.delivered)),
-            ("coverage".into(), Json::Num(round_to(self.coverage(), 4))),
+            ("coverage".into(), ratio(self.coverage(), 4)),
             ("payload_msgs".into(), Json::U64(self.payload_msgs)),
             (
                 "msgs_per_delivery".into(),
-                Json::Num(round_to(self.msgs_per_delivery(), 2)),
+                ratio(self.msgs_per_delivery(), 2),
             ),
             ("reissues".into(), Json::U64(self.reissues)),
             ("degraded".into(), Json::U64(self.degraded)),
@@ -416,8 +411,8 @@ impl ResilienceReport {
         vec![
             self.protocol.clone(),
             format!("{}/{}", self.delivered, self.expected),
-            pct(self.coverage()),
-            f2(self.msgs_per_delivery()),
+            self.coverage().map_or_else(|| "n/a".into(), pct),
+            self.msgs_per_delivery().map_or_else(|| "n/a".into(), f2),
             self.reissues.to_string(),
             self.degraded.to_string(),
             self.leader_changes.to_string(),
@@ -592,14 +587,15 @@ mod tests {
             leader_changes: 0,
             latency: LatencyDist::from_samples(&[100, 200, 300]),
         };
-        assert!((r.coverage() - 60.0 / 64.0).abs() < 1e-9);
-        assert!((r.msgs_per_delivery() - 5.0).abs() < 1e-9);
+        assert!((r.coverage().unwrap() - 60.0 / 64.0).abs() < 1e-9);
+        assert!((r.msgs_per_delivery().unwrap() - 5.0).abs() < 1e-9);
         let json = r.to_json().dump();
         assert!(json.contains("\"protocol\":\"Gossip\""));
         assert!(json.contains("\"coverage\":0.9375"));
         assert!(json.contains("\"p99\":300"));
 
-        // Degenerate cases do not divide by zero.
+        // Nothing expected, nothing delivered: both ratios are undefined,
+        // not 1.0 and the raw message count.
         let z = ResilienceReport {
             protocol: "x".into(),
             expected: 0,
@@ -610,8 +606,12 @@ mod tests {
             leader_changes: 0,
             latency: LatencyDist::default(),
         };
-        assert!((z.coverage() - 1.0).abs() < 1e-9);
-        assert!((z.msgs_per_delivery() - 5.0).abs() < 1e-9);
+        assert_eq!(z.coverage(), None);
+        assert_eq!(z.msgs_per_delivery(), None);
+        let json = z.to_json().dump();
+        assert!(json.contains("\"coverage\":null"));
+        assert!(json.contains("\"msgs_per_delivery\":null"));
+        assert_eq!(z.table_row()[2..4], ["n/a", "n/a"]);
 
         let t = ResilienceReport::table(&[r]);
         assert!(t.to_markdown().contains("msgs/delivery"));

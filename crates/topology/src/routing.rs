@@ -36,11 +36,7 @@ impl RoutingTable {
         let mut next_hop = Vec::with_capacity(n as usize);
         let mut dist = Vec::with_capacity(n as usize);
         let mut hops = Vec::with_capacity(n as usize);
-        // Reverse adjacency: incoming (pred, link) pairs per core.
-        let mut rev: Vec<Vec<(CoreId, LinkId)>> = vec![Vec::new(); n as usize];
-        for (i, l) in topo.links().iter().enumerate() {
-            rev[l.dst.index()].push((l.src, LinkId(i as u32)));
-        }
+        let rev = reverse_adjacency(topo, |_| true);
         let uniform = uniform_latency(topo);
         for dst in topo.cores() {
             let (nh, d, h) = routes_to(topo, &rev, dst, uniform);
@@ -72,12 +68,7 @@ impl RoutingTable {
         let mut next_hop = Vec::with_capacity(n as usize);
         let mut dist = Vec::with_capacity(n as usize);
         let mut hops = Vec::with_capacity(n as usize);
-        let mut rev: Vec<Vec<(CoreId, LinkId)>> = vec![Vec::new(); n as usize];
-        for (i, l) in topo.links().iter().enumerate() {
-            if !dead[i] {
-                rev[l.dst.index()].push((l.src, LinkId(i as u32)));
-            }
-        }
+        let rev = reverse_adjacency(topo, |i| !dead[i]);
         let mut partitioned = false;
         let uniform = uniform_latency(topo);
         for dst in topo.cores() {
@@ -191,8 +182,9 @@ struct RouteRow {
 pub struct LazyRoutes {
     n: u32,
     /// Reverse adjacency: incoming `(pred, link)` pairs per core, shared by
-    /// every row computation.
-    rev: Vec<Vec<(CoreId, LinkId)>>,
+    /// every row computation. Built by the first row, so a run that never
+    /// routes a message never pays for it.
+    rev: std::sync::OnceLock<Vec<Vec<(CoreId, LinkId)>>>,
     /// [`uniform_latency`] of the topology, computed once.
     uniform: Option<u64>,
     cache: std::sync::Mutex<RowCache>,
@@ -206,18 +198,13 @@ struct RowCache {
 }
 
 impl LazyRoutes {
-    /// Prepare lazy routing for `topo` (builds only the reverse adjacency;
-    /// no row is computed until a route is first queried).
+    /// Prepare lazy routing for `topo` (only checks connectivity; nothing
+    /// is built until a route is first queried).
     pub fn new(topo: &Topology) -> Self {
         assert!(topo.is_connected(), "cannot route a disconnected topology");
-        let n = topo.n_cores();
-        let mut rev: Vec<Vec<(CoreId, LinkId)>> = vec![Vec::new(); n as usize];
-        for (i, l) in topo.links().iter().enumerate() {
-            rev[l.dst.index()].push((l.src, LinkId(i as u32)));
-        }
         LazyRoutes {
-            n,
-            rev,
+            n: topo.n_cores(),
+            rev: std::sync::OnceLock::new(),
             uniform: uniform_latency(topo),
             cache: std::sync::Mutex::new(RowCache::default()),
         }
@@ -228,7 +215,8 @@ impl LazyRoutes {
         if let Some(row) = cache.rows.get(&dst.0) {
             return std::sync::Arc::clone(row);
         }
-        let (next, dist, hops) = routes_to(topo, &self.rev, dst, self.uniform);
+        let rev = self.rev.get_or_init(|| reverse_adjacency(topo, |_| true));
+        let (next, dist, hops) = routes_to(topo, rev, dst, self.uniform);
         let row = std::sync::Arc::new(RouteRow { next, dist, hops });
         if cache.order.len() >= ROW_CACHE_CAP {
             if let Some(evict) = cache.order.pop_front() {
@@ -349,6 +337,18 @@ impl<'a> RoutesView<'a> {
             ViewInner::Lazy(lz, _) => lz.n,
         }
     }
+}
+
+/// Reverse adjacency of `topo`: the incoming `(pred, link)` pairs of every
+/// core, in link-id order, over the links whose index `live` accepts.
+fn reverse_adjacency(topo: &Topology, live: impl Fn(usize) -> bool) -> Vec<Vec<(CoreId, LinkId)>> {
+    let mut rev = vec![Vec::new(); topo.n_cores() as usize];
+    for (i, l) in topo.links().iter().enumerate() {
+        if live(i) {
+            rev[l.dst.index()].push((l.src, LinkId(i as u32)));
+        }
+    }
+    rev
 }
 
 /// The latency (in ticks) every link of `topo` has, if they all have the
@@ -491,12 +491,7 @@ mod tests {
                 cut,
             ];
             for dead in masks {
-                let mut rev: Vec<Vec<(CoreId, LinkId)>> = vec![Vec::new(); topo.n_cores() as usize];
-                for (i, l) in topo.links().iter().enumerate() {
-                    if !dead[i] {
-                        rev[l.dst.index()].push((l.src, LinkId(i as u32)));
-                    }
-                }
+                let rev = reverse_adjacency(&topo, |i| !dead[i]);
                 for dst in topo.cores() {
                     assert_eq!(
                         routes_to(&topo, &rev, dst, w),
@@ -695,5 +690,27 @@ mod tests {
             Routes::for_topology(&ring(DENSE_ROUTING_MAX + 1)),
             Routes::Lazy(_)
         ));
+    }
+
+    /// A machine that routes nothing pays nothing: the reverse adjacency
+    /// appears with the first row, not with the routes.
+    #[test]
+    fn lazy_routes_build_nothing_until_queried() {
+        let topo = ring(DENSE_ROUTING_MAX + 1);
+        let routes = Routes::for_topology(&topo);
+        let Routes::Lazy(lz) = &routes else {
+            panic!("a ring above DENSE_ROUTING_MAX routes lazily");
+        };
+        assert!(lz.rev.get().is_none(), "built at construction");
+        assert_eq!(routes.view(&topo).path_hops(CoreId(0), CoreId(2)), 2);
+        assert_eq!(lz.rev.get().map(Vec::len), Some(topo.n_cores() as usize));
+    }
+
+    #[test]
+    #[should_panic(expected = "disconnected")]
+    fn lazy_routes_reject_disconnected_topology_at_construction() {
+        let mut t = Topology::new(DENSE_ROUTING_MAX + 1);
+        t.add_default_link(CoreId(0), CoreId(1));
+        let _ = LazyRoutes::new(&t);
     }
 }
