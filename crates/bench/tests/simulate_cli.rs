@@ -49,6 +49,33 @@ fn a_retired_sync_policy_is_a_usage_error() {
     assert!(out.stdout.is_empty(), "ran anyway");
 }
 
+/// An asymmetric adjacency matrix declares a one-way link; it is refused
+/// as a bad topology file instead of deadlocking the run on that link.
+#[test]
+fn an_asymmetric_topology_matrix_is_a_usage_error() {
+    let path = std::env::temp_dir().join(format!(
+        "simany-asymmetric-topology-{}.txt",
+        std::process::id()
+    ));
+    std::fs::write(&path, "cores 2\nmatrix\n0 1\n0 0\n").expect("temp dir is writable");
+    let out = Command::new(env!("CARGO_BIN_EXE_simulate"))
+        .args(["--kernel", "quicksort", "--cores", "2", "--seed", "7"])
+        .arg("--topology")
+        .arg(&path)
+        .output()
+        .expect("simulate did not start");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(
+            "line 4: matrix entry (1,0) is 0 but (0,1) is 1: the matrix must be symmetric"
+        ),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "ran anyway");
+}
+
 /// A zero drift window would deadlock spatial sync, so it is refused up
 /// front; bounded slack runs in lock-step at zero and still accepts it.
 #[test]

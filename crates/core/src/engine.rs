@@ -237,17 +237,15 @@ pub(crate) struct Sim {
     /// need re-evaluation (spatial policy only; see [`sync::UncapIndex`]).
     pub(crate) uncap: sync::UncapIndex,
     /// Per core: waiter set — blocked neighbors registered on this core as
-    /// their argmin laggard (spatial policy only). A rising publish
-    /// rechecks only these.
-    pub(crate) waiters: Vec<Vec<u32>>,
+    /// their argmin laggard (spatial policy only), in registration order.
+    /// A rising publish rechecks only these.
+    pub(crate) waiters: crate::state::FifoPool<u32>,
     /// Scratch for `sync::publish` relaxation: `(core, exposed value before
     /// the sweep)` for every core whose value changed. Reused across calls
     /// so the steady state allocates nothing.
     pub(crate) scratch_changed: Vec<(CoreId, VirtualTime)>,
     /// Scratch worklist for the shadow relaxation (first in, first out).
     pub(crate) scratch_work: Vec<CoreId>,
-    /// Scratch for draining one waiter set without holding a borrow on it.
-    pub(crate) scratch_waiters: Vec<u32>,
     /// Visit stamps (epoch per core) used to dedup scratch traversals
     /// without clearing a bitmap each sweep. The two low bits are marks of
     /// the traversal the rest of the word names (a publish sweep's
@@ -869,8 +867,9 @@ pub(crate) fn diagnostic_snapshot(sim: &Sim, shared: &Shared) -> String {
         sim.ready.len()
     );
     append_core_dump(sim, shared, &mut s);
-    for (idx, ws) in sim.waiters.iter().enumerate() {
-        if !ws.is_empty() {
+    for idx in 0..sim.cores.len() {
+        if !sim.waiters.is_empty(idx) {
+            let ws: Vec<u32> = sim.waiters.iter(idx).collect();
             let _ = write!(s, "\n  waiters-on-core{idx}: {ws:?}");
         }
     }
@@ -1021,10 +1020,9 @@ pub fn simulate(
         floor_dirty: false,
         max_vtime: VirtualTime::ZERO,
         uncap: sync::UncapIndex::new(&config),
-        waiters: vec![Vec::new(); n as usize],
+        waiters: crate::state::FifoPool::new(n as usize, 0),
         scratch_changed: Vec::new(),
         scratch_work: Vec::new(),
-        scratch_waiters: Vec::new(),
         stamp: vec![0; n as usize],
         stamp_cur: 0,
         core_fail_announced: vec![false; n as usize],

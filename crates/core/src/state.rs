@@ -17,8 +17,13 @@
 //!   stored anywhere outside the pool's own head/tail/next links, so slot
 //!   reuse is invisible to the engine and to checkpoint digests (digests
 //!   fold lengths, times and ids — never arena indices).
-//! * The resumable queues are FIFO per core (`head`/`tail` + `next` links),
-//!   preserving the wake order the scheduler relies on for determinism.
+//! * Slot 0 of every arena is reserved and never handed out, so 0 means
+//!   "no slot" and the per-core heads start as zeroed allocations the host
+//!   maps lazily: a core whose lists stay empty never touches its words.
+//! * The resumable queues are FIFO per core ([`FifoPool`]: `head`/`tail` +
+//!   `next` links), preserving the wake order the scheduler relies on for
+//!   determinism; the spatial policy's waiter sets (`Sim::waiters`) are a
+//!   second `FifoPool`.
 //! * Birth ledgers are unordered singly-linked lists: the engine only ever
 //!   takes their minimum ([`Cores::min_birth`]) or unlinks by [`BirthId`],
 //!   both order-independent.
@@ -38,8 +43,103 @@ use simany_time::{CoreSpeed, ProbBranchPredictor, VDuration, VirtualTime, Xoshir
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BirthId(pub u64);
 
-/// Sentinel for "no slot" in the pooled arenas.
-const NIL: u32 = u32::MAX;
+/// Sentinel for "no slot" in the pooled arenas: slot 0, which is reserved.
+const NIL: u32 = 0;
+
+/// Per-core FIFO lists over one shared slot arena: a `head` and `tail`
+/// slot per core, a `next` link per slot, freed slots recycled LIFO.
+pub(crate) struct FifoPool<T> {
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    /// `(value, next slot)`; slot 0 is the reserved [`NIL`].
+    slots: Vec<(T, u32)>,
+    free: Vec<u32>,
+}
+
+impl<T: Copy> FifoPool<T> {
+    /// Empty lists for `n` cores; `filler` only pads the reserved slot 0.
+    pub(crate) fn new(n: usize, filler: T) -> Self {
+        FifoPool {
+            head: vec![NIL; n],
+            tail: vec![NIL; n],
+            slots: vec![(filler, NIL)],
+            free: Vec::new(),
+        }
+    }
+
+    /// True iff core `i`'s list is empty.
+    pub(crate) fn is_empty(&self, i: usize) -> bool {
+        self.head[i] == NIL
+    }
+
+    /// First value of core `i`'s list, if any.
+    pub(crate) fn front(&self, i: usize) -> Option<T> {
+        match self.head[i] {
+            NIL => None,
+            h => Some(self.slots[h as usize].0),
+        }
+    }
+
+    /// Append `v` to core `i`'s list.
+    pub(crate) fn push_back(&mut self, i: usize, v: T) {
+        let slot = match self.free.pop() {
+            Some(s) => {
+                self.slots[s as usize] = (v, NIL);
+                s
+            }
+            None => {
+                self.slots.push((v, NIL));
+                (self.slots.len() - 1) as u32
+            }
+        };
+        match self.tail[i] {
+            NIL => self.head[i] = slot,
+            t => self.slots[t as usize].1 = slot,
+        }
+        self.tail[i] = slot;
+    }
+
+    /// Remove and return the first value of core `i`'s list, if any.
+    pub(crate) fn pop_front(&mut self, i: usize) -> Option<T> {
+        let (v, next) = self.release(self.head[i])?;
+        self.head[i] = next;
+        if next == NIL {
+            self.tail[i] = NIL;
+        }
+        Some(v)
+    }
+
+    /// Unhook core `i`'s whole list, leaving it empty, and return its first
+    /// slot; walk the detached list with [`FifoPool::release`]. Values
+    /// pushed onto `i` meanwhile start a new list.
+    pub(crate) fn detach(&mut self, i: usize) -> u32 {
+        self.tail[i] = NIL;
+        std::mem::replace(&mut self.head[i], NIL)
+    }
+
+    /// Free `slot` of a detached list and return its value and the next
+    /// slot, or `None` past the end.
+    pub(crate) fn release(&mut self, slot: u32) -> Option<(T, u32)> {
+        if slot == NIL {
+            return None;
+        }
+        self.free.push(slot);
+        Some(self.slots[slot as usize])
+    }
+
+    /// Core `i`'s values, first to last.
+    pub(crate) fn iter(&self, i: usize) -> impl Iterator<Item = T> + '_ {
+        let mut cur = self.head[i];
+        std::iter::from_fn(move || {
+            if cur == NIL {
+                return None;
+            }
+            let (v, next) = self.slots[cur as usize];
+            cur = next;
+            Some(v)
+        })
+    }
+}
 
 /// All engine state for every simulated core, struct-of-arrays.
 ///
@@ -114,14 +214,8 @@ pub struct Cores {
     // --- pooled variable-size state -----------------------------------
     /// Incoming messages not yet processed, in one shared slot arena.
     pub inboxes: InboxPool,
-    /// Head slot of each core's resumable FIFO (`NIL` when empty).
-    res_head: Vec<u32>,
-    /// Tail slot of each core's resumable FIFO (`NIL` when empty).
-    res_tail: Vec<u32>,
-    /// Resumable arena: `(activity, next slot)`.
-    res_slots: Vec<(ActivityId, u32)>,
-    /// Free list into `res_slots`.
-    res_free: Vec<u32>,
+    /// Each core's woken activities waiting to resume, in wake order.
+    resumable: FifoPool<ActivityId>,
     /// Head slot of each core's birth ledger (`NIL` when empty).
     birth_head: Vec<u32>,
     /// Cached earliest birth time per core (`VirtualTime::MAX` when the
@@ -176,13 +270,10 @@ impl Cores {
             lock_depth: vec![0; n],
             waiting_on: vec![None; n],
             inboxes,
-            res_head: vec![NIL; n],
-            res_tail: vec![NIL; n],
-            res_slots: Vec::new(),
-            res_free: Vec::new(),
+            resumable: FifoPool::new(n, ActivityId(0)),
             birth_head: vec![NIL; n],
             birth_min: vec![VirtualTime::MAX; n],
-            birth_slots: Vec::new(),
+            birth_slots: vec![(BirthId(0), VirtualTime::ZERO, NIL)],
             birth_free: Vec::new(),
             // `vec!` of an all-zero element is one zeroed allocation whose
             // pages stay untouched until a predictor materializes (8 MB at
@@ -216,7 +307,7 @@ impl Cores {
     /// cannot advance (cf. paper §II.A, idle cores "do not have a virtual
     /// time of their own").
     pub fn is_idle(&self, i: usize) -> bool {
-        self.current[i].is_none() && self.res_head[i] == NIL && self.queue_hint[i] == 0
+        self.current[i].is_none() && self.resumable.is_empty(i) && self.queue_hint[i] == 0
     }
 
     /// Advance core `i`'s clock by `d`, accounting busy time.
@@ -248,50 +339,22 @@ impl Cores {
 
     /// True iff core `i` has no woken activities waiting to resume.
     pub fn res_is_empty(&self, i: usize) -> bool {
-        self.res_head[i] == NIL
+        self.resumable.is_empty(i)
     }
 
     /// First resumable of core `i` without removing it.
     pub fn res_front(&self, i: usize) -> Option<ActivityId> {
-        match self.res_head[i] {
-            NIL => None,
-            h => Some(self.res_slots[h as usize].0),
-        }
+        self.resumable.front(i)
     }
 
     /// Append `a` to core `i`'s resumable FIFO.
     pub fn res_push_back(&mut self, i: usize, a: ActivityId) {
-        let slot = match self.res_free.pop() {
-            Some(s) => {
-                self.res_slots[s as usize] = (a, NIL);
-                s
-            }
-            None => {
-                self.res_slots.push((a, NIL));
-                (self.res_slots.len() - 1) as u32
-            }
-        };
-        match self.res_tail[i] {
-            NIL => self.res_head[i] = slot,
-            t => self.res_slots[t as usize].1 = slot,
-        }
-        self.res_tail[i] = slot;
+        self.resumable.push_back(i, a);
     }
 
     /// Pop the first resumable of core `i`, if any.
     pub fn res_pop_front(&mut self, i: usize) -> Option<ActivityId> {
-        match self.res_head[i] {
-            NIL => None,
-            h => {
-                let (a, next) = self.res_slots[h as usize];
-                self.res_head[i] = next;
-                if next == NIL {
-                    self.res_tail[i] = NIL;
-                }
-                self.res_free.push(h);
-                Some(a)
-            }
-        }
+        self.resumable.pop_front(i)
     }
 
     // --- birth ledger --------------------------------------------------
@@ -478,5 +541,60 @@ mod tests {
         assert_eq!(cs.res_pop_front(0), None);
         assert_eq!(cs.res_pop_front(1), Some(ActivityId(3)));
         assert!(cs.res_is_empty(1));
+    }
+
+    /// A detached list walks in push order, and values pushed while it is
+    /// being walked start a new list instead of joining the walk.
+    #[test]
+    fn detached_list_walks_in_push_order() {
+        let mut pool = FifoPool::new(3, u32::MAX);
+        for v in [7, 3, 9, 3] {
+            pool.push_back(1, v);
+        }
+        pool.push_back(2, 5);
+        assert_eq!(pool.iter(1).collect::<Vec<_>>(), vec![7, 3, 9, 3]);
+        let mut slot = pool.detach(1);
+        assert!(pool.is_empty(1));
+        let mut walked = Vec::new();
+        while let Some((v, next)) = pool.release(slot) {
+            walked.push(v);
+            pool.push_back(1, v + 100);
+            slot = next;
+        }
+        assert_eq!(walked, vec![7, 3, 9, 3]);
+        assert_eq!(pool.iter(1).collect::<Vec<_>>(), vec![107, 103, 109, 103]);
+        assert_eq!(pool.iter(2).collect::<Vec<_>>(), vec![5]);
+        assert_eq!(pool.iter(0).count(), 0);
+    }
+
+    /// Slot 0 is the "no slot" mark: no arena ever hands it out or frees it.
+    #[test]
+    fn slot_zero_is_never_handed_out() {
+        let mut pool = FifoPool::new(2, u32::MAX);
+        for round in 0..4 {
+            pool.push_back(round % 2, round as u32);
+            pool.push_back(1, 10);
+            pool.pop_front(0);
+            let mut slot = pool.detach(1);
+            while let Some((_, next)) = pool.release(slot) {
+                slot = next;
+            }
+        }
+        assert_eq!(pool.slots[0], (u32::MAX, NIL));
+        assert!(!pool.free.contains(&NIL));
+
+        let mut cs = cores(2);
+        for round in 0..4u64 {
+            cs.birth_push(0, BirthId(round + 1), VirtualTime::from_cycles(round));
+            cs.birth_push(1, BirthId(round + 10), VirtualTime::from_cycles(round));
+            cs.res_push_back(0, ActivityId(round + 1));
+            assert!(cs.birth_remove(0, BirthId(round + 1)));
+            assert_eq!(cs.res_pop_front(0), Some(ActivityId(round + 1)));
+        }
+        assert_eq!(cs.birth_slots[0], (BirthId(0), VirtualTime::ZERO, NIL));
+        assert!(!cs.birth_free.contains(&NIL));
+        assert_eq!(cs.resumable.slots[0], (ActivityId(0), NIL));
+        assert!(!cs.resumable.free.contains(&NIL));
+        assert_eq!(cs.birth_count(1), 4);
     }
 }

@@ -622,13 +622,15 @@ fn store_word(sim: &mut Sim, shared: &Shared, sw: &mut Sweep, x: CoreId, new: Vi
 /// re-registered on `x` while a stale entry remained) are skipped within
 /// one take via visit stamps.
 fn take_waiters(sim: &mut Sim, shared: &Shared, x: CoreId) {
-    if sim.waiters[x.index()].is_empty() {
+    if sim.waiters.is_empty(x.index()) {
         return;
     }
-    let mut list = std::mem::take(&mut sim.scratch_waiters);
-    std::mem::swap(&mut list, &mut sim.waiters[x.index()]);
+    // Registrations on `x` made by the rechecks below start a new set,
+    // left for the next take.
+    let mut slot = sim.waiters.detach(x.index());
     let stamp = next_epoch(sim);
-    for &wid in &list {
+    while let Some((wid, next)) = sim.waiters.release(slot) {
+        slot = next;
         let w = CoreId(wid);
         if sim.stamp[w.index()] == stamp {
             continue;
@@ -643,8 +645,6 @@ fn take_waiters(sim: &mut Sim, shared: &Shared, x: CoreId) {
         // does is part of the `floor_recomputes` count.
         recheck_stall(sim, shared, w);
     }
-    list.clear();
-    sim.scratch_waiters = list;
 }
 
 /// Register `c` in `target`'s waiter set (dedup-free: `waiting_on` mirrors
@@ -655,7 +655,7 @@ fn register_waiter(sim: &mut Sim, c: CoreId, target: CoreId) {
         return;
     }
     sim.cores.waiting_on[c.index()] = Some(target);
-    sim.waiters[target.index()].push(c.0);
+    sim.waiters.push_back(target.index(), c.0);
 }
 /// If `c`'s current activity is stalled and the synchronization condition
 /// now holds, make it resumable and requeue the core.

@@ -10,17 +10,20 @@
 //! per-core state is just a head slot index and a count (8 bytes), and
 //! message slots live in a shared, freelist-recycled slab. An idle core
 //! costs no heap allocation at all, which is what makes million-core
-//! machines affordable. Slot order within a core is a sorted singly-linked
+//! machines affordable; slot 0 is reserved as "no slot", so both per-core
+//! arrays start as zeroed allocations whose pages the host maps only when
+//! a core first receives a message. Slot order within a core is a sorted singly-linked
 //! list over the total key `(arrival, seq)` — `seq` is globally unique, so
 //! the pop sequence is independent of slot placement. The unit tests keep a
 //! standalone binary-heap inbox as the pop-order oracle.
 
-use crate::message::Envelope;
+use crate::message::{Envelope, MsgId, Payload};
 use simany_time::VirtualTime;
 use simany_topology::CoreId;
 
-/// "No slot" sentinel for the pooled arena's intrusive lists.
-const NIL: u32 = u32::MAX;
+/// "No slot" sentinel for the pooled arena's intrusive lists: slot 0, which
+/// is reserved and never handed out.
+const NIL: u32 = 0;
 
 #[derive(Debug)]
 struct Slot {
@@ -48,10 +51,23 @@ pub struct InboxPool {
 impl InboxPool {
     /// Pool for `n_cores` cores.
     pub fn new(n_cores: u32) -> Self {
+        let reserved = Slot {
+            env: Envelope {
+                id: MsgId(0),
+                src: CoreId(0),
+                dst: CoreId(0),
+                sent: VirtualTime::ZERO,
+                arrival: VirtualTime::ZERO,
+                size_bytes: 0,
+                seq: 0,
+                payload: Payload::none(),
+            },
+            next: NIL,
+        };
         InboxPool {
             head: vec![NIL; n_cores as usize],
             count: vec![0; n_cores as usize],
-            slots: Vec::new(),
+            slots: vec![reserved],
             free: Vec::new(),
             total: 0,
             #[cfg(debug_assertions)]
@@ -404,5 +420,8 @@ mod tests {
             assert_eq!(b.seq, round * 2 + 2);
         }
         assert_eq!(pool.total_messages(), 0);
+        // Slot 0 is the "no slot" mark: never handed out, never freed.
+        assert_eq!(pool.slots[0].env.seq, 0);
+        assert!(!pool.free.contains(&NIL));
     }
 }

@@ -7,9 +7,36 @@
 //! ring, star, hypercube, fully-connected) round out the exploration space —
 //! the paper stresses that "SiMany can handle arbitrary network
 //! organizations".
+//!
+//! Every builder lists its links in [`Topology::add_link`] order (`a -> b`,
+//! then `b -> a`, connection by connection) and hands the list to
+//! [`Topology::from_links`], so link ids are those of a link-by-link build
+//! while the adjacency is filled in one pass.
 
-use crate::graph::{CoreId, Topology, DEFAULT_LINK_BANDWIDTH, DEFAULT_LINK_LATENCY};
+use crate::graph::{CoreId, LinkProps, Topology, DEFAULT_LINK_BANDWIDTH, DEFAULT_LINK_LATENCY};
 use simany_time::VDuration;
+
+/// Append the two directed links of a connection between `a` and `b`, in
+/// [`Topology::add_link`] order.
+fn push_link(links: &mut Vec<LinkProps>, a: CoreId, b: CoreId, latency: VDuration, bandwidth: u32) {
+    let ab = LinkProps {
+        src: a,
+        dst: b,
+        latency,
+        bandwidth_bytes_per_cycle: bandwidth,
+    };
+    links.push(ab);
+    links.push(LinkProps {
+        src: b,
+        dst: a,
+        ..ab
+    });
+}
+
+/// [`push_link`] with the paper's default latency and bandwidth.
+fn push_default_link(links: &mut Vec<LinkProps>, a: CoreId, b: CoreId) {
+    push_link(links, a, b, DEFAULT_LINK_LATENCY, DEFAULT_LINK_BANDWIDTH);
+}
 
 /// Nearly square factorization of `n`: `(w, h)` with `w * h == n` and
 /// `w >= h`, `w - h` minimal. Used to lay out `n`-core meshes even when `n`
@@ -36,89 +63,89 @@ pub fn mesh_2d(n: u32) -> Topology {
 /// Uniform 2D mesh with explicit link parameters.
 pub fn mesh_2d_with(n: u32, latency: VDuration, bandwidth: u32) -> Topology {
     let (w, h) = mesh_dims(n);
-    let mut t = Topology::new(n);
+    let mut links = Vec::new();
     let id = |x: u32, y: u32| CoreId(y * w + x);
     for y in 0..h {
         for x in 0..w {
             if x + 1 < w {
-                t.add_link(id(x, y), id(x + 1, y), latency, bandwidth);
+                push_link(&mut links, id(x, y), id(x + 1, y), latency, bandwidth);
             }
             if y + 1 < h {
-                t.add_link(id(x, y), id(x, y + 1), latency, bandwidth);
+                push_link(&mut links, id(x, y), id(x, y + 1), latency, bandwidth);
             }
         }
     }
-    t
+    Topology::from_links(n, links)
 }
 
 /// 2D torus (mesh with wrap-around links).
 pub fn torus_2d(n: u32) -> Topology {
     let (w, h) = mesh_dims(n);
-    let mut t = Topology::new(n);
+    let mut links = Vec::new();
     let id = |x: u32, y: u32| CoreId(y * w + x);
     for y in 0..h {
         for x in 0..w {
-            let right = id((x + 1) % w, y);
-            let down = id(x, (y + 1) % h);
-            if right != id(x, y) && !t.are_neighbors(id(x, y), right) {
-                t.add_default_link(id(x, y), right);
+            // A wrap link is a self-loop along a side of 1 and repeats the
+            // side's only link along a side of 2: both are left out.
+            if x + 1 < w || w > 2 {
+                push_default_link(&mut links, id(x, y), id((x + 1) % w, y));
             }
-            if down != id(x, y) && !t.are_neighbors(id(x, y), down) {
-                t.add_default_link(id(x, y), down);
+            if y + 1 < h || h > 2 {
+                push_default_link(&mut links, id(x, y), id(x, (y + 1) % h));
             }
         }
     }
-    t
+    Topology::from_links(n, links)
 }
 
 /// Bidirectional ring of `n` cores.
 pub fn ring(n: u32) -> Topology {
     assert!(n >= 2, "a ring needs at least two cores");
-    let mut t = Topology::new(n);
+    let mut links = Vec::new();
     for i in 0..n {
-        let next = (i + 1) % n;
-        if !t.are_neighbors(CoreId(i), CoreId(next)) {
-            t.add_default_link(CoreId(i), CoreId(next));
+        // On two cores the wrap link would repeat the only link.
+        if i + 1 < n || n > 2 {
+            push_default_link(&mut links, CoreId(i), CoreId((i + 1) % n));
         }
     }
-    t
+    Topology::from_links(n, links)
 }
 
 /// Star: core 0 is the hub, all others are leaves.
 pub fn star(n: u32) -> Topology {
     assert!(n >= 2, "a star needs at least two cores");
-    let mut t = Topology::new(n);
+    let mut links = Vec::new();
     for i in 1..n {
-        t.add_default_link(CoreId(0), CoreId(i));
+        push_default_link(&mut links, CoreId(0), CoreId(i));
     }
-    t
+    Topology::from_links(n, links)
 }
 
 /// Fully connected graph (every pair directly linked).
 pub fn fully_connected(n: u32) -> Topology {
-    let mut t = Topology::new(n);
+    let mut links = Vec::new();
     for a in 0..n {
         for b in (a + 1)..n {
-            t.add_default_link(CoreId(a), CoreId(b));
+            push_default_link(&mut links, CoreId(a), CoreId(b));
         }
     }
-    t
+    Topology::from_links(n, links)
 }
 
 /// Hypercube of dimension `dim` (`2^dim` cores).
 pub fn hypercube(dim: u32) -> Topology {
     assert!(dim <= 16, "hypercube dimension too large");
     let n = 1u32 << dim;
-    let mut t = Topology::new(n);
+    let mut links = Vec::new();
     for a in 0..n {
         for bit in 0..dim {
             let b = a ^ (1 << bit);
             if a < b {
-                t.add_default_link(CoreId(a), CoreId(b));
+                push_default_link(&mut links, CoreId(a), CoreId(b));
             }
         }
     }
-    t
+    Topology::from_links(n, links)
 }
 
 /// Nearly cubic factorization of `n`: `(x, y, z)` with `x·y·z == n`,
@@ -152,24 +179,24 @@ pub fn mesh_dims_3d(n: u32) -> (u32, u32, u32) {
 /// grids; `n` is factored into the most-cubic shape.
 pub fn mesh_3d(n: u32) -> Topology {
     let (w, h, d) = mesh_dims_3d(n);
-    let mut t = Topology::new(n);
+    let mut links = Vec::new();
     let id = |x: u32, y: u32, z: u32| CoreId(z * w * h + y * w + x);
     for z in 0..d {
         for y in 0..h {
             for x in 0..w {
                 if x + 1 < w {
-                    t.add_default_link(id(x, y, z), id(x + 1, y, z));
+                    push_default_link(&mut links, id(x, y, z), id(x + 1, y, z));
                 }
                 if y + 1 < h {
-                    t.add_default_link(id(x, y, z), id(x, y + 1, z));
+                    push_default_link(&mut links, id(x, y, z), id(x, y + 1, z));
                 }
                 if z + 1 < d {
-                    t.add_default_link(id(x, y, z), id(x, y, z + 1));
+                    push_default_link(&mut links, id(x, y, z), id(x, y, z + 1));
                 }
             }
         }
     }
-    t
+    Topology::from_links(n, links)
 }
 
 /// Parameters for clustered meshes (paper §V, *Architecture Exploration*).
@@ -225,27 +252,27 @@ pub fn clustered_mesh(n: u32, params: ClusterParams) -> Topology {
     let tile_h = h / ch;
     let cluster_of = |x: u32, y: u32| (y / tile_h) * cw + (x / tile_w);
 
-    let mut t = Topology::new(n);
+    let mut links = Vec::new();
     let id = |x: u32, y: u32| CoreId(y * w + x);
-    let connect = |t: &mut Topology, x0: u32, y0: u32, x1: u32, y1: u32| {
+    let connect = |links: &mut Vec<LinkProps>, x0: u32, y0: u32, x1: u32, y1: u32| {
         let lat = if cluster_of(x0, y0) == cluster_of(x1, y1) {
             params.intra_latency
         } else {
             params.inter_latency
         };
-        t.add_link(id(x0, y0), id(x1, y1), lat, params.bandwidth);
+        push_link(links, id(x0, y0), id(x1, y1), lat, params.bandwidth);
     };
     for y in 0..h {
         for x in 0..w {
             if x + 1 < w {
-                connect(&mut t, x, y, x + 1, y);
+                connect(&mut links, x, y, x + 1, y);
             }
             if y + 1 < h {
-                connect(&mut t, x, y, x, y + 1);
+                connect(&mut links, x, y, x, y + 1);
             }
         }
     }
-    t
+    Topology::from_links(n, links)
 }
 
 /// Cluster index of each core for a `clustered_mesh` with the same
@@ -312,7 +339,7 @@ pub fn chiplet_mesh(
     assert!(chip_w > 0 && chip_h > 0, "chiplets need at least one core");
     let per_chip = chip_w * chip_h;
     let n = chips_x * chips_y * per_chip;
-    let mut t = Topology::new(n);
+    let mut links = Vec::new();
     let chip = |cx: u32, cy: u32| cy * chips_x + cx;
     let id = |cx: u32, cy: u32, x: u32, y: u32| CoreId(chip(cx, cy) * per_chip + y * chip_w + x);
     for cy in 0..chips_y {
@@ -321,7 +348,8 @@ pub fn chiplet_mesh(
             for y in 0..chip_h {
                 for x in 0..chip_w {
                     if x + 1 < chip_w {
-                        t.add_link(
+                        push_link(
+                            &mut links,
                             id(cx, cy, x, y),
                             id(cx, cy, x + 1, y),
                             params.intra_latency,
@@ -329,7 +357,8 @@ pub fn chiplet_mesh(
                         );
                     }
                     if y + 1 < chip_h {
-                        t.add_link(
+                        push_link(
+                            &mut links,
                             id(cx, cy, x, y),
                             id(cx, cy, x, y + 1),
                             params.intra_latency,
@@ -341,7 +370,8 @@ pub fn chiplet_mesh(
             // Inter-chip links between facing borders.
             if cx + 1 < chips_x {
                 for y in 0..chip_h {
-                    t.add_link(
+                    push_link(
+                        &mut links,
                         id(cx, cy, chip_w - 1, y),
                         id(cx + 1, cy, 0, y),
                         params.inter_latency,
@@ -351,7 +381,8 @@ pub fn chiplet_mesh(
             }
             if cy + 1 < chips_y {
                 for x in 0..chip_w {
-                    t.add_link(
+                    push_link(
+                        &mut links,
                         id(cx, cy, x, chip_h - 1),
                         id(cx, cy + 1, x, 0),
                         params.inter_latency,
@@ -361,6 +392,7 @@ pub fn chiplet_mesh(
             }
         }
     }
+    let mut t = Topology::from_links(n, links);
     let regions = (0..n).map(|i| i / per_chip).collect();
     t.set_regions(regions);
     t
@@ -410,7 +442,7 @@ pub fn cluster_of_clusters(
     assert!(cores_per_leaf > 0, "leaves need at least one core");
     let n_leaves = groups * leaves_per_group;
     let n = n_leaves * cores_per_leaf;
-    let mut t = Topology::new(n);
+    let mut links = Vec::new();
     let leaf_base = |g: u32, l: u32| (g * leaves_per_group + l) * cores_per_leaf;
     // Leaf-internal meshes.
     let (w, h) = mesh_dims(cores_per_leaf);
@@ -420,7 +452,8 @@ pub fn cluster_of_clusters(
         for y in 0..h {
             for x in 0..w {
                 if x + 1 < w {
-                    t.add_link(
+                    push_link(
+                        &mut links,
                         id(x, y),
                         id(x + 1, y),
                         params.intra_latency,
@@ -428,7 +461,8 @@ pub fn cluster_of_clusters(
                     );
                 }
                 if y + 1 < h {
-                    t.add_link(
+                    push_link(
+                        &mut links,
                         id(x, y),
                         id(x, y + 1),
                         params.intra_latency,
@@ -442,7 +476,8 @@ pub fn cluster_of_clusters(
     for g in 0..groups {
         for a in 0..leaves_per_group {
             for b in (a + 1)..leaves_per_group {
-                t.add_link(
+                push_link(
+                    &mut links,
                     CoreId(leaf_base(g, a)),
                     CoreId(leaf_base(g, b)),
                     params.mid_latency,
@@ -454,7 +489,8 @@ pub fn cluster_of_clusters(
     // Outer level: group hubs fully connected.
     for a in 0..groups {
         for b in (a + 1)..groups {
-            t.add_link(
+            push_link(
+                &mut links,
                 CoreId(leaf_base(a, 0)),
                 CoreId(leaf_base(b, 0)),
                 params.outer_latency,
@@ -462,6 +498,7 @@ pub fn cluster_of_clusters(
             );
         }
     }
+    let mut t = Topology::from_links(n, links);
     let regions = (0..n).map(|i| i / cores_per_leaf).collect();
     t.set_regions(regions);
     t
@@ -479,6 +516,97 @@ mod tests {
         assert_eq!(mesh_dims(256), (16, 16));
         assert_eq!(mesh_dims(1), (1, 1));
         assert_eq!(mesh_dims(7), (7, 1));
+    }
+
+    /// The torus as it was built before the flat adjacency: link by link,
+    /// skipping a wrap link that would be a self-loop or repeat a link.
+    fn torus_link_by_link(n: u32) -> Topology {
+        let (w, h) = mesh_dims(n);
+        let mut t = Topology::new(n);
+        let id = |x: u32, y: u32| CoreId(y * w + x);
+        for y in 0..h {
+            for x in 0..w {
+                for next in [id((x + 1) % w, y), id(x, (y + 1) % h)] {
+                    if next != id(x, y) && !t.are_neighbors(id(x, y), next) {
+                        t.add_default_link(id(x, y), next);
+                    }
+                }
+            }
+        }
+        t
+    }
+
+    /// The ring as it was built before the flat adjacency.
+    fn ring_link_by_link(n: u32) -> Topology {
+        let mut t = Topology::new(n);
+        for i in 0..n {
+            let next = CoreId((i + 1) % n);
+            if !t.are_neighbors(CoreId(i), next) {
+                t.add_default_link(CoreId(i), next);
+            }
+        }
+        t
+    }
+
+    fn assert_same_graph(got: &Topology, want: &Topology) {
+        assert_eq!(got.n_cores(), want.n_cores());
+        assert_eq!(got.links(), want.links());
+        for c in got.cores() {
+            assert_eq!(got.neighbors(c), want.neighbors(c), "{c}");
+        }
+    }
+
+    /// Every builder's one-pass topology equals feeding its connections,
+    /// in order, through `Topology::new` + `add_link`; the torus and the
+    /// ring, whose small sides drop wrap links, also equal their old
+    /// link-by-link construction.
+    #[test]
+    fn builders_match_incremental_construction() {
+        let mut built = Vec::new();
+        for n in [1, 8, 12] {
+            built.push(mesh_2d(n));
+            built.push(mesh_3d(n));
+            built.push(fully_connected(n));
+        }
+        built.push(mesh_2d_with(6, VDuration::from_cycles(3), 16));
+        for n in [1, 2, 3, 4, 6, 9, 16] {
+            let t = torus_2d(n);
+            assert_same_graph(&t, &torus_link_by_link(n));
+            built.push(t);
+        }
+        for n in [2, 3, 5] {
+            let t = ring(n);
+            assert_same_graph(&t, &ring_link_by_link(n));
+            built.push(t);
+            built.push(star(n));
+        }
+        for dim in [0, 1, 3] {
+            built.push(hypercube(dim));
+        }
+        built.push(clustered_mesh(16, ClusterParams::paper(4)));
+        built.push(clustered_mesh(32, ClusterParams::paper(8)));
+        built.push(chiplet_mesh(1, 1, 1, 1, ChipletParams::default()));
+        built.push(chiplet_mesh(2, 1, 3, 2, ChipletParams::default()));
+        built.push(chiplet_mesh(2, 2, 4, 4, ChipletParams::default()));
+        built.push(cluster_of_clusters(1, 1, 1, HierarchyParams::default()));
+        built.push(cluster_of_clusters(2, 3, 4, HierarchyParams::default()));
+        built.push(cluster_of_clusters(3, 2, 16, HierarchyParams::default()));
+        for t in &built {
+            let mut inc = Topology::new(t.n_cores());
+            for pair in t.links().chunks(2) {
+                let l = pair[0];
+                assert_eq!(
+                    pair[1],
+                    LinkProps {
+                        src: l.dst,
+                        dst: l.src,
+                        ..l
+                    }
+                );
+                inc.add_link(l.src, l.dst, l.latency, l.bandwidth_bytes_per_cycle);
+            }
+            assert_same_graph(t, &inc);
+        }
     }
 
     #[test]

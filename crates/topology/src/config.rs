@@ -23,8 +23,9 @@
 //! Latencies are in cycles and may use the `.5` half-cycle granularity of
 //! the simulator's tick; bandwidth is in bytes per cycle.
 
-use crate::graph::{CoreId, Topology, DEFAULT_LINK_BANDWIDTH, DEFAULT_LINK_LATENCY};
+use crate::graph::{CoreId, LinkProps, Topology, DEFAULT_LINK_BANDWIDTH, DEFAULT_LINK_LATENCY};
 use simany_time::{VDuration, TICKS_PER_CYCLE};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Error produced while parsing a topology configuration.
@@ -79,11 +80,17 @@ fn parse_kv(tok: &str, line: usize) -> Result<(&str, &str), ConfigError> {
 }
 
 /// Parse a topology from the configuration text format.
+///
+/// The adjacency matrix must be symmetric: an entry without its mirror
+/// would be a one-way link, which is refused with the entry named.
 pub fn parse_topology(text: &str) -> Result<Topology, ConfigError> {
     let mut n_cores: Option<u32> = None;
     let mut default_latency = DEFAULT_LINK_LATENCY;
     let mut default_bw = DEFAULT_LINK_BANDWIDTH;
-    let mut topo: Option<Topology> = None;
+    // Directed links in declaration order (`links[i]` becomes `LinkId(i)`),
+    // and where each `(src, dst)` pair sits in that list.
+    let mut links: Vec<LinkProps> = Vec::new();
+    let mut index: HashMap<(u32, u32), usize> = HashMap::new();
     let mut lines = text.lines().enumerate().peekable();
 
     while let Some((idx, raw)) = lines.next() {
@@ -105,7 +112,8 @@ pub fn parse_topology(text: &str) -> Result<Topology, ConfigError> {
                     return Err(err(lineno, "core count must be positive"));
                 }
                 n_cores = Some(n);
-                topo = Some(Topology::new(n));
+                links.clear();
+                index.clear();
             }
             "default" => {
                 for tok in toks {
@@ -124,7 +132,9 @@ pub fn parse_topology(text: &str) -> Result<Topology, ConfigError> {
             }
             "matrix" => {
                 let n = n_cores.ok_or_else(|| err(lineno, "'matrix' before 'cores'"))? as usize;
-                let t = topo.as_mut().unwrap();
+                // The 1-entries above the diagonal, which every entry below
+                // it must mirror.
+                let mut upper: HashSet<(usize, usize)> = HashSet::new();
                 for row in 0..n {
                     let (ridx, raw_row) = lines
                         .next()
@@ -142,33 +152,46 @@ pub fn parse_topology(text: &str) -> Result<Topology, ConfigError> {
                         let bit: u8 = e
                             .parse()
                             .map_err(|_| err(rno, format!("invalid matrix entry '{e}'")))?;
-                        match bit {
-                            0 => {}
-                            1 => {
-                                if row == col {
-                                    return Err(err(rno, "self-loop on matrix diagonal"));
-                                }
-                                let (a, b) = (CoreId(row as u32), CoreId(col as u32));
-                                // The matrix of an undirected topology is
-                                // symmetric; add each pair once.
-                                if !t.are_neighbors(a, b) {
-                                    t.add_directed_link(a, b, default_latency, default_bw);
-                                }
+                        if bit > 1 {
+                            return Err(err(
+                                rno,
+                                format!("matrix entry must be 0 or 1, got '{e}'"),
+                            ));
+                        }
+                        if bit == 1 && row == col {
+                            return Err(err(rno, "self-loop on matrix diagonal"));
+                        }
+                        if col < row && (bit == 1) != upper.contains(&(col, row)) {
+                            return Err(err(
+                                rno,
+                                format!(
+                                    "matrix entry ({row},{col}) is {bit} but ({col},{row}) is {}: \
+                                     the matrix must be symmetric",
+                                    1 - bit
+                                ),
+                            ));
+                        }
+                        if bit == 1 {
+                            if row < col {
+                                upper.insert((row, col));
                             }
-                            _ => {
-                                return Err(err(
-                                    rno,
-                                    format!("matrix entry must be 0 or 1, got '{e}'"),
-                                ))
-                            }
+                            // A pair already declared keeps its link.
+                            let (a, b) = (row as u32, col as u32);
+                            index.entry((a, b)).or_insert_with(|| {
+                                links.push(LinkProps {
+                                    src: CoreId(a),
+                                    dst: CoreId(b),
+                                    latency: default_latency,
+                                    bandwidth_bytes_per_cycle: default_bw,
+                                });
+                                links.len() - 1
+                            });
                         }
                     }
                 }
             }
             "link" => {
-                let t = topo
-                    .as_mut()
-                    .ok_or_else(|| err(lineno, "'link' before 'cores'"))?;
+                let n = n_cores.ok_or_else(|| err(lineno, "'link' before 'cores'"))?;
                 let a: u32 = toks
                     .next()
                     .ok_or_else(|| err(lineno, "missing link endpoint"))?
@@ -179,7 +202,6 @@ pub fn parse_topology(text: &str) -> Result<Topology, ConfigError> {
                     .ok_or_else(|| err(lineno, "missing link endpoint"))?
                     .parse()
                     .map_err(|_| err(lineno, "invalid link endpoint"))?;
-                let n = n_cores.unwrap();
                 if a >= n || b >= n {
                     return Err(err(lineno, format!("link endpoint out of range ({a},{b})")));
                 }
@@ -201,18 +223,31 @@ pub fn parse_topology(text: &str) -> Result<Topology, ConfigError> {
                         other => return Err(err(lineno, format!("unknown key '{other}'"))),
                     }
                 }
-                let (a, b) = (CoreId(a), CoreId(b));
-                if t.are_neighbors(a, b) {
-                    t.set_link_props(a, b, latency, bw, true);
+                if let Some(&ab) = index.get(&(a, b)) {
+                    // A repeated pair overrides both directions; every pair
+                    // is declared both ways (matrices must be symmetric).
+                    for i in [ab, index[&(b, a)]] {
+                        links[i].latency = latency;
+                        links[i].bandwidth_bytes_per_cycle = bw;
+                    }
                 } else {
-                    t.add_link(a, b, latency, bw);
+                    for (src, dst) in [(a, b), (b, a)] {
+                        index.insert((src, dst), links.len());
+                        links.push(LinkProps {
+                            src: CoreId(src),
+                            dst: CoreId(dst),
+                            latency,
+                            bandwidth_bytes_per_cycle: bw,
+                        });
+                    }
                 }
             }
             other => return Err(err(lineno, format!("unknown keyword '{other}'"))),
         }
     }
 
-    let topo = topo.ok_or_else(|| err(0, "missing 'cores' declaration"))?;
+    let n = n_cores.ok_or_else(|| err(0, "missing 'cores' declaration"))?;
+    let topo = Topology::from_links(n, links);
     if !topo.is_connected() {
         return Err(err(0, "topology is not connected"));
     }
@@ -222,7 +257,6 @@ pub fn parse_topology(text: &str) -> Result<Topology, ConfigError> {
 /// Serialize a topology back to the configuration format (matrix plus
 /// overrides for links that differ from the most common latency/bandwidth).
 pub fn format_topology(topo: &Topology) -> String {
-    use std::collections::HashMap;
     use std::fmt::Write as _;
     let n = topo.n_cores();
     // Most common (latency, bandwidth) pair becomes the default.
@@ -277,6 +311,7 @@ pub fn format_topology(topo: &Topology) -> String {
 mod tests {
     use super::*;
     use crate::builders::{clustered_mesh, mesh_2d, ClusterParams};
+    use crate::graph::LinkId;
 
     const SAMPLE: &str = "\
 # a 4-core ring with one fast chord
@@ -361,6 +396,37 @@ link 0 2 latency=0.5 bandwidth=256
         assert!(parse_topology("cores 2\nmatrix\n0 1\n1 0\nlink 0 1 latency=0.3\n").is_err());
         assert!(parse_topology("cores 3\nmatrix\n0 1 0\n1 0 0\n0 0 0\n").is_err()); // disconnected
         assert!(parse_topology("bogus 3").is_err());
+    }
+
+    /// A one-way entry used to become a one-way link, and the run then
+    /// deadlocked on it; it is refused at the entry that breaks symmetry.
+    #[test]
+    fn asymmetric_matrix_rejected() {
+        let e = parse_topology("cores 2\nmatrix\n0 1\n0 0\n").unwrap_err();
+        assert_eq!(e.line, 4);
+        assert_eq!(
+            e.message,
+            "matrix entry (1,0) is 0 but (0,1) is 1: the matrix must be symmetric"
+        );
+        let e = parse_topology("cores 3\nmatrix\n0 1 0\n1 0 0\n1 0 0\n").unwrap_err();
+        assert_eq!(e.line, 5);
+        assert!(e
+            .message
+            .starts_with("matrix entry (2,0) is 1 but (0,2) is 0"));
+    }
+
+    /// Link ids follow declaration order, and a repeated `link` line
+    /// overrides both directions of its pair in place.
+    #[test]
+    fn repeated_link_line_overrides_in_place() {
+        let t = parse_topology("cores 3\nlink 0 1\nlink 1 2\nlink 1 0 latency=3\n").unwrap();
+        assert_eq!(t.n_links(), 4);
+        assert_eq!(t.link_between(CoreId(0), CoreId(1)), Some(LinkId(0)));
+        assert_eq!(t.link_between(CoreId(1), CoreId(0)), Some(LinkId(1)));
+        assert_eq!(t.link_between(CoreId(2), CoreId(1)), Some(LinkId(3)));
+        assert_eq!(t.link(LinkId(0)).latency, VDuration::from_cycles(3));
+        assert_eq!(t.link(LinkId(1)).latency, VDuration::from_cycles(3));
+        assert_eq!(t.link(LinkId(2)).latency, VDuration::from_cycles(1));
     }
 
     #[test]

@@ -68,16 +68,24 @@ pub struct LinkProps {
 /// The interconnect graph: cores plus directed links with per-link latency
 /// and bandwidth.
 ///
-/// Construction happens through builder-style `add_*` calls or
-/// the ready-made shapes in [`crate::builders`]; afterwards the topology is
-/// immutable and shared by the network model, the spatial-synchronization
-/// machinery (which needs neighbor sets) and the routing tables.
+/// Construction happens in one pass from a link list
+/// ([`Topology::from_links`], which every shape in [`crate::builders`] and
+/// the config parser use) or through builder-style `add_*` calls for small
+/// hand-built graphs; afterwards the topology is immutable and shared by
+/// the network model, the spatial-synchronization machinery (which needs
+/// neighbor sets) and the routing tables.
+///
+/// The adjacency is compressed sparse rows: core `c`'s outgoing
+/// `(neighbor, link)` pairs are `adj[offsets[c]..offsets[c + 1]]`, so a
+/// machine of any size owns a few flat arrays and no heap object per core.
 #[derive(Clone, Debug)]
 pub struct Topology {
     n_cores: u32,
-    /// Adjacency: for each core, its outgoing `(neighbor, link)` pairs,
-    /// sorted by neighbor id for determinism.
-    adj: Vec<Vec<(CoreId, LinkId)>>,
+    /// Row starts into `adj`: one per core, then the end (`n_cores + 1`).
+    offsets: Vec<u32>,
+    /// Every core's outgoing `(neighbor, link)` pairs, row after row, each
+    /// row sorted by neighbor id for determinism.
+    adj: Vec<(CoreId, LinkId)>,
     links: Vec<LinkProps>,
     /// Optional hierarchical region (chiplet / cluster) id per core; empty
     /// when the topology has no region structure. Regions are advisory
@@ -98,11 +106,50 @@ pub const DEFAULT_LINK_BANDWIDTH: u32 = 128;
 impl Topology {
     /// Create a topology with `n_cores` cores and no links yet.
     pub fn new(n_cores: u32) -> Self {
+        Self::from_links(n_cores, Vec::new())
+    }
+
+    /// Build a topology from its directed links: `links[i]` becomes
+    /// `LinkId(i)`. Panics on a self-loop, an out-of-range core, a zero
+    /// bandwidth or a duplicate link, as [`Topology::add_directed_link`]
+    /// does. One counting-sort pass over the links: O(cores + links).
+    pub fn from_links(n_cores: u32, links: Vec<LinkProps>) -> Self {
         assert!(n_cores > 0, "a topology needs at least one core");
+        let mut offsets = vec![0u32; n_cores as usize + 1];
+        for l in &links {
+            assert!(l.src != l.dst, "self-loop link {}", l.src);
+            assert!(l.src.0 < n_cores && l.dst.0 < n_cores, "core out of range");
+            assert!(
+                l.bandwidth_bytes_per_cycle > 0,
+                "link bandwidth must be non-zero"
+            );
+            offsets[l.src.index() + 1] += 1;
+        }
+        // Turn the counts into row starts shifted up by one slot, so that
+        // `offsets[c + 1]` is core `c`'s fill cursor; filling advances each
+        // cursor to its row's end, which is the next row's start.
+        let mut start = 0;
+        for o in &mut offsets[1..] {
+            start += std::mem::replace(o, start);
+        }
+        let mut adj = vec![(CoreId(0), LinkId(0)); links.len()];
+        for (i, l) in links.iter().enumerate() {
+            let cursor = &mut offsets[l.src.index() + 1];
+            adj[*cursor as usize] = (l.dst, LinkId(i as u32));
+            *cursor += 1;
+        }
+        for (c, w) in offsets.windows(2).enumerate() {
+            let row = &mut adj[w[0] as usize..w[1] as usize];
+            row.sort_unstable_by_key(|&(n, _)| n);
+            if let Some(pair) = row.windows(2).find(|p| p[0].0 == p[1].0) {
+                panic!("duplicate link {} -> {}", CoreId(c as u32), pair[0].0);
+            }
+        }
         Topology {
             n_cores,
-            adj: vec![Vec::new(); n_cores as usize],
-            links: Vec::new(),
+            offsets,
+            adj,
+            links,
             regions: Vec::new(),
             n_regions: 0,
         }
@@ -165,32 +212,35 @@ impl Topology {
     /// Outgoing `(neighbor, link)` pairs of `core`, sorted by neighbor id.
     #[inline]
     pub fn neighbors(&self, core: CoreId) -> &[(CoreId, LinkId)] {
-        &self.adj[core.index()]
+        let i = core.index();
+        &self.adj[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Degree (number of neighbors) of `core`.
     #[inline]
     pub fn degree(&self, core: CoreId) -> usize {
-        self.adj[core.index()].len()
+        self.neighbors(core).len()
     }
 
     /// True iff `a` and `b` are directly connected.
     pub fn are_neighbors(&self, a: CoreId, b: CoreId) -> bool {
-        self.adj[a.index()]
-            .binary_search_by_key(&b, |&(n, _)| n)
-            .is_ok()
+        self.link_between(a, b).is_some()
     }
 
     /// The directed link from `a` to `b`, if any.
     pub fn link_between(&self, a: CoreId, b: CoreId) -> Option<LinkId> {
-        self.adj[a.index()]
-            .binary_search_by_key(&b, |&(n, _)| n)
+        let row = self.neighbors(a);
+        row.binary_search_by_key(&b, |&(n, _)| n)
             .ok()
-            .map(|i| self.adj[a.index()][i].1)
+            .map(|i| row[i].1)
     }
 
     /// Add a single directed link; returns its id. Panics on self-loops,
     /// out-of-range cores or duplicate links.
+    ///
+    /// Each call costs O(cores + links), since it shifts the flat
+    /// adjacency: fine for hand-built graphs, while machines of any size
+    /// should come from [`Topology::from_links`].
     pub fn add_directed_link(
         &mut self,
         src: CoreId,
@@ -215,14 +265,18 @@ impl Topology {
             latency,
             bandwidth_bytes_per_cycle: bandwidth,
         });
-        let row = &mut self.adj[src.index()];
-        let pos = row.partition_point(|&(n, _)| n < dst);
-        row.insert(pos, (dst, id));
+        let pos = self.offsets[src.index()] as usize
+            + self.neighbors(src).partition_point(|&(n, _)| n < dst);
+        self.adj.insert(pos, (dst, id));
+        for o in &mut self.offsets[src.index() + 1..] {
+            *o += 1;
+        }
         id
     }
 
     /// Add a bidirectional connection (two directed links with identical
-    /// properties); returns both ids.
+    /// properties); returns both ids. O(cores + links), like
+    /// [`Topology::add_directed_link`].
     pub fn add_link(
         &mut self,
         a: CoreId,
@@ -236,7 +290,8 @@ impl Topology {
     }
 
     /// Add a bidirectional connection with the paper's default latency
-    /// (1 cycle) and bandwidth (128 B/cy).
+    /// (1 cycle) and bandwidth (128 B/cy). O(cores + links), like
+    /// [`Topology::add_directed_link`].
     pub fn add_default_link(&mut self, a: CoreId, b: CoreId) -> (LinkId, LinkId) {
         self.add_link(a, b, DEFAULT_LINK_LATENCY, DEFAULT_LINK_BANDWIDTH)
     }
@@ -266,7 +321,10 @@ impl Topology {
         }
     }
 
-    /// True iff every core can reach every other core.
+    /// True iff every core can be reached from core 0 along directed links.
+    /// That means every core reaches every other one only when each link
+    /// has its reverse, as in every builder's topology and every parsed
+    /// configuration (the parser refuses an asymmetric matrix).
     pub fn is_connected(&self) -> bool {
         if self.n_cores == 1 {
             return true;
@@ -335,6 +393,15 @@ mod tests {
         t
     }
 
+    fn link(src: u32, dst: u32, bandwidth: u32) -> LinkProps {
+        LinkProps {
+            src: CoreId(src),
+            dst: CoreId(dst),
+            latency: DEFAULT_LINK_LATENCY,
+            bandwidth_bytes_per_cycle: bandwidth,
+        }
+    }
+
     #[test]
     fn links_are_directed_pairs() {
         let t = triangle();
@@ -356,6 +423,50 @@ mod tests {
         t.add_default_link(CoreId(0), CoreId(2));
         let ns: Vec<u32> = t.neighbors(CoreId(0)).iter().map(|&(n, _)| n.0).collect();
         assert_eq!(ns, vec![1, 2, 3]);
+    }
+
+    /// One pass over a link list and one `add_directed_link` per link give
+    /// the same ids and the same sorted rows.
+    #[test]
+    fn from_links_matches_incremental_construction() {
+        let links = vec![link(0, 3, 8), link(3, 0, 8), link(0, 1, 8), link(2, 0, 16)];
+        let flat = Topology::from_links(4, links.clone());
+        let mut inc = Topology::new(4);
+        for l in &links {
+            inc.add_directed_link(l.src, l.dst, l.latency, l.bandwidth_bytes_per_cycle);
+        }
+        assert_eq!(flat.links(), inc.links());
+        for c in flat.cores() {
+            assert_eq!(flat.neighbors(c), inc.neighbors(c), "{c}");
+        }
+        assert_eq!(
+            flat.neighbors(CoreId(0)),
+            &[(CoreId(1), LinkId(2)), (CoreId(3), LinkId(0))]
+        );
+        assert_eq!(flat.degree(CoreId(1)), 0);
+    }
+
+    #[test]
+    fn from_links_rejects_what_add_directed_link_rejects() {
+        let cases = [
+            (vec![link(1, 1, 8)], "self-loop link core1"),
+            (vec![link(0, 5, 8)], "core out of range"),
+            (vec![link(0, 1, 0)], "link bandwidth must be non-zero"),
+            (
+                vec![link(0, 1, 8), link(1, 0, 8), link(0, 1, 8)],
+                "duplicate link core0 -> core1",
+            ),
+        ];
+        for (links, expect) in cases {
+            let err =
+                std::panic::catch_unwind(|| Topology::from_links(3, links)).expect_err(expect);
+            let msg = err
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
+            assert_eq!(msg, expect);
+        }
     }
 
     #[test]
