@@ -240,7 +240,7 @@ impl<'a> Ops<'a> {
     }
 
     /// Pure route latency estimate (no contention) — used by memory models.
-    pub fn uncontended_latency(&self, src: CoreId, dst: CoreId, size: u32) -> VDuration {
+    pub fn uncontended_latency(&mut self, src: CoreId, dst: CoreId, size: u32) -> VDuration {
         self.sim.net.uncontended_latency(src, dst, size)
     }
 
@@ -335,11 +335,5 @@ impl<'a> Ops<'a> {
         // incremental floor.
         sync::note_floor_key(self.sim, core.index());
         sync::recheck_stall(self.sim, self.shared, core);
-    }
-
-    /// Sum of the per-link latencies on the route `src -> dst` (reporting /
-    /// placement heuristics).
-    pub fn path_latency(&self, src: CoreId, dst: CoreId) -> VDuration {
-        self.sim.net.routing().path_latency(src, dst)
     }
 }

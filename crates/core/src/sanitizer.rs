@@ -257,7 +257,7 @@ pub(crate) fn on_deliver(sim: &mut Sim, shared: &Shared, env: &Envelope) {
     let min_arrival = if env.src == env.dst {
         env.sent
     } else {
-        env.sent + sim.net.routing().path_latency(env.src, env.dst)
+        env.sent + sim.net.path_latency(env.src, env.dst)
     };
     if env.arrival < min_arrival {
         let detail = format!(

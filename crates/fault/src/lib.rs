@@ -11,10 +11,10 @@
 //! A [`FaultPlan`] describes, against one specific [`Topology`]:
 //!
 //! * **Link failures and recoveries** at virtual-time instants. The plan
-//!   precompiles one routing table per *epoch* (maximal interval with a
-//!   constant dead-link set) via [`RoutingTable::build_avoiding`], so
-//!   traffic reroutes around dead links — or the epoch is flagged as
-//!   *partitioned* when some pair of cores has no surviving route.
+//!   splits the timeline into *epochs* (maximal intervals with a constant
+//!   dead-link set); the network model routes each epoch's traffic around
+//!   its dead links, and the plan flags an epoch as *partitioned* when
+//!   some pair of cores has no surviving route.
 //! * **Per-link message drop / delay / corruption probabilities**, sampled
 //!   at send time from a dedicated PRNG stream owned by the network model.
 //! * **Permanent core failures** at virtual-time instants: a failed core
@@ -28,14 +28,14 @@
 //! stays bit-reproducible from one seed.
 //!
 //! The **empty plan is free**: a plan with no faults compiles to a single
-//! epoch with no routing override and no message-fault flags, and the
+//! epoch with no dead links and no message-fault flags, and the
 //! consumers are written so that this path performs no PRNG draws and no
 //! extra arithmetic — results are bit-identical to a run with no plan at
 //! all (asserted by the determinism suite).
 
 use simany_time::prng::Xoshiro256StarStar;
 use simany_time::{VDuration, VirtualTime};
-use simany_topology::{CoreId, LinkId, RoutingTable, Topology};
+use simany_topology::{CoreId, LinkId, Topology};
 
 /// PRNG stream index used by [`FaultPlan::sample`] (derived from the master
 /// seed; distinct from every stream the engine or runtime uses).
@@ -106,10 +106,6 @@ struct Epoch {
     dead_links: Vec<LinkId>,
     /// Dense per-link liveness mask (same indexing as `Topology::links`).
     dead: Vec<bool>,
-    /// Routing recomputed around the dead links; `None` when nothing is
-    /// dead (consumers fall back to their base table, keeping the
-    /// empty-plan path untouched).
-    routing: Option<RoutingTable>,
     /// True when some ordered pair of cores has no surviving route.
     partitioned: bool,
 }
@@ -258,13 +254,6 @@ impl FaultPlan {
     #[inline]
     pub fn link_dead(&self, e: usize, link: LinkId) -> bool {
         self.epochs[e].dead[link.index()]
-    }
-
-    /// Routing table recomputed around epoch `e`'s dead links; `None` when
-    /// nothing is dead (use the base table).
-    #[inline]
-    pub fn epoch_routing(&self, e: usize) -> Option<&RoutingTable> {
-        self.epochs[e].routing.as_ref()
     }
 
     /// True iff epoch `e` leaves the machine partitioned.
@@ -534,8 +523,8 @@ impl FaultPlanBuilder {
         Ok(self.build_validated(topo))
     }
 
-    /// Compile against `topo`: split the timeline into epochs, precompute
-    /// per-epoch rerouting (and partition flags), and freeze the per-link
+    /// Compile against `topo`: split the timeline into epochs, flag the
+    /// partitioned ones, and freeze the per-link
     /// probability tables. Panics on a plan [`Self::try_build`] would
     /// reject.
     pub fn build(self, topo: &Topology) -> FaultPlan {
@@ -579,16 +568,11 @@ impl FaultPlanBuilder {
                 .filter(|&(_, &d)| d)
                 .map(|(i, _)| LinkId(i as u32))
                 .collect();
-            let (routing, partitioned) = if dead_links.is_empty() {
-                (None, false)
-            } else {
-                let (rt, part) = RoutingTable::build_avoiding(topo, &dead);
-                (Some(rt), part)
-            };
+            let partitioned =
+                !dead_links.is_empty() && !topo.is_strongly_connected(|l| dead[l.index()]);
             epochs.push(Epoch {
                 dead_links,
                 dead: dead.clone(),
-                routing,
                 partitioned,
             });
         }
@@ -652,7 +636,7 @@ mod tests {
         assert_eq!(plan.epoch_count(), 1);
         assert_eq!(plan.epoch_at(VirtualTime::ZERO), 0);
         assert_eq!(plan.epoch_at(t(1_000_000)), 0);
-        assert!(plan.epoch_routing(0).is_none());
+        assert!(plan.epoch_dead_links(0).is_empty());
         assert!(!plan.epoch_partitioned(0));
         assert!(!plan.has_message_faults());
         assert!(!plan.has_core_faults());
@@ -674,17 +658,12 @@ mod tests {
         assert!(!plan.link_dead(0, link));
         assert!(plan.link_dead(1, link));
         assert!(!plan.link_dead(2, link));
-        // Only the dead epoch carries a recomputed table.
-        assert!(plan.epoch_routing(0).is_none());
-        assert!(plan.epoch_routing(1).is_some());
-        assert!(plan.epoch_routing(2).is_none());
-        let rt = plan.epoch_routing(1).unwrap();
-        let props = *topo.link(link);
-        // The rerouted table avoids the dead link but still connects.
-        assert!(rt.reachable(props.src, props.dst));
-        for l in rt.route(&topo, props.src, props.dst) {
-            assert_ne!(l, link);
-        }
+        // Only the dead epoch has dead links, and one dead link of a mesh
+        // leaves every pair connected.
+        assert!(plan.epoch_dead_links(0).is_empty());
+        assert_eq!(plan.epoch_dead_links(1), &[link]);
+        assert!(plan.epoch_dead_links(2).is_empty());
+        assert!(!plan.epoch_partitioned(1));
     }
 
     #[test]
@@ -700,9 +679,6 @@ mod tests {
         assert_eq!(plan.epoch_count(), 2);
         assert!(!plan.epoch_partitioned(0));
         assert!(plan.epoch_partitioned(1));
-        let rt = plan.epoch_routing(1).unwrap();
-        assert!(!rt.reachable(CoreId(0), CoreId(1)));
-        assert!(rt.reachable(CoreId(1), CoreId(2)));
     }
 
     #[test]
@@ -835,10 +811,12 @@ mod tests {
         assert!(!plan.epoch_partitioned(0));
         assert!(plan.epoch_partitioned(plan.epoch_at(t(100))));
         assert!(!plan.epoch_partitioned(plan.epoch_at(t(500))));
-        let rt = plan.epoch_routing(plan.epoch_at(t(200))).unwrap();
-        assert!(!rt.reachable(CoreId(0), CoreId(15)));
-        assert!(rt.reachable(CoreId(0), CoreId(7)));
-        assert!(rt.reachable(CoreId(8), CoreId(15)));
+        // Every link crossing the cut is down, none other.
+        let e = plan.epoch_at(t(200));
+        for (i, l) in topo.links().iter().enumerate() {
+            let crosses = (l.src.0 < 8) != (l.dst.0 < 8);
+            assert_eq!(plan.link_dead(e, LinkId(i as u32)), crosses);
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ use std::sync::Arc;
 use simany_fault::FaultPlan;
 use simany_time::prng::Xoshiro256StarStar;
 use simany_time::{VDuration, VirtualTime};
-use simany_topology::{CoreId, LinkId, LinkProps, Routes, RoutesView, Topology};
+use simany_topology::{CoreId, LinkId, LinkProps, Routes, Topology};
 
 /// Tunable network cost parameters (paper §III, Architecture Variability).
 #[derive(Clone, Copy, Debug)]
@@ -101,7 +101,6 @@ pub struct EpochTransition {
 struct FaultState {
     plan: Arc<FaultPlan>,
     rng: Xoshiro256StarStar,
-    seed: u64,
     /// Highest epoch index already reported via `observe_epochs`.
     announced_epoch: usize,
     /// Per `(src, dst)` pair: the highest `sent` stamp seen and the arrival
@@ -132,8 +131,8 @@ pub struct NetworkModel {
 }
 
 impl NetworkModel {
-    /// Build the model (computes routing tables). `topo` is a `Topology`
-    /// or an `Arc` of one to share.
+    /// Build the model. `topo` is a `Topology` or an `Arc` of one to
+    /// share; routes are computed as messages need them.
     pub fn new(topo: impl Into<Arc<Topology>>, params: NetworkParams) -> Self {
         Self::with_faults(topo, params, None, 0)
     }
@@ -173,7 +172,6 @@ impl NetworkModel {
             fault: plan.map(|plan| FaultState {
                 plan,
                 rng: Xoshiro256StarStar::stream(seed, simany_fault::NET_STREAM),
-                seed,
                 announced_epoch: 0,
                 fifo_floor: std::collections::HashMap::new(),
             }),
@@ -185,17 +183,13 @@ impl NetworkModel {
         &self.topo
     }
 
-    /// A view over the routing tables. Dense (precomputed all-pairs) on
-    /// small machines, lazily computed per-destination rows above
-    /// [`simany_topology::DENSE_ROUTING_MAX`] cores — same routes either
-    /// way.
-    pub fn routing(&self) -> RoutesView<'_> {
-        self.routes.view(&self.topo)
-    }
-
-    /// Network parameters.
-    pub fn params(&self) -> &NetworkParams {
-        &self.params
+    /// Sum of the link latencies on the fault-free route from `src` to
+    /// `dst`: a lower bound on any arrival, contention and faults aside.
+    pub fn path_latency(&mut self, src: CoreId, dst: CoreId) -> VDuration {
+        let row = self.routes.row(&self.topo, dst);
+        Routes::path(&self.topo, row, src)
+            .map(|(_, l)| l.latency)
+            .sum()
     }
 
     /// Accumulated statistics.
@@ -206,25 +200,22 @@ impl NetworkModel {
     /// Pure latency of the route from `src` to `dst` for a message of
     /// `size` bytes, ignoring current contention. Useful for models that
     /// need an estimate (e.g. coherence timing).
-    pub fn uncontended_latency(&self, src: CoreId, dst: CoreId, size: u32) -> VDuration {
+    pub fn uncontended_latency(&mut self, src: CoreId, dst: CoreId, size: u32) -> VDuration {
         if src == dst {
             return VDuration::ZERO;
         }
-        let routing = self.routes.view(&self.topo);
-        let hops = routing.path_hops(src, dst) as u64;
-        let base = routing.path_latency(src, dst);
+        let row = self.routes.row(&self.topo, dst);
+        let mut hops = 0;
+        let mut base = VDuration::ZERO;
+        let mut ser = VDuration::ZERO;
+        for (_, props) in Routes::path(&self.topo, row, src) {
+            hops += 1;
+            base += props.latency;
+            ser += serialization_delay(size, props.bandwidth_bytes_per_cycle);
+        }
         let chunks = self.params.chunks(size) as u64;
         let mut extra = self.params.routing_penalty.scaled(hops);
         extra += self.params.per_chunk_time.scaled(hops * chunks);
-        // Serialization on each traversed link (exact walk).
-        let mut cur = src;
-        let mut ser = VDuration::ZERO;
-        while cur != dst {
-            let link = routing.next_link(cur, dst).expect("connected");
-            let props = self.topo.link(link);
-            ser += serialization_delay(size, props.bandwidth_bytes_per_cycle);
-            cur = props.dst;
-        }
         base + extra + ser
     }
 
@@ -242,60 +233,52 @@ impl NetworkModel {
         size_bytes: u32,
         depart: VirtualTime,
     ) -> VirtualTime {
-        let mut t = depart;
-        if src != dst {
-            // When the current fault epoch has dead links, walk the
-            // recomputed table; fall back to the base table when even the
-            // recomputed one cannot reach (partition) so engine-internal
-            // traffic (e.g. coherence legs) is still charged rather than
-            // panicking — payload sends gate on reachability in `try_send`.
-            let plan = self.fault.as_ref().map(|f| Arc::clone(&f.plan));
-            let epoch_rt = plan
-                .as_ref()
-                .and_then(|p| p.epoch_routing(p.epoch_at(depart)));
-            let (rt, via_epoch) = match epoch_rt {
-                Some(rt) if rt.reachable(src, dst) => (RoutesView::from_table(rt), true),
-                _ => (self.routes.view(&self.topo), false),
-            };
-            let chunks = self.params.chunks(size_bytes) as u64;
-            let mut cur = src;
-            let mut hops = 0u32;
-            while cur != dst {
-                let link_id = rt.next_link(cur, dst).expect("connected");
-                let props = *self.topo.link(link_id);
+        if src == dst {
+            return depart;
+        }
+        let NetworkModel {
+            topo,
+            routes,
+            traffic,
+            params,
+            stats,
+            fault,
+            ..
+        } = self;
+        let chunks = params.chunks(size_bytes) as u64;
+        let per_hop = params.routing_penalty + params.per_chunk_time.scaled(chunks);
+        let mut charge = |row: &[u32]| {
+            let mut t = depart;
+            for (link, props) in Routes::path(topo, row, src) {
                 let ser = serialization_delay(size_bytes, props.bandwidth_bytes_per_cycle);
-                let per_hop =
-                    self.params.routing_penalty + self.params.per_chunk_time.scaled(chunks);
-                t = self.traffic.traverse(
-                    link_id,
-                    t,
-                    ser,
-                    props.latency + per_hop,
-                    &mut self.stats,
-                );
-                cur = props.dst;
-                hops += 1;
+                t = traffic.traverse(link, t, ser, props.latency + per_hop, stats);
+                stats.total_hops += 1;
             }
-            self.stats.total_hops += u64::from(hops);
-            if via_epoch {
-                // Count a reroute only when the base route actually
-                // crosses a dead link (the epoch table agrees with the
-                // base table everywhere else).
-                let p = plan.as_ref().expect("via_epoch implies a plan");
-                let e = p.epoch_at(depart);
-                let base = self.routes.view(&self.topo);
-                let mut cur = src;
-                while cur != dst {
-                    let l = base.next_link(cur, dst).expect("connected");
-                    if p.link_dead(e, l) {
-                        self.stats.rerouted += 1;
-                        break;
+            t
+        };
+        // When the current fault epoch has dead links, walk the epoch's
+        // row; fall back to the base row when even that cannot reach
+        // (partition) so engine-internal traffic (e.g. coherence legs) is
+        // still charged rather than panicking — payload sends gate on
+        // reachability in `try_send`.
+        if let Some(plan) = fault.as_ref().map(|f| &*f.plan) {
+            let e = plan.epoch_at(depart);
+            if !plan.epoch_dead_links(e).is_empty() {
+                let row = routes.row_avoiding(topo, e, |l| plan.link_dead(e, l), dst);
+                if row[src.index()] != Routes::NO_LINK {
+                    let t = charge(row);
+                    // Count a reroute only when the base route actually
+                    // crosses a dead link (the epoch's rows agree with the
+                    // base rows everywhere else).
+                    let base = routes.row(topo, dst);
+                    if Routes::path(topo, base, src).any(|(l, _)| plan.link_dead(e, l)) {
+                        stats.rerouted += 1;
                     }
-                    cur = self.topo.link(l).dst;
+                    return t;
                 }
             }
         }
-        t
+        charge(routes.row(topo, dst))
     }
 
     /// Send a message: walks the route, charges every traversed component,
@@ -345,42 +328,43 @@ impl NetworkModel {
     ) -> Result<Envelope, (DropReason, Payload)> {
         let mut extra_delay = VDuration::ZERO;
         if src != dst {
-            if let Some(fault) = &self.fault {
-                let plan = Arc::clone(&fault.plan);
-                let epoch = plan.epoch_at(sent);
-                let epoch_rt = plan.epoch_routing(epoch);
-                if let Some(rt) = epoch_rt {
-                    if !rt.reachable(src, dst) {
+            if let Some(fault) = self.fault.as_mut() {
+                let plan = &*fault.plan;
+                let e = plan.epoch_at(sent);
+                let epoch_row = if plan.epoch_dead_links(e).is_empty() {
+                    None
+                } else {
+                    let row =
+                        self.routes
+                            .row_avoiding(&self.topo, e, |l| plan.link_dead(e, l), dst);
+                    if row[src.index()] == Routes::NO_LINK {
                         self.stats.unreachable += 1;
                         return Err((DropReason::Unreachable, payload));
                     }
-                }
+                    Some(row)
+                };
                 if plan.has_message_faults() {
                     // Combine per-link fault probabilities over the route
                     // this message will take.
-                    let rt = match epoch_rt {
-                        Some(t) => RoutesView::from_table(t),
-                        None => self.routes.view(&self.topo),
+                    let row = match epoch_row {
+                        Some(row) => row,
+                        None => self.routes.row(&self.topo, dst),
                     };
                     let mut keep_drop = 1.0f64;
                     let mut keep_corrupt = 1.0f64;
                     let mut keep_delay = 1.0f64;
-                    let mut cur = src;
-                    while cur != dst {
-                        let link = rt.next_link(cur, dst).expect("connected");
+                    for (link, _) in Routes::path(&self.topo, row, src) {
                         keep_drop *= 1.0 - plan.drop_prob(link);
                         keep_corrupt *= 1.0 - plan.corrupt_prob(link);
                         if plan.delay_prob(link) > 0.0 {
                             keep_delay *= 1.0 - plan.delay_prob(link);
                             extra_delay += plan.delay_of(link);
                         }
-                        cur = self.topo.link(link).dst;
                     }
                     // Fixed draw count per attempt (determinism contract).
-                    let rng = &mut self.fault.as_mut().expect("checked above").rng;
-                    let dropped = rng.chance(1.0 - keep_drop);
-                    let corrupted = rng.chance(1.0 - keep_corrupt);
-                    let delayed = rng.chance(1.0 - keep_delay);
+                    let dropped = fault.rng.chance(1.0 - keep_drop);
+                    let corrupted = fault.rng.chance(1.0 - keep_corrupt);
+                    let delayed = fault.rng.chance(1.0 - keep_delay);
                     if dropped {
                         self.stats.dropped += 1;
                         return Err((DropReason::Faulty, payload));
@@ -495,18 +479,6 @@ impl NetworkModel {
         v.sort_by_key(|&(props, busy)| (std::cmp::Reverse(busy), props.src, props.dst));
         v.truncate(k);
         v
-    }
-
-    /// Reset contention state and statistics (e.g. between experiment runs).
-    pub fn reset(&mut self) {
-        self.traffic = LinkTraffic::new(self.topo.n_links());
-        self.stats = NetStats::default();
-        self.next_seq = 0;
-        if let Some(f) = self.fault.as_mut() {
-            f.rng = Xoshiro256StarStar::stream(f.seed, simany_fault::NET_STREAM);
-            f.announced_epoch = 0;
-            f.fifo_floor.clear();
-        }
     }
 
     /// Deterministic digest of the model's mutable state (sequence counter,
@@ -678,16 +650,10 @@ mod tests {
         let est = m.uncontended_latency(CoreId(0), CoreId(15), 256);
         let e = m.send(CoreId(0), CoreId(15), 256, VirtualTime::ZERO, payload());
         assert_eq!(VirtualTime::ZERO + est, e.arrival);
-    }
-
-    #[test]
-    fn reset_clears_contention() {
-        let mut m = model();
-        m.send(CoreId(0), CoreId(1), 12800, VirtualTime::ZERO, payload());
-        m.reset();
-        let e = m.send(CoreId(0), CoreId(1), 64, VirtualTime::ZERO, payload());
-        assert_eq!(e.arrival, VirtualTime::from_cycles(2));
-        assert_eq!(m.stats().messages, 1);
+        assert_eq!(
+            m.path_latency(CoreId(0), CoreId(15)),
+            VDuration::from_cycles(6)
+        );
     }
 
     #[test]
@@ -814,6 +780,56 @@ mod tests {
         m.try_send(CoreId(1), CoreId(2), 64, VirtualTime::ZERO, payload())
             .unwrap();
         assert_eq!(m.stats().messages, 1);
+    }
+
+    /// A link-fault plan costs memory by what its epochs route, not by
+    /// cores²: on a 65,536-core mesh, a dense all-pairs table per dead-link
+    /// epoch would need tens of GiB. Core 0 loses its east link, then its
+    /// south link too (cut off), then both come back; one corner-to-corner
+    /// message per epoch.
+    #[test]
+    fn link_faults_on_a_65536_core_mesh_route_per_epoch() {
+        let topo = mesh_2d(65_536); // 256 x 256
+        let (e0, e1) = both_ways(&topo, 0, 1);
+        let (s0, s1) = both_ways(&topo, 0, 256);
+        let mut b = FaultPlanBuilder::new();
+        for l in [e0, e1] {
+            b = b.fail_link(l, VirtualTime::from_cycles(100));
+        }
+        for l in [s0, s1] {
+            b = b.fail_link(l, VirtualTime::from_cycles(200));
+        }
+        for l in [e0, e1, s0, s1] {
+            b = b.recover_link(l, VirtualTime::from_cycles(300));
+        }
+        let plan = Arc::new(b.build(&topo));
+        assert_eq!(plan.epoch_count(), 4);
+        assert!(!plan.epoch_partitioned(1));
+        assert!(plan.epoch_partitioned(2));
+        let mut m = NetworkModel::with_faults(topo, NetworkParams::default(), Some(plan), 1);
+        let corner = CoreId(65_535);
+        let mut hops = Vec::new();
+        for at in [0, 150, 250, 350] {
+            let before = m.stats().total_hops;
+            let sent = m.try_send(
+                CoreId(0),
+                corner,
+                64,
+                VirtualTime::from_cycles(at),
+                payload(),
+            );
+            hops.push(sent.map(|_| m.stats().total_hops - before).map_err(|e| e.0));
+        }
+        let minimal = Ok(2 * 255);
+        assert_eq!(
+            hops,
+            [minimal, minimal, Err(DropReason::Unreachable), minimal]
+        );
+        assert_eq!(
+            m.stats().rerouted,
+            1,
+            "the base route leaves core 0 eastward"
+        );
     }
 
     #[test]

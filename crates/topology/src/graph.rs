@@ -73,7 +73,7 @@ pub struct LinkProps {
 /// the config parser use) or through builder-style `add_*` calls for small
 /// hand-built graphs; afterwards the topology is immutable and shared by
 /// the network model, the spatial-synchronization machinery (which needs
-/// neighbor sets) and the routing tables.
+/// neighbor sets) and the routes.
 ///
 /// The adjacency is compressed sparse rows: core `c`'s outgoing
 /// `(neighbor, link)` pairs are `adj[offsets[c]..offsets[c + 1]]`, so a
@@ -115,29 +115,15 @@ impl Topology {
     /// does. One counting-sort pass over the links: O(cores + links).
     pub fn from_links(n_cores: u32, links: Vec<LinkProps>) -> Self {
         assert!(n_cores > 0, "a topology needs at least one core");
-        let mut offsets = vec![0u32; n_cores as usize + 1];
-        for l in &links {
+        let (offsets, mut adj) = csr_rows(n_cores, &links, |l| {
             assert!(l.src != l.dst, "self-loop link {}", l.src);
             assert!(l.src.0 < n_cores && l.dst.0 < n_cores, "core out of range");
             assert!(
                 l.bandwidth_bytes_per_cycle > 0,
                 "link bandwidth must be non-zero"
             );
-            offsets[l.src.index() + 1] += 1;
-        }
-        // Turn the counts into row starts shifted up by one slot, so that
-        // `offsets[c + 1]` is core `c`'s fill cursor; filling advances each
-        // cursor to its row's end, which is the next row's start.
-        let mut start = 0;
-        for o in &mut offsets[1..] {
-            start += std::mem::replace(o, start);
-        }
-        let mut adj = vec![(CoreId(0), LinkId(0)); links.len()];
-        for (i, l) in links.iter().enumerate() {
-            let cursor = &mut offsets[l.src.index() + 1];
-            adj[*cursor as usize] = (l.dst, LinkId(i as u32));
-            *cursor += 1;
-        }
+            (l.src, l.dst)
+        });
         for (c, w) in offsets.windows(2).enumerate() {
             let row = &mut adj[w[0] as usize..w[1] as usize];
             row.sort_unstable_by_key(|&(n, _)| n);
@@ -326,16 +312,33 @@ impl Topology {
     /// has its reverse, as in every builder's topology and every parsed
     /// configuration (the parser refuses an asymmetric matrix).
     pub fn is_connected(&self) -> bool {
-        if self.n_cores == 1 {
-            return true;
-        }
+        self.reaches_all(|c| self.neighbors(c), |_| false)
+    }
+
+    /// True iff every core reaches every other one over the links `dead`
+    /// spares: one sweep from core 0 along the live links and one against
+    /// them, O(cores + links). A fault epoch whose dead links make this
+    /// false partitions the machine.
+    pub fn is_strongly_connected(&self, dead: impl Fn(LinkId) -> bool) -> bool {
+        let incoming = Incoming::of(self);
+        self.reaches_all(|c| self.neighbors(c), &dead)
+            && self.reaches_all(|c| incoming.to(c), &dead)
+    }
+
+    /// True iff a sweep from core 0 over the `(core, link)` pairs `step`
+    /// yields, skipping `dead` links, sees every core.
+    fn reaches_all<'a>(
+        &self,
+        step: impl Fn(CoreId) -> &'a [(CoreId, LinkId)],
+        dead: impl Fn(LinkId) -> bool,
+    ) -> bool {
         let mut seen = vec![false; self.n_cores as usize];
         let mut stack = vec![CoreId(0)];
         seen[0] = true;
         let mut count = 1u32;
         while let Some(c) = stack.pop() {
-            for &(n, _) in self.neighbors(c) {
-                if !seen[n.index()] {
+            for &(n, l) in step(c) {
+                if !seen[n.index()] && !dead(l) {
                     seen[n.index()] = true;
                     count += 1;
                     stack.push(n);
@@ -378,6 +381,59 @@ impl Topology {
             }
         }
         max
+    }
+}
+
+/// Group `links` into compressed sparse rows by `ends(link) = (row core,
+/// entry core)`: row starts (one per core, then the end) and every row's
+/// `(entry core, link)` pairs in link-id order. One counting-sort pass,
+/// O(cores + links); `ends` runs twice per link.
+fn csr_rows(
+    n_cores: u32,
+    links: &[LinkProps],
+    ends: impl Fn(&LinkProps) -> (CoreId, CoreId),
+) -> (Vec<u32>, Vec<(CoreId, LinkId)>) {
+    let mut offsets = vec![0u32; n_cores as usize + 1];
+    for l in links {
+        offsets[ends(l).0.index() + 1] += 1;
+    }
+    // Turn the counts into row starts shifted up by one slot, so that
+    // `offsets[c + 1]` is core `c`'s fill cursor; filling advances each
+    // cursor to its row's end, which is the next row's start.
+    let mut start = 0;
+    for o in &mut offsets[1..] {
+        start += std::mem::replace(o, start);
+    }
+    let mut pairs = vec![(CoreId(0), LinkId(0)); links.len()];
+    for (i, l) in links.iter().enumerate() {
+        let (row, entry) = ends(l);
+        let cursor = &mut offsets[row.index() + 1];
+        pairs[*cursor as usize] = (entry, LinkId(i as u32));
+        *cursor += 1;
+    }
+    (offsets, pairs)
+}
+
+/// The reverse adjacency of a topology, in compressed sparse rows like
+/// [`Topology`]'s own: core `c`'s incoming `(predecessor, link)` pairs, in
+/// link-id order. Routing sweeps walk it from a destination outward.
+#[derive(Debug, Default)]
+pub(crate) struct Incoming {
+    offsets: Vec<u32>,
+    pairs: Vec<(CoreId, LinkId)>,
+}
+
+impl Incoming {
+    pub(crate) fn of(topo: &Topology) -> Self {
+        let (offsets, pairs) = csr_rows(topo.n_cores, &topo.links, |l| (l.dst, l.src));
+        Incoming { offsets, pairs }
+    }
+
+    /// Incoming `(predecessor, link)` pairs of `core`.
+    #[inline]
+    pub(crate) fn to(&self, core: CoreId) -> &[(CoreId, LinkId)] {
+        let i = core.index();
+        &self.pairs[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 }
 
@@ -481,6 +537,21 @@ mod tests {
         assert!(!line.is_connected());
         let d = line.hop_distances(CoreId(0));
         assert_eq!(d[2], u32::MAX);
+    }
+
+    /// Reaching every core from core 0 is not every pair reaching each
+    /// other: a one-way link passes the first check and fails the second.
+    #[test]
+    fn strong_connectivity_sweeps_both_ways() {
+        let mut t = Topology::new(2);
+        let ab = t.add_directed_link(CoreId(0), CoreId(1), DEFAULT_LINK_LATENCY, 8);
+        assert!(t.is_connected());
+        assert!(!t.is_strongly_connected(|_| false));
+        let ba = t.add_directed_link(CoreId(1), CoreId(0), DEFAULT_LINK_LATENCY, 8);
+        assert!(t.is_strongly_connected(|_| false));
+        assert!(!t.is_strongly_connected(|l| l == ab));
+        assert!(!t.is_strongly_connected(|l| l == ba));
+        assert!(Topology::new(1).is_strongly_connected(|_| true));
     }
 
     #[test]

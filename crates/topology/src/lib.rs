@@ -13,9 +13,9 @@
 //! * Builders for the architectures the paper explores — uniform 2D meshes,
 //!   clustered meshes, plus extras (torus, ring, star, hypercube,
 //!   fully-connected) ([`builders`]).
-//! * Deterministic minimal-latency routing tables and graph metrics such as
-//!   the diameter, which bounds the global virtual-time drift
-//!   (`diameter × T`) ([`routing`]).
+//! * Deterministic minimal-latency routes, built one destination at a time
+//!   on first use ([`routing`]), and graph metrics such as the diameter,
+//!   which bounds the global virtual-time drift (`diameter × T`).
 //! * A small text configuration format for adjacency matrices with link
 //!   overrides ([`config`]).
 //! * A deterministic BFS/strip partitioner splitting the core set into
@@ -35,4 +35,4 @@ pub use builders::{
 pub use config::{format_topology, parse_topology, ConfigError};
 pub use graph::{CoreId, LinkId, LinkProps, Topology};
 pub use partition::{partition_bfs, Partition};
-pub use routing::{LazyRoutes, Routes, RoutesView, RoutingTable, DENSE_ROUTING_MAX};
+pub use routing::Routes;

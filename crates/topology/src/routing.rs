@@ -4,406 +4,249 @@
 //! every traversed link (paper §II.A: "the sum of all delays induced by all
 //! the components traversed is added to a core's virtual time"). Routes are
 //! fixed, minimal-total-latency paths with deterministic tie-breaking
-//! (lowest next-hop id), computed once per topology: this mirrors the
-//! deterministic (dimension-ordered-like) routing of real meshes and keeps
-//! simulations reproducible.
+//! (lowest next-hop id): this mirrors the deterministic
+//! (dimension-ordered-like) routing of real meshes and keeps simulations
+//! reproducible.
+//!
+//! [`Routes`] computes them one destination at a time, the first time a
+//! message needs one, and keeps what it computed under a fixed byte budget:
+//! routing state grows with what a run sends, not with cores².
 
-use crate::graph::{CoreId, LinkId, Topology};
-use simany_time::VDuration;
+use crate::graph::{CoreId, Incoming, LinkId, LinkProps, Topology};
 use std::collections::BinaryHeap;
 
-/// All-pairs next-hop routing table.
-#[derive(Clone, Debug)]
-pub struct RoutingTable {
+/// Bytes of next-hop rows [`Routes`] keeps resident: every row of a
+/// 1024-core machine, 40 rows at 102,400 cores.
+const ROW_BUDGET_BYTES: usize = 16 << 20;
+
+/// Rows kept however large the machine, so a few hot destinations never
+/// evict each other.
+const MIN_ROWS: usize = 8;
+
+/// Chain end in [`Routes::head`] and [`Slot::next`].
+const NIL: u32 = u32::MAX;
+
+/// Key of the rows over every link; fault epoch `e` keys as `e + 1`.
+const BASE: u32 = 0;
+
+/// Minimal-latency routes of one topology, built on first use.
+///
+/// For each destination a *next-hop row* holds one `u32` per source: the
+/// link to take from that source toward the destination, or
+/// [`Routes::NO_LINK`]. Rows are keyed by (epoch, destination): the base
+/// rows route over every link, a fault epoch's rows avoid its dead links.
+/// A row is computed by one sweep over the reverse links the first time it
+/// is asked for, then kept in a pool of rows sized by a byte budget; once
+/// the pool is full the oldest row makes room (FIFO). Nothing is built per
+/// core until the first row.
+#[derive(Debug)]
+pub struct Routes {
     n: u32,
-    /// `next_hop[dst][src]` = link to take from `src` toward `dst`
-    /// (`u32::MAX` encodes "src == dst").
-    next_hop: Vec<Vec<u32>>,
-    /// `dist[dst][src]` = total path latency in ticks.
-    dist: Vec<Vec<u64>>,
-    /// Hop counts, same layout.
-    hops: Vec<Vec<u32>>,
+    /// Every link has the same latency: rows come from a breadth-first
+    /// sweep instead of Dijkstra.
+    uniform: bool,
+    /// Reverse adjacency the sweeps walk; empty until the first row.
+    incoming: Incoming,
+    /// Row pool: slot `s` is `rows[s * n..(s + 1) * n]`.
+    rows: Vec<u32>,
+    slots: Vec<Slot>,
+    /// Per destination: its newest resident slot, the head of a chain
+    /// through [`Slot::next`] (one slot per epoch routed to it); empty
+    /// until the first row.
+    head: Vec<u32>,
+    /// Most slots the pool holds.
+    capacity: usize,
+    /// Slot the next miss overwrites once the pool is full.
+    victim: usize,
 }
 
-impl RoutingTable {
-    /// Build the table with one shortest-route pass per destination, following
-    /// reverse links (link latencies are symmetric per construction in the
-    /// builders; for asymmetric topologies the route is minimal w.r.t. the
-    /// forward direction because we relax over incoming links).
-    pub fn build(topo: &Topology) -> Self {
-        assert!(topo.is_connected(), "cannot route a disconnected topology");
-        let n = topo.n_cores();
-        let mut next_hop = Vec::with_capacity(n as usize);
-        let mut dist = Vec::with_capacity(n as usize);
-        let mut hops = Vec::with_capacity(n as usize);
-        let rev = reverse_adjacency(topo, |_| true);
-        let uniform = uniform_latency(topo);
-        for dst in topo.cores() {
-            let (nh, d, h) = routes_to(topo, &rev, dst, uniform);
-            next_hop.push(nh);
-            dist.push(d);
-            hops.push(h);
-        }
-        RoutingTable {
-            n,
-            next_hop,
-            dist,
-            hops,
-        }
-    }
-
-    /// Rebuild the table while avoiding every link flagged in `dead`
-    /// (indexed by link id). Unlike [`RoutingTable::build`] this accepts a
-    /// disconnected residual graph: the second return value is `true` when
-    /// at least one ordered pair of cores has no surviving route (the
-    /// machine is partitioned). Use [`RoutingTable::reachable`] before
-    /// walking a route on a table built this way.
-    pub fn build_avoiding(topo: &Topology, dead: &[bool]) -> (Self, bool) {
-        assert_eq!(
-            dead.len(),
-            topo.n_links() as usize,
-            "dead-link mask must cover every link"
-        );
-        let n = topo.n_cores();
-        let mut next_hop = Vec::with_capacity(n as usize);
-        let mut dist = Vec::with_capacity(n as usize);
-        let mut hops = Vec::with_capacity(n as usize);
-        let rev = reverse_adjacency(topo, |i| !dead[i]);
-        let mut partitioned = false;
-        let uniform = uniform_latency(topo);
-        for dst in topo.cores() {
-            let (nh, d, h) = routes_to(topo, &rev, dst, uniform);
-            partitioned |= d.contains(&u64::MAX);
-            next_hop.push(nh);
-            dist.push(d);
-            hops.push(h);
-        }
-        (
-            RoutingTable {
-                n,
-                next_hop,
-                dist,
-                hops,
-            },
-            partitioned,
-        )
-    }
-
-    /// True iff a route from `src` to `dst` exists in this table (always
-    /// true for tables built with [`RoutingTable::build`], which asserts
-    /// connectivity; may be false for [`RoutingTable::build_avoiding`]).
-    #[inline]
-    pub fn reachable(&self, src: CoreId, dst: CoreId) -> bool {
-        self.dist[dst.index()][src.index()] != u64::MAX
-    }
-
-    /// The link to take from `src` toward `dst`; `None` when `src == dst`.
-    #[inline]
-    pub fn next_link(&self, src: CoreId, dst: CoreId) -> Option<LinkId> {
-        let v = self.next_hop[dst.index()][src.index()];
-        if v == u32::MAX {
-            None
-        } else {
-            Some(LinkId(v))
-        }
-    }
-
-    /// Total path latency from `src` to `dst` (sum of link latencies; no
-    /// contention or serialization).
-    #[inline]
-    pub fn path_latency(&self, src: CoreId, dst: CoreId) -> VDuration {
-        VDuration(self.dist[dst.index()][src.index()])
-    }
-
-    /// Number of hops on the route from `src` to `dst`.
-    #[inline]
-    pub fn path_hops(&self, src: CoreId, dst: CoreId) -> u32 {
-        self.hops[dst.index()][src.index()]
-    }
-
-    /// Materialize the full route as a list of links.
-    pub fn route(&self, topo: &Topology, src: CoreId, dst: CoreId) -> Vec<LinkId> {
-        let mut out = Vec::with_capacity(self.path_hops(src, dst) as usize);
-        let mut cur = src;
-        while cur != dst {
-            let link = self.next_link(cur, dst).expect("route must make progress");
-            out.push(link);
-            cur = topo.link(link).dst;
-        }
-        out
-    }
-
-    /// Weighted diameter: the largest path latency between any two cores.
-    pub fn weighted_diameter(&self) -> VDuration {
-        let mut max = 0u64;
-        for row in &self.dist {
-            for &v in row {
-                max = max.max(v);
-            }
-        }
-        VDuration(max)
-    }
-
-    /// Number of cores covered by this table.
-    pub fn n_cores(&self) -> u32 {
-        self.n
-    }
-}
-
-/// Largest core count for which [`Routes::for_topology`] materializes the
-/// dense all-pairs [`RoutingTable`]. Above this, the O(n²) table (16 bytes
-/// per ordered pair) stops being viable — a 4096-core machine would already
-/// need ~270 MB — and routing switches to [`LazyRoutes`], which computes
-/// per-destination rows on demand. Both modes answer every query
-/// identically (same sweep, same tie-breaking), so the threshold cannot
-/// affect simulation results.
-pub const DENSE_ROUTING_MAX: u32 = 2048;
-
-/// Most recently used per-destination rows kept by [`LazyRoutes`]. Each row
-/// is O(n); the cap bounds lazy-mode memory at `ROW_CACHE_CAP` rows.
-const ROW_CACHE_CAP: usize = 8;
-
-/// One per-destination routing row: for every source core, the outgoing
-/// link toward the destination, the path latency and the hop count —
-/// exactly one row of the dense [`RoutingTable`].
-#[derive(Debug)]
-struct RouteRow {
-    next: Vec<u32>,
-    dist: Vec<u64>,
-    hops: Vec<u32>,
-}
-
-/// On-demand routing for topologies too large for the dense all-pairs
-/// table: per-destination rows are computed with the *same* reverse-links
-/// sweep (and the same deterministic tie-breaking) as
-/// [`RoutingTable::build`], then kept in a small MRU cache. Query results
-/// are bit-identical to the dense table's.
-#[derive(Debug)]
-pub struct LazyRoutes {
-    n: u32,
-    /// Reverse adjacency: incoming `(pred, link)` pairs per core, shared by
-    /// every row computation. Built by the first row, so a run that never
-    /// routes a message never pays for it.
-    rev: std::sync::OnceLock<Vec<Vec<(CoreId, LinkId)>>>,
-    /// [`uniform_latency`] of the topology, computed once.
-    uniform: Option<u64>,
-    cache: std::sync::Mutex<RowCache>,
-}
-
-#[derive(Debug, Default)]
-struct RowCache {
-    rows: std::collections::HashMap<u32, std::sync::Arc<RouteRow>>,
-    /// Insertion order for FIFO eviction.
-    order: std::collections::VecDeque<u32>,
-}
-
-impl LazyRoutes {
-    /// Prepare lazy routing for `topo` (only checks connectivity; nothing
-    /// is built until a route is first queried).
-    pub fn new(topo: &Topology) -> Self {
-        assert!(topo.is_connected(), "cannot route a disconnected topology");
-        LazyRoutes {
-            n: topo.n_cores(),
-            rev: std::sync::OnceLock::new(),
-            uniform: uniform_latency(topo),
-            cache: std::sync::Mutex::new(RowCache::default()),
-        }
-    }
-
-    fn row(&self, topo: &Topology, dst: CoreId) -> std::sync::Arc<RouteRow> {
-        let mut cache = self.cache.lock().expect("route cache poisoned");
-        if let Some(row) = cache.rows.get(&dst.0) {
-            return std::sync::Arc::clone(row);
-        }
-        let rev = self.rev.get_or_init(|| reverse_adjacency(topo, |_| true));
-        let (next, dist, hops) = routes_to(topo, rev, dst, self.uniform);
-        let row = std::sync::Arc::new(RouteRow { next, dist, hops });
-        if cache.order.len() >= ROW_CACHE_CAP {
-            if let Some(evict) = cache.order.pop_front() {
-                cache.rows.remove(&evict);
-            }
-        }
-        cache.order.push_back(dst.0);
-        cache.rows.insert(dst.0, std::sync::Arc::clone(&row));
-        row
-    }
-}
-
-/// Routing for a topology, in whichever representation its size calls for:
-/// the dense all-pairs [`RoutingTable`] up to [`DENSE_ROUTING_MAX`] cores,
-/// [`LazyRoutes`] beyond. Access queries through [`Routes::view`], which
-/// pairs the representation with its topology.
-#[derive(Debug)]
-pub enum Routes {
-    /// Dense all-pairs table (small machines).
-    Dense(RoutingTable),
-    /// On-demand per-destination rows (large machines).
-    Lazy(LazyRoutes),
+/// What one pool slot's row routes to.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    key: u32,
+    dst: u32,
+    /// Next older slot of the same destination, or [`NIL`].
+    next: u32,
 }
 
 impl Routes {
-    /// Pick the representation for `topo` by size. Both representations
-    /// answer identically, so this choice is invisible to simulations.
+    /// Row entry of a source that takes no link: the destination itself,
+    /// or a source a fault epoch cut off from it.
+    pub const NO_LINK: u32 = u32::MAX;
+
+    /// Routes for `topo`. Only checks connectivity: rows are built when
+    /// first asked for.
     pub fn for_topology(topo: &Topology) -> Self {
-        if topo.n_cores() <= DENSE_ROUTING_MAX {
-            Routes::Dense(RoutingTable::build(topo))
-        } else {
-            Routes::Lazy(LazyRoutes::new(topo))
+        let row_bytes = 4 * topo.n_cores() as usize;
+        Self::with_capacity(topo, (ROW_BUDGET_BYTES / row_bytes).max(MIN_ROWS))
+    }
+
+    fn with_capacity(topo: &Topology, capacity: usize) -> Self {
+        assert!(topo.is_connected(), "cannot route a disconnected topology");
+        let links = topo.links();
+        let uniform = links
+            .first()
+            .is_some_and(|f| links.iter().all(|l| l.latency == f.latency));
+        Routes {
+            n: topo.n_cores(),
+            uniform,
+            incoming: Incoming::default(),
+            rows: Vec::new(),
+            slots: Vec::new(),
+            head: Vec::new(),
+            capacity,
+            victim: 0,
         }
     }
 
-    /// A query view over these routes for `topo` (the topology they were
-    /// built from).
-    pub fn view<'a>(&'a self, topo: &'a Topology) -> RoutesView<'a> {
-        match self {
-            Routes::Dense(rt) => RoutesView {
-                inner: ViewInner::Dense(rt),
-            },
-            Routes::Lazy(lz) => RoutesView {
-                inner: ViewInner::Lazy(lz, topo),
-            },
-        }
-    }
-}
-
-/// A borrowed query handle answering next-hop/latency/hops questions,
-/// independent of the underlying representation. Obtained from
-/// [`Routes::view`] or [`RoutesView::from_table`].
-#[derive(Clone, Copy, Debug)]
-pub struct RoutesView<'a> {
-    inner: ViewInner<'a>,
-}
-
-#[derive(Clone, Copy, Debug)]
-enum ViewInner<'a> {
-    Dense(&'a RoutingTable),
-    Lazy(&'a LazyRoutes, &'a Topology),
-}
-
-impl<'a> RoutesView<'a> {
-    /// View a plain dense table (e.g. a fault epoch's rerouted table).
-    pub fn from_table(rt: &'a RoutingTable) -> Self {
-        RoutesView {
-            inner: ViewInner::Dense(rt),
-        }
+    /// The next-hop row toward `dst` over every link of `topo` (the
+    /// topology these routes were made for).
+    pub fn row(&mut self, topo: &Topology, dst: CoreId) -> &[u32] {
+        let s = self.slot(topo, BASE, dst, |_| false);
+        self.row_at(s)
     }
 
-    /// The link to take from `src` toward `dst`; `None` when `src == dst`.
-    pub fn next_link(&self, src: CoreId, dst: CoreId) -> Option<LinkId> {
-        match self.inner {
-            ViewInner::Dense(rt) => rt.next_link(src, dst),
-            ViewInner::Lazy(lz, topo) => {
-                if src == dst {
-                    return None;
-                }
-                let v = lz.row(topo, dst).next[src.index()];
-                if v == u32::MAX {
-                    None
-                } else {
-                    Some(LinkId(v))
-                }
+    /// The next-hop row toward `dst` over the links fault epoch `epoch`
+    /// leaves alive (`dead` flags the others; one epoch must always name
+    /// the same dead set). A source the dead links cut off from `dst`
+    /// holds [`Routes::NO_LINK`].
+    pub fn row_avoiding(
+        &mut self,
+        topo: &Topology,
+        epoch: usize,
+        dead: impl Fn(LinkId) -> bool,
+        dst: CoreId,
+    ) -> &[u32] {
+        let key = u32::try_from(epoch + 1).expect("fault epoch index fits in u32");
+        let s = self.slot(topo, key, dst, dead);
+        self.row_at(s)
+    }
+
+    /// The route from `src` along `row` (from [`Routes::row`] or
+    /// [`Routes::row_avoiding`]): each link with its properties, in order.
+    /// Empty when `src` is the row's destination or is cut off from it.
+    pub fn path<'a>(
+        topo: &'a Topology,
+        row: &'a [u32],
+        src: CoreId,
+    ) -> impl Iterator<Item = (LinkId, &'a LinkProps)> + 'a {
+        let mut cur = src;
+        std::iter::from_fn(move || {
+            let l = row[cur.index()];
+            (l != Self::NO_LINK).then(|| {
+                let props = topo.link(LinkId(l));
+                cur = props.dst;
+                (LinkId(l), props)
+            })
+        })
+    }
+
+    fn row_at(&self, s: usize) -> &[u32] {
+        let n = self.n as usize;
+        &self.rows[s * n..(s + 1) * n]
+    }
+
+    /// The slot holding the row for (`key`, `dst`), building it on a miss.
+    #[inline]
+    fn slot(
+        &mut self,
+        topo: &Topology,
+        key: u32,
+        dst: CoreId,
+        dead: impl Fn(LinkId) -> bool,
+    ) -> usize {
+        let mut s = self.head.get(dst.index()).copied().unwrap_or(NIL);
+        while s != NIL {
+            let slot = self.slots[s as usize];
+            if slot.key == key {
+                return s as usize;
             }
+            s = slot.next;
         }
+        self.build(topo, key, dst, dead)
     }
 
-    /// Total path latency from `src` to `dst`.
-    pub fn path_latency(&self, src: CoreId, dst: CoreId) -> VDuration {
-        match self.inner {
-            ViewInner::Dense(rt) => rt.path_latency(src, dst),
-            ViewInner::Lazy(lz, topo) => VDuration(lz.row(topo, dst).dist[src.index()]),
+    #[cold]
+    fn build(
+        &mut self,
+        topo: &Topology,
+        key: u32,
+        dst: CoreId,
+        dead: impl Fn(LinkId) -> bool,
+    ) -> usize {
+        let n = self.n as usize;
+        if self.head.is_empty() {
+            self.head = vec![NIL; n];
+            self.incoming = Incoming::of(topo);
         }
+        let s = if self.slots.len() < self.capacity {
+            self.rows.resize(self.rows.len() + n, Self::NO_LINK);
+            self.slots.push(Slot {
+                key,
+                dst: dst.0,
+                next: NIL,
+            });
+            self.slots.len() - 1
+        } else {
+            let s = self.victim;
+            self.victim = (s + 1) % self.capacity;
+            self.unlink(s);
+            s
+        };
+        self.slots[s] = Slot {
+            key,
+            dst: dst.0,
+            next: self.head[dst.index()],
+        };
+        self.head[dst.index()] = s as u32;
+        let row = &mut self.rows[s * n..(s + 1) * n];
+        if self.uniform {
+            bfs_to(&self.incoming, dst, dead, row);
+        } else {
+            dijkstra_to(topo, &self.incoming, dst, dead, row);
+        }
+        s
     }
 
-    /// Number of hops on the route from `src` to `dst`.
-    pub fn path_hops(&self, src: CoreId, dst: CoreId) -> u32 {
-        match self.inner {
-            ViewInner::Dense(rt) => rt.path_hops(src, dst),
-            ViewInner::Lazy(lz, topo) => lz.row(topo, dst).hops[src.index()],
+    /// Take slot `s` out of its destination's chain.
+    fn unlink(&mut self, s: usize) {
+        let Slot { dst, next, .. } = self.slots[s];
+        let head = &mut self.head[dst as usize];
+        if *head == s as u32 {
+            *head = next;
+            return;
         }
-    }
-
-    /// True iff a route from `src` to `dst` exists.
-    pub fn reachable(&self, src: CoreId, dst: CoreId) -> bool {
-        match self.inner {
-            ViewInner::Dense(rt) => rt.reachable(src, dst),
-            ViewInner::Lazy(lz, topo) => lz.row(topo, dst).dist[src.index()] != u64::MAX,
+        let mut p = *head as usize;
+        while self.slots[p].next != s as u32 {
+            p = self.slots[p].next as usize;
         }
-    }
-
-    /// Number of cores covered.
-    pub fn n_cores(&self) -> u32 {
-        match self.inner {
-            ViewInner::Dense(rt) => rt.n_cores(),
-            ViewInner::Lazy(lz, _) => lz.n,
-        }
+        self.slots[p].next = next;
     }
 }
 
-/// Reverse adjacency of `topo`: the incoming `(pred, link)` pairs of every
-/// core, in link-id order, over the links whose index `live` accepts.
-fn reverse_adjacency(topo: &Topology, live: impl Fn(usize) -> bool) -> Vec<Vec<(CoreId, LinkId)>> {
-    let mut rev = vec![Vec::new(); topo.n_cores() as usize];
-    for (i, l) in topo.links().iter().enumerate() {
-        if live(i) {
-            rev[l.dst.index()].push((l.src, LinkId(i as u32)));
-        }
-    }
-    rev
-}
-
-/// The latency (in ticks) every link of `topo` has, if they all have the
-/// same one — the uniform meshes, tori and rings; `None` for clustered or
-/// chiplet machines, and for a topology without links.
-fn uniform_latency(topo: &Topology) -> Option<u64> {
-    let (first, rest) = topo.links().split_first()?;
-    let w = first.latency.ticks();
-    rest.iter().all(|l| l.latency.ticks() == w).then_some(w)
-}
-
-/// Routes from every core *to* `dst` over the incoming links in `rev`.
-/// Returns, per source core: the outgoing link toward `dst`, the distance
-/// in ticks, and the hop count. Ties broken by (hops, next-hop link id) for
-/// determinism. `uniform` is [`uniform_latency`] of `topo`: with one
-/// latency everywhere distance is hops times it, and a breadth-first sweep
-/// gives the table Dijkstra would, without a heap.
-fn routes_to(
-    topo: &Topology,
-    rev: &[Vec<(CoreId, LinkId)>],
-    dst: CoreId,
-    uniform: Option<u64>,
-) -> (Vec<u32>, Vec<u64>, Vec<u32>) {
-    match uniform {
-        Some(w) => bfs_to(topo.n_cores() as usize, rev, dst, w),
-        None => dijkstra_to(topo, rev, dst),
-    }
-}
-
-/// [`routes_to`] when every link has latency `w` ticks. A core first
-/// reached from level `h` is at `h + 1` hops; among its links into level
-/// `h` — all seen before level `h + 1` is expanded — the lowest id wins,
-/// which is exactly Dijkstra's (distance, hops, link id) order.
-fn bfs_to(
-    n: usize,
-    rev: &[Vec<(CoreId, LinkId)>],
-    dst: CoreId,
-    w: u64,
-) -> (Vec<u32>, Vec<u64>, Vec<u32>) {
-    let mut dist = vec![u64::MAX; n];
-    let mut hops = vec![u32::MAX; n];
-    let mut next = vec![u32::MAX; n];
-    dist[dst.index()] = 0;
+/// Fill `next` with the row toward `dst` when every link has one latency:
+/// distance is then hops times it, and a breadth-first sweep gives the row
+/// Dijkstra would, without a heap. A core first reached from level `h` is
+/// at `h + 1` hops; among its links into level `h` — all seen before level
+/// `h + 1` is expanded — the lowest id wins, which is exactly Dijkstra's
+/// (distance, hops, link id) order.
+fn bfs_to(incoming: &Incoming, dst: CoreId, dead: impl Fn(LinkId) -> bool, next: &mut [u32]) {
+    next.fill(Routes::NO_LINK);
+    let mut hops = vec![u32::MAX; next.len()];
     hops[dst.index()] = 0;
-    let mut queue = Vec::with_capacity(n);
+    let mut queue = Vec::with_capacity(next.len());
     queue.push(dst);
     let mut head = 0;
     while let Some(&c) = queue.get(head) {
         head += 1;
         let nh = hops[c.index()] + 1;
-        for &(pred, link) in &rev[c.index()] {
+        for &(pred, link) in incoming.to(c) {
+            if dead(link) {
+                continue;
+            }
             let p = pred.index();
             if hops[p] == u32::MAX {
                 hops[p] = nh;
-                dist[p] = u64::from(nh) * w;
                 next[p] = link.0;
                 queue.push(pred);
             } else if hops[p] == nh && link.0 < next[p] {
@@ -411,20 +254,21 @@ fn bfs_to(
             }
         }
     }
-    (next, dist, hops)
 }
 
-/// [`routes_to`] for arbitrary link latencies: Dijkstra over
-/// (distance, hops), settling ties on the lowest next-hop link id.
+/// Fill `next` with the row toward `dst` for arbitrary link latencies:
+/// Dijkstra over the incoming links by (distance, hops), settling ties on
+/// the lowest next-hop link id.
 fn dijkstra_to(
     topo: &Topology,
-    rev: &[Vec<(CoreId, LinkId)>],
+    incoming: &Incoming,
     dst: CoreId,
-) -> (Vec<u32>, Vec<u64>, Vec<u32>) {
-    let n = topo.n_cores() as usize;
-    let mut dist = vec![u64::MAX; n];
-    let mut hops = vec![u32::MAX; n];
-    let mut next = vec![u32::MAX; n];
+    dead: impl Fn(LinkId) -> bool,
+    next: &mut [u32],
+) {
+    next.fill(Routes::NO_LINK);
+    let mut dist = vec![u64::MAX; next.len()];
+    let mut hops = vec![u32::MAX; next.len()];
     dist[dst.index()] = 0;
     hops[dst.index()] = 0;
 
@@ -436,34 +280,49 @@ fn dijkstra_to(
         if d > dist[c.index()] || (d == dist[c.index()] && h > hops[c.index()]) {
             continue;
         }
-        for &(pred, link) in &rev[c.index()] {
-            let w = topo.link(link).latency.ticks();
-            let nd = d + w;
+        for &(pred, link) in incoming.to(c) {
+            if dead(link) {
+                continue;
+            }
+            let p = pred.index();
+            let nd = d + topo.link(link).latency.ticks();
             let nh = h + 1;
-            let better = nd < dist[pred.index()]
-                || (nd == dist[pred.index()] && nh < hops[pred.index()])
-                || (nd == dist[pred.index()]
-                    && nh == hops[pred.index()]
-                    && link.0 < next[pred.index()]);
+            let better = nd < dist[p]
+                || (nd == dist[p] && nh < hops[p])
+                || (nd == dist[p] && nh == hops[p] && link.0 < next[p]);
             if better {
-                dist[pred.index()] = nd;
-                hops[pred.index()] = nh;
-                next[pred.index()] = link.0;
+                dist[p] = nd;
+                hops[p] = nh;
+                next[p] = link.0;
                 heap.push(std::cmp::Reverse((nd, nh, pred.0)));
             }
         }
     }
-    (next, dist, hops)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builders::{clustered_mesh, mesh_2d, ring, ClusterParams};
+    use simany_time::VDuration;
 
-    /// The breadth-first sweep must be Dijkstra's table entry for entry:
-    /// next-hop links (the tie-break), distances and hop counts, with and
-    /// without dead links (a residual graph may be disconnected).
+    /// Route from `src` to `dst` over every link: its links, and the sum of
+    /// their latencies.
+    fn route(
+        routes: &mut Routes,
+        topo: &Topology,
+        src: CoreId,
+        dst: CoreId,
+    ) -> (Vec<LinkId>, VDuration) {
+        let row = routes.row(topo, dst);
+        let links: Vec<LinkId> = Routes::path(topo, row, src).map(|(l, _)| l).collect();
+        let latency = links.iter().map(|&l| topo.link(l).latency).sum();
+        (links, latency)
+    }
+
+    /// The breadth-first sweep must give Dijkstra's row entry for entry
+    /// (the next-hop tie-break included), with and without dead links (a
+    /// residual graph may be disconnected).
     #[test]
     fn uniform_latency_sweep_matches_dijkstra() {
         use crate::builders::{mesh_3d, torus_2d};
@@ -476,82 +335,72 @@ mod tests {
             mesh_3d(27),
             torus_2d(16),
         ] {
-            let w = uniform_latency(&topo);
-            assert_eq!(w.is_some(), topo.n_links() > 0, "builders use one latency");
-            let n_links = topo.n_links() as usize;
+            let routes = Routes::for_topology(&topo);
+            assert_eq!(
+                routes.uniform,
+                topo.n_links() > 0,
+                "builders use one latency"
+            );
+            let incoming = Incoming::of(&topo);
+            let n = topo.n_cores() as usize;
             // No dead links; every third link dead; a cut isolating core 0.
-            let cut: Vec<bool> = topo
-                .links()
-                .iter()
-                .map(|l| l.src.0 == 0 || l.dst.0 == 0)
-                .collect();
-            let masks = [
-                vec![false; n_links],
-                (0..n_links).map(|i| i % 3 == 0).collect(),
-                cut,
-            ];
+            let cut = |l: LinkId| topo.link(l).src.0 == 0 || topo.link(l).dst.0 == 0;
+            let masks: [&dyn Fn(LinkId) -> bool; 3] = [&|_| false, &|l| l.0 % 3 == 0, &cut];
             for dead in masks {
-                let rev = reverse_adjacency(&topo, |i| !dead[i]);
                 for dst in topo.cores() {
-                    assert_eq!(
-                        routes_to(&topo, &rev, dst, w),
-                        dijkstra_to(&topo, &rev, dst),
-                        "{} cores, to {dst}",
-                        topo.n_cores()
-                    );
+                    let (mut bfs, mut dijkstra) = (vec![0; n], vec![0; n]);
+                    bfs_to(&incoming, dst, dead, &mut bfs);
+                    dijkstra_to(&topo, &incoming, dst, dead, &mut dijkstra);
+                    assert_eq!(bfs, dijkstra, "{} cores, to {dst}", topo.n_cores());
                 }
             }
         }
         // Two latencies: not uniform, Dijkstra it is.
-        assert_eq!(
-            uniform_latency(&clustered_mesh(16, ClusterParams::paper(4))),
-            None
-        );
+        assert!(!Routes::for_topology(&clustered_mesh(16, ClusterParams::paper(4))).uniform);
     }
 
     #[test]
     fn mesh_routes_are_minimal() {
         let topo = mesh_2d(16); // 4x4
-        let rt = RoutingTable::build(&topo);
+        let mut routes = Routes::for_topology(&topo);
         // Opposite corners: 3+3 hops, 6 cycles at 1 cy/link.
-        assert_eq!(rt.path_hops(CoreId(0), CoreId(15)), 6);
-        assert_eq!(
-            rt.path_latency(CoreId(0), CoreId(15)),
-            VDuration::from_cycles(6)
-        );
-        assert_eq!(rt.path_hops(CoreId(5), CoreId(5)), 0);
-        assert!(rt.next_link(CoreId(5), CoreId(5)).is_none());
+        let (links, latency) = route(&mut routes, &topo, CoreId(0), CoreId(15));
+        assert_eq!(links.len(), 6);
+        assert_eq!(latency, VDuration::from_cycles(6));
+        assert!(route(&mut routes, &topo, CoreId(5), CoreId(5)).0.is_empty());
+        assert_eq!(routes.row(&topo, CoreId(5))[5], Routes::NO_LINK);
     }
 
     #[test]
     fn route_materialization_is_valid() {
         let topo = mesh_2d(64);
-        let rt = RoutingTable::build(&topo);
+        let mut routes = Routes::for_topology(&topo);
         for (s, d) in [(0u32, 63u32), (7, 56), (12, 12), (1, 62)] {
-            let route = rt.route(&topo, CoreId(s), CoreId(d));
-            assert_eq!(route.len() as u32, rt.path_hops(CoreId(s), CoreId(d)));
+            let (links, latency) = route(&mut routes, &topo, CoreId(s), CoreId(d));
+            assert_eq!(
+                links.len() as u32,
+                topo.hop_distances(CoreId(s))[d as usize]
+            );
             let mut cur = CoreId(s);
             let mut total = VDuration::ZERO;
-            for link in route {
+            for link in links {
                 let props = topo.link(link);
                 assert_eq!(props.src, cur, "route must chain");
                 cur = props.dst;
                 total += props.latency;
             }
             assert_eq!(cur, CoreId(d), "route must reach destination");
-            assert_eq!(total, rt.path_latency(CoreId(s), CoreId(d)));
+            assert_eq!(total, latency);
         }
     }
 
     #[test]
     fn routing_is_deterministic() {
         let topo = mesh_2d(36);
-        let a = RoutingTable::build(&topo);
-        let b = RoutingTable::build(&topo);
-        for s in topo.cores() {
-            for d in topo.cores() {
-                assert_eq!(a.next_link(s, d), b.next_link(s, d));
-            }
+        let mut a = Routes::for_topology(&topo);
+        let mut b = Routes::for_topology(&topo);
+        for d in topo.cores() {
+            assert_eq!(a.row(&topo, d), b.row(&topo, d));
         }
     }
 
@@ -560,48 +409,56 @@ mod tests {
         // On a clustered mesh, a path through the cluster interior (0.5
         // cy/link) can beat a hop-shorter path crossing boundaries (4 cy).
         let topo = clustered_mesh(64, ClusterParams::paper(4));
-        let rt = RoutingTable::build(&topo);
+        let mut routes = Routes::for_topology(&topo);
         // Within one 4x4 tile: corner (0,0) to (3,3) = 6 fast hops = 3 cy.
-        let inside = rt.path_latency(CoreId(0), CoreId(27)); // (3,3) = 3*8+3
+        let inside = route(&mut routes, &topo, CoreId(0), CoreId(27)).1; // (3,3) = 3*8+3
         assert_eq!(inside, VDuration::from_cycles(3));
         // Crossing: (0,0) to (4,0) requires exactly one slow link plus three
         // fast hops along the row: 3 * 0.5 + 4 = 5.5 cycles.
-        let crossing = rt.path_latency(CoreId(0), CoreId(4));
+        let crossing = route(&mut routes, &topo, CoreId(0), CoreId(4)).1;
         assert_eq!(crossing, VDuration::from_half_cycles(11));
     }
 
+    /// The largest path latency over every ordered pair of a 4x4 mesh.
     #[test]
     fn weighted_diameter_mesh() {
         let topo = mesh_2d(16);
-        let rt = RoutingTable::build(&topo);
-        assert_eq!(rt.weighted_diameter(), VDuration::from_cycles(6));
+        let mut routes = Routes::for_topology(&topo);
+        let mut max = VDuration::ZERO;
+        for s in topo.cores() {
+            for d in topo.cores() {
+                max = max.max(route(&mut routes, &topo, s, d).1);
+            }
+        }
+        assert_eq!(max, VDuration::from_cycles(6));
     }
 
     #[test]
     fn ring_routes_take_short_side() {
         let topo = ring(8);
-        let rt = RoutingTable::build(&topo);
-        assert_eq!(rt.path_hops(CoreId(0), CoreId(3)), 3);
-        assert_eq!(rt.path_hops(CoreId(0), CoreId(5)), 3); // around the back
-        assert_eq!(rt.path_hops(CoreId(0), CoreId(4)), 4);
+        let mut routes = Routes::for_topology(&topo);
+        let hops = |routes: &mut Routes, d: u32| route(routes, &topo, CoreId(0), CoreId(d)).0.len();
+        assert_eq!(hops(&mut routes, 3), 3);
+        assert_eq!(hops(&mut routes, 5), 3); // around the back
+        assert_eq!(hops(&mut routes, 4), 4);
     }
 
     #[test]
     fn build_avoiding_reroutes_around_dead_links() {
         let topo = mesh_2d(16); // 4x4
-        let full = RoutingTable::build(&topo);
+        let mut routes = Routes::for_topology(&topo);
         // Kill both directions of the 0<->1 link: 0 -> 1 must detour.
-        let mut dead = vec![false; topo.n_links() as usize];
-        dead[topo.link_between(CoreId(0), CoreId(1)).unwrap().index()] = true;
-        dead[topo.link_between(CoreId(1), CoreId(0)).unwrap().index()] = true;
-        let (rt, partitioned) = RoutingTable::build_avoiding(&topo, &dead);
-        assert!(!partitioned, "a mesh survives one dead link");
-        assert!(rt.reachable(CoreId(0), CoreId(1)));
-        assert_eq!(rt.path_hops(CoreId(0), CoreId(1)), 3); // 0-4-5-1
-        assert!(rt.path_hops(CoreId(0), CoreId(1)) > full.path_hops(CoreId(0), CoreId(1)));
-        for link in rt.route(&topo, CoreId(0), CoreId(1)) {
-            assert!(!dead[link.index()], "route over a dead link");
-        }
+        let f = topo.link_between(CoreId(0), CoreId(1)).unwrap();
+        let b = topo.link_between(CoreId(1), CoreId(0)).unwrap();
+        let dead = |l: LinkId| l == f || l == b;
+        let row = routes.row_avoiding(&topo, 0, dead, CoreId(1));
+        let detour: Vec<LinkId> = Routes::path(&topo, row, CoreId(0))
+            .map(|(l, _)| l)
+            .collect();
+        assert_eq!(detour.len(), 3); // 0-4-5-1
+        assert!(detour.iter().all(|&l| !dead(l)), "route over a dead link");
+        // The base row still takes the direct link.
+        assert_eq!(route(&mut routes, &topo, CoreId(0), CoreId(1)).0, vec![f]);
     }
 
     #[test]
@@ -609,30 +466,25 @@ mod tests {
         // A 4-ring with both directions of two opposite edges cut splits in
         // two.
         let topo = ring(4);
-        let mut dead = vec![false; topo.n_links() as usize];
+        let mut cut = Vec::new();
         for (u, v) in [(0u32, 1u32), (2, 3)] {
-            dead[topo.link_between(CoreId(u), CoreId(v)).unwrap().index()] = true;
-            dead[topo.link_between(CoreId(v), CoreId(u)).unwrap().index()] = true;
+            cut.push(topo.link_between(CoreId(u), CoreId(v)).unwrap());
+            cut.push(topo.link_between(CoreId(v), CoreId(u)).unwrap());
         }
-        let (rt, partitioned) = RoutingTable::build_avoiding(&topo, &dead);
-        assert!(partitioned);
-        assert!(!rt.reachable(CoreId(0), CoreId(1)));
-        assert!(rt.reachable(CoreId(1), CoreId(2)));
-        assert!(rt.reachable(CoreId(0), CoreId(0)));
+        let mut routes = Routes::for_topology(&topo);
+        let to_1 = routes.row_avoiding(&topo, 0, |l| cut.contains(&l), CoreId(1));
+        assert_eq!(to_1[0], Routes::NO_LINK, "0 is cut off from 1");
+        assert_ne!(to_1[2], Routes::NO_LINK, "2 still reaches 1");
+        assert!(!topo.is_strongly_connected(|l| cut.contains(&l)));
     }
 
     #[test]
     fn build_avoiding_nothing_matches_build() {
         let topo = mesh_2d(16);
-        let full = RoutingTable::build(&topo);
-        let dead = vec![false; topo.n_links() as usize];
-        let (rt, partitioned) = RoutingTable::build_avoiding(&topo, &dead);
-        assert!(!partitioned);
-        for s in topo.cores() {
-            for d in topo.cores() {
-                assert_eq!(full.next_link(s, d), rt.next_link(s, d));
-                assert!(rt.reachable(s, d));
-            }
+        let mut routes = Routes::for_topology(&topo);
+        for d in topo.cores() {
+            let avoiding = routes.row_avoiding(&topo, 3, |_| false, d).to_vec();
+            assert_eq!(avoiding, routes.row(&topo, d));
         }
     }
 
@@ -641,76 +493,55 @@ mod tests {
     fn disconnected_topology_rejected() {
         let mut t = Topology::new(3);
         t.add_default_link(CoreId(0), CoreId(1));
-        let _ = RoutingTable::build(&t);
+        let _ = Routes::for_topology(&t);
     }
 
+    /// Rows keyed by (epoch, destination) answer the same through any
+    /// amount of eviction: every pair asked twice, base and epoch rows
+    /// interleaved, on a pool of 8 rows for 64 destinations matches a pool
+    /// that holds every row.
     #[test]
-    fn lazy_routes_match_dense_bit_exactly() {
-        let topo = clustered_mesh(64, ClusterParams::paper(4));
-        let dense = RoutingTable::build(&topo);
-        let lazy = Routes::Lazy(LazyRoutes::new(&topo));
-        let view = lazy.view(&topo);
-        for s in topo.cores() {
-            for d in topo.cores() {
-                assert_eq!(view.next_link(s, d), dense.next_link(s, d));
-                assert_eq!(view.path_latency(s, d), dense.path_latency(s, d));
-                assert_eq!(view.path_hops(s, d), dense.path_hops(s, d));
-                assert!(view.reachable(s, d));
+    fn evicted_rows_rebuild_to_the_same_answers() {
+        for topo in [clustered_mesh(64, ClusterParams::paper(4)), mesh_2d(64)] {
+            let dead = |l: LinkId| l.0.is_multiple_of(5);
+            let mut small = Routes::with_capacity(&topo, MIN_ROWS);
+            let mut whole = Routes::with_capacity(&topo, 2 * 64);
+            for _ in 0..2 {
+                for d in topo.cores() {
+                    assert_eq!(small.row(&topo, d), whole.row(&topo, d), "to {d}");
+                    assert_eq!(
+                        small.row_avoiding(&topo, 7, dead, d),
+                        whole.row_avoiding(&topo, 7, dead, d),
+                        "to {d} in epoch 7"
+                    );
+                }
             }
+            assert_eq!(small.slots.len(), MIN_ROWS);
+            assert_eq!(whole.slots.len(), 2 * 64);
         }
-    }
-
-    #[test]
-    fn lazy_row_cache_evicts_and_recomputes_consistently() {
-        let topo = mesh_2d(64);
-        let dense = RoutingTable::build(&topo);
-        let lazy = Routes::for_topology(&topo); // small: dense
-        assert!(matches!(lazy, Routes::Dense(_)));
-        let lz = LazyRoutes::new(&topo);
-        let routes = Routes::Lazy(lz);
-        let view = routes.view(&topo);
-        // Touch far more destinations than the cache cap, twice.
-        for _ in 0..2 {
-            for d in topo.cores() {
-                assert_eq!(
-                    view.path_latency(CoreId(0), d),
-                    dense.path_latency(CoreId(0), d)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn for_topology_switches_representation_by_size() {
-        assert!(matches!(
-            Routes::for_topology(&mesh_2d(16)),
-            Routes::Dense(_)
-        ));
-        assert!(matches!(
-            Routes::for_topology(&ring(DENSE_ROUTING_MAX + 1)),
-            Routes::Lazy(_)
-        ));
     }
 
     /// A machine that routes nothing pays nothing: the reverse adjacency
-    /// appears with the first row, not with the routes.
+    /// and the row pool appear with the first row, not with the routes.
     #[test]
-    fn lazy_routes_build_nothing_until_queried() {
-        let topo = ring(DENSE_ROUTING_MAX + 1);
-        let routes = Routes::for_topology(&topo);
-        let Routes::Lazy(lz) = &routes else {
-            panic!("a ring above DENSE_ROUTING_MAX routes lazily");
-        };
-        assert!(lz.rev.get().is_none(), "built at construction");
-        assert_eq!(routes.view(&topo).path_hops(CoreId(0), CoreId(2)), 2);
-        assert_eq!(lz.rev.get().map(Vec::len), Some(topo.n_cores() as usize));
+    fn routes_build_nothing_until_queried() {
+        let topo = ring(5000);
+        let mut routes = Routes::for_topology(&topo);
+        assert!(
+            routes.head.is_empty() && routes.rows.is_empty(),
+            "built at construction"
+        );
+        let row = routes.row(&topo, CoreId(2));
+        assert_eq!(Routes::path(&topo, row, CoreId(0)).count(), 2);
+        assert_eq!(routes.head.len(), topo.n_cores() as usize);
+        assert_eq!(routes.rows.len(), topo.n_cores() as usize);
     }
 
     #[test]
     #[should_panic(expected = "disconnected")]
     fn lazy_routes_reject_disconnected_topology_at_construction() {
-        let mut t = Topology::new(DENSE_ROUTING_MAX + 1);
+        let mut t = Topology::new(5000);
         t.add_default_link(CoreId(0), CoreId(1));
-        let _ = LazyRoutes::new(&t);
+        let _ = Routes::for_topology(&t);
     }
 }

@@ -2,7 +2,14 @@
 
 use proptest::prelude::*;
 use simany_time::VDuration;
-use simany_topology::{CoreId, RoutingTable, Topology};
+use simany_topology::{CoreId, LinkId, Routes, Topology};
+
+/// The route from `src` along `row` as its links, and their latency sum.
+fn walk(topo: &Topology, row: &[u32], src: CoreId) -> (Vec<LinkId>, VDuration) {
+    let links: Vec<LinkId> = Routes::path(topo, row, src).map(|(l, _)| l).collect();
+    let latency = links.iter().map(|&l| topo.link(l).latency).sum();
+    (links, latency)
+}
 
 /// Build a random connected topology: a random spanning tree plus extra
 /// edges, with random latencies in half-cycle ticks.
@@ -55,8 +62,8 @@ fn floyd_warshall(t: &Topology) -> Vec<Vec<u64>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Routing tables produce valid, chained routes reaching the
-    /// destination, with latencies matching the true shortest paths.
+    /// Routes are valid, chained routes reaching the destination, with
+    /// latencies matching the true shortest paths.
     #[test]
     fn routes_are_valid_and_minimal(
         n in 2u32..24,
@@ -65,33 +72,31 @@ proptest! {
     ) {
         let topo = random_topology(n, extra, seed);
         prop_assume!(topo.is_connected());
-        let rt = RoutingTable::build(&topo);
+        let mut routes = Routes::for_topology(&topo);
         let reference = floyd_warshall(&topo);
-        for s in topo.cores() {
-            for d in topo.cores() {
-                // Latency optimality against Floyd-Warshall.
-                prop_assert_eq!(
-                    rt.path_latency(s, d).ticks(),
-                    reference[s.index()][d.index()],
-                    "latency mismatch {} -> {}", s, d
-                );
+        for d in topo.cores() {
+            let row = routes.row(&topo, d);
+            for s in topo.cores() {
                 // Route validity: chains over real links, reaches d.
-                let route = rt.route(&topo, s, d);
+                let (route, latency) = walk(&topo, row, s);
                 let mut cur = s;
-                let mut total = VDuration::ZERO;
                 for link in route {
                     let props = topo.link(link);
                     prop_assert_eq!(props.src, cur);
                     cur = props.dst;
-                    total += props.latency;
                 }
                 prop_assert_eq!(cur, d);
-                prop_assert_eq!(total, rt.path_latency(s, d));
+                // Latency optimality against Floyd-Warshall.
+                prop_assert_eq!(
+                    latency.ticks(),
+                    reference[s.index()][d.index()],
+                    "latency mismatch {} -> {}", s, d
+                );
             }
         }
     }
 
-    /// The hop diameter bounds every route's hop count.
+    /// Every route's hop count lies between the hop distance and n - 1.
     #[test]
     fn diameter_bounds_hops(
         n in 2u32..16,
@@ -100,22 +105,24 @@ proptest! {
     ) {
         let topo = random_topology(n, extra, seed);
         prop_assume!(topo.is_connected());
-        let rt = RoutingTable::build(&topo);
-        let diameter = topo.diameter_hops();
-        for s in topo.cores() {
-            for d in topo.cores() {
+        let mut routes = Routes::for_topology(&topo);
+        for d in topo.cores() {
+            let row = routes.row(&topo, d);
+            for s in topo.cores() {
                 // Latency-minimal routes may take more hops than the
                 // hop-minimal path, but never more than n - 1.
-                prop_assert!(rt.path_hops(s, d) < n);
-                let _ = diameter;
+                let hops = Routes::path(&topo, row, s).count();
+                prop_assert!(hops < n as usize);
+                prop_assert!(hops >= topo.hop_distances(s)[d.index()] as usize);
             }
         }
     }
 
-    /// Every materialized route's per-hop latencies sum exactly to the
-    /// table's `path_latency` on random connected topologies (the charge
-    /// the interconnect model applies hop by hop matches the precomputed
-    /// end-to-end figure).
+    /// A route's per-hop latencies sum to the shortest path latency on
+    /// random connected topologies, and its first hop leads to a core
+    /// whose own route is exactly one link shorter in latency (the charge
+    /// the interconnect model applies hop by hop is the end-to-end
+    /// minimum, whichever source the walk starts from).
     #[test]
     fn hop_latencies_sum_to_path_latency(
         n in 2u32..20,
@@ -124,23 +131,28 @@ proptest! {
     ) {
         let topo = random_topology(n, extra, seed);
         prop_assume!(topo.is_connected());
-        let rt = RoutingTable::build(&topo);
-        for s in topo.cores() {
-            for d in topo.cores() {
-                let total: VDuration = rt
-                    .route(&topo, s, d)
-                    .into_iter()
-                    .map(|l| topo.link(l).latency)
-                    .fold(VDuration::ZERO, |acc, x| acc + x);
-                prop_assert_eq!(total, rt.path_latency(s, d));
+        let mut routes = Routes::for_topology(&topo);
+        let reference = floyd_warshall(&topo);
+        for d in topo.cores() {
+            let row = routes.row(&topo, d);
+            for s in topo.cores() {
+                let (route, total) = walk(&topo, row, s);
+                prop_assert_eq!(total.ticks(), reference[s.index()][d.index()]);
+                if let Some(&first) = route.first() {
+                    let props = topo.link(first);
+                    prop_assert_eq!(
+                        total,
+                        props.latency + walk(&topo, row, props.dst).1
+                    );
+                }
             }
         }
     }
 
-    /// Post-failure recompute (`build_avoiding`) never routes over a dead
-    /// link: surviving routes chain over live links only and still sum to
-    /// the recomputed latency, and the partition flag is set exactly when
-    /// some pair became unreachable.
+    /// Rows built avoiding dead links never route over one: surviving
+    /// routes chain over live links only and reach the destination, and
+    /// the two-sweep reachability check reports a partition exactly when
+    /// some pair lost its route.
     #[test]
     fn recompute_never_routes_over_dead_links(
         n in 2u32..16,
@@ -163,26 +175,23 @@ proptest! {
                 dead[back.index()] = true;
             }
         }
-        let (rt, partitioned) = RoutingTable::build_avoiding(&topo, &dead);
+        let partitioned = !topo.is_strongly_connected(|l| dead[l.index()]);
+        let mut routes = Routes::for_topology(&topo);
         let mut any_unreachable = false;
-        for s in topo.cores() {
-            for d in topo.cores() {
-                if !rt.reachable(s, d) {
+        for d in topo.cores() {
+            let row = routes.row_avoiding(&topo, 0, |l| dead[l.index()], d);
+            for s in topo.cores() {
+                if s != d && row[s.index()] == Routes::NO_LINK {
                     any_unreachable = true;
                     continue;
                 }
-                let route = rt.route(&topo, s, d);
                 let mut cur = s;
-                let mut total = VDuration::ZERO;
-                for link in route {
+                for (link, props) in Routes::path(&topo, row, s) {
                     prop_assert!(!dead[link.index()], "route {} -> {} crosses dead link", s, d);
-                    let props = topo.link(link);
                     prop_assert_eq!(props.src, cur);
                     cur = props.dst;
-                    total += props.latency;
                 }
                 prop_assert_eq!(cur, d);
-                prop_assert_eq!(total, rt.path_latency(s, d));
             }
         }
         prop_assert_eq!(partitioned, any_unreachable);

@@ -148,7 +148,7 @@ fn drift_parameter_trades_stalls_for_speed() {
 
 #[test]
 fn many_core_machine_smoke() {
-    // A 256-core machine end to end: builds routing tables, spreads work,
+    // A 256-core machine end to end: routes messages, spreads work,
     // verifies output. (The 1024-core sweeps live in the repro harness.)
     let k = simany::kernels::kernel_by_name("Octree").unwrap();
     let r = k
