@@ -16,74 +16,22 @@ use simany::kernels::{kernel_by_name, DwarfKernel, KernelResult, Scale};
 use simany::prelude::*;
 use simany::stats::json::Json;
 use simany::stats::{LatencyDist, ResilienceReport};
+use simany_serve::scenario::{field_names, FieldError};
 use simany_serve::Scenario;
 
+/// The scenario plus the CLI-only extras layered on top of it.
+#[derive(Default)]
 struct Args {
-    kernel: String,
-    cores: u32,
-    arch: String,
-    machine: String,
-    clusters: u32,
-    scale: f64,
-    seed: u64,
-    sync: String,
-    drift: Option<u64>,
+    scenario: Scenario,
     topology_file: Option<String>,
     trace: bool,
     sanitize: bool,
-    threads: u32,
     checkpoint_every: Option<u64>,
     checkpoint_file: String,
     resume: Option<String>,
     preempt_after_checkpoints: Option<u64>,
     json: Option<String>,
-    link_fail_prob: f64,
-    repair_after: Option<u64>,
-    drop_prob: f64,
-    corrupt_prob: f64,
-    core_fail_prob: f64,
-    fault_horizon: Option<u64>,
-    partition_at: Option<u64>,
-    partition_heal: Option<u64>,
-    churn_cores: u32,
-    churn_every: Option<u64>,
     profile_picks: bool,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            kernel: "quicksort".into(),
-            cores: 16,
-            arch: "sm".into(),
-            machine: "mesh".into(),
-            clusters: 4,
-            scale: 0.5,
-            seed: 1,
-            sync: "spatial".into(),
-            drift: None,
-            topology_file: None,
-            trace: false,
-            sanitize: false,
-            threads: 1,
-            checkpoint_every: None,
-            checkpoint_file: "simany.checkpoint".into(),
-            resume: None,
-            preempt_after_checkpoints: None,
-            json: None,
-            link_fail_prob: 0.0,
-            repair_after: None,
-            drop_prob: 0.0,
-            corrupt_prob: 0.0,
-            core_fail_prob: 0.0,
-            fault_horizon: None,
-            partition_at: None,
-            partition_heal: None,
-            churn_cores: 0,
-            churn_every: None,
-            profile_picks: false,
-        }
-    }
 }
 
 const USAGE: &str = "\
@@ -141,38 +89,27 @@ scripted faults (deterministic, layered on top of the sampled plan):
   --churn-every T     interval between churn failures (default 10000 cycles)
 ";
 
-/// Exit with the usage code over a flag value that does not parse or is
-/// out of range.
-fn bad_value(flag: &str, raw: &str) -> ! {
-    eprintln!("bad value for {flag}: '{raw}'");
-    std::process::exit(2);
-}
-
-/// The value of numeric flag `flag`.
+/// The value of numeric flag `flag`; exits with the usage code if it
+/// does not parse.
 fn num<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
-    raw.parse().unwrap_or_else(|_| bad_value(flag, raw))
+    raw.parse().unwrap_or_else(|_| {
+        eprintln!("{}", FieldError::BadValue.message(flag, raw));
+        std::process::exit(2)
+    })
 }
 
-/// The value of a probability flag: a number in [0, 1].
-fn prob(flag: &str, raw: &str) -> f64 {
-    let p: f64 = num(flag, raw);
-    if !(0.0..=1.0).contains(&p) {
-        bad_value(flag, raw);
-    }
-    p
-}
-
-/// The value of `--scale`: a finite number above zero.
-fn scale(flag: &str, raw: &str) -> f64 {
-    let f: f64 = num(flag, raw);
-    if !(f.is_finite() && f > 0.0) {
-        bad_value(flag, raw);
-    }
-    f
+/// The scenario field a `--name` flag sets: its name with `_` for `-`.
+fn field_of(flag: &str) -> Option<String> {
+    let name = flag.strip_prefix("--").filter(|f| !f.contains('_'))?;
+    let name = name.replace('-', "_");
+    field_names().any(|f| f == name).then_some(name)
 }
 
 fn parse_args() -> Args {
-    let mut args = Args::default();
+    let mut args = Args {
+        checkpoint_file: "simany.checkpoint".into(),
+        ..Args::default()
+    };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut it = argv.iter();
     while let Some(a) = it.next() {
@@ -185,15 +122,6 @@ fn parse_args() -> Args {
                 .clone()
         };
         match a.as_str() {
-            "--kernel" => args.kernel = val(),
-            "--cores" => args.cores = num(a, &val()),
-            "--machine" => args.machine = val(),
-            "--arch" => args.arch = val(),
-            "--clusters" => args.clusters = num(a, &val()),
-            "--scale" => args.scale = scale(a, &val()),
-            "--seed" => args.seed = num(a, &val()),
-            "--sync" => args.sync = val(),
-            "--drift" => args.drift = Some(num(a, &val())),
             "--topology" => args.topology_file = Some(val()),
             "--trace" => args.trace = true,
             "--sanitize" => {
@@ -206,70 +134,36 @@ fn parse_args() -> Args {
                     }
                 }
             }
-            "--threads" => args.threads = num(a, &val()),
             "--checkpoint-every" => args.checkpoint_every = Some(num(a, &val())),
             "--checkpoint-file" => args.checkpoint_file = val(),
             "--resume" => args.resume = Some(val()),
             "--preempt-after-checkpoints" => args.preempt_after_checkpoints = Some(num(a, &val())),
             "--json" => args.json = Some(val()),
             "--profile-picks" => args.profile_picks = true,
-            "--link-fail-prob" => args.link_fail_prob = prob(a, &val()),
-            "--repair-after" => args.repair_after = Some(num(a, &val())),
-            "--drop-prob" => args.drop_prob = prob(a, &val()),
-            "--corrupt-prob" => args.corrupt_prob = prob(a, &val()),
-            "--core-fail-prob" => args.core_fail_prob = prob(a, &val()),
-            "--fault-horizon" => args.fault_horizon = Some(num(a, &val())),
-            "--partition-at" => args.partition_at = Some(num(a, &val())),
-            "--partition-heal" => args.partition_heal = Some(num(a, &val())),
-            "--churn-cores" => args.churn_cores = num(a, &val()),
-            "--churn-every" => args.churn_every = Some(num(a, &val())),
             "-h" | "--help" => {
                 print!("{USAGE}");
                 std::process::exit(0);
             }
             other => {
-                eprintln!("unknown option {other}\n{USAGE}");
-                std::process::exit(2);
+                let Some(field) = field_of(other) else {
+                    eprintln!("unknown option {other}\n{USAGE}");
+                    std::process::exit(2);
+                };
+                let raw = val();
+                if let Err(e) = args.scenario.set(&field, &raw) {
+                    eprintln!("{}", e.message(a, &raw));
+                    std::process::exit(2);
+                }
             }
         }
     }
     args
 }
 
-/// The scenario (shared with the sweep service) carrying everything that
-/// defines the run's identity digest.
-fn build_scenario(args: &Args) -> Scenario {
-    Scenario {
-        label: String::new(),
-        kernel: args.kernel.clone(),
-        cores: args.cores,
-        machine: args.machine.clone(),
-        arch: args.arch.clone(),
-        clusters: args.clusters,
-        scale: args.scale,
-        seed: args.seed,
-        sync: args.sync.clone(),
-        drift: args.drift,
-        threads: args.threads,
-        priority: 0,
-        faults: simany_serve::FaultKnobs {
-            link_fail_prob: args.link_fail_prob,
-            repair_after: args.repair_after,
-            drop_prob: args.drop_prob,
-            corrupt_prob: args.corrupt_prob,
-            core_fail_prob: args.core_fail_prob,
-            fault_horizon: args.fault_horizon,
-            partition_at: args.partition_at,
-            partition_heal: args.partition_heal,
-            churn_cores: args.churn_cores,
-            churn_every: args.churn_every,
-        },
-    }
-}
-
-fn build_spec(args: &Args, scenario: &Scenario) -> ProgramSpec {
+fn build_spec(args: &Args) -> ProgramSpec {
     // The shared scenario builder covers everything the sweep service can
     // express; the flags below are CLI-only extras layered on top.
+    let scenario = &args.scenario;
     let mut spec = scenario.build_spec().unwrap_or_else(|e| {
         eprintln!("{e}\n{USAGE}");
         std::process::exit(2);
@@ -289,7 +183,7 @@ fn build_spec(args: &Args, scenario: &Scenario) -> ProgramSpec {
             let plan = simany::fault::FaultPlan::sample(
                 &spec.topo,
                 &scenario.faults.to_config(),
-                args.seed,
+                scenario.seed,
             );
             spec.engine = spec.engine.with_fault_plan(std::sync::Arc::new(plan));
         }
@@ -322,17 +216,18 @@ fn write_json(
     resilience: Option<&ResilienceReport>,
 ) {
     let s = &r.out.stats;
+    let sc = &args.scenario;
     let text = |x: &str| Json::Str(x.to_string());
     let per_sec = |ns: u64| Json::Num((f64::from(n_cores) / (ns.max(1) as f64 / 1e9)).round());
     let mut fields: Vec<(&str, Json)> = vec![
-        ("kernel", text(&args.kernel)),
-        ("cores", Json::U64(u64::from(args.cores))),
-        ("machine", text(&args.machine)),
-        ("arch", text(&args.arch)),
-        ("scale", Json::Num(args.scale)),
-        ("seed", Json::U64(args.seed)),
+        ("kernel", text(&sc.kernel)),
+        ("cores", Json::U64(u64::from(sc.cores))),
+        ("machine", text(&sc.machine)),
+        ("arch", text(&sc.arch)),
+        ("scale", Json::Num(sc.scale)),
+        ("seed", Json::U64(sc.seed)),
         ("config_digest", Json::Str(format!("{digest:016x}"))),
-        ("threads", Json::U64(u64::from(args.threads))),
+        ("threads", Json::U64(u64::from(sc.threads))),
         ("wall_ns", Json::U64(s.wall.as_nanos() as u64)),
         ("build_ns", Json::U64(s.build_ns)),
         ("run_ns", Json::U64(s.run_ns)),
@@ -416,29 +311,16 @@ fn write_json(
 
 fn main() {
     let args = parse_args();
-    let kernel: Option<Box<dyn DwarfKernel>> = kernel_by_name(&args.kernel);
-    let protocol: Option<Box<dyn ProtocolKernel>> = if kernel.is_some() {
-        None
-    } else {
-        protocol_by_name(&args.kernel)
-    };
-    if kernel.is_none() && protocol.is_none() {
-        eprintln!("unknown kernel '{}'; available:", args.kernel);
-        for k in simany::kernels::all_kernels() {
-            eprintln!("  {}", k.name());
-        }
-        for p in simany::kernels::protocols::all_protocols() {
-            eprintln!("  {} (protocol)", p.name());
-        }
-        std::process::exit(2);
-    }
+    let sc = &args.scenario;
+    // `Scenario::set` refused any other name.
+    let kernel: Option<Box<dyn DwarfKernel>> = kernel_by_name(&sc.kernel);
+    let protocol = protocol_by_name(&sc.kernel).filter(|_| kernel.is_none());
     let workload_name = kernel
         .as_deref()
         .map(DwarfKernel::name)
         .or_else(|| protocol.as_deref().map(ProtocolKernel::name))
         .unwrap();
-    let scenario = build_scenario(&args);
-    let mut spec = build_spec(&args, &scenario);
+    let mut spec = build_spec(&args);
     let cfg_digest = simany::core::config_digest(&spec.engine);
     let tracer = if args.trace {
         let t = MemoryTracer::new();
@@ -451,7 +333,7 @@ fn main() {
 
     println!(
         "running {} on {} cores ({} / {}), scale {}, seed {}, config digest {:016x}",
-        workload_name, n_cores, args.machine, args.arch, args.scale, args.seed, cfg_digest
+        workload_name, n_cores, sc.machine, sc.arch, sc.scale, sc.seed, cfg_digest
     );
     // Typed exit codes let a supervising process (the sweep service) tell
     // preemption and failure classes apart.
@@ -465,13 +347,13 @@ fn main() {
     }
     let (r, resilience) = if let Some(kernel) = &kernel {
         let r = kernel
-            .run_sim(spec, Scale(args.scale), args.seed)
+            .run_sim(spec, Scale(sc.scale), sc.seed)
             .unwrap_or_else(|e| bail(e));
         (r, None)
     } else {
         let p = protocol.as_deref().unwrap();
         let o = p
-            .run_sim(spec, Scale(args.scale), args.seed)
+            .run_sim(spec, Scale(sc.scale), sc.seed)
             .unwrap_or_else(|e| bail(e));
         let m: &ProtocolMetrics = &o.metrics;
         let report = ResilienceReport {
@@ -561,10 +443,10 @@ fn main() {
             s.shadow_uncaps
         );
     }
-    if args.threads > 1 {
+    if sc.threads > 1 {
         println!(
             "parallel epochs   : {} ({} grants on {} host threads)",
-            s.parallel_epochs, s.epoch_grants, args.threads
+            s.parallel_epochs, s.epoch_grants, sc.threads
         );
         println!(
             "frame phases      : A {:.1}ms / B {:.1}ms (serial tail {:.1}ms)",

@@ -98,3 +98,40 @@ fn zero_drift_is_refused_only_under_spatial_sync() {
     let out = run("bounded-slack");
     assert_eq!(out.status.code(), Some(0), "{out:?}");
 }
+
+/// Every scenario field is a `simulate` flag, its name with `-` for `_`,
+/// and the help text documents each one.
+#[test]
+fn help_names_every_scenario_field() {
+    let out = Command::new(env!("CARGO_BIN_EXE_simulate"))
+        .arg("--help")
+        .output()
+        .expect("simulate did not start");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let help = String::from_utf8_lossy(&out.stdout);
+    for field in simany_serve::scenario::field_names() {
+        let flag = format!("--{} ", field.replace('_', "-"));
+        assert!(help.contains(&flag), "--help does not name {flag}");
+    }
+}
+
+/// An unknown kernel is refused before anything runs, with the workloads
+/// that do exist.
+#[test]
+fn an_unknown_kernel_is_a_usage_error_listing_the_workloads() {
+    let out = Command::new(env!("CARGO_BIN_EXE_simulate"))
+        .args(["--kernel", "nosuch"])
+        .output()
+        .expect("simulate did not start");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("unknown kernel 'nosuch'"), "{stderr}");
+    let kernels = simany::kernels::all_kernels().into_iter().map(|k| k.name());
+    let protocols = simany::kernels::protocols::all_protocols()
+        .into_iter()
+        .map(|p| p.name());
+    for name in kernels.chain(protocols) {
+        assert!(stderr.contains(name), "{name} missing from: {stderr}");
+    }
+    assert!(out.stdout.is_empty(), "ran anyway");
+}

@@ -1,17 +1,23 @@
-//! One fully-specified simulation run, and how to build/identify/launch it.
+//! One fully-specified simulation run, and how to set/build/identify/launch
+//! it.
 //!
 //! `Scenario` is the unit the sweep service schedules: a (kernel, machine,
 //! cores, scale, seed, sync policy, drift, fault knobs, threads) tuple.
-//! The same struct backs the `simulate` CLI (which builds a [`ProgramSpec`]
-//! from it in-process) and the service (which serializes it back to
-//! `simulate` arguments for a worker subprocess) — so the spec a worker
-//! runs is by construction the spec the digest was computed over.
+//! This module is the one place that knows those fields: [`field_names`]
+//! lists them in a fixed order, [`Scenario::set`] parses and checks one
+//! from text and `Scenario::get` reads one back. The `simulate` CLI sets
+//! them from `--name value` flags and builds a [`ProgramSpec`] in-process;
+//! the sweep spec sets them from its axes; the service serializes them
+//! back to `simulate` arguments for a worker subprocess — so the spec a
+//! worker runs is by construction the spec the digest was computed over.
 
+use simany::kernels::protocols::{all_protocols, protocol_by_name};
+use simany::kernels::{all_kernels, kernel_by_name};
 use simany::prelude::*;
 use simany::presets;
 
-/// Deterministic fault-injection knobs, all off by default. Mirrors the
-/// `simulate` fault flags one-for-one.
+/// Deterministic fault-injection knobs, all off by default. Grouped so a
+/// run can ask whether it needs a fault plan at all.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultKnobs {
     /// Probability each physical link pair fails.
@@ -77,16 +83,18 @@ impl FaultKnobs {
 pub struct Scenario {
     /// Human-readable unique label, e.g. `drift/kernel=quicksort,drift=500`.
     pub label: String,
-    /// Dwarf kernel name (`quicksort`, `connected`, ...).
+    /// Dwarf kernel or protocol workload name (`quicksort`, `gossip`,
+    /// ...), as given: any case-insensitive prefix of one.
     pub kernel: String,
     /// Simulated core count.
     pub cores: u32,
-    /// Machine preset: `mesh` | `mesh3d` | `clustered` | `polymorphic` |
-    /// `cycle-level`.
+    /// Machine preset: `mesh` | `mesh3d` | `clustered` | `chiplet` |
+    /// `polymorphic` | `cycle-level`.
     pub machine: String,
     /// Memory architecture: `sm` | `dm` | `smc`.
     pub arch: String,
-    /// Cluster count (used only by `machine = "clustered"`).
+    /// Cluster count for `machine = "clustered"`, chiplet count for
+    /// `machine = "chiplet"`; other machines ignore it.
     pub clusters: u32,
     /// Workload scale factor.
     pub scale: f64,
@@ -126,12 +134,92 @@ impl Default for Scenario {
     }
 }
 
+/// Where [`Scenario::set`] writes a field, by how its text is checked.
+enum Slot<'a> {
+    Kernel(&'a mut String),
+    /// A name [`Scenario::build_spec`] checks (machine, arch, sync policy).
+    Name(&'a mut String),
+    Count(&'a mut u32),
+    Seed(&'a mut u64),
+    /// Cycles; unset keeps the default.
+    Cycles(&'a mut Option<u64>),
+    Prob(&'a mut f64),
+    Scale(&'a mut f64),
+}
+
+/// The place a field's value lives in a scenario.
+type Accessor = fn(&mut Scenario) -> Slot<'_>;
+
+/// Every field of a run's parameters, in the fixed order used for sweep
+/// expansion, labels and worker arguments. The `simulate` flag of a field
+/// is its name with `-` for `_`.
+#[rustfmt::skip]
+const FIELDS: &[(&str, Accessor)] = &[
+    ("kernel",         |s| Slot::Kernel(&mut s.kernel)),
+    ("machine",        |s| Slot::Name(&mut s.machine)),
+    ("arch",           |s| Slot::Name(&mut s.arch)),
+    ("clusters",       |s| Slot::Count(&mut s.clusters)),
+    ("cores",          |s| Slot::Count(&mut s.cores)),
+    ("scale",          |s| Slot::Scale(&mut s.scale)),
+    ("seed",           |s| Slot::Seed(&mut s.seed)),
+    ("sync",           |s| Slot::Name(&mut s.sync)),
+    ("drift",          |s| Slot::Cycles(&mut s.drift)),
+    ("threads",        |s| Slot::Count(&mut s.threads)),
+    ("link_fail_prob", |s| Slot::Prob(&mut s.faults.link_fail_prob)),
+    ("repair_after",   |s| Slot::Cycles(&mut s.faults.repair_after)),
+    ("drop_prob",      |s| Slot::Prob(&mut s.faults.drop_prob)),
+    ("corrupt_prob",   |s| Slot::Prob(&mut s.faults.corrupt_prob)),
+    ("core_fail_prob", |s| Slot::Prob(&mut s.faults.core_fail_prob)),
+    ("fault_horizon",  |s| Slot::Cycles(&mut s.faults.fault_horizon)),
+    ("partition_at",   |s| Slot::Cycles(&mut s.faults.partition_at)),
+    ("partition_heal", |s| Slot::Cycles(&mut s.faults.partition_heal)),
+    ("churn_cores",    |s| Slot::Count(&mut s.faults.churn_cores)),
+    ("churn_every",    |s| Slot::Cycles(&mut s.faults.churn_every)),
+];
+
+/// The scenario fields' names, in their fixed order.
+pub fn field_names() -> impl Iterator<Item = &'static str> {
+    FIELDS.iter().map(|&(name, _)| name)
+}
+
+fn slot(name: &str) -> Option<Accessor> {
+    FIELDS.iter().find(|&&(n, _)| n == name).map(|&(_, f)| f)
+}
+
+/// Why [`Scenario::set`] refused a value.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum FieldError {
+    /// No scenario field has this name.
+    Unknown,
+    /// The text does not parse as the field's type, or is out of range.
+    BadValue,
+    /// The kernel names neither a dwarf kernel nor a protocol workload.
+    UnknownKernel,
+}
+
+impl FieldError {
+    /// The one-line refusal of `raw` for the field as the user spelled it
+    /// (`drop_prob` in a spec, `--drop-prob` on the command line).
+    pub fn message(self, name: &str, raw: &str) -> String {
+        match self {
+            FieldError::Unknown => format!("unknown field '{name}'"),
+            FieldError::BadValue => format!("bad value for {name}: '{raw}'"),
+            FieldError::UnknownKernel => {
+                let kernels: Vec<_> = all_kernels().iter().map(|k| k.name()).collect();
+                let protocols: Vec<_> = all_protocols().iter().map(|p| p.name()).collect();
+                let (kernels, protocols) = (kernels.join(", "), protocols.join(", "));
+                format!("unknown kernel '{raw}'; available: {kernels}; protocols: {protocols}")
+            }
+        }
+    }
+}
+
 /// Map a sync-policy name + window to a [`SyncPolicy`]. `drift` falls back
 /// to the paper default `T = 100` for windowed policies. A zero window is
 /// refused under spatial sync, where no stalled core could ever be the
 /// first to move (the run would end in a deadlock); bounded slack runs in
 /// lock-step at zero and accepts it.
-pub fn sync_policy(name: &str, drift: Option<u64>) -> Result<SyncPolicy, String> {
+fn sync_policy(name: &str, drift: Option<u64>) -> Result<SyncPolicy, String> {
     let window = VDuration::from_cycles(drift.unwrap_or(100));
     Ok(match name {
         "spatial" if window.is_zero() => {
@@ -263,66 +351,60 @@ impl Scenario {
         Ok(format!("{:016x}", self.digest()?))
     }
 
-    /// Serialize back to `simulate` command-line arguments (everything
-    /// except checkpoint/resume/json flags, which the service owns).
+    /// Serialize back to `simulate` command-line arguments: every field
+    /// that differs from the default, as `--name value` (everything except
+    /// checkpoint/resume/json flags, which the service owns).
     pub fn to_simulate_args(&self) -> Vec<String> {
-        let mut args = vec![
-            "--kernel".into(),
-            self.kernel.clone(),
-            "--cores".into(),
-            self.cores.to_string(),
-            "--machine".into(),
-            self.machine.clone(),
-            "--arch".into(),
-            self.arch.clone(),
-            "--scale".into(),
-            self.scale.to_string(),
-            "--seed".into(),
-            self.seed.to_string(),
-            "--threads".into(),
-            self.threads.to_string(),
-        ];
-        if self.machine == "clustered" || self.machine == "chiplet" {
-            args.extend(["--clusters".into(), self.clusters.to_string()]);
-        }
-        if self.sync != "spatial" {
-            args.extend(["--sync".into(), self.sync.clone()]);
-        }
-        if let Some(t) = self.drift {
-            args.extend(["--drift".into(), t.to_string()]);
-        }
-        let f = &self.faults;
-        if f.link_fail_prob > 0.0 {
-            args.extend(["--link-fail-prob".into(), f.link_fail_prob.to_string()]);
-        }
-        if let Some(t) = f.repair_after {
-            args.extend(["--repair-after".into(), t.to_string()]);
-        }
-        if f.drop_prob > 0.0 {
-            args.extend(["--drop-prob".into(), f.drop_prob.to_string()]);
-        }
-        if f.corrupt_prob > 0.0 {
-            args.extend(["--corrupt-prob".into(), f.corrupt_prob.to_string()]);
-        }
-        if f.core_fail_prob > 0.0 {
-            args.extend(["--core-fail-prob".into(), f.core_fail_prob.to_string()]);
-        }
-        if let Some(t) = f.fault_horizon {
-            args.extend(["--fault-horizon".into(), t.to_string()]);
-        }
-        if let Some(t) = f.partition_at {
-            args.extend(["--partition-at".into(), t.to_string()]);
-        }
-        if let Some(t) = f.partition_heal {
-            args.extend(["--partition-heal".into(), t.to_string()]);
-        }
-        if f.churn_cores > 0 {
-            args.extend(["--churn-cores".into(), f.churn_cores.to_string()]);
-        }
-        if let Some(t) = f.churn_every {
-            args.extend(["--churn-every".into(), t.to_string()]);
+        let base = Scenario::default();
+        let mut args = Vec::new();
+        for name in field_names() {
+            if let Some(v) = self
+                .get(name)
+                .filter(|v| Some(v) != base.get(name).as_ref())
+            {
+                args.extend([format!("--{}", name.replace('_', "-")), v]);
+            }
         }
         args
+    }
+
+    /// Parse and check `raw` as field `name`, then store it: numbers must
+    /// parse, probabilities lie in [0, 1], the scale is finite and above
+    /// zero, and the kernel names a dwarf kernel or protocol workload.
+    /// Names (kernel, machine, arch, sync) are stored as given. Checks that
+    /// span two fields are [`Scenario::build_spec`]'s.
+    pub fn set(&mut self, name: &str, raw: &str) -> Result<(), FieldError> {
+        fn num<T: std::str::FromStr>(raw: &str) -> Result<T, FieldError> {
+            raw.parse().map_err(|_| FieldError::BadValue)
+        }
+        let in_range =
+            |ok: fn(f64) -> bool| num(raw).ok().filter(|&x| ok(x)).ok_or(FieldError::BadValue);
+        match slot(name).ok_or(FieldError::Unknown)?(self) {
+            Slot::Kernel(_) if kernel_by_name(raw).is_none() && protocol_by_name(raw).is_none() => {
+                return Err(FieldError::UnknownKernel)
+            }
+            Slot::Kernel(text) | Slot::Name(text) => *text = raw.to_string(),
+            Slot::Count(n) => *n = num(raw)?,
+            Slot::Seed(n) => *n = num(raw)?,
+            Slot::Cycles(t) => *t = Some(num(raw)?),
+            Slot::Prob(p) => *p = in_range(|p| (0.0..=1.0).contains(&p))?,
+            Slot::Scale(f) => *f = in_range(|f| f.is_finite() && f > 0.0)?,
+        }
+        Ok(())
+    }
+
+    /// Field `name` as the text [`Scenario::set`] takes, or `None` for an
+    /// unset optional field or an unknown name.
+    pub(crate) fn get(&self, name: &str) -> Option<String> {
+        // The slots hand out `&mut`, so read through a copy.
+        let mut copy = self.clone();
+        Some(match slot(name)?(&mut copy) {
+            Slot::Kernel(text) | Slot::Name(text) => text.clone(),
+            Slot::Count(n) => n.to_string(),
+            Slot::Seed(n) => n.to_string(),
+            Slot::Cycles(t) => t.as_ref()?.to_string(),
+            Slot::Prob(x) | Slot::Scale(x) => x.to_string(),
+        })
     }
 }
 
@@ -448,6 +530,17 @@ mod tests {
         assert!(matches!(spec.engine.sync, SyncPolicy::Conservative));
     }
 
+    /// Read `simulate` arguments back the way `simulate` does: each
+    /// `--name value` pair is `set` on a default scenario.
+    fn from_simulate_args(args: &[String]) -> Scenario {
+        let mut s = Scenario::default();
+        for pair in args.chunks(2) {
+            let name = pair[0].strip_prefix("--").unwrap().replace('-', "_");
+            s.set(&name, &pair[1]).unwrap();
+        }
+        s
+    }
+
     #[test]
     fn simulate_args_roundtrip_shape() {
         let mut s = Scenario::default();
@@ -459,5 +552,91 @@ mod tests {
         assert!(args.windows(2).any(|w| w == ["--sync", "bounded-slack"]));
         assert!(args.windows(2).any(|w| w == ["--drop-prob", "0.01"]));
         assert!(!args.iter().any(|a| a == "--clusters"));
+        assert_eq!(from_simulate_args(&args), s);
+
+        // Every field, one at a time and all at once, at a value other
+        // than its default.
+        let other = [
+            ("kernel", "gossip"),
+            ("machine", "chiplet"),
+            ("arch", "dm"),
+            ("clusters", "8"),
+            ("cores", "64"),
+            ("scale", "0.1"),
+            ("seed", "18446744073709551615"),
+            ("sync", "conservative"),
+            ("drift", "0"),
+            ("threads", "2"),
+            ("link_fail_prob", "0.001"),
+            ("repair_after", "5000"),
+            ("drop_prob", "1"),
+            ("corrupt_prob", "0.3"),
+            ("core_fail_prob", "1e-5"),
+            ("fault_horizon", "90000"),
+            ("partition_at", "15000"),
+            ("partition_heal", "40000"),
+            ("churn_cores", "3"),
+            ("churn_every", "2000"),
+        ];
+        assert!(field_names().eq(other.iter().map(|&(name, _)| name)));
+        let mut all = Scenario::default();
+        for (name, raw) in other {
+            let mut one = Scenario::default();
+            one.set(name, raw).unwrap();
+            assert_ne!(one, Scenario::default(), "{name} = {raw}");
+            assert_eq!(from_simulate_args(&one.to_simulate_args()), one, "{name}");
+            all.set(name, raw).unwrap();
+        }
+        assert_eq!(from_simulate_args(&all.to_simulate_args()), all);
+
+        // And every scenario of every shipped spec.
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/sweeps");
+        let mut specs = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            for s in crate::spec::load_spec(path.to_str().unwrap()).unwrap() {
+                let args = s.to_simulate_args();
+                let back = Scenario {
+                    label: s.label.clone(),
+                    priority: s.priority,
+                    ..from_simulate_args(&args)
+                };
+                assert_eq!(back, s, "{args:?}");
+            }
+            specs += 1;
+        }
+        assert!(specs >= 3, "examples/sweeps/ holds {specs} specs");
+    }
+
+    #[test]
+    fn set_refuses_what_simulate_refuses() {
+        let mut s = Scenario::default();
+        for (name, raw) in [
+            ("drop_prob", "1.5"),
+            ("core_fail_prob", "-0.1"),
+            ("link_fail_prob", "NaN"),
+            ("scale", "-1"),
+            ("scale", "0"),
+            ("scale", "inf"),
+            ("cores", "x"),
+            ("seed", "-3"),
+            ("drift", "1.5"),
+        ] {
+            assert_eq!(
+                s.set(name, raw),
+                Err(FieldError::BadValue),
+                "{name} = {raw}"
+            );
+        }
+        assert_eq!(s.set("kernel", "nosuch"), Err(FieldError::UnknownKernel));
+        assert_eq!(s.set("wat", "1"), Err(FieldError::Unknown));
+        assert_eq!(s, Scenario::default(), "a refused value is not stored");
+        // Names are stored as given: the digest folds the kernel string.
+        s.set("kernel", "Quick").unwrap();
+        assert_eq!(s.kernel, "Quick");
+        assert_eq!(
+            FieldError::BadValue.message("--drop-prob", "2"),
+            "bad value for --drop-prob: '2'"
+        );
     }
 }

@@ -20,40 +20,19 @@
 //! ```
 //!
 //! The JSON form is the same shape: `{"defaults": {...}, "sweep": [{...}]}`.
-//! Unknown keys are rejected — a typoed axis silently pinning a default
-//! would corrupt a whole sweep. Labels are `name/axis=value,...` over the
-//! axes that actually vary within the block, and must be unique across the
-//! whole spec.
+//! The axes are the scenario fields ([`crate::scenario::field_names`]),
+//! and each value goes through [`Scenario::set`], so a value `simulate`
+//! would refuse is refused here, before anything runs. Unknown keys are
+//! rejected — a typoed axis silently pinning a default would corrupt a
+//! whole sweep. Labels are `name/axis=value,...` over the axes that
+//! actually vary within the block, and must be unique across the whole
+//! spec.
 
 use crate::json::Json;
-use crate::scenario::Scenario;
+use crate::scenario::{field_names, Scenario};
 
-/// Axes a sweep block may set, in the fixed order used for cartesian
-/// expansion and label construction.
-const AXES: &[&str] = &[
-    "kernel",
-    "machine",
-    "arch",
-    "clusters",
-    "cores",
-    "scale",
-    "seed",
-    "sync",
-    "drift",
-    "threads",
-    "link_fail_prob",
-    "repair_after",
-    "drop_prob",
-    "corrupt_prob",
-    "core_fail_prob",
-    "fault_horizon",
-    "partition_at",
-    "partition_heal",
-    "churn_cores",
-    "churn_every",
-];
-
-/// Keys allowed in a `[[sweep]]` block beyond the axes.
+/// Keys allowed in a `[[sweep]]` block beyond the axes (the scenario
+/// fields).
 const BLOCK_KEYS: &[&str] = &["name", "priority"];
 
 /// Parse a sweep spec (TOML subset or JSON, auto-detected) and expand it
@@ -96,7 +75,7 @@ fn expand(tree: &Json) -> Result<Vec<Scenario>, String> {
         }
     }
     for (key, _) in &defaults {
-        if !AXES.contains(&key.as_str()) {
+        if !field_names().any(|f| f == key) {
             return Err(format!("unknown key '{key}' in [defaults]"));
         }
     }
@@ -124,15 +103,15 @@ fn expand(tree: &Json) -> Result<Vec<Scenario>, String> {
                 .ok_or_else(|| format!("[[sweep]] '{name}': priority must be an integer"))?,
         };
         for (key, _) in fields {
-            if !AXES.contains(&key.as_str()) && !BLOCK_KEYS.contains(&key.as_str()) {
+            if !field_names().any(|f| f == key) && !BLOCK_KEYS.contains(&key.as_str()) {
                 return Err(format!("unknown key '{key}' in [[sweep]] '{name}'"));
             }
         }
 
-        // Per-axis value lists: block overrides defaults; absent axes keep
-        // the Scenario default (a single implicit value).
-        let mut axis_values: Vec<(&str, Vec<Json>)> = Vec::new();
-        for axis in AXES {
+        // Per-axis value lists, as text: block overrides defaults; absent
+        // axes keep the Scenario default (a single implicit value).
+        let mut axis_values: Vec<(&str, Vec<String>)> = Vec::new();
+        for axis in field_names() {
             let v = block
                 .get(axis)
                 .or_else(|| defaults.iter().find(|(k, _)| k == axis).map(|(_, v)| v));
@@ -143,9 +122,10 @@ fn expand(tree: &Json) -> Result<Vec<Scenario>, String> {
                         "[[sweep]] '{name}': axis '{axis}' is an empty array"
                     ))
                 }
-                Some(Json::Arr(items)) => items.clone(),
-                Some(scalar) => vec![scalar.clone()],
-            };
+                Some(Json::Arr(items)) => items.iter().map(|v| scalar_text(axis, v)).collect(),
+                Some(scalar) => scalar_text(axis, scalar).map(|t| vec![t]),
+            }
+            .map_err(|e| format!("[[sweep]] '{name}': {e}"))?;
             axis_values.push((axis, values));
         }
 
@@ -160,9 +140,10 @@ fn expand(tree: &Json) -> Result<Vec<Scenario>, String> {
             let mut label_parts = Vec::new();
             for (slot, (axis, values)) in index.iter().zip(&axis_values) {
                 let value = &values[*slot];
-                apply_axis(&mut s, axis, value).map_err(|e| format!("[[sweep]] '{name}': {e}"))?;
+                s.set(axis, value)
+                    .map_err(|e| format!("[[sweep]] '{name}': {}", e.message(axis, value)))?;
                 if values.len() > 1 {
-                    label_parts.push(format!("{axis}={}", scalar_label(value)));
+                    label_parts.push(format!("{axis}={value}"));
                 }
             }
             s.label = if label_parts.is_empty() {
@@ -178,18 +159,12 @@ fn expand(tree: &Json) -> Result<Vec<Scenario>, String> {
             }
             scenarios.push(s);
 
-            // Advance the odometer.
-            let mut pos = index.len();
-            loop {
-                if pos == 0 {
+            // Advance the odometer; back at all zeros, the block is done.
+            for (i, (_, values)) in index.iter_mut().zip(&axis_values).rev() {
+                *i = (*i + 1) % values.len();
+                if *i > 0 {
                     break;
                 }
-                pos -= 1;
-                index[pos] += 1;
-                if index[pos] < axis_values[pos].1.len() {
-                    break;
-                }
-                index[pos] = 0;
             }
             if index.iter().all(|&i| i == 0) {
                 break;
@@ -199,59 +174,17 @@ fn expand(tree: &Json) -> Result<Vec<Scenario>, String> {
     Ok(scenarios)
 }
 
-fn scalar_label(v: &Json) -> String {
+/// A scalar axis value as the text [`Scenario::set`] parses and labels
+/// show: integral numbers without a fraction.
+fn scalar_text(axis: &str, v: &Json) -> Result<String, String> {
     match v {
-        Json::Str(s) => s.clone(),
-        Json::Num(x) => {
-            if x.fract() == 0.0 && x.abs() < 1e15 {
-                format!("{}", *x as i64)
-            } else {
-                format!("{x}")
-            }
-        }
-        Json::Bool(b) => b.to_string(),
-        other => format!("{other:?}"),
+        Json::Str(s) => Ok(s.clone()),
+        Json::Num(x) if x.fract() == 0.0 && x.abs() < 1e15 => Ok(format!("{}", *x as i64)),
+        Json::Num(x) => Ok(format!("{x}")),
+        other => Err(format!(
+            "axis '{axis}' wants a string or a number, got {other:?}"
+        )),
     }
-}
-
-fn apply_axis(s: &mut Scenario, axis: &str, v: &Json) -> Result<(), String> {
-    let want_str = |v: &Json| {
-        v.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| format!("axis '{axis}' wants a string, got {v:?}"))
-    };
-    let want_u64 = |v: &Json| {
-        v.as_u64()
-            .ok_or_else(|| format!("axis '{axis}' wants a non-negative integer, got {v:?}"))
-    };
-    let want_f64 = |v: &Json| {
-        v.as_f64()
-            .ok_or_else(|| format!("axis '{axis}' wants a number, got {v:?}"))
-    };
-    match axis {
-        "kernel" => s.kernel = want_str(v)?,
-        "machine" => s.machine = want_str(v)?,
-        "arch" => s.arch = want_str(v)?,
-        "sync" => s.sync = want_str(v)?,
-        "clusters" => s.clusters = want_u64(v)? as u32,
-        "cores" => s.cores = want_u64(v)? as u32,
-        "threads" => s.threads = want_u64(v)? as u32,
-        "seed" => s.seed = want_u64(v)?,
-        "drift" => s.drift = Some(want_u64(v)?),
-        "repair_after" => s.faults.repair_after = Some(want_u64(v)?),
-        "fault_horizon" => s.faults.fault_horizon = Some(want_u64(v)?),
-        "partition_at" => s.faults.partition_at = Some(want_u64(v)?),
-        "partition_heal" => s.faults.partition_heal = Some(want_u64(v)?),
-        "churn_cores" => s.faults.churn_cores = want_u64(v)? as u32,
-        "churn_every" => s.faults.churn_every = Some(want_u64(v)?),
-        "scale" => s.scale = want_f64(v)?,
-        "link_fail_prob" => s.faults.link_fail_prob = want_f64(v)?,
-        "drop_prob" => s.faults.drop_prob = want_f64(v)?,
-        "corrupt_prob" => s.faults.corrupt_prob = want_f64(v)?,
-        "core_fail_prob" => s.faults.core_fail_prob = want_f64(v)?,
-        other => return Err(format!("unknown axis '{other}'")),
-    }
-    Ok(())
 }
 
 // ------------------------------------------------------------- TOML subset

@@ -283,3 +283,29 @@ fn a_zero_spatial_drift_is_refused_at_queue_build_time() {
         "{err}"
     );
 }
+
+/// A value `simulate` would refuse is refused while the queue is built,
+/// with the block and the field named: no panic, no worker run to fail.
+#[test]
+fn an_out_of_range_value_is_refused_at_queue_build_time() {
+    for (tag, line, want) in [
+        (
+            "drop-prob",
+            "drop_prob = 1.5",
+            "bad value for drop_prob: '1.5'",
+        ),
+        (
+            "core-fail-prob",
+            "core_fail_prob = 1.5",
+            "bad value for core_fail_prob: '1.5'",
+        ),
+        ("scale", "scale = -1.0", "bad value for scale: '-1'"),
+        ("kernel", "kernel = \"nosuch\"", "unknown kernel 'nosuch'"),
+    ] {
+        let err = refused_at_queue_build_time(
+            tag,
+            &format!("[defaults]\ncores = 16\n\n[[sweep]]\nname = \"bad\"\n{line}\n"),
+        );
+        assert!(err.contains(&format!("[[sweep]] 'bad': {want}")), "{err}");
+    }
+}
