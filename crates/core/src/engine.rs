@@ -112,6 +112,7 @@ use simany_time::VirtualTime;
 use simany_topology::{CoreId, Topology};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Who currently holds the run token.
@@ -204,11 +205,32 @@ pub(crate) enum EpochPending {
     },
 }
 
+/// Hasher for [`Sim::acts`], which every pick looks up several times. Its
+/// keys are the engine's sequential activity ids, so one multiply by an odd
+/// constant is enough: it keeps consecutive ids in distinct buckets (a
+/// bijection on the low bits the table indexes by) and mixes them into the
+/// high bits its probe tags read. The ids are not attacker-chosen, so
+/// nothing needs SipHash's keyed flood resistance.
+#[derive(Default)]
+pub(crate) struct ActIdHasher(u64);
+
+impl Hasher for ActIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("activity ids hash through write_u64");
+    }
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
 /// All mutable simulator state.
 pub(crate) struct Sim {
     pub(crate) cores: Cores,
     pub(crate) net: NetworkModel,
-    pub(crate) acts: HashMap<u64, Activity>,
+    pub(crate) acts: HashMap<u64, Activity, BuildHasherDefault<ActIdHasher>>,
     pub(crate) next_act: u64,
     pub(crate) next_birth: u64,
     pub(crate) token: Token,
@@ -898,14 +920,23 @@ fn append_core_dump(sim: &Sim, shared: &Shared, s: &mut String) {
             }
         }
     }
-    for act in sim.acts.values() {
-        if let ActivityState::Blocked(reason) = act.state {
-            let _ = write!(
-                s,
-                "\n  blocked {:?}({}) on {} @{}",
-                act.id, act.name, reason, act.core
-            );
-        }
+    // The table's iteration order is arbitrary: list by activity id so two
+    // reports of the same stuck machine read the same.
+    let mut blocked: Vec<(&Activity, &str)> = sim
+        .acts
+        .values()
+        .filter_map(|act| match act.state {
+            ActivityState::Blocked(reason) => Some((act, reason)),
+            _ => None,
+        })
+        .collect();
+    blocked.sort_unstable_by_key(|(act, _)| act.id);
+    for (act, reason) in blocked {
+        let _ = write!(
+            s,
+            "\n  blocked {:?}({}) on {} @{}",
+            act.id, act.name, reason, act.core
+        );
     }
 }
 
@@ -1007,7 +1038,7 @@ pub fn simulate(
             config.fault.clone(),
             config.seed,
         ),
-        acts: HashMap::new(),
+        acts: HashMap::default(),
         next_act: 0,
         next_birth: 0,
         token: Token::Scheduler,

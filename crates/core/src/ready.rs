@@ -5,9 +5,20 @@
 //! by lowest published virtual time: closest to a conservative
 //! discrete-event order, and the choice that makes the deadlock-avoidance
 //! argument of paper §II.B immediate.
+//!
+//! The queue is two parts. A push whose key is not below the last key of
+//! an in-order *run* is appended to that run in O(1); any other push goes
+//! to an 8-ary heap. A pop takes the smaller of the run's front and the
+//! heap's top, which is the minimum of all queued keys — exactly what one
+//! heap holding every entry would pop, so the split changes the cost of a
+//! pick, never the pick. At a million cores this matters: setup queues
+//! every core at t = 0 in id order, which lands entirely in the run, and
+//! each pick's re-push of its own core lands in a heap of one entry
+//! instead of sifting through a 16 MB array.
 
 use simany_time::VirtualTime;
 use simany_topology::CoreId;
+use std::collections::VecDeque;
 
 /// Heap arity for [`ReadyQueue`]. A binary heap over a million entries is
 /// ~20 levels of pointer-chasing through a multi-megabyte array — every
@@ -18,10 +29,18 @@ use simany_topology::CoreId;
 /// minimum), so this is a pure locality change.
 const D: usize = 8;
 
-/// Implicit `D`-ary min-heap of `(published time at push, tie-break rank,
-/// core id)` with per-core entry accounting.
+/// An entry's key: `(published time at push, tie-break rank, core id)`.
+type Key = (VirtualTime, u32, u32);
+
+/// Min-queue of `(published time at push, tie-break rank, core id)` with
+/// per-core entry accounting: a sorted run of in-order pushes beside an
+/// implicit `D`-ary min-heap of the rest.
 ///
-/// The heap orders *entries*, not cores: a core can legitimately appear
+/// Pop order is the sorted order of the key multiset, whichever part each
+/// entry went to. Two identical keys name the same core, so even ties
+/// cannot pop differently from a single heap.
+///
+/// The queue orders *entries*, not cores: a core can legitimately appear
 /// more than once (a message delivery re-pushes a queued core at a raised
 /// priority, and the earlier entries stay — see `engine::deliver`). Those
 /// extra entries are not inert: when one surfaces, the engine re-validates
@@ -34,12 +53,14 @@ const D: usize = 8;
 /// orders.
 #[derive(Default)]
 pub struct ReadyQueue {
-    /// The entry array, heap-ordered by `(time, rank, core)`.
-    heap: Vec<(VirtualTime, u32, u32)>,
+    /// Entries pushed in non-decreasing key order, lowest at the front.
+    run: VecDeque<Key>,
+    /// Every other entry, heap-ordered by key.
+    heap: Vec<Key>,
     /// Optional tie-break rank per core (see
     /// [`Self::set_tiebreak_ranks`]); `None` = core id.
     ranks: Option<Vec<u32>>,
-    /// Entries currently in `heap` per core (lazily grown).
+    /// Entries currently queued (run and heap) per core (lazily grown).
     qcount: Vec<u32>,
     /// Number of distinct cores with at least one entry.
     live: usize,
@@ -58,10 +79,7 @@ impl ReadyQueue {
     /// with contiguous tiles and id tie-breaks it would pop an entire
     /// tile before seeing the next one.
     pub fn set_tiebreak_ranks(&mut self, ranks: Vec<u32>) {
-        debug_assert!(
-            self.heap.is_empty(),
-            "tie-break ranks installed after pushes"
-        );
+        debug_assert!(self.is_empty(), "tie-break ranks installed after pushes");
         self.ranks = Some(ranks);
     }
 
@@ -100,26 +118,37 @@ impl ReadyQueue {
     pub fn push(&mut self, core: CoreId, published: VirtualTime) {
         let entry = (published, self.rank_of(core.0), core.0);
         self.count_push(core.0);
-        self.heap.push(entry);
-        self.sift_up(self.heap.len() - 1);
+        if self.run.back().is_none_or(|&last| entry >= last) {
+            self.run.push_back(entry);
+        } else {
+            self.heap.push(entry);
+            self.sift_up(self.heap.len() - 1);
+        }
     }
 
     /// Remove and return the core of the lowest entry.
     pub fn pop(&mut self) -> Option<CoreId> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let last = self.heap.len() - 1;
-        self.heap.swap(0, last);
-        let (_, _, core) = self.heap.pop().expect("non-empty heap");
-        self.sift_down(0);
+        let from_heap = match (self.run.front(), self.heap.first()) {
+            (Some(r), Some(h)) => h < r,
+            (None, Some(_)) => true,
+            (_, None) => false,
+        };
+        let core = if from_heap {
+            let last = self.heap.len() - 1;
+            self.heap.swap(0, last);
+            let (_, _, core) = self.heap.pop().expect("non-empty heap");
+            self.sift_down(0);
+            core
+        } else {
+            self.run.pop_front()?.2
+        };
         self.count_pop(core);
         Some(CoreId(core))
     }
 
     /// True iff no entries remain.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.run.is_empty() && self.heap.is_empty()
     }
 
     /// Raw number of *entries*, including stale duplicates — a core
@@ -127,7 +156,7 @@ impl ReadyQueue {
     /// that want "how many cores are queued" should use
     /// [`Self::live_len`]; this raw count only bounds memory.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.run.len() + self.heap.len()
     }
 
     /// Number of *distinct cores* with at least one queued entry — the
@@ -287,6 +316,120 @@ mod tests {
         assert_eq!(q.live_len(), 1);
         assert_eq!(q.pop(), Some(CoreId(2)));
         assert_eq!(q.live_len(), 0);
+        assert!(q.is_empty());
+    }
+
+    /// Reference for the model test: the key multiset in a `BTreeMap`,
+    /// plus entries per core.
+    struct Model {
+        keys: std::collections::BTreeMap<(u64, u32, u32), usize>,
+        per_core: Vec<usize>,
+        ranks: Option<Vec<u32>>,
+    }
+
+    impl Model {
+        fn push(&mut self, q: &mut ReadyQueue, c: u32, at: u64) {
+            q.push(CoreId(c), t(at));
+            let rank = self.ranks.as_ref().map_or(c, |r| r[c as usize]);
+            *self.keys.entry((at, rank, c)).or_default() += 1;
+            self.per_core[c as usize] += 1;
+        }
+
+        fn pop(&mut self) -> Option<CoreId> {
+            let key = *self.keys.keys().next()?;
+            let n = self.keys.get_mut(&key).expect("present");
+            *n -= 1;
+            if *n == 0 {
+                self.keys.remove(&key);
+            }
+            self.per_core[key.2 as usize] -= 1;
+            Some(CoreId(key.2))
+        }
+    }
+
+    /// Drive the queue and the reference with the same random mix of
+    /// in-order runs, out-of-order pushes, duplicate and raised-priority
+    /// re-pushes and pops; after every operation the two must agree on
+    /// what pops next and on every size.
+    fn model_check(seed: u64, ranks: Option<Vec<u32>>) {
+        const CORES: usize = 64;
+        let mut rng = Xoshiro256StarStar::stream(seed, 3);
+        let mut q = ReadyQueue::new();
+        if let Some(r) = &ranks {
+            q.set_tiebreak_ranks(r.clone());
+        }
+        let mut m = Model {
+            keys: Default::default(),
+            per_core: vec![0; CORES],
+            ranks,
+        };
+        let mut clock = 0u64;
+        for _ in 0..20_000 {
+            match rng.next_index(6) {
+                // An in-order run: a few cores at non-decreasing times.
+                0 => {
+                    for _ in 0..1 + rng.next_index(8) {
+                        clock += rng.next_index(3) as u64;
+                        m.push(&mut q, rng.next_index(CORES) as u32, clock);
+                    }
+                }
+                // Out of order: anywhere at or below the clock.
+                1 => {
+                    let at = rng.next_index(clock as usize + 1) as u64;
+                    m.push(&mut q, rng.next_index(CORES) as u32, at);
+                }
+                // A queued core again: at the same key (duplicate) or at
+                // a raised priority.
+                2 if !m.keys.is_empty() => {
+                    let nth = rng.next_index(m.keys.len());
+                    let &(at, _, c) = m.keys.keys().nth(nth).expect("in range");
+                    let raise = if rng.next_index(2) == 0 {
+                        0
+                    } else {
+                        1 + rng.next_index(4) as u64
+                    };
+                    m.push(&mut q, c, at.saturating_sub(raise));
+                }
+                _ => assert_eq!(q.pop(), m.pop()),
+            }
+            let live = m.per_core.iter().filter(|&&n| n > 0).count();
+            assert_eq!(q.len(), m.keys.values().sum::<usize>());
+            assert_eq!(q.live_len(), live);
+            assert_eq!(q.is_empty(), m.keys.is_empty());
+        }
+        while !q.is_empty() {
+            assert_eq!(q.pop(), m.pop());
+        }
+        assert_eq!((q.pop(), m.pop()), (None, None));
+    }
+
+    #[test]
+    fn run_and_heap_pop_in_key_multiset_order() {
+        for seed in 0..4 {
+            model_check(seed, None);
+            let mut ranks: Vec<u32> = (0..64).collect();
+            Xoshiro256StarStar::stream(seed, 4).shuffle(&mut ranks);
+            model_check(seed, Some(ranks));
+        }
+    }
+
+    #[test]
+    fn scale_pattern_keeps_the_heap_at_one_entry() {
+        // The million-core shape at 100k: every core queued at t = 0 in id
+        // order, then each pick pops core c, re-queues it at t = 0 (the
+        // idle pick's transient) and pops it again to run it.
+        const N: u32 = 100_000;
+        let mut q = ReadyQueue::new();
+        for c in 0..N {
+            q.push(CoreId(c), t(0));
+        }
+        assert_eq!((q.run.len(), q.heap.len()), (N as usize, 0));
+        for c in 0..N {
+            assert_eq!(q.pop(), Some(CoreId(c)));
+            q.push(CoreId(c), t(0));
+            assert!(q.heap.len() <= 1, "heap part grew to {}", q.heap.len());
+            assert_eq!(q.pop(), Some(CoreId(c)));
+        }
         assert!(q.is_empty());
     }
 

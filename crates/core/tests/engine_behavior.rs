@@ -454,6 +454,48 @@ fn deadlock_unwinds_every_suspended_body() {
 }
 
 #[test]
+fn deadlock_report_lists_blocked_activities_in_id_order() {
+    // Eight cores each block one activity. The report's `blocked` lines
+    // must come out the same in every run, in ascending activity id.
+    let report = || {
+        let err = simulate(
+            ring(8),
+            EngineConfig::default(),
+            Arc::new(TestHooks),
+            |ops| {
+                for core in 0..8 {
+                    ops.start_activity(
+                        CoreId(core),
+                        "stuck",
+                        Box::new(()),
+                        Box::new(|ctx: &mut ExecCtx| {
+                            let _ = ctx.block("never-woken");
+                        }),
+                    );
+                }
+            },
+        )
+        .unwrap_err();
+        let simany_core::SimError::Deadlock(report) = err else {
+            panic!("expected a deadlock, got: {err}");
+        };
+        report
+    };
+    let first = report();
+    assert_eq!(first, report(), "two runs' deadlock reports differ");
+    let ids: Vec<u64> = first
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("blocked act"))
+        .map(|rest| rest.split('(').next().unwrap().parse().unwrap())
+        .collect();
+    assert_eq!(ids.len(), 8, "every activity blocked: {first}");
+    assert!(
+        ids.windows(2).all(|w| w[0] < w[1]),
+        "blocked activities out of id order: {ids:?}"
+    );
+}
+
+#[test]
 fn task_panic_unwinds_the_bodies_it_leaves_suspended() {
     // "sleeper" blocks holding a guard; "boom" then panics holding another.
     // The panicking body unwinds at once (caught at its trampoline), the

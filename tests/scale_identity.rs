@@ -1,7 +1,9 @@
 //! Bit-identity at scale: the pick-loop optimizations (incremental global
-//! floor, bucketed stall wakes, 8-ary ready heap, O(1) parallelism
-//! sampling) change per-event *cost*, never event *order*. These tests
-//! repeat big chiplet-mesh runs and demand identical observable behavior.
+//! floor, bucketed stall wakes, the ready queue's in-order run beside its
+//! 8-ary heap, the activity table's multiply hash, O(1) parallelism
+//! sampling) change per-event *cost*, never event *order*. These tests run
+//! big chiplet-mesh machines and compare their observable behavior with a
+//! golden table recorded before those optimizations, and with a repeat run.
 //!
 //! Debug builds additionally cross-check the incremental floor against the
 //! naive O(cores) sweep on every query (`debug_assert_eq!` in
@@ -34,7 +36,9 @@ impl RuntimeHooks for OneShot {
     fn on_activity_end(&self, _: &mut Ops<'_>, _: CoreId, _: Box<dyn std::any::Any + Send>) {}
 }
 
-fn chiplet_run(chips: u32, side: u32, sync: SyncPolicy) -> SimStats {
+/// A `chips`×`chips` mesh of `side`×`side` chiplets, every core queued at
+/// t = 0 in id order.
+fn chiplet_run(chips: u32, side: u32, window: u64, sync: SyncPolicy) -> SimStats {
     let topo = simany::topology::chiplet_mesh(
         chips,
         chips,
@@ -43,12 +47,10 @@ fn chiplet_run(chips: u32, side: u32, sync: SyncPolicy) -> SimStats {
         simany::topology::ChipletParams::default(),
     );
     let n = topo.n_cores();
-    let mut config = EngineConfig::default().with_seed(7).with_drift_cycles(64);
+    let mut config = EngineConfig::default()
+        .with_seed(7)
+        .with_drift_cycles(window);
     config.sync = sync;
-    chiplet_run_config(topo, n, config)
-}
-
-fn chiplet_run_config(topo: simany::topology::Topology, n: u32, config: EngineConfig) -> SimStats {
     simany::core::simulate(topo, config, std::sync::Arc::new(OneShot), move |ops| {
         for c in 0..n {
             ops.queue_hint_add(CoreId(c), 1);
@@ -57,53 +59,63 @@ fn chiplet_run_config(topo: simany::topology::Topology, n: u32, config: EngineCo
     .expect("chiplet run failed")
 }
 
-/// The counters any schedule divergence would show up in.
-fn fingerprint(s: &SimStats) -> (u64, u64, u64, u64, u64, u64) {
-    (
+/// Both policies with `T` (or the slack window) of `window` cycles, in the
+/// golden tables' row order.
+fn policies(window: u64) -> [(&'static str, SyncPolicy); 2] {
+    let w = VDuration::from_cycles(window);
+    [
+        ("spatial", SyncPolicy::Spatial { t: w }),
+        ("bounded_slack", SyncPolicy::BoundedSlack { window: w }),
+    ]
+}
+
+/// The counters any schedule divergence would show up in: final vtime,
+/// picks, activities, stalls, fast-path advances, stale ready entries,
+/// shadow evaluations and publish sweeps.
+type Fingerprint = [u64; 8];
+
+fn fingerprint(s: &SimStats) -> Fingerprint {
+    [
         s.final_vtime.cycles(),
         s.scheduler_picks,
         s.activities_started,
         s.stall_events,
         s.fast_path_advances,
         s.ready_stale_skipped,
-    )
-}
-
-fn policies() -> Vec<(&'static str, SyncPolicy)> {
-    vec![
-        (
-            "spatial",
-            SyncPolicy::Spatial {
-                t: VDuration::from_cycles(64),
-            },
-        ),
-        (
-            "bounded_slack",
-            SyncPolicy::BoundedSlack {
-                window: VDuration::from_cycles(64),
-            },
-        ),
+        s.shadow_evals,
+        s.publish_sweeps,
     ]
 }
 
-/// 4,096-core chiplet mesh (2×2 chiplets of 32×32), both policies, two
-/// runs each: identical fingerprints, and every core ran its task.
-#[test]
-fn chiplet_bit_identity_4k() {
-    for (name, sync) in policies() {
-        let a = chiplet_run(2, 32, sync);
-        let b = chiplet_run(2, 32, sync);
-        assert_eq!(a.busy.active, 4096, "{name}: a core never ran");
+/// Run one point under both policies, twice each: every core ran its task,
+/// the repeat matches, and both match the golden row.
+fn check(chips: u32, side: u32, window: u64, golden: [Fingerprint; 2]) {
+    let cores = u64::from(chips * chips * side * side);
+    for ((name, sync), want) in policies(window).into_iter().zip(golden) {
+        let a = chiplet_run(chips, side, window, sync);
+        let b = chiplet_run(chips, side, window, sync);
+        assert_eq!(a.busy.active, cores, "{name}: a core never ran");
         assert_eq!(
             fingerprint(&a),
             fingerprint(&b),
-            "{name}: repeated 4k-core runs diverged"
+            "{name}: repeated {cores}-core runs diverged"
+        );
+        assert_eq!(
+            fingerprint(&a),
+            want,
+            "{name}: {cores}-core schedule moved off the golden row"
         );
     }
 }
 
+/// 4,096-core chiplet mesh (2×2 chiplets of 32×32), both policies.
+#[test]
+fn chiplet_bit_identity_4k() {
+    check(2, 32, 64, GOLDEN_4K);
+}
+
 /// The 262,144-core point from the scale benchmark (8×8 chiplets of
-/// 64×64), both policies, two runs each.
+/// 64×64), both policies.
 ///
 /// The window is sized above the longest task (16×7 = 112 cycles) on
 /// purpose: a core that stalls *mid-activity* keeps its body's stack, so a
@@ -116,41 +128,18 @@ fn chiplet_bit_identity_4k() {
 #[test]
 #[ignore = "262k-core runs take minutes in debug builds"]
 fn chiplet_bit_identity_262k() {
-    let run = |sync: SyncPolicy| {
-        let topo = simany::topology::chiplet_mesh(
-            8,
-            8,
-            64,
-            64,
-            simany::topology::ChipletParams::default(),
-        );
-        let n = topo.n_cores();
-        let mut config = EngineConfig::default().with_seed(7).with_drift_cycles(128);
-        config.sync = sync;
-        chiplet_run_config(topo, n, config)
-    };
-    let policies = vec![
-        (
-            "spatial",
-            SyncPolicy::Spatial {
-                t: VDuration::from_cycles(128),
-            },
-        ),
-        (
-            "bounded_slack",
-            SyncPolicy::BoundedSlack {
-                window: VDuration::from_cycles(128),
-            },
-        ),
-    ];
-    for (name, sync) in policies {
-        let a = run(sync);
-        let b = run(sync);
-        assert_eq!(a.busy.active, 262_144, "{name}: a core never ran");
-        assert_eq!(
-            fingerprint(&a),
-            fingerprint(&b),
-            "{name}: repeated 262k-core runs diverged"
-        );
-    }
+    check(8, 64, 128, GOLDEN_262K);
 }
+
+/// Recorded on the engine whose ready queue was a plain 8-ary heap and
+/// whose activity table hashed with SipHash: one row per policy in
+/// [`policies`]' order, fields in [`fingerprint`]'s order.
+const GOLDEN_4K: [Fingerprint; 2] = [
+    [112, 10649, 4096, 2457, 58983, 0, 34208, 22118],
+    [112, 10649, 4096, 2457, 0, 0, 0, 65536],
+];
+
+const GOLDEN_262K: [Fingerprint; 2] = [
+    [112, 524288, 262144, 0, 3932160, 0, 4129717, 1310720],
+    [112, 524288, 262144, 0, 0, 0, 0, 4194304],
+];
