@@ -55,8 +55,6 @@ options:
   --topology FILE     adjacency-matrix config file (overrides --machine)
   --trace             collect and print an event timeline
   --sanitize on|off   online invariant sanitizer (default off; observation-only)
-  --threads N         host worker tiles for parallel execution (default 1 =
-                      sequential engine; deterministic per fixed N + seed)
   --json FILE         also write wall-clock + counters as JSON to FILE
   --profile-picks     time the pick loop's phases (floor / pop / overhead /
                       action) and sync::publish; observation-only, adds four
@@ -72,7 +70,7 @@ checkpoint / resume (see crates/core/src/checkpoint.rs for the model):
 
 exit codes: 0 success, 2 usage, 10 stalled, 11 checkpoint mismatch,
 12 checkpoint error, 13 task panic, 14 deadlock, 15 preempted,
-16 host resources (a task stack or worker thread the host refused).
+16 host resources (a task stack the host refused).
 
 fault injection (sampled deterministically from --seed; all default off):
   --link-fail-prob F  probability each physical link pair fails
@@ -227,7 +225,6 @@ fn write_json(
         ("scale", Json::Num(sc.scale)),
         ("seed", Json::U64(sc.seed)),
         ("config_digest", Json::Str(format!("{digest:016x}"))),
-        ("threads", Json::U64(u64::from(sc.threads))),
         ("wall_ns", Json::U64(s.wall.as_nanos() as u64)),
         ("build_ns", Json::U64(s.build_ns)),
         ("run_ns", Json::U64(s.run_ns)),
@@ -281,17 +278,6 @@ fn write_json(
         (
             "checkpoint_verifications",
             Json::U64(s.checkpoint_verifications),
-        ),
-        ("parallel_epochs", Json::U64(s.parallel_epochs)),
-        ("epoch_grants", Json::U64(s.epoch_grants)),
-        ("phase_a_wall_ns", Json::U64(s.phase_a_wall_ns)),
-        ("phase_b_wall_ns", Json::U64(s.phase_b_wall_ns)),
-        ("serial_tail_ns", Json::U64(s.serial_tail_ns)),
-        ("frame_spins", Json::U64(s.frame_spins)),
-        ("frame_parks", Json::U64(s.frame_parks)),
-        (
-            "tiles_claimed",
-            Json::Arr(s.tiles_claimed.iter().map(|&n| Json::U64(n)).collect()),
         ),
     ];
     if let Some(rep) = resilience {
@@ -441,22 +427,6 @@ fn main() {
             s.publish_sweeps,
             s.shadow_evals as f64 / s.publish_sweeps.max(1) as f64,
             s.shadow_uncaps
-        );
-    }
-    if sc.threads > 1 {
-        println!(
-            "parallel epochs   : {} ({} grants on {} host threads)",
-            s.parallel_epochs, s.epoch_grants, sc.threads
-        );
-        println!(
-            "frame phases      : A {:.1}ms / B {:.1}ms (serial tail {:.1}ms)",
-            s.phase_a_wall_ns as f64 / 1e6,
-            s.phase_b_wall_ns as f64 / 1e6,
-            s.serial_tail_ns as f64 / 1e6
-        );
-        println!(
-            "frame waits       : {} spins / {} parks; tiles per worker {:?}",
-            s.frame_spins, s.frame_parks, s.tiles_claimed
         );
     }
     if args.sanitize {

@@ -9,7 +9,6 @@ fn a_malformed_number_is_a_usage_error_not_a_panic() {
         ("--drift", "abc"),
         ("--cores", "x"),
         ("--seed", "-3"),
-        ("--threads", "q"),
         ("--scale", "abc"),
         ("--checkpoint-every", "z"),
         ("--drop-prob", "2"),
@@ -27,6 +26,22 @@ fn a_malformed_number_is_a_usage_error_not_a_panic() {
         );
         assert!(out.stdout.is_empty(), "{flag} {value}: ran anyway");
     }
+}
+
+/// The engine has one host thread; `--threads` is gone and is refused like
+/// any other unknown option, before anything runs.
+#[test]
+fn the_retired_threads_flag_is_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_simulate"))
+        .args(["--kernel", "quicksort", "--threads", "2"])
+        .output()
+        .expect("simulate did not start");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr).lines().next(),
+        Some("unknown option --threads")
+    );
+    assert!(out.stdout.is_empty(), "ran anyway");
 }
 
 /// `random-referee` was a policy once; it gets the same refusal as any

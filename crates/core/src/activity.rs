@@ -45,14 +45,6 @@ pub enum ActivityState {
     /// the core's current activity. Flipped to `Resumable` by the engine
     /// when the drift condition clears.
     Stalled,
-    /// Parallel mode only: the activity hit an interaction it could not
-    /// complete confined to its own core during an epoch (a failed or
-    /// undecidable frozen synchronization check, a due message, or a
-    /// compound `Ops` operation) and switched back to the frame worker
-    /// that was running it; the coordinator's serial phase re-grants it
-    /// the run token exclusively. Still the core's current activity; not
-    /// grantable by the scheduler.
-    Parked,
     /// Ready to continue (drift cleared, or just made current after a
     /// wake); waiting for the scheduler to grant the token.
     Resumable,

@@ -281,14 +281,6 @@ pub fn config_digest(config: &crate::EngineConfig) -> u64 {
     // written before its removal valid. (`profile_picks` is observation-
     // only and deliberately excluded.)
     d.u64(1);
-    // Parallel host execution is its own deterministic trajectory per
-    // thread count, so checkpoints resume only under a matching `threads`.
-    // Folded only when parallel so sequential digests match pre-parallel
-    // checkpoints.
-    if config.threads > 1 {
-        d.str("threads");
-        d.u64(u64::from(config.threads));
-    }
     match &config.fault {
         None => {
             d.str("fault:none");
@@ -345,15 +337,6 @@ pub(crate) fn state_digest(sim: &Sim, shared: &Shared) -> u64 {
     d.u64(sim.next_birth);
     d.u64(sim.max_vtime.ticks());
     let s = &sim.stats;
-    // The drift bound is sharded per tile in parallel mode and only merged
-    // at teardown; digest the machine-wide maximum so sequential and
-    // parallel digests mean the same thing.
-    let max_neighbor_drift = sim
-        .tile_stats
-        .iter()
-        .fold(s.max_neighbor_drift, |m, shard| {
-            m.max(shard.max_neighbor_drift)
-        });
     for x in [
         s.activities_started,
         s.activity_resumes,
@@ -365,7 +348,7 @@ pub(crate) fn state_digest(sim: &Sim, shared: &Shared) -> u64 {
         s.core_failures,
         s.link_faults,
         s.partitions_observed,
-        max_neighbor_drift.ticks(),
+        s.max_neighbor_drift.ticks(),
         s.parallelism_samples.len() as u64,
         s.parallelism_samples.iter().map(|&x| u64::from(x)).sum(),
     ] {
@@ -402,10 +385,6 @@ mod tests {
     fn default_config_digest_is_unchanged_since_pr16() {
         let config = crate::EngineConfig::default();
         assert_eq!(config_digest(&config), 0xe367_8dc7_d756_71c4);
-        assert_eq!(
-            config_digest(&config.with_threads(4)),
-            0x0b25_d475_bb34_f2a6
-        );
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub struct EngineConfig {
     /// cores verifying these conditions to keep all cores of current
     /// multi-core host machines busy."
     pub parallelism_sample_every: u64,
-    /// Profile the pick loop (either engine — the front-end is shared):
+    /// Profile the pick loop:
     /// accumulate wall time per loop phase (floor maintenance, ready-queue
     /// pops, scheduler overhead, action execution) and inside
     /// `sync::publish` into [`crate::SimStats`]'s `prof_*_ns` fields.
@@ -139,19 +139,6 @@ pub struct EngineConfig {
     /// [`Self::checkpoint_every`]. Observation-only: excluded from the
     /// config digest, like the checkpoint paths themselves.
     pub preempt_after_checkpoints: Option<u64>,
-    /// Host worker parallelism: partition the topology into up to this
-    /// many contiguous tiles and let one activity per tile execute
-    /// concurrently (see `engine` module docs, *Parallel host execution*).
-    /// `0` and `1` both select the sequential engine, which the parallel
-    /// mode with `threads = 1` is bit-identical to. For a fixed value,
-    /// runs are bit-identical across repetitions as long as task bodies
-    /// share no native state; different values may schedule differently
-    /// (each is its own deterministic trajectory, so checkpoints only
-    /// resume under the same thread count). Bodies that share host memory
-    /// — Dijkstra's distance array behind one `Mutex` — race on it while
-    /// an epoch runs them concurrently, so at `threads >= 2` their outcome
-    /// can depend on host interleaving.
-    pub threads: u32,
     /// Unit-test override: never take the drift-headroom fast path, so
     /// `sync`'s fast-vs-full equality test can run one program both ways.
     /// Not a knob — the field does not exist outside this crate's tests.
@@ -185,7 +172,6 @@ impl std::fmt::Debug for EngineConfig {
             .field("checkpoint_path", &self.checkpoint_path)
             .field("resume_from", &self.resume_from)
             .field("preempt_after_checkpoints", &self.preempt_after_checkpoints)
-            .field("threads", &self.threads)
             .finish()
     }
 }
@@ -211,7 +197,6 @@ impl Default for EngineConfig {
             checkpoint_path: None,
             resume_from: None,
             preempt_after_checkpoints: None,
-            threads: 1,
             #[cfg(test)]
             full_sync_only: false,
             #[cfg(test)]
@@ -286,9 +271,11 @@ impl EngineConfig {
         self
     }
 
-    /// Set the host worker parallelism (see [`Self::threads`]).
-    pub fn with_threads(mut self, threads: u32) -> Self {
-        self.threads = threads;
+    /// Does nothing: the engine runs on the calling thread alone.
+    // `benchmark/src/workloads.rs:452` still calls this; ROADMAP direction
+    // 1(b) deletes that call, and this with it.
+    #[deprecated(note = "the engine has no host worker threads; this is a no-op")]
+    pub fn with_threads(self, _: u32) -> Self {
         self
     }
 

@@ -2,9 +2,9 @@
 //!
 //! The paper schedules its per-core threads in userland (§III); this is
 //! that mechanism. A [`Context`] is an `mmap`ed stack plus two saved stack
-//! pointers. A *driver* — whoever holds the body's grant: the sequential
-//! loop, a frame worker, the epoch coordinator — runs a task body *on* a
-//! context ([`Context::start`]), the body gives the CPU back in the middle
+//! pointers. A *driver* — whoever holds the body's grant; in the engine,
+//! the pick loop on the thread that called `simulate` — runs a task body
+//! *on* a context ([`Context::start`]), the body gives the CPU back in the middle
 //! of a call chain ([`Context::suspend`]) and a driver later continues it
 //! exactly there ([`Context::resume`]) — each a [`arch::switch`]: push the
 //! callee-saved registers, exchange the stack pointer, pop, return. No
@@ -20,12 +20,11 @@
 //!   memory — a stack and a saved stack pointer — so the thread that
 //!   resumes it need not be the one it suspended on. What must hold is
 //!   that exactly one party drives a context at any instant and that each
-//!   hand-over is a happens-before edge: the engine passes a context from
-//!   driver to driver through `Mutex<Sim>` or through a frame's
-//!   release/acquire pair (`crate::frame`). The price is one rule for
-//!   everything on a body's path to [`Context::suspend`]: hold no
-//!   thread-local (a reference into one, or a guard tied to the thread)
-//!   across it — after the switch "this thread" may be another one.
+//!   hand-over is a happens-before edge (a mutex, a channel, a thread
+//!   join). The engine drives every context from one thread, but nothing
+//!   here depends on that, so everything on a body's path to
+//!   [`Context::suspend`] keeps one rule: hold no thread-local (a
+//!   reference into one, or a guard tied to the thread) across it.
 //! * **A context never outlives its pool.** [`Pool`] owns every stack and
 //!   unmaps them when dropped; freed contexts are reused most recently
 //!   freed first, so a run of run-to-completion tasks touches one stack.
@@ -471,7 +470,7 @@ impl Context {
 }
 
 /// Every context of one run. Slots are stable indices (the engine stores
-/// them in `Activity::worker`); a released slot keeps its stack mapped and
+/// them in `Activity::context`); a released slot keeps its stack mapped and
 /// is the next one acquired, so the number of slots is the high-water mark
 /// of bodies alive at once.
 pub(crate) struct Pool {

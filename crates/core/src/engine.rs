@@ -13,30 +13,23 @@
 //! maximal speed" of the paper — but since nobody else can hold the token
 //! concurrently, the simulation stays sequential and deterministic.
 //!
-//! ## Bodies on userland contexts, one way to grant them
+//! ## Bodies on userland contexts
 //!
 //! Every task body runs on a pooled stack of its own ([`crate::coro`]): a
 //! first grant takes the activity's closure and *starts* it on a context,
 //! a later grant *resumes* the context where the body left it —
 //! [`run_body`], the one place either happens. The body gives the CPU back
-//! by returning, or — mid-closure, at a stall, a block or an epoch park —
-//! by switching to whoever granted it (`ExecCtx::suspend`). Either way
-//! `start`/`resume` returns in the granter, on the granter's thread; the
-//! next grant may come from another thread (the hand-over rule is in the
-//! `coro` module docs). A grant therefore costs two register swaps
+//! by returning, or — mid-closure, at a stall or a block — by switching to
+//! the driver (`ExecCtx::suspend`). Either way `start`/`resume` returns in
+//! [`grant`]. A grant therefore costs two register swaps
 //! ([`SimStats::ctx_switches`]) and no system call.
-//!
-//! An *exclusive* grant ([`grant`]: `Token::Act`) is the sequential
-//! engine's only kind and the epoch coordinator's serial-phase kind: run
-//! the body, then account a finished or panicked one under the lock.
 //!
 //! **Lock protocol around a switch.** Each side owns a guard of the
 //! simulation mutex on its own stack, and only the running side holds the
 //! lock: [`grant`] wraps `start`/`resume` in `MutexGuard::unlocked`, the
 //! body wraps its switch back the same way, so every switch happens with
 //! the mutex free and each side re-locks when it continues. Task code in
-//! between takes the lock per `ExecCtx` call. (A frame worker grants
-//! without holding the lock at all, so only the body's half applies.)
+//! between takes the lock per `ExecCtx` call.
 //!
 //! **Nothing unwinds across a switch.** A body runs under `catch_unwind`
 //! in the context's outermost frame, so a task panic comes back to the
@@ -49,52 +42,25 @@
 //! stack, and the trampoline hands the context back. Every stack is
 //! unmapped when the pool drops, before `simulate` returns.
 //!
-//! ## The sequential engine (`threads <= 1`)
+//! ## The driver
 //!
 //! One host thread — the one that called [`simulate`] — running [`drive`]:
-//! `next → dispatch → grant`, a loop with no nesting. After the grant it
-//! re-evaluates the activity's core for the ready queue (what `dispatch`
-//! does itself after a message or an idle hook), closes the pick's action
-//! lap and picks again. A run of tasks that never suspend reuses one stack
-//! ([`SimStats::peak_stacks`] = 1).
+//! `next → dispatch → grant`, a loop with no nesting. [`PickLoop::next`]
+//! does everything that happens between two grants — checkpoint
+//! observation, floor wakes, pop-and-revalidate, the quiet/deadlock check,
+//! the pick count, watchdog, sanitizer cadence and parallelism sample — and
+//! [`PickLoop::dispatch`] processes a message, runs an idle hook or grants
+//! an activity, in the one order every digest, checkpoint and golden
+//! timing depends on. After a grant the driver re-evaluates the activity's
+//! core for the ready queue (what `dispatch` does itself after a message or
+//! an idle hook), closes the pick's action lap and picks again. A run of
+//! tasks that never suspend reuses one stack ([`SimStats::peak_stacks`] =
+//! 1).
 //!
 //! The order of picks, every `Ops` call and every counter a digest covers
 //! are those of a dedicated scheduler thread handing a token to per-task
 //! threads — only *where the registers live* differs — so digests, golden
 //! timings and checkpoints do not depend on the mechanism.
-//!
-//! ## One pick front-end, two grants
-//!
-//! Everything that happens between two grants — checkpoint observation,
-//! floor wakes, pop-and-revalidate, the quiet/deadlock check, the pick
-//! count, watchdog, sanitizer cadence and parallelism sample, then message
-//! processing, idle hooks and the requeue — lives once, in [`PickLoop`],
-//! and is the order every digest, checkpoint and golden timing depends on.
-//! Its two callers differ only in what a pick's *grant* is: [`drive`]
-//! grants exclusively, at once; [`crate::parallel::run_scheduler`] stashes
-//! the activity into the current epoch's batch (or defers it) and runs the
-//! batch when the front-end reports the ready queue drained.
-//!
-//! ## Parallel host execution
-//!
-//! With [`EngineConfig::threads`] ` > 1` the topology is partitioned into
-//! contiguous tiles and the token protocol gains a third state,
-//! [`Token::Epoch`]: the coordinator (see [`crate::parallel`]) grants a
-//! *batch* of activities — at most one queue of them per tile — that
-//! execute user code concurrently, each confined to mutating its own core.
-//! A fixed pool of frame workers, spawned before the run, is coordinated
-//! lock-free through frames (see [`crate::frame`]): the coordinator
-//! publishes each epoch as a frame, workers spin/park on an atomic frame
-//! counter and claim tiles off an atomic cursor, and a countdown of
-//! outstanding members signals quiescence — the simulation mutex is not
-//! held while the batch executes. A worker runs each member of a claimed
-//! tile through [`run_body`]; a member that needs the serial phase parks,
-//! which is a switch back to the worker's claim loop. Everything that
-//! crosses core boundaries (message routing, compound `Ops`, failed
-//! synchronization checks) is deposited into per-tile lanes and applied
-//! by the coordinator in one serial walk, in deterministic tile order,
-//! once the batch quiesces; a parked member is granted exclusively by the
-//! coordinator thread itself. `threads <= 1` never enters any of these paths.
 
 use crate::activity::{Activity, ActivityId, ActivityMeta, ActivityState, TaskFn};
 use crate::config::{EngineConfig, SyncPolicy};
@@ -115,21 +81,6 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-/// Who currently holds the run token.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Token {
-    /// The scheduler: [`drive`] under the sequential engine, the epoch
-    /// coordinator under the parallel one.
-    Scheduler,
-    /// This activity, exclusively: its closure is executing, or is about
-    /// to, on the context [`grant`] is switching to.
-    Act(ActivityId),
-    /// Parallel mode: an epoch is in flight — every activity of the
-    /// current batch (at most one per tile) holds a share of the token and
-    /// may execute concurrently, confined to its own core.
-    Epoch,
-}
-
 /// Panic payload used to unwind suspended activities at simulation
 /// teardown.
 pub(crate) struct ShutdownSignal;
@@ -141,68 +92,13 @@ pub(crate) fn trace(shared: &Shared, make: impl FnOnce() -> TraceEvent) {
     }
 }
 
-/// Immutable run-wide context shared by the scheduler and all workers.
+/// Immutable run-wide context shared by the driver and every task body.
 pub(crate) struct Shared {
     pub(crate) sim: Mutex<Sim>,
     pub(crate) hooks: Arc<dyn RuntimeHooks>,
     pub(crate) config: EngineConfig,
     /// The interconnect; the network model holds the same allocation.
     pub(crate) topo: Arc<Topology>,
-    /// Tile partition of the topology; `Some` iff `config.threads > 1`.
-    pub(crate) partition: Option<simany_topology::Partition>,
-    /// Lock-free frame coordinator for parallel epochs; `Some` iff
-    /// `config.threads > 1` (see [`crate::frame`]).
-    pub(crate) frame: Option<crate::frame::FrameSync>,
-}
-
-impl Shared {
-    /// Tile of core `c` (always 0 under the sequential engine).
-    #[inline]
-    pub(crate) fn tile_of(&self, c: CoreId) -> usize {
-        self.partition.as_ref().map_or(0, |p| p.tile_of(c))
-    }
-}
-
-/// A message buffered by a confined `ExecCtx::send` during an epoch (into
-/// the sender tile's lane, lock-free — the sender is its tile's sole
-/// executor). Routing consumes shared network state (link occupancy, the
-/// global send sequence), so the coordinator routes buffered messages in
-/// tile order at the epoch's serial phase. Per-sender FIFO survives: one
-/// activity per tile runs at a time, the lane preserves its program
-/// order, and its clock (the send stamps) is monotone.
-pub(crate) struct OutMsg {
-    pub(crate) src: CoreId,
-    pub(crate) dst: CoreId,
-    pub(crate) size_bytes: u32,
-    pub(crate) sent: VirtualTime,
-    pub(crate) payload: simany_net::Payload,
-}
-
-/// Work a confined activity handed off to the coordinator's serial phase,
-/// deposited into its tile's lane. At most one entry per tile per epoch
-/// (an activity parks, finishes or panics at most once before leaving
-/// phase A), so draining lanes in tile order gives a unique deterministic
-/// order.
-pub(crate) enum EpochPending {
-    /// The activity hit an interaction it could not complete confined —
-    /// a failed or undecidable frozen synchronization check, a due
-    /// message, or an operation needing exclusive shared-state access
-    /// (compound `Ops`, blocking, a policy consuming the engine RNG).
-    /// Re-grant it the run token exclusively; its own code path then
-    /// replays the authoritative sequential logic (publish, drain,
-    /// policy check with stall bookkeeping, or the compound operation)
-    /// and runs until it yields.
-    Resume(ActivityId),
-    /// The activity's closure returned.
-    Finish(ActivityId),
-    /// The activity's closure panicked. Recorded as a pending entry
-    /// rather than an immediate failure so the "first" panic of an epoch
-    /// is chosen by tile order, not by a thread race.
-    Panic {
-        core: CoreId,
-        name: &'static str,
-        msg: String,
-    },
 }
 
 /// Hasher for [`Sim::acts`], which every pick looks up several times. Its
@@ -233,7 +129,6 @@ pub(crate) struct Sim {
     pub(crate) acts: HashMap<u64, Activity, BuildHasherDefault<ActIdHasher>>,
     pub(crate) next_act: u64,
     pub(crate) next_birth: u64,
-    pub(crate) token: Token,
     pub(crate) ready: ReadyQueue,
     pub(crate) stats: SimStats,
     /// Teardown has begun: a suspended body that is resumed raises
@@ -282,10 +177,6 @@ pub(crate) struct Sim {
     /// Online invariant sanitizer state; `Some` iff
     /// [`EngineConfig::sanitize`] is on (see [`crate::sanitizer`]).
     pub(crate) sanitizer: Option<Box<crate::sanitizer::SanitizerState>>,
-    /// Parallel mode: per-tile shards of the synchronization hot-path
-    /// counters (empty — length 0 — under the sequential engine). Merged
-    /// into `stats` in tile order at teardown.
-    pub(crate) tile_stats: Vec<crate::stats::TileStats>,
     /// Scratch for the wake set of `sync::wake_stalled_by_floor`; reused
     /// across picks so the steady state allocates nothing.
     pub(crate) scratch_ready: Vec<u32>,
@@ -309,64 +200,6 @@ impl Sim {
 
     pub(crate) fn act_mut(&mut self, aid: ActivityId) -> &mut Activity {
         self.acts.get_mut(&aid.0).expect("unknown activity")
-    }
-
-    // Hot-path counter routing: in parallel mode several confined
-    // activities bump these concurrently under distinct tiles, so each
-    // write goes to the bumping core's tile shard; sequentially (empty
-    // shard vector) the machine-wide counter is written directly.
-
-    #[inline]
-    pub(crate) fn count_fast_path(&mut self, shared: &Shared, c: CoreId) {
-        if self.tile_stats.is_empty() {
-            self.stats.fast_path_advances += 1;
-        } else {
-            self.tile_stats[shared.tile_of(c)].fast_path_advances += 1;
-        }
-    }
-
-    #[inline]
-    pub(crate) fn count_fast_path_n(&mut self, shared: &Shared, c: CoreId, n: u64) {
-        if self.tile_stats.is_empty() {
-            self.stats.fast_path_advances += n;
-        } else {
-            self.tile_stats[shared.tile_of(c)].fast_path_advances += n;
-        }
-    }
-
-    #[inline]
-    pub(crate) fn count_full_sync(&mut self, shared: &Shared, c: CoreId) {
-        if self.tile_stats.is_empty() {
-            self.stats.full_sync_checks += 1;
-        } else {
-            self.tile_stats[shared.tile_of(c)].full_sync_checks += 1;
-        }
-    }
-
-    #[inline]
-    pub(crate) fn count_floor_recompute(&mut self, shared: &Shared, c: CoreId) {
-        if self.tile_stats.is_empty() {
-            self.stats.floor_recomputes += 1;
-        } else {
-            self.tile_stats[shared.tile_of(c)].floor_recomputes += 1;
-        }
-    }
-
-    #[inline]
-    pub(crate) fn note_neighbor_drift(
-        &mut self,
-        shared: &Shared,
-        c: CoreId,
-        drift: simany_time::VDuration,
-    ) {
-        let slot = if self.tile_stats.is_empty() {
-            &mut self.stats.max_neighbor_drift
-        } else {
-            &mut self.tile_stats[shared.tile_of(c)].max_neighbor_drift
-        };
-        if drift > *slot {
-            *slot = drift;
-        }
     }
 }
 
@@ -429,9 +262,9 @@ pub enum SimError {
         checkpoints: u64,
     },
     /// The host refused a resource the run needs: the mapping for a task
-    /// body's stack (see [`crate::EngineConfig::worker_stack_bytes`]) or a
-    /// frame worker thread. Nothing is wrong with the simulated program;
-    /// the same run can succeed with a smaller stack or on a roomier host.
+    /// body's stack (see [`crate::EngineConfig::worker_stack_bytes`]).
+    /// Nothing is wrong with the simulated program; the same run can
+    /// succeed with a smaller stack or on a roomier host.
     HostResources {
         /// What the engine was trying to do.
         what: &'static str,
@@ -966,7 +799,7 @@ pub fn simulate(
             "speeds length must match core count"
         );
     }
-    // Checkpoint/resume preflight: fail before spawning anything.
+    // Checkpoint/resume preflight: fail before building anything.
     if config.checkpoint_every.is_some() && config.checkpoint_path.is_none() {
         return Err(SimError::Checkpoint(
             "checkpoint_every set without checkpoint_path".to_string(),
@@ -996,11 +829,6 @@ pub fn simulate(
     };
     let start_wall = std::time::Instant::now();
     let topo = Arc::new(topo);
-    // Parallel host execution: partition the topology into contiguous
-    // tiles, one concurrent activity per tile (see `crate::parallel`).
-    let partition = (config.threads > 1)
-        .then(|| simany_topology::partition_bfs(&topo, config.threads as usize));
-    let n_tiles = partition.as_ref().map_or(0, |p| p.n_tiles());
     let speeds = (0..n).map(|i| config.speed_of(i)).collect();
     let cores = Cores::new(
         speeds,
@@ -1016,20 +844,6 @@ pub fn simulate(
             "fault plan compiled against a different topology"
         );
     }
-    let mut ready = ReadyQueue::new();
-    if let Some(part) = &partition {
-        // Equal-time cores would otherwise pop in core-id order — a whole
-        // contiguous tile before the next one — making the epoch collector
-        // defer O(tile size) cores per epoch on tied wavefronts. Interleave
-        // the tie-break so one core of every tile surfaces first.
-        let mut ranks = vec![0u32; n as usize];
-        for t in 0..part.n_tiles() {
-            for (i, &c) in part.tile(t).iter().enumerate() {
-                ranks[c.index()] = (i * part.n_tiles() + t) as u32;
-            }
-        }
-        ready.set_tiebreak_ranks(ranks);
-    }
     let sim = Sim {
         cores,
         net: NetworkModel::with_faults(
@@ -1041,8 +855,7 @@ pub fn simulate(
         acts: HashMap::default(),
         next_act: 0,
         next_birth: 0,
-        token: Token::Scheduler,
-        ready,
+        ready: ReadyQueue::new(),
         stats: SimStats::default(),
         shutdown: false,
         failure: None,
@@ -1058,7 +871,6 @@ pub fn simulate(
         stamp_cur: 0,
         core_fail_announced: vec![false; n as usize],
         sanitizer: None,
-        tile_stats: vec![crate::stats::TileStats::default(); n_tiles],
         scratch_ready: Vec::new(),
         // All cores start idle with empty birth ledgers: every key is MAX,
         // which is exactly `GlobalFloor::new`'s initial state.
@@ -1069,21 +881,15 @@ pub fn simulate(
         .then(|| crate::floor::GlobalFloor::new(n as usize)),
         stall_wakes: std::collections::BinaryHeap::new(),
     };
-    let frame = (n_tiles > 0).then(|| crate::frame::FrameSync::new(n_tiles, config.threads));
     let shared = Arc::new(Shared {
         sim: Mutex::new(sim),
         hooks,
         config,
         topo,
-        partition,
-        frame,
     });
 
-    // The frame workers: a fixed pool, so a thread the host refuses ends
-    // the run here, before it starts.
-    let workers = spawn_frame_workers(&shared, n_tiles.min(shared.config.threads as usize))?;
     // Where task bodies' registers live. Dropped — every stack unmapped —
-    // on every way out of this function, after the workers are gone.
+    // on every way out of this function.
     let mut pool = Pool::new(shared.config.worker_stack_bytes);
     {
         let mut sim = shared.sim.lock();
@@ -1096,18 +902,14 @@ pub fn simulate(
         }
         sync::settle(&mut sim, &shared);
 
-        // Everything up to here — topology, routing, partition, core
-        // arrays, workload setup — is construction; the pick loop is the
+        // Everything up to here — topology, routing, core arrays,
+        // workload setup — is construction; the pick loop is the
         // simulation. Scale benchmarks need the two separated, or setup
         // cost masquerades as per-event cost.
         let build = start_wall.elapsed();
         let run_start = std::time::Instant::now();
         let mut picks = PickLoop::new(&shared.config, &sim, cfg_digest, resume_target);
-        if shared.config.threads > 1 {
-            sim = crate::parallel::run_scheduler(&shared, sim, &mut picks, &mut pool);
-        } else {
-            drive(&shared, &mut sim, &mut picks, &mut pool);
-        }
+        drive(&shared, &mut sim, &mut picks, &mut pool);
         picks.finish(&mut sim, &shared);
         sim.stats.build_ns = build.as_nanos() as u64;
         sim.stats.run_ns = run_start.elapsed().as_nanos() as u64;
@@ -1118,11 +920,10 @@ pub fn simulate(
         sim.shutdown = true;
         unwind_suspended(&mut sim, &pool);
     }
-    stop_frame_workers(&shared, workers);
 
-    // All workers have exited; harvest the result under the lock instead of
-    // insisting on sole ownership of the `Arc` (a panicking teardown path
-    // must not be able to turn into a second panic here).
+    // Harvest the result under the lock instead of insisting on sole
+    // ownership of the `Arc` (a panicking teardown path must not be able to
+    // turn into a second panic here).
     let mut sim = shared.sim.lock();
     if let Some(f) = sim.failure.take() {
         return Err(f.into_error());
@@ -1132,24 +933,6 @@ pub fn simulate(
     // that the run is over.
     if let Some(g) = &sim.gfloor {
         stats.floor_key_updates = g.updates();
-    }
-    // Merge the per-tile hot-path counter shards (deterministic: tile
-    // order). Empty — a no-op — under the sequential engine.
-    for shard in &sim.tile_stats {
-        stats.absorb_tile(shard);
-    }
-    // Fold the frame workers' contention diagnostics (spin/park/claim
-    // counts). The values are host-scheduling races — diagnostics only —
-    // but the fold order is fixed (worker spawn order) so the vector shape
-    // is stable.
-    if let Some(fs) = &shared.frame {
-        let mut ws = fs.take_worker_stats();
-        ws.sort_by_key(|w| w.0);
-        for (_, claimed, spins, parks) in ws {
-            stats.tiles_claimed.push(claimed);
-            stats.frame_spins += spins;
-            stats.frame_parks += parks;
-        }
     }
     // Single teardown pass over the core arrays: the final virtual time and
     // a streaming busy-time summary (total, max, top cores) — no O(cores)
@@ -1176,30 +959,14 @@ pub fn simulate(
     Ok(stats)
 }
 
-/// What one trip through the pick front-end produced.
-pub(crate) enum Picked {
-    /// A validated ready core, already counted as a scheduler pick; the
-    /// caller hands it to [`PickLoop::dispatch`].
-    Core(CoreId),
-    /// Nothing left to pop, but the caller holds claimed work (`held > 0`)
-    /// that must run before the machine can be judged quiet or deadlocked.
-    Drained,
-    /// The run is over: normal completion, or `sim.failure` is set
-    /// (deadlock, watchdog, checkpoint mismatch, preemption, task panic).
-    Stop,
-}
-
-/// The per-pick front-end shared by [`drive`] and the epoch coordinator:
-/// everything that happens between two grants, in the one order every
-/// digest, checkpoint and golden timing depends on. The two differ only in
-/// what a *grant* means (the closure passed to [`PickLoop::dispatch`]) and
-/// in how many cores they hold out of the ready queue between picks
-/// (`held`).
+/// The per-pick bookkeeping of [`drive`]: everything that happens between
+/// two grants, in the one order every digest, checkpoint and golden timing
+/// depends on.
 ///
 /// All bookkeeping here observes the machine at scheduler-time quiescence
 /// (deferred publishes are flushed at every token yield), so `max_vtime`,
 /// pick counts and state digests are well-defined at these points.
-pub(crate) struct PickLoop {
+struct PickLoop {
     ckpt: crate::checkpoint::CheckpointDriver,
     cfg_digest: u64,
     /// Stall watchdog: the last `max_vtime` seen to rise, and the pick it
@@ -1246,15 +1013,16 @@ impl PickLoop {
         }
     }
 
-    /// Advance to the next pick. `held` is the number of cores the caller
-    /// has claimed or deferred since its last launch — held out of the
-    /// ready queue but carrying runnable work (always 0 sequentially).
-    pub(crate) fn next(&mut self, sim: &mut Sim, shared: &Shared, held: usize) -> Picked {
+    /// Advance to the next pick: a validated ready core, already counted as
+    /// a scheduler pick, or `None` once the run is over — normal
+    /// completion, or `sim.failure` is set (deadlock, watchdog, checkpoint
+    /// mismatch, preemption, task panic).
+    fn next(&mut self, sim: &mut Sim, shared: &Shared) -> Option<CoreId> {
         if self.profiling {
             self.mark = std::time::Instant::now();
         }
         if sim.failure.is_some() || !self.ckpt.observe(sim, shared, self.cfg_digest) {
-            return Picked::Stop;
+            return None;
         }
         if sim.floor_dirty {
             sim.floor_dirty = false;
@@ -1273,9 +1041,6 @@ impl PickLoop {
         }
         self.lap(&mut sim.stats.prof_pop_ns);
         let Some(c) = picked else {
-            if held > 0 {
-                return Picked::Drained;
-            }
             // O(1) quiet check: no live activity, no message in any inbox
             // shard, no queued work anywhere.
             let quiet = sim.live_activities == 0
@@ -1284,7 +1049,7 @@ impl PickLoop {
             if !quiet {
                 sim.failure = Some(Failure::Deadlock(deadlock_report(sim, shared)));
             }
-            return Picked::Stop;
+            return None;
         };
         sim.stats.scheduler_picks += 1;
         // Stall watchdog: abort (with a diagnostic snapshot) instead of
@@ -1301,7 +1066,7 @@ impl PickLoop {
                     picks: budget,
                     report: diagnostic_snapshot(sim, shared),
                 });
-                return Picked::Stop;
+                return None;
             }
         }
         if sim
@@ -1314,45 +1079,34 @@ impl PickLoop {
         let sample_every = shared.config.parallelism_sample_every;
         if sample_every != 0 && sim.stats.scheduler_picks.is_multiple_of(sample_every) {
             // Available host parallelism, O(1): distinct cores with queued
-            // ready-work, plus the just-picked core, plus the cores held
-            // by the caller. (An O(cores) `is_ready` sweep differs only on
-            // stale-queued cores, which are transient, and does not scale
-            // to mega-core machines at any useful sample rate.)
-            let avail = sim.ready.live_len() + 1 + held;
+            // ready-work, plus the just-picked core. (An O(cores)
+            // `is_ready` sweep differs only on stale-queued cores, which
+            // are transient, and does not scale to mega-core machines at
+            // any useful sample rate.)
+            let avail = sim.ready.live_len() + 1;
             sim.stats.parallelism_samples.push(avail as u32);
         }
         self.lap(&mut sim.stats.prof_overhead_ns);
-        Picked::Core(c)
+        Some(c)
     }
 
-    /// Act on picked core `c`. `grant(sim, c, aid)` takes a grantable
-    /// activity on; whoever takes it also re-evaluates `c` for the ready
-    /// queue once the activity has run (the end of the grant in [`drive`],
-    /// the epoch's requeue step in parallel), so only the other actions
-    /// requeue here.
-    pub(crate) fn dispatch(
-        &mut self,
-        sim: &mut Sim,
-        shared: &Shared,
-        c: CoreId,
-        mut grant: impl FnMut(&mut Sim, CoreId, ActivityId),
-    ) {
-        let mut requeue = true;
-        match decide(sim, c) {
-            Action::Message => process_message(sim, shared, c),
-            Action::Grant(aid) => {
-                grant(sim, c, aid);
-                requeue = false;
+    /// Act on picked core `c`. Returns the activity to grant, already
+    /// `Granted`, if the pick is a grant: [`drive`] runs it and then
+    /// re-evaluates `c` for the ready queue, which every other action does
+    /// here.
+    fn dispatch(&mut self, sim: &mut Sim, shared: &Shared, c: CoreId) -> Option<ActivityId> {
+        let granted = match decide(sim, c) {
+            Action::Message => {
+                process_message(sim, shared, c);
+                None
             }
+            Action::Grant(aid) => Some(aid),
             Action::ResumeParked => {
                 let aid = sim.cores.res_pop_front(c.index()).unwrap();
                 make_current(sim, shared, aid);
                 // Grant immediately if still allowed (it may have become
                 // stalled by the resume-cost advance).
-                if sim.act(aid).grantable() {
-                    grant(sim, c, aid);
-                    requeue = false;
-                }
+                sim.act(aid).grantable().then_some(aid)
             }
             Action::Idle => {
                 let before_hint = sim.cores.queue_hint[c.index()];
@@ -1365,13 +1119,20 @@ impl PickLoop {
                         || sim.cores.current[c.index()].is_some(),
                     "on_idle made no progress (runtime bug)"
                 );
+                None
             }
-            Action::Nothing => {}
-        }
-        if requeue && is_ready(sim, c) {
-            push_ready(sim, c);
+            Action::Nothing => None,
+        };
+        match granted {
+            Some(aid) => {
+                sim.act_mut(aid).state = ActivityState::Granted;
+                sim.stats.activity_resumes += 1;
+            }
+            None if is_ready(sim, c) => push_ready(sim, c),
+            None => {}
         }
         self.lap(&mut sim.stats.prof_action_ns);
+        granted
     }
 
     /// End of a run that did not fail: the final machine-wide scan over
@@ -1384,25 +1145,19 @@ impl PickLoop {
     }
 }
 
-/// The sequential engine (`threads <= 1`): pick, dispatch, grant, and —
-/// once the activity has handed the token back by returning, panicking or
-/// suspending — pick again (see the module docs). Returns when the run is
-/// over: `sim.failure` says how.
+/// The engine: pick, dispatch, grant, and — once the activity has handed
+/// the CPU back by returning, panicking or suspending — pick again (see the
+/// module docs). Returns when the run is over: `sim.failure` says how.
 fn drive(
     shared: &Arc<Shared>,
     sim: &mut MutexGuard<'_, Sim>,
     picks: &mut PickLoop,
     pool: &mut Pool,
 ) {
-    debug_assert_eq!(sim.token, Token::Scheduler);
-    while let Picked::Core(c) = picks.next(sim, shared, 0) {
-        let mut granted = None;
-        picks.dispatch(sim, shared, c, |sim, _, aid| {
-            sim.act_mut(aid).state = ActivityState::Granted;
-            sim.stats.activity_resumes += 1;
-            granted = Some(aid);
-        });
-        let Some(aid) = granted else { continue };
+    while let Some(c) = picks.next(sim, shared) {
+        let Some(aid) = picks.dispatch(sim, shared, c) else {
+            continue;
+        };
         grant(shared, sim, pool, aid);
         // The end of the pick: re-evaluate the activity's core for the
         // ready queue — what `dispatch` does after every other action —
@@ -1417,7 +1172,7 @@ fn drive(
 /// The slot of `act`'s context in `pool`, acquired now if this is its
 /// first grant. `Err`, if the host refuses the stack, is the failure the
 /// caller must stop the run with.
-pub(crate) fn context_of(act: &mut Activity, pool: &mut Pool) -> Result<usize, Failure> {
+fn context_of(act: &mut Activity, pool: &mut Pool) -> Result<usize, Failure> {
     if let Some(slot) = act.context {
         return Ok(slot);
     }
@@ -1449,21 +1204,14 @@ fn run_body(
         // the `ExecCtx` to the task's code.
         let mut ctx = unsafe { crate::ctx::ExecCtx::on_context(shared, aid, core, me) };
         job(&mut ctx);
-        ctx.body_returned();
     })
 }
 
-/// One exclusive grant, start to finish: `aid` (already `Granted`) holds
-/// the run token alone and runs on the calling thread until it returns,
-/// panics or suspends; a body that ended is accounted for. Requeueing its
-/// core is the caller's business — `drive` does it per pick, the epoch
-/// coordinator per batch.
-pub(crate) fn grant(
-    shared: &Arc<Shared>,
-    sim: &mut MutexGuard<'_, Sim>,
-    pool: &mut Pool,
-    aid: ActivityId,
-) {
+/// One grant, start to finish: `aid` (already `Granted`) holds the run
+/// token and runs on the calling thread until it returns, panics or
+/// suspends; a body that ended is accounted for. Requeueing its core is
+/// `drive`'s business.
+fn grant(shared: &Arc<Shared>, sim: &mut MutexGuard<'_, Sim>, pool: &mut Pool, aid: ActivityId) {
     let act = sim.act_mut(aid);
     debug_assert!(matches!(act.state, ActivityState::Granted));
     let slot = match context_of(act, pool) {
@@ -1476,7 +1224,6 @@ pub(crate) fn grant(
     // `job`: `Some` on a first grant; `None` once the closure is running —
     // suspended mid-call on its context by an earlier grant.
     let (core, name, job) = (act.core, act.name, act.job.take());
-    sim.token = Token::Act(aid);
     sim.stats.ctx_switches += 2; // to the body, and back
     let ctx = pool.get(slot);
     match MutexGuard::unlocked(sim, || run_body(shared, ctx, aid, core, job)) {
@@ -1492,12 +1239,11 @@ pub(crate) fn grant(
             });
         }
     }
-    sim.token = Token::Scheduler;
 }
 
 /// Teardown: resume, once, every body still suspended on a context —
-/// stalled, blocked or parked by an epoch. `Sim::shutdown` is set, so it
-/// raises [`ShutdownSignal`] where it was suspended, drops its locals while
+/// stalled or blocked. `Sim::shutdown` is set, so it raises
+/// [`ShutdownSignal`] where it was suspended, drops its locals while
 /// unwinding its own stack and leaves the context idle. (A body that
 /// swallows the signal and suspends again is abandoned with its stack.)
 fn unwind_suspended(sim: &mut MutexGuard<'_, Sim>, pool: &Pool) {
@@ -1547,102 +1293,4 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .map(|s| s.to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "<non-string panic payload>".to_string())
-}
-
-/// Spawn the run's `n` frame workers (0 under the sequential engine).
-/// They take all their work from the lock-free frame coordinator and wait
-/// at its gate in between. If the host refuses a thread, those already
-/// spawned are stopped and the run does not start.
-fn spawn_frame_workers(
-    shared: &Arc<Shared>,
-    n: usize,
-) -> Result<Vec<std::thread::JoinHandle<()>>, SimError> {
-    let mut workers = Vec::with_capacity(n);
-    for idx in 0..n {
-        let shared2 = Arc::clone(shared);
-        let spawned = std::thread::Builder::new()
-            .name(format!("simany-frame-{idx}"))
-            .spawn(move || frame_worker_main(shared2, idx));
-        match spawned {
-            Ok(handle) => workers.push(handle),
-            Err(e) => {
-                stop_frame_workers(shared, workers);
-                return Err(SimError::HostResources {
-                    what: "spawn a frame worker thread",
-                    errno: e.raw_os_error().unwrap_or(0),
-                });
-            }
-        }
-    }
-    Ok(workers)
-}
-
-/// Release the frame workers from the gate and join them.
-fn stop_frame_workers(shared: &Shared, workers: Vec<std::thread::JoinHandle<()>>) {
-    if let Some(fs) = &shared.frame {
-        fs.request_shutdown();
-    }
-    for h in workers {
-        let _ = h.join();
-    }
-}
-
-/// A frame worker's main loop: wait for the frame counter to advance,
-/// then claim tiles off the cursor until the frame is exhausted. Holds no
-/// lock between claims; the simulation mutex is only taken inside task
-/// bodies, at their interaction points.
-fn frame_worker_main(shared: Arc<Shared>, idx: usize) {
-    let fs = shared.frame.as_ref().expect("frame worker without frames");
-    let (mut claimed, mut spins, mut parks) = (0u64, 0u64, 0u64);
-    let mut last_frame = 0u64;
-    while let Some(f) = fs.wait_frame(last_frame, &mut spins, &mut parks) {
-        last_frame = f;
-        while let Some(tile) = fs.claim() {
-            claimed += 1;
-            run_exec_tile(&shared, fs, tile);
-        }
-    }
-    fs.fold_worker_stats(idx, claimed, spins, parks);
-}
-
-/// Run the members of one claimed tile, in lane order: an epoch
-/// grant each, confined under `Token::Epoch`, with no lock on this side.
-///
-/// However a member hands the CPU back, the outcome goes into the tile's
-/// lane for the coordinator's serial phase. A member that parked or
-/// panicked strands the ones queued behind it — they are spilled back to
-/// the coordinator. The tile's members retire together, after this
-/// worker's last look at the lane: the coordinator may refill it the
-/// moment the frame's countdown reaches zero.
-fn run_exec_tile(shared: &Arc<Shared>, fs: &crate::frame::FrameSync, tile: usize) {
-    let mut retiring = 0;
-    // SAFETY (every `lane_mut` below): this worker claimed `tile` in the
-    // current frame, making it the lane's sole owner until the
-    // `retire` at the end. No borrow is held while a body runs: a confined
-    // body uses the lane too, from this thread.
-    while let Some(m) = unsafe { fs.lane_mut(tile) }.queue.pop_front() {
-        retiring += 1;
-        // SAFETY: the entry lends this claimant the member's context; the
-        // pool it points into outlives every frame worker, and the
-        // frame's launch ordered its last switch before this one.
-        let outcome = run_body(shared, unsafe { &*m.ctx }, m.aid, m.core, m.job);
-        let entry = match outcome {
-            Outcome::Returned => EpochPending::Finish(m.aid),
-            // The only way out of a confined body mid-closure is
-            // `ExecCtx::park_epoch`; the context is at rest now.
-            Outcome::Suspended => EpochPending::Resume(m.aid),
-            Outcome::Panicked(payload) => EpochPending::Panic {
-                core: m.core,
-                name: m.name,
-                msg: panic_message(payload.as_ref()),
-            },
-        };
-        let lane = unsafe { fs.lane_mut(tile) };
-        if !matches!(entry, EpochPending::Finish(_)) {
-            retiring += lane.queue.len();
-            lane.spilled.extend(lane.queue.drain(..));
-        }
-        lane.pending.push(entry);
-    }
-    fs.retire(retiring);
 }

@@ -11,7 +11,7 @@
 //! lock, so a runtime mutex is uncontended and only exists to satisfy the
 //! borrow checker across the two entry paths.
 //!
-//! Hooks run on the scheduler (or finishing worker) thread under the
+//! Hooks run on the thread that called `simulate`, under the
 //! simulation lock and **must never block**; anything that needs to wait
 //! belongs in task code (`ExecCtx::block`).
 

@@ -45,10 +45,8 @@ pub(crate) mod coro;
 pub mod ctx;
 pub mod engine;
 pub mod floor;
-pub(crate) mod frame;
 pub mod hooks;
 pub mod ops;
-pub(crate) mod parallel;
 pub mod ready;
 pub mod sanitizer;
 pub mod state;

@@ -29,10 +29,10 @@ use std::collections::VecDeque;
 /// minimum), so this is a pure locality change.
 const D: usize = 8;
 
-/// An entry's key: `(published time at push, tie-break rank, core id)`.
-type Key = (VirtualTime, u32, u32);
+/// An entry's key: `(published time at push, core id)`.
+type Key = (VirtualTime, u32);
 
-/// Min-queue of `(published time at push, tie-break rank, core id)` with
+/// Min-queue of `(published time at push, core id)` with
 /// per-core entry accounting: a sorted run of in-order pushes beside an
 /// implicit `D`-ary min-heap of the rest.
 ///
@@ -57,9 +57,6 @@ pub struct ReadyQueue {
     run: VecDeque<Key>,
     /// Every other entry, heap-ordered by key.
     heap: Vec<Key>,
-    /// Optional tie-break rank per core (see
-    /// [`Self::set_tiebreak_ranks`]); `None` = core id.
-    ranks: Option<Vec<u32>>,
     /// Entries currently queued (run and heap) per core (lazily grown).
     qcount: Vec<u32>,
     /// Number of distinct cores with at least one entry.
@@ -70,21 +67,6 @@ impl ReadyQueue {
     /// Create an empty queue.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Install a custom equal-time tie-break order: `ranks[core]` replaces
-    /// the core id as the secondary heap key. Parallel mode passes
-    /// tile-interleaved ranks so the epoch collector finds one core per
-    /// tile in O(tiles) pops even when a whole vtime wavefront is tied —
-    /// with contiguous tiles and id tie-breaks it would pop an entire
-    /// tile before seeing the next one.
-    pub fn set_tiebreak_ranks(&mut self, ranks: Vec<u32>) {
-        debug_assert!(self.is_empty(), "tie-break ranks installed after pushes");
-        self.ranks = Some(ranks);
-    }
-
-    fn rank_of(&self, core: u32) -> u32 {
-        self.ranks.as_ref().map_or(core, |r| r[core as usize])
     }
 
     fn count_push(&mut self, core: u32) {
@@ -109,14 +91,10 @@ impl ReadyQueue {
 
     /// Insert a core with its current published time as priority.
     ///
-    /// Pop order over distinct `(time, rank, id)` keys is a pure function
-    /// of the key *set* — insertion order cannot leak into it. The parallel
-    /// engine leans on this: its phase B pushes in its own walk order
-    /// (deliveries by source tile and outbox index, then the batch requeue
-    /// in tile order), so the schedule depends on which entries that walk
-    /// queues, not on the order it queues them in.
+    /// Pop order over distinct `(time, id)` keys is a pure function of the
+    /// key *set* — insertion order cannot leak into it.
     pub fn push(&mut self, core: CoreId, published: VirtualTime) {
-        let entry = (published, self.rank_of(core.0), core.0);
+        let entry = (published, core.0);
         self.count_push(core.0);
         if self.run.back().is_none_or(|&last| entry >= last) {
             self.run.push_back(entry);
@@ -136,11 +114,11 @@ impl ReadyQueue {
         let core = if from_heap {
             let last = self.heap.len() - 1;
             self.heap.swap(0, last);
-            let (_, _, core) = self.heap.pop().expect("non-empty heap");
+            let (_, core) = self.heap.pop().expect("non-empty heap");
             self.sift_down(0);
             core
         } else {
-            self.run.pop_front()?.2
+            self.run.pop_front()?.1
         };
         self.count_pop(core);
         Some(CoreId(core))
@@ -256,33 +234,12 @@ mod tests {
     }
 
     #[test]
-    fn tiebreak_ranks_interleave_ties() {
-        let mut q = ReadyQueue::new();
-        // Two "tiles" {0,1} and {2,3}: ranks 0,2,1,3 alternate them.
-        q.set_tiebreak_ranks(vec![0, 2, 1, 3]);
-        for c in 0..4 {
-            q.push(CoreId(c), t(10));
-        }
-        assert_eq!(q.pop(), Some(CoreId(0)));
-        assert_eq!(q.pop(), Some(CoreId(2)));
-        assert_eq!(q.pop(), Some(CoreId(1)));
-        assert_eq!(q.pop(), Some(CoreId(3)));
-        // Time still dominates the rank.
-        q.push(CoreId(3), t(5));
-        q.push(CoreId(0), t(6));
-        assert_eq!(q.pop(), Some(CoreId(3)));
-        assert_eq!(q.pop(), Some(CoreId(0)));
-    }
-
-    #[test]
     fn pop_order_is_insertion_order_insensitive_for_distinct_keys() {
-        // The contract the parallel engine's phase B relies on (see
-        // `push`): any permutation of the same distinct (time, rank, id)
-        // entries pops identically.
+        // The contract of `push`: any permutation of the same distinct
+        // (time, id) entries pops identically.
         let entries: Vec<(u32, u64)> = (0..12u32).map(|c| (c, 7 + u64::from(c * c % 13))).collect();
         let pop_all = |order: &[usize]| {
             let mut q = ReadyQueue::new();
-            q.set_tiebreak_ranks((0..12u32).rev().collect());
             for &i in order {
                 let (c, at) = entries[i];
                 q.push(CoreId(c), t(at));
@@ -322,16 +279,14 @@ mod tests {
     /// Reference for the model test: the key multiset in a `BTreeMap`,
     /// plus entries per core.
     struct Model {
-        keys: std::collections::BTreeMap<(u64, u32, u32), usize>,
+        keys: std::collections::BTreeMap<(u64, u32), usize>,
         per_core: Vec<usize>,
-        ranks: Option<Vec<u32>>,
     }
 
     impl Model {
         fn push(&mut self, q: &mut ReadyQueue, c: u32, at: u64) {
             q.push(CoreId(c), t(at));
-            let rank = self.ranks.as_ref().map_or(c, |r| r[c as usize]);
-            *self.keys.entry((at, rank, c)).or_default() += 1;
+            *self.keys.entry((at, c)).or_default() += 1;
             self.per_core[c as usize] += 1;
         }
 
@@ -342,8 +297,8 @@ mod tests {
             if *n == 0 {
                 self.keys.remove(&key);
             }
-            self.per_core[key.2 as usize] -= 1;
-            Some(CoreId(key.2))
+            self.per_core[key.1 as usize] -= 1;
+            Some(CoreId(key.1))
         }
     }
 
@@ -351,17 +306,13 @@ mod tests {
     /// in-order runs, out-of-order pushes, duplicate and raised-priority
     /// re-pushes and pops; after every operation the two must agree on
     /// what pops next and on every size.
-    fn model_check(seed: u64, ranks: Option<Vec<u32>>) {
+    fn model_check(seed: u64) {
         const CORES: usize = 64;
         let mut rng = Xoshiro256StarStar::stream(seed, 3);
         let mut q = ReadyQueue::new();
-        if let Some(r) = &ranks {
-            q.set_tiebreak_ranks(r.clone());
-        }
         let mut m = Model {
             keys: Default::default(),
             per_core: vec![0; CORES],
-            ranks,
         };
         let mut clock = 0u64;
         for _ in 0..20_000 {
@@ -382,7 +333,7 @@ mod tests {
                 // a raised priority.
                 2 if !m.keys.is_empty() => {
                     let nth = rng.next_index(m.keys.len());
-                    let &(at, _, c) = m.keys.keys().nth(nth).expect("in range");
+                    let &(at, c) = m.keys.keys().nth(nth).expect("in range");
                     let raise = if rng.next_index(2) == 0 {
                         0
                     } else {
@@ -406,10 +357,7 @@ mod tests {
     #[test]
     fn run_and_heap_pop_in_key_multiset_order() {
         for seed in 0..4 {
-            model_check(seed, None);
-            let mut ranks: Vec<u32> = (0..64).collect();
-            Xoshiro256StarStar::stream(seed, 4).shuffle(&mut ranks);
-            model_check(seed, Some(ranks));
+            model_check(seed);
         }
     }
 

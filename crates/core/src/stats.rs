@@ -70,24 +70,20 @@ pub struct SimStats {
     pub activities_started: u64,
     /// Number of simulated context switches (token handoffs to activities).
     pub activity_resumes: u64,
-    /// Switches between a granter and a task body's userland context — two
-    /// per start or resume of a body, to it and back (see `crate::coro`):
-    /// `2 * activity_resumes` under the sequential engine; under the epoch
-    /// coordinator the serial phase's exclusive re-grants count as well.
-    /// Deterministic: a function of the pick sequence alone. Not part of
-    /// any state digest.
+    /// Switches between the driver and a task body's userland context —
+    /// two per start or resume of a body, to it and back (see
+    /// `crate::coro`), so always `2 * activity_resumes`. Deterministic: a
+    /// function of the pick sequence alone. Not part of any state digest.
     pub ctx_switches: u64,
     /// Context stacks ever mapped — the high-water mark of activities
     /// holding one at once (granted a first time and not yet returned). 1
-    /// when the sequential engine never sees a body suspend; an epoch
-    /// hands every member of its batch a stack before any of them runs.
-    /// Deterministic and undigested like [`Self::ctx_switches`].
+    /// when no body ever suspends. Deterministic and undigested like
+    /// [`Self::ctx_switches`].
     pub peak_stacks: usize,
     /// Host threads of the process when the pick loop ended (`Threads:` of
-    /// `/proc/self/status`; 0 without procfs): 1 under the sequential
-    /// engine in a single-threaded embedder, 1 + `min(threads, tiles)`
-    /// frame workers under the epoch coordinator, however many bodies are
-    /// suspended. A host observation, not a simulation result.
+    /// `/proc/self/status`; 0 without procfs): 1 in a single-threaded
+    /// embedder, however many bodies are suspended — the engine spawns no
+    /// thread. A host observation, not a simulation result.
     pub os_threads: u64,
     /// Times a core stalled due to the synchronization policy.
     pub stall_events: u64,
@@ -108,7 +104,7 @@ pub struct SimStats {
     /// Wall-clock duration of the run.
     pub wall: std::time::Duration,
     /// Wall nanoseconds spent *building* the machine: topology, routing,
-    /// partition, core arrays and workload setup — everything before the
+    /// core arrays and workload setup — everything before the
     /// first scheduler pick. Scale benchmarks divide per-event cost out of
     /// [`Self::run_ns`], not out of `wall`, so setup cost cannot
     /// masquerade as per-event cost.
@@ -211,68 +207,18 @@ pub struct SimStats {
     pub checkpoints_written: u64,
     /// Checkpoint digests verified against a resumed run's watermark.
     pub checkpoint_verifications: u64,
-    /// Parallel mode: epochs launched (batches of concurrently executing
-    /// activities, at most one per tile). Zero under the sequential engine.
+    // `benchmark/src/workloads.rs:477-481` still reads the next five
+    // fields; ROADMAP direction 1(b) deletes that code, and these with it.
+    /// Always 0: the engine runs no epochs.
     pub parallel_epochs: u64,
-    /// Parallel mode: total activities granted across all epochs. The
-    /// mean batch size `epoch_grants / parallel_epochs` measures how much
-    /// concurrency the partition actually exposed.
-    pub epoch_grants: u64,
-    /// Parallel mode: wall-clock nanoseconds the coordinator spent inside
-    /// phase A — from launching a frame to quiescence, with the
-    /// simulation lock released. Host-timing diagnostic: varies run to run
-    /// and is excluded from every determinism fingerprint and digest.
+    /// Always 0 (see [`Self::parallel_epochs`]).
     pub phase_a_wall_ns: u64,
-    /// Parallel mode: wall-clock nanoseconds spent in phase B (deferred
-    /// flush restore, publish, routing/delivery, and the serial tail). Host-timing diagnostic like [`Self::phase_a_wall_ns`].
+    /// Always 0 (see [`Self::parallel_epochs`]).
     pub phase_b_wall_ns: u64,
-    /// Parallel mode: wall-clock nanoseconds of phase B's tail (park
-    /// resolution, finishes, panics — everything after delivery). Subset
-    /// of [`Self::phase_b_wall_ns`]; host-timing diagnostic.
+    /// Always 0 (see [`Self::parallel_epochs`]).
     pub serial_tail_ns: u64,
-    /// Parallel mode: frame-counter polls workers answered by spinning
-    /// (the frame advanced within the spin budget). Scheduling-dependent
-    /// diagnostic — excluded from fingerprints and digests.
-    pub frame_spins: u64,
-    /// Parallel mode: times a worker gave up spinning and parked on the
-    /// frame gate. Scheduling-dependent diagnostic like
-    /// [`Self::frame_spins`].
+    /// Always 0 (see [`Self::parallel_epochs`]).
     pub frame_parks: u64,
-    /// Parallel mode: tiles claimed by each frame worker over the run,
-    /// indexed by worker spawn order. Which worker wins a claim is a host
-    /// scheduling race, so the *distribution* is nondeterministic (the sum
-    /// is not); excluded from fingerprints and digests.
-    pub tiles_claimed: Vec<u64>,
-}
-
-/// Per-tile shard of the synchronization hot-path counters. In parallel
-/// mode several activities bump these concurrently (each confined to its
-/// own core, hence its own tile), so each tile accumulates privately and
-/// the shards are merged into [`SimStats`] in tile order at teardown —
-/// and, transiently, whenever a state digest needs machine-wide totals.
-#[derive(Clone, Debug, Default)]
-pub struct TileStats {
-    /// See [`SimStats::fast_path_advances`].
-    pub fast_path_advances: u64,
-    /// See [`SimStats::full_sync_checks`].
-    pub full_sync_checks: u64,
-    /// See [`SimStats::floor_recomputes`].
-    pub floor_recomputes: u64,
-    /// See [`SimStats::max_neighbor_drift`].
-    pub max_neighbor_drift: VDuration,
-}
-
-impl SimStats {
-    /// Fold one tile's sharded counters into the machine-wide totals
-    /// (sums for the counters, max for the drift bound).
-    pub(crate) fn absorb_tile(&mut self, shard: &TileStats) {
-        self.fast_path_advances += shard.fast_path_advances;
-        self.full_sync_checks += shard.full_sync_checks;
-        self.floor_recomputes += shard.floor_recomputes;
-        if shard.max_neighbor_drift > self.max_neighbor_drift {
-            self.max_neighbor_drift = shard.max_neighbor_drift;
-        }
-    }
 }
 
 impl SimStats {

@@ -285,7 +285,7 @@ fn note_neighbor_change(
 #[inline(always)]
 fn neighbor_min(sim: &mut Sim, shared: &Shared, c: CoreId) -> VirtualTime {
     if !sim.cores.floor_nb_valid[c.index()] {
-        sim.count_floor_recompute(shared, c);
+        sim.stats.floor_recomputes += 1;
         let mut m = VirtualTime::MAX;
         for &(n, _) in shared.topo.neighbors(c) {
             m = m.min(sim.cores.published[n.index()]);
@@ -851,7 +851,7 @@ pub(crate) fn sync_ok(sim: &mut Sim, shared: &Shared, c: CoreId) -> bool {
                 return true;
             }
             let drift = vtime.saturating_since(floor);
-            sim.note_neighbor_drift(shared, c, drift);
+            sim.stats.max_neighbor_drift = sim.stats.max_neighbor_drift.max(drift);
             if drift <= t {
                 if fast_path_eligible(shared) {
                     sim.cores.headroom_limit[c.index()] = Some(floor + t);
@@ -905,67 +905,6 @@ pub(crate) fn sync_ok(sim: &mut Sim, shared: &Shared, c: CoreId) -> bool {
     }
 }
 
-/// Side-effect-free synchronization check against *frozen* published
-/// values, for activities running confined inside an epoch (parallel
-/// mode). During an epoch nothing publishes, so published values, floor
-/// caches, birth ledgers and the global floor are all stable: the check
-/// reads them without registering waiters or bumping machine-wide stall
-/// statistics. Returning `false` is always safe — the activity parks and
-/// the coordinator's serial phase replays the authoritative [`sync_ok`].
-///
-/// Mutations are confined to `c`'s own state and its tile's counter
-/// shard: the headroom cache (same values the serial check would write,
-/// since its inputs are frozen) and the max-drift statistic.
-pub(crate) fn sync_ok_frozen(sim: &mut Sim, shared: &Shared, c: CoreId) -> bool {
-    if sim.cores.lock_depth[c.index()] > 0 {
-        // The waiver is not a drift bound, and inside an epoch even waiver
-        // advances defer their publishes: drop any cached headroom so the
-        // coordinator's flush-time sanitizer check cannot mistake them for
-        // fast-path overshoot. The next real check recomputes it.
-        sim.cores.headroom_limit[c.index()] = None;
-        return true;
-    }
-    let vtime = sim.cores.vtime[c.index()];
-    match shared.config.sync {
-        SyncPolicy::Spatial { t } => {
-            // Published values are frozen for the whole epoch, so even the
-            // neighbor sweep behind an invalidated floor cache is
-            // side-effect-free here: it reads frozen values, writes `c`'s
-            // own cache and counts on `c`'s tile shard — exactly what the
-            // serial check would do. (Sanitizer floor verification and
-            // waiter registration stay on the serial path; a failing core
-            // parks and replays the authoritative check there.)
-            let floor = local_floor(sim, shared, c, t);
-            if floor == VirtualTime::MAX {
-                if fast_path_eligible(shared) {
-                    sim.cores.headroom_limit[c.index()] = Some(VirtualTime::MAX);
-                }
-                return true;
-            }
-            let drift = vtime.saturating_since(floor);
-            sim.note_neighbor_drift(shared, c, drift);
-            if drift <= t {
-                if fast_path_eligible(shared) {
-                    sim.cores.headroom_limit[c.index()] = Some(floor + t);
-                }
-                true
-            } else {
-                sim.cores.headroom_limit[c.index()] = None;
-                false
-            }
-        }
-        SyncPolicy::BoundedSlack { window } => {
-            let floor = global_floor(sim);
-            floor == VirtualTime::MAX || vtime.saturating_since(floor) <= window
-        }
-        SyncPolicy::Conservative => {
-            let floor = global_floor(sim);
-            floor == VirtualTime::MAX || vtime <= floor
-        }
-        SyncPolicy::Unbounded => true,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::{
@@ -988,9 +927,9 @@ mod tests {
     /// Annotation-dense program: one activity per core of a 16-core mesh
     /// runs 200 small annotations (step sizes differ per core, so a real
     /// drift pattern flows) and messages the antipodal core every 16th.
-    fn run(sync: SyncPolicy, threads: u32, full_sync_only: bool) -> SimStats {
+    fn run(sync: SyncPolicy, full_sync_only: bool) -> SimStats {
         let n = 16u32;
-        let mut config = EngineConfig::default().with_seed(11).with_threads(threads);
+        let mut config = EngineConfig::default().with_seed(11);
         config.sync = sync;
         config.full_sync_only = full_sync_only;
         simulate(
@@ -1025,7 +964,7 @@ mod tests {
     /// and `max_neighbor_drift` is sampled only at the checks it skips — so
     /// the one statistic derived from floors joins only when the fast path
     /// is off on both sides.
-    fn fingerprint(s: &SimStats, with_drift: bool) -> [u64; 10] {
+    fn fingerprint(s: &SimStats, with_drift: bool) -> [u64; 9] {
         [
             s.final_vtime.ticks(),
             s.scheduler_picks,
@@ -1035,7 +974,6 @@ mod tests {
             s.on_time_messages,
             s.late_by_total.ticks(),
             s.net.messages,
-            s.parallel_epochs,
             if with_drift {
                 s.max_neighbor_drift.ticks()
             } else {
@@ -1046,7 +984,7 @@ mod tests {
 
     /// The drift-headroom fast path is an optimization, not a semantic
     /// change: the same program with it forced off reaches the same
-    /// schedule under every policy, on both engines.
+    /// schedule under every policy.
     #[test]
     fn fast_path_is_bit_exact_with_the_full_path() {
         let w = VDuration::from_cycles(100);
@@ -1057,34 +995,31 @@ mod tests {
             SyncPolicy::Unbounded,
         ];
         for policy in policies {
-            for threads in [1, 4] {
-                let fast = run(policy, threads, false);
-                let full = run(policy, threads, true);
+            let fast = run(policy, false);
+            let full = run(policy, true);
+            assert_eq!(
+                fingerprint(&fast, false),
+                fingerprint(&full, false),
+                "{policy:?}: fast path changed the schedule"
+            );
+            assert_eq!(full.fast_path_advances, 0, "fast path fired while off");
+            if matches!(policy, SyncPolicy::Spatial { .. }) {
+                // With the fast path off every annotation samples the
+                // drift, so its maximum is a function of the floors alone.
+                // Pinned from the engine that stored every capped shadow
+                // (PR 15): resolving the cap at read time must give the
+                // same floors.
                 assert_eq!(
-                    fingerprint(&fast, false),
-                    fingerprint(&full, false),
-                    "{policy:?}, threads={threads}: fast path changed the schedule"
+                    fingerprint(&full, true),
+                    [2896, 238, 107, 123, 120, 72, 7244, 192, 284]
                 );
-                assert_eq!(full.fast_path_advances, 0, "fast path fired while off");
-                if matches!(policy, SyncPolicy::Spatial { .. }) {
-                    // With the fast path off every annotation samples the
-                    // drift, so its maximum is a function of the floors
-                    // alone. Pinned from the engine that stored every
-                    // capped shadow (PR 15): resolving the cap at read
-                    // time must give the same floors.
-                    let golden: [u64; 10] = match threads {
-                        1 => [2896, 238, 107, 123, 120, 72, 7244, 192, 0, 284],
-                        _ => [3152, 349, 90, 106, 116, 76, 8772, 192, 28, 302],
-                    };
-                    assert_eq!(fingerprint(&full, true), golden, "threads={threads}");
-                    assert!(fast.fast_path_advances > 0, "fast path never fired");
-                    assert!(
-                        fast.publish_sweeps < full.publish_sweeps,
-                        "deferral did not reduce publish sweeps ({} vs {})",
-                        fast.publish_sweeps,
-                        full.publish_sweeps
-                    );
-                }
+                assert!(fast.fast_path_advances > 0, "fast path never fired");
+                assert!(
+                    fast.publish_sweeps < full.publish_sweeps,
+                    "deferral did not reduce publish sweeps ({} vs {})",
+                    fast.publish_sweeps,
+                    full.publish_sweeps
+                );
             }
         }
     }

@@ -51,9 +51,7 @@ fn run_config(topo: Topology, config: EngineConfig, plans: Vec<Vec<u64>>) -> Sim
 }
 
 /// Like [`run_config`] but with message traffic: each step advances the
-/// core's clock and optionally fires a 64-byte message at another core —
-/// in parallel mode many of these cross tile boundaries and exercise the
-/// epoch outbox/replay machinery.
+/// core's clock and optionally fires a 64-byte message at another core.
 fn run_msg_config(
     topo: Topology,
     config: EngineConfig,
@@ -87,17 +85,14 @@ fn run_msg_config(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Parallel host execution is a pure function of (program, config,
-    /// seed): across random topologies, thread counts and every policy —
-    /// with cross-tile message traffic — repeated runs are bit-identical,
-    /// the spatial drift bound holds, and the online sanitizer re-derives
-    /// every invariant (drift, FIFO, causality, birth floors) and finds
-    /// nothing.
+    /// A run with message traffic is a pure function of (program, config,
+    /// seed): across random topologies and every policy, repeated runs are
+    /// bit-identical and the online sanitizer re-derives every invariant
+    /// (drift, FIFO, causality, birth floors) and finds nothing.
     #[test]
-    fn parallel_execution_is_deterministic_and_sound(
+    fn message_runs_are_deterministic_and_sound(
         n in 4u32..12,
         use_ring in any::<bool>(),
-        threads in 2u32..5,
         which_policy in 0usize..4,
         seed in 0u64..1000,
         plans in prop::collection::vec(
@@ -116,9 +111,8 @@ proptest! {
 
         let mut config = EngineConfig::default().with_seed(seed).with_sanitize(true);
         config.sync = policy;
-        config.threads = threads;
         let a = run_msg_config(topo.clone(), config.clone(), plans.clone());
-        let b = run_msg_config(topo.clone(), config.clone(), plans.clone());
+        let b = run_msg_config(topo, config, plans);
         prop_assert_eq!(a.final_vtime, b.final_vtime);
         prop_assert_eq!(a.stall_events, b.stall_events);
         prop_assert_eq!(a.scheduler_picks, b.scheduler_picks);
@@ -127,26 +121,14 @@ proptest! {
         prop_assert_eq!(a.on_time_messages, b.on_time_messages);
         prop_assert_eq!(a.net.messages, b.net.messages);
         prop_assert_eq!(a.net.bytes, b.net.bytes);
-        prop_assert_eq!(a.parallel_epochs, b.parallel_epochs);
 
         // The sanitizer independently re-derives the drift bound (message
         // receives may legitimately jump a clock to the arrival time, so
         // the static `T + step` bound of the pure-compute tests does not
         // apply here — the online invariant checks do).
         prop_assert_eq!(a.sanitizer_violations, 0,
-            "parallel sanitizer violations under {:?}", policy);
+            "sanitizer violations under {:?}", policy);
         prop_assert!(a.sanitizer_checks > 0);
-
-        // `threads = 1` never constructs a partition (no epochs) and — the
-        // workload being message-racy across tiles — still reaches the same
-        // program outcome: every started activity completes.
-        let mut seq = config;
-        seq.threads = 1;
-        let s = run_msg_config(topo, seq, plans);
-        prop_assert_eq!(s.parallel_epochs, 0);
-        prop_assert_eq!(s.activities_started, a.activities_started);
-        prop_assert_eq!(s.net.messages, a.net.messages);
-        prop_assert_eq!(s.net.bytes, a.net.bytes);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! fault-immune self-send deadline timer. Every protocol follows the
 //! simulator's determinism contract — node state lives in `BTreeMap`s /
 //! `BTreeSet`s, randomness comes from the per-task PRNG — so a run is
-//! bit-identical for a fixed `(seed, threads)` and across thread counts.
+//! bit-identical for a fixed seed.
 //!
 //! [`TaskCtx`]: simany_runtime::TaskCtx
 

@@ -119,64 +119,6 @@ proptest! {
         }
     }
 
-    /// Tile boundaries are invisible to the interconnect: for a random
-    /// contiguous partition of the topology (the parallel engine's unit of
-    /// concurrency), messages whose endpoints land in *different* tiles —
-    /// exactly the ones the parallel engine buffers per-tile and replays in
-    /// its serial phase — still obey per-sender FIFO and route physics.
-    #[test]
-    fn cross_tile_fifo_and_causality(
-        n in prop::sample::select(vec![16u32, 36, 64]),
-        k in 2usize..9,
-        sends in prop::collection::vec(
-            (0u32..64, 0u32..64, 1u32..512, 0u64..1000), 1..80),
-    ) {
-        let topo = mesh_2d(n);
-        let part = simany_topology::partition_bfs(&topo, k);
-        // Sanity: the partition covers every core exactly once.
-        for c in 0..n {
-            prop_assert!(part.tile_of(CoreId(c)) < part.n_tiles());
-        }
-        prop_assert_eq!(
-            (0..part.n_tiles()).map(|t| part.tile(t).len()).sum::<usize>(),
-            n as usize
-        );
-
-        let mut net = NetworkModel::new(topo, NetworkParams::default());
-        let mut last_arrival: HashMap<(u32, u32), VirtualTime> = HashMap::new();
-        let mut last_sent: HashMap<(u32, u32), u64> = HashMap::new();
-        let mut crossings = 0u32;
-        for (src, dst, size, sent_cy) in sends {
-            let (src, dst) = (src % n, dst % n);
-            let key = (src, dst);
-            let sent_cy = sent_cy.max(*last_sent.get(&key).unwrap_or(&0));
-            last_sent.insert(key, sent_cy);
-            let sent = VirtualTime::from_cycles(sent_cy);
-
-            let min = net.uncontended_latency(CoreId(src), CoreId(dst), size);
-            let env = net.send(CoreId(src), CoreId(dst), size, sent, Payload::none());
-            if part.tile_of(CoreId(src)) != part.tile_of(CoreId(dst)) {
-                crossings += 1;
-                prop_assert!(
-                    env.arrival.ticks() >= sent.ticks() + min.ticks(),
-                    "cross-tile arrival beats physics: {} < {} + {}",
-                    env.arrival, sent, min
-                );
-                if let Some(&prev) = last_arrival.get(&key) {
-                    prop_assert!(
-                        env.arrival >= prev,
-                        "cross-tile FIFO violated for {}->{}",
-                        src, dst
-                    );
-                }
-                last_arrival.insert(key, env.arrival);
-            }
-        }
-        // Nearly every random case crosses at least one boundary; when one
-        // does not, the case still validated partition coverage above.
-        let _ = crossings;
-    }
-
     /// Contention only delays: with a competing background flow, a probe
     /// message never arrives earlier than it would on an idle network.
     #[test]

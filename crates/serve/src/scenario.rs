@@ -2,7 +2,7 @@
 //! it.
 //!
 //! `Scenario` is the unit the sweep service schedules: a (kernel, machine,
-//! cores, scale, seed, sync policy, drift, fault knobs, threads) tuple.
+//! cores, scale, seed, sync policy, drift, fault knobs) tuple.
 //! This module is the one place that knows those fields: [`field_names`]
 //! lists them in a fixed order, [`Scenario::set`] parses and checks one
 //! from text and `Scenario::get` reads one back. The `simulate` CLI sets
@@ -106,8 +106,6 @@ pub struct Scenario {
     /// Drift bound / slack window `T` in cycles (policy-dependent;
     /// `None` keeps the preset default).
     pub drift: Option<u64>,
-    /// Host worker threads (1 = sequential engine).
-    pub threads: u32,
     /// Scheduling priority: higher runs earlier; ties resolve FIFO.
     pub priority: i64,
     /// Fault-injection knobs.
@@ -127,7 +125,6 @@ impl Default for Scenario {
             seed: 1,
             sync: "spatial".into(),
             drift: None,
-            threads: 1,
             priority: 0,
             faults: FaultKnobs::default(),
         }
@@ -164,7 +161,6 @@ const FIELDS: &[(&str, Accessor)] = &[
     ("seed",           |s| Slot::Seed(&mut s.seed)),
     ("sync",           |s| Slot::Name(&mut s.sync)),
     ("drift",          |s| Slot::Cycles(&mut s.drift)),
-    ("threads",        |s| Slot::Count(&mut s.threads)),
     ("link_fail_prob", |s| Slot::Prob(&mut s.faults.link_fail_prob)),
     ("repair_after",   |s| Slot::Cycles(&mut s.faults.repair_after)),
     ("drop_prob",      |s| Slot::Prob(&mut s.faults.drop_prob)),
@@ -282,7 +278,7 @@ impl Scenario {
         if self.drift.is_some() || self.sync != "spatial" {
             spec.engine.sync = sync_policy(&self.sync, self.drift)?;
         }
-        spec.engine = spec.engine.with_seed(self.seed).with_threads(self.threads);
+        spec.engine = spec.engine.with_seed(self.seed);
         if self.faults.any() {
             let plan = FaultPlan::sample(&spec.topo, &self.faults.to_config(), self.seed);
             spec.engine = spec.engine.with_fault_plan(std::sync::Arc::new(plan));
@@ -291,7 +287,7 @@ impl Scenario {
     }
 
     /// The scenario's identity digest: the engine's 16-hex config digest
-    /// (sync policy, seed, fault-plan shape, threads, ...) folded with the
+    /// (sync policy, seed, fault-plan shape, ...) folded with the
     /// workload identity the engine cannot see (kernel, machine, scale).
     /// Scenarios with equal digests produce bit-identical runs, so the
     /// service runs each digest once and fans the result out.
@@ -566,7 +562,6 @@ mod tests {
             ("seed", "18446744073709551615"),
             ("sync", "conservative"),
             ("drift", "0"),
-            ("threads", "2"),
             ("link_fail_prob", "0.001"),
             ("repair_after", "5000"),
             ("drop_prob", "1"),
@@ -605,7 +600,7 @@ mod tests {
             }
             specs += 1;
         }
-        assert!(specs >= 3, "examples/sweeps/ holds {specs} specs");
+        assert!(specs >= 2, "examples/sweeps/ holds {specs} specs");
     }
 
     #[test]

@@ -357,7 +357,6 @@ impl Service {
                     "kernel",
                     "cores",
                     "seed",
-                    "threads",
                     "final_vtime_cycles",
                     "wall_ns",
                     "peak_rss_bytes",

@@ -408,8 +408,7 @@ kernel = "quicksort"
         assert!(parse_spec("[defaults]\ncoers = 64\n[[sweep]]\ndrift = [50]\n").is_err());
         assert!(parse_spec("[wat]\n").is_err());
         // A retired axis is an unknown key like any other.
-        let err =
-            parse_spec("[[sweep]]\nthreads = [1, 4]\nshard_phase_b = [true, false]\n").unwrap_err();
+        let err = parse_spec("[[sweep]]\nshard_phase_b = [true, false]\n").unwrap_err();
         assert!(err.contains("unknown key 'shard_phase_b'"), "{err}");
     }
 

@@ -25,8 +25,8 @@ pub enum ExitClass {
     TaskPanic,
     /// Exit 14: deadlock detected.
     Deadlock,
-    /// Exit 16: the host refused a resource the run needs (a stack
-    /// mapping, a worker thread).
+    /// Exit 16: the host refused a resource the run needs (a task stack
+    /// mapping).
     HostResources,
     /// Exit 2: the worker rejected its own command line — a service bug.
     Usage,

@@ -269,6 +269,21 @@ fn a_retired_sync_policy_is_refused_at_queue_build_time() {
     );
 }
 
+/// `threads` was a scenario field once; a spec that still names it is
+/// refused as an unknown key, not run on one thread.
+#[test]
+fn a_retired_threads_axis_is_refused_at_queue_build_time() {
+    let err = refused_at_queue_build_time(
+        "retired-threads",
+        "[defaults]\nkernel = \"quicksort\"\ncores = 16\n\n\
+         [[sweep]]\nname = \"old\"\nthreads = [1, 2]\n",
+    );
+    assert!(
+        err.ends_with("unknown key 'threads' in [[sweep]] 'old'"),
+        "{err}"
+    );
+}
+
 /// A spatial scenario with a zero drift window would end in a deadlock, so
 /// it is refused.
 #[test]

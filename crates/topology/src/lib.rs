@@ -19,8 +19,7 @@
 //! * A small text configuration format for adjacency matrices with link
 //!   overrides ([`config`]).
 //! * A deterministic BFS/strip partitioner splitting the core set into
-//!   contiguous tiles for the engine's parallel host execution
-//!   ([`partition`]).
+//!   contiguous tiles ([`partition`]); the engine does not use it.
 
 pub mod builders;
 pub mod config;
@@ -34,5 +33,7 @@ pub use builders::{
 };
 pub use config::{format_topology, parse_topology, ConfigError};
 pub use graph::{CoreId, LinkId, LinkProps, Topology};
+// `benchmark/src/probes.rs:73` still times `partition_bfs`; ROADMAP
+// direction 1(b) deletes that probe, and this module with it.
 pub use partition::{partition_bfs, Partition};
 pub use routing::Routes;

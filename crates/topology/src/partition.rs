@@ -1,11 +1,10 @@
-//! Topology partitioning for parallel host execution.
+//! Topology partitioning into contiguous *tiles*.
 //!
-//! The engine's parallel mode (see `simany-core`) assigns each *tile* — a
-//! contiguous region of the interconnect — to a dedicated host worker and
-//! lets at most one activity per tile execute concurrently. Contiguity
-//! matters: spatial synchronization is purely local, so cores deep inside a
-//! tile interact only with cores of the same tile, and cross-tile effects
-//! are confined to the tile boundary.
+//! Nothing in the simulator calls this; the benchmark's construction probe
+//! times it. Contiguity is the point of a tile: spatial synchronization is
+//! purely local, so cores deep inside a tile interact only with cores of
+//! the same tile, and cross-tile effects are confined to the tile
+//! boundary.
 //!
 //! The partitioner cuts a BFS order of the adjacency into equal-size
 //! chunks. BFS from core 0 keeps each chunk connected on meshes and tori

@@ -73,8 +73,7 @@ pub fn clustered_dm(n: u32, clusters: u32) -> ProgramSpec {
 /// ([`ChipletParams::default`]: 4-cycle / 32 B/cy versus 1-cycle /
 /// 128 B/cy on-chip). Distributed memory — crossing the package boundary
 /// is what the topology models, and messages are how it is felt. The
-/// chiplet index is attached as each core's region, so host-parallel
-/// tiles never straddle a chiplet boundary.
+/// chiplet index is attached as each core's region.
 ///
 /// `n` must be divisible by `chips`.
 pub fn chiplet_dm(n: u32, chips: u32) -> ProgramSpec {

@@ -1,8 +1,8 @@
 //! External preemption must be invisible in virtual time: a scenario
 //! preempted mid-run (engine stops after a budget of fresh checkpoints),
 //! dropped, and resumed from its checkpoint must end bit-identical to an
-//! uninterrupted run — under the sequential engine and under parallel host
-//! execution, including across several chained preempt/resume rounds.
+//! uninterrupted run, including across several chained preempt/resume
+//! rounds.
 
 use simany::core::{SimError, SimStats, VDuration};
 use simany::kernels::{kernel_by_name, Scale};
@@ -42,22 +42,21 @@ fn ckpt_path(tag: &str) -> std::path::PathBuf {
     dir.join("scenario.checkpoint")
 }
 
-fn spec(threads: u32, path: &std::path::Path) -> simany::runtime::ProgramSpec {
+fn spec(path: &std::path::Path) -> simany::runtime::ProgramSpec {
     let mut spec = presets::uniform_mesh_sm(16);
     spec.engine = spec
         .engine
         .with_seed(42)
-        .with_threads(threads)
         .with_checkpoint(VDuration::from_cycles(2_000), path);
     spec
 }
 
 /// Run to completion with checkpointing but no interruptions.
-fn uninterrupted(threads: u32, tag: &str) -> Fingerprint {
+fn uninterrupted(tag: &str) -> Fingerprint {
     let path = ckpt_path(tag);
     let kernel = kernel_by_name("Quicksort").unwrap();
     let res = kernel
-        .run_sim(spec(threads, &path), Scale(0.1), 42)
+        .run_sim(spec(&path), Scale(0.1), 42)
         .expect("uninterrupted run failed");
     assert!(res.verified);
     Fingerprint::of(&res.out.stats)
@@ -67,12 +66,12 @@ fn uninterrupted(threads: u32, tag: &str) -> Fingerprint {
 /// the waypoint — repeatedly, until the run completes. Each round is a
 /// brand-new engine (the old one is gone); resume replays from the start
 /// and bit-verifies at the watermark before continuing.
-fn preempted_then_resumed(threads: u32, budget: u64, tag: &str) -> Fingerprint {
+fn preempted_then_resumed(budget: u64, tag: &str) -> Fingerprint {
     let path = ckpt_path(tag);
     let kernel = kernel_by_name("Quicksort").unwrap();
 
     // First slice: must hit the preemption budget, not finish.
-    let mut s = spec(threads, &path);
+    let mut s = spec(&path);
     s.engine = s.engine.with_preempt_after_checkpoints(Some(budget));
     let first = kernel.run_sim(s, Scale(0.1), 42);
     let at0 = match first {
@@ -89,7 +88,7 @@ fn preempted_then_resumed(threads: u32, budget: u64, tag: &str) -> Fingerprint {
     // so this terminates. Cap the rounds to catch a livelock regression.
     let mut last_at = at0;
     for _round in 0..200 {
-        let mut s = spec(threads, &path);
+        let mut s = spec(&path);
         s.engine = s
             .engine
             .with_resume(&path)
@@ -114,24 +113,17 @@ fn preempted_then_resumed(threads: u32, budget: u64, tag: &str) -> Fingerprint {
 
 #[test]
 fn preempt_resume_is_bit_identical_sequential() {
-    let base = uninterrupted(1, "seq-base");
-    let resumed = preempted_then_resumed(1, 2, "seq-preempt");
+    let base = uninterrupted("seq-base");
+    let resumed = preempted_then_resumed(2, "seq-preempt");
     assert_eq!(base, resumed, "sequential preempt/resume changed the run");
-}
-
-#[test]
-fn preempt_resume_is_bit_identical_threads4() {
-    let base = uninterrupted(4, "par-base");
-    let resumed = preempted_then_resumed(4, 2, "par-preempt");
-    assert_eq!(base, resumed, "threads=4 preempt/resume changed the run");
 }
 
 /// A budget of one fresh checkpoint is the tightest slicing the contract
 /// allows; every round still advances at least one checkpoint interval.
 #[test]
 fn single_checkpoint_budget_still_makes_progress() {
-    let base = uninterrupted(1, "tight-base");
-    let resumed = preempted_then_resumed(1, 1, "tight-preempt");
+    let base = uninterrupted("tight-base");
+    let resumed = preempted_then_resumed(1, "tight-preempt");
     assert_eq!(base, resumed);
 }
 

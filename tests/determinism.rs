@@ -118,116 +118,6 @@ fn sanitizer_is_observation_only_and_quiet() {
     }
 }
 
-/// Parallel host execution is deterministic: fixed `threads = 4` plus a
-/// fixed seed reproduces every observable counter bit-identically, under
-/// every policy — and the epoch machinery actually engages.
-#[test]
-fn parallel_runs_are_identical_per_policy() {
-    for (name, policy) in all_policies() {
-        let (a, stats) = run_with(policy, |cfg| cfg.threads = 4);
-        let (b, _) = run_with(policy, |cfg| cfg.threads = 4);
-        assert_eq!(a, b, "policy {name}: two identical 4-thread runs diverged");
-        assert!(
-            stats.parallel_epochs > 0,
-            "policy {name}: 4-thread run never launched an epoch"
-        );
-        assert!(
-            stats.epoch_grants >= stats.parallel_epochs,
-            "policy {name}: fewer epoch grants than epochs"
-        );
-    }
-}
-
-/// `threads = 1` (and the `0` alias) never constructs a partition: both
-/// must be bit-identical to the sequential engine, under every policy.
-#[test]
-fn single_thread_matches_sequential() {
-    for (name, policy) in all_policies() {
-        let (seq, _) = run_with(policy, |_| {});
-        let (one, s1) = run_with(policy, |cfg| cfg.threads = 1);
-        let (zero, s0) = run_with(policy, |cfg| cfg.threads = 0);
-        assert_eq!(
-            seq, one,
-            "policy {name}: threads=1 diverged from sequential"
-        );
-        assert_eq!(
-            seq, zero,
-            "policy {name}: threads=0 diverged from sequential"
-        );
-        assert_eq!(s1.parallel_epochs, 0, "policy {name}: threads=1 ran epochs");
-        assert_eq!(s0.parallel_epochs, 0, "policy {name}: threads=0 ran epochs");
-    }
-}
-
-/// The online sanitizer stays quiet in parallel mode: the drift bounds,
-/// per-sender FIFO, causality and birth-floor invariants all survive
-/// concurrent tile execution — and observing them changes nothing.
-#[test]
-fn parallel_sanitizer_is_quiet() {
-    for (name, policy) in all_policies() {
-        let (plain, _) = run_with(policy, |cfg| cfg.threads = 4);
-        let (sanitized, stats) = run_with(policy, |cfg| {
-            cfg.threads = 4;
-            cfg.sanitize = true;
-        });
-        assert_eq!(
-            plain, sanitized,
-            "policy {name}: sanitizer changed 4-thread observable behavior"
-        );
-        assert_eq!(
-            stats.sanitizer_violations, 0,
-            "policy {name}: sanitizer found violations in a 4-thread run"
-        );
-        assert!(
-            stats.sanitizer_checks > 0,
-            "policy {name}: sanitizer ran no checks in a 4-thread run"
-        );
-    }
-}
-
-/// Checkpoint/resume works in parallel mode too: a 4-thread run that
-/// writes checkpoints matches the plain 4-thread run, and a 4-thread
-/// resume verifies against the checkpoint without diverging.
-#[test]
-fn parallel_resume_matches_uninterrupted() {
-    let dir = std::env::temp_dir().join("simany-determinism-par-resume");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    for (name, policy) in all_policies() {
-        let cp = dir.join(format!("{name}.checkpoint"));
-        let (baseline, stats) = run_with(policy, |cfg| cfg.threads = 4);
-        let every = VDuration::from_cycles((stats.final_vtime.cycles() / 4).max(1));
-
-        let cp2 = cp.clone();
-        let (written, wstats) = run_with(policy, move |cfg| {
-            cfg.threads = 4;
-            cfg.checkpoint_every = Some(every);
-            cfg.checkpoint_path = Some(cp2);
-        });
-        assert_eq!(
-            baseline, written,
-            "policy {name}: checkpointing changed 4-thread observable behavior"
-        );
-        assert!(
-            wstats.checkpoints_written > 0,
-            "policy {name}: no checkpoint was written at threads=4"
-        );
-
-        let cp3 = cp.clone();
-        let (resumed, rstats) = run_with(policy, move |cfg| {
-            cfg.threads = 4;
-            cfg.resume_from = Some(cp3);
-        });
-        assert_eq!(
-            baseline, resumed,
-            "policy {name}: 4-thread resumed run diverged"
-        );
-        assert_eq!(
-            rstats.checkpoint_verifications, 1,
-            "policy {name}: 4-thread resume did not verify against the checkpoint"
-        );
-    }
-}
-
 /// Checkpoint/resume is bit-exact: a run that writes checkpoints, and a
 /// run that resumes from (replays and verifies against) one, both match
 /// the uninterrupted run counter-for-counter, under every policy.

@@ -1,8 +1,7 @@
 //! Hierarchical multi-chip topologies must uphold every engine contract
-//! the flat meshes do: determinism per (seed, threads), threads<=1
-//! bit-identical to the sequential engine, sanitizer-quiet execution and
-//! checkpoint/resume bit-identity — plus the partition guarantee that
-//! host-parallel tiles never straddle a chiplet or leaf-cluster boundary.
+//! the flat meshes do: determinism per seed, sanitizer-quiet execution and
+//! checkpoint/resume bit-identity — plus the guarantee that
+//! `partition_bfs` tiles never straddle a chiplet or leaf-cluster boundary.
 
 use simany::core::{EngineConfig, SimStats, VDuration};
 use simany::kernels::{kernel_by_name, Scale};
@@ -52,31 +51,12 @@ fn run_chiplet(tweak: impl FnOnce(&mut EngineConfig)) -> (Fingerprint, SimStats)
     (Fingerprint::of(&stats), stats)
 }
 
-/// Same seed, same config — identical counters on the chiplet machine,
-/// sequentially and at a fixed thread count.
+/// Same seed, same config — identical counters on the chiplet machine.
 #[test]
 fn chiplet_runs_are_deterministic() {
     let (a, _) = run_chiplet(|_| {});
     let (b, _) = run_chiplet(|_| {});
-    assert_eq!(a, b, "two identical sequential chiplet runs diverged");
-
-    let (pa, stats) = run_chiplet(|cfg| cfg.threads = 4);
-    let (pb, _) = run_chiplet(|cfg| cfg.threads = 4);
-    assert_eq!(pa, pb, "two identical 4-thread chiplet runs diverged");
-    assert!(
-        stats.parallel_epochs > 0,
-        "4-thread chiplet run never launched an epoch"
-    );
-}
-
-/// `threads = 1` must be bit-identical to the sequential engine on the
-/// hierarchical topology too.
-#[test]
-fn chiplet_single_thread_matches_sequential() {
-    let (seq, _) = run_chiplet(|_| {});
-    let (one, s1) = run_chiplet(|cfg| cfg.threads = 1);
-    assert_eq!(seq, one, "threads=1 diverged from sequential on chiplets");
-    assert_eq!(s1.parallel_epochs, 0, "threads=1 ran epochs");
+    assert_eq!(a, b, "two identical chiplet runs diverged");
 }
 
 /// The invariant sanitizer stays quiet on hierarchical machines — the
@@ -95,48 +75,31 @@ fn chiplet_sanitizer_is_quiet() {
 }
 
 /// Checkpoint/resume is bit-exact on the hierarchical topology: the
-/// pooled SoA state digests identically across a write/replay cycle,
-/// sequentially and at threads=4.
+/// pooled SoA state digests identically across a write/replay cycle.
 #[test]
 fn chiplet_resume_matches_uninterrupted() {
     let dir = std::env::temp_dir().join("simany-hierarchical-resume");
     std::fs::create_dir_all(&dir).expect("temp dir");
-    for threads in [0u32, 4] {
-        let cp = dir.join(format!("chiplet-{threads}.checkpoint"));
-        let (baseline, stats) = run_chiplet(|cfg| cfg.threads = threads);
-        // Checkpoint roughly a quarter of the way through, so the
-        // watermark lands strictly inside the run.
-        let every = VDuration::from_cycles((stats.final_vtime.cycles() / 4).max(1));
+    let cp = dir.join("chiplet.checkpoint");
+    let (baseline, stats) = run_chiplet(|_| {});
+    // Checkpoint roughly a quarter of the way through, so the watermark
+    // lands strictly inside the run.
+    let every = VDuration::from_cycles((stats.final_vtime.cycles() / 4).max(1));
 
-        let cp2 = cp.clone();
-        let (written, wstats) = run_chiplet(move |cfg| {
-            cfg.threads = threads;
-            cfg.checkpoint_every = Some(every);
-            cfg.checkpoint_path = Some(cp2);
-        });
-        assert_eq!(
-            baseline, written,
-            "threads={threads}: checkpointing changed chiplet behavior"
-        );
-        assert!(
-            wstats.checkpoints_written > 0,
-            "threads={threads}: no checkpoint was written"
-        );
+    let cp2 = cp.clone();
+    let (written, wstats) = run_chiplet(move |cfg| {
+        cfg.checkpoint_every = Some(every);
+        cfg.checkpoint_path = Some(cp2);
+    });
+    assert_eq!(baseline, written, "checkpointing changed chiplet behavior");
+    assert!(wstats.checkpoints_written > 0, "no checkpoint was written");
 
-        let cp3 = cp.clone();
-        let (resumed, rstats) = run_chiplet(move |cfg| {
-            cfg.threads = threads;
-            cfg.resume_from = Some(cp3);
-        });
-        assert_eq!(
-            baseline, resumed,
-            "threads={threads}: resumed chiplet run diverged"
-        );
-        assert_eq!(
-            rstats.checkpoint_verifications, 1,
-            "threads={threads}: resume did not verify against the checkpoint"
-        );
-    }
+    let (resumed, rstats) = run_chiplet(move |cfg| cfg.resume_from = Some(cp));
+    assert_eq!(baseline, resumed, "resumed chiplet run diverged");
+    assert_eq!(
+        rstats.checkpoint_verifications, 1,
+        "resume did not verify against the checkpoint"
+    );
 }
 
 /// Partition tiles never straddle a region boundary, on both hierarchical

@@ -2,12 +2,10 @@
 //!
 //! (a) every protocol terminates and passes its safety checks under a
 //!     partition-then-heal plan, with the sanitizer watching;
-//! (b) protocol runs are bit-identical for a fixed `(seed, threads)`
-//!     with an active fault plan — down to every latency sample;
-//! (c) `threads <= 1` is the sequential engine, and the 4-thread run is
-//!     reproducible, both under faults;
-//! (d) checkpoint/resume at `threads = 4` under an active fault plan is
-//!     bit-exact against the uninterrupted run.
+//! (b) protocol runs are bit-identical for a fixed seed with an active
+//!     fault plan — down to every latency sample;
+//! (c) checkpoint/resume under an active fault plan is bit-exact against
+//!     the uninterrupted run.
 
 use simany::core::{EngineConfig, VDuration, VirtualTime};
 use simany::fault::FaultPlanBuilder;
@@ -122,7 +120,7 @@ fn protocol_pack_survives_partition_then_heal() {
     }
 }
 
-/// Same `(seed, threads)` + same fault plan → identical runs, down to
+/// Same seed + same fault plan → identical runs, down to
 /// every latency sample.
 #[test]
 fn protocol_runs_are_reproducible_under_faults() {
@@ -134,48 +132,23 @@ fn protocol_runs_are_reproducible_under_faults() {
     }
 }
 
-/// `threads = 1` (and the `0` alias) is the sequential engine — also
-/// with a fault plan active.
+/// Checkpoint/resume bit-identity with an *active fault plan*: a
+/// checkpointing run and a resumed run both match the uninterrupted
+/// baseline while the partition is cutting links underneath them.
 #[test]
-fn single_thread_matches_sequential_under_faults() {
-    for protocol in all_protocols() {
-        let name = protocol.name();
-        let one = Fingerprint::of(&run_partitioned(name, |cfg| cfg.threads = 1));
-        let zero = Fingerprint::of(&run_partitioned(name, |cfg| cfg.threads = 0));
-        assert_eq!(one, zero, "{name}: threads=1 diverged from sequential");
-    }
-}
-
-/// Fixed `threads = 4` + fixed seed + fault plan → identical runs.
-#[test]
-fn parallel_runs_are_reproducible_under_faults() {
-    for protocol in all_protocols() {
-        let name = protocol.name();
-        let a = Fingerprint::of(&run_partitioned(name, |cfg| cfg.threads = 4));
-        let b = Fingerprint::of(&run_partitioned(name, |cfg| cfg.threads = 4));
-        assert_eq!(a, b, "{name}: 4-thread repeat diverged");
-    }
-}
-
-/// Checkpoint/resume bit-identity with an *active fault plan* at
-/// `threads = 4` (PR 9 satellite): a checkpointing run and a resumed run
-/// both match the uninterrupted baseline while the partition is cutting
-/// links underneath them.
-#[test]
-fn parallel_resume_is_bit_exact_under_faults() {
+fn resume_is_bit_exact_under_faults() {
     let dir = std::env::temp_dir().join("simany-protocols-resume");
     std::fs::create_dir_all(&dir).expect("temp dir");
     for protocol in all_protocols() {
         let name = protocol.name();
         let cp = dir.join(format!("{}.checkpoint", name.replace(' ', "-")));
 
-        let base_run = run_partitioned(name, |cfg| cfg.threads = 4);
+        let base_run = run_partitioned(name, |_| {});
         let baseline = Fingerprint::of(&base_run);
         let every = VDuration::from_cycles((base_run.cycles() / 4).max(1));
 
         let cp2 = cp.clone();
         let written = run_partitioned(name, move |cfg| {
-            cfg.threads = 4;
             cfg.checkpoint_every = Some(every);
             cfg.checkpoint_path = Some(cp2);
         });
@@ -191,7 +164,6 @@ fn parallel_resume_is_bit_exact_under_faults() {
 
         let cp3 = cp.clone();
         let resumed = run_partitioned(name, move |cfg| {
-            cfg.threads = 4;
             cfg.resume_from = Some(cp3);
         });
         assert_eq!(
