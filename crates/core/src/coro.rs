@@ -340,9 +340,10 @@ enum State {
 ///
 /// All fields are private and `Cell`s: both sides reach the context
 /// through `&Context`, so no `&mut` ever has to span a switch. The raw
-/// pointers and the cells make it neither `Send` nor `Sync`: a driver on
-/// another thread gets at it through a raw pointer, on the strength of the
-/// hand-over rule in the module docs.
+/// pointers and the cells make it neither `Send` nor `Sync`: the engine
+/// drives every context from the thread that called `simulate`, and code
+/// that hands one to another thread keeps the hand-over rule in the module
+/// docs.
 pub(crate) struct Context {
     stack: Stack,
     /// Valid while `Suspended`.

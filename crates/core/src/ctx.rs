@@ -1,8 +1,8 @@
 //! `ExecCtx` — the interaction API available to task code.
 //!
 //! A task body is ordinary Rust code that runs natively between
-//! interactions. Each `ExecCtx` method briefly acquires the simulation
-//! lock, performs the interaction (advance the clock, send a message,
+//! interactions. Each `ExecCtx` method briefly borrows the simulator
+//! state, performs the interaction (advance the clock, send a message,
 //! block...), applies the synchronization policy and returns — possibly
 //! after giving the CPU away while the core is stalled or blocked:
 //! a switch from the body's context back to the driver (see
@@ -13,16 +13,16 @@ use crate::coro::Context;
 use crate::engine::{is_ready, push_ready, Shared, ShutdownSignal, Sim};
 use crate::ops::Ops;
 use crate::sync;
-use parking_lot::MutexGuard;
 use simany_net::Payload;
 use simany_time::{BlockCost, VirtualTime};
 use simany_topology::CoreId;
 use std::any::Any;
-use std::sync::Arc;
+use std::cell::RefMut;
+use std::rc::Rc;
 
 /// Per-activity execution context handed to task bodies.
 pub struct ExecCtx {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
     aid: ActivityId,
     core: CoreId,
     /// The pooled userland context this body runs on: the `&Context` its
@@ -39,7 +39,7 @@ impl ExecCtx {
     /// result to itself (task code borrows it as `&mut`): [`Self::suspend`]
     /// switches away from `me` on the strength of this.
     pub(crate) unsafe fn on_context(
-        shared: Arc<Shared>,
+        shared: Rc<Shared>,
         aid: ActivityId,
         core: CoreId,
         me: &Context,
@@ -64,7 +64,7 @@ impl ExecCtx {
 
     /// Current virtual time of this core.
     pub fn now(&self) -> VirtualTime {
-        self.shared.sim.lock().cores.vtime[self.core.index()]
+        self.shared.sim.borrow().cores.vtime[self.core.index()]
     }
 
     /// Number of simulated cores.
@@ -88,7 +88,7 @@ impl ExecCtx {
     pub fn compute(&mut self, block: &BlockCost) {
         let base = self.shared.config.cost_model.block_cycles(block);
         let branches = block.cond_branch_count();
-        let mut sim = self.shared.sim.lock();
+        let mut sim = self.shared.sim.borrow_mut();
         let mut cycles = base;
         if branches > 0 {
             cycles += sim
@@ -98,16 +98,16 @@ impl ExecCtx {
         }
         let d = sim.cores.speed[self.core.index()].scale_cycles(cycles);
         sim.cores.advance(self.core.index(), d);
-        self.after_advance(&mut sim);
+        self.after_advance(sim);
     }
 
     /// Advance this core's clock by `base_cycles` of work (speed-scaled),
     /// then apply the synchronization policy.
     pub fn advance_cycles(&mut self, base_cycles: u64) {
-        let mut sim = self.shared.sim.lock();
+        let mut sim = self.shared.sim.borrow_mut();
         let d = sim.cores.speed[self.core.index()].scale_cycles(base_cycles);
         sim.cores.advance(self.core.index(), d);
-        self.after_advance(&mut sim);
+        self.after_advance(sim);
     }
 
     /// Post-annotation synchronization: the drift-headroom fast path when
@@ -120,7 +120,7 @@ impl ExecCtx {
     /// ([`sync::flush_deferred`]) runs. Folding the skipped intermediate
     /// publishes into one final publish reaches the same relaxation fixed
     /// point, so the deferral is bit-exact.
-    fn after_advance(&self, sim: &mut MutexGuard<'_, Sim>) {
+    fn after_advance(&self, mut sim: RefMut<'_, Sim>) {
         let i = self.core.index();
         let vtime = sim.cores.vtime[i];
         let fast = sim.cores.lock_depth[i] == 0
@@ -136,14 +136,14 @@ impl ExecCtx {
             return;
         }
         sim.stats.full_sync_checks += 1;
-        sync::publish(sim, &self.shared, self.core);
-        crate::engine::drain_due_messages(sim, &self.shared, self.core);
+        sync::publish(&mut sim, &self.shared, self.core);
+        crate::engine::drain_due_messages(&mut sim, &self.shared, self.core);
         self.maybe_stall(sim);
     }
 
     /// Send a message stamped with this core's current clock.
     pub fn send(&mut self, dst: CoreId, size_bytes: u32, payload: Payload) {
-        let mut sim = self.shared.sim.lock();
+        let mut sim = self.shared.sim.borrow_mut();
         let sent = sim.cores.vtime[self.core.index()];
         let env = sim.net.send(self.core, dst, size_bytes, sent, payload);
         crate::engine::deliver(&mut sim, &self.shared, env);
@@ -153,7 +153,7 @@ impl ExecCtx {
     /// token. The runtime layer uses this to implement compound primitives
     /// (probe, spawn, data requests) atomically.
     pub fn with_ops<R>(&mut self, f: impl FnOnce(&mut Ops<'_>) -> R) -> R {
-        let mut sim = self.shared.sim.lock();
+        let mut sim = self.shared.sim.borrow_mut();
         // `f` can observe published values through `Ops`.
         sync::flush_deferred(&mut sim, &self.shared, self.core);
         let mut ops = Ops::new(&mut sim, &self.shared);
@@ -163,14 +163,14 @@ impl ExecCtx {
     /// Like [`Self::with_ops`] followed by a synchronization check: use
     /// when `f` advances this core's clock.
     pub fn with_ops_synced<R>(&mut self, f: impl FnOnce(&mut Ops<'_>) -> R) -> R {
-        let mut sim = self.shared.sim.lock();
+        let mut sim = self.shared.sim.borrow_mut();
         sync::flush_deferred(&mut sim, &self.shared, self.core);
         let r = {
             let mut ops = Ops::new(&mut sim, &self.shared);
             f(&mut ops)
         };
         crate::engine::drain_due_messages(&mut sim, &self.shared, self.core);
-        self.maybe_stall(&mut sim);
+        self.maybe_stall(sim);
         r
     }
 
@@ -187,7 +187,7 @@ impl ExecCtx {
     /// lightweight protocol waits whose handler costs already account for
     /// the runtime's work.
     pub fn block_with(&mut self, reason: &'static str, charge_resume: bool) -> Box<dyn Any + Send> {
-        let mut sim = self.shared.sim.lock();
+        let mut sim = self.shared.sim.borrow_mut();
         {
             let core = self.core;
             debug_assert_eq!(sim.cores.current[core.index()], Some(self.aid));
@@ -208,11 +208,11 @@ impl ExecCtx {
                 push_ready(&mut sim, core);
             }
         }
-        self.suspend(&mut sim);
+        let sim = self.suspend(sim);
         // We are current again (make_current charged the context switch and
         // applied the wake time). Apply the synchronization policy before
         // resuming user code.
-        self.maybe_stall(&mut sim);
+        let mut sim = self.maybe_stall(sim);
         sim.act_mut(self.aid)
             .wake_value
             .take()
@@ -224,37 +224,37 @@ impl ExecCtx {
     /// can always reach the release (the deadlock-avoidance waiver of paper
     /// §II.B).
     pub fn critical_enter(&mut self) {
-        let mut sim = self.shared.sim.lock();
+        let mut sim = self.shared.sim.borrow_mut();
         sim.cores.lock_depth[self.core.index()] += 1;
     }
 
     /// Leave a critical section; when the depth reaches zero the policy
     /// applies again immediately.
     pub fn critical_exit(&mut self) {
-        let mut sim = self.shared.sim.lock();
+        let mut sim = self.shared.sim.borrow_mut();
         let depth = &mut sim.cores.lock_depth[self.core.index()];
         assert!(*depth > 0, "critical_exit without critical_enter");
         *depth -= 1;
         if *depth == 0 {
-            self.maybe_stall(&mut sim);
+            self.maybe_stall(sim);
         }
     }
 
     /// Stall while the synchronization policy forbids this core to run.
-    fn maybe_stall(&self, sim: &mut MutexGuard<'_, Sim>) {
+    fn maybe_stall<'s>(&'s self, mut sim: RefMut<'s, Sim>) -> RefMut<'s, Sim> {
         let mut stalled = false;
         loop {
             // The policy check reads published values, and a stall yields
             // the run token: either way a deferred publish must land first.
-            sync::flush_deferred(sim, &self.shared, self.core);
-            if sync::sync_ok(sim, &self.shared, self.core) {
+            sync::flush_deferred(&mut sim, &self.shared, self.core);
+            if sync::sync_ok(&mut sim, &self.shared, self.core) {
                 if stalled {
                     crate::engine::trace(&self.shared, || crate::trace::TraceEvent::Resume {
                         t: sim.cores.vtime[self.core.index()],
                         core: self.core,
                     });
                 }
-                return;
+                return sim;
             }
             sim.stats.stall_events += 1;
             if !stalled {
@@ -265,24 +265,27 @@ impl ExecCtx {
                 stalled = true;
             }
             sim.act_mut(self.aid).state = ActivityState::Stalled;
-            self.suspend(sim);
+            sim = self.suspend(sim);
         }
     }
 
     /// Give the CPU away at a stall or a block (the activity's state
-    /// already says which): switch to the driver, with the lock released
-    /// (the driver re-locks; see the `engine` module docs), and return when
-    /// the next grant switches back here.
-    fn suspend(&self, sim: &mut MutexGuard<'_, Sim>) {
+    /// already says which): drop the borrow, switch to the driver (which
+    /// borrows `Sim` in turn; see the `engine` module docs), and borrow
+    /// again when the next grant switches back here.
+    fn suspend<'s>(&'s self, sim: RefMut<'s, Sim>) -> RefMut<'s, Sim> {
+        drop(sim);
         // SAFETY: `on_context`'s contract — an `ExecCtx` is made by, and
         // stays with, the body running on `me` — so the caller is that
         // body, and `me` is alive (see the field).
-        MutexGuard::unlocked(sim, || unsafe { (*self.me).suspend() });
+        unsafe { (*self.me).suspend() };
+        let sim = self.shared.sim.borrow_mut();
         if sim.shutdown {
             // Teardown resumed this body to unwind it: through user code,
             // up to the context's trampoline.
             std::panic::panic_any(ShutdownSignal);
         }
         debug_assert!(matches!(sim.act(self.aid).state, ActivityState::Granted));
+        sim
     }
 }

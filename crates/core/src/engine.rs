@@ -5,13 +5,15 @@
 //!
 //! Exactly one party executes simulation work at any instant, mirroring
 //! the paper's single-process, non-preemptive userland scheduling (§III).
-//! All simulator state lives in one mutex; a *run token* designates who may
-//! proceed — the driver running the pick loop, or exactly one activity.
+//! The driver and every task body take turns on one host thread; a *run
+//! token* designates whose turn it is — the driver running the pick loop,
+//! or exactly one activity. All simulator state lives in one `RefCell`,
+//! borrowed by whoever holds the token.
 //!
-//! Between `ExecCtx` calls task code runs natively without holding the
-//! mutex — that is the "sequential pieces of code are executed natively for
+//! Between `ExecCtx` calls task code runs natively without borrowing the
+//! state — that is the "sequential pieces of code are executed natively for
 //! maximal speed" of the paper — but since nobody else can hold the token
-//! concurrently, the simulation stays sequential and deterministic.
+//! meanwhile, the simulation stays sequential and deterministic.
 //!
 //! ## Bodies on userland contexts
 //!
@@ -24,12 +26,12 @@
 //! [`grant`]. A grant therefore costs two register swaps
 //! ([`SimStats::ctx_switches`]) and no system call.
 //!
-//! **Lock protocol around a switch.** Each side owns a guard of the
-//! simulation mutex on its own stack, and only the running side holds the
-//! lock: [`grant`] wraps `start`/`resume` in `MutexGuard::unlocked`, the
-//! body wraps its switch back the same way, so every switch happens with
-//! the mutex free and each side re-locks when it continues. Task code in
-//! between takes the lock per `ExecCtx` call.
+//! **One borrow around a switch.** Only the running side borrows `Sim`:
+//! [`grant`] drops its borrow before `start`/`resume` and borrows again
+//! when the body hands the CPU back, and the body does the same around its
+//! switch to the driver, so every switch happens with `Sim` unborrowed.
+//! Task code in between borrows it per `ExecCtx` call. A nested borrow — a
+//! switch made while borrowed — is a `RefCell` panic in every build.
 //!
 //! **Nothing unwinds across a switch.** A body runs under `catch_unwind`
 //! in the context's outermost frame, so a task panic comes back to the
@@ -72,13 +74,14 @@ use crate::state::Cores;
 use crate::stats::SimStats;
 use crate::sync;
 use crate::trace::TraceEvent;
-use parking_lot::{Mutex, MutexGuard};
 use simany_net::{Envelope, InboxPool, NetworkModel};
 use simany_time::VirtualTime;
 use simany_topology::{CoreId, Topology};
+use std::cell::{RefCell, RefMut};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Panic payload used to unwind suspended activities at simulation
@@ -92,9 +95,9 @@ pub(crate) fn trace(shared: &Shared, make: impl FnOnce() -> TraceEvent) {
     }
 }
 
-/// Immutable run-wide context shared by the driver and every task body.
+/// Run-wide context shared by the driver and every task body.
 pub(crate) struct Shared {
-    pub(crate) sim: Mutex<Sim>,
+    pub(crate) sim: RefCell<Sim>,
     pub(crate) hooks: Arc<dyn RuntimeHooks>,
     pub(crate) config: EngineConfig,
     /// The interconnect; the network model holds the same allocation.
@@ -323,8 +326,8 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Internal failure record set under the simulation lock; converted into
-/// the public [`SimError`] at teardown.
+/// Internal failure record, set by whoever holds the run token and
+/// converted into the public [`SimError`] at teardown.
 #[derive(Debug)]
 pub(crate) enum Failure {
     Deadlock(String),
@@ -551,8 +554,8 @@ pub(crate) fn wake_impl(
     push_ready(sim, c);
 }
 
-/// Bookkeeping when an activity's closure returns (under the simulation
-/// lock): its context goes back to the pool, its core is freed.
+/// Bookkeeping when an activity's closure returns: its context goes back
+/// to the pool, its core is freed.
 pub(crate) fn finish_activity(sim: &mut Sim, shared: &Shared, pool: &mut Pool, aid: ActivityId) {
     let mut act = sim.acts.remove(&aid.0).expect("finishing unknown activity");
     pool.release(act.context.expect("finished without ever running"));
@@ -881,8 +884,8 @@ pub fn simulate(
         .then(|| crate::floor::GlobalFloor::new(n as usize)),
         stall_wakes: std::collections::BinaryHeap::new(),
     };
-    let shared = Arc::new(Shared {
-        sim: Mutex::new(sim),
+    let shared = Rc::new(Shared {
+        sim: RefCell::new(sim),
         hooks,
         config,
         topo,
@@ -891,40 +894,35 @@ pub fn simulate(
     // Where task bodies' registers live. Dropped — every stack unmapped —
     // on every way out of this function.
     let mut pool = Pool::new(shared.config.worker_stack_bytes);
-    {
-        let mut sim = shared.sim.lock();
-        if shared.config.sanitize {
-            crate::sanitizer::install(&mut sim, &shared);
-        }
-        {
-            let mut ops = Ops::new(&mut sim, &shared);
-            setup(&mut ops);
-        }
-        sync::settle(&mut sim, &shared);
-
-        // Everything up to here — topology, routing, core arrays,
-        // workload setup — is construction; the pick loop is the
-        // simulation. Scale benchmarks need the two separated, or setup
-        // cost masquerades as per-event cost.
-        let build = start_wall.elapsed();
-        let run_start = std::time::Instant::now();
-        let mut picks = PickLoop::new(&shared.config, &sim, cfg_digest, resume_target);
-        drive(&shared, &mut sim, &mut picks, &mut pool);
-        picks.finish(&mut sim, &shared);
-        sim.stats.build_ns = build.as_nanos() as u64;
-        sim.stats.run_ns = run_start.elapsed().as_nanos() as u64;
-        sim.stats.peak_stacks = pool.peak();
-        sim.stats.os_threads = os_threads();
-
-        // Teardown: unwind every body still suspended on a context.
-        sim.shutdown = true;
-        unwind_suspended(&mut sim, &pool);
+    let mut sim = shared.sim.borrow_mut();
+    if shared.config.sanitize {
+        crate::sanitizer::install(&mut sim, &shared);
     }
+    {
+        let mut ops = Ops::new(&mut sim, &shared);
+        setup(&mut ops);
+    }
+    sync::settle(&mut sim, &shared);
 
-    // Harvest the result under the lock instead of insisting on sole
-    // ownership of the `Arc` (a panicking teardown path must not be able to
-    // turn into a second panic here).
-    let mut sim = shared.sim.lock();
+    // Everything up to here — topology, routing, core arrays, workload
+    // setup — is construction; the pick loop is the simulation. Scale
+    // benchmarks need the two separated, or setup cost masquerades as
+    // per-event cost.
+    let build = start_wall.elapsed();
+    let run_start = std::time::Instant::now();
+    let mut picks = PickLoop::new(&shared.config, &sim, cfg_digest, resume_target);
+    sim = drive(&shared, sim, &mut picks, &mut pool);
+    picks.finish(&mut sim, &shared);
+    sim.stats.build_ns = build.as_nanos() as u64;
+    sim.stats.run_ns = run_start.elapsed().as_nanos() as u64;
+    sim.stats.peak_stacks = pool.peak();
+    sim.stats.os_threads = os_threads();
+
+    // Teardown: unwind every body still suspended on a context. The
+    // harvest below reads `Sim` through the cell, not by unwrapping the
+    // `Rc`: a body that swallowed the shutdown signal still holds a clone.
+    sim.shutdown = true;
+    let mut sim = unwind_suspended(&shared, sim, &pool);
     if let Some(f) = sim.failure.take() {
         return Err(f.into_error());
     }
@@ -1148,25 +1146,26 @@ impl PickLoop {
 /// The engine: pick, dispatch, grant, and — once the activity has handed
 /// the CPU back by returning, panicking or suspending — pick again (see the
 /// module docs). Returns when the run is over: `sim.failure` says how.
-fn drive(
-    shared: &Arc<Shared>,
-    sim: &mut MutexGuard<'_, Sim>,
+fn drive<'s>(
+    shared: &'s Rc<Shared>,
+    mut sim: RefMut<'s, Sim>,
     picks: &mut PickLoop,
     pool: &mut Pool,
-) {
-    while let Some(c) = picks.next(sim, shared) {
-        let Some(aid) = picks.dispatch(sim, shared, c) else {
+) -> RefMut<'s, Sim> {
+    while let Some(c) = picks.next(&mut sim, shared) {
+        let Some(aid) = picks.dispatch(&mut sim, shared, c) else {
             continue;
         };
-        grant(shared, sim, pool, aid);
+        sim = grant(shared, sim, pool, aid);
         // The end of the pick: re-evaluate the activity's core for the
         // ready queue — what `dispatch` does after every other action —
         // and close the action lap.
-        if is_ready(sim, c) {
-            push_ready(sim, c);
+        if is_ready(&sim, c) {
+            push_ready(&mut sim, c);
         }
         picks.lap(&mut sim.stats.prof_action_ns);
     }
+    sim
 }
 
 /// The slot of `act`'s context in `pool`, acquired now if this is its
@@ -1187,9 +1186,9 @@ fn context_of(act: &mut Activity, pool: &mut Pool) -> Result<usize, Failure> {
 /// Run activity `aid`'s body on `ctx` until it gives the CPU back: start
 /// `job` there (a first grant) or resume what an earlier grant left
 /// suspended. The caller holds the grant — nobody else drives `ctx` — and
-/// not the simulation lock.
+/// no borrow of `Sim`.
 fn run_body(
-    shared: &Arc<Shared>,
+    shared: &Rc<Shared>,
     ctx: &Context,
     aid: ActivityId,
     core: CoreId,
@@ -1198,7 +1197,7 @@ fn run_body(
     let Some(job) = job else {
         return ctx.resume();
     };
-    let shared = Arc::clone(shared);
+    let shared = Rc::clone(shared);
     ctx.start(move |me| {
         // SAFETY: this closure is the body running on `me`, and only lends
         // the `ExecCtx` to the task's code.
@@ -1211,24 +1210,31 @@ fn run_body(
 /// token and runs on the calling thread until it returns, panics or
 /// suspends; a body that ended is accounted for. Requeueing its core is
 /// `drive`'s business.
-fn grant(shared: &Arc<Shared>, sim: &mut MutexGuard<'_, Sim>, pool: &mut Pool, aid: ActivityId) {
+fn grant<'s>(
+    shared: &'s Rc<Shared>,
+    mut sim: RefMut<'s, Sim>,
+    pool: &mut Pool,
+    aid: ActivityId,
+) -> RefMut<'s, Sim> {
     let act = sim.act_mut(aid);
     debug_assert!(matches!(act.state, ActivityState::Granted));
     let slot = match context_of(act, pool) {
         Ok(slot) => slot,
         Err(failure) => {
             sim.failure.get_or_insert(failure);
-            return; // `PickLoop::next` stops the run
+            return sim; // `PickLoop::next` stops the run
         }
     };
     // `job`: `Some` on a first grant; `None` once the closure is running —
     // suspended mid-call on its context by an earlier grant.
     let (core, name, job) = (act.core, act.name, act.job.take());
     sim.stats.ctx_switches += 2; // to the body, and back
-    let ctx = pool.get(slot);
-    match MutexGuard::unlocked(sim, || run_body(shared, ctx, aid, core, job)) {
+    drop(sim);
+    let outcome = run_body(shared, pool.get(slot), aid, core, job);
+    let mut sim = shared.sim.borrow_mut();
+    match outcome {
         Outcome::Suspended => {}
-        Outcome::Returned => finish_activity(sim, shared, pool, aid),
+        Outcome::Returned => finish_activity(&mut sim, shared, pool, aid),
         Outcome::Panicked(payload) => {
             let at = sim.cores.vtime[core.index()];
             sim.failure.get_or_insert(Failure::TaskPanic {
@@ -1239,6 +1245,7 @@ fn grant(shared: &Arc<Shared>, sim: &mut MutexGuard<'_, Sim>, pool: &mut Pool, a
             });
         }
     }
+    sim
 }
 
 /// Teardown: resume, once, every body still suspended on a context —
@@ -1246,14 +1253,16 @@ fn grant(shared: &Arc<Shared>, sim: &mut MutexGuard<'_, Sim>, pool: &mut Pool, a
 /// [`ShutdownSignal`] where it was suspended, drops its locals while
 /// unwinding its own stack and leaves the context idle. (A body that
 /// swallows the signal and suspends again is abandoned with its stack.)
-fn unwind_suspended(sim: &mut MutexGuard<'_, Sim>, pool: &Pool) {
+fn unwind_suspended<'s>(shared: &'s Shared, sim: RefMut<'s, Sim>, pool: &Pool) -> RefMut<'s, Sim> {
     debug_assert!(sim.shutdown);
+    drop(sim);
     for slot in 0..pool.peak() {
         let ctx = pool.get(slot);
         if ctx.is_suspended() {
-            let _ = MutexGuard::unlocked(sim, || ctx.resume());
+            let _ = ctx.resume();
         }
     }
+    shared.sim.borrow_mut()
 }
 
 /// Host threads of this process right now (`Threads:` in

@@ -6,14 +6,15 @@
 //! (`simany-runtime` provides the paper's Capsule/TBB-like model).
 //!
 //! Hook implementations own their own state (typically behind a
-//! `parking_lot::Mutex` inside the hooks object): every hook invocation and
-//! every task-side `ExecCtx` call is serialized by the engine's simulation
-//! lock, so a runtime mutex is uncontended and only exists to satisfy the
-//! borrow checker across the two entry paths.
+//! `parking_lot::Mutex` inside the hooks object). Every hook invocation and
+//! every task-side `ExecCtx` call is serialized because the driver and the
+//! task bodies take turns on one host thread, so that mutex is never
+//! contended: it remains only because `simulate` takes the hooks as an
+//! `Arc<dyn RuntimeHooks>`, which must be `Send + Sync`.
 //!
-//! Hooks run on the thread that called `simulate`, under the
-//! simulation lock and **must never block**; anything that needs to wait
-//! belongs in task code (`ExecCtx::block`).
+//! Hooks run on the thread that called `simulate`, while the driver or a
+//! body holds the run token, and **must never block**; anything that needs
+//! to wait belongs in task code (`ExecCtx::block`).
 
 use crate::ops::Ops;
 use simany_net::Envelope;

@@ -1,7 +1,8 @@
 //! `Ops` — the full simulator API available to runtime hooks (and, through
 //! `ExecCtx::with_ops`, to task code while it holds the run token).
 //!
-//! Everything here executes under the simulation lock and never blocks.
+//! Everything here executes inside the run-token holder's borrow of the
+//! simulator state and never blocks.
 
 use crate::activity::{ActivityId, ActivityMeta, TaskFn};
 use crate::engine::{deliver, start_activity_impl, trace, wake_impl, Shared, Sim};

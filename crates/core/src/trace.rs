@@ -268,7 +268,8 @@ impl fmt::Display for TraceEvent {
 
 /// Event sink installed in the engine configuration.
 pub trait Tracer: Send + Sync {
-    /// Record one event. Called under the simulation lock: keep it cheap.
+    /// Record one event. Called while the simulator state is borrowed, in
+    /// the middle of a pick or an `ExecCtx` call: keep it cheap.
     fn record(&self, event: TraceEvent);
 }
 

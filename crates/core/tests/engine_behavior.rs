@@ -9,7 +9,7 @@ use simany_core::{
     SyncPolicy, VDuration, VirtualTime,
 };
 use simany_topology::{mesh_2d, ring, Topology};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Hooks that understand two message payloads:
@@ -596,6 +596,69 @@ fn task_panic_is_reported() {
         }
         other => panic!("expected a task panic, got: {other}"),
     }
+}
+
+#[test]
+fn task_panic_inside_an_exec_ctx_call_is_reported() {
+    // The tracer panics on a stall, which only `ExecCtx`'s policy check
+    // records — so "boom" panics in the middle of `advance_cycles`, with
+    // the simulator state borrowed. The unwind must release that borrow on
+    // the body's stack: the driver borrows again to record the panic and
+    // then unwinds "sleeper", parked in `block` before "boom" ran.
+    struct PanicOnStall;
+    impl simany_core::Tracer for PanicOnStall {
+        fn record(&self, event: simany_core::TraceEvent) {
+            if let simany_core::TraceEvent::Stall { core, .. } = event {
+                panic!("tracer refused a stall on {core}");
+            }
+        }
+    }
+    let drops = Arc::new(AtomicU64::new(0));
+    let parked = Arc::new(AtomicBool::new(false));
+    let guard = DropCounter(drops.clone());
+    let parked_in_body = parked.clone();
+    let mut cfg = EngineConfig::default().with_drift_cycles(100);
+    cfg.tracer = Some(Arc::new(PanicOnStall));
+    let err = simulate(pair(), cfg, Arc::new(TestHooks), |ops| {
+        ops.start_activity(
+            CoreId(0),
+            "sleeper",
+            Box::new(()),
+            Box::new(move |ctx: &mut ExecCtx| {
+                let _held = guard;
+                parked_in_body.store(true, Ordering::SeqCst);
+                let _ = ctx.block("never-woken");
+            }),
+        );
+        ops.start_activity(
+            CoreId(1),
+            "boom",
+            Box::new(()),
+            Box::new(|ctx: &mut ExecCtx| {
+                // Its own birth ledger stalls it once it runs past T.
+                let born = ctx.now();
+                ctx.with_ops(|ops| ops.record_birth(CoreId(1), born));
+                ctx.advance_cycles(500);
+                unreachable!("the stall's trace record panics");
+            }),
+        );
+    })
+    .unwrap_err();
+    assert_eq!(err.exit_code(), 13);
+    match err {
+        simany_core::SimError::TaskPanic {
+            core,
+            name,
+            message,
+            ..
+        } => {
+            assert_eq!((core, name), (CoreId(1), "boom"));
+            assert!(message.contains("tracer refused a stall"), "{message}");
+        }
+        other => panic!("expected a task panic, got: {other}"),
+    }
+    assert!(parked.load(Ordering::SeqCst), "sleeper blocked first");
+    assert_eq!(drops.load(Ordering::SeqCst), 1, "sleeper unwound");
 }
 
 #[test]
