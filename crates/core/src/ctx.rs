@@ -96,7 +96,7 @@ impl ExecCtx {
                 .predictor(self.core.index())
                 .predict_many(branches);
         }
-        let d = sim.cores.speed[self.core.index()].scale_cycles(cycles);
+        let d = sim.cores.speed(self.core.index()).scale_cycles(cycles);
         sim.cores.advance(self.core.index(), d);
         self.after_advance(sim);
     }
@@ -105,7 +105,7 @@ impl ExecCtx {
     /// then apply the synchronization policy.
     pub fn advance_cycles(&mut self, base_cycles: u64) {
         let mut sim = self.shared.sim.borrow_mut();
-        let d = sim.cores.speed[self.core.index()].scale_cycles(base_cycles);
+        let d = sim.cores.speed(self.core.index()).scale_cycles(base_cycles);
         sim.cores.advance(self.core.index(), d);
         self.after_advance(sim);
     }
@@ -124,7 +124,7 @@ impl ExecCtx {
         let i = self.core.index();
         let vtime = sim.cores.vtime[i];
         let fast = sim.cores.lock_depth[i] == 0
-            && sim.cores.headroom_limit[i].is_some_and(|limit| vtime <= limit)
+            && sim.cores.within_headroom(i, vtime)
             && sim
                 .cores
                 .inboxes
@@ -190,7 +190,7 @@ impl ExecCtx {
         let mut sim = self.shared.sim.borrow_mut();
         {
             let core = self.core;
-            debug_assert_eq!(sim.cores.current[core.index()], Some(self.aid));
+            debug_assert_eq!(sim.cores.current(core.index()), Some(self.aid));
             sim.act_mut(self.aid).charge_resume = charge_resume;
             sim.act_mut(self.aid).state = ActivityState::Blocked(reason);
             crate::engine::trace(&self.shared, || crate::trace::TraceEvent::Block {
@@ -198,7 +198,7 @@ impl ExecCtx {
                 core,
                 reason,
             });
-            sim.cores.current[core.index()] = None;
+            sim.cores.set_current(core.index(), None);
             sim.floor_dirty = true;
             sync::note_floor_key(&mut sim, core.index());
             // The core may have become idle: switch it to shadow time so

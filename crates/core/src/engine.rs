@@ -383,7 +383,7 @@ pub(crate) fn is_ready(sim: &Sim, c: CoreId) -> bool {
     if !sim.cores.inboxes.is_empty(c) {
         return true;
     }
-    match sim.cores.current[c.index()] {
+    match sim.cores.current(c.index()) {
         Some(a) => sim.act(a).grantable(),
         None => !sim.cores.res_is_empty(c.index()) || sim.cores.queue_hint[c.index()] > 0,
     }
@@ -443,8 +443,8 @@ pub(crate) fn deliver(sim: &mut Sim, shared: &Shared, env: Envelope) {
 /// cost if it is resuming from a wake.
 pub(crate) fn make_current(sim: &mut Sim, shared: &Shared, aid: ActivityId) {
     let c = sim.act(aid).core;
-    debug_assert!(sim.cores.current[c.index()].is_none());
-    sim.cores.current[c.index()] = Some(aid);
+    debug_assert!(sim.cores.current(c.index()).is_none());
+    sim.cores.set_current(c.index(), Some(aid));
     sim.floor_dirty = true;
     sync::note_floor_key(sim, c.index());
     let woken = matches!(sim.act(aid).state, ActivityState::Woken);
@@ -457,7 +457,10 @@ pub(crate) fn make_current(sim: &mut Sim, shared: &Shared, aid: ActivityId) {
         let charge = sim.act(aid).charge_resume;
         sim.cores.advance_to(c.index(), wake_time);
         if charge {
-            let cost = sim.cores.speed[c.index()].scale_duration(shared.config.resume_cost);
+            let cost = sim
+                .cores
+                .speed(c.index())
+                .scale_duration(shared.config.resume_cost);
             sim.cores.advance(c.index(), cost);
         }
     }
@@ -478,7 +481,7 @@ pub(crate) fn start_activity_impl(
     job: TaskFn,
 ) -> ActivityId {
     assert!(
-        sim.cores.current[core.index()].is_none(),
+        sim.cores.current(core.index()).is_none(),
         "start_activity on a busy core {core}"
     );
     let was_idle = sim.cores.is_idle(core.index());
@@ -499,7 +502,7 @@ pub(crate) fn start_activity_impl(
             name,
         },
     );
-    sim.cores.current[core.index()] = Some(aid);
+    sim.cores.set_current(core.index(), Some(aid));
     sim.cores.resident[core.index()] += 1;
     sim.live_activities += 1;
     sim.floor_dirty = true;
@@ -546,7 +549,7 @@ pub(crate) fn wake_impl(
     act.wake_time = Some(at);
     let c = act.core;
     trace(shared, || TraceEvent::Wake { t: at, core: c });
-    if sim.cores.current[c.index()].is_none() {
+    if sim.cores.current(c.index()).is_none() {
         make_current(sim, shared, aid);
     } else {
         sim.cores.res_push_back(c.index(), aid);
@@ -563,8 +566,8 @@ pub(crate) fn finish_activity(sim: &mut Sim, shared: &Shared, pool: &mut Pool, a
     // The end-of-task hooks below observe published values; make any
     // fast-path deferred publish visible first.
     sync::flush_deferred(sim, shared, c);
-    debug_assert_eq!(sim.cores.current[c.index()], Some(aid));
-    sim.cores.current[c.index()] = None;
+    debug_assert_eq!(sim.cores.current(c.index()), Some(aid));
+    sim.cores.set_current(c.index(), None);
     sim.cores.resident[c.index()] -= 1;
     sim.live_activities -= 1;
     // The working set changed: global-policy floors must be recomputed.
@@ -660,7 +663,7 @@ pub(crate) enum Action {
 pub(crate) fn decide(sim: &Sim, c: CoreId) -> Action {
     let i = c.index();
     let vtime = sim.cores.vtime[i];
-    let cur_grantable = sim.cores.current[i].map(|a| sim.act(a).grantable());
+    let cur_grantable = sim.cores.current(i).map(|a| sim.act(a).grantable());
     if let Some(arr) = sim.cores.inboxes.earliest_arrival(c) {
         // Prefer the message unless something runnable on this core is
         // earlier in virtual time than the message's arrival: the current
@@ -679,7 +682,7 @@ pub(crate) fn decide(sim: &Sim, c: CoreId) -> Action {
             return Action::Message;
         }
     }
-    match sim.cores.current[i] {
+    match sim.cores.current(i) {
         Some(a) if cur_grantable == Some(true) => Action::Grant(a),
         Some(_) => Action::Nothing, // stalled current; wait for drift event
         None => {
@@ -743,14 +746,14 @@ fn append_core_dump(sim: &Sim, shared: &Shared, s: &mut String) {
             || sim.cores.queue_hint[idx] > 0
             || !sim.cores.inboxes.is_empty(CoreId(idx as u32))
             || sim.cores.lock_depth[idx] > 0
-            || sim.cores.waiting_on[idx].is_some()
+            || sim.cores.waiting_on(idx).is_some()
         {
             let _ = write!(
                 s,
                 "\n  core{idx}: {}",
                 sim.cores.debug_line(idx, sync::exposed(sim, shared, idx))
             );
-            if let Some(a) = sim.cores.current[idx] {
+            if let Some(a) = sim.cores.current(idx) {
                 let act = sim.act(a);
                 let _ = write!(s, " current={:?}({}) {:?}", act.id, act.name, act.state);
             }
@@ -832,9 +835,8 @@ pub fn simulate(
     };
     let start_wall = std::time::Instant::now();
     let topo = Arc::new(topo);
-    let speeds = (0..n).map(|i| config.speed_of(i)).collect();
     let cores = Cores::new(
-        speeds,
+        config.speeds.clone(),
         InboxPool::new(n),
         config.cost_model.branch_accuracy,
         config.cost_model.pipeline_depth,
@@ -1114,7 +1116,7 @@ impl PickLoop {
                 }
                 assert!(
                     sim.cores.queue_hint[c.index()] < before_hint
-                        || sim.cores.current[c.index()].is_some(),
+                        || sim.cores.current(c.index()).is_some(),
                     "on_idle made no progress (runtime bug)"
                 );
                 None

@@ -69,7 +69,7 @@ impl<'a> Ops<'a> {
 
     /// Speed factor of `core`.
     pub fn speed(&self, core: CoreId) -> CoreSpeed {
-        self.sim.cores.speed[core.index()]
+        self.sim.cores.speed(core.index())
     }
 
     /// The shared instruction cost model.
@@ -89,13 +89,13 @@ impl<'a> Ops<'a> {
 
     /// The activity currently scheduled on `core`, if any.
     pub fn current_activity(&self, core: CoreId) -> Option<ActivityId> {
-        self.sim.cores.current[core.index()]
+        self.sim.cores.current(core.index())
     }
 
     /// Advance `core`'s clock by `base_cycles` of work, scaled by the
     /// core's speed (polymorphic cores take longer).
     pub fn advance_core(&mut self, core: CoreId, base_cycles: u64) {
-        let d = self.sim.cores.speed[core.index()].scale_cycles(base_cycles);
+        let d = self.sim.cores.speed(core.index()).scale_cycles(base_cycles);
         self.sim.cores.advance(core.index(), d);
         sync::publish(self.sim, self.shared, core);
     }
@@ -219,7 +219,7 @@ impl<'a> Ops<'a> {
             }
             if self.shared.config.tracer.is_some() {
                 for &link in &tr.went_down {
-                    let props = *self.shared.topo.link(link);
+                    let props = self.shared.topo.link(link);
                     trace(self.shared, || TraceEvent::LinkDown {
                         t: tr.at,
                         link,
@@ -228,7 +228,7 @@ impl<'a> Ops<'a> {
                     });
                 }
                 for &link in &tr.came_up {
-                    let props = *self.shared.topo.link(link);
+                    let props = self.shared.topo.link(link);
                     trace(self.shared, || TraceEvent::LinkUp {
                         t: tr.at,
                         link,
@@ -320,7 +320,7 @@ impl<'a> Ops<'a> {
         self.sim.next_birth += 1;
         self.sim.cores.birth_push(core.index(), id, birth);
         // A new birth can lower the spatial floor below any cached bound.
-        self.sim.cores.headroom_limit[core.index()] = None;
+        self.sim.cores.set_headroom(core.index(), None);
         self.sim.floor_dirty = true;
         sync::note_floor_key(self.sim, core.index());
         id

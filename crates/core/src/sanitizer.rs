@@ -164,7 +164,7 @@ pub(crate) fn verify_spatial_floor(sim: &mut Sim, shared: &Shared, c: CoreId, ca
 /// fast path may only have advanced the clock within the cached headroom.
 pub(crate) fn verify_flush(sim: &mut Sim, shared: &Shared, c: CoreId) {
     sim.stats.sanitizer_checks += 1;
-    if let Some(limit) = sim.cores.headroom_limit[c.index()] {
+    if let Some(limit) = sim.cores.headroom(c.index()) {
         let t = sim.cores.vtime[c.index()];
         if t > limit {
             let detail = format!("deferred clock {t} exceeds cached headroom limit {limit}");
@@ -401,7 +401,7 @@ pub(crate) fn scan(sim: &mut Sim, shared: &Shared) {
             let (nb_valid, nb_cached, headroom) = (
                 sim.cores.floor_nb_valid[i],
                 crate::sync::exposed_word(sim, shared, sim.cores.floor_nb[i]),
-                sim.cores.headroom_limit[i],
+                sim.cores.headroom(i),
             );
             if nb_valid && nb_cached != fresh_nb {
                 let detail = format!("cached neighbor floor {nb_cached}, fresh {fresh_nb}");

@@ -27,6 +27,12 @@
 //! * Birth ledgers are unordered singly-linked lists: the engine only ever
 //!   takes their minimum ([`Cores::min_birth`]) or unlinks by [`BirthId`],
 //!   both order-independent.
+//! * Per-core words that most cores never write (the headroom cache, the
+//!   current activity, the waiter registration, the birth-ledger minimum)
+//!   are stored so that all-zero bits mean "nothing", behind accessors:
+//!   `vec!` of such a word is one zeroed allocation, so a core that never
+//!   stalls, spawns or runs costs no resident page for them. Speeds have
+//!   no array at all on a machine of base-speed cores.
 //! * Branch predictors are materialized lazily on first use. A core's
 //!   predictor is a pure function of `(seed, core index, cost model)` —
 //!   its RNG is `Xoshiro256StarStar::stream(seed, 0x1000_0000 + i)` — so
@@ -36,6 +42,8 @@
 use crate::activity::ActivityId;
 use simany_net::InboxPool;
 use simany_time::{CoreSpeed, ProbBranchPredictor, VDuration, VirtualTime, Xoshiro256StarStar};
+use simany_topology::CoreId;
+use std::num::{NonZeroU32, NonZeroU64};
 
 /// Identifier of a birth-ledger entry (an in-flight spawned task whose start
 /// time still bounds its parent core's drift, paper §II.A *Time drift of
@@ -178,23 +186,32 @@ pub struct Cores {
     pub publish_pending: Vec<bool>,
     /// Scheduling flag: true while the core sits in the ready queue.
     pub in_ready: Vec<bool>,
-    /// Fast-path bound: virtual times at or below this are guaranteed to
+    /// Fast-path bound, read through [`Cores::within_headroom`] and
+    /// [`Cores::headroom`]: virtual times at or below it are guaranteed to
     /// pass the spatial sync check (`local_floor + T` at the last full
     /// check). Cleared whenever the floor may drop — a neighbor's published
     /// value decreasing or a birth being recorded — so a cached value is
-    /// always a conservative lower bound on the true limit. `None` forces
+    /// always a conservative lower bound on the true limit. No limit forces
     /// the next annotation through the full check.
-    pub headroom_limit: Vec<Option<VirtualTime>>,
+    ///
+    /// The word is the limit plus one, saturating, and 0 for no limit:
+    /// `vtime < word` is the whole fast-path test, and a limit of 0 (floor
+    /// 0 with `T` 0) stays a limit. Limits `MAX - 1` and `MAX` share a
+    /// word; no clock reaches either.
+    headroom: Vec<u64>,
     // --- cold per-core fields -----------------------------------------
     /// Each core's private virtual clock. Meaningful only while the core
     /// is working; retains its last value when the core goes idle.
     pub vtime: Vec<VirtualTime>,
     /// Accumulated busy virtual time (for utilization statistics).
     pub busy: Vec<VDuration>,
-    /// Speed factor (polymorphic architectures).
-    pub speed: Vec<CoreSpeed>,
-    /// Activity that runs when each core is scheduled, if any.
-    pub current: Vec<Option<ActivityId>>,
+    /// Speed factor per core (polymorphic architectures); empty when
+    /// every core runs at [`CoreSpeed::BASE`]. Read through
+    /// [`Cores::speed`].
+    speeds: Vec<CoreSpeed>,
+    /// Activity id + 1 of the activity that runs when each core is
+    /// scheduled, if any ([`Cores::current`]).
+    current: Vec<Option<NonZeroU64>>,
     /// Number of activities resident on each core (current + blocked +
     /// woken). Zero together with `queue_hint == 0` means the core is idle.
     pub resident: Vec<u32>,
@@ -206,11 +223,12 @@ pub struct Cores {
     /// synchronization policy never stalls the core (the lock waiver of
     /// paper §II.B, *Locks and critical sections*).
     pub lock_depth: Vec<u32>,
-    /// The core whose waiter set each core most recently registered in
-    /// (its argmin blocking neighbor; spatial policy only). Cleared when
-    /// the entry is taken; stale list entries whose flag moved on are
-    /// re-validated at take time.
-    pub waiting_on: Vec<Option<simany_topology::CoreId>>,
+    /// Core id + 1 of the core whose waiter set each core most recently
+    /// registered in (its argmin blocking neighbor; spatial policy only),
+    /// read through [`Cores::waiting_on`]. Cleared when the entry is
+    /// taken; stale list entries whose flag moved on are re-validated at
+    /// take time.
+    waiting_on: Vec<Option<NonZeroU32>>,
     // --- pooled variable-size state -----------------------------------
     /// Incoming messages not yet processed, in one shared slot arena.
     pub inboxes: InboxPool,
@@ -218,11 +236,12 @@ pub struct Cores {
     resumable: FifoPool<ActivityId>,
     /// Head slot of each core's birth ledger (`NIL` when empty).
     birth_head: Vec<u32>,
-    /// Cached earliest birth time per core (`VirtualTime::MAX` when the
-    /// ledger is empty) so floor computations never walk the list.
-    /// Maintained by `birth_push`/`birth_remove`; `min_birth` stays the
-    /// walking oracle for debug cross-checks.
-    birth_min: Vec<VirtualTime>,
+    /// Cached earliest birth time per core, bitwise inverted so that an
+    /// empty ledger (`VirtualTime::MAX`) is the zero word, so floor
+    /// computations never walk the list. Maintained by
+    /// `birth_push`/`birth_remove`; `min_birth` stays the walking oracle
+    /// for debug cross-checks.
+    birth_min: Vec<u64>,
     /// Birth arena: `(id, birth time, next slot)`.
     birth_slots: Vec<(BirthId, VirtualTime, u32)>,
     /// Free list into `birth_slots`.
@@ -238,21 +257,22 @@ pub struct Cores {
 }
 
 impl Cores {
-    /// Fresh state for `speeds.len()` cores. `inboxes` must be sized for
-    /// the same core count; predictors are derived from
-    /// `(seed, core index, accuracy, depth)` on first use.
+    /// Fresh state for as many cores as `inboxes` is sized for, each at
+    /// its speed in `speeds` (one per core), or all at
+    /// [`CoreSpeed::BASE`] when `speeds` is `None`; predictors are derived
+    /// from `(seed, core index, accuracy, depth)` on first use.
     pub fn new(
-        speeds: Vec<CoreSpeed>,
+        speeds: Option<Vec<CoreSpeed>>,
         inboxes: InboxPool,
         pred_accuracy: f64,
         pred_depth: u32,
         pred_seed: u64,
     ) -> Self {
-        let n = speeds.len();
-        assert_eq!(
-            inboxes.n_cores(),
-            n,
-            "inbox pool sized for a different core count"
+        let n = inboxes.n_cores();
+        let speeds = speeds.unwrap_or_default();
+        assert!(
+            speeds.is_empty() || speeds.len() == n,
+            "speeds given for a different core count"
         );
         Cores {
             published: vec![VirtualTime::ZERO; n],
@@ -260,10 +280,10 @@ impl Cores {
             floor_nb_valid: vec![false; n],
             publish_pending: vec![false; n],
             in_ready: vec![false; n],
-            headroom_limit: vec![None; n],
+            headroom: vec![0; n],
             vtime: vec![VirtualTime::ZERO; n],
             busy: vec![VDuration::ZERO; n],
-            speed: speeds,
+            speeds,
             current: vec![None; n],
             resident: vec![0; n],
             queue_hint: vec![0; n],
@@ -272,7 +292,7 @@ impl Cores {
             inboxes,
             resumable: FifoPool::new(n, ActivityId(0)),
             birth_head: vec![NIL; n],
-            birth_min: vec![VirtualTime::MAX; n],
+            birth_min: vec![0; n],
             birth_slots: vec![(BirthId(0), VirtualTime::ZERO, NIL)],
             birth_free: Vec::new(),
             // `vec!` of an all-zero element is one zeroed allocation whose
@@ -308,6 +328,58 @@ impl Cores {
     /// time of their own").
     pub fn is_idle(&self, i: usize) -> bool {
         self.current[i].is_none() && self.resumable.is_empty(i) && self.queue_hint[i] == 0
+    }
+
+    /// Speed factor of core `i`.
+    #[inline]
+    pub fn speed(&self, i: usize) -> CoreSpeed {
+        self.speeds.get(i).copied().unwrap_or(CoreSpeed::BASE)
+    }
+
+    /// Activity that runs when core `i` is scheduled, if any.
+    #[inline]
+    pub fn current(&self, i: usize) -> Option<ActivityId> {
+        self.current[i].map(|w| ActivityId(w.get() - 1))
+    }
+
+    /// Make `a` (or nothing) the activity core `i` runs.
+    #[inline]
+    pub fn set_current(&mut self, i: usize, a: Option<ActivityId>) {
+        self.current[i] = a.map(|a| NonZeroU64::new(a.0 + 1).expect("activity id overflow"));
+    }
+
+    /// True iff core `i` has a cached headroom limit and `vtime` is at or
+    /// below it.
+    #[inline]
+    pub fn within_headroom(&self, i: usize, vtime: VirtualTime) -> bool {
+        vtime.0 < self.headroom[i]
+    }
+
+    /// Core `i`'s cached headroom limit, if any.
+    pub fn headroom(&self, i: usize) -> Option<VirtualTime> {
+        match self.headroom[i] {
+            0 => None,
+            u64::MAX => Some(VirtualTime::MAX),
+            w => Some(VirtualTime(w - 1)),
+        }
+    }
+
+    /// Cache `limit` as core `i`'s headroom limit, or clear it.
+    #[inline]
+    pub fn set_headroom(&mut self, i: usize, limit: Option<VirtualTime>) {
+        self.headroom[i] = limit.map_or(0, |t| t.0.saturating_add(1));
+    }
+
+    /// The core whose waiter set core `i` last registered in, if any.
+    #[inline]
+    pub fn waiting_on(&self, i: usize) -> Option<CoreId> {
+        self.waiting_on[i].map(|w| CoreId(w.get() - 1))
+    }
+
+    /// Record (or clear) the core whose waiter set core `i` is in.
+    #[inline]
+    pub fn set_waiting_on(&mut self, i: usize, target: Option<CoreId>) {
+        self.waiting_on[i] = target.map(|c| NonZeroU32::new(c.0 + 1).expect("core id overflow"));
     }
 
     /// Advance core `i`'s clock by `d`, accounting busy time.
@@ -373,9 +445,8 @@ impl Cores {
             }
         };
         self.birth_head[i] = slot;
-        if t < self.birth_min[i] {
-            self.birth_min[i] = t;
-        }
+        // Inverted words: the earlier time is the larger word.
+        self.birth_min[i] = self.birth_min[i].max(!t.0);
     }
 
     /// Unlink the birth with `id` from core `i`'s ledger. Returns `true`
@@ -391,10 +462,10 @@ impl Cores {
                     p => self.birth_slots[p as usize].2 = next,
                 }
                 self.birth_free.push(cur);
-                if t == self.birth_min[i] {
+                if !t.0 == self.birth_min[i] {
                     // The cached minimum may have left: rescan the (short)
                     // remaining list.
-                    self.birth_min[i] = self.min_birth(i).unwrap_or(VirtualTime::MAX);
+                    self.birth_min[i] = !self.min_birth(i).unwrap_or(VirtualTime::MAX).0;
                 }
                 return true;
             }
@@ -407,12 +478,13 @@ impl Cores {
     /// Cached earliest birth time of core `i` (`VirtualTime::MAX` when the
     /// ledger is empty). O(1); equals `min_birth(i)` at all times.
     pub fn birth_floor(&self, i: usize) -> VirtualTime {
+        let floor = VirtualTime(!self.birth_min[i]);
         debug_assert_eq!(
-            self.birth_min[i],
+            floor,
             self.min_birth(i).unwrap_or(VirtualTime::MAX),
             "birth_min cache diverged on core {i}"
         );
-        self.birth_min[i]
+        floor
     }
 
     /// Number of entries in core `i`'s birth ledger.
@@ -442,7 +514,7 @@ impl Cores {
     /// snapshots). `exposed` is the core's resolved published value
     /// (`sync::exposed`).
     pub(crate) fn debug_line(&self, i: usize, exposed: VirtualTime) -> String {
-        let c = simany_topology::CoreId(i as u32);
+        let c = CoreId(i as u32);
         let mut s = format!(
             "vtime={} published={} inbox={} queued={} lock_depth={}",
             self.vtime[i],
@@ -454,7 +526,7 @@ impl Cores {
         if let Some(a) = self.inboxes.earliest_arrival(c) {
             s.push_str(&format!(" next_arrival={a}"));
         }
-        if let Some(w) = self.waiting_on[i] {
+        if let Some(w) = self.waiting_on(i) {
             s.push_str(&format!(" waiting_on={w}"));
         }
         if self.is_idle(i) {
@@ -470,13 +542,7 @@ mod tests {
     use simany_net::InboxPool;
 
     fn cores(n: usize) -> Cores {
-        Cores::new(
-            vec![CoreSpeed::BASE; n],
-            InboxPool::new(n as u32),
-            0.9,
-            5,
-            1,
-        )
+        Cores::new(None, InboxPool::new(n as u32), 0.9, 5, 1)
     }
 
     #[test]
@@ -486,9 +552,9 @@ mod tests {
         cs.queue_hint[0] = 1;
         assert!(!cs.is_idle(0));
         cs.queue_hint[0] = 0;
-        cs.current[0] = Some(crate::activity::ActivityId(0));
+        cs.set_current(0, Some(crate::activity::ActivityId(0)));
         assert!(!cs.is_idle(0));
-        cs.current[0] = None;
+        cs.set_current(0, None);
         cs.res_push_back(0, crate::activity::ActivityId(1));
         assert!(!cs.is_idle(0));
         // Blocked-only residents leave the core idle (shadow time).
@@ -524,6 +590,39 @@ mod tests {
         assert_eq!(cs.min_birth(0), Some(VirtualTime::from_cycles(30)));
         assert!(!cs.birth_remove(0, BirthId(1)));
         assert_eq!(cs.birth_count(0), 1);
+    }
+
+    /// The zero-page words read back what was stored, and no word is the
+    /// zero word unless it means "nothing": a headroom limit of 0 (floor
+    /// 0 with `T` 0) still lets a clock of 0 through.
+    #[test]
+    fn zero_page_words_round_trip() {
+        let mut cs = cores(2);
+        assert_eq!(cs.headroom(0), None);
+        assert!(!cs.within_headroom(0, VirtualTime::ZERO));
+        cs.set_headroom(0, Some(VirtualTime::ZERO));
+        assert_eq!(cs.headroom(0), Some(VirtualTime::ZERO));
+        assert!(cs.within_headroom(0, VirtualTime::ZERO));
+        assert!(!cs.within_headroom(0, VirtualTime(1)));
+        cs.set_headroom(0, Some(VirtualTime::MAX));
+        assert_eq!(cs.headroom(0), Some(VirtualTime::MAX));
+        assert!(cs.within_headroom(0, VirtualTime(u64::MAX - 1)));
+        cs.set_headroom(0, None);
+        assert_eq!(cs.headroom(0), None);
+
+        cs.set_current(1, Some(ActivityId(0)));
+        assert_eq!(cs.current(1), Some(ActivityId(0)));
+        assert_eq!(cs.current(0), None);
+        cs.set_waiting_on(1, Some(CoreId(0)));
+        assert_eq!(cs.waiting_on(1), Some(CoreId(0)));
+        assert_eq!(cs.waiting_on(0), None);
+        assert_eq!(cs.speed(1), CoreSpeed::BASE);
+
+        assert_eq!(cs.birth_floor(0), VirtualTime::MAX);
+        cs.birth_push(0, BirthId(1), VirtualTime::ZERO);
+        assert_eq!(cs.birth_floor(0), VirtualTime::ZERO);
+        assert!(cs.birth_remove(0, BirthId(1)));
+        assert_eq!(cs.birth_floor(0), VirtualTime::MAX);
     }
 
     #[test]

@@ -256,7 +256,7 @@ fn note_neighbor_change(
 ) -> bool {
     if dropped {
         // Any cached headroom may now overshoot the true floor.
-        sim.cores.headroom_limit[n] = None;
+        sim.cores.set_headroom(n, None);
     }
     if !sim.cores.floor_nb_valid[n] {
         return true;
@@ -636,8 +636,8 @@ fn take_waiters(sim: &mut Sim, shared: &Shared, x: CoreId) {
             continue;
         }
         sim.stamp[w.index()] = stamp;
-        if sim.cores.waiting_on[w.index()] == Some(x) {
-            sim.cores.waiting_on[w.index()] = None;
+        if sim.cores.waiting_on(w.index()) == Some(x) {
+            sim.cores.set_waiting_on(w.index(), None);
         }
         // Stale entries (the core has since registered elsewhere) are
         // rechecked too: `recheck_stall` is authoritative, so the extra
@@ -651,16 +651,16 @@ fn take_waiters(sim: &mut Sim, shared: &Shared, x: CoreId) {
 /// the most recent registration, so a repeat registration on the same
 /// target is a no-op without scanning the list).
 fn register_waiter(sim: &mut Sim, c: CoreId, target: CoreId) {
-    if sim.cores.waiting_on[c.index()] == Some(target) {
+    if sim.cores.waiting_on(c.index()) == Some(target) {
         return;
     }
-    sim.cores.waiting_on[c.index()] = Some(target);
+    sim.cores.set_waiting_on(c.index(), Some(target));
     sim.waiters.push_back(target.index(), c.0);
 }
 /// If `c`'s current activity is stalled and the synchronization condition
 /// now holds, make it resumable and requeue the core.
 pub(crate) fn recheck_stall(sim: &mut Sim, shared: &Shared, c: CoreId) {
-    let Some(aid) = sim.cores.current[c.index()] else {
+    let Some(aid) = sim.cores.current(c.index()) else {
         return;
     };
     if !sim.act(aid).is_stalled() {
@@ -846,7 +846,7 @@ pub(crate) fn sync_ok(sim: &mut Sim, shared: &Shared, c: CoreId) -> bool {
             if floor == VirtualTime::MAX {
                 // No neighbors, no births: nothing to drift from, ever.
                 if fast_path_eligible(shared) {
-                    sim.cores.headroom_limit[c.index()] = Some(VirtualTime::MAX);
+                    sim.cores.set_headroom(c.index(), Some(VirtualTime::MAX));
                 }
                 return true;
             }
@@ -854,11 +854,11 @@ pub(crate) fn sync_ok(sim: &mut Sim, shared: &Shared, c: CoreId) -> bool {
             sim.stats.max_neighbor_drift = sim.stats.max_neighbor_drift.max(drift);
             if drift <= t {
                 if fast_path_eligible(shared) {
-                    sim.cores.headroom_limit[c.index()] = Some(floor + t);
+                    sim.cores.set_headroom(c.index(), Some(floor + t));
                 }
                 true
             } else {
-                sim.cores.headroom_limit[c.index()] = None;
+                sim.cores.set_headroom(c.index(), None);
                 // Register on the argmin blocking *neighbor*, whose rise is
                 // the only publish event that can lift the neighbor
                 // minimum. A floor bound by a birth alone needs no

@@ -150,7 +150,7 @@ impl FaultPlan {
         let mut rng = Xoshiro256StarStar::stream(seed, SAMPLE_STREAM);
         let mut b = FaultPlanBuilder::new();
         let horizon = config.horizon.cycles().max(1);
-        for (i, l) in topo.links().iter().enumerate() {
+        for (i, l) in topo.links().enumerate() {
             let link = LinkId(i as u32);
             // Sample each physical pair once, from its lower-id direction.
             if let Some(partner) = topo.link_between(l.dst, l.src) {
@@ -443,7 +443,7 @@ impl FaultPlanBuilder {
     ) -> Self {
         let half = topo.n_cores() / 2;
         let crosses = |c: CoreId| c.0 < half;
-        for (i, l) in topo.links().iter().enumerate() {
+        for (i, l) in topo.links().enumerate() {
             if crosses(l.src) != crosses(l.dst) {
                 let link = LinkId(i as u32);
                 self = self.fail_link(link, at);
@@ -721,7 +721,7 @@ mod tests {
         // epoch, so is its reverse.
         for e in 0..a.epoch_count() {
             for &l in a.epoch_dead_links(e) {
-                let props = *topo.link(l);
+                let props = topo.link(l);
                 let back = topo.link_between(props.dst, props.src).unwrap();
                 assert!(a.link_dead(e, back), "pair of {l:?} not dead");
             }
@@ -813,7 +813,7 @@ mod tests {
         assert!(!plan.epoch_partitioned(plan.epoch_at(t(500))));
         // Every link crossing the cut is down, none other.
         let e = plan.epoch_at(t(200));
-        for (i, l) in topo.links().iter().enumerate() {
+        for (i, l) in topo.links().enumerate() {
             let crosses = (l.src.0 < 8) != (l.dst.0 < 8);
             assert_eq!(plan.link_dead(e, LinkId(i as u32)), crosses);
         }

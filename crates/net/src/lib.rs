@@ -38,6 +38,8 @@ use simany_fault::FaultPlan;
 use simany_time::prng::Xoshiro256StarStar;
 use simany_time::{VDuration, VirtualTime};
 use simany_topology::{CoreId, LinkId, LinkProps, Routes, Topology};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Tunable network cost parameters (paper §III, Architecture Variability).
 #[derive(Clone, Copy, Debug)]
@@ -469,16 +471,28 @@ impl NetworkModel {
 
     /// The `k` busiest directed links by accumulated transmission time —
     /// the NoC hotspots of a run (returns fewer when the topology is
-    /// smaller or links never carried traffic).
+    /// smaller or links never carried traffic). Ties go to the lower
+    /// `(src, dst)`. One pass over the links keeping `k` of them: O(links ×
+    /// log k) time and O(k) memory.
     pub fn busiest_links(&self, k: usize) -> Vec<(LinkProps, VDuration)> {
-        let mut v: Vec<(LinkProps, VDuration)> = (0..self.topo.n_links())
-            .map(simany_topology::LinkId)
-            .map(|l| (*self.topo.link(l), self.traffic.busy_time(l)))
-            .filter(|&(_, busy)| !busy.is_zero())
-            .collect();
-        v.sort_by_key(|&(props, busy)| (std::cmp::Reverse(busy), props.src, props.dst));
-        v.truncate(k);
-        v
+        // A max-heap of the `k` least keys seen, the key ranking the
+        // busiest link first.
+        let mut top = BinaryHeap::with_capacity(k + 1);
+        for l in (0..self.topo.n_links()).map(LinkId) {
+            let busy = self.traffic.busy_time(l);
+            if busy.is_zero() {
+                continue;
+            }
+            let props = self.topo.link(l);
+            top.push((Reverse(busy), props.src, props.dst, l));
+            if top.len() > k {
+                top.pop();
+            }
+        }
+        top.into_sorted_vec()
+            .into_iter()
+            .map(|(Reverse(busy), .., l)| (self.topo.link(l), busy))
+            .collect()
     }
 
     /// Deterministic digest of the model's mutable state (sequence counter,
@@ -672,6 +686,37 @@ mod tests {
         // Ranked descending.
         for w in hot.windows(2) {
             assert!(w[0].1 >= w[1].1);
+        }
+    }
+
+    /// The bounded top-k gives what sorting every busy link and keeping
+    /// the first `k` gives, ties included.
+    #[test]
+    fn busiest_links_match_a_full_sort() {
+        let mut m = NetworkModel::new(mesh_2d(256), NetworkParams::default());
+        let mut rng = Xoshiro256StarStar::stream(11, 0);
+        for i in 0..400u64 {
+            let src = CoreId(rng.next_below(256) as u32);
+            let dst = CoreId(rng.next_below(256) as u32);
+            let bytes = 64 * (1 + rng.next_below(4) as u32);
+            m.send(src, dst, bytes, VirtualTime::from_cycles(i), payload());
+        }
+        let mut all: Vec<(LinkProps, VDuration)> = m
+            .topology()
+            .links()
+            .enumerate()
+            .map(|(i, p)| (p, m.traffic.busy_time(LinkId(i as u32))))
+            .filter(|&(_, busy)| !busy.is_zero())
+            .collect();
+        all.sort_by_key(|&(p, busy)| (Reverse(busy), p.src, p.dst));
+        assert!(all.len() > 64, "{} busy links", all.len());
+        assert!(
+            all.windows(2).any(|w| w[0].1 == w[1].1),
+            "the traffic should make ties"
+        );
+        for k in [0, 1, 8, 64, all.len(), all.len() + 5] {
+            let want = &all[..k.min(all.len())];
+            assert_eq!(m.busiest_links(k), want, "k = {k}");
         }
     }
 

@@ -13,12 +13,14 @@
 //! [`Topology::from_links`], so link ids are those of a link-by-link build
 //! while the adjacency is filled in one pass.
 
-use crate::graph::{CoreId, LinkProps, Topology, DEFAULT_LINK_BANDWIDTH, DEFAULT_LINK_LATENCY};
+use crate::graph::{
+    CoreId, LinkList, LinkProps, Topology, DEFAULT_LINK_BANDWIDTH, DEFAULT_LINK_LATENCY,
+};
 use simany_time::VDuration;
 
 /// Append the two directed links of a connection between `a` and `b`, in
 /// [`Topology::add_link`] order.
-fn push_link(links: &mut Vec<LinkProps>, a: CoreId, b: CoreId, latency: VDuration, bandwidth: u32) {
+fn push_link(links: &mut LinkList, a: CoreId, b: CoreId, latency: VDuration, bandwidth: u32) {
     let ab = LinkProps {
         src: a,
         dst: b,
@@ -34,7 +36,7 @@ fn push_link(links: &mut Vec<LinkProps>, a: CoreId, b: CoreId, latency: VDuratio
 }
 
 /// [`push_link`] with the paper's default latency and bandwidth.
-fn push_default_link(links: &mut Vec<LinkProps>, a: CoreId, b: CoreId) {
+fn push_default_link(links: &mut LinkList, a: CoreId, b: CoreId) {
     push_link(links, a, b, DEFAULT_LINK_LATENCY, DEFAULT_LINK_BANDWIDTH);
 }
 
@@ -63,7 +65,7 @@ pub fn mesh_2d(n: u32) -> Topology {
 /// Uniform 2D mesh with explicit link parameters.
 pub fn mesh_2d_with(n: u32, latency: VDuration, bandwidth: u32) -> Topology {
     let (w, h) = mesh_dims(n);
-    let mut links = Vec::new();
+    let mut links = LinkList::default();
     let id = |x: u32, y: u32| CoreId(y * w + x);
     for y in 0..h {
         for x in 0..w {
@@ -81,7 +83,7 @@ pub fn mesh_2d_with(n: u32, latency: VDuration, bandwidth: u32) -> Topology {
 /// 2D torus (mesh with wrap-around links).
 pub fn torus_2d(n: u32) -> Topology {
     let (w, h) = mesh_dims(n);
-    let mut links = Vec::new();
+    let mut links = LinkList::default();
     let id = |x: u32, y: u32| CoreId(y * w + x);
     for y in 0..h {
         for x in 0..w {
@@ -101,7 +103,7 @@ pub fn torus_2d(n: u32) -> Topology {
 /// Bidirectional ring of `n` cores.
 pub fn ring(n: u32) -> Topology {
     assert!(n >= 2, "a ring needs at least two cores");
-    let mut links = Vec::new();
+    let mut links = LinkList::default();
     for i in 0..n {
         // On two cores the wrap link would repeat the only link.
         if i + 1 < n || n > 2 {
@@ -114,7 +116,7 @@ pub fn ring(n: u32) -> Topology {
 /// Star: core 0 is the hub, all others are leaves.
 pub fn star(n: u32) -> Topology {
     assert!(n >= 2, "a star needs at least two cores");
-    let mut links = Vec::new();
+    let mut links = LinkList::default();
     for i in 1..n {
         push_default_link(&mut links, CoreId(0), CoreId(i));
     }
@@ -123,7 +125,7 @@ pub fn star(n: u32) -> Topology {
 
 /// Fully connected graph (every pair directly linked).
 pub fn fully_connected(n: u32) -> Topology {
-    let mut links = Vec::new();
+    let mut links = LinkList::default();
     for a in 0..n {
         for b in (a + 1)..n {
             push_default_link(&mut links, CoreId(a), CoreId(b));
@@ -136,7 +138,7 @@ pub fn fully_connected(n: u32) -> Topology {
 pub fn hypercube(dim: u32) -> Topology {
     assert!(dim <= 16, "hypercube dimension too large");
     let n = 1u32 << dim;
-    let mut links = Vec::new();
+    let mut links = LinkList::default();
     for a in 0..n {
         for bit in 0..dim {
             let b = a ^ (1 << bit);
@@ -179,7 +181,7 @@ pub fn mesh_dims_3d(n: u32) -> (u32, u32, u32) {
 /// grids; `n` is factored into the most-cubic shape.
 pub fn mesh_3d(n: u32) -> Topology {
     let (w, h, d) = mesh_dims_3d(n);
-    let mut links = Vec::new();
+    let mut links = LinkList::default();
     let id = |x: u32, y: u32, z: u32| CoreId(z * w * h + y * w + x);
     for z in 0..d {
         for y in 0..h {
@@ -252,9 +254,9 @@ pub fn clustered_mesh(n: u32, params: ClusterParams) -> Topology {
     let tile_h = h / ch;
     let cluster_of = |x: u32, y: u32| (y / tile_h) * cw + (x / tile_w);
 
-    let mut links = Vec::new();
+    let mut links = LinkList::default();
     let id = |x: u32, y: u32| CoreId(y * w + x);
-    let connect = |links: &mut Vec<LinkProps>, x0: u32, y0: u32, x1: u32, y1: u32| {
+    let connect = |links: &mut LinkList, x0: u32, y0: u32, x1: u32, y1: u32| {
         let lat = if cluster_of(x0, y0) == cluster_of(x1, y1) {
             params.intra_latency
         } else {
@@ -339,7 +341,7 @@ pub fn chiplet_mesh(
     assert!(chip_w > 0 && chip_h > 0, "chiplets need at least one core");
     let per_chip = chip_w * chip_h;
     let n = chips_x * chips_y * per_chip;
-    let mut links = Vec::new();
+    let mut links = LinkList::default();
     let chip = |cx: u32, cy: u32| cy * chips_x + cx;
     let id = |cx: u32, cy: u32, x: u32, y: u32| CoreId(chip(cx, cy) * per_chip + y * chip_w + x);
     for cy in 0..chips_y {
@@ -442,7 +444,7 @@ pub fn cluster_of_clusters(
     assert!(cores_per_leaf > 0, "leaves need at least one core");
     let n_leaves = groups * leaves_per_group;
     let n = n_leaves * cores_per_leaf;
-    let mut links = Vec::new();
+    let mut links = LinkList::default();
     let leaf_base = |g: u32, l: u32| (g * leaves_per_group + l) * cores_per_leaf;
     // Leaf-internal meshes.
     let (w, h) = mesh_dims(cores_per_leaf);
@@ -550,7 +552,7 @@ mod tests {
 
     fn assert_same_graph(got: &Topology, want: &Topology) {
         assert_eq!(got.n_cores(), want.n_cores());
-        assert_eq!(got.links(), want.links());
+        assert!(got.links().eq(want.links()));
         for c in got.cores() {
             assert_eq!(got.neighbors(c), want.neighbors(c), "{c}");
         }
@@ -593,7 +595,7 @@ mod tests {
         built.push(cluster_of_clusters(3, 2, 16, HierarchyParams::default()));
         for t in &built {
             let mut inc = Topology::new(t.n_cores());
-            for pair in t.links().chunks(2) {
+            for pair in t.links().collect::<Vec<_>>().chunks(2) {
                 let l = pair[0];
                 assert_eq!(
                     pair[1],
@@ -705,12 +707,10 @@ mod tests {
         // Count fast and slow links.
         let fast = t
             .links()
-            .iter()
             .filter(|l| l.latency == VDuration::from_half_cycles(1))
             .count();
         let slow = t
             .links()
-            .iter()
             .filter(|l| l.latency == VDuration::from_cycles(4))
             .count();
         assert_eq!(fast + slow, t.n_links() as usize);
@@ -773,7 +773,6 @@ mod tests {
         // vertical seams x 4 cols = 16; times 2 directions = 32 links.
         let inter = t
             .links()
-            .iter()
             .filter(|l| t.region_of(l.src) != t.region_of(l.dst))
             .count();
         assert_eq!(inter, 32);

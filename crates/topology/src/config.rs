@@ -23,8 +23,12 @@
 //! Latencies are in cycles and may use the `.5` half-cycle granularity of
 //! the simulator's tick; bandwidth is in bytes per cycle.
 
-use crate::graph::{CoreId, LinkProps, Topology, DEFAULT_LINK_BANDWIDTH, DEFAULT_LINK_LATENCY};
+use crate::graph::{
+    CoreId, LinkId, LinkList, LinkProps, Topology, DEFAULT_LINK_BANDWIDTH, DEFAULT_LINK_LATENCY,
+    MAX_LINK_CLASSES,
+};
 use simany_time::{VDuration, TICKS_PER_CYCLE};
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -82,15 +86,18 @@ fn parse_kv(tok: &str, line: usize) -> Result<(&str, &str), ConfigError> {
 /// Parse a topology from the configuration text format.
 ///
 /// The adjacency matrix must be symmetric: an entry without its mirror
-/// would be a one-way link, which is refused with the entry named.
+/// would be a one-way link, which is refused with the entry named. A file
+/// whose links use more than [`MAX_LINK_CLASSES`] distinct `(latency,
+/// bandwidth)` pairs is refused at the `link` or `matrix` line that adds
+/// one too many.
 pub fn parse_topology(text: &str) -> Result<Topology, ConfigError> {
     let mut n_cores: Option<u32> = None;
     let mut default_latency = DEFAULT_LINK_LATENCY;
     let mut default_bw = DEFAULT_LINK_BANDWIDTH;
-    // Directed links in declaration order (`links[i]` becomes `LinkId(i)`),
+    // Directed links in declaration order (the `i`-th becomes `LinkId(i)`),
     // and where each `(src, dst)` pair sits in that list.
-    let mut links: Vec<LinkProps> = Vec::new();
-    let mut index: HashMap<(u32, u32), usize> = HashMap::new();
+    let mut links = LinkList::default();
+    let mut index: HashMap<(u32, u32), LinkId> = HashMap::new();
     let mut lines = text.lines().enumerate().peekable();
 
     while let Some((idx, raw)) = lines.next() {
@@ -112,7 +119,7 @@ pub fn parse_topology(text: &str) -> Result<Topology, ConfigError> {
                     return Err(err(lineno, "core count must be positive"));
                 }
                 n_cores = Some(n);
-                links.clear();
+                links = LinkList::default();
                 index.clear();
             }
             "default" => {
@@ -183,8 +190,7 @@ pub fn parse_topology(text: &str) -> Result<Topology, ConfigError> {
                                     dst: CoreId(b),
                                     latency: default_latency,
                                     bandwidth_bytes_per_cycle: default_bw,
-                                });
-                                links.len() - 1
+                                })
                             });
                         }
                     }
@@ -226,23 +232,28 @@ pub fn parse_topology(text: &str) -> Result<Topology, ConfigError> {
                 if let Some(&ab) = index.get(&(a, b)) {
                     // A repeated pair overrides both directions; every pair
                     // is declared both ways (matrices must be symmetric).
-                    for i in [ab, index[&(b, a)]] {
-                        links[i].latency = latency;
-                        links[i].bandwidth_bytes_per_cycle = bw;
+                    for id in [ab, index[&(b, a)]] {
+                        links.set(id, latency, bw);
                     }
                 } else {
                     for (src, dst) in [(a, b), (b, a)] {
-                        index.insert((src, dst), links.len());
-                        links.push(LinkProps {
+                        let id = links.push(LinkProps {
                             src: CoreId(src),
                             dst: CoreId(dst),
                             latency,
                             bandwidth_bytes_per_cycle: bw,
                         });
+                        index.insert((src, dst), id);
                     }
                 }
             }
             other => return Err(err(lineno, format!("unknown keyword '{other}'"))),
+        }
+        if links.overflowed() {
+            return Err(err(
+                lineno,
+                format!("more than {MAX_LINK_CLASSES} distinct link latency/bandwidth pairs"),
+            ));
         }
     }
 
@@ -259,17 +270,16 @@ pub fn parse_topology(text: &str) -> Result<Topology, ConfigError> {
 pub fn format_topology(topo: &Topology) -> String {
     use std::fmt::Write as _;
     let n = topo.n_cores();
-    // Most common (latency, bandwidth) pair becomes the default.
-    let mut counts: HashMap<(u64, u32), usize> = HashMap::new();
-    for l in topo.links() {
-        *counts
-            .entry((l.latency.ticks(), l.bandwidth_bytes_per_cycle))
-            .or_default() += 1;
-    }
-    let (&(def_lat, def_bw), _) = counts
-        .iter()
-        .max_by_key(|(k, v)| (**v, std::cmp::Reverse(k.0)))
-        .unwrap_or((&(DEFAULT_LINK_LATENCY.ticks(), DEFAULT_LINK_BANDWIDTH), &0));
+    // Most common (latency, bandwidth) pair becomes the default; among
+    // equally common ones the lowest latency, then the first seen.
+    let (def_lat, def_bw) = topo
+        .link_classes()
+        .enumerate()
+        .max_by_key(|&(i, c)| (c.links, Reverse(c.latency), Reverse(i)))
+        .map_or(
+            (DEFAULT_LINK_LATENCY.ticks(), DEFAULT_LINK_BANDWIDTH),
+            |(_, c)| (c.latency.ticks(), c.bandwidth),
+        );
 
     let mut out = String::new();
     let _ = writeln!(out, "cores {n}");
@@ -311,7 +321,6 @@ pub fn format_topology(topo: &Topology) -> String {
 mod tests {
     use super::*;
     use crate::builders::{clustered_mesh, mesh_2d, ClusterParams};
-    use crate::graph::LinkId;
 
     const SAMPLE: &str = "\
 # a 4-core ring with one fast chord

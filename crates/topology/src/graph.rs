@@ -7,6 +7,7 @@
 //! individual links").
 
 use simany_time::VDuration;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a simulated core. Cores are numbered `0..n_cores`.
@@ -65,10 +66,133 @@ pub struct LinkProps {
     pub bandwidth_bytes_per_cycle: u32,
 }
 
+/// Most distinct `(latency, bandwidth)` pairs the links of one topology
+/// may use: a link stores the index of its pair as a `u16`.
+pub const MAX_LINK_CLASSES: usize = 1 << 16;
+
+/// One `(latency, bandwidth)` pair in a [`LinkList`]'s class table, with
+/// the number of links that use it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LinkClass {
+    pub(crate) latency: VDuration,
+    pub(crate) bandwidth: u32,
+    pub(crate) links: u32,
+}
+
+/// Directed links in id order (`LinkId(i)` is the `i`-th push), stored by
+/// class: per link its ends (8 B) and the index of its `(latency,
+/// bandwidth)` pair (2 B) in a table interned in first-seen order. Every
+/// builder and the config parser fill one and hand it to
+/// [`Topology::from_links`]; the few pairs of a real machine (on-die and
+/// die-to-die on a chiplet mesh) cost nothing per link.
+#[derive(Clone, Debug, Default)]
+pub struct LinkList {
+    ends: Vec<(CoreId, CoreId)>,
+    class: Vec<u16>,
+    classes: Vec<LinkClass>,
+    /// Where each `(latency, bandwidth)` pair sits in `classes`.
+    index: HashMap<(VDuration, u32), u16>,
+    /// Class of the latest interned pair: consecutive links mostly share
+    /// one, so most pushes skip the hash.
+    last: u16,
+    /// A pair arrived when the table already held [`MAX_LINK_CLASSES`]
+    /// classes; [`Topology::from_links`] refuses the list.
+    overflowed: bool,
+}
+
+impl LinkList {
+    /// Append a directed link; returns its id. A pair beyond
+    /// [`MAX_LINK_CLASSES`] marks the list as overflowed instead of
+    /// panicking, so a parser can report it.
+    pub fn push(&mut self, l: LinkProps) -> LinkId {
+        let id = LinkId(self.ends.len() as u32);
+        let class = self.intern(l.latency, l.bandwidth_bytes_per_cycle);
+        self.ends.push((l.src, l.dst));
+        self.class.push(class);
+        id
+    }
+
+    /// Number of links.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Properties of link `id`.
+    #[inline]
+    pub(crate) fn get(&self, id: LinkId) -> LinkProps {
+        let (src, dst) = self.ends[id.index()];
+        let c = self.classes[self.class[id.index()] as usize];
+        LinkProps {
+            src,
+            dst,
+            latency: c.latency,
+            bandwidth_bytes_per_cycle: c.bandwidth,
+        }
+    }
+
+    /// Give link `id` a new latency and bandwidth, re-interning its class.
+    /// The class it leaves stays in the table with one link fewer, and
+    /// still counts against [`MAX_LINK_CLASSES`].
+    pub(crate) fn set(&mut self, id: LinkId, latency: VDuration, bandwidth: u32) {
+        self.classes[self.class[id.index()] as usize].links -= 1;
+        self.class[id.index()] = self.intern(latency, bandwidth);
+    }
+
+    /// True iff some pair found the class table full.
+    pub(crate) fn overflowed(&self) -> bool {
+        self.overflowed
+    }
+
+    /// The classes some link uses, in first-seen order.
+    pub(crate) fn classes(&self) -> impl Iterator<Item = LinkClass> + '_ {
+        self.classes.iter().copied().filter(|c| c.links > 0)
+    }
+
+    /// Index of the `(latency, bandwidth)` class, counting one more link in
+    /// it; 0 once the table overflowed.
+    fn intern(&mut self, latency: VDuration, bandwidth: u32) -> u16 {
+        let key = (latency, bandwidth);
+        let hit = match self.classes.get(self.last as usize) {
+            Some(c) if (c.latency, c.bandwidth) == key => Some(self.last),
+            _ => self.index.get(&key).copied(),
+        };
+        let i = match hit {
+            Some(i) => i,
+            None if self.classes.len() < MAX_LINK_CLASSES => {
+                let i = self.classes.len() as u16;
+                self.classes.push(LinkClass {
+                    latency,
+                    bandwidth,
+                    links: 0,
+                });
+                self.index.insert(key, i);
+                i
+            }
+            None => {
+                self.overflowed = true;
+                return 0;
+            }
+        };
+        self.classes[i as usize].links += 1;
+        self.last = i;
+        i
+    }
+}
+
+impl FromIterator<LinkProps> for LinkList {
+    fn from_iter<I: IntoIterator<Item = LinkProps>>(iter: I) -> Self {
+        let mut list = LinkList::default();
+        for l in iter {
+            list.push(l);
+        }
+        list
+    }
+}
+
 /// The interconnect graph: cores plus directed links with per-link latency
 /// and bandwidth.
 ///
-/// Construction happens in one pass from a link list
+/// Construction happens in one pass from a [`LinkList`]
 /// ([`Topology::from_links`], which every shape in [`crate::builders`] and
 /// the config parser use) or through builder-style `add_*` calls for small
 /// hand-built graphs; afterwards the topology is immutable and shared by
@@ -78,6 +202,8 @@ pub struct LinkProps {
 /// The adjacency is compressed sparse rows: core `c`'s outgoing
 /// `(neighbor, link)` pairs are `adj[offsets[c]..offsets[c + 1]]`, so a
 /// machine of any size owns a few flat arrays and no heap object per core.
+/// Links are stored by class ([`LinkList`]): 18 B per directed link with
+/// the adjacency entry.
 #[derive(Clone, Debug)]
 pub struct Topology {
     n_cores: u32,
@@ -86,7 +212,7 @@ pub struct Topology {
     /// Every core's outgoing `(neighbor, link)` pairs, row after row, each
     /// row sorted by neighbor id for determinism.
     adj: Vec<(CoreId, LinkId)>,
-    links: Vec<LinkProps>,
+    links: LinkList,
     /// Optional hierarchical region (chiplet / cluster) id per core; empty
     /// when the topology has no region structure. Regions are advisory
     /// metadata for partitioners and reporting — they never affect routing
@@ -106,23 +232,25 @@ pub const DEFAULT_LINK_BANDWIDTH: u32 = 128;
 impl Topology {
     /// Create a topology with `n_cores` cores and no links yet.
     pub fn new(n_cores: u32) -> Self {
-        Self::from_links(n_cores, Vec::new())
+        Self::from_links(n_cores, LinkList::default())
     }
 
-    /// Build a topology from its directed links: `links[i]` becomes
-    /// `LinkId(i)`. Panics on a self-loop, an out-of-range core, a zero
-    /// bandwidth or a duplicate link, as [`Topology::add_directed_link`]
-    /// does. One counting-sort pass over the links: O(cores + links).
-    pub fn from_links(n_cores: u32, links: Vec<LinkProps>) -> Self {
+    /// Build a topology from its directed links: the list's `i`-th link
+    /// becomes `LinkId(i)`. Panics on a self-loop, an out-of-range core, a
+    /// zero bandwidth, a duplicate link or more than [`MAX_LINK_CLASSES`]
+    /// link classes, as [`Topology::add_directed_link`] does. One
+    /// counting-sort pass over the links: O(cores + links).
+    pub fn from_links(n_cores: u32, links: LinkList) -> Self {
         assert!(n_cores > 0, "a topology needs at least one core");
-        let (offsets, mut adj) = csr_rows(n_cores, &links, |l| {
-            assert!(l.src != l.dst, "self-loop link {}", l.src);
-            assert!(l.src.0 < n_cores && l.dst.0 < n_cores, "core out of range");
-            assert!(
-                l.bandwidth_bytes_per_cycle > 0,
-                "link bandwidth must be non-zero"
-            );
-            (l.src, l.dst)
+        assert_classes_fit(&links);
+        assert!(
+            links.classes().all(|c| c.bandwidth > 0),
+            "link bandwidth must be non-zero"
+        );
+        let (offsets, mut adj) = csr_rows(n_cores, &links.ends, |&(src, dst)| {
+            assert!(src != dst, "self-loop link {src}");
+            assert!(src.0 < n_cores && dst.0 < n_cores, "core out of range");
+            (src, dst)
         });
         for (c, w) in offsets.windows(2).enumerate() {
             let row = &mut adj[w[0] as usize..w[1] as usize];
@@ -186,13 +314,19 @@ impl Topology {
 
     /// Properties of a directed link.
     #[inline]
-    pub fn link(&self, id: LinkId) -> &LinkProps {
-        &self.links[id.index()]
+    pub fn link(&self, id: LinkId) -> LinkProps {
+        self.links.get(id)
     }
 
-    /// All directed links.
-    pub fn links(&self) -> &[LinkProps] {
-        &self.links
+    /// All directed links, in id order.
+    pub fn links(&self) -> impl ExactSizeIterator<Item = LinkProps> + '_ {
+        (0..self.n_links()).map(|i| self.links.get(LinkId(i)))
+    }
+
+    /// The `(latency, bandwidth)` classes some link uses, in first-seen
+    /// order: O(classes), however many links share them.
+    pub(crate) fn link_classes(&self) -> impl Iterator<Item = LinkClass> + '_ {
+        self.links.classes()
     }
 
     /// Outgoing `(neighbor, link)` pairs of `core`, sorted by neighbor id.
@@ -244,13 +378,13 @@ impl Topology {
             !self.are_neighbors(src, dst),
             "duplicate link {src} -> {dst}"
         );
-        let id = LinkId(self.links.len() as u32);
-        self.links.push(LinkProps {
+        let id = self.links.push(LinkProps {
             src,
             dst,
             latency,
             bandwidth_bytes_per_cycle: bandwidth,
         });
+        assert_classes_fit(&self.links);
         let pos = self.offsets[src.index()] as usize
             + self.neighbors(src).partition_point(|&(n, _)| n < dst);
         self.adj.insert(pos, (dst, id));
@@ -296,15 +430,14 @@ impl Topology {
         let ab = self
             .link_between(a, b)
             .unwrap_or_else(|| panic!("no link {a} -> {b}"));
-        self.links[ab.index()].latency = latency;
-        self.links[ab.index()].bandwidth_bytes_per_cycle = bandwidth;
+        self.links.set(ab, latency, bandwidth);
         if both_directions {
             let ba = self
                 .link_between(b, a)
                 .unwrap_or_else(|| panic!("no link {b} -> {a}"));
-            self.links[ba.index()].latency = latency;
-            self.links[ba.index()].bandwidth_bytes_per_cycle = bandwidth;
+            self.links.set(ba, latency, bandwidth);
         }
+        assert_classes_fit(&self.links);
     }
 
     /// True iff every core can be reached from core 0 along directed links.
@@ -384,18 +517,27 @@ impl Topology {
     }
 }
 
-/// Group `links` into compressed sparse rows by `ends(link) = (row core,
-/// entry core)`: row starts (one per core, then the end) and every row's
-/// `(entry core, link)` pairs in link-id order. One counting-sort pass,
-/// O(cores + links); `ends` runs twice per link.
+/// Panics when `links` needed more than [`MAX_LINK_CLASSES`] classes.
+fn assert_classes_fit(links: &LinkList) {
+    assert!(
+        !links.overflowed(),
+        "more than {MAX_LINK_CLASSES} link classes"
+    );
+}
+
+/// Group links, given by their `(src, dst)` ends, into compressed sparse
+/// rows by `key(ends) = (row core, entry core)`: row starts (one per core,
+/// then the end) and every row's `(entry core, link)` pairs in link-id
+/// order. One counting-sort pass, O(cores + links); `key` runs twice per
+/// link.
 fn csr_rows(
     n_cores: u32,
-    links: &[LinkProps],
-    ends: impl Fn(&LinkProps) -> (CoreId, CoreId),
+    links: &[(CoreId, CoreId)],
+    key: impl Fn(&(CoreId, CoreId)) -> (CoreId, CoreId),
 ) -> (Vec<u32>, Vec<(CoreId, LinkId)>) {
     let mut offsets = vec![0u32; n_cores as usize + 1];
     for l in links {
-        offsets[ends(l).0.index() + 1] += 1;
+        offsets[key(l).0.index() + 1] += 1;
     }
     // Turn the counts into row starts shifted up by one slot, so that
     // `offsets[c + 1]` is core `c`'s fill cursor; filling advances each
@@ -406,7 +548,7 @@ fn csr_rows(
     }
     let mut pairs = vec![(CoreId(0), LinkId(0)); links.len()];
     for (i, l) in links.iter().enumerate() {
-        let (row, entry) = ends(l);
+        let (row, entry) = key(l);
         let cursor = &mut offsets[row.index() + 1];
         pairs[*cursor as usize] = (entry, LinkId(i as u32));
         *cursor += 1;
@@ -425,7 +567,7 @@ pub(crate) struct Incoming {
 
 impl Incoming {
     pub(crate) fn of(topo: &Topology) -> Self {
-        let (offsets, pairs) = csr_rows(topo.n_cores, &topo.links, |l| (l.dst, l.src));
+        let (offsets, pairs) = csr_rows(topo.n_cores, &topo.links.ends, |&(src, dst)| (dst, src));
         Incoming { offsets, pairs }
     }
 
@@ -486,12 +628,13 @@ mod tests {
     #[test]
     fn from_links_matches_incremental_construction() {
         let links = vec![link(0, 3, 8), link(3, 0, 8), link(0, 1, 8), link(2, 0, 16)];
-        let flat = Topology::from_links(4, links.clone());
+        let flat = Topology::from_links(4, links.iter().copied().collect());
         let mut inc = Topology::new(4);
         for l in &links {
             inc.add_directed_link(l.src, l.dst, l.latency, l.bandwidth_bytes_per_cycle);
         }
-        assert_eq!(flat.links(), inc.links());
+        assert!(flat.links().eq(inc.links()));
+        assert_eq!(flat.links().len(), 4);
         for c in flat.cores() {
             assert_eq!(flat.neighbors(c), inc.neighbors(c), "{c}");
         }
@@ -515,7 +658,8 @@ mod tests {
         ];
         for (links, expect) in cases {
             let err =
-                std::panic::catch_unwind(|| Topology::from_links(3, links)).expect_err(expect);
+                std::panic::catch_unwind(|| Topology::from_links(3, links.into_iter().collect()))
+                    .expect_err(expect);
             let msg = err
                 .downcast_ref::<String>()
                 .cloned()
@@ -523,6 +667,23 @@ mod tests {
                 .unwrap_or_default();
             assert_eq!(msg, expect);
         }
+    }
+
+    /// A class index is a `u16`: the list marks the pair that finds the
+    /// table full, and `from_links` refuses the list.
+    #[test]
+    fn link_classes_are_capped() {
+        let distinct = |n: u32| (1..=n).map(|bw| link(0, 1, bw));
+        let full: LinkList = distinct(MAX_LINK_CLASSES as u32).collect();
+        assert!(!full.overflowed());
+        let mut over = full.clone();
+        over.push(link(1, 0, u32::MAX));
+        assert!(over.overflowed());
+        let err = std::panic::catch_unwind(|| Topology::from_links(2, over)).unwrap_err();
+        assert_eq!(
+            err.downcast_ref::<String>().map(String::as_str),
+            Some("more than 65536 link classes")
+        );
     }
 
     #[test]

@@ -42,8 +42,8 @@ const BASE: u32 = 0;
 #[derive(Debug)]
 pub struct Routes {
     n: u32,
-    /// Every link has the same latency: rows come from a breadth-first
-    /// sweep instead of Dijkstra.
+    /// Every link has the same latency (every class some link uses has
+    /// it): rows come from a breadth-first sweep instead of Dijkstra.
     uniform: bool,
     /// Reverse adjacency the sweeps walk; empty until the first row.
     incoming: Incoming,
@@ -83,10 +83,10 @@ impl Routes {
 
     fn with_capacity(topo: &Topology, capacity: usize) -> Self {
         assert!(topo.is_connected(), "cannot route a disconnected topology");
-        let links = topo.links();
-        let uniform = links
-            .first()
-            .is_some_and(|f| links.iter().all(|l| l.latency == f.latency));
+        let mut latencies = topo.link_classes().map(|c| c.latency);
+        let uniform = latencies
+            .next()
+            .is_some_and(|first| latencies.all(|l| l == first));
         Routes {
             n: topo.n_cores(),
             uniform,
@@ -129,7 +129,7 @@ impl Routes {
         topo: &'a Topology,
         row: &'a [u32],
         src: CoreId,
-    ) -> impl Iterator<Item = (LinkId, &'a LinkProps)> + 'a {
+    ) -> impl Iterator<Item = (LinkId, LinkProps)> + 'a {
         let mut cur = src;
         std::iter::from_fn(move || {
             let l = row[cur.index()];
@@ -535,6 +535,22 @@ mod tests {
         assert_eq!(Routes::path(&topo, row, CoreId(0)).count(), 2);
         assert_eq!(routes.head.len(), topo.n_cores() as usize);
         assert_eq!(routes.rows.len(), topo.n_cores() as usize);
+    }
+
+    /// Only the classes some link uses decide between the sweep and
+    /// Dijkstra: a class a link was moved off and back again stays in the
+    /// table, unused, and must not make a uniform mesh non-uniform.
+    #[test]
+    fn an_orphaned_link_class_leaves_routes_uniform() {
+        let mut t = mesh_2d(16);
+        assert!(Routes::for_topology(&t).uniform);
+        let (a, b) = (CoreId(5), CoreId(6));
+        t.set_link_props(a, b, VDuration::from_cycles(7), 8, true);
+        assert!(!Routes::for_topology(&t).uniform);
+        t.set_link_props(a, b, VDuration::from_cycles(1), 128, true);
+        assert!(Routes::for_topology(&t).uniform);
+        assert_eq!(t.link_classes().count(), 1);
+        assert!(t.links().eq(mesh_2d(16).links()));
     }
 
     #[test]

@@ -164,7 +164,6 @@ mod tests {
         let slow = spec
             .topo
             .links()
-            .iter()
             .filter(|l| l.latency == VDuration::from_cycles(4))
             .count();
         assert!(slow > 0);
