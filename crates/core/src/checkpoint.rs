@@ -30,7 +30,7 @@
 //! time the watermark crosses a `checkpoint_every` boundary.
 
 use crate::engine::{Failure, Shared, Sim};
-use simany_time::{VDuration, VirtualTime};
+use simany_time::{Digest, VDuration, VirtualTime};
 use std::path::Path;
 
 /// Format magic of version 2. Version 1 digested each idle core's stored
@@ -222,40 +222,6 @@ impl CheckpointDriver {
                 cp.watermark, sim.max_vtime
             )));
         }
-    }
-}
-
-/// Tiny FNV-1a-style 64-bit folder over little-endian `u64` words. Not
-/// cryptographic — it only needs to make accidental divergence visible.
-#[derive(Clone, Copy)]
-pub(crate) struct Digest(u64);
-
-impl Digest {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    pub(crate) fn new() -> Self {
-        Digest(Self::OFFSET)
-    }
-
-    pub(crate) fn u64(&mut self, x: u64) -> &mut Self {
-        for b in x.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-        self
-    }
-
-    pub(crate) fn str(&mut self, s: &str) -> &mut Self {
-        for &b in s.as_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-        self.u64(s.len() as u64)
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
     }
 }
 

@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use simany_fault::FaultPlan;
 use simany_time::prng::Xoshiro256StarStar;
-use simany_time::{VDuration, VirtualTime};
+use simany_time::{Digest, VDuration, VirtualTime};
 use simany_topology::{CoreId, LinkId, LinkProps, Routes, Topology};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -501,16 +501,8 @@ impl NetworkModel {
     /// folded order-independently (per-entry hashes summed) because
     /// `HashMap` iteration order is unspecified.
     pub fn state_digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let put = |h: &mut u64, x: u64| {
-            for b in x.to_le_bytes() {
-                *h ^= u64::from(b);
-                *h = h.wrapping_mul(PRIME);
-            }
-        };
-        put(&mut h, self.next_seq);
+        let mut d = Digest::new();
+        d.u64(self.next_seq);
         let s = &self.stats;
         for x in [
             s.messages,
@@ -524,29 +516,21 @@ impl NetworkModel {
             s.rerouted,
             s.unreachable,
         ] {
-            put(&mut h, x);
+            d.u64(x);
         }
         for i in 0..self.topo.n_links() {
-            put(&mut h, self.traffic.busy_time(LinkId(i)).ticks());
+            d.u64(self.traffic.busy_time(LinkId(i)).ticks());
         }
         if let Some(f) = &self.fault {
-            put(&mut h, f.announced_epoch as u64);
-            let mut fold: u64 = 0;
-            for (&(src, dst), &(sent, arrival)) in &f.fifo_floor {
-                let mut eh = OFFSET;
-                for x in [
-                    u64::from(src),
-                    u64::from(dst),
-                    sent.ticks(),
-                    arrival.ticks(),
-                ] {
-                    put(&mut eh, x);
-                }
-                fold = fold.wrapping_add(eh);
-            }
-            put(&mut h, fold);
+            d.u64(f.announced_epoch as u64);
+            d.unordered(&f.fifo_floor, |e, (&(src, dst), &(sent, arrival))| {
+                e.u64(u64::from(src))
+                    .u64(u64::from(dst))
+                    .u64(sent.ticks())
+                    .u64(arrival.ticks());
+            });
         }
-        h
+        d.finish()
     }
 }
 

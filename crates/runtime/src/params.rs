@@ -30,8 +30,6 @@ pub enum SpawnPolicy {
     /// (ties by core id). The paper's default behavior: "dispatching
     /// spawned tasks to neighboring cores only".
     LeastLoaded,
-    /// Rotate deterministically over the neighbors regardless of load.
-    RoundRobin,
     /// Like `LeastLoaded` but weight the queue length by the inverse core
     /// speed, preferring fast cores — the scheduling-policy improvement the
     /// paper's conclusion suggests for polymorphic architectures (§VIII).
@@ -97,10 +95,6 @@ pub struct RuntimeParams {
     pub ctrl_msg_bytes: u32,
     /// Size in bytes of a TASK_SPAWN message (task arguments).
     pub spawn_msg_bytes: u32,
-    /// Broadcast queue occupancy to neighbors whenever it changes. The
-    /// paper broadcasts after accepting a spawned task; disabling trades
-    /// proxy freshness for less traffic.
-    pub occupancy_broadcasts: bool,
     /// Detailed microarchitectural timing plug-in (cycle-level reference);
     /// `None` selects SiMany's abstract models.
     pub detailed: Option<Arc<dyn DetailedTiming>>,
@@ -119,7 +113,6 @@ impl std::fmt::Debug for RuntimeParams {
             .field("spawn_policy", &self.spawn_policy)
             .field("ctrl_msg_bytes", &self.ctrl_msg_bytes)
             .field("spawn_msg_bytes", &self.spawn_msg_bytes)
-            .field("occupancy_broadcasts", &self.occupancy_broadcasts)
             .field("detailed", &self.detailed.as_ref().map(|_| "..."))
             .field("retry", &self.retry)
             .finish()
@@ -139,7 +132,6 @@ impl Default for RuntimeParams {
             spawn_policy: SpawnPolicy::LeastLoaded,
             ctrl_msg_bytes: 8,
             spawn_msg_bytes: 64,
-            occupancy_broadcasts: true,
             detailed: None,
             retry: RetryPolicy::default(),
         }

@@ -3,30 +3,33 @@
 
 use crate::msg::RtMsg;
 use crate::params::RuntimeParams;
-use crate::state::{Group, LockState, QueuedTask, RtState, RtStats};
+use crate::state::{GroupId, LockId, QueuedTask, RtState, RtStats};
 use crate::task_ctx::{TaskBody, TaskCtx};
 use parking_lot::Mutex;
 use simany_core::activity::TaskFn;
-use simany_core::{Envelope, ExecCtx, Ops, Payload, RuntimeHooks, VirtualTime};
+use simany_core::{ActivityId, Envelope, ExecCtx, Ops, Payload, RuntimeHooks, VirtualTime};
 use simany_mem::DirectoryTiming;
+use simany_time::Digest;
 use simany_topology::CoreId;
 use std::any::Any;
 use std::sync::Arc;
 
 /// Activity descriptor: which group the task decrements at termination.
 pub(crate) struct TaskMeta {
-    pub group: Option<crate::state::GroupId>,
-}
-
-/// Outcome delivered to a blocked prober.
-pub(crate) struct ProbeOutcome {
-    pub granted: bool,
-    pub target: CoreId,
+    pub group: Option<GroupId>,
 }
 
 /// The task run-time system (paper §IV). One instance drives one
-/// simulation; it owns all protocol state behind an uncontended mutex (the
-/// engine serializes every entry).
+/// simulation and owns all protocol state.
+///
+/// The state sits behind a mutex that each hook and each `TaskCtx` call
+/// locks **once**, for the whole entry, and hands to the protocol helpers
+/// of `Step` as `&mut RtState`; no helper locks. The guard lives inside
+/// the entry's `Ops` closure, so it is never held across an `ExecCtx` call
+/// that can drain due messages into [`RuntimeHooks::on_message`] (the
+/// tail of `with_ops_synced`, `advance_cycles`, `compute`) or switch tasks
+/// (`block`): a hook run meanwhile would lock it a second time. `Ops`
+/// itself never calls a hook.
 pub struct TaskRuntime {
     pub(crate) params: RuntimeParams,
     pub(crate) st: Mutex<RtState>,
@@ -50,10 +53,6 @@ impl TaskRuntime {
         })
     }
 
-    fn self_arc(&self) -> Arc<TaskRuntime> {
-        self.me.upgrade().expect("runtime Arc gone")
-    }
-
     /// Run-time parameters.
     pub fn params(&self) -> &RuntimeParams {
         &self.params
@@ -65,77 +64,213 @@ impl TaskRuntime {
     }
 
     /// Wrap a user task body into an engine activity closure.
-    pub(crate) fn wrap(self: &Arc<Self>, body: TaskBody) -> TaskFn {
-        let rt = Arc::clone(self);
+    pub(crate) fn wrap(self: Arc<Self>, body: TaskBody) -> TaskFn {
         Box::new(move |ec: &mut ExecCtx| {
-            let mut tc = TaskCtx::new(ec, rt);
+            let mut tc = TaskCtx::new(ec, &self);
             body(&mut tc);
         })
     }
 
-    /// Charge the fixed runtime processing cost on `core`.
-    fn charge_handler(&self, ops: &mut Ops<'_>, core: CoreId) {
-        ops.advance_core(core, self.params.handler_cost.cycles());
+    /// Run one protocol step on core `me`: the state is locked here, once,
+    /// for all of `f`.
+    pub(crate) fn step<R>(
+        &self,
+        ops: &mut Ops<'_>,
+        me: CoreId,
+        f: impl FnOnce(&mut Step<'_, '_>) -> R,
+    ) -> R {
+        let mut st = self.st.lock();
+        f(&mut Step {
+            params: &self.params,
+            st: &mut st,
+            ops,
+            me,
+        })
     }
+}
 
+/// One protocol step on core `me`: the run-time parameters, the state
+/// (locked once by [`TaskRuntime::step`]) and the engine's operations.
+/// Every message the helpers send leaves from `me`.
+pub(crate) struct Step<'s, 'o> {
+    pub params: &'s RuntimeParams,
+    pub st: &'s mut RtState,
+    pub ops: &'s mut Ops<'o>,
+    pub me: CoreId,
+}
+
+impl Step<'_, '_> {
     /// Send a protocol message, retrying lost attempts with exponential
     /// backoff per [`crate::params::RetryPolicy`]. The k-th retry departs
     /// `timeout(k)` after the previous failure — modeling a sender-side
     /// timeout without engine timer machinery (the fate of each attempt is
-    /// known at send time). On success returns the arrival time; after
-    /// exhausting the budget returns the payload and the virtual time of
-    /// the final failed attempt so the caller can degrade gracefully.
+    /// known at send time). After exhausting the budget it returns the
+    /// payload and the virtual time of the final failed attempt so the
+    /// caller can degrade gracefully.
     ///
     /// With no fault plan the first attempt always succeeds and this is
-    /// exactly one `try_send_at` — bit-identical to the old direct send.
-    pub(crate) fn retry_send(
-        &self,
-        ops: &mut Ops<'_>,
-        src: CoreId,
+    /// exactly one `try_send_at`.
+    pub fn send(
+        &mut self,
         dst: CoreId,
         bytes: u32,
         at: VirtualTime,
         payload: Payload,
-    ) -> Result<VirtualTime, (Payload, VirtualTime)> {
+    ) -> Result<(), (Payload, VirtualTime)> {
         let retry = self.params.retry;
         let mut t = at;
-        let mut payload = match ops.try_send_at(src, dst, bytes, t, payload) {
-            Ok(arrival) => return Ok(arrival),
+        let mut payload = match self.ops.try_send_at(self.me, dst, bytes, t, payload) {
+            Ok(_) => return Ok(()),
             Err(p) => p,
         };
         for k in 0..retry.max_retries {
             t += retry.timeout(k);
-            self.st.lock().stats.send_retries += 1;
-            ops.note_retry(src, dst, t);
-            payload = match ops.try_send_at(src, dst, bytes, t, payload) {
-                Ok(arrival) => return Ok(arrival),
+            self.st.stats.send_retries += 1;
+            self.ops.note_retry(self.me, dst, t);
+            payload = match self.ops.try_send_at(self.me, dst, bytes, t, payload) {
+                Ok(_) => return Ok(()),
                 Err(p) => p,
             };
         }
-        self.st.lock().stats.send_failures += 1;
+        self.st.stats.send_failures += 1;
         Err((payload, t))
     }
 
-    /// Broadcast `core`'s occupancy to its neighbors (paper §IV: the
+    /// Send `msg`, on which `waiter` is blocked; if it is lost for good,
+    /// wake `waiter` directly with `lost` at the final attempt's time so
+    /// the step it waits for never deadlocks. Returns whether the message
+    /// got through.
+    pub fn send_or_wake(
+        &mut self,
+        dst: CoreId,
+        bytes: u32,
+        at: VirtualTime,
+        msg: RtMsg,
+        waiter: ActivityId,
+        lost: impl Any + Send,
+    ) -> bool {
+        match self.send(dst, bytes, at, Payload::new(msg)) {
+            Ok(()) => true,
+            Err((_, fail_t)) => {
+                self.ops.wake(waiter, Box::new(lost), fail_t);
+                false
+            }
+        }
+    }
+
+    /// Broadcast `me`'s occupancy to its neighbors (paper §IV: the
     /// accepting core "broadcasts its new task queue's state to its own
     /// neighbors").
-    pub(crate) fn broadcast_occupancy(&self, ops: &mut Ops<'_>, st: &mut RtState, core: CoreId) {
-        if !self.params.occupancy_broadcasts {
-            return;
-        }
-        let occ = st.cores[core.index()].occupancy();
-        for n in ops.neighbors(core) {
-            st.stats.occupancy_msgs += 1;
+    pub fn broadcast_occupancy(&mut self) {
+        let me = self.me;
+        let occupancy = self.st.cores[me.index()].occupancy();
+        for n in self.ops.neighbors(me) {
+            self.st.stats.occupancy_msgs += 1;
             // Best-effort: a lost occupancy hint only stales a proxy.
-            let _ = ops.send(
-                core,
+            let _ = self.ops.send(
+                me,
                 n,
                 self.params.ctrl_msg_bytes,
                 Payload::new(RtMsg::Occupancy {
-                    from: core,
-                    occupancy: occ,
+                    from: me,
+                    occupancy,
                 }),
             );
+        }
+    }
+
+    /// Ship `task` to `dst` with TASK_SPAWN, its birth recorded on `me` at
+    /// `at` until it lands (paper §II.A). If the message is lost for good
+    /// the birth is discarded and the task comes back, with the final
+    /// attempt's time.
+    pub fn ship(
+        &mut self,
+        dst: CoreId,
+        at: VirtualTime,
+        task: QueuedTask,
+        reserved: bool,
+        hops: u32,
+    ) -> Result<(), (QueuedTask, VirtualTime)> {
+        let me = self.me;
+        let birth = self.ops.record_birth(me, at);
+        let msg = RtMsg::TaskSpawn {
+            body: task.body,
+            group: task.group,
+            birth,
+            parent: me,
+            name: task.name,
+            reserved,
+            pinned: task.pinned,
+            hops,
+        };
+        let bytes = self.params.spawn_msg_bytes;
+        let (mut payload, fail_t) = match self.send(dst, bytes, at, Payload::new(msg)) {
+            Ok(()) => return Ok(()),
+            Err(lost) => lost,
+        };
+        self.ops.discard_birth(me, birth);
+        let RtMsg::TaskSpawn {
+            body,
+            group,
+            name,
+            pinned,
+            ..
+        } = payload.take::<RtMsg>()
+        else {
+            unreachable!("spawn payload round-trips")
+        };
+        Err((
+            QueuedTask {
+                body,
+                group,
+                name,
+                pinned,
+            },
+            fail_t,
+        ))
+    }
+
+    /// A program's spawn of `task` from `me`, now: it joins its group and
+    /// is shipped to `target`. A pinned task is placed without a queue
+    /// reservation; any other ships into the slot its probe reserved.
+    pub fn spawn(
+        &mut self,
+        target: CoreId,
+        task: QueuedTask,
+    ) -> Result<(), (QueuedTask, VirtualTime)> {
+        if let Some(g) = task.group {
+            self.st.group(g).active += 1;
+        }
+        self.st.stats.spawns += 1;
+        let at = self.ops.now(self.me);
+        let reserved = !task.pinned;
+        self.ship(target, at, task, reserved, 0)
+    }
+
+    /// Queue `task` on `me` and tell the neighborhood.
+    pub fn enqueue(&mut self, task: QueuedTask) {
+        self.st.cores[self.me.index()].queue.push_back(task);
+        self.ops.queue_hint_add(self.me, 1);
+        self.broadcast_occupancy();
+    }
+
+    /// A spawn that could not leave `me` (failed core / partition) keeps
+    /// its task here. Only unpinned tasks come back: a pinned one that
+    /// cannot reach its core is dropped instead.
+    pub fn keep_local(&mut self, task: QueuedTask) {
+        debug_assert!(!task.pinned, "a pinned task kept off its core");
+        self.st.stats.fault_local_runs += 1;
+        self.enqueue(task);
+    }
+
+    /// Release `lock` at its home `me`, virtually free from `free_at`; the
+    /// next waiter, if any, is handed the lock with a LOCK_ACK sent at
+    /// `send_at`.
+    pub fn release_lock(&mut self, lock: LockId, free_at: VirtualTime, send_at: VirtualTime) {
+        if let Some((activity, core)) = self.st.release(lock, free_at) {
+            let bytes = self.params.ctrl_msg_bytes;
+            let ack = RtMsg::LockAck { activity };
+            self.send_or_wake(core, bytes, send_at, ack, activity, ());
         }
     }
 }
@@ -143,19 +278,13 @@ impl TaskRuntime {
 impl RuntimeHooks for TaskRuntime {
     /// Fold the runtime's mutable state into a deterministic digest for
     /// verification checkpoints: protocol counters, per-core queue state,
-    /// and the id allocators. Hash maps are folded order-independently
-    /// (per-entry hashes summed) because iteration order is unspecified.
+    /// and the id allocators. Proxy maps are folded order-independently
+    /// because their iteration order is unspecified. Groups are too: they
+    /// lived in a hash map once, and the same fold keeps checkpoints
+    /// written then resumable.
     fn state_digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let put = |h: &mut u64, x: u64| {
-            for b in x.to_le_bytes() {
-                *h ^= u64::from(b);
-                *h = h.wrapping_mul(PRIME);
-            }
-        };
         let st = self.st.lock();
-        let mut h = OFFSET;
+        let mut d = Digest::new();
         let s = &st.stats;
         for x in [
             s.probes,
@@ -191,117 +320,82 @@ impl RuntimeHooks for TaskRuntime {
             s.pinned_spawns,
             s.pinned_spawn_drops,
         ] {
-            put(&mut h, x);
+            d.u64(x);
         }
         for core in &st.cores {
-            put(&mut h, core.queue.len() as u64);
-            put(&mut h, u64::from(core.reserved));
-            let mut fold: u64 = 0;
-            for (&c, &occ) in &core.proxy {
-                let mut eh = OFFSET;
-                put(&mut eh, u64::from(c.0));
-                put(&mut eh, u64::from(occ));
-                fold = fold.wrapping_add(eh);
-            }
-            put(&mut h, fold);
+            d.u64(core.queue.len() as u64);
+            d.u64(u64::from(core.reserved));
+            d.unordered(&core.proxy, |e, (&c, &occ)| {
+                e.u64(u64::from(c.0)).u64(u64::from(occ));
+            });
             // Mailbox order is deterministic (delivery order), so fold it
             // order-dependently; the waiter registration and token are part
             // of the resumable state too.
-            put(&mut h, core.mailbox.len() as u64);
+            d.u64(core.mailbox.len() as u64);
             for m in &core.mailbox {
-                put(&mut h, u64::from(m.from.0));
-                put(&mut h, u64::from(m.tag));
+                d.u64(u64::from(m.from.0)).u64(u64::from(m.tag));
                 for w in m.data {
-                    put(&mut h, w);
+                    d.u64(w);
                 }
             }
-            put(&mut h, core.recv_token);
+            d.u64(core.recv_token);
             match core.recv_waiter {
-                Some((aid, token)) => {
-                    put(&mut h, 1);
-                    put(&mut h, aid.0);
-                    put(&mut h, token);
-                }
-                None => put(&mut h, 0),
-            }
+                Some((aid, token)) => d.u64(1).u64(aid.0).u64(token),
+                None => d.u64(0),
+            };
         }
-        put(&mut h, st.next_group);
-        put(&mut h, st.next_cell);
-        put(&mut h, st.next_lock);
-        let mut gfold: u64 = 0;
-        for (&gid, g) in &st.groups {
-            let mut eh = OFFSET;
-            put(&mut eh, gid);
-            put(&mut eh, u64::from(g.active));
-            put(&mut eh, g.joiners.len() as u64);
-            gfold = gfold.wrapping_add(eh);
-        }
-        put(&mut h, gfold);
-        h
+        d.u64(st.groups.len() as u64);
+        d.u64(st.cells.len() as u64);
+        d.u64(st.locks.len() as u64);
+        d.unordered(st.groups.iter().enumerate(), |e, (id, g)| {
+            e.u64(id as u64)
+                .u64(u64::from(g.active))
+                .u64(g.joiners.len() as u64);
+        });
+        d.finish()
     }
 
     fn on_message(&self, ops: &mut Ops<'_>, mut env: Envelope) {
         let me = env.dst;
-        self.charge_handler(ops, me);
+        ops.advance_core(me, self.params.handler_cost.cycles());
         // Replies are dated from the request's arrival plus the local
         // processing time (paper §II.A), never from the responder's own
         // clock, which may have drifted arbitrarily.
         let reply_at = env.arrival + self.params.handler_cost;
+        let ctrl = self.params.ctrl_msg_bytes;
         let msg = env.payload.take::<RtMsg>();
-        match msg {
+        self.step(ops, me, |s| match msg {
             RtMsg::Probe { prober, reply_to } => {
                 // A failed core accepts no new work: every probe is denied
                 // (the prober falls back to running the task locally —
                 // the paper's conditional-spawn model).
-                let failed = ops.core_failed(me, env.arrival);
-                let mut st = self.st.lock();
-                let granted = if failed {
-                    st.stats.probe_unavailable += 1;
-                    false
-                } else {
-                    let core = &mut st.cores[me.index()];
-                    if core.occupancy() < self.params.queue_capacity {
-                        core.reserved += 1;
-                        true
-                    } else {
-                        false
-                    }
-                };
+                let failed = s.ops.core_failed(me, env.arrival);
+                let core = &mut s.st.cores[me.index()];
+                let granted = !failed && core.occupancy() < s.params.queue_capacity;
                 if granted {
-                    st.stats.probe_acks += 1;
-                } else {
-                    st.stats.probe_nacks += 1;
+                    core.reserved += 1;
                 }
-                let occupancy = st.cores[me.index()].occupancy();
-                drop(st);
-                let sent = self.retry_send(
-                    ops,
-                    me,
-                    reply_to,
-                    self.params.ctrl_msg_bytes,
-                    reply_at,
-                    Payload::new(RtMsg::ProbeReply {
-                        prober,
-                        granted,
-                        responder: me,
-                        occupancy,
-                    }),
-                );
-                if let Err((_, fail_t)) = sent {
-                    // The reply is gone for good: revoke the reservation
-                    // and deny the prober directly (it blocked before this
-                    // handler ran — the run-token protocol guarantees it).
-                    if granted {
-                        self.st.lock().cores[me.index()].reserved -= 1;
-                    }
-                    ops.wake(
-                        prober,
-                        Box::new(ProbeOutcome {
-                            granted: false,
-                            target: me,
-                        }),
-                        fail_t,
-                    );
+                let occupancy = core.occupancy();
+                if failed {
+                    s.st.stats.probe_unavailable += 1;
+                }
+                if granted {
+                    s.st.stats.probe_acks += 1;
+                } else {
+                    s.st.stats.probe_nacks += 1;
+                }
+                let reply = RtMsg::ProbeReply {
+                    prober,
+                    granted,
+                    responder: me,
+                    occupancy,
+                };
+                // A reply lost for good denies the prober directly (it
+                // blocked before this handler ran — the run-token protocol
+                // guarantees it) and revokes the reservation.
+                let denied: Option<CoreId> = None;
+                if !s.send_or_wake(reply_to, ctrl, reply_at, reply, prober, denied) && granted {
+                    s.st.cores[me.index()].reserved -= 1;
                 }
             }
             RtMsg::ProbeReply {
@@ -310,19 +404,11 @@ impl RuntimeHooks for TaskRuntime {
                 responder,
                 occupancy,
             } => {
-                {
-                    let mut st = self.st.lock();
-                    st.cores[me.index()].proxy.insert(responder, occupancy);
-                }
-                let at = ops.now(me);
-                ops.wake(
-                    prober,
-                    Box::new(ProbeOutcome {
-                        granted,
-                        target: responder,
-                    }),
-                    at,
-                );
+                s.st.cores[me.index()].proxy.insert(responder, occupancy);
+                // The prober wakes with the reserved core, or `None`.
+                let at = s.ops.now(me);
+                s.ops
+                    .wake(prober, Box::new(granted.then_some(responder)), at);
             }
             RtMsg::TaskSpawn {
                 body,
@@ -334,149 +420,78 @@ impl RuntimeHooks for TaskRuntime {
                 pinned,
                 hops,
             } => {
-                ops.discard_birth(parent, birth);
-                let mut st = self.st.lock();
+                s.ops.discard_birth(parent, birth);
+                let core = &mut s.st.cores[me.index()];
                 if reserved {
-                    let core = &mut st.cores[me.index()];
                     assert!(core.reserved > 0, "TASK_SPAWN without reservation");
                     core.reserved -= 1;
                 }
+                let task = QueuedTask {
+                    body,
+                    group,
+                    name,
+                    pinned,
+                };
                 // Progressive task migration (paper §IV: tasks "migrate to
                 // other cores if the local ones are overloaded"): if this
                 // task would wait behind queued work and a neighbor looks
                 // idle, pass it along instead of enqueueing. Pinned tasks
                 // never move — their placement is the program's contract.
                 const MAX_MIGRATION_HOPS: u32 = 16;
-                let busy =
-                    ops.current_activity(me).is_some() || !st.cores[me.index()].queue.is_empty();
-                if busy && !pinned && hops < MAX_MIGRATION_HOPS {
-                    let target = ops
+                let busy = s.ops.current_activity(me).is_some() || !core.queue.is_empty();
+                let target = if busy && !pinned && hops < MAX_MIGRATION_HOPS {
+                    s.ops
                         .neighbors(me)
                         .into_iter()
                         .filter(|&n| n != env.src)
-                        .find(|n| *st.cores[me.index()].proxy.get(n).unwrap_or(&0) == 0)
+                        .find(|n| core.proxy.get(n).copied().unwrap_or(0) == 0)
                         // Never migrate onto a failed core.
-                        .filter(|&n| !ops.core_failed(n, env.arrival));
-                    if let Some(t) = target {
-                        st.stats.task_migrations += 1;
-                        // Optimistically bump the proxy so repeated arrivals
-                        // do not all pile onto the same neighbor before its
-                        // occupancy broadcast comes back.
-                        st.cores[me.index()].proxy.insert(t, 1);
-                        drop(st);
-                        let birth2 = ops.record_birth(me, reply_at);
-                        let sent = self.retry_send(
-                            ops,
-                            me,
-                            t,
-                            self.params.spawn_msg_bytes,
-                            reply_at,
-                            Payload::new(RtMsg::TaskSpawn {
-                                body,
-                                group,
-                                birth: birth2,
-                                parent: me,
-                                name,
-                                reserved: false,
-                                pinned: false,
-                                hops: hops + 1,
-                            }),
-                        );
-                        if let Err((mut payload, _)) = sent {
-                            // Migration impossible: keep the task here.
-                            ops.discard_birth(me, birth2);
-                            let RtMsg::TaskSpawn {
-                                body, group, name, ..
-                            } = payload.take::<RtMsg>()
-                            else {
-                                unreachable!("spawn payload round-trips")
-                            };
-                            let mut st = self.st.lock();
-                            st.stats.fault_local_runs += 1;
-                            st.cores[me.index()].queue.push_back(QueuedTask {
-                                body,
-                                group,
-                                name,
-                                pinned: false,
-                            });
-                            ops.queue_hint_add(me, 1);
-                            self.broadcast_occupancy(ops, &mut st, me);
-                        }
-                        return;
-                    }
+                        .filter(|&n| !s.ops.core_failed(n, env.arrival))
+                } else {
+                    None
+                };
+                let Some(t) = target else {
+                    s.enqueue(task);
+                    return;
+                };
+                s.st.stats.task_migrations += 1;
+                // Optimistically bump the proxy so repeated arrivals do not
+                // all pile onto the same neighbor before its occupancy
+                // broadcast comes back.
+                s.st.cores[me.index()].proxy.insert(t, 1);
+                if let Err((task, _)) = s.ship(t, reply_at, task, false, hops + 1) {
+                    s.keep_local(task);
                 }
-                st.cores[me.index()].queue.push_back(QueuedTask {
-                    body,
-                    group,
-                    name,
-                    pinned,
-                });
-                ops.queue_hint_add(me, 1);
-                self.broadcast_occupancy(ops, &mut st, me);
             }
             RtMsg::Occupancy { from, occupancy } => {
-                let mut st = self.st.lock();
-                st.cores[me.index()].proxy.insert(from, occupancy);
+                let core = &mut s.st.cores[me.index()];
+                core.proxy.insert(from, occupancy);
                 // Progressive migration, pull-triggered: a neighbor just
                 // announced an empty queue while we have more than one task
                 // waiting — hand one over (paper §IV: tasks migrate when
                 // the local cores are overloaded).
                 if occupancy == 0
-                    && st.cores[me.index()].queue.len() > 1
-                    && st.cores[me.index()].queue.back().is_some_and(|t| !t.pinned)
-                    && !ops.core_failed(from, env.arrival)
+                    && core.queue.len() > 1
+                    && core.queue.back().is_some_and(|t| !t.pinned)
+                    && !s.ops.core_failed(from, env.arrival)
                 {
-                    let task = st.cores[me.index()].queue.pop_back().expect("len > 1");
-                    st.stats.task_migrations += 1;
-                    st.cores[me.index()].proxy.insert(from, 1);
-                    drop(st);
-                    ops.queue_hint_sub(me, 1);
-                    let birth = ops.record_birth(me, reply_at);
-                    let sent = self.retry_send(
-                        ops,
-                        me,
-                        from,
-                        self.params.spawn_msg_bytes,
-                        reply_at,
-                        Payload::new(RtMsg::TaskSpawn {
-                            body: task.body,
-                            group: task.group,
-                            birth,
-                            parent: me,
-                            name: task.name,
-                            reserved: false,
-                            pinned: false,
-                            hops: 0,
-                        }),
-                    );
-                    if let Err((mut payload, _)) = sent {
-                        // Undo: the task stays in our queue.
-                        ops.discard_birth(me, birth);
-                        let RtMsg::TaskSpawn {
-                            body, group, name, ..
-                        } = payload.take::<RtMsg>()
-                        else {
-                            unreachable!("spawn payload round-trips")
-                        };
-                        let mut st = self.st.lock();
-                        st.stats.fault_local_runs += 1;
-                        st.cores[me.index()].queue.push_back(QueuedTask {
-                            body,
-                            group,
-                            name,
-                            pinned: false,
-                        });
-                        drop(st);
-                        ops.queue_hint_add(me, 1);
+                    let task = core.queue.pop_back().expect("len > 1");
+                    core.proxy.insert(from, 1);
+                    s.st.stats.task_migrations += 1;
+                    s.ops.queue_hint_sub(me, 1);
+                    // Either way our own occupancy changed: the
+                    // neighborhood hears of it.
+                    match s.ship(from, reply_at, task, false, 0) {
+                        Ok(()) => s.broadcast_occupancy(),
+                        Err((task, _)) => s.keep_local(task),
                     }
-                    // Our own occupancy changed: tell the neighborhood.
-                    let mut st = self.st.lock();
-                    self.broadcast_occupancy(ops, &mut st, me);
                 }
             }
-            RtMsg::JoinerRequest { joiner } => {
-                let at = ops.now(me);
-                ops.wake(joiner, Box::new(()), at);
+            RtMsg::JoinerRequest { joiner: waiter }
+            | RtMsg::DataResponse { activity: waiter }
+            | RtMsg::LockAck { activity: waiter } => {
+                let at = s.ops.now(me);
+                s.ops.wake(waiter, Box::new(()), at);
             }
             RtMsg::DataRequest {
                 cell,
@@ -484,252 +499,107 @@ impl RuntimeHooks for TaskRuntime {
                 activity,
                 hops,
             } => {
-                let mut st = self.st.lock();
-                let info = st.cells.get_mut(&cell.0).expect("unknown cell");
-                if info.location == me {
+                let info = s.st.cell(cell);
+                let sent = if info.location == me {
                     info.location = requester;
                     let size = info.size_bytes;
-                    drop(st);
-                    let sent = self.retry_send(
-                        ops,
-                        me,
-                        requester,
-                        size,
-                        reply_at,
-                        Payload::new(RtMsg::DataResponse { activity }),
-                    );
-                    if let Err((_, fail_t)) = sent {
-                        // The response is lost for good: unblock the
-                        // requester anyway so the run can finish (it already
-                        // charged the request leg; the cell moved).
-                        self.st.lock().stats.cell_access_failures += 1;
-                        ops.wake(activity, Box::new(()), fail_t);
-                    }
+                    let response = RtMsg::DataResponse { activity };
+                    s.send_or_wake(requester, size, reply_at, response, activity, ())
                 } else {
                     // Stale location: chase the cell.
                     let loc = info.location;
-                    st.stats.cell_forwards += 1;
-                    drop(st);
-                    let sent = self.retry_send(
-                        ops,
-                        me,
-                        loc,
-                        self.params.ctrl_msg_bytes,
-                        reply_at,
-                        Payload::new(RtMsg::DataRequest {
-                            cell,
-                            requester,
-                            activity,
-                            hops: hops + 1,
-                        }),
-                    );
-                    if let Err((_, fail_t)) = sent {
-                        // Chasing failed: give up and unblock the requester
-                        // with a degraded (backing-store) access.
-                        self.st.lock().stats.cell_access_failures += 1;
-                        ops.wake(activity, Box::new(()), fail_t);
-                    }
+                    s.st.stats.cell_forwards += 1;
+                    let forward = RtMsg::DataRequest {
+                        cell,
+                        requester,
+                        activity,
+                        hops: hops + 1,
+                    };
+                    s.send_or_wake(loc, ctrl, reply_at, forward, activity, ())
+                };
+                if !sent {
+                    // The requester was unblocked anyway so the run can
+                    // finish: a degraded (backing-store) access.
+                    s.st.stats.cell_access_failures += 1;
                 }
-            }
-            RtMsg::DataResponse { activity } => {
-                let at = ops.now(me);
-                ops.wake(activity, Box::new(()), at);
             }
             RtMsg::LockRequest {
                 lock,
                 activity,
                 requester,
             } => {
-                let mut st = self.st.lock();
-                let ls = st.locks.get_mut(&lock.0).expect("unknown lock");
-                debug_assert_eq!(ls.home, me);
-                if ls.held {
-                    ls.waiters.push_back((activity, requester));
-                    st.stats.lock_waits += 1;
-                } else {
-                    ls.held = true;
-                    // Grants never predate the previous release.
-                    let grant_at = reply_at.max(ls.free_at);
-                    st.stats.lock_fast += 1;
-                    drop(st);
-                    let sent = self.retry_send(
-                        ops,
-                        me,
-                        requester,
-                        self.params.ctrl_msg_bytes,
-                        grant_at,
-                        Payload::new(RtMsg::LockAck { activity }),
-                    );
-                    if let Err((_, fail_t)) = sent {
-                        // Grant message lost: hand over directly (the lock
-                        // stays held by the requester; correctness of the
-                        // virtual serialization is preserved by free_at).
-                        ops.wake(activity, Box::new(()), fail_t);
-                    }
+                debug_assert_eq!(s.st.lock_state(lock).home, me);
+                if let Some(free_at) = s.st.acquire(lock, activity, requester) {
+                    // Grants never predate the previous release; a lost
+                    // grant hands over directly (the lock stays held by the
+                    // requester, and free_at keeps the serialization).
+                    let ack = RtMsg::LockAck { activity };
+                    s.send_or_wake(requester, ctrl, reply_at.max(free_at), ack, activity, ());
                 }
-            }
-            RtMsg::LockAck { activity } => {
-                let at = ops.now(me);
-                ops.wake(activity, Box::new(()), at);
             }
             RtMsg::LockRelease { lock } => {
-                let mut st = self.st.lock();
-                let ls = st.locks.get_mut(&lock.0).expect("unknown lock");
-                debug_assert_eq!(ls.home, me);
-                ls.free_at = ls.free_at.max(env.arrival);
-                if let Some((activity, core)) = ls.waiters.pop_front() {
-                    // Hand over directly; the lock stays held.
-                    drop(st);
-                    let sent = self.retry_send(
-                        ops,
-                        me,
-                        core,
-                        self.params.ctrl_msg_bytes,
-                        reply_at,
-                        Payload::new(RtMsg::LockAck { activity }),
-                    );
-                    if let Err((_, fail_t)) = sent {
-                        // Handoff message lost: wake the waiter directly so
-                        // the lock chain keeps moving.
-                        ops.wake(activity, Box::new(()), fail_t);
-                    }
-                } else {
-                    ls.held = false;
-                }
+                debug_assert_eq!(s.st.lock_state(lock).home, me);
+                s.release_lock(lock, env.arrival, reply_at);
             }
             RtMsg::App { from, tag, data } => {
-                let mut st = self.st.lock();
-                st.stats.app_deliveries += 1;
-                let core = &mut st.cores[me.index()];
+                s.st.stats.app_deliveries += 1;
+                let core = &mut s.st.cores[me.index()];
                 core.mailbox
                     .push_back(crate::state::AppMsg { from, tag, data });
                 // Wake the registered receiver (its armed timer goes stale:
                 // the token was consumed with the registration).
                 if let Some((waiter, _token)) = core.recv_waiter.take() {
-                    drop(st);
-                    let at = ops.now(me);
-                    ops.wake(waiter, Box::new(()), at);
+                    let at = s.ops.now(me);
+                    s.ops.wake(waiter, Box::new(()), at);
                 }
             }
             RtMsg::Deadline { token } => {
-                let mut st = self.st.lock();
-                let core = &mut st.cores[me.index()];
+                let core = &mut s.st.cores[me.index()];
                 match core.recv_waiter {
                     Some((waiter, t)) if t == token => {
                         core.recv_waiter = None;
-                        st.stats.timer_fires += 1;
-                        drop(st);
-                        let at = ops.now(me);
-                        ops.wake(waiter, Box::new(()), at);
+                        s.st.stats.timer_fires += 1;
+                        let at = s.ops.now(me);
+                        s.ops.wake(waiter, Box::new(()), at);
                     }
                     // The wait this timer was armed for is already over
                     // (a message arrived first, or a newer wait replaced
                     // it): ignore.
-                    _ => st.stats.timers_stale += 1,
+                    _ => s.st.stats.timers_stale += 1,
                 }
             }
-        }
+        })
     }
 
     fn on_idle(&self, ops: &mut Ops<'_>, core: CoreId) {
-        let task = {
-            let mut st = self.st.lock();
-            let task = st.cores[core.index()]
+        let task = self.step(ops, core, |s| {
+            let task = s.st.cores[core.index()]
                 .queue
                 .pop_front()
                 .expect("on_idle with empty queue");
-            self.broadcast_occupancy(ops, &mut st, core);
+            s.broadcast_occupancy();
             task
-        };
+        });
         ops.queue_hint_sub(core, 1);
         // "Starting a task on a core has an overhead of 10 cycles in
         // addition to the time to receive the spawn message" (§V).
         ops.advance_core(core, self.params.task_start_cost.cycles());
         let meta = TaskMeta { group: task.group };
-        let body = task.body;
-        let this = self.self_arc();
-        ops.start_activity(core, task.name, Box::new(meta), this.wrap(body));
+        let this = self.me.upgrade().expect("runtime Arc gone");
+        ops.start_activity(core, task.name, Box::new(meta), this.wrap(task.body));
     }
 
     fn on_activity_end(&self, ops: &mut Ops<'_>, core: CoreId, meta: Box<dyn Any + Send>) {
         let meta = meta.downcast::<TaskMeta>().expect("foreign activity meta");
-        if let Some(g) = meta.group {
-            let joiners = {
-                let mut st = self.st.lock();
-                let group = st.groups.get_mut(&g.0).expect("unknown group");
-                assert!(group.active > 0, "group counter underflow");
-                group.active -= 1;
-                if group.active == 0 {
-                    std::mem::take(&mut group.joiners)
-                } else {
-                    Vec::new()
-                }
-            };
-            for (joiner, jcore) in joiners {
-                self.st.lock().stats.joiner_notifies += 1;
-                let at = ops.now(core);
-                let sent = self.retry_send(
-                    ops,
-                    core,
-                    jcore,
-                    self.params.ctrl_msg_bytes,
-                    at,
-                    Payload::new(RtMsg::JoinerRequest { joiner }),
-                );
-                if let Err((_, fail_t)) = sent {
-                    // Notification lost: wake the joiner directly so the
-                    // join never deadlocks.
-                    ops.wake(joiner, Box::new(()), fail_t);
-                }
+        let Some(g) = meta.group else { return };
+        let ctrl = self.params.ctrl_msg_bytes;
+        self.step(ops, core, |s| {
+            for (joiner, jcore) in s.st.leave_group(g) {
+                s.st.stats.joiner_notifies += 1;
+                let at = s.ops.now(core);
+                let notify = RtMsg::JoinerRequest { joiner };
+                s.send_or_wake(jcore, ctrl, at, notify, joiner, ());
             }
-        }
-    }
-}
-
-/// Group / lock / cell creation helpers shared by `TaskCtx` and
-/// `run_program`.
-impl TaskRuntime {
-    pub(crate) fn create_group(&self) -> crate::state::GroupId {
-        let mut st = self.st.lock();
-        let id = st.next_group;
-        st.next_group += 1;
-        st.groups.insert(
-            id,
-            Group {
-                active: 0,
-                joiners: Vec::new(),
-            },
-        );
-        crate::state::GroupId(id)
-    }
-
-    pub(crate) fn create_lock(&self, home: CoreId) -> crate::state::LockId {
-        let mut st = self.st.lock();
-        let id = st.next_lock;
-        st.next_lock += 1;
-        st.locks.insert(
-            id,
-            LockState {
-                home,
-                held: false,
-                free_at: simany_core::VirtualTime::ZERO,
-                waiters: std::collections::VecDeque::new(),
-            },
-        );
-        crate::state::LockId(id)
-    }
-
-    pub(crate) fn create_cell(&self, location: CoreId, size_bytes: u32) -> crate::state::CellId {
-        let mut st = self.st.lock();
-        let id = st.next_cell;
-        st.next_cell += 1;
-        st.cells.insert(
-            id,
-            crate::state::CellInfo {
-                location,
-                size_bytes,
-            },
-        );
-        crate::state::CellId(id)
+        });
     }
 }

@@ -2,7 +2,7 @@
 //! locks and statistics.
 
 use crate::task_ctx::TaskBody;
-use simany_core::ActivityId;
+use simany_core::{ActivityId, VirtualTime};
 use simany_topology::CoreId;
 use std::collections::{HashMap, VecDeque};
 
@@ -40,6 +40,7 @@ pub(crate) struct QueuedTask {
 }
 
 /// Per-core run-time state.
+#[derive(Default)]
 pub(crate) struct RtCore {
     /// Tasks accepted but not yet started.
     pub queue: VecDeque<QueuedTask>,
@@ -59,17 +60,6 @@ pub(crate) struct RtCore {
 }
 
 impl RtCore {
-    pub fn new() -> Self {
-        RtCore {
-            queue: VecDeque::new(),
-            reserved: 0,
-            proxy: HashMap::new(),
-            mailbox: VecDeque::new(),
-            recv_waiter: None,
-            recv_token: 0,
-        }
-    }
-
     /// Occupation counted against the queue capacity.
     pub fn occupancy(&self) -> u32 {
         self.queue.len() as u32 + self.reserved
@@ -98,7 +88,7 @@ pub(crate) struct LockState {
     /// virtual serialization of the resource is preserved (the paper's
     /// out-of-order biases apply to message timing, but a lock cannot be
     /// virtually free before its holder released it).
-    pub free_at: simany_core::VirtualTime,
+    pub free_at: VirtualTime,
     /// Blocked requesters in arrival order.
     pub waiters: VecDeque<(ActivityId, CoreId)>,
 }
@@ -180,36 +170,115 @@ pub struct RtStats {
     pub pinned_spawn_drops: u64,
 }
 
-/// All mutable run-time state, owned by the hooks object behind a mutex
-/// (uncontended: the engine serializes every entry path).
+/// All mutable run-time state. [`crate::TaskRuntime`] owns it behind a
+/// mutex that every hook and every `TaskCtx` call locks at most once; the
+/// protocol helpers take it as `&mut RtState` and never lock. Groups,
+/// cells and locks are never freed, so their ids index these vectors
+/// densely.
 pub(crate) struct RtState {
     pub cores: Vec<RtCore>,
-    pub groups: HashMap<u64, Group>,
-    pub next_group: u64,
-    pub cells: HashMap<u64, CellInfo>,
-    pub next_cell: u64,
-    pub locks: HashMap<u64, LockState>,
-    pub next_lock: u64,
+    pub groups: Vec<Group>,
+    pub cells: Vec<CellInfo>,
+    pub locks: Vec<LockState>,
     pub directory: Option<simany_mem::DirectoryTiming>,
     pub stats: RtStats,
-    /// Round-robin cursor per core for `SpawnPolicy::RoundRobin`.
-    pub spawn_cursor: Vec<u32>,
 }
 
 impl RtState {
     pub fn new(n_cores: u32, directory: Option<simany_mem::DirectoryTiming>) -> Self {
         RtState {
-            cores: (0..n_cores).map(|_| RtCore::new()).collect(),
-            groups: HashMap::new(),
-            next_group: 0,
-            cells: HashMap::new(),
-            next_cell: 0,
-            locks: HashMap::new(),
-            next_lock: 0,
+            cores: (0..n_cores).map(|_| RtCore::default()).collect(),
+            groups: Vec::new(),
+            cells: Vec::new(),
+            locks: Vec::new(),
             directory,
             stats: RtStats::default(),
-            spawn_cursor: vec![0; n_cores as usize],
         }
+    }
+
+    pub fn new_group(&mut self) -> GroupId {
+        self.groups.push(Group {
+            active: 0,
+            joiners: Vec::new(),
+        });
+        GroupId(self.groups.len() as u64 - 1)
+    }
+
+    pub fn new_cell(&mut self, location: CoreId, size_bytes: u32) -> CellId {
+        self.cells.push(CellInfo {
+            location,
+            size_bytes,
+        });
+        CellId(self.cells.len() as u64 - 1)
+    }
+
+    pub fn new_lock(&mut self, home: CoreId) -> LockId {
+        self.locks.push(LockState {
+            home,
+            held: false,
+            free_at: VirtualTime::ZERO,
+            waiters: VecDeque::new(),
+        });
+        LockId(self.locks.len() as u64 - 1)
+    }
+
+    pub fn group(&mut self, g: GroupId) -> &mut Group {
+        self.groups.get_mut(g.0 as usize).expect("unknown group")
+    }
+
+    pub fn cell(&mut self, c: CellId) -> &mut CellInfo {
+        self.cells.get_mut(c.0 as usize).expect("unknown cell")
+    }
+
+    pub fn lock_state(&mut self, l: LockId) -> &mut LockState {
+        self.locks.get_mut(l.0 as usize).expect("unknown lock")
+    }
+
+    /// One task of `g` terminated (or was never placed): returns the
+    /// joiners to notify when it was the last one.
+    pub fn leave_group(&mut self, g: GroupId) -> Vec<(ActivityId, CoreId)> {
+        let group = self.group(g);
+        assert!(group.active > 0, "group counter underflow");
+        group.active -= 1;
+        if group.active == 0 {
+            std::mem::take(&mut group.joiners)
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// The grant-or-queue decision at `lock`'s home: a free lock is taken
+    /// for `activity` and the earliest instant its grant may carry is
+    /// returned (never before the previous release); a held lock queues
+    /// the requester, who is granted on a later release.
+    pub fn acquire(
+        &mut self,
+        lock: LockId,
+        activity: ActivityId,
+        requester: CoreId,
+    ) -> Option<VirtualTime> {
+        let ls = self.lock_state(lock);
+        if ls.held {
+            ls.waiters.push_back((activity, requester));
+            self.stats.lock_waits += 1;
+            None
+        } else {
+            ls.held = true;
+            let free_at = ls.free_at;
+            self.stats.lock_fast += 1;
+            Some(free_at)
+        }
+    }
+
+    /// The release-and-hand-over decision at `lock`'s home: the lock is
+    /// virtually free from `at` on. The next waiter, if any, is returned and
+    /// the lock stays held for it; otherwise the lock is freed.
+    pub fn release(&mut self, lock: LockId, at: VirtualTime) -> Option<(ActivityId, CoreId)> {
+        let ls = self.lock_state(lock);
+        ls.free_at = ls.free_at.max(at);
+        let next = ls.waiters.pop_front();
+        ls.held = next.is_some();
+        next
     }
 }
 
@@ -219,7 +288,7 @@ mod tests {
 
     #[test]
     fn occupancy_counts_queue_and_reservations() {
-        let mut c = RtCore::new();
+        let mut c = RtCore::default();
         assert_eq!(c.occupancy(), 0);
         c.reserved = 2;
         assert_eq!(c.occupancy(), 2);

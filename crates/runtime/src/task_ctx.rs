@@ -7,13 +7,13 @@
 //! distributed-memory cells, and simulated locks.
 
 use crate::msg::RtMsg;
-use crate::runtime::{ProbeOutcome, TaskRuntime};
-use crate::state::{CellId, GroupId, LockId};
+use crate::params::SpawnPolicy;
+use crate::runtime::{Step, TaskRuntime};
+use crate::state::{CellId, GroupId, LockId, QueuedTask};
 use simany_core::{BlockCost, ExecCtx, Payload, VirtualTime};
 use simany_mem::{Addr, ScopedL1};
 use simany_time::{VDuration, Xoshiro256StarStar};
 use simany_topology::CoreId;
-use std::sync::Arc;
 
 /// A task body: what `spawn` ships to another core.
 pub type TaskBody = Box<dyn FnOnce(&mut TaskCtx<'_>) + Send>;
@@ -21,7 +21,7 @@ pub type TaskBody = Box<dyn FnOnce(&mut TaskCtx<'_>) + Send>;
 /// Execution context of one task.
 pub struct TaskCtx<'a> {
     ec: &'a mut ExecCtx,
-    rt: Arc<TaskRuntime>,
+    rt: &'a TaskRuntime,
     /// Pessimistic L1 presence (reads or writes).
     l1: ScopedL1,
     /// Write-permission presence (first write in scope upgrades the line
@@ -31,7 +31,7 @@ pub struct TaskCtx<'a> {
 }
 
 impl<'a> TaskCtx<'a> {
-    pub(crate) fn new(ec: &'a mut ExecCtx, rt: Arc<TaskRuntime>) -> Self {
+    pub(crate) fn new(ec: &'a mut ExecCtx, rt: &'a TaskRuntime) -> Self {
         let seed = ec.with_ops(|ops| ops.seed());
         let line = rt.params.mem.line_bytes;
         let rng = Xoshiro256StarStar::stream(seed, 0x7A5C_0000 ^ ec.id().0);
@@ -42,6 +42,13 @@ impl<'a> TaskCtx<'a> {
             l1w: ScopedL1::new(line),
             rng,
         }
+    }
+
+    /// One protocol step on this task's core: the run-time state is locked
+    /// once, inside `with_ops`, for all of `f`.
+    fn step<R>(&mut self, f: impl FnOnce(&mut Step<'_, '_>) -> R) -> R {
+        let (rt, me) = (self.rt, self.core());
+        self.ec.with_ops(|ops| rt.step(ops, me, f))
     }
 
     // ----- introspection ---------------------------------------------------
@@ -63,7 +70,7 @@ impl<'a> TaskCtx<'a> {
 
     /// Run-time parameters (architecture type, costs...).
     pub fn params(&self) -> &crate::params::RuntimeParams {
-        self.rt.params()
+        &self.rt.params
     }
 
     /// Deterministic per-task random number in `[0, bound)`.
@@ -83,9 +90,8 @@ impl<'a> TaskCtx<'a> {
     /// the block is timed by the detailed pipeline/predictor model instead
     /// of the abstract cost table.
     pub fn compute(&mut self, block: &BlockCost) {
-        if let Some(detailed) = self.rt.params.detailed.clone() {
-            let core = self.core();
-            let cycles = detailed.block_cycles(core, block);
+        if let Some(detailed) = &self.rt.params.detailed {
+            let cycles = detailed.block_cycles(self.ec.core(), block);
             self.ec.advance_cycles(cycles);
         } else {
             self.ec.compute(block);
@@ -101,99 +107,74 @@ impl<'a> TaskCtx<'a> {
 
     /// Create a task group.
     pub fn make_group(&mut self) -> GroupId {
-        self.rt.create_group()
+        self.rt.st.lock().new_group()
     }
 
     /// The `probe` primitive: consult the occupancy proxies; if a neighbor
     /// looks free, send it a PROBE reservation and wait for the reply.
     /// Returns the reserved core on success.
     pub fn probe(&mut self) -> Option<CoreId> {
-        let rt = Arc::clone(&self.rt);
-        let params = rt.params();
-        let me = self.core();
-        let my_aid = self.ec.id();
-        let candidate = self.ec.with_ops(|ops| {
-            let now = ops.now(me);
+        let prober = self.ec.id();
+        let asked = self.step(|s| {
+            let me = s.me;
+            let now = s.ops.now(me);
             // Failed cores accept no new work: drop them from the candidate
             // set up front instead of wasting a probe round-trip.
-            let neighbors: Vec<CoreId> = ops
+            let neighbors: Vec<CoreId> = s
+                .ops
                 .neighbors(me)
                 .into_iter()
                 .filter(|&n| {
-                    let failed = ops.core_failed(n, now);
+                    let failed = s.ops.core_failed(n, now);
                     if failed {
-                        rt.st.lock().stats.probe_unavailable += 1;
+                        s.st.stats.probe_unavailable += 1;
                     }
                     !failed
                 })
                 .collect();
-            let mut st = rt.st.lock();
-            if neighbors.is_empty() {
-                st.stats.probe_skips += 1;
-                return None;
-            }
-            // Order candidates per the spawn policy using the proxies.
-            let pick = match params.spawn_policy {
-                crate::params::SpawnPolicy::LeastLoaded => neighbors
-                    .iter()
-                    .copied()
-                    .min_by_key(|n| (*st.cores[me.index()].proxy.get(n).unwrap_or(&0), n.0)),
-                crate::params::SpawnPolicy::RoundRobin => {
-                    let cur = st.spawn_cursor[me.index()] as usize % neighbors.len();
-                    st.spawn_cursor[me.index()] += 1;
-                    Some(neighbors[cur])
+            // Pick a candidate per the spawn policy using the proxies.
+            let proxy = &s.st.cores[me.index()].proxy;
+            let load = |n: &CoreId| proxy.get(n).copied().unwrap_or(0);
+            let pick = match s.params.spawn_policy {
+                SpawnPolicy::LeastLoaded => {
+                    neighbors.iter().copied().min_by_key(|n| (load(n), n.0))
                 }
-                crate::params::SpawnPolicy::FavorFast => {
-                    neighbors.iter().copied().min_by_key(|n| {
-                        let occ = *st.cores[me.index()].proxy.get(n).unwrap_or(&0);
-                        let speed = ops.speed(*n);
-                        // Effective load: queue length divided by speed —
-                        // compare occ * den/num via cross-multiplied key.
-                        (
-                            u64::from(occ + 1) * u64::from(speed.den) * 1000 / u64::from(speed.num),
-                            n.0,
-                        )
-                    })
-                }
-            }?;
-            // Only probe when the proxy suggests a free slot.
-            let believed = *st.cores[me.index()].proxy.get(&pick).unwrap_or(&0);
-            if believed >= params.queue_capacity {
-                st.stats.probe_skips += 1;
-                return None;
-            }
-            st.stats.probes += 1;
-            drop(st);
-            let sent = rt.retry_send(
-                ops,
-                me,
-                pick,
-                params.ctrl_msg_bytes,
-                now,
-                Payload::new(RtMsg::Probe {
-                    prober: my_aid,
-                    reply_to: me,
+                SpawnPolicy::FavorFast => neighbors.iter().copied().min_by_key(|n| {
+                    let speed = s.ops.speed(*n);
+                    // Effective load: queue length divided by speed —
+                    // compare occ * den/num via cross-multiplied key.
+                    (
+                        u64::from(load(n) + 1) * u64::from(speed.den) * 1000 / u64::from(speed.num),
+                        n.0,
+                    )
                 }),
-            );
-            match sent {
-                Ok(_) => Some(pick),
+            };
+            // Only probe when the proxy suggests a free slot.
+            let Some(pick) = pick.filter(|n| load(n) < s.params.queue_capacity) else {
+                s.st.stats.probe_skips += 1;
+                return false;
+            };
+            s.st.stats.probes += 1;
+            let probe = Payload::new(RtMsg::Probe {
+                prober,
+                reply_to: me,
+            });
+            match s.send(pick, s.params.ctrl_msg_bytes, now, probe) {
+                Ok(()) => true,
                 Err((_, fail_t)) => {
                     // The probe never got through: treat it as denied (the
                     // caller falls back to sequential execution) and charge
                     // the time spent retrying.
-                    ops.advance_core_to(me, fail_t);
-                    None
+                    s.ops.advance_core_to(me, fail_t);
+                    false
                 }
             }
         });
-        candidate?;
-        let outcome = self.ec.block("probe");
-        let outcome = outcome.downcast::<ProbeOutcome>().expect("probe outcome");
-        if outcome.granted {
-            Some(outcome.target)
-        } else {
-            None
+        if !asked {
+            return None;
         }
+        let outcome = self.ec.block("probe");
+        *outcome.downcast::<Option<CoreId>>().expect("probe outcome")
     }
 
     /// Ship a task to a core previously reserved with [`Self::probe`]. The
@@ -211,60 +192,20 @@ impl<'a> TaskCtx<'a> {
         name: &'static str,
         body: TaskBody,
     ) {
-        let rt = Arc::clone(&self.rt);
-        let me = self.core();
-        self.ec.with_ops(|ops| {
-            if let Some(g) = group {
-                let mut st = rt.st.lock();
-                st.groups.get_mut(&g.0).expect("unknown group").active += 1;
-                st.stats.spawns += 1;
-            } else {
-                rt.st.lock().stats.spawns += 1;
-            }
-            let at = ops.now(me);
-            let birth = ops.record_birth(me, at);
-            let sent = rt.retry_send(
-                ops,
-                me,
-                target,
-                rt.params().spawn_msg_bytes,
-                at,
-                Payload::new(RtMsg::TaskSpawn {
-                    body,
-                    group,
-                    birth,
-                    parent: me,
-                    name,
-                    reserved: true,
-                    pinned: false,
-                    hops: 0,
-                }),
-            );
-            if let Err((mut payload, fail_t)) = sent {
+        let task = QueuedTask {
+            body,
+            group,
+            name,
+            pinned: false,
+        };
+        self.step(|s| {
+            if let Err((task, fail_t)) = s.spawn(target, task) {
                 // The spawn cannot reach its reserved target (failed core /
                 // partition): run the task on this core instead. The remote
                 // reservation leaks, which is harmless — the target is
                 // unreachable anyway.
-                ops.discard_birth(me, birth);
-                let RtMsg::TaskSpawn {
-                    body, group, name, ..
-                } = payload.take::<RtMsg>()
-                else {
-                    unreachable!("spawn payload round-trips")
-                };
-                ops.advance_core_to(me, fail_t);
-                let mut st = rt.st.lock();
-                st.stats.fault_local_runs += 1;
-                st.cores[me.index()]
-                    .queue
-                    .push_back(crate::state::QueuedTask {
-                        body,
-                        group,
-                        name,
-                        pinned: false,
-                    });
-                ops.queue_hint_add(me, 1);
-                rt.broadcast_occupancy(ops, &mut st, me);
+                s.ops.advance_core_to(s.me, fail_t);
+                s.keep_local(task);
             }
         });
     }
@@ -283,97 +224,52 @@ impl<'a> TaskCtx<'a> {
         name: &'static str,
         body: TaskBody,
     ) -> bool {
-        let rt = Arc::clone(&self.rt);
-        let me = self.core();
-        self.ec.with_ops(|ops| {
-            {
-                let mut st = rt.st.lock();
-                if let Some(g) = group {
-                    st.groups.get_mut(&g.0).expect("unknown group").active += 1;
-                }
-                st.stats.spawns += 1;
-                st.stats.pinned_spawns += 1;
+        let task = QueuedTask {
+            body,
+            group,
+            name,
+            pinned: true,
+        };
+        self.step(|s| {
+            s.st.stats.pinned_spawns += 1;
+            let Err((_, fail_t)) = s.spawn(target, task) else {
+                return true;
+            };
+            s.ops.advance_core_to(s.me, fail_t);
+            s.st.stats.pinned_spawn_drops += 1;
+            // No sane program joins before it finished spawning, but keep
+            // the group sound regardless.
+            for (joiner, _jcore) in group.map(|g| s.st.leave_group(g)).unwrap_or_default() {
+                s.ops.wake(joiner, Box::new(()), fail_t);
             }
-            let at = ops.now(me);
-            let birth = ops.record_birth(me, at);
-            let sent = rt.retry_send(
-                ops,
-                me,
-                target,
-                rt.params().spawn_msg_bytes,
-                at,
-                Payload::new(RtMsg::TaskSpawn {
-                    body,
-                    group,
-                    birth,
-                    parent: me,
-                    name,
-                    reserved: false,
-                    pinned: true,
-                    hops: 0,
-                }),
-            );
-            match sent {
-                Ok(_) => true,
-                Err((_, fail_t)) => {
-                    ops.discard_birth(me, birth);
-                    ops.advance_core_to(me, fail_t);
-                    let mut st = rt.st.lock();
-                    st.stats.pinned_spawn_drops += 1;
-                    let mut orphaned_joiners = Vec::new();
-                    if let Some(g) = group {
-                        let grp = st.groups.get_mut(&g.0).expect("unknown group");
-                        assert!(grp.active > 0, "group counter underflow");
-                        grp.active -= 1;
-                        if grp.active == 0 {
-                            orphaned_joiners = std::mem::take(&mut grp.joiners);
-                        }
-                    }
-                    drop(st);
-                    // No sane program joins before it finished spawning, but
-                    // keep the group sound regardless.
-                    for (joiner, _jcore) in orphaned_joiners {
-                        ops.wake(joiner, Box::new(()), fail_t);
-                    }
-                    false
-                }
-            }
+            false
         })
     }
 
     // ----- protocol messaging (protocol workload pack) -----------------------
 
     /// Send an application-level protocol message to `dst`, retrying lost
-    /// attempts with the runtime's exponential-backoff [`RetryPolicy`]
-    /// (`crate::params::RetryPolicy`). Returns `true` when some attempt got
+    /// attempts with the runtime's exponential-backoff
+    /// [`RetryPolicy`](crate::params::RetryPolicy). Returns `true` when some attempt got
     /// through (the sender knows each attempt's fate at send time — the
     /// engine's out-of-order send model). On failure this core's clock is
     /// advanced past the final attempt, so protocol-level timeouts measured
     /// from `now()` stay meaningful.
     pub fn send_app(&mut self, dst: CoreId, tag: u32, data: [u64; 4]) -> bool {
-        let rt = Arc::clone(&self.rt);
-        let me = self.core();
-        let bytes = rt.params().ctrl_msg_bytes;
-        self.ec.with_ops(|ops| {
-            rt.st.lock().stats.app_sends += 1;
-            let at = ops.now(me);
-            let sent = rt.retry_send(
-                ops,
-                me,
-                dst,
-                bytes,
-                at,
-                Payload::new(RtMsg::App {
-                    from: me,
-                    tag,
-                    data,
-                }),
-            );
-            match sent {
-                Ok(_) => true,
+        self.step(|s| {
+            s.st.stats.app_sends += 1;
+            let me = s.me;
+            let at = s.ops.now(me);
+            let msg = Payload::new(RtMsg::App {
+                from: me,
+                tag,
+                data,
+            });
+            match s.send(dst, s.params.ctrl_msg_bytes, at, msg) {
+                Ok(()) => true,
                 Err((_, fail_t)) => {
-                    rt.st.lock().stats.app_send_failures += 1;
-                    ops.advance_core_to(me, fail_t);
+                    s.st.stats.app_send_failures += 1;
+                    s.ops.advance_core_to(me, fail_t);
                     false
                 }
             }
@@ -391,19 +287,19 @@ impl<'a> TaskCtx<'a> {
     /// arriving first consumes the waiter registration; the now-stale timer
     /// is recognized by its token and ignored.
     pub fn recv_deadline(&mut self, deadline: VirtualTime) -> Option<crate::state::AppMsg> {
+        let me = self.core();
+        let my_aid = self.ec.id();
         loop {
-            let rt = Arc::clone(&self.rt);
-            let me = self.core();
-            let my_aid = self.ec.id();
-            if let Some(m) = rt.st.lock().cores[me.index()].mailbox.pop_front() {
-                return Some(m);
-            }
-            if self.now() >= deadline {
-                return None;
-            }
-            self.ec.with_ops(|ops| {
-                let mut st = rt.st.lock();
+            let now = self.now();
+            let token = {
+                let mut st = self.rt.st.lock();
                 let core = &mut st.cores[me.index()];
+                if let Some(m) = core.mailbox.pop_front() {
+                    return Some(m);
+                }
+                if now >= deadline {
+                    return None;
+                }
                 assert!(
                     core.recv_waiter.is_none(),
                     "one recv_deadline waiter per core"
@@ -412,9 +308,11 @@ impl<'a> TaskCtx<'a> {
                 let token = core.recv_token;
                 core.recv_waiter = Some((my_aid, token));
                 st.stats.timers_set += 1;
-                drop(st);
-                let sent =
-                    ops.try_send_at(me, me, 0, deadline, Payload::new(RtMsg::Deadline { token }));
+                token
+            };
+            self.ec.with_ops(|ops| {
+                let timer = Payload::new(RtMsg::Deadline { token });
+                let sent = ops.try_send_at(me, me, 0, deadline, timer);
                 debug_assert!(sent.is_ok(), "self-send timers are infallible");
             });
             let _ = self.ec.block("recv");
@@ -456,18 +354,16 @@ impl<'a> TaskCtx<'a> {
     /// JOINER_REQUEST arrives (paper §IV); resuming costs the engine's
     /// 15-cycle context switch.
     pub fn join(&mut self, group: GroupId) {
-        let rt = Arc::clone(&self.rt);
-        let me_aid = self.ec.id();
-        let me = self.core();
-        let suspended = self.ec.with_ops(|_ops| {
-            let mut st = rt.st.lock();
-            let g = st.groups.get_mut(&group.0).expect("unknown group");
+        let joiner = self.ec.id();
+        let suspended = self.step(|s| {
+            let me = s.me;
+            let g = s.st.group(group);
             if g.active == 0 {
-                st.stats.joins_immediate += 1;
+                s.st.stats.joins_immediate += 1;
                 false
             } else {
-                g.joiners.push((me_aid, me));
-                st.stats.joins_suspended += 1;
+                g.joiners.push((joiner, me));
+                s.st.stats.joins_suspended += 1;
                 true
             }
         });
@@ -507,23 +403,7 @@ impl<'a> TaskCtx<'a> {
     }
 
     fn mem_access(&mut self, addr: Addr, l1_hit: bool, write: bool) {
-        let rt = Arc::clone(&self.rt);
-        let me = self.core();
-        let params = rt.params().clone();
-        if let Some(detailed) = params.detailed.clone() {
-            self.ec.with_ops_synced(|ops| {
-                {
-                    let mut st = rt.st.lock();
-                    if write {
-                        st.stats.sm_stores += 1;
-                    } else {
-                        st.stats.sm_loads += 1;
-                    }
-                }
-                detailed.mem_access(ops, me, addr, write);
-            });
-            return;
-        }
+        let (rt, me) = (self.rt, self.core());
         self.ec.with_ops_synced(|ops| {
             let mut st = rt.st.lock();
             if write {
@@ -531,10 +411,14 @@ impl<'a> TaskCtx<'a> {
             } else {
                 st.stats.sm_loads += 1;
             }
+            if let Some(detailed) = &rt.params.detailed {
+                detailed.mem_access(ops, me, addr, write);
+                return;
+            }
+            let mem = &rt.params.mem;
             if l1_hit {
                 st.stats.l1_hits += 1;
-                drop(st);
-                ops.advance_core(me, params.mem.l1_latency.cycles());
+                ops.advance_core(me, mem.l1_latency.cycles());
                 return;
             }
             st.stats.l1_misses += 1;
@@ -552,8 +436,7 @@ impl<'a> TaskCtx<'a> {
                     extra += ops.uncontended_latency(leg.from, leg.to, leg.bytes);
                 }
             }
-            drop(st);
-            ops.advance_core(me, params.mem.backing_latency.cycles());
+            ops.advance_core(me, mem.backing_latency.cycles());
             if !extra.is_zero() {
                 ops.advance_core_raw(me, extra);
             }
@@ -564,49 +447,37 @@ impl<'a> TaskCtx<'a> {
 
     /// Allocate a cell of `size_bytes`, initially located on this core.
     pub fn alloc_cell(&mut self, size_bytes: u32) -> CellId {
-        self.rt.create_cell(self.core(), size_bytes)
+        self.rt.st.lock().new_cell(self.core(), size_bytes)
     }
 
     /// Access a cell (read or write — the run-time system implements both
     /// "as an exclusive operation", §VI): if remote, DATA_REQUEST /
     /// DATA_RESPONSE move it into this core's L2 first.
     pub fn cell_access(&mut self, cell: CellId) {
-        let rt = Arc::clone(&self.rt);
-        let me = self.core();
-        let my_aid = self.ec.id();
-        let params = rt.params().clone();
-        let local = self.ec.with_ops(|ops| {
-            let mut st = rt.st.lock();
-            let loc = st.cells.get(&cell.0).expect("unknown cell").location;
+        let activity = self.ec.id();
+        let local = self.step(|s| {
+            let me = s.me;
+            let loc = s.st.cell(cell).location;
             if loc == me {
-                st.stats.cell_local += 1;
-                true
-            } else {
-                st.stats.cell_remote += 1;
-                drop(st);
-                let at = ops.now(me);
-                let sent = rt.retry_send(
-                    ops,
-                    me,
-                    loc,
-                    params.ctrl_msg_bytes,
-                    at,
-                    Payload::new(RtMsg::DataRequest {
-                        cell,
-                        requester: me,
-                        activity: my_aid,
-                        hops: 0,
-                    }),
-                );
-                match sent {
-                    Ok(_) => false,
-                    Err((_, fail_t)) => {
-                        // The cell's home is unreachable: degrade to a
-                        // backing-store access without moving the cell.
-                        rt.st.lock().stats.cell_access_failures += 1;
-                        ops.advance_core_to(me, fail_t);
-                        true
-                    }
+                s.st.stats.cell_local += 1;
+                return true;
+            }
+            s.st.stats.cell_remote += 1;
+            let at = s.ops.now(me);
+            let request = Payload::new(RtMsg::DataRequest {
+                cell,
+                requester: me,
+                activity,
+                hops: 0,
+            });
+            match s.send(loc, s.params.ctrl_msg_bytes, at, request) {
+                Ok(()) => false,
+                Err((_, fail_t)) => {
+                    // The cell's home is unreachable: degrade to a
+                    // backing-store access without moving the cell.
+                    s.st.stats.cell_access_failures += 1;
+                    s.ops.advance_core_to(me, fail_t);
+                    true
                 }
             }
         });
@@ -616,8 +487,8 @@ impl<'a> TaskCtx<'a> {
         // The data now sits in this core's L2 (paper §V: "the requested
         // data are stored in the initiating core's L2 cache, where they can
         // be accessed with the usual 10-cycle latency").
-        let backing = params.mem.backing_latency.cycles();
-        self.ec.advance_cycles(backing);
+        self.ec
+            .advance_cycles(self.rt.params.mem.backing_latency.cycles());
     }
 
     /// Broadcast `size_bytes` from this core to every other core along a
@@ -652,128 +523,71 @@ impl<'a> TaskCtx<'a> {
 
     /// Where a cell currently lives (placement diagnostics).
     pub fn cell_location(&self, cell: CellId) -> CoreId {
-        self.rt
-            .st
-            .lock()
-            .cells
-            .get(&cell.0)
-            .expect("unknown cell")
-            .location
+        self.rt.st.lock().cell(cell).location
     }
 
     // ----- locks (paper §II.B) -----------------------------------------------
 
     /// Create a lock homed on this core.
     pub fn make_lock(&mut self) -> LockId {
-        self.rt.create_lock(self.core())
+        self.rt.st.lock().new_lock(self.core())
     }
 
     /// Acquire a simulated lock. While held, the synchronization policy
     /// never stalls this core (the waiver of paper §II.B).
     pub fn lock(&mut self, lock: LockId) {
-        let rt = Arc::clone(&self.rt);
-        let me = self.core();
-        let my_aid = self.ec.id();
-        let params = rt.params().clone();
-        let acquired_locally = self.ec.with_ops(|ops| {
-            let mut st = rt.st.lock();
-            let ls = st.locks.get_mut(&lock.0).expect("unknown lock");
-            if ls.home == me {
-                if ls.held {
-                    ls.waiters.push_back((my_aid, me));
-                    st.stats.lock_waits += 1;
-                    Some(false)
-                } else {
-                    ls.held = true;
-                    // The lock may have been virtually free only in the
-                    // future (out-of-order processing): wait for it.
-                    let free_at = ls.free_at;
-                    st.stats.lock_fast += 1;
-                    drop(st);
-                    ops.advance_core_to(me, free_at);
-                    Some(true)
+        let activity = self.ec.id();
+        let acquired = self.step(|s| {
+            let me = s.me;
+            let home = s.st.lock_state(lock).home;
+            if home == me {
+                // The lock may have been virtually free only in the future
+                // (out-of-order processing): wait for it.
+                let free_at = s.st.acquire(lock, activity, me);
+                if let Some(free_at) = free_at {
+                    s.ops.advance_core_to(me, free_at);
                 }
-            } else {
-                let home = ls.home;
-                drop(st);
-                let at = ops.now(me);
-                let sent = rt.retry_send(
-                    ops,
-                    me,
-                    home,
-                    params.ctrl_msg_bytes,
-                    at,
-                    Payload::new(RtMsg::LockRequest {
-                        lock,
-                        activity: my_aid,
-                        requester: me,
-                    }),
-                );
-                match sent {
-                    Ok(_) => None,
-                    Err((_, fail_t)) => {
-                        // The lock's home is unreachable: proceed as if
-                        // acquired (degraded mutual exclusion — the home is
-                        // partitioned away, so no reachable core contends
-                        // through it either).
-                        ops.advance_core_to(me, fail_t);
-                        Some(true)
-                    }
+                return free_at.is_some();
+            }
+            let at = s.ops.now(me);
+            let request = Payload::new(RtMsg::LockRequest {
+                lock,
+                activity,
+                requester: me,
+            });
+            match s.send(home, s.params.ctrl_msg_bytes, at, request) {
+                Ok(()) => false,
+                Err((_, fail_t)) => {
+                    // The lock's home is unreachable: proceed as if
+                    // acquired (degraded mutual exclusion — the home is
+                    // partitioned away, so no reachable core contends
+                    // through it either).
+                    s.ops.advance_core_to(me, fail_t);
+                    true
                 }
             }
         });
-        match acquired_locally {
-            Some(true) => {}
-            Some(false) | None => {
-                let _ = self.ec.block("lock");
-            }
+        if !acquired {
+            let _ = self.ec.block("lock");
         }
         self.ec.critical_enter();
     }
 
     /// Release a simulated lock; the next waiter (if any) is granted.
     pub fn unlock(&mut self, lock: LockId) {
-        let rt = Arc::clone(&self.rt);
-        let me = self.core();
-        let params = rt.params().clone();
-        self.ec.with_ops(|ops| {
-            let mut st = rt.st.lock();
-            let now = ops.now(me);
-            let ls = st.locks.get_mut(&lock.0).expect("unknown lock");
-            if ls.home == me {
-                ls.free_at = ls.free_at.max(now);
-                if let Some((activity, core)) = ls.waiters.pop_front() {
-                    drop(st);
-                    let sent = rt.retry_send(
-                        ops,
-                        me,
-                        core,
-                        params.ctrl_msg_bytes,
-                        now,
-                        Payload::new(RtMsg::LockAck { activity }),
-                    );
-                    if let Err((_, fail_t)) = sent {
-                        // Handoff lost: wake the waiter directly so the
-                        // lock chain keeps moving.
-                        ops.wake(activity, Box::new(()), fail_t);
-                    }
-                } else {
-                    ls.held = false;
-                }
+        self.step(|s| {
+            let me = s.me;
+            let now = s.ops.now(me);
+            let home = s.st.lock_state(lock).home;
+            if home == me {
+                s.release_lock(lock, now, now);
             } else {
-                let home = ls.home;
-                drop(st);
-                // Best effort: if the release never reaches the home core,
-                // it is unreachable anyway — retry_send already counted the
-                // failure.
-                let _ = rt.retry_send(
-                    ops,
-                    me,
-                    home,
-                    params.ctrl_msg_bytes,
-                    now,
-                    Payload::new(RtMsg::LockRelease { lock }),
-                );
+                // Best effort: `send` counts a release lost for good, and
+                // the home keeps the lock held — its later requesters wait
+                // forever (a known gap, pinned by the runtime counter
+                // golden's lossy lock program).
+                let release = Payload::new(RtMsg::LockRelease { lock });
+                let _ = s.send(home, s.params.ctrl_msg_bytes, now, release);
             }
         });
         self.ec.critical_exit();

@@ -19,16 +19,21 @@
 //! * [`branch`] — the probabilistic branch predictor (90 % accuracy,
 //!   5-cycle misprediction penalty) used by SiMany, and a classic two-bit
 //!   saturating-counter predictor used by the cycle-level reference.
+//! * [`Digest`] — the FNV-1a word folder behind the engine's configuration
+//!   and checkpoint digests and the network's and run-time system's state
+//!   digests.
 //! * [`prng`] — small, fast, fully deterministic PRNGs (SplitMix64 and
 //!   xoshiro256**) implemented locally so simulation results never change
 //!   under dependency upgrades.
 
 pub mod branch;
 pub mod cost;
+pub mod digest;
 pub mod prng;
 pub mod vtime;
 
 pub use branch::{BranchOutcome, ProbBranchPredictor, TwoBitPredictor};
 pub use cost::{BlockCost, CoreSpeed, CostModel, InstrClass};
+pub use digest::Digest;
 pub use prng::{SplitMix64, Xoshiro256StarStar};
 pub use vtime::{VDuration, VirtualTime, TICKS_PER_CYCLE};
