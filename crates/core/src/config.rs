@@ -75,7 +75,7 @@ pub struct EngineConfig {
     /// (guards against runaway task explosions in buggy programs).
     pub max_live_activities: usize,
     /// Optional event tracer (see [`crate::trace`]).
-    pub tracer: Option<std::sync::Arc<dyn crate::trace::Tracer>>,
+    pub tracer: Option<std::rc::Rc<dyn crate::trace::Tracer>>,
     /// Sample the *available host parallelism* — how many cores have
     /// independently runnable work at an instant — every this many
     /// scheduler picks (0 = off). Reproduces the paper's §VIII preliminary

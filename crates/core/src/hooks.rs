@@ -5,12 +5,13 @@
 //! That protocol lives above, in an implementation of [`RuntimeHooks`]
 //! (`simany-runtime` provides the paper's Capsule/TBB-like model).
 //!
-//! Hook implementations own their own state (typically behind a
-//! `parking_lot::Mutex` inside the hooks object). Every hook invocation and
-//! every task-side `ExecCtx` call is serialized because the driver and the
-//! task bodies take turns on one host thread, so that mutex is never
-//! contended: it remains only because `simulate` takes the hooks as an
-//! `Arc<dyn RuntimeHooks>`, which must be `Send + Sync`.
+//! Hook implementations own their own state inside the hooks object.
+//! Every hook invocation and every task-side `ExecCtx` call is serialized
+//! because the driver and the task bodies take turns on one host thread,
+//! so a mutex around that state is never contended: it remains only
+//! because `simulate` takes the hooks as an `Arc<dyn RuntimeHooks>`, which
+//! must be `Send + Sync`. (A [`crate::Tracer`] has no such bound and keeps
+//! its state in a `RefCell`.)
 //!
 //! Hooks run on the thread that called `simulate`, while the driver or a
 //! body holds the run token, and **must never block**; anything that needs

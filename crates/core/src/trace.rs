@@ -11,11 +11,11 @@
 //! tracers (streaming to disk, counting, filtering) implement the
 //! one-method trait.
 
-use parking_lot::Mutex;
 use simany_time::VirtualTime;
 use simany_topology::{CoreId, LinkId};
+use std::cell::RefCell;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// One engine event, stamped with the virtual time at which it happened on
 /// its core.
@@ -266,8 +266,10 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// Event sink installed in the engine configuration.
-pub trait Tracer: Send + Sync {
+/// Event sink installed in the engine configuration. The engine calls it
+/// on the thread that runs the simulation, one event at a time, so a
+/// tracer keeps its state in a `RefCell` or `Cell`.
+pub trait Tracer {
     /// Record one event. Called while the simulator state is borrowed, in
     /// the middle of a pick or an `ExecCtx` call: keep it cheap.
     fn record(&self, event: TraceEvent);
@@ -276,28 +278,28 @@ pub trait Tracer: Send + Sync {
 /// In-memory tracer with reporting helpers.
 #[derive(Default)]
 pub struct MemoryTracer {
-    events: Mutex<Vec<TraceEvent>>,
+    events: RefCell<Vec<TraceEvent>>,
 }
 
 impl MemoryTracer {
-    /// Fresh, empty tracer (wrap in an `Arc` for the engine config).
-    pub fn new() -> Arc<Self> {
-        Arc::new(MemoryTracer::default())
+    /// Fresh, empty tracer, shared with the engine config.
+    pub fn new() -> Rc<Self> {
+        Rc::new(MemoryTracer::default())
     }
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.events.borrow().len()
     }
 
     /// True iff nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
+        self.events.borrow().is_empty()
     }
 
     /// Snapshot of all events in recording order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.events.lock().clone()
+        self.events.borrow().clone()
     }
 
     /// Chronological text dump (sorted by virtual time, stable on ties).
@@ -439,7 +441,7 @@ impl MemoryTracer {
 
 impl Tracer for MemoryTracer {
     fn record(&self, event: TraceEvent) {
-        self.events.lock().push(event);
+        self.events.borrow_mut().push(event);
     }
 }
 

@@ -9,7 +9,7 @@ use simany_core::{
     SyncPolicy, VDuration, VirtualTime,
 };
 use simany_topology::{mesh_2d, ring, Topology};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Hooks that understand two message payloads:
@@ -618,7 +618,7 @@ fn task_panic_inside_an_exec_ctx_call_is_reported() {
     let guard = DropCounter(drops.clone());
     let parked_in_body = parked.clone();
     let mut cfg = EngineConfig::default().with_drift_cycles(100);
-    cfg.tracer = Some(Arc::new(PanicOnStall));
+    cfg.tracer = Some(std::rc::Rc::new(PanicOnStall));
     let err = simulate(pair(), cfg, Arc::new(TestHooks), |ops| {
         ops.start_activity(
             CoreId(0),
@@ -741,15 +741,14 @@ fn polymorphic_speeds_scale_elapsed_time() {
 fn queue_hint_drives_on_idle() {
     // A runtime whose on_idle starts tasks from a shared countdown.
     struct QueueHooks {
-        remaining: parking_lot::Mutex<u32>,
+        remaining: AtomicU32,
         started: AtomicU64,
     }
     impl RuntimeHooks for QueueHooks {
         fn on_message(&self, _: &mut Ops<'_>, _: Envelope) {}
         fn on_idle(&self, ops: &mut Ops<'_>, core: CoreId) {
-            let mut rem = self.remaining.lock();
-            assert!(*rem > 0);
-            *rem -= 1;
+            let rem = self.remaining.fetch_sub(1, Ordering::SeqCst);
+            assert!(rem > 0);
             ops.queue_hint_sub(core, 1);
             self.started.fetch_add(1, Ordering::SeqCst);
             ops.start_activity(
@@ -762,7 +761,7 @@ fn queue_hint_drives_on_idle() {
         fn on_activity_end(&self, _: &mut Ops<'_>, _: CoreId, _: Box<dyn std::any::Any + Send>) {}
     }
     let hooks = Arc::new(QueueHooks {
-        remaining: parking_lot::Mutex::new(5),
+        remaining: AtomicU32::new(5),
         started: AtomicU64::new(0),
     });
     let hooks2 = hooks.clone();

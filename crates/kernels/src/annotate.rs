@@ -56,16 +56,6 @@ pub fn sweep(
     }
 }
 
-/// A single timed random (gather) access: every element access is its own
-/// line touch.
-pub fn gather(tc: &mut TaskCtx<'_>, addr: Addr, write: bool) {
-    if write {
-        tc.store(addr);
-    } else {
-        tc.load(addr);
-    }
-}
-
 /// Common per-element cost of a compare-and-maybe-swap (sorting inner
 /// loops): two int ops and one unpredictable conditional branch.
 pub fn compare_swap_cost() -> BlockCost {

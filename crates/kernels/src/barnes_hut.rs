@@ -13,11 +13,11 @@
 //! force traversals are the simulated tasks, annotated with floating-point
 //! instruction classes and tree-node memory accesses.
 
-use crate::annotate::gather;
+use crate::shape::{run_tasks, Placement};
 use crate::workloads::{random_bodies, Body};
 use crate::{DwarfKernel, KernelResult, Scale};
 use parking_lot::Mutex;
-use simany_runtime::{run_program, GroupId, ProgramSpec, SimError, TaskCtx};
+use simany_runtime::{GroupId, ProgramSpec, SimError, TaskCtx};
 use simany_time::BlockCost;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -232,6 +232,15 @@ fn open_cost() -> BlockCost {
 /// The Barnes-Hut kernel (force phase).
 pub struct BarnesHut;
 
+/// What every task of one run shares.
+struct Forces {
+    tree: BhTree,
+    bodies: Vec<Body>,
+    forces: Mutex<Vec<[f64; 3]>>,
+    /// Where the tree nodes live.
+    at: Placement,
+}
+
 impl DwarfKernel for BarnesHut {
     fn name(&self) -> &'static str {
         "Barnes-Hut"
@@ -244,53 +253,28 @@ impl DwarfKernel for BarnesHut {
         seed: u64,
     ) -> Result<KernelResult, SimError> {
         let n = scale.apply(BASE_BODIES, 16);
-        let bodies = Arc::new(random_bodies(n, seed));
-        let tree = Arc::new(BhTree::build(&bodies));
+        let bodies = random_bodies(n, seed);
+        let tree = BhTree::build(&bodies);
         // Sequential reference: same traversal, no instrumentation.
         let reference: Vec<[f64; 3]> = bodies
             .iter()
             .enumerate()
             .map(|(i, b)| tree.force_on(b, i as u32, |_, _| {}))
             .collect();
-
-        let forces = Arc::new(Mutex::new(vec![[0.0f64; 3]; n]));
-        let distributed = spec.runtime.arch.is_distributed();
-        let bodies2 = Arc::clone(&bodies);
-        let tree2 = Arc::clone(&tree);
-        let forces2 = Arc::clone(&forces);
-        let out = run_program(spec, move |tc| {
+        let (out, run) = run_tasks(
+            spec,
             // Distributed memory: the tree is partitioned into node-group
             // cells which traversals must fetch ("tasks continuously
             // exchange vertex data").
-            let cells = if distributed {
-                let groups = tree2.nodes.len().div_ceil(NODES_PER_CELL);
-                Some(Arc::new(
-                    (0..groups)
-                        .map(|_| tc.alloc_cell((NODES_PER_CELL * 64) as u32))
-                        .collect::<Vec<_>>(),
-                ))
-            } else {
-                None
-            };
-            let group = tc.make_group();
-            force_range(
-                tc,
-                &tree2,
-                &bodies2,
-                &forces2,
-                cells.as_ref().map(|c| c.as_slice()),
-                0,
-                n,
-                group,
-            );
-            tc.join(group);
-        })?;
-
-        let computed = forces.lock().clone();
-        let verified = computed
-            .iter()
-            .zip(&reference)
-            .all(|(a, b)| a.iter().zip(b).all(|(x, y)| x == y));
+            move |tc| Forces {
+                at: Placement::new(tc, TREE_BASE, 64, tree.nodes.len(), NODES_PER_CELL),
+                tree,
+                bodies,
+                forces: Mutex::new(vec![[0.0; 3]; n]),
+            },
+            move |tc, run, group| force_range(tc, run, 0, n, group),
+        )?;
+        let verified = *run.forces.lock() == reference;
         Ok(KernelResult {
             out,
             verified,
@@ -313,53 +297,28 @@ impl DwarfKernel for BarnesHut {
 }
 
 /// Recursive block decomposition over the bodies.
-#[allow(clippy::too_many_arguments)]
-fn force_range(
-    tc: &mut TaskCtx<'_>,
-    tree: &Arc<BhTree>,
-    bodies: &Arc<Vec<Body>>,
-    forces: &Arc<Mutex<Vec<[f64; 3]>>>,
-    cells: Option<&[simany_runtime::CellId]>,
-    lo: usize,
-    hi: usize,
-    group: GroupId,
-) {
+fn force_range(tc: &mut TaskCtx<'_>, run: &Arc<Forces>, lo: usize, hi: usize, group: GroupId) {
     if hi - lo > BODY_BLOCK {
         let mid = lo + (hi - lo) / 2;
-        let tree2 = Arc::clone(tree);
-        let bodies2 = Arc::clone(bodies);
-        let forces2 = Arc::clone(forces);
-        let cells2: Option<Vec<simany_runtime::CellId>> = cells.map(|c| c.to_vec());
+        let right = Arc::clone(run);
         tc.spawn_or_run(group, move |tc: &mut TaskCtx<'_>| {
-            force_range(
-                tc,
-                &tree2,
-                &bodies2,
-                &forces2,
-                cells2.as_deref(),
-                mid,
-                hi,
-                group,
-            );
+            force_range(tc, &right, mid, hi, group);
         });
-        force_range(tc, tree, bodies, forces, cells, lo, mid, group);
+        force_range(tc, run, lo, mid, group);
         return;
     }
     for i in lo..hi {
         tc.scope(|tc| {
-            let body = bodies[i];
             // Traverse on the host, charging per visited node.
             let mut visits: Vec<(u32, bool)> = Vec::new();
-            let f = tree.force_on(&body, i as u32, |node, far| visits.push((node, far)));
+            let f = run.tree.force_on(&run.bodies[i], i as u32, |node, far| {
+                visits.push((node, far));
+            });
             for (node, far) in visits {
-                match cells {
-                    Some(cells) => tc.cell_access(cells[node as usize / NODES_PER_CELL]),
-                    None => gather(tc, TREE_BASE + u64::from(node) * 64, false),
-                }
-                let cost = if far { interaction_cost() } else { open_cost() };
-                tc.compute(&cost);
+                run.at.read(tc, node as usize);
+                tc.compute(&if far { interaction_cost() } else { open_cost() });
             }
-            forces.lock()[i] = f;
+            run.forces.lock()[i] = f;
         });
     }
 }

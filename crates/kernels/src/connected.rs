@@ -12,11 +12,12 @@
 //! contention the paper describes, and is what makes the kernel's
 //! scalability peak and then degrade.
 
-use crate::annotate::{edge_visit_cost, gather};
+use crate::annotate::edge_visit_cost;
+use crate::shape::{run_tasks, Placement};
 use crate::workloads::{random_graph_components, Graph};
 use crate::{DwarfKernel, KernelResult, Scale};
 use parking_lot::Mutex;
-use simany_runtime::{run_program, GroupId, ProgramSpec, SimError, TaskCtx};
+use simany_runtime::{GroupId, ProgramSpec, SimError, TaskCtx};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -28,6 +29,14 @@ const LABELS_BASE: u64 = 0x2000_0000;
 
 /// The connected-components kernel.
 pub struct ConnectedComponents;
+
+/// What every task of one run shares.
+struct Labeling {
+    graph: Graph,
+    labels: Mutex<Vec<u32>>,
+    /// Where the labels live.
+    at: Placement,
+}
 
 impl DwarfKernel for ConnectedComponents {
     fn name(&self) -> &'static str {
@@ -42,49 +51,33 @@ impl DwarfKernel for ConnectedComponents {
     ) -> Result<KernelResult, SimError> {
         let n = scale.apply(BASE_N, 64);
         let m = scale.apply(BASE_M, 128);
-        let graph = Arc::new(random_graph_components(n, m, seed));
+        let graph = random_graph_components(n, m, seed);
         let reference = union_find_components(&graph);
-        let labels = Arc::new(Mutex::new((0..n as u32).collect::<Vec<u32>>()));
-        let distributed = spec.runtime.arch.is_distributed();
-
-        let graph2 = Arc::clone(&graph);
-        let labels2 = Arc::clone(&labels);
-        let out = run_program(spec, move |tc| {
+        let (out, run) = run_tasks(
+            spec,
             // In distributed memory every node's tag lives in its own cell,
             // home-distributed round-robin by allocation order on the root —
             // they migrate to whoever tags them (heavy traffic, the paper's
             // observed collapse).
-            let cells = if distributed {
-                Some(Arc::new(
-                    (0..n).map(|_| tc.alloc_cell(8)).collect::<Vec<_>>(),
-                ))
-            } else {
-                None
-            };
-            let group = tc.make_group();
+            move |tc| Labeling {
+                graph,
+                labels: Mutex::new((0..n as u32).collect()),
+                at: Placement::new(tc, LABELS_BASE, 8, n, 1),
+            },
             // Launch DFS from every node in parallel (conditional spawning
             // bounds the real task count).
-            for s in 0..n as u32 {
-                let graph = Arc::clone(&graph2);
-                let labels = Arc::clone(&labels2);
-                let cells = cells.clone();
-                tc.spawn_or_run(group, move |tc: &mut TaskCtx<'_>| {
-                    explore(
-                        tc,
-                        &graph,
-                        &labels,
-                        cells.as_ref().map(|c| c.as_slice()),
-                        s,
-                        s,
-                        group,
-                    );
-                });
-            }
-            tc.join(group);
-        })?;
-
-        let final_labels = labels.lock().clone();
-        let verified = partitions_equal(&final_labels, &reference);
+            move |tc, run, group| {
+                for s in 0..n as u32 {
+                    let run = Arc::clone(run);
+                    tc.spawn_or_run(group, move |tc: &mut TaskCtx<'_>| {
+                        explore(tc, &run, s, s, group);
+                    });
+                }
+            },
+        )?;
+        // Min-label propagation converges to the minimum id of each
+        // component, which is the union-find root too.
+        let verified = *run.labels.lock() == reference;
         Ok(KernelResult {
             out,
             verified,
@@ -110,21 +103,13 @@ impl DwarfKernel for ConnectedComponents {
 
 /// One DFS task: propagate `lbl` from `start` through every node whose
 /// current tag is larger, spawning further tasks along the way.
-fn explore(
-    tc: &mut TaskCtx<'_>,
-    graph: &Arc<Graph>,
-    labels: &Arc<Mutex<Vec<u32>>>,
-    cells: Option<&[simany_runtime::CellId]>,
-    start: u32,
-    lbl: u32,
-    group: GroupId,
-) {
+fn explore(tc: &mut TaskCtx<'_>, run: &Arc<Labeling>, start: u32, lbl: u32, group: GroupId) {
     let mut stack = vec![start];
     while let Some(v) = stack.pop() {
         // Tag check + update (the contended access of the paper).
-        touch_tag(tc, cells, v, false);
+        run.at.read(tc, v as usize);
         let improved = {
-            let mut tags = labels.lock();
+            let mut tags = run.labels.lock();
             if tags[v as usize] < lbl || (tags[v as usize] == lbl && v != start) {
                 // A smaller label won, or this wave already tagged it.
                 false
@@ -137,41 +122,25 @@ fn explore(
         if !improved {
             continue;
         }
-        touch_tag(tc, cells, v, true);
-        for &(u, _) in &graph.adj[v as usize] {
+        run.at.write(tc, v as usize);
+        for &(u, _) in &run.graph.adj[v as usize] {
             tc.compute(&edge_visit_cost());
-            touch_tag(tc, cells, u, false);
-            let worth_it = labels.lock()[u as usize] > lbl;
+            run.at.read(tc, u as usize);
+            let worth_it = run.labels.lock()[u as usize] > lbl;
             if !worth_it {
                 continue;
             }
             // Try to hand the sub-search to a neighbor core; continue
             // locally when the probe fails.
-            let graph2 = Arc::clone(graph);
-            let labels2 = Arc::clone(labels);
-            let cells2: Option<Vec<simany_runtime::CellId>> = cells.map(|c| c.to_vec());
             match tc.probe() {
                 Some(target) => {
-                    tc.spawn(
-                        target,
-                        Some(group),
-                        Box::new(move |tc: &mut TaskCtx<'_>| {
-                            explore(tc, &graph2, &labels2, cells2.as_deref(), u, lbl, group);
-                        }),
-                    );
+                    let run = Arc::clone(run);
+                    let body = move |tc: &mut TaskCtx<'_>| explore(tc, &run, u, lbl, group);
+                    tc.spawn(target, Some(group), Box::new(body));
                 }
                 None => stack.push(u),
             }
         }
-    }
-}
-
-/// Timed access to node `v`'s tag: a shared-memory load/store, or a cell
-/// access in the distributed-memory variant.
-fn touch_tag(tc: &mut TaskCtx<'_>, cells: Option<&[simany_runtime::CellId]>, v: u32, write: bool) {
-    match cells {
-        Some(cells) => tc.cell_access(cells[v as usize]),
-        None => gather(tc, LABELS_BASE + u64::from(v) * 8, write),
     }
 }
 
@@ -206,14 +175,6 @@ pub fn union_find_components(graph: &Graph) -> Vec<u32> {
         }
     }
     (0..n as u32).map(|x| find(&mut parent, x)).collect()
-}
-
-/// Two labelings describe the same partition iff they agree on
-/// same-component relations; with min-label propagation the labels should
-/// even be identical to the union-find roots when the union-find also
-/// resolves to minimum ids (which ours does).
-fn partitions_equal(a: &[u32], b: &[u32]) -> bool {
-    a == b
 }
 
 #[cfg(test)]

@@ -12,11 +12,12 @@
 //! concurrently, which raises the chance of tagging nodes with near-optimal
 //! distances early and pruning the remaining work.
 
-use crate::annotate::{edge_visit_cost, gather};
+use crate::annotate::edge_visit_cost;
+use crate::shape::{run_tasks, Placement};
 use crate::workloads::{random_graph, Graph};
 use crate::{DwarfKernel, KernelResult, Scale};
 use parking_lot::Mutex;
-use simany_runtime::{run_program, GroupId, ProgramSpec, SimError, TaskCtx};
+use simany_runtime::{GroupId, ProgramSpec, SimError, TaskCtx};
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -31,6 +32,14 @@ const DIST_BASE: u64 = 0x3000_0000;
 /// The Dijkstra kernel.
 pub struct Dijkstra;
 
+/// What every task of one run shares.
+struct Search {
+    graph: Graph,
+    dist: Mutex<Vec<u64>>,
+    /// Where the distances live.
+    at: Placement,
+}
+
 impl DwarfKernel for Dijkstra {
     fn name(&self) -> &'static str {
         "Dijkstra"
@@ -44,36 +53,18 @@ impl DwarfKernel for Dijkstra {
     ) -> Result<KernelResult, SimError> {
         let n = scale.apply(BASE_N, 64);
         let m = scale.apply(BASE_M, 96);
-        let graph = Arc::new(random_graph(n, m, MAX_W, true, seed));
+        let graph = random_graph(n, m, MAX_W, true, seed);
         let reference = sequential_dijkstra(&graph, 0);
-        let dist = Arc::new(Mutex::new(vec![u64::MAX; n]));
-        let distributed = spec.runtime.arch.is_distributed();
-
-        let graph2 = Arc::clone(&graph);
-        let dist2 = Arc::clone(&dist);
-        let out = run_program(spec, move |tc| {
-            let cells = if distributed {
-                Some(Arc::new(
-                    (0..n).map(|_| tc.alloc_cell(8)).collect::<Vec<_>>(),
-                ))
-            } else {
-                None
-            };
-            let group = tc.make_group();
-            explore(
-                tc,
-                &graph2,
-                &dist2,
-                cells.as_ref().map(|c| c.as_slice()),
-                0,
-                0,
-                group,
-            );
-            tc.join(group);
-        })?;
-
-        let final_dist = dist.lock().clone();
-        let verified = final_dist == reference;
+        let (out, run) = run_tasks(
+            spec,
+            move |tc| Search {
+                graph,
+                dist: Mutex::new(vec![u64::MAX; n]),
+                at: Placement::new(tc, DIST_BASE, 8, n, 1),
+            },
+            |tc, run, group| explore(tc, run, 0, 0, group),
+        )?;
+        let verified = *run.dist.lock() == reference;
         Ok(KernelResult {
             out,
             verified,
@@ -94,22 +85,14 @@ impl DwarfKernel for Dijkstra {
 
 /// Speculative relaxation task: try to improve `v`'s distance to `d`; on
 /// success, propagate over its edges, spawning where the runtime allows.
-fn explore(
-    tc: &mut TaskCtx<'_>,
-    graph: &Arc<Graph>,
-    dist: &Arc<Mutex<Vec<u64>>>,
-    cells: Option<&[simany_runtime::CellId]>,
-    v: u32,
-    d: u64,
-    group: GroupId,
-) {
+fn explore(tc: &mut TaskCtx<'_>, run: &Arc<Search>, v: u32, d: u64, group: GroupId) {
     // Local work stack of (node, tentative distance) pairs.
     let mut stack = vec![(v, d)];
     while let Some((v, d)) = stack.pop() {
-        touch_dist(tc, cells, v, false);
+        run.at.read(tc, v as usize);
         tc.compute(&edge_visit_cost());
         let improved = {
-            let mut dv = dist.lock();
+            let mut dv = run.dist.lock();
             if d < dv[v as usize] {
                 dv[v as usize] = d;
                 true
@@ -120,36 +103,24 @@ fn explore(
         if !improved {
             continue;
         }
-        touch_dist(tc, cells, v, true);
-        for &(u, w) in &graph.adj[v as usize] {
+        run.at.write(tc, v as usize);
+        for &(u, w) in &run.graph.adj[v as usize] {
             tc.compute(&edge_visit_cost());
-            touch_dist(tc, cells, u, false);
+            run.at.read(tc, u as usize);
             let nd = d + u64::from(w);
-            let worth_it = dist.lock()[u as usize] > nd;
+            let worth_it = run.dist.lock()[u as usize] > nd;
             if !worth_it {
                 continue;
             }
-            let graph2 = Arc::clone(graph);
-            let dist2 = Arc::clone(dist);
-            let cells2: Option<Vec<simany_runtime::CellId>> = cells.map(|c| c.to_vec());
             match tc.probe() {
-                Some(target) => tc.spawn(
-                    target,
-                    Some(group),
-                    Box::new(move |tc: &mut TaskCtx<'_>| {
-                        explore(tc, &graph2, &dist2, cells2.as_deref(), u, nd, group);
-                    }),
-                ),
+                Some(target) => {
+                    let run = Arc::clone(run);
+                    let body = move |tc: &mut TaskCtx<'_>| explore(tc, &run, u, nd, group);
+                    tc.spawn(target, Some(group), Box::new(body));
+                }
                 None => stack.push((u, nd)),
             }
         }
-    }
-}
-
-fn touch_dist(tc: &mut TaskCtx<'_>, cells: Option<&[simany_runtime::CellId]>, v: u32, write: bool) {
-    match cells {
-        Some(cells) => tc.cell_access(cells[v as usize]),
-        None => gather(tc, DIST_BASE + u64::from(v) * 8, write),
     }
 }
 

@@ -33,6 +33,7 @@ pub mod dijkstra;
 pub mod octree;
 pub mod protocols;
 pub mod quicksort;
+mod shape;
 pub mod spmxv;
 pub mod workloads;
 
@@ -107,10 +108,18 @@ pub fn all_kernels() -> Vec<Box<dyn DwarfKernel>> {
 
 /// Look a kernel up by (case-insensitive) name prefix.
 pub fn kernel_by_name(name: &str) -> Option<Box<dyn DwarfKernel>> {
-    let lower = name.to_lowercase();
-    all_kernels()
-        .into_iter()
-        .find(|k| k.name().to_lowercase().starts_with(&lower))
+    by_prefix(all_kernels(), name, |k| k.name())
+}
+
+/// The first of `all` whose name starts with `prefix`, ignoring case.
+fn by_prefix<T: ?Sized>(
+    all: Vec<Box<T>>,
+    prefix: &str,
+    name: fn(&T) -> &'static str,
+) -> Option<Box<T>> {
+    let lower = prefix.to_lowercase();
+    all.into_iter()
+        .find(|k| name(k).to_lowercase().starts_with(&lower))
 }
 
 #[cfg(test)]

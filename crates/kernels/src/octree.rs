@@ -10,11 +10,11 @@
 //! of traversal order. Subtrees near the root are conditionally spawned;
 //! deep subtrees run inline.
 
-use crate::annotate::gather;
+use crate::shape::{run_tasks, Placement};
 use crate::workloads::{random_octree, Octree};
 use crate::{DwarfKernel, KernelResult, Scale};
 use parking_lot::Mutex;
-use simany_runtime::{run_program, GroupId, ProgramSpec, SimError, TaskCtx};
+use simany_runtime::{GroupId, ProgramSpec, SimError, TaskCtx};
 use simany_time::BlockCost;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -47,6 +47,14 @@ fn node_cost() -> BlockCost {
 /// The octree-update kernel.
 pub struct OctreeUpdate;
 
+/// What every task of one run shares.
+struct Update {
+    tree: Octree,
+    values: Mutex<Vec<f64>>,
+    /// Where the nodes live.
+    at: Placement,
+}
+
 impl DwarfKernel for OctreeUpdate {
     fn name(&self) -> &'static str {
         "Octree"
@@ -63,40 +71,16 @@ impl DwarfKernel for OctreeUpdate {
         let tree = random_octree(depth, seed);
         let n = tree.nodes.len();
         let expected: Vec<f64> = tree.nodes.iter().map(|nd| update_value(nd.value)).collect();
-        let values = Arc::new(Mutex::new(
-            tree.nodes.iter().map(|nd| nd.value).collect::<Vec<f64>>(),
-        ));
-        let tree = Arc::new(tree);
-        let distributed = spec.runtime.arch.is_distributed();
-
-        let tree2 = Arc::clone(&tree);
-        let values2 = Arc::clone(&values);
-        let out = run_program(spec, move |tc| {
-            let cells = if distributed {
-                let groups = n.div_ceil(NODES_PER_CELL);
-                Some(Arc::new(
-                    (0..groups)
-                        .map(|_| tc.alloc_cell((NODES_PER_CELL * 16) as u32))
-                        .collect::<Vec<_>>(),
-                ))
-            } else {
-                None
-            };
-            let group = tc.make_group();
-            walk(
-                tc,
-                &tree2,
-                &values2,
-                cells.as_ref().map(|c| c.as_slice()),
-                0,
-                0,
-                group,
-            );
-            tc.join(group);
-        })?;
-
-        let computed = values.lock().clone();
-        let verified = computed == expected;
+        let (out, run) = run_tasks(
+            spec,
+            move |tc| Update {
+                values: Mutex::new(tree.nodes.iter().map(|nd| nd.value).collect()),
+                tree,
+                at: Placement::new(tc, NODES_BASE, 16, n, NODES_PER_CELL),
+            },
+            |tc, run, group| walk(tc, run, 0, 0, group),
+        )?;
+        let verified = *run.values.lock() == expected;
         Ok(KernelResult {
             out,
             verified,
@@ -120,47 +104,22 @@ impl DwarfKernel for OctreeUpdate {
     }
 }
 
-fn walk(
-    tc: &mut TaskCtx<'_>,
-    tree: &Arc<Octree>,
-    values: &Arc<Mutex<Vec<f64>>>,
-    cells: Option<&[simany_runtime::CellId]>,
-    node: u32,
-    depth: u32,
-    group: GroupId,
-) {
+fn walk(tc: &mut TaskCtx<'_>, run: &Arc<Update>, node: u32, depth: u32, group: GroupId) {
     // Timed access to the node, then the update.
-    match cells {
-        Some(cells) => tc.cell_access(cells[node as usize / NODES_PER_CELL]),
-        None => {
-            gather(tc, NODES_BASE + u64::from(node) * 16, false);
-            gather(tc, NODES_BASE + u64::from(node) * 16, true);
-        }
-    }
+    run.at.update(tc, node as usize);
     tc.compute(&node_cost());
     {
-        let mut vals = values.lock();
+        let mut vals = run.values.lock();
         vals[node as usize] = update_value(vals[node as usize]);
     }
-    let children = tree.nodes[node as usize].children.clone();
-    for child in children {
+    for &child in &run.tree.nodes[node as usize].children {
         if depth < SPAWN_DEPTH {
-            let tree2 = Arc::clone(tree);
-            let values2 = Arc::clone(values);
-            let cells2: Option<Vec<simany_runtime::CellId>> = cells.map(|c| c.to_vec());
+            let run = Arc::clone(run);
             tc.spawn_or_run(group, move |tc: &mut TaskCtx<'_>| {
-                walk(
-                    tc,
-                    &tree2,
-                    &values2,
-                    cells2.as_deref(),
-                    child,
-                    depth + 1,
-                    group,
-                );
+                walk(tc, &run, child, depth + 1, group);
             });
         } else {
-            walk(tc, tree, values, cells, child, depth + 1, group);
+            walk(tc, run, child, depth + 1, group);
         }
     }
 }

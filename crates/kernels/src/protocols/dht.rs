@@ -19,14 +19,12 @@
 //! a partition heals). Safety check: every resolved lookup must name the
 //! true owner (`key mod n`).
 
-use crate::protocols::{ProtocolKernel, ProtocolMetrics, ProtocolOutcome};
+use crate::protocols::{run_nodes, ProtocolKernel, ProtocolMetrics, ProtocolOutcome};
 use crate::Scale;
-use parking_lot::Mutex;
 use simany_core::{SimError, VDuration, VirtualTime};
-use simany_runtime::{run_program, AppMsg, ProgramSpec, TaskCtx};
+use simany_runtime::{AppMsg, ProgramSpec, TaskCtx};
 use simany_topology::CoreId;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// Tick length in cycles.
 const TICK: u64 = 2_000;
@@ -300,31 +298,8 @@ impl ProtocolKernel for DhtLookup {
         scale: Scale,
         _seed: u64,
     ) -> Result<ProtocolOutcome, SimError> {
-        let n = spec.topo.n_cores() as usize;
         let ticks = scale.apply(BASE_TICKS, 8);
-        let slots = Arc::new(Mutex::new(vec![NodeSlot::default(); n]));
-
-        let slots2 = Arc::clone(&slots);
-        let out = run_program(spec, move |tc| {
-            let group = tc.make_group();
-            for k in 1..n as u32 {
-                let slots = Arc::clone(&slots2);
-                tc.spawn_pinned(
-                    CoreId(k),
-                    Some(group),
-                    "dht-node",
-                    Box::new(move |tc: &mut TaskCtx<'_>| {
-                        let slot = node_loop(tc, ticks);
-                        slots.lock()[tc.core().index()] = slot;
-                    }),
-                );
-            }
-            let slot = node_loop(tc, ticks);
-            slots2.lock()[0] = slot;
-            tc.join(group);
-        })?;
-
-        let slots = slots.lock();
+        let (out, slots) = run_nodes(spec, "dht-node", move |tc, _| node_loop(tc, ticks))?;
         let mut latencies = Vec::new();
         for s in slots.iter() {
             latencies.extend_from_slice(&s.latencies);
@@ -376,6 +351,7 @@ mod tests {
     use super::*;
     use simany_core::FaultPlanBuilder;
     use simany_topology::mesh_2d;
+    use std::sync::Arc;
 
     #[test]
     fn finger_tables_route_without_overshooting() {

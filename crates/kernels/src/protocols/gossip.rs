@@ -10,13 +10,11 @@
 //! half plateaus at zero coverage until the heal, then the epidemic wave
 //! resumes and the latency tail stretches by the partition length.
 
-use crate::protocols::{ProtocolKernel, ProtocolMetrics, ProtocolOutcome};
+use crate::protocols::{run_nodes, ProtocolKernel, ProtocolMetrics, ProtocolOutcome};
 use crate::Scale;
-use parking_lot::Mutex;
 use simany_core::{SimError, VirtualTime};
-use simany_runtime::{run_program, ProgramSpec, TaskCtx};
+use simany_runtime::{ProgramSpec, TaskCtx};
 use simany_topology::CoreId;
-use std::sync::Arc;
 
 /// Gossip round length in cycles.
 const PERIOD: u64 = 2_000;
@@ -58,34 +56,13 @@ impl ProtocolKernel for Gossip {
         scale: Scale,
         _seed: u64,
     ) -> Result<ProtocolOutcome, SimError> {
-        let n = spec.topo.n_cores() as usize;
         let rounds = scale.apply(BASE_ROUNDS, 8);
-        let slots = Arc::new(Mutex::new(vec![NodeSlot::default(); n]));
-
-        let slots2 = Arc::clone(&slots);
-        let out = run_program(spec, move |tc| {
-            let group = tc.make_group();
-            for k in 1..n as u32 {
-                let slots = Arc::clone(&slots2);
-                tc.spawn_pinned(
-                    CoreId(k),
-                    Some(group),
-                    "gossip-node",
-                    Box::new(move |tc: &mut TaskCtx<'_>| {
-                        let slot = node_loop(tc, rounds, None);
-                        slots.lock()[tc.core().index()] = slot;
-                    }),
-                );
-            }
-            // The root doubles as node 0, the rumor's origin. Its birth
-            // stamp is the end-to-end latency reference for every node.
-            let birth = tc.now();
-            let slot = node_loop(tc, rounds, Some(birth));
-            slots2.lock()[0] = slot;
-            tc.join(group);
+        let (out, slots) = run_nodes(spec, "gossip-node", move |tc, k| {
+            // Node 0, on the root, is the rumor's origin. Its birth stamp
+            // is the end-to-end latency reference for every node.
+            let origin = (k == 0).then(|| tc.now());
+            node_loop(tc, rounds, origin)
         })?;
-
-        let slots = slots.lock();
         let delivered = slots.iter().filter(|s| s.informed).count() as u64;
         let latencies: Vec<u64> = slots
             .iter()
@@ -96,7 +73,7 @@ impl ProtocolKernel for Gossip {
             && slots.iter().filter(|s| s.informed).all(|s| s.intact)
             && delivered as usize == latencies.len();
         let metrics = ProtocolMetrics {
-            expected: n as u64,
+            expected: slots.len() as u64,
             delivered,
             payload_msgs: slots.iter().map(|s| s.sent).sum(),
             // Backoff retransmissions of dropped rumor pushes.
@@ -173,6 +150,7 @@ mod tests {
     use super::*;
     use simany_core::FaultPlanBuilder;
     use simany_topology::mesh_2d;
+    use std::sync::Arc;
 
     #[test]
     fn gossip_saturates_a_healthy_mesh() {

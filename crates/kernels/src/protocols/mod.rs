@@ -29,8 +29,11 @@ pub mod dht;
 pub mod gossip;
 pub mod quorum;
 
+use crate::shape::run_tasks;
 use crate::Scale;
-use simany_runtime::{RunOutput, SimError};
+use parking_lot::Mutex;
+use simany_runtime::{CoreId, ProgramSpec, RunOutput, SimError, TaskCtx};
+use std::sync::Arc;
 
 /// Resilience metrics one protocol run reports. The raw latency samples
 /// are kept so callers (bench / simulate) can summarize them with
@@ -100,7 +103,7 @@ pub trait ProtocolKernel: Send + Sync {
     /// if any — rides in `spec.engine.fault`.
     fn run_sim(
         &self,
-        spec: simany_runtime::ProgramSpec,
+        spec: ProgramSpec,
         scale: Scale,
         seed: u64,
     ) -> Result<ProtocolOutcome, SimError>;
@@ -117,10 +120,43 @@ pub fn all_protocols() -> Vec<Box<dyn ProtocolKernel>> {
 
 /// Look a protocol up by (case-insensitive) name prefix.
 pub fn protocol_by_name(name: &str) -> Option<Box<dyn ProtocolKernel>> {
-    let lower = name.to_lowercase();
-    all_protocols()
-        .into_iter()
-        .find(|p| p.name().to_lowercase().starts_with(&lower))
+    crate::by_prefix(all_protocols(), name, |p| p.name())
+}
+
+/// Run one `node` task per core: cores 1..n pinned in order, then node 0
+/// on the root task. Returns each node's slot, indexed by node; a node
+/// whose pinned spawn was dropped keeps the default slot.
+fn run_nodes<S: Clone + Default + Send + 'static>(
+    spec: ProgramSpec,
+    name: &'static str,
+    node: impl Fn(&mut TaskCtx<'_>, usize) -> S + Send + Sync + 'static,
+) -> Result<(RunOutput, Vec<S>), SimError> {
+    struct Nodes<F, S> {
+        node: F,
+        slots: Mutex<Vec<S>>,
+    }
+    let n = spec.topo.n_cores() as usize;
+    let (out, nodes) = run_tasks(
+        spec,
+        move |_| Nodes {
+            node,
+            slots: Mutex::new(vec![S::default(); n]),
+        },
+        move |tc, nodes, group| {
+            for k in 1..n {
+                let nodes = Arc::clone(nodes);
+                let body = move |tc: &mut TaskCtx<'_>| {
+                    let slot = (nodes.node)(tc, k);
+                    nodes.slots.lock()[k] = slot;
+                };
+                tc.spawn_pinned(CoreId(k as u32), Some(group), name, Box::new(body));
+            }
+            let slot = (nodes.node)(tc, 0);
+            nodes.slots.lock()[0] = slot;
+        },
+    )?;
+    let slots = std::mem::take(&mut *nodes.slots.lock());
+    Ok((out, slots))
 }
 
 #[cfg(test)]

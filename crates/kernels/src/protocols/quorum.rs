@@ -11,14 +11,12 @@
 //! term) is survived by term comparison. Safety check after the run:
 //! across every node's observations, **at most one leader per term**.
 
-use crate::protocols::{ProtocolKernel, ProtocolMetrics, ProtocolOutcome};
+use crate::protocols::{run_nodes, ProtocolKernel, ProtocolMetrics, ProtocolOutcome};
 use crate::Scale;
-use parking_lot::Mutex;
 use simany_core::{SimError, VDuration, VirtualTime};
-use simany_runtime::{run_program, AppMsg, ProgramSpec, TaskCtx};
+use simany_runtime::{AppMsg, ProgramSpec, TaskCtx};
 use simany_topology::CoreId;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// Tick length in cycles.
 const TICK: u64 = 1_000;
@@ -232,31 +230,8 @@ impl ProtocolKernel for Quorum {
         scale: Scale,
         _seed: u64,
     ) -> Result<ProtocolOutcome, SimError> {
-        let n = spec.topo.n_cores() as usize;
         let ticks = scale.apply(BASE_TICKS, 16);
-        let slots = Arc::new(Mutex::new(vec![NodeSlot::default(); n]));
-
-        let slots2 = Arc::clone(&slots);
-        let out = run_program(spec, move |tc| {
-            let group = tc.make_group();
-            for k in 1..n as u32 {
-                let slots = Arc::clone(&slots2);
-                tc.spawn_pinned(
-                    CoreId(k),
-                    Some(group),
-                    "quorum-node",
-                    Box::new(move |tc: &mut TaskCtx<'_>| {
-                        let slot = node_loop(tc, ticks);
-                        slots.lock()[tc.core().index()] = slot;
-                    }),
-                );
-            }
-            let slot = node_loop(tc, ticks);
-            slots2.lock()[0] = slot;
-            tc.join(group);
-        })?;
-
-        let slots = slots.lock();
+        let (out, slots) = run_nodes(spec, "quorum-node", move |tc, _| node_loop(tc, ticks))?;
         // Safety: merge every node's observations; a term with two
         // distinct leaders is a split-brain violation.
         let mut observed: BTreeSet<(u64, u64)> = BTreeSet::new();
@@ -338,6 +313,7 @@ mod tests {
     use super::*;
     use simany_core::FaultPlanBuilder;
     use simany_topology::mesh_2d;
+    use std::sync::Arc;
 
     #[test]
     fn quorum_elects_and_commits_on_a_healthy_mesh() {

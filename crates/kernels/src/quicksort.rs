@@ -16,10 +16,11 @@
 //! elements is sequential.
 
 use crate::annotate::{charge_loop, compare_swap_cost, sweep};
+use crate::shape::run_tasks;
 use crate::workloads::random_array;
 use crate::{DwarfKernel, KernelResult, Scale};
 use parking_lot::Mutex;
-use simany_runtime::{run_program, GroupId, ProgramSpec, SimError, TaskCtx};
+use simany_runtime::{CellId, GroupId, ProgramSpec, SimError, TaskCtx};
 use simany_time::BlockCost;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -49,12 +50,35 @@ impl DwarfKernel for Quicksort {
         let input = random_array(n, seed);
         let mut expected = input.clone();
         expected.sort_unstable();
-
-        if spec.runtime.arch.is_distributed() {
-            run_distributed(spec, input, expected)
+        let (out, verified) = if spec.runtime.arch.is_distributed() {
+            let (out, runs) = run_tasks(
+                spec,
+                |_| Mutex::new(Vec::new()),
+                move |tc, runs, group| {
+                    // The whole list starts as one local cell.
+                    let cell = tc.alloc_cell((n * 8) as u32);
+                    qsort_dm(tc, input, cell, runs, group);
+                },
+            )?;
+            // Sorting the runs by key is the in-order traversal of the
+            // constructed tree.
+            let mut runs = std::mem::take(&mut *runs.lock());
+            runs.sort_by_key(|&(k, _)| k);
+            (out, runs.into_iter().flat_map(|(_, r)| r).eq(expected))
         } else {
-            run_shared(spec, input, expected)
-        }
+            let (out, data) = run_tasks(
+                spec,
+                |_| Mutex::new(input),
+                move |tc, data, group| qsort_sm(tc, data, 0, n, group),
+            )?;
+            let sorted = *data.lock() == expected;
+            (out, sorted)
+        };
+        Ok(KernelResult {
+            out,
+            verified,
+            work_items: n as u64,
+        })
     }
 
     fn run_native(&self, scale: Scale, seed: u64) -> (Duration, u64) {
@@ -87,27 +111,6 @@ fn partition(data: &mut [u64]) -> (usize, u64) {
 // ---------------------------------------------------------------------------
 // Shared-memory variant
 // ---------------------------------------------------------------------------
-
-fn run_shared(
-    spec: ProgramSpec,
-    input: Vec<u64>,
-    expected: Vec<u64>,
-) -> Result<KernelResult, SimError> {
-    let n = input.len();
-    let data = Arc::new(Mutex::new(input));
-    let result = Arc::clone(&data);
-    let out = run_program(spec, move |tc| {
-        let group = tc.make_group();
-        qsort_sm(tc, &data, 0, n, group);
-        tc.join(group);
-    })?;
-    let verified = *result.lock() == expected;
-    Ok(KernelResult {
-        out,
-        verified,
-        work_items: n as u64,
-    })
-}
 
 fn qsort_sm(
     tc: &mut TaskCtx<'_>,
@@ -173,47 +176,17 @@ fn qsort_sm(
 // Distributed-memory variant (lists + binary search tree)
 // ---------------------------------------------------------------------------
 
-/// Sorted runs keyed by their BST path (depth-first position): in-order
-/// traversal of the constructed tree = ascending key order.
-type Runs = Arc<Mutex<Vec<(u64, Vec<u64>)>>>;
+/// Sorted runs, each keyed by its minimum element.
+type Runs = Mutex<Vec<(u64, Vec<u64>)>>;
 
-fn run_distributed(
-    spec: ProgramSpec,
-    input: Vec<u64>,
-    expected: Vec<u64>,
-) -> Result<KernelResult, SimError> {
-    let n = input.len();
-    let runs: Runs = Arc::new(Mutex::new(Vec::new()));
-    let runs2 = Arc::clone(&runs);
-    let out = run_program(spec, move |tc| {
-        let group = tc.make_group();
-        // The whole list starts as one local cell.
-        let cell = tc.alloc_cell((input.len() * 8) as u32);
-        qsort_dm(tc, input, cell, &runs2, group);
-        tc.join(group);
-    })?;
-    // In-order = ascending BST path order (heap numbering: left = 2k,
-    // right = 2k+1; in-order is obtained by sorting on the path's in-order
-    // rank, which we encode directly at emission time).
-    let mut collected = runs.lock().clone();
-    collected.sort_by_key(|&(k, _)| k);
-    let sorted: Vec<u64> = collected.into_iter().flat_map(|(_, r)| r).collect();
-    let verified = sorted == expected;
-    Ok(KernelResult {
-        out,
-        verified,
-        work_items: n as u64,
-    })
-}
-
-/// Runs are keyed by their minimum element: the pivot steps partition the
-/// value space into disjoint ranges (a BST over values), so sorting runs
-/// by that key reproduces the in-order traversal of the constructed tree.
+/// The pivot steps partition the value space into disjoint ranges (a BST
+/// over values), so sorting the runs by key reproduces the in-order
+/// traversal of the constructed tree.
 fn qsort_dm(
     tc: &mut TaskCtx<'_>,
     mut list: Vec<u64>,
-    cell: simany_runtime::CellId,
-    runs: &Runs,
+    cell: CellId,
+    runs: &Arc<Runs>,
     group: GroupId,
 ) {
     // Touch our list data: if the task migrated, the cell moves to us.

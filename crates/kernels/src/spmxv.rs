@@ -11,11 +11,12 @@
 //! has 50 or 100 non-zeros per row); user matrices can be loaded through
 //! the Matrix-Market parser in [`crate::workloads`].
 
-use crate::annotate::{gather, sweep};
+use crate::annotate::sweep;
+use crate::shape::{run_tasks, Placement};
 use crate::workloads::{random_csr, CsrMatrix};
 use crate::{DwarfKernel, KernelResult, Scale};
 use parking_lot::Mutex;
-use simany_runtime::{run_program, GroupId, ProgramSpec, SimError, TaskCtx};
+use simany_runtime::{GroupId, ProgramSpec, SimError, TaskCtx};
 use simany_time::BlockCost;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -36,6 +37,15 @@ const X_CELL_ELEMS: usize = 64;
 /// The SpMxV kernel.
 pub struct SpMxV;
 
+/// What every task of one run shares.
+struct Product {
+    m: CsrMatrix,
+    x: Vec<f64>,
+    y: Mutex<Vec<f64>>,
+    /// Where `x` lives.
+    x_at: Placement,
+}
+
 impl DwarfKernel for SpMxV {
     fn name(&self) -> &'static str {
         "SpMxV"
@@ -48,50 +58,7 @@ impl DwarfKernel for SpMxV {
         seed: u64,
     ) -> Result<KernelResult, SimError> {
         let n = scale.apply(BASE_N, 128);
-        let matrix = Arc::new(random_csr(n, BASE_NNZ_PER_ROW, seed));
-        let x: Arc<Vec<f64>> = Arc::new((0..n).map(|i| (i as f64).sin()).collect());
-        let expected = matrix.multiply(&x);
-        let y = Arc::new(Mutex::new(vec![0.0f64; n]));
-        let distributed = spec.runtime.arch.is_distributed();
-
-        let m2 = Arc::clone(&matrix);
-        let x2 = Arc::clone(&x);
-        let y2 = Arc::clone(&y);
-        let nnz = matrix.nnz() as u64;
-        let out = run_program(spec, move |tc| {
-            let cells = if distributed {
-                let groups = n.div_ceil(X_CELL_ELEMS);
-                Some(Arc::new(
-                    (0..groups)
-                        .map(|_| tc.alloc_cell((X_CELL_ELEMS * 8) as u32))
-                        .collect::<Vec<_>>(),
-                ))
-            } else {
-                None
-            };
-            let group = tc.make_group();
-            rows_task(
-                tc,
-                &m2,
-                &x2,
-                &y2,
-                cells.as_ref().map(|c| c.as_slice()),
-                0,
-                n,
-                group,
-            );
-            tc.join(group);
-        })?;
-
-        // Row-parallel decomposition preserves per-row summation order:
-        // results must match the sequential product bit-for-bit.
-        let computed = y.lock().clone();
-        let verified = computed == expected;
-        Ok(KernelResult {
-            out,
-            verified,
-            work_items: nnz,
-        })
+        Self::run_with_matrix(spec, random_csr(n, BASE_NNZ_PER_ROW, seed), None)
     }
 
     fn run_native(&self, scale: Scale, seed: u64) -> (Duration, u64) {
@@ -115,44 +82,23 @@ impl SpMxV {
         x: Option<Vec<f64>>,
     ) -> Result<KernelResult, SimError> {
         let n = matrix.n;
-        let matrix = Arc::new(matrix);
-        let x: Arc<Vec<f64>> =
-            Arc::new(x.unwrap_or_else(|| (0..n).map(|i| (i as f64).sin()).collect()));
+        let x = x.unwrap_or_else(|| (0..n).map(|i| (i as f64).sin()).collect());
         assert_eq!(x.len(), n, "x length must match the matrix dimension");
         let expected = matrix.multiply(&x);
-        let y = Arc::new(Mutex::new(vec![0.0f64; n]));
-        let distributed = spec.runtime.arch.is_distributed();
-
-        let m2 = Arc::clone(&matrix);
-        let x2 = Arc::clone(&x);
-        let y2 = Arc::clone(&y);
         let nnz = matrix.nnz() as u64;
-        let out = run_program(spec, move |tc| {
-            let cells = if distributed {
-                let groups = n.div_ceil(X_CELL_ELEMS);
-                Some(Arc::new(
-                    (0..groups)
-                        .map(|_| tc.alloc_cell((X_CELL_ELEMS * 8) as u32))
-                        .collect::<Vec<_>>(),
-                ))
-            } else {
-                None
-            };
-            let group = tc.make_group();
-            rows_task(
-                tc,
-                &m2,
-                &x2,
-                &y2,
-                cells.as_ref().map(|c| c.as_slice()),
-                0,
-                n,
-                group,
-            );
-            tc.join(group);
-        })?;
-        let computed = y.lock().clone();
-        let verified = computed == expected;
+        let (out, run) = run_tasks(
+            spec,
+            move |tc| Product {
+                m: matrix,
+                x,
+                y: Mutex::new(vec![0.0; n]),
+                x_at: Placement::new(tc, X_BASE, 8, n, X_CELL_ELEMS),
+            },
+            move |tc, run, group| rows_task(tc, run, 0, n, group),
+        )?;
+        // Row-parallel decomposition preserves per-row summation order:
+        // results must match the sequential product bit-for-bit.
+        let verified = *run.y.lock() == expected;
         Ok(KernelResult {
             out,
             verified,
@@ -166,63 +112,31 @@ fn nnz_cost() -> BlockCost {
     BlockCost::new().fp_mul(1).fp_add(1).int_alu(2)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn rows_task(
-    tc: &mut TaskCtx<'_>,
-    m: &Arc<CsrMatrix>,
-    x: &Arc<Vec<f64>>,
-    y: &Arc<Mutex<Vec<f64>>>,
-    x_cells: Option<&[simany_runtime::CellId]>,
-    lo: usize,
-    hi: usize,
-    group: GroupId,
-) {
+fn rows_task(tc: &mut TaskCtx<'_>, run: &Arc<Product>, lo: usize, hi: usize, group: GroupId) {
     if hi - lo > ROW_BLOCK {
         let mid = lo + (hi - lo) / 2;
-        let m2 = Arc::clone(m);
-        let x2 = Arc::clone(x);
-        let y2 = Arc::clone(y);
-        let cells2: Option<Vec<simany_runtime::CellId>> = x_cells.map(|c| c.to_vec());
+        let right = Arc::clone(run);
         tc.spawn_or_run(group, move |tc: &mut TaskCtx<'_>| {
-            rows_task(tc, &m2, &x2, &y2, cells2.as_deref(), mid, hi, group);
+            rows_task(tc, &right, mid, hi, group);
         });
-        rows_task(tc, m, x, y, x_cells, lo, mid, group);
+        rows_task(tc, run, lo, mid, group);
         return;
     }
+    let m = &run.m;
     tc.scope(|tc| {
         for r in lo..hi {
-            let start = m.row_ptr[r];
-            let end = m.row_ptr[r + 1];
-            let k = (end - start) as u64;
+            let (start, end) = (m.row_ptr[r], m.row_ptr[r + 1]);
             // Stream vals+cols for the row (12 bytes per nnz), charge the
             // multiply-accumulate per element.
+            let k = (end - start) as u64;
             sweep(tc, VALS_BASE + start as u64 * 12, k, 12, false, &nnz_cost());
-            // Gather x[col]: random accesses (or x-block cell fetches).
-            let mut acc = 0.0;
-            match x_cells {
-                Some(cells) => {
-                    // Fetch each distinct x block the row needs once.
-                    let mut last_block = usize::MAX;
-                    for idx in start..end {
-                        let col = m.cols[idx] as usize;
-                        let block = col / X_CELL_ELEMS;
-                        if block != last_block {
-                            tc.cell_access(cells[block]);
-                            last_block = block;
-                        }
-                        acc += m.vals[idx] * x[col];
-                    }
-                }
-                None => {
-                    for idx in start..end {
-                        let col = m.cols[idx] as usize;
-                        gather(tc, X_BASE + col as u64 * 8, false);
-                        acc += m.vals[idx] * x[col];
-                    }
-                }
-            }
-            gather(tc, Y_BASE + r as u64 * 8, true);
-            y.lock()[r] = acc;
+            // Gather x[col]: random accesses, or each distinct x block the
+            // row needs fetched once.
+            let cols = &m.cols[start..end];
+            run.x_at.read_each(tc, cols.iter().map(|&c| c as usize));
+            let acc = (start..end).fold(0.0, |acc, i| acc + m.vals[i] * run.x[m.cols[i] as usize]);
+            tc.store(Y_BASE + r as u64 * 8);
+            run.y.lock()[r] = acc;
         }
     });
 }

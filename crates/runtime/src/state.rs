@@ -94,7 +94,7 @@ pub(crate) struct LockState {
 }
 
 /// Run-time–level statistics, complementing `simany_core::SimStats`.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RtStats {
     /// PROBE messages sent.
     pub probes: u64,

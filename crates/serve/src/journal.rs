@@ -1,8 +1,8 @@
 //! Crash-safe queue journal.
 //!
-//! The service appends one line per job state transition, flushing after
-//! each write, so a killed or crashed service can reconstruct the queue on
-//! restart. Format (`sweeps/<out>/journal.log`):
+//! The service appends one line per job state transition, each handed to
+//! the OS in one unbuffered write, so a killed or crashed service can
+//! reconstruct the queue on restart. Format (`sweeps/<out>/journal.log`):
 //!
 //! ```text
 //! simany-serve journal v1
@@ -21,7 +21,7 @@
 //! nothing completed is re-run.
 
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{Read, Write};
 
 /// Format tag on the journal's first line; bump on breaking change.
 pub const JOURNAL_VERSION: &str = "simany-serve journal v1";
@@ -33,37 +33,47 @@ pub struct Journal {
 
 impl Journal {
     /// Open (creating or appending) the journal at `path`, writing the
-    /// version header to new files and verifying it on existing ones.
+    /// version header to new files and verifying it on existing ones. A
+    /// last line that a crash cut short is cut off the file: [`replay`]
+    /// ignores it, and the next event must not be glued onto it.
     pub fn open(path: &std::path::Path) -> Result<Journal, String> {
-        let fresh = !path.exists();
+        let err = |e: std::io::Error| format!("cannot open journal {}: {e}", path.display());
         let mut file = std::fs::OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(path)
-            .map_err(|e| format!("cannot open journal {}: {e}", path.display()))?;
-        if fresh {
-            writeln!(file, "{JOURNAL_VERSION}").map_err(|e| e.to_string())?;
-            file.flush().map_err(|e| e.to_string())?;
+            .map_err(err)?;
+        let mut text = Vec::new();
+        file.read_to_end(&mut text).map_err(err)?;
+        let whole = text.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        if whole < text.len() {
+            file.set_len(whole as u64).map_err(err)?;
         }
-        Ok(Journal { file })
+        let mut journal = Journal { file };
+        if whole == 0 {
+            journal.write(format!("{JOURNAL_VERSION}\n"))?;
+        }
+        Ok(journal)
     }
 
-    /// Append one event line and flush it to the OS.
+    /// Append one event line.
     pub fn append(&mut self, event: &str, digest: u64, detail: &str) -> Result<(), String> {
-        if detail.is_empty() {
-            writeln!(self.file, "{event} {digest:016x}")
-        } else {
-            writeln!(self.file, "{event} {digest:016x} {detail}")
-        }
-        .map_err(|e| format!("journal write failed: {e}"))?;
+        let sep = if detail.is_empty() { "" } else { " " };
+        self.write(format!("{event} {digest:016x}{sep}{detail}\n"))
+    }
+
+    /// Hand a whole line to the OS in one write, so a crash leaves either
+    /// the line or a prefix of it with no newline.
+    fn write(&mut self, line: String) -> Result<(), String> {
         self.file
-            .flush()
-            .map_err(|e| format!("journal flush failed: {e}"))
+            .write_all(line.as_bytes())
+            .map_err(|e| format!("journal write failed: {e}"))
     }
 }
 
 /// Per-digest facts reconstructed from a journal.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Recovery {
     /// Digests whose last event is `done <status>` — finished, do not
     /// re-run.
@@ -79,9 +89,11 @@ pub struct Recovery {
 }
 
 /// Replay a journal file into a [`Recovery`]. A missing file is an empty
-/// recovery; a bad header or malformed line is an error (the journal is
-/// the source of truth for what ran — guessing would risk re-running
-/// completed work).
+/// recovery. A last line with no newline is an append that a crash cut
+/// short: it is ignored, so its job counts as interrupted (or not yet
+/// started) and runs again. A bad header or a malformed complete line is
+/// an error (the journal is the source of truth for what ran — guessing
+/// would risk re-running completed work).
 pub fn replay(path: &std::path::Path) -> Result<Recovery, String> {
     let mut rec = Recovery::default();
     let text = match std::fs::read_to_string(path) {
@@ -89,7 +101,8 @@ pub fn replay(path: &std::path::Path) -> Result<Recovery, String> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(rec),
         Err(e) => return Err(format!("cannot read journal {}: {e}", path.display())),
     };
-    let mut lines = text.lines();
+    let whole = text.rfind('\n').map_or(0, |i| i + 1);
+    let mut lines = text[..whole].lines();
     match lines.next() {
         Some(JOURNAL_VERSION) => {}
         Some(other) => {
@@ -112,6 +125,7 @@ pub fn replay(path: &std::path::Path) -> Result<Recovery, String> {
         let event = parts.next().unwrap();
         let digest = parts
             .next()
+            .filter(|d| d.len() == 16 && d.bytes().all(|b| b.is_ascii_hexdigit()))
             .and_then(|d| u64::from_str_radix(d, 16).ok())
             .ok_or_else(|| err(format!("bad digest in '{line}'")))?;
         let detail = parts.next().unwrap_or("");
@@ -196,6 +210,55 @@ mod tests {
         let path = temp_path("header");
         assert!(replay(&path).unwrap().done.is_empty());
         std::fs::write(&path, "some other file\n").unwrap();
+        assert!(replay(&path).is_err());
+    }
+
+    #[test]
+    fn a_line_cut_by_a_crash_is_ignored() {
+        let path = temp_path("cut");
+        let head = format!(
+            "{JOURNAL_VERSION}\nenqueued 00000000001a2b3c s/seed=1\nstarted 00000000000000ff\n"
+        );
+        for last in [
+            "started 00000000001a2b3c",
+            "preempted 00000000001a2b3c",
+            "done 00000000001a2b3c ok",
+            "failed 00000000001a2b3c stalled",
+        ] {
+            std::fs::write(&path, &head).unwrap();
+            let without = replay(&path).unwrap();
+            for cut in 1..=last.len() {
+                std::fs::write(&path, format!("{head}{}", &last[..cut])).unwrap();
+                let rec = replay(&path).unwrap();
+                assert_eq!(rec, without, "cut after {cut} bytes of '{last}'");
+            }
+            std::fs::write(&path, format!("{head}{last}\n")).unwrap();
+            assert_ne!(replay(&path).unwrap(), without, "'{last}' is an event");
+        }
+        // A restart cuts the fragment off before appending after it.
+        std::fs::write(&path, format!("{head}done 0000")).unwrap();
+        let mut j = Journal::open(&path).unwrap();
+        j.append("done", 0x1a2b3c, "ok").unwrap();
+        drop(j);
+        let rec = replay(&path).unwrap();
+        assert_eq!(rec.done.get(&0x1a2b3c).map(String::as_str), Some("ok"));
+        assert_eq!(rec.interrupted, vec![0xff]);
+        // So does one that cut the header.
+        std::fs::write(&path, &JOURNAL_VERSION[..5]).unwrap();
+        Journal::open(&path)
+            .unwrap()
+            .append("started", 0x7, "")
+            .unwrap();
+        assert_eq!(replay(&path).unwrap().interrupted, vec![0x7]);
+    }
+
+    #[test]
+    fn a_short_digest_on_a_whole_line_is_an_error() {
+        let path = temp_path("short");
+        std::fs::write(&path, format!("{JOURNAL_VERSION}\ndone 1a2b3c ok\n")).unwrap();
+        assert!(replay(&path).unwrap_err().contains("bad digest"));
+        let long = format!("{JOURNAL_VERSION}\nstarted 00000000001a2b3c0\n");
+        std::fs::write(&path, long).unwrap();
         assert!(replay(&path).is_err());
     }
 
