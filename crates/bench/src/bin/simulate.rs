@@ -42,7 +42,7 @@ options:
                       or a protocol workload: gossip | dht | quorum
   --cores N           core count (default 16)
   --machine KIND      mesh | mesh3d | clustered | chiplet | polymorphic |
-                      cycle-level (default mesh)
+                      cycle-level | cycle-level-polymorphic (default mesh)
   --arch sm|dm|smc    shared / distributed / shared+coherence (default sm)
   --clusters N        clusters for --machine clustered, chiplets for
                       --machine chiplet (default 4)

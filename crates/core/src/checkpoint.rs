@@ -241,11 +241,11 @@ pub fn config_digest(config: &crate::EngineConfig) -> u64 {
     d.str(&format!("{:?}", config.net));
     d.u64(config.resume_cost.ticks());
     d.u64(config.max_live_activities as u64);
-    d.u64(config.parallelism_sample_every);
-    // Where the retired `fast_path` toggle (always on) used to fold: the
-    // constant keeps every digest, serve dedup key and on-disk checkpoint
-    // written before its removal valid. (`profile_picks` is observation-
-    // only and deliberately excluded.)
+    // Where the retired parallelism-sampling interval (0) and `fast_path`
+    // toggle (on) used to fold: the constants keep every digest, serve
+    // dedup key and on-disk checkpoint valid. (`profile_picks` is
+    // observation-only and deliberately excluded.)
+    d.u64(0);
     d.u64(1);
     match &config.fault {
         None => {
@@ -315,8 +315,9 @@ pub(crate) fn state_digest(sim: &Sim, shared: &Shared) -> u64 {
         s.link_faults,
         s.partitions_observed,
         s.max_neighbor_drift.ticks(),
-        s.parallelism_samples.len() as u64,
-        s.parallelism_samples.iter().map(|&x| u64::from(x)).sum(),
+        // The retired parallelism samples' count and sum, always 0.
+        0,
+        0,
     ] {
         d.u64(x);
     }

@@ -76,13 +76,6 @@ pub struct EngineConfig {
     pub max_live_activities: usize,
     /// Optional event tracer (see [`crate::trace`]).
     pub tracer: Option<std::rc::Rc<dyn crate::trace::Tracer>>,
-    /// Sample the *available host parallelism* — how many cores have
-    /// independently runnable work at an instant — every this many
-    /// scheduler picks (0 = off). Reproduces the paper's §VIII preliminary
-    /// study: "at least from networks with 64 cores, there are enough
-    /// cores verifying these conditions to keep all cores of current
-    /// multi-core host machines busy."
-    pub parallelism_sample_every: u64,
     /// Profile the pick loop:
     /// accumulate wall time per loop phase (floor maintenance, ready-queue
     /// pops, scheduler overhead, action execution) and inside
@@ -164,7 +157,6 @@ impl std::fmt::Debug for EngineConfig {
             .field("max_live_activities", &self.max_live_activities)
             .field("tracer", &self.tracer.as_ref().map(|_| "..."))
             .field("fault", &self.fault.as_ref().map(|_| "..."))
-            .field("parallelism_sample_every", &self.parallelism_sample_every)
             .field("profile_picks", &self.profile_picks)
             .field("sanitize", &self.sanitize)
             .field("watchdog_picks", &self.watchdog_picks)
@@ -189,7 +181,6 @@ impl Default for EngineConfig {
             max_live_activities: 1 << 20,
             tracer: None,
             fault: None,
-            parallelism_sample_every: 0,
             profile_picks: false,
             sanitize: false,
             watchdog_picks: Some(10_000_000),

@@ -1076,16 +1076,6 @@ impl PickLoop {
         {
             Self::sanitizer_scan(sim, shared);
         }
-        let sample_every = shared.config.parallelism_sample_every;
-        if sample_every != 0 && sim.stats.scheduler_picks.is_multiple_of(sample_every) {
-            // Available host parallelism, O(1): distinct cores with queued
-            // ready-work, plus the just-picked core. (An O(cores)
-            // `is_ready` sweep differs only on stale-queued cores, which
-            // are transient, and does not scale to mega-core machines at
-            // any useful sample rate.)
-            let avail = sim.ready.live_len() + 1;
-            sim.stats.parallelism_samples.push(avail as u32);
-        }
         self.lap(&mut sim.stats.prof_overhead_ns);
         Some(c)
     }

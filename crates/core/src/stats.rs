@@ -170,10 +170,6 @@ pub struct SimStats {
     /// Times the cached neighbor-floor minimum had to be recomputed from
     /// scratch (a neighbor that may have been the minimum rose).
     pub floor_recomputes: u64,
-    /// Sampled available host parallelism (cores with independently
-    /// runnable work at sampling instants); empty unless
-    /// `EngineConfig::parallelism_sample_every` is set.
-    pub parallelism_samples: Vec<u32>,
     /// The busiest directed links of the run — NoC hotspots —
     /// as `(src, dst, busy transmission time)`, descending.
     pub hot_links: Vec<(simany_topology::CoreId, simany_topology::CoreId, VDuration)>,
@@ -235,29 +231,6 @@ impl SimStats {
     /// Average busy time across cores, in cycles.
     pub fn mean_busy_cycles(&self) -> f64 {
         self.busy.mean_ticks() / simany_time::TICKS_PER_CYCLE as f64
-    }
-
-    /// Mean of the available-parallelism samples (0 when not sampled).
-    pub fn mean_parallelism(&self) -> f64 {
-        if self.parallelism_samples.is_empty() {
-            return 0.0;
-        }
-        self.parallelism_samples
-            .iter()
-            .map(|&x| f64::from(x))
-            .sum::<f64>()
-            / self.parallelism_samples.len() as f64
-    }
-
-    /// Percentile (0..=100) of the available-parallelism samples.
-    pub fn parallelism_percentile(&self, p: f64) -> u32 {
-        if self.parallelism_samples.is_empty() {
-            return 0;
-        }
-        let mut v = self.parallelism_samples.clone();
-        v.sort_unstable();
-        let idx = ((p / 100.0) * (v.len() - 1) as f64).round() as usize;
-        v[idx.min(v.len() - 1)]
     }
 
     /// Core utilization: mean busy time divided by final time (0..1).

@@ -89,7 +89,7 @@ pub struct Scenario {
     /// Simulated core count.
     pub cores: u32,
     /// Machine preset: `mesh` | `mesh3d` | `clustered` | `chiplet` |
-    /// `polymorphic` | `cycle-level`.
+    /// `polymorphic` | `cycle-level` | `cycle-level-polymorphic`.
     pub machine: String,
     /// Memory architecture: `sm` | `dm` | `smc`.
     pub arch: String,
@@ -257,14 +257,16 @@ impl Scenario {
             }
             "polymorphic" => presets::polymorphic_sm(self.cores),
             "cycle-level" => presets::cycle_level(self.cores),
+            "cycle-level-polymorphic" => presets::cycle_level_polymorphic(self.cores),
             other => {
                 return Err(format!(
                     "unknown machine '{other}' (expected mesh | mesh3d | clustered | \
-                     chiplet | polymorphic | cycle-level)"
+                     chiplet | polymorphic | cycle-level | cycle-level-polymorphic)"
                 ))
             }
         };
-        if self.machine != "cycle-level" {
+        // The reference machines fix their own memory model.
+        if !self.machine.starts_with("cycle-level") {
             spec.runtime = match self.arch.as_str() {
                 "sm" => RuntimeParams::shared_memory(),
                 "dm" => RuntimeParams::distributed_memory(),
@@ -589,7 +591,10 @@ mod tests {
         let mut specs = 0;
         for entry in std::fs::read_dir(dir).unwrap() {
             let path = entry.unwrap().path();
-            for s in crate::spec::load_spec(path.to_str().unwrap()).unwrap() {
+            for s in crate::spec::load_spec(path.to_str().unwrap())
+                .unwrap()
+                .scenarios
+            {
                 let args = s.to_simulate_args();
                 let back = Scenario {
                     label: s.label.clone(),

@@ -8,7 +8,8 @@
 //!   journal.log        append-only queue journal (crash recovery)
 //!   results.jsonl      one JSON record per scenario label (streaming)
 //!   summary.json       aggregate counters, written at completion
-//!   report.md          human-readable tables, written at completion
+//!   report.md          human-readable tables, written at completion (plus
+//!                      the spec's `report` figure, see [`crate::figures`])
 //!   runs/<digest>.json     raw `simulate --json` output per unique job
 //!   runs/<digest>.stderr   worker stderr capture
 //!   checkpoints/<digest>.checkpoint  preemption/interruption waypoints
@@ -25,10 +26,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
+use crate::figures;
 use crate::journal::{self, Journal};
 use crate::json::Json;
 use crate::queue::Queue;
-use crate::scenario::sibling_binary;
+use crate::scenario::{sibling_binary, Scenario};
 use crate::spec;
 use crate::worker::{classify_exit, ExitClass, Launch};
 
@@ -116,6 +118,8 @@ pub struct Service {
     prior_preempts: HashMap<u64, u64>,
     simulate_bin: PathBuf,
     summary: Summary,
+    /// The spec's figure and its scenarios, in spec order.
+    report: Option<(String, Vec<Scenario>)>,
 }
 
 struct Running {
@@ -128,8 +132,9 @@ impl Service {
     /// Load the spec, recover any prior journal state, and prepare the
     /// output directory.
     pub fn new(cfg: ServeConfig) -> Result<Service, String> {
-        let scenarios = spec::load_spec(&cfg.spec_path)?;
-        let queue = Queue::build(scenarios)?;
+        let spec = spec::load_spec(&cfg.spec_path)?;
+        let report = spec.report.map(|name| (name, spec.scenarios.clone()));
+        let queue = Queue::build(spec.scenarios)?;
 
         std::fs::create_dir_all(cfg.out_dir.join("runs"))
             .and_then(|()| std::fs::create_dir_all(cfg.out_dir.join("checkpoints")))
@@ -200,6 +205,7 @@ impl Service {
             simulate_bin,
             summary,
             queue,
+            report,
         })
     }
 
@@ -478,6 +484,10 @@ impl Service {
             s.wall_secs,
         ));
         report.push_str(&table.to_markdown());
+        if let Some((name, scenarios)) = &self.report {
+            report.push('\n');
+            report.push_str(&figures::render(name, scenarios, &records).unwrap_or_default());
+        }
         std::fs::write(self.cfg.out_dir.join("report.md"), report)
             .map_err(|e| format!("cannot write report.md: {e}"))
     }

@@ -19,6 +19,9 @@
 //! kernel = ["quicksort", "spmxv"]
 //! ```
 //!
+//! An optional top-level `report = "fig8"` names the paper figure the
+//! results reduce to ([`FIGURES`]); the service appends it to `report.md`.
+//!
 //! The JSON form is the same shape: `{"defaults": {...}, "sweep": [{...}]}`.
 //! The axes are the scenario fields ([`crate::scenario::field_names`]),
 //! and each value goes through [`Scenario::set`], so a value `simulate`
@@ -28,8 +31,18 @@
 //! actually vary within the block, and must be unique across the whole
 //! spec.
 
+use crate::figures::FIGURES;
 use crate::json::Json;
 use crate::scenario::{field_names, Scenario};
+
+/// A parsed sweep spec.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Spec {
+    /// The expanded scenarios, in deterministic order.
+    pub scenarios: Vec<Scenario>,
+    /// The figure the results reduce to, if the spec names one.
+    pub report: Option<String>,
+}
 
 /// Keys allowed in a `[[sweep]]` block beyond the axes (the scenario
 /// fields).
@@ -37,7 +50,7 @@ const BLOCK_KEYS: &[&str] = &["name", "priority"];
 
 /// Parse a sweep spec (TOML subset or JSON, auto-detected) and expand it
 /// into the full scenario list, in deterministic order.
-pub fn parse_spec(text: &str) -> Result<Vec<Scenario>, String> {
+pub fn parse_spec(text: &str) -> Result<Spec, String> {
     let tree = if text.trim_start().starts_with('{') {
         Json::parse(text).map_err(|e| format!("bad JSON spec: {e}"))?
     } else {
@@ -47,7 +60,7 @@ pub fn parse_spec(text: &str) -> Result<Vec<Scenario>, String> {
 }
 
 /// Read and parse a spec file.
-pub fn load_spec(path: &str) -> Result<Vec<Scenario>, String> {
+pub fn load_spec(path: &str) -> Result<Spec, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read spec {path}: {e}"))?;
     parse_spec(&text).map_err(|e| format!("{path}: {e}"))
@@ -55,14 +68,22 @@ pub fn load_spec(path: &str) -> Result<Vec<Scenario>, String> {
 
 // ---------------------------------------------------------------- expansion
 
-fn expand(tree: &Json) -> Result<Vec<Scenario>, String> {
+fn expand(tree: &Json) -> Result<Spec, String> {
     let Json::Obj(top) = tree else {
         return Err("spec root must be a table/object".into());
     };
     let mut defaults: Vec<(String, Json)> = Vec::new();
     let mut sweeps: &[Json] = &[];
+    let mut report = None;
     for (key, value) in top {
         match key.as_str() {
+            "report" => match value.as_str().filter(|name| FIGURES.contains(name)) {
+                Some(name) => report = Some(name.to_string()),
+                None => {
+                    let (got, names) = (value.dump(), FIGURES.join(" | "));
+                    return Err(format!("unknown report {got} (expected {names})"));
+                }
+            },
             "defaults" => match value {
                 Json::Obj(fields) => defaults = fields.clone(),
                 _ => return Err("[defaults] must be a table".into()),
@@ -171,7 +192,7 @@ fn expand(tree: &Json) -> Result<Vec<Scenario>, String> {
             }
         }
     }
-    Ok(scenarios)
+    Ok(Spec { scenarios, report })
 }
 
 /// A scalar axis value as the text [`Scenario::set`] parses and labels
@@ -359,7 +380,7 @@ kernel = "quicksort"
 
     #[test]
     fn toml_expansion_is_cartesian_and_ordered() {
-        let scenarios = parse_spec(DRIFT_SPEC).unwrap();
+        let scenarios = parse_spec(DRIFT_SPEC).unwrap().scenarios;
         assert_eq!(scenarios.len(), 2 * 4 + 1);
         // Fixed axis order: kernel before drift, rightmost (drift) fastest.
         assert_eq!(scenarios[0].label, "drift/kernel=quicksort,drift=50");
@@ -393,7 +414,7 @@ kernel = "quicksort"
         let spec = "[[sweep]]\nname = \"part\"\nkernel = \"gossip\"\n\
                     partition_at = [5000, 10000]\npartition_heal = 30000\n\
                     churn_cores = 2\nchurn_every = [1000, 2000]\n";
-        let scenarios = parse_spec(spec).unwrap();
+        let scenarios = parse_spec(spec).unwrap().scenarios;
         assert_eq!(scenarios.len(), 4);
         assert_eq!(scenarios[0].faults.partition_at, Some(5_000));
         assert_eq!(scenarios[0].faults.partition_heal, Some(30_000));
@@ -437,16 +458,89 @@ kernel = "quicksort"
     }
 
     #[test]
+    fn report_names_a_known_figure() {
+        let spec = parse_spec("report = \"fig12\"\n[[sweep]]\nseed = 1\n").unwrap();
+        assert_eq!(spec.report.as_deref(), Some("fig12"));
+        assert_eq!(parse_spec("[[sweep]]\nseed = 1\n").unwrap().report, None);
+        for bad in ["\"fig11\"", "\"Fig5\"", "5"] {
+            let err = parse_spec(&format!("report = {bad}\n[[sweep]]\nseed = 1\n")).unwrap_err();
+            assert!(
+                err.starts_with(&format!("unknown report {bad} (expected fig5 |")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
     fn shipped_example_specs_parse() {
-        let drift = include_str!("../../../examples/sweeps/drift.toml");
-        assert!(!parse_spec(drift).unwrap().is_empty());
+        let drift = parse_spec(include_str!("../../../examples/sweeps/drift.toml")).unwrap();
+        assert!(!drift.scenarios.is_empty());
+        assert_eq!(drift.report, None);
+
+        // The paper's figures: scenario count (kernels x machines x cores
+        // x T x 2 seeds) and the figure each reduces to.
+        for (text, count, figure) in [
+            (
+                include_str!("../../../examples/sweeps/fig5.toml"),
+                4 * 2 * 7 * 2,
+                "fig5",
+            ),
+            (
+                include_str!("../../../examples/sweeps/fig6.toml"),
+                4 * 2 * 7 * 2,
+                "fig6",
+            ),
+            (
+                include_str!("../../../examples/sweeps/fig7.toml"),
+                6 * 2 * 5 * 2,
+                "fig7",
+            ),
+            (
+                include_str!("../../../examples/sweeps/fig8.toml"),
+                6 * 5 * 2,
+                "fig8",
+            ),
+            (
+                include_str!("../../../examples/sweeps/fig9.toml"),
+                6 * 5 * 2,
+                "fig9",
+            ),
+            (
+                include_str!("../../../examples/sweeps/fig10.toml"),
+                6 * 3 * 4 * 2,
+                "fig10",
+            ),
+            (
+                include_str!("../../../examples/sweeps/fig12.toml"),
+                6 * 3 * 4 * 2,
+                "fig12",
+            ),
+            (
+                include_str!("../../../examples/sweeps/fig13.toml"),
+                6 * 9 * 2,
+                "fig13",
+            ),
+            (
+                include_str!("../../../examples/sweeps/ablation.toml"),
+                4 * 2,
+                "ablation",
+            ),
+        ] {
+            let spec = parse_spec(text).unwrap();
+            assert_eq!(spec.report.as_deref(), Some(figure));
+            assert_eq!(spec.scenarios.len(), count, "{figure}");
+            for s in &spec.scenarios {
+                s.build_spec()
+                    .unwrap_or_else(|e| panic!("{}: {e}", s.label));
+            }
+        }
 
         // The protocol resilience sweep: 3 protocols x 3 drop rates x
         // 3 heal times, every scenario digest-distinct (the scripted
         // partition knobs must reach the digest, or the service would
         // dedup different heal times into one run).
         let protocols = include_str!("../../../examples/sweeps/protocols.toml");
-        let scenarios = parse_spec(protocols).unwrap();
+        let scenarios = parse_spec(protocols).unwrap().scenarios;
         assert_eq!(scenarios.len(), 27);
         let digests: std::collections::HashSet<_> =
             scenarios.iter().map(|s| s.digest().unwrap()).collect();

@@ -184,6 +184,7 @@ fn assert_expands_to(spec: &str, golden: &[(&str, i64, &str)]) {
     );
     let got: Vec<(String, i64, String)> = load_spec(&path)
         .unwrap()
+        .scenarios
         .iter()
         .map(|s| (s.label.clone(), s.priority, s.digest_hex().unwrap()))
         .collect();

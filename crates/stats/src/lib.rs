@@ -65,14 +65,6 @@ impl SpeedupSeries {
             .find(|&&(c, _)| c == cores)
             .map(|&(_, v)| base / v.max(1) as f64)
     }
-
-    /// The core count with the best speedup (the "peak" the paper
-    /// discusses for Connected Components).
-    pub fn peak(&self) -> Option<(u32, f64)> {
-        self.speedups()
-            .into_iter()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-    }
 }
 
 /// Geometric mean of per-point relative errors between two speedup sets,
@@ -91,28 +83,22 @@ pub fn geomean_error(vt: &[f64], cl: &[f64]) -> f64 {
     (log_sum / vt.len() as f64).exp()
 }
 
-/// Mean relative error (arithmetic), a secondary comparison metric.
-pub fn mean_error(vt: &[f64], cl: &[f64]) -> f64 {
-    assert_eq!(vt.len(), cl.len());
-    assert!(!vt.is_empty());
-    vt.iter()
-        .zip(cl)
-        .map(|(&a, &b)| (a - b).abs() / b.abs().max(1e-12))
-        .sum::<f64>()
-        / vt.len() as f64
-}
-
 /// Normalized simulation time: simulator wall-clock divided by native
 /// wall-clock for the same workload (Fig. 7's y-axis).
 pub fn normalized_time(sim: std::time::Duration, native: std::time::Duration) -> f64 {
     sim.as_secs_f64() / native.as_secs_f64().max(1e-9)
 }
 
-/// Least-squares fit of `y = a·x^b` in log-log space. Returns `(a, b)`.
+/// Least-squares fit of `y = a·x^b` in log-log space. Returns `(a, b)`,
+/// or `None` unless the points hold at least two distinct `x` (with one
+/// `x` the slope is undefined).
 /// The paper's claim "simulation time increases as a square law" means
 /// `b ≈ 2` when fitting normalized time against core count.
-pub fn power_law_fit(points: &[(f64, f64)]) -> (f64, f64) {
-    assert!(points.len() >= 2, "need at least two points to fit");
+pub fn power_law_fit(points: &[(f64, f64)]) -> Option<(f64, f64)> {
+    let x0 = points.first()?.0;
+    if points.iter().all(|&(x, _)| x == x0) {
+        return None;
+    }
     let n = points.len() as f64;
     let (mut sx, mut sy, mut sxx, mut sxy) = (0.0, 0.0, 0.0, 0.0);
     for &(x, y) in points {
@@ -126,7 +112,7 @@ pub fn power_law_fit(points: &[(f64, f64)]) -> (f64, f64) {
     }
     let b = (n * sxy - sx * sy) / (n * sxx - sx * sx);
     let a = ((sy - b * sx) / n).exp();
-    (a, b)
+    Some((a, b))
 }
 
 /// Find the crossover core count between two series of `(cores, cycles)`
@@ -236,27 +222,6 @@ impl Table {
         );
         for r in &self.rows {
             let _ = writeln!(out, "{}", fmt_row(r, &widths));
-        }
-        out
-    }
-
-    /// Render as CSV.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |s: &String| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.clone()
-            }
-        };
-        let _ = writeln!(
-            out,
-            "{}",
-            self.header.iter().map(esc).collect::<Vec<_>>().join(",")
-        );
-        for r in &self.rows {
-            let _ = writeln!(out, "{}", r.iter().map(esc).collect::<Vec<_>>().join(","));
         }
         out
     }
@@ -452,7 +417,6 @@ mod tests {
         assert!((sp[2].1 - 3.3333).abs() < 1e-3);
         assert_eq!(s.speedup_at(2), Some(2.0));
         assert_eq!(s.speedup_at(8), None);
-        assert_eq!(s.peak().unwrap().0, 4);
     }
 
     #[test]
@@ -477,13 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_error_basics() {
-        let cl = [2.0, 4.0];
-        let vt = [2.2, 3.6];
-        assert!((mean_error(&vt, &cl) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
     fn power_law_recovers_square() {
         let pts: Vec<(f64, f64)> = (1..=6)
             .map(|i| {
@@ -491,9 +448,19 @@ mod tests {
                 (x, 3.0 * x * x)
             })
             .collect();
-        let (a, b) = power_law_fit(&pts);
+        let (a, b) = power_law_fit(&pts).unwrap();
         assert!((b - 2.0).abs() < 1e-9, "exponent {b}");
         assert!((a - 3.0).abs() < 1e-6, "coefficient {a}");
+    }
+
+    #[test]
+    fn power_law_needs_two_distinct_x() {
+        // One machine size: the slope's divisor is zero.
+        assert_eq!(power_law_fit(&[(8.0, 10.0), (8.0, 30.0)]), None);
+        assert_eq!(power_law_fit(&[(8.0, 10.0)]), None);
+        assert_eq!(power_law_fit(&[]), None);
+        let (_, b) = power_law_fit(&[(8.0, 10.0), (8.0, 30.0), (64.0, 80.0)]).unwrap();
+        assert!(b.is_finite() && b > 0.0, "exponent {b}");
     }
 
     #[test]
@@ -525,8 +492,6 @@ mod tests {
         assert!(md.contains("| qs | 2.00 |"));
         let txt = t.to_text();
         assert!(txt.contains("kernel"));
-        let csv = t.to_csv();
-        assert!(csv.contains("\"cc, hard\""));
     }
 
     #[test]

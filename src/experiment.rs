@@ -1,63 +1,9 @@
-//! Experiment driver: sweep kernels over machine configurations, average
-//! over workload instances and produce the paper's series.
+//! Native baselines for the paper's Fig. 7 (normalized simulation time).
+//! Sweeps over machines run through `simany-serve` specs
+//! (`examples/sweeps/`).
 
 use simany_kernels::{DwarfKernel, Scale};
-use simany_runtime::ProgramSpec;
-use simany_stats::SpeedupSeries;
 use std::time::Duration;
-
-/// One measured point of a sweep.
-#[derive(Clone, Debug)]
-pub struct SweepPoint {
-    /// Core count of the machine.
-    pub cores: u32,
-    /// Mean virtual completion cycles over the instances.
-    pub cycles: u64,
-    /// Mean simulator wall time per instance.
-    pub sim_wall: Duration,
-    /// Fraction of instances whose output verified against the sequential
-    /// reference (must be 1.0; surfaced for reporting).
-    pub verified: f64,
-}
-
-/// Sweep a kernel over machines produced by `make_spec(cores)`, running
-/// `instances` workload instances (seeds `seed0..`) per point and
-/// averaging. Failures (deadlocks/panics) abort with the error.
-pub fn sweep(
-    kernel: &dyn DwarfKernel,
-    core_counts: &[u32],
-    make_spec: impl Fn(u32) -> ProgramSpec,
-    scale: Scale,
-    instances: u64,
-    seed0: u64,
-) -> Result<Vec<SweepPoint>, simany_core::SimError> {
-    assert!(instances > 0);
-    let mut out = Vec::with_capacity(core_counts.len());
-    for &n in core_counts {
-        let mut total_cycles = 0u64;
-        let mut total_wall = Duration::ZERO;
-        let mut verified = 0u64;
-        for i in 0..instances {
-            let spec = make_spec(n);
-            let r = kernel.run_sim(spec, scale, seed0 + i)?;
-            total_cycles += r.cycles();
-            total_wall += r.out.stats.wall;
-            verified += u64::from(r.verified);
-        }
-        out.push(SweepPoint {
-            cores: n,
-            cycles: total_cycles / instances,
-            sim_wall: total_wall / instances as u32,
-            verified: verified as f64 / instances as f64,
-        });
-    }
-    Ok(out)
-}
-
-/// Convert sweep points into a named speedup series.
-pub fn to_series(name: &str, points: &[SweepPoint]) -> SpeedupSeries {
-    SpeedupSeries::new(name, points.iter().map(|p| (p.cores, p.cycles)).collect())
-}
 
 /// Mean native execution wall time for a kernel over `instances` seeds
 /// (the Fig. 7 denominator).
@@ -73,28 +19,7 @@ pub fn native_time(kernel: &dyn DwarfKernel, scale: Scale, instances: u64, seed0
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::presets;
     use simany_kernels::kernel_by_name;
-
-    #[test]
-    fn sweep_produces_monotone_series() {
-        let kernel = kernel_by_name("SpMxV").unwrap();
-        let points = sweep(
-            kernel.as_ref(),
-            &[1, 4, 16],
-            presets::uniform_mesh_sm,
-            Scale(0.1),
-            2,
-            42,
-        )
-        .unwrap();
-        assert_eq!(points.len(), 3);
-        assert!(points.iter().all(|p| p.verified == 1.0));
-        let series = to_series("SpMxV", &points);
-        let sp = series.speedups();
-        assert_eq!(sp[0].1, 1.0);
-        assert!(sp[2].1 > sp[0].1, "no scaling: {sp:?}");
-    }
 
     #[test]
     fn native_time_positive() {

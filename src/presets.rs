@@ -17,10 +17,6 @@ use simany_topology::{
     chiplet_mesh, clustered_mesh, mesh_2d, ChipletParams, ClusterParams, CoreId,
 };
 
-/// The paper's large-scale sweep: "uniform 8, 64, 256 and 1024 cores 2D
-/// meshes" plus the 1-core baseline (§V, *Architecture Exploration*).
-pub const PAPER_CORE_COUNTS: [u32; 5] = [1, 8, 64, 256, 1024];
-
 /// The validation sweep: "comparison with a cycle-level simulator up to 64
 /// cores" (§VI), doubling from 1.
 pub const VALIDATION_CORE_COUNTS: [u32; 7] = [1, 2, 4, 8, 16, 32, 64];
@@ -94,13 +90,6 @@ pub fn chiplet_dm(n: u32, chips: u32) -> ProgramSpec {
 /// Fig. 6.
 pub fn polymorphic_sm(n: u32) -> ProgramSpec {
     let mut spec = uniform_mesh_sm(n);
-    spec.engine.speeds = Some(EngineConfig::polymorphic_speeds(n));
-    spec
-}
-
-/// Polymorphic mesh with coherence timings (validation side, Fig. 6).
-pub fn polymorphic_sm_coherent(n: u32) -> ProgramSpec {
-    let mut spec = uniform_mesh_sm_coherent(n);
     spec.engine.speeds = Some(EngineConfig::polymorphic_speeds(n));
     spec
 }

@@ -149,7 +149,8 @@ fn drift_parameter_trades_stalls_for_speed() {
 #[test]
 fn many_core_machine_smoke() {
     // A 256-core machine end to end: routes messages, spreads work,
-    // verifies output. (The 1024-core sweeps live in the repro harness.)
+    // verifies output. (The 1024-core sweeps are the figure specs in
+    // examples/sweeps/.)
     let k = simany::kernels::kernel_by_name("Octree").unwrap();
     let r = k
         .run_sim(simany::presets::uniform_mesh_sm(256), Scale(1.0), 5)
