@@ -166,6 +166,8 @@ pub(crate) struct Sim {
     pub(crate) scratch_changed: Vec<(CoreId, VirtualTime)>,
     /// Scratch worklist for the shadow relaxation (first in, first out).
     pub(crate) scratch_work: Vec<CoreId>,
+    /// Scratch of the relaxation's region settle (`sync::settle_region`).
+    pub(crate) region: sync::Region,
     /// Visit stamps (epoch per core) used to dedup scratch traversals
     /// without clearing a bitmap each sweep. The two low bits are marks of
     /// the traversal the rest of the word names (a publish sweep's
@@ -872,6 +874,7 @@ pub fn simulate(
         waiters: crate::state::FifoPool::new(n as usize, 0),
         scratch_changed: Vec::new(),
         scratch_work: Vec::new(),
+        region: sync::Region::default(),
         stamp: vec![0; n as usize],
         stamp_cur: 0,
         core_fail_announced: vec![false; n as usize],

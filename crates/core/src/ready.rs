@@ -28,9 +28,31 @@ use std::collections::VecDeque;
 /// scattered nodes. Pop order is arity-independent (always the key-order
 /// minimum), so this is a pure locality change.
 const D: usize = 8;
+// `least_child`'s tournament is written for eight children.
+const _: () = assert!(D == 8);
 
-/// An entry's key: `(published time at push, core id)`.
-type Key = (VirtualTime, u32);
+/// An entry's key: `published time << 32 | core id`, so one integer
+/// compare orders `(time, core)` lexicographically. A tick count uses all
+/// 64 bits of [`VirtualTime`] and a core id 32, so nothing is lost.
+type Key = u128;
+
+#[inline(always)]
+fn key(published: VirtualTime, core: u32) -> Key {
+    (u128::from(published.0) << 32) | u128::from(core)
+}
+
+#[inline(always)]
+fn core_of(key: Key) -> u32 {
+    key as u32
+}
+
+/// The lesser of `(i, k)` and `(j, l)` by key, chosen without a branch:
+/// which child of a node is least is as good as random, so a predicted
+/// branch per child mispredicts about every other compare.
+#[inline(always)]
+fn lesser((i, k): (usize, Key), (j, l): (usize, Key)) -> (usize, Key) {
+    std::hint::select_unpredictable(l < k, (j, l), (i, k))
+}
 
 /// Min-queue of `(published time at push, core id)` with
 /// per-core entry accounting: a sorted run of in-order pushes beside an
@@ -94,7 +116,7 @@ impl ReadyQueue {
     /// Pop order over distinct `(time, id)` keys is a pure function of the
     /// key *set* — insertion order cannot leak into it.
     pub fn push(&mut self, core: CoreId, published: VirtualTime) {
-        let entry = (published, core.0);
+        let entry = key(published, core.0);
         self.count_push(core.0);
         if self.run.back().is_none_or(|&last| entry >= last) {
             self.run.push_back(entry);
@@ -111,15 +133,16 @@ impl ReadyQueue {
             (None, Some(_)) => true,
             (_, None) => false,
         };
-        let core = if from_heap {
-            let last = self.heap.len() - 1;
-            self.heap.swap(0, last);
-            let (_, core) = self.heap.pop().expect("non-empty heap");
-            self.sift_down(0);
-            core
+        let entry = if from_heap {
+            let top = self.heap.swap_remove(0);
+            if !self.heap.is_empty() {
+                self.sift_down(0);
+            }
+            top
         } else {
-            self.run.pop_front()?.1
+            self.run.pop_front()?
         };
+        let core = core_of(entry);
         self.count_pop(core);
         Some(CoreId(core))
     }
@@ -157,28 +180,43 @@ impl ReadyQueue {
         }
     }
 
+    /// Move the entry at `i` down to its place. The entry rides in a
+    /// register while lesser children move up into the hole.
     fn sift_down(&mut self, mut i: usize) {
-        let len = self.heap.len();
+        let heap = &mut self.heap[..];
+        let x = heap[i];
         loop {
             let first = i * D + 1;
-            if first >= len {
+            if first >= heap.len() {
                 break;
             }
-            let last = (first + D).min(len);
-            let mut m = first;
-            for j in first + 1..last {
-                if self.heap[j] < self.heap[m] {
-                    m = j;
-                }
-            }
-            if self.heap[m] < self.heap[i] {
-                self.heap.swap(i, m);
-                i = m;
-            } else {
+            let (m, k) = least_child(heap, first);
+            if k >= x {
                 break;
             }
+            heap[i] = k;
+            i = m;
         }
+        heap[i] = x;
     }
+}
+
+/// Index and key of the least of the (up to `D`) children that start at
+/// `first`. A full group is a three-round tournament of branch-free
+/// selects; only the last group of the heap can be partial.
+#[inline(always)]
+fn least_child(heap: &[Key], first: usize) -> (usize, Key) {
+    if let Some(group) = heap.get(first..first + D) {
+        let c = |j: usize| (first + j, group[j]);
+        let a = lesser(lesser(c(0), c(1)), lesser(c(2), c(3)));
+        let b = lesser(lesser(c(4), c(5)), lesser(c(6), c(7)));
+        return lesser(a, b);
+    }
+    let mut m = (first, heap[first]);
+    for (j, &k) in heap.iter().enumerate().skip(first + 1) {
+        m = lesser(m, (j, k));
+    }
+    m
 }
 
 #[cfg(test)]
@@ -276,8 +314,8 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// Reference for the model test: the key multiset in a `BTreeMap`,
-    /// plus entries per core.
+    /// Reference for the model test: the key multiset (times in ticks) in a
+    /// `BTreeMap`, plus entries per core.
     struct Model {
         keys: std::collections::BTreeMap<(u64, u32), usize>,
         per_core: Vec<usize>,
@@ -285,7 +323,7 @@ mod tests {
 
     impl Model {
         fn push(&mut self, q: &mut ReadyQueue, c: u32, at: u64) {
-            q.push(CoreId(c), t(at));
+            q.push(CoreId(c), VirtualTime(at));
             *self.keys.entry((at, c)).or_default() += 1;
             self.per_core[c as usize] += 1;
         }
@@ -305,29 +343,30 @@ mod tests {
     /// Drive the queue and the reference with the same random mix of
     /// in-order runs, out-of-order pushes, duplicate and raised-priority
     /// re-pushes and pops; after every operation the two must agree on
-    /// what pops next and on every size.
-    fn model_check(seed: u64) {
-        const CORES: usize = 64;
+    /// what pops next and on every size. Times start at `base` and climb
+    /// by at most `step` per push (saturating at `u64::MAX`), over `cores`
+    /// cores.
+    fn model_check(seed: u64, base: u64, step: usize, cores: usize) {
         let mut rng = Xoshiro256StarStar::stream(seed, 3);
         let mut q = ReadyQueue::new();
         let mut m = Model {
             keys: Default::default(),
-            per_core: vec![0; CORES],
+            per_core: vec![0; cores],
         };
-        let mut clock = 0u64;
+        let mut clock = base;
         for _ in 0..20_000 {
             match rng.next_index(6) {
                 // An in-order run: a few cores at non-decreasing times.
                 0 => {
                     for _ in 0..1 + rng.next_index(8) {
-                        clock += rng.next_index(3) as u64;
-                        m.push(&mut q, rng.next_index(CORES) as u32, clock);
+                        clock = clock.saturating_add(rng.next_index(step + 1) as u64);
+                        m.push(&mut q, rng.next_index(cores) as u32, clock);
                     }
                 }
-                // Out of order: anywhere at or below the clock.
+                // Out of order: anywhere between `base` and the clock.
                 1 => {
-                    let at = rng.next_index(clock as usize + 1) as u64;
-                    m.push(&mut q, rng.next_index(CORES) as u32, at);
+                    let at = base + rng.next_index((clock - base) as usize + 1) as u64;
+                    m.push(&mut q, rng.next_index(cores) as u32, at);
                 }
                 // A queued core again: at the same key (duplicate) or at
                 // a raised priority.
@@ -339,7 +378,7 @@ mod tests {
                     } else {
                         1 + rng.next_index(4) as u64
                     };
-                    m.push(&mut q, c, at.saturating_sub(raise));
+                    m.push(&mut q, c, at.saturating_sub(raise).max(base));
                 }
                 _ => assert_eq!(q.pop(), m.pop()),
             }
@@ -357,8 +396,34 @@ mod tests {
     #[test]
     fn run_and_heap_pop_in_key_multiset_order() {
         for seed in 0..4 {
-            model_check(seed);
+            model_check(seed, 0, 2, 64);
         }
+    }
+
+    #[test]
+    fn packed_keys_order_at_the_top_of_the_clock() {
+        // Times within a few thousand ticks of `u64::MAX`, reaching it:
+        // the time half of a packed key must keep its top bits, and the
+        // core half must not carry into it.
+        model_check(0, u64::MAX - 4_000, 2, 64);
+        // The largest time beside a large core id (the per-core counts
+        // keep the id to what a test can allocate).
+        const BIG: u32 = (1 << 20) - 1;
+        let mut q = ReadyQueue::new();
+        q.push(CoreId(BIG), VirtualTime::MAX);
+        q.push(CoreId(0), VirtualTime::MAX);
+        q.push(CoreId(BIG), VirtualTime(u64::MAX - 1));
+        q.push(CoreId(1), VirtualTime::ZERO);
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|c| c.0).collect();
+        assert_eq!(order, [1, BIG, 0, BIG]);
+    }
+
+    #[test]
+    fn many_cores_at_equal_times_pop_in_core_order() {
+        // Clock steps of at most one over 512 cores: most keys share their
+        // time with dozens of others, so the core half alone decides.
+        model_check(0, 0, 1, 256);
+        model_check(1, 1 << 40, 0, 256);
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //! ## Hot-path structure
 //!
 //! The per-annotation cost is dominated by `publish` (shadow relaxation +
-//! stall rechecks) and the floor computation in `sync_ok`. Four mechanisms
-//! keep the common case O(1) — see `DESIGN.md`, *Hot path & fast-path
-//! invariants*, for the full determinism argument:
+//! stall rechecks) and the floor computation in `sync_ok`. Five mechanisms
+//! keep it cheap, the first four the common case O(1) — see `DESIGN.md`,
+//! *Hot path & fast-path invariants*, for the full determinism argument:
 //!
 //! * **Drift headroom** (`Cores::headroom_limit`): a successful spatial
 //!   check caches `local_floor + T`; annotations below the bound defer the
@@ -45,6 +45,10 @@
 //!   nothing. The only cores a rise revisits are the capped ones whose
 //!   lowest concrete neighbor the front has just overtaken, found through
 //!   a lazy min-heap keyed by that neighbor's value.
+//! * **Region settle** ([`settle_region`]): a sweep whose evaluations pass
+//!   four per changed word (plus 64) is counting an idle region up under a
+//!   lagging core that went idle, `2T` a round; the region's words are
+//!   computed once by Dijkstra from the cores around it instead.
 
 use crate::activity::ActivityState;
 use crate::config::SyncPolicy;
@@ -393,9 +397,8 @@ struct Sweep {
     epoch: u64,
     /// First-in-first-out worklist of idle cores to re-evaluate (read at a
     /// cursor, cleared after the sweep), each queued at most once at a
-    /// time. Breadth-first order settles a region in one pass where a
-    /// stack makes two idle neighbors count each other up to the cap `T`
-    /// at a time.
+    /// time. A region that lost its support still counts itself up in
+    /// rounds under it; [`settle_region`] cuts that short.
     work: Vec<CoreId>,
     /// `(core, exposed value before the sweep)` of every core whose
     /// canonical word changed.
@@ -485,17 +488,198 @@ fn publish_spatial(sim: &mut Sim, shared: &Shared, c: CoreId, t: VDuration) {
 /// code of a spatial run, and out of line the worklist and the `changed`
 /// list live in memory across every call (measured: +7 % on the run phase
 /// of a million-core machine).
+///
+/// A sweep that has evaluated more than `SETTLE_PER_CHANGE` cores per
+/// changed word (plus `SETTLE_SLACK`) is counting a region up, and
+/// [`settle_region`] computes the region's words directly before the loop
+/// goes on.
 #[inline(always)]
 fn relax(sim: &mut Sim, shared: &Shared, sw: &mut Sweep) {
     let mut head = 0;
+    let mut evals = 0;
     while head < sw.work.len() {
         let x = sw.work[head];
         head += 1;
         sim.stamp[x.index()] &= !QUEUED;
         let w = shadow_word(sim, shared, x, sw.t);
         store_word(sim, shared, sw, x, w);
+        evals += 1;
+        if evals > SETTLE_PER_CHANGE * sw.changed.len() + SETTLE_SLACK {
+            settle_region(sim, shared, sw, head);
+            evals = 0;
+        }
     }
     sw.work.clear();
+}
+
+/// Evaluations per changed word past which a sweep settles its region.
+const SETTLE_PER_CHANGE: usize = 4;
+/// Evaluations a sweep may spend beyond `SETTLE_PER_CHANGE` per change.
+const SETTLE_SLACK: usize = 64;
+
+/// Scratch of [`settle_region`], kept on `Sim` between settles.
+#[derive(Default)]
+pub(crate) struct Region {
+    /// Per core: one plus its index in `members`, 0 for none. Allocated
+    /// zeroed at the first settle and reset member by member after each.
+    slot: Vec<u32>,
+    members: Vec<CoreId>,
+    /// Per member: its least word found so far, `MAX` for none below the
+    /// front.
+    label: Vec<VirtualTime>,
+    /// Dijkstra's queue of `(label, member index)`.
+    heap: BinaryHeap<Reverse<(VirtualTime, u32)>>,
+}
+
+/// Store the fixed point of the idle region the sweep is counting up.
+///
+/// The FIFO does not settle a region whose support went away in one pass:
+/// when a lagging core goes idle under idle neighbors it supported, its
+/// shadow becomes `min(its dependents) + T`, theirs follow, and the region
+/// climbs `2T` a round until the cap or a working clock stops it (a
+/// quicksort laggard 65,000 cycles behind the front with `T` = 100: some
+/// 300 rounds over the region). Here the region's words are computed
+/// directly instead.
+///
+/// Members are the idle cores with a concrete word that changed in this
+/// sweep or are still queued (`work[head..]`), closed under support: an
+/// idle concrete neighbor `y` of a member `z` joins when
+/// `word(y) == word(z) + T > vtime(y)`. Their words are Dijkstra labels
+/// from the non-members around them — `max(vtime, m + T)` from a neighbor
+/// `m` below the front, lowest first; a member left without one is capped
+/// under its lowest final concrete neighbor, or [`CAPPED`]. Each word is
+/// stored once through `store_word`, so every cache sees one old-to-final
+/// change and every idle neighbor whose input moved is queued; the FIFO
+/// then goes on from `head`. The shadow system's fixed point is unique, so
+/// this changes which intermediate words a sweep passes through, never
+/// where it ends.
+#[cold]
+#[inline(never)]
+fn settle_region(sim: &mut Sim, shared: &Shared, sw: &mut Sweep, head: usize) {
+    let (t, front) = (sw.t, sim.max_vtime);
+    let mut rg = std::mem::take(&mut sim.region);
+    if rg.slot.len() < sim.cores.len() {
+        rg.slot = vec![0; sim.cores.len()];
+    }
+    let joins = |sim: &Sim, rg: &Region, y: CoreId| {
+        rg.slot[y.index()] == 0
+            && sim.cores.is_idle(y.index())
+            && !is_capped(sim.cores.published[y.index()])
+            && !shared.topo.neighbors(y).is_empty()
+    };
+    let seeds = sw.changed.iter().map(|&(x, _)| x);
+    for x in seeds.chain(sw.work[head..].iter().copied()) {
+        if joins(sim, &rg, x) {
+            rg.members.push(x);
+            rg.slot[x.index()] = rg.members.len() as u32;
+        }
+    }
+    let mut k = 0;
+    while k < rg.members.len() {
+        let z = rg.members[k];
+        k += 1;
+        let up = sim.cores.published[z.index()] + t;
+        for &(y, _) in shared.topo.neighbors(z) {
+            if sim.cores.published[y.index()] == up
+                && up > sim.cores.vtime[y.index()]
+                && joins(sim, &rg, y)
+            {
+                rg.members.push(y);
+                rg.slot[y.index()] = rg.members.len() as u32;
+            }
+        }
+    }
+
+    // Labels from the non-members, then Dijkstra through the members: a
+    // label exceeds the one it came from by at least `T`, so the least
+    // queued label is final.
+    rg.label.clear();
+    rg.label.resize(rg.members.len(), VirtualTime::MAX);
+    for (k, &y) in rg.members.iter().enumerate() {
+        let m = shared
+            .topo
+            .neighbors(y)
+            .iter()
+            .filter(|&&(n, _)| rg.slot[n.index()] == 0)
+            .map(|&(n, _)| sim.cores.published[n.index()])
+            .min()
+            .unwrap_or(VirtualTime::MAX);
+        if m < front {
+            rg.label[k] = sim.cores.vtime[y.index()].max(m + t);
+            rg.heap.push(Reverse((rg.label[k], k as u32)));
+        }
+    }
+    while let Some(Reverse((l, k))) = rg.heap.pop() {
+        if l >= front {
+            // No label at or above the front supports another.
+            break;
+        }
+        if l != rg.label[k as usize] {
+            continue;
+        }
+        for &(n, _) in shared.topo.neighbors(rg.members[k as usize]) {
+            let j = rg.slot[n.index()];
+            if j == 0 {
+                continue;
+            }
+            let l2 = sim.cores.vtime[n.index()].max(l + t);
+            if l2 < rg.label[j as usize - 1] {
+                rg.label[j as usize - 1] = l2;
+                rg.heap.push(Reverse((l2, j - 1)));
+            }
+        }
+    }
+    rg.heap.clear();
+
+    for k in 0..rg.members.len() {
+        let y = rg.members[k];
+        let mut new = rg.label[k];
+        if new == VirtualTime::MAX {
+            let m = shared
+                .topo
+                .neighbors(y)
+                .iter()
+                .map(|&(n, _)| match rg.slot[n.index()] {
+                    0 => sim.cores.published[n.index()],
+                    j => rg.label[j as usize - 1],
+                })
+                .min()
+                .unwrap_or(VirtualTime::MAX);
+            new = if m.0 < CAP_TAG {
+                capped_under(m)
+            } else {
+                CAPPED
+            };
+        }
+        store_word(sim, shared, sw, y, new);
+    }
+    // Each member's word was evaluated once, by the labels.
+    sim.stats.shadow_evals += rg.members.len() as u64;
+    #[cfg(debug_assertions)]
+    for &y in &rg.members {
+        // Every member now holds its shadow of its neighbors' final words.
+        let m = shared
+            .topo
+            .neighbors(y)
+            .iter()
+            .map(|&(n, _)| sim.cores.published[n.index()])
+            .min()
+            .expect("members have neighbors");
+        let want = if m < front {
+            sim.cores.vtime[y.index()].max(m + t)
+        } else {
+            CAPPED
+        };
+        debug_assert_eq!(
+            canonical(sim.cores.published[y.index()]),
+            want,
+            "settled {y}"
+        );
+    }
+    for y in rg.members.drain(..) {
+        rg.slot[y.index()] = 0;
+    }
+    sim.region = rg;
 }
 
 /// Bring a freshly set-up spatial machine to its shadow fixed point, once,

@@ -7,15 +7,18 @@
 //! debug builds.
 //!
 //! [`InboxPool`] serves *every* core of a machine from one pooled arena:
-//! per-core state is just a head slot index and a count (8 bytes), and
-//! message slots live in a shared, freelist-recycled slab. An idle core
-//! costs no heap allocation at all, which is what makes million-core
-//! machines affordable; slot 0 is reserved as "no slot", so both per-core
-//! arrays start as zeroed allocations whose pages the host maps only when
-//! a core first receives a message. Slot order within a core is a sorted singly-linked
-//! list over the total key `(arrival, seq)` — `seq` is globally unique, so
-//! the pop sequence is independent of slot placement. The unit tests keep a
-//! standalone binary-heap inbox as the pop-order oracle.
+//! per-core state is a head slot index, a tail slot index and a count
+//! (12 bytes), and message slots live in a shared, freelist-recycled slab.
+//! An idle core costs no heap allocation at all, which is what makes
+//! million-core machines affordable; slot 0 is reserved as "no slot", so
+//! all three per-core arrays start as zeroed allocations whose pages the
+//! host maps only when a core first receives a message. Slot order within
+//! a core is a sorted singly-linked list over the total key
+//! `(arrival, seq)` — `seq` is globally unique, so the pop sequence is
+//! independent of slot placement. Messages mostly arrive in key order, so
+//! a push at or past the tail's key appends in O(1); only an earlier one
+//! walks the list from its head. The unit tests keep a standalone
+//! binary-heap inbox as the pop-order oracle.
 
 use crate::message::{Envelope, MsgId, Payload};
 use simany_time::VirtualTime;
@@ -40,6 +43,8 @@ struct Slot {
 #[derive(Debug)]
 pub struct InboxPool {
     head: Vec<u32>,
+    /// Last slot of each core's list (`NIL` when empty).
+    tail: Vec<u32>,
     count: Vec<u32>,
     slots: Vec<Slot>,
     free: Vec<u32>,
@@ -66,6 +71,7 @@ impl InboxPool {
         };
         InboxPool {
             head: vec![NIL; n_cores as usize],
+            tail: vec![NIL; n_cores as usize],
             count: vec![0; n_cores as usize],
             slots: vec![reserved],
             free: Vec::new(),
@@ -133,8 +139,14 @@ impl InboxPool {
         }
         let key = (env.arrival, env.seq);
         let slot = self.alloc(env, NIL);
-        let head = self.head[core.index()];
-        if head == NIL || key < self.key(head) {
+        let (head, tail) = (self.head[core.index()], self.tail[core.index()]);
+        if head == NIL {
+            self.head[core.index()] = slot;
+            self.tail[core.index()] = slot;
+        } else if key >= self.key(tail) {
+            self.slots[tail as usize].next = slot;
+            self.tail[core.index()] = slot;
+        } else if key < self.key(head) {
             self.slots[slot as usize].next = head;
             self.head[core.index()] = slot;
         } else {
@@ -179,6 +191,9 @@ impl InboxPool {
         };
         let env = std::mem::replace(&mut slot.env, placeholder);
         self.head[core.index()] = slot.next;
+        if slot.next == NIL {
+            self.tail[core.index()] = NIL;
+        }
         self.free.push(h);
         self.total -= 1;
         self.count[core.index()] -= 1;
@@ -375,6 +390,19 @@ mod tests {
         }
     }
 
+    /// Core `c`'s list walked from its head: its keys in order, after
+    /// checking that `tail` names the last slot (`NIL` when empty).
+    fn pool_keys(pool: &InboxPool, c: usize) -> Vec<(VirtualTime, u64)> {
+        let (mut keys, mut cur, mut last) = (Vec::new(), pool.head[c], NIL);
+        while cur != NIL {
+            keys.push(pool.key(cur));
+            last = cur;
+            cur = pool.slots[cur as usize].next;
+        }
+        assert_eq!(pool.tail[c], last, "tail of core {c} is not its last slot");
+        keys
+    }
+
     #[test]
     fn pool_pops_in_same_order_as_heap_inbox() {
         let mut pool = InboxPool::new(4);
@@ -404,6 +432,52 @@ mod tests {
         }
         assert!(pool.is_empty(CoreId(2)));
         assert!(pool.pop(CoreId(2)).is_none());
+        assert_eq!(pool.pop(CoreId(0)).map(|e| e.seq), Some(5));
+
+        // Rounds of pushes that land at the tail (at or past its key), at
+        // the head (before it) and in between, with partial pops. Cores 1
+        // and 2 are drained to empty after every round, cores 0 and 3
+        // after every other, so `tail` is cleared and set again.
+        let mut rng = simany_time::Xoshiro256StarStar::stream(5, 0);
+        let mut seq = 100;
+        let mut heaps: Vec<Inbox> = (0..4).map(|_| Inbox::new()).collect();
+        for round in 0..40 {
+            for _ in 0..rng.next_index(24) {
+                let dst = rng.next_index(4);
+                let keys = pool_keys(&pool, dst);
+                let at = match (keys.first(), keys.last(), rng.next_index(3)) {
+                    (Some(&(lo, _)), _, 0) => {
+                        lo.cycles().saturating_sub(1 + rng.next_index(3) as u64)
+                    }
+                    (Some(&(lo, _)), Some(&(hi, _)), 1) => {
+                        lo.cycles()
+                            + rng.next_index((hi.cycles() - lo.cycles()) as usize + 1) as u64
+                    }
+                    (_, Some(&(hi, _)), _) => hi.cycles() + rng.next_index(3) as u64,
+                    _ => 50 + rng.next_index(10) as u64,
+                };
+                seq += 1;
+                let src = seq as u32; // one message per sender: FIFO holds
+                pool.push(CoreId(dst as u32), env_for(dst as u32, src, seq, at));
+                heaps[dst].push(env(src, seq, at));
+                assert_eq!(pool_keys(&pool, dst).len(), heaps[dst].len());
+                if rng.next_index(4) == 0 {
+                    let expect = heaps[dst].pop().expect("just pushed");
+                    let got = pool.pop(CoreId(dst as u32)).expect("just pushed");
+                    assert_eq!((got.arrival, got.seq), (expect.arrival, expect.seq));
+                }
+            }
+            let drained = if round % 2 == 0 { 0..4 } else { 1..3 };
+            for c in drained {
+                while let Some(expect) = heaps[c].pop() {
+                    let got = pool.pop(CoreId(c as u32)).expect("pool missing a message");
+                    assert_eq!((got.arrival, got.seq), (expect.arrival, expect.seq));
+                    pool_keys(&pool, c);
+                }
+                assert!(pool.is_empty(CoreId(c as u32)));
+                assert_eq!(pool.tail[c], NIL);
+            }
+        }
     }
 
     #[test]

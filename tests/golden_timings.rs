@@ -114,3 +114,48 @@ fn golden_global_policy_schedules() {
         drifted.join("\n")
     );
 }
+
+// ---------------------------------------------------------------------
+// Shadow relaxation host work under a lagging core.
+//
+// Quicksort keeps a few cores far behind the front; when one of them goes
+// idle under the idle region its clock supported, a first-in-first-out
+// relaxation counts that region up `2T` a round until the cap stops it
+// (59 evaluations per publish sweep on the 256-core run below, 178 on the
+// 1024-core one). `sync::settle_region` computes the region's words
+// directly, and in debug builds asserts that each one it stores is the
+// shadow of its neighbors' final words. The schedules are pinned beside
+// the bounds: settling changes the host work of a sweep, never its fixed
+// point.
+
+#[test]
+fn a_lagging_core_going_idle_does_not_count_its_region_up() {
+    // (cores, seed, scheduler picks, final vtime cycles, bound on shadow
+    // evaluations per publish sweep)
+    let runs = [(256, 2, 11906, 177369, 20), (1024, 7, 12019, 321525, 60)];
+    for (cores, seed, picks, vtime, per_sweep) in runs {
+        let mut spec = presets::uniform_mesh_dm(cores);
+        spec.engine = spec.engine.with_seed(seed);
+        spec.engine.sanitize = true;
+        let res = kernel_by_name("Quicksort")
+            .unwrap()
+            .run_sim(spec, Scale(0.5), seed)
+            .expect("quicksort run failed");
+        assert!(res.verified);
+        let s = &res.out.stats;
+        let run = format!("quicksort-{cores}-dm seed {seed}");
+        assert_eq!(s.sanitizer_violations, 0, "{run}: sanitizer violations");
+        assert!(s.sanitizer_checks > 0, "{run}: the sanitizer ran no checks");
+        assert_eq!(
+            (s.scheduler_picks, s.final_vtime.cycles()),
+            (picks, vtime),
+            "{run}: schedule moved"
+        );
+        assert!(
+            s.shadow_evals < per_sweep * s.publish_sweeps,
+            "{run}: {} shadow evaluations over {} publish sweeps",
+            s.shadow_evals,
+            s.publish_sweeps
+        );
+    }
+}
