@@ -150,3 +150,45 @@ fn an_unknown_kernel_is_a_usage_error_listing_the_workloads() {
     }
     assert!(out.stdout.is_empty(), "ran anyway");
 }
+
+/// A zero checkpoint interval would never advance the next checkpoint; it
+/// is refused as a checkpoint error (exit 12) before anything is built.
+#[test]
+fn a_zero_checkpoint_interval_is_a_checkpoint_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_simulate"))
+        .args(["--kernel", "quicksort", "--cores", "16", "--scale", "0.1"])
+        .args(["--checkpoint-every", "0"])
+        .arg("--checkpoint-file")
+        .arg(std::env::temp_dir().join(format!("simany-zero-every-{}", std::process::id())))
+        .output()
+        .expect("simulate did not start");
+    assert_eq!(out.status.code(), Some(12), "{out:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr).trim_end(),
+        "simulation failed: checkpoint error: checkpoint_every must be at least one cycle"
+    );
+}
+
+/// A clustered machine whose cluster grid does not tile the mesh cannot be
+/// built; it is a usage error, not a panic in the builder.
+#[test]
+fn a_clustered_grid_that_does_not_tile_is_a_usage_error() {
+    for (cores, clusters, why) in [
+        ("16", "0", "cluster count 0 must divide core count 16"),
+        ("12", "4", "cluster grid 2x2 must tile mesh 4x3"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_simulate"))
+            .args(["--kernel", "quicksort", "--machine", "clustered"])
+            .args(["--cores", cores, "--clusters", clusters])
+            .output()
+            .expect("simulate did not start");
+        assert_eq!(out.status.code(), Some(2), "{cores}/{clusters}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            stderr.lines().next(),
+            Some(format!("machine 'clustered': {why}").as_str()),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{cores}/{clusters}: ran anyway");
+    }
+}

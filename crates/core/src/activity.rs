@@ -26,7 +26,7 @@ impl fmt::Debug for ActivityId {
 }
 
 /// Task body type: ordinary Rust code with an [`ExecCtx`] for interactions.
-pub type TaskFn = Box<dyn FnOnce(&mut ExecCtx) + Send>;
+pub type TaskFn = Box<dyn FnOnce(&mut ExecCtx)>;
 
 /// Opaque runtime-layer descriptor attached to each activity (the task
 /// run-time system stores its task bookkeeping here and receives it back in
@@ -72,7 +72,7 @@ pub struct Activity {
     /// activity is first granted, `None` before.
     pub context: Option<usize>,
     /// Value deposited by `wake`, consumed when the activity resumes.
-    pub wake_value: Option<Box<dyn Any + Send>>,
+    pub wake_value: Option<Box<dyn Any>>,
     /// Virtual time at which the wake became available; the resuming core's
     /// clock is advanced to at least this.
     pub wake_time: Option<VirtualTime>,

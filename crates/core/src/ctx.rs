@@ -178,7 +178,7 @@ impl ExecCtx {
     /// returns the wake value. The core is freed meanwhile: it can process
     /// messages, resume other parked tasks or start queued ones (the
     /// "execution context is saved" semantics of paper §IV).
-    pub fn block(&mut self, reason: &'static str) -> Box<dyn Any + Send> {
+    pub fn block(&mut self, reason: &'static str) -> Box<dyn Any> {
         self.block_with(reason, false)
     }
 
@@ -186,7 +186,7 @@ impl ExecCtx {
     /// pass `true` for full task suspensions (join), `false` for
     /// lightweight protocol waits whose handler costs already account for
     /// the runtime's work.
-    pub fn block_with(&mut self, reason: &'static str, charge_resume: bool) -> Box<dyn Any + Send> {
+    pub fn block_with(&mut self, reason: &'static str, charge_resume: bool) -> Box<dyn Any> {
         let mut sim = self.shared.sim.borrow_mut();
         {
             let core = self.core;

@@ -75,7 +75,7 @@ use crate::stats::SimStats;
 use crate::sync;
 use crate::trace::TraceEvent;
 use simany_net::{Envelope, InboxPool, NetworkModel};
-use simany_time::VirtualTime;
+use simany_time::{VDuration, VirtualTime};
 use simany_topology::{CoreId, Topology};
 use std::cell::{RefCell, RefMut};
 use std::collections::HashMap;
@@ -537,7 +537,7 @@ pub(crate) fn wake_impl(
     sim: &mut Sim,
     shared: &Shared,
     aid: ActivityId,
-    value: Box<dyn std::any::Any + Send>,
+    value: Box<dyn std::any::Any>,
     at: VirtualTime,
 ) {
     let act = sim.act_mut(aid);
@@ -811,6 +811,11 @@ pub fn simulate(
     if config.checkpoint_every.is_some() && config.checkpoint_path.is_none() {
         return Err(SimError::Checkpoint(
             "checkpoint_every set without checkpoint_path".to_string(),
+        ));
+    }
+    if config.checkpoint_every.is_some_and(VDuration::is_zero) {
+        return Err(SimError::Checkpoint(
+            "checkpoint_every must be at least one cycle".to_string(),
         ));
     }
     if config.preempt_after_checkpoints.is_some() && config.checkpoint_every.is_none() {

@@ -6,16 +6,18 @@
 //! (`simany-runtime` provides the paper's Capsule/TBB-like model).
 //!
 //! Hook implementations own their own state inside the hooks object.
-//! Every hook invocation and every task-side `ExecCtx` call is serialized
-//! because the driver and the task bodies take turns on one host thread,
-//! so a mutex around that state is never contended: it remains only
-//! because `simulate` takes the hooks as an `Arc<dyn RuntimeHooks>`, which
-//! must be `Send + Sync`. (A [`crate::Tracer`] has no such bound and keeps
-//! its state in a `RefCell`.)
+//! Every hook invocation and every task-side `ExecCtx` call runs on the
+//! thread that called `simulate`, one at a time (the driver and the task
+//! bodies take turns), so that state needs no lock: it sits in a
+//! `RefCell`, where a re-entrant access panics instead of deadlocking.
+//! The trait has no `Send`/`Sync` bound. Two types keep a thread-safe
+//! shape only because the benchmark package's hooks name them: `simulate`
+//! takes the hooks as an `Arc<dyn RuntimeHooks>`, and
+//! [`crate::ActivityMeta`] is `Box<dyn Any + Send>`.
 //!
-//! Hooks run on the thread that called `simulate`, while the driver or a
-//! body holds the run token, and **must never block**; anything that needs
-//! to wait belongs in task code (`ExecCtx::block`).
+//! Hooks run while the driver or a body holds the run token, and **must
+//! never block**; anything that needs to wait belongs in task code
+//! (`ExecCtx::block`).
 
 use crate::ops::Ops;
 use simany_net::Envelope;
@@ -23,7 +25,7 @@ use simany_topology::CoreId;
 use std::any::Any;
 
 /// Runtime-layer callbacks driven by the engine.
-pub trait RuntimeHooks: Send + Sync + 'static {
+pub trait RuntimeHooks: 'static {
     /// A message has been scheduled for processing on its destination core.
     /// The engine has already advanced the core's clock to at least the
     /// arrival time; the handler performs the protocol action (reply,

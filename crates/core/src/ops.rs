@@ -275,7 +275,7 @@ impl<'a> Ops<'a> {
 
     /// Wake a blocked activity, delivering `value` (available at virtual
     /// time `at`) to its pending `ExecCtx::block` call.
-    pub fn wake(&mut self, aid: ActivityId, value: Box<dyn std::any::Any + Send>, at: VirtualTime) {
+    pub fn wake(&mut self, aid: ActivityId, value: Box<dyn std::any::Any>, at: VirtualTime) {
         wake_impl(self.sim, self.shared, aid, value, at);
     }
 

@@ -47,7 +47,7 @@ fn pair() -> Topology {
     t
 }
 
-type TestTasks = Vec<(u32, Box<dyn FnOnce(&mut ExecCtx) + Send>)>;
+type TestTasks = Vec<(u32, Box<dyn FnOnce(&mut ExecCtx)>)>;
 
 fn run_with(topo: Topology, config: EngineConfig, tasks: TestTasks) -> simany_core::SimStats {
     simulate(topo, config, Arc::new(TestHooks), move |ops| {

@@ -28,12 +28,12 @@
 //! VT-vs-CL comparison is apples-to-apples, exactly like the paper's
 //! Fig. 5/6 methodology.
 
-use parking_lot::Mutex;
 use simany_core::{EngineConfig, Ops, SyncPolicy};
 use simany_mem::{AccessResult, Addr, DirectoryTiming, SetAssocCache};
 use simany_runtime::{DetailedTiming, ProgramSpec, RuntimeParams};
 use simany_time::{BlockCost, InstrClass, TwoBitPredictor, VDuration, Xoshiro256StarStar};
 use simany_topology::{CoreId, Topology};
+use std::cell::RefCell;
 
 /// Cycle-level model parameters.
 #[derive(Clone, Debug)]
@@ -89,8 +89,8 @@ struct CoreDetail {
 /// The detailed timing model (implements `DetailedTiming`).
 pub struct CycleLevelTiming {
     config: CycleLevelConfig,
-    cores: Vec<Mutex<CoreDetail>>,
-    directory: Mutex<DirectoryTiming>,
+    cores: Vec<RefCell<CoreDetail>>,
+    directory: RefCell<DirectoryTiming>,
     /// Issue latency per instruction class, in cycles.
     issue: [u64; simany_time::cost::INSTR_CLASS_COUNT],
 }
@@ -100,7 +100,7 @@ impl CycleLevelTiming {
     pub fn new(n_cores: u32, seed: u64, config: CycleLevelConfig) -> Self {
         let cores = (0..n_cores)
             .map(|i| {
-                Mutex::new(CoreDetail {
+                RefCell::new(CoreDetail {
                     icache: SetAssocCache::new(config.l1_bytes, config.l1_assoc, config.line_bytes),
                     dcache: SetAssocCache::new(config.l1_bytes, config.l1_assoc, config.line_bytes),
                     predictor: TwoBitPredictor::new(
@@ -112,7 +112,7 @@ impl CycleLevelTiming {
                 })
             })
             .collect();
-        let directory = Mutex::new(DirectoryTiming::new(n_cores, config.line_bytes));
+        let directory = RefCell::new(DirectoryTiming::new(n_cores, config.line_bytes));
         // Scalar in-order issue latencies: simple int ops single-cycle,
         // multi-cycle for mul/div and FP (PowerPC-405-flavored).
         let mut issue = [1u64; simany_time::cost::INSTR_CLASS_COUNT];
@@ -137,7 +137,7 @@ impl CycleLevelTiming {
         let mut ih = 0.0;
         let mut dh = 0.0;
         for c in &self.cores {
-            let c = c.lock();
+            let c = c.borrow();
             ih += c.icache.hit_rate();
             dh += c.dcache.hit_rate();
         }
@@ -149,7 +149,7 @@ impl CycleLevelTiming {
     pub fn predictor_accuracy(&self) -> f64 {
         self.cores
             .iter()
-            .map(|c| c.lock().predictor.observed_accuracy())
+            .map(|c| c.borrow().predictor.observed_accuracy())
             .sum::<f64>()
             / self.cores.len() as f64
     }
@@ -157,7 +157,7 @@ impl CycleLevelTiming {
 
 impl DetailedTiming for CycleLevelTiming {
     fn block_cycles(&self, core: CoreId, block: &BlockCost) -> u64 {
-        let mut d = self.cores[core.index()].lock();
+        let mut d = self.cores[core.index()].borrow_mut();
         let mut cycles = block.extra_cycles;
         let mut n_instr = 0u64;
         for class in InstrClass::ALL {
@@ -188,17 +188,14 @@ impl DetailedTiming for CycleLevelTiming {
         let branches = block.cond_branch_count();
         for b in 0..branches {
             let addr = d.pc ^ (b * 8);
-            let taken = {
-                let bias = self.config.taken_bias;
-                d.rng.chance(bias)
-            };
+            let taken = d.rng.chance(self.config.taken_bias);
             cycles += u64::from(d.predictor.predict_and_train(addr, taken));
         }
         cycles
     }
 
     fn mem_access(&self, ops: &mut Ops<'_>, core: CoreId, addr: Addr, write: bool) {
-        let mut d = self.cores[core.index()].lock();
+        let mut d = self.cores[core.index()].borrow_mut();
         let result = d.dcache.access(addr, write);
         drop(d);
         match result {
@@ -206,7 +203,7 @@ impl DetailedTiming for CycleLevelTiming {
                 // Pure L1 hit — but a write to a Shared line still needs an
                 // upgrade through the directory.
                 if write {
-                    let legs = self.directory.lock().write(core, addr);
+                    let legs = self.directory.borrow_mut().write(core, addr);
                     if legs.is_empty() {
                         ops.advance_core(core, self.config.l1_latency);
                         return;
@@ -220,12 +217,12 @@ impl DetailedTiming for CycleLevelTiming {
                 // Writeback of a dirty victim: posted traffic to its home
                 // bank (contends on links, does not stall the core).
                 if let Some((victim_line, true)) = evicted {
-                    let home = self.directory.lock().home_of(victim_line);
+                    let home = self.directory.borrow().home_of(victim_line);
                     let now = ops.now(core);
                     let _ = ops.transit(core, home, self.config.line_bytes, now);
                 }
                 let legs = {
-                    let mut dir = self.directory.lock();
+                    let mut dir = self.directory.borrow_mut();
                     if write {
                         dir.write(core, addr)
                     } else {
@@ -254,7 +251,7 @@ impl CycleLevelTiming {
         write: bool,
     ) {
         let line = simany_mem::line_of(addr, self.config.line_bytes);
-        let home = self.directory.lock().home_of(line);
+        let home = self.directory.borrow().home_of(line);
         let start = ops.now(core);
         let mut t = start;
         for leg in &legs {
@@ -269,7 +266,8 @@ impl CycleLevelTiming {
             // An invalidation is a control leg from the home node to a
             // third-party sharer during a write transaction.
             if write && leg.from == home && leg.to != core && leg.bytes < self.config.line_bytes {
-                self.cores[leg.to.index()].lock().dcache.invalidate(addr);
+                let mut sharer = self.cores[leg.to.index()].borrow_mut();
+                sharer.dcache.invalidate(addr);
             }
         }
         let total = t.saturating_since(start) + VDuration::from_cycles(self.config.bank_latency);
@@ -287,7 +285,7 @@ pub fn cycle_level_spec(topo: Topology, seed: u64) -> ProgramSpec {
 /// [`cycle_level_spec`] with explicit model parameters.
 pub fn cycle_level_spec_with(topo: Topology, seed: u64, config: CycleLevelConfig) -> ProgramSpec {
     let n = topo.n_cores();
-    let timing = std::sync::Arc::new(CycleLevelTiming::new(n, seed, config));
+    let timing = std::rc::Rc::new(CycleLevelTiming::new(n, seed, config));
     let mut engine = EngineConfig::default().with_seed(seed);
     engine.sync = SyncPolicy::Conservative;
     let mut runtime = RuntimeParams::shared_memory();
@@ -354,25 +352,24 @@ mod tests {
     fn mem_access_charges_and_invalidates() {
         use simany_core::simulate;
         use simany_topology::mesh_2d;
-        let timing = Arc::new(CycleLevelTiming::new(4, 1, CycleLevelConfig::default()));
-        let t2 = Arc::clone(&timing);
+        let timing = CycleLevelTiming::new(4, 1, CycleLevelConfig::default());
         let stats = simulate(
             mesh_2d(4),
             EngineConfig::default(),
             Arc::new(NoHooks),
-            move |ops| {
+            |ops| {
                 // Core 1 reads a line (cold miss through directory).
-                t2.mem_access(ops, CoreId(1), 0x100, false);
+                timing.mem_access(ops, CoreId(1), 0x100, false);
                 let after_read = ops.now(CoreId(1));
                 assert!(after_read.cycles() >= 10, "miss too cheap: {after_read}");
                 // Second read hits in L1: exactly 1 more cycle.
-                t2.mem_access(ops, CoreId(1), 0x104, false);
+                timing.mem_access(ops, CoreId(1), 0x104, false);
                 assert_eq!(ops.now(CoreId(1)).cycles(), after_read.cycles() + 1);
                 // Core 2 writes the same line: core 1's copy must die.
-                t2.mem_access(ops, CoreId(2), 0x100, true);
+                timing.mem_access(ops, CoreId(2), 0x100, true);
                 // Core 1 reads again: miss (invalidation took effect).
                 let before = ops.now(CoreId(1));
-                t2.mem_access(ops, CoreId(1), 0x100, false);
+                timing.mem_access(ops, CoreId(1), 0x100, false);
                 assert!(
                     ops.now(CoreId(1)).saturating_since(before).cycles() > 1,
                     "expected a coherence miss"
@@ -387,20 +384,19 @@ mod tests {
     fn upgrade_on_shared_write_costs_invalidation() {
         use simany_core::simulate;
         use simany_topology::mesh_2d;
-        let timing = Arc::new(CycleLevelTiming::new(4, 1, CycleLevelConfig::default()));
-        let t2 = Arc::clone(&timing);
+        let timing = CycleLevelTiming::new(4, 1, CycleLevelConfig::default());
         simulate(
             mesh_2d(4),
             EngineConfig::default(),
             Arc::new(NoHooks),
-            move |ops| {
+            |ops| {
                 // Two cores read the same line (both become sharers).
-                t2.mem_access(ops, CoreId(0), 0x400, false);
-                t2.mem_access(ops, CoreId(1), 0x400, false);
+                timing.mem_access(ops, CoreId(0), 0x400, false);
+                timing.mem_access(ops, CoreId(1), 0x400, false);
                 // Core 0 writes: L1 HIT, but the directory must invalidate
                 // core 1 — costing more than a 1-cycle hit.
                 let before = ops.now(CoreId(0));
-                t2.mem_access(ops, CoreId(0), 0x400, true);
+                timing.mem_access(ops, CoreId(0), 0x400, true);
                 let upgrade = ops.now(CoreId(0)).saturating_since(before);
                 assert!(
                     upgrade.cycles() > 1,
@@ -408,7 +404,7 @@ mod tests {
                 );
                 // Core 1 must re-miss.
                 let before = ops.now(CoreId(1));
-                t2.mem_access(ops, CoreId(1), 0x400, false);
+                timing.mem_access(ops, CoreId(1), 0x400, false);
                 assert!(ops.now(CoreId(1)).saturating_since(before).cycles() > 1);
             },
         )
@@ -425,18 +421,17 @@ mod tests {
             l1_bytes: 1024,
             ..CycleLevelConfig::default()
         };
-        let timing = Arc::new(CycleLevelTiming::new(4, 1, config));
-        let t2 = Arc::clone(&timing);
+        let timing = CycleLevelTiming::new(4, 1, config);
         let stats = simulate(
             mesh_2d(4),
             EngineConfig::default(),
             Arc::new(NoHooks),
-            move |ops| {
+            |ops| {
                 // Dirty a line, then thrash its set with two more lines so
                 // the dirty victim is written back over the NoC.
-                t2.mem_access(ops, CoreId(1), 0, true);
-                t2.mem_access(ops, CoreId(1), 16 * 32, false);
-                t2.mem_access(ops, CoreId(1), 32 * 32, false);
+                timing.mem_access(ops, CoreId(1), 0, true);
+                timing.mem_access(ops, CoreId(1), 16 * 32, false);
+                timing.mem_access(ops, CoreId(1), 32 * 32, false);
             },
         )
         .unwrap();

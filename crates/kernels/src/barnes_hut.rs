@@ -16,10 +16,10 @@
 use crate::shape::{run_tasks, Placement};
 use crate::workloads::{random_bodies, Body};
 use crate::{DwarfKernel, KernelResult, Scale};
-use parking_lot::Mutex;
 use simany_runtime::{GroupId, ProgramSpec, SimError, TaskCtx};
 use simany_time::BlockCost;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// Paper workloads use 128 and 200 bodies; default in between.
@@ -236,7 +236,7 @@ pub struct BarnesHut;
 struct Forces {
     tree: BhTree,
     bodies: Vec<Body>,
-    forces: Mutex<Vec<[f64; 3]>>,
+    forces: RefCell<Vec<[f64; 3]>>,
     /// Where the tree nodes live.
     at: Placement,
 }
@@ -270,11 +270,11 @@ impl DwarfKernel for BarnesHut {
                 at: Placement::new(tc, TREE_BASE, 64, tree.nodes.len(), NODES_PER_CELL),
                 tree,
                 bodies,
-                forces: Mutex::new(vec![[0.0; 3]; n]),
+                forces: RefCell::new(vec![[0.0; 3]; n]),
             },
             move |tc, run, group| force_range(tc, run, 0, n, group),
         )?;
-        let verified = *run.forces.lock() == reference;
+        let verified = *run.forces.borrow() == reference;
         Ok(KernelResult {
             out,
             verified,
@@ -297,10 +297,10 @@ impl DwarfKernel for BarnesHut {
 }
 
 /// Recursive block decomposition over the bodies.
-fn force_range(tc: &mut TaskCtx<'_>, run: &Arc<Forces>, lo: usize, hi: usize, group: GroupId) {
+fn force_range(tc: &mut TaskCtx<'_>, run: &Rc<Forces>, lo: usize, hi: usize, group: GroupId) {
     if hi - lo > BODY_BLOCK {
         let mid = lo + (hi - lo) / 2;
-        let right = Arc::clone(run);
+        let right = Rc::clone(run);
         tc.spawn_or_run(group, move |tc: &mut TaskCtx<'_>| {
             force_range(tc, &right, mid, hi, group);
         });
@@ -318,7 +318,7 @@ fn force_range(tc: &mut TaskCtx<'_>, run: &Arc<Forces>, lo: usize, hi: usize, gr
                 run.at.read(tc, node as usize);
                 tc.compute(&if far { interaction_cost() } else { open_cost() });
             }
-            run.forces.lock()[i] = f;
+            run.forces.borrow_mut()[i] = f;
         });
     }
 }

@@ -16,9 +16,9 @@ use crate::annotate::edge_visit_cost;
 use crate::shape::{run_tasks, Placement};
 use crate::workloads::{random_graph_components, Graph};
 use crate::{DwarfKernel, KernelResult, Scale};
-use parking_lot::Mutex;
 use simany_runtime::{GroupId, ProgramSpec, SimError, TaskCtx};
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// Paper workload: 1000 nodes, 2000 edges.
@@ -33,7 +33,7 @@ pub struct ConnectedComponents;
 /// What every task of one run shares.
 struct Labeling {
     graph: Graph,
-    labels: Mutex<Vec<u32>>,
+    labels: RefCell<Vec<u32>>,
     /// Where the labels live.
     at: Placement,
 }
@@ -61,14 +61,14 @@ impl DwarfKernel for ConnectedComponents {
             // observed collapse).
             move |tc| Labeling {
                 graph,
-                labels: Mutex::new((0..n as u32).collect()),
+                labels: RefCell::new((0..n as u32).collect()),
                 at: Placement::new(tc, LABELS_BASE, 8, n, 1),
             },
             // Launch DFS from every node in parallel (conditional spawning
             // bounds the real task count).
             move |tc, run, group| {
                 for s in 0..n as u32 {
-                    let run = Arc::clone(run);
+                    let run = Rc::clone(run);
                     tc.spawn_or_run(group, move |tc: &mut TaskCtx<'_>| {
                         explore(tc, &run, s, s, group);
                     });
@@ -77,7 +77,7 @@ impl DwarfKernel for ConnectedComponents {
         )?;
         // Min-label propagation converges to the minimum id of each
         // component, which is the union-find root too.
-        let verified = *run.labels.lock() == reference;
+        let verified = *run.labels.borrow() == reference;
         Ok(KernelResult {
             out,
             verified,
@@ -103,13 +103,13 @@ impl DwarfKernel for ConnectedComponents {
 
 /// One DFS task: propagate `lbl` from `start` through every node whose
 /// current tag is larger, spawning further tasks along the way.
-fn explore(tc: &mut TaskCtx<'_>, run: &Arc<Labeling>, start: u32, lbl: u32, group: GroupId) {
+fn explore(tc: &mut TaskCtx<'_>, run: &Rc<Labeling>, start: u32, lbl: u32, group: GroupId) {
     let mut stack = vec![start];
     while let Some(v) = stack.pop() {
         // Tag check + update (the contended access of the paper).
         run.at.read(tc, v as usize);
         let improved = {
-            let mut tags = run.labels.lock();
+            let mut tags = run.labels.borrow_mut();
             if tags[v as usize] < lbl || (tags[v as usize] == lbl && v != start) {
                 // A smaller label won, or this wave already tagged it.
                 false
@@ -126,7 +126,7 @@ fn explore(tc: &mut TaskCtx<'_>, run: &Arc<Labeling>, start: u32, lbl: u32, grou
         for &(u, _) in &run.graph.adj[v as usize] {
             tc.compute(&edge_visit_cost());
             run.at.read(tc, u as usize);
-            let worth_it = run.labels.lock()[u as usize] > lbl;
+            let worth_it = run.labels.borrow()[u as usize] > lbl;
             if !worth_it {
                 continue;
             }
@@ -134,7 +134,7 @@ fn explore(tc: &mut TaskCtx<'_>, run: &Arc<Labeling>, start: u32, lbl: u32, grou
             // locally when the probe fails.
             match tc.probe() {
                 Some(target) => {
-                    let run = Arc::clone(run);
+                    let run = Rc::clone(run);
                     let body = move |tc: &mut TaskCtx<'_>| explore(tc, &run, u, lbl, group);
                     tc.spawn(target, Some(group), Box::new(body));
                 }

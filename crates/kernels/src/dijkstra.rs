@@ -16,10 +16,10 @@ use crate::annotate::edge_visit_cost;
 use crate::shape::{run_tasks, Placement};
 use crate::workloads::{random_graph, Graph};
 use crate::{DwarfKernel, KernelResult, Scale};
-use parking_lot::Mutex;
 use simany_runtime::{GroupId, ProgramSpec, SimError, TaskCtx};
+use std::cell::RefCell;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// Paper workload: 2000 nodes, ~3000 edges.
@@ -35,7 +35,7 @@ pub struct Dijkstra;
 /// What every task of one run shares.
 struct Search {
     graph: Graph,
-    dist: Mutex<Vec<u64>>,
+    dist: RefCell<Vec<u64>>,
     /// Where the distances live.
     at: Placement,
 }
@@ -59,12 +59,12 @@ impl DwarfKernel for Dijkstra {
             spec,
             move |tc| Search {
                 graph,
-                dist: Mutex::new(vec![u64::MAX; n]),
+                dist: RefCell::new(vec![u64::MAX; n]),
                 at: Placement::new(tc, DIST_BASE, 8, n, 1),
             },
             |tc, run, group| explore(tc, run, 0, 0, group),
         )?;
-        let verified = *run.dist.lock() == reference;
+        let verified = *run.dist.borrow() == reference;
         Ok(KernelResult {
             out,
             verified,
@@ -85,14 +85,14 @@ impl DwarfKernel for Dijkstra {
 
 /// Speculative relaxation task: try to improve `v`'s distance to `d`; on
 /// success, propagate over its edges, spawning where the runtime allows.
-fn explore(tc: &mut TaskCtx<'_>, run: &Arc<Search>, v: u32, d: u64, group: GroupId) {
+fn explore(tc: &mut TaskCtx<'_>, run: &Rc<Search>, v: u32, d: u64, group: GroupId) {
     // Local work stack of (node, tentative distance) pairs.
     let mut stack = vec![(v, d)];
     while let Some((v, d)) = stack.pop() {
         run.at.read(tc, v as usize);
         tc.compute(&edge_visit_cost());
         let improved = {
-            let mut dv = run.dist.lock();
+            let mut dv = run.dist.borrow_mut();
             if d < dv[v as usize] {
                 dv[v as usize] = d;
                 true
@@ -108,13 +108,13 @@ fn explore(tc: &mut TaskCtx<'_>, run: &Arc<Search>, v: u32, d: u64, group: Group
             tc.compute(&edge_visit_cost());
             run.at.read(tc, u as usize);
             let nd = d + u64::from(w);
-            let worth_it = run.dist.lock()[u as usize] > nd;
+            let worth_it = run.dist.borrow()[u as usize] > nd;
             if !worth_it {
                 continue;
             }
             match tc.probe() {
                 Some(target) => {
-                    let run = Arc::clone(run);
+                    let run = Rc::clone(run);
                     let body = move |tc: &mut TaskCtx<'_>| explore(tc, &run, u, nd, group);
                     tc.spawn(target, Some(group), Box::new(body));
                 }

@@ -76,7 +76,7 @@ impl KernelResult {
 }
 
 /// Uniform interface over the six dwarf kernels.
-pub trait DwarfKernel: Send + Sync {
+pub trait DwarfKernel {
     /// Name as used in the paper's figures.
     fn name(&self) -> &'static str;
 

@@ -13,10 +13,10 @@
 use crate::shape::{run_tasks, Placement};
 use crate::workloads::{random_octree, Octree};
 use crate::{DwarfKernel, KernelResult, Scale};
-use parking_lot::Mutex;
 use simany_runtime::{GroupId, ProgramSpec, SimError, TaskCtx};
 use simany_time::BlockCost;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// Paper depth.
@@ -50,7 +50,7 @@ pub struct OctreeUpdate;
 /// What every task of one run shares.
 struct Update {
     tree: Octree,
-    values: Mutex<Vec<f64>>,
+    values: RefCell<Vec<f64>>,
     /// Where the nodes live.
     at: Placement,
 }
@@ -74,13 +74,13 @@ impl DwarfKernel for OctreeUpdate {
         let (out, run) = run_tasks(
             spec,
             move |tc| Update {
-                values: Mutex::new(tree.nodes.iter().map(|nd| nd.value).collect()),
+                values: RefCell::new(tree.nodes.iter().map(|nd| nd.value).collect()),
                 tree,
                 at: Placement::new(tc, NODES_BASE, 16, n, NODES_PER_CELL),
             },
             |tc, run, group| walk(tc, run, 0, 0, group),
         )?;
-        let verified = *run.values.lock() == expected;
+        let verified = *run.values.borrow() == expected;
         Ok(KernelResult {
             out,
             verified,
@@ -104,17 +104,17 @@ impl DwarfKernel for OctreeUpdate {
     }
 }
 
-fn walk(tc: &mut TaskCtx<'_>, run: &Arc<Update>, node: u32, depth: u32, group: GroupId) {
+fn walk(tc: &mut TaskCtx<'_>, run: &Rc<Update>, node: u32, depth: u32, group: GroupId) {
     // Timed access to the node, then the update.
     run.at.update(tc, node as usize);
     tc.compute(&node_cost());
     {
-        let mut vals = run.values.lock();
+        let mut vals = run.values.borrow_mut();
         vals[node as usize] = update_value(vals[node as usize]);
     }
     for &child in &run.tree.nodes[node as usize].children {
         if depth < SPAWN_DEPTH {
-            let run = Arc::clone(run);
+            let run = Rc::clone(run);
             tc.spawn_or_run(group, move |tc: &mut TaskCtx<'_>| {
                 walk(tc, &run, child, depth + 1, group);
             });

@@ -31,9 +31,9 @@ pub mod quorum;
 
 use crate::shape::run_tasks;
 use crate::Scale;
-use parking_lot::Mutex;
 use simany_runtime::{CoreId, ProgramSpec, RunOutput, SimError, TaskCtx};
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Resilience metrics one protocol run reports. The raw latency samples
 /// are kept so callers (bench / simulate) can summarize them with
@@ -94,7 +94,7 @@ impl ProtocolOutcome {
 
 /// Uniform interface over the protocol workloads (the resilience
 /// counterpart of [`crate::DwarfKernel`]).
-pub trait ProtocolKernel: Send + Sync {
+pub trait ProtocolKernel {
     /// Display name ("Gossip", "DHT Lookup", "Quorum").
     fn name(&self) -> &'static str;
 
@@ -126,36 +126,36 @@ pub fn protocol_by_name(name: &str) -> Option<Box<dyn ProtocolKernel>> {
 /// Run one `node` task per core: cores 1..n pinned in order, then node 0
 /// on the root task. Returns each node's slot, indexed by node; a node
 /// whose pinned spawn was dropped keeps the default slot.
-fn run_nodes<S: Clone + Default + Send + 'static>(
+fn run_nodes<S: Clone + Default + 'static>(
     spec: ProgramSpec,
     name: &'static str,
-    node: impl Fn(&mut TaskCtx<'_>, usize) -> S + Send + Sync + 'static,
+    node: impl Fn(&mut TaskCtx<'_>, usize) -> S + 'static,
 ) -> Result<(RunOutput, Vec<S>), SimError> {
     struct Nodes<F, S> {
         node: F,
-        slots: Mutex<Vec<S>>,
+        slots: RefCell<Vec<S>>,
     }
     let n = spec.topo.n_cores() as usize;
     let (out, nodes) = run_tasks(
         spec,
         move |_| Nodes {
             node,
-            slots: Mutex::new(vec![S::default(); n]),
+            slots: RefCell::new(vec![S::default(); n]),
         },
         move |tc, nodes, group| {
             for k in 1..n {
-                let nodes = Arc::clone(nodes);
+                let nodes = Rc::clone(nodes);
                 let body = move |tc: &mut TaskCtx<'_>| {
                     let slot = (nodes.node)(tc, k);
-                    nodes.slots.lock()[k] = slot;
+                    nodes.slots.borrow_mut()[k] = slot;
                 };
                 tc.spawn_pinned(CoreId(k as u32), Some(group), name, Box::new(body));
             }
             let slot = (nodes.node)(tc, 0);
-            nodes.slots.lock()[0] = slot;
+            nodes.slots.borrow_mut()[0] = slot;
         },
     )?;
-    let slots = std::mem::take(&mut *nodes.slots.lock());
+    let slots = nodes.slots.take();
     Ok((out, slots))
 }
 

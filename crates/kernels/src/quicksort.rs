@@ -19,10 +19,10 @@ use crate::annotate::{charge_loop, compare_swap_cost, sweep};
 use crate::shape::run_tasks;
 use crate::workloads::random_array;
 use crate::{DwarfKernel, KernelResult, Scale};
-use parking_lot::Mutex;
 use simany_runtime::{CellId, GroupId, ProgramSpec, SimError, TaskCtx};
 use simany_time::BlockCost;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// Default array size (paper: 100 000; `Scale::paper()` reaches it).
@@ -53,7 +53,7 @@ impl DwarfKernel for Quicksort {
         let (out, verified) = if spec.runtime.arch.is_distributed() {
             let (out, runs) = run_tasks(
                 spec,
-                |_| Mutex::new(Vec::new()),
+                |_| RefCell::new(Vec::new()),
                 move |tc, runs, group| {
                     // The whole list starts as one local cell.
                     let cell = tc.alloc_cell((n * 8) as u32);
@@ -62,16 +62,16 @@ impl DwarfKernel for Quicksort {
             )?;
             // Sorting the runs by key is the in-order traversal of the
             // constructed tree.
-            let mut runs = std::mem::take(&mut *runs.lock());
+            let mut runs = runs.take();
             runs.sort_by_key(|&(k, _)| k);
             (out, runs.into_iter().flat_map(|(_, r)| r).eq(expected))
         } else {
             let (out, data) = run_tasks(
                 spec,
-                |_| Mutex::new(input),
+                |_| RefCell::new(input),
                 move |tc, data, group| qsort_sm(tc, data, 0, n, group),
             )?;
-            let sorted = *data.lock() == expected;
+            let sorted = *data.borrow() == expected;
             (out, sorted)
         };
         Ok(KernelResult {
@@ -114,7 +114,7 @@ fn partition(data: &mut [u64]) -> (usize, u64) {
 
 fn qsort_sm(
     tc: &mut TaskCtx<'_>,
-    data: &Arc<Mutex<Vec<u64>>>,
+    data: &Rc<RefCell<Vec<u64>>>,
     lo: usize,
     hi: usize,
     group: GroupId,
@@ -137,11 +137,11 @@ fn qsort_sm(
             let cmps = (len as u64) * (usize::BITS - len.leading_zeros()) as u64;
             charge_loop(tc, cmps, &compare_swap_cost());
         });
-        data.lock()[lo..hi].sort_unstable();
+        data.borrow_mut()[lo..hi].sort_unstable();
         return;
     }
     // Pivot pass: host partition, then annotate the sweep + swaps.
-    let (pivot_rel, swaps) = partition(&mut data.lock()[lo..hi]);
+    let (pivot_rel, swaps) = partition(&mut data.borrow_mut()[lo..hi]);
     tc.scope(|tc| {
         sweep(
             tc,
@@ -165,7 +165,7 @@ fn qsort_sm(
     let mid = lo + pivot_rel;
     // Spawn one side (the paper spawns "a new task to handle one of the
     // sub-arrays"), recurse into the other.
-    let data2 = Arc::clone(data);
+    let data2 = Rc::clone(data);
     tc.spawn_or_run(group, move |tc: &mut TaskCtx<'_>| {
         qsort_sm(tc, &data2, mid + 1, hi, group);
     });
@@ -177,7 +177,7 @@ fn qsort_sm(
 // ---------------------------------------------------------------------------
 
 /// Sorted runs, each keyed by its minimum element.
-type Runs = Mutex<Vec<(u64, Vec<u64>)>>;
+type Runs = RefCell<Vec<(u64, Vec<u64>)>>;
 
 /// The pivot steps partition the value space into disjoint ranges (a BST
 /// over values), so sorting the runs by key reproduces the in-order
@@ -186,7 +186,7 @@ fn qsort_dm(
     tc: &mut TaskCtx<'_>,
     mut list: Vec<u64>,
     cell: CellId,
-    runs: &Arc<Runs>,
+    runs: &Rc<Runs>,
     group: GroupId,
 ) {
     // Touch our list data: if the task migrated, the cell moves to us.
@@ -199,7 +199,7 @@ fn qsort_dm(
         });
         list.sort_unstable();
         let key = list.first().copied().unwrap_or(0);
-        runs.lock().push((key, list));
+        runs.borrow_mut().push((key, list));
         return;
     }
     // Distributed pivot step over the list: one pass, building two lists.
@@ -222,21 +222,17 @@ fn qsort_dm(
         }
     }
     // The pivot run is emitted here (a BST node's key).
-    runs.lock().push((pivot, pivots));
+    runs.borrow_mut().push((pivot, pivots));
 
     let left_cell = tc.alloc_cell((left.len().max(1) * 8) as u32);
     let right_cell = tc.alloc_cell((right.len().max(1) * 8) as u32);
-    let runs_l = Arc::clone(runs);
-    let runs_r = Arc::clone(runs);
-    if !right.is_empty() {
-        tc.spawn_or_run(group, move |tc: &mut TaskCtx<'_>| {
-            qsort_dm(tc, right, right_cell, &runs_r, group);
-        });
-    }
-    if !left.is_empty() {
-        tc.spawn_or_run(group, move |tc: &mut TaskCtx<'_>| {
-            qsort_dm(tc, left, left_cell, &runs_l, group);
-        });
+    for (side, side_cell) in [(right, right_cell), (left, left_cell)] {
+        if !side.is_empty() {
+            let runs = Rc::clone(runs);
+            tc.spawn_or_run(group, move |tc: &mut TaskCtx<'_>| {
+                qsort_dm(tc, side, side_cell, &runs, group);
+            });
+        }
     }
 }
 

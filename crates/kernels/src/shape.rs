@@ -1,16 +1,17 @@
 //! The one shape of a kernel's task program.
 //!
-//! A kernel keeps its read-only inputs, its output and its placed arrays
-//! in one struct that every task shares through one `Arc`, cloned once per
-//! spawn. An array the tasks touch is a [`Placement`]: an address range on
-//! a shared-memory machine, a list of run-time cells on a
+//! A kernel keeps its read-only inputs, its output (a `RefCell`) and its
+//! placed arrays in one struct that every task shares through one `Rc`,
+//! cloned once per spawn. An array the tasks touch is a [`Placement`]: an
+//! address range on a shared-memory machine, a list of run-time cells on a
 //! distributed-memory one. [`run_tasks`] runs the root task around the
 //! kernel's own root body.
 
 use simany_runtime::{
     run_program, Addr, CellId, GroupId, ProgramSpec, RunOutput, SimError, TaskCtx,
 };
-use std::sync::{Arc, OnceLock};
+use std::cell::OnceCell;
+use std::rc::Rc;
 
 /// Where an array lives, and the timed accesses that reach its elements.
 pub(crate) enum Placement {
@@ -18,7 +19,7 @@ pub(crate) enum Placement {
     Address { base: Addr, elem_bytes: u64 },
     /// Distributed memory: element `i` is in `cells[i / per_cell]`.
     Cells {
-        cells: Arc<[CellId]>,
+        cells: Box<[CellId]>,
         per_cell: usize,
     },
 }
@@ -103,15 +104,15 @@ impl Placement {
 /// cells start on the root core), makes the task group, runs `root` and
 /// joins the group. Returns the run's output and the shared state, whose
 /// output the caller checks.
-pub(crate) fn run_tasks<K: Send + Sync + 'static>(
+pub(crate) fn run_tasks<K: 'static>(
     spec: ProgramSpec,
-    build: impl FnOnce(&mut TaskCtx<'_>) -> K + Send + 'static,
-    root: impl FnOnce(&mut TaskCtx<'_>, &Arc<K>, GroupId) + Send + 'static,
-) -> Result<(RunOutput, Arc<K>), SimError> {
-    let kept = Arc::new(OnceLock::new());
-    let slot = Arc::clone(&kept);
+    build: impl FnOnce(&mut TaskCtx<'_>) -> K + 'static,
+    root: impl FnOnce(&mut TaskCtx<'_>, &Rc<K>, GroupId) + 'static,
+) -> Result<(RunOutput, Rc<K>), SimError> {
+    let kept = Rc::new(OnceCell::new());
+    let slot = Rc::clone(&kept);
     let out = run_program(spec, move |tc| {
-        let k = slot.get_or_init(|| Arc::new(build(tc))).clone();
+        let k = slot.get_or_init(|| Rc::new(build(tc))).clone();
         let group = tc.make_group();
         root(tc, &k, group);
         tc.join(group);
@@ -201,9 +202,9 @@ mod tests {
         }
         if with_placement {
             let build = |tc: &mut TaskCtx<'_>| Placement::new(tc, BASE, 8, LEN, PER_CELL);
-            let root = |tc: &mut TaskCtx<'_>, at: &Arc<Placement>, group| {
+            let root = |tc: &mut TaskCtx<'_>, at: &Rc<Placement>, group| {
                 for part in 1..4 {
-                    let at = Arc::clone(at);
+                    let at = Rc::clone(at);
                     tc.spawn_or_run(group, move |tc: &mut TaskCtx<'_>| placed(tc, &at, part));
                 }
                 placed(tc, at, 0);
@@ -211,7 +212,7 @@ mod tests {
             return run_tasks(spec, build, root).unwrap().0;
         }
         run_program(spec, move |tc| {
-            let cells: Option<Arc<[CellId]>> = distributed.then(|| {
+            let cells: Option<Rc<[CellId]>> = distributed.then(|| {
                 (0..LEN.div_ceil(PER_CELL))
                     .map(|_| tc.alloc_cell((PER_CELL * 8) as u32))
                     .collect()

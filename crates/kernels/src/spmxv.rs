@@ -15,10 +15,10 @@ use crate::annotate::sweep;
 use crate::shape::{run_tasks, Placement};
 use crate::workloads::{random_csr, CsrMatrix};
 use crate::{DwarfKernel, KernelResult, Scale};
-use parking_lot::Mutex;
 use simany_runtime::{GroupId, ProgramSpec, SimError, TaskCtx};
 use simany_time::BlockCost;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// Default matrix: 2000 rows with ~20 nnz/row (the paper's 10^6-row
@@ -41,7 +41,7 @@ pub struct SpMxV;
 struct Product {
     m: CsrMatrix,
     x: Vec<f64>,
-    y: Mutex<Vec<f64>>,
+    y: RefCell<Vec<f64>>,
     /// Where `x` lives.
     x_at: Placement,
 }
@@ -91,14 +91,14 @@ impl SpMxV {
             move |tc| Product {
                 m: matrix,
                 x,
-                y: Mutex::new(vec![0.0; n]),
+                y: RefCell::new(vec![0.0; n]),
                 x_at: Placement::new(tc, X_BASE, 8, n, X_CELL_ELEMS),
             },
             move |tc, run, group| rows_task(tc, run, 0, n, group),
         )?;
         // Row-parallel decomposition preserves per-row summation order:
         // results must match the sequential product bit-for-bit.
-        let verified = *run.y.lock() == expected;
+        let verified = *run.y.borrow() == expected;
         Ok(KernelResult {
             out,
             verified,
@@ -112,10 +112,10 @@ fn nnz_cost() -> BlockCost {
     BlockCost::new().fp_mul(1).fp_add(1).int_alu(2)
 }
 
-fn rows_task(tc: &mut TaskCtx<'_>, run: &Arc<Product>, lo: usize, hi: usize, group: GroupId) {
+fn rows_task(tc: &mut TaskCtx<'_>, run: &Rc<Product>, lo: usize, hi: usize, group: GroupId) {
     if hi - lo > ROW_BLOCK {
         let mid = lo + (hi - lo) / 2;
-        let right = Arc::clone(run);
+        let right = Rc::clone(run);
         tc.spawn_or_run(group, move |tc: &mut TaskCtx<'_>| {
             rows_task(tc, &right, mid, hi, group);
         });
@@ -136,7 +136,7 @@ fn rows_task(tc: &mut TaskCtx<'_>, run: &Arc<Product>, lo: usize, hi: usize, gro
             run.x_at.read_each(tc, cols.iter().map(|&c| c as usize));
             let acc = (start..end).fold(0.0, |acc, i| acc + m.vals[i] * run.x[m.cols[i] as usize]);
             tc.store(Y_BASE + r as u64 * 8);
-            run.y.lock()[r] = acc;
+            run.y.borrow_mut()[r] = acc;
         }
     });
 }

@@ -16,11 +16,11 @@ use std::fmt;
 pub struct MsgId(pub u64);
 
 /// Opaque message payload. Layers above the network downcast it back.
-pub struct Payload(Option<Box<dyn Any + Send>>);
+pub struct Payload(Option<Box<dyn Any>>);
 
 impl Payload {
     /// Wrap a typed payload.
-    pub fn new<T: Any + Send>(value: T) -> Self {
+    pub fn new<T: Any>(value: T) -> Self {
         Payload(Some(Box::new(value)))
     }
 
@@ -36,7 +36,7 @@ impl Payload {
 
     /// Take the payload as `T`; panics if the type does not match (a
     /// protocol bug, never a data-dependent condition).
-    pub fn take<T: Any + Send>(&mut self) -> T {
+    pub fn take<T: Any>(&mut self) -> T {
         let boxed = self.0.take().expect("payload already taken or empty");
         *boxed
             .downcast::<T>()
@@ -44,7 +44,7 @@ impl Payload {
     }
 
     /// Inspect the payload as `&T` without consuming it.
-    pub fn downcast_ref<T: Any + Send>(&self) -> Option<&T> {
+    pub fn downcast_ref<T: Any>(&self) -> Option<&T> {
         self.0.as_deref().and_then(|b| b.downcast_ref())
     }
 }

@@ -4,7 +4,7 @@ use simany_core::Ops;
 use simany_mem::{Addr, MemoryArch, MemoryParams};
 use simany_time::{BlockCost, VDuration};
 use simany_topology::CoreId;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Plug-in replacement for the abstract timing models, used by the
 /// cycle-level reference simulator (`simany-cyclelevel`): when installed,
@@ -12,7 +12,7 @@ use std::sync::Arc;
 /// instead of the probabilistic predictor / pessimistic-L1 / flat-bank
 /// models, so the *same kernels* run under detailed microarchitectural
 /// timing without modification.
-pub trait DetailedTiming: Send + Sync {
+pub trait DetailedTiming {
     /// Total cycles for one instruction block on `core` (including branch
     /// penalties from whatever predictor state the model keeps).
     fn block_cycles(&self, core: CoreId, block: &BlockCost) -> u64;
@@ -97,7 +97,7 @@ pub struct RuntimeParams {
     pub spawn_msg_bytes: u32,
     /// Detailed microarchitectural timing plug-in (cycle-level reference);
     /// `None` selects SiMany's abstract models.
-    pub detailed: Option<Arc<dyn DetailedTiming>>,
+    pub detailed: Option<Rc<dyn DetailedTiming>>,
     /// Timeout/retry policy for protocol messages lost to the fault plan.
     pub retry: RetryPolicy,
 }

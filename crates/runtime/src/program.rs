@@ -56,10 +56,11 @@ impl RunOutput {
 ///
 /// The root closure typically builds workloads, spawns task trees with
 /// [`TaskCtx::spawn_or_run`], joins them, and writes results into captured
-/// `Arc<Mutex<...>>` state for verification after the run.
+/// `Rc<RefCell<...>>` state for verification after the run: every task body
+/// runs on the calling thread, so nothing it captures needs to be `Send`.
 pub fn run_program(
     spec: ProgramSpec,
-    root: impl FnOnce(&mut TaskCtx<'_>) + Send + 'static,
+    root: impl FnOnce(&mut TaskCtx<'_>) + 'static,
 ) -> Result<RunOutput, SimError> {
     let rt = TaskRuntime::new(spec.topo.n_cores(), spec.runtime);
     let rt_for_setup = Arc::clone(&rt);

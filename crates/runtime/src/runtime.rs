@@ -5,14 +5,14 @@ use crate::msg::RtMsg;
 use crate::params::RuntimeParams;
 use crate::state::{GroupId, LockId, QueuedTask, RtState, RtStats};
 use crate::task_ctx::{TaskBody, TaskCtx};
-use parking_lot::Mutex;
 use simany_core::activity::TaskFn;
 use simany_core::{ActivityId, Envelope, ExecCtx, Ops, Payload, RuntimeHooks, VirtualTime};
 use simany_mem::DirectoryTiming;
 use simany_time::Digest;
 use simany_topology::CoreId;
 use std::any::Any;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::sync::{Arc, Weak};
 
 /// Activity descriptor: which group the task decrements at termination.
 pub(crate) struct TaskMeta {
@@ -22,20 +22,22 @@ pub(crate) struct TaskMeta {
 /// The task run-time system (paper §IV). One instance drives one
 /// simulation and owns all protocol state.
 ///
-/// The state sits behind a mutex that each hook and each `TaskCtx` call
-/// locks **once**, for the whole entry, and hands to the protocol helpers
-/// of `Step` as `&mut RtState`; no helper locks. The guard lives inside
-/// the entry's `Ops` closure, so it is never held across an `ExecCtx` call
-/// that can drain due messages into [`RuntimeHooks::on_message`] (the
-/// tail of `with_ops_synced`, `advance_cycles`, `compute`) or switch tasks
-/// (`block`): a hook run meanwhile would lock it a second time. `Ops`
-/// itself never calls a hook.
+/// The state sits in a `RefCell` that each hook and each `TaskCtx` call
+/// borrows **once**, for the whole entry, and hands to the protocol
+/// helpers of `Step` as `&mut RtState`; no helper borrows. The borrow lives
+/// inside the entry's `Ops` closure, so it is never held across an
+/// `ExecCtx` call that can drain due messages into
+/// [`RuntimeHooks::on_message`] (the tail of `with_ops_synced`,
+/// `advance_cycles`, `compute`) or switch tasks (`block`): a hook run
+/// meanwhile would borrow it a second time and panic. `Ops` itself never
+/// calls a hook.
 pub struct TaskRuntime {
     pub(crate) params: RuntimeParams,
-    pub(crate) st: Mutex<RtState>,
-    /// Back-reference to our own Arc so hooks (which receive `&self`) can
-    /// re-wrap queued task bodies into engine closures.
-    me: std::sync::Weak<TaskRuntime>,
+    pub(crate) st: RefCell<RtState>,
+    /// Back-reference to our own `Arc` (the form `simulate` takes hooks
+    /// in) so hooks, which receive `&self`, can re-wrap queued task bodies
+    /// into engine closures.
+    me: Weak<TaskRuntime>,
 }
 
 impl TaskRuntime {
@@ -48,7 +50,7 @@ impl TaskRuntime {
         };
         Arc::new_cyclic(|me| TaskRuntime {
             params,
-            st: Mutex::new(RtState::new(n_cores, directory)),
+            st: RefCell::new(RtState::new(n_cores, directory)),
             me: me.clone(),
         })
     }
@@ -60,7 +62,7 @@ impl TaskRuntime {
 
     /// Snapshot of the run-time statistics.
     pub fn stats(&self) -> RtStats {
-        self.st.lock().stats.clone()
+        self.st.borrow().stats.clone()
     }
 
     /// Wrap a user task body into an engine activity closure.
@@ -71,15 +73,15 @@ impl TaskRuntime {
         })
     }
 
-    /// Run one protocol step on core `me`: the state is locked here, once,
-    /// for all of `f`.
+    /// Run one protocol step on core `me`: the state is borrowed here,
+    /// once, for all of `f`.
     pub(crate) fn step<R>(
         &self,
         ops: &mut Ops<'_>,
         me: CoreId,
         f: impl FnOnce(&mut Step<'_, '_>) -> R,
     ) -> R {
-        let mut st = self.st.lock();
+        let mut st = self.st.borrow_mut();
         f(&mut Step {
             params: &self.params,
             st: &mut st,
@@ -90,7 +92,7 @@ impl TaskRuntime {
 }
 
 /// One protocol step on core `me`: the run-time parameters, the state
-/// (locked once by [`TaskRuntime::step`]) and the engine's operations.
+/// (borrowed once by [`TaskRuntime::step`]) and the engine's operations.
 /// Every message the helpers send leaves from `me`.
 pub(crate) struct Step<'s, 'o> {
     pub params: &'s RuntimeParams,
@@ -147,7 +149,7 @@ impl Step<'_, '_> {
         at: VirtualTime,
         msg: RtMsg,
         waiter: ActivityId,
-        lost: impl Any + Send,
+        lost: impl Any,
     ) -> bool {
         match self.send(dst, bytes, at, Payload::new(msg)) {
             Ok(()) => true,
@@ -283,7 +285,7 @@ impl RuntimeHooks for TaskRuntime {
     /// lived in a hash map once, and the same fold keeps checkpoints
     /// written then resumable.
     fn state_digest(&self) -> u64 {
-        let st = self.st.lock();
+        let st = self.st.borrow();
         let mut d = Digest::new();
         let s = &st.stats;
         for x in [

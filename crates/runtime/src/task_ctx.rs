@@ -16,7 +16,7 @@ use simany_time::{VDuration, Xoshiro256StarStar};
 use simany_topology::CoreId;
 
 /// A task body: what `spawn` ships to another core.
-pub type TaskBody = Box<dyn FnOnce(&mut TaskCtx<'_>) + Send>;
+pub type TaskBody = Box<dyn FnOnce(&mut TaskCtx<'_>)>;
 
 /// Execution context of one task.
 pub struct TaskCtx<'a> {
@@ -107,7 +107,7 @@ impl<'a> TaskCtx<'a> {
 
     /// Create a task group.
     pub fn make_group(&mut self) -> GroupId {
-        self.rt.st.lock().new_group()
+        self.rt.st.borrow_mut().new_group()
     }
 
     /// The `probe` primitive: consult the occupancy proxies; if a neighbor
@@ -292,7 +292,7 @@ impl<'a> TaskCtx<'a> {
         loop {
             let now = self.now();
             let token = {
-                let mut st = self.rt.st.lock();
+                let mut st = self.rt.st.borrow_mut();
                 let core = &mut st.cores[me.index()];
                 if let Some(m) = core.mailbox.pop_front() {
                     return Some(m);
@@ -334,16 +334,12 @@ impl<'a> TaskCtx<'a> {
     /// neighbor or run it sequentially right here (the paper's fallback:
     /// "When the probe is denied, no task is spawned and the program
     /// executes the code of the task sequentially").
-    pub fn spawn_or_run(
-        &mut self,
-        group: GroupId,
-        body: impl FnOnce(&mut TaskCtx<'_>) + Send + 'static,
-    ) {
+    pub fn spawn_or_run(&mut self, group: GroupId, body: impl FnOnce(&mut TaskCtx<'_>) + 'static) {
         let body: TaskBody = Box::new(body);
         match self.probe() {
             Some(target) => self.spawn(target, Some(group), body),
             None => {
-                self.rt.st.lock().stats.sequential_fallbacks += 1;
+                self.rt.st.borrow_mut().stats.sequential_fallbacks += 1;
                 body(self);
             }
         }
@@ -405,7 +401,7 @@ impl<'a> TaskCtx<'a> {
     fn mem_access(&mut self, addr: Addr, l1_hit: bool, write: bool) {
         let (rt, me) = (self.rt, self.core());
         self.ec.with_ops_synced(|ops| {
-            let mut st = rt.st.lock();
+            let mut st = rt.st.borrow_mut();
             if write {
                 st.stats.sm_stores += 1;
             } else {
@@ -447,7 +443,7 @@ impl<'a> TaskCtx<'a> {
 
     /// Allocate a cell of `size_bytes`, initially located on this core.
     pub fn alloc_cell(&mut self, size_bytes: u32) -> CellId {
-        self.rt.st.lock().new_cell(self.core(), size_bytes)
+        self.rt.st.borrow_mut().new_cell(self.core(), size_bytes)
     }
 
     /// Access a cell (read or write — the run-time system implements both
@@ -523,14 +519,14 @@ impl<'a> TaskCtx<'a> {
 
     /// Where a cell currently lives (placement diagnostics).
     pub fn cell_location(&self, cell: CellId) -> CoreId {
-        self.rt.st.lock().cell(cell).location
+        self.rt.st.borrow_mut().cell(cell).location
     }
 
     // ----- locks (paper §II.B) -----------------------------------------------
 
     /// Create a lock homed on this core.
     pub fn make_lock(&mut self) -> LockId {
-        self.rt.st.lock().new_lock(self.core())
+        self.rt.st.borrow_mut().new_lock(self.core())
     }
 
     /// Acquire a simulated lock. While held, the synchronization policy

@@ -3,8 +3,10 @@
 
 use simany_runtime::{run_program, CellId, GroupId, LockId, ProgramSpec, SimError, TaskCtx};
 use simany_topology::mesh_2d;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-fn expect_panic_containing(what: &str, body: impl FnOnce(&mut TaskCtx<'_>) + Send + 'static) {
+fn expect_panic_containing(what: &str, body: impl FnOnce(&mut TaskCtx<'_>) + 'static) {
     let err = run_program(ProgramSpec::new(mesh_2d(4)), body).unwrap_err();
     let msg = format!("{err}");
     assert!(
@@ -88,4 +90,23 @@ fn critical_exit_without_enter_panics_cleanly() {
     expect_panic_containing("critical_exit", |tc| {
         tc.raw().critical_exit();
     });
+}
+
+#[test]
+fn panic_while_borrowing_shared_state_releases_it() {
+    // A body that panics with its shared state mutably borrowed ends the
+    // run with `TaskPanic`; unwinding its stack drops the borrow and the
+    // body's handle, so the caller can borrow the state again.
+    let state = Rc::new(RefCell::new(vec![1u64]));
+    let held = Rc::clone(&state);
+    expect_panic_containing("with the state borrowed", move |tc| {
+        tc.work(10);
+        let mut v = held.borrow_mut();
+        v.push(2);
+        tc.work(10);
+        panic!("body gave up with the state borrowed");
+    });
+    assert_eq!(Rc::strong_count(&state), 1);
+    state.borrow_mut().push(3);
+    assert_eq!(*state.borrow(), [1, 2, 3]);
 }

@@ -1,9 +1,10 @@
 //! Behavioral tests of the task programming model: conditional spawning,
 //! groups/joins, distributed cells, locks and memory timing.
 
-use parking_lot::Mutex;
 use simany_runtime::{run_program, MemoryArch, ProgramSpec, RuntimeParams, SpawnPolicy, TaskCtx};
 use simany_topology::{mesh_2d, Topology};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -193,7 +194,7 @@ fn locks_serialize_critical_sections() {
     // Two tasks increment a shared host counter under a simulated lock;
     // the lock must serialize them in virtual time: total completion is at
     // least the sum of both critical sections.
-    let order = Arc::new(Mutex::new(Vec::new()));
+    let order = Rc::new(RefCell::new(Vec::new()));
     let order2 = order.clone();
     let out = run_program(spec(4), move |tc| {
         let lock = tc.make_lock();
@@ -202,16 +203,16 @@ fn locks_serialize_critical_sections() {
             let order = order2.clone();
             tc.spawn_or_run(g, move |tc: &mut TaskCtx<'_>| {
                 tc.lock(lock);
-                order.lock().push((i, "in", tc.now().cycles()));
+                order.borrow_mut().push((i, "in", tc.now().cycles()));
                 tc.work(500);
-                order.lock().push((i, "out", tc.now().cycles()));
+                order.borrow_mut().push((i, "out", tc.now().cycles()));
                 tc.unlock(lock);
             });
         }
         tc.join(g);
     })
     .unwrap();
-    let events = order.lock().clone();
+    let events = order.take();
     assert_eq!(events.len(), 4);
     // Critical sections must not interleave in virtual time: sort by time
     // and check in/out alternation.

@@ -1,9 +1,10 @@
 //! Edge-case tests of the run-time protocol: lock handover order, cell
 //! chasing under contention, group reuse, and guard rails.
 
-use parking_lot::Mutex;
 use simany_runtime::{run_program, ProgramSpec, RuntimeParams, TaskCtx};
 use simany_topology::mesh_2d;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -11,7 +12,7 @@ use std::sync::Arc;
 fn contended_lock_serializes_many_tasks() {
     // 6 tasks across the mesh all take the same lock; critical sections
     // must be pairwise disjoint in virtual time.
-    let spans = Arc::new(Mutex::new(Vec::<(u64, u64)>::new()));
+    let spans = Rc::new(RefCell::new(Vec::<(u64, u64)>::new()));
     let spans2 = spans.clone();
     let out = run_program(ProgramSpec::new(mesh_2d(9)), move |tc| {
         let lock = tc.make_lock();
@@ -25,13 +26,13 @@ fn contended_lock_serializes_many_tasks() {
                 tc.work(200);
                 let t1 = tc.now().cycles();
                 tc.unlock(lock);
-                spans.lock().push((t0, t1));
+                spans.borrow_mut().push((t0, t1));
             });
         }
         tc.join(g);
     })
     .unwrap();
-    let mut spans = spans.lock().clone();
+    let mut spans = spans.take();
     assert_eq!(spans.len(), 6);
     spans.sort();
     for w in spans.windows(2) {

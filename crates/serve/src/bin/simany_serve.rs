@@ -12,6 +12,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use simany_serve::scenario::FieldError;
 use simany_serve::{ServeConfig, Service};
 
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
@@ -59,6 +60,14 @@ exit codes: 0 sweep complete, 3 interrupted by signal (re-run the same
 command to resume), 1 runtime error, 2 usage error.
 ";
 
+/// `raw` as the number `flag` takes, or a usage error (exit 2).
+fn num<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
+    raw.parse().unwrap_or_else(|_| {
+        eprintln!("{}\n{USAGE}", FieldError::BadValue.message(flag, raw));
+        std::process::exit(2)
+    })
+}
+
 fn parse_args() -> ServeConfig {
     let mut cfg = ServeConfig::default();
     let mut spec = None;
@@ -76,15 +85,15 @@ fn parse_args() -> ServeConfig {
         match a.as_str() {
             "--spec" => spec = Some(val()),
             "--out" => cfg.out_dir = val().into(),
-            "--workers" => cfg.workers = val().parse().expect("--workers"),
+            "--workers" => cfg.workers = num(a, &val()),
             "--simulate-bin" => cfg.simulate_bin = Some(val().into()),
             "--checkpoint-every" => {
-                let t: u64 = val().parse().expect("--checkpoint-every");
+                let t: u64 = num(a, &val());
                 cfg.checkpoint_every = (t > 0).then_some(t);
             }
-            "--preempt-after" => cfg.preempt_after = Some(val().parse().expect("--preempt-after")),
-            "--max-resumes" => cfg.max_resumes = val().parse().expect("--max-resumes"),
-            "--poll-ms" => cfg.poll_ms = val().parse().expect("--poll-ms"),
+            "--preempt-after" => cfg.preempt_after = Some(num(a, &val())),
+            "--max-resumes" => cfg.max_resumes = num(a, &val()),
+            "--poll-ms" => cfg.poll_ms = num(a, &val()),
             "-h" | "--help" => {
                 print!("{USAGE}");
                 std::process::exit(0);

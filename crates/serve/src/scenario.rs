@@ -245,7 +245,11 @@ impl Scenario {
         let mut spec = match self.machine.as_str() {
             "mesh" => presets::uniform_mesh_sm(self.cores),
             "mesh3d" => presets::mesh3d_sm(self.cores),
-            "clustered" => presets::clustered_dm(self.cores, self.clusters),
+            "clustered" => {
+                simany::topology::cluster_tiles(self.cores, self.clusters)
+                    .map_err(|e| format!("machine 'clustered': {e}"))?;
+                presets::clustered_dm(self.cores, self.clusters)
+            }
             "chiplet" => {
                 if self.clusters == 0 || !self.cores.is_multiple_of(self.clusters) {
                     return Err(format!(
@@ -518,6 +522,20 @@ mod tests {
         let mut s = Scenario::default();
         s.sync = "psychic".into();
         assert!(s.build_spec().is_err());
+
+        // A clustered machine whose cluster grid does not tile its mesh.
+        let mut s = Scenario::default();
+        s.machine = "clustered".into();
+        for (cores, clusters, why) in [
+            (16, 0, "cluster count 0 must divide core count 16"),
+            (12, 4, "cluster grid 2x2 must tile mesh 4x3"),
+        ] {
+            (s.cores, s.clusters) = (cores, clusters);
+            let err = s.build_spec().err().expect("refused");
+            assert_eq!(err, format!("machine 'clustered': {why}"));
+        }
+        (s.cores, s.clusters) = (16, 4);
+        assert!(s.build_spec().is_ok());
     }
 
     #[test]

@@ -299,6 +299,21 @@ fn a_zero_spatial_drift_is_refused_at_queue_build_time() {
     );
 }
 
+/// A clustered machine whose cluster grid does not tile its mesh cannot be
+/// built: the scenario is refused instead of panicking in the builder.
+#[test]
+fn a_clustered_grid_that_does_not_tile_is_refused_at_queue_build_time() {
+    let err = refused_at_queue_build_time(
+        "untiled-clusters",
+        "[defaults]\nkernel = \"quicksort\"\n\n\
+         [[sweep]]\nname = \"odd\"\nmachine = \"clustered\"\ncores = 12\nclusters = 4\n",
+    );
+    assert!(
+        err.ends_with("scenario 'odd': machine 'clustered': cluster grid 2x2 must tile mesh 4x3"),
+        "{err}"
+    );
+}
+
 /// A value `simulate` would refuse is refused while the queue is built,
 /// with the block and the field named: no panic, no worker run to fail.
 #[test]

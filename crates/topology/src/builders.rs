@@ -239,19 +239,9 @@ impl ClusterParams {
 /// `inter_latency`. This preserves the paper's setup: same core count and
 /// mesh shape as the uniform machine, only link latencies change.
 pub fn clustered_mesh(n: u32, params: ClusterParams) -> Topology {
-    assert!(
-        params.n_clusters > 0 && n.is_multiple_of(params.n_clusters),
-        "cluster count {} must divide core count {n}",
-        params.n_clusters
-    );
+    let (tile_w, tile_h) = cluster_tiles(n, params.n_clusters).unwrap_or_else(|e| panic!("{e}"));
     let (w, h) = mesh_dims(n);
-    let (cw, ch) = mesh_dims(params.n_clusters);
-    assert!(
-        w % cw == 0 && h % ch == 0,
-        "cluster grid {cw}x{ch} must tile mesh {w}x{h}"
-    );
-    let tile_w = w / cw;
-    let tile_h = h / ch;
+    let cw = w / tile_w;
     let cluster_of = |x: u32, y: u32| (y / tile_h) * cw + (x / tile_w);
 
     let mut links = LinkList::default();
@@ -280,10 +270,9 @@ pub fn clustered_mesh(n: u32, params: ClusterParams) -> Topology {
 /// Cluster index of each core for a `clustered_mesh` with the same
 /// parameters (useful for schedulers and reporting).
 pub fn cluster_assignment(n: u32, n_clusters: u32) -> Vec<u32> {
+    let (tile_w, tile_h) = cluster_tiles(n, n_clusters).unwrap_or_else(|e| panic!("{e}"));
     let (w, h) = mesh_dims(n);
-    let (cw, ch) = mesh_dims(n_clusters);
-    let tile_w = w / cw;
-    let tile_h = h / ch;
+    let cw = w / tile_w;
     let mut out = Vec::with_capacity(n as usize);
     for y in 0..h {
         for x in 0..w {
@@ -291,6 +280,25 @@ pub fn cluster_assignment(n: u32, n_clusters: u32) -> Vec<u32> {
         }
     }
     out
+}
+
+/// The tile, `(width, height)` in cores, that each of `n_clusters`
+/// clusters covers in an `n`-core [`clustered_mesh`] — or why that
+/// machine cannot be built: the cluster count must divide the core count,
+/// and the cluster grid (`mesh_dims(n_clusters)`) must tile the mesh
+/// (`mesh_dims(n)`).
+pub fn cluster_tiles(n: u32, n_clusters: u32) -> Result<(u32, u32), String> {
+    if n_clusters == 0 || !n.is_multiple_of(n_clusters) {
+        return Err(format!(
+            "cluster count {n_clusters} must divide core count {n}"
+        ));
+    }
+    let (w, h) = mesh_dims(n);
+    let (cw, ch) = mesh_dims(n_clusters);
+    if !w.is_multiple_of(cw) || !h.is_multiple_of(ch) {
+        return Err(format!("cluster grid {cw}x{ch} must tile mesh {w}x{h}"));
+    }
+    Ok((w / cw, h / ch))
 }
 
 /// Parameters for multi-chip hierarchical topologies ([`chiplet_mesh`],
@@ -743,6 +751,20 @@ mod tests {
     #[should_panic(expected = "must divide")]
     fn clustered_mesh_rejects_bad_cluster_count() {
         clustered_mesh(10, ClusterParams::paper(3));
+    }
+
+    #[test]
+    fn cluster_tiles_names_what_does_not_fit() {
+        assert_eq!(cluster_tiles(64, 4), Ok((4, 4)));
+        assert_eq!(cluster_tiles(1024, 8), Ok((8, 16)));
+        assert!(cluster_tiles(16, 0).unwrap_err().contains("must divide"));
+        assert!(cluster_tiles(10, 3).unwrap_err().contains("must divide"));
+        // 12 cores are a 4x3 mesh; 4 clusters a 2x2 grid, which cannot cut
+        // 3 rows evenly.
+        assert_eq!(
+            cluster_tiles(12, 4),
+            Err("cluster grid 2x2 must tile mesh 4x3".to_string())
+        );
     }
 
     #[test]

@@ -28,8 +28,8 @@ pub mod partition;
 pub mod routing;
 
 pub use builders::{
-    chiplet_mesh, cluster_of_clusters, clustered_mesh, fully_connected, hypercube, mesh_2d,
-    mesh_3d, ring, star, torus_2d, ChipletParams, ClusterParams, HierarchyParams,
+    chiplet_mesh, cluster_of_clusters, cluster_tiles, clustered_mesh, fully_connected, hypercube,
+    mesh_2d, mesh_3d, ring, star, torus_2d, ChipletParams, ClusterParams, HierarchyParams,
 };
 pub use config::{format_topology, parse_topology, ConfigError};
 pub use graph::{CoreId, LinkId, LinkList, LinkProps, Topology, MAX_LINK_CLASSES};

@@ -6,23 +6,24 @@
 //! cargo run --release --example write_a_kernel
 //! ```
 
-use parking_lot::Mutex as PMutex;
 use simany::prelude::*;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-/// Everything the tasks of one run share, behind one `Arc` cloned once
+/// Everything the tasks of one run share, behind one `Rc` cloned once
 /// per spawn: the input, and the partial sums the leaves produce (host
 /// memory — the simulator times the *accesses*, the data itself lives in
-/// ordinary Rust structures).
+/// ordinary Rust structures). Every task body runs on the thread that
+/// called `run_program`, so a `RefCell` is all the output needs.
 struct SumSquares {
     data: Vec<u64>,
-    partials: PMutex<Vec<u64>>,
+    partials: RefCell<Vec<u64>>,
 }
 
 /// Sum of squares of `data[lo..hi]`, split recursively.
 fn sum_squares(
     tc: &mut TaskCtx<'_>,
-    run: &Arc<SumSquares>,
+    run: &Rc<SumSquares>,
     lo: usize,
     hi: usize,
     group: simany::runtime::GroupId,
@@ -30,7 +31,7 @@ fn sum_squares(
     const LEAF: usize = 256;
     if hi - lo > LEAF {
         let mid = lo + (hi - lo) / 2;
-        let right = Arc::clone(run);
+        let right = Rc::clone(run);
         // Conditional spawn: ship the right half if a neighbor has room,
         // otherwise compute it right here.
         tc.spawn_or_run(group, move |tc: &mut TaskCtx<'_>| {
@@ -52,7 +53,7 @@ fn sum_squares(
             acc = acc.wrapping_add(v * v);
         }
         tc.compute(&per_elem.times((hi - lo) as u64));
-        run.partials.lock().push(acc);
+        run.partials.borrow_mut().push(acc);
     });
 }
 
@@ -62,11 +63,11 @@ fn main() {
     let expected: u64 = data.iter().map(|&v| v.wrapping_mul(v)).sum();
 
     for cores in [1u32, 4, 16, 64] {
-        let run = Arc::new(SumSquares {
+        let run = Rc::new(SumSquares {
             data: data.clone(),
-            partials: PMutex::new(Vec::new()),
+            partials: RefCell::new(Vec::new()),
         });
-        let root = Arc::clone(&run);
+        let root = Rc::clone(&run);
         let out = run_program(simany::presets::uniform_mesh_sm(cores), move |tc| {
             let group = tc.make_group();
             sum_squares(tc, &root, 0, n, group);
@@ -75,7 +76,7 @@ fn main() {
         .expect("simulation failed");
         let total: u64 = run
             .partials
-            .lock()
+            .borrow()
             .iter()
             .copied()
             .fold(0, u64::wrapping_add);

@@ -255,6 +255,27 @@ fn preempt_without_checkpointing_is_rejected() {
     }
 }
 
+/// A zero checkpoint interval would never move the next checkpoint past
+/// the front; it is a config error, caught before anything runs or is
+/// written.
+#[test]
+fn a_zero_checkpoint_interval_is_rejected() {
+    let path = ckpt_path("zero-every");
+    let mut spec = presets::uniform_mesh_sm(16);
+    spec.engine = spec
+        .engine
+        .with_seed(42)
+        .with_checkpoint(VDuration::ZERO, &path);
+    let kernel = kernel_by_name("Quicksort").unwrap();
+    match kernel.run_sim(spec, Scale(0.1), 42) {
+        Err(SimError::Checkpoint(msg)) => {
+            assert!(msg.contains("checkpoint_every"), "{msg}")
+        }
+        other => panic!("expected config error, got {other:?}"),
+    }
+    assert!(!path.exists(), "a checkpoint was written");
+}
+
 /// The typed exit codes the sweep service relies on are stable.
 #[test]
 fn exit_codes_are_stable() {
