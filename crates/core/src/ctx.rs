@@ -14,7 +14,7 @@ use crate::engine::{is_ready, push_ready, Shared, ShutdownSignal, Sim};
 use crate::ops::Ops;
 use crate::sync;
 use simany_net::Payload;
-use simany_time::{BlockCost, VirtualTime};
+use simany_time::{BlockCost, CoreSpeed, VDuration, VirtualTime};
 use simany_topology::CoreId;
 use std::any::Any;
 use std::cell::RefMut;
@@ -97,22 +97,41 @@ impl ExecCtx {
                 .predict_many(branches);
         }
         let d = sim.cores.speed(self.core.index()).scale_cycles(cycles);
-        sim.cores.advance(self.core.index(), d);
-        self.after_advance(sim);
+        self.advance_by(sim, d);
     }
 
     /// Advance this core's clock by `base_cycles` of work (speed-scaled),
     /// then apply the synchronization policy.
     pub fn advance_cycles(&mut self, base_cycles: u64) {
-        let mut sim = self.shared.sim.borrow_mut();
+        let sim = self.shared.sim.borrow_mut();
         let d = sim.cores.speed(self.core.index()).scale_cycles(base_cycles);
-        sim.cores.advance(self.core.index(), d);
-        self.after_advance(sim);
+        self.advance_by(sim, d);
     }
 
-    /// Post-annotation synchronization: the drift-headroom fast path when
-    /// the new clock stays inside the cached bound and no message is due,
-    /// the full publish + drain + policy check otherwise.
+    /// Advance this core's clock by exactly `d` (no speed scaling), then
+    /// apply the synchronization policy: an annotation of a known duration.
+    pub fn advance(&mut self, d: VDuration) {
+        self.advance_by(self.shared.sim.borrow_mut(), d);
+    }
+
+    /// Speed factor of this core.
+    pub fn speed(&self) -> CoreSpeed {
+        self.shared.sim.borrow().cores.speed(self.core.index())
+    }
+
+    /// Pure route latency of a `bytes` transfer from `src` to `dst` (no
+    /// contention), as [`Ops::uncontended_latency`]. It reads routes only,
+    /// never a published clock, so unlike [`Self::with_ops`] it flushes no
+    /// deferred publish.
+    pub fn uncontended_latency(&mut self, src: CoreId, dst: CoreId, bytes: u32) -> VDuration {
+        let mut sim = self.shared.sim.borrow_mut();
+        sim.net.uncontended_latency(src, dst, bytes)
+    }
+
+    /// Every annotation's advance by `d`, then its synchronization: the
+    /// drift-headroom fast path when the new clock stays inside the cached
+    /// bound and no message is due, the full publish + drain + policy check
+    /// otherwise.
     ///
     /// The fast path only *defers* the publish (`publish_pending`): this
     /// activity holds the run token, so nothing can observe the stale
@@ -120,8 +139,9 @@ impl ExecCtx {
     /// ([`sync::flush_deferred`]) runs. Folding the skipped intermediate
     /// publishes into one final publish reaches the same relaxation fixed
     /// point, so the deferral is bit-exact.
-    fn after_advance(&self, mut sim: RefMut<'_, Sim>) {
+    fn advance_by(&self, mut sim: RefMut<'_, Sim>, d: VDuration) {
         let i = self.core.index();
+        sim.cores.advance(i, d);
         let vtime = sim.cores.vtime[i];
         let fast = sim.cores.lock_depth[i] == 0
             && sim.cores.within_headroom(i, vtime)

@@ -75,12 +75,12 @@ use crate::stats::SimStats;
 use crate::sync;
 use crate::trace::TraceEvent;
 use simany_net::{Envelope, InboxPool, NetworkModel};
-use simany_time::{VDuration, VirtualTime};
+use simany_time::{IdHasher, VDuration, VirtualTime};
 use simany_topology::{CoreId, Topology};
 use std::cell::{RefCell, RefMut};
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -104,32 +104,12 @@ pub(crate) struct Shared {
     pub(crate) topo: Arc<Topology>,
 }
 
-/// Hasher for [`Sim::acts`], which every pick looks up several times. Its
-/// keys are the engine's sequential activity ids, so one multiply by an odd
-/// constant is enough: it keeps consecutive ids in distinct buckets (a
-/// bijection on the low bits the table indexes by) and mixes them into the
-/// high bits its probe tags read. The ids are not attacker-chosen, so
-/// nothing needs SipHash's keyed flood resistance.
-#[derive(Default)]
-pub(crate) struct ActIdHasher(u64);
-
-impl Hasher for ActIdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("activity ids hash through write_u64");
-    }
-    fn write_u64(&mut self, id: u64) {
-        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
 /// All mutable simulator state.
 pub(crate) struct Sim {
     pub(crate) cores: Cores,
     pub(crate) net: NetworkModel,
-    pub(crate) acts: HashMap<u64, Activity, BuildHasherDefault<ActIdHasher>>,
+    /// Live activities by id; every pick looks it up several times.
+    pub(crate) acts: HashMap<u64, Activity, BuildHasherDefault<IdHasher>>,
     pub(crate) next_act: u64,
     pub(crate) next_birth: u64,
     pub(crate) ready: ReadyQueue,
@@ -190,12 +170,9 @@ pub(crate) struct Sim {
     /// hot path (BoundedSlack / Conservative); `None` costs nothing.
     /// Maintained via `sync::note_floor_key` at every `floor_dirty` site.
     pub(crate) gfloor: Option<crate::floor::GlobalFloor>,
-    /// Floor-threshold wake structure for the global policies: min-heap of
-    /// `(threshold, core)` — once the global floor reaches `threshold`,
-    /// the core's stalled activity must be rechecked. Entries are lazy
-    /// (stale ones trigger harmless no-op rechecks); see
-    /// `sync::wake_stalled_by_floor`.
-    pub(crate) stall_wakes: std::collections::BinaryHeap<std::cmp::Reverse<(VirtualTime, u32)>>,
+    /// Floor-threshold wakes of the stalled cores; `Some` exactly when
+    /// `gfloor` is.
+    pub(crate) stall_wakes: Option<crate::floor::FloorWakes>,
 }
 
 impl Sim {
@@ -856,6 +833,11 @@ pub fn simulate(
             "fault plan compiled against a different topology"
         );
     }
+    // The policies that read the global floor on the hot path.
+    let global_policy = matches!(
+        config.sync,
+        SyncPolicy::BoundedSlack { .. } | SyncPolicy::Conservative
+    );
     let sim = Sim {
         cores,
         net: NetworkModel::with_faults(
@@ -887,12 +869,8 @@ pub fn simulate(
         scratch_ready: Vec::new(),
         // All cores start idle with empty birth ledgers: every key is MAX,
         // which is exactly `GlobalFloor::new`'s initial state.
-        gfloor: matches!(
-            config.sync,
-            SyncPolicy::BoundedSlack { .. } | SyncPolicy::Conservative
-        )
-        .then(|| crate::floor::GlobalFloor::new(n as usize)),
-        stall_wakes: std::collections::BinaryHeap::new(),
+        gfloor: global_policy.then(|| crate::floor::GlobalFloor::new(n as usize)),
+        stall_wakes: global_policy.then(|| crate::floor::FloorWakes::new(n as usize)),
     };
     let shared = Rc::new(Shared {
         sim: RefCell::new(sim),

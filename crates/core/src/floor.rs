@@ -24,6 +24,8 @@
 //! and without it.
 
 use simany_time::VirtualTime;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Reduction fanout. 64 keys = 512 bytes = 8 cache lines per block scan;
 /// a million cores need just 4 levels (1M → 16k → 256 → 4 → 1).
@@ -169,6 +171,68 @@ impl GlobalFloor {
             .iter()
             .copied()
             .fold(VirtualTime::MAX, VirtualTime::min)
+    }
+}
+
+/// Floor-threshold wake structure of the global policies: a min-heap of
+/// `(threshold, core)` — once the global floor reaches `threshold`, the
+/// core's stalled activity must be rechecked — plus, per core, the
+/// threshold of its live entry. A core registers at most one entry per
+/// threshold: registering the threshold it already waits on pushes
+/// nothing. Entries are otherwise lazy (a core woken by another path
+/// leaves its entry behind, and the recheck it later triggers is a
+/// harmless no-op); see `sync::wake_stalled_by_floor`.
+pub(crate) struct FloorWakes {
+    heap: BinaryHeap<Reverse<(VirtualTime, u32)>>,
+    /// Per core: the threshold of its live heap entry, `ZERO` for none. A
+    /// stalled core's clock is above the floor, so no threshold is zero.
+    live: Vec<VirtualTime>,
+}
+
+impl FloorWakes {
+    /// An empty structure for `n` cores.
+    pub(crate) fn new(n: usize) -> Self {
+        FloorWakes {
+            heap: BinaryHeap::new(),
+            live: vec![VirtualTime::ZERO; n],
+        }
+    }
+
+    /// Recheck core `c` once the floor reaches `threshold`.
+    pub(crate) fn register(&mut self, c: u32, threshold: VirtualTime) {
+        debug_assert!(threshold > VirtualTime::ZERO, "a zero threshold is no wait");
+        let live = &mut self.live[c as usize];
+        if *live != threshold {
+            *live = threshold;
+            self.heap.push(Reverse((threshold, c)));
+        }
+    }
+
+    /// Move every core whose threshold `floor` has reached (all of them
+    /// when `floor` is `MAX`) into `due`, in threshold order.
+    pub(crate) fn pop_due(&mut self, floor: VirtualTime, due: &mut Vec<u32>) {
+        while let Some(&Reverse((th, c))) = self.heap.peek() {
+            if th > floor && floor != VirtualTime::MAX {
+                break;
+            }
+            self.heap.pop();
+            let live = &mut self.live[c as usize];
+            if *live == th {
+                *live = VirtualTime::ZERO;
+            }
+            due.push(c);
+        }
+    }
+
+    /// True iff no core waits on the floor.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Every `(threshold, core)` entry, in no particular order.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (VirtualTime, u32)> + '_ {
+        self.heap.iter().map(|&Reverse(e)| e)
     }
 }
 

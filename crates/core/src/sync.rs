@@ -953,11 +953,16 @@ pub(crate) fn note_floor_key(sim: &mut Sim, i: usize) {
 
 /// Register stalled core `c` in the floor-threshold wake structure: once
 /// the global floor reaches `threshold`, `c`'s synchronization condition
-/// holds again and it must be rechecked. Entries are lazy — a core woken
-/// by another path leaves a stale entry behind, and the recheck it later
-/// triggers is a harmless no-op (`recheck_stall` is authoritative).
+/// holds again and it must be rechecked. A core keeps one live entry per
+/// threshold (re-registering the threshold it waits on pushes nothing);
+/// a core woken by another path leaves its entry behind, and the recheck
+/// it later triggers is a harmless no-op (`recheck_stall` is
+/// authoritative).
 fn register_floor_wake(sim: &mut Sim, c: CoreId, threshold: VirtualTime) {
-    sim.stall_wakes.push(std::cmp::Reverse((threshold, c.0)));
+    sim.stall_wakes
+        .as_mut()
+        .expect("global policies allocate the wake structure")
+        .register(c.0, threshold);
 }
 
 /// Wake exactly the stalled cores whose floor-threshold the (possibly
@@ -967,21 +972,18 @@ fn register_floor_wake(sim: &mut Sim, c: CoreId, threshold: VirtualTime) {
 /// entries never need reinsertion here; a recheck that fails again
 /// re-registers itself from `sync_ok`.
 fn wake_stalled_by_floor(sim: &mut Sim, shared: &Shared) {
-    if sim.stall_wakes.is_empty() {
+    if sim.stall_wakes.as_ref().is_none_or(|w| w.is_empty()) {
         return;
     }
     let floor = global_floor(sim);
     let mut woken = std::mem::take(&mut sim.scratch_ready);
     woken.clear();
-    while let Some(&std::cmp::Reverse((th, c))) = sim.stall_wakes.peek() {
-        if th > floor && floor != VirtualTime::MAX {
-            break;
-        }
-        sim.stall_wakes.pop();
-        woken.push(c);
-    }
-    // Core-id order is the pinned wake order; dedup collapses stale
-    // duplicate registrations to one recheck.
+    sim.stall_wakes
+        .as_mut()
+        .expect("checked above")
+        .pop_due(floor, &mut woken);
+    // Core-id order is the pinned wake order; dedup collapses a core's
+    // entries for several thresholds to one recheck.
     woken.sort_unstable();
     woken.dedup();
     let mut idx = 0;
@@ -1095,6 +1097,7 @@ mod tests {
         simulate, CoreId, EngineConfig, Envelope, ExecCtx, Ops, Payload, RuntimeHooks, SimStats,
         SyncPolicy, VDuration,
     };
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     /// Hooks whose message handler advances the receiving core, so arrivals
@@ -1112,33 +1115,33 @@ mod tests {
     /// runs 200 small annotations (step sizes differ per core, so a real
     /// drift pattern flows) and messages the antipodal core every 16th.
     fn run(sync: SyncPolicy, full_sync_only: bool) -> SimStats {
+        run_with(sync, full_sync_only, Arc::new(AdvanceOnMessage))
+    }
+
+    /// [`run`] with the given hooks.
+    fn run_with(sync: SyncPolicy, full_sync_only: bool, hooks: Arc<dyn RuntimeHooks>) -> SimStats {
         let n = 16u32;
         let mut config = EngineConfig::default().with_seed(11);
         config.sync = sync;
         config.full_sync_only = full_sync_only;
-        simulate(
-            simany_topology::mesh_2d(n),
-            config,
-            Arc::new(AdvanceOnMessage),
-            move |ops| {
-                for c in 0..n {
-                    let step = 3 + u64::from(c % 5);
-                    ops.start_activity(
-                        CoreId(c),
-                        "dense",
-                        Box::new(()),
-                        Box::new(move |ctx: &mut ExecCtx| {
-                            for k in 0..200 {
-                                ctx.advance_cycles(step);
-                                if k % 16 == 15 {
-                                    ctx.send(CoreId((c + n / 2) % n), 32, Payload::none());
-                                }
+        simulate(simany_topology::mesh_2d(n), config, hooks, move |ops| {
+            for c in 0..n {
+                let step = 3 + u64::from(c % 5);
+                ops.start_activity(
+                    CoreId(c),
+                    "dense",
+                    Box::new(()),
+                    Box::new(move |ctx: &mut ExecCtx| {
+                        for k in 0..200 {
+                            ctx.advance_cycles(step);
+                            if k % 16 == 15 {
+                                ctx.send(CoreId((c + n / 2) % n), 32, Payload::none());
                             }
-                        }),
-                    );
-                }
-            },
-        )
+                        }
+                    }),
+                );
+            }
+        })
         .expect("simulation failed")
     }
 
@@ -1207,6 +1210,49 @@ mod tests {
             }
         }
     }
+
+    /// [`AdvanceOnMessage`] that also inspects the floor-threshold wake
+    /// heap at every message it handles.
+    #[derive(Default)]
+    struct WakeHeapCheck {
+        entries: AtomicU64,
+        duplicates: AtomicU64,
+    }
+    impl RuntimeHooks for WakeHeapCheck {
+        fn on_message(&self, ops: &mut Ops<'_>, env: Envelope) {
+            let wakes = ops.sim.stall_wakes.as_ref().expect("global policy");
+            let mut pairs: Vec<_> = wakes.entries().collect();
+            let n = pairs.len();
+            pairs.sort_unstable();
+            pairs.dedup();
+            self.entries.fetch_add(n as u64, Ordering::Relaxed);
+            self.duplicates
+                .fetch_add((n - pairs.len()) as u64, Ordering::Relaxed);
+            ops.advance_core(env.dst, 4);
+        }
+        fn on_idle(&self, _: &mut Ops<'_>, _: CoreId) {}
+        fn on_activity_end(&self, _: &mut Ops<'_>, _: CoreId, _: Box<dyn std::any::Any + Send>) {}
+    }
+
+    /// A stalled core rechecked by a neighbor's publish, and failing again,
+    /// registers the threshold it already waits on: that pushes nothing,
+    /// so no `(threshold, core)` pair is ever in the heap twice.
+    #[test]
+    fn a_stalled_core_keeps_one_floor_wake_entry_per_threshold() {
+        let check = Arc::new(WakeHeapCheck::default());
+        let s = run_with(SyncPolicy::Conservative, false, check.clone());
+        assert!(s.stall_events > 0, "nothing stalled");
+        assert!(
+            check.entries.load(Ordering::Relaxed) > 0,
+            "no message arrived while a core waited on the floor"
+        );
+        assert_eq!(
+            check.duplicates.load(Ordering::Relaxed),
+            0,
+            "a (threshold, core) pair was in the wake heap twice"
+        );
+    }
+
     /// One activity on the corner core of an otherwise idle mesh, every
     /// annotation a full publish that raises the front.
     fn lone_runner(cores: u32, t: VDuration) -> SimStats {

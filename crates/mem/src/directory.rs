@@ -9,8 +9,10 @@
 //! network model and charges the requesting core.
 
 use crate::Addr;
+use simany_time::IdHasher;
 use simany_topology::CoreId;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// One protocol message leg: `(from, to, payload bytes)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,7 +39,7 @@ enum LineState {
 pub struct DirectoryTiming {
     n_cores: u32,
     line_bytes: u32,
-    lines: HashMap<u64, LineState>,
+    lines: HashMap<u64, LineState, BuildHasherDefault<IdHasher>>,
     /// Control-message size in bytes.
     ctrl_bytes: u32,
     invalidations: u64,
@@ -50,7 +52,7 @@ impl DirectoryTiming {
         DirectoryTiming {
             n_cores,
             line_bytes,
-            lines: HashMap::new(),
+            lines: HashMap::default(),
             ctrl_bytes: 8,
             invalidations: 0,
             fetches_from_owner: 0,
@@ -138,8 +140,8 @@ impl DirectoryTiming {
         let line = crate::line_of(addr, self.line_bytes);
         let home = self.home_of(line);
         let mut legs = Vec::new();
-        match self.lines.get(&line).cloned() {
-            Some(LineState::Modified(owner)) if owner == core => {
+        match self.lines.get_mut(&line) {
+            Some(LineState::Modified(owner)) if *owner == core => {
                 // Already exclusive: silent.
             }
             Some(LineState::Modified(owner)) => {
@@ -151,15 +153,15 @@ impl DirectoryTiming {
                 });
                 legs.push(CoherenceLeg {
                     from: home,
-                    to: owner,
+                    to: *owner,
                     bytes: self.ctrl_bytes,
                 });
                 legs.push(CoherenceLeg {
-                    from: owner,
+                    from: *owner,
                     to: core,
                     bytes: self.line_bytes,
                 });
-                self.lines.insert(line, LineState::Modified(core));
+                *owner = core;
             }
             Some(LineState::Shared(sharers)) => {
                 legs.push(CoherenceLeg {
@@ -167,7 +169,7 @@ impl DirectoryTiming {
                     to: home,
                     bytes: self.ctrl_bytes,
                 });
-                for s in &sharers {
+                for s in sharers.iter() {
                     if *s != core {
                         // Invalidate + ack.
                         self.invalidations += 1;

@@ -13,13 +13,18 @@
 //! invalidates, which is exactly the paper's pessimism.
 
 use crate::Addr;
+use simany_time::IdHasher;
 use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
+
+/// The lines one scope frame touched.
+type Frame = HashSet<u64, BuildHasherDefault<IdHasher>>;
 
 /// Scope-tracked pessimistic L1.
 #[derive(Debug, Clone)]
 pub struct ScopedL1 {
     line_bytes: u32,
-    frames: Vec<HashSet<u64>>,
+    frames: Vec<Frame>,
     hits: u64,
     misses: u64,
 }
@@ -30,7 +35,7 @@ impl ScopedL1 {
         assert!(line_bytes > 0);
         ScopedL1 {
             line_bytes,
-            frames: vec![HashSet::new()],
+            frames: vec![Frame::default()],
             hits: 0,
             misses: 0,
         }
@@ -38,7 +43,7 @@ impl ScopedL1 {
 
     /// Enter a function scope.
     pub fn enter_scope(&mut self) {
-        self.frames.push(HashSet::new());
+        self.frames.push(Frame::default());
     }
 
     /// Leave a function scope, forgetting every line it touched.
@@ -67,8 +72,9 @@ impl ScopedL1 {
         }
     }
 
-    /// Drop a line from every live scope (used when coherence invalidates
-    /// it, or when the runtime moves a cell away).
+    /// Drop a line from every live scope: its next access misses. Meant
+    /// for a coherence model that invalidates lines; the run-time system
+    /// does not call it (its scopes forget lines only at function exits).
     pub fn invalidate(&mut self, addr: Addr) {
         let line = crate::line_of(addr, self.line_bytes);
         for f in &mut self.frames {

@@ -170,9 +170,20 @@ pub struct RtStats {
     pub pinned_spawn_drops: u64,
 }
 
-/// All mutable run-time state. [`crate::TaskRuntime`] owns it behind a
-/// mutex that every hook and every `TaskCtx` call locks at most once; the
-/// protocol helpers take it as `&mut RtState` and never lock. Groups,
+impl RtStats {
+    /// Count one timed shared-memory load or store.
+    pub(crate) fn count_sm_access(&mut self, write: bool) {
+        if write {
+            self.sm_stores += 1;
+        } else {
+            self.sm_loads += 1;
+        }
+    }
+}
+
+/// All mutable run-time state. [`crate::TaskRuntime`] owns it in a
+/// `RefCell` that every hook and every `TaskCtx` call borrows at most
+/// once; the protocol helpers take it as `&mut RtState`. Groups,
 /// cells and locks are never freed, so their ids index these vectors
 /// densely.
 pub(crate) struct RtState {

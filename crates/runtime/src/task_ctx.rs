@@ -398,45 +398,49 @@ impl<'a> TaskCtx<'a> {
         self.mem_access(addr, whit, true);
     }
 
+    /// Time one shared-memory access. Without a detailed timing plug-in it
+    /// is an annotation of a known duration: the counters and the
+    /// directory are updated under one run-time state borrow, then one
+    /// [`ExecCtx::advance`] charges the latency and applies the
+    /// synchronization policy (taking the annotation fast path when the
+    /// core stays inside its drift headroom).
     fn mem_access(&mut self, addr: Addr, l1_hit: bool, write: bool) {
         let (rt, me) = (self.rt, self.core());
-        self.ec.with_ops_synced(|ops| {
-            let mut st = rt.st.borrow_mut();
-            if write {
-                st.stats.sm_stores += 1;
-            } else {
-                st.stats.sm_loads += 1;
-            }
-            if let Some(detailed) = &rt.params.detailed {
+        if let Some(detailed) = &rt.params.detailed {
+            self.ec.with_ops_synced(|ops| {
+                rt.st.borrow_mut().stats.count_sm_access(write);
                 detailed.mem_access(ops, me, addr, write);
-                return;
-            }
-            let mem = &rt.params.mem;
+            });
+            return;
+        }
+        let mem = &rt.params.mem;
+        let (cycles, extra) = {
+            let mut st = rt.st.borrow_mut();
+            st.stats.count_sm_access(write);
             if l1_hit {
                 st.stats.l1_hits += 1;
-                ops.advance_core(me, mem.l1_latency.cycles());
-                return;
-            }
-            st.stats.l1_misses += 1;
-            // Coherence-effect timings (validation mode): charge the legs a
-            // real MSI directory would exchange.
-            let mut extra = VDuration::ZERO;
-            if let Some(dir) = st.directory.as_mut() {
-                let legs = if write {
-                    dir.write(me, addr)
-                } else {
-                    dir.read(me, addr)
-                };
-                st.stats.coherence_legs += legs.len() as u64;
-                for leg in legs {
-                    extra += ops.uncontended_latency(leg.from, leg.to, leg.bytes);
+                (mem.l1_latency.cycles(), VDuration::ZERO)
+            } else {
+                st.stats.l1_misses += 1;
+                // Coherence-effect timings (validation mode): charge the
+                // legs a real MSI directory would exchange.
+                let mut extra = VDuration::ZERO;
+                if let Some(dir) = st.directory.as_mut() {
+                    let legs = if write {
+                        dir.write(me, addr)
+                    } else {
+                        dir.read(me, addr)
+                    };
+                    st.stats.coherence_legs += legs.len() as u64;
+                    for leg in legs {
+                        extra += self.ec.uncontended_latency(leg.from, leg.to, leg.bytes);
+                    }
                 }
+                (mem.backing_latency.cycles(), extra)
             }
-            ops.advance_core(me, mem.backing_latency.cycles());
-            if !extra.is_zero() {
-                ops.advance_core_raw(me, extra);
-            }
-        });
+        };
+        let d = self.ec.speed().scale_cycles(cycles) + extra;
+        self.ec.advance(d);
     }
 
     // ----- distributed-memory cells (paper §IV) ------------------------------

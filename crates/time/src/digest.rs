@@ -2,7 +2,10 @@
 //! `u64` words. The engine's configuration digest, its verification
 //! checkpoints and the network's and run-time system's state digests all
 //! fold through it, so a value folded in one layer means the same thing in
-//! every other.
+//! every other. Next to it, [`IdHasher`]: the one hasher of the hot maps
+//! keyed by simulator-made integers.
+
+use std::hash::Hasher;
 
 /// FNV-1a-style 64-bit folder over little-endian `u64` words. Not
 /// cryptographic — it only needs to make accidental divergence visible.
@@ -66,6 +69,27 @@ impl Digest {
 impl Default for Digest {
     fn default() -> Self {
         Digest::new()
+    }
+}
+
+/// Hasher for hash tables keyed by integers the simulator makes itself:
+/// sequential activity ids, cache-line numbers. One multiply by an odd
+/// constant is enough: it keeps consecutive keys in distinct buckets (a
+/// bijection on the low bits the table indexes by) and mixes them into the
+/// high bits its probe tags read. The keys are not attacker-chosen, so
+/// nothing needs SipHash's keyed flood resistance.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("integer keys hash through write_u64");
+    }
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 }
 

@@ -21,7 +21,8 @@
 //!   saturating-counter predictor used by the cycle-level reference.
 //! * [`Digest`] — the FNV-1a word folder behind the engine's configuration
 //!   and checkpoint digests and the network's and run-time system's state
-//!   digests.
+//!   digests, and [`IdHasher`], the hasher of the simulator's integer-keyed
+//!   tables.
 //! * [`prng`] — small, fast, fully deterministic PRNGs (SplitMix64 and
 //!   xoshiro256**) implemented locally so simulation results never change
 //!   under dependency upgrades.
@@ -34,6 +35,6 @@ pub mod vtime;
 
 pub use branch::{BranchOutcome, ProbBranchPredictor, TwoBitPredictor};
 pub use cost::{BlockCost, CoreSpeed, CostModel, InstrClass};
-pub use digest::Digest;
+pub use digest::{Digest, IdHasher};
 pub use prng::{SplitMix64, Xoshiro256StarStar};
 pub use vtime::{VDuration, VirtualTime, TICKS_PER_CYCLE};

@@ -159,3 +159,46 @@ fn a_lagging_core_going_idle_does_not_count_its_region_up() {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// Shared-memory accesses are annotations.
+//
+// A load or store on a machine without a detailed timing plug-in charges
+// a latency known up front, so it takes the drift-headroom fast path like
+// any timing annotation: inside the cached headroom with no message due,
+// its publish is deferred to the next flush point. The schedules below
+// are those of the engine that published and checked the policy after
+// every access; the bound on publish sweeps is what the deferral saves
+// (84,852 and 111,322 sweeps without it).
+
+#[test]
+fn shared_memory_accesses_take_the_annotation_fast_path() {
+    // (machine, scheduler picks, final vtime cycles)
+    let runs = [
+        ("sm", presets::uniform_mesh_sm(64), 9111, 497525),
+        ("smc", presets::uniform_mesh_sm_coherent(64), 11525, 838249),
+    ];
+    for (arch, mut spec, picks, vtime) in runs {
+        spec.engine = spec.engine.with_seed(7);
+        spec.engine.sanitize = true;
+        let res = kernel_by_name("Quicksort")
+            .unwrap()
+            .run_sim(spec, Scale(0.5), 7)
+            .expect("quicksort run failed");
+        assert!(res.verified);
+        let s = &res.out.stats;
+        let run = format!("quicksort-64-{arch} seed 7");
+        assert_eq!(s.sanitizer_violations, 0, "{run}: sanitizer violations");
+        assert!(s.sanitizer_checks > 0, "{run}: the sanitizer ran no checks");
+        assert_eq!(
+            (s.scheduler_picks, s.final_vtime.cycles()),
+            (picks, vtime),
+            "{run}: schedule moved"
+        );
+        assert!(
+            s.publish_sweeps < 20_000,
+            "{run}: {} publish sweeps",
+            s.publish_sweeps
+        );
+    }
+}
