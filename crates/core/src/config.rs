@@ -143,6 +143,11 @@ pub struct EngineConfig {
     /// either.
     #[cfg(test)]
     pub(crate) drop_uncap_registration: bool,
+    /// Unit-test override: never open a publish window (`sync::Window`), so
+    /// `sync`'s windows-on-vs-off equality test can run one program both
+    /// ways. Not a knob.
+    #[cfg(test)]
+    pub(crate) no_publish_windows: bool,
 }
 
 impl std::fmt::Debug for EngineConfig {
@@ -192,6 +197,8 @@ impl Default for EngineConfig {
             full_sync_only: false,
             #[cfg(test)]
             drop_uncap_registration: false,
+            #[cfg(test)]
+            no_publish_windows: false,
         }
     }
 }

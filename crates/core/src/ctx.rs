@@ -285,6 +285,7 @@ impl ExecCtx {
                 stalled = true;
             }
             sim.act_mut(self.aid).state = ActivityState::Stalled;
+            sim.stalled += 1;
             sim = self.suspend(sim);
         }
     }

@@ -136,6 +136,13 @@ pub(crate) struct Sim {
     /// Capped idle cores by the key the front must overtake before they
     /// need re-evaluation (spatial policy only; see [`sync::UncapIndex`]).
     pub(crate) uncap: sync::UncapIndex,
+    /// Activities in [`ActivityState::Stalled`]. Only `ExecCtx`'s stall
+    /// enters that state and only `sync::recheck_stall` leaves it, so the
+    /// two keep the count.
+    pub(crate) stalled: u32,
+    /// The publishes owed by the open publish window, if one is open (see
+    /// [`sync::Window`]).
+    pub(crate) window: sync::Window,
     /// Per core: waiter set — blocked neighbors registered on this core as
     /// their argmin laggard (spatial policy only), in registration order.
     /// A rising publish rechecks only these.
@@ -542,6 +549,9 @@ pub(crate) fn finish_activity(sim: &mut Sim, shared: &Shared, pool: &mut Pool, a
     let mut act = sim.acts.remove(&aid.0).expect("finishing unknown activity");
     pool.release(act.context.expect("finished without ever running"));
     let c = act.core;
+    // The flush and the idle publish below, and whatever the hook
+    // publishes, land once each when the window closes.
+    sync::open_window(sim, shared);
     // The end-of-task hooks below observe published values; make any
     // fast-path deferred publish visible first.
     sync::flush_deferred(sim, shared, c);
@@ -565,6 +575,7 @@ pub(crate) fn finish_activity(sim: &mut Sim, shared: &Shared, pool: &mut Pool, a
     }
     // Possible idle transition; also the hooks may have advanced the clock.
     sync::publish(sim, shared, c);
+    sync::close_window(sim, shared);
     if is_ready(sim, c) {
         push_ready(sim, c);
     }
@@ -858,6 +869,8 @@ pub fn simulate(
         floor_dirty: false,
         max_vtime: VirtualTime::ZERO,
         uncap: sync::UncapIndex::new(&config),
+        stalled: 0,
+        window: sync::Window::new(n as usize),
         waiters: crate::state::FifoPool::new(n as usize, 0),
         scratch_changed: Vec::new(),
         scratch_work: Vec::new(),
@@ -1071,6 +1084,10 @@ impl PickLoop {
     /// re-evaluates `c` for the ready queue, which every other action does
     /// here.
     fn dispatch(&mut self, sim: &mut Sim, shared: &Shared, c: CoreId) -> Option<ActivityId> {
+        // No activity runs until the window closes, so an idle hook's
+        // idle-then-busy transient publishes nothing and a message's
+        // arrival jump and handler costs publish once.
+        sync::open_window(sim, shared);
         let granted = match decide(sim, c) {
             Action::Message => {
                 process_message(sim, shared, c);
@@ -1099,6 +1116,7 @@ impl PickLoop {
             }
             Action::Nothing => None,
         };
+        sync::close_window(sim, shared);
         match granted {
             Some(aid) => {
                 sim.act_mut(aid).state = ActivityState::Granted;

@@ -51,12 +51,6 @@ impl<'a> Ops<'a> {
         self.sim.cores.vtime[core.index()]
     }
 
-    /// Published (neighbor-visible) time of `core` — its clock while
-    /// working, its shadow time while idle.
-    pub fn published(&self, core: CoreId) -> VirtualTime {
-        sync::exposed(self.sim, self.shared, core.index())
-    }
-
     /// Topological neighbors of `core`.
     pub fn neighbors(&self, core: CoreId) -> Vec<CoreId> {
         self.shared

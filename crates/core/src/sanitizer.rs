@@ -314,13 +314,35 @@ pub(crate) fn on_deliver(sim: &mut Sim, shared: &Shared, env: &Envelope) {
 
 /// Machine-wide scan, run at scheduler-time quiescence (every
 /// [`SCAN_EVERY_PICKS`] picks and once after the last pick). At these
-/// instants every deferred publish has been flushed, so published values,
-/// caches and clocks must all be mutually consistent.
+/// instants every deferred publish has been flushed and no publish window
+/// is open, so published values, caches and clocks must all be mutually
+/// consistent.
 pub(crate) fn scan(sim: &mut Sim, shared: &Shared) {
     let spatial_t = match shared.config.sync {
         SyncPolicy::Spatial { t } => Some(t),
         _ => None,
     };
+    // The stall count decides whether a step may defer its publishes.
+    sim.stats.sanitizer_checks += 1;
+    let stalled = sim.acts.values().filter(|a| a.is_stalled()).count();
+    let miscount = (stalled != sim.stalled as usize)
+        .then(|| format!("{stalled} activities stalled, count says {}", sim.stalled));
+    let open = sim
+        .window
+        .is_open()
+        .then(|| "publish window still open at scheduler time".to_string());
+    for (invariant, detail) in [("stall-count", miscount), ("publish-window", open)] {
+        if let Some(detail) = detail {
+            let ev = TraceEvent::SanitizerViolation {
+                t: sim.max_vtime,
+                core: CoreId(0),
+                peer: None,
+                invariant,
+                detail,
+            };
+            report(sim, shared, ev);
+        }
+    }
     for i in 0..sim.cores.len() {
         let c = CoreId(i as u32);
         sim.stats.sanitizer_checks += 1;
@@ -554,6 +576,11 @@ mod tests {
             },
         )
         .expect("simulation failed");
+        violations(&tracer)
+    }
+
+    /// The invariants the sanitizer reported to `tracer`.
+    fn violations(tracer: &MemoryTracer) -> Vec<&'static str> {
         tracer
             .events()
             .into_iter()
@@ -562,6 +589,56 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    /// One spatial activity on a 4-core ring scans the machine between
+    /// `corrupt` and `repair` of the engine's own state. Returns the
+    /// violated invariants.
+    fn scan_corrupted(corrupt: fn(&mut Ops<'_>), repair: fn(&mut Ops<'_>)) -> Vec<&'static str> {
+        let tracer = MemoryTracer::new();
+        let mut config = EngineConfig::default().with_sanitize(true);
+        config.tracer = Some(tracer.clone());
+        simulate(
+            simany_topology::ring(4),
+            config,
+            Arc::new(NoHooks),
+            move |ops| {
+                ops.start_activity(
+                    CoreId(0),
+                    "scanner",
+                    Box::new(()),
+                    Box::new(move |ctx: &mut ExecCtx| {
+                        ctx.advance_cycles(10);
+                        ctx.with_ops(|ops| {
+                            corrupt(ops);
+                            super::scan(ops.sim, ops.shared);
+                            repair(ops);
+                        });
+                    }),
+                );
+            },
+        )
+        .expect("simulation failed");
+        violations(&tracer)
+    }
+
+    /// A stall count that disagrees with the activities, or a publish
+    /// window left open at scheduler time, is a violation: either would let
+    /// a step defer publishes a stalled core needs.
+    #[test]
+    fn a_miscounted_stall_or_an_open_window_is_a_violation() {
+        assert_eq!(scan_corrupted(|_| {}, |_| {}), Vec::<&str>::new());
+        assert_eq!(
+            scan_corrupted(|ops| ops.sim.stalled += 1, |ops| ops.sim.stalled -= 1),
+            ["stall-count"]
+        );
+        assert_eq!(
+            scan_corrupted(
+                |ops| crate::sync::open_window(ops.sim, ops.shared),
+                |ops| crate::sync::close_window(ops.sim, ops.shared)
+            ),
+            ["publish-window"]
+        );
     }
 
     /// The test that fails if the uncap index loses a core: a capped shadow

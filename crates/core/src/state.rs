@@ -182,7 +182,10 @@ pub struct Cores {
     /// True while a core's clock has advanced past its `published` value
     /// without a publish (fast-path deferral). Only ever set for the core
     /// whose activity holds the run token; flushed before the token is
-    /// yielded or any published value can be observed.
+    /// yielded or any published value can be observed. A flush inside a
+    /// publish window clears it and leaves the publish to the window
+    /// (`sync::Window`), so the flag means fast-path debt only, which is
+    /// what the sanitizer's `verify_flush` checks.
     pub publish_pending: Vec<bool>,
     /// Scheduling flag: true while the core sits in the ready queue.
     pub in_ready: Vec<bool>,

@@ -20,7 +20,7 @@
 //! ## Hot-path structure
 //!
 //! The per-annotation cost is dominated by `publish` (shadow relaxation +
-//! stall rechecks) and the floor computation in `sync_ok`. Five mechanisms
+//! stall rechecks) and the floor computation in `sync_ok`. Six mechanisms
 //! keep it cheap, the first four the common case O(1) — see `DESIGN.md`,
 //! *Hot path & fast-path invariants*, for the full determinism argument:
 //!
@@ -49,6 +49,10 @@
 //!   four per changed word (plus 64) is counting an idle region up under a
 //!   lagging core that went idle, `2T` a round; the region's words are
 //!   computed once by Dijkstra from the cores around it instead.
+//! * **Publish windows** ([`Window`]): while no activity is stalled, a step
+//!   that runs no task code (a dispatch, the end of an activity) publishes
+//!   each core it touched once, at its end, so an idle hook's
+//!   idle-then-busy transient publishes nothing.
 
 use crate::activity::ActivityState;
 use crate::config::SyncPolicy;
@@ -227,6 +231,88 @@ fn queue_overtaken(sim: &mut Sim, work: &mut Vec<CoreId>, epoch: u64) {
     }
 }
 
+/// The publishes an engine step owes while no activity can stall.
+///
+/// While a window is open, [`publish`] records its core (once) and returns;
+/// [`close_window`] then publishes every recorded core once, in record
+/// order. The engine opens one around each step that runs no task code —
+/// the dispatch of a message, an idle hook or a parked resume, and the end
+/// of an activity — when the policy is spatial and [`Sim::stalled`] is 0.
+/// The result is bit-exact with publishing at every call:
+///
+/// * Nothing stalls inside a window: only a granted activity stalls, and
+///   none runs before the window closes. A publish's schedule effects are
+///   its stall rechecks, and every recheck a skipped publish would have made
+///   finds no stalled core.
+/// * The shadow fixed point is unique ([`relax`]), so the words the closing
+///   publishes reach are those of the skipped sequence.
+/// * A transient that nets out — an idle hook's idle-then-busy — no longer
+///   drops a word for an instant, so it leaves the neighbors' cached
+///   headroom in place: still a lower bound on their true limit, the
+///   fast path's own argument.
+///
+/// No code that reads a published word runs inside a window: `sync_ok`
+/// runs only for a running activity or a stalled one.
+pub(crate) struct Window {
+    open: bool,
+    /// Cores recorded since the window opened, each once, in record order.
+    owed: Vec<CoreId>,
+    /// Per core: in `owed`.
+    marked: Vec<bool>,
+}
+
+impl Window {
+    pub(crate) fn new(n: usize) -> Self {
+        Window {
+            open: false,
+            owed: Vec::new(),
+            marked: vec![false; n],
+        }
+    }
+
+    /// Record `c`'s publish, once, for [`close_window`]. Out of line: the
+    /// publish calls made outside windows (a million setup hints, every
+    /// annotation's full check) stay a test and a return.
+    #[inline(never)]
+    fn owe(&mut self, c: CoreId) {
+        if !std::mem::replace(&mut self.marked[c.index()], true) {
+            self.owed.push(c);
+        }
+    }
+
+    /// Is a window open? (The sanitizer's scan, at scheduler time, expects
+    /// not.)
+    pub(crate) fn is_open(&self) -> bool {
+        self.open
+    }
+}
+
+/// Open a publish window if the policy is spatial and nothing is stalled
+/// (see [`Window`]); otherwise publishes stay immediate.
+pub(crate) fn open_window(sim: &mut Sim, shared: &Shared) {
+    #[cfg(test)]
+    if shared.config.no_publish_windows {
+        return;
+    }
+    debug_assert!(!sim.window.open, "nested publish window");
+    sim.window.open = sim.stalled == 0 && matches!(shared.config.sync, SyncPolicy::Spatial { .. });
+}
+
+/// Close the publish window, if one is open, and publish what it owes.
+pub(crate) fn close_window(sim: &mut Sim, shared: &Shared) {
+    if !sim.window.open {
+        return;
+    }
+    sim.window.open = false;
+    let mut owed = std::mem::take(&mut sim.window.owed);
+    for &c in &owed {
+        sim.window.marked[c.index()] = false;
+        publish(sim, shared, c);
+    }
+    owed.clear();
+    sim.window.owed = owed;
+}
+
 /// Run core `c`'s deferred publish, if any. Call before any code that can
 /// observe published values or before the run token leaves `c`'s activity.
 pub(crate) fn flush_deferred(sim: &mut Sim, shared: &Shared, c: CoreId) {
@@ -304,8 +390,12 @@ fn neighbor_min(sim: &mut Sim, shared: &Shared, c: CoreId) -> VirtualTime {
 /// Call after any change to `c`'s clock or idle status. Triggers stall
 /// re-checks on every core whose published value changed.
 pub(crate) fn publish(sim: &mut Sim, shared: &Shared, c: CoreId) {
-    let start = shared.config.profile_picks.then(std::time::Instant::now);
     sim.cores.publish_pending[c.index()] = false;
+    if sim.window.open {
+        sim.window.owe(c);
+        return;
+    }
+    let start = shared.config.profile_picks.then(std::time::Instant::now);
     match shared.config.sync {
         SyncPolicy::Spatial { t } => publish_spatial(sim, shared, c, t),
         _ => publish_global(sim, shared, c),
@@ -852,6 +942,7 @@ pub(crate) fn recheck_stall(sim: &mut Sim, shared: &Shared, c: CoreId) {
     }
     if sync_ok(sim, shared, c) {
         sim.act_mut(aid).state = ActivityState::Resumable;
+        sim.stalled -= 1;
         push_ready(sim, c);
     }
 }
@@ -1014,6 +1105,7 @@ fn fast_path_eligible(shared: &Shared) -> bool {
 /// Also maintains the max-drift statistic, the headroom cache and the
 /// waiter registrations.
 pub(crate) fn sync_ok(sim: &mut Sim, shared: &Shared, c: CoreId) -> bool {
+    debug_assert!(!sim.window.open, "sync check against owed publishes");
     // Lock waiver: a core holding a lock or inside a critical section is
     // temporarily exempt so it can release its resources (paper §II.B).
     // No headroom is cached here — the waiver is not a drift bound.
@@ -1115,15 +1207,21 @@ mod tests {
     /// runs 200 small annotations (step sizes differ per core, so a real
     /// drift pattern flows) and messages the antipodal core every 16th.
     fn run(sync: SyncPolicy, full_sync_only: bool) -> SimStats {
-        run_with(sync, full_sync_only, Arc::new(AdvanceOnMessage))
+        let mut config = config(sync);
+        config.full_sync_only = full_sync_only;
+        run_with(config, Arc::new(AdvanceOnMessage))
     }
 
-    /// [`run`] with the given hooks.
-    fn run_with(sync: SyncPolicy, full_sync_only: bool, hooks: Arc<dyn RuntimeHooks>) -> SimStats {
-        let n = 16u32;
+    /// The configuration the test programs run under.
+    fn config(sync: SyncPolicy) -> EngineConfig {
         let mut config = EngineConfig::default().with_seed(11);
         config.sync = sync;
-        config.full_sync_only = full_sync_only;
+        config
+    }
+
+    /// [`run`] with the given configuration and hooks.
+    fn run_with(config: EngineConfig, hooks: Arc<dyn RuntimeHooks>) -> SimStats {
+        let n = 16u32;
         simulate(simany_topology::mesh_2d(n), config, hooks, move |ops| {
             for c in 0..n {
                 let step = 3 + u64::from(c % 5);
@@ -1240,7 +1338,7 @@ mod tests {
     #[test]
     fn a_stalled_core_keeps_one_floor_wake_entry_per_threshold() {
         let check = Arc::new(WakeHeapCheck::default());
-        let s = run_with(SyncPolicy::Conservative, false, check.clone());
+        let s = run_with(config(SyncPolicy::Conservative), check.clone());
         assert!(s.stall_events > 0, "nothing stalled");
         assert!(
             check.entries.load(Ordering::Relaxed) > 0,
@@ -1304,5 +1402,172 @@ mod tests {
             small.shadow_evals,
             large.shadow_evals
         );
+    }
+
+    /// A task pool on a 16-core mesh: `on_idle` starts one queued task of
+    /// 30 annotations (step sizes vary per task, every tenth sends to the
+    /// antipodal core), and the end of a task charges its core, messages
+    /// its neighbors and queues a follow-up on another core until `limit`
+    /// tasks were queued. Messages advance their receiver. A task's end
+    /// frees stalled neighbors while its hook sends to them: deferring that
+    /// publish past the sends (a window opened with a core stalled) leaves
+    /// different ready entries, and this program's schedule moves.
+    struct TaskPool {
+        queued: AtomicU64,
+        limit: u64,
+    }
+    impl RuntimeHooks for TaskPool {
+        fn on_message(&self, ops: &mut Ops<'_>, env: Envelope) {
+            ops.advance_core(env.dst, 4);
+        }
+        fn on_idle(&self, ops: &mut Ops<'_>, c: CoreId) {
+            ops.queue_hint_sub(c, 1);
+            let n = ops.n_cores();
+            let step = 2 + (self.queued.load(Ordering::Relaxed) * 7 + u64::from(c.0)) % 9;
+            ops.start_activity(
+                c,
+                "pooled",
+                Box::new(()),
+                Box::new(move |ctx: &mut ExecCtx| {
+                    for k in 0..30 {
+                        ctx.advance_cycles(step);
+                        if k % 10 == 9 {
+                            ctx.send(CoreId((c.0 + n / 2) % n), 16, Payload::none());
+                        }
+                    }
+                }),
+            );
+        }
+        fn on_activity_end(&self, ops: &mut Ops<'_>, c: CoreId, _: Box<dyn std::any::Any + Send>) {
+            ops.advance_core(c, 5);
+            for n in ops.neighbors(c) {
+                let _ = ops.send(c, n, 16, Payload::none());
+            }
+            if self.queued.fetch_add(1, Ordering::Relaxed) < self.limit {
+                let next = CoreId((c.0 * 5 + 3) % ops.n_cores());
+                ops.queue_hint_add(next, 1);
+            }
+        }
+    }
+
+    /// [`TaskPool`] seeded with one task on every other core.
+    fn run_pool(config: EngineConfig) -> SimStats {
+        let hooks = Arc::new(TaskPool {
+            queued: AtomicU64::new(8),
+            limit: 64,
+        });
+        simulate(simany_topology::mesh_2d(16), config, hooks, |ops| {
+            for c in (0..16).step_by(2) {
+                ops.queue_hint_add(CoreId(c), 1);
+            }
+        })
+        .expect("simulation failed")
+    }
+
+    /// Publish windows change how often a step publishes, never what the
+    /// schedule is: the dense program and the task pool (whose idle hooks,
+    /// task ends and messages are the steps that open windows, with and
+    /// without stalled neighbors) reach the same schedule with windows
+    /// forced off, under every policy.
+    #[test]
+    fn publish_windows_are_bit_exact() {
+        let w = VDuration::from_cycles(100);
+        let policies = [
+            SyncPolicy::Spatial { t: w },
+            SyncPolicy::BoundedSlack { window: w },
+            SyncPolicy::Conservative,
+            SyncPolicy::Unbounded,
+        ];
+        for policy in policies {
+            let with = |windows: bool| {
+                let mut config = config(policy);
+                config.no_publish_windows = !windows;
+                config
+            };
+            let dense = |windows| run_with(with(windows), Arc::new(AdvanceOnMessage));
+            let pool = |windows| run_pool(with(windows));
+            let programs: [(&str, &dyn Fn(bool) -> SimStats); 2] =
+                [("dense", &dense), ("pool", &pool)];
+            for (name, program) in programs {
+                let (on, off) = (program(true), program(false));
+                assert_eq!(
+                    fingerprint(&on, false),
+                    fingerprint(&off, false),
+                    "{name} under {policy:?}: publish windows changed the schedule"
+                );
+                if matches!(policy, SyncPolicy::Spatial { .. }) {
+                    assert!(
+                        on.publish_sweeps < off.publish_sweeps,
+                        "{name}: windows saved no sweep ({} vs {})",
+                        on.publish_sweeps,
+                        off.publish_sweeps
+                    );
+                } else {
+                    // Windows open under the spatial policy only.
+                    assert_eq!(on.publish_sweeps, off.publish_sweeps, "{name} {policy:?}");
+                }
+                if matches!(
+                    policy,
+                    SyncPolicy::Spatial { .. } | SyncPolicy::Conservative
+                ) {
+                    assert!(on.stall_events > 0, "{name} under {policy:?} never stalled");
+                }
+            }
+        }
+    }
+
+    /// The million-core headline's shape: `on_idle` starts one task of 16
+    /// annotations per queued item.
+    struct OneShot;
+    impl RuntimeHooks for OneShot {
+        fn on_message(&self, _: &mut Ops<'_>, _: Envelope) {}
+        fn on_idle(&self, ops: &mut Ops<'_>, c: CoreId) {
+            ops.queue_hint_sub(c, 1);
+            ops.start_activity(
+                c,
+                "oneshot",
+                Box::new(()),
+                Box::new(move |ctx: &mut ExecCtx| {
+                    for _ in 0..16 {
+                        ctx.advance_cycles(3 + u64::from(c.0 % 5));
+                    }
+                }),
+            );
+        }
+        fn on_activity_end(&self, _: &mut Ops<'_>, _: CoreId, _: Box<dyn std::any::Any + Send>) {}
+    }
+
+    /// With nothing stalled, a task publishes twice: its first annotation
+    /// (no headroom is cached yet) and its end (the deferred clock and the
+    /// idle shadow together). The idle hook's idle-then-busy transient
+    /// publishes nothing; with windows off it costs two more sweeps and the
+    /// end one more.
+    #[test]
+    fn a_stall_free_task_costs_two_sweeps() {
+        let cores = 256;
+        let run = |windows: bool| {
+            let mut config = EngineConfig::default()
+                .with_seed(7)
+                .with_drift_cycles(1_000_000);
+            config.no_publish_windows = !windows;
+            simulate(
+                simany_topology::mesh_2d(cores),
+                config,
+                Arc::new(OneShot),
+                |ops| {
+                    for c in 0..cores {
+                        ops.queue_hint_add(CoreId(c), 1);
+                    }
+                },
+            )
+            .expect("simulation failed")
+        };
+        let (on, off) = (run(true), run(false));
+        for s in [&on, &off] {
+            assert_eq!(s.stall_events, 0);
+            assert_eq!(s.activities_started, u64::from(cores));
+        }
+        assert_eq!(on.publish_sweeps, 2 * u64::from(cores));
+        assert_eq!(off.publish_sweeps, 5 * u64::from(cores));
     }
 }

@@ -210,10 +210,11 @@ impl NetworkModel {
         let mut hops = 0;
         let mut base = VDuration::ZERO;
         let mut ser = VDuration::ZERO;
+        let mut hop_ser = SerDelay::new(size);
         for (_, props) in Routes::path(&self.topo, row, src) {
             hops += 1;
             base += props.latency;
-            ser += serialization_delay(size, props.bandwidth_bytes_per_cycle);
+            ser += hop_ser.at(props.bandwidth_bytes_per_cycle);
         }
         let chunks = self.params.chunks(size) as u64;
         let mut extra = self.params.routing_penalty.scaled(hops);
@@ -251,8 +252,9 @@ impl NetworkModel {
         let per_hop = params.routing_penalty + params.per_chunk_time.scaled(chunks);
         let mut charge = |row: &[u32]| {
             let mut t = depart;
+            let mut hop_ser = SerDelay::new(size_bytes);
             for (link, props) in Routes::path(topo, row, src) {
-                let ser = serialization_delay(size_bytes, props.bandwidth_bytes_per_cycle);
+                let ser = hop_ser.at(props.bandwidth_bytes_per_cycle);
                 t = traffic.traverse(link, t, ser, props.latency + per_hop, stats);
                 stats.total_hops += 1;
             }
@@ -539,6 +541,36 @@ impl NetworkModel {
 #[inline]
 pub fn serialization_delay(size: u32, bw: u32) -> VDuration {
     VDuration::from_cycles(u64::from(size.div_ceil(bw)))
+}
+
+/// [`serialization_delay`] of one message along its route. Consecutive hops
+/// mostly cross links of one bandwidth, so the division is redone only where
+/// the bandwidth changes.
+struct SerDelay {
+    size: u32,
+    /// Bandwidth `delay` was computed for; 0 (no link has it) for none.
+    bw: u32,
+    delay: VDuration,
+}
+
+impl SerDelay {
+    fn new(size: u32) -> Self {
+        SerDelay {
+            size,
+            bw: 0,
+            delay: VDuration::ZERO,
+        }
+    }
+
+    /// The delay of a hop over a link of bandwidth `bw`.
+    #[inline]
+    fn at(&mut self, bw: u32) -> VDuration {
+        if bw != self.bw {
+            self.bw = bw;
+            self.delay = serialization_delay(self.size, bw);
+        }
+        self.delay
+    }
 }
 
 #[cfg(test)]

@@ -260,13 +260,29 @@ impl CoreSpeed {
 
     /// Scale a base-cycle count into elapsed ticks on this core (rounded up
     /// to a whole tick).
+    ///
+    /// Every annotation comes through here, so a base-speed core takes one
+    /// checked multiply and any other speed divides in 64 bits; 128 bits
+    /// are used only when the 64-bit product overflows.
     #[inline]
     pub fn scale_cycles(self, base_cycles: u64) -> VDuration {
         // ticks = cycles * TICKS_PER_CYCLE * den / num, rounded up.
-        let ticks_num =
-            base_cycles as u128 * crate::vtime::TICKS_PER_CYCLE as u128 * self.den as u128;
-        let ticks = ticks_num.div_ceil(self.num as u128);
-        VDuration(u64::try_from(ticks).expect("scaled duration overflow"))
+        const TPC: u64 = crate::vtime::TICKS_PER_CYCLE;
+        if self.num == self.den {
+            return VDuration(
+                base_cycles
+                    .checked_mul(TPC)
+                    .expect("scaled duration overflow"),
+            );
+        }
+        let ticks = match base_cycles.checked_mul(TPC * u64::from(self.den)) {
+            Some(t) => t.div_ceil(u64::from(self.num)),
+            None => wide_div_ceil(
+                u128::from(base_cycles) * u128::from(TPC) * u128::from(self.den),
+                self.num,
+            ),
+        };
+        VDuration(ticks)
     }
 
     /// Scale a base duration into elapsed time on this core (rounded up to
@@ -276,14 +292,24 @@ impl CoreSpeed {
         if self.num == self.den {
             return d;
         }
-        let ticks = (d.ticks() as u128 * self.den as u128).div_ceil(self.num as u128);
-        VDuration(u64::try_from(ticks).expect("scaled duration overflow"))
+        let ticks = match d.ticks().checked_mul(u64::from(self.den)) {
+            Some(t) => t.div_ceil(u64::from(self.num)),
+            None => wide_div_ceil(u128::from(d.ticks()) * u128::from(self.den), self.num),
+        };
+        VDuration(ticks)
     }
 
     /// Speed as a float (reporting only).
     pub fn as_f64(self) -> f64 {
         f64::from(self.num) / f64::from(self.den)
     }
+}
+
+/// `n / d` rounded up, for products that overflowed 64 bits; panics if the
+/// quotient does not fit a tick count either.
+#[cold]
+fn wide_div_ceil(n: u128, d: u32) -> u64 {
+    u64::try_from(n.div_ceil(u128::from(d))).expect("scaled duration overflow")
 }
 
 impl Default for CoreSpeed {
@@ -363,6 +389,57 @@ mod tests {
         assert_eq!(CoreSpeed::THREE_HALVES.scale_cycles(1).ticks(), 2);
         // Never zero for non-zero work.
         assert!(CoreSpeed::new(1000, 1).scale_cycles(1).ticks() > 0);
+    }
+
+    /// The 64-bit scaling paths agree with the 128-bit formula everywhere,
+    /// overflow included: the same ticks, or a panic exactly where the
+    /// formula's quotient does not fit a tick count.
+    #[test]
+    fn scaling_matches_the_wide_formula() {
+        use crate::vtime::TICKS_PER_CYCLE as TPC;
+        let wide = |x: u64, mul: u128, s: CoreSpeed| {
+            u64::try_from((u128::from(x) * mul * u128::from(s.den)).div_ceil(u128::from(s.num)))
+                .ok()
+        };
+        let check = |cycles: u64, s: CoreSpeed| {
+            let want = wide(cycles, u128::from(TPC), s);
+            let got = std::panic::catch_unwind(|| s.scale_cycles(cycles).ticks()).ok();
+            assert_eq!(got, want, "scale_cycles({cycles}) at {}/{}", s.num, s.den);
+            let want = wide(cycles, 1, s);
+            let got = std::panic::catch_unwind(|| s.scale_duration(VDuration(cycles)).ticks()).ok();
+            assert_eq!(got, want, "scale_duration({cycles}) at {}/{}", s.num, s.den);
+        };
+        let mut rng = crate::Xoshiro256StarStar::seeded(0x5ca1e);
+        let edge = u64::MAX / TPC;
+        for _ in 0..20_000 {
+            let term = |rng: &mut crate::Xoshiro256StarStar| match rng.next_below(3) {
+                0 => 1 + rng.next_below(8) as u32,
+                1 => 1 + rng.next_below(u64::from(u32::MAX)) as u32,
+                _ => u32::MAX - rng.next_below(4) as u32,
+            };
+            let num = term(&mut rng);
+            let den = if rng.next_below(4) == 0 {
+                num
+            } else {
+                term(&mut rng)
+            };
+            let s = CoreSpeed::new(num, den);
+            // Where the 64-bit product and the final quotient overflow.
+            let near = |rng: &mut crate::Xoshiro256StarStar, x: u64| {
+                x.saturating_sub(64).saturating_add(rng.next_below(129))
+            };
+            let cycles = match rng.next_below(5) {
+                0 => rng.next_below(1 << 20),
+                1 => near(&mut rng, edge),
+                2 => near(&mut rng, edge / u64::from(den)),
+                3 => near(
+                    &mut rng,
+                    (edge / u64::from(den)).saturating_mul(u64::from(num)),
+                ),
+                _ => rng.next_u64(),
+            };
+            check(cycles, s);
+        }
     }
 
     #[test]

@@ -133,13 +133,16 @@ fn chiplet_bit_identity_262k() {
 
 /// Recorded on the engine whose ready queue was a plain 8-ary heap and
 /// whose activity table hashed with SipHash: one row per policy in
-/// [`policies`]' order, fields in [`fingerprint`]'s order.
+/// [`policies`]' order, fields in [`fingerprint`]'s order. The spatial
+/// rows' last two fields (shadow evaluations, publish sweeps) were
+/// re-recorded when publish windows folded each stall-free step's
+/// publishes into one per core; the schedule columns did not move.
 const GOLDEN_4K: [Fingerprint; 2] = [
-    [112, 10649, 4096, 2457, 58983, 0, 34208, 22118],
+    [112, 10649, 4096, 2457, 58983, 0, 31720, 19653],
     [112, 10649, 4096, 2457, 0, 0, 0, 65536],
 ];
 
 const GOLDEN_262K: [Fingerprint; 2] = [
-    [112, 524288, 262144, 0, 3932160, 0, 4129717, 1310720],
+    [112, 524288, 262144, 0, 3932160, 0, 1828930, 524288],
     [112, 524288, 262144, 0, 0, 0, 0, 4194304],
 ];
