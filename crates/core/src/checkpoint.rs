@@ -330,11 +330,26 @@ pub(crate) fn state_digest(sim: &Sim, shared: &Shared) -> u64 {
 mod tests {
     use super::*;
 
+    /// A directory of this process's own, removed when dropped.
+    struct ScratchDir(std::path::PathBuf);
+
+    impl Drop for ScratchDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// `cp.txt` in a new [`ScratchDir`].
+    fn scratch(tag: &str) -> (ScratchDir, std::path::PathBuf) {
+        let pid = std::process::id();
+        let dir = std::env::temp_dir().join(format!("simany-checkpoint-{tag}-{pid}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        (ScratchDir(dir.clone()), dir.join("cp.txt"))
+    }
+
     #[test]
     fn roundtrip() {
-        let dir = std::env::temp_dir().join("simany-checkpoint-roundtrip");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cp.txt");
+        let (_dir, path) = scratch("roundtrip");
         let cp = Checkpoint {
             config_digest: 0xdead_beef_0123_4567,
             watermark: VirtualTime::from_cycles(12_345),
@@ -356,9 +371,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        let dir = std::env::temp_dir().join("simany-checkpoint-badmagic");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cp.txt");
+        let (_dir, path) = scratch("badmagic");
         std::fs::write(&path, "not a checkpoint\n").unwrap();
         let err = Checkpoint::load(&path).unwrap_err();
         assert!(err.contains("unsupported checkpoint format"), "{err}");
@@ -369,9 +382,7 @@ mod tests {
         // A v1 state digest covered stored shadow words and host-work
         // counters; it cannot verify here, so the file is refused up front
         // with the same typed error as any unknown format.
-        let dir = std::env::temp_dir().join("simany-checkpoint-v1");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cp.txt");
+        let (_dir, path) = scratch("v1");
         std::fs::write(
             &path,
             "simany-checkpoint v1\nconfig 0000000000000001\nwatermark 10\npicks 3\n\

@@ -32,7 +32,7 @@ use std::collections::BinaryHeap;
 const FANOUT: usize = 64;
 
 /// Tournament tree over per-core floor keys. See the module docs.
-pub struct GlobalFloor {
+pub(crate) struct GlobalFloor {
     /// Per-core floor contribution; `VirtualTime::MAX` when the core is
     /// idle with no pending births.
     keys: Vec<VirtualTime>,
@@ -47,7 +47,7 @@ pub struct GlobalFloor {
 impl GlobalFloor {
     /// Build the structure for `n` cores, all initially contributing
     /// nothing (`MAX` keys — an idle machine with no births).
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         let keys = vec![VirtualTime::MAX; n];
         let mut levels = Vec::new();
         let mut len = n;
@@ -65,35 +65,20 @@ impl GlobalFloor {
         }
     }
 
-    /// Number of cores the structure covers.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True iff built over zero cores.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// Current key of core `i`.
-    pub fn key(&self, i: usize) -> VirtualTime {
-        self.keys[i]
-    }
-
     /// Total key updates applied (diagnostic counter).
-    pub fn updates(&self) -> u64 {
+    pub(crate) fn updates(&self) -> u64 {
         self.updates
     }
 
     /// The global floor: minimum over all keys. O(1).
-    pub fn floor(&self) -> VirtualTime {
+    pub(crate) fn floor(&self) -> VirtualTime {
         self.levels.last().expect("at least one level")[0]
     }
 
     /// Set core `i`'s key and repair the pyramid. Early-exits at the
     /// first level whose block minimum is unchanged; a strictly
     /// decreasing key never rescans at all (pure min-propagation).
-    pub fn set(&mut self, i: usize, key: VirtualTime) {
+    pub(crate) fn set(&mut self, i: usize, key: VirtualTime) {
         let old = self.keys[i];
         if key == old {
             return;
@@ -155,8 +140,9 @@ impl GlobalFloor {
             .fold(VirtualTime::MAX, VirtualTime::min)
     }
 
-    /// Recompute every level from the keys (used after bulk key loads).
-    pub fn rebuild(&mut self) {
+    /// Recompute every level from the keys.
+    #[cfg(test)]
+    fn rebuild(&mut self) {
         for lvl in 0..self.levels.len() {
             for b in 0..self.levels[lvl].len() {
                 self.levels[lvl][b] = self.rescan(lvl, b);
@@ -165,8 +151,9 @@ impl GlobalFloor {
     }
 
     /// The floor the naive O(cores) sweep over the same keys would
-    /// produce — the cross-check oracle for debug asserts and tests.
-    pub fn naive_floor(&self) -> VirtualTime {
+    /// produce: the oracle of the tests below.
+    #[cfg(test)]
+    fn naive_floor(&self) -> VirtualTime {
         self.keys
             .iter()
             .copied()
@@ -275,25 +262,76 @@ mod tests {
         assert_eq!(g.floor(), t(90));
     }
 
+    /// Key updates shaped like the engine's (`sync::note_floor_key`): a
+    /// core's key is `min(published-if-working, earliest pending birth)`,
+    /// and it changes when the core publishes, idles, works, records a
+    /// birth or consumes its earliest one.
+    fn engine_shaped(rng: &mut Xoshiro256StarStar, n: usize) -> Vec<(usize, VirtualTime)> {
+        let (mut published, mut idle) = (vec![VirtualTime::ZERO; n], vec![true; n]);
+        let mut births = vec![BinaryHeap::new(); n];
+        let steps = rng.next_index(200) + 1;
+        (0..steps)
+            .map(|_| {
+                let i = rng.next_index(n);
+                let at = VirtualTime(rng.next_index(1_000_000) as u64);
+                match rng.next_index(5) {
+                    0 => published[i] = at,
+                    1 => idle[i] = true,
+                    2 => idle[i] = false,
+                    3 => births[i].push(Reverse(at)),
+                    _ => drop(births[i].pop()),
+                }
+                let clock = (!idle[i]).then_some(published[i]);
+                let birth = births[i].peek().map(|b: &Reverse<VirtualTime>| b.0);
+                let key = clock.into_iter().chain(birth).min();
+                (i, key.unwrap_or(VirtualTime::MAX))
+            })
+            .collect()
+    }
+
+    /// After each of `updates` to a fresh tree over `n` cores, the tree's
+    /// floor equals the naive full scan.
+    fn check_updates(n: usize, updates: impl IntoIterator<Item = (usize, VirtualTime)>) {
+        let mut g = GlobalFloor::new(n);
+        for (step, (i, key)) in updates.into_iter().enumerate() {
+            g.set(i, key);
+            assert_eq!(g.floor(), g.naive_floor(), "n={n} step={step}");
+        }
+    }
+
     #[test]
     fn random_updates_match_naive_floor() {
         // Property: after any interleaving of key updates (drops, rises,
-        // clears), the tree's floor equals the naive full scan.
+        // clears), the tree's floor equals the naive full scan: uniform
+        // random keys on sizes around the block edges.
         let mut rng = Xoshiro256StarStar::stream(7, 3);
-        for &n in &[1usize, 63, 64, 65, 4096, 5000] {
-            let mut g = GlobalFloor::new(n);
-            for step in 0..2000 {
-                let i = rng.next_index(n);
-                let key = match rng.next_index(4) {
-                    0 => VirtualTime::MAX,
-                    _ => t(rng.next_index(1_000) as u64),
-                };
-                g.set(i, key);
-                if step % 97 == 0 {
-                    assert_eq!(g.floor(), g.naive_floor(), "n={n} step={step}");
-                }
-            }
-            assert_eq!(g.floor(), g.naive_floor(), "n={n} final");
+        for n in [1usize, 63, 64, 65, 4096, 5000] {
+            check_updates(
+                n,
+                (0..2000).map(|_| match (rng.next_index(n), rng.next_index(4)) {
+                    (i, 0) => (i, VirtualTime::MAX),
+                    (i, _) => (i, t(rng.next_index(1_000) as u64)),
+                }),
+            );
+        }
+    }
+
+    /// Engine-shaped update streams within one block.
+    #[test]
+    fn incremental_floor_matches_recompute_small() {
+        let mut rng = Xoshiro256StarStar::stream(7, 4);
+        for _ in 0..32 {
+            check_updates(7, engine_shaped(&mut rng, 7));
+        }
+    }
+
+    /// Engine-shaped update streams across three blocks, so cross-block
+    /// repairs run.
+    #[test]
+    fn incremental_floor_matches_recompute_multiblock() {
+        let mut rng = Xoshiro256StarStar::stream(7, 5);
+        for _ in 0..32 {
+            check_updates(130, engine_shaped(&mut rng, 130));
         }
     }
 

@@ -44,7 +44,7 @@ pub mod config;
 pub(crate) mod coro;
 pub mod ctx;
 pub mod engine;
-pub mod floor;
+pub(crate) mod floor;
 pub mod hooks;
 pub mod ops;
 pub mod ready;

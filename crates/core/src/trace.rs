@@ -379,66 +379,6 @@ impl MemoryTracer {
     }
 }
 
-/// One executed activity: name, core, start and end virtual times.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ActivitySpan {
-    /// Engine activity id.
-    pub aid: u64,
-    /// Debug name.
-    pub name: &'static str,
-    /// Core the activity ran on.
-    pub core: CoreId,
-    /// Clock at first execution.
-    pub start: VirtualTime,
-    /// Clock at completion.
-    pub end: VirtualTime,
-}
-
-impl ActivitySpan {
-    /// Wall-to-wall virtual length of the span (includes waits).
-    pub fn length(&self) -> simany_time::VDuration {
-        self.end.saturating_since(self.start)
-    }
-}
-
-impl MemoryTracer {
-    /// Pair start/end events into per-activity spans (activities still
-    /// running at teardown are omitted).
-    pub fn activity_spans(&self) -> Vec<ActivitySpan> {
-        use std::collections::HashMap;
-        let mut open: HashMap<u64, (VirtualTime, CoreId, &'static str)> = HashMap::new();
-        let mut spans = Vec::new();
-        for e in self.events() {
-            match e {
-                TraceEvent::ActivityStart { t, core, aid, name } => {
-                    open.insert(aid, (t, core, name));
-                }
-                TraceEvent::ActivityEnd { t, aid, .. } => {
-                    if let Some((start, core, name)) = open.remove(&aid) {
-                        spans.push(ActivitySpan {
-                            aid,
-                            name,
-                            core,
-                            start,
-                            end: t,
-                        });
-                    }
-                }
-                _ => {}
-            }
-        }
-        spans
-    }
-
-    /// The longest single activity span — a lower bound on the program's
-    /// critical path and the first place to look when a run stops scaling.
-    pub fn longest_activity(&self) -> Option<ActivitySpan> {
-        self.activity_spans()
-            .into_iter()
-            .max_by_key(|s| (s.length(), std::cmp::Reverse(s.aid)))
-    }
-}
-
 impl Tracer for MemoryTracer {
     fn record(&self, event: TraceEvent) {
         self.events.borrow_mut().push(event);

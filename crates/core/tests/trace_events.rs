@@ -103,6 +103,8 @@ fn trace_covers_the_event_vocabulary() {
     assert!(stalls >= 1);
 }
 
+/// Each activity's start event pairs with exactly one end event, on its
+/// own core, as far apart in virtual time as the body advanced.
 #[test]
 fn activity_spans_pair_up() {
     let tracer = MemoryTracer::new();
@@ -127,14 +129,35 @@ fn activity_spans_pair_up() {
         );
     })
     .unwrap();
-    let spans = tracer.activity_spans();
-    assert_eq!(spans.len(), 2);
-    let longest = tracer.longest_activity().unwrap();
-    assert_eq!(longest.name, "long");
-    assert_eq!(longest.length().cycles(), 100);
-    let short = spans.iter().find(|s| s.name == "short").unwrap();
-    assert_eq!(short.length().cycles(), 10);
-    assert_eq!(short.core, CoreId(0));
+    let events = tracer.events();
+    let mut spans: Vec<_> = events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::ActivityStart { t, core, aid, name } => Some((*name, *core, *aid, *t)),
+            _ => None,
+        })
+        .map(|(name, core, aid, start)| {
+            let ends: Vec<_> = events
+                .iter()
+                .filter_map(|e| match *e {
+                    TraceEvent::ActivityEnd {
+                        t, core, aid: a, ..
+                    } if a == aid => Some((core, t)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(ends.len(), 1, "{name} ended {} times", ends.len());
+            let (end_core, end) = ends[0];
+            assert_eq!(end_core, core, "{name} ended on another core");
+            (name, core, (end - start).cycles())
+        })
+        .collect();
+    spans.sort_unstable();
+    assert_eq!(
+        spans,
+        [("long", CoreId(1), 100), ("short", CoreId(0), 10)],
+        "one span per activity"
+    );
 }
 
 #[test]

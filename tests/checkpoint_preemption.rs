@@ -1,130 +1,37 @@
-//! External preemption must be invisible in virtual time: a scenario
-//! preempted mid-run (engine stops after a budget of fresh checkpoints),
-//! dropped, and resumed from its checkpoint must end bit-identical to an
-//! uninterrupted run, including across several chained preempt/resume
-//! rounds.
+//! External preemption must be invisible in virtual time: a run preempted
+//! after a budget of fresh checkpoints and resumed round after round ends
+//! bit-identical to an uninterrupted one (a check of the shared harness,
+//! `tests/common`). A preempted run unwinds every suspended body and
+//! resumes verified, bad preemption configs are refused before anything
+//! runs, and the exit codes the sweep service relies on are stable.
 
-use simany::core::{SimError, SimStats, VDuration};
+mod common;
+
+use common::*;
+use simany::core::{SimError, VDuration};
 use simany::kernels::{kernel_by_name, Scale};
 use simany::presets;
 
-#[derive(Debug, PartialEq, Eq)]
-struct Fingerprint {
-    final_vtime_cycles: u64,
-    stall_events: u64,
-    late_messages: u64,
-    on_time_messages: u64,
-    scheduler_picks: u64,
-    activities_started: u64,
-    net_messages: u64,
-    net_bytes: u64,
+/// Quicksort checkpointing every 2,000 cycles, preempted after `budget`
+/// fresh checkpoints and resumed round after round from a resumed
+/// checkpoint.
+fn sliced(budget: u64) -> Case {
+    let every = Some(2_000);
+    quicksort(Sm, SPATIAL, NoPlan, Preempt { budget, every })
 }
 
-impl Fingerprint {
-    fn of(stats: &SimStats) -> Self {
-        Fingerprint {
-            final_vtime_cycles: stats.final_vtime.cycles(),
-            stall_events: stats.stall_events,
-            late_messages: stats.late_messages,
-            on_time_messages: stats.on_time_messages,
-            scheduler_picks: stats.scheduler_picks,
-            activities_started: stats.activities_started,
-            net_messages: stats.net.messages,
-            net_bytes: stats.net.bytes,
-        }
-    }
-}
-
-fn ckpt_path(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("simany-preempt-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join("scenario.checkpoint")
-}
-
-fn spec(path: &std::path::Path) -> simany::runtime::ProgramSpec {
-    let mut spec = presets::uniform_mesh_sm(16);
-    spec.engine = spec
-        .engine
-        .with_seed(42)
-        .with_checkpoint(VDuration::from_cycles(2_000), path);
-    spec
-}
-
-/// Run to completion with checkpointing but no interruptions.
-fn uninterrupted(tag: &str) -> Fingerprint {
-    let path = ckpt_path(tag);
-    let kernel = kernel_by_name("Quicksort").unwrap();
-    let res = kernel
-        .run_sim(spec(&path), Scale(0.1), 42)
-        .expect("uninterrupted run failed");
-    assert!(res.verified);
-    Fingerprint::of(&res.out.stats)
-}
-
-/// Preempt after `budget` fresh checkpoints, drop the engine, resume from
-/// the waypoint — repeatedly, until the run completes. Each round is a
-/// brand-new engine (the old one is gone); resume replays from the start
-/// and bit-verifies at the watermark before continuing.
-fn preempted_then_resumed(budget: u64, tag: &str) -> Fingerprint {
-    let path = ckpt_path(tag);
-    let kernel = kernel_by_name("Quicksort").unwrap();
-
-    // First slice: must hit the preemption budget, not finish.
-    let mut s = spec(&path);
-    s.engine = s.engine.with_preempt_after_checkpoints(Some(budget));
-    let first = kernel.run_sim(s, Scale(0.1), 42);
-    let at0 = match first {
-        Err(SimError::Preempted { at, checkpoints }) => {
-            assert_eq!(checkpoints, budget);
-            at
-        }
-        other => panic!("expected preemption, got {other:?}"),
-    };
-    assert!(path.is_file(), "preemption must leave a checkpoint behind");
-
-    // Keep resuming with the same budget; every round must make progress
-    // (the budget counts only checkpoints *beyond* the resume watermark),
-    // so this terminates. Cap the rounds to catch a livelock regression.
-    let mut last_at = at0;
-    for _round in 0..200 {
-        let mut s = spec(&path);
-        s.engine = s
-            .engine
-            .with_resume(&path)
-            .with_preempt_after_checkpoints(Some(budget));
-        match kernel.run_sim(s, Scale(0.1), 42) {
-            Err(SimError::Preempted { at, .. }) => {
-                assert!(
-                    at > last_at,
-                    "preempt/resume round made no progress: {at:?} <= {last_at:?}"
-                );
-                last_at = at;
-            }
-            Ok(res) => {
-                assert!(res.verified);
-                return Fingerprint::of(&res.out.stats);
-            }
-            Err(other) => panic!("resume failed: {other}"),
-        }
-    }
-    panic!("run did not complete within 200 preempt/resume rounds");
-}
-
+/// Quicksort preempted after every second fresh checkpoint, resumed until
+/// it completes, ends as the uninterrupted run did.
 #[test]
 fn preempt_resume_is_bit_identical_sequential() {
-    let base = uninterrupted("seq-base");
-    let resumed = preempted_then_resumed(2, "seq-preempt");
-    assert_eq!(base, resumed, "sequential preempt/resume changed the run");
+    assert_checks([sliced(2)], &[Check::Cut]);
 }
 
 /// A budget of one fresh checkpoint is the tightest slicing the contract
 /// allows; every round still advances at least one checkpoint interval.
 #[test]
 fn single_checkpoint_budget_still_makes_progress() {
-    let base = uninterrupted("tight-base");
-    let resumed = preempted_then_resumed(1, "tight-preempt");
-    assert_eq!(base, resumed);
+    assert_checks([sliced(1)], &[Check::Cut]);
 }
 
 /// Preemption must unwind every suspended body, and the run must still
@@ -165,7 +72,8 @@ fn preemption_unwinds_every_suspended_body_and_resumes_verified() {
     }
     let drops = Arc::new(AtomicU64::new(0));
 
-    let path = ckpt_path("nested");
+    let dir = ScratchDir::new();
+    let path = dir.0.join("scenario.checkpoint");
     let run = |config: EngineConfig| {
         simulate(
             simany::topology::mesh_2d(4),
@@ -230,10 +138,10 @@ fn preemption_unwinds_every_suspended_body_and_resumes_verified() {
 
     let resumed = run(EngineConfig::default().with_resume(&path)).expect("resume failed");
     assert_eq!(resumed.checkpoint_verifications, 1, "checkpoint verified");
-    assert_eq!(Fingerprint::of(&base), Fingerprint::of(&resumed));
     assert_eq!(
-        (base.ctx_switches, base.peak_stacks),
-        (resumed.ctx_switches, resumed.peak_stacks)
+        deterministic(&base),
+        deterministic(&resumed),
+        "resume changed the run"
     );
 }
 
@@ -260,7 +168,8 @@ fn preempt_without_checkpointing_is_rejected() {
 /// written.
 #[test]
 fn a_zero_checkpoint_interval_is_rejected() {
-    let path = ckpt_path("zero-every");
+    let dir = ScratchDir::new();
+    let path = dir.0.join("scenario.checkpoint");
     let mut spec = presets::uniform_mesh_sm(16);
     spec.engine = spec
         .engine

@@ -1,6 +1,10 @@
 //! End-to-end integration: every kernel on every architecture class, with
 //! output verification against sequential references.
 
+mod common;
+
+use common::{assert_checks, Case, ALL_CHECKS, SPATIAL};
+use common::{Kernel, NoPlan, Sm, Whole};
 use simany::prelude::*;
 use simany::presets;
 
@@ -109,14 +113,12 @@ link 0 1 latency=0.5
     );
 }
 
+/// Dijkstra (seed 7) on the 16-core `sm` mesh is held to every check of
+/// the shared harness (`tests/common`).
 #[test]
 fn deterministic_end_to_end() {
-    let k = simany::kernels::kernel_by_name("Dijkstra").unwrap();
-    let a = k.run_sim(presets::uniform_mesh_sm(16), SMALL, 7).unwrap();
-    let b = k.run_sim(presets::uniform_mesh_sm(16), SMALL, 7).unwrap();
-    assert_eq!(a.cycles(), b.cycles());
-    assert_eq!(a.out.stats.scheduler_picks, b.out.stats.scheduler_picks);
-    assert_eq!(a.out.rt.spawns, b.out.rt.spawns);
+    let dijkstra = Case(Sm, Kernel("Dijkstra"), SPATIAL, NoPlan, Whole, 7);
+    assert_checks([dijkstra], &ALL_CHECKS);
 }
 
 #[test]

@@ -1,62 +1,26 @@
 //! Hierarchical multi-chip topologies must uphold every engine contract
-//! the flat meshes do: determinism per seed, sanitizer-quiet execution and
-//! checkpoint/resume bit-identity — plus the guarantee that
-//! `partition_bfs` tiles never straddle a chiplet or leaf-cluster boundary.
+//! the flat meshes do — determinism per seed, sanitizer-quiet execution and
+//! checkpoint/resume bit-identity, checked by the shared harness
+//! (`tests/common`) on quicksort over 2×2 chiplets of 16×16 cores — plus
+//! the guarantee that `partition_bfs` tiles never straddle a chiplet or
+//! leaf-cluster boundary.
 
-use simany::core::{EngineConfig, SimStats, VDuration};
-use simany::kernels::{kernel_by_name, Scale};
+mod common;
+
+use common::*;
 use simany::presets;
 use simany::topology::{cluster_of_clusters, partition_bfs, HierarchyParams};
 
-/// The counters a behavioral divergence would show up in.
-#[derive(Debug, PartialEq, Eq)]
-struct Fingerprint {
-    final_vtime_cycles: u64,
-    stall_events: u64,
-    late_messages: u64,
-    on_time_messages: u64,
-    scheduler_picks: u64,
-    activities_started: u64,
-    net_messages: u64,
-    net_bytes: u64,
+/// The chiplet scenario, resumed from a checkpoint a quarter of the way in.
+fn chiplet() -> Case {
+    quicksort(Chiplet, SPATIAL, NoPlan, Resume)
 }
 
-impl Fingerprint {
-    fn of(stats: &SimStats) -> Self {
-        Fingerprint {
-            final_vtime_cycles: stats.final_vtime.cycles(),
-            stall_events: stats.stall_events,
-            late_messages: stats.late_messages,
-            on_time_messages: stats.on_time_messages,
-            scheduler_picks: stats.scheduler_picks,
-            activities_started: stats.activities_started,
-            net_messages: stats.net.messages,
-            net_bytes: stats.net.bytes,
-        }
-    }
-}
-
-/// Quicksort on the issue's 4×(16×16) cluster-of-meshes: 2×2 chiplets,
-/// each an internal 16×16 mesh, joined by 4-cycle / 32 B/cy links.
-fn run_chiplet(tweak: impl FnOnce(&mut EngineConfig)) -> (Fingerprint, SimStats) {
-    let mut spec = presets::chiplet_dm(1024, 4);
-    assert_eq!(spec.topo.n_regions(), 4, "4 chiplets expected");
-    tweak(&mut spec.engine);
-    let kernel = kernel_by_name("Quicksort").unwrap();
-    let res = kernel
-        .run_sim(spec, Scale(0.1), 42)
-        .expect("simulation failed");
-    assert!(res.verified, "kernel output verification failed");
-    let stats = res.out.stats;
-    (Fingerprint::of(&stats), stats)
-}
-
-/// Same seed, same config — identical counters on the chiplet machine.
+/// Same seed, same config: identical outputs on the chiplet machine, with
+/// no plan and with an empty one.
 #[test]
 fn chiplet_runs_are_deterministic() {
-    let (a, _) = run_chiplet(|_| {});
-    let (b, _) = run_chiplet(|_| {});
-    assert_eq!(a, b, "two identical chiplet runs diverged");
+    assert_checks([chiplet()], &[Check::Repeat, Check::EmptyPlan]);
 }
 
 /// The invariant sanitizer stays quiet on hierarchical machines — the
@@ -64,42 +28,14 @@ fn chiplet_runs_are_deterministic() {
 /// and observing changes nothing.
 #[test]
 fn chiplet_sanitizer_is_quiet() {
-    let (plain, _) = run_chiplet(|_| {});
-    let (sanitized, stats) = run_chiplet(|cfg| cfg.sanitize = true);
-    assert_eq!(plain, sanitized, "sanitizer changed chiplet behavior");
-    assert_eq!(
-        stats.sanitizer_violations, 0,
-        "sanitizer reported violations on a clean chiplet run"
-    );
-    assert!(stats.sanitizer_checks > 0, "sanitizer ran no checks");
+    assert_checks([chiplet()], &[Check::Sanitizer]);
 }
 
-/// Checkpoint/resume is bit-exact on the hierarchical topology: the
-/// pooled SoA state digests identically across a write/replay cycle.
+/// Checkpoint/resume is bit-exact on the hierarchical topology: the pooled
+/// SoA state digests identically across a write/replay cycle.
 #[test]
 fn chiplet_resume_matches_uninterrupted() {
-    let dir = std::env::temp_dir().join("simany-hierarchical-resume");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let cp = dir.join("chiplet.checkpoint");
-    let (baseline, stats) = run_chiplet(|_| {});
-    // Checkpoint roughly a quarter of the way through, so the watermark
-    // lands strictly inside the run.
-    let every = VDuration::from_cycles((stats.final_vtime.cycles() / 4).max(1));
-
-    let cp2 = cp.clone();
-    let (written, wstats) = run_chiplet(move |cfg| {
-        cfg.checkpoint_every = Some(every);
-        cfg.checkpoint_path = Some(cp2);
-    });
-    assert_eq!(baseline, written, "checkpointing changed chiplet behavior");
-    assert!(wstats.checkpoints_written > 0, "no checkpoint was written");
-
-    let (resumed, rstats) = run_chiplet(move |cfg| cfg.resume_from = Some(cp));
-    assert_eq!(baseline, resumed, "resumed chiplet run diverged");
-    assert_eq!(
-        rstats.checkpoint_verifications, 1,
-        "resume did not verify against the checkpoint"
-    );
+    assert_checks([chiplet()], &[Check::Cut]);
 }
 
 /// Partition tiles never straddle a region boundary, on both hierarchical
