@@ -51,8 +51,8 @@ pub enum ActivityState {
     /// Waiting for an explicit wake (probe ack, join notification, data
     /// response, lock grant...). Not the core's current activity.
     Blocked(&'static str),
-    /// Woken (wake value deposited) but waiting in the core's resumable
-    /// queue for the core to switch back to it.
+    /// Woken but waiting in the core's resumable queue for the core to
+    /// switch back to it.
     Woken,
 }
 
@@ -71,8 +71,6 @@ pub struct Activity {
     /// closure runs on — where a grant must switch to. Set when the
     /// activity is first granted, `None` before.
     pub context: Option<usize>,
-    /// Value deposited by `wake`, consumed when the activity resumes.
-    pub wake_value: Option<Box<dyn Any>>,
     /// Virtual time at which the wake became available; the resuming core's
     /// clock is advanced to at least this.
     pub wake_time: Option<VirtualTime>,

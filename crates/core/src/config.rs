@@ -41,6 +41,18 @@ impl SyncPolicy {
             t: VDuration::from_cycles(100),
         }
     }
+
+    /// The slack the policy allows a core over its floor: `T` over the
+    /// local floor, the window over the global one (`Conservative` is a
+    /// zero window), or `None` without a bound.
+    pub(crate) fn slack(self) -> Option<VDuration> {
+        match self {
+            SyncPolicy::Spatial { t } => Some(t),
+            SyncPolicy::BoundedSlack { window } => Some(window),
+            SyncPolicy::Conservative => Some(VDuration::ZERO),
+            SyncPolicy::Unbounded => None,
+        }
+    }
 }
 
 /// Full engine configuration.

@@ -16,7 +16,6 @@ use crate::sync;
 use simany_net::Payload;
 use simany_time::{BlockCost, CoreSpeed, VDuration, VirtualTime};
 use simany_topology::CoreId;
-use std::any::Any;
 use std::cell::RefMut;
 use std::rc::Rc;
 
@@ -161,12 +160,18 @@ impl ExecCtx {
         self.maybe_stall(sim);
     }
 
-    /// Send a message stamped with this core's current clock.
-    pub fn send(&mut self, dst: CoreId, size_bytes: u32, payload: Payload) {
+    /// Send a message stamped with this core's current clock: an
+    /// [`Ops::send`] from this core, with the same arrival or loss. Like
+    /// [`Self::uncontended_latency`], it flushes no deferred publish.
+    pub fn send(
+        &mut self,
+        dst: CoreId,
+        size_bytes: u32,
+        payload: Payload,
+    ) -> Result<VirtualTime, Payload> {
         let mut sim = self.shared.sim.borrow_mut();
         let sent = sim.cores.vtime[self.core.index()];
-        let env = sim.net.send(self.core, dst, size_bytes, sent, payload);
-        crate::engine::deliver(&mut sim, &self.shared, env);
+        Ops::new(&mut sim, &self.shared).send(self.core, dst, size_bytes, sent, payload)
     }
 
     /// Run `f` with full simulator access ([`Ops`]) while holding the run
@@ -194,19 +199,19 @@ impl ExecCtx {
         r
     }
 
-    /// Suspend this task until another party calls `Ops::wake` on it;
-    /// returns the wake value. The core is freed meanwhile: it can process
-    /// messages, resume other parked tasks or start queued ones (the
-    /// "execution context is saved" semantics of paper §IV).
-    pub fn block(&mut self, reason: &'static str) -> Box<dyn Any> {
-        self.block_with(reason, false)
+    /// Suspend this task until another party calls `Ops::wake` on it. The
+    /// core is freed meanwhile: it can process messages, resume other
+    /// parked tasks or start queued ones (the "execution context is saved"
+    /// semantics of paper §IV).
+    pub fn block(&mut self, reason: &'static str) {
+        self.block_with(reason, false);
     }
 
     /// [`Self::block`] with control over the resume context-switch charge:
     /// pass `true` for full task suspensions (join), `false` for
     /// lightweight protocol waits whose handler costs already account for
     /// the runtime's work.
-    pub fn block_with(&mut self, reason: &'static str, charge_resume: bool) -> Box<dyn Any> {
+    pub fn block_with(&mut self, reason: &'static str, charge_resume: bool) {
         let mut sim = self.shared.sim.borrow_mut();
         {
             let core = self.core;
@@ -232,11 +237,7 @@ impl ExecCtx {
         // We are current again (make_current charged the context switch and
         // applied the wake time). Apply the synchronization policy before
         // resuming user code.
-        let mut sim = self.maybe_stall(sim);
-        sim.act_mut(self.aid)
-            .wake_value
-            .take()
-            .expect("woken without a wake value")
+        self.maybe_stall(sim);
     }
 
     /// Enter a critical section / take a simulated lock: while at least one

@@ -481,7 +481,6 @@ pub(crate) fn start_activity_impl(
             state: ActivityState::Pending,
             job: Some(job),
             context: None,
-            wake_value: None,
             wake_time: None,
             charge_resume: false,
             meta: Some(meta),
@@ -516,14 +515,8 @@ pub(crate) fn start_activity_impl(
     aid
 }
 
-/// Wake a blocked activity with a value available at virtual time `at`.
-pub(crate) fn wake_impl(
-    sim: &mut Sim,
-    shared: &Shared,
-    aid: ActivityId,
-    value: Box<dyn std::any::Any>,
-    at: VirtualTime,
-) {
+/// Wake a blocked activity, its core's clock at least `at` when it resumes.
+pub(crate) fn wake_impl(sim: &mut Sim, shared: &Shared, aid: ActivityId, at: VirtualTime) {
     let act = sim.act_mut(aid);
     assert!(
         matches!(act.state, ActivityState::Blocked(_)),
@@ -531,7 +524,6 @@ pub(crate) fn wake_impl(
         act.state
     );
     act.state = ActivityState::Woken;
-    act.wake_value = Some(value);
     act.wake_time = Some(at);
     let c = act.core;
     trace(shared, || TraceEvent::Wake { t: at, core: c });

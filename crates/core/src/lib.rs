@@ -60,7 +60,7 @@ pub use config::{EngineConfig, SyncPolicy};
 pub use ctx::ExecCtx;
 pub use engine::{simulate, SimError, SimResult};
 pub use hooks::RuntimeHooks;
-pub use ops::{Ops, SendFate};
+pub use ops::Ops;
 pub use state::BirthId;
 pub use stats::SimStats;
 pub use trace::{MemoryTracer, TraceEvent, Tracer};

@@ -10,24 +10,8 @@ use crate::state::BirthId;
 use crate::sync;
 use crate::trace::TraceEvent;
 use simany_net::Payload;
-use simany_time::{CoreSpeed, CostModel, VDuration, VirtualTime};
+use simany_time::{CoreSpeed, VDuration, VirtualTime};
 use simany_topology::CoreId;
-
-/// Outcome of an [`Ops::send`]/[`Ops::send_at`] on a possibly-faulty
-/// machine. Callers that don't care (occupancy broadcasts, best-effort
-/// hints) may ignore it; callers that need delivery should use
-/// [`Ops::try_send_at`] to get the payload back for a retry.
-#[derive(Debug)]
-#[must_use = "on a faulty machine a send may be dropped"]
-pub enum SendFate {
-    /// The message was delivered to the destination inbox.
-    Delivered {
-        /// Simulator-computed arrival time at the destination.
-        arrival: VirtualTime,
-    },
-    /// The fault plan lost the message (dropped, corrupted or unroutable).
-    Dropped,
-}
 
 /// Handle over the full simulator state, passed to [`crate::RuntimeHooks`]
 /// callbacks.
@@ -66,11 +50,6 @@ impl<'a> Ops<'a> {
         self.sim.cores.speed(core.index())
     }
 
-    /// The shared instruction cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.shared.config.cost_model
-    }
-
     /// The engine's master seed (for deriving runtime-level PRNG streams).
     pub fn seed(&self) -> u64 {
         self.shared.config.seed
@@ -107,47 +86,20 @@ impl<'a> Ops<'a> {
         sync::publish(self.sim, self.shared, core);
     }
 
-    /// Send a message from `src` (stamped with `src`'s current clock) to
-    /// `dst` through the interconnect model; it lands in `dst`'s inbox with
-    /// a simulator-computed arrival time. On a faulty machine the message
-    /// may be lost — the returned [`SendFate`] says which; use
-    /// [`Ops::try_send_at`] when the payload is needed back for a retry.
-    pub fn send(
-        &mut self,
-        src: CoreId,
-        dst: CoreId,
-        size_bytes: u32,
-        payload: Payload,
-    ) -> SendFate {
-        let sent = self.sim.cores.vtime[src.index()];
-        self.send_at(src, dst, size_bytes, sent, payload)
-    }
-
-    /// Send a message with an explicit departure stamp instead of the
-    /// sender's clock. This implements the paper's reply rule: "If a
+    /// Send a message from `src`, departing at `at`, to `dst` through the
+    /// interconnect model; it lands in `dst`'s inbox with a
+    /// simulator-computed arrival time, which is returned. The stamp is
+    /// explicit rather than `src`'s clock for the paper's reply rule: "If a
     /// request requires a reply, the reply message is dated with the
     /// request time augmented with a local processing time" (§II.A) — a
     /// responder whose own clock has drifted must not leak that drift into
     /// the requester's timeline.
-    pub fn send_at(
-        &mut self,
-        src: CoreId,
-        dst: CoreId,
-        size_bytes: u32,
-        at: VirtualTime,
-        payload: Payload,
-    ) -> SendFate {
-        match self.try_send_at(src, dst, size_bytes, at, payload) {
-            Ok(arrival) => SendFate::Delivered { arrival },
-            Err(_) => SendFate::Dropped,
-        }
-    }
-
-    /// Fault-aware send: like [`Ops::send_at`], but on loss the payload is
-    /// handed back so the caller can retry it (task bodies are not
-    /// clonable). Also announces any fault-plan epoch boundaries reached by
-    /// `at` (LinkDown/LinkUp traces) and traces the drop itself.
-    pub fn try_send_at(
+    ///
+    /// Announces any fault-plan epoch boundaries reached by `at`
+    /// (LinkDown/LinkUp traces). On a faulty machine the message may be
+    /// lost: the drop is traced and the payload handed back so the caller
+    /// can retry it (task bodies are not clonable).
+    pub fn send(
         &mut self,
         src: CoreId,
         dst: CoreId,
@@ -267,10 +219,10 @@ impl<'a> Ops<'a> {
         start_activity_impl(self.sim, self.shared, core, name, meta, job)
     }
 
-    /// Wake a blocked activity, delivering `value` (available at virtual
-    /// time `at`) to its pending `ExecCtx::block` call.
-    pub fn wake(&mut self, aid: ActivityId, value: Box<dyn std::any::Any>, at: VirtualTime) {
-        wake_impl(self.sim, self.shared, aid, value, at);
+    /// Wake a blocked activity: its pending `ExecCtx::block` call returns,
+    /// with the core's clock at least `at`.
+    pub fn wake(&mut self, aid: ActivityId, at: VirtualTime) {
+        wake_impl(self.sim, self.shared, aid, at);
     }
 
     /// Declare `n` additional queued-but-unstarted work items on `core`

@@ -126,17 +126,6 @@ fn fresh_local_floor(sim: &Sim, shared: &Shared, c: CoreId) -> VirtualTime {
     m
 }
 
-/// The slack the active policy allows a core over its floor, when the
-/// policy has a closed-form bound at all.
-fn policy_slack(shared: &Shared) -> Option<VDuration> {
-    match shared.config.sync {
-        SyncPolicy::Spatial { t } => Some(t),
-        SyncPolicy::BoundedSlack { window } => Some(window),
-        SyncPolicy::Conservative => Some(VDuration::ZERO),
-        SyncPolicy::Unbounded => None,
-    }
-}
-
 /// Called from `sync::sync_ok` (spatial slow path) with the floor the
 /// decision is about to use: re-derive it from scratch and flag cache
 /// corruption.
@@ -214,7 +203,7 @@ pub(crate) fn note_clock(sim: &mut Sim, shared: &Shared, c: CoreId) {
     if sim.cores.is_idle(c.index()) {
         return;
     }
-    let Some(slack) = policy_slack(shared) else {
+    let Some(slack) = shared.config.sync.slack() else {
         return;
     };
     let floor = match shared.config.sync {
@@ -468,7 +457,7 @@ pub(crate) fn scan(sim: &mut Sim, shared: &Shared) {
     }
 
     // Machine-wide drift bound (policies with a closed-form bound only).
-    let Some(slack) = policy_slack(shared) else {
+    let Some(slack) = shared.config.sync.slack() else {
         return;
     };
     sim.stats.sanitizer_checks += 1;
@@ -524,18 +513,12 @@ pub(crate) fn scan(sim: &mut Sim, shared: &Shared) {
 
 #[cfg(test)]
 mod tests {
+    use crate::hooks::NullHooks;
     use crate::{
-        simulate, CoreId, EngineConfig, Envelope, ExecCtx, MemoryTracer, Ops, RuntimeHooks,
-        SyncPolicy, TraceEvent, VDuration,
+        simulate, CoreId, EngineConfig, ExecCtx, MemoryTracer, Ops, SyncPolicy, TraceEvent,
+        VDuration,
     };
     use std::sync::Arc;
-
-    struct NoHooks;
-    impl RuntimeHooks for NoHooks {
-        fn on_message(&self, _: &mut Ops<'_>, _: Envelope) {}
-        fn on_idle(&self, _: &mut Ops<'_>, _: CoreId) {}
-        fn on_activity_end(&self, _: &mut Ops<'_>, _: CoreId, _: Box<dyn std::any::Any + Send>) {}
-    }
 
     /// A 16-core ring, `T = 100`: a laggard parked at clock 0 on core 8
     /// holds a shadow gradient (100, 200, 300 on the cores 1, 2, 3 hops
@@ -555,7 +538,7 @@ mod tests {
         simulate(
             simany_topology::ring(16),
             config,
-            Arc::new(NoHooks),
+            Arc::new(NullHooks),
             |ops| {
                 ops.start_activity(
                     CoreId(0),
@@ -601,7 +584,7 @@ mod tests {
         simulate(
             simany_topology::ring(4),
             config,
-            Arc::new(NoHooks),
+            Arc::new(NullHooks),
             move |ops| {
                 ops.start_activity(
                     CoreId(0),

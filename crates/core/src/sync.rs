@@ -1156,7 +1156,9 @@ pub(crate) fn sync_ok(sim: &mut Sim, shared: &Shared, c: CoreId) -> bool {
                 false
             }
         }
-        SyncPolicy::BoundedSlack { window } => {
+        // Conservative is bounded slack with a zero window.
+        policy @ (SyncPolicy::BoundedSlack { .. } | SyncPolicy::Conservative) => {
+            let window = policy.slack().expect("a global policy has a window");
             let floor = global_floor(sim);
             if floor == VirtualTime::MAX {
                 return true;
@@ -1167,15 +1169,6 @@ pub(crate) fn sync_ok(sim: &mut Sim, shared: &Shared, c: CoreId) -> bool {
                 // The check passes again exactly when the floor reaches
                 // vtime - window (both in ticks).
                 register_floor_wake(sim, c, VirtualTime(vtime.0.saturating_sub(window.0)));
-                false
-            }
-        }
-        SyncPolicy::Conservative => {
-            let floor = global_floor(sim);
-            if floor == VirtualTime::MAX || vtime <= floor {
-                true
-            } else {
-                register_floor_wake(sim, c, vtime);
                 false
             }
         }
@@ -1233,7 +1226,8 @@ mod tests {
                         for k in 0..200 {
                             ctx.advance_cycles(step);
                             if k % 16 == 15 {
-                                ctx.send(CoreId((c + n / 2) % n), 32, Payload::none());
+                                ctx.send(CoreId((c + n / 2) % n), 32, Payload::none())
+                                    .unwrap();
                             }
                         }
                     }),
@@ -1432,7 +1426,8 @@ mod tests {
                     for k in 0..30 {
                         ctx.advance_cycles(step);
                         if k % 10 == 9 {
-                            ctx.send(CoreId((c.0 + n / 2) % n), 16, Payload::none());
+                            ctx.send(CoreId((c.0 + n / 2) % n), 16, Payload::none())
+                                .unwrap();
                         }
                     }
                 }),
@@ -1440,8 +1435,9 @@ mod tests {
         }
         fn on_activity_end(&self, ops: &mut Ops<'_>, c: CoreId, _: Box<dyn std::any::Any + Send>) {
             ops.advance_core(c, 5);
+            let at = ops.now(c);
             for n in ops.neighbors(c) {
-                let _ = ops.send(c, n, 16, Payload::none());
+                let _ = ops.send(c, n, 16, at, Payload::none());
             }
             if self.queued.fetch_add(1, Ordering::Relaxed) < self.limit {
                 let next = CoreId((c.0 * 5 + 3) % ops.n_cores());

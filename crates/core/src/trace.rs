@@ -92,7 +92,7 @@ pub enum TraceEvent {
     },
     /// A blocked activity was woken.
     Wake {
-        /// Virtual time the wake value became available.
+        /// Virtual time from which the woken activity may resume.
         t: VirtualTime,
         /// Core of the woken activity.
         core: CoreId,

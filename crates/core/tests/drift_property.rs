@@ -8,19 +8,12 @@
 //! runs are bit-identical for a fixed seed.
 
 use proptest::prelude::*;
+use simany_core::hooks::NullHooks;
 use simany_core::{
-    simulate, CoreId, EngineConfig, Envelope, ExecCtx, Ops, RuntimeHooks, SimStats, SyncPolicy,
-    VDuration, VirtualTime,
+    simulate, CoreId, EngineConfig, ExecCtx, SimStats, SyncPolicy, VDuration, VirtualTime,
 };
 use simany_topology::{mesh_2d, ring, Topology};
 use std::sync::Arc;
-
-struct NoHooks;
-impl RuntimeHooks for NoHooks {
-    fn on_message(&self, _: &mut Ops<'_>, _: Envelope) {}
-    fn on_idle(&self, _: &mut Ops<'_>, _: CoreId) {}
-    fn on_activity_end(&self, _: &mut Ops<'_>, _: CoreId, _: Box<dyn std::any::Any + Send>) {}
-}
 
 fn run_program(topo: Topology, t_cycles: u64, seed: u64, plans: Vec<Vec<u64>>) -> SimStats {
     let config = EngineConfig::default()
@@ -30,7 +23,7 @@ fn run_program(topo: Topology, t_cycles: u64, seed: u64, plans: Vec<Vec<u64>>) -
 }
 
 fn run_config(topo: Topology, config: EngineConfig, plans: Vec<Vec<u64>>) -> SimStats {
-    simulate(topo, config, Arc::new(NoHooks), move |ops| {
+    simulate(topo, config, Arc::new(NullHooks), move |ops| {
         for (i, plan) in plans.into_iter().enumerate() {
             if plan.is_empty() {
                 continue;
@@ -58,7 +51,7 @@ fn run_msg_config(
     plans: Vec<Vec<(u64, u32, bool)>>,
 ) -> SimStats {
     let n = topo.n_cores();
-    simulate(topo, config, Arc::new(NoHooks), move |ops| {
+    simulate(topo, config, Arc::new(NullHooks), move |ops| {
         for (i, plan) in plans.into_iter().enumerate() {
             if plan.is_empty() {
                 continue;
@@ -72,7 +65,8 @@ fn run_msg_config(
                         ctx.advance_cycles(step);
                         let dst = dst % n;
                         if do_send && dst != i as u32 {
-                            ctx.send(CoreId(dst), 64, simany_core::Payload::none());
+                            ctx.send(CoreId(dst), 64, simany_core::Payload::none())
+                                .unwrap();
                         }
                     }
                 }),

@@ -13,8 +13,8 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Hooks that understand two message payloads:
-/// * `WakeOrder(aid)` — wake the given activity with the message arrival
-///   time as value;
+/// * `WakeOrder(aid)` — wake the given activity at the message arrival
+///   time;
 /// * any `u64` — advance the receiving core by that many cycles.
 struct TestHooks;
 
@@ -25,7 +25,7 @@ impl RuntimeHooks for TestHooks {
         if env.payload.downcast_ref::<WakeOrder>().is_some() {
             let WakeOrder(aid) = env.payload.take::<WakeOrder>();
             let at = ops.now(env.dst);
-            ops.wake(aid, Box::new(at), at);
+            ops.wake(aid, at);
         } else if env.payload.downcast_ref::<u64>().is_some() {
             let cycles = env.payload.take::<u64>();
             ops.advance_core(env.dst, cycles);
@@ -264,7 +264,7 @@ fn message_arrival_sets_receiver_clock() {
             0,
             Box::new(|ctx: &mut ExecCtx| {
                 ctx.advance_cycles(100);
-                ctx.send(CoreId(1), 64, Payload::new(7u64));
+                ctx.send(CoreId(1), 64, Payload::new(7u64)).unwrap();
             }),
         )],
     );
@@ -285,7 +285,7 @@ fn block_and_wake_across_cores() {
         fn on_message(&self, ops: &mut Ops<'_>, mut env: Envelope) {
             let aid = env.payload.take::<simany_core::ActivityId>();
             let at = ops.now(env.dst);
-            ops.wake(aid, Box::new(at), at);
+            ops.wake(aid, at);
         }
         fn on_idle(&self, _: &mut Ops<'_>, _: CoreId) {}
         fn on_activity_end(&self, _: &mut Ops<'_>, _: CoreId, _: Box<dyn std::any::Any + Send>) {}
@@ -303,9 +303,9 @@ fn block_and_wake_across_cores() {
                 Box::new(()),
                 Box::new(move |ctx: &mut ExecCtx| {
                     // Full suspension semantics: charge the context switch.
-                    let v = ctx.block_with("test-wake", true);
-                    let woken_at = *v.downcast::<VirtualTime>().unwrap();
-                    assert!(ctx.now() >= woken_at);
+                    ctx.block_with("test-wake", true);
+                    // Woken at the order's arrival, 502.
+                    assert!(ctx.now() >= VirtualTime::from_cycles(502));
                     resumed_at2.store(ctx.now().ticks(), Ordering::SeqCst);
                 }),
             );
@@ -316,7 +316,7 @@ fn block_and_wake_across_cores() {
                 Box::new(()),
                 Box::new(move |ctx: &mut ExecCtx| {
                     ctx.advance_cycles(500);
-                    ctx.send(CoreId(1), 8, Payload::new(waiter));
+                    ctx.send(CoreId(1), 8, Payload::new(waiter)).unwrap();
                 }),
             );
         },
@@ -362,7 +362,8 @@ fn stall_cleared_by_a_message_resumes_the_suspended_body() {
                     ctx.advance_cycles(10);
                     let born = ctx.now();
                     let id = ctx.with_ops(|ops| ops.record_birth(CoreId(0), born));
-                    ctx.send(CoreId(1), 8, Payload::new((CoreId(0), id)));
+                    ctx.send(CoreId(1), 8, Payload::new((CoreId(0), id)))
+                        .unwrap();
                     ctx.advance_cycles(500);
                 }),
             );
@@ -389,7 +390,7 @@ fn deadlock_is_detected_and_reported() {
                 "forever",
                 Box::new(()),
                 Box::new(|ctx: &mut ExecCtx| {
-                    let _ = ctx.block("never-woken");
+                    ctx.block("never-woken");
                 }),
             );
         },
@@ -433,7 +434,7 @@ fn deadlock_unwinds_every_suspended_body() {
                     Box::new(()),
                     Box::new(move |ctx: &mut ExecCtx| {
                         let _held = guard;
-                        let _ = ctx.block("never-woken");
+                        ctx.block("never-woken");
                     }),
                 );
             }
@@ -469,7 +470,7 @@ fn deadlock_report_lists_blocked_activities_in_id_order() {
                         "stuck",
                         Box::new(()),
                         Box::new(|ctx: &mut ExecCtx| {
-                            let _ = ctx.block("never-woken");
+                            ctx.block("never-woken");
                         }),
                     );
                 }
@@ -513,7 +514,7 @@ fn task_panic_unwinds_the_bodies_it_leaves_suspended() {
                 Box::new(()),
                 Box::new(move |ctx: &mut ExecCtx| {
                     let _held = g0;
-                    let _ = ctx.block("never-woken");
+                    ctx.block("never-woken");
                 }),
             );
             ops.start_activity(
@@ -627,7 +628,7 @@ fn task_panic_inside_an_exec_ctx_call_is_reported() {
             Box::new(move |ctx: &mut ExecCtx| {
                 let _held = guard;
                 parked_in_body.store(true, Ordering::SeqCst);
-                let _ = ctx.block("never-woken");
+                ctx.block("never-woken");
             }),
         );
         ops.start_activity(
@@ -791,7 +792,7 @@ fn late_messages_are_counted() {
                 0,
                 Box::new(|ctx: &mut ExecCtx| {
                     ctx.advance_cycles(1);
-                    ctx.send(CoreId(1), 8, Payload::new(1u64));
+                    ctx.send(CoreId(1), 8, Payload::new(1u64)).unwrap();
                     ctx.advance_cycles(1);
                 }),
             ),

@@ -3,10 +3,10 @@
 //! End-to-end tracing: the engine reports the events a real run produces.
 
 use simany_core::{
-    simulate, CoreId, EngineConfig, Envelope, ExecCtx, MemoryTracer, Ops, Payload, RuntimeHooks,
-    TraceEvent,
+    simulate, CoreId, EngineConfig, Envelope, ExecCtx, FaultPlanBuilder, MemoryTracer, Ops,
+    Payload, RuntimeHooks, TraceEvent, VirtualTime,
 };
-use simany_topology::mesh_2d;
+use simany_topology::{mesh_2d, LinkId};
 use std::sync::Arc;
 
 struct WakeHooks;
@@ -14,7 +14,7 @@ impl RuntimeHooks for WakeHooks {
     fn on_message(&self, ops: &mut Ops<'_>, mut env: Envelope) {
         let aid = env.payload.take::<simany_core::ActivityId>();
         let at = ops.now(env.dst);
-        ops.wake(aid, Box::new(()), at);
+        ops.wake(aid, at);
     }
     fn on_idle(&self, _: &mut Ops<'_>, _: CoreId) {}
     fn on_activity_end(&self, _: &mut Ops<'_>, _: CoreId, _: Box<dyn std::any::Any + Send>) {}
@@ -32,7 +32,7 @@ fn trace_covers_the_event_vocabulary() {
             "waiter",
             Box::new(()),
             Box::new(|ctx: &mut ExecCtx| {
-                let _ = ctx.block("demo-wait");
+                ctx.block("demo-wait");
                 ctx.advance_cycles(10);
             }),
         );
@@ -46,7 +46,7 @@ fn trace_covers_the_event_vocabulary() {
                 for _ in 0..50 {
                     ctx.advance_cycles(10);
                 }
-                ctx.send(CoreId(1), 8, Payload::new(waiter));
+                ctx.send(CoreId(1), 8, Payload::new(waiter)).unwrap();
             }),
         );
         // A third worker so someone lags behind the runner.
@@ -179,4 +179,48 @@ fn no_tracer_means_no_overhead_path() {
     )
     .unwrap();
     assert_eq!(stats.final_vtime.cycles(), 5);
+}
+
+/// Task code's send is the hooks' send: under a plan that drops every
+/// message, a send from `ExecCtx` and one from `Ops` are both lost without
+/// a panic, each traced as the same `MsgDropped` and counted in
+/// `msgs_dropped`.
+#[test]
+fn a_task_send_is_dropped_like_a_hook_send() {
+    let topo = mesh_2d(2);
+    let lossy =
+        (0..topo.n_links()).fold(FaultPlanBuilder::new(), |b, l| b.drop_prob(LinkId(l), 1.0));
+    let tracer = MemoryTracer::new();
+    let mut config = EngineConfig::default().with_fault_plan(Arc::new(lossy.build(&topo)));
+    config.tracer = Some(tracer.clone());
+    let stats = simulate(topo, config, Arc::new(WakeHooks), |ops| {
+        ops.start_activity(
+            CoreId(0),
+            "sender",
+            Box::new(()),
+            Box::new(|ctx: &mut ExecCtx| {
+                ctx.advance_cycles(10);
+                assert!(ctx.send(CoreId(1), 8, Payload::none()).is_err());
+                let by_ops = ctx.with_ops(|ops| {
+                    let at = ops.now(CoreId(0));
+                    ops.send(CoreId(0), CoreId(1), 8, at, Payload::none())
+                });
+                assert!(by_ops.is_err());
+            }),
+        );
+    })
+    .unwrap();
+    assert_eq!(stats.msgs_dropped, 2);
+    let lost = TraceEvent::MsgDropped {
+        t: VirtualTime::from_cycles(10),
+        src: CoreId(0),
+        dst: CoreId(1),
+        bytes: 8,
+    };
+    let dropped: Vec<_> = tracer
+        .events()
+        .into_iter()
+        .filter(|e| matches!(e, TraceEvent::MsgDropped { .. }))
+        .collect();
+    assert_eq!(dropped, [lost.clone(), lost]);
 }

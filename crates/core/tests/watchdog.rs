@@ -18,7 +18,7 @@ impl RuntimeHooks for PingSelfForever {
     fn on_message(&self, ops: &mut Ops<'_>, env: Envelope) {
         // Re-send to self at the same instant: arrival == sent for a local
         // message, so max_vtime is frozen while the scheduler spins.
-        let _ = ops.send_at(env.dst, env.dst, 0, env.arrival, Payload::none());
+        let _ = ops.send(env.dst, env.dst, 0, env.arrival, Payload::none());
     }
     fn on_idle(&self, _: &mut Ops<'_>, _: CoreId) {}
     fn on_activity_end(&self, _: &mut Ops<'_>, _: CoreId, _: Box<dyn std::any::Any + Send>) {}
@@ -27,7 +27,7 @@ impl RuntimeHooks for PingSelfForever {
 fn livelocked_run(config: EngineConfig) -> Result<simany_core::SimStats, SimError> {
     simulate(mesh_2d(2), config, Arc::new(PingSelfForever), |ops| {
         // No fault plan here, so the send cannot be dropped.
-        let _ = ops.send_at(
+        let _ = ops.send(
             CoreId(0),
             CoreId(0),
             0,
@@ -87,11 +87,11 @@ fn watchdog_unwinds_every_suspended_body() {
                 Box::new(()),
                 Box::new(move |ctx: &mut ExecCtx| {
                     let _held = guard;
-                    let _ = ctx.block("forever");
+                    ctx.block("forever");
                 }),
             );
         }
-        let _ = ops.send_at(
+        let _ = ops.send(
             CoreId(3),
             CoreId(3),
             0,

@@ -301,16 +301,8 @@ pub fn cycle_level_spec_with(topo: Topology, seed: u64, config: CycleLevelConfig
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simany_core::Envelope;
-    use simany_core::RuntimeHooks;
+    use simany_core::hooks::NullHooks;
     use std::sync::Arc;
-
-    struct NoHooks;
-    impl RuntimeHooks for NoHooks {
-        fn on_message(&self, _: &mut Ops<'_>, _: Envelope) {}
-        fn on_idle(&self, _: &mut Ops<'_>, _: CoreId) {}
-        fn on_activity_end(&self, _: &mut Ops<'_>, _: CoreId, _: Box<dyn std::any::Any + Send>) {}
-    }
 
     #[test]
     fn block_cycles_include_issue_latencies() {
@@ -356,7 +348,7 @@ mod tests {
         let stats = simulate(
             mesh_2d(4),
             EngineConfig::default(),
-            Arc::new(NoHooks),
+            Arc::new(NullHooks),
             |ops| {
                 // Core 1 reads a line (cold miss through directory).
                 timing.mem_access(ops, CoreId(1), 0x100, false);
@@ -388,7 +380,7 @@ mod tests {
         simulate(
             mesh_2d(4),
             EngineConfig::default(),
-            Arc::new(NoHooks),
+            Arc::new(NullHooks),
             |ops| {
                 // Two cores read the same line (both become sharers).
                 timing.mem_access(ops, CoreId(0), 0x400, false);
@@ -425,7 +417,7 @@ mod tests {
         let stats = simulate(
             mesh_2d(4),
             EngineConfig::default(),
-            Arc::new(NoHooks),
+            Arc::new(NullHooks),
             |ops| {
                 // Dirty a line, then thrash its set with two more lines so
                 // the dirty victim is written back over the NoC.

@@ -20,7 +20,7 @@
 //! walks the list from its head. The unit tests keep a standalone
 //! binary-heap inbox as the pop-order oracle.
 
-use crate::message::{Envelope, MsgId, Payload};
+use crate::message::{Envelope, Payload};
 use simany_time::VirtualTime;
 use simany_topology::CoreId;
 
@@ -58,7 +58,6 @@ impl InboxPool {
     pub fn new(n_cores: u32) -> Self {
         let reserved = Slot {
             env: Envelope {
-                id: MsgId(0),
                 src: CoreId(0),
                 dst: CoreId(0),
                 sent: VirtualTime::ZERO,
@@ -214,7 +213,7 @@ impl InboxPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{MsgId, Payload};
+    use crate::message::Payload;
     use simany_topology::CoreId;
     use std::collections::BinaryHeap;
 
@@ -312,7 +311,6 @@ mod tests {
 
     fn env(src: u32, seq: u64, arrival_cy: u64) -> Envelope {
         Envelope {
-            id: MsgId(seq),
             src: CoreId(src),
             dst: CoreId(99),
             sent: VirtualTime::ZERO,

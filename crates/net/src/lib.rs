@@ -30,7 +30,7 @@ pub mod message;
 
 pub use inbox::InboxPool;
 pub use link::{LinkTraffic, NetStats};
-pub use message::{Envelope, MsgId, Payload};
+pub use message::{Envelope, Payload};
 
 use std::sync::Arc;
 
@@ -119,7 +119,7 @@ struct FaultState {
 
 /// The complete network model: topology + routing + per-link traffic +
 /// parameters. Owned by the simulator engine; every message send flows
-/// through [`NetworkModel::send`]. The topology is shared, not copied: the
+/// through [`NetworkModel::try_send`]. The topology is shared, not copied: the
 /// engine holds the same allocation.
 #[derive(Debug)]
 pub struct NetworkModel {
@@ -226,7 +226,7 @@ impl NetworkModel {
     /// departing at `depart`: charges every traversed link (latency,
     /// serialization, per-hop costs) and updates per-link contention state.
     /// Returns the arrival time at `dst`. This is the timing core of
-    /// [`NetworkModel::send`], also used directly for traffic that carries
+    /// [`NetworkModel::try_send`], also used directly for traffic that carries
     /// no payload envelope (e.g. coherence protocol legs simulated by the
     /// cycle-level reference).
     pub fn transit(
@@ -287,30 +287,13 @@ impl NetworkModel {
 
     /// Send a message: walks the route, charges every traversed component,
     /// updates link contention state, and returns the stamped envelope whose
-    /// `arrival` is the virtual time at which `dst` can observe it.
-    ///
-    /// A message to self costs nothing and arrives immediately (local
+    /// `arrival` is the virtual time at which `dst` can observe it. A
+    /// message to self costs nothing and arrives immediately (local
     /// operations are not network interactions).
-    pub fn send(
-        &mut self,
-        src: CoreId,
-        dst: CoreId,
-        size_bytes: u32,
-        sent: VirtualTime,
-        payload: Payload,
-    ) -> Envelope {
-        match self.try_send(src, dst, size_bytes, sent, payload) {
-            Ok(env) => env,
-            Err((reason, _)) => {
-                panic!("NetworkModel::send lost a message ({reason:?}); use try_send on faulty machines")
-            }
-        }
-    }
-
-    /// Fault-aware send: like [`NetworkModel::send`], but consults the
-    /// fault plan. On failure the payload is handed back (task bodies are
-    /// not clonable, so the caller needs it to retry) together with the
-    /// [`DropReason`]:
+    ///
+    /// The fault plan, if any, is consulted first. On failure the payload
+    /// is handed back (task bodies are not clonable, so the caller needs it
+    /// to retry) together with the [`DropReason`]:
     ///
     /// * `Unreachable` — the current epoch leaves no route; nothing is
     ///   charged.
@@ -413,7 +396,6 @@ impl NetworkModel {
             }
         }
         Ok(Envelope {
-            id: MsgId(seq),
             src,
             dst,
             sent,
@@ -582,19 +564,26 @@ mod tests {
         NetworkModel::new(mesh_2d(16), NetworkParams::default())
     }
 
-    fn payload() -> Payload {
-        Payload::none()
+    /// A send on a machine that cannot lose it.
+    fn send(
+        m: &mut NetworkModel,
+        src: CoreId,
+        dst: CoreId,
+        bytes: u32,
+        at: VirtualTime,
+    ) -> Envelope {
+        m.try_send(src, dst, bytes, at, Payload::none()).unwrap()
     }
 
     #[test]
     fn self_message_is_free() {
         let mut m = model();
-        let e = m.send(
+        let e = send(
+            &mut m,
             CoreId(3),
             CoreId(3),
             64,
             VirtualTime::from_cycles(5),
-            payload(),
         );
         assert_eq!(e.arrival, VirtualTime::from_cycles(5));
     }
@@ -603,7 +592,7 @@ mod tests {
     fn neighbor_message_pays_latency_and_serialization() {
         let mut m = model();
         // 64 bytes over a 128 B/cy link: ceil = 1 cycle; latency 1 cycle.
-        let e = m.send(CoreId(0), CoreId(1), 64, VirtualTime::ZERO, payload());
+        let e = send(&mut m, CoreId(0), CoreId(1), 64, VirtualTime::ZERO);
         assert_eq!(e.arrival, VirtualTime::from_cycles(2));
     }
 
@@ -611,7 +600,7 @@ mod tests {
     fn multi_hop_accumulates() {
         let mut m = model();
         // 4x4 mesh: 0 -> 15 is 6 hops; each hop = 1 latency + 1 serialization.
-        let e = m.send(CoreId(0), CoreId(15), 64, VirtualTime::ZERO, payload());
+        let e = send(&mut m, CoreId(0), CoreId(15), 64, VirtualTime::ZERO);
         assert_eq!(e.arrival, VirtualTime::from_cycles(12));
         assert_eq!(m.stats().total_hops, 6);
     }
@@ -619,8 +608,8 @@ mod tests {
     #[test]
     fn contention_delays_second_message() {
         let mut m = model();
-        let a = m.send(CoreId(0), CoreId(1), 128, VirtualTime::ZERO, payload());
-        let b = m.send(CoreId(0), CoreId(1), 128, VirtualTime::ZERO, payload());
+        let a = send(&mut m, CoreId(0), CoreId(1), 128, VirtualTime::ZERO);
+        let b = send(&mut m, CoreId(0), CoreId(1), 128, VirtualTime::ZERO);
         // Both want the same link at t=0; the second waits for the first's
         // serialization slot (1 cycle for 128B at 128B/cy).
         assert_eq!(a.arrival, VirtualTime::from_cycles(2));
@@ -633,12 +622,12 @@ mod tests {
         let mut m = model();
         let mut last = VirtualTime::ZERO;
         for i in 0..10 {
-            let e = m.send(
+            let e = send(
+                &mut m,
                 CoreId(0),
                 CoreId(15),
                 32 + i * 16,
                 VirtualTime::from_cycles(u64::from(i)),
-                payload(),
             );
             assert!(e.arrival >= last, "FIFO violated at message {i}");
             last = e.arrival;
@@ -649,7 +638,7 @@ mod tests {
     fn big_messages_serialized_by_bandwidth() {
         let mut m = model();
         // 1280 bytes at 128 B/cy = 10 cycles serialization per hop.
-        let e = m.send(CoreId(0), CoreId(1), 1280, VirtualTime::ZERO, payload());
+        let e = send(&mut m, CoreId(0), CoreId(1), 1280, VirtualTime::ZERO);
         assert_eq!(e.arrival, VirtualTime::from_cycles(11));
     }
 
@@ -662,14 +651,14 @@ mod tests {
         };
         let mut m = NetworkModel::new(mesh_2d(4), params);
         // 128 bytes = 2 chunks. 1 hop: latency 1 + ser 1 + penalty 2 + chunks 2.
-        let e = m.send(CoreId(0), CoreId(1), 128, VirtualTime::ZERO, payload());
+        let e = send(&mut m, CoreId(0), CoreId(1), 128, VirtualTime::ZERO);
         assert_eq!(e.arrival, VirtualTime::from_cycles(6));
     }
 
     #[test]
     fn zero_size_control_message() {
         let mut m = model();
-        let e = m.send(CoreId(0), CoreId(1), 0, VirtualTime::ZERO, payload());
+        let e = send(&mut m, CoreId(0), CoreId(1), 0, VirtualTime::ZERO);
         // Still one chunk minimum but zero serialization.
         assert_eq!(e.arrival, VirtualTime::from_cycles(1));
     }
@@ -678,7 +667,7 @@ mod tests {
     fn uncontended_latency_matches_fresh_send() {
         let mut m = model();
         let est = m.uncontended_latency(CoreId(0), CoreId(15), 256);
-        let e = m.send(CoreId(0), CoreId(15), 256, VirtualTime::ZERO, payload());
+        let e = send(&mut m, CoreId(0), CoreId(15), 256, VirtualTime::ZERO);
         assert_eq!(VirtualTime::ZERO + est, e.arrival);
         assert_eq!(
             m.path_latency(CoreId(0), CoreId(15)),
@@ -691,9 +680,9 @@ mod tests {
         let mut m = model();
         // Hammer one link with big messages, lightly touch another path.
         for _ in 0..5 {
-            m.send(CoreId(0), CoreId(1), 1280, VirtualTime::ZERO, payload());
+            send(&mut m, CoreId(0), CoreId(1), 1280, VirtualTime::ZERO);
         }
-        m.send(CoreId(2), CoreId(3), 64, VirtualTime::ZERO, payload());
+        send(&mut m, CoreId(2), CoreId(3), 64, VirtualTime::ZERO);
         let hot = m.busiest_links(3);
         assert!(!hot.is_empty());
         assert_eq!(hot[0].0.src, CoreId(0));
@@ -715,7 +704,7 @@ mod tests {
             let src = CoreId(rng.next_below(256) as u32);
             let dst = CoreId(rng.next_below(256) as u32);
             let bytes = 64 * (1 + rng.next_below(4) as u32);
-            m.send(src, dst, bytes, VirtualTime::from_cycles(i), payload());
+            send(&mut m, src, dst, bytes, VirtualTime::from_cycles(i));
         }
         let mut all: Vec<(LinkProps, VDuration)> = m
             .topology()
@@ -739,8 +728,8 @@ mod tests {
     #[test]
     fn seq_numbers_monotonic() {
         let mut m = model();
-        let a = m.send(CoreId(0), CoreId(1), 8, VirtualTime::ZERO, payload());
-        let b = m.send(CoreId(2), CoreId(3), 8, VirtualTime::ZERO, payload());
+        let a = send(&mut m, CoreId(0), CoreId(1), 8, VirtualTime::ZERO);
+        let b = send(&mut m, CoreId(2), CoreId(3), 8, VirtualTime::ZERO);
         assert!(b.seq > a.seq);
     }
 
@@ -769,19 +758,19 @@ mod tests {
         let mut plain = NetworkModel::new(topo.clone(), NetworkParams::default());
         let mut faulty = NetworkModel::with_faults(topo, NetworkParams::default(), Some(plan), 99);
         for i in 0..20u64 {
-            let a = plain.send(
+            let a = send(
+                &mut plain,
                 CoreId((i % 16) as u32),
                 CoreId(((i * 7 + 3) % 16) as u32),
                 64 + (i as u32) * 8,
                 VirtualTime::from_cycles(i * 3),
-                payload(),
             );
-            let b = faulty.send(
+            let b = send(
+                &mut faulty,
                 CoreId((i % 16) as u32),
                 CoreId(((i * 7 + 3) % 16) as u32),
                 64 + (i as u32) * 8,
                 VirtualTime::from_cycles(i * 3),
-                payload(),
             );
             assert_eq!(a.arrival, b.arrival);
             assert_eq!(a.seq, b.seq);
@@ -805,14 +794,20 @@ mod tests {
         let mut m = NetworkModel::with_faults(topo, NetworkParams::default(), Some(plan), 1);
         // 0 -> 1 must now detour (3 hops instead of 1).
         let e = m
-            .try_send(CoreId(0), CoreId(1), 64, VirtualTime::ZERO, payload())
+            .try_send(CoreId(0), CoreId(1), 64, VirtualTime::ZERO, Payload::none())
             .unwrap();
         assert_eq!(m.stats().total_hops, 3);
         assert_eq!(m.stats().rerouted, 1);
         assert_eq!(e.arrival, VirtualTime::from_cycles(6));
         // An unaffected pair is not counted as rerouted.
-        m.try_send(CoreId(14), CoreId(15), 64, VirtualTime::ZERO, payload())
-            .unwrap();
+        m.try_send(
+            CoreId(14),
+            CoreId(15),
+            64,
+            VirtualTime::ZERO,
+            Payload::none(),
+        )
+        .unwrap();
         assert_eq!(m.stats().rerouted, 1);
     }
 
@@ -832,13 +827,13 @@ mod tests {
         assert!(plan.epoch_partitioned(0));
         let mut m = NetworkModel::with_faults(topo, NetworkParams::default(), Some(plan), 1);
         let err = m
-            .try_send(CoreId(0), CoreId(1), 64, VirtualTime::ZERO, payload())
+            .try_send(CoreId(0), CoreId(1), 64, VirtualTime::ZERO, Payload::none())
             .unwrap_err();
         assert_eq!(err.0, DropReason::Unreachable);
         assert_eq!(m.stats().unreachable, 1);
         assert_eq!(m.stats().messages, 0);
         // The surviving half still communicates.
-        m.try_send(CoreId(1), CoreId(2), 64, VirtualTime::ZERO, payload())
+        m.try_send(CoreId(1), CoreId(2), 64, VirtualTime::ZERO, Payload::none())
             .unwrap();
         assert_eq!(m.stats().messages, 1);
     }
@@ -877,7 +872,7 @@ mod tests {
                 corner,
                 64,
                 VirtualTime::from_cycles(at),
-                payload(),
+                Payload::none(),
             );
             hops.push(sent.map(|_| m.stats().total_hops - before).map_err(|e| e.0));
         }
@@ -900,7 +895,7 @@ mod tests {
         let plan = Arc::new(FaultPlanBuilder::new().drop_prob(link, 1.0).build(&topo));
         let mut m = NetworkModel::with_faults(topo, NetworkParams::default(), Some(plan), 7);
         let err = m
-            .try_send(CoreId(0), CoreId(1), 64, VirtualTime::ZERO, payload())
+            .try_send(CoreId(0), CoreId(1), 64, VirtualTime::ZERO, Payload::none())
             .unwrap_err();
         assert_eq!(err.0, DropReason::Faulty);
         assert_eq!(m.stats().dropped, 1);
@@ -919,7 +914,7 @@ mod tests {
         );
         let mut m = NetworkModel::with_faults(topo, NetworkParams::default(), Some(plan), 7);
         let e = m
-            .try_send(CoreId(0), CoreId(1), 64, VirtualTime::ZERO, payload())
+            .try_send(CoreId(0), CoreId(1), 64, VirtualTime::ZERO, Payload::none())
             .unwrap();
         assert_eq!(e.arrival, VirtualTime::from_cycles(102));
         assert_eq!(m.stats().delayed, 1);
@@ -932,7 +927,7 @@ mod tests {
         let plan = Arc::new(FaultPlanBuilder::new().corrupt_prob(link, 1.0).build(&topo));
         let mut m = NetworkModel::with_faults(topo, NetworkParams::default(), Some(plan), 7);
         let err = m
-            .try_send(CoreId(0), CoreId(1), 64, VirtualTime::ZERO, payload())
+            .try_send(CoreId(0), CoreId(1), 64, VirtualTime::ZERO, Payload::none())
             .unwrap_err();
         assert_eq!(err.0, DropReason::Corrupted);
         assert_eq!(m.stats().corrupted, 1);

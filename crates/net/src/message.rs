@@ -11,10 +11,6 @@ use simany_topology::CoreId;
 use std::any::Any;
 use std::fmt;
 
-/// Globally unique message identifier (also the global send sequence).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct MsgId(pub u64);
-
 /// Opaque message payload. Layers above the network downcast it back.
 pub struct Payload(Option<Box<dyn Any>>);
 
@@ -59,8 +55,6 @@ impl fmt::Debug for Payload {
 /// payload and ordering metadata.
 #[derive(Debug)]
 pub struct Envelope {
-    /// Unique id.
-    pub id: MsgId,
     /// Sender core.
     pub src: CoreId,
     /// Destination core.

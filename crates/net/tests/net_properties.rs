@@ -32,10 +32,11 @@ proptest! {
             last_sent.insert(key, sent_cy);
 
             let sent = VirtualTime::from_cycles(sent_cy);
-            let env = net.send(CoreId(src), CoreId(dst), size, sent, Payload::none());
+            let (from, to) = (CoreId(src), CoreId(dst));
+            let env = net.try_send(from, to, size, sent, Payload::none()).unwrap();
 
             // Causality: arrival >= send + uncontended latency.
-            let min = net.uncontended_latency(CoreId(src), CoreId(dst), size);
+            let min = net.uncontended_latency(from, to, size);
             prop_assert!(env.arrival >= sent + VDuration::ZERO);
             prop_assert!(
                 env.arrival.ticks() >= sent.ticks() + min.ticks()
@@ -132,12 +133,14 @@ proptest! {
         // Saturate the busy network with background flows at t=0.
         for (s, d, size) in flows {
             if s != d {
-                let _ = busy.send(CoreId(s % 16), CoreId(d % 16), size, VirtualTime::ZERO, Payload::none());
+                let (s, d) = (CoreId(s % 16), CoreId(d % 16));
+                busy.try_send(s, d, size, VirtualTime::ZERO, Payload::none()).unwrap();
             }
         }
         let t = VirtualTime::from_cycles(1);
-        let a = idle.send(CoreId(0), CoreId(15), probe_size, t, Payload::none());
-        let b = busy.send(CoreId(0), CoreId(15), probe_size, t, Payload::none());
+        let (src, dst) = (CoreId(0), CoreId(15));
+        let a = idle.try_send(src, dst, probe_size, t, Payload::none()).unwrap();
+        let b = busy.try_send(src, dst, probe_size, t, Payload::none()).unwrap();
         prop_assert!(b.arrival >= a.arrival, "contention made a message faster");
     }
 
@@ -150,7 +153,8 @@ proptest! {
         let mut net = NetworkModel::new(mesh_2d(16), NetworkParams::default());
         let mut bytes = 0u64;
         for &(s, d, size) in &sends {
-            net.send(CoreId(s % 16), CoreId(d % 16), size, VirtualTime::ZERO, Payload::none());
+            let (s, d) = (CoreId(s % 16), CoreId(d % 16));
+            net.try_send(s, d, size, VirtualTime::ZERO, Payload::none()).unwrap();
             bytes += u64::from(size);
         }
         prop_assert_eq!(net.stats().messages, sends.len() as u64);

@@ -111,7 +111,7 @@ impl Step<'_, '_> {
     /// caller can degrade gracefully.
     ///
     /// With no fault plan the first attempt always succeeds and this is
-    /// exactly one `try_send_at`.
+    /// exactly one [`Ops::send`].
     pub fn send(
         &mut self,
         dst: CoreId,
@@ -121,7 +121,7 @@ impl Step<'_, '_> {
     ) -> Result<(), (Payload, VirtualTime)> {
         let retry = self.params.retry;
         let mut t = at;
-        let mut payload = match self.ops.try_send_at(self.me, dst, bytes, t, payload) {
+        let mut payload = match self.ops.send(self.me, dst, bytes, t, payload) {
             Ok(_) => return Ok(()),
             Err(p) => p,
         };
@@ -129,7 +129,7 @@ impl Step<'_, '_> {
             t += retry.timeout(k);
             self.st.stats.send_retries += 1;
             self.ops.note_retry(self.me, dst, t);
-            payload = match self.ops.try_send_at(self.me, dst, bytes, t, payload) {
+            payload = match self.ops.send(self.me, dst, bytes, t, payload) {
                 Ok(_) => return Ok(()),
                 Err(p) => p,
             };
@@ -139,9 +139,8 @@ impl Step<'_, '_> {
     }
 
     /// Send `msg`, on which `waiter` is blocked; if it is lost for good,
-    /// wake `waiter` directly with `lost` at the final attempt's time so
-    /// the step it waits for never deadlocks. Returns whether the message
-    /// got through.
+    /// wake `waiter` directly at the final attempt's time so the step it
+    /// waits for never deadlocks. Returns whether the message got through.
     pub fn send_or_wake(
         &mut self,
         dst: CoreId,
@@ -149,12 +148,11 @@ impl Step<'_, '_> {
         at: VirtualTime,
         msg: RtMsg,
         waiter: ActivityId,
-        lost: impl Any,
     ) -> bool {
         match self.send(dst, bytes, at, Payload::new(msg)) {
             Ok(()) => true,
             Err((_, fail_t)) => {
-                self.ops.wake(waiter, Box::new(lost), fail_t);
+                self.ops.wake(waiter, fail_t);
                 false
             }
         }
@@ -166,6 +164,7 @@ impl Step<'_, '_> {
     pub fn broadcast_occupancy(&mut self) {
         let me = self.me;
         let occupancy = self.st.cores[me.index()].occupancy();
+        let at = self.ops.now(me);
         for n in self.ops.neighbors(me) {
             self.st.stats.occupancy_msgs += 1;
             // Best-effort: a lost occupancy hint only stales a proxy.
@@ -173,6 +172,7 @@ impl Step<'_, '_> {
                 me,
                 n,
                 self.params.ctrl_msg_bytes,
+                at,
                 Payload::new(RtMsg::Occupancy {
                     from: me,
                     occupancy,
@@ -267,12 +267,12 @@ impl Step<'_, '_> {
 
     /// Release `lock` at its home `me`, virtually free from `free_at`; the
     /// next waiter, if any, is handed the lock with a LOCK_ACK sent at
-    /// `send_at`.
-    pub fn release_lock(&mut self, lock: LockId, free_at: VirtualTime, send_at: VirtualTime) {
+    /// `ack_at`.
+    pub fn release_lock(&mut self, lock: LockId, free_at: VirtualTime, ack_at: VirtualTime) {
         if let Some((activity, core)) = self.st.release(lock, free_at) {
             let bytes = self.params.ctrl_msg_bytes;
             let ack = RtMsg::LockAck { activity };
-            self.send_or_wake(core, bytes, send_at, ack, activity, ());
+            self.send_or_wake(core, bytes, ack_at, ack, activity);
         }
     }
 }
@@ -392,11 +392,11 @@ impl RuntimeHooks for TaskRuntime {
                     responder: me,
                     occupancy,
                 };
-                // A reply lost for good denies the prober directly (it
+                // A reply lost for good wakes the prober directly (it
                 // blocked before this handler ran — the run-token protocol
-                // guarantees it) and revokes the reservation.
-                let denied: Option<CoreId> = None;
-                if !s.send_or_wake(reply_to, ctrl, reply_at, reply, prober, denied) && granted {
+                // guarantees it) with no grant recorded, so denied, and
+                // revokes the reservation.
+                if !s.send_or_wake(reply_to, ctrl, reply_at, reply, prober) && granted {
                     s.st.cores[me.index()].reserved -= 1;
                 }
             }
@@ -407,10 +407,12 @@ impl RuntimeHooks for TaskRuntime {
                 occupancy,
             } => {
                 s.st.cores[me.index()].proxy.insert(responder, occupancy);
-                // The prober wakes with the reserved core, or `None`.
+                // The prober wakes to its grant, if any.
+                if granted {
+                    s.st.probe_grants.insert(prober, responder);
+                }
                 let at = s.ops.now(me);
-                s.ops
-                    .wake(prober, Box::new(granted.then_some(responder)), at);
+                s.ops.wake(prober, at);
             }
             RtMsg::TaskSpawn {
                 body,
@@ -493,7 +495,7 @@ impl RuntimeHooks for TaskRuntime {
             | RtMsg::DataResponse { activity: waiter }
             | RtMsg::LockAck { activity: waiter } => {
                 let at = s.ops.now(me);
-                s.ops.wake(waiter, Box::new(()), at);
+                s.ops.wake(waiter, at);
             }
             RtMsg::DataRequest {
                 cell,
@@ -506,7 +508,7 @@ impl RuntimeHooks for TaskRuntime {
                     info.location = requester;
                     let size = info.size_bytes;
                     let response = RtMsg::DataResponse { activity };
-                    s.send_or_wake(requester, size, reply_at, response, activity, ())
+                    s.send_or_wake(requester, size, reply_at, response, activity)
                 } else {
                     // Stale location: chase the cell.
                     let loc = info.location;
@@ -517,7 +519,7 @@ impl RuntimeHooks for TaskRuntime {
                         activity,
                         hops: hops + 1,
                     };
-                    s.send_or_wake(loc, ctrl, reply_at, forward, activity, ())
+                    s.send_or_wake(loc, ctrl, reply_at, forward, activity)
                 };
                 if !sent {
                     // The requester was unblocked anyway so the run can
@@ -536,7 +538,7 @@ impl RuntimeHooks for TaskRuntime {
                     // grant hands over directly (the lock stays held by the
                     // requester, and free_at keeps the serialization).
                     let ack = RtMsg::LockAck { activity };
-                    s.send_or_wake(requester, ctrl, reply_at.max(free_at), ack, activity, ());
+                    s.send_or_wake(requester, ctrl, reply_at.max(free_at), ack, activity);
                 }
             }
             RtMsg::LockRelease { lock } => {
@@ -552,7 +554,7 @@ impl RuntimeHooks for TaskRuntime {
                 // the token was consumed with the registration).
                 if let Some((waiter, _token)) = core.recv_waiter.take() {
                     let at = s.ops.now(me);
-                    s.ops.wake(waiter, Box::new(()), at);
+                    s.ops.wake(waiter, at);
                 }
             }
             RtMsg::Deadline { token } => {
@@ -562,7 +564,7 @@ impl RuntimeHooks for TaskRuntime {
                         core.recv_waiter = None;
                         s.st.stats.timer_fires += 1;
                         let at = s.ops.now(me);
-                        s.ops.wake(waiter, Box::new(()), at);
+                        s.ops.wake(waiter, at);
                     }
                     // The wait this timer was armed for is already over
                     // (a message arrived first, or a newer wait replaced
@@ -600,7 +602,7 @@ impl RuntimeHooks for TaskRuntime {
                 s.st.stats.joiner_notifies += 1;
                 let at = s.ops.now(core);
                 let notify = RtMsg::JoinerRequest { joiner };
-                s.send_or_wake(jcore, ctrl, at, notify, joiner, ());
+                s.send_or_wake(jcore, ctrl, at, notify, joiner);
             }
         });
     }

@@ -192,6 +192,9 @@ pub(crate) struct RtState {
     pub cells: Vec<CellInfo>,
     pub locks: Vec<LockState>,
     pub directory: Option<simany_mem::DirectoryTiming>,
+    /// The core a PROBE_REPLY granted each prober still blocked in
+    /// `probe`, until it resumes and takes it; no entry means denied.
+    pub probe_grants: HashMap<ActivityId, CoreId>,
     pub stats: RtStats,
 }
 
@@ -203,6 +206,7 @@ impl RtState {
             cells: Vec::new(),
             locks: Vec::new(),
             directory,
+            probe_grants: HashMap::new(),
             stats: RtStats::default(),
         }
     }

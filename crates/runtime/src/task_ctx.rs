@@ -173,8 +173,10 @@ impl<'a> TaskCtx<'a> {
         if !asked {
             return None;
         }
-        let outcome = self.ec.block("probe");
-        *outcome.downcast::<Option<CoreId>>().expect("probe outcome")
+        self.ec.block("probe");
+        // The reply's handler recorded a grant; a denial, or a reply lost
+        // for good, recorded none.
+        self.rt.st.borrow_mut().probe_grants.remove(&prober)
     }
 
     /// Ship a task to a core previously reserved with [`Self::probe`]. The
@@ -240,7 +242,7 @@ impl<'a> TaskCtx<'a> {
             // No sane program joins before it finished spawning, but keep
             // the group sound regardless.
             for (joiner, _jcore) in group.map(|g| s.st.leave_group(g)).unwrap_or_default() {
-                s.ops.wake(joiner, Box::new(()), fail_t);
+                s.ops.wake(joiner, fail_t);
             }
             false
         })
@@ -312,10 +314,10 @@ impl<'a> TaskCtx<'a> {
             };
             self.ec.with_ops(|ops| {
                 let timer = Payload::new(RtMsg::Deadline { token });
-                let sent = ops.try_send_at(me, me, 0, deadline, timer);
+                let sent = ops.send(me, me, 0, deadline, timer);
                 debug_assert!(sent.is_ok(), "self-send timers are infallible");
             });
-            let _ = self.ec.block("recv");
+            self.ec.block("recv");
         }
     }
 
@@ -366,7 +368,7 @@ impl<'a> TaskCtx<'a> {
         if suspended {
             // Full suspension: resuming costs the paper's 15-cycle context
             // switch.
-            let _ = self.ec.block_with("join", true);
+            self.ec.block_with("join", true);
         }
     }
 
@@ -482,7 +484,7 @@ impl<'a> TaskCtx<'a> {
             }
         });
         if !local {
-            let _ = self.ec.block("cell");
+            self.ec.block("cell");
         }
         // The data now sits in this core's L2 (paper §V: "the requested
         // data are stored in the initiating core's L2 cache, where they can
@@ -568,7 +570,7 @@ impl<'a> TaskCtx<'a> {
             }
         });
         if !acquired {
-            let _ = self.ec.block("lock");
+            self.ec.block("lock");
         }
         self.ec.critical_enter();
     }

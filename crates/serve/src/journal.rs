@@ -162,19 +162,28 @@ pub fn replay(path: &std::path::Path) -> Result<Recovery, String> {
 mod tests {
     use super::*;
 
-    fn temp_path(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "simany-serve-journal-{name}-{}",
-            std::process::id()
-        ));
+    /// A directory of the test's own, removed when dropped.
+    struct TempDir(std::path::PathBuf);
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A journal path in a fresh directory, and the guard that removes it.
+    fn temp_path(name: &str) -> (TempDir, std::path::PathBuf) {
+        let name = format!("simany-serve-journal-{name}-{}", std::process::id());
+        let dir = std::env::temp_dir().join(name);
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join("journal.log")
+        let path = dir.join("journal.log");
+        (TempDir(dir), path)
     }
 
     #[test]
     fn roundtrip_and_recovery() {
-        let path = temp_path("roundtrip");
+        let (_dir, path) = temp_path("roundtrip");
         {
             let mut j = Journal::open(&path).unwrap();
             j.append("enqueued", 0x1, "drift/drift=50").unwrap();
@@ -207,7 +216,7 @@ mod tests {
 
     #[test]
     fn missing_file_is_empty_bad_header_is_error() {
-        let path = temp_path("header");
+        let (_dir, path) = temp_path("header");
         assert!(replay(&path).unwrap().done.is_empty());
         std::fs::write(&path, "some other file\n").unwrap();
         assert!(replay(&path).is_err());
@@ -215,7 +224,7 @@ mod tests {
 
     #[test]
     fn a_line_cut_by_a_crash_is_ignored() {
-        let path = temp_path("cut");
+        let (_dir, path) = temp_path("cut");
         let head = format!(
             "{JOURNAL_VERSION}\nenqueued 00000000001a2b3c s/seed=1\nstarted 00000000000000ff\n"
         );
@@ -254,7 +263,7 @@ mod tests {
 
     #[test]
     fn a_short_digest_on_a_whole_line_is_an_error() {
-        let path = temp_path("short");
+        let (_dir, path) = temp_path("short");
         std::fs::write(&path, format!("{JOURNAL_VERSION}\ndone 1a2b3c ok\n")).unwrap();
         assert!(replay(&path).unwrap_err().contains("bad digest"));
         let long = format!("{JOURNAL_VERSION}\nstarted 00000000001a2b3c0\n");
@@ -264,7 +273,7 @@ mod tests {
 
     #[test]
     fn retry_after_failure_can_succeed() {
-        let path = temp_path("retry");
+        let (_dir, path) = temp_path("retry");
         let mut j = Journal::open(&path).unwrap();
         j.append("started", 0x7, "").unwrap();
         j.append("failed", 0x7, "task-panic").unwrap();

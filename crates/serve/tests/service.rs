@@ -16,11 +16,21 @@ fn simulate_bin() -> Option<std::path::PathBuf> {
     sibling_binary("simulate")
 }
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
+/// A directory of the test's own, removed when dropped.
+struct TempDir(std::path::PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A fresh directory for the test `tag`, and the guard that removes it.
+fn temp_dir(tag: &str) -> (TempDir, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("simany-serve-it-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    (TempDir(dir.clone()), dir)
 }
 
 const SPEC: &str = r#"
@@ -71,7 +81,7 @@ fn sweep_runs_each_digest_once_and_fans_out() {
         eprintln!("skipping: simulate binary not built");
         return;
     };
-    let dir = temp_dir("dedup");
+    let (_guard, dir) = temp_dir("dedup");
     let mut svc = Service::new(config(&dir, sim)).unwrap();
     let summary = svc.run(&AtomicBool::new(false)).unwrap();
 
@@ -111,14 +121,14 @@ fn preemption_time_slices_and_results_match_straight_run() {
         return;
     };
     // Straight run.
-    let dir_a = temp_dir("straight");
+    let (_guard_a, dir_a) = temp_dir("straight");
     let mut svc = Service::new(config(&dir_a, sim.clone())).unwrap();
     let sa = svc.run(&AtomicBool::new(false)).unwrap();
     assert_eq!(sa.preempts, 0);
 
     // Preempting run: every worker is stopped after 2 fresh checkpoints
     // and re-enqueued until its resume budget is spent.
-    let dir_b = temp_dir("preempt");
+    let (_guard_b, dir_b) = temp_dir("preempt");
     let mut cfg = config(&dir_b, sim);
     cfg.preempt_after = Some(2);
     cfg.max_resumes = 4;
@@ -162,7 +172,7 @@ fn shutdown_and_restart_loses_no_work_and_duplicates_nothing() {
         eprintln!("skipping: simulate binary not built");
         return;
     };
-    let dir = temp_dir("restart");
+    let (_guard, dir) = temp_dir("restart");
     // Bigger workload so the shutdown lands mid-sweep.
     let spec = SPEC.replace("scale = 0.1", "scale = 0.4");
     std::fs::write(dir.join("spec.toml"), spec).unwrap();
@@ -209,7 +219,7 @@ fn a_label_with_a_quote_and_a_backslash_round_trips() {
         return;
     };
     const LABEL: &str = r#"we"ird\name"#;
-    let dir = temp_dir("escape");
+    let (_guard, dir) = temp_dir("escape");
     let mut cfg = config(&dir, sim);
     let spec_path = dir.join("spec.json");
     std::fs::write(
@@ -239,7 +249,7 @@ fn a_label_with_a_quote_and_a_backslash_round_trips() {
 /// built — before the output directory or any worker exists. Returns the
 /// refusal.
 fn refused_at_queue_build_time(tag: &str, spec: &str) -> String {
-    let dir = temp_dir(tag);
+    let (_guard, dir) = temp_dir(tag);
     let mut cfg = config(&dir, dir.join("no-such-simulate"));
     let spec_path = dir.join("refused.toml");
     std::fs::write(&spec_path, spec).unwrap();

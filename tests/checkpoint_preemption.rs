@@ -58,7 +58,7 @@ fn preemption_unwinds_every_suspended_body_and_resumes_verified() {
         fn on_message(&self, ops: &mut Ops<'_>, mut env: Envelope) {
             let aid = env.payload.take::<ActivityId>();
             let at = ops.now(env.dst);
-            ops.wake(aid, Box::new(()), at);
+            ops.wake(aid, at);
         }
         fn on_idle(&self, _: &mut Ops<'_>, _: CoreId) {}
         fn on_activity_end(&self, _: &mut Ops<'_>, _: CoreId, _: Box<dyn std::any::Any + Send>) {}
@@ -84,7 +84,7 @@ fn preemption_unwinds_every_suspended_body_and_resumes_verified() {
                     let guard = DropCounter(drops.clone());
                     move |ctx: &mut ExecCtx| {
                         let _held = guard;
-                        let _ = ctx.block("until-c-is-done");
+                        ctx.block("until-c-is-done");
                         ctx.advance_cycles(100);
                     }
                 };
@@ -98,11 +98,11 @@ fn preemption_unwinds_every_suspended_body_and_resumes_verified() {
                     Box::new(move |ctx: &mut ExecCtx| {
                         let _held = guard;
                         ctx.advance_cycles(3_000);
-                        ctx.send(CoreId(2), 8, Payload::new(ctx.id()));
-                        let _ = ctx.block("own-wake-order");
+                        ctx.send(CoreId(2), 8, Payload::new(ctx.id())).unwrap();
+                        ctx.block("own-wake-order");
                         ctx.advance_cycles(3_000);
-                        ctx.send(CoreId(0), 8, Payload::new(a));
-                        ctx.send(CoreId(1), 8, Payload::new(b));
+                        ctx.send(CoreId(0), 8, Payload::new(a)).unwrap();
+                        ctx.send(CoreId(1), 8, Payload::new(b)).unwrap();
                     }),
                 );
             },

@@ -1,19 +1,11 @@
 //! The paper's mechanism illustrations (Figs. 1–4) as executable tests.
 
-use simany::core::{
-    simulate, CoreId, EngineConfig, Envelope, ExecCtx, Ops, RuntimeHooks, VDuration,
-};
+use simany::core::hooks::NullHooks;
+use simany::core::{simulate, CoreId, EngineConfig, ExecCtx, VDuration};
 use simany::prelude::*;
 use simany::topology::Topology;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-struct NoHooks;
-impl RuntimeHooks for NoHooks {
-    fn on_message(&self, _: &mut Ops<'_>, _: Envelope) {}
-    fn on_idle(&self, _: &mut Ops<'_>, _: CoreId) {}
-    fn on_activity_end(&self, _: &mut Ops<'_>, _: CoreId, _: Box<dyn std::any::Any + Send>) {}
-}
 
 /// A path topology 0 - 1 - ... - (n-1).
 fn path(n: u32) -> Topology {
@@ -33,7 +25,7 @@ fn fig1_wakeup_chain() {
     let stats = simulate(
         path(3),
         EngineConfig::default().with_drift_cycles(20),
-        Arc::new(NoHooks),
+        Arc::new(NullHooks),
         |ops| {
             // Left core: slow, fine-grained.
             ops.start_activity(
@@ -92,7 +84,7 @@ fn fig2_non_connected_sets_stay_coupled() {
     simulate(
         path(n),
         EngineConfig::default().with_drift_cycles(t_cycles),
-        Arc::new(NoHooks),
+        Arc::new(NullHooks),
         |ops| {
             ops.start_activity(
                 CoreId(0),

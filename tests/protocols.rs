@@ -1,8 +1,9 @@
 //! Protocol workload pack acceptance: every protocol terminates and passes
 //! its safety checks under a partition-then-heal plan, with the sanitizer
-//! watching; and under the same plan its runs are bit-identical for a fixed
-//! seed, down to every latency sample, and checkpoint/resume is bit-exact
-//! (checks of the shared harness, `tests/common`).
+//! watching; with no plan, and under that one, its runs are bit-identical
+//! for a fixed seed, down to every latency sample; and under the plan
+//! checkpoint/resume is bit-exact (checks of the shared harness,
+//! `tests/common`).
 
 mod common;
 
@@ -53,6 +54,14 @@ fn protocol_pack_survives_partition_then_heal() {
             other => panic!("unexpected protocol {other}"),
         }
     }
+}
+
+/// With no fault plan, every protocol's runs are identical for a fixed
+/// seed, down to every latency sample.
+#[test]
+fn protocol_runs_are_reproducible_without_faults() {
+    let at = |p| Case(Sm, p, SPATIAL, NoPlan, Whole, SEED);
+    assert_checks(protocols().into_iter().map(at), &[Check::Repeat]);
 }
 
 /// Every protocol, partitioned then healed (seed 7).
