@@ -16,7 +16,7 @@ use std::any::Any;
 use std::fmt;
 
 /// Unique activity identifier (never reused within a run).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ActivityId(pub u64);
 
 impl fmt::Debug for ActivityId {

@@ -309,14 +309,6 @@ impl EngineConfig {
             })
             .collect()
     }
-
-    /// Speed of core `i` under this configuration.
-    pub fn speed_of(&self, i: u32) -> CoreSpeed {
-        match &self.speeds {
-            Some(v) => v[i as usize],
-            None => CoreSpeed::BASE,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -365,13 +357,14 @@ mod tests {
             }
         );
         assert_eq!(c.seed, 7);
-        assert_eq!(c.speed_of(0), CoreSpeed::HALF);
-        assert_eq!(c.speed_of(1), CoreSpeed::THREE_HALVES);
+        assert_eq!(
+            c.speeds,
+            Some(vec![CoreSpeed::HALF, CoreSpeed::THREE_HALVES])
+        );
     }
 
     #[test]
     fn uniform_speed_when_unset() {
-        let c = EngineConfig::default();
-        assert_eq!(c.speed_of(5), CoreSpeed::BASE);
+        assert_eq!(EngineConfig::default().speeds, None);
     }
 }

@@ -6,7 +6,7 @@
 //! block...), applies the synchronization policy and returns — possibly
 //! after giving the CPU away while the core is stalled or blocked:
 //! a switch from the body's context back to the driver (see
-//! [`crate::coro`]). All waiting happens here; runtime hooks never block.
+//! `coro`). All waiting happens here; runtime hooks never block.
 
 use crate::activity::{ActivityId, ActivityState};
 use crate::coro::Context;

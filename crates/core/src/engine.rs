@@ -17,17 +17,17 @@
 //!
 //! ## Bodies on userland contexts
 //!
-//! Every task body runs on a pooled stack of its own ([`crate::coro`]): a
+//! Every task body runs on a pooled stack of its own (`coro`): a
 //! first grant takes the activity's closure and *starts* it on a context,
 //! a later grant *resumes* the context where the body left it —
-//! [`run_body`], the one place either happens. The body gives the CPU back
+//! `run_body`, the one place either happens. The body gives the CPU back
 //! by returning, or — mid-closure, at a stall or a block — by switching to
 //! the driver (`ExecCtx::suspend`). Either way `start`/`resume` returns in
-//! [`grant`]. A grant therefore costs two register swaps
+//! `grant`. A grant therefore costs two register swaps
 //! ([`SimStats::ctx_switches`]) and no system call.
 //!
 //! **One borrow around a switch.** Only the running side borrows `Sim`:
-//! [`grant`] drops its borrow before `start`/`resume` and borrows again
+//! `grant` drops its borrow before `start`/`resume` and borrows again
 //! when the body hands the CPU back, and the body does the same around its
 //! switch to the driver, so every switch happens with `Sim` unborrowed.
 //! Task code in between borrows it per `ExecCtx` call. A nested borrow — a
@@ -38,20 +38,20 @@
 //! granter as a value and is recorded as [`SimError::TaskPanic`]; a panic
 //! of the engine or a hook under the driver simply propagates up
 //! `simulate`'s own stack to its caller. When a run ends early (deadlock,
-//! watchdog, preemption, task panic) [`unwind_suspended`] resumes each
+//! watchdog, preemption, task panic) `unwind_suspended` resumes each
 //! suspended body once with `Sim::shutdown` set: it raises
-//! [`ShutdownSignal`] where it was parked, its locals drop on its own
+//! `ShutdownSignal` where it was parked, its locals drop on its own
 //! stack, and the trampoline hands the context back. Every stack is
 //! unmapped when the pool drops, before `simulate` returns.
 //!
 //! ## The driver
 //!
-//! One host thread — the one that called [`simulate`] — running [`drive`]:
-//! `next → dispatch → grant`, a loop with no nesting. [`PickLoop::next`]
+//! One host thread — the one that called [`simulate`] — running `drive`:
+//! `next → dispatch → grant`, a loop with no nesting. `PickLoop::next`
 //! does everything that happens between two grants — checkpoint
 //! observation, floor wakes, pop-and-revalidate, the quiet/deadlock check,
 //! the pick count, watchdog, sanitizer cadence and parallelism sample — and
-//! [`PickLoop::dispatch`] processes a message, runs an idle hook or grants
+//! `PickLoop::dispatch` processes a message, runs an idle hook or grants
 //! an activity, in the one order every digest, checkpoint and golden
 //! timing depends on. After a grant the driver re-evaluates the activity's
 //! core for the ready queue (what `dispatch` does itself after a message or
@@ -74,7 +74,7 @@ use crate::state::Cores;
 use crate::stats::SimStats;
 use crate::sync;
 use crate::trace::TraceEvent;
-use simany_net::{Envelope, InboxPool, NetworkModel};
+use simany_net::{Envelope, NetworkModel};
 use simany_time::{IdHasher, VDuration, VirtualTime};
 use simany_topology::{CoreId, Topology};
 use std::cell::{RefCell, RefMut};
@@ -146,7 +146,7 @@ pub(crate) struct Sim {
     /// Per core: waiter set — blocked neighbors registered on this core as
     /// their argmin laggard (spatial policy only), in registration order.
     /// A rising publish rechecks only these.
-    pub(crate) waiters: crate::state::FifoPool<u32>,
+    pub(crate) waiters: crate::state::ListPool<u32>,
     /// Scratch for `sync::publish` relaxation: `(core, exposed value before
     /// the sweep)` for every core whose value changed. Reused across calls
     /// so the steady state allocates nothing.
@@ -371,7 +371,7 @@ pub(crate) fn is_ready(sim: &Sim, c: CoreId) -> bool {
     }
     match sim.cores.current(c.index()) {
         Some(a) => sim.act(a).grantable(),
-        None => !sim.cores.res_is_empty(c.index()) || sim.cores.queue_hint[c.index()] > 0,
+        None => !sim.cores.resumable.is_empty(c.index()) || sim.cores.queue_hint[c.index()] > 0,
     }
 }
 
@@ -530,7 +530,7 @@ pub(crate) fn wake_impl(sim: &mut Sim, shared: &Shared, aid: ActivityId, at: Vir
     if sim.cores.current(c.index()).is_none() {
         make_current(sim, shared, aid);
     } else {
-        sim.cores.res_push_back(c.index(), aid);
+        sim.cores.resumable.push_back(c.index(), aid);
     }
     push_ready(sim, c);
 }
@@ -655,7 +655,12 @@ pub(crate) fn decide(sim: &Sim, c: CoreId) -> Action {
         let prefer_msg = match cur_grantable {
             Some(true) => arr <= vtime,
             Some(false) => true,
-            None => match sim.cores.res_front(i).and_then(|a| sim.act(a).wake_time) {
+            None => match sim
+                .cores
+                .resumable
+                .front(i)
+                .and_then(|&a| sim.act(a).wake_time)
+            {
                 Some(wake) => arr <= wake.max(vtime),
                 None => true,
             },
@@ -668,7 +673,7 @@ pub(crate) fn decide(sim: &Sim, c: CoreId) -> Action {
         Some(a) if cur_grantable == Some(true) => Action::Grant(a),
         Some(_) => Action::Nothing, // stalled current; wait for drift event
         None => {
-            if !sim.cores.res_is_empty(i) {
+            if !sim.cores.resumable.is_empty(i) {
                 Action::ResumeParked
             } else if sim.cores.queue_hint[i] > 0 {
                 Action::Idle
@@ -712,7 +717,7 @@ pub(crate) fn diagnostic_snapshot(sim: &Sim, shared: &Shared) -> String {
     append_core_dump(sim, shared, &mut s);
     for idx in 0..sim.cores.len() {
         if !sim.waiters.is_empty(idx) {
-            let ws: Vec<u32> = sim.waiters.iter(idx).collect();
+            let ws: Vec<u32> = sim.waiters.iter(idx).copied().collect();
             let _ = write!(s, "\n  waiters-on-core{idx}: {ws:?}");
         }
     }
@@ -823,8 +828,8 @@ pub fn simulate(
     let start_wall = std::time::Instant::now();
     let topo = Arc::new(topo);
     let cores = Cores::new(
+        n as usize,
         config.speeds.clone(),
-        InboxPool::new(n),
         config.cost_model.branch_accuracy,
         config.cost_model.pipeline_depth,
         config.seed,
@@ -863,7 +868,7 @@ pub fn simulate(
         uncap: sync::UncapIndex::new(&config),
         stalled: 0,
         window: sync::Window::new(n as usize),
-        waiters: crate::state::FifoPool::new(n as usize, 0),
+        waiters: crate::state::ListPool::new(n as usize),
         scratch_changed: Vec::new(),
         scratch_work: Vec::new(),
         region: sync::Region::default(),
@@ -1087,7 +1092,11 @@ impl PickLoop {
             }
             Action::Grant(aid) => Some(aid),
             Action::ResumeParked => {
-                let aid = sim.cores.res_pop_front(c.index()).unwrap();
+                let aid = sim
+                    .cores
+                    .resumable
+                    .pop_front(c.index())
+                    .expect("`decide` saw a resumable activity");
                 make_current(sim, shared, aid);
                 // Grant immediately if still allowed (it may have become
                 // stalled by the resume-cost advance).

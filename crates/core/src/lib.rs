@@ -46,6 +46,7 @@ pub mod ctx;
 pub mod engine;
 pub(crate) mod floor;
 pub mod hooks;
+pub(crate) mod inbox;
 pub mod ops;
 pub mod ready;
 pub mod sanitizer;

@@ -7,7 +7,7 @@
 //! machinery of the fast path being invisible. With `sanitize` on, every
 //! slow-path synchronization decision, publish and delivery is re-validated
 //! against an independent recomputation; a periodic machine-wide scan (every
-//! [`SCAN_EVERY_PICKS`] scheduler picks, plus once at the end of the run)
+//! `SCAN_EVERY_PICKS` scheduler picks, plus once at the end of the run)
 //! checks the global invariants. Violations bump
 //! [`crate::SimStats::sanitizer_violations`] and are reported as
 //! [`TraceEvent::SanitizerViolation`] events (capped, so a broken invariant

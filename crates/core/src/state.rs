@@ -13,20 +13,21 @@
 //!
 //! ## Pooled-arena invariants
 //!
-//! * Slots are recycled LIFO through free lists; a slot index is never
-//!   stored anywhere outside the pool's own head/tail/next links, so slot
-//!   reuse is invisible to the engine and to checkpoint digests (digests
-//!   fold lengths, times and ids — never arena indices).
-//! * Slot 0 of every arena is reserved and never handed out, so 0 means
-//!   "no slot" and the per-core heads start as zeroed allocations the host
-//!   maps lazily: a core whose lists stay empty never touches its words.
-//! * The resumable queues are FIFO per core ([`FifoPool`]: `head`/`tail` +
-//!   `next` links), preserving the wake order the scheduler relies on for
-//!   determinism; the spatial policy's waiter sets (`Sim::waiters`) are a
-//!   second `FifoPool`.
-//! * Birth ledgers are unordered singly-linked lists: the engine only ever
-//!   takes their minimum ([`Cores::min_birth`]) or unlinks by [`BirthId`],
-//!   both order-independent.
+//! Every variable-size per-core list is one `ListPool`: a `head` and
+//! `tail` slot per core over one shared arena of `(value, next)` slots.
+//! The inboxes (sorted by `(arrival, seq)`), the resumable queues (FIFO,
+//! the wake order the scheduler relies on for determinism), the spatial
+//! policy's waiter sets (`Sim::waiters`) and the birth ledgers (read only
+//! through their minimum and removal by [`BirthId`], so their order is
+//! never observed) all use it.
+//!
+//! * Freed slots are recycled LIFO; a slot index is never stored outside
+//!   the pool's own links, so slot reuse is invisible to the engine and to
+//!   checkpoint digests (digests fold lengths, times and ids — never
+//!   arena indices).
+//! * Slot 0 is reserved and never handed out, so 0 means "no slot" and
+//!   the per-core heads start as zeroed allocations the host maps lazily:
+//!   a core whose lists stay empty never touches its words.
 //! * Per-core words that most cores never write (the headroom cache, the
 //!   current activity, the waiter registration, the birth-ledger minimum)
 //!   are stored so that all-zero bits mean "nothing", behind accessors:
@@ -40,7 +41,7 @@
 //!   cores never pay for one.
 
 use crate::activity::ActivityId;
-use simany_net::InboxPool;
+use crate::inbox::Inboxes;
 use simany_time::{CoreSpeed, ProbBranchPredictor, VDuration, VirtualTime, Xoshiro256StarStar};
 use simany_topology::CoreId;
 use std::num::{NonZeroU32, NonZeroU64};
@@ -48,15 +49,18 @@ use std::num::{NonZeroU32, NonZeroU64};
 /// Identifier of a birth-ledger entry (an in-flight spawned task whose start
 /// time still bounds its parent core's drift, paper §II.A *Time drift of
 /// dynamically created tasks*).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct BirthId(pub u64);
 
-/// Sentinel for "no slot" in the pooled arenas: slot 0, which is reserved.
+/// Sentinel for "no slot" in a [`ListPool`]: slot 0, which is reserved.
 const NIL: u32 = 0;
 
-/// Per-core FIFO lists over one shared slot arena: a `head` and `tail`
-/// slot per core, a `next` link per slot, freed slots recycled LIFO.
-pub(crate) struct FifoPool<T> {
+/// Per-core singly-linked lists over one shared slot arena: a `head` and
+/// `tail` slot per core, a `next` link per slot, freed slots recycled
+/// LIFO (see the module docs). Values move in and out of their slots; a
+/// free slot holds `T::default()`, so a slot is no larger than its value
+/// and link.
+pub(crate) struct ListPool<T> {
     head: Vec<u32>,
     tail: Vec<u32>,
     /// `(value, next slot)`; slot 0 is the reserved [`NIL`].
@@ -64,13 +68,13 @@ pub(crate) struct FifoPool<T> {
     free: Vec<u32>,
 }
 
-impl<T: Copy> FifoPool<T> {
-    /// Empty lists for `n` cores; `filler` only pads the reserved slot 0.
-    pub(crate) fn new(n: usize, filler: T) -> Self {
-        FifoPool {
+impl<T: Default> ListPool<T> {
+    /// Empty lists for `n` cores.
+    pub(crate) fn new(n: usize) -> Self {
+        ListPool {
             head: vec![NIL; n],
             tail: vec![NIL; n],
-            slots: vec![(filler, NIL)],
+            slots: vec![(T::default(), NIL)],
             free: Vec::new(),
         }
     }
@@ -81,16 +85,29 @@ impl<T: Copy> FifoPool<T> {
     }
 
     /// First value of core `i`'s list, if any.
-    pub(crate) fn front(&self, i: usize) -> Option<T> {
+    pub(crate) fn front(&self, i: usize) -> Option<&T> {
         match self.head[i] {
             NIL => None,
-            h => Some(self.slots[h as usize].0),
+            h => Some(&self.slots[h as usize].0),
         }
     }
 
-    /// Append `v` to core `i`'s list.
-    pub(crate) fn push_back(&mut self, i: usize, v: T) {
-        let slot = match self.free.pop() {
+    /// Core `i`'s values, first to last.
+    pub(crate) fn iter(&self, i: usize) -> impl Iterator<Item = &T> + '_ {
+        let mut cur = self.head[i];
+        std::iter::from_fn(move || {
+            if cur == NIL {
+                return None;
+            }
+            let (v, next) = &self.slots[cur as usize];
+            cur = *next;
+            Some(v)
+        })
+    }
+
+    /// A slot holding `v`, linked to nothing.
+    fn alloc(&mut self, v: T) -> u32 {
+        match self.free.pop() {
             Some(s) => {
                 self.slots[s as usize] = (v, NIL);
                 s
@@ -99,7 +116,12 @@ impl<T: Copy> FifoPool<T> {
                 self.slots.push((v, NIL));
                 (self.slots.len() - 1) as u32
             }
-        };
+        }
+    }
+
+    /// Append `v` to core `i`'s list.
+    pub(crate) fn push_back(&mut self, i: usize, v: T) {
+        let slot = self.alloc(v);
         match self.tail[i] {
             NIL => self.head[i] = slot,
             t => self.slots[t as usize].1 = slot,
@@ -107,45 +129,73 @@ impl<T: Copy> FifoPool<T> {
         self.tail[i] = slot;
     }
 
+    /// Insert `v` into core `i`'s list, kept sorted by `key`, after every
+    /// value whose key is at or before its own. A key at or past the
+    /// tail's appends in O(1); an earlier one walks from the head.
+    pub(crate) fn insert_sorted<K: Ord>(&mut self, i: usize, v: T, key: impl Fn(&T) -> K) {
+        let k = key(&v);
+        let tail = self.tail[i];
+        if tail == NIL || k >= key(&self.slots[tail as usize].0) {
+            return self.push_back(i, v);
+        }
+        // The tail's key is later than `k`, so the walk stops before it.
+        let (mut prev, mut cur) = (NIL, self.head[i]);
+        while k >= key(&self.slots[cur as usize].0) {
+            prev = cur;
+            cur = self.slots[cur as usize].1;
+        }
+        let slot = self.alloc(v);
+        self.slots[slot as usize].1 = cur;
+        self.link(i, prev, slot);
+    }
+
+    /// Point `prev`'s link (core `i`'s head when `prev` is `NIL`) at
+    /// `slot`.
+    fn link(&mut self, i: usize, prev: u32, slot: u32) {
+        match prev {
+            NIL => self.head[i] = slot,
+            p => self.slots[p as usize].1 = slot,
+        }
+    }
+
     /// Remove and return the first value of core `i`'s list, if any.
     pub(crate) fn pop_front(&mut self, i: usize) -> Option<T> {
-        let (v, next) = self.release(self.head[i])?;
-        self.head[i] = next;
+        self.remove_first(i, |_| true)
+    }
+
+    /// Remove and return the first value of core `i`'s list that matches
+    /// `pred`, if any.
+    pub(crate) fn remove_first(&mut self, i: usize, mut pred: impl FnMut(&T) -> bool) -> Option<T> {
+        let (mut prev, mut cur) = (NIL, self.head[i]);
+        while cur != NIL && !pred(&self.slots[cur as usize].0) {
+            prev = cur;
+            cur = self.slots[cur as usize].1;
+        }
+        let (v, next) = self.release(cur)?;
+        self.link(i, prev, next);
         if next == NIL {
-            self.tail[i] = NIL;
+            self.tail[i] = prev;
         }
         Some(v)
     }
 
     /// Unhook core `i`'s whole list, leaving it empty, and return its first
-    /// slot; walk the detached list with [`FifoPool::release`]. Values
+    /// slot; walk the detached list with [`ListPool::release`]. Values
     /// pushed onto `i` meanwhile start a new list.
     pub(crate) fn detach(&mut self, i: usize) -> u32 {
         self.tail[i] = NIL;
         std::mem::replace(&mut self.head[i], NIL)
     }
 
-    /// Free `slot` of a detached list and return its value and the next
-    /// slot, or `None` past the end.
+    /// Free `slot` and return its value and next slot, or `None` past the
+    /// end of a list.
     pub(crate) fn release(&mut self, slot: u32) -> Option<(T, u32)> {
         if slot == NIL {
             return None;
         }
         self.free.push(slot);
-        Some(self.slots[slot as usize])
-    }
-
-    /// Core `i`'s values, first to last.
-    pub(crate) fn iter(&self, i: usize) -> impl Iterator<Item = T> + '_ {
-        let mut cur = self.head[i];
-        std::iter::from_fn(move || {
-            if cur == NIL {
-                return None;
-            }
-            let (v, next) = self.slots[cur as usize];
-            cur = next;
-            Some(v)
-        })
+        let (v, next) = &mut self.slots[slot as usize];
+        Some((std::mem::take(v), *next))
     }
 }
 
@@ -233,22 +283,19 @@ pub struct Cores {
     /// take time.
     waiting_on: Vec<Option<NonZeroU32>>,
     // --- pooled variable-size state -----------------------------------
-    /// Incoming messages not yet processed, in one shared slot arena.
-    pub inboxes: InboxPool,
+    /// Incoming messages not yet processed, each core's in `(arrival,
+    /// seq)` order.
+    pub(crate) inboxes: Inboxes,
     /// Each core's woken activities waiting to resume, in wake order.
-    resumable: FifoPool<ActivityId>,
-    /// Head slot of each core's birth ledger (`NIL` when empty).
-    birth_head: Vec<u32>,
+    pub(crate) resumable: ListPool<ActivityId>,
+    /// Each core's birth ledger, `(id, birth time)` in no meaningful order.
+    births: ListPool<(BirthId, VirtualTime)>,
     /// Cached earliest birth time per core, bitwise inverted so that an
     /// empty ledger (`VirtualTime::MAX`) is the zero word, so floor
     /// computations never walk the list. Maintained by
     /// `birth_push`/`birth_remove`; `min_birth` stays the walking oracle
     /// for debug cross-checks.
     birth_min: Vec<u64>,
-    /// Birth arena: `(id, birth time, next slot)`.
-    birth_slots: Vec<(BirthId, VirtualTime, u32)>,
-    /// Free list into `birth_slots`.
-    birth_free: Vec<u32>,
     /// Lazily materialized branch predictors (see module docs).
     predictors: Vec<Option<Box<ProbBranchPredictor>>>,
     /// Branch accuracy the predictors are built with.
@@ -260,18 +307,17 @@ pub struct Cores {
 }
 
 impl Cores {
-    /// Fresh state for as many cores as `inboxes` is sized for, each at
-    /// its speed in `speeds` (one per core), or all at
-    /// [`CoreSpeed::BASE`] when `speeds` is `None`; predictors are derived
-    /// from `(seed, core index, accuracy, depth)` on first use.
+    /// Fresh state for `n` cores, each at its speed in `speeds` (one per
+    /// core), or all at [`CoreSpeed::BASE`] when `speeds` is `None`;
+    /// predictors are derived from `(seed, core index, accuracy, depth)`
+    /// on first use.
     pub fn new(
+        n: usize,
         speeds: Option<Vec<CoreSpeed>>,
-        inboxes: InboxPool,
         pred_accuracy: f64,
         pred_depth: u32,
         pred_seed: u64,
     ) -> Self {
-        let n = inboxes.n_cores();
         let speeds = speeds.unwrap_or_default();
         assert!(
             speeds.is_empty() || speeds.len() == n,
@@ -292,12 +338,10 @@ impl Cores {
             queue_hint: vec![0; n],
             lock_depth: vec![0; n],
             waiting_on: vec![None; n],
-            inboxes,
-            resumable: FifoPool::new(n, ActivityId(0)),
-            birth_head: vec![NIL; n],
+            inboxes: Inboxes::new(n),
+            resumable: ListPool::new(n),
+            births: ListPool::new(n),
             birth_min: vec![0; n],
-            birth_slots: vec![(BirthId(0), VirtualTime::ZERO, NIL)],
-            birth_free: Vec::new(),
             // `vec!` of an all-zero element is one zeroed allocation whose
             // pages stay untouched until a predictor materializes (8 MB at
             // a million cores); a `collect` of `None`s is only that when
@@ -410,44 +454,11 @@ impl Cores {
         })
     }
 
-    // --- resumable FIFO ------------------------------------------------
-
-    /// True iff core `i` has no woken activities waiting to resume.
-    pub fn res_is_empty(&self, i: usize) -> bool {
-        self.resumable.is_empty(i)
-    }
-
-    /// First resumable of core `i` without removing it.
-    pub fn res_front(&self, i: usize) -> Option<ActivityId> {
-        self.resumable.front(i)
-    }
-
-    /// Append `a` to core `i`'s resumable FIFO.
-    pub fn res_push_back(&mut self, i: usize, a: ActivityId) {
-        self.resumable.push_back(i, a);
-    }
-
-    /// Pop the first resumable of core `i`, if any.
-    pub fn res_pop_front(&mut self, i: usize) -> Option<ActivityId> {
-        self.resumable.pop_front(i)
-    }
-
     // --- birth ledger --------------------------------------------------
 
     /// Record a birth `(id, t)` against core `i`.
     pub fn birth_push(&mut self, i: usize, id: BirthId, t: VirtualTime) {
-        let head = self.birth_head[i];
-        let slot = match self.birth_free.pop() {
-            Some(s) => {
-                self.birth_slots[s as usize] = (id, t, head);
-                s
-            }
-            None => {
-                self.birth_slots.push((id, t, head));
-                (self.birth_slots.len() - 1) as u32
-            }
-        };
-        self.birth_head[i] = slot;
+        self.births.push_back(i, (id, t));
         // Inverted words: the earlier time is the larger word.
         self.birth_min[i] = self.birth_min[i].max(!t.0);
     }
@@ -455,27 +466,15 @@ impl Cores {
     /// Unlink the birth with `id` from core `i`'s ledger. Returns `true`
     /// if an entry was removed.
     pub fn birth_remove(&mut self, i: usize, id: BirthId) -> bool {
-        let mut prev = NIL;
-        let mut cur = self.birth_head[i];
-        while cur != NIL {
-            let (bid, t, next) = self.birth_slots[cur as usize];
-            if bid == id {
-                match prev {
-                    NIL => self.birth_head[i] = next,
-                    p => self.birth_slots[p as usize].2 = next,
-                }
-                self.birth_free.push(cur);
-                if !t.0 == self.birth_min[i] {
-                    // The cached minimum may have left: rescan the (short)
-                    // remaining list.
-                    self.birth_min[i] = !self.min_birth(i).unwrap_or(VirtualTime::MAX).0;
-                }
-                return true;
-            }
-            prev = cur;
-            cur = next;
+        let Some((_, t)) = self.births.remove_first(i, |&(bid, _)| bid == id) else {
+            return false;
+        };
+        if !t.0 == self.birth_min[i] {
+            // The cached minimum may have left: rescan the (short)
+            // remaining list.
+            self.birth_min[i] = !self.min_birth(i).unwrap_or(VirtualTime::MAX).0;
         }
-        false
+        true
     }
 
     /// Cached earliest birth time of core `i` (`VirtualTime::MAX` when the
@@ -492,25 +491,12 @@ impl Cores {
 
     /// Number of entries in core `i`'s birth ledger.
     pub fn birth_count(&self, i: usize) -> usize {
-        let mut n = 0;
-        let mut cur = self.birth_head[i];
-        while cur != NIL {
-            n += 1;
-            cur = self.birth_slots[cur as usize].2;
-        }
-        n
+        self.births.iter(i).count()
     }
 
     /// Earliest birth time in core `i`'s ledger, if any.
     pub fn min_birth(&self, i: usize) -> Option<VirtualTime> {
-        let mut m: Option<VirtualTime> = None;
-        let mut cur = self.birth_head[i];
-        while cur != NIL {
-            let (_, t, next) = self.birth_slots[cur as usize];
-            m = Some(m.map_or(t, |x| x.min(t)));
-            cur = next;
-        }
-        m
+        self.births.iter(i).map(|&(_, t)| t).min()
     }
 
     /// One-line diagnostic summary of core `i` (deadlock reports, watchdog
@@ -542,10 +528,9 @@ impl Cores {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simany_net::InboxPool;
 
     fn cores(n: usize) -> Cores {
-        Cores::new(None, InboxPool::new(n as u32), 0.9, 5, 1)
+        Cores::new(n, None, 0.9, 5, 1)
     }
 
     #[test]
@@ -558,10 +543,10 @@ mod tests {
         cs.set_current(0, Some(crate::activity::ActivityId(0)));
         assert!(!cs.is_idle(0));
         cs.set_current(0, None);
-        cs.res_push_back(0, crate::activity::ActivityId(1));
+        cs.resumable.push_back(0, ActivityId(1));
         assert!(!cs.is_idle(0));
         // Blocked-only residents leave the core idle (shadow time).
-        cs.res_pop_front(0);
+        cs.resumable.pop_front(0);
         cs.resident[0] = 1;
         assert!(cs.is_idle(0));
     }
@@ -628,51 +613,63 @@ mod tests {
         assert_eq!(cs.birth_floor(0), VirtualTime::MAX);
     }
 
+    /// Core `i`'s values, after checking that its `tail` names its last
+    /// slot (`NIL` when empty).
+    fn values(pool: &ListPool<u32>, i: usize) -> Vec<u32> {
+        let (mut cur, mut last) = (pool.head[i], NIL);
+        while cur != NIL {
+            last = cur;
+            cur = pool.slots[cur as usize].1;
+        }
+        assert_eq!(pool.tail[i], last, "tail of core {i} is not its last slot");
+        pool.iter(i).copied().collect()
+    }
+
     #[test]
     fn resumable_fifo_order_with_slot_reuse() {
         let mut cs = cores(2);
-        cs.res_push_back(0, ActivityId(1));
-        cs.res_push_back(0, ActivityId(2));
-        cs.res_push_back(1, ActivityId(3));
-        assert_eq!(cs.res_front(0), Some(ActivityId(1)));
-        assert_eq!(cs.res_pop_front(0), Some(ActivityId(1)));
+        cs.resumable.push_back(0, ActivityId(1));
+        cs.resumable.push_back(0, ActivityId(2));
+        cs.resumable.push_back(1, ActivityId(3));
+        assert_eq!(cs.resumable.front(0), Some(&ActivityId(1)));
+        assert_eq!(cs.resumable.pop_front(0), Some(ActivityId(1)));
         // The freed slot is reused without disturbing FIFO order.
-        cs.res_push_back(0, ActivityId(4));
-        assert_eq!(cs.res_pop_front(0), Some(ActivityId(2)));
-        assert_eq!(cs.res_pop_front(0), Some(ActivityId(4)));
-        assert_eq!(cs.res_pop_front(0), None);
-        assert_eq!(cs.res_pop_front(1), Some(ActivityId(3)));
-        assert!(cs.res_is_empty(1));
+        cs.resumable.push_back(0, ActivityId(4));
+        assert_eq!(cs.resumable.pop_front(0), Some(ActivityId(2)));
+        assert_eq!(cs.resumable.pop_front(0), Some(ActivityId(4)));
+        assert_eq!(cs.resumable.pop_front(0), None);
+        assert_eq!(cs.resumable.pop_front(1), Some(ActivityId(3)));
+        assert!(cs.resumable.is_empty(1));
     }
 
     /// A detached list walks in push order, and values pushed while it is
     /// being walked start a new list instead of joining the walk.
     #[test]
     fn detached_list_walks_in_push_order() {
-        let mut pool = FifoPool::new(3, u32::MAX);
+        let mut pool = ListPool::new(3);
         for v in [7, 3, 9, 3] {
             pool.push_back(1, v);
         }
         pool.push_back(2, 5);
-        assert_eq!(pool.iter(1).collect::<Vec<_>>(), vec![7, 3, 9, 3]);
+        assert_eq!(values(&pool, 1), [7, 3, 9, 3]);
         let mut slot = pool.detach(1);
-        assert!(pool.is_empty(1));
+        assert!(pool.is_empty(1) && values(&pool, 1).is_empty());
         let mut walked = Vec::new();
         while let Some((v, next)) = pool.release(slot) {
             walked.push(v);
             pool.push_back(1, v + 100);
             slot = next;
         }
-        assert_eq!(walked, vec![7, 3, 9, 3]);
-        assert_eq!(pool.iter(1).collect::<Vec<_>>(), vec![107, 103, 109, 103]);
-        assert_eq!(pool.iter(2).collect::<Vec<_>>(), vec![5]);
-        assert_eq!(pool.iter(0).count(), 0);
+        assert_eq!(walked, [7, 3, 9, 3]);
+        assert_eq!(values(&pool, 1), [107, 103, 109, 103]);
+        assert_eq!(values(&pool, 2), [5]);
+        assert!(values(&pool, 0).is_empty());
     }
 
     /// Slot 0 is the "no slot" mark: no arena ever hands it out or frees it.
     #[test]
     fn slot_zero_is_never_handed_out() {
-        let mut pool = FifoPool::new(2, u32::MAX);
+        let mut pool = ListPool::new(2);
         for round in 0..4 {
             pool.push_back(round % 2, round as u32);
             pool.push_back(1, 10);
@@ -682,21 +679,43 @@ mod tests {
                 slot = next;
             }
         }
-        assert_eq!(pool.slots[0], (u32::MAX, NIL));
+        assert_eq!(pool.slots[0], (0, NIL));
         assert!(!pool.free.contains(&NIL));
+        assert_eq!(pool.release(NIL), None);
 
         let mut cs = cores(2);
         for round in 0..4u64 {
             cs.birth_push(0, BirthId(round + 1), VirtualTime::from_cycles(round));
             cs.birth_push(1, BirthId(round + 10), VirtualTime::from_cycles(round));
-            cs.res_push_back(0, ActivityId(round + 1));
+            cs.resumable.push_back(0, ActivityId(round + 1));
             assert!(cs.birth_remove(0, BirthId(round + 1)));
-            assert_eq!(cs.res_pop_front(0), Some(ActivityId(round + 1)));
+            assert_eq!(cs.resumable.pop_front(0), Some(ActivityId(round + 1)));
         }
-        assert_eq!(cs.birth_slots[0], (BirthId(0), VirtualTime::ZERO, NIL));
-        assert!(!cs.birth_free.contains(&NIL));
+        assert_eq!(cs.births.slots[0], ((BirthId(0), VirtualTime::ZERO), NIL));
+        assert!(!cs.births.free.contains(&NIL));
         assert_eq!(cs.resumable.slots[0], (ActivityId(0), NIL));
         assert!(!cs.resumable.free.contains(&NIL));
         assert_eq!(cs.birth_count(1), 4);
+    }
+
+    /// Sorted insert (past the tail, before the head, in between, after an
+    /// equal key) and removal at the head, middle and tail keep every list
+    /// in order and its tail on its last slot.
+    #[test]
+    fn list_pool_sorted_insert_and_removal_keep_the_tail() {
+        let mut pool = ListPool::new(2);
+        pool.push_back(1, 3);
+        for v in [20, 40, 10, 30, 20, 50] {
+            pool.insert_sorted(0, v, |&x| x / 10);
+        }
+        assert_eq!(values(&pool, 0), [10, 20, 20, 30, 40, 50]);
+        assert_eq!(pool.remove_first(0, |&x| x == 10), Some(10));
+        assert_eq!(pool.remove_first(0, |&x| x == 30), Some(30));
+        assert_eq!(pool.remove_first(0, |&x| x == 50), Some(50));
+        assert_eq!(pool.remove_first(0, |&x| x == 99), None);
+        assert_eq!(values(&pool, 0), [20, 20, 40]);
+        pool.push_back(0, 60);
+        assert_eq!(values(&pool, 0), [20, 20, 40, 60]);
+        assert_eq!(values(&pool, 1), [3]);
     }
 }

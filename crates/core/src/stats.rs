@@ -26,7 +26,7 @@ pub struct BusySummary {
     /// Largest single-core busy time.
     pub max: VDuration,
     /// The busiest cores as `(core, busy)`, descending; ties keep the
-    /// lower core id first. At most [`TOP_BUSY`] entries.
+    /// lower core id first. At most `TOP_BUSY` entries.
     pub top: Vec<(CoreId, VDuration)>,
 }
 
@@ -218,21 +218,6 @@ pub struct SimStats {
 }
 
 impl SimStats {
-    /// Fraction of processed messages that were late (0 when none).
-    pub fn late_fraction(&self) -> f64 {
-        let total = self.late_messages + self.on_time_messages;
-        if total == 0 {
-            0.0
-        } else {
-            self.late_messages as f64 / total as f64
-        }
-    }
-
-    /// Average busy time across cores, in cycles.
-    pub fn mean_busy_cycles(&self) -> f64 {
-        self.busy.mean_ticks() / simany_time::TICKS_PER_CYCLE as f64
-    }
-
     /// Core utilization: mean busy time divided by final time (0..1).
     pub fn utilization(&self) -> f64 {
         if self.final_vtime.ticks() == 0 || self.busy.n_cores == 0 {
@@ -247,22 +232,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn late_fraction_handles_zero() {
-        let s = SimStats::default();
-        assert_eq!(s.late_fraction(), 0.0);
-    }
-
-    #[test]
-    fn late_fraction_ratio() {
-        let s = SimStats {
-            late_messages: 1,
-            on_time_messages: 3,
-            ..Default::default()
-        };
-        assert!((s.late_fraction() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
     fn utilization_computation() {
         let mut busy = BusySummary::default();
         busy.record(CoreId(0), VDuration::from_cycles(50));
@@ -273,7 +242,6 @@ mod tests {
             ..Default::default()
         };
         assert!((s.utilization() - 0.75).abs() < 1e-12);
-        assert!((s.mean_busy_cycles() - 75.0).abs() < 1e-12);
     }
 
     #[test]

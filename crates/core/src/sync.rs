@@ -39,17 +39,17 @@
 //!   registered waiters instead of every neighbor.
 //!   Published *drops* (idle cores waking to an older working clock) are
 //!   rare and sweep all stalled neighbors to re-derive registrations.
-//! * **Implicit shadow cap** (the [`CAPPED`] words of `Cores::published`,
-//!   [`UncapIndex`]): an idle core whose shadow is the cap `max_vtime + T`
+//! * **Implicit shadow cap** (the `CAPPED` words of `Cores::published`,
+//!   `UncapIndex`): an idle core whose shadow is the cap `max_vtime + T`
 //!   stores a marker, not the value, so a rise of `max_vtime` rewrites
 //!   nothing. The only cores a rise revisits are the capped ones whose
 //!   lowest concrete neighbor the front has just overtaken, found through
 //!   a lazy min-heap keyed by that neighbor's value.
-//! * **Region settle** ([`settle_region`]): a sweep whose evaluations pass
+//! * **Region settle** (`settle_region`): a sweep whose evaluations pass
 //!   four per changed word (plus 64) is counting an idle region up under a
 //!   lagging core that went idle, `2T` a round; the region's words are
 //!   computed once by Dijkstra from the cores around it instead.
-//! * **Publish windows** ([`Window`]): while no activity is stalled, a step
+//! * **Publish windows** (`Window`): while no activity is stalled, a step
 //!   that runs no task code (a dispatch, the end of an activity) publishes
 //!   each core it touched once, at its end, so an idle hook's
 //!   idle-then-busy transient publishes nothing.

@@ -19,16 +19,13 @@
 //!   per-hop routing penalty and per-chunk processing (all tunable,
 //!   paper §III "the size of message chunks, the time needed to process
 //!   them or the routing penalty").
-//! * [`InboxPool`] — every core's receive queue, ordered by arrival time
-//!   with per-sender FIFO delivery ("a core receives all messages coming
-//!   from another given core in the order the latter sent them", §II.B),
-//!   in one pooled arena.
+//!
+//! Delivered envelopes wait in their destination core's receive queue,
+//! which the engine (`simany-core`) owns.
 
-pub mod inbox;
 pub mod link;
 pub mod message;
 
-pub use inbox::InboxPool;
 pub use link::{LinkTraffic, NetStats};
 pub use message::{Envelope, Payload};
 

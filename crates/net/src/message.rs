@@ -12,6 +12,8 @@ use std::any::Any;
 use std::fmt;
 
 /// Opaque message payload. Layers above the network downcast it back.
+/// The default is the empty payload.
+#[derive(Default)]
 pub struct Payload(Option<Box<dyn Any>>);
 
 impl Payload {
@@ -52,8 +54,9 @@ impl fmt::Debug for Payload {
 }
 
 /// A message in flight (or delivered): endpoints, virtual timestamps,
-/// payload and ordering metadata.
-#[derive(Debug)]
+/// payload and ordering metadata. The default (core 0 to core 0 at time
+/// zero, empty) is the filler of a vacant inbox slot.
+#[derive(Debug, Default)]
 pub struct Envelope {
     /// Sender core.
     pub src: CoreId,

@@ -370,38 +370,6 @@ impl ResilienceReport {
             ("latency".into(), self.latency.to_json()),
         ])
     }
-
-    /// One row for the standard resilience table (see [`Self::table`]).
-    pub fn table_row(&self) -> Vec<String> {
-        vec![
-            self.protocol.clone(),
-            format!("{}/{}", self.delivered, self.expected),
-            self.coverage().map_or_else(|| "n/a".into(), pct),
-            self.msgs_per_delivery().map_or_else(|| "n/a".into(), f2),
-            self.reissues.to_string(),
-            self.degraded.to_string(),
-            self.leader_changes.to_string(),
-            self.latency.summary(),
-        ]
-    }
-
-    /// Build the standard resilience table over a set of reports.
-    pub fn table(reports: &[ResilienceReport]) -> Table {
-        let mut t = Table::new(&[
-            "protocol",
-            "delivered",
-            "coverage",
-            "msgs/delivery",
-            "reissues",
-            "degraded",
-            "leaders",
-            "latency (cycles)",
-        ]);
-        for r in reports {
-            t.row(r.table_row());
-        }
-        t
-    }
 }
 
 #[cfg(test)]
@@ -576,9 +544,5 @@ mod tests {
         let json = z.to_json().dump();
         assert!(json.contains("\"coverage\":null"));
         assert!(json.contains("\"msgs_per_delivery\":null"));
-        assert_eq!(z.table_row()[2..4], ["n/a", "n/a"]);
-
-        let t = ResilienceReport::table(&[r]);
-        assert!(t.to_markdown().contains("msgs/delivery"));
     }
 }

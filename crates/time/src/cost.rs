@@ -215,14 +215,6 @@ impl BlockCost {
         out
     }
 
-    /// Merge another block annotation into this one.
-    pub fn merge(&mut self, other: &BlockCost) {
-        for i in 0..INSTR_CLASS_COUNT {
-            self.counts[i] += other.counts[i];
-        }
-        self.extra_cycles += other.extra_cycles;
-    }
-
     /// True iff the annotation is empty.
     pub fn is_empty(&self) -> bool {
         self.extra_cycles == 0 && self.counts.iter().all(|&c| c == 0)
@@ -345,15 +337,6 @@ mod tests {
         assert_eq!(b.cond_branch_count(), 2);
         assert!(!b.is_empty());
         assert!(BlockCost::new().is_empty());
-    }
-
-    #[test]
-    fn block_merge() {
-        let mut a = BlockCost::new().int_alu(1);
-        let b = BlockCost::new().int_alu(2).extra(5);
-        a.merge(&b);
-        assert_eq!(a.counts[InstrClass::IntAlu.index()], 3);
-        assert_eq!(a.extra_cycles, 5);
     }
 
     #[test]
