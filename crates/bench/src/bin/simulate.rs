@@ -264,7 +264,7 @@ fn write_json(
         ("prof_publish_ns", Json::U64(s.prof_publish_ns)),
         ("msgs_dropped", Json::U64(s.msgs_dropped)),
         ("msg_retries", Json::U64(s.msg_retries)),
-        ("reroutes", Json::U64(s.reroutes)),
+        ("reroutes", Json::U64(s.net.rerouted)),
         ("link_faults", Json::U64(s.link_faults)),
         ("core_failures", Json::U64(s.core_failures)),
         ("net_dropped", Json::U64(s.net.dropped)),
@@ -449,14 +449,14 @@ fn main() {
             s.checkpoint_verifications
         );
     }
-    if s.link_faults + s.core_failures + s.msgs_dropped + s.msg_retries + s.reroutes > 0 {
+    if s.link_faults + s.core_failures + s.msgs_dropped + s.msg_retries + s.net.rerouted > 0 {
         println!(
             "faults            : {} link faults, {} core failures, {} partitions",
             s.link_faults, s.core_failures, s.partitions_observed
         );
         println!(
             "drops / retries   : {} / {}  (reroutes {})",
-            s.msgs_dropped, s.msg_retries, s.reroutes
+            s.msgs_dropped, s.msg_retries, s.net.rerouted
         );
         println!(
             "in-flight faults  : {} dropped, {} corrupted, {} delayed, {} rerouted, {} unreachable",

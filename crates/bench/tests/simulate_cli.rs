@@ -192,3 +192,31 @@ fn a_clustered_grid_that_does_not_tile_is_a_usage_error() {
         assert!(out.stdout.is_empty(), "{cores}/{clusters}: ran anyway");
     }
 }
+
+/// The checkpoint a preempted run leaves behind is pinned byte for byte:
+/// its state digest folds every core's clocks, queues and activity count,
+/// so a change to how the engine keeps any of them must not move it, or
+/// checkpoints written by an older build stop resuming.
+#[test]
+fn a_preempted_quicksort_writes_the_golden_checkpoint() {
+    let file = std::env::temp_dir().join(format!("simany-golden-{}", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_simulate"))
+        .args(["--kernel", "quicksort", "--arch", "dm", "--cores", "16"])
+        .args(["--seed", "7", "--scale", "0.1"])
+        .args(["--checkpoint-every", "2000", "--checkpoint-file"])
+        .arg(&file)
+        .args(["--preempt-after-checkpoints", "3"])
+        .output()
+        .expect("simulate did not start");
+    let written = std::fs::read_to_string(&file);
+    let _ = std::fs::remove_file(&file);
+    assert_eq!(out.status.code(), Some(15), "{out:?}");
+    assert_eq!(
+        written.expect("no checkpoint written"),
+        "simany-checkpoint v2\n\
+         config e4ee5cc193e49745\n\
+         watermark 28034\n\
+         picks 39\n\
+         state 471f37dcdc2ba434\n"
+    );
+}

@@ -29,7 +29,8 @@
 //! file at `checkpoint_path` is atomically replaced (write + rename) each
 //! time the watermark crosses a `checkpoint_every` boundary.
 
-use crate::engine::{Failure, Shared, Sim};
+use crate::engine::{Shared, Sim};
+use crate::SimError;
 use simany_time::{Digest, VDuration, VirtualTime};
 use std::path::Path;
 
@@ -121,13 +122,13 @@ impl Checkpoint {
 ///
 /// 1. **resume verification** — the first instant whose `max_vtime`
 ///    reaches the resume watermark compares pick count and state digest
-///    and records a [`Failure::CheckpointMismatch`] on divergence;
+///    and records a [`SimError::CheckpointMismatch`] on divergence;
 /// 2. **checkpoint writes** — every `checkpoint_every` boundary crossing
 ///    atomically replaces the checkpoint file;
 /// 3. **external preemption** — once
 ///    [`crate::EngineConfig::preempt_after_checkpoints`] fresh-ground
 ///    checkpoints (watermark strictly beyond the resume watermark) have
-///    been written, records a [`Failure::Preempted`]. The strict
+///    been written, records a [`SimError::Preempted`]. The strict
 ///    inequality guarantees each preempt/resume round advances at least
 ///    one checkpoint interval, so a driver that loops preempt → resume
 ///    always terminates.
@@ -164,7 +165,7 @@ impl CheckpointDriver {
             sim.stats.checkpoint_verifications += 1;
             let digest = state_digest(sim, shared);
             if sim.stats.scheduler_picks != cp.picks || digest != cp.state_digest {
-                sim.failure = Some(Failure::CheckpointMismatch(format!(
+                sim.failure = Some(SimError::CheckpointMismatch(format!(
                     "replay diverged at watermark {}: picks {} (checkpoint {}), \
                      state digest {:016x} (checkpoint {:016x})",
                     cp.watermark, sim.stats.scheduler_picks, cp.picks, digest, cp.state_digest
@@ -189,7 +190,7 @@ impl CheckpointDriver {
             match cp.write_to(path) {
                 Ok(()) => sim.stats.checkpoints_written += 1,
                 Err(e) => {
-                    sim.failure = Some(Failure::Checkpoint(format!(
+                    sim.failure = Some(SimError::Checkpoint(format!(
                         "cannot write checkpoint {}: {e}",
                         path.display()
                     )));
@@ -201,7 +202,7 @@ impl CheckpointDriver {
             {
                 self.fresh_written += 1;
                 if self.preempt_budget.is_some_and(|b| self.fresh_written >= b) {
-                    sim.failure = Some(Failure::Preempted {
+                    sim.failure = Some(SimError::Preempted {
                         at: cp.watermark,
                         checkpoints: self.fresh_written,
                     });
@@ -217,7 +218,7 @@ impl CheckpointDriver {
     /// a longer run).
     pub(crate) fn finish(&mut self, sim: &mut Sim) {
         if let Some(cp) = self.pending_resume.take() {
-            sim.failure = Some(Failure::Checkpoint(format!(
+            sim.failure = Some(SimError::Checkpoint(format!(
                 "resume watermark {} never reached (run ended at {})",
                 cp.watermark, sim.max_vtime
             )));
@@ -277,7 +278,7 @@ pub fn config_digest(config: &crate::EngineConfig) -> u64 {
 pub(crate) fn state_digest(sim: &Sim, shared: &Shared) -> u64 {
     let mut d = Digest::new();
     d.u64(sim.cores.len() as u64);
-    for i in 0..sim.cores.len() {
+    for (i, &resident) in sim.resident().iter().enumerate() {
         // Field order is part of the on-disk contract. Arena slot indices
         // never enter the digest — only lengths, times and ids — so pooled
         // storage and slot reuse are invisible here.
@@ -287,7 +288,7 @@ pub(crate) fn state_digest(sim: &Sim, shared: &Shared) -> u64 {
         d.u64(sim.cores.busy[i].ticks());
         d.u64(u64::from(sim.cores.lock_depth[i]));
         d.u64(u64::from(sim.cores.queue_hint[i]));
-        d.u64(u64::from(sim.cores.resident[i]));
+        d.u64(u64::from(resident));
         d.u64(sim.cores.inboxes.len(c) as u64);
         d.u64(
             sim.cores
@@ -298,7 +299,7 @@ pub(crate) fn state_digest(sim: &Sim, shared: &Shared) -> u64 {
         d.u64(sim.cores.birth_count(i) as u64);
         d.u64(sim.cores.min_birth(i).map_or(0, |b| b.ticks()));
     }
-    d.u64(sim.live_activities as u64);
+    d.u64(sim.acts.len() as u64);
     d.u64(sim.next_act);
     d.u64(sim.next_birth);
     d.u64(sim.max_vtime.ticks());

@@ -86,7 +86,7 @@ pub struct EngineConfig {
     /// Abort the simulation if total live activities ever exceeds this
     /// (guards against runaway task explosions in buggy programs).
     pub max_live_activities: usize,
-    /// Optional event tracer (see [`crate::trace`]).
+    /// Optional event tracer (see [`crate::Tracer`]).
     pub tracer: Option<std::rc::Rc<dyn crate::trace::Tracer>>,
     /// Profile the pick loop:
     /// accumulate wall time per loop phase (floor maintenance, ready-queue

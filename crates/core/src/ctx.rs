@@ -150,7 +150,13 @@ impl ExecCtx {
                 .earliest_arrival(self.core)
                 .is_none_or(|a| a > vtime);
         if fast {
-            sim.cores.publish_pending[i] = true;
+            debug_assert!(
+                sim.cores.publish_pending.is_none_or(|c| c == self.core),
+                "{} owes a publish while {} holds the run token",
+                sim.cores.publish_pending.unwrap_or(self.core),
+                self.core
+            );
+            sim.cores.publish_pending = Some(self.core);
             sim.stats.fast_path_advances += 1;
             return;
         }
@@ -224,7 +230,6 @@ impl ExecCtx {
                 reason,
             });
             sim.cores.set_current(core.index(), None);
-            sim.floor_dirty = true;
             sync::note_floor_key(&mut sim, core.index());
             // The core may have become idle: switch it to shadow time so
             // its neighborhood is not stalled on a frozen clock.

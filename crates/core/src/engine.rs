@@ -117,14 +117,9 @@ pub(crate) struct Sim {
     /// Teardown has begun: a suspended body that is resumed raises
     /// [`ShutdownSignal`] instead of continuing.
     pub(crate) shutdown: bool,
-    pub(crate) failure: Option<Failure>,
-    pub(crate) live_activities: usize,
-    /// Machine-wide sum of every core's `queue_hint`, maintained at the
-    /// two mutation sites in `Ops`. Gives the scheduler an O(1)
-    /// nothing-queued check (together with the inbox pool's message total)
-    /// instead of an O(cores) sweep per empty pick.
-    pub(crate) total_queue_hint: u64,
-    pub(crate) floor_dirty: bool,
+    /// Why the run stops early, set by whoever holds the run token and
+    /// returned by [`simulate`].
+    pub(crate) failure: Option<SimError>,
     /// Largest clock any core has reached (monotone): the front. Bounds
     /// shadow-time propagation: shadows above `max_vtime + T` cannot
     /// influence any stall decision, so the relaxation caps them there
@@ -175,7 +170,7 @@ pub(crate) struct Sim {
     /// Incrementally-maintained global floor (tournament tree over per-core
     /// floor keys). `Some` iff the policy queries the global floor on the
     /// hot path (BoundedSlack / Conservative); `None` costs nothing.
-    /// Maintained via `sync::note_floor_key` at every `floor_dirty` site.
+    /// Maintained via `sync::note_floor_key` wherever a key input changes.
     pub(crate) gfloor: Option<crate::floor::GlobalFloor>,
     /// Floor-threshold wakes of the stalled cores; `Some` exactly when
     /// `gfloor` is.
@@ -190,13 +185,17 @@ impl Sim {
     pub(crate) fn act_mut(&mut self, aid: ActivityId) -> &mut Activity {
         self.acts.get_mut(&aid.0).expect("unknown activity")
     }
-}
 
-/// Result of a simulation run.
-#[derive(Debug)]
-pub struct SimResult {
-    /// Run statistics (final virtual time, counters, network stats...).
-    pub stats: SimStats,
+    /// Live activities per core — current, stalled, blocked or woken —
+    /// counted from `acts` for the reports and the checkpoint digest that
+    /// read them.
+    pub(crate) fn resident(&self) -> Vec<u32> {
+        let mut resident = vec![0; self.cores.len()];
+        for act in self.acts.values() {
+            resident[act.core.index()] += 1;
+        }
+        resident
+    }
 }
 
 /// Why a simulation failed.
@@ -312,58 +311,6 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Internal failure record, set by whoever holds the run token and
-/// converted into the public [`SimError`] at teardown.
-#[derive(Debug)]
-pub(crate) enum Failure {
-    Deadlock(String),
-    Stalled {
-        at: VirtualTime,
-        picks: u64,
-        report: String,
-    },
-    TaskPanic {
-        core: CoreId,
-        at: VirtualTime,
-        name: &'static str,
-        msg: String,
-    },
-    Checkpoint(String),
-    CheckpointMismatch(String),
-    Preempted {
-        at: VirtualTime,
-        checkpoints: u64,
-    },
-    HostResources {
-        what: &'static str,
-        errno: i32,
-    },
-}
-
-impl Failure {
-    fn into_error(self) -> SimError {
-        match self {
-            Failure::Deadlock(d) => SimError::Deadlock(d),
-            Failure::Stalled { at, picks, report } => SimError::Stalled { at, picks, report },
-            Failure::TaskPanic {
-                core,
-                at,
-                name,
-                msg,
-            } => SimError::TaskPanic {
-                core,
-                at,
-                name,
-                message: msg,
-            },
-            Failure::Checkpoint(m) => SimError::Checkpoint(m),
-            Failure::CheckpointMismatch(m) => SimError::CheckpointMismatch(m),
-            Failure::Preempted { at, checkpoints } => SimError::Preempted { at, checkpoints },
-            Failure::HostResources { what, errno } => SimError::HostResources { what, errno },
-        }
-    }
-}
-
 /// True iff the scheduler has (or may have) work to perform on `c`.
 pub(crate) fn is_ready(sim: &Sim, c: CoreId) -> bool {
     if !sim.cores.inboxes.is_empty(c) {
@@ -431,7 +378,6 @@ pub(crate) fn make_current(sim: &mut Sim, shared: &Shared, aid: ActivityId) {
     let c = sim.act(aid).core;
     debug_assert!(sim.cores.current(c.index()).is_none());
     sim.cores.set_current(c.index(), Some(aid));
-    sim.floor_dirty = true;
     sync::note_floor_key(sim, c.index());
     let woken = matches!(sim.act(aid).state, ActivityState::Woken);
     if woken {
@@ -488,9 +434,6 @@ pub(crate) fn start_activity_impl(
         },
     );
     sim.cores.set_current(core.index(), Some(aid));
-    sim.cores.resident[core.index()] += 1;
-    sim.live_activities += 1;
-    sim.floor_dirty = true;
     sync::note_floor_key(sim, core.index());
     sim.stats.activities_started += 1;
     trace(shared, || TraceEvent::ActivityStart {
@@ -499,11 +442,10 @@ pub(crate) fn start_activity_impl(
         aid: aid.0,
         name,
     });
-    if sim.live_activities > sim.stats.peak_live_activities {
-        sim.stats.peak_live_activities = sim.live_activities;
-    }
+    let live = sim.acts.len();
+    sim.stats.peak_live_activities = sim.stats.peak_live_activities.max(live);
     assert!(
-        sim.live_activities <= shared.config.max_live_activities,
+        live <= shared.config.max_live_activities,
         "activity explosion: more than {} live tasks",
         shared.config.max_live_activities
     );
@@ -549,10 +491,7 @@ pub(crate) fn finish_activity(sim: &mut Sim, shared: &Shared, pool: &mut Pool, a
     sync::flush_deferred(sim, shared, c);
     debug_assert_eq!(sim.cores.current(c.index()), Some(aid));
     sim.cores.set_current(c.index(), None);
-    sim.cores.resident[c.index()] -= 1;
-    sim.live_activities -= 1;
     // The working set changed: global-policy floors must be recomputed.
-    sim.floor_dirty = true;
     sync::note_floor_key(sim, c.index());
     let meta = act.meta.take().expect("activity meta missing at end");
     trace(shared, || TraceEvent::ActivityEnd {
@@ -573,6 +512,31 @@ pub(crate) fn finish_activity(sim: &mut Sim, shared: &Shared, pool: &mut Pool, a
     }
 }
 
+/// Count core `c` starting on a message that arrived at `arrival` while its
+/// clock read `now` — late when the arrival is already in the core's past —
+/// and trace the processing, which starts at the later of the two.
+fn note_processing(
+    sim: &mut Sim,
+    shared: &Shared,
+    c: CoreId,
+    arrival: VirtualTime,
+    now: VirtualTime,
+) {
+    let late = now.saturating_since(arrival);
+    if arrival < now {
+        sim.stats.late_messages += 1;
+        sim.stats.late_by_total += late;
+    } else {
+        sim.stats.on_time_messages += 1;
+    }
+    trace(shared, || TraceEvent::Process {
+        arrival,
+        t: now.max(arrival),
+        core: c,
+        late_by: late.ticks(),
+    });
+}
+
 /// Process every message whose virtual arrival time has already passed on
 /// core `c`. Called from `ExecCtx` at each timing-annotation boundary: a
 /// running task's core handles due protocol requests (probes, lock
@@ -586,19 +550,7 @@ pub(crate) fn drain_due_messages(sim: &mut Sim, shared: &Shared, c: CoreId) {
         let Some(env) = sim.cores.inboxes.pop_arrived(c, now) else {
             return;
         };
-        let late = now.saturating_since(env.arrival);
-        if env.arrival < now {
-            sim.stats.late_messages += 1;
-            sim.stats.late_by_total += now - env.arrival;
-        } else {
-            sim.stats.on_time_messages += 1;
-        }
-        trace(shared, || TraceEvent::Process {
-            arrival: env.arrival,
-            t: now,
-            core: c,
-            late_by: late.ticks(),
-        });
+        note_processing(sim, shared, c, env.arrival, now);
         let mut ops = Ops::new(sim, shared);
         shared.hooks.on_message(&mut ops, env);
     }
@@ -614,20 +566,8 @@ pub(crate) fn drain_due_messages(sim: &mut Sim, shared: &Shared, c: CoreId) {
 /// does not leak into the requester's timeline).
 pub(crate) fn process_message(sim: &mut Sim, shared: &Shared, c: CoreId) {
     let env = sim.cores.inboxes.pop(c).expect("no message");
-    let pre = sim.cores.vtime[c.index()];
-    if env.arrival < pre {
-        sim.stats.late_messages += 1;
-        sim.stats.late_by_total += pre - env.arrival;
-    } else {
-        sim.stats.on_time_messages += 1;
-    }
+    note_processing(sim, shared, c, env.arrival, sim.cores.vtime[c.index()]);
     sim.cores.advance_to(c.index(), env.arrival);
-    trace(shared, || TraceEvent::Process {
-        arrival: env.arrival,
-        t: sim.cores.vtime[c.index()],
-        core: c,
-        late_by: pre.saturating_since(env.arrival).ticks(),
-    });
     sync::publish(sim, shared, c);
     let mut ops = Ops::new(sim, shared);
     shared.hooks.on_message(&mut ops, env);
@@ -684,17 +624,18 @@ pub(crate) fn decide(sim: &Sim, c: CoreId) -> Action {
     }
 }
 
+/// `ready_queued=` of the reports: the cores flagged as queued over the
+/// queue's entries, which count a raised-priority duplicate twice.
+fn ready_queued(sim: &Sim) -> String {
+    let queued = sim.cores.in_ready.iter().filter(|&&q| q).count();
+    format!("ready_queued={queued}/{}", sim.ready.len())
+}
+
 pub(crate) fn deadlock_report(sim: &Sim, shared: &Shared) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::from("no runnable core but work remains;");
-    let _ = write!(s, " live_activities={}", sim.live_activities);
-    // Live (distinct queued cores) vs raw (entries incl. lazy-deleted
-    // duplicates): the raw figure alone over-reports ready cores.
-    let _ = write!(
-        s,
-        " ready_queued={}/{}",
-        sim.ready.live_len(),
-        sim.ready.len()
+    let mut s = format!(
+        "no runnable core but work remains; live_activities={} {}",
+        sim.acts.len(),
+        ready_queued(sim)
     );
     append_core_dump(sim, shared, &mut s);
     s
@@ -707,12 +648,11 @@ pub(crate) fn deadlock_report(sim: &Sim, shared: &Shared) -> String {
 pub(crate) fn diagnostic_snapshot(sim: &Sim, shared: &Shared) -> String {
     use std::fmt::Write as _;
     let mut s = format!(
-        "max_vtime={} live_activities={} picks={} ready_queued={}/{}",
+        "max_vtime={} live_activities={} picks={} {}",
         sim.max_vtime,
-        sim.live_activities,
+        sim.acts.len(),
         sim.stats.scheduler_picks,
-        sim.ready.live_len(),
-        sim.ready.len()
+        ready_queued(sim)
     );
     append_core_dump(sim, shared, &mut s);
     for idx in 0..sim.cores.len() {
@@ -728,8 +668,8 @@ pub(crate) fn diagnostic_snapshot(sim: &Sim, shared: &Shared) -> String {
 /// core with any interesting state, then every blocked activity.
 fn append_core_dump(sim: &Sim, shared: &Shared, s: &mut String) {
     use std::fmt::Write as _;
-    for idx in 0..sim.cores.len() {
-        if sim.cores.resident[idx] > 0
+    for (idx, &resident) in sim.resident().iter().enumerate() {
+        if resident > 0
             || sim.cores.queue_hint[idx] > 0
             || !sim.cores.inboxes.is_empty(CoreId(idx as u32))
             || sim.cores.lock_depth[idx] > 0
@@ -861,9 +801,6 @@ pub fn simulate(
         stats: SimStats::default(),
         shutdown: false,
         failure: None,
-        live_activities: 0,
-        total_queue_hint: 0,
-        floor_dirty: false,
         max_vtime: VirtualTime::ZERO,
         uncap: sync::UncapIndex::new(&config),
         stalled: 0,
@@ -921,8 +858,8 @@ pub fn simulate(
     // `Rc`: a body that swallowed the shutdown signal still holds a clone.
     sim.shutdown = true;
     let mut sim = unwind_suspended(&shared, sim, &pool);
-    if let Some(f) = sim.failure.take() {
-        return Err(f.into_error());
+    if let Some(e) = sim.failure.take() {
+        return Err(e);
     }
     let mut stats = std::mem::take(&mut sim.stats);
     // The floor structure counts its own key updates; harvest them now
@@ -943,8 +880,6 @@ pub fn simulate(
     stats.busy = busy;
     stats.net = sim.net.stats().clone();
     stats.msgs_dropped = stats.net.dropped + stats.net.corrupted + stats.net.unreachable;
-    stats.msgs_corrupted = stats.net.corrupted;
-    stats.reroutes = stats.net.rerouted;
     stats.hot_links = sim
         .net
         .busiest_links(8)
@@ -1020,10 +955,7 @@ impl PickLoop {
         if sim.failure.is_some() || !self.ckpt.observe(sim, shared, self.cfg_digest) {
             return None;
         }
-        if sim.floor_dirty {
-            sim.floor_dirty = false;
-            sync::floor_moved(sim, shared);
-        }
+        sync::floor_moved(sim, shared);
         self.lap(&mut sim.stats.prof_floor_ns);
         // Pop a valid ready core, skipping stale entries.
         let mut picked = None;
@@ -1037,13 +969,14 @@ impl PickLoop {
         }
         self.lap(&mut sim.stats.prof_pop_ns);
         let Some(c) = picked else {
-            // O(1) quiet check: no live activity, no message in any inbox
-            // shard, no queued work anywhere.
-            let quiet = sim.live_activities == 0
-                && sim.cores.inboxes.total_messages() == 0
-                && sim.total_queue_hint == 0;
+            // The ready queue is empty, which ends the run: it is over if
+            // no activity lives and no core has a message or queued work.
+            let quiet = sim.acts.is_empty()
+                && (0..sim.cores.len()).all(|i| {
+                    sim.cores.queue_hint[i] == 0 && sim.cores.inboxes.is_empty(CoreId(i as u32))
+                });
             if !quiet {
-                sim.failure = Some(Failure::Deadlock(deadlock_report(sim, shared)));
+                sim.failure = Some(SimError::Deadlock(deadlock_report(sim, shared)));
             }
             return None;
         };
@@ -1057,7 +990,7 @@ impl PickLoop {
             self.wd_last_pick = sim.stats.scheduler_picks;
         } else if let Some(budget) = shared.config.watchdog_picks {
             if sim.stats.scheduler_picks - self.wd_last_pick >= budget {
-                sim.failure = Some(Failure::Stalled {
+                sim.failure = Some(SimError::Stalled {
                     at: sim.max_vtime,
                     picks: budget,
                     report: diagnostic_snapshot(sim, shared),
@@ -1168,11 +1101,11 @@ fn drive<'s>(
 /// The slot of `act`'s context in `pool`, acquired now if this is its
 /// first grant. `Err`, if the host refuses the stack, is the failure the
 /// caller must stop the run with.
-fn context_of(act: &mut Activity, pool: &mut Pool) -> Result<usize, Failure> {
+fn context_of(act: &mut Activity, pool: &mut Pool) -> Result<usize, SimError> {
     if let Some(slot) = act.context {
         return Ok(slot);
     }
-    let slot = pool.acquire().map_err(|errno| Failure::HostResources {
+    let slot = pool.acquire().map_err(|errno| SimError::HostResources {
         what: "map a task stack",
         errno,
     })?;
@@ -1234,11 +1167,11 @@ fn grant<'s>(
         Outcome::Returned => finish_activity(&mut sim, shared, pool, aid),
         Outcome::Panicked(payload) => {
             let at = sim.cores.vtime[core.index()];
-            sim.failure.get_or_insert(Failure::TaskPanic {
+            sim.failure.get_or_insert(SimError::TaskPanic {
                 core,
                 at,
                 name,
-                msg: panic_message(payload.as_ref()),
+                message: panic_message(payload.as_ref()),
             });
         }
     }

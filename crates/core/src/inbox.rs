@@ -20,9 +20,6 @@ use simany_topology::CoreId;
 /// Every core's pending messages (see module docs).
 pub(crate) struct Inboxes {
     lists: ListPool<Envelope>,
-    /// Pending messages across all cores, so the scheduler's machine-quiet
-    /// check is a field read instead of a walk over every core.
-    total: u64,
     #[cfg(debug_assertions)]
     last_seq_per_pair: std::collections::HashMap<(u32, u32), u64>,
 }
@@ -32,7 +29,6 @@ impl Inboxes {
     pub(crate) fn new(n: usize) -> Self {
         Inboxes {
             lists: ListPool::new(n),
-            total: 0,
             #[cfg(debug_assertions)]
             last_seq_per_pair: std::collections::HashMap::new(),
         }
@@ -46,11 +42,6 @@ impl Inboxes {
     /// True iff nothing is pending for `core`.
     pub(crate) fn is_empty(&self, core: CoreId) -> bool {
         self.lists.is_empty(core.index())
-    }
-
-    /// Total pending messages across all cores.
-    pub(crate) fn total_messages(&self) -> u64 {
-        self.total
     }
 
     /// Deposit a delivered envelope for `core`.
@@ -70,7 +61,6 @@ impl Inboxes {
         }
         self.lists
             .insert_sorted(core.index(), env, |e| (e.arrival, e.seq));
-        self.total += 1;
     }
 
     /// Arrival time of the earliest message pending for `core`.
@@ -80,9 +70,7 @@ impl Inboxes {
 
     /// Remove and return the earliest message pending for `core`.
     pub(crate) fn pop(&mut self, core: CoreId) -> Option<Envelope> {
-        let env = self.lists.pop_front(core.index())?;
-        self.total -= 1;
-        Some(env)
+        self.lists.pop_front(core.index())
     }
 
     /// Remove the earliest message for `core` only if it has arrived by
@@ -173,7 +161,6 @@ mod tests {
         let drained: Vec<_> = std::iter::from_fn(|| ib.pop(C0)).map(|e| e.seq).collect();
         assert_eq!(drained, [2, 1]);
         assert!(ib.is_empty(C0));
-        assert_eq!(ib.total_messages(), 0);
         ib.push(C0, env(0, 2, 3, 5));
         assert_eq!(ib.pop(C0).map(|e| e.seq), Some(3));
     }
@@ -232,8 +219,9 @@ mod tests {
                 }
                 assert!(ib.pop(CoreId(c as u32)).is_none());
             }
-            let pending: usize = heaps.iter().map(BinaryHeap::len).sum();
-            assert_eq!(ib.total_messages(), pending as u64);
+            for (c, heap) in heaps.iter().enumerate() {
+                assert_eq!(ib.len(CoreId(c as u32)), heap.len());
+            }
         }
     }
 
@@ -247,6 +235,6 @@ mod tests {
             let b = ib.pop_arrived(CoreId(1), VirtualTime::from_cycles(round));
             assert_eq!(b.map(|e| e.seq), Some(round * 2 + 2));
         }
-        assert_eq!(ib.total_messages(), 0);
+        assert!(ib.is_empty(CoreId(0)) && ib.is_empty(CoreId(1)));
     }
 }

@@ -40,26 +40,26 @@
 
 pub mod activity;
 pub mod checkpoint;
-pub mod config;
+pub(crate) mod config;
 pub(crate) mod coro;
-pub mod ctx;
-pub mod engine;
+pub(crate) mod ctx;
+pub(crate) mod engine;
 pub(crate) mod floor;
 pub mod hooks;
 pub(crate) mod inbox;
-pub mod ops;
-pub mod ready;
-pub mod sanitizer;
-pub mod state;
-pub mod stats;
-pub mod sync;
-pub mod trace;
+pub(crate) mod ops;
+pub(crate) mod ready;
+pub(crate) mod sanitizer;
+pub(crate) mod state;
+pub(crate) mod stats;
+pub(crate) mod sync;
+pub(crate) mod trace;
 
 pub use activity::{ActivityId, ActivityMeta};
 pub use checkpoint::{config_digest, Checkpoint};
 pub use config::{EngineConfig, SyncPolicy};
 pub use ctx::ExecCtx;
-pub use engine::{simulate, SimError, SimResult};
+pub use engine::{simulate, SimError};
 pub use hooks::RuntimeHooks;
 pub use ops::Ops;
 pub use state::BirthId;

@@ -231,8 +231,6 @@ impl<'a> Ops<'a> {
     pub fn queue_hint_add(&mut self, core: CoreId, n: u32) {
         let was_idle = self.sim.cores.is_idle(core.index());
         self.sim.cores.queue_hint[core.index()] += n;
-        self.sim.total_queue_hint += u64::from(n);
-        self.sim.floor_dirty = true;
         sync::note_floor_key(self.sim, core.index());
         if was_idle {
             sync::publish(self.sim, self.shared, core);
@@ -245,8 +243,6 @@ impl<'a> Ops<'a> {
         let hint = &mut self.sim.cores.queue_hint[core.index()];
         assert!(*hint >= n, "queue_hint underflow on {core}");
         *hint -= n;
-        self.sim.total_queue_hint -= u64::from(n);
-        self.sim.floor_dirty = true;
         sync::note_floor_key(self.sim, core.index());
         if self.sim.cores.is_idle(core.index()) {
             sync::publish(self.sim, self.shared, core);
@@ -267,7 +263,6 @@ impl<'a> Ops<'a> {
         self.sim.cores.birth_push(core.index(), id, birth);
         // A new birth can lower the spatial floor below any cached bound.
         self.sim.cores.set_headroom(core.index(), None);
-        self.sim.floor_dirty = true;
         sync::note_floor_key(self.sim, core.index());
         id
     }
@@ -277,7 +272,6 @@ impl<'a> Ops<'a> {
     pub fn discard_birth(&mut self, core: CoreId, id: BirthId) {
         let removed = self.sim.cores.birth_remove(core.index(), id);
         assert!(removed, "unknown birth id");
-        self.sim.floor_dirty = true;
         // Key update must precede the recheck: its sync check reads the
         // incremental floor.
         sync::note_floor_key(self.sim, core.index());

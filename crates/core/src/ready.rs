@@ -54,9 +54,8 @@ fn lesser((i, k): (usize, Key), (j, l): (usize, Key)) -> (usize, Key) {
     std::hint::select_unpredictable(l < k, (j, l), (i, k))
 }
 
-/// Min-queue of `(published time at push, core id)` with
-/// per-core entry accounting: a sorted run of in-order pushes beside an
-/// implicit `D`-ary min-heap of the rest.
+/// Min-queue of `(published time at push, core id)`: a sorted run of
+/// in-order pushes beside an implicit `D`-ary min-heap of the rest.
 ///
 /// Pop order is the sorted order of the key multiset, whichever part each
 /// entry went to. Two identical keys name the same core, so even ties
@@ -79,10 +78,6 @@ pub struct ReadyQueue {
     run: VecDeque<Key>,
     /// Every other entry, heap-ordered by key.
     heap: Vec<Key>,
-    /// Entries currently queued (run and heap) per core (lazily grown).
-    qcount: Vec<u32>,
-    /// Number of distinct cores with at least one entry.
-    live: usize,
 }
 
 impl ReadyQueue {
@@ -91,33 +86,12 @@ impl ReadyQueue {
         Self::default()
     }
 
-    fn count_push(&mut self, core: u32) {
-        let i = core as usize;
-        if i >= self.qcount.len() {
-            self.qcount.resize(i + 1, 0);
-        }
-        if self.qcount[i] == 0 {
-            self.live += 1;
-        }
-        self.qcount[i] += 1;
-    }
-
-    fn count_pop(&mut self, core: u32) {
-        let i = core as usize;
-        debug_assert!(self.qcount[i] > 0, "pop of uncounted core {core}");
-        self.qcount[i] -= 1;
-        if self.qcount[i] == 0 {
-            self.live -= 1;
-        }
-    }
-
     /// Insert a core with its current published time as priority.
     ///
     /// Pop order over distinct `(time, id)` keys is a pure function of the
     /// key *set* — insertion order cannot leak into it.
     pub fn push(&mut self, core: CoreId, published: VirtualTime) {
         let entry = key(published, core.0);
-        self.count_push(core.0);
         if self.run.back().is_none_or(|&last| entry >= last) {
             self.run.push_back(entry);
         } else {
@@ -142,30 +116,14 @@ impl ReadyQueue {
         } else {
             self.run.pop_front()?
         };
-        let core = core_of(entry);
-        self.count_pop(core);
-        Some(CoreId(core))
+        Some(CoreId(core_of(entry)))
     }
 
-    /// True iff no entries remain.
-    pub fn is_empty(&self) -> bool {
-        self.run.is_empty() && self.heap.is_empty()
-    }
-
-    /// Raw number of *entries*, including stale duplicates — a core
-    /// re-pushed at a raised priority contributes several. Diagnostics
-    /// that want "how many cores are queued" should use
-    /// [`Self::live_len`]; this raw count only bounds memory.
+    /// Number of *entries*, including stale duplicates — a core re-pushed
+    /// at a raised priority contributes several. How many cores are queued
+    /// is the count of set `in_ready` flags (`engine::ready_queued`).
     pub fn len(&self) -> usize {
         self.run.len() + self.heap.len()
-    }
-
-    /// Number of *distinct cores* with at least one queued entry — the
-    /// honest "ready cores" figure for deadlock/diagnostic reports, which
-    /// [`Self::len`] over-reports whenever raised-priority duplicates are
-    /// in flight. O(1): maintained incrementally.
-    pub fn live_len(&self) -> usize {
-        self.live
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -297,35 +255,29 @@ mod tests {
     }
 
     #[test]
-    fn live_len_counts_distinct_cores() {
+    fn len_counts_duplicate_entries() {
         let mut q = ReadyQueue::new();
         q.push(CoreId(1), t(10));
         q.push(CoreId(2), t(20));
         // Priority raise: same core queued again at an earlier time.
         q.push(CoreId(1), t(5));
         assert_eq!(q.len(), 3, "raw length counts duplicates");
-        assert_eq!(q.live_len(), 2, "live length counts distinct cores");
         assert_eq!(q.pop(), Some(CoreId(1)), "raised entry (t=5) first");
-        assert_eq!(q.live_len(), 2, "core 1 still has its stale entry");
         assert_eq!(q.pop(), Some(CoreId(1)), "stale entry (t=10) next");
-        assert_eq!(q.live_len(), 1);
         assert_eq!(q.pop(), Some(CoreId(2)));
-        assert_eq!(q.live_len(), 0);
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     /// Reference for the model test: the key multiset (times in ticks) in a
-    /// `BTreeMap`, plus entries per core.
+    /// `BTreeMap`.
     struct Model {
         keys: std::collections::BTreeMap<(u64, u32), usize>,
-        per_core: Vec<usize>,
     }
 
     impl Model {
         fn push(&mut self, q: &mut ReadyQueue, c: u32, at: u64) {
             q.push(CoreId(c), VirtualTime(at));
             *self.keys.entry((at, c)).or_default() += 1;
-            self.per_core[c as usize] += 1;
         }
 
         fn pop(&mut self) -> Option<CoreId> {
@@ -335,7 +287,6 @@ mod tests {
             if *n == 0 {
                 self.keys.remove(&key);
             }
-            self.per_core[key.1 as usize] -= 1;
             Some(CoreId(key.1))
         }
     }
@@ -343,7 +294,7 @@ mod tests {
     /// Drive the queue and the reference with the same random mix of
     /// in-order runs, out-of-order pushes, duplicate and raised-priority
     /// re-pushes and pops; after every operation the two must agree on
-    /// what pops next and on every size. Times start at `base` and climb
+    /// what pops next and on the size. Times start at `base` and climb
     /// by at most `step` per push (saturating at `u64::MAX`), over `cores`
     /// cores.
     fn model_check(seed: u64, base: u64, step: usize, cores: usize) {
@@ -351,7 +302,6 @@ mod tests {
         let mut q = ReadyQueue::new();
         let mut m = Model {
             keys: Default::default(),
-            per_core: vec![0; cores],
         };
         let mut clock = base;
         for _ in 0..20_000 {
@@ -382,12 +332,9 @@ mod tests {
                 }
                 _ => assert_eq!(q.pop(), m.pop()),
             }
-            let live = m.per_core.iter().filter(|&&n| n > 0).count();
             assert_eq!(q.len(), m.keys.values().sum::<usize>());
-            assert_eq!(q.live_len(), live);
-            assert_eq!(q.is_empty(), m.keys.is_empty());
         }
-        while !q.is_empty() {
+        while q.len() > 0 {
             assert_eq!(q.pop(), m.pop());
         }
         assert_eq!((q.pop(), m.pop()), (None, None));
@@ -406,8 +353,7 @@ mod tests {
         // the time half of a packed key must keep its top bits, and the
         // core half must not carry into it.
         model_check(0, u64::MAX - 4_000, 2, 64);
-        // The largest time beside a large core id (the per-core counts
-        // keep the id to what a test can allocate).
+        // The largest time beside a large core id.
         const BIG: u32 = (1 << 20) - 1;
         let mut q = ReadyQueue::new();
         q.push(CoreId(BIG), VirtualTime::MAX);
@@ -443,16 +389,16 @@ mod tests {
             assert!(q.heap.len() <= 1, "heap part grew to {}", q.heap.len());
             assert_eq!(q.pop(), Some(CoreId(c)));
         }
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn len_and_empty() {
         let mut q = ReadyQueue::new();
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         q.push(CoreId(0), t(0));
         assert_eq!(q.len(), 1);
         q.pop();
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 }

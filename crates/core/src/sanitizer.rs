@@ -332,29 +332,24 @@ pub(crate) fn scan(sim: &mut Sim, shared: &Shared) {
             report(sim, shared, ev);
         }
     }
+    if let Some(c) = sim.cores.publish_pending {
+        let ev = TraceEvent::SanitizerViolation {
+            t: sim.cores.vtime[c.index()],
+            core: c,
+            peer: None,
+            invariant: "deferred-publish",
+            detail: "deferred publish still pending at scheduler time".to_string(),
+        };
+        report(sim, shared, ev);
+    }
     for i in 0..sim.cores.len() {
         let c = CoreId(i as u32);
         sim.stats.sanitizer_checks += 1;
-        let (vtime, published, pending, idle) = (
+        let (vtime, published, idle) = (
             sim.cores.vtime[i],
             crate::sync::exposed(sim, shared, i),
-            sim.cores.publish_pending[i],
             sim.cores.is_idle(i),
         );
-        if pending {
-            let detail = "deferred publish still pending at scheduler time".to_string();
-            report(
-                sim,
-                shared,
-                TraceEvent::SanitizerViolation {
-                    t: vtime,
-                    core: c,
-                    peer: None,
-                    invariant: "deferred-publish",
-                    detail,
-                },
-            );
-        }
         // Only the spatial checks below read it.
         let fresh_nb = match spatial_t {
             Some(_) => fresh_neighbor_floor(sim, shared, c),

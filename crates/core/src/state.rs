@@ -11,6 +11,11 @@
 //! arenas of index-linked slots: an idle core costs a few dozen bytes of
 //! array slots and owns no heap allocations of its own.
 //!
+//! Nothing here is kept that another record already holds: how many
+//! activities live on a core is counted from `Sim::acts` where a report
+//! or digest asks, and the one deferred publish the run-token holder can
+//! owe is a single slot, not a per-core flag.
+//!
 //! ## Pooled-arena invariants
 //!
 //! Every variable-size per-core list is one `ListPool`: a `head` and
@@ -229,14 +234,15 @@ pub struct Cores {
     /// False when `floor_nb` must be recomputed (a neighbor that may have
     /// been the minimum rose).
     pub floor_nb_valid: Vec<bool>,
-    /// True while a core's clock has advanced past its `published` value
-    /// without a publish (fast-path deferral). Only ever set for the core
-    /// whose activity holds the run token; flushed before the token is
-    /// yielded or any published value can be observed. A flush inside a
-    /// publish window clears it and leaves the publish to the window
-    /// (`sync::Window`), so the flag means fast-path debt only, which is
-    /// what the sanitizer's `verify_flush` checks.
-    pub publish_pending: Vec<bool>,
+    /// The core whose clock has advanced past its `published` value
+    /// without a publish (fast-path deferral), if any. Only the core whose
+    /// activity holds the run token can owe one, and it is flushed before
+    /// the token is yielded or any published value can be observed, so
+    /// one slot serves the machine. A flush inside a publish window clears
+    /// it and leaves the publish to the window (`sync::Window`), so the
+    /// slot means fast-path debt only, which is what the sanitizer's
+    /// `verify_flush` checks.
+    pub publish_pending: Option<CoreId>,
     /// Scheduling flag: true while the core sits in the ready queue.
     pub in_ready: Vec<bool>,
     /// Fast-path bound, read through [`Cores::within_headroom`] and
@@ -265,9 +271,6 @@ pub struct Cores {
     /// Activity id + 1 of the activity that runs when each core is
     /// scheduled, if any ([`Cores::current`]).
     current: Vec<Option<NonZeroU64>>,
-    /// Number of activities resident on each core (current + blocked +
-    /// woken). Zero together with `queue_hint == 0` means the core is idle.
-    pub resident: Vec<u32>,
     /// Runtime-declared count of queued-but-unstarted work items; the
     /// engine calls `RuntimeHooks::on_idle` while this is non-zero and the
     /// core has no current activity.
@@ -327,14 +330,13 @@ impl Cores {
             published: vec![VirtualTime::ZERO; n],
             floor_nb: vec![VirtualTime::ZERO; n],
             floor_nb_valid: vec![false; n],
-            publish_pending: vec![false; n],
+            publish_pending: None,
             in_ready: vec![false; n],
             headroom: vec![0; n],
             vtime: vec![VirtualTime::ZERO; n],
             busy: vec![VDuration::ZERO; n],
             speeds,
             current: vec![None; n],
-            resident: vec![0; n],
             queue_hint: vec![0; n],
             lock_depth: vec![0; n],
             waiting_on: vec![None; n],
@@ -356,11 +358,6 @@ impl Cores {
     /// Number of cores.
     pub fn len(&self) -> usize {
         self.vtime.len()
-    }
-
-    /// True when the machine has zero cores.
-    pub fn is_empty(&self) -> bool {
-        self.vtime.is_empty()
     }
 
     /// True iff core `i` is not executing and has nothing runnable: no
@@ -545,9 +542,9 @@ mod tests {
         cs.set_current(0, None);
         cs.resumable.push_back(0, ActivityId(1));
         assert!(!cs.is_idle(0));
-        // Blocked-only residents leave the core idle (shadow time).
+        // Nothing current, resumable or queued: idle (shadow time), however
+        // many blocked activities live on the core.
         cs.resumable.pop_front(0);
-        cs.resident[0] = 1;
         assert!(cs.is_idle(0));
     }
 

@@ -176,13 +176,8 @@ pub struct SimStats {
     /// Messages lost to the fault plan (dropped in flight, corrupted on
     /// arrival, or unroutable across a partition).
     pub msgs_dropped: u64,
-    /// Of the dropped messages, those that were corrupted (charged the
-    /// full route before being discarded).
-    pub msgs_corrupted: u64,
     /// Runtime-level send retries (timeout + exponential backoff).
     pub msg_retries: u64,
-    /// Messages that detoured around dead links.
-    pub reroutes: u64,
     /// Cores observed to have failed during the run.
     pub core_failures: u64,
     /// Link failure events announced (LinkDown traces).

@@ -316,7 +316,7 @@ pub(crate) fn close_window(sim: &mut Sim, shared: &Shared) {
 /// Run core `c`'s deferred publish, if any. Call before any code that can
 /// observe published values or before the run token leaves `c`'s activity.
 pub(crate) fn flush_deferred(sim: &mut Sim, shared: &Shared, c: CoreId) {
-    if sim.cores.publish_pending[c.index()] {
+    if sim.cores.publish_pending == Some(c) {
         if sim.sanitizer.is_some() {
             // The deferred advance must have stayed inside the cached
             // headroom, or the fast path skipped a stall it owed.
@@ -390,7 +390,7 @@ fn neighbor_min(sim: &mut Sim, shared: &Shared, c: CoreId) -> VirtualTime {
 /// Call after any change to `c`'s clock or idle status. Triggers stall
 /// re-checks on every core whose published value changed.
 pub(crate) fn publish(sim: &mut Sim, shared: &Shared, c: CoreId) {
-    sim.cores.publish_pending[c.index()] = false;
+    sim.cores.publish_pending.take_if(|p| *p == c);
     if sim.window.open {
         sim.window.owe(c);
         return;
@@ -427,7 +427,6 @@ fn publish_global(sim: &mut Sim, shared: &Shared, c: CoreId) {
     }
     sim.stats.publish_sweeps += 1;
     sim.cores.published[c.index()] = newval;
-    sim.floor_dirty = true;
     // The only published-value change the incremental floor must see.
     note_floor_key(sim, c.index());
     for &(n, _) in shared.topo.neighbors(c) {
@@ -534,9 +533,7 @@ fn publish_spatial(sim: &mut Sim, shared: &Shared, c: CoreId, t: VDuration) {
         changed: std::mem::take(&mut sim.scratch_changed),
     };
     debug_assert!(sw.changed.is_empty() && sw.work.is_empty());
-    if store_word(sim, shared, &mut sw, c, new) {
-        sim.floor_dirty = true;
-    }
+    store_word(sim, shared, &mut sw, c, new);
     if rose {
         queue_overtaken(sim, &mut sw.work, sw.epoch);
     }
@@ -853,13 +850,12 @@ fn shadow_word(sim: &mut Sim, shared: &Shared, i: CoreId, t: VDuration) -> Virtu
 
 /// Give core `x` the word `new`, with everything a changed word owes:
 /// the uncap registration, the neighbors' caches, the `changed` record and
-/// a re-evaluation of `x`'s idle neighbors. Returns whether the canonical
-/// word — what neighbors can see — changed.
+/// a re-evaluation of `x`'s idle neighbors.
 #[inline(always)]
-fn store_word(sim: &mut Sim, shared: &Shared, sw: &mut Sweep, x: CoreId, new: VirtualTime) -> bool {
+fn store_word(sim: &mut Sim, shared: &Shared, sw: &mut Sweep, x: CoreId, new: VirtualTime) {
     let old = sim.cores.published[x.index()];
     if new == old {
-        return false;
+        return;
     }
     let (old_c, new_c) = (canonical(old), canonical(new));
     if new_c == old_c {
@@ -867,7 +863,7 @@ fn store_word(sim: &mut Sim, shared: &Shared, sw: &mut Sweep, x: CoreId, new: Vi
         debug_assert!(new < old);
         sim.cores.published[x.index()] = new;
         register_uncap(sim, x, key_of(new));
-        return false;
+        return;
     }
     sim.cores.published[x.index()] = new;
     if is_capped(new) && new != CAPPED {
@@ -888,7 +884,6 @@ fn store_word(sim: &mut Sim, shared: &Shared, sw: &mut Sweep, x: CoreId, new: Vi
             enqueue(sim, &mut sw.work, n, sw.epoch);
         }
     }
-    true
 }
 
 /// Empty core `x`'s waiter set and recheck every member (spatial only: no
@@ -947,14 +942,17 @@ pub(crate) fn recheck_stall(sim: &mut Sim, shared: &Shared, c: CoreId) {
     }
 }
 
-/// The global floor may have moved (`Sim::floor_dirty` was set): re-examine
-/// the stalled cores of the policies whose stall condition is machine-wide.
+/// The global floor may have moved: re-examine the stalled cores of the
+/// policies whose stall condition is machine-wide. Called at every pick.
 /// Spatial synchronization needs nothing here — its wake conditions are
 /// purely local and handled by neighbor publishes.
 ///
 /// BoundedSlack/Conservative stall conditions are pure threshold checks
 /// against the floor, so a floor move wakes exactly the cores whose
-/// registered threshold it crossed.
+/// registered threshold it crossed. A floor that has not moved since the
+/// last call wakes nothing: a core registers a threshold above the floor
+/// it was checked against, so the call is then the wake heap's empty test
+/// and a peek.
 pub(crate) fn floor_moved(sim: &mut Sim, shared: &Shared) {
     match shared.config.sync {
         SyncPolicy::BoundedSlack { .. } | SyncPolicy::Conservative => {
@@ -1026,8 +1024,7 @@ pub(crate) fn global_floor_naive(sim: &Sim) -> VirtualTime {
 /// earliest pending birth)`, `MAX` when neither applies. No-op under
 /// policies that allocate no tree (everything but BoundedSlack /
 /// Conservative). Must be called wherever a key input changes — the
-/// core's published value, its idle status, or its birth ledger; those
-/// are exactly the sites that set [`Sim::floor_dirty`].
+/// core's published value, its idle status, or its birth ledger.
 pub(crate) fn note_floor_key(sim: &mut Sim, i: usize) {
     if sim.gfloor.is_none() {
         return;

@@ -2,8 +2,8 @@
 
 use crate::state::{CellId, GroupId, LockId};
 use crate::task_ctx::TaskBody;
-use simany_core::state::BirthId;
 use simany_core::ActivityId;
+use simany_core::BirthId;
 use simany_topology::CoreId;
 
 /// Every message the run-time system exchanges. Travels as the opaque

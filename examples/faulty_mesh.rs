@@ -67,7 +67,7 @@ fn report(name: &str, done: u64, out: &RunOutput) {
     );
     println!(
         "  drops/retries   : {} / {}  (reroutes {}, local fallbacks {})",
-        s.msgs_dropped, s.msg_retries, s.reroutes, out.rt.fault_local_runs
+        s.msgs_dropped, s.msg_retries, s.net.rerouted, out.rt.fault_local_runs
     );
 }
 
