@@ -10,7 +10,7 @@
 //! Prints completion virtual time, run-time statistics and (with
 //! `--trace`) a per-core activity timeline.
 
-use simany::core::{CoreId, MemoryTracer};
+use simany::core::{CoreId, MemoryTracer, TraceEvent, Tracer};
 use simany::kernels::protocols::{protocol_by_name, ProtocolKernel, ProtocolMetrics};
 use simany::kernels::{kernel_by_name, DwarfKernel, KernelResult, Scale};
 use simany::prelude::*;
@@ -18,6 +18,8 @@ use simany::stats::json::Json;
 use simany::stats::{LatencyDist, ResilienceReport};
 use simany_serve::scenario::{field_names, FieldError};
 use simany_serve::Scenario;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// The scenario plus the CLI-only extras layered on top of it.
 #[derive(Default)]
@@ -156,6 +158,31 @@ fn parse_args() -> Args {
         }
     }
     args
+}
+
+/// Sanitizer violations printed under the sanitizer's count.
+const VIOLATIONS_SHOWN: usize = 10;
+
+/// The tracer `--sanitize on` installs: it keeps the display lines of the
+/// first [`VIOLATIONS_SHOWN`] sanitizer violations and hands every event
+/// on to the `--trace` timeline, if there is one.
+struct FirstViolations {
+    lines: RefCell<Vec<String>>,
+    timeline: Option<Rc<MemoryTracer>>,
+}
+
+impl Tracer for FirstViolations {
+    fn record(&self, event: TraceEvent) {
+        if let TraceEvent::SanitizerViolation { .. } = event {
+            let mut lines = self.lines.borrow_mut();
+            if lines.len() < VIOLATIONS_SHOWN {
+                lines.push(event.to_string());
+            }
+        }
+        if let Some(timeline) = &self.timeline {
+            timeline.record(event);
+        }
+    }
 }
 
 fn build_spec(args: &Args) -> ProgramSpec {
@@ -308,12 +335,17 @@ fn main() {
         .unwrap();
     let mut spec = build_spec(&args);
     let cfg_digest = simany::core::config_digest(&spec.engine);
-    let tracer = if args.trace {
-        let t = MemoryTracer::new();
-        spec.engine.tracer = Some(t.clone());
-        Some(t)
-    } else {
-        None
+    let tracer = args.trace.then(MemoryTracer::new);
+    let violations = args.sanitize.then(|| {
+        Rc::new(FirstViolations {
+            lines: RefCell::default(),
+            timeline: tracer.clone(),
+        })
+    });
+    spec.engine.tracer = match (&violations, &tracer) {
+        (Some(v), _) => Some(v.clone()),
+        (None, Some(t)) => Some(t.clone()),
+        (None, None) => None,
     };
     let n_cores = spec.topo.n_cores();
 
@@ -436,6 +468,16 @@ fn main() {
             s.sanitizer_violations,
             s.max_global_drift.cycles()
         );
+        if let Some(v) = &violations {
+            let lines = v.lines.borrow();
+            for line in lines.iter() {
+                println!("  {line}");
+            }
+            let more = s.sanitizer_violations.saturating_sub(lines.len() as u64);
+            if more > 0 {
+                println!("  ... {more} more");
+            }
+        }
     }
     if s.checkpoints_written > 0 {
         println!(

@@ -220,3 +220,34 @@ fn a_preempted_quicksort_writes_the_golden_checkpoint() {
          state 471f37dcdc2ba434\n"
     );
 }
+
+/// `--sanitize on` prints each violation it found under the count, in the
+/// trace's display form (time, core, invariant, detail), at most ten.
+/// This run breaks the drift bound on a clean machine (ROADMAP direction
+/// 1, like `tests/contract.rs`'s `KNOWN_BREAKS`): a fix of the bound makes
+/// this test fail until its expected lines are recorded again.
+#[test]
+fn sanitize_prints_the_violations_it_found() {
+    let out = Command::new(env!("CARGO_BIN_EXE_simulate"))
+        .args(["--kernel", "spmxv", "--arch", "dm", "--cores", "16"])
+        .args(["--scale", "0.1", "--sync", "bounded-slack"])
+        .args(["--sanitize", "on", "--seed", "2"])
+        .output()
+        .expect("simulate did not start");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let mut lines = stdout.lines().skip_while(|l| !l.starts_with("sanitizer "));
+    let count = lines.next().expect("no sanitizer line");
+    assert!(count.contains(", 3 violations "), "{count}");
+    let shown: Vec<&str> = lines.take_while(|l| l.starts_with("  t=")).collect();
+    let want = [
+        "  t=3373cy core0 SANITIZER global-drift: working-core spread 150",
+        "  t=5116cy core0 SANITIZER global-drift: working-core spread 146",
+        "  t=5554cy core0 SANITIZER global-drift: working-core spread 140",
+    ];
+    assert_eq!(shown.len(), want.len(), "{stdout}");
+    for (line, want) in shown.iter().zip(want) {
+        assert!(line.starts_with(want), "{line}");
+        assert!(line.contains("exceeds bound 129"), "{line}");
+    }
+}

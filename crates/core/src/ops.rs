@@ -154,34 +154,41 @@ impl<'a> Ops<'a> {
     /// Announce fault-plan epoch boundaries reached by virtual time `t`:
     /// one `LinkDown`/`LinkUp` trace per changed link, counters for link
     /// faults and partition entries. Cheap no-op when nothing is pending.
+    /// With a tracer, the links' ends come from one pass over the
+    /// adjacency rows per call.
     fn announce_epochs(&mut self, t: VirtualTime) {
         if !self.sim.net.epochs_pending(t) {
             return;
         }
-        for tr in self.sim.net.observe_epochs(t) {
+        let transitions = self.sim.net.observe_epochs(t);
+        for tr in &transitions {
             self.sim.stats.link_faults += tr.went_down.len() as u64;
             if tr.partitioned {
                 self.sim.stats.partitions_observed += 1;
             }
-            if self.shared.config.tracer.is_some() {
-                for &link in &tr.went_down {
-                    let props = self.shared.topo.link(link);
-                    trace(self.shared, || TraceEvent::LinkDown {
-                        t: tr.at,
-                        link,
-                        src: props.src,
-                        dst: props.dst,
-                    });
-                }
-                for &link in &tr.came_up {
-                    let props = self.shared.topo.link(link);
-                    trace(self.shared, || TraceEvent::LinkUp {
-                        t: tr.at,
-                        link,
-                        src: props.src,
-                        dst: props.dst,
-                    });
-                }
+        }
+        if self.shared.config.tracer.is_none() {
+            return;
+        }
+        let ends = self.shared.topo.link_ends();
+        for tr in transitions {
+            for &link in &tr.went_down {
+                let (src, dst) = ends[link.index()];
+                trace(self.shared, || TraceEvent::LinkDown {
+                    t: tr.at,
+                    link,
+                    src,
+                    dst,
+                });
+            }
+            for &link in &tr.came_up {
+                let (src, dst) = ends[link.index()];
+                trace(self.shared, || TraceEvent::LinkUp {
+                    t: tr.at,
+                    link,
+                    src,
+                    dst,
+                });
             }
         }
     }

@@ -11,10 +11,11 @@
 //! to an 8-ary heap. A pop takes the smaller of the run's front and the
 //! heap's top, which is the minimum of all queued keys — exactly what one
 //! heap holding every entry would pop, so the split changes the cost of a
-//! pick, never the pick. At a million cores this matters: setup queues
-//! every core at t = 0 in id order, which lands entirely in the run, and
-//! each pick's re-push of its own core lands in a heap of one entry
-//! instead of sifting through a 16 MB array.
+//! pick, never the pick. The run stores *stretches* of consecutive keys
+//! (one time, consecutive cores) as one entry each. At a million cores
+//! this matters: setup queues every core at t = 0 in id order, which is
+//! one stretch of the run instead of a 16 MB array, and each pick's
+//! re-push of its own core lands in a heap of one entry.
 
 use simany_time::VirtualTime;
 use simany_topology::CoreId;
@@ -46,6 +47,29 @@ fn core_of(key: Key) -> u32 {
     key as u32
 }
 
+/// `count` keys of one time at consecutive cores, `first` upward: one
+/// entry of the run, the size of one key.
+#[derive(Clone, Copy, Debug)]
+struct Stretch {
+    time: VirtualTime,
+    first: u32,
+    count: u32,
+}
+
+impl Stretch {
+    /// The stretch's lowest key.
+    #[inline(always)]
+    fn front(&self) -> Key {
+        key(self.time, self.first)
+    }
+
+    /// The stretch's highest key.
+    #[inline(always)]
+    fn back(&self) -> Key {
+        self.front() + Key::from(self.count - 1)
+    }
+}
+
 /// The lesser of `(i, k)` and `(j, l)` by key, chosen without a branch:
 /// which child of a node is least is as good as random, so a predicted
 /// branch per child mispredicts about every other compare.
@@ -55,7 +79,8 @@ fn lesser((i, k): (usize, Key), (j, l): (usize, Key)) -> (usize, Key) {
 }
 
 /// Min-queue of `(published time at push, core id)`: a sorted run of
-/// in-order pushes beside an implicit `D`-ary min-heap of the rest.
+/// in-order pushes, in stretches of consecutive keys, beside an implicit
+/// `D`-ary min-heap of the rest.
 ///
 /// Pop order is the sorted order of the key multiset, whichever part each
 /// entry went to. Two identical keys name the same core, so even ties
@@ -74,8 +99,10 @@ fn lesser((i, k): (usize, Key), (j, l): (usize, Key)) -> (usize, Key) {
 /// orders.
 #[derive(Default)]
 pub struct ReadyQueue {
-    /// Entries pushed in non-decreasing key order, lowest at the front.
-    run: VecDeque<Key>,
+    /// Entries pushed in non-decreasing key order, lowest at the front; a
+    /// push of the key right after the last one (same time, next core)
+    /// extends the last stretch.
+    run: VecDeque<Stretch>,
     /// Every other entry, heap-ordered by key.
     heap: Vec<Key>,
 }
@@ -92,38 +119,52 @@ impl ReadyQueue {
     /// key *set* — insertion order cannot leak into it.
     pub fn push(&mut self, core: CoreId, published: VirtualTime) {
         let entry = key(published, core.0);
-        if self.run.back().is_none_or(|&last| entry >= last) {
-            self.run.push_back(entry);
-        } else {
-            self.heap.push(entry);
-            self.sift_up(self.heap.len() - 1);
+        match self.run.back_mut() {
+            Some(last) if last.time == published && last.back() + 1 == entry => last.count += 1,
+            Some(last) if entry < last.back() => {
+                self.heap.push(entry);
+                self.sift_up(self.heap.len() - 1);
+            }
+            _ => self.run.push_back(Stretch {
+                time: published,
+                first: core.0,
+                count: 1,
+            }),
         }
     }
 
     /// Remove and return the core of the lowest entry.
     pub fn pop(&mut self) -> Option<CoreId> {
         let from_heap = match (self.run.front(), self.heap.first()) {
-            (Some(r), Some(h)) => h < r,
+            (Some(r), Some(&h)) => h < r.front(),
             (None, Some(_)) => true,
             (_, None) => false,
         };
-        let entry = if from_heap {
+        if from_heap {
             let top = self.heap.swap_remove(0);
             if !self.heap.is_empty() {
                 self.sift_down(0);
             }
-            top
+            return Some(CoreId(core_of(top)));
+        }
+        let front = self.run.front_mut()?;
+        let core = front.first;
+        if front.count == 1 {
+            self.run.pop_front();
         } else {
-            self.run.pop_front()?
-        };
-        Some(CoreId(core_of(entry)))
+            front.first += 1;
+            front.count -= 1;
+        }
+        Some(CoreId(core))
     }
 
     /// Number of *entries*, including stale duplicates — a core re-pushed
     /// at a raised priority contributes several. How many cores are queued
     /// is the count of set `in_ready` flags (`engine::ready_queued`).
+    /// O(stretches): only reports read it.
     pub fn len(&self) -> usize {
-        self.run.len() + self.heap.len()
+        let run: usize = self.run.iter().map(|s| s.count as usize).sum();
+        run + self.heap.len()
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -292,8 +333,8 @@ mod tests {
     }
 
     /// Drive the queue and the reference with the same random mix of
-    /// in-order runs, out-of-order pushes, duplicate and raised-priority
-    /// re-pushes and pops; after every operation the two must agree on
+    /// in-order runs, stretches of consecutive cores, out-of-order pushes,
+    /// duplicate and raised-priority re-pushes and pops; after every operation the two must agree on
     /// what pops next and on the size. Times start at `base` and climb
     /// by at most `step` per push (saturating at `u64::MAX`), over `cores`
     /// cores.
@@ -306,11 +347,21 @@ mod tests {
         let mut clock = base;
         for _ in 0..20_000 {
             match rng.next_index(6) {
-                // An in-order run: a few cores at non-decreasing times.
+                // An in-order run: a few cores at non-decreasing times, or
+                // a stretch of consecutive cores at one time.
                 0 => {
-                    for _ in 0..1 + rng.next_index(8) {
+                    let n = 1 + rng.next_index(8);
+                    if rng.next_index(2) == 0 {
+                        for _ in 0..n {
+                            clock = clock.saturating_add(rng.next_index(step + 1) as u64);
+                            m.push(&mut q, rng.next_index(cores) as u32, clock);
+                        }
+                    } else {
                         clock = clock.saturating_add(rng.next_index(step + 1) as u64);
-                        m.push(&mut q, rng.next_index(cores) as u32, clock);
+                        let first = rng.next_index(cores);
+                        for c in first..cores.min(first + n) {
+                            m.push(&mut q, c as u32, clock);
+                        }
                     }
                 }
                 // Out of order: anywhere between `base` and the clock.
@@ -382,7 +433,7 @@ mod tests {
         for c in 0..N {
             q.push(CoreId(c), t(0));
         }
-        assert_eq!((q.run.len(), q.heap.len()), (N as usize, 0));
+        assert_eq!((q.run.len(), q.heap.len(), q.len()), (1, 0, N as usize));
         for c in 0..N {
             assert_eq!(q.pop(), Some(CoreId(c)));
             q.push(CoreId(c), t(0));
@@ -390,6 +441,28 @@ mod tests {
             assert_eq!(q.pop(), Some(CoreId(c)));
         }
         assert_eq!(q.len(), 0);
+    }
+
+    /// A push of the key right after the run's last one extends the last
+    /// stretch; a later time, a gap or a duplicate starts a new one, and a
+    /// key below the last goes to the heap.
+    #[test]
+    fn consecutive_keys_share_one_stretch() {
+        let mut q = ReadyQueue::new();
+        for c in 10..20 {
+            q.push(CoreId(c), t(5));
+        }
+        assert_eq!(q.run.len(), 1);
+        q.push(CoreId(20), t(6));
+        q.push(CoreId(21), t(6));
+        q.push(CoreId(21), t(6));
+        q.push(CoreId(23), t(6));
+        q.push(CoreId(3), t(6));
+        assert_eq!((q.run.len(), q.heap.len(), q.len()), (4, 1, 15));
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|c| c.0).collect();
+        let want: Vec<u32> = (10..20).chain([3, 20, 21, 21, 23]).collect();
+        assert_eq!(order, want);
+        assert_eq!((q.run.len(), q.heap.len()), (0, 0));
     }
 
     #[test]

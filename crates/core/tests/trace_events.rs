@@ -224,3 +224,74 @@ fn a_task_send_is_dropped_like_a_hook_send() {
         .collect();
     assert_eq!(dropped, [lost.clone(), lost]);
 }
+
+struct Quiet;
+impl RuntimeHooks for Quiet {
+    fn on_message(&self, _: &mut Ops<'_>, _: Envelope) {}
+    fn on_idle(&self, _: &mut Ops<'_>, _: CoreId) {}
+    fn on_activity_end(&self, _: &mut Ops<'_>, _: CoreId, _: Box<dyn std::any::Any + Send>) {}
+}
+
+/// Each `LinkDown` and `LinkUp` trace names its link's ends, which the
+/// topology keeps only in its adjacency rows: a pair and a one-way link
+/// fail at t = 20, the pair recovers at t = 40, and sends at every tenth
+/// cycle announce both boundaries.
+#[test]
+fn link_traces_name_the_ends_of_each_link() {
+    let topo = mesh_2d(4);
+    let ends = |a: u32, b: u32| (topo.link_between(CoreId(a), CoreId(b)).unwrap(), a, b);
+    let (down, up) = (
+        [ends(0, 1), ends(1, 0), ends(2, 3)],
+        [ends(0, 1), ends(1, 0)],
+    );
+    let t = VirtualTime::from_cycles;
+    let plan = down
+        .iter()
+        .fold(FaultPlanBuilder::new(), |b, &(l, ..)| b.fail_link(l, t(20)));
+    let plan = up.iter().fold(plan, |b, &(l, ..)| b.recover_link(l, t(40)));
+    let tracer = MemoryTracer::new();
+    let mut config = EngineConfig::default().with_fault_plan(Arc::new(plan.build(&topo)));
+    config.tracer = Some(tracer.clone());
+    simulate(topo, config, Arc::new(Quiet), |ops| {
+        ops.start_activity(
+            CoreId(0),
+            "sender",
+            Box::new(()),
+            Box::new(|ctx: &mut ExecCtx| {
+                for _ in 0..6 {
+                    ctx.advance_cycles(10);
+                    let _ = ctx.send(CoreId(3), 8, Payload::none());
+                }
+            }),
+        );
+    })
+    .unwrap();
+    let mut want: Vec<TraceEvent> = Vec::new();
+    for (at, set, is_down) in [(t(20), &down[..], true), (t(40), &up[..], false)] {
+        let mut set = set.to_vec();
+        set.sort_by_key(|&(l, ..)| l);
+        want.extend(set.into_iter().map(|(link, a, b)| {
+            let (src, dst) = (CoreId(a), CoreId(b));
+            match is_down {
+                true => TraceEvent::LinkDown {
+                    t: at,
+                    link,
+                    src,
+                    dst,
+                },
+                false => TraceEvent::LinkUp {
+                    t: at,
+                    link,
+                    src,
+                    dst,
+                },
+            }
+        }));
+    }
+    let got: Vec<TraceEvent> = tracer
+        .events()
+        .into_iter()
+        .filter(|e| matches!(e, TraceEvent::LinkDown { .. } | TraceEvent::LinkUp { .. }))
+        .collect();
+    assert_eq!(got, want);
+}

@@ -719,10 +719,11 @@ mod tests {
         );
         // Physical pairs fail together: whenever a link is dead in some
         // epoch, so is its reverse.
+        let ends = topo.link_ends();
         for e in 0..a.epoch_count() {
             for &l in a.epoch_dead_links(e) {
-                let props = topo.link(l);
-                let back = topo.link_between(props.dst, props.src).unwrap();
+                let (src, dst) = ends[l.index()];
+                let back = topo.link_between(dst, src).unwrap();
                 assert!(a.link_dead(e, back), "pair of {l:?} not dead");
             }
         }

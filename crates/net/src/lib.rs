@@ -453,26 +453,31 @@ impl NetworkModel {
     /// The `k` busiest directed links by accumulated transmission time —
     /// the NoC hotspots of a run (returns fewer when the topology is
     /// smaller or links never carried traffic). Ties go to the lower
-    /// `(src, dst)`. One pass over the links keeping `k` of them: O(links ×
-    /// log k) time and O(k) memory.
+    /// `(src, dst)`. One pass over the adjacency rows keeping `k` links:
+    /// O(links × log k) time and O(k) memory, and nothing at all when no
+    /// message took a hop.
     pub fn busiest_links(&self, k: usize) -> Vec<(LinkProps, VDuration)> {
+        if self.stats.total_hops == 0 {
+            return Vec::new();
+        }
         // A max-heap of the `k` least keys seen, the key ranking the
         // busiest link first.
         let mut top = BinaryHeap::with_capacity(k + 1);
-        for l in (0..self.topo.n_links()).map(LinkId) {
-            let busy = self.traffic.busy_time(l);
-            if busy.is_zero() {
-                continue;
-            }
-            let props = self.topo.link(l);
-            top.push((Reverse(busy), props.src, props.dst, l));
-            if top.len() > k {
-                top.pop();
+        for src in self.topo.cores() {
+            for &(dst, l) in self.topo.neighbors(src) {
+                let busy = self.traffic.busy_time(l);
+                if busy.is_zero() {
+                    continue;
+                }
+                top.push((Reverse(busy), src, dst, l));
+                if top.len() > k {
+                    top.pop();
+                }
             }
         }
         top.into_sorted_vec()
             .into_iter()
-            .map(|(Reverse(busy), .., l)| (self.topo.link(l), busy))
+            .map(|(Reverse(busy), src, dst, l)| (LinkProps::new(src, dst, self.topo.link(l)), busy))
             .collect()
     }
 
@@ -689,6 +694,19 @@ mod tests {
         for w in hot.windows(2) {
             assert!(w[0].1 >= w[1].1);
         }
+    }
+
+    /// A machine that sent nothing over a link has no hotspots: local
+    /// sends take no hop, and the ranking is empty without a scan.
+    #[test]
+    fn busiest_links_are_empty_without_hops() {
+        let mut m = model();
+        assert!(m.busiest_links(8).is_empty());
+        send(&mut m, CoreId(3), CoreId(3), 64, VirtualTime::ZERO);
+        assert_eq!((m.stats().messages, m.stats().total_hops), (1, 0));
+        assert!(m.busiest_links(8).is_empty());
+        send(&mut m, CoreId(3), CoreId(2), 64, VirtualTime::ZERO);
+        assert_eq!(m.busiest_links(8).len(), 1);
     }
 
     /// The bounded top-k gives what sorting every busy link and keeping

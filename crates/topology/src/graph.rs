@@ -66,12 +66,37 @@ pub struct LinkProps {
     pub bandwidth_bytes_per_cycle: u32,
 }
 
+impl LinkProps {
+    /// The link from `src` to `dst` with the latency and bandwidth of
+    /// `timing`.
+    #[inline]
+    pub fn new(src: CoreId, dst: CoreId, timing: LinkTiming) -> Self {
+        LinkProps {
+            src,
+            dst,
+            latency: timing.latency,
+            bandwidth_bytes_per_cycle: timing.bandwidth_bytes_per_cycle,
+        }
+    }
+}
+
+/// Latency and bandwidth of one directed link: what [`Topology::link`]
+/// reads for a link id in O(1). A link's ends are in the adjacency rows
+/// ([`Topology::neighbors`]), or all at once from [`Topology::links`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LinkTiming {
+    /// Base traversal latency of the link.
+    pub latency: VDuration,
+    /// Bandwidth in bytes per cycle.
+    pub bandwidth_bytes_per_cycle: u32,
+}
+
 /// Most distinct `(latency, bandwidth)` pairs the links of one topology
 /// may use: a link stores the index of its pair as a `u16`.
 pub const MAX_LINK_CLASSES: usize = 1 << 16;
 
-/// One `(latency, bandwidth)` pair in a [`LinkList`]'s class table, with
-/// the number of links that use it.
+/// One `(latency, bandwidth)` pair in a [`LinkClasses`] table, with the
+/// number of links that use it.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct LinkClass {
     pub(crate) latency: VDuration,
@@ -79,15 +104,12 @@ pub(crate) struct LinkClass {
     pub(crate) links: u32,
 }
 
-/// Directed links in id order (`LinkId(i)` is the `i`-th push), stored by
-/// class: per link its ends (8 B) and the index of its `(latency,
-/// bandwidth)` pair (2 B) in a table interned in first-seen order. Every
-/// builder and the config parser fill one and hand it to
-/// [`Topology::from_links`]; the few pairs of a real machine (on-die and
-/// die-to-die on a chiplet mesh) cost nothing per link.
+/// Links in id order (`LinkId(i)` is the `i`-th push), stored by class:
+/// per link the index (2 B) of its `(latency, bandwidth)` pair in a table
+/// interned in first-seen order. The few pairs of a real machine (on-die
+/// and die-to-die on a chiplet mesh) cost nothing per link.
 #[derive(Clone, Debug, Default)]
-pub struct LinkList {
-    ends: Vec<(CoreId, CoreId)>,
+pub(crate) struct LinkClasses {
     class: Vec<u16>,
     classes: Vec<LinkClass>,
     /// Where each `(latency, bandwidth)` pair sits in `classes`.
@@ -100,31 +122,25 @@ pub struct LinkList {
     overflowed: bool,
 }
 
-impl LinkList {
-    /// Append a directed link; returns its id. A pair beyond
-    /// [`MAX_LINK_CLASSES`] marks the list as overflowed instead of
-    /// panicking, so a parser can report it.
-    pub fn push(&mut self, l: LinkProps) -> LinkId {
-        let id = LinkId(self.ends.len() as u32);
-        let class = self.intern(l.latency, l.bandwidth_bytes_per_cycle);
-        self.ends.push((l.src, l.dst));
+impl LinkClasses {
+    /// Append a link of this latency and bandwidth; returns its id.
+    fn push(&mut self, latency: VDuration, bandwidth: u32) -> LinkId {
+        let id = LinkId(self.class.len() as u32);
+        let class = self.intern(latency, bandwidth);
         self.class.push(class);
         id
     }
 
     /// Number of links.
-    pub(crate) fn len(&self) -> usize {
-        self.ends.len()
+    fn len(&self) -> usize {
+        self.class.len()
     }
 
-    /// Properties of link `id`.
+    /// Latency and bandwidth of link `id`.
     #[inline]
-    pub(crate) fn get(&self, id: LinkId) -> LinkProps {
-        let (src, dst) = self.ends[id.index()];
+    fn timing(&self, id: LinkId) -> LinkTiming {
         let c = self.classes[self.class[id.index()] as usize];
-        LinkProps {
-            src,
-            dst,
+        LinkTiming {
             latency: c.latency,
             bandwidth_bytes_per_cycle: c.bandwidth,
         }
@@ -133,18 +149,13 @@ impl LinkList {
     /// Give link `id` a new latency and bandwidth, re-interning its class.
     /// The class it leaves stays in the table with one link fewer, and
     /// still counts against [`MAX_LINK_CLASSES`].
-    pub(crate) fn set(&mut self, id: LinkId, latency: VDuration, bandwidth: u32) {
+    fn set(&mut self, id: LinkId, latency: VDuration, bandwidth: u32) {
         self.classes[self.class[id.index()] as usize].links -= 1;
         self.class[id.index()] = self.intern(latency, bandwidth);
     }
 
-    /// True iff some pair found the class table full.
-    pub(crate) fn overflowed(&self) -> bool {
-        self.overflowed
-    }
-
     /// The classes some link uses, in first-seen order.
-    pub(crate) fn classes(&self) -> impl Iterator<Item = LinkClass> + '_ {
+    fn classes(&self) -> impl Iterator<Item = LinkClass> + '_ {
         self.classes.iter().copied().filter(|c| c.links > 0)
     }
 
@@ -179,6 +190,37 @@ impl LinkList {
     }
 }
 
+/// Directed links in id order (`LinkId(i)` is the `i`-th push): per link
+/// its ends (8 B) and the index of its `(latency, bandwidth)` class (2 B).
+/// Every builder and the config parser fill one and hand it to
+/// [`Topology::from_links`], which keeps the classes and drops the ends
+/// once the adjacency rows hold them.
+#[derive(Clone, Debug, Default)]
+pub struct LinkList {
+    ends: Vec<(CoreId, CoreId)>,
+    classes: LinkClasses,
+}
+
+impl LinkList {
+    /// Append a directed link; returns its id. A pair beyond
+    /// [`MAX_LINK_CLASSES`] marks the list as overflowed instead of
+    /// panicking, so a parser can report it.
+    pub fn push(&mut self, l: LinkProps) -> LinkId {
+        self.ends.push((l.src, l.dst));
+        self.classes.push(l.latency, l.bandwidth_bytes_per_cycle)
+    }
+
+    /// Give link `id` a new latency and bandwidth, re-interning its class.
+    pub(crate) fn set(&mut self, id: LinkId, latency: VDuration, bandwidth: u32) {
+        self.classes.set(id, latency, bandwidth);
+    }
+
+    /// True iff some pair found the class table full.
+    pub(crate) fn overflowed(&self) -> bool {
+        self.classes.overflowed
+    }
+}
+
 impl FromIterator<LinkProps> for LinkList {
     fn from_iter<I: IntoIterator<Item = LinkProps>>(iter: I) -> Self {
         let mut list = LinkList::default();
@@ -202,17 +244,19 @@ impl FromIterator<LinkProps> for LinkList {
 /// The adjacency is compressed sparse rows: core `c`'s outgoing
 /// `(neighbor, link)` pairs are `adj[offsets[c]..offsets[c + 1]]`, so a
 /// machine of any size owns a few flat arrays and no heap object per core.
-/// Links are stored by class ([`LinkList`]): 18 B per directed link with
-/// the adjacency entry.
+/// A link's ends live only in its adjacency entry (its row is its source),
+/// and its latency and bandwidth in a class table (a 2 B index per link):
+/// 10 B per directed link.
 #[derive(Clone, Debug)]
 pub struct Topology {
     n_cores: u32,
     /// Row starts into `adj`: one per core, then the end (`n_cores + 1`).
     offsets: Vec<u32>,
     /// Every core's outgoing `(neighbor, link)` pairs, row after row, each
-    /// row sorted by neighbor id for determinism.
+    /// row sorted by neighbor id for determinism. An index into it is an
+    /// *adjacency slot*.
     adj: Vec<(CoreId, LinkId)>,
-    links: LinkList,
+    links: LinkClasses,
     /// Optional hierarchical region (chiplet / cluster) id per core; empty
     /// when the topology has no region structure. Regions are advisory
     /// metadata for partitioners and reporting — they never affect routing
@@ -239,19 +283,18 @@ impl Topology {
     /// becomes `LinkId(i)`. Panics on a self-loop, an out-of-range core, a
     /// zero bandwidth, a duplicate link or more than [`MAX_LINK_CLASSES`]
     /// link classes, as [`Topology::add_directed_link`] does. One
-    /// counting-sort pass over the links: O(cores + links).
+    /// counting-sort pass over the links: O(cores + links). The list's ends
+    /// are dropped once the rows hold them.
     pub fn from_links(n_cores: u32, links: LinkList) -> Self {
         assert!(n_cores > 0, "a topology needs at least one core");
-        assert_classes_fit(&links);
+        let LinkList { ends, classes } = links;
+        assert_classes_fit(&classes);
         assert!(
-            links.classes().all(|c| c.bandwidth > 0),
+            classes.classes().all(|c| c.bandwidth > 0),
             "link bandwidth must be non-zero"
         );
-        let (offsets, mut adj) = csr_rows(n_cores, &links.ends, |&(src, dst)| {
-            assert!(src != dst, "self-loop link {src}");
-            assert!(src.0 < n_cores && dst.0 < n_cores, "core out of range");
-            (src, dst)
-        });
+        let (offsets, mut adj) = csr_rows(n_cores, &ends);
+        drop(ends);
         for (c, w) in offsets.windows(2).enumerate() {
             let row = &mut adj[w[0] as usize..w[1] as usize];
             row.sort_unstable_by_key(|&(n, _)| n);
@@ -263,7 +306,7 @@ impl Topology {
             n_cores,
             offsets,
             adj,
-            links,
+            links: classes,
             regions: Vec::new(),
             n_regions: 0,
         }
@@ -312,15 +355,39 @@ impl Topology {
         self.links.len() as u32
     }
 
-    /// Properties of a directed link.
+    /// Latency and bandwidth of a directed link, in O(1).
     #[inline]
-    pub fn link(&self, id: LinkId) -> LinkProps {
-        self.links.get(id)
+    pub fn link(&self, id: LinkId) -> LinkTiming {
+        self.links.timing(id)
     }
 
-    /// All directed links, in id order.
+    /// All directed links, in id order. Each call rebuilds the id-ordered
+    /// ends from the adjacency rows ([`Topology::link_ends`]): O(links)
+    /// time and 8 B per link while the iterator lives.
     pub fn links(&self) -> impl ExactSizeIterator<Item = LinkProps> + '_ {
-        (0..self.n_links()).map(|i| self.links.get(LinkId(i)))
+        self.link_ends()
+            .into_iter()
+            .enumerate()
+            .map(|(i, (src, dst))| LinkProps::new(src, dst, self.link(LinkId(i as u32))))
+    }
+
+    /// Every directed link's `(src, dst)`, indexed by link id: one pass
+    /// over the adjacency rows per call, O(links).
+    pub fn link_ends(&self) -> Vec<(CoreId, CoreId)> {
+        let mut ends = vec![(CoreId(0), CoreId(0)); self.adj.len()];
+        for src in self.cores() {
+            for &(dst, link) in self.neighbors(src) {
+                ends[link.index()] = (src, dst);
+            }
+        }
+        ends
+    }
+
+    /// The `(neighbor, link)` pair at adjacency slot `slot`: the hop a
+    /// route row names.
+    #[inline]
+    pub(crate) fn hop(&self, slot: u32) -> (CoreId, LinkId) {
+        self.adj[slot as usize]
     }
 
     /// The `(latency, bandwidth)` classes some link uses, in first-seen
@@ -378,12 +445,7 @@ impl Topology {
             !self.are_neighbors(src, dst),
             "duplicate link {src} -> {dst}"
         );
-        let id = self.links.push(LinkProps {
-            src,
-            dst,
-            latency,
-            bandwidth_bytes_per_cycle: bandwidth,
-        });
+        let id = self.links.push(latency, bandwidth);
         assert_classes_fit(&self.links);
         let pos = self.offsets[src.index()] as usize
             + self.neighbors(src).partition_point(|&(n, _)| n < dst);
@@ -445,7 +507,7 @@ impl Topology {
     /// has its reverse, as in every builder's topology and every parsed
     /// configuration (the parser refuses an asymmetric matrix).
     pub fn is_connected(&self) -> bool {
-        self.reaches_all(|c| self.neighbors(c), |_| false)
+        self.reaches_all(|c| self.neighbors(c).iter().copied(), |_| false)
     }
 
     /// True iff every core reaches every other one over the links `dead`
@@ -454,15 +516,23 @@ impl Topology {
     /// false partitions the machine.
     pub fn is_strongly_connected(&self, dead: impl Fn(LinkId) -> bool) -> bool {
         let incoming = Incoming::of(self);
-        self.reaches_all(|c| self.neighbors(c), &dead)
-            && self.reaches_all(|c| incoming.to(c), &dead)
+        self.reaches_all(|c| self.neighbors(c).iter().copied(), &dead)
+            && self.reaches_all(
+                |c| {
+                    incoming
+                        .to(c)
+                        .iter()
+                        .map(|&(p, slot)| (p, self.hop(slot).1))
+                },
+                &dead,
+            )
     }
 
     /// True iff a sweep from core 0 over the `(core, link)` pairs `step`
     /// yields, skipping `dead` links, sees every core.
-    fn reaches_all<'a>(
+    fn reaches_all<I: Iterator<Item = (CoreId, LinkId)>>(
         &self,
-        step: impl Fn(CoreId) -> &'a [(CoreId, LinkId)],
+        step: impl Fn(CoreId) -> I,
         dead: impl Fn(LinkId) -> bool,
     ) -> bool {
         let mut seen = vec![false; self.n_cores as usize];
@@ -470,7 +540,7 @@ impl Topology {
         seen[0] = true;
         let mut count = 1u32;
         while let Some(c) = stack.pop() {
-            for &(n, l) in step(c) {
+            for (n, l) in step(c) {
                 if !seen[n.index()] && !dead(l) {
                     seen[n.index()] = true;
                     count += 1;
@@ -518,62 +588,84 @@ impl Topology {
 }
 
 /// Panics when `links` needed more than [`MAX_LINK_CLASSES`] classes.
-fn assert_classes_fit(links: &LinkList) {
+fn assert_classes_fit(links: &LinkClasses) {
     assert!(
-        !links.overflowed(),
+        !links.overflowed,
         "more than {MAX_LINK_CLASSES} link classes"
     );
 }
 
-/// Group links, given by their `(src, dst)` ends, into compressed sparse
-/// rows by `key(ends) = (row core, entry core)`: row starts (one per core,
-/// then the end) and every row's `(entry core, link)` pairs in link-id
-/// order. One counting-sort pass, O(cores + links); `key` runs twice per
-/// link.
-fn csr_rows(
-    n_cores: u32,
-    links: &[(CoreId, CoreId)],
-    key: impl Fn(&(CoreId, CoreId)) -> (CoreId, CoreId),
-) -> (Vec<u32>, Vec<(CoreId, LinkId)>) {
+/// Group links, given by their `(src, dst)` ends in id order, into
+/// compressed sparse rows by source: row starts (one per core, then the
+/// end) and every row's `(dst, link)` pairs in link-id order. One
+/// counting-sort pass, O(cores + links). Panics on a self-loop or an
+/// out-of-range core.
+fn csr_rows(n_cores: u32, ends: &[(CoreId, CoreId)]) -> (Vec<u32>, Vec<(CoreId, LinkId)>) {
     let mut offsets = vec![0u32; n_cores as usize + 1];
-    for l in links {
-        offsets[key(l).0.index() + 1] += 1;
+    for &(src, dst) in ends {
+        assert!(src != dst, "self-loop link {src}");
+        assert!(src.0 < n_cores && dst.0 < n_cores, "core out of range");
+        offsets[src.index() + 1] += 1;
     }
-    // Turn the counts into row starts shifted up by one slot, so that
     // `offsets[c + 1]` is core `c`'s fill cursor; filling advances each
     // cursor to its row's end, which is the next row's start.
-    let mut start = 0;
-    for o in &mut offsets[1..] {
-        start += std::mem::replace(o, start);
-    }
-    let mut pairs = vec![(CoreId(0), LinkId(0)); links.len()];
-    for (i, l) in links.iter().enumerate() {
-        let (row, entry) = key(l);
-        let cursor = &mut offsets[row.index() + 1];
-        pairs[*cursor as usize] = (entry, LinkId(i as u32));
+    shift_counts(&mut offsets);
+    let mut pairs = vec![(CoreId(0), LinkId(0)); ends.len()];
+    for (i, &(src, dst)) in ends.iter().enumerate() {
+        let cursor = &mut offsets[src.index() + 1];
+        pairs[*cursor as usize] = (dst, LinkId(i as u32));
         *cursor += 1;
     }
     (offsets, pairs)
 }
 
+/// Turn per-row counts at `offsets[c + 1]` into row starts shifted up by
+/// one slot: `offsets[c + 1]` becomes the start of row `c`.
+fn shift_counts(offsets: &mut [u32]) {
+    let mut start = 0;
+    for o in &mut offsets[1..] {
+        start += std::mem::replace(o, start);
+    }
+}
+
 /// The reverse adjacency of a topology, in compressed sparse rows like
-/// [`Topology`]'s own: core `c`'s incoming `(predecessor, link)` pairs, in
-/// link-id order. Routing sweeps walk it from a destination outward.
+/// [`Topology`]'s own: core `c`'s incoming links as `(predecessor, slot)`
+/// pairs, where `slot` is the link's adjacency slot in the predecessor's
+/// row, each row in link-id order. Routing sweeps walk it from a
+/// destination outward.
 #[derive(Debug, Default)]
 pub(crate) struct Incoming {
     offsets: Vec<u32>,
-    pairs: Vec<(CoreId, LinkId)>,
+    pairs: Vec<(CoreId, u32)>,
 }
 
 impl Incoming {
+    /// The reverse of `topo`'s rows: one counting-sort pass over the
+    /// adjacency, then each (short) row sorted by link id.
     pub(crate) fn of(topo: &Topology) -> Self {
-        let (offsets, pairs) = csr_rows(topo.n_cores, &topo.links.ends, |&(src, dst)| (dst, src));
+        let mut offsets = vec![0u32; topo.n_cores as usize + 1];
+        for &(dst, _) in &topo.adj {
+            offsets[dst.index() + 1] += 1;
+        }
+        shift_counts(&mut offsets);
+        let mut pairs = vec![(CoreId(0), 0); topo.adj.len()];
+        for src in topo.cores() {
+            let row = topo.offsets[src.index()]..topo.offsets[src.index() + 1];
+            for slot in row {
+                let cursor = &mut offsets[topo.adj[slot as usize].0.index() + 1];
+                pairs[*cursor as usize] = (src, slot);
+                *cursor += 1;
+            }
+        }
+        for w in offsets.windows(2) {
+            pairs[w[0] as usize..w[1] as usize].sort_unstable_by_key(|&(_, slot)| topo.hop(slot).1);
+        }
         Incoming { offsets, pairs }
     }
 
-    /// Incoming `(predecessor, link)` pairs of `core`.
+    /// Incoming `(predecessor, slot)` pairs of `core`.
     #[inline]
-    pub(crate) fn to(&self, core: CoreId) -> &[(CoreId, LinkId)] {
+    pub(crate) fn to(&self, core: CoreId) -> &[(CoreId, u32)] {
         let i = core.index();
         &self.pairs[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
@@ -609,8 +701,7 @@ mod tests {
         let ab = t.link_between(CoreId(0), CoreId(1)).unwrap();
         let ba = t.link_between(CoreId(1), CoreId(0)).unwrap();
         assert_ne!(ab, ba);
-        assert_eq!(t.link(ab).src, CoreId(0));
-        assert_eq!(t.link(ab).dst, CoreId(1));
+        assert_eq!(t.link_ends()[ab.index()], (CoreId(0), CoreId(1)));
     }
 
     #[test]

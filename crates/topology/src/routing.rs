@@ -32,7 +32,8 @@ const BASE: u32 = 0;
 /// Minimal-latency routes of one topology, built on first use.
 ///
 /// For each destination a *next-hop row* holds one `u32` per source: the
-/// link to take from that source toward the destination, or
+/// adjacency slot of the hop to take from that source toward the
+/// destination (the slot names both the next core and the link), or
 /// [`Routes::NO_LINK`]. Rows are keyed by (epoch, destination): the base
 /// rows route over every link, a fault epoch's rows avoid its dead links.
 /// A row is computed by one sweep over the reverse links the first time it
@@ -132,11 +133,12 @@ impl Routes {
     ) -> impl Iterator<Item = (LinkId, LinkProps)> + 'a {
         let mut cur = src;
         std::iter::from_fn(move || {
-            let l = row[cur.index()];
-            (l != Self::NO_LINK).then(|| {
-                let props = topo.link(LinkId(l));
-                cur = props.dst;
-                (LinkId(l), props)
+            let slot = row[cur.index()];
+            (slot != Self::NO_LINK).then(|| {
+                let (next, link) = topo.hop(slot);
+                let props = LinkProps::new(cur, next, topo.link(link));
+                cur = next;
+                (link, props)
             })
         })
     }
@@ -201,7 +203,7 @@ impl Routes {
         self.head[dst.index()] = s as u32;
         let row = &mut self.rows[s * n..(s + 1) * n];
         if self.uniform {
-            bfs_to(&self.incoming, dst, dead, row);
+            bfs_to(topo, &self.incoming, dst, dead, row);
         } else {
             dijkstra_to(topo, &self.incoming, dst, dead, row);
         }
@@ -230,7 +232,13 @@ impl Routes {
 /// at `h + 1` hops; among its links into level `h` — all seen before level
 /// `h + 1` is expanded — the lowest id wins, which is exactly Dijkstra's
 /// (distance, hops, link id) order.
-fn bfs_to(incoming: &Incoming, dst: CoreId, dead: impl Fn(LinkId) -> bool, next: &mut [u32]) {
+fn bfs_to(
+    topo: &Topology,
+    incoming: &Incoming,
+    dst: CoreId,
+    dead: impl Fn(LinkId) -> bool,
+    next: &mut [u32],
+) {
     next.fill(Routes::NO_LINK);
     let mut hops = vec![u32::MAX; next.len()];
     hops[dst.index()] = 0;
@@ -240,17 +248,18 @@ fn bfs_to(incoming: &Incoming, dst: CoreId, dead: impl Fn(LinkId) -> bool, next:
     while let Some(&c) = queue.get(head) {
         head += 1;
         let nh = hops[c.index()] + 1;
-        for &(pred, link) in incoming.to(c) {
+        for &(pred, slot) in incoming.to(c) {
+            let link = topo.hop(slot).1;
             if dead(link) {
                 continue;
             }
             let p = pred.index();
             if hops[p] == u32::MAX {
                 hops[p] = nh;
-                next[p] = link.0;
+                next[p] = slot;
                 queue.push(pred);
-            } else if hops[p] == nh && link.0 < next[p] {
-                next[p] = link.0;
+            } else if hops[p] == nh && link < topo.hop(next[p]).1 {
+                next[p] = slot;
             }
         }
     }
@@ -280,7 +289,8 @@ fn dijkstra_to(
         if d > dist[c.index()] || (d == dist[c.index()] && h > hops[c.index()]) {
             continue;
         }
-        for &(pred, link) in incoming.to(c) {
+        for &(pred, slot) in incoming.to(c) {
+            let link = topo.hop(slot).1;
             if dead(link) {
                 continue;
             }
@@ -289,11 +299,11 @@ fn dijkstra_to(
             let nh = h + 1;
             let better = nd < dist[p]
                 || (nd == dist[p] && nh < hops[p])
-                || (nd == dist[p] && nh == hops[p] && link.0 < next[p]);
+                || (nd == dist[p] && nh == hops[p] && link < topo.hop(next[p]).1);
             if better {
                 dist[p] = nd;
                 hops[p] = nh;
-                next[p] = link.0;
+                next[p] = slot;
                 heap.push(std::cmp::Reverse((nd, nh, pred.0)));
             }
         }
@@ -344,12 +354,16 @@ mod tests {
             let incoming = Incoming::of(&topo);
             let n = topo.n_cores() as usize;
             // No dead links; every third link dead; a cut isolating core 0.
-            let cut = |l: LinkId| topo.link(l).src.0 == 0 || topo.link(l).dst.0 == 0;
+            let ends = topo.link_ends();
+            let cut = |l: LinkId| {
+                let (src, dst) = ends[l.index()];
+                src.0 == 0 || dst.0 == 0
+            };
             let masks: [&dyn Fn(LinkId) -> bool; 3] = [&|_| false, &|l| l.0 % 3 == 0, &cut];
             for dead in masks {
                 for dst in topo.cores() {
                     let (mut bfs, mut dijkstra) = (vec![0; n], vec![0; n]);
-                    bfs_to(&incoming, dst, dead, &mut bfs);
+                    bfs_to(&topo, &incoming, dst, dead, &mut bfs);
                     dijkstra_to(&topo, &incoming, dst, dead, &mut dijkstra);
                     assert_eq!(bfs, dijkstra, "{} cores, to {dst}", topo.n_cores());
                 }
@@ -374,6 +388,7 @@ mod tests {
     #[test]
     fn route_materialization_is_valid() {
         let topo = mesh_2d(64);
+        let ends = topo.link_ends();
         let mut routes = Routes::for_topology(&topo);
         for (s, d) in [(0u32, 63u32), (7, 56), (12, 12), (1, 62)] {
             let (links, latency) = route(&mut routes, &topo, CoreId(s), CoreId(d));
@@ -384,10 +399,10 @@ mod tests {
             let mut cur = CoreId(s);
             let mut total = VDuration::ZERO;
             for link in links {
-                let props = topo.link(link);
-                assert_eq!(props.src, cur, "route must chain");
-                cur = props.dst;
-                total += props.latency;
+                let (src, dst) = ends[link.index()];
+                assert_eq!(src, cur, "route must chain");
+                cur = dst;
+                total += topo.link(link).latency;
             }
             assert_eq!(cur, CoreId(d), "route must reach destination");
             assert_eq!(total, latency);
