@@ -299,6 +299,7 @@ fn write_json(
         ("net_delayed", Json::U64(s.net.delayed)),
         ("net_rerouted", Json::U64(s.net.rerouted)),
         ("net_unreachable", Json::U64(s.net.unreachable)),
+        ("net_row_builds", Json::U64(s.net.row_builds)),
         ("sanitizer_checks", Json::U64(s.sanitizer_checks)),
         ("sanitizer_violations", Json::U64(s.sanitizer_violations)),
         ("checkpoints_written", Json::U64(s.checkpoints_written)),

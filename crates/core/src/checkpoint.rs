@@ -283,9 +283,9 @@ pub(crate) fn state_digest(sim: &Sim, shared: &Shared) -> u64 {
         // never enter the digest — only lengths, times and ids — so pooled
         // storage and slot reuse are invisible here.
         let c = simany_topology::CoreId(i as u32);
-        d.u64(sim.cores.vtime[i].ticks());
+        d.u64(sim.cores.vtime(i).ticks());
         d.u64(crate::sync::exposed(sim, shared, i).ticks());
-        d.u64(sim.cores.busy[i].ticks());
+        d.u64(sim.cores.busy(i).ticks());
         d.u64(u64::from(sim.cores.lock_depth[i]));
         d.u64(u64::from(sim.cores.queue_hint[i]));
         d.u64(u64::from(resident));

@@ -63,7 +63,7 @@ impl ExecCtx {
 
     /// Current virtual time of this core.
     pub fn now(&self) -> VirtualTime {
-        self.shared.sim.borrow().cores.vtime[self.core.index()]
+        self.shared.sim.borrow().cores.vtime(self.core.index())
     }
 
     /// Number of simulated cores.
@@ -141,7 +141,7 @@ impl ExecCtx {
     fn advance_by(&self, mut sim: RefMut<'_, Sim>, d: VDuration) {
         let i = self.core.index();
         sim.cores.advance(i, d);
-        let vtime = sim.cores.vtime[i];
+        let vtime = sim.cores.vtime(i);
         let fast = sim.cores.lock_depth[i] == 0
             && sim.cores.within_headroom(i, vtime)
             && sim
@@ -176,7 +176,7 @@ impl ExecCtx {
         payload: Payload,
     ) -> Result<VirtualTime, Payload> {
         let mut sim = self.shared.sim.borrow_mut();
-        let sent = sim.cores.vtime[self.core.index()];
+        let sent = sim.cores.vtime(self.core.index());
         Ops::new(&mut sim, &self.shared).send(self.core, dst, size_bytes, sent, payload)
     }
 
@@ -225,7 +225,7 @@ impl ExecCtx {
             sim.act_mut(self.aid).charge_resume = charge_resume;
             sim.act_mut(self.aid).state = ActivityState::Blocked(reason);
             crate::engine::trace(&self.shared, || crate::trace::TraceEvent::Block {
-                t: sim.cores.vtime[core.index()],
+                t: sim.cores.vtime(core.index()),
                 core,
                 reason,
             });
@@ -276,7 +276,7 @@ impl ExecCtx {
             if sync::sync_ok(&mut sim, &self.shared, self.core) {
                 if stalled {
                     crate::engine::trace(&self.shared, || crate::trace::TraceEvent::Resume {
-                        t: sim.cores.vtime[self.core.index()],
+                        t: sim.cores.vtime(self.core.index()),
                         core: self.core,
                     });
                 }
@@ -285,7 +285,7 @@ impl ExecCtx {
             sim.stats.stall_events += 1;
             if !stalled {
                 crate::engine::trace(&self.shared, || crate::trace::TraceEvent::Stall {
-                    t: sim.cores.vtime[self.core.index()],
+                    t: sim.cores.vtime(self.core.index()),
                     core: self.core,
                 });
                 stalled = true;

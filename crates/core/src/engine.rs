@@ -327,7 +327,7 @@ pub(crate) fn is_ready(sim: &Sim, c: CoreId) -> bool {
 /// published time would starve blocked cores (whose shadow time is high by
 /// construction) of their pending replies behind running neighbors.
 fn ready_priority(sim: &Sim, c: CoreId) -> VirtualTime {
-    let vtime = sim.cores.vtime[c.index()];
+    let vtime = sim.cores.vtime(c.index());
     match sim.cores.inboxes.earliest_arrival(c) {
         Some(a) => a.min(vtime),
         None => vtime,
@@ -363,7 +363,7 @@ pub(crate) fn deliver(sim: &mut Sim, shared: &Shared, env: Envelope) {
     if sim.cores.in_ready[dst.index()] {
         // Possible priority raise: re-push with the (possibly earlier)
         // next-event time.
-        if arrival < sim.cores.vtime[dst.index()] {
+        if arrival < sim.cores.vtime(dst.index()) {
             let t = ready_priority(sim, dst);
             sim.ready.push(dst, t);
         }
@@ -437,7 +437,7 @@ pub(crate) fn start_activity_impl(
     sync::note_floor_key(sim, core.index());
     sim.stats.activities_started += 1;
     trace(shared, || TraceEvent::ActivityStart {
-        t: sim.cores.vtime[core.index()],
+        t: sim.cores.vtime(core.index()),
         core,
         aid: aid.0,
         name,
@@ -495,7 +495,7 @@ pub(crate) fn finish_activity(sim: &mut Sim, shared: &Shared, pool: &mut Pool, a
     sync::note_floor_key(sim, c.index());
     let meta = act.meta.take().expect("activity meta missing at end");
     trace(shared, || TraceEvent::ActivityEnd {
-        t: sim.cores.vtime[c.index()],
+        t: sim.cores.vtime(c.index()),
         core: c,
         aid: aid.0,
         name: act.name,
@@ -546,7 +546,7 @@ fn note_processing(
 /// remain.
 pub(crate) fn drain_due_messages(sim: &mut Sim, shared: &Shared, c: CoreId) {
     loop {
-        let now = sim.cores.vtime[c.index()];
+        let now = sim.cores.vtime(c.index());
         let Some(env) = sim.cores.inboxes.pop_arrived(c, now) else {
             return;
         };
@@ -566,7 +566,7 @@ pub(crate) fn drain_due_messages(sim: &mut Sim, shared: &Shared, c: CoreId) {
 /// does not leak into the requester's timeline).
 pub(crate) fn process_message(sim: &mut Sim, shared: &Shared, c: CoreId) {
     let env = sim.cores.inboxes.pop(c).expect("no message");
-    note_processing(sim, shared, c, env.arrival, sim.cores.vtime[c.index()]);
+    note_processing(sim, shared, c, env.arrival, sim.cores.vtime(c.index()));
     sim.cores.advance_to(c.index(), env.arrival);
     sync::publish(sim, shared, c);
     let mut ops = Ops::new(sim, shared);
@@ -584,7 +584,7 @@ pub(crate) enum Action {
 
 pub(crate) fn decide(sim: &Sim, c: CoreId) -> Action {
     let i = c.index();
-    let vtime = sim.cores.vtime[i];
+    let vtime = sim.cores.vtime(i);
     let cur_grantable = sim.cores.current(i).map(|a| sim.act(a).grantable());
     if let Some(arr) = sim.cores.inboxes.earliest_arrival(c) {
         // Prefer the message unless something runnable on this core is
@@ -873,12 +873,12 @@ pub fn simulate(
     let mut busy = crate::stats::BusySummary::default();
     let mut final_vtime = VirtualTime::ZERO;
     for i in 0..sim.cores.len() {
-        final_vtime = final_vtime.max(sim.cores.vtime[i]);
-        busy.record(CoreId(i as u32), sim.cores.busy[i]);
+        final_vtime = final_vtime.max(sim.cores.vtime(i));
+        busy.record(CoreId(i as u32), sim.cores.busy(i));
     }
     stats.final_vtime = final_vtime;
     stats.busy = busy;
-    stats.net = sim.net.stats().clone();
+    stats.net = sim.net.stats();
     stats.msgs_dropped = stats.net.dropped + stats.net.corrupted + stats.net.unreachable;
     stats.hot_links = sim
         .net
@@ -1166,7 +1166,7 @@ fn grant<'s>(
         Outcome::Suspended => {}
         Outcome::Returned => finish_activity(&mut sim, shared, pool, aid),
         Outcome::Panicked(payload) => {
-            let at = sim.cores.vtime[core.index()];
+            let at = sim.cores.vtime(core.index());
             sim.failure.get_or_insert(SimError::TaskPanic {
                 core,
                 at,

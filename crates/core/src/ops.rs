@@ -32,7 +32,7 @@ impl<'a> Ops<'a> {
 
     /// Virtual clock of `core`.
     pub fn now(&self, core: CoreId) -> VirtualTime {
-        self.sim.cores.vtime[core.index()]
+        self.sim.cores.vtime(core.index())
     }
 
     /// Topological neighbors of `core`.

@@ -310,15 +310,17 @@ mod tests {
     }
 
     /// Reference for the model test: the key multiset (times in ticks) in a
-    /// `BTreeMap`.
+    /// `BTreeMap`, and its size with duplicates counted.
     struct Model {
         keys: std::collections::BTreeMap<(u64, u32), usize>,
+        len: usize,
     }
 
     impl Model {
         fn push(&mut self, q: &mut ReadyQueue, c: u32, at: u64) {
             q.push(CoreId(c), VirtualTime(at));
             *self.keys.entry((at, c)).or_default() += 1;
+            self.len += 1;
         }
 
         fn pop(&mut self) -> Option<CoreId> {
@@ -328,7 +330,15 @@ mod tests {
             if *n == 0 {
                 self.keys.remove(&key);
             }
+            self.len -= 1;
             Some(CoreId(key.1))
+        }
+
+        /// The first queued key at or after `(at, c)`, wrapping to the
+        /// first key: O(log n), where `keys().nth(..)` walks.
+        fn key_from(&self, at: u64, c: u32) -> Option<(u64, u32)> {
+            let mut after = self.keys.range((at, c)..).map(|(&k, _)| k);
+            after.next().or_else(|| self.keys.keys().next().copied())
         }
     }
 
@@ -343,6 +353,7 @@ mod tests {
         let mut q = ReadyQueue::new();
         let mut m = Model {
             keys: Default::default(),
+            len: 0,
         };
         let mut clock = base;
         for _ in 0..20_000 {
@@ -371,9 +382,10 @@ mod tests {
                 }
                 // A queued core again: at the same key (duplicate) or at
                 // a raised priority.
-                2 if !m.keys.is_empty() => {
-                    let nth = rng.next_index(m.keys.len());
-                    let &(at, c) = m.keys.keys().nth(nth).expect("in range");
+                2 if m.len > 0 => {
+                    let at = base + rng.next_index((clock - base) as usize + 1) as u64;
+                    let c = rng.next_index(cores) as u32;
+                    let (at, c) = m.key_from(at, c).expect("queued");
                     let raise = if rng.next_index(2) == 0 {
                         0
                     } else {
@@ -383,7 +395,7 @@ mod tests {
                 }
                 _ => assert_eq!(q.pop(), m.pop()),
             }
-            assert_eq!(q.len(), m.keys.values().sum::<usize>());
+            assert_eq!(q.len(), m.len);
         }
         while q.len() > 0 {
             assert_eq!(q.pop(), m.pop());

@@ -133,7 +133,7 @@ pub(crate) fn verify_spatial_floor(sim: &mut Sim, shared: &Shared, c: CoreId, ca
     sim.stats.sanitizer_checks += 1;
     let fresh = fresh_local_floor(sim, shared, c);
     if fresh != cached {
-        let t = sim.cores.vtime[c.index()];
+        let t = sim.cores.vtime(c.index());
         let detail = format!("cached local floor {cached}, fresh recomputation {fresh}");
         report(
             sim,
@@ -154,7 +154,7 @@ pub(crate) fn verify_spatial_floor(sim: &mut Sim, shared: &Shared, c: CoreId, ca
 pub(crate) fn verify_flush(sim: &mut Sim, shared: &Shared, c: CoreId) {
     sim.stats.sanitizer_checks += 1;
     if let Some(limit) = sim.cores.headroom(c.index()) {
-        let t = sim.cores.vtime[c.index()];
+        let t = sim.cores.vtime(c.index());
         if t > limit {
             let detail = format!("deferred clock {t} exceeds cached headroom limit {limit}");
             report(
@@ -177,7 +177,7 @@ pub(crate) fn verify_flush(sim: &mut Sim, shared: &Shared, c: CoreId) {
 /// spawner cannot bound its drift and indicates a runtime bug.
 pub(crate) fn verify_birth(sim: &mut Sim, shared: &Shared, c: CoreId, birth: VirtualTime) {
     sim.stats.sanitizer_checks += 1;
-    let now = sim.cores.vtime[c.index()];
+    let now = sim.cores.vtime(c.index());
     if birth > now {
         let detail = format!("birth stamped {birth} ahead of spawner clock {now}");
         report(
@@ -213,7 +213,7 @@ pub(crate) fn note_clock(sim: &mut Sim, shared: &Shared, c: CoreId) {
     if floor == VirtualTime::MAX {
         return;
     }
-    let drift = sim.cores.vtime[c.index()].saturating_since(floor);
+    let drift = sim.cores.vtime(c.index()).saturating_since(floor);
     let over = VDuration::from_half_cycles(drift.ticks().saturating_sub(slack.ticks()));
     let s = sim.sanitizer.as_mut().expect("sanitizer installed");
     if over > s.max_overshoot {
@@ -334,7 +334,7 @@ pub(crate) fn scan(sim: &mut Sim, shared: &Shared) {
     }
     if let Some(c) = sim.cores.publish_pending {
         let ev = TraceEvent::SanitizerViolation {
-            t: sim.cores.vtime[c.index()],
+            t: sim.cores.vtime(c.index()),
             core: c,
             peer: None,
             invariant: "deferred-publish",
@@ -346,7 +346,7 @@ pub(crate) fn scan(sim: &mut Sim, shared: &Shared) {
         let c = CoreId(i as u32);
         sim.stats.sanitizer_checks += 1;
         let (vtime, published, idle) = (
-            sim.cores.vtime[i],
+            sim.cores.vtime(i),
             crate::sync::exposed(sim, shared, i),
             sim.cores.is_idle(i),
         );
@@ -406,7 +406,7 @@ pub(crate) fn scan(sim: &mut Sim, shared: &Shared) {
         if let Some(t) = spatial_t {
             let (nb_valid, nb_cached, headroom) = (
                 sim.cores.floor_nb_valid[i],
-                crate::sync::exposed_word(sim, shared, sim.cores.floor_nb[i]),
+                crate::sync::exposed_word(sim, shared, sim.cores.floor_nb(i)),
                 sim.cores.headroom(i),
             );
             if nb_valid && nb_cached != fresh_nb {
@@ -466,7 +466,7 @@ pub(crate) fn scan(sim: &mut Sim, shared: &Shared) {
     let floor = crate::sync::global_floor_naive(sim);
     let cur_max = (0..sim.cores.len())
         .filter(|&i| !sim.cores.is_idle(i))
-        .map(|i| sim.cores.vtime[i])
+        .map(|i| sim.cores.vtime(i))
         .max();
     let (Some(cur_max), false) = (cur_max, floor == VirtualTime::MAX) else {
         return;

@@ -39,6 +39,11 @@
 //!   `vec!` of such a word is one zeroed allocation, so a core that never
 //!   stalls, spawns or runs costs no resident page for them. Speeds have
 //!   no array at all on a machine of base-speed cores.
+//! * Per-core times that start at zero (the clock, the busy time, the
+//!   published word and the cached neighbor floor) are raw tick words
+//!   behind accessors for the same reason: `vec!` of a newtype writes
+//!   every element, so a `Vec<VirtualTime>` would cost a million-core
+//!   build 8 MB of page faults per array before the first pick.
 //! * Branch predictors are materialized lazily on first use. A core's
 //!   predictor is a pure function of `(seed, core index, cost model)` —
 //!   its RNG is `Xoshiro256StarStar::stream(seed, 0x1000_0000 + i)` — so
@@ -206,11 +211,10 @@ impl<T: Default> ListPool<T> {
 
 /// All engine state for every simulated core, struct-of-arrays.
 ///
-/// Each public vector has one element per core, indexed by
-/// `CoreId::index()`. Hot synchronization fields come first (dense,
-/// contiguous, read across neighbor ids in the floor computations); cold
-/// per-core fields follow; variable-size state lives in pooled arenas
-/// behind accessor methods.
+/// Each vector has one element per core, indexed by `CoreId::index()`.
+/// Hot synchronization fields come first (dense, contiguous, read across
+/// neighbor ids in the floor computations); cold per-core fields follow;
+/// variable-size state lives in pooled arenas behind accessor methods.
 pub struct Cores {
     // --- hot synchronization fields -----------------------------------
     /// The value each core exposes to its neighbors: its clock while
@@ -225,12 +229,13 @@ pub struct Cores {
     /// (bit 62 set — above any reachable tick count, so it sorts after
     /// every concrete word — with the value of its lowest concrete
     /// neighbor as payload) that resolves against the current front, so a
-    /// rise of the front rewrites nothing here.
-    pub published: Vec<VirtualTime>,
+    /// rise of the front rewrites nothing here. Read and written through
+    /// [`Cores::published`] and [`Cores::set_published`].
+    published: Vec<u64>,
     /// Cached minimum over each core's neighbors' published words, capped
     /// ones folded to `sync::CAPPED` (the neighbor part of the spatial
-    /// floor; births are always re-read).
-    pub floor_nb: Vec<VirtualTime>,
+    /// floor; births are always re-read), through [`Cores::floor_nb`].
+    floor_nb: Vec<u64>,
     /// False when `floor_nb` must be recomputed (a neighbor that may have
     /// been the minimum rose).
     pub floor_nb_valid: Vec<bool>,
@@ -259,11 +264,13 @@ pub struct Cores {
     /// word; no clock reaches either.
     headroom: Vec<u64>,
     // --- cold per-core fields -----------------------------------------
-    /// Each core's private virtual clock. Meaningful only while the core
-    /// is working; retains its last value when the core goes idle.
-    pub vtime: Vec<VirtualTime>,
-    /// Accumulated busy virtual time (for utilization statistics).
-    pub busy: Vec<VDuration>,
+    /// Each core's private virtual clock in ticks ([`Cores::vtime`]).
+    /// Meaningful only while the core is working; retains its last value
+    /// when the core goes idle.
+    vtime: Vec<u64>,
+    /// Accumulated busy virtual time in ticks, for utilization statistics
+    /// ([`Cores::busy`]).
+    busy: Vec<u64>,
     /// Speed factor per core (polymorphic architectures); empty when
     /// every core runs at [`CoreSpeed::BASE`]. Read through
     /// [`Cores::speed`].
@@ -327,14 +334,14 @@ impl Cores {
             "speeds given for a different core count"
         );
         Cores {
-            published: vec![VirtualTime::ZERO; n],
-            floor_nb: vec![VirtualTime::ZERO; n],
+            published: vec![0; n],
+            floor_nb: vec![0; n],
             floor_nb_valid: vec![false; n],
             publish_pending: None,
             in_ready: vec![false; n],
             headroom: vec![0; n],
-            vtime: vec![VirtualTime::ZERO; n],
-            busy: vec![VDuration::ZERO; n],
+            vtime: vec![0; n],
+            busy: vec![0; n],
             speeds,
             current: vec![None; n],
             queue_hint: vec![0; n],
@@ -371,7 +378,46 @@ impl Cores {
     /// cannot advance (cf. paper §II.A, idle cores "do not have a virtual
     /// time of their own").
     pub fn is_idle(&self, i: usize) -> bool {
-        self.current[i].is_none() && self.resumable.is_empty(i) && self.queue_hint[i] == 0
+        // The hint first: a core with queued work is answered without
+        // reading (and faulting in) its `current` and resumable words.
+        self.queue_hint[i] == 0 && self.current[i].is_none() && self.resumable.is_empty(i)
+    }
+
+    /// Core `i`'s virtual clock.
+    #[inline]
+    pub fn vtime(&self, i: usize) -> VirtualTime {
+        VirtualTime(self.vtime[i])
+    }
+
+    /// Core `i`'s accumulated busy time.
+    #[inline]
+    pub fn busy(&self, i: usize) -> VDuration {
+        VDuration(self.busy[i])
+    }
+
+    /// The raw word core `i` exposes to its neighbors (resolve it through
+    /// `sync::exposed`).
+    #[inline]
+    pub fn published(&self, i: usize) -> VirtualTime {
+        VirtualTime(self.published[i])
+    }
+
+    /// Store the word core `i` exposes to its neighbors.
+    #[inline]
+    pub fn set_published(&mut self, i: usize, w: VirtualTime) {
+        self.published[i] = w.0;
+    }
+
+    /// Core `i`'s cached neighbor floor.
+    #[inline]
+    pub fn floor_nb(&self, i: usize) -> VirtualTime {
+        VirtualTime(self.floor_nb[i])
+    }
+
+    /// Cache `t` as core `i`'s neighbor floor.
+    #[inline]
+    pub fn set_floor_nb(&mut self, i: usize, t: VirtualTime) {
+        self.floor_nb[i] = t.0;
     }
 
     /// Speed factor of core `i`.
@@ -428,15 +474,15 @@ impl Cores {
 
     /// Advance core `i`'s clock by `d`, accounting busy time.
     pub fn advance(&mut self, i: usize, d: VDuration) {
-        self.vtime[i] += d;
-        self.busy[i] += d;
+        self.vtime[i] = (self.vtime(i) + d).0;
+        self.busy[i] = (self.busy(i) + d).0;
     }
 
     /// Jump core `i`'s clock forward to `t` if it is later (e.g. to a
     /// message arrival time); the jumped-over span is waiting, not busy
     /// time.
     pub fn advance_to(&mut self, i: usize, t: VirtualTime) {
-        self.vtime[i] = self.vtime[i].max(t);
+        self.vtime[i] = self.vtime[i].max(t.0);
     }
 
     /// Core `i`'s branch predictor, materialized on first use.
@@ -503,7 +549,7 @@ impl Cores {
         let c = CoreId(i as u32);
         let mut s = format!(
             "vtime={} published={} inbox={} queued={} lock_depth={}",
-            self.vtime[i],
+            self.vtime(i),
             exposed,
             self.inboxes.len(c),
             self.queue_hint[i],
@@ -552,15 +598,15 @@ mod tests {
     fn advance_tracks_busy_time() {
         let mut cs = cores(1);
         cs.advance(0, VDuration::from_cycles(10));
-        assert_eq!(cs.vtime[0], VirtualTime::from_cycles(10));
-        assert_eq!(cs.busy[0], VDuration::from_cycles(10));
+        assert_eq!(cs.vtime(0), VirtualTime::from_cycles(10));
+        assert_eq!(cs.busy(0), VDuration::from_cycles(10));
         // advance_to does not add busy time.
         cs.advance_to(0, VirtualTime::from_cycles(50));
-        assert_eq!(cs.vtime[0], VirtualTime::from_cycles(50));
-        assert_eq!(cs.busy[0], VDuration::from_cycles(10));
+        assert_eq!(cs.vtime(0), VirtualTime::from_cycles(50));
+        assert_eq!(cs.busy(0), VDuration::from_cycles(10));
         // advance_to never rewinds.
         cs.advance_to(0, VirtualTime::from_cycles(20));
-        assert_eq!(cs.vtime[0], VirtualTime::from_cycles(50));
+        assert_eq!(cs.vtime(0), VirtualTime::from_cycles(50));
     }
 
     #[test]
@@ -602,6 +648,21 @@ mod tests {
         assert_eq!(cs.waiting_on(1), Some(CoreId(0)));
         assert_eq!(cs.waiting_on(0), None);
         assert_eq!(cs.speed(1), CoreSpeed::BASE);
+
+        assert_eq!(
+            (cs.published(0), cs.floor_nb(0)),
+            (VirtualTime::ZERO, VirtualTime::ZERO)
+        );
+        cs.set_published(1, VirtualTime::MAX);
+        cs.set_floor_nb(1, VirtualTime(7));
+        assert_eq!(
+            (cs.published(1), cs.floor_nb(1)),
+            (VirtualTime::MAX, VirtualTime(7))
+        );
+        assert_eq!(
+            (cs.vtime(1), cs.busy(1)),
+            (VirtualTime::ZERO, VDuration::ZERO)
+        );
 
         assert_eq!(cs.birth_floor(0), VirtualTime::MAX);
         cs.birth_push(0, BirthId(1), VirtualTime::ZERO);

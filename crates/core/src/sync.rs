@@ -140,7 +140,7 @@ pub(crate) fn exposed_word(sim: &Sim, shared: &Shared, w: VirtualTime) -> Virtua
 /// The time core `i` exposes to its neighbors: its clock while working,
 /// its shadow time while idle.
 pub(crate) fn exposed(sim: &Sim, shared: &Shared, i: usize) -> VirtualTime {
-    exposed_word(sim, shared, sim.cores.published[i])
+    exposed_word(sim, shared, sim.cores.published(i))
 }
 
 /// Capped idle cores by the key the front must overtake before their
@@ -210,7 +210,7 @@ fn queue_overtaken(sim: &mut Sim, work: &mut Vec<CoreId>, epoch: u64) {
     if sim.uncap.pending_min < front {
         let mut pending = std::mem::take(&mut sim.uncap.pending);
         for i in pending.drain(..) {
-            let w = sim.cores.published[i as usize];
+            let w = sim.cores.published(i as usize);
             if is_capped(w) && w != CAPPED {
                 sim.uncap.heap.push(Reverse((key_of(w), i)));
             }
@@ -223,8 +223,8 @@ fn queue_overtaken(sim: &mut Sim, work: &mut Vec<CoreId>, epoch: u64) {
             break;
         }
         sim.uncap.heap.pop();
-        if sim.cores.published[i as usize] == capped_under(key) {
-            sim.cores.published[i as usize] = CAPPED;
+        if sim.cores.published(i as usize) == capped_under(key) {
+            sim.cores.set_published(i as usize, CAPPED);
             sim.stats.shadow_uncaps += 1;
             enqueue(sim, work, CoreId(i), epoch);
         }
@@ -353,15 +353,15 @@ fn note_neighbor_change(
     }
     if new < old {
         // A lower word can only lower the minimum: the cache stays valid.
-        let lower = new < sim.cores.floor_nb[n];
+        let lower = new < sim.cores.floor_nb(n);
         if lower {
-            sim.cores.floor_nb[n] = new;
+            sim.cores.set_floor_nb(n, new);
         }
         lower
     } else {
         // The riser may have been the (possibly tied) minimum; recompute
         // lazily.
-        let held = sim.cores.floor_nb[n] == old;
+        let held = sim.cores.floor_nb(n) == old;
         if held {
             sim.cores.floor_nb_valid[n] = false;
         }
@@ -378,12 +378,12 @@ fn neighbor_min(sim: &mut Sim, shared: &Shared, c: CoreId) -> VirtualTime {
         sim.stats.floor_recomputes += 1;
         let mut m = VirtualTime::MAX;
         for &(n, _) in shared.topo.neighbors(c) {
-            m = m.min(sim.cores.published[n.index()]);
+            m = m.min(sim.cores.published(n.index()));
         }
-        sim.cores.floor_nb[c.index()] = canonical(m);
+        sim.cores.set_floor_nb(c.index(), canonical(m));
         sim.cores.floor_nb_valid[c.index()] = true;
     }
-    sim.cores.floor_nb[c.index()]
+    sim.cores.floor_nb(c.index())
 }
 
 /// Recompute and propagate the value core `c` exposes to its neighbors.
@@ -407,11 +407,11 @@ pub(crate) fn publish(sim: &mut Sim, shared: &Shared, c: CoreId) {
 
 /// Global policies expose clocks only: no shadows, no relaxation.
 fn publish_global(sim: &mut Sim, shared: &Shared, c: CoreId) {
-    let newval = sim.cores.vtime[c.index()];
+    let newval = sim.cores.vtime(c.index());
     if newval > sim.max_vtime {
         sim.max_vtime = newval;
     }
-    let oldval = sim.cores.published[c.index()];
+    let oldval = sim.cores.published(c.index());
     if sim.sanitizer.is_some() {
         // Every slow-path clock change passes through here before the run
         // token can return to the scheduler, so measuring overshoot (and
@@ -426,7 +426,7 @@ fn publish_global(sim: &mut Sim, shared: &Shared, c: CoreId) {
         return;
     }
     sim.stats.publish_sweeps += 1;
-    sim.cores.published[c.index()] = newval;
+    sim.cores.set_published(c.index(), newval);
     // The only published-value change the incremental floor must see.
     note_floor_key(sim, c.index());
     for &(n, _) in shared.topo.neighbors(c) {
@@ -500,17 +500,17 @@ struct Sweep {
 fn publish_spatial(sim: &mut Sim, shared: &Shared, c: CoreId, t: VDuration) {
     let i = c.index();
     let old_cap = shadow_cap(sim, t);
-    let rose = sim.cores.vtime[i] > sim.max_vtime;
+    let rose = sim.cores.vtime(i) > sim.max_vtime;
     if rose {
-        sim.max_vtime = sim.cores.vtime[i];
+        sim.max_vtime = sim.cores.vtime(i);
     }
     let idle = sim.cores.is_idle(i);
     let new = if idle {
         shadow_word(sim, shared, c, t)
     } else {
-        sim.cores.vtime[i]
+        sim.cores.vtime(i)
     };
-    let old = sim.cores.published[i];
+    let old = sim.cores.published(i);
     if sim.sanitizer.is_some() {
         // Every slow-path clock change passes through here before the run
         // token can return to the scheduler, so measuring overshoot (and
@@ -549,7 +549,7 @@ fn publish_spatial(sim: &mut Sim, shared: &Shared, c: CoreId, t: VDuration) {
         // on the now-current argmin. A capped core the front uncapped rose
         // (old cap <= key + T) although its word fell.
         for &(x, old) in &sw.changed {
-            let fin = resolve(sim, sim.cores.published[x.index()], t);
+            let fin = resolve(sim, sim.cores.published(x.index()), t);
             if fin == old {
                 continue;
             }
@@ -651,7 +651,7 @@ fn settle_region(sim: &mut Sim, shared: &Shared, sw: &mut Sweep, head: usize) {
     let joins = |sim: &Sim, rg: &Region, y: CoreId| {
         rg.slot[y.index()] == 0
             && sim.cores.is_idle(y.index())
-            && !is_capped(sim.cores.published[y.index()])
+            && !is_capped(sim.cores.published(y.index()))
             && !shared.topo.neighbors(y).is_empty()
     };
     let seeds = sw.changed.iter().map(|&(x, _)| x);
@@ -665,10 +665,10 @@ fn settle_region(sim: &mut Sim, shared: &Shared, sw: &mut Sweep, head: usize) {
     while k < rg.members.len() {
         let z = rg.members[k];
         k += 1;
-        let up = sim.cores.published[z.index()] + t;
+        let up = sim.cores.published(z.index()) + t;
         for &(y, _) in shared.topo.neighbors(z) {
-            if sim.cores.published[y.index()] == up
-                && up > sim.cores.vtime[y.index()]
+            if sim.cores.published(y.index()) == up
+                && up > sim.cores.vtime(y.index())
                 && joins(sim, &rg, y)
             {
                 rg.members.push(y);
@@ -688,11 +688,11 @@ fn settle_region(sim: &mut Sim, shared: &Shared, sw: &mut Sweep, head: usize) {
             .neighbors(y)
             .iter()
             .filter(|&&(n, _)| rg.slot[n.index()] == 0)
-            .map(|&(n, _)| sim.cores.published[n.index()])
+            .map(|&(n, _)| sim.cores.published(n.index()))
             .min()
             .unwrap_or(VirtualTime::MAX);
         if m < front {
-            rg.label[k] = sim.cores.vtime[y.index()].max(m + t);
+            rg.label[k] = sim.cores.vtime(y.index()).max(m + t);
             rg.heap.push(Reverse((rg.label[k], k as u32)));
         }
     }
@@ -709,7 +709,7 @@ fn settle_region(sim: &mut Sim, shared: &Shared, sw: &mut Sweep, head: usize) {
             if j == 0 {
                 continue;
             }
-            let l2 = sim.cores.vtime[n.index()].max(l + t);
+            let l2 = sim.cores.vtime(n.index()).max(l + t);
             if l2 < rg.label[j as usize - 1] {
                 rg.label[j as usize - 1] = l2;
                 rg.heap.push(Reverse((l2, j - 1)));
@@ -727,7 +727,7 @@ fn settle_region(sim: &mut Sim, shared: &Shared, sw: &mut Sweep, head: usize) {
                 .neighbors(y)
                 .iter()
                 .map(|&(n, _)| match rg.slot[n.index()] {
-                    0 => sim.cores.published[n.index()],
+                    0 => sim.cores.published(n.index()),
                     j => rg.label[j as usize - 1],
                 })
                 .min()
@@ -749,16 +749,16 @@ fn settle_region(sim: &mut Sim, shared: &Shared, sw: &mut Sweep, head: usize) {
             .topo
             .neighbors(y)
             .iter()
-            .map(|&(n, _)| sim.cores.published[n.index()])
+            .map(|&(n, _)| sim.cores.published(n.index()))
             .min()
             .expect("members have neighbors");
         let want = if m < front {
-            sim.cores.vtime[y.index()].max(m + t)
+            sim.cores.vtime(y.index()).max(m + t)
         } else {
             CAPPED
         };
         debug_assert_eq!(
-            canonical(sim.cores.published[y.index()]),
+            canonical(sim.cores.published(y.index())),
             want,
             "settled {y}"
         );
@@ -789,7 +789,7 @@ pub(crate) fn settle(sim: &mut Sim, shared: &Shared) {
         if !sim.cores.is_idle(i) {
             busy += 1;
         } else if !shared.topo.neighbors(CoreId(i as u32)).is_empty() {
-            sim.cores.published[i] = CAPPED;
+            sim.cores.set_published(i, CAPPED);
             idle += 1;
         }
     }
@@ -832,14 +832,14 @@ fn shadow_word(sim: &mut Sim, shared: &Shared, i: CoreId, t: VDuration) -> Virtu
     sim.stats.shadow_evals += 1;
     let m = neighbor_min(sim, shared, i);
     if m < sim.max_vtime {
-        return sim.cores.vtime[i.index()].max(m + t);
+        return sim.cores.vtime(i.index()).max(m + t);
     }
     if m == VirtualTime::MAX {
-        return sim.cores.vtime[i.index()];
+        return sim.cores.vtime(i.index());
     }
     // Capped. A core that is capped already keeps the key it is registered
     // under unless its lowest concrete neighbor is now lower still.
-    let old = sim.cores.published[i.index()];
+    let old = sim.cores.published(i.index());
     let new = if m == CAPPED { CAPPED } else { capped_under(m) };
     if is_capped(old) && old <= new {
         old
@@ -853,7 +853,7 @@ fn shadow_word(sim: &mut Sim, shared: &Shared, i: CoreId, t: VDuration) -> Virtu
 /// a re-evaluation of `x`'s idle neighbors.
 #[inline(always)]
 fn store_word(sim: &mut Sim, shared: &Shared, sw: &mut Sweep, x: CoreId, new: VirtualTime) {
-    let old = sim.cores.published[x.index()];
+    let old = sim.cores.published(x.index());
     if new == old {
         return;
     }
@@ -861,11 +861,11 @@ fn store_word(sim: &mut Sim, shared: &Shared, sw: &mut Sweep, x: CoreId, new: Vi
     if new_c == old_c {
         // Nothing a neighbor can see: a capped core under a lower key.
         debug_assert!(new < old);
-        sim.cores.published[x.index()] = new;
+        sim.cores.set_published(x.index(), new);
         register_uncap(sim, x, key_of(new));
         return;
     }
-    sim.cores.published[x.index()] = new;
+    sim.cores.set_published(x.index(), new);
     if is_capped(new) && new != CAPPED {
         register_uncap(sim, x, key_of(new));
     }
@@ -1010,7 +1010,7 @@ pub(crate) fn global_floor_naive(sim: &Sim) -> VirtualTime {
     let mut floor = VirtualTime::MAX;
     for i in 0..sim.cores.len() {
         if !sim.cores.is_idle(i) {
-            floor = floor.min(sim.cores.published[i]);
+            floor = floor.min(sim.cores.published(i));
         }
         if let Some(b) = sim.cores.min_birth(i) {
             floor = floor.min(b);
@@ -1031,7 +1031,7 @@ pub(crate) fn note_floor_key(sim: &mut Sim, i: usize) {
     }
     let mut key = sim.cores.birth_floor(i);
     if !sim.cores.is_idle(i) {
-        key = key.min(sim.cores.published[i]);
+        key = key.min(sim.cores.published(i));
     }
     sim.gfloor
         .as_mut()
@@ -1109,7 +1109,7 @@ pub(crate) fn sync_ok(sim: &mut Sim, shared: &Shared, c: CoreId) -> bool {
     if sim.cores.lock_depth[c.index()] > 0 {
         return true;
     }
-    let vtime = sim.cores.vtime[c.index()];
+    let vtime = sim.cores.vtime(c.index());
     match shared.config.sync {
         SyncPolicy::Spatial { t } => {
             let floor = local_floor(sim, shared, c, t);
@@ -1138,14 +1138,14 @@ pub(crate) fn sync_ok(sim: &mut Sim, shared: &Shared, c: CoreId) -> bool {
                 // the only publish event that can lift the neighbor
                 // minimum. A floor bound by a birth alone needs no
                 // registration: `discard_birth` rechecks directly.
-                let nb_floor = sim.cores.floor_nb[c.index()];
+                let nb_floor = sim.cores.floor_nb(c.index());
                 if vtime.saturating_since(nb_floor) > t {
                     let argmin = shared
                         .topo
                         .neighbors(c)
                         .iter()
                         .map(|&(n, _)| n)
-                        .find(|n| sim.cores.published[n.index()] == nb_floor);
+                        .find(|n| sim.cores.published(n.index()) == nb_floor);
                     if let Some(r) = argmin {
                         register_waiter(sim, c, r);
                     }

@@ -192,8 +192,11 @@ impl NetworkModel {
     }
 
     /// Accumulated statistics.
-    pub fn stats(&self) -> &NetStats {
-        &self.stats
+    pub fn stats(&self) -> NetStats {
+        NetStats {
+            row_builds: self.routes.builds(),
+            ..self.stats
+        }
     }
 
     /// Pure latency of the route from `src` to `dst` for a message of

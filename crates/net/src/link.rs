@@ -36,6 +36,9 @@ pub struct NetStats {
     /// Send attempts refused because no surviving route reaches the
     /// destination (partitioned machine).
     pub unreachable: u64,
+    /// Next-hop route rows built ([`simany_topology::Routes::builds`]):
+    /// host work, not simulated state, so no digest folds it.
+    pub row_builds: u64,
 }
 
 /// Occupancy state of every directed link.

@@ -8,36 +8,18 @@
 //! the paper stresses that "SiMany can handle arbitrary network
 //! organizations".
 //!
-//! Every builder lists its links in [`Topology::add_link`] order (`a -> b`,
-//! then `b -> a`, connection by connection) and hands the list to
-//! [`Topology::from_links`], so link ids are those of a link-by-link build
-//! while the adjacency is filled in one pass.
+//! Every builder is a link generator run by [`Topology::generate`]: it
+//! hands its connections to the [`LinkSink`] in [`Topology::add_link`]
+//! order (`a -> b`, then `b -> a`, connection by connection), so link ids
+//! are those of a link-by-link build while each link is written straight
+//! into its adjacency row.
 
-use crate::graph::{
-    CoreId, LinkList, LinkProps, Topology, DEFAULT_LINK_BANDWIDTH, DEFAULT_LINK_LATENCY,
-};
+use crate::graph::{CoreId, LinkSink, Topology, DEFAULT_LINK_BANDWIDTH, DEFAULT_LINK_LATENCY};
 use simany_time::VDuration;
 
-/// Append the two directed links of a connection between `a` and `b`, in
-/// [`Topology::add_link`] order.
-fn push_link(links: &mut LinkList, a: CoreId, b: CoreId, latency: VDuration, bandwidth: u32) {
-    let ab = LinkProps {
-        src: a,
-        dst: b,
-        latency,
-        bandwidth_bytes_per_cycle: bandwidth,
-    };
-    links.push(ab);
-    links.push(LinkProps {
-        src: b,
-        dst: a,
-        ..ab
-    });
-}
-
-/// [`push_link`] with the paper's default latency and bandwidth.
-fn push_default_link(links: &mut LinkList, a: CoreId, b: CoreId) {
-    push_link(links, a, b, DEFAULT_LINK_LATENCY, DEFAULT_LINK_BANDWIDTH);
+/// [`LinkSink::connect`] with the paper's default latency and bandwidth.
+fn connect_default(links: &mut LinkSink, a: CoreId, b: CoreId) {
+    links.connect(a, b, DEFAULT_LINK_LATENCY, DEFAULT_LINK_BANDWIDTH);
 }
 
 /// Nearly square factorization of `n`: `(w, h)` with `w * h == n` and
@@ -65,89 +47,89 @@ pub fn mesh_2d(n: u32) -> Topology {
 /// Uniform 2D mesh with explicit link parameters.
 pub fn mesh_2d_with(n: u32, latency: VDuration, bandwidth: u32) -> Topology {
     let (w, h) = mesh_dims(n);
-    let mut links = LinkList::default();
     let id = |x: u32, y: u32| CoreId(y * w + x);
-    for y in 0..h {
-        for x in 0..w {
-            if x + 1 < w {
-                push_link(&mut links, id(x, y), id(x + 1, y), latency, bandwidth);
-            }
-            if y + 1 < h {
-                push_link(&mut links, id(x, y), id(x, y + 1), latency, bandwidth);
+    Topology::generate(n, |links| {
+        for y in 0..h {
+            for x in 0..w {
+                if x + 1 < w {
+                    links.connect(id(x, y), id(x + 1, y), latency, bandwidth);
+                }
+                if y + 1 < h {
+                    links.connect(id(x, y), id(x, y + 1), latency, bandwidth);
+                }
             }
         }
-    }
-    Topology::from_links(n, links)
+    })
 }
 
 /// 2D torus (mesh with wrap-around links).
 pub fn torus_2d(n: u32) -> Topology {
     let (w, h) = mesh_dims(n);
-    let mut links = LinkList::default();
     let id = |x: u32, y: u32| CoreId(y * w + x);
-    for y in 0..h {
-        for x in 0..w {
-            // A wrap link is a self-loop along a side of 1 and repeats the
-            // side's only link along a side of 2: both are left out.
-            if x + 1 < w || w > 2 {
-                push_default_link(&mut links, id(x, y), id((x + 1) % w, y));
-            }
-            if y + 1 < h || h > 2 {
-                push_default_link(&mut links, id(x, y), id(x, (y + 1) % h));
+    Topology::generate(n, |links| {
+        for y in 0..h {
+            for x in 0..w {
+                // A wrap link is a self-loop along a side of 1 and repeats
+                // the side's only link along a side of 2: both are left out.
+                if x + 1 < w || w > 2 {
+                    connect_default(links, id(x, y), id((x + 1) % w, y));
+                }
+                if y + 1 < h || h > 2 {
+                    connect_default(links, id(x, y), id(x, (y + 1) % h));
+                }
             }
         }
-    }
-    Topology::from_links(n, links)
+    })
 }
 
 /// Bidirectional ring of `n` cores.
 pub fn ring(n: u32) -> Topology {
     assert!(n >= 2, "a ring needs at least two cores");
-    let mut links = LinkList::default();
-    for i in 0..n {
-        // On two cores the wrap link would repeat the only link.
-        if i + 1 < n || n > 2 {
-            push_default_link(&mut links, CoreId(i), CoreId((i + 1) % n));
+    Topology::generate(n, |links| {
+        for i in 0..n {
+            // On two cores the wrap link would repeat the only link.
+            if i + 1 < n || n > 2 {
+                connect_default(links, CoreId(i), CoreId((i + 1) % n));
+            }
         }
-    }
-    Topology::from_links(n, links)
+    })
 }
 
 /// Star: core 0 is the hub, all others are leaves.
 pub fn star(n: u32) -> Topology {
     assert!(n >= 2, "a star needs at least two cores");
-    let mut links = LinkList::default();
-    for i in 1..n {
-        push_default_link(&mut links, CoreId(0), CoreId(i));
-    }
-    Topology::from_links(n, links)
+    Topology::generate(n, |links| {
+        for i in 1..n {
+            connect_default(links, CoreId(0), CoreId(i));
+        }
+    })
 }
 
 /// Fully connected graph (every pair directly linked).
 pub fn fully_connected(n: u32) -> Topology {
-    let mut links = LinkList::default();
-    for a in 0..n {
-        for b in (a + 1)..n {
-            push_default_link(&mut links, CoreId(a), CoreId(b));
+    Topology::generate(n, |links| {
+        for a in 0..n {
+            for b in (a + 1)..n {
+                connect_default(links, CoreId(a), CoreId(b));
+            }
         }
-    }
-    Topology::from_links(n, links)
+    })
 }
 
 /// Hypercube of dimension `dim` (`2^dim` cores).
 pub fn hypercube(dim: u32) -> Topology {
     assert!(dim <= 16, "hypercube dimension too large");
     let n = 1u32 << dim;
-    let mut links = LinkList::default();
-    for a in 0..n {
-        for bit in 0..dim {
-            let b = a ^ (1 << bit);
-            if a < b {
-                push_default_link(&mut links, CoreId(a), CoreId(b));
+    Topology::generate(n, |links| {
+        for a in 0..n {
+            for bit in 0..dim {
+                let b = a ^ (1 << bit);
+                if a < b {
+                    connect_default(links, CoreId(a), CoreId(b));
+                }
             }
         }
-    }
-    Topology::from_links(n, links)
+    })
 }
 
 /// Nearly cubic factorization of `n`: `(x, y, z)` with `x·y·z == n`,
@@ -181,24 +163,24 @@ pub fn mesh_dims_3d(n: u32) -> (u32, u32, u32) {
 /// grids; `n` is factored into the most-cubic shape.
 pub fn mesh_3d(n: u32) -> Topology {
     let (w, h, d) = mesh_dims_3d(n);
-    let mut links = LinkList::default();
     let id = |x: u32, y: u32, z: u32| CoreId(z * w * h + y * w + x);
-    for z in 0..d {
-        for y in 0..h {
-            for x in 0..w {
-                if x + 1 < w {
-                    push_default_link(&mut links, id(x, y, z), id(x + 1, y, z));
-                }
-                if y + 1 < h {
-                    push_default_link(&mut links, id(x, y, z), id(x, y + 1, z));
-                }
-                if z + 1 < d {
-                    push_default_link(&mut links, id(x, y, z), id(x, y, z + 1));
+    Topology::generate(n, |links| {
+        for z in 0..d {
+            for y in 0..h {
+                for x in 0..w {
+                    if x + 1 < w {
+                        connect_default(links, id(x, y, z), id(x + 1, y, z));
+                    }
+                    if y + 1 < h {
+                        connect_default(links, id(x, y, z), id(x, y + 1, z));
+                    }
+                    if z + 1 < d {
+                        connect_default(links, id(x, y, z), id(x, y, z + 1));
+                    }
                 }
             }
         }
-    }
-    Topology::from_links(n, links)
+    })
 }
 
 /// Parameters for clustered meshes (paper §V, *Architecture Exploration*).
@@ -244,27 +226,27 @@ pub fn clustered_mesh(n: u32, params: ClusterParams) -> Topology {
     let cw = w / tile_w;
     let cluster_of = |x: u32, y: u32| (y / tile_h) * cw + (x / tile_w);
 
-    let mut links = LinkList::default();
     let id = |x: u32, y: u32| CoreId(y * w + x);
-    let connect = |links: &mut LinkList, x0: u32, y0: u32, x1: u32, y1: u32| {
+    let connect = |links: &mut LinkSink, x0: u32, y0: u32, x1: u32, y1: u32| {
         let lat = if cluster_of(x0, y0) == cluster_of(x1, y1) {
             params.intra_latency
         } else {
             params.inter_latency
         };
-        push_link(links, id(x0, y0), id(x1, y1), lat, params.bandwidth);
+        links.connect(id(x0, y0), id(x1, y1), lat, params.bandwidth);
     };
-    for y in 0..h {
-        for x in 0..w {
-            if x + 1 < w {
-                connect(&mut links, x, y, x + 1, y);
-            }
-            if y + 1 < h {
-                connect(&mut links, x, y, x, y + 1);
+    Topology::generate(n, |links| {
+        for y in 0..h {
+            for x in 0..w {
+                if x + 1 < w {
+                    connect(links, x, y, x + 1, y);
+                }
+                if y + 1 < h {
+                    connect(links, x, y, x, y + 1);
+                }
             }
         }
-    }
-    Topology::from_links(n, links)
+    })
 }
 
 /// Cluster index of each core for a `clustered_mesh` with the same
@@ -349,60 +331,41 @@ pub fn chiplet_mesh(
     assert!(chip_w > 0 && chip_h > 0, "chiplets need at least one core");
     let per_chip = chip_w * chip_h;
     let n = chips_x * chips_y * per_chip;
-    let mut links = LinkList::default();
     let chip = |cx: u32, cy: u32| cy * chips_x + cx;
     let id = |cx: u32, cy: u32, x: u32, y: u32| CoreId(chip(cx, cy) * per_chip + y * chip_w + x);
-    for cy in 0..chips_y {
-        for cx in 0..chips_x {
-            // Internal mesh of this chiplet.
-            for y in 0..chip_h {
-                for x in 0..chip_w {
-                    if x + 1 < chip_w {
-                        push_link(
-                            &mut links,
-                            id(cx, cy, x, y),
-                            id(cx, cy, x + 1, y),
-                            params.intra_latency,
-                            params.intra_bandwidth,
-                        );
-                    }
-                    if y + 1 < chip_h {
-                        push_link(
-                            &mut links,
-                            id(cx, cy, x, y),
-                            id(cx, cy, x, y + 1),
-                            params.intra_latency,
-                            params.intra_bandwidth,
-                        );
-                    }
-                }
-            }
-            // Inter-chip links between facing borders.
-            if cx + 1 < chips_x {
+    let (intra, inter) = (params.intra_latency, params.inter_latency);
+    let (intra_bw, inter_bw) = (params.intra_bandwidth, params.inter_bandwidth);
+    let mut t = Topology::generate(n, |links| {
+        for cy in 0..chips_y {
+            for cx in 0..chips_x {
+                // Internal mesh of this chiplet.
                 for y in 0..chip_h {
-                    push_link(
-                        &mut links,
-                        id(cx, cy, chip_w - 1, y),
-                        id(cx + 1, cy, 0, y),
-                        params.inter_latency,
-                        params.inter_bandwidth,
-                    );
+                    for x in 0..chip_w {
+                        let here = id(cx, cy, x, y);
+                        if x + 1 < chip_w {
+                            links.connect(here, id(cx, cy, x + 1, y), intra, intra_bw);
+                        }
+                        if y + 1 < chip_h {
+                            links.connect(here, id(cx, cy, x, y + 1), intra, intra_bw);
+                        }
+                    }
                 }
-            }
-            if cy + 1 < chips_y {
-                for x in 0..chip_w {
-                    push_link(
-                        &mut links,
-                        id(cx, cy, x, chip_h - 1),
-                        id(cx, cy + 1, x, 0),
-                        params.inter_latency,
-                        params.inter_bandwidth,
-                    );
+                // Inter-chip links between facing borders.
+                if cx + 1 < chips_x {
+                    for y in 0..chip_h {
+                        let (a, b) = (id(cx, cy, chip_w - 1, y), id(cx + 1, cy, 0, y));
+                        links.connect(a, b, inter, inter_bw);
+                    }
+                }
+                if cy + 1 < chips_y {
+                    for x in 0..chip_w {
+                        let (a, b) = (id(cx, cy, x, chip_h - 1), id(cx, cy + 1, x, 0));
+                        links.connect(a, b, inter, inter_bw);
+                    }
                 }
             }
         }
-    }
-    let mut t = Topology::from_links(n, links);
+    });
     let regions = (0..n).map(|i| i / per_chip).collect();
     t.set_regions(regions);
     t
@@ -452,63 +415,42 @@ pub fn cluster_of_clusters(
     assert!(cores_per_leaf > 0, "leaves need at least one core");
     let n_leaves = groups * leaves_per_group;
     let n = n_leaves * cores_per_leaf;
-    let mut links = LinkList::default();
     let leaf_base = |g: u32, l: u32| (g * leaves_per_group + l) * cores_per_leaf;
-    // Leaf-internal meshes.
     let (w, h) = mesh_dims(cores_per_leaf);
-    for leaf in 0..n_leaves {
-        let base = leaf * cores_per_leaf;
-        let id = |x: u32, y: u32| CoreId(base + y * w + x);
-        for y in 0..h {
-            for x in 0..w {
-                if x + 1 < w {
-                    push_link(
-                        &mut links,
-                        id(x, y),
-                        id(x + 1, y),
-                        params.intra_latency,
-                        params.bandwidth,
-                    );
-                }
-                if y + 1 < h {
-                    push_link(
-                        &mut links,
-                        id(x, y),
-                        id(x, y + 1),
-                        params.intra_latency,
-                        params.bandwidth,
-                    );
+    let bw = params.bandwidth;
+    let mut t = Topology::generate(n, |links| {
+        // Leaf-internal meshes.
+        for leaf in 0..n_leaves {
+            let base = leaf * cores_per_leaf;
+            let id = |x: u32, y: u32| CoreId(base + y * w + x);
+            for y in 0..h {
+                for x in 0..w {
+                    if x + 1 < w {
+                        links.connect(id(x, y), id(x + 1, y), params.intra_latency, bw);
+                    }
+                    if y + 1 < h {
+                        links.connect(id(x, y), id(x, y + 1), params.intra_latency, bw);
+                    }
                 }
             }
         }
-    }
-    // Mid level: leaf hubs fully connected within each group.
-    for g in 0..groups {
-        for a in 0..leaves_per_group {
-            for b in (a + 1)..leaves_per_group {
-                push_link(
-                    &mut links,
-                    CoreId(leaf_base(g, a)),
-                    CoreId(leaf_base(g, b)),
-                    params.mid_latency,
-                    params.bandwidth,
-                );
+        // Mid level: leaf hubs fully connected within each group.
+        for g in 0..groups {
+            for a in 0..leaves_per_group {
+                for b in (a + 1)..leaves_per_group {
+                    let (a, b) = (CoreId(leaf_base(g, a)), CoreId(leaf_base(g, b)));
+                    links.connect(a, b, params.mid_latency, bw);
+                }
             }
         }
-    }
-    // Outer level: group hubs fully connected.
-    for a in 0..groups {
-        for b in (a + 1)..groups {
-            push_link(
-                &mut links,
-                CoreId(leaf_base(a, 0)),
-                CoreId(leaf_base(b, 0)),
-                params.outer_latency,
-                params.bandwidth,
-            );
+        // Outer level: group hubs fully connected.
+        for a in 0..groups {
+            for b in (a + 1)..groups {
+                let (a, b) = (CoreId(leaf_base(a, 0)), CoreId(leaf_base(b, 0)));
+                links.connect(a, b, params.outer_latency, bw);
+            }
         }
-    }
-    let mut t = Topology::from_links(n, links);
+    });
     let regions = (0..n).map(|i| i / cores_per_leaf).collect();
     t.set_regions(regions);
     t
@@ -517,6 +459,7 @@ pub fn cluster_of_clusters(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::LinkProps;
 
     #[test]
     fn mesh_dims_square_and_rectangular() {

@@ -118,11 +118,19 @@ pub(crate) struct LinkClasses {
     /// one, so most pushes skip the hash.
     last: u16,
     /// A pair arrived when the table already held [`MAX_LINK_CLASSES`]
-    /// classes; [`Topology::from_links`] refuses the list.
+    /// classes; construction refuses the links.
     overflowed: bool,
 }
 
 impl LinkClasses {
+    /// An empty table with room for `links` links.
+    fn with_capacity(links: usize) -> Self {
+        LinkClasses {
+            class: Vec::with_capacity(links),
+            ..Default::default()
+        }
+    }
+
     /// Append a link of this latency and bandwidth; returns its id.
     fn push(&mut self, latency: VDuration, bandwidth: u32) -> LinkId {
         let id = LinkId(self.class.len() as u32);
@@ -192,9 +200,11 @@ impl LinkClasses {
 
 /// Directed links in id order (`LinkId(i)` is the `i`-th push): per link
 /// its ends (8 B) and the index of its `(latency, bandwidth)` class (2 B).
-/// Every builder and the config parser fill one and hand it to
-/// [`Topology::from_links`], which keeps the classes and drops the ends
-/// once the adjacency rows hold them.
+/// For a caller that must revise links after pushing them, as the config
+/// parser's `link` overrides do: [`Topology::from_links`] keeps the
+/// classes and drops the ends once the adjacency rows hold them. A
+/// builder that knows its links up front emits them through
+/// [`Topology::generate`] instead, and holds no list.
 #[derive(Clone, Debug, Default)]
 pub struct LinkList {
     ends: Vec<(CoreId, CoreId)>,
@@ -231,14 +241,83 @@ impl FromIterator<LinkProps> for LinkList {
     }
 }
 
+/// Receives a link generator's directed links in id order (`LinkId(i)` is
+/// the `i`-th link handed over). [`Topology::generate`] runs the generator
+/// twice, each time with a sink of its own: the first counts every core's
+/// out-degree, the second writes each link into its source's adjacency row
+/// and interns its `(latency, bandwidth)` class.
+pub struct LinkSink<'a> {
+    n_cores: u32,
+    /// Links handed over so far on this pass: the id of the next one.
+    next: u32,
+    /// Counting pass: `cursor[c + 1]` counts core `c`'s links. Filling
+    /// pass: `cursor[c + 1]` is core `c`'s fill cursor into `adj`.
+    cursor: &'a mut [u32],
+    /// `(neighbor, link)` words of every row; `None` on the counting pass.
+    adj: Option<&'a mut [[u32; 2]]>,
+    /// Where the filling pass interns classes; `None` when they are known
+    /// already ([`Topology::from_links`]) and on the counting pass.
+    classes: Option<&'a mut LinkClasses>,
+}
+
+impl LinkSink<'_> {
+    /// Hand over the next directed link.
+    #[inline]
+    pub fn link(&mut self, l: LinkProps) {
+        if let Some(classes) = self.classes.as_deref_mut() {
+            classes.push(l.latency, l.bandwidth_bytes_per_cycle);
+        }
+        self.ends(l.src, l.dst);
+    }
+
+    /// Hand over both directed links of a connection between `a` and `b`,
+    /// in [`Topology::add_link`] order: `a -> b`, then `b -> a`.
+    #[inline]
+    pub fn connect(&mut self, a: CoreId, b: CoreId, latency: VDuration, bandwidth: u32) {
+        let ab = LinkProps {
+            src: a,
+            dst: b,
+            latency,
+            bandwidth_bytes_per_cycle: bandwidth,
+        };
+        self.link(ab);
+        self.link(LinkProps {
+            src: b,
+            dst: a,
+            ..ab
+        });
+    }
+
+    /// Count the link `src -> dst`, or write it at its row's cursor.
+    /// Panics on a self-loop or an out-of-range core.
+    #[inline]
+    fn ends(&mut self, src: CoreId, dst: CoreId) {
+        let row = src.index() + 1;
+        match self.adj.as_deref_mut() {
+            None => {
+                assert!(src != dst, "self-loop link {src}");
+                assert!(
+                    src.0 < self.n_cores && dst.0 < self.n_cores,
+                    "core out of range"
+                );
+            }
+            Some(adj) => adj[self.cursor[row] as usize] = [dst.0, self.next],
+        }
+        self.cursor[row] += 1;
+        self.next += 1;
+    }
+}
+
 /// The interconnect graph: cores plus directed links with per-link latency
 /// and bandwidth.
 ///
-/// Construction happens in one pass from a [`LinkList`]
-/// ([`Topology::from_links`], which every shape in [`crate::builders`] and
-/// the config parser use) or through builder-style `add_*` calls for small
-/// hand-built graphs; afterwards the topology is immutable and shared by
-/// the network model, the spatial-synchronization machinery (which needs
+/// Every shape in [`crate::builders`] is a link generator run by
+/// [`Topology::generate`], which writes each link straight into its
+/// adjacency row; the config parser, which revises links as it reads, fills
+/// a [`LinkList`] for [`Topology::from_links`], which runs the same
+/// construction over it. Small hand-built graphs can use builder-style
+/// `add_*` calls. Afterwards the topology is immutable and shared by the
+/// network model, the spatial-synchronization machinery (which needs
 /// neighbor sets) and the routes.
 ///
 /// The adjacency is compressed sparse rows: core `c`'s outgoing
@@ -276,30 +355,88 @@ pub const DEFAULT_LINK_BANDWIDTH: u32 = 128;
 impl Topology {
     /// Create a topology with `n_cores` cores and no links yet.
     pub fn new(n_cores: u32) -> Self {
-        Self::from_links(n_cores, LinkList::default())
+        Self::generate(n_cores, |_| {})
     }
 
-    /// Build a topology from its directed links: the list's `i`-th link
-    /// becomes `LinkId(i)`. Panics on a self-loop, an out-of-range core, a
-    /// zero bandwidth, a duplicate link or more than [`MAX_LINK_CLASSES`]
-    /// link classes, as [`Topology::add_directed_link`] does. One
-    /// counting-sort pass over the links: O(cores + links). The list's ends
+    /// Build a topology from a link generator, which hands every directed
+    /// link to the [`LinkSink`] it is given: the `i`-th becomes
+    /// `LinkId(i)`. The generator runs twice and must hand over the same
+    /// links each time; the first run counts each core's links, the second
+    /// writes them into their rows, so nothing but the rows and a 2 B class
+    /// index per link is ever allocated: O(cores + links). Panics on a
+    /// self-loop, an out-of-range core, a zero bandwidth, a duplicate link
+    /// or more than [`MAX_LINK_CLASSES`] link classes, as
+    /// [`Topology::add_directed_link`] does.
+    pub fn generate(n_cores: u32, links: impl Fn(&mut LinkSink)) -> Self {
+        Self::build(n_cores, None, links)
+    }
+
+    /// Build a topology from a list of its directed links: the list's
+    /// `i`-th link becomes `LinkId(i)`, with the class the list holds for
+    /// it. Checks and cost as for [`Topology::generate`]; the list's ends
     /// are dropped once the rows hold them.
     pub fn from_links(n_cores: u32, links: LinkList) -> Self {
-        assert!(n_cores > 0, "a topology needs at least one core");
         let LinkList { ends, classes } = links;
+        Self::build(n_cores, Some(classes), |sink| {
+            for &(src, dst) in &ends {
+                sink.ends(src, dst);
+            }
+        })
+    }
+
+    /// The one construction: count, fill, check, sort. `classes` holds the
+    /// links' classes when they are known already; otherwise the filling
+    /// pass interns them.
+    fn build(n_cores: u32, classes: Option<LinkClasses>, links: impl Fn(&mut LinkSink)) -> Self {
+        assert!(n_cores > 0, "a topology needs at least one core");
+        let mut offsets = vec![0u32; n_cores as usize + 1];
+        let mut count = LinkSink {
+            n_cores,
+            next: 0,
+            cursor: &mut offsets,
+            adj: None,
+            classes: None,
+        };
+        links(&mut count);
+        let m = count.next;
+        // `offsets[c + 1]` becomes core `c`'s fill cursor; filling advances
+        // each cursor to its row's end, which is the next row's start.
+        shift_counts(&mut offsets);
+        // Words of `u32`s, so the rows start as one zeroed allocation that
+        // the filling pass is the first to touch.
+        let mut words = vec![[0u32; 2]; m as usize];
+        let intern = classes.is_none();
+        let mut classes = classes.unwrap_or_else(|| LinkClasses::with_capacity(m as usize));
+        let mut fill = LinkSink {
+            n_cores,
+            next: 0,
+            cursor: &mut offsets,
+            adj: Some(&mut words),
+            classes: intern.then_some(&mut classes),
+        };
+        links(&mut fill);
+        assert!(
+            fill.next == m,
+            "a link generator handed over other links on its second run"
+        );
         assert_classes_fit(&classes);
         assert!(
             classes.classes().all(|c| c.bandwidth > 0),
             "link bandwidth must be non-zero"
         );
-        let (offsets, mut adj) = csr_rows(n_cores, &ends);
-        drop(ends);
+        // Same size and alignment: the collect reuses the words' buffer.
+        let mut adj: Vec<(CoreId, LinkId)> = words
+            .into_iter()
+            .map(|[dst, link]| (CoreId(dst), LinkId(link)))
+            .collect();
         for (c, w) in offsets.windows(2).enumerate() {
             let row = &mut adj[w[0] as usize..w[1] as usize];
-            row.sort_unstable_by_key(|&(n, _)| n);
-            if let Some(pair) = row.windows(2).find(|p| p[0].0 == p[1].0) {
-                panic!("duplicate link {} -> {}", CoreId(c as u32), pair[0].0);
+            // A row already strictly in order needs neither sort nor check.
+            if !row.windows(2).all(|p| p[0].0 < p[1].0) {
+                row.sort_unstable_by_key(|&(n, _)| n);
+                if let Some(pair) = row.windows(2).find(|p| p[0].0 == p[1].0) {
+                    panic!("duplicate link {} -> {}", CoreId(c as u32), pair[0].0);
+                }
             }
         }
         Topology {
@@ -506,8 +643,25 @@ impl Topology {
     /// That means every core reaches every other one only when each link
     /// has its reverse, as in every builder's topology and every parsed
     /// configuration (the parser refuses an asymmetric matrix).
+    ///
+    /// One sequential sweep first: walk the cores in index order, marking
+    /// the neighbors of each core already marked. It reaches every core
+    /// that has an id-increasing path from core 0, which in every
+    /// builder's machine is every core, and reads the rows front to back.
+    /// Only when it misses some core does a depth-first search from core 0
+    /// decide.
     pub fn is_connected(&self) -> bool {
-        self.reaches_all(|c| self.neighbors(c).iter().copied(), |_| false)
+        let mut seen = vec![false; self.n_cores as usize];
+        seen[0] = true;
+        let mut count = 1u32;
+        for c in self.cores() {
+            if seen[c.index()] {
+                for &(n, _) in self.neighbors(c) {
+                    count += u32::from(!std::mem::replace(&mut seen[n.index()], true));
+                }
+            }
+        }
+        count == self.n_cores || self.reaches_all(|c| self.neighbors(c).iter().copied(), |_| false)
     }
 
     /// True iff every core reaches every other one over the links `dead`
@@ -593,30 +747,6 @@ fn assert_classes_fit(links: &LinkClasses) {
         !links.overflowed,
         "more than {MAX_LINK_CLASSES} link classes"
     );
-}
-
-/// Group links, given by their `(src, dst)` ends in id order, into
-/// compressed sparse rows by source: row starts (one per core, then the
-/// end) and every row's `(dst, link)` pairs in link-id order. One
-/// counting-sort pass, O(cores + links). Panics on a self-loop or an
-/// out-of-range core.
-fn csr_rows(n_cores: u32, ends: &[(CoreId, CoreId)]) -> (Vec<u32>, Vec<(CoreId, LinkId)>) {
-    let mut offsets = vec![0u32; n_cores as usize + 1];
-    for &(src, dst) in ends {
-        assert!(src != dst, "self-loop link {src}");
-        assert!(src.0 < n_cores && dst.0 < n_cores, "core out of range");
-        offsets[src.index() + 1] += 1;
-    }
-    // `offsets[c + 1]` is core `c`'s fill cursor; filling advances each
-    // cursor to its row's end, which is the next row's start.
-    shift_counts(&mut offsets);
-    let mut pairs = vec![(CoreId(0), LinkId(0)); ends.len()];
-    for (i, &(src, dst)) in ends.iter().enumerate() {
-        let cursor = &mut offsets[src.index() + 1];
-        pairs[*cursor as usize] = (dst, LinkId(i as u32));
-        *cursor += 1;
-    }
-    (offsets, pairs)
 }
 
 /// Turn per-row counts at `offsets[c + 1]` into row starts shifted up by
@@ -736,28 +866,68 @@ mod tests {
         assert_eq!(flat.degree(CoreId(1)), 0);
     }
 
+    /// The message of the panic `f` raises.
+    fn panic_message(f: impl FnOnce() -> Topology) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("construction should panic");
+        err.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    /// A list handed to `from_links` and a generator handing the same
+    /// links to `generate` each panic with the message of the check it
+    /// breaks.
     #[test]
     fn from_links_rejects_what_add_directed_link_rejects() {
+        let too_many_classes = (1..=MAX_LINK_CLASSES as u32 + 1)
+            .map(|bw| link(0, 1, bw))
+            .collect();
         let cases = [
             (vec![link(1, 1, 8)], "self-loop link core1"),
             (vec![link(0, 5, 8)], "core out of range"),
+            (vec![link(5, 0, 8)], "core out of range"),
             (vec![link(0, 1, 0)], "link bandwidth must be non-zero"),
             (
                 vec![link(0, 1, 8), link(1, 0, 8), link(0, 1, 8)],
                 "duplicate link core0 -> core1",
             ),
+            (too_many_classes, "more than 65536 link classes"),
         ];
         for (links, expect) in cases {
-            let err =
-                std::panic::catch_unwind(|| Topology::from_links(3, links.into_iter().collect()))
-                    .expect_err(expect);
-            let msg = err
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_default();
-            assert_eq!(msg, expect);
+            let list = links.clone();
+            let msg = panic_message(|| Topology::from_links(3, list.into_iter().collect()));
+            assert_eq!(msg, expect, "from_links");
+            let msg = panic_message(|| {
+                Topology::generate(3, |sink| {
+                    for &l in &links {
+                        sink.link(l);
+                    }
+                })
+            });
+            assert_eq!(msg, expect, "generate");
         }
+    }
+
+    /// A generator runs once to count and once to fill: one that hands
+    /// over fewer links the second time is refused, not half-built.
+    #[test]
+    fn a_generator_must_repeat_its_links() {
+        let runs = std::cell::Cell::new(0);
+        let msg = panic_message(|| {
+            Topology::generate(3, |sink| {
+                runs.set(runs.get() + 1);
+                sink.link(link(0, 1, 8));
+                if runs.get() == 1 {
+                    sink.link(link(1, 0, 8));
+                }
+            })
+        });
+        assert_eq!(
+            msg,
+            "a link generator handed over other links on its second run"
+        );
     }
 
     /// A class index is a `u16`: the list marks the pair that finds the
@@ -775,6 +945,35 @@ mod tests {
             err.downcast_ref::<String>().map(String::as_str),
             Some("more than 65536 link classes")
         );
+    }
+
+    /// Reachability is directed and from core 0: a core that only reaches
+    /// core 0 does not make the graph connected.
+    #[test]
+    fn connectivity_needs_a_path_from_core_zero() {
+        let mut t = Topology::new(2);
+        t.add_directed_link(CoreId(1), CoreId(0), DEFAULT_LINK_LATENCY, 8);
+        assert!(!t.is_connected());
+        t.add_directed_link(CoreId(0), CoreId(1), DEFAULT_LINK_LATENCY, 8);
+        assert!(t.is_connected());
+    }
+
+    /// Core 3 is reached only through core 1, which core 0 reaches only
+    /// through the id-decreasing link 2 -> 1: the index-order sweep
+    /// passes core 1 before marking it, so the depth-first search decides.
+    #[test]
+    fn connectivity_through_id_decreasing_links() {
+        let mut t = Topology::new(4);
+        for (a, b) in [(0, 2), (2, 1), (1, 3)] {
+            t.add_directed_link(CoreId(a), CoreId(b), DEFAULT_LINK_LATENCY, 8);
+        }
+        assert!(t.is_connected());
+        // Without the last hop, core 3 is out of reach either way.
+        let mut cut = Topology::new(4);
+        for (a, b) in [(0, 2), (2, 1), (3, 1)] {
+            cut.add_directed_link(CoreId(a), CoreId(b), DEFAULT_LINK_LATENCY, 8);
+        }
+        assert!(!cut.is_connected());
     }
 
     #[test]

@@ -32,7 +32,9 @@ pub use builders::{
     mesh_2d, mesh_3d, ring, star, torus_2d, ChipletParams, ClusterParams, HierarchyParams,
 };
 pub use config::{format_topology, parse_topology, ConfigError};
-pub use graph::{CoreId, LinkId, LinkList, LinkProps, LinkTiming, Topology, MAX_LINK_CLASSES};
+pub use graph::{
+    CoreId, LinkId, LinkList, LinkProps, LinkSink, LinkTiming, Topology, MAX_LINK_CLASSES,
+};
 // `benchmark/src/probes.rs:73` still times `partition_bfs`; ROADMAP
 // direction 1(b) deletes that probe, and this module with it.
 pub use partition::{partition_bfs, Partition};

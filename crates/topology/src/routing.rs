@@ -59,6 +59,8 @@ pub struct Routes {
     capacity: usize,
     /// Slot the next miss overwrites once the pool is full.
     victim: usize,
+    /// Rows built so far, evicted ones rebuilt included.
+    builds: u64,
 }
 
 /// What one pool slot's row routes to.
@@ -97,7 +99,14 @@ impl Routes {
             head: Vec::new(),
             capacity,
             victim: 0,
+            builds: 0,
         }
+    }
+
+    /// Rows built so far: one per miss, so a row evicted and asked for
+    /// again counts twice.
+    pub fn builds(&self) -> u64 {
+        self.builds
     }
 
     /// The next-hop row toward `dst` over every link of `topo` (the
@@ -177,6 +186,7 @@ impl Routes {
         dead: impl Fn(LinkId) -> bool,
     ) -> usize {
         let n = self.n as usize;
+        self.builds += 1;
         if self.head.is_empty() {
             self.head = vec![NIL; n];
             self.incoming = Incoming::of(topo);
@@ -533,6 +543,9 @@ mod tests {
             }
             assert_eq!(small.slots.len(), MIN_ROWS);
             assert_eq!(whole.slots.len(), 2 * 64);
+            // Every lookup of the small pool missed; the whole one built
+            // each row once.
+            assert_eq!((small.builds(), whole.builds()), (4 * 64, 2 * 64));
         }
     }
 
@@ -546,10 +559,13 @@ mod tests {
             routes.head.is_empty() && routes.rows.is_empty(),
             "built at construction"
         );
+        assert_eq!(routes.builds(), 0);
         let row = routes.row(&topo, CoreId(2));
         assert_eq!(Routes::path(&topo, row, CoreId(0)).count(), 2);
         assert_eq!(routes.head.len(), topo.n_cores() as usize);
         assert_eq!(routes.rows.len(), topo.n_cores() as usize);
+        routes.row(&topo, CoreId(2));
+        assert_eq!(routes.builds(), 1, "a resident row is not built again");
     }
 
     /// Only the classes some link uses decide between the sweep and

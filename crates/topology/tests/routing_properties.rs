@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use simany_time::VDuration;
-use simany_topology::{CoreId, LinkId, Routes, Topology};
+use simany_topology::{CoreId, LinkId, LinkProps, Routes, Topology};
 
 /// The route from `src` along `row` as its links, and their latency sum.
 fn walk(topo: &Topology, row: &[u32], src: CoreId) -> (Vec<LinkId>, VDuration) {
@@ -59,8 +59,64 @@ fn floyd_warshall(t: &Topology) -> Vec<Vec<u64>> {
     d
 }
 
+/// Oracle for `is_connected`: a depth-first search from core 0 along the
+/// directed links.
+fn dfs_reaches_every_core(t: &Topology) -> bool {
+    let mut seen = vec![false; t.n_cores() as usize];
+    let mut stack = vec![CoreId(0)];
+    seen[0] = true;
+    while let Some(c) = stack.pop() {
+        for &(n, _) in t.neighbors(c) {
+            if !std::mem::replace(&mut seen[n.index()], true) {
+                stack.push(n);
+            }
+        }
+    }
+    seen.iter().all(|&s| s)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `is_connected` answers directed reachability from core 0, as a
+    /// depth-first search does: on random connected graphs with their
+    /// cores renumbered (so paths from core 0 need not climb in id, and
+    /// the index-order sweep can miss cores the search finds) and with
+    /// random one-way links deleted.
+    #[test]
+    fn connectivity_matches_a_depth_first_search(
+        n in 1u32..24,
+        extra in 0usize..20,
+        seed in 0u64..10_000,
+        drop_per_mille in 0u64..300,
+    ) {
+        use simany_time::Xoshiro256StarStar;
+        let full = random_topology(n, extra, seed);
+        let mut rng = Xoshiro256StarStar::seeded(seed ^ 0xC0FFEE);
+        let mut ids: Vec<u32> = (0..n).collect();
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, rng.next_index(i + 1));
+        }
+        let kept: Vec<LinkProps> = full
+            .links()
+            .filter(|_| rng.next_below(1000) >= drop_per_mille)
+            .map(|l| LinkProps {
+                src: CoreId(ids[l.src.index()]),
+                dst: CoreId(ids[l.dst.index()]),
+                ..l
+            })
+            .collect();
+        let topo = Topology::generate(n, |sink| {
+            for &l in &kept {
+                sink.link(l);
+            }
+        });
+        prop_assert_eq!(topo.links().collect::<Vec<_>>(), kept);
+        prop_assert_eq!(topo.is_connected(), dfs_reaches_every_core(&topo));
+        if drop_per_mille == 0 {
+            prop_assert!(topo.is_connected());
+        }
+    }
 
     /// Routes are valid, chained routes reaching the destination, with
     /// latencies matching the true shortest paths.
