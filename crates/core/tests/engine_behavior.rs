@@ -8,6 +8,7 @@ use simany_core::{
     simulate, BlockCost, CoreId, EngineConfig, Envelope, ExecCtx, Ops, Payload, RuntimeHooks,
     SyncPolicy, VDuration, VirtualTime,
 };
+use simany_topology::graph::{DEFAULT_LINK_BANDWIDTH, DEFAULT_LINK_LATENCY};
 use simany_topology::{mesh_2d, ring, Topology};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -42,9 +43,14 @@ impl RuntimeHooks for TestHooks {
 }
 
 fn pair() -> Topology {
-    let mut t = Topology::new(2);
-    t.add_default_link(CoreId(0), CoreId(1));
-    t
+    Topology::generate(2, |links| {
+        links.connect(
+            CoreId(0),
+            CoreId(1),
+            DEFAULT_LINK_LATENCY,
+            DEFAULT_LINK_BANDWIDTH,
+        );
+    })
 }
 
 type TestTasks = Vec<(u32, Box<dyn FnOnce(&mut ExecCtx)>)>;

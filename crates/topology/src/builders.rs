@@ -9,10 +9,9 @@
 //! organizations".
 //!
 //! Every builder is a link generator run by [`Topology::generate`]: it
-//! hands its connections to the [`LinkSink`] in [`Topology::add_link`]
-//! order (`a -> b`, then `b -> a`, connection by connection), so link ids
-//! are those of a link-by-link build while each link is written straight
-//! into its adjacency row.
+//! hands its connections to the [`LinkSink`] with [`LinkSink::connect`]
+//! (`a -> b`, then `b -> a`, connection by connection), and each link is
+//! written straight into its adjacency row.
 
 use crate::graph::{CoreId, LinkSink, Topology, DEFAULT_LINK_BANDWIDTH, DEFAULT_LINK_LATENCY};
 use simany_time::VDuration;
@@ -459,7 +458,7 @@ pub fn cluster_of_clusters(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::LinkProps;
+    use crate::graph::{LinkId, LinkProps};
 
     #[test]
     fn mesh_dims_square_and_rectangular() {
@@ -471,17 +470,61 @@ mod tests {
         assert_eq!(mesh_dims(7), (7, 1));
     }
 
+    /// A reference adjacency, written out the plain way: the directed
+    /// links in id order, and a `Vec` of `(neighbor, link)` pairs per core.
+    struct Reference {
+        links: Vec<LinkProps>,
+        rows: Vec<Vec<(CoreId, LinkId)>>,
+    }
+
+    impl Reference {
+        fn new(n: u32) -> Self {
+            Reference {
+                links: Vec::new(),
+                rows: vec![Vec::new(); n as usize],
+            }
+        }
+
+        fn has(&self, a: CoreId, b: CoreId) -> bool {
+            self.rows[a.index()].iter().any(|&(n, _)| n == b)
+        }
+
+        /// Add the connection `l`: `l`, then its reverse.
+        fn connect(&mut self, l: LinkProps) {
+            let back = LinkProps {
+                src: l.dst,
+                dst: l.src,
+                ..l
+            };
+            for l in [l, back] {
+                assert!(l.src != l.dst && !self.has(l.src, l.dst), "{l:?}");
+                let id = LinkId(self.links.len() as u32);
+                self.rows[l.src.index()].push((l.dst, id));
+                self.links.push(l);
+            }
+        }
+
+        fn connect_default(&mut self, a: CoreId, b: CoreId) {
+            self.connect(LinkProps {
+                src: a,
+                dst: b,
+                latency: DEFAULT_LINK_LATENCY,
+                bandwidth_bytes_per_cycle: DEFAULT_LINK_BANDWIDTH,
+            });
+        }
+    }
+
     /// The torus as it was built before the flat adjacency: link by link,
     /// skipping a wrap link that would be a self-loop or repeat a link.
-    fn torus_link_by_link(n: u32) -> Topology {
+    fn torus_link_by_link(n: u32) -> Reference {
         let (w, h) = mesh_dims(n);
-        let mut t = Topology::new(n);
+        let mut t = Reference::new(n);
         let id = |x: u32, y: u32| CoreId(y * w + x);
         for y in 0..h {
             for x in 0..w {
                 for next in [id((x + 1) % w, y), id(x, (y + 1) % h)] {
-                    if next != id(x, y) && !t.are_neighbors(id(x, y), next) {
-                        t.add_default_link(id(x, y), next);
+                    if next != id(x, y) && !t.has(id(x, y), next) {
+                        t.connect_default(id(x, y), next);
                     }
                 }
             }
@@ -490,28 +533,30 @@ mod tests {
     }
 
     /// The ring as it was built before the flat adjacency.
-    fn ring_link_by_link(n: u32) -> Topology {
-        let mut t = Topology::new(n);
+    fn ring_link_by_link(n: u32) -> Reference {
+        let mut t = Reference::new(n);
         for i in 0..n {
             let next = CoreId((i + 1) % n);
-            if !t.are_neighbors(CoreId(i), next) {
-                t.add_default_link(CoreId(i), next);
+            if !t.has(CoreId(i), next) {
+                t.connect_default(CoreId(i), next);
             }
         }
         t
     }
 
-    fn assert_same_graph(got: &Topology, want: &Topology) {
-        assert_eq!(got.n_cores(), want.n_cores());
-        assert!(got.links().eq(want.links()));
+    fn assert_same_graph(got: &Topology, want: &Reference) {
+        assert_eq!(got.n_cores() as usize, want.rows.len());
+        assert_eq!(got.links().collect::<Vec<_>>(), want.links);
         for c in got.cores() {
-            assert_eq!(got.neighbors(c), want.neighbors(c), "{c}");
+            let mut row = want.rows[c.index()].clone();
+            row.sort_unstable();
+            assert_eq!(got.neighbors(c), row, "{c}");
         }
     }
 
     /// Every builder's one-pass topology equals feeding its connections,
-    /// in order, through `Topology::new` + `add_link`; the torus and the
-    /// ring, whose small sides drop wrap links, also equal their old
+    /// in order, into a reference adjacency; the torus and the ring,
+    /// whose small sides drop wrap links, also equal their old
     /// link-by-link construction.
     #[test]
     fn builders_match_incremental_construction() {
@@ -545,7 +590,7 @@ mod tests {
         built.push(cluster_of_clusters(2, 3, 4, HierarchyParams::default()));
         built.push(cluster_of_clusters(3, 2, 16, HierarchyParams::default()));
         for t in &built {
-            let mut inc = Topology::new(t.n_cores());
+            let mut inc = Reference::new(t.n_cores());
             for pair in t.links().collect::<Vec<_>>().chunks(2) {
                 let l = pair[0];
                 assert_eq!(
@@ -556,7 +601,7 @@ mod tests {
                         ..l
                     }
                 );
-                inc.add_link(l.src, l.dst, l.latency, l.bandwidth_bytes_per_cycle);
+                inc.connect(l);
             }
             assert_same_graph(t, &inc);
         }

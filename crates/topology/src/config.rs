@@ -24,8 +24,7 @@
 //! the simulator's tick; bandwidth is in bytes per cycle.
 
 use crate::graph::{
-    CoreId, LinkId, LinkList, LinkProps, Topology, DEFAULT_LINK_BANDWIDTH, DEFAULT_LINK_LATENCY,
-    MAX_LINK_CLASSES,
+    CoreId, LinkProps, Topology, DEFAULT_LINK_BANDWIDTH, DEFAULT_LINK_LATENCY, MAX_LINK_CLASSES,
 };
 use simany_time::{VDuration, TICKS_PER_CYCLE};
 use std::cmp::Reverse;
@@ -95,9 +94,12 @@ pub fn parse_topology(text: &str) -> Result<Topology, ConfigError> {
     let mut default_latency = DEFAULT_LINK_LATENCY;
     let mut default_bw = DEFAULT_LINK_BANDWIDTH;
     // Directed links in declaration order (the `i`-th becomes `LinkId(i)`),
-    // and where each `(src, dst)` pair sits in that list.
-    let mut links = LinkList::default();
-    let mut index: HashMap<(u32, u32), LinkId> = HashMap::new();
+    // where each `(src, dst)` pair sits in that list, and every `(latency,
+    // bandwidth)` pair a link was ever given: an overridden link's old
+    // pair still counts against `MAX_LINK_CLASSES`.
+    let mut links: Vec<LinkProps> = Vec::new();
+    let mut index: HashMap<(u32, u32), usize> = HashMap::new();
+    let mut pairs: HashSet<(VDuration, u32)> = HashSet::new();
     let mut lines = text.lines().enumerate().peekable();
 
     while let Some((idx, raw)) = lines.next() {
@@ -119,8 +121,9 @@ pub fn parse_topology(text: &str) -> Result<Topology, ConfigError> {
                     return Err(err(lineno, "core count must be positive"));
                 }
                 n_cores = Some(n);
-                links = LinkList::default();
+                links.clear();
                 index.clear();
+                pairs.clear();
             }
             "default" => {
                 for tok in toks {
@@ -185,12 +188,14 @@ pub fn parse_topology(text: &str) -> Result<Topology, ConfigError> {
                             // A pair already declared keeps its link.
                             let (a, b) = (row as u32, col as u32);
                             index.entry((a, b)).or_insert_with(|| {
+                                pairs.insert((default_latency, default_bw));
                                 links.push(LinkProps {
                                     src: CoreId(a),
                                     dst: CoreId(b),
                                     latency: default_latency,
                                     bandwidth_bytes_per_cycle: default_bw,
-                                })
+                                });
+                                links.len() - 1
                             });
                         }
                     }
@@ -229,27 +234,29 @@ pub fn parse_topology(text: &str) -> Result<Topology, ConfigError> {
                         other => return Err(err(lineno, format!("unknown key '{other}'"))),
                     }
                 }
+                pairs.insert((latency, bw));
                 if let Some(&ab) = index.get(&(a, b)) {
                     // A repeated pair overrides both directions; every pair
                     // is declared both ways (matrices must be symmetric).
-                    for id in [ab, index[&(b, a)]] {
-                        links.set(id, latency, bw);
+                    for i in [ab, index[&(b, a)]] {
+                        links[i].latency = latency;
+                        links[i].bandwidth_bytes_per_cycle = bw;
                     }
                 } else {
                     for (src, dst) in [(a, b), (b, a)] {
-                        let id = links.push(LinkProps {
+                        index.insert((src, dst), links.len());
+                        links.push(LinkProps {
                             src: CoreId(src),
                             dst: CoreId(dst),
                             latency,
                             bandwidth_bytes_per_cycle: bw,
                         });
-                        index.insert((src, dst), id);
                     }
                 }
             }
             other => return Err(err(lineno, format!("unknown keyword '{other}'"))),
         }
-        if links.overflowed() {
+        if pairs.len() > MAX_LINK_CLASSES {
             return Err(err(
                 lineno,
                 format!("more than {MAX_LINK_CLASSES} distinct link latency/bandwidth pairs"),
@@ -258,7 +265,11 @@ pub fn parse_topology(text: &str) -> Result<Topology, ConfigError> {
     }
 
     let n = n_cores.ok_or_else(|| err(0, "missing 'cores' declaration"))?;
-    let topo = Topology::from_links(n, links);
+    let topo = Topology::generate(n, |sink| {
+        for &l in &links {
+            sink.link(l);
+        }
+    });
     if !topo.is_connected() {
         return Err(err(0, "topology is not connected"));
     }
@@ -321,6 +332,7 @@ pub fn format_topology(topo: &Topology) -> String {
 mod tests {
     use super::*;
     use crate::builders::{clustered_mesh, mesh_2d, ClusterParams};
+    use crate::graph::LinkId;
 
     const SAMPLE: &str = "\
 # a 4-core ring with one fast chord

@@ -4,7 +4,8 @@
 //! physical (undirected) wire between two cores is represented as two
 //! directed links so that the network model can account for contention in
 //! each direction independently (paper §VII: "we do model contention on
-//! individual links").
+//! individual links"). Every topology is built by one link generator run
+//! through [`Topology::generate`], and its links never change afterwards.
 
 use simany_time::VDuration;
 use std::collections::HashMap;
@@ -131,12 +132,10 @@ impl LinkClasses {
         }
     }
 
-    /// Append a link of this latency and bandwidth; returns its id.
-    fn push(&mut self, latency: VDuration, bandwidth: u32) -> LinkId {
-        let id = LinkId(self.class.len() as u32);
+    /// Append a link of this latency and bandwidth.
+    fn push(&mut self, latency: VDuration, bandwidth: u32) {
         let class = self.intern(latency, bandwidth);
         self.class.push(class);
-        id
     }
 
     /// Number of links.
@@ -154,17 +153,9 @@ impl LinkClasses {
         }
     }
 
-    /// Give link `id` a new latency and bandwidth, re-interning its class.
-    /// The class it leaves stays in the table with one link fewer, and
-    /// still counts against [`MAX_LINK_CLASSES`].
-    fn set(&mut self, id: LinkId, latency: VDuration, bandwidth: u32) {
-        self.classes[self.class[id.index()] as usize].links -= 1;
-        self.class[id.index()] = self.intern(latency, bandwidth);
-    }
-
-    /// The classes some link uses, in first-seen order.
+    /// The classes, in first-seen order; each has at least one link.
     fn classes(&self) -> impl Iterator<Item = LinkClass> + '_ {
-        self.classes.iter().copied().filter(|c| c.links > 0)
+        self.classes.iter().copied()
     }
 
     /// Index of the `(latency, bandwidth)` class, counting one more link in
@@ -198,49 +189,6 @@ impl LinkClasses {
     }
 }
 
-/// Directed links in id order (`LinkId(i)` is the `i`-th push): per link
-/// its ends (8 B) and the index of its `(latency, bandwidth)` class (2 B).
-/// For a caller that must revise links after pushing them, as the config
-/// parser's `link` overrides do: [`Topology::from_links`] keeps the
-/// classes and drops the ends once the adjacency rows hold them. A
-/// builder that knows its links up front emits them through
-/// [`Topology::generate`] instead, and holds no list.
-#[derive(Clone, Debug, Default)]
-pub struct LinkList {
-    ends: Vec<(CoreId, CoreId)>,
-    classes: LinkClasses,
-}
-
-impl LinkList {
-    /// Append a directed link; returns its id. A pair beyond
-    /// [`MAX_LINK_CLASSES`] marks the list as overflowed instead of
-    /// panicking, so a parser can report it.
-    pub fn push(&mut self, l: LinkProps) -> LinkId {
-        self.ends.push((l.src, l.dst));
-        self.classes.push(l.latency, l.bandwidth_bytes_per_cycle)
-    }
-
-    /// Give link `id` a new latency and bandwidth, re-interning its class.
-    pub(crate) fn set(&mut self, id: LinkId, latency: VDuration, bandwidth: u32) {
-        self.classes.set(id, latency, bandwidth);
-    }
-
-    /// True iff some pair found the class table full.
-    pub(crate) fn overflowed(&self) -> bool {
-        self.classes.overflowed
-    }
-}
-
-impl FromIterator<LinkProps> for LinkList {
-    fn from_iter<I: IntoIterator<Item = LinkProps>>(iter: I) -> Self {
-        let mut list = LinkList::default();
-        for l in iter {
-            list.push(l);
-        }
-        list
-    }
-}
-
 /// Receives a link generator's directed links in id order (`LinkId(i)` is
 /// the `i`-th link handed over). [`Topology::generate`] runs the generator
 /// twice, each time with a sink of its own: the first counts every core's
@@ -251,27 +199,40 @@ pub struct LinkSink<'a> {
     /// Links handed over so far on this pass: the id of the next one.
     next: u32,
     /// Counting pass: `cursor[c + 1]` counts core `c`'s links. Filling
-    /// pass: `cursor[c + 1]` is core `c`'s fill cursor into `adj`.
+    /// pass: `cursor[c + 1]` is core `c`'s fill cursor into the rows.
     cursor: &'a mut [u32],
-    /// `(neighbor, link)` words of every row; `None` on the counting pass.
-    adj: Option<&'a mut [[u32; 2]]>,
-    /// Where the filling pass interns classes; `None` when they are known
-    /// already ([`Topology::from_links`]) and on the counting pass.
-    classes: Option<&'a mut LinkClasses>,
+    /// Filling pass: the `(neighbor, link)` words of every row, and the
+    /// table where each link's class is interned. `None` on the counting
+    /// pass.
+    fill: Option<(&'a mut [[u32; 2]], &'a mut LinkClasses)>,
 }
 
 impl LinkSink<'_> {
-    /// Hand over the next directed link.
+    /// Hand over the next directed link: count it, or write it at its
+    /// row's cursor and intern its class. Panics on a self-loop or an
+    /// out-of-range core.
     #[inline]
     pub fn link(&mut self, l: LinkProps) {
-        if let Some(classes) = self.classes.as_deref_mut() {
-            classes.push(l.latency, l.bandwidth_bytes_per_cycle);
+        let row = l.src.index() + 1;
+        match &mut self.fill {
+            None => {
+                assert!(l.src != l.dst, "self-loop link {}", l.src);
+                assert!(
+                    l.src.0 < self.n_cores && l.dst.0 < self.n_cores,
+                    "core out of range"
+                );
+            }
+            Some((adj, classes)) => {
+                classes.push(l.latency, l.bandwidth_bytes_per_cycle);
+                adj[self.cursor[row] as usize] = [l.dst.0, self.next];
+            }
         }
-        self.ends(l.src, l.dst);
+        self.cursor[row] += 1;
+        self.next += 1;
     }
 
-    /// Hand over both directed links of a connection between `a` and `b`,
-    /// in [`Topology::add_link`] order: `a -> b`, then `b -> a`.
+    /// Hand over both directed links of a connection between `a` and `b`:
+    /// `a -> b`, then `b -> a`.
     #[inline]
     pub fn connect(&mut self, a: CoreId, b: CoreId, latency: VDuration, bandwidth: u32) {
         let ab = LinkProps {
@@ -287,36 +248,15 @@ impl LinkSink<'_> {
             ..ab
         });
     }
-
-    /// Count the link `src -> dst`, or write it at its row's cursor.
-    /// Panics on a self-loop or an out-of-range core.
-    #[inline]
-    fn ends(&mut self, src: CoreId, dst: CoreId) {
-        let row = src.index() + 1;
-        match self.adj.as_deref_mut() {
-            None => {
-                assert!(src != dst, "self-loop link {src}");
-                assert!(
-                    src.0 < self.n_cores && dst.0 < self.n_cores,
-                    "core out of range"
-                );
-            }
-            Some(adj) => adj[self.cursor[row] as usize] = [dst.0, self.next],
-        }
-        self.cursor[row] += 1;
-        self.next += 1;
-    }
 }
 
 /// The interconnect graph: cores plus directed links with per-link latency
 /// and bandwidth.
 ///
-/// Every shape in [`crate::builders`] is a link generator run by
-/// [`Topology::generate`], which writes each link straight into its
-/// adjacency row; the config parser, which revises links as it reads, fills
-/// a [`LinkList`] for [`Topology::from_links`], which runs the same
-/// construction over it. Small hand-built graphs can use builder-style
-/// `add_*` calls. Afterwards the topology is immutable and shared by the
+/// Every topology, whether a shape in [`crate::builders`], a parsed
+/// configuration or a hand-built test graph, comes from a link generator
+/// run by [`Topology::generate`], which writes each link straight into its
+/// adjacency row. Afterwards the topology is immutable and shared by the
 /// network model, the spatial-synchronization machinery (which needs
 /// neighbor sets) and the routes.
 ///
@@ -365,37 +305,15 @@ impl Topology {
     /// writes them into their rows, so nothing but the rows and a 2 B class
     /// index per link is ever allocated: O(cores + links). Panics on a
     /// self-loop, an out-of-range core, a zero bandwidth, a duplicate link
-    /// or more than [`MAX_LINK_CLASSES`] link classes, as
-    /// [`Topology::add_directed_link`] does.
+    /// or more than [`MAX_LINK_CLASSES`] link classes.
     pub fn generate(n_cores: u32, links: impl Fn(&mut LinkSink)) -> Self {
-        Self::build(n_cores, None, links)
-    }
-
-    /// Build a topology from a list of its directed links: the list's
-    /// `i`-th link becomes `LinkId(i)`, with the class the list holds for
-    /// it. Checks and cost as for [`Topology::generate`]; the list's ends
-    /// are dropped once the rows hold them.
-    pub fn from_links(n_cores: u32, links: LinkList) -> Self {
-        let LinkList { ends, classes } = links;
-        Self::build(n_cores, Some(classes), |sink| {
-            for &(src, dst) in &ends {
-                sink.ends(src, dst);
-            }
-        })
-    }
-
-    /// The one construction: count, fill, check, sort. `classes` holds the
-    /// links' classes when they are known already; otherwise the filling
-    /// pass interns them.
-    fn build(n_cores: u32, classes: Option<LinkClasses>, links: impl Fn(&mut LinkSink)) -> Self {
         assert!(n_cores > 0, "a topology needs at least one core");
         let mut offsets = vec![0u32; n_cores as usize + 1];
         let mut count = LinkSink {
             n_cores,
             next: 0,
             cursor: &mut offsets,
-            adj: None,
-            classes: None,
+            fill: None,
         };
         links(&mut count);
         let m = count.next;
@@ -405,21 +323,22 @@ impl Topology {
         // Words of `u32`s, so the rows start as one zeroed allocation that
         // the filling pass is the first to touch.
         let mut words = vec![[0u32; 2]; m as usize];
-        let intern = classes.is_none();
-        let mut classes = classes.unwrap_or_else(|| LinkClasses::with_capacity(m as usize));
+        let mut classes = LinkClasses::with_capacity(m as usize);
         let mut fill = LinkSink {
             n_cores,
             next: 0,
             cursor: &mut offsets,
-            adj: Some(&mut words),
-            classes: intern.then_some(&mut classes),
+            fill: Some((&mut words, &mut classes)),
         };
         links(&mut fill);
         assert!(
             fill.next == m,
             "a link generator handed over other links on its second run"
         );
-        assert_classes_fit(&classes);
+        assert!(
+            !classes.overflowed,
+            "more than {MAX_LINK_CLASSES} link classes"
+        );
         assert!(
             classes.classes().all(|c| c.bandwidth > 0),
             "link bandwidth must be non-zero"
@@ -527,7 +446,7 @@ impl Topology {
         self.adj[slot as usize]
     }
 
-    /// The `(latency, bandwidth)` classes some link uses, in first-seen
+    /// The `(latency, bandwidth)` classes of the links, in first-seen
     /// order: O(classes), however many links share them.
     pub(crate) fn link_classes(&self) -> impl Iterator<Item = LinkClass> + '_ {
         self.links.classes()
@@ -557,86 +476,6 @@ impl Topology {
         row.binary_search_by_key(&b, |&(n, _)| n)
             .ok()
             .map(|i| row[i].1)
-    }
-
-    /// Add a single directed link; returns its id. Panics on self-loops,
-    /// out-of-range cores or duplicate links.
-    ///
-    /// Each call costs O(cores + links), since it shifts the flat
-    /// adjacency: fine for hand-built graphs, while machines of any size
-    /// should come from [`Topology::from_links`].
-    pub fn add_directed_link(
-        &mut self,
-        src: CoreId,
-        dst: CoreId,
-        latency: VDuration,
-        bandwidth: u32,
-    ) -> LinkId {
-        assert!(src != dst, "self-loop link {src}");
-        assert!(
-            src.0 < self.n_cores && dst.0 < self.n_cores,
-            "core out of range"
-        );
-        assert!(bandwidth > 0, "link bandwidth must be non-zero");
-        assert!(
-            !self.are_neighbors(src, dst),
-            "duplicate link {src} -> {dst}"
-        );
-        let id = self.links.push(latency, bandwidth);
-        assert_classes_fit(&self.links);
-        let pos = self.offsets[src.index()] as usize
-            + self.neighbors(src).partition_point(|&(n, _)| n < dst);
-        self.adj.insert(pos, (dst, id));
-        for o in &mut self.offsets[src.index() + 1..] {
-            *o += 1;
-        }
-        id
-    }
-
-    /// Add a bidirectional connection (two directed links with identical
-    /// properties); returns both ids. O(cores + links), like
-    /// [`Topology::add_directed_link`].
-    pub fn add_link(
-        &mut self,
-        a: CoreId,
-        b: CoreId,
-        latency: VDuration,
-        bandwidth: u32,
-    ) -> (LinkId, LinkId) {
-        let ab = self.add_directed_link(a, b, latency, bandwidth);
-        let ba = self.add_directed_link(b, a, latency, bandwidth);
-        (ab, ba)
-    }
-
-    /// Add a bidirectional connection with the paper's default latency
-    /// (1 cycle) and bandwidth (128 B/cy). O(cores + links), like
-    /// [`Topology::add_directed_link`].
-    pub fn add_default_link(&mut self, a: CoreId, b: CoreId) -> (LinkId, LinkId) {
-        self.add_link(a, b, DEFAULT_LINK_LATENCY, DEFAULT_LINK_BANDWIDTH)
-    }
-
-    /// Override the latency/bandwidth of the directed link `a -> b` (and its
-    /// reverse when `both_directions`).
-    pub fn set_link_props(
-        &mut self,
-        a: CoreId,
-        b: CoreId,
-        latency: VDuration,
-        bandwidth: u32,
-        both_directions: bool,
-    ) {
-        assert!(bandwidth > 0, "link bandwidth must be non-zero");
-        let ab = self
-            .link_between(a, b)
-            .unwrap_or_else(|| panic!("no link {a} -> {b}"));
-        self.links.set(ab, latency, bandwidth);
-        if both_directions {
-            let ba = self
-                .link_between(b, a)
-                .unwrap_or_else(|| panic!("no link {b} -> {a}"));
-            self.links.set(ba, latency, bandwidth);
-        }
-        assert_classes_fit(&self.links);
     }
 
     /// True iff every core can be reached from core 0 along directed links.
@@ -741,14 +580,6 @@ impl Topology {
     }
 }
 
-/// Panics when `links` needed more than [`MAX_LINK_CLASSES`] classes.
-fn assert_classes_fit(links: &LinkClasses) {
-    assert!(
-        !links.overflowed,
-        "more than {MAX_LINK_CLASSES} link classes"
-    );
-}
-
 /// Turn per-row counts at `offsets[c + 1]` into row starts shifted up by
 /// one slot: `offsets[c + 1]` becomes the start of row `c`.
 fn shift_counts(offsets: &mut [u32]) {
@@ -805,14 +636,6 @@ impl Incoming {
 mod tests {
     use super::*;
 
-    fn triangle() -> Topology {
-        let mut t = Topology::new(3);
-        t.add_default_link(CoreId(0), CoreId(1));
-        t.add_default_link(CoreId(1), CoreId(2));
-        t.add_default_link(CoreId(2), CoreId(0));
-        t
-    }
-
     fn link(src: u32, dst: u32, bandwidth: u32) -> LinkProps {
         LinkProps {
             src: CoreId(src),
@@ -820,6 +643,46 @@ mod tests {
             latency: DEFAULT_LINK_LATENCY,
             bandwidth_bytes_per_cycle: bandwidth,
         }
+    }
+
+    /// `n` cores and these directed links, in id order.
+    fn built(n: u32, links: &[LinkProps]) -> Topology {
+        Topology::generate(n, |sink| {
+            for &l in links {
+                sink.link(l);
+            }
+        })
+    }
+
+    /// `n` cores and a default connection per pair, in order.
+    fn connected(n: u32, pairs: &[(u32, u32)]) -> Topology {
+        Topology::generate(n, |sink| {
+            for &(a, b) in pairs {
+                sink.connect(
+                    CoreId(a),
+                    CoreId(b),
+                    DEFAULT_LINK_LATENCY,
+                    DEFAULT_LINK_BANDWIDTH,
+                );
+            }
+        })
+    }
+
+    fn triangle() -> Topology {
+        connected(3, &[(0, 1), (1, 2), (2, 0)])
+    }
+
+    /// The adjacency rows `links` describe, written out the plain way: a
+    /// `Vec` per core of its `(neighbor, link)` pairs, sorted by neighbor.
+    fn reference_rows(n: u32, links: &[LinkProps]) -> Vec<Vec<(CoreId, LinkId)>> {
+        let mut rows = vec![Vec::new(); n as usize];
+        for (i, l) in links.iter().enumerate() {
+            rows[l.src.index()].push((l.dst, LinkId(i as u32)));
+        }
+        for row in &mut rows {
+            row.sort_unstable();
+        }
+        rows
     }
 
     #[test]
@@ -836,34 +699,28 @@ mod tests {
 
     #[test]
     fn neighbors_sorted_for_determinism() {
-        let mut t = Topology::new(4);
-        t.add_default_link(CoreId(0), CoreId(3));
-        t.add_default_link(CoreId(0), CoreId(1));
-        t.add_default_link(CoreId(0), CoreId(2));
+        let t = connected(4, &[(0, 3), (0, 1), (0, 2)]);
         let ns: Vec<u32> = t.neighbors(CoreId(0)).iter().map(|&(n, _)| n.0).collect();
         assert_eq!(ns, vec![1, 2, 3]);
     }
 
-    /// One pass over a link list and one `add_directed_link` per link give
-    /// the same ids and the same sorted rows.
+    /// One pass over the generator gives the links back in id order and
+    /// the rows a plain per-core list of them would hold.
     #[test]
-    fn from_links_matches_incremental_construction() {
+    fn generate_matches_a_reference_adjacency() {
         let links = vec![link(0, 3, 8), link(3, 0, 8), link(0, 1, 8), link(2, 0, 16)];
-        let flat = Topology::from_links(4, links.iter().copied().collect());
-        let mut inc = Topology::new(4);
-        for l in &links {
-            inc.add_directed_link(l.src, l.dst, l.latency, l.bandwidth_bytes_per_cycle);
-        }
-        assert!(flat.links().eq(inc.links()));
-        assert_eq!(flat.links().len(), 4);
-        for c in flat.cores() {
-            assert_eq!(flat.neighbors(c), inc.neighbors(c), "{c}");
+        let t = built(4, &links);
+        assert_eq!(t.links().collect::<Vec<_>>(), links);
+        assert_eq!(t.links().len(), 4);
+        let rows = reference_rows(4, &links);
+        for c in t.cores() {
+            assert_eq!(t.neighbors(c), rows[c.index()], "{c}");
         }
         assert_eq!(
-            flat.neighbors(CoreId(0)),
+            t.neighbors(CoreId(0)),
             &[(CoreId(1), LinkId(2)), (CoreId(3), LinkId(0))]
         );
-        assert_eq!(flat.degree(CoreId(1)), 0);
+        assert_eq!(t.degree(CoreId(1)), 0);
     }
 
     /// The message of the panic `f` raises.
@@ -876,11 +733,10 @@ mod tests {
             .unwrap_or_default()
     }
 
-    /// A list handed to `from_links` and a generator handing the same
-    /// links to `generate` each panic with the message of the check it
-    /// breaks.
+    /// A generator handing over a malformed link panics with the message
+    /// of the check it breaks.
     #[test]
-    fn from_links_rejects_what_add_directed_link_rejects() {
+    fn generate_rejects_malformed_links() {
         let too_many_classes = (1..=MAX_LINK_CLASSES as u32 + 1)
             .map(|bw| link(0, 1, bw))
             .collect();
@@ -896,17 +752,7 @@ mod tests {
             (too_many_classes, "more than 65536 link classes"),
         ];
         for (links, expect) in cases {
-            let list = links.clone();
-            let msg = panic_message(|| Topology::from_links(3, list.into_iter().collect()));
-            assert_eq!(msg, expect, "from_links");
-            let msg = panic_message(|| {
-                Topology::generate(3, |sink| {
-                    for &l in &links {
-                        sink.link(l);
-                    }
-                })
-            });
-            assert_eq!(msg, expect, "generate");
+            assert_eq!(panic_message(|| built(3, &links)), expect);
         }
     }
 
@@ -930,20 +776,20 @@ mod tests {
         );
     }
 
-    /// A class index is a `u16`: the list marks the pair that finds the
-    /// table full, and `from_links` refuses the list.
+    /// A class index is a `u16`: a star whose spokes each have a class of
+    /// their own builds with [`MAX_LINK_CLASSES`] spokes and is refused
+    /// with one more.
     #[test]
     fn link_classes_are_capped() {
-        let distinct = |n: u32| (1..=n).map(|bw| link(0, 1, bw));
-        let full: LinkList = distinct(MAX_LINK_CLASSES as u32).collect();
-        assert!(!full.overflowed());
-        let mut over = full.clone();
-        over.push(link(1, 0, u32::MAX));
-        assert!(over.overflowed());
-        let err = std::panic::catch_unwind(|| Topology::from_links(2, over)).unwrap_err();
+        let star = |spokes: u32| {
+            let links: Vec<LinkProps> = (1..=spokes).map(|bw| link(0, bw, bw)).collect();
+            built(MAX_LINK_CLASSES as u32 + 2, &links)
+        };
+        let full = star(MAX_LINK_CLASSES as u32);
+        assert_eq!(full.link_classes().count(), MAX_LINK_CLASSES);
         assert_eq!(
-            err.downcast_ref::<String>().map(String::as_str),
-            Some("more than 65536 link classes")
+            panic_message(|| star(MAX_LINK_CLASSES as u32 + 1)),
+            "more than 65536 link classes"
         );
     }
 
@@ -951,11 +797,8 @@ mod tests {
     /// core 0 does not make the graph connected.
     #[test]
     fn connectivity_needs_a_path_from_core_zero() {
-        let mut t = Topology::new(2);
-        t.add_directed_link(CoreId(1), CoreId(0), DEFAULT_LINK_LATENCY, 8);
-        assert!(!t.is_connected());
-        t.add_directed_link(CoreId(0), CoreId(1), DEFAULT_LINK_LATENCY, 8);
-        assert!(t.is_connected());
+        assert!(!built(2, &[link(1, 0, 8)]).is_connected());
+        assert!(built(2, &[link(1, 0, 8), link(0, 1, 8)]).is_connected());
     }
 
     /// Core 3 is reached only through core 1, which core 0 reaches only
@@ -963,16 +806,10 @@ mod tests {
     /// passes core 1 before marking it, so the depth-first search decides.
     #[test]
     fn connectivity_through_id_decreasing_links() {
-        let mut t = Topology::new(4);
-        for (a, b) in [(0, 2), (2, 1), (1, 3)] {
-            t.add_directed_link(CoreId(a), CoreId(b), DEFAULT_LINK_LATENCY, 8);
-        }
+        let t = built(4, &[link(0, 2, 8), link(2, 1, 8), link(1, 3, 8)]);
         assert!(t.is_connected());
         // Without the last hop, core 3 is out of reach either way.
-        let mut cut = Topology::new(4);
-        for (a, b) in [(0, 2), (2, 1), (3, 1)] {
-            cut.add_directed_link(CoreId(a), CoreId(b), DEFAULT_LINK_LATENCY, 8);
-        }
+        let cut = built(4, &[link(0, 2, 8), link(2, 1, 8), link(3, 1, 8)]);
         assert!(!cut.is_connected());
     }
 
@@ -983,8 +820,7 @@ mod tests {
         assert_eq!(t.hop_distances(CoreId(0)), vec![0, 1, 1]);
         assert_eq!(t.diameter_hops(), 1);
 
-        let mut line = Topology::new(3);
-        line.add_default_link(CoreId(0), CoreId(1));
+        let line = connected(3, &[(0, 1)]);
         assert!(!line.is_connected());
         let d = line.hop_distances(CoreId(0));
         assert_eq!(d[2], u32::MAX);
@@ -994,11 +830,11 @@ mod tests {
     /// other: a one-way link passes the first check and fails the second.
     #[test]
     fn strong_connectivity_sweeps_both_ways() {
-        let mut t = Topology::new(2);
-        let ab = t.add_directed_link(CoreId(0), CoreId(1), DEFAULT_LINK_LATENCY, 8);
-        assert!(t.is_connected());
-        assert!(!t.is_strongly_connected(|_| false));
-        let ba = t.add_directed_link(CoreId(1), CoreId(0), DEFAULT_LINK_LATENCY, 8);
+        let one_way = built(2, &[link(0, 1, 8)]);
+        assert!(one_way.is_connected());
+        assert!(!one_way.is_strongly_connected(|_| false));
+        let t = built(2, &[link(0, 1, 8), link(1, 0, 8)]);
+        let (ab, ba) = (LinkId(0), LinkId(1));
         assert!(t.is_strongly_connected(|_| false));
         assert!(!t.is_strongly_connected(|l| l == ab));
         assert!(!t.is_strongly_connected(|l| l == ba));
@@ -1006,30 +842,15 @@ mod tests {
     }
 
     #[test]
-    fn set_link_props_overrides() {
-        let mut t = triangle();
-        t.set_link_props(CoreId(0), CoreId(1), VDuration::from_cycles(9), 64, true);
-        let ab = t.link_between(CoreId(0), CoreId(1)).unwrap();
-        let ba = t.link_between(CoreId(1), CoreId(0)).unwrap();
-        assert_eq!(t.link(ab).latency, VDuration::from_cycles(9));
-        assert_eq!(t.link(ba).bandwidth_bytes_per_cycle, 64);
-        // Other links untouched.
-        let bc = t.link_between(CoreId(1), CoreId(2)).unwrap();
-        assert_eq!(t.link(bc).latency, DEFAULT_LINK_LATENCY);
-    }
-
-    #[test]
     #[should_panic(expected = "duplicate")]
     fn duplicate_link_rejected() {
-        let mut t = triangle();
-        t.add_default_link(CoreId(0), CoreId(1));
+        connected(3, &[(0, 1), (1, 2), (2, 0), (0, 1)]);
     }
 
     #[test]
     #[should_panic(expected = "self-loop")]
     fn self_loop_rejected() {
-        let mut t = Topology::new(2);
-        t.add_default_link(CoreId(0), CoreId(0));
+        connected(2, &[(0, 0)]);
     }
 
     #[test]

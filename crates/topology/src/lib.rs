@@ -9,7 +9,8 @@
 //! crate provides:
 //!
 //! * [`Topology`] — a directed-link graph over cores with per-link latency
-//!   and bandwidth ([`graph`]).
+//!   and bandwidth ([`graph`]), built by one link generator through
+//!   [`Topology::generate`] and never changed afterwards.
 //! * Builders for the architectures the paper explores — uniform 2D meshes,
 //!   clustered meshes, plus extras (torus, ring, star, hypercube,
 //!   fully-connected) ([`builders`]).
@@ -32,10 +33,9 @@ pub use builders::{
     mesh_2d, mesh_3d, ring, star, torus_2d, ChipletParams, ClusterParams, HierarchyParams,
 };
 pub use config::{format_topology, parse_topology, ConfigError};
-pub use graph::{
-    CoreId, LinkId, LinkList, LinkProps, LinkSink, LinkTiming, Topology, MAX_LINK_CLASSES,
-};
-// `benchmark/src/probes.rs:73` still times `partition_bfs`; ROADMAP
-// direction 1(b) deletes that probe, and this module with it.
+pub use graph::{CoreId, LinkId, LinkProps, LinkSink, LinkTiming, Topology, MAX_LINK_CLASSES};
+// `benchmark/src/probes.rs:73` still times `partition_bfs`; ROADMAP's
+// parked item "Deleting the names the frozen benchmark uses" deletes that
+// probe, and this module with it.
 pub use partition::{partition_bfs, Partition};
 pub use routing::Routes;

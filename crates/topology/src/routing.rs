@@ -324,7 +324,20 @@ fn dijkstra_to(
 mod tests {
     use super::*;
     use crate::builders::{clustered_mesh, mesh_2d, ring, ClusterParams};
+    use crate::graph::{DEFAULT_LINK_BANDWIDTH, DEFAULT_LINK_LATENCY};
     use simany_time::VDuration;
+
+    /// `n` cores and one connection, between cores 0 and 1.
+    fn one_link(n: u32) -> Topology {
+        Topology::generate(n, |sink| {
+            sink.connect(
+                CoreId(0),
+                CoreId(1),
+                DEFAULT_LINK_LATENCY,
+                DEFAULT_LINK_BANDWIDTH,
+            );
+        })
+    }
 
     /// Route from `src` to `dst` over every link: its links, and the sum of
     /// their latencies.
@@ -516,9 +529,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "disconnected")]
     fn disconnected_topology_rejected() {
-        let mut t = Topology::new(3);
-        t.add_default_link(CoreId(0), CoreId(1));
-        let _ = Routes::for_topology(&t);
+        let _ = Routes::for_topology(&one_link(3));
     }
 
     /// Rows keyed by (epoch, destination) answer the same through any
@@ -568,27 +579,9 @@ mod tests {
         assert_eq!(routes.builds(), 1, "a resident row is not built again");
     }
 
-    /// Only the classes some link uses decide between the sweep and
-    /// Dijkstra: a class a link was moved off and back again stays in the
-    /// table, unused, and must not make a uniform mesh non-uniform.
-    #[test]
-    fn an_orphaned_link_class_leaves_routes_uniform() {
-        let mut t = mesh_2d(16);
-        assert!(Routes::for_topology(&t).uniform);
-        let (a, b) = (CoreId(5), CoreId(6));
-        t.set_link_props(a, b, VDuration::from_cycles(7), 8, true);
-        assert!(!Routes::for_topology(&t).uniform);
-        t.set_link_props(a, b, VDuration::from_cycles(1), 128, true);
-        assert!(Routes::for_topology(&t).uniform);
-        assert_eq!(t.link_classes().count(), 1);
-        assert!(t.links().eq(mesh_2d(16).links()));
-    }
-
     #[test]
     #[should_panic(expected = "disconnected")]
     fn lazy_routes_reject_disconnected_topology_at_construction() {
-        let mut t = Topology::new(5000);
-        t.add_default_link(CoreId(0), CoreId(1));
-        let _ = Routes::for_topology(&t);
+        let _ = Routes::for_topology(&one_link(5000));
     }
 }

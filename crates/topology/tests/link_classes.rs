@@ -162,7 +162,7 @@ fn parser_refuses_more_classes_than_fit() {
 
 /// Two classes with the same count and latency but different bandwidths
 /// used to tie in a hash map, and its random order picked the `default`
-/// line; the first class seen wins now.
+/// line; the class of the lowest link id wins now.
 #[test]
 fn format_topology_is_deterministic() {
     let t = parse_topology("cores 3\nlink 0 1 bandwidth=128\nlink 1 2 bandwidth=256\n").unwrap();
@@ -173,6 +173,22 @@ fn format_topology_is_deterministic() {
     assert!(
         first.contains("default latency=1 bandwidth=128\n"),
         "{first}"
+    );
+}
+
+/// A tie is broken in link-id order, not in the order lines were read: an
+/// override that gives the lowest ids a pair read last makes that pair the
+/// `default`, and the pair read first a `link` line.
+#[test]
+fn format_topology_breaks_ties_in_link_id_order() {
+    let t = parse_topology(
+        "cores 3\nlink 0 1 bandwidth=128\nlink 1 2 bandwidth=256\nlink 0 1 bandwidth=64\n",
+    )
+    .unwrap();
+    assert_eq!(
+        format_topology(&t),
+        "cores 3\ndefault latency=1 bandwidth=64\nmatrix\n0 1 0\n1 0 1\n0 1 0\n\
+         link 1 2 latency=1 bandwidth=256\n"
     );
 }
 
@@ -198,25 +214,42 @@ fn assert_ids_match(name: &str, t: &Topology) {
     }
 }
 
-/// `links()` gives every link back as it was pushed, in id order: a
-/// hand-built graph's `add_link` and `add_directed_link` calls, the same
-/// links handed to `from_links`, a parsed file's matrix entries (row-major)
-/// and `link` lines, and every builder's links.
+/// The adjacency rows `links` describe, written out the plain way: a
+/// `Vec` per core of its `(neighbor, link)` pairs, sorted by neighbor.
+fn reference_rows(n: u32, links: &[LinkProps]) -> Vec<Vec<(CoreId, LinkId)>> {
+    let mut rows = vec![Vec::new(); n as usize];
+    for (i, l) in links.iter().enumerate() {
+        rows[l.src.index()].push((l.dst, LinkId(i as u32)));
+    }
+    for row in &mut rows {
+        row.sort_unstable();
+    }
+    rows
+}
+
+/// `links()` gives every link back as it was handed over, in id order: a
+/// hand-built generator's connections and one-way links, a parsed file's
+/// matrix entries (row-major) and `link` lines, and every builder's links.
 #[test]
 fn links_come_back_in_push_order() {
-    let mut t = Topology::new(4);
+    let connections = [(2, 0, 3, 64), (0, 1, 1, 128), (3, 1, 2, 16)];
+    let t = Topology::generate(4, |sink| {
+        for (a, b, latency, bw) in connections {
+            sink.connect(CoreId(a), CoreId(b), VDuration::from_cycles(latency), bw);
+        }
+        sink.link(props(1, 2, 5, 8));
+    });
     let mut want = Vec::new();
-    for (a, b, latency, bw) in [(2, 0, 3, 64), (0, 1, 1, 128), (3, 1, 2, 16)] {
-        t.add_link(CoreId(a), CoreId(b), VDuration::from_cycles(latency), bw);
+    for (a, b, latency, bw) in connections {
         want.extend([props(a, b, latency, bw), props(b, a, latency, bw)]);
     }
-    t.add_directed_link(CoreId(1), CoreId(2), VDuration::from_cycles(5), 8);
     want.push(props(1, 2, 5, 8));
     assert_eq!(t.links().collect::<Vec<_>>(), want);
     assert_ids_match("hand-built", &t);
-
-    let flat = Topology::from_links(4, want.iter().copied().collect());
-    assert_eq!(flat.links().collect::<Vec<_>>(), want);
+    let rows = reference_rows(4, &want);
+    for c in t.cores() {
+        assert_eq!(t.neighbors(c), rows[c.index()], "{c}");
+    }
 
     let parsed = parse_topology(
         "cores 3\ndefault latency=2 bandwidth=64\nmatrix\n0 1 1\n1 0 0\n1 0 0\nlink 1 2 latency=4\n",

@@ -16,22 +16,29 @@ fn walk(topo: &Topology, row: &[u32], src: CoreId) -> (Vec<LinkId>, VDuration) {
 fn random_topology(n: u32, extra_edges: usize, seed: u64) -> Topology {
     use simany_time::Xoshiro256StarStar;
     let mut rng = Xoshiro256StarStar::seeded(seed);
-    let mut t = Topology::new(n);
+    // Connections `(a, b, latency, bandwidth)`, and the pairs they join.
+    let mut edges = Vec::new();
+    let mut joined = std::collections::HashSet::new();
     // Spanning tree: connect i to a random earlier node.
     for i in 1..n {
         let j = rng.next_below(u64::from(i)) as u32;
         let lat = VDuration::from_half_cycles(rng.next_range(1, 8));
-        t.add_link(CoreId(i), CoreId(j), lat, 64 + rng.next_below(128) as u32);
+        edges.push((i, j, lat, 64 + rng.next_below(128) as u32));
+        joined.insert((i.min(j), i.max(j)));
     }
     for _ in 0..extra_edges {
         let a = rng.next_below(u64::from(n)) as u32;
         let b = rng.next_below(u64::from(n)) as u32;
-        if a != b && !t.are_neighbors(CoreId(a), CoreId(b)) {
+        if a != b && joined.insert((a.min(b), a.max(b))) {
             let lat = VDuration::from_half_cycles(rng.next_range(1, 8));
-            t.add_link(CoreId(a), CoreId(b), lat, 64 + rng.next_below(128) as u32);
+            edges.push((a, b, lat, 64 + rng.next_below(128) as u32));
         }
     }
-    t
+    Topology::generate(n, |sink| {
+        for &(a, b, lat, bw) in &edges {
+            sink.connect(CoreId(a), CoreId(b), lat, bw);
+        }
+    })
 }
 
 /// Reference all-pairs shortest latency (Floyd-Warshall).

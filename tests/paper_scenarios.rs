@@ -3,17 +3,23 @@
 use simany::core::hooks::NullHooks;
 use simany::core::{simulate, CoreId, EngineConfig, ExecCtx, VDuration};
 use simany::prelude::*;
+use simany::topology::graph::{DEFAULT_LINK_BANDWIDTH, DEFAULT_LINK_LATENCY};
 use simany::topology::Topology;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A path topology 0 - 1 - ... - (n-1).
 fn path(n: u32) -> Topology {
-    let mut t = Topology::new(n);
-    for i in 1..n {
-        t.add_default_link(CoreId(i - 1), CoreId(i));
-    }
-    t
+    Topology::generate(n, |links| {
+        for i in 1..n {
+            links.connect(
+                CoreId(i - 1),
+                CoreId(i),
+                DEFAULT_LINK_LATENCY,
+                DEFAULT_LINK_BANDWIDTH,
+            );
+        }
+    })
 }
 
 /// Fig. 1 — "an active core that is making progress gradually wakes up the
