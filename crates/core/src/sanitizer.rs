@@ -57,8 +57,13 @@ const MAX_REPORTED: u32 = 64;
 
 /// Mutable sanitizer state, boxed into `Sim` when `sanitize` is on.
 pub(crate) struct SanitizerState {
-    /// Hop diameter of the topology (for the `diameter × T` bound).
+    /// Hop diameter of the topology (for the `diameter × T` bound) once
+    /// `diameter_exact`; until then a lower bound of it, the eccentricity
+    /// of core 0 (one BFS). The exact value takes a BFS from every core,
+    /// so it is computed only when a check the lower bound passes no
+    /// longer settles, or a violation names it.
     diameter_hops: u64,
+    diameter_exact: bool,
     /// Largest observed overshoot of any core's clock past its policy
     /// slack, measured at publish instants (single-annotation steps,
     /// message jumps and lock-waiver excursions all land here).
@@ -85,8 +90,10 @@ pub(crate) fn install(sim: &mut Sim, shared: &Shared) {
         .fault
         .as_ref()
         .is_some_and(|p| p.has_core_faults());
+    let eccentricity = shared.topo.hop_distances(CoreId(0)).into_iter().max();
     sim.sanitizer = Some(Box::new(SanitizerState {
-        diameter_hops: u64::from(shared.topo.diameter_hops()),
+        diameter_hops: u64::from(eccentricity.unwrap_or(0)),
+        diameter_exact: false,
         max_overshoot: VDuration::ZERO,
         regression_slack: VDuration::ZERO,
         fifo: HashMap::new(),
@@ -457,7 +464,7 @@ pub(crate) fn scan(sim: &mut Sim, shared: &Shared) {
     };
     sim.stats.sanitizer_checks += 1;
     let s = sim.sanitizer.as_ref().expect("sanitizer installed");
-    let (skip_global, diameter, max_overshoot, regression) = (
+    let (skip_global, mut diameter, max_overshoot, regression) = (
         s.skip_global,
         s.diameter_hops,
         s.max_overshoot,
@@ -478,11 +485,21 @@ pub(crate) fn scan(sim: &mut Sim, shared: &Shared) {
     if skip_global {
         return;
     }
-    let bound = match shared.config.sync {
-        SyncPolicy::Spatial { t } => t.scaled(diameter),
-        _ => slack,
+    let allowed = |diameter: u64| {
+        let bound = match shared.config.sync {
+            SyncPolicy::Spatial { t } => t.scaled(diameter),
+            _ => slack,
+        };
+        bound + max_overshoot + regression
     };
-    let allowed = bound + max_overshoot + regression;
+    let s = sim.sanitizer.as_mut().expect("sanitizer installed");
+    if spread > allowed(diameter) && !s.diameter_exact {
+        #[cfg(test)]
+        tests::EXACT_DIAMETERS.with(|n| n.set(n.get() + 1));
+        diameter = u64::from(shared.topo.diameter_hops());
+        (s.diameter_hops, s.diameter_exact) = (diameter, true);
+    }
+    let allowed = allowed(diameter);
     if spread > allowed {
         let detail = format!(
             "working-core spread {} over global floor {floor} exceeds bound {} \
@@ -513,7 +530,51 @@ mod tests {
         simulate, CoreId, EngineConfig, ExecCtx, MemoryTracer, Ops, SyncPolicy, TraceEvent,
         VDuration,
     };
+    use std::cell::Cell;
     use std::sync::Arc;
+
+    thread_local! {
+        /// Exact diameters the scans on this thread computed.
+        pub(super) static EXACT_DIAMETERS: Cell<u32> = const { Cell::new(0) };
+    }
+
+    /// The scans of a clean sanitized mesh run settle the `diameter × T`
+    /// bound on core 0's eccentricity alone: the exact diameter, a BFS from
+    /// every core, is never computed.
+    #[test]
+    fn a_clean_run_never_computes_the_exact_diameter() {
+        EXACT_DIAMETERS.with(|n| n.set(0));
+        let mut config = EngineConfig::default().with_sanitize(true);
+        config.sync = SyncPolicy::Spatial {
+            t: VDuration::from_cycles(50),
+        };
+        let stats = simulate(
+            simany_topology::mesh_2d(64),
+            config,
+            Arc::new(NullHooks),
+            |ops| {
+                for c in 0..64u32 {
+                    ops.start_activity(
+                        CoreId(c),
+                        "steps",
+                        Box::new(()),
+                        Box::new(move |ctx: &mut ExecCtx| {
+                            for _ in 0..20 {
+                                ctx.advance_cycles(10 + u64::from(c % 7) * 13);
+                            }
+                        }),
+                    );
+                }
+            },
+        )
+        .expect("simulation failed");
+        assert_eq!(stats.sanitizer_violations, 0);
+        assert!(
+            stats.max_global_drift > VDuration::ZERO,
+            "no global check ran"
+        );
+        assert_eq!(EXACT_DIAMETERS.with(Cell::get), 0);
+    }
 
     /// A 16-core ring, `T = 100`: a laggard parked at clock 0 on core 8
     /// holds a shadow gradient (100, 200, 300 on the cores 1, 2, 3 hops
