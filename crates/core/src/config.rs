@@ -282,8 +282,9 @@ impl EngineConfig {
     }
 
     /// Does nothing: the engine runs on the calling thread alone.
-    // `benchmark/src/workloads.rs:452` still calls this; ROADMAP direction
-    // 1(b) deletes that call, and this with it.
+    // `benchmark/src/workloads.rs:452` still calls this; ROADMAP's parked
+    // item "Deleting the names the frozen benchmark uses" deletes that
+    // call, and this with it.
     #[deprecated(note = "the engine has no host worker threads; this is a no-op")]
     pub fn with_threads(self, _: u32) -> Self {
         self

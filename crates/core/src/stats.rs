@@ -199,7 +199,8 @@ pub struct SimStats {
     /// Checkpoint digests verified against a resumed run's watermark.
     pub checkpoint_verifications: u64,
     // `benchmark/src/workloads.rs:477-481` still reads the next five
-    // fields; ROADMAP direction 1(b) deletes that code, and these with it.
+    // fields; ROADMAP's parked item "Deleting the names the frozen
+    // benchmark uses" deletes that code, and these with it.
     /// Always 0: the engine runs no epochs.
     pub parallel_epochs: u64,
     /// Always 0 (see [`Self::parallel_epochs`]).
