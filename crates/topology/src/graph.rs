@@ -132,9 +132,17 @@ impl LinkClasses {
         }
     }
 
-    /// Append a link of this latency and bandwidth.
+    /// Append a link of this latency and bandwidth. Consecutive links
+    /// mostly share a class, so the latest one is tried before the hash.
+    #[inline]
     fn push(&mut self, latency: VDuration, bandwidth: u32) {
-        let class = self.intern(latency, bandwidth);
+        let class = match self.classes.get_mut(self.last as usize) {
+            Some(c) if (c.latency, c.bandwidth) == (latency, bandwidth) => {
+                c.links += 1;
+                self.last
+            }
+            _ => self.intern(latency, bandwidth),
+        };
         self.class.push(class);
     }
 
@@ -159,14 +167,12 @@ impl LinkClasses {
     }
 
     /// Index of the `(latency, bandwidth)` class, counting one more link in
-    /// it; 0 once the table overflowed.
+    /// it; 0 once the table overflowed. Kept out of line, so generators'
+    /// loops inline only [`LinkClasses::push`]'s check of the latest class.
+    #[inline(never)]
     fn intern(&mut self, latency: VDuration, bandwidth: u32) -> u16 {
         let key = (latency, bandwidth);
-        let hit = match self.classes.get(self.last as usize) {
-            Some(c) if (c.latency, c.bandwidth) == key => Some(self.last),
-            _ => self.index.get(&key).copied(),
-        };
-        let i = match hit {
+        let i = match self.index.get(&key).copied() {
             Some(i) => i,
             None if self.classes.len() < MAX_LINK_CLASSES => {
                 let i = self.classes.len() as u16;
@@ -210,8 +216,9 @@ pub struct LinkSink<'a> {
 impl LinkSink<'_> {
     /// Hand over the next directed link: count it, or write it at its
     /// row's cursor and intern its class. Panics on a self-loop or an
-    /// out-of-range core.
-    #[inline]
+    /// out-of-range core. Inlined into every generator's loop: a call per
+    /// link made a million-core build ~10 % slower.
+    #[inline(always)]
     pub fn link(&mut self, l: LinkProps) {
         let row = l.src.index() + 1;
         match &mut self.fill {
