@@ -59,9 +59,10 @@ const MAX_REPORTED: u32 = 64;
 pub(crate) struct SanitizerState {
     /// Hop diameter of the topology (for the `diameter × T` bound) once
     /// `diameter_exact`; until then a lower bound of it, the eccentricity
-    /// of core 0 (one BFS). The exact value takes a BFS from every core,
-    /// so it is computed only when a check the lower bound passes no
-    /// longer settles, or a violation names it.
+    /// of core 0 (one BFS). A spread within the bound of the lower value
+    /// is within the true one. The exact value takes a BFS from every
+    /// core, so it is computed only for a spread beyond that, where it
+    /// decides the check and is named in the violation.
     diameter_hops: u64,
     diameter_exact: bool,
     /// Largest observed overshoot of any core's clock past its policy
@@ -92,7 +93,7 @@ pub(crate) fn install(sim: &mut Sim, shared: &Shared) {
         .is_some_and(|p| p.has_core_faults());
     let eccentricity = shared.topo.hop_distances(CoreId(0)).into_iter().max();
     sim.sanitizer = Some(Box::new(SanitizerState {
-        diameter_hops: u64::from(eccentricity.unwrap_or(0)),
+        diameter_hops: u64::from(eccentricity.unwrap_or_default()),
         diameter_exact: false,
         max_overshoot: VDuration::ZERO,
         regression_slack: VDuration::ZERO,
