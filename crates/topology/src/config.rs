@@ -282,7 +282,7 @@ pub fn format_topology(topo: &Topology) -> String {
     use std::fmt::Write as _;
     let n = topo.n_cores();
     // Most common (latency, bandwidth) pair becomes the default; among
-    // equally common ones the lowest latency, then the first seen.
+    // equally common ones the lowest latency, then the first in link-id order.
     let (def_lat, def_bw) = topo
         .link_classes()
         .enumerate()
