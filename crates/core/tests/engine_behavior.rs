@@ -8,7 +8,6 @@ use simany_core::{
     simulate, BlockCost, CoreId, EngineConfig, Envelope, ExecCtx, Ops, Payload, RuntimeHooks,
     SyncPolicy, VDuration, VirtualTime,
 };
-use simany_topology::graph::{DEFAULT_LINK_BANDWIDTH, DEFAULT_LINK_LATENCY};
 use simany_topology::{mesh_2d, ring, Topology};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -42,15 +41,9 @@ impl RuntimeHooks for TestHooks {
     }
 }
 
+/// Two cores and the one connection between them.
 fn pair() -> Topology {
-    Topology::generate(2, |links| {
-        links.connect(
-            CoreId(0),
-            CoreId(1),
-            DEFAULT_LINK_LATENCY,
-            DEFAULT_LINK_BANDWIDTH,
-        );
-    })
+    ring(2)
 }
 
 type TestTasks = Vec<(u32, Box<dyn FnOnce(&mut ExecCtx)>)>;
