@@ -495,8 +495,6 @@ pub(crate) fn scan(sim: &mut Sim, shared: &Shared) {
     };
     let s = sim.sanitizer.as_mut().expect("sanitizer installed");
     if spread > allowed(diameter) && !s.diameter_exact {
-        #[cfg(test)]
-        tests::EXACT_DIAMETERS.with(|n| n.set(n.get() + 1));
         diameter = u64::from(shared.topo.diameter_hops());
         (s.diameter_hops, s.diameter_exact) = (diameter, true);
     }
@@ -532,19 +530,16 @@ mod tests {
         VDuration,
     };
     use std::cell::Cell;
+    use std::rc::Rc;
     use std::sync::Arc;
-
-    thread_local! {
-        /// Exact diameters the scans on this thread computed.
-        pub(super) static EXACT_DIAMETERS: Cell<u32> = const { Cell::new(0) };
-    }
 
     /// The scans of a clean sanitized mesh run settle the `diameter × T`
     /// bound on core 0's eccentricity alone: the exact diameter, a BFS from
-    /// every core, is never computed.
+    /// every core, is never computed. Each activity scans once more as it
+    /// ends and records whether the sanitizer holds the exact diameter.
     #[test]
     fn a_clean_run_never_computes_the_exact_diameter() {
-        EXACT_DIAMETERS.with(|n| n.set(0));
+        let exact = Rc::new(Cell::new(false));
         let mut config = EngineConfig::default().with_sanitize(true);
         config.sync = SyncPolicy::Spatial {
             t: VDuration::from_cycles(50),
@@ -555,6 +550,7 @@ mod tests {
             Arc::new(NullHooks),
             |ops| {
                 for c in 0..64u32 {
+                    let exact = Rc::clone(&exact);
                     ops.start_activity(
                         CoreId(c),
                         "steps",
@@ -563,6 +559,11 @@ mod tests {
                             for _ in 0..20 {
                                 ctx.advance_cycles(10 + u64::from(c % 7) * 13);
                             }
+                            ctx.with_ops(|ops| {
+                                super::scan(ops.sim, ops.shared);
+                                let s = ops.sim.sanitizer.as_ref().expect("sanitizer installed");
+                                exact.set(exact.get() || s.diameter_exact);
+                            });
                         }),
                     );
                 }
@@ -574,7 +575,7 @@ mod tests {
             stats.max_global_drift > VDuration::ZERO,
             "no global check ran"
         );
-        assert_eq!(EXACT_DIAMETERS.with(Cell::get), 0);
+        assert!(!exact.get(), "a clean run computed the exact diameter");
     }
 
     /// A 16-core ring, `T = 100`: a laggard parked at clock 0 on core 8
