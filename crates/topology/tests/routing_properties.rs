@@ -214,50 +214,86 @@ proptest! {
     /// Rows built avoiding dead links never route over one: surviving
     /// routes chain over live links only and reach the destination, and
     /// the two-sweep reachability check reports a partition exactly when
-    /// some pair lost its route.
+    /// some pair lost its route. A route whose base route crosses no dead
+    /// link is the base route, link for link: the rule that lets the
+    /// network model skip a fault epoch's rows for such a message. One
+    /// `Routes` serves a random fail/repair sequence over several epochs,
+    /// and each epoch's rows equal a fresh `Routes`' rows for its dead
+    /// set. `shape` 0 is a random topology with mixed latencies (Dijkstra
+    /// rows), 1 a uniform mesh and 2 a uniform torus (breadth-first rows).
     #[test]
     fn recompute_never_routes_over_dead_links(
+        shape in 0u32..3,
         n in 2u32..16,
         extra in 0usize..12,
         seed in 0u64..10_000,
         kills in 0usize..4,
+        epochs in 1usize..5,
     ) {
         use simany_time::Xoshiro256StarStar;
-        let topo = random_topology(n, extra, seed);
+        use simany_topology::{mesh_2d, torus_2d};
+        let topo = match shape {
+            0 => random_topology(n, extra, seed),
+            1 => mesh_2d(n + extra as u32),
+            _ => torus_2d(n + extra as u32),
+        };
         prop_assume!(topo.is_connected());
-        // Kill a few random physical pairs (both directions together, as
-        // the fault plan does).
         let mut rng = Xoshiro256StarStar::seeded(seed ^ 0xDEAD);
         let mut dead = vec![false; topo.n_links() as usize];
         let ends = topo.link_ends();
-        for _ in 0..kills {
-            let l = rng.next_below(u64::from(topo.n_links())) as usize;
-            dead[l] = true;
+        // Both directions of a physical pair change together, as the fault
+        // plan does.
+        let set_pair = |dead: &mut [bool], l: usize, down: bool| {
+            dead[l] = down;
             let (src, dst) = ends[l];
             if let Some(back) = topo.link_between(dst, src) {
-                dead[back.index()] = true;
+                dead[back.index()] = down;
             }
-        }
-        let partitioned = !topo.is_strongly_connected(|l| dead[l.index()]);
+        };
         let mut routes = Routes::for_topology(&topo);
-        let mut any_unreachable = false;
-        for d in topo.cores() {
-            let row = routes.row_avoiding(&topo, 0, |l| dead[l.index()], d);
-            for s in topo.cores() {
-                if s != d && row[s.index()] == Routes::NO_LINK {
-                    any_unreachable = true;
-                    continue;
+        for e in 0..epochs {
+            // Repair about half of the dead links, then kill a few random
+            // ones.
+            for l in 0..dead.len() {
+                if dead[l] && rng.chance(0.5) {
+                    set_pair(&mut dead, l, false);
                 }
-                let mut cur = s;
-                for (link, props) in Routes::path(&topo, row, s) {
-                    prop_assert!(!dead[link.index()], "route {} -> {} crosses dead link", s, d);
-                    prop_assert_eq!(props.src, cur);
-                    cur = props.dst;
-                }
-                prop_assert_eq!(cur, d);
             }
+            for _ in 0..kills {
+                let l = rng.next_below(u64::from(topo.n_links())) as usize;
+                set_pair(&mut dead, l, true);
+            }
+            let is_dead = |l: LinkId| dead[l.index()];
+            let partitioned = !topo.is_strongly_connected(is_dead);
+            let mut fresh = Routes::for_topology(&topo);
+            let mut any_unreachable = false;
+            for d in topo.cores() {
+                let base = routes.row(&topo, d).to_vec();
+                let row = routes.row_avoiding(&topo, e, is_dead, d).to_vec();
+                prop_assert_eq!(&row[..], fresh.row_avoiding(&topo, 0, is_dead, d), "epoch {} row to {}", e, d);
+                for s in topo.cores() {
+                    let (base_links, _) = walk(&topo, &base, s);
+                    if !base_links.iter().any(|&l| is_dead(l)) {
+                        prop_assert_eq!(
+                            &walk(&topo, &row, s).0, &base_links,
+                            "epoch {}: {} -> {} left a live base route", e, s, d
+                        );
+                    }
+                    if s != d && row[s.index()] == Routes::NO_LINK {
+                        any_unreachable = true;
+                        continue;
+                    }
+                    let mut cur = s;
+                    for (link, props) in Routes::path(&topo, &row, s) {
+                        prop_assert!(!is_dead(link), "route {} -> {} crosses dead link", s, d);
+                        prop_assert_eq!(props.src, cur);
+                        cur = props.dst;
+                    }
+                    prop_assert_eq!(cur, d);
+                }
+            }
+            prop_assert_eq!(partitioned, any_unreachable);
         }
-        prop_assert_eq!(partitioned, any_unreachable);
     }
 
     /// Config round-trip preserves structure and link properties for

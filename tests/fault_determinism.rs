@@ -25,6 +25,16 @@ fn faulty_runs_are_reproducible_per_policy() {
     assert_checks(cases, &ALL_CHECKS);
 }
 
+/// The 1,024-core chiplet under the sampled plan, run whole and resumed
+/// from a checkpoint: links fail and repair over hundreds of epochs, and
+/// only the messages whose base route crosses a dead link take an epoch's
+/// rows. Every contract holds.
+#[test]
+fn sampled_chiplet_runs_keep_every_contract() {
+    let cases = [Whole, Resume].map(|c| quicksort(Chiplet, SPATIAL, Sampled, c));
+    assert_checks(cases, &ALL_CHECKS);
+}
+
 /// An empty fault plan is bit-identical to no fault plan at all: the
 /// no-fault path makes no extra PRNG draw and no behavioral change, under
 /// every policy.
