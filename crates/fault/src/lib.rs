@@ -102,10 +102,8 @@ impl std::error::Error for FaultPlanError {}
 /// One maximal virtual-time interval with a constant dead-link set.
 #[derive(Debug)]
 struct Epoch {
-    /// Links down during this epoch, ascending by id.
+    /// Links down during this epoch, ascending by id: their only record.
     dead_links: Vec<LinkId>,
-    /// Dense per-link liveness mask (same indexing as `Topology::links`).
-    dead: Vec<bool>,
     /// True when some ordered pair of cores has no surviving route.
     partitioned: bool,
 }
@@ -250,10 +248,10 @@ impl FaultPlan {
         &self.epochs[e].dead_links
     }
 
-    /// True iff `link` is down during epoch `e`.
+    /// True iff `link` is down during epoch `e` (a binary search).
     #[inline]
     pub fn link_dead(&self, e: usize, link: LinkId) -> bool {
-        self.epochs[e].dead[link.index()]
+        self.epochs[e].dead_links.binary_search(&link).is_ok()
     }
 
     /// True iff epoch `e` leaves the machine partitioned.
@@ -572,7 +570,6 @@ impl FaultPlanBuilder {
                 !dead_links.is_empty() && !topo.is_strongly_connected(|l| dead[l.index()]);
             epochs.push(Epoch {
                 dead_links,
-                dead: dead.clone(),
                 partitioned,
             });
         }

@@ -239,6 +239,7 @@ impl NetworkModel {
         if src == dst {
             return depart;
         }
+        let detour = self.detour(src, dst, depart);
         let NetworkModel {
             topo,
             routes,
@@ -248,41 +249,46 @@ impl NetworkModel {
             fault,
             ..
         } = self;
-        let chunks = params.chunks(size_bytes) as u64;
-        let per_hop = params.routing_penalty + params.per_chunk_time.scaled(chunks);
-        let mut charge = |row: &[u32]| {
-            let mut t = depart;
-            let mut hop_ser = SerDelay::new(size_bytes);
-            for (link, props) in Routes::path(topo, row, src) {
-                let ser = hop_ser.at(props.bandwidth_bytes_per_cycle);
-                t = traffic.traverse(link, t, ser, props.latency + per_hop, stats);
-                stats.total_hops += 1;
-            }
-            t
-        };
-        // When the current fault epoch has dead links, walk the epoch's
-        // row; fall back to the base row when even that cannot reach
-        // (partition) so engine-internal traffic (e.g. coherence legs) is
+        // A message whose base route crosses a dead link takes the epoch's
+        // row, a reroute; the base row when even that cannot reach
+        // (partition), so engine-internal traffic (e.g. coherence legs) is
         // still charged rather than panicking — payload sends gate on
         // reachability in `try_send`.
-        if let Some(plan) = fault.as_ref().map(|f| &*f.plan) {
-            let e = plan.epoch_at(depart);
-            if !plan.epoch_dead_links(e).is_empty() {
-                let row = routes.row_avoiding(topo, e, |l| plan.link_dead(e, l), dst);
-                if row[src.index()] != Routes::NO_LINK {
-                    let t = charge(row);
-                    // Count a reroute only when the base route actually
-                    // crosses a dead link (the epoch's rows agree with the
-                    // base rows everywhere else).
-                    let base = routes.row(topo, dst);
-                    if Routes::path(topo, base, src).any(|(l, _)| plan.link_dead(e, l)) {
-                        stats.rerouted += 1;
-                    }
-                    return t;
-                }
-            }
+        let row = match (detour, fault) {
+            (Some(e), Some(f)) => routes.row_avoiding(topo, e, |l| f.plan.link_dead(e, l), dst),
+            _ => routes.row(topo, dst),
+        };
+        let row = if row[src.index()] == Routes::NO_LINK {
+            routes.row(topo, dst)
+        } else {
+            stats.rerouted += u64::from(detour.is_some());
+            row
+        };
+        let chunks = params.chunks(size_bytes) as u64;
+        let per_hop = params.routing_penalty + params.per_chunk_time.scaled(chunks);
+        let mut t = depart;
+        let mut hop_ser = SerDelay::new(size_bytes);
+        for (link, props) in Routes::path(topo, row, src) {
+            let ser = hop_ser.at(props.bandwidth_bytes_per_cycle);
+            t = traffic.traverse(link, t, ser, props.latency + per_hop, stats);
+            stats.total_hops += 1;
         }
-        charge(routes.row(topo, dst))
+        t
+    }
+
+    /// The fault epoch at `t`, when the base route from `src` to `dst`
+    /// crosses one of its dead links. Otherwise the base route is the
+    /// epoch's route too: removing links lengthens no surviving route and
+    /// keeps the tie-breaks among them (DESIGN.md §8).
+    fn detour(&mut self, src: CoreId, dst: CoreId, t: VirtualTime) -> Option<usize> {
+        let plan = &*self.fault.as_ref()?.plan;
+        let e = plan.epoch_at(t);
+        if src == dst || plan.epoch_dead_links(e).is_empty() {
+            return None;
+        }
+        let base = self.routes.row(&self.topo, dst);
+        let crosses = Routes::path(&self.topo, base, src).any(|(l, _)| plan.link_dead(e, l));
+        crosses.then_some(e)
     }
 
     /// Send a message: walks the route, charges every traversed component,
@@ -315,28 +321,23 @@ impl NetworkModel {
     ) -> Result<Envelope, (DropReason, Payload)> {
         let mut extra_delay = VDuration::ZERO;
         if src != dst {
+            let detour = self.detour(src, dst, sent);
             if let Some(fault) = self.fault.as_mut() {
                 let plan = &*fault.plan;
-                let e = plan.epoch_at(sent);
-                let epoch_row = if plan.epoch_dead_links(e).is_empty() {
-                    None
-                } else {
-                    let row =
+                let row = match detour {
+                    Some(e) => {
                         self.routes
-                            .row_avoiding(&self.topo, e, |l| plan.link_dead(e, l), dst);
-                    if row[src.index()] == Routes::NO_LINK {
-                        self.stats.unreachable += 1;
-                        return Err((DropReason::Unreachable, payload));
+                            .row_avoiding(&self.topo, e, |l| plan.link_dead(e, l), dst)
                     }
-                    Some(row)
+                    None => self.routes.row(&self.topo, dst),
                 };
+                if row[src.index()] == Routes::NO_LINK {
+                    self.stats.unreachable += 1;
+                    return Err((DropReason::Unreachable, payload));
+                }
                 if plan.has_message_faults() {
                     // Combine per-link fault probabilities over the route
                     // this message will take.
-                    let row = match epoch_row {
-                        Some(row) => row,
-                        None => self.routes.row(&self.topo, dst),
-                    };
                     let mut keep_drop = 1.0f64;
                     let mut keep_corrupt = 1.0f64;
                     let mut keep_delay = 1.0f64;
@@ -430,22 +431,17 @@ impl NetworkModel {
         while f.announced_epoch + 1 < f.plan.epoch_count()
             && f.plan.boundary(f.announced_epoch + 1) <= t
         {
-            let prev = f.announced_epoch;
-            let next = prev + 1;
-            let mut went_down = Vec::new();
-            let mut came_up = Vec::new();
-            for i in 0..f.plan.n_links() {
-                let l = LinkId(i);
-                match (f.plan.link_dead(prev, l), f.plan.link_dead(next, l)) {
-                    (false, true) => went_down.push(l),
-                    (true, false) => came_up.push(l),
-                    _ => {}
-                }
-            }
+            let next = f.announced_epoch + 1;
+            let was = f.plan.epoch_dead_links(next - 1);
+            let now = f.plan.epoch_dead_links(next);
+            // Each ascending list less the other, in id order.
+            let minus = |a: &[LinkId], b: &[LinkId]| {
+                Vec::from_iter(a.iter().copied().filter(|l| b.binary_search(l).is_err()))
+            };
             out.push(EpochTransition {
                 at: f.plan.boundary(next),
-                went_down,
-                came_up,
+                went_down: minus(now, was),
+                came_up: minus(was, now),
                 partitioned: f.plan.epoch_partitioned(next),
             });
             f.announced_epoch = next;
@@ -827,6 +823,34 @@ mod tests {
         )
         .unwrap();
         assert_eq!(m.stats().rerouted, 1);
+    }
+
+    /// A send in a fault epoch reads the epoch's rows only when its base
+    /// route crosses one of the epoch's dead links: one that avoids them
+    /// builds what a fault-free model builds, and one across them builds
+    /// the epoch's row to its destination, one row more, and is a reroute.
+    #[test]
+    fn only_a_send_across_a_dead_link_builds_an_epoch_row() {
+        let topo = mesh_2d(16);
+        let (f, b) = both_ways(&topo, 0, 1);
+        let down = VirtualTime::from_cycles(100);
+        let plan = FaultPlanBuilder::new()
+            .fail_link(f, down)
+            .fail_link(b, down);
+        let plan = Arc::new(plan.build(&topo));
+        assert_eq!(plan.epoch_count(), 2);
+        let mut clean = model();
+        let mut faulty = NetworkModel::with_faults(topo, NetworkParams::default(), Some(plan), 1);
+        let at = VirtualTime::from_cycles(150);
+        let arrivals = [&mut clean, &mut faulty].map(|m| send(m, CoreId(14), CoreId(15), 64, at));
+        assert_eq!(arrivals[0].arrival, arrivals[1].arrival);
+        assert_eq!(faulty.stats().row_builds, clean.stats().row_builds);
+        assert_eq!(faulty.stats().rerouted, 0);
+        for m in [&mut clean, &mut faulty] {
+            send(m, CoreId(0), CoreId(1), 64, at);
+        }
+        assert_eq!(faulty.stats().row_builds, clean.stats().row_builds + 1);
+        assert_eq!(faulty.stats().rerouted, 1);
     }
 
     #[test]

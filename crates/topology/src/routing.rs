@@ -260,15 +260,14 @@ fn bfs_to(
         let nh = hops[c.index()] + 1;
         for &(pred, slot) in incoming.to(c) {
             let link = topo.hop(slot).1;
-            if dead(link) {
-                continue;
-            }
             let p = pred.index();
-            if hops[p] == u32::MAX {
-                hops[p] = nh;
-                next[p] = slot;
-                queue.push(pred);
-            } else if hops[p] == nh && link < topo.hop(next[p]).1 {
+            // Asked last: a fault epoch's `dead` is the costly test.
+            let first = hops[p] == u32::MAX;
+            if (first || hops[p] == nh && link < topo.hop(next[p]).1) && !dead(link) {
+                if first {
+                    hops[p] = nh;
+                    queue.push(pred);
+                }
                 next[p] = slot;
             }
         }
@@ -301,16 +300,14 @@ fn dijkstra_to(
         }
         for &(pred, slot) in incoming.to(c) {
             let link = topo.hop(slot).1;
-            if dead(link) {
-                continue;
-            }
             let p = pred.index();
             let nd = d + topo.link(link).latency.ticks();
             let nh = h + 1;
             let better = nd < dist[p]
                 || (nd == dist[p] && nh < hops[p])
                 || (nd == dist[p] && nh == hops[p] && link < topo.hop(next[p]).1);
-            if better {
+            // Asked last: a fault epoch's `dead` is the costly test.
+            if better && !dead(link) {
                 dist[p] = nd;
                 hops[p] = nh;
                 next[p] = slot;

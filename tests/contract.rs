@@ -5,7 +5,8 @@
 //! identity, and a verified output. The fixed cases live with the suites
 //! that name them: quicksort (seed 42) on the 16-core `sm` mesh under each
 //! policy in `determinism.rs` (no plan, resumed) and `fault_determinism.rs`
-//! (empty and sampled plans), its two preemption budgets in
+//! (empty and sampled plans; the sampled plan on the chiplet machine, whole
+//! and resumed, under the spatial policy), its two preemption budgets in
 //! `checkpoint_preemption.rs`, the same run on the chiplet machine in
 //! `hierarchical.rs`, each protocol partitioned then healed in
 //! `protocols.rs`, and Dijkstra in `end_to_end.rs`. The `proptest` shim
@@ -127,7 +128,9 @@ proptest! {
     /// x86_64 host (0.1-0.3 s otherwise): the protocols, which run a node on
     /// every core (3.5 s and 200k picks for gossip, spatial policy); the
     /// global policies, whose floor tree debug builds check against an
-    /// O(cores) sweep on every query (1-3.4 s); the sampled plan (3.3-6.8 s).
+    /// O(cores) sweep on every query (1-3.4 s); the sampled plan (0.3-1.2 s
+    /// per kernel with the sanitizer on), which `fault_determinism.rs` runs
+    /// as a named quicksort case so that this draw stays as it is.
     #[test]
     fn drawn_chiplet_cases_keep_every_contract(
         case in cases(&[Chiplet], &kernels(), &[SPATIAL, SyncPolicy::Unbounded],
